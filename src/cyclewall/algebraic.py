@@ -9,8 +9,10 @@ equal subgroups get equal encodings and equality is field comparison.
 
 The abstract complex has the medium encodings of a ball's vertices as nodes,
 arcs where the join of two mediums is a maximal, and faces for the induced
-n-cycles.  The map (coset gH) -> (subgroup gHg^-1) is verified to be an
-equivariant isomorphism on interior cells.
+n-cycles.  The join is decided exactly: two mediums join to a maximal iff the
+vertices they encode share an edge coset (see ``join_is_cmaximal``).  The map
+(coset gH) -> (subgroup gHg^-1) is verified to be an equivariant isomorphism
+on interior cells.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import itertools
 import json
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional
 
 import networkx as nx
@@ -34,10 +35,7 @@ from .words import (
     Syllable,
     coset_rep,
     enumerate_ball_elements,
-    enumerate_parabolic_ball,
     format_word,
-    identity,
-    inv,
     mul,
     parabolic_member,
     parabolic_normalizer,
@@ -48,14 +46,6 @@ MEDIUM = "medium"
 MAXIMAL = "maximal"
 
 _TIER_WIDTH = {MINIMAL: 1, MEDIUM: 2, MAXIMAL: 3}
-
-DEFAULT_JOIN_DEPTH = 4
-ESCALATED_JOIN_DEPTH = 6
-
-
-@lru_cache(maxsize=64)
-def _ball(p: Presentation, L: int) -> tuple[GroupElement, ...]:
-    return tuple(enumerate_ball_elements(p, L))
 
 
 @dataclass(frozen=True)
@@ -104,10 +94,6 @@ class CSubgroup:
 
     def sort_key(self):
         return (_TIER_WIDTH[self.tier], self.base, self.conjugator)
-
-
-def csubgroup_equal(a: CSubgroup, b: CSubgroup) -> bool:
-    return (a.tier, a.base, a.conjugator) == (b.tier, b.base, b.conjugator)
 
 
 def medium_of_vertex(v: ComplexVertex) -> CSubgroup:
@@ -160,136 +146,28 @@ def shared_edge(h1: CSubgroup, h2: CSubgroup) -> Optional[tuple[int, GroupElemen
     return None
 
 
-def _pairwise_closure(p: Presentation, gens: set[GroupElement], L: int) -> set[GroupElement]:
-    """Close under pairwise products, discarding anything longer than L."""
-    out = {g for g in gens if g.syllable_length <= L}
-    out.add(identity(p))
-    frontier = set(out)
-    while frontier:
-        new = set()
-        known = list(out)
-        for a in frontier:
-            for s in known:
-                for h in (mul(a, s), mul(s, a)):
-                    if h.syllable_length <= L and h not in out and h not in new:
-                        new.add(h)
-        out |= new
-        frontier = new
-    return out
-
-
-_HARVEST_DEPTH = 3
-
-
-def _bounded_closure(p: Presentation, gens: set[GroupElement], L: int) -> set[GroupElement]:
-    """Bounded subgroup closure at syllable length L.
-
-    Phase one closes pairwise at a small depth so that short derived elements
-    — e.g. a syllable recovered from a conjugated generator by cancellation —
-    become available as factors; without them, targets reachable only through
-    such elements are missed at the length cap.  Phase two is the cheap
-    generator-wise sweep with the enriched generating set.
-    """
-    enriched = _pairwise_closure(p, gens, min(L, _HARVEST_DEPTH)) | gens
-    out = {g for g in enriched if g.syllable_length <= L}
-    out.add(identity(p))
-    gen_list = sorted(g for g in enriched if not g.is_identity)
-    frontier = set(out)
-    while frontier:
-        new = set()
-        for a in frontier:
-            for s in gen_list:
-                h = mul(a, s)
-                if h.syllable_length <= L and h not in out and h not in new:
-                    new.add(h)
-        out |= new
-        frontier = new
-    return out
-
-
-@lru_cache(maxsize=4096)
-def _subgroup_truncation(h: CSubgroup, depth: int) -> frozenset[GroupElement]:
-    """All elements of the conjugated standard subgroup with length <= depth."""
-    p = h.presentation
-    c, ci = h.conjugator, inv(h.conjugator)
-    inner_radius = depth + 2 * c.syllable_length
-    out = set()
-    for u in enumerate_parabolic_ball(p, h.defining_set(), inner_radius):
-        x = mul(mul(c, u), ci)
-        if x.syllable_length <= depth:
-            out.add(x)
-    return frozenset(out)
-
-
-def _generator_conjugates(h: CSubgroup) -> set[GroupElement]:
-    p = h.presentation
-    c, ci = h.conjugator, inv(h.conjugator)
-    gens = set()
-    for v in h.defining_set():
-        for x in p.group(v).nontrivial_elements():
-            gens.add(mul(mul(c, GroupElement(p, (Syllable(v, x),))), ci))
-    return gens
-
-
-def join_is_cmaximal(h1: CSubgroup, h2: CSubgroup,
-                     L: int = DEFAULT_JOIN_DEPTH) -> tuple[bool, Optional[CSubgroup]]:
+def join_is_cmaximal(h1: CSubgroup,
+                     h2: CSubgroup) -> tuple[bool, Optional[CSubgroup]]:
     """Decide whether the subgroup generated by two mediums is a maximal.
 
-    The algebraic route closes conjugated generators under products up to
-    syllable length L and compares against the truncations of the (at most
-    one) maximal containing both.  The geometric route tests whether the
-    encoded vertices share an edge.  The verdicts are cross-checked; an
-    unresolvable disagreement raises instead of guessing.
+    Only a maximal containing both can be their join, and there is at most
+    one: the two maximals containing a medium intersect in that medium.
+    Inside it, ``M = G_i x (G_{i-1} * G_{i+1})`` up to conjugation, and the
+    mediums are ``G_i`` times the vertex groups of the Bass-Serre tree of
+    the free product ``G_{i-1} * G_{i+1}`` (Serre, *Trees*, 1980).  Two
+    vertex groups of that tree generate the whole free product exactly when
+    they are adjacent, i.e. when the encoded X-vertices share an edge coset.
     """
     if h1.tier != MEDIUM or h2.tier != MEDIUM:
         raise ValidationError("the join rule applies to medium subgroups")
-    p = h1.presentation
-    p.require_finite()
-    if csubgroup_equal(h1, h2):
+    h1.presentation.require_finite()
+    if h1 == h2 or shared_edge(h1, h2) is None:
         return False, None
-    if h2.sort_key() < h1.sort_key():
-        h1, h2 = h2, h1
-
-    # translate so h1 is standard: keeps closure element lengths small and
-    # lets geometrically distinct but congruent pairs share one computation
-    t = inv(h1.conjugator)
-    ok, candidate = _join_standard(h1.conjugated(t), h2.conjugated(t), L)
-    if ok:
-        return True, candidate.conjugated(h1.conjugator)
-    return False, None
-
-
-@lru_cache(maxsize=65536)
-def _join_standard(a1: CSubgroup, a2: CSubgroup,
-                   L: int) -> tuple[bool, Optional[CSubgroup]]:
-    p = a1.presentation
-    shared = [m1 for m1 in containing_maximals(a1)
-              if any(csubgroup_equal(m1, m2) for m2 in containing_maximals(a2))]
-    geo = shared_edge(a1, a2)
-
+    shared = [m for m in containing_maximals(h1) if m in containing_maximals(h2)]
     if not shared:
-        if geo is not None:
-            raise InconclusiveError(
-                "vertices share an edge but no common maximal exists")
-        return False, None
-    candidate = min(shared, key=lambda s: s.sort_key())
-
-    gens = _generator_conjugates(a1) | _generator_conjugates(a2)
-    for depth in (L, ESCALATED_JOIN_DEPTH) if L < ESCALATED_JOIN_DEPTH else (L,):
-        closure = _bounded_closure(p, gens, depth)
-        if not all(candidate.member(g) for g in closure):
-            raise InconclusiveError(
-                "closure escapes the only shared maximal candidate")
-        target = _subgroup_truncation(candidate, depth)
-        algebraic = closure >= target
-        geometric = geo is not None
-        if algebraic == geometric:
-            if not algebraic:
-                return False, None
-            return True, candidate
-    raise InconclusiveError(
-        f"join of {a1.key_string()} and {a2.key_string()} undecided at depth "
-        f"{ESCALATED_JOIN_DEPTH}: geometric={geo is not None}")
+        raise InconclusiveError(
+            "vertices share an edge but no common maximal exists")
+    return True, shared[0]
 
 
 # -- the abstract complex -----------------------------------------------------------
@@ -341,7 +219,7 @@ def _induced_n_cycles(g: nx.Graph, n: int) -> list[tuple]:
     return sorted(out, key=lambda c: [index[v] for v in c])
 
 
-def build_script_X_ball(b: ComplexBall, L: int = DEFAULT_JOIN_DEPTH) -> ScriptXBall:
+def build_script_X_ball(b: ComplexBall) -> ScriptXBall:
     """Rebuild the ball's 1-skeleton (plus filled n-cycles) from subgroup data."""
     p = b.presentation
     sx = ScriptXBall(presentation=p)
@@ -367,7 +245,7 @@ def build_script_X_ball(b: ComplexBall, L: int = DEFAULT_JOIN_DEPTH) -> ScriptXB
             if pair in seen:
                 continue
             seen.add(pair)
-            ok, candidate = join_is_cmaximal(h1, h2, L)
+            ok, candidate = join_is_cmaximal(h1, h2)
             if ok:
                 sx.arcs[pair] = candidate
 
@@ -406,12 +284,11 @@ def _interior_skeleton(b: ComplexBall) -> nx.Graph:
     return g
 
 
-def phi_iso_check(b: ComplexBall, seed: int = 0, samples: int = 50,
-                  L: int = DEFAULT_JOIN_DEPTH) -> Report:
+def phi_iso_check(b: ComplexBall, seed: int = 0, samples: int = 50) -> Report:
     """The coset-to-conjugate map is an equivariant isomorphism on interior cells."""
     report = Report()
     p = b.presentation
-    sx = build_script_X_ball(b, L)
+    sx = build_script_X_ball(b)
     encode = {v: medium_of_vertex(v) for v in b.vertices}
 
     report.add("phi.injective-on-vertices", f"vertices={len(b.vertices)}",
@@ -447,14 +324,14 @@ def phi_iso_check(b: ComplexBall, seed: int = 0, samples: int = 50,
                not bad_faces, bad_faces or None)
 
     rng = random.Random(seed)
-    gens = list(_ball(p, 2))
+    gens = enumerate_ball_elements(p, 2)
     bad_eq = []
     for _ in range(samples):
         g = rng.choice(gens)
         v = rng.choice(b.vertices)
         lhs = medium_of_vertex(act_vertex(g, v))
         rhs = encode[v].conjugated(g)
-        if not csubgroup_equal(lhs, rhs):
+        if lhs != rhs:
             bad_eq.append((format_word(g), v.key_string()))
     report.add("phi.equivariance-on-samples", f"samples={samples} seed={seed}",
                not bad_eq, bad_eq or None)
@@ -476,8 +353,8 @@ def induced_cycle_audit(b: ComplexBall) -> Report:
     return report
 
 
-def join_agreement_audit(b: ComplexBall, L: int = DEFAULT_JOIN_DEPTH) -> Report:
-    """Algebraic join verdicts match geometric adjacency on interior pairs."""
+def join_agreement_audit(b: ComplexBall) -> Report:
+    """Join verdicts match adjacency in the ball's interior 1-skeleton."""
     report = Report()
     skel = _interior_skeleton(b)
     interior = sorted(skel.nodes)
@@ -488,13 +365,13 @@ def join_agreement_audit(b: ComplexBall, L: int = DEFAULT_JOIN_DEPTH) -> Report:
         pairs += 1
         try:
             ok, candidate = join_is_cmaximal(medium_of_vertex(u),
-                                             medium_of_vertex(w), L)
+                                             medium_of_vertex(w))
         except InconclusiveError as exc:
             inconclusive.append((u.key_string(), w.key_string(), str(exc)))
             continue
         if ok != skel.has_edge(u, w):
             bad.append((u.key_string(), w.key_string(), ok))
-    report.add("joins.agree-with-adjacency", f"pairs={pairs} L={L}",
+    report.add("joins.agree-with-adjacency", f"pairs={pairs}",
                not bad, bad or None)
     if inconclusive:
         report.add_inconclusive("joins.agree-with-adjacency",

@@ -1,8 +1,9 @@
 """Command-line interface: word reduction, ball exports, the verify harness,
 and automorphism utilities.
 
-Exit codes: 0 pass, 1 audit failure, 2 resource or validation error,
-3 no failures but at least one inconclusive check.
+Exit codes: 0 pass, 1 audit failure, 2 resource or validation error (any
+other ``CycleWallError`` too), 3 no failures but at least one inconclusive
+check.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .errors import (
     CycleWallError,
     DecompositionError,
     InconclusiveError,
-    ResourceLimitError,
     ValidationError,
 )
 from .localgroups import cyclic_group, integers_group, table_group
@@ -80,26 +80,35 @@ def _group_from_json(spec, where: str):
             f"{where}: unknown group {text!r} (use 'Z/k', 'Z', 'S3', or a table)")
     if isinstance(spec, dict):
         kind = spec.get("kind")
-        if kind == "cyclic":
-            return cyclic_group(int(spec["order"]), name=spec.get("name", ""))
-        if kind == "integers":
-            return integers_group(name=spec.get("name", ""))
-        if kind == "table":
-            return table_group(spec["table"], names=spec.get("names"),
-                               name=spec.get("name", ""))
+        try:
+            if kind == "cyclic":
+                return cyclic_group(int(spec["order"]), name=spec.get("name", ""))
+            if kind == "integers":
+                return integers_group(name=spec.get("name", ""))
+            if kind == "table":
+                return table_group(spec["table"], names=spec.get("names"),
+                                   name=spec.get("name", ""))
+        except KeyError as exc:
+            raise ValidationError(f"{where}: {kind} group needs field {exc}")
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{where}: malformed {kind} group: {exc}")
         raise ValidationError(f"{where}: unknown group kind {kind!r}")
     raise ValidationError(f"{where}: a group is a string or an object")
 
 
-def load_presentation(path: str) -> Presentation:
+def _read_json(path: str, what: str):
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ValidationError(f"cannot read presentation file: {exc}")
+        raise ValidationError(f"cannot read {what} file: {exc}")
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}")
+
+
+def load_presentation(path: str) -> Presentation:
+    doc = _read_json(path, "presentation")
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: expected a JSON object")
     n = doc.get("n")
@@ -189,10 +198,10 @@ def walls_suite(p: Presentation, radius: int, depth: int, seed: int) -> Report:
     return report
 
 
-def algebraic_suite(p: Presentation, radius: int, depth: int, seed: int) -> Report:
+def algebraic_suite(p: Presentation, radius: int, seed: int) -> Report:
     b = davis.build_ball(p, radius)
     report = Report()
-    report.extend(algebraic.phi_iso_check(b, seed=seed, L=depth + 1))
+    report.extend(algebraic.phi_iso_check(b, seed=seed))
     report.extend(algebraic.induced_cycle_audit(b))
     report.extend(algebraic.join_agreement_audit(b))
     return report
@@ -246,7 +255,7 @@ def run_suite(p: Presentation, suite: str, radius: int, depth: int,
     if suite in ("walls", "all"):
         report.extend(walls_suite(p, radius, depth, seed))
     if suite in ("algebraic", "all"):
-        report.extend(algebraic_suite(p, radius, depth, seed))
+        report.extend(algebraic_suite(p, radius, seed))
     if suite in ("aut", "all"):
         report.extend(aut_suite(p, depth, seed))
     if suite in ("diagrams", "all"):
@@ -307,8 +316,7 @@ def cmd_aut(args) -> int:
     # decompose
     if args.images is None:
         raise ValidationError("aut decompose requires --images FILE")
-    with open(args.images) as fh:
-        doc = json.load(fh)
+    doc = _read_json(args.images, "images")
     if not isinstance(doc, dict) or "images" not in doc:
         raise ValidationError("images file must contain an 'images' field")
     images = [[parse_word(p, w) for w in per_vertex]
@@ -385,12 +393,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, ResourceLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
     except InconclusiveError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
+    except CycleWallError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

@@ -298,30 +298,24 @@ def subdivide(b: ComplexBall) -> ComplexBall:
     sq.vertices = sorted(sq.vertex_edges)
     sq.edges = sorted(sq.edge_squares)
 
-    # interiority inherited from the polygonal ball
+    # interiority inherited from the polygonal ball; an X-edge is determined
+    # by its label and coset rep, and so are its midpoint and half-edges
+    interior_x_edges = {(e.label, e.rep) for e in b.interior_edges}
     for v in sq.vertices:
         if v.cls == POLY:
             if v in b.interior_vertices:
                 sq.interior_vertices.add(v)
         elif v.cls == EDGE:
-            # locate the X-edge this midpoint subdivides
-            if any(e.label == v.index and e.rep == v.rep for e in b.interior_edges):
+            if (v.index, v.rep) in interior_x_edges:
                 sq.interior_vertices.add(v)
         else:
             sq.interior_vertices.add(v)
     for e in sq.edges:
         if e.label is None:
             sq.interior_edges.add(e)   # spokes lie inside one polygon
-        else:
-            x = _edge_between(*[v for v in _x_edge_ends(p, e)], e.label, e.rep)
-            if x in b.interior_edges:
-                sq.interior_edges.add(e)
+        elif (e.label, e.rep) in interior_x_edges:
+            sq.interior_edges.add(e)
     return sq
-
-
-def _x_edge_ends(p: Presentation, half_edge: ComplexEdge):
-    rep, i = half_edge.rep, half_edge.label
-    return (x_vertex(p, rep, i - 1), x_vertex(p, rep, i))
 
 
 # -- links and audits ----------------------------------------------------------------

@@ -27,6 +27,7 @@ from typing import Optional, Sequence
 from .davis import ComplexBall, ComplexVertex
 from .errors import FillError, ValidationError
 from .reports import Report
+from .walls import _UnionFind
 from .words import GroupElement, format_word
 
 
@@ -319,21 +320,6 @@ def _ball_edge(b: ComplexBall, v: ComplexVertex, w: ComplexVertex):
     return None
 
 
-class _Fold:
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, x):
-        self.parent.setdefault(x, x)
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x, y):
-        self.parent[self.find(x)] = self.find(y)
-
-
 def _rebuild(b: ComplexBall, loop: list, steps: list) -> DiscDiagram:
     """Replay the recorded gluing sequence as an explicit planar complex."""
     ids = itertools.count()
@@ -346,7 +332,7 @@ def _rebuild(b: ComplexBall, loop: list, steps: list) -> DiscDiagram:
 
     boundary = [fresh(v) for v in loop]
     start_boundary = list(boundary)
-    uf = _Fold()
+    uf = _UnionFind()
     edges = {frozenset({a, c}) for a, c in zip(boundary, boundary[1:] + boundary[:1])
              if a != c}
     faces: list[tuple[int, ...]] = []

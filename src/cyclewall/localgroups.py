@@ -51,10 +51,15 @@ def _validate_table(table: tuple[tuple[int, ...], ...]) -> None:
 class LocalGroupSpec:
     """One vertex group: ``cyclic``, ``table`` or ``integers``."""
 
+    # Fields that may be None stay out of the hash: before Python 3.12,
+    # hash(None) is an address, so the hash would differ between processes.
     kind: str
-    order: Optional[int] = None            # cyclic only
-    table: Optional[tuple[tuple[int, ...], ...]] = None  # table only
-    names: Optional[tuple[str, ...]] = None  # table only, display names
+    # cyclic only
+    order: Optional[int] = field(default=None, hash=False)
+    # table only
+    table: Optional[tuple[tuple[int, ...], ...]] = field(default=None, hash=False)
+    # table only, display names
+    names: Optional[tuple[str, ...]] = field(default=None, hash=False)
     name: str = ""
 
     def __post_init__(self):
@@ -136,11 +141,6 @@ class LocalGroupSpec:
             k += 1
         return k
 
-    def element_name(self, value: int) -> str:
-        if self.kind == "table" and self.names is not None:
-            return self.names[value]
-        return str(value)
-
 
 @dataclass(frozen=True)
 class LocalElement:
@@ -159,10 +159,6 @@ def lg_mul(a: LocalElement, b: LocalElement) -> LocalElement:
     if a.group != b.group:
         raise GroupMismatchError(f"cannot multiply elements of {a.group.name} and {b.group.name}")
     return LocalElement(a.group, a.group.mul(a.value, b.value))
-
-
-def lg_inv(a: LocalElement) -> LocalElement:
-    return LocalElement(a.group, a.group.inv(a.value))
 
 
 @dataclass(frozen=True)

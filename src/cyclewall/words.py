@@ -247,10 +247,6 @@ def parabolic_member(g: GroupElement, ref: ParabolicRef) -> bool:
     return moved.support() <= ref.vertices
 
 
-def in_standard_parabolic(g: GroupElement, S: Iterable[int]) -> bool:
-    return g.support() <= frozenset(v % g.presentation.n for v in S)
-
-
 def parabolic_normalizer(p: Presentation, S: Iterable[int]) -> frozenset[int]:
     """Vertex set generating the normalizer of ``<G_S>``: S plus the vertices
     adjacent to every vertex of S."""
@@ -305,25 +301,6 @@ def enumerate_ball_elements(p: Presentation, L: int) -> list[GroupElement]:
     """All elements of syllable length <= L, canonical, sorted, no duplicates."""
     p.require_finite()
     gens = list(p.syllables())
-    seen = {identity(p)}
-    frontier = [identity(p)]
-    for length in range(1, L + 1):
-        nxt = []
-        for g in frontier:
-            for s in gens:
-                h = mul(g, GroupElement(p, (s,)))
-                if h.syllable_length == length and h not in seen:
-                    seen.add(h)
-                    nxt.append(h)
-        frontier = nxt
-    return sorted(seen)
-
-
-def enumerate_parabolic_ball(p: Presentation, S: Iterable[int], L: int) -> list[GroupElement]:
-    """Elements of the standard parabolic ``<G_S>`` of syllable length <= L."""
-    p.require_finite()
-    Sf = frozenset(v % p.n for v in S)
-    gens = [s for s in p.syllables() if s.vertex in Sf]
     seen = {identity(p)}
     frontier = [identity(p)]
     for length in range(1, L + 1):

@@ -1,15 +1,30 @@
 """Independent oracles used by the test suite.
 
-These deliberately avoid the package's normal-form machinery: equality of
-words is decided by exhaustively closing the set of raw words under the three
-elementary rewriting moves (delete identity / merge same-group neighbours /
-swap commuting neighbours) and reading off the resulting partition.
+The word-problem oracle deliberately avoids the package's normal-form
+machinery: equality of words is decided by exhaustively closing the set of
+raw words under the three elementary rewriting moves (delete identity / merge
+same-group neighbours / swap commuting neighbours) and reading off the
+resulting partition.
+
+The join oracle decides whether two medium subgroups generate a maximal by a
+bounded subgroup closure: products of conjugated generators up to a syllable
+length, compared with the shared maximal truncated at the same length.  It
+multiplies with ``mul`` but never calls ``shared_edge``, the edge-coset test
+the exact ``join_is_cmaximal`` rests on.
 """
 
 import itertools
 
+from cyclewall.algebraic import CSubgroup, containing_maximals
 from cyclewall.localgroups import IDENTITY, table_group
-from cyclewall.words import Presentation, Syllable
+from cyclewall.words import (
+    GroupElement,
+    Presentation,
+    Syllable,
+    identity,
+    inv,
+    mul,
+)
 
 
 def s3_table_group():
@@ -79,3 +94,115 @@ def closure_classifier(p: Presentation, max_len: int):
         for other in single_moves(p, word):
             uf.union(word, other)
     return uf
+
+
+# -- bounded closure: the join oracle -------------------------------------------
+
+
+def enumerate_parabolic_ball(p: Presentation, S, L: int) -> list[GroupElement]:
+    """Elements of the standard parabolic ``<G_S>`` of syllable length <= L."""
+    p.require_finite()
+    Sf = frozenset(v % p.n for v in S)
+    gens = [s for s in p.syllables() if s.vertex in Sf]
+    seen = {identity(p)}
+    frontier = [identity(p)]
+    for length in range(1, L + 1):
+        nxt = []
+        for g in frontier:
+            for s in gens:
+                h = mul(g, GroupElement(p, (s,)))
+                if h.syllable_length == length and h not in seen:
+                    seen.add(h)
+                    nxt.append(h)
+        frontier = nxt
+    return sorted(seen)
+
+
+def pairwise_closure(p: Presentation, gens: set, L: int) -> set:
+    """Close under pairwise products, discarding anything longer than L."""
+    out = {g for g in gens if g.syllable_length <= L}
+    out.add(identity(p))
+    frontier = set(out)
+    while frontier:
+        new = set()
+        known = list(out)
+        for a in frontier:
+            for s in known:
+                for h in (mul(a, s), mul(s, a)):
+                    if h.syllable_length <= L and h not in out and h not in new:
+                        new.add(h)
+        out |= new
+        frontier = new
+    return out
+
+
+HARVEST_DEPTH = 3
+
+
+def bounded_closure(p: Presentation, gens: set, L: int) -> set:
+    """Bounded subgroup closure at syllable length L.
+
+    Phase one closes pairwise at a small depth so that short derived elements
+    -- e.g. a syllable recovered from a conjugated generator by cancellation --
+    become available as factors; without them, targets reachable only through
+    such elements are missed at the length cap.  Phase two is the cheap
+    generator-wise sweep with the enriched generating set.
+    """
+    enriched = pairwise_closure(p, gens, min(L, HARVEST_DEPTH)) | gens
+    out = {g for g in enriched if g.syllable_length <= L}
+    out.add(identity(p))
+    gen_list = sorted(g for g in enriched if not g.is_identity)
+    frontier = set(out)
+    while frontier:
+        new = set()
+        for a in frontier:
+            for s in gen_list:
+                h = mul(a, s)
+                if h.syllable_length <= L and h not in out and h not in new:
+                    new.add(h)
+        out |= new
+        frontier = new
+    return out
+
+
+def subgroup_truncation(h: CSubgroup, depth: int) -> frozenset:
+    """All elements of the conjugated standard subgroup with length <= depth."""
+    p = h.presentation
+    c, ci = h.conjugator, inv(h.conjugator)
+    out = set()
+    for u in enumerate_parabolic_ball(p, h.defining_set(),
+                                      depth + 2 * c.syllable_length):
+        x = mul(mul(c, u), ci)
+        if x.syllable_length <= depth:
+            out.add(x)
+    return frozenset(out)
+
+
+def generator_conjugates(h: CSubgroup) -> set:
+    p = h.presentation
+    c, ci = h.conjugator, inv(h.conjugator)
+    gens = set()
+    for v in h.defining_set():
+        for x in p.group(v).nontrivial_elements():
+            gens.add(mul(mul(c, GroupElement(p, (Syllable(v, x),))), ci))
+    return gens
+
+
+def closure_join(h1: CSubgroup, h2: CSubgroup, L: int):
+    """Bounded-closure join of two mediums: ``(verdict, closure, candidate)``.
+
+    Both mediums are first translated so that ``h1`` is standard, which keeps
+    closure elements short; ``closure`` and ``candidate`` are in that frame.
+    ``candidate`` is the maximal containing both (None if there is none), and
+    the verdict says whether the closure up to length L covers the candidate
+    truncated at L.
+    """
+    t = inv(h1.conjugator)
+    a1, a2 = h1.conjugated(t), h2.conjugated(t)
+    shared = [m for m in containing_maximals(a1) if m in containing_maximals(a2)]
+    if not shared:
+        return False, set(), None
+    candidate = shared[0]
+    closure = bounded_closure(a1.presentation,
+                              generator_conjugates(a1) | generator_conjugates(a2), L)
+    return closure >= subgroup_truncation(candidate, L), closure, candidate

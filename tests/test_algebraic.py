@@ -1,8 +1,10 @@
+import itertools
 import json
 
 import networkx as nx
 import pytest
 
+from cyclewall import algebraic
 from cyclewall.algebraic import (
     MAXIMAL,
     MEDIUM,
@@ -10,7 +12,6 @@ from cyclewall.algebraic import (
     CSubgroup,
     build_script_X_ball,
     containing_maximals,
-    csubgroup_equal,
     induced_cycle_audit,
     join_agreement_audit,
     join_is_cmaximal,
@@ -25,6 +26,8 @@ from cyclewall.davis import build_ball, x_vertex
 from cyclewall.errors import ValidationError
 from cyclewall.words import identity, parse_word
 
+from oracles import closure_join
+
 
 # -- encodings ------------------------------------------------------------------
 
@@ -32,15 +35,15 @@ from cyclewall.words import identity, parse_word
 def test_equal_after_inner_conjugation(c5_z2):
     p = c5_z2
     h = CSubgroup(MEDIUM, 1, identity(p))
-    assert csubgroup_equal(h, CSubgroup(MEDIUM, 1, parse_word(p, "v1:1")))
-    assert csubgroup_equal(h, CSubgroup(MEDIUM, 1, parse_word(p, "v2:1")))
-    assert not csubgroup_equal(h, CSubgroup(MEDIUM, 2, identity(p)))
+    assert h == CSubgroup(MEDIUM, 1, parse_word(p, "v1:1"))
+    assert h == CSubgroup(MEDIUM, 1, parse_word(p, "v2:1"))
+    assert h != CSubgroup(MEDIUM, 2, identity(p))
 
 
 def test_unequal_after_outside_conjugation(c5_z2):
     p = c5_z2
     h = CSubgroup(MEDIUM, 1, identity(p))
-    assert not csubgroup_equal(h, CSubgroup(MEDIUM, 1, parse_word(p, "v3:1")))
+    assert h != CSubgroup(MEDIUM, 1, parse_word(p, "v3:1"))
 
 
 def test_minimal_conjugator_uses_wide_normalizer(c5_z2):
@@ -110,6 +113,39 @@ def test_join_rejects_non_medium(c5_z2):
     with pytest.raises(ValidationError):
         join_is_cmaximal(CSubgroup(MINIMAL, 1, identity(p)),
                          CSubgroup(MEDIUM, 2, identity(p)))
+
+
+@pytest.mark.parametrize("name, radius",
+                         [("c5_z2", 2), ("c5_mixed", 1), ("c6_z2", 1)])
+def test_exact_join_matches_closure_oracle(name, radius, request):
+    """Every pair the rebuild tests (mediums sharing a maximal) gets the
+    bounded closure's depth-4 verdict, and the closure stays inside the
+    shared maximal."""
+    b = build_ball(request.getfixturevalue(name), radius)
+    buckets = {}
+    for v in b.vertices:
+        h = medium_of_vertex(v)
+        for m in containing_maximals(h):
+            buckets.setdefault(m, []).append(h)
+    joins = 0
+    for bucket in buckets.values():
+        for h1, h2 in itertools.combinations(
+                sorted(bucket, key=CSubgroup.sort_key), 2):
+            ok, candidate = join_is_cmaximal(h1, h2)
+            reached, closure, oracle_candidate = closure_join(h1, h2, 4)
+            assert ok == reached, (h1.key_string(), h2.key_string())
+            assert all(oracle_candidate.member(g) for g in closure)
+            if ok:
+                joins += 1
+                assert candidate == oracle_candidate.conjugated(h1.conjugator)
+    assert joins == len(b.edges)
+
+
+def test_phi_iso_check_fails_without_shared_edges(c5_z2, monkeypatch):
+    monkeypatch.setattr(algebraic, "shared_edge", lambda h1, h2: None)
+    report = phi_iso_check(build_ball(c5_z2, 2))
+    assert "phi.edges-preserved-both-ways" in {
+        r.check_id for r in report.failures}
 
 
 def test_shared_edge_of_adjacent_vertices(c5_z2):

@@ -53,6 +53,15 @@ def test_load_rejects_unknown_group(tmp_path):
     assert "groups[4]" in str(err.value)
 
 
+def test_load_rejects_malformed_group_objects(tmp_path):
+    for spec in ({"kind": "cyclic"}, {"kind": "cyclic", "order": "x"},
+                 {"kind": "table"}, {"kind": "table", "table": 5}):
+        path = write_presentation(tmp_path, 5, [spec] + ["Z/2"] * 4)
+        with pytest.raises(ValidationError) as err:
+            load_presentation(path)
+        assert "groups[0]" in str(err.value)
+
+
 def test_load_rejects_bad_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -213,3 +222,33 @@ def test_aut_decompose_reports_failure(tmp_path, capsys):
     assert rc == EXIT_FAIL
     doc = json.loads(capsys.readouterr().out)
     assert "error" in doc
+
+
+# -- exit-code contract -------------------------------------------------------------
+
+
+_ERROR_CASES = {
+    "cyclic-without-order": ([{"kind": "cyclic"}] + ["Z/2"] * 4,
+                             ["verify", "--suite", "words"]),
+    "non-integer-order": ([{"kind": "cyclic", "order": "x"}] + ["Z/2"] * 4,
+                          ["verify", "--suite", "words"]),
+    "infinite-group-in-verify": (["Z"] + ["Z/2"] * 4, ["verify"]),
+    "aut-group-above-cap": (["Z/13"] + ["Z/2"] * 4, ["aut", "witness"]),
+    "missing-images-file": (["Z/2"] * 5,
+                            ["aut", "decompose", "--images", "absent.json"]),
+    "broken-images-file": (["Z/2"] * 5,
+                           ["aut", "decompose", "--images", "broken.json"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ERROR_CASES))
+def test_bad_input_exits_2_without_traceback(case, tmp_path, capsys):
+    groups, (command, *rest) = _ERROR_CASES[case]
+    path = write_presentation(tmp_path, 5, groups)
+    (tmp_path / "broken.json").write_text("{\"images\": [")
+    rest = [str(tmp_path / a) if a.endswith(".json") else a for a in rest]
+    rc = main([command, "--presentation", path] + rest)
+    err = capsys.readouterr().err
+    assert rc == EXIT_RESOURCE
+    assert err.startswith("error:")
+    assert "Traceback" not in err

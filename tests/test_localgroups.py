@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -111,3 +115,25 @@ def test_identity_iso_roundtrip():
     e = identity_iso(s3)
     assert e.is_identity
     assert e.compose(e).is_identity
+
+
+_HASH_ONE_ELEMENT = """
+from cyclewall.localgroups import cyclic_group
+from cyclewall.words import Presentation, parse_word
+from oracles import s3_table_group
+p = Presentation((cyclic_group(2), cyclic_group(3), s3_table_group(),
+                  cyclic_group(2), cyclic_group(3)))
+print(hash(parse_word(p, "v0:1 v2:3 v4:2")))
+"""
+
+
+def test_element_hash_agrees_across_processes():
+    """With a fixed PYTHONHASHSEED an element hashes alike in every process,
+    so no spec field may hash by address (as None does before Python 3.12)."""
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONHASHSEED="0",
+               PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+    hashes = [subprocess.run([sys.executable, "-c", _HASH_ONE_ELEMENT], env=env,
+                             capture_output=True, text=True, check=True).stdout
+              for _ in range(2)]
+    assert hashes[0] == hashes[1]

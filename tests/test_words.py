@@ -13,7 +13,6 @@ from cyclewall.words import (
     coset_rep,
     cyclic_reduce,
     enumerate_ball_elements,
-    enumerate_parabolic_ball,
     format_word,
     from_syllable,
     identity,
@@ -150,10 +149,11 @@ def test_coset_rep_quotient_in_parabolic(c5_mixed):
 def test_coset_rep_constant_on_cosets(c5_mixed):
     p = c5_mixed
     rng = random.Random(2)
+    ball = enumerate_ball_elements(p, 2)
     for _ in range(300):
         g = reduce_word(p, random_raw_word(rng, p, 5))
         S = frozenset(rng.sample(range(5), rng.randrange(1, 4)))
-        h = rng.choice(enumerate_parabolic_ball(p, S, 2))
+        h = rng.choice([x for x in ball if x.support() <= S])
         assert coset_rep(mul(g, h), S) == coset_rep(g, S)
 
 
