@@ -25,7 +25,7 @@ from typing import Optional
 
 import networkx as nx
 
-from .davis import POLY, ComplexBall, ComplexVertex, act_vertex, x_edge
+from .davis import POLY, ComplexBall, ComplexVertex, act_vertex
 from .errors import InconclusiveError, ValidationError
 from .reports import Report
 from .words import (

@@ -17,7 +17,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .davis import EDGE, POLY, TRIVIAL, ComplexBall, ComplexEdge, ComplexVertex
 from .errors import DecompositionError, ValidationError
@@ -32,6 +32,8 @@ from .words import (
     GroupElement,
     Presentation,
     Syllable,
+    _front_shufflable,
+    _right_strippable,
     coset_rep,
     cyclic_reduce,
     enumerate_ball_elements,
@@ -334,22 +336,15 @@ def _strip_two_sided(p: Presentation, w: GroupElement, left_set: frozenset[int],
     progress = True
     while word and progress:
         progress = False
-        for k, s in enumerate(word):
-            if s.vertex in left_set and all(
-                    p.commutes(word[j].vertex, s.vertex) for j in range(k)):
-                lam.append(s)
-                del word[k]
-                progress = True
-                break
-        for k in range(len(word) - 1, -1, -1):
-            s = word[k]
-            if s.vertex in right_set and all(
-                    p.commutes(word[j].vertex, s.vertex)
-                    for j in range(k + 1, len(word))):
-                rho.insert(0, s)
-                del word[k]
-                progress = True
-                break
+        k = next((k for k in _front_shufflable(p, word)
+                  if word[k].vertex in left_set), None)
+        if k is not None:
+            lam.append(word.pop(k))
+            progress = True
+        k = _right_strippable(p, word, right_set)
+        if k is not None:
+            rho.insert(0, word.pop(k))
+            progress = True
     if word:
         return None
     return reduce_word(p, lam), reduce_word(p, rho)

@@ -247,6 +247,10 @@ _SUITES = ("words", "davis", "walls", "algebraic", "aut", "diagrams", "all")
 
 def run_suite(p: Presentation, suite: str, radius: int, depth: int,
               seed: int) -> Report:
+    if radius < 0:
+        raise ValidationError("radius must be >= 0")
+    if depth < 0:
+        raise ValidationError("depth must be >= 0")
     report = Report()
     if suite in ("words", "all"):
         report.extend(words_suite(p, depth, seed))
@@ -319,8 +323,13 @@ def cmd_aut(args) -> int:
     doc = _read_json(args.images, "images")
     if not isinstance(doc, dict) or "images" not in doc:
         raise ValidationError("images file must contain an 'images' field")
-    images = [[parse_word(p, w) for w in per_vertex]
-              for per_vertex in doc["images"]]
+    rows = doc["images"]
+    if not (isinstance(rows, list) and len(rows) == p.n
+            and all(isinstance(row, list) and all(isinstance(w, str) for w in row)
+                    for row in rows)):
+        raise ValidationError(
+            f"images must be a list of {p.n} lists of words, one per vertex")
+    images = [[parse_word(p, w) for w in row] for row in rows]
     try:
         a = aut_decompose(p, images)
     except DecompositionError as exc:

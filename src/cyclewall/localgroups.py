@@ -12,9 +12,8 @@ otherwise), wrapped in :class:`LocalElement` only at API boundaries.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 from .errors import EnumerationCapError, GroupMismatchError, InfiniteGroupError, ValidationError
 

@@ -7,14 +7,22 @@ shuffle-equivalent reduced forms when comparing vertex-index sequences.
 Two ``GroupElement`` values are equal iff they are equal in the group.
 
 Vertices are 0-based residues mod n; vertices i and j commute iff they are
-adjacent on the cycle, i.e. ``|i - j| = 1 (mod n)``.
+adjacent on the cycle, i.e. ``|i - j| = 1 (mod n)``. Each presentation
+precomputes this as a table, ``blocks[v]``: the vertices that do not commute
+with v, v included.
+
+The shuffles of a reduced word are the linear extensions of its dependence
+order (the trace-monoid view of graph-product normal forms), and the
+canonical word is the least one, found by a topological sort that pops a
+heap keyed on vertex index. For a word of L syllables on n vertices that is
+O(L*n) dependence edges plus O(L log L) heap work.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import total_ordering
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import GroupMismatchError, InfiniteGroupError, ValidationError
@@ -26,10 +34,16 @@ class Presentation:
     """A cyclic product: n >= 5 non-trivial vertex groups on the cycle C_n."""
 
     groups: tuple[LocalGroupSpec, ...]
+    # blocks[v]: the vertices that do not commute with v, v itself included.
+    blocks: tuple[frozenset[int], ...] = field(
+        init=False, compare=False, hash=False, repr=False)
 
     def __post_init__(self):
-        if len(self.groups) < 5:
+        n = len(self.groups)
+        if n < 5:
             raise ValidationError("cyclic products need at least 5 vertex groups")
+        object.__setattr__(self, "blocks", tuple(
+            frozenset(range(n)) - {(v - 1) % n, (v + 1) % n} for v in range(n)))
 
     @property
     def n(self) -> int:
@@ -91,6 +105,10 @@ class GroupElement:
     def support(self) -> frozenset[int]:
         return frozenset(s.vertex for s in self.word)
 
+    def __hash__(self) -> int:
+        # Equal elements have equal canonical words.
+        return hash(self.word)
+
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         return mul(self, other)
 
@@ -120,17 +138,17 @@ def _push(p: Presentation, word: list[Syllable], syl: Syllable) -> None:
     if syl.value == IDENTITY:
         return
     v = syl.vertex
-    g = p.group(v)
+    block = p.blocks[v]
     for k in range(len(word) - 1, -1, -1):
         w = word[k]
         if w.vertex == v:
-            prod = g.mul(w.value, syl.value)
+            prod = p.groups[v].mul(w.value, syl.value)
             if prod == IDENTITY:
                 del word[k]
             else:
                 word[k] = Syllable(v, prod)
             return
-        if not p.commutes(w.vertex, v):
+        if w.vertex in block:
             break
     word.append(syl)
 
@@ -138,19 +156,36 @@ def _push(p: Presentation, word: list[Syllable], syl: Syllable) -> None:
 def _canonical_order(p: Presentation, word: list[Syllable]) -> tuple[Syllable, ...]:
     """Lexicographically least shuffle representative by vertex index.
 
-    Greedy: repeatedly emit the least-vertex syllable among those that
-    commute with everything before them. Two same-vertex syllables are never
-    simultaneously available, so there are no ties.
+    The shuffles of a reduced word are the linear extensions of its
+    dependence order (syllable i before j when i < j and their vertices do
+    not commute), and the least one is emitted by a topological sort that
+    always pops the least vertex. Each syllable gets an edge from the last
+    earlier syllable of every vertex in its block, which suffices because
+    same-vertex syllables are totally ordered. Two available syllables never
+    share a vertex, so the heap key ``(vertex, index)`` has no ties.
     """
-    remaining = list(word)
+    blocks = p.blocks
+    vertices = [s.vertex for s in word]
+    succ: list[list[int]] = [[] for _ in word]
+    indeg = [0] * len(word)
+    last = [-1] * p.n  # index of the latest syllable of each vertex so far
+    for j, v in enumerate(vertices):
+        for u in blocks[v]:
+            i = last[u]
+            if i >= 0:
+                succ[i].append(j)
+                indeg[j] += 1
+        last[v] = j
+    heap = [(v, j) for j, v in enumerate(vertices) if not indeg[j]]
+    heapify(heap)
     out: list[Syllable] = []
-    while remaining:
-        best = None
-        for k, s in enumerate(remaining):
-            if all(p.commutes(t.vertex, s.vertex) for t in remaining[:k]):
-                if best is None or s.vertex < remaining[best].vertex:
-                    best = k
-        out.append(remaining.pop(best))
+    while heap:
+        i = heappop(heap)[1]
+        out.append(word[i])
+        for j in succ[i]:
+            indeg[j] -= 1
+            if not indeg[j]:
+                heappush(heap, (vertices[j], j))
     return tuple(out)
 
 
@@ -202,11 +237,13 @@ def support(a: GroupElement) -> frozenset[int]:
 
 def _right_strippable(p: Presentation, word: Sequence[Syllable], S: frozenset[int]) -> Optional[int]:
     """Rightmost position whose syllable has vertex in S and shuffles to the end."""
+    blocked: set[int] = set()  # vertices that cannot pass the syllables seen
     for k in range(len(word) - 1, -1, -1):
         v = word[k].vertex
-        if v in S and all(p.commutes(word[j].vertex, v) for j in range(k + 1, len(word))):
+        if v in S and v not in blocked:
             return k
         # keep scanning: an S-syllable further left may still shuffle past
+        blocked |= p.blocks[v]
     return None
 
 
@@ -261,9 +298,11 @@ def parabolic_normalizer(p: Presentation, S: Iterable[int]) -> frozenset[int]:
 def _front_shufflable(p: Presentation, word: Sequence[Syllable]) -> list[int]:
     """Positions whose syllables can be shuffled to the front."""
     out = []
+    blocked: set[int] = set()  # vertices that cannot pass the syllables seen
     for k, s in enumerate(word):
-        if all(p.commutes(word[j].vertex, s.vertex) for j in range(k)):
+        if s.vertex not in blocked:
             out.append(k)
+        blocked |= p.blocks[s.vertex]
     return out
 
 

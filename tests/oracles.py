@@ -6,6 +6,10 @@ raw words under the three elementary rewriting moves (delete identity / merge
 same-group neighbours / swap commuting neighbours) and reading off the
 resulting partition.
 
+The canonical-form oracle is the direct greedy: among the syllables that
+commute with everything before them, emit the one of least vertex, and
+repeat (cubic in the word length).
+
 The join oracle decides whether two medium subgroups generate a maximal by a
 bounded subgroup closure: products of conjugated generators up to a syllable
 length, compared with the shared maximal truncated at the same length.  It
@@ -62,6 +66,25 @@ def single_moves(p: Presentation, word):
         elif p.commutes(a.vertex, b.vertex):
             out.append(word[:k] + (b, a) + word[k + 2:])
     return out
+
+
+def greedy_canonical_order(p: Presentation, word):
+    """Lexicographically least shuffle of a reduced word, by vertex index.
+
+    Repeatedly emits the least-vertex syllable among those that commute with
+    everything before them. Two same-vertex syllables are never
+    simultaneously available, so there are no ties.
+    """
+    remaining = list(word)
+    out = []
+    while remaining:
+        best = None
+        for k, s in enumerate(remaining):
+            if all(p.commutes(t.vertex, s.vertex) for t in remaining[:k]):
+                if best is None or s.vertex < remaining[best].vertex:
+                    best = k
+        out.append(remaining.pop(best))
+    return tuple(out)
 
 
 class UnionFind:

@@ -238,6 +238,13 @@ _ERROR_CASES = {
                             ["aut", "decompose", "--images", "absent.json"]),
     "broken-images-file": (["Z/2"] * 5,
                            ["aut", "decompose", "--images", "broken.json"]),
+    "images-not-a-list": (["Z/2"] * 5,
+                          ["aut", "decompose", "--images", "images-int.json"]),
+    "images-row-of-ints": (["Z/2"] * 5,
+                           ["aut", "decompose", "--images", "images-ints.json"]),
+    "negative-depth": (["Z/2"] * 5, ["verify", "--suite", "words", "--depth", "-5"]),
+    "negative-radius-without-ball": (["Z/2"] * 5,
+                                     ["verify", "--suite", "words", "--radius", "-5"]),
 }
 
 
@@ -246,6 +253,8 @@ def test_bad_input_exits_2_without_traceback(case, tmp_path, capsys):
     groups, (command, *rest) = _ERROR_CASES[case]
     path = write_presentation(tmp_path, 5, groups)
     (tmp_path / "broken.json").write_text("{\"images\": [")
+    (tmp_path / "images-int.json").write_text("{\"images\": 5}")
+    (tmp_path / "images-ints.json").write_text("{\"images\": [[1]]}")
     rest = [str(tmp_path / a) if a.endswith(".json") else a for a in rest]
     rc = main([command, "--presentation", path] + rest)
     err = capsys.readouterr().err

@@ -1,15 +1,18 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cyclewall.cli import load_presentation
 from cyclewall.errors import ValidationError
 from cyclewall.words import (
     GroupElement,
     ParabolicRef,
     Presentation,
     Syllable,
+    _push,
     coset_rep,
     cyclic_reduce,
     enumerate_ball_elements,
@@ -26,7 +29,15 @@ from cyclewall.words import (
 )
 
 from conftest import presentation_c5_mixed, presentation_c5_z2
-from oracles import all_raw_words, closure_classifier, single_moves
+from oracles import (
+    all_raw_words,
+    closure_classifier,
+    greedy_canonical_order,
+    single_moves,
+)
+
+PERFBENCH_DIR = Path(__file__).parent.parent / "perfbench" / "presentations"
+PERFBENCH_PRESENTATIONS = sorted(PERFBENCH_DIR.glob("*.json"))
 
 
 def random_raw_word(rng, p, max_len):
@@ -89,6 +100,21 @@ def test_confluence_under_random_move_sequences(c5_mixed):
                 break
             w = rng.choice(moves)
         assert reduce_word(p, w) == target
+
+
+@pytest.mark.parametrize("name", [
+    *(f"perfbench/{path.name}" for path in PERFBENCH_PRESENTATIONS),
+    "c5_z2", "c5_z3", "c5_mixed", "c5_s3", "c6_z2", "c6_mixed"])
+def test_canonical_order_matches_greedy_oracle(name, request):
+    p = load_presentation(str(PERFBENCH_DIR / name.removeprefix("perfbench/"))) \
+        if name.startswith("perfbench/") else request.getfixturevalue(name)
+    rng = random.Random(0)
+    for _ in range(150):
+        raw = random_raw_word(rng, p, 60)
+        reduced = []
+        for s in raw:
+            _push(p, reduced, s)
+        assert reduce_word(p, raw).word == greedy_canonical_order(p, reduced), raw
 
 
 # -- group operations ---------------------------------------------------------
