@@ -34,7 +34,6 @@ from .words import (
     Presentation,
     Syllable,
     coset_rep,
-    enumerate_ball_elements,
     format_word,
     mul,
     parabolic_member,
@@ -287,7 +286,6 @@ def _interior_skeleton(b: ComplexBall) -> nx.Graph:
 def phi_iso_check(b: ComplexBall, seed: int = 0, samples: int = 50) -> Report:
     """The coset-to-conjugate map is an equivariant isomorphism on interior cells."""
     report = Report()
-    p = b.presentation
     sx = build_script_X_ball(b)
     encode = {v: medium_of_vertex(v) for v in b.vertices}
 
@@ -324,7 +322,7 @@ def phi_iso_check(b: ComplexBall, seed: int = 0, samples: int = 50) -> Report:
                not bad_faces, bad_faces or None)
 
     rng = random.Random(seed)
-    gens = enumerate_ball_elements(p, 2)
+    gens = b.elements(2)
     bad_eq = []
     for _ in range(samples):
         g = rng.choice(gens)

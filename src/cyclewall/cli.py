@@ -165,8 +165,7 @@ def words_suite(p: Presentation, depth: int, seed: int) -> Report:
     return report
 
 
-def davis_suite(p: Presentation, radius: int, seed: int) -> Report:
-    b = davis.build_ball(p, radius)
+def davis_suite(b: davis.ComplexBall) -> Report:
     report = Report()
     report.extend(davis.t4_audit(b))
     report.extend(davis.polygon_pair_audit(b))
@@ -175,8 +174,7 @@ def davis_suite(p: Presentation, radius: int, seed: int) -> Report:
     return report
 
 
-def walls_suite(p: Presentation, radius: int, depth: int, seed: int) -> Report:
-    b = davis.build_ball(p, radius)
+def walls_suite(b: davis.ComplexBall, depth: int, seed: int) -> Report:
     cg = walls.crossing_graph(b)
     report = Report()
     report.extend(walls.tree_property_audit(b))
@@ -198,8 +196,7 @@ def walls_suite(p: Presentation, radius: int, depth: int, seed: int) -> Report:
     return report
 
 
-def algebraic_suite(p: Presentation, radius: int, seed: int) -> Report:
-    b = davis.build_ball(p, radius)
+def algebraic_suite(b: davis.ComplexBall, seed: int) -> Report:
     report = Report()
     report.extend(algebraic.phi_iso_check(b, seed=seed))
     report.extend(algebraic.induced_cycle_audit(b))
@@ -237,8 +234,7 @@ def aut_suite(p: Presentation, depth: int, seed: int) -> Report:
     return report
 
 
-def diagrams_suite(p: Presentation, radius: int, seed: int) -> Report:
-    b = davis.build_ball(p, max(radius, 2))
+def diagrams_suite(b: davis.ComplexBall, seed: int) -> Report:
     return diagrams.filling_audit(b, seed=seed, count=20)
 
 
@@ -247,23 +243,32 @@ _SUITES = ("words", "davis", "walls", "algebraic", "aut", "diagrams", "all")
 
 def run_suite(p: Presentation, suite: str, radius: int, depth: int,
               seed: int) -> Report:
+    """Run the chosen suites; each ball radius is built once and shared, so
+    its subdivision, walls and stabilizers are built once too."""
     if radius < 0:
         raise ValidationError("radius must be >= 0")
     if depth < 0:
         raise ValidationError("depth must be >= 0")
+    balls: dict[int, davis.ComplexBall] = {}
+
+    def ball(r: int) -> davis.ComplexBall:
+        if r not in balls:
+            balls[r] = davis.build_ball(p, r)
+        return balls[r]
+
     report = Report()
     if suite in ("words", "all"):
         report.extend(words_suite(p, depth, seed))
     if suite in ("davis", "all"):
-        report.extend(davis_suite(p, radius, seed))
+        report.extend(davis_suite(ball(radius)))
     if suite in ("walls", "all"):
-        report.extend(walls_suite(p, radius, depth, seed))
+        report.extend(walls_suite(ball(radius), depth, seed))
     if suite in ("algebraic", "all"):
-        report.extend(algebraic_suite(p, radius, seed))
+        report.extend(algebraic_suite(ball(radius), seed))
     if suite in ("aut", "all"):
         report.extend(aut_suite(p, depth, seed))
     if suite in ("diagrams", "all"):
-        report.extend(diagrams_suite(p, radius, seed))
+        report.extend(diagrams_suite(ball(max(radius, 2)), seed))
     return report
 
 

@@ -97,6 +97,10 @@ class Square:
     corners: tuple[ComplexVertex, ...]   # (mid e_corner, v_corner, mid e_{corner+1}, center)
     edges: tuple[ComplexEdge, ...]
 
+    def name(self) -> str:
+        """The polygon word and corner, e.g. ``ab#2``."""
+        return f"{format_word(self.polygon)}#{self.corner}"
+
 
 @dataclass
 class ComplexBall:
@@ -115,10 +119,26 @@ class ComplexBall:
     vertex_squares: dict[ComplexVertex, list[Square]] = field(default_factory=dict)
     edge_squares: dict[ComplexEdge, list[Square]] = field(default_factory=dict)
     polygon_edges: dict[GroupElement, list[ComplexEdge]] = field(default_factory=dict)
+    # structures derived from this ball (subdivision, walls, element balls,
+    # stabilizers), each built on first use; they live and die with the ball,
+    # which is not changed once built, and are shared by every caller
+    derived: dict = field(default_factory=dict, init=False, compare=False,
+                          repr=False)
 
     @property
     def n(self) -> int:
         return self.presentation.n
+
+    def derive(self, key, build):
+        """``build()``, computed once per key and kept on this ball."""
+        if key not in self.derived:
+            self.derived[key] = build()
+        return self.derived[key]
+
+    def elements(self, L: int) -> tuple[GroupElement, ...]:
+        """``enumerate_ball_elements(presentation, L)``, computed once per ball."""
+        return self.derive(("elements", L),
+                           lambda: tuple(enumerate_ball_elements(self.presentation, L)))
 
     def has_edge(self, e: ComplexEdge) -> bool:
         return e in self.edge_polygons or e in self.edge_squares
@@ -262,9 +282,17 @@ def _mark_interior(ball: ComplexBall) -> None:
 
 
 def subdivide(b: ComplexBall) -> ComplexBall:
-    """First square subdivision X' of a polygonal ball."""
+    """First square subdivision X' of a polygonal ball.
+
+    Built once per ball: every call on ``b`` returns the same square ball,
+    which is shared and must not be mutated.
+    """
     if b.form != "polygonal":
         raise ValidationError("can only subdivide a polygonal ball")
+    return b.derive("subdivision", lambda: _subdivide(b))
+
+
+def _subdivide(b: ComplexBall) -> ComplexBall:
     p = b.presentation
     n = p.n
     sq = ComplexBall(presentation=p, radius=b.radius, form="square")
@@ -342,7 +370,7 @@ def vertex_link(b: ComplexBall, v: ComplexVertex) -> nx.Graph:
         for s in b.vertex_squares.get(v, []):
             at_v = [e for e in s.edges if v in e.ends]
             assert len(at_v) == 2
-            link.add_edge(at_v[0], at_v[1], corner=f"{format_word(s.polygon)}#{s.corner}")
+            link.add_edge(at_v[0], at_v[1], corner=s.name())
     return link
 
 

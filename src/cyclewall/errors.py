@@ -40,6 +40,17 @@ class DecompositionError(CycleWallError):
         self.witness = witness
 
 
+class InvariantError(CycleWallError):
+    """A complex breaks a structural invariant an audit relies on.
+
+    Audits report it as a failed check; ``witness`` locates the fault.
+    """
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
+
+
 class InconclusiveError(CycleWallError):
     """A bounded search exhausted its depth without reaching a verdict."""
 

@@ -16,31 +16,33 @@ Truncation semantics: "g stabilizes T in the ball" means g maps every edge
 of T whose image is still inside the ball into T, and at least one image is
 observable.  Pair stabilizers are classified against the crossing-graph
 distance; distances at the ball's horizon are reported as lower bounds.
+
+Cost: each X-vertex lies on at most two walls, so the crossing graph buckets
+walls by vertex in O(sum of wall sizes) rather than comparing every pair of
+walls.  The walls, the subdivision and its skeleton, the element balls and
+the per-wall truncated stabilizers are built once per ball, on first use,
+and kept on the ball (``ComplexBall.derived``); they live and die with it.
+A structure the audits rely on that turns out broken (a square without a
+side, an inconsistent hyperplane) raises ``InvariantError``, which the
+audits report as a failed check with a witness.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import networkx as nx
 
-from .davis import (
-    ComplexBall,
-    ComplexEdge,
-    ComplexVertex,
-    act_edge,
-    subdivide,
-)
-from .errors import ValidationError
+from .davis import ComplexBall, ComplexEdge, ComplexVertex, subdivide
+from .errors import InvariantError, ValidationError
 from .reports import Report
 from .words import (
     GroupElement,
     ParabolicRef,
     Presentation,
     coset_rep,
-    enumerate_ball_elements,
     format_word,
     identity,
     mul,
@@ -54,6 +56,15 @@ class TreeWall:
     seed: ComplexEdge
     edges: frozenset[ComplexEdge]
     key_rep: GroupElement   # minimal rep of seed.rep <G_{label-1}, G_label, G_{label+1}>
+    # ends and coset reps of the edges, computed once; an edge of the wall is
+    # the pair (label, rep), so the reps alone identify the edges
+    vertex_set: frozenset[ComplexVertex] = field(init=False, compare=False, repr=False)
+    edge_reps: frozenset[GroupElement] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "vertex_set",
+                           frozenset(v for e in self.edges for v in e.ends))
+        object.__setattr__(self, "edge_reps", frozenset(e.rep for e in self.edges))
 
     @property
     def key(self) -> tuple:
@@ -63,7 +74,7 @@ class TreeWall:
         return f"T{self.label}@{format_word(self.key_rep) or 'e'}"
 
     def vertices(self) -> set[ComplexVertex]:
-        return {v for e in self.edges for v in e.ends}
+        return set(self.vertex_set)
 
     def window(self, p: Presentation) -> frozenset[int]:
         i = self.label
@@ -109,8 +120,12 @@ def walls_of_ball(b: ComplexBall) -> list[TreeWall]:
     """All tree-walls through interior edges; one wall per algebraic key.
 
     Components of one mathematical wall that the ball disconnects are merged
-    under their shared key.
+    under their shared key.  Built once per ball.
     """
+    return list(b.derive("walls", lambda: _walls_of_ball(b)))
+
+
+def _walls_of_ball(b: ComplexBall) -> list[TreeWall]:
     by_key: dict[tuple, TreeWall] = {}
     done: set[ComplexEdge] = set()
     for e in sorted(b.interior_edges):
@@ -132,15 +147,25 @@ def walls_of_ball(b: ComplexBall) -> list[TreeWall]:
 
 
 def crossing_graph(b: ComplexBall) -> nx.Graph:
-    """Nodes are the ball's tree-walls; arcs join walls sharing a vertex."""
+    """Nodes are the ball's tree-walls; arcs join walls sharing a vertex.
+
+    Walls are bucketed by vertex: the X-vertex g(G_i x G_{i+1}) lies on at
+    most two walls, of labels i and i+1, so this costs O(sum of wall sizes)
+    instead of a comparison of every pair of walls.
+    """
     g = nx.Graph()
     walls = walls_of_ball(b)
-    for w in walls:
+    on_vertex: dict[ComplexVertex, list[int]] = {}
+    for k, w in enumerate(walls):
         g.add_node(w.key, wall=w)
-    for w1, w2 in itertools.combinations(walls, 2):
-        common = w1.vertices() & w2.vertices()
-        if common:
-            g.add_edge(w1.key, w2.key, vertices=sorted(common))
+        for v in w.vertex_set:
+            on_vertex.setdefault(v, []).append(k)
+    common: dict[tuple[int, int], list[ComplexVertex]] = {}
+    for v, ks in on_vertex.items():
+        for pair in itertools.combinations(ks, 2):
+            common.setdefault(pair, []).append(v)
+    for k1, k2 in sorted(common):   # the order of a pairwise scan of the walls
+        g.add_edge(walls[k1].key, walls[k2].key, vertices=sorted(common[k1, k2]))
     return g
 
 
@@ -176,47 +201,50 @@ def crossing_graph_to_dot(cg: nx.Graph) -> str:
 
 
 def _stabilizes_wall(b: ComplexBall, g: GroupElement, T: TreeWall) -> Optional[bool]:
-    """Guarded geometric test; None when no image of a wall edge is observable."""
+    """Guarded geometric test; None when no image of a wall edge is observable.
+
+    An X-edge is its (label, coset rep) pair, so g moves the edge (i, r) to
+    (i, coset_rep(g r, {i})): one product and one coset rep per edge.
+    """
+    in_ball = b.derive("edge_keys", lambda: {(e.label, e.rep) for e in b.edges})
+    window = (T.label,)
     observed = False
-    for e in T.edges:
-        img = act_edge(g, e)
-        if b.has_edge(img):
+    for rep in T.edge_reps:
+        moved = coset_rep(mul(g, rep), window)
+        if (T.label, moved) in in_ball:
             observed = True
-            if img not in T.edges:
+            if moved not in T.edge_reps:
                 return False
     return True if observed else None
 
 
 def wall_fixator_truncated(b: ComplexBall, T: TreeWall, L: int) -> set[GroupElement]:
-    """Elements of length <= L fixing every edge of T, computed geometrically.
-
-    Asserted equal to the truncated stabilizer of any single member edge.
-    """
-    p = b.presentation
-    geometric = {g for g in enumerate_ball_elements(p, L)
-                 if all(act_edge(g, e) == e for e in T.edges)}
-    ref = T.fixator_parabolic(p)
-    algebraic = {g for g in enumerate_ball_elements(p, L) if parabolic_member(g, ref)}
-    assert geometric == algebraic, (
-        f"wall fixator of {T.key_string()} disagrees with the edge stabilizer")
-    return geometric
+    """Elements of length <= L fixing every edge of T, computed geometrically."""
+    window = (T.label,)
+    return {g for g in b.elements(L)
+            if all(coset_rep(mul(g, rep), window) == rep for rep in T.edge_reps)}
 
 
 def wall_stabilizer_truncated(b: ComplexBall, T: TreeWall, L: int) -> set[GroupElement]:
-    """Elements of length <= L mapping observable wall edges into the wall."""
-    out = set()
-    for g in enumerate_ball_elements(b.presentation, L):
-        verdict = _stabilizes_wall(b, g, T)
-        if verdict:
-            out.add(g)
-    return out
+    """Elements of length <= L mapping observable wall edges into the wall.
+
+    Computed once per ball, wall and L.  The wall is keyed by its edge set,
+    not its key alone: a wall grown from one edge may be only part of the
+    ball's wall with that key.
+    """
+    return set(b.derive(("stabilizer", T.edges, L),
+                        lambda: _wall_stabilizer(b, T, L)))
+
+
+def _wall_stabilizer(b: ComplexBall, T: TreeWall, L: int) -> frozenset[GroupElement]:
+    return frozenset(g for g in b.elements(L) if _stabilizes_wall(b, g, T))
 
 
 def wall_stabilizer_audit(b: ComplexBall, L: int) -> Report:
     """Geometric truncated wall stabilizers match the conjugated 3-vertex parabolic."""
     report = Report()
     p = b.presentation
-    ball = enumerate_ball_elements(p, L)
+    ball = b.elements(L)
     for T in walls_of_ball(b):
         ref = T.parabolic(p)
         algebraic = {g for g in ball if parabolic_member(g, ref)}
@@ -234,15 +262,20 @@ def wall_stabilizer_audit(b: ComplexBall, L: int) -> Report:
 
 
 def wall_fixator_audit(b: ComplexBall, L: int) -> Report:
-    """Fixators equal single-edge stabilizers (asserted inside the op)."""
+    """Geometric wall fixators equal the stabilizer of a single member edge."""
     report = Report()
     p = b.presentation
     for T in walls_of_ball(b):
-        try:
-            fix = wall_fixator_truncated(b, T, L)
-        except AssertionError as exc:
+        fix = wall_fixator_truncated(b, T, L)
+        ref = T.fixator_parabolic(p)
+        edge_stab = {g for g in b.elements(L) if parabolic_member(g, ref)}
+        if fix != edge_stab:
             report.add("walls.fixator-is-edge-stabilizer",
-                       f"{T.key_string()} L={L}", False, str(exc))
+                       f"{T.key_string()} L={L}", False, {
+                           "geometric_only": sorted(
+                               format_word(g) for g in fix - edge_stab),
+                           "edge_stabilizer_only": sorted(
+                               format_word(g) for g in edge_stab - fix)})
             continue
         # the fixator is a conjugate of G_label, so never bigger than it
         ok = len(fix) <= p.group(T.label).size
@@ -273,10 +306,10 @@ def classify_pair(b: ComplexBall, cg: nx.Graph, T1: TreeWall, T2: TreeWall,
     d, exact = delta(cg, T1.key, T2.key)
     inter = pair_stabilizer_truncated(b, T1, T2, L)
     inst = f"{T1.key_string()}|{T2.key_string()} L={L} delta={d}"
-    ball = enumerate_ball_elements(p, L)
+    ball = b.elements(L)
 
     if d == 1:
-        common = sorted(T1.vertices() & T2.vertices())
+        common = sorted(T1.vertex_set & T2.vertex_set)
         ok = len(common) == 1
         report.add("walls.crossing-walls-meet-once", inst, ok,
                    None if ok else [v.key_string() for v in common])
@@ -329,10 +362,10 @@ def min_set(b: ComplexBall, T1: TreeWall, T2: TreeWall) -> tuple[set[ComplexVert
     Distances are edge counts in the square subdivision's 1-skeleton.
     """
     sq = subdivide(b) if b.form == "polygonal" else b
-    g = _square_skeleton(sq)
-    sources = [v for v in T2.vertices() if v in g]
+    g = sq.derive("skeleton", lambda: _square_skeleton(sq))
+    sources = [v for v in T2.vertex_set if v in g]
     dist = nx.multi_source_dijkstra_path_length(g, sources)
-    t1_vertices = [v for v in T1.vertices() if v in dist]
+    t1_vertices = [v for v in T1.vertex_set if v in dist]
     if not t1_vertices:
         raise ValidationError("walls are not connected within the ball")
     d = min(dist[v] for v in t1_vertices)
@@ -406,7 +439,8 @@ def _find_edge(s, a, b) -> ComplexEdge:
     for e in s.edges:
         if set(e.ends) == want:
             return e
-    raise AssertionError("square is missing one of its sides")
+    raise InvariantError("square is missing one of its sides",
+                         [s.name(), a.key_string(), b.key_string()])
 
 
 def combinatorial_hyperplanes(b_sq: ComplexBall,
@@ -426,11 +460,17 @@ def combinatorial_hyperplanes(b_sq: ComplexBall,
     for e in dual:
         adj_diff.setdefault(e.ends[0], set()).add(e.ends[1])
         adj_diff.setdefault(e.ends[1], set()).add(e.ends[0])
-    for s in b_sq.squares:
+    # the crossed squares, reached through the dual edges, in ball order
+    position = b_sq.derive("square_positions", lambda: {
+        (s.polygon, s.corner): k for k, s in enumerate(b_sq.squares)})
+    crossed_squares = {position[s.polygon, s.corner]: s
+                       for e in dual for s in b_sq.edge_squares.get(e, ())}
+    for k in sorted(crossed_squares):
+        s = crossed_squares[k]
         crossed = [e for e in s.edges if e in dual]
-        if not crossed:
-            continue
-        assert len(crossed) == 2, "a square meets a hyperplane in opposite sides"
+        if len(crossed) != 2:
+            raise InvariantError("a square meets a hyperplane in opposite sides",
+                                 [s.name(), len(crossed)])
         for e in s.edges:
             if e not in dual:
                 parallel_edges.add(e)
@@ -448,18 +488,22 @@ def combinatorial_hyperplanes(b_sq: ComplexBall,
                 if w not in color:
                     color[w] = color[u]
                     queue.append(w)
-                else:
-                    assert color[w] == color[u], "hyperplane sides are inconsistent"
+                elif color[w] != color[u]:
+                    raise InvariantError("hyperplane sides are inconsistent",
+                                         [u.key_string(), w.key_string()])
             for w in adj_diff.get(u, ()):
                 if w not in color:
                     color[w] = 1 - color[u]
                     queue.append(w)
-                else:
-                    assert color[w] != color[u], "hyperplane is one-sided in the ball"
+                elif color[w] == color[u]:
+                    raise InvariantError("hyperplane is one-sided in the ball",
+                                         [u.key_string(), w.key_string()])
     sides = [set(), set()]
     for e in parallel_edges:
         c0, c1 = color[e.ends[0]], color[e.ends[1]]
-        assert c0 == c1, "a parallel side straddles the hyperplane"
+        if c0 != c1:
+            raise InvariantError("a parallel side straddles the hyperplane",
+                                 e.key_string())
         sides[c0].add(e)
     return sides
 
@@ -468,11 +512,19 @@ def hyperplane_treewall_audit(b_sq: ComplexBall) -> Report:
     """Exactly one side of each interior hyperplane is a constant-label
     subgraph of the unsubdivided 1-skeleton."""
     report = Report()
-    classes = hyperplane_classes(b_sq)
-    idx = 0
-    for root in sorted(classes, key=lambda e: e.sort_key()):
-        dual = classes[root]
-        sides = combinatorial_hyperplanes(b_sq, dual)
+    try:
+        classes = hyperplane_classes(b_sq)
+    except InvariantError as exc:
+        report.add("walls.hyperplane-side-is-wall", "classes", False,
+                   {"error": str(exc), "at": exc.witness})
+        return report
+    for idx, root in enumerate(sorted(classes, key=lambda e: e.sort_key())):
+        try:
+            sides = combinatorial_hyperplanes(b_sq, classes[root])
+        except InvariantError as exc:
+            report.add("walls.hyperplane-side-is-wall", f"hyperplane#{idx}", False,
+                       {"error": str(exc), "at": exc.witness})
+            continue
         skeleton_sides = 0
         for side in sides:
             labels = {e.label for e in side}
@@ -483,7 +535,6 @@ def hyperplane_treewall_audit(b_sq: ComplexBall) -> Report:
                    None if skeleton_sides == 1 else {
                        "sides_in_skeleton": skeleton_sides,
                        "side_labels": [sorted({str(e.label) for e in s}) for s in sides]})
-        idx += 1
     return report
 
 
@@ -536,7 +587,7 @@ def vertex_stabilizer_criterion_audit(b: ComplexBall, L: int = 2) -> Report:
     """stab(v) (truncated) stabilizes T exactly when v lies on T."""
     report = Report()
     p = b.presentation
-    ball = enumerate_ball_elements(p, L)
+    ball = b.elements(L)
     walls = walls_of_ball(b)
     bad = []
     checked = 0
@@ -549,7 +600,7 @@ def vertex_stabilizer_criterion_audit(b: ComplexBall, L: int = 2) -> Report:
                 continue   # truncation blind spot: skip, never guess
             checked += 1
             stabilizes = all(verdicts)
-            if stabilizes != (v in T.vertices()):
+            if stabilizes != (v in T.vertex_set):
                 bad.append((v.key_string(), T.key_string(), stabilizes))
     report.add("walls.vertex-stabilizer-detects-membership",
                f"L={L} pairs={checked}", not bad, bad or None)
@@ -578,11 +629,11 @@ def adjacency_criterion_audit(b: ComplexBall, L: int = 3) -> Report:
     when they are adjacent on the wall."""
     report = Report()
     p = b.presentation
-    ball = enumerate_ball_elements(p, L)
+    ball = b.elements(L)
     bad = []
     checked = 0
     for T in walls_of_ball(b):
-        verts = sorted(v for v in T.vertices() if v in b.interior_vertices)
+        verts = sorted(v for v in T.vertex_set if v in b.interior_vertices)
         if len(verts) < 2:
             continue
         ref_T = T.parabolic(p)

@@ -15,12 +15,18 @@ bounded subgroup closure: products of conjugated generators up to a syllable
 length, compared with the shared maximal truncated at the same length.  It
 multiplies with ``mul`` but never calls ``shared_edge``, the edge-coset test
 the exact ``join_is_cmaximal`` rests on.
+
+The crossing-graph oracle intersects the vertex sets of every pair of walls
+(quadratic in the number of walls) instead of bucketing walls by vertex.
 """
 
 import itertools
 
+import networkx as nx
+
 from cyclewall.algebraic import CSubgroup, containing_maximals
 from cyclewall.localgroups import IDENTITY, table_group
+from cyclewall.walls import walls_of_ball
 from cyclewall.words import (
     GroupElement,
     Presentation,
@@ -229,3 +235,17 @@ def closure_join(h1: CSubgroup, h2: CSubgroup, L: int):
     closure = bounded_closure(a1.presentation,
                               generator_conjugates(a1) | generator_conjugates(a2), L)
     return closure >= subgroup_truncation(candidate, L), closure, candidate
+
+
+def crossing_graph_pairwise(b) -> nx.Graph:
+    """The crossing graph of ``b`` from a comparison of every pair of walls."""
+    g = nx.Graph()
+    walls = walls_of_ball(b)
+    for w in walls:
+        g.add_node(w.key, wall=w)
+    for w1, w2 in itertools.combinations(walls, 2):
+        common = ({v for e in w1.edges for v in e.ends}
+                  & {v for e in w2.edges for v in e.ends})
+        if common:
+            g.add_edge(w1.key, w2.key, vertices=sorted(common))
+    return g

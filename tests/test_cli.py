@@ -1,7 +1,9 @@
 import json
+from collections import Counter
 
 import pytest
 
+from cyclewall import davis, walls
 from cyclewall.cli import (
     EXIT_FAIL,
     EXIT_PASS,
@@ -151,6 +153,26 @@ def test_verify_report_is_canonically_ordered(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     keys = [(c["check"], c["instance"]) for c in doc["checks"]]
     assert keys == sorted(keys)
+
+
+def test_run_suite_builds_ball_subdivision_and_stabilizers_once(monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn, key=lambda *args: None):
+        def wrapper(*args):
+            calls[name, key(*args)] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(davis, "build_ball", counted("ball", davis.build_ball))
+    monkeypatch.setattr(davis, "_subdivide", counted("subdivide", davis._subdivide))
+    monkeypatch.setattr(walls, "_wall_stabilizer", counted(
+        "stabilizer", walls._wall_stabilizer, key=lambda b, T, L: T.key))
+    assert run_suite(presentation_c5_mixed(), "all", 2, 3, 0).ok
+    assert calls["ball", None] == 1
+    assert calls["subdivide", None] == 1
+    per_wall = [n for (name, _), n in calls.items() if name == "stabilizer"]
+    assert per_wall and max(per_wall) == 1
 
 
 def test_run_suite_diagrams_direct():

@@ -1,12 +1,21 @@
+import dataclasses
 import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from cyclewall import walls
 from cyclewall.davis import act_edge, build_ball, subdivide, x_edge
-from cyclewall.errors import ValidationError
+from cyclewall.errors import InvariantError, ValidationError
 from cyclewall.walls import (
+    TreeWall,
     adjacency_criterion_audit,
     classify_pair,
+    combinatorial_hyperplanes,
     crossing_graph,
     crossing_graph_to_dot,
     delta,
@@ -34,6 +43,9 @@ from cyclewall.words import (
     mul,
     parse_word,
 )
+
+from conftest import presentation_c5_mixed, presentation_c5_z2, presentation_c6_mixed
+from oracles import crossing_graph_pairwise
 
 
 def central_walls(b):
@@ -126,6 +138,17 @@ def test_crossing_walls_share_exactly_one_vertex(c5_mixed):
         assert len(w1.vertices() & w2.vertices()) == 1
 
 
+@pytest.mark.parametrize("make, radius", [
+    (presentation_c5_z2, 3), (presentation_c5_mixed, 2), (presentation_c6_mixed, 2),
+], ids=["c5_z2-r3", "c5_mixed-r2", "c6_mixed-r2"])
+def test_crossing_graph_matches_pairwise_oracle(make, radius):
+    b = build_ball(make(), radius)
+    got, want = crossing_graph(b), crossing_graph_pairwise(b)
+    assert got.number_of_edges() > 0
+    assert list(got.nodes) == list(want.nodes)
+    assert list(got.edges(data="vertices")) == list(want.edges(data="vertices"))
+
+
 def test_no_triple_crossing(c5_z2, c5_mixed):
     assert no_triple_crossing_audit(crossing_graph(build_ball(c5_z2, 2))).ok
     assert no_triple_crossing_audit(crossing_graph(build_ball(c5_mixed, 2))).ok
@@ -172,6 +195,30 @@ def test_fixator_audit(c5_z2, c5_mixed):
     assert wall_fixator_audit(build_ball(c5_mixed, 2), 2).ok
 
 
+_FIXATOR_MUTANT = """
+import json, sys
+from cyclewall import walls
+from cyclewall.davis import build_ball
+from cyclewall.localgroups import cyclic_group
+from cyclewall.words import Presentation
+walls.parabolic_member = lambda g, ref: g.is_identity   # a wrong edge stabilizer
+p = Presentation(tuple(cyclic_group(2) for _ in range(5)))
+report = walls.wall_fixator_audit(build_ball(p, 1), 1)
+print(json.dumps({"optimize": sys.flags.optimize,
+                  "failed": sorted({r.check_id for r in report.failures})}))
+"""
+
+
+def test_fixator_audit_fails_on_a_wrong_edge_stabilizer_under_python_O():
+    """The fixator comparison is an explicit check, so ``python -O`` keeps it."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-O", "-c", _FIXATOR_MUTANT], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert json.loads(out) == {"optimize": 1,
+                               "failed": ["walls.fixator-is-edge-stabilizer"]}
+
+
 def test_stabilizer_of_central_wall_at_length_one(c5_mixed):
     p = c5_mixed
     b = build_ball(p, 2)
@@ -181,6 +228,17 @@ def test_stabilizer_of_central_wall_at_length_one(c5_mixed):
         parse_word(p, f"v{i}:{x}")
         for i in (1, 2, 3) for x in p.group(i).nontrivial_elements()}
     assert got == expect
+
+
+def test_stabilizer_cache_tells_part_of_a_wall_from_the_wall(c5_mixed):
+    p = c5_mixed
+    b = build_ball(p, 2)
+    w = central_walls(b)[2]
+    part = TreeWall(w.label, w.seed, frozenset({w.seed}), w.key_rep)
+    assert part.key == w.key and part.edges != w.edges
+    whole = wall_stabilizer_truncated(b, w, 2)
+    fresh = wall_stabilizer_truncated(build_ball(p, 2), part, 2)
+    assert wall_stabilizer_truncated(b, part, 2) == fresh != whole
 
 
 def test_stabilizer_audit(c5_z2, c5_mixed):
@@ -237,6 +295,14 @@ def test_min_set_of_crossing_pair_is_the_intersection(c5_z2):
     assert closest == cent[0].vertices() & cent[1].vertices()
 
 
+def test_derived_structures_are_built_once_per_ball(c5_z2):
+    b = build_ball(c5_z2, 2)
+    assert subdivide(b) is subdivide(b)
+    first, again = walls_of_ball(b), walls_of_ball(b)
+    assert first == again and all(x is y for x, y in zip(first, again))
+    assert subdivide(build_ball(c5_z2, 2)) is not subdivide(b)
+
+
 def test_min_set_audit(c5_z2, c5_mixed):
     b = build_ball(c5_z2, 2)
     assert min_set_audit(b, crossing_graph(b)).ok
@@ -256,6 +322,36 @@ def test_hyperplane_classes_partition_edges(c5_z2):
 def test_hyperplane_treewall_audit(c5_z2, c5_mixed):
     assert hyperplane_treewall_audit(subdivide(build_ball(c5_z2, 2))).ok
     assert hyperplane_treewall_audit(subdivide(build_ball(c5_mixed, 1))).ok
+
+
+def test_one_sided_cut_raises_a_typed_error(c5_z2):
+    sq = subdivide(build_ball(c5_z2, 1))
+    with pytest.raises(InvariantError, match="opposite sides"):
+        combinatorial_hyperplanes(sq, [sq.squares[0].edges[0]])
+
+
+def test_broken_hyperplane_is_a_failed_check(c5_z2, monkeypatch):
+    sq = subdivide(build_ball(c5_z2, 1))
+    # one class holding every edge meets each square in four sides
+    monkeypatch.setattr(walls, "hyperplane_classes",
+                        lambda b_sq: {b_sq.edges[0]: list(b_sq.edges)})
+    r = hyperplane_treewall_audit(sq)
+    assert [x.check_id for x in r.failures] == ["walls.hyperplane-side-is-wall"]
+    assert r.failures[0].witness["error"] == \
+        "a square meets a hyperplane in opposite sides"
+
+
+def test_square_missing_a_side_is_a_failed_check(c5_z2):
+    shared = subdivide(build_ball(c5_z2, 1))
+    s = shared.squares[0]
+    half1, _, spoke1, spoke2 = s.edges
+    # the subdivision is shared with its ball, so break a copy of it
+    broken = [dataclasses.replace(s, edges=(half1, half1, spoke1, spoke2))]
+    sq = dataclasses.replace(shared, squares=broken + shared.squares[1:])
+    r = hyperplane_treewall_audit(sq)
+    assert [(x.check_id, x.instance) for x in r.failures] == [
+        ("walls.hyperplane-side-is-wall", "classes")]
+    assert r.failures[0].witness["error"] == "square is missing one of its sides"
 
 
 # -- membership criteria ----------------------------------------------------------
