@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 from .davis import EDGE, POLY, TRIVIAL, ComplexBall, ComplexEdge, ComplexVertex
@@ -90,7 +89,6 @@ class CycleSymmetry:
         return CycleSymmetry(self.presentation, tuple(out))
 
 
-@lru_cache(maxsize=1024)
 def _iso_exists(src, dst) -> bool:
     if src == dst:
         return True

@@ -98,13 +98,17 @@ def _group_from_json(spec, where: str):
 
 def _read_json(path: str, what: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read {what} file: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 at byte {exc.start}")
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}")
+    except RecursionError:
+        raise ValidationError(f"{path}: JSON nested too deeply")
 
 
 def load_presentation(path: str) -> Presentation:
@@ -185,7 +189,7 @@ def walls_suite(b: davis.ComplexBall, depth: int, seed: int) -> Report:
     report.extend(walls.min_set_audit(b, cg))
     report.extend(walls.hyperplane_treewall_audit(davis.subdivide(b)))
     report.extend(walls.vertex_stabilizer_criterion_audit(b, min(depth, 2)))
-    report.extend(walls.adjacency_criterion_audit(b, depth))
+    report.extend(walls.adjacency_criterion_audit(b))
     rng = random.Random(seed)
     keys = sorted(cg.nodes)
     pairs = list(itertools.combinations(keys, 2))

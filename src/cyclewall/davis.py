@@ -143,17 +143,6 @@ class ComplexBall:
     def has_edge(self, e: ComplexEdge) -> bool:
         return e in self.edge_polygons or e in self.edge_squares
 
-    def has_vertex(self, v: ComplexVertex) -> bool:
-        return v in self.vertex_edges
-
-    def is_interior(self, cell) -> bool:
-        if isinstance(cell, ComplexVertex):
-            return cell in self.interior_vertices
-        return cell in self.interior_edges
-
-    def polygon_interior(self, rep: GroupElement) -> bool:
-        return all(v in self.interior_vertices for v in self.polygons[rep].boundary)
-
 
 # -- cell constructors --------------------------------------------------------
 

@@ -17,11 +17,18 @@ of T whose image is still inside the ball into T, and at least one image is
 observable.  Pair stabilizers are classified against the crossing-graph
 distance; distances at the ball's horizon are reported as lower bounds.
 
+Generation is decided exactly: two wall vertices generate the wall
+stabilizer when their mediums join to the wall's maximal
+(``algebraic.join_is_cmaximal``).
+
 Cost: each X-vertex lies on at most two walls, so the crossing graph buckets
 walls by vertex in O(sum of wall sizes) rather than comparing every pair of
-walls.  The walls, the subdivision and its skeleton, the element balls and
-the per-wall truncated stabilizers are built once per ball, on first use,
-and kept on the ball (``ComplexBall.derived``); they live and die with it.
+walls.  The walls, the subdivision, the element balls, each truncated
+parabolic subgroup and the per-wall truncated stabilizers are built once per
+ball, on first use, and kept on the ball (``ComplexBall.derived``); they live
+and die with it.  A wall's fixator is read off its stabilizer, and minimal
+sets are found by breadth-first search over the subdivision's own adjacency,
+stopped at the first level that reaches the other wall.
 A structure the audits rely on that turns out broken (a square without a
 side, an inconsistent hyperplane) raises ``InvariantError``, which the
 audits report as a failed check with a witness.
@@ -31,10 +38,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 import networkx as nx
 
+from .algebraic import MAXIMAL, CSubgroup, join_is_cmaximal, medium_of_vertex
 from .davis import ComplexBall, ComplexEdge, ComplexVertex, subdivide
 from .errors import InvariantError, ValidationError
 from .reports import Report
@@ -48,6 +56,8 @@ from .words import (
     mul,
     parabolic_member,
 )
+
+MIN_SET_PAIRS = 40   # wall pairs, in key order, whose minimal sets are audited
 
 
 @dataclass(frozen=True)
@@ -218,10 +228,25 @@ def _stabilizes_wall(b: ComplexBall, g: GroupElement, T: TreeWall) -> Optional[b
     return True if observed else None
 
 
+def _parabolic_ball(b: ComplexBall, ref: ParabolicRef, L: int) -> frozenset[GroupElement]:
+    """The elements of ``b.elements(L)`` lying in ``ref``, computed once per ball."""
+    return b.derive(("parabolic", ref, L), lambda: frozenset(
+        g for g in b.elements(L) if parabolic_member(g, ref)))
+
+
+def _vertex_stabilizer(p: Presentation, v: ComplexVertex) -> ParabolicRef:
+    """The stabilizer of the X-vertex v = g(G_i x G_{i+1})."""
+    return ParabolicRef(frozenset({v.index, (v.index + 1) % p.n}), v.rep)
+
+
 def wall_fixator_truncated(b: ComplexBall, T: TreeWall, L: int) -> set[GroupElement]:
-    """Elements of length <= L fixing every edge of T, computed geometrically."""
+    """Elements of length <= L fixing every edge of T, computed geometrically.
+
+    An element fixing every edge maps each into the wall, observably, so the
+    fixator is read off the truncated stabilizer.
+    """
     window = (T.label,)
-    return {g for g in b.elements(L)
+    return {g for g in wall_stabilizer_truncated(b, T, L)
             if all(coset_rep(mul(g, rep), window) == rep for rep in T.edge_reps)}
 
 
@@ -244,10 +269,8 @@ def wall_stabilizer_audit(b: ComplexBall, L: int) -> Report:
     """Geometric truncated wall stabilizers match the conjugated 3-vertex parabolic."""
     report = Report()
     p = b.presentation
-    ball = b.elements(L)
     for T in walls_of_ball(b):
-        ref = T.parabolic(p)
-        algebraic = {g for g in ball if parabolic_member(g, ref)}
+        algebraic = _parabolic_ball(b, T.parabolic(p), L)
         geometric = wall_stabilizer_truncated(b, T, L)
         ok = geometric == algebraic
         witness = None
@@ -267,8 +290,7 @@ def wall_fixator_audit(b: ComplexBall, L: int) -> Report:
     p = b.presentation
     for T in walls_of_ball(b):
         fix = wall_fixator_truncated(b, T, L)
-        ref = T.fixator_parabolic(p)
-        edge_stab = {g for g in b.elements(L) if parabolic_member(g, ref)}
+        edge_stab = _parabolic_ball(b, T.fixator_parabolic(p), L)
         if fix != edge_stab:
             report.add("walls.fixator-is-edge-stabilizer",
                        f"{T.key_string()} L={L}", False, {
@@ -306,16 +328,13 @@ def classify_pair(b: ComplexBall, cg: nx.Graph, T1: TreeWall, T2: TreeWall,
     d, exact = delta(cg, T1.key, T2.key)
     inter = pair_stabilizer_truncated(b, T1, T2, L)
     inst = f"{T1.key_string()}|{T2.key_string()} L={L} delta={d}"
-    ball = b.elements(L)
 
     if d == 1:
         common = sorted(T1.vertex_set & T2.vertex_set)
         ok = len(common) == 1
         report.add("walls.crossing-walls-meet-once", inst, ok,
                    None if ok else [v.key_string() for v in common])
-        v = common[0]
-        ref = ParabolicRef(frozenset({v.index, (v.index + 1) % p.n}), v.rep)
-        expect = {g for g in ball if parabolic_member(g, ref)}
+        expect = _parabolic_ball(b, _vertex_stabilizer(p, common[0]), L)
         report.add("walls.pair-stabilizer-delta1-is-vertex-stabilizer", inst,
                    inter == expect,
                    None if inter == expect else sorted(
@@ -323,11 +342,8 @@ def classify_pair(b: ComplexBall, cg: nx.Graph, T1: TreeWall, T2: TreeWall,
     elif d == 2:
         mids = sorted(set(cg.neighbors(T1.key)) & set(cg.neighbors(T2.key)),
                       key=lambda k: (k[0], k[1]))
-        expects = []
-        for mid in mids:
-            w = cg.nodes[mid]["wall"]
-            ref = w.fixator_parabolic(p)
-            expects.append({g for g in ball if parabolic_member(g, ref)})
+        expects = [_parabolic_ball(b, cg.nodes[mid]["wall"].fixator_parabolic(p), L)
+                   for mid in mids]
         ok = any(inter == e for e in expects)
         report.add("walls.pair-stabilizer-delta2-is-connecting-fixator", inst, ok,
                    None if ok else sorted(format_word(g) for g in inter))
@@ -348,12 +364,16 @@ def classify_pair(b: ComplexBall, cg: nx.Graph, T1: TreeWall, T2: TreeWall,
 # -- minimal sets ------------------------------------------------------------------
 
 
-def _square_skeleton(b_sq: ComplexBall) -> nx.Graph:
-    g = nx.Graph()
-    g.add_nodes_from(b_sq.vertices)
-    for e in b_sq.edges:
-        g.add_edge(e.ends[0], e.ends[1])
-    return g
+def _bfs_levels(adjacency: dict[ComplexVertex, list[ComplexEdge]],
+                sources) -> Iterator[set[ComplexVertex]]:
+    """The vertex sets at distance 0, 1, 2, ... from the sources."""
+    seen = set(sources)
+    level = set(seen)
+    while level:
+        yield level
+        level = {w for u in level for e in adjacency[u] for w in e.ends
+                 if w not in seen}
+        seen |= level
 
 
 def min_set(b: ComplexBall, T1: TreeWall, T2: TreeWall) -> tuple[set[ComplexVertex], int, int]:
@@ -362,26 +382,31 @@ def min_set(b: ComplexBall, T1: TreeWall, T2: TreeWall) -> tuple[set[ComplexVert
     Distances are edge counts in the square subdivision's 1-skeleton.
     """
     sq = subdivide(b) if b.form == "polygonal" else b
-    g = sq.derive("skeleton", lambda: _square_skeleton(sq))
-    sources = [v for v in T2.vertex_set if v in g]
-    dist = nx.multi_source_dijkstra_path_length(g, sources)
-    t1_vertices = [v for v in T1.vertex_set if v in dist]
-    if not t1_vertices:
+    adjacency = sq.vertex_edges
+    sources = [v for v in T2.vertex_set if v in adjacency]
+    for d, level in enumerate(_bfs_levels(adjacency, sources)):
+        closest = level & T1.vertex_set
+        if closest:
+            break
+    else:
         raise ValidationError("walls are not connected within the ball")
-    d = min(dist[v] for v in t1_vertices)
-    closest = {v for v in t1_vertices if dist[v] == d}
     diam = 0
     for v in closest:
-        lengths = nx.single_source_shortest_path_length(g, v)
-        diam = max(diam, max(lengths.get(u, 0) for u in closest))
+        unreached = set(closest)
+        for k, level in enumerate(_bfs_levels(adjacency, [v])):
+            if not unreached.isdisjoint(level):
+                unreached -= level
+                diam = max(diam, k)
+                if not unreached:
+                    break
     return closest, d, diam
 
 
-def min_set_audit(b: ComplexBall, cg: nx.Graph, L_pairs: int = 40) -> Report:
+def min_set_audit(b: ComplexBall, cg: nx.Graph) -> Report:
     """Minimal sets have diameter at most twice the wall distance."""
     report = Report()
     walls = {k: cg.nodes[k]["wall"] for k in cg.nodes}
-    pairs = list(itertools.combinations(sorted(walls), 2))[:L_pairs]
+    pairs = list(itertools.combinations(sorted(walls), 2))[:MIN_SET_PAIRS]
     for k1, k2 in pairs:
         T1, T2 = walls[k1], walls[k2]
         closest, d, diam = min_set(b, T1, T2)
@@ -587,13 +612,11 @@ def vertex_stabilizer_criterion_audit(b: ComplexBall, L: int = 2) -> Report:
     """stab(v) (truncated) stabilizes T exactly when v lies on T."""
     report = Report()
     p = b.presentation
-    ball = b.elements(L)
     walls = walls_of_ball(b)
     bad = []
     checked = 0
     for v in sorted(b.interior_vertices):
-        ref = ParabolicRef(frozenset({v.index, (v.index + 1) % p.n}), v.rep)
-        stab_v = [g for g in ball if parabolic_member(g, ref)]
+        stab_v = _parabolic_ball(b, _vertex_stabilizer(p, v), L)
         for T in walls:
             verdicts = [_stabilizes_wall(b, g, T) for g in stab_v]
             if any(x is None for x in verdicts):
@@ -607,49 +630,27 @@ def vertex_stabilizer_criterion_audit(b: ComplexBall, L: int = 2) -> Report:
     return report
 
 
-def _bounded_closure(p: Presentation, gens: set[GroupElement], L: int) -> set[GroupElement]:
-    """Close under products, discarding anything longer than L."""
-    out = set(g for g in gens if g.syllable_length <= L)
-    out.add(identity(p))
-    frontier = set(out)
-    while frontier:
-        new = set()
-        for a in frontier:
-            for s in gens:
-                h = mul(a, s)
-                if h.syllable_length <= L and h not in out:
-                    new.add(h)
-        out |= new
-        frontier = new
-    return out
+def adjacency_criterion_audit(b: ComplexBall) -> Report:
+    """Two wall vertices generate the whole wall stabilizer exactly when they
+    are adjacent on the wall.
 
-
-def adjacency_criterion_audit(b: ComplexBall, L: int = 3) -> Report:
-    """Two wall vertices generate the whole truncated wall stabilizer exactly
-    when they are adjacent on the wall."""
+    Decided exactly: the vertices' mediums must join to a maximal
+    (``join_is_cmaximal``), and that maximal must be the wall's stabilizer.
+    """
     report = Report()
-    p = b.presentation
-    ball = b.elements(L)
     bad = []
     checked = 0
     for T in walls_of_ball(b):
         verts = sorted(v for v in T.vertex_set if v in b.interior_vertices)
-        if len(verts) < 2:
-            continue
-        ref_T = T.parabolic(p)
-        stab_T = {g for g in ball if parabolic_member(g, ref_T)}
-        stabs = {}
-        for v in verts:
-            ref = ParabolicRef(frozenset({v.index, (v.index + 1) % p.n}), v.rep)
-            stabs[v] = {g for g in ball if parabolic_member(g, ref)}
+        stab_T = CSubgroup(MAXIMAL, T.label, T.key_rep)
         edge_pairs = {frozenset(e.ends) for e in T.edges}
         for x, y in itertools.combinations(verts, 2):
-            generated = _bounded_closure(p, stabs[x] | stabs[y], L)
-            saturates = generated == stab_T
+            joined, maximal = join_is_cmaximal(medium_of_vertex(x), medium_of_vertex(y))
+            generates = joined and maximal == stab_T
             adjacent = frozenset({x, y}) in edge_pairs
             checked += 1
-            if saturates != adjacent:
-                bad.append((x.key_string(), y.key_string(), saturates, adjacent))
-    report.add("walls.generation-detects-adjacency", f"L={L} pairs={checked}",
+            if generates != adjacent:
+                bad.append((x.key_string(), y.key_string(), generates, adjacent))
+    report.add("walls.generation-detects-adjacency", f"pairs={checked}",
                not bad, bad or None)
     return report

@@ -18,6 +18,13 @@ the exact ``join_is_cmaximal`` rests on.
 
 The crossing-graph oracle intersects the vertex sets of every pair of walls
 (quadratic in the number of walls) instead of bucketing walls by vertex.
+
+The generation oracle closes two vertex stabilizers under products with
+their elements, discarding anything longer than a syllable length, to
+cross-check the exact rule the walls adjacency audit uses.
+
+The minimal-set oracle runs networkx shortest paths over the whole square
+skeleton instead of the stopped breadth-first search of ``walls.min_set``.
 """
 
 import itertools
@@ -26,6 +33,8 @@ import networkx as nx
 
 from cyclewall.algebraic import CSubgroup, containing_maximals
 from cyclewall.localgroups import IDENTITY, table_group
+from cyclewall.davis import subdivide
+from cyclewall.errors import ValidationError
 from cyclewall.walls import walls_of_ball
 from cyclewall.words import (
     GroupElement,
@@ -249,3 +258,41 @@ def crossing_graph_pairwise(b) -> nx.Graph:
         if common:
             g.add_edge(w1.key, w2.key, vertices=sorted(common))
     return g
+
+
+def sweep_closure(p: Presentation, gens: set, L: int) -> set:
+    """Close under right products by generators, discarding anything longer
+    than L."""
+    out = {g for g in gens if g.syllable_length <= L}
+    out.add(identity(p))
+    frontier = set(out)
+    while frontier:
+        new = set()
+        for a in frontier:
+            for s in gens:
+                h = mul(a, s)
+                if h.syllable_length <= L and h not in out:
+                    new.add(h)
+        out |= new
+        frontier = new
+    return out
+
+
+def min_set_networkx(b, T1, T2):
+    """``walls.min_set`` from networkx shortest paths on the square skeleton."""
+    sq = subdivide(b) if b.form == "polygonal" else b
+    g = nx.Graph()
+    g.add_nodes_from(sq.vertices)
+    g.add_edges_from(e.ends for e in sq.edges)
+    sources = [v for v in T2.vertex_set if v in g]
+    dist = nx.multi_source_dijkstra_path_length(g, sources)
+    t1_vertices = [v for v in T1.vertex_set if v in dist]
+    if not t1_vertices:
+        raise ValidationError("walls are not connected within the ball")
+    d = min(dist[v] for v in t1_vertices)
+    closest = {v for v in t1_vertices if dist[v] == d}
+    diam = 0
+    for v in closest:
+        lengths = nx.single_source_shortest_path_length(g, v)
+        diam = max(diam, max(lengths.get(u, 0) for u in closest))
+    return closest, d, diam

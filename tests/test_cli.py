@@ -267,6 +267,10 @@ _ERROR_CASES = {
     "negative-depth": (["Z/2"] * 5, ["verify", "--suite", "words", "--depth", "-5"]),
     "negative-radius-without-ball": (["Z/2"] * 5,
                                      ["verify", "--suite", "words", "--radius", "-5"]),
+    "images-file-not-utf8": (["Z/2"] * 5,
+                             ["aut", "decompose", "--images", "latin1.json"]),
+    "images-nested-too-deeply": (["Z/2"] * 5,
+                                 ["aut", "decompose", "--images", "deep.json"]),
 }
 
 
@@ -277,6 +281,8 @@ def test_bad_input_exits_2_without_traceback(case, tmp_path, capsys):
     (tmp_path / "broken.json").write_text("{\"images\": [")
     (tmp_path / "images-int.json").write_text("{\"images\": 5}")
     (tmp_path / "images-ints.json").write_text("{\"images\": [[1]]}")
+    (tmp_path / "latin1.json").write_bytes(b'{"images": [["v\xe9"]]}')
+    (tmp_path / "deep.json").write_text("[" * 100000)
     rest = [str(tmp_path / a) if a.endswith(".json") else a for a in rest]
     rc = main([command, "--presentation", path] + rest)
     err = capsys.readouterr().err

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from cyclewall import walls
+from cyclewall.algebraic import MAXIMAL, CSubgroup, join_is_cmaximal, medium_of_vertex
 from cyclewall.davis import act_edge, build_ball, subdivide, x_edge
 from cyclewall.errors import InvariantError, ValidationError
 from cyclewall.walls import (
@@ -41,11 +42,17 @@ from cyclewall.words import (
     format_word,
     identity,
     mul,
+    parabolic_member,
     parse_word,
 )
 
 from conftest import presentation_c5_mixed, presentation_c5_z2, presentation_c6_mixed
-from oracles import crossing_graph_pairwise
+from oracles import (
+    bounded_closure,
+    crossing_graph_pairwise,
+    min_set_networkx,
+    sweep_closure,
+)
 
 
 def central_walls(b):
@@ -364,5 +371,61 @@ def test_vertex_stabilizer_criterion(c5_z2, c5_mixed):
 
 
 def test_adjacency_criterion(c5_z2):
-    r = adjacency_criterion_audit(build_ball(c5_z2, 2), 3)
+    r = adjacency_criterion_audit(build_ball(c5_z2, 2))
     assert r.ok
+
+
+@pytest.mark.parametrize("make, radius, closure, verdicts", [
+    (presentation_c5_z2, 2, sweep_closure, {True}),
+    (presentation_c5_mixed, 2, sweep_closure, {True}),
+    # at radius 3 some interior pairs are far apart, and some adjacent pairs
+    # need derived factors that only the pairwise-harvest closure finds
+    (presentation_c5_z2, 3, bounded_closure, {True, False}),
+    (presentation_c5_mixed, 3, bounded_closure, {True, False}),
+], ids=["c5_z2-r2", "c5_mixed-r2", "c5_z2-r3", "c5_mixed-r3"])
+def test_exact_generation_matches_bounded_closure(make, radius, closure, verdicts):
+    """closure(stab_x u stab_y, 3) == stab_T up to length 3 exactly when the
+    vertices' mediums join to the wall's maximal, for every pair of interior
+    vertices on a wall."""
+    p = make()
+    b = build_ball(p, radius)
+    ball = enumerate_ball_elements(p, 3)
+
+    def members(ref):
+        return {g for g in ball if parabolic_member(g, ref)}
+
+    seen = set()
+    for T in walls_of_ball(b):
+        stab_T = members(T.parabolic(p))
+        wall = CSubgroup(MAXIMAL, T.label, T.key_rep)
+        verts = sorted(v for v in T.vertex_set if v in b.interior_vertices)
+        for x, y in itertools.combinations(verts, 2):
+            hx, hy = medium_of_vertex(x), medium_of_vertex(y)
+            joined, maximal = join_is_cmaximal(hx, hy)
+            exact = joined and maximal == wall
+            gens = members(hx.parabolic()) | members(hy.parabolic())
+            assert (closure(p, gens, 3) == stab_T) == exact, \
+                (T.key_string(), x.key_string(), y.key_string())
+            seen.add(exact)
+    assert seen == verdicts
+
+
+def test_min_set_matches_networkx_oracle(c5_mixed):
+    b = build_ball(c5_mixed, 2)
+    for T1, T2 in itertools.combinations(walls_of_ball(b), 2):
+        assert min_set(b, T1, T2) == min_set_networkx(b, T1, T2), \
+            (T1.key_string(), T2.key_string())
+
+
+def test_adjacency_criterion_fails_on_a_wall_missing_an_edge(c5_z2, monkeypatch):
+    b = build_ball(c5_z2, 2)
+    ws = walls_of_ball(b)
+    k, T, cut = next((k, T, e) for k, T in enumerate(ws) for e in sorted(T.edges)
+                     if all(v in b.interior_vertices for v in e.ends))
+    rest = T.edges - {cut}
+    ws[k] = TreeWall(T.label, min(rest), rest, T.key_rep)
+    monkeypatch.setattr(walls, "walls_of_ball", lambda _b: ws)
+    r = adjacency_criterion_audit(b)
+    assert [x.check_id for x in r.failures] == ["walls.generation-detects-adjacency"]
+    assert r.failures[0].witness == [
+        (cut.ends[0].key_string(), cut.ends[1].key_string(), True, False)]
