@@ -9,10 +9,12 @@ equal subgroups get equal encodings and equality is field comparison.
 
 The abstract complex has the medium encodings of a ball's vertices as nodes,
 arcs where the join of two mediums is a maximal, and faces for the induced
-n-cycles.  The join is decided exactly: two mediums join to a maximal iff the
-vertices they encode share an edge coset (see ``join_is_cmaximal``).  The map
-(coset gH) -> (subgroup gHg^-1) is verified to be an equivariant isomorphism
-on interior cells.
+n-cycles.  Its 1-skeleton, like the ball's interior 1-skeleton it is checked
+against, is a plain adjacency dict (node -> set of neighbours).  The join is
+decided exactly: two mediums join to a maximal iff the vertices they encode
+share an edge coset (see ``join_is_cmaximal``).  The map (coset gH) ->
+(subgroup gHg^-1) is verified to be an equivariant isomorphism on interior
+cells.
 """
 
 from __future__ import annotations
@@ -21,9 +23,7 @@ import itertools
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Optional
-
-import networkx as nx
+from typing import Mapping, Optional
 
 from .davis import POLY, ComplexBall, ComplexVertex, act_vertex
 from .errors import InconclusiveError, ValidationError
@@ -180,35 +180,38 @@ class ScriptXBall:
     cycles: list[tuple[CSubgroup, ...]] = field(default_factory=list)
     interior: set[CSubgroup] = field(default_factory=set)
 
-    def graph(self) -> nx.Graph:
-        g = nx.Graph()
-        g.add_nodes_from(self.nodes)
+    def graph(self) -> dict[CSubgroup, set[CSubgroup]]:
+        """The 1-skeleton as an adjacency dict, every node a key."""
+        g: dict[CSubgroup, set[CSubgroup]] = {h: set() for h in self.nodes}
         for pair in self.arcs:
-            g.add_edge(*tuple(pair))
+            h1, h2 = pair
+            g[h1].add(h2)
+            g[h2].add(h1)
         return g
 
 
-def _induced_n_cycles(g: nx.Graph, n: int) -> list[tuple]:
-    """All induced cycles of length exactly n, each in canonical rotation."""
+def _induced_n_cycles(g: Mapping, n: int) -> list[tuple]:
+    """All induced cycles of length exactly n, each in canonical rotation, in
+    an adjacency mapping (node -> neighbours)."""
     out = set()
-    nodes = sorted(g.nodes, key=lambda x: x.sort_key() if hasattr(x, "sort_key")
+    nodes = sorted(g, key=lambda x: x.sort_key() if hasattr(x, "sort_key")
                    else x)
     index = {v: k for k, v in enumerate(nodes)}
 
     def extend(path: list):
         if len(path) == n:
-            if g.has_edge(path[-1], path[0]):
+            if path[0] in g[path[-1]]:
                 key = tuple(path) if index[path[1]] < index[path[-1]] \
                     else (path[0],) + tuple(reversed(path[1:]))
                 out.add(key)
             return
-        for w in sorted(g.neighbors(path[-1]), key=lambda x: index[x]):
+        for w in sorted(g[path[-1]], key=lambda x: index[x]):
             if index[w] <= index[path[0]] or w in path:
                 continue
             # induced: w may touch only its predecessor among path vertices,
             # plus the start vertex when w closes the cycle
             closing = len(path) == n - 1
-            if any(g.has_edge(w, u) for u in path[:-1]
+            if any(u in g[w] for u in path[:-1]
                    if not (closing and u == path[0])):
                 continue
             extend(path + [w])
@@ -273,13 +276,14 @@ def script_x_to_json(sx: ScriptXBall) -> str:
 # -- isomorphism and cycle audits -----------------------------------------------------
 
 
-def _interior_skeleton(b: ComplexBall) -> nx.Graph:
-    g = nx.Graph()
-    g.add_nodes_from(v for v in b.vertices if v in b.interior_vertices)
+def _interior_skeleton(b: ComplexBall) -> dict[ComplexVertex, set[ComplexVertex]]:
+    """The 1-skeleton on the interior vertices, as an adjacency dict."""
+    g = {v: set() for v in b.vertices if v in b.interior_vertices}
     for e in b.edges:
         u, w = e.ends
-        if u in b.interior_vertices and w in b.interior_vertices:
-            g.add_edge(u, w)
+        if u in g and w in g:
+            g[u].add(w)
+            g[w].add(u)
     return g
 
 
@@ -298,11 +302,11 @@ def phi_iso_check(b: ComplexBall, seed: int = 0, samples: int = 50) -> Report:
     sxg = sx.graph()
     bad = []
     pairs = 0
-    interior = sorted(skel.nodes)
+    interior = sorted(skel)
     for u, w in itertools.combinations(interior, 2):
         pairs += 1
-        x_adj = skel.has_edge(u, w)
-        sx_adj = sxg.has_edge(encode[u], encode[w])
+        x_adj = w in skel[u]
+        sx_adj = encode[w] in sxg[encode[u]]
         if x_adj != sx_adj:
             bad.append((u.key_string(), w.key_string(), x_adj, sx_adj))
     report.add("phi.edges-preserved-both-ways", f"interior-pairs={pairs}",
@@ -355,7 +359,7 @@ def join_agreement_audit(b: ComplexBall) -> Report:
     """Join verdicts match adjacency in the ball's interior 1-skeleton."""
     report = Report()
     skel = _interior_skeleton(b)
-    interior = sorted(skel.nodes)
+    interior = sorted(skel)
     bad = []
     inconclusive = []
     pairs = 0
@@ -367,7 +371,7 @@ def join_agreement_audit(b: ComplexBall) -> Report:
         except InconclusiveError as exc:
             inconclusive.append((u.key_string(), w.key_string(), str(exc)))
             continue
-        if ok != skel.has_edge(u, w):
+        if ok != (w in skel[u]):
             bad.append((u.key_string(), w.key_string(), ok))
     report.add("joins.agree-with-adjacency", f"pairs={pairs}",
                not bad, bad or None)

@@ -274,7 +274,7 @@ def aut_act_edge(a: AutElement, e: ComplexEdge) -> ComplexEdge:
     return ComplexEdge((lo, hi), j, rep)
 
 
-def loc_stabilizes_P_audit(p: Presentation, sample: Sequence[AutElement],
+def loc_stabilizes_P_audit(p: Presentation, sample: Sequence[LocalAut],
                            seed: int = 0) -> Report:
     """Pure-local elements fix the base polygon setwise; sampled non-trivial
     inner elements move it."""
@@ -283,7 +283,7 @@ def loc_stabilizes_P_audit(p: Presentation, sample: Sequence[AutElement],
 
     bad = []
     for lam in sample:
-        a = AutElement(identity(p), lam.local) if isinstance(lam, AutElement) else local_aut(lam)
+        a = local_aut(lam)
         image = {aut_act_vertex(a, v) for v in corners}
         if image != corners:
             bad.append(aut_serialize(a))

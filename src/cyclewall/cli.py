@@ -188,15 +188,14 @@ def walls_suite(b: davis.ComplexBall, depth: int, seed: int) -> Report:
     report.extend(walls.no_triple_crossing_audit(cg))
     report.extend(walls.min_set_audit(b, cg))
     report.extend(walls.hyperplane_treewall_audit(davis.subdivide(b)))
-    report.extend(walls.vertex_stabilizer_criterion_audit(b, min(depth, 2)))
+    report.extend(walls.vertex_stabilizer_criterion_audit(b))
     report.extend(walls.adjacency_criterion_audit(b))
     rng = random.Random(seed)
-    keys = sorted(cg.nodes)
-    pairs = list(itertools.combinations(keys, 2))
+    pairs = list(itertools.combinations(cg.walls, 2))
     rng.shuffle(pairs)
     for k1, k2 in pairs[:25]:
         report.extend(walls.classify_pair(
-            b, cg, cg.nodes[k1]["wall"], cg.nodes[k2]["wall"], depth))
+            b, cg, cg.walls[k1], cg.walls[k2], depth))
     return report
 
 

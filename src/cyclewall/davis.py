@@ -12,6 +12,9 @@ Vertices and edges are identified by canonical coset representatives:
 A cell is interior iff every polygon of X containing it (computed
 algebraically from the coset structure) is present in the ball, so audits
 restricted to interior cells see exactly the infinite complex.
+
+The link audits read each interior vertex's link as a plain adjacency dict
+(incident edge -> the incident edges it shares a 2-cell corner with).
 """
 
 from __future__ import annotations
@@ -19,9 +22,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Optional
-
-import networkx as nx
+from typing import Mapping, Optional
 
 from .errors import BoundaryCellError, ResourceLimitError, ValidationError
 from .reports import Report
@@ -338,41 +339,37 @@ def _subdivide(b: ComplexBall) -> ComplexBall:
 # -- links and audits ----------------------------------------------------------------
 
 
-def vertex_link(b: ComplexBall, v: ComplexVertex) -> nx.Graph:
-    """Link graph of an interior vertex.
+def vertex_link(b: ComplexBall, v: ComplexVertex) -> dict[ComplexEdge, set[ComplexEdge]]:
+    """Link graph of an interior vertex, as an adjacency dict.
 
-    Nodes are the incident edges; arcs are the 2-cell corners at v, tagged
-    with the polygon (or square) providing them.
+    Nodes are the incident edges; two are joined when a 2-cell (polygon or
+    square) has a corner at v between them.
     """
     if v not in b.interior_vertices:
         raise BoundaryCellError(f"vertex {v.key_string()} is not interior to the ball")
-    link = nx.Graph()
-    for e in b.vertex_edges[v]:
-        link.add_node(e, label=e.label)
+    link: dict[ComplexEdge, set[ComplexEdge]] = {e: set() for e in b.vertex_edges[v]}
     if b.form == "polygonal":
-        for g in b.vertex_polygons.get(v, []):
-            poly_edges = b.polygon_edges[g]
-            at_v = [e for e in poly_edges if v in e.ends]
-            assert len(at_v) == 2
-            link.add_edge(at_v[0], at_v[1], corner=format_word(g))
+        cells = [b.polygon_edges[g] for g in b.vertex_polygons.get(v, [])]
     else:
-        for s in b.vertex_squares.get(v, []):
-            at_v = [e for e in s.edges if v in e.ends]
-            assert len(at_v) == 2
-            link.add_edge(at_v[0], at_v[1], corner=s.name())
+        cells = [s.edges for s in b.vertex_squares.get(v, [])]
+    for cell_edges in cells:
+        at_v = [e for e in cell_edges if v in e.ends]
+        assert len(at_v) == 2
+        link[at_v[0]].add(at_v[1])
+        link[at_v[1]].add(at_v[0])
     return link
 
 
-def graph_girth(g: nx.Graph) -> float:
-    """Shortest cycle length; inf for forests. BFS per node (links are small)."""
+def graph_girth(g: Mapping) -> float:
+    """Shortest cycle length of an adjacency mapping (node -> neighbours);
+    inf for forests.  BFS per node (links are small)."""
     best = float("inf")
-    for root in g.nodes:
+    for root in g:
         dist = {root: 0}
         parent = {root: None}
         queue = [root]
-        while queue:
-            u = queue.pop(0)
-            for w in g.neighbors(u):
+        for u in queue:
+            for w in g[u]:
                 if w not in dist:
                     dist[w] = dist[u] + 1
                     parent[w] = u
@@ -445,14 +442,13 @@ def links_audit(b: ComplexBall) -> Report:
     for v in sorted(b.interior_vertices):
         link = vertex_link(b, v)
         i, j = v.index, (v.index + 1) % p.n
-        side_i = [e for e in link.nodes if e.label == i]
-        side_j = [e for e in link.nodes if e.label == j]
-        ok = (len(side_i) + len(side_j) == link.number_of_nodes()
+        side_i = {e for e in link if e.label == i}
+        side_j = {e for e in link if e.label == j}
+        ok = (len(side_i) + len(side_j) == len(link)
               and len(side_i) == p.group(j).size
               and len(side_j) == p.group(i).size
-              and all(link.has_edge(a, c) for a in side_i for c in side_j)
-              and not any(link.has_edge(a, c) for a in side_i for c in side_i if a != c)
-              and not any(link.has_edge(a, c) for a in side_j for c in side_j if a != c))
+              and all(link[a] == side_j for a in side_i)
+              and all(link[c] == side_i for c in side_j))
         if not ok:
             bad.append(v.key_string())
     report.add("davis.links-complete-bipartite",

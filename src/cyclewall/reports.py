@@ -19,18 +19,14 @@ class CheckResult:
     instance: str
     status: str
     witness: Any = None
-    elapsed: float = 0.0
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        d = {
+    def to_dict(self) -> dict:
+        return {
             "check": self.check_id,
             "instance": self.instance,
             "status": self.status,
             "witness": self.witness,
         }
-        if include_timing:
-            d["elapsed_s"] = self.elapsed
-        return d
 
 
 @dataclass
@@ -58,12 +54,12 @@ class Report:
     def ok(self) -> bool:
         return not self.failures
 
-    def to_dict(self, include_timing: bool = False) -> dict:
+    def to_dict(self) -> dict:
         # canonical ordering: by check id then instance, independent of run order
         ordered = sorted(self.results, key=lambda r: (r.check_id, r.instance))
         return {
             "schema": SCHEMA,
-            "checks": [r.to_dict(include_timing) for r in ordered],
+            "checks": [r.to_dict() for r in ordered],
             "summary": {
                 "pass": sum(r.status == PASS for r in self.results),
                 "fail": len(self.failures),
@@ -71,5 +67,5 @@ class Report:
             },
         }
 
-    def to_json(self, include_timing: bool = False) -> str:
-        return json.dumps(self.to_dict(include_timing), indent=2, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)

@@ -17,18 +17,23 @@ of T whose image is still inside the ball into T, and at least one image is
 observable.  Pair stabilizers are classified against the crossing-graph
 distance; distances at the ball's horizon are reported as lower bounds.
 
-Generation is decided exactly: two wall vertices generate the wall
-stabilizer when their mediums join to the wall's maximal
-(``algebraic.join_is_cmaximal``).
+Generation and vertex membership are decided exactly: two wall vertices
+generate the wall stabilizer when their mediums join to the wall's maximal
+(``algebraic.join_is_cmaximal``), and a vertex's stabilizer stabilizes the
+wall when the wall's maximal contains the vertex's medium
+(``algebraic.containing_maximals``).
 
 Cost: each X-vertex lies on at most two walls, so the crossing graph buckets
 walls by vertex in O(sum of wall sizes) rather than comparing every pair of
-walls.  The walls, the subdivision, the element balls, each truncated
-parabolic subgroup and the per-wall truncated stabilizers are built once per
-ball, on first use, and kept on the ball (``ComplexBall.derived``); they live
-and die with it.  A wall's fixator is read off its stabilizer, and minimal
-sets are found by breadth-first search over the subdivision's own adjacency,
-stopped at the first level that reaches the other wall.
+walls.  Graphs are plain adjacency dicts (``CrossingGraph.neighbors``), and
+one level-by-level breadth-first search over a neighbour function
+(``_bfs_levels``) serves crossing-graph distances, wall connectivity and
+minimal sets; the last runs over the subdivision's own adjacency and stops at
+the first level that reaches the other wall.  The walls, the subdivision, the
+element balls, each truncated parabolic subgroup and the per-wall truncated
+stabilizers are built once per ball, on first use, and kept on the ball
+(``ComplexBall.derived``); they live and die with it.  A wall's fixator is
+read off its stabilizer.
 A structure the audits rely on that turns out broken (a square without a
 side, an inconsistent hyperplane) raises ``InvariantError``, which the
 audits report as a failed check with a witness.
@@ -38,11 +43,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Callable, Hashable, Iterable, Iterator, Optional
 
-import networkx as nx
-
-from .algebraic import MAXIMAL, CSubgroup, join_is_cmaximal, medium_of_vertex
+from .algebraic import (
+    MAXIMAL,
+    CSubgroup,
+    containing_maximals,
+    join_is_cmaximal,
+    medium_of_vertex,
+)
 from .davis import ComplexBall, ComplexEdge, ComplexVertex, subdivide
 from .errors import InvariantError, ValidationError
 from .reports import Report
@@ -156,30 +165,60 @@ def _walls_of_ball(b: ComplexBall) -> list[TreeWall]:
 # -- crossing graph -------------------------------------------------------------
 
 
-def crossing_graph(b: ComplexBall) -> nx.Graph:
+@dataclass
+class CrossingGraph:
+    """The crossing graph of a ball: its walls, and arcs between walls sharing
+    a vertex."""
+
+    walls: dict[tuple, TreeWall]        # key -> wall, in key order
+    # (k1, k2) with k1 < k2 -> their sorted shared vertices, in key-pair order
+    crossings: dict[tuple[tuple, tuple], list[ComplexVertex]]
+    neighbors: dict[tuple, set[tuple]]  # key -> keys of the walls it crosses
+
+    def number_of_nodes(self) -> int:
+        return len(self.walls)
+
+    def number_of_edges(self) -> int:
+        return len(self.crossings)
+
+
+def crossing_graph(b: ComplexBall) -> CrossingGraph:
     """Nodes are the ball's tree-walls; arcs join walls sharing a vertex.
 
     Walls are bucketed by vertex: the X-vertex g(G_i x G_{i+1}) lies on at
     most two walls, of labels i and i+1, so this costs O(sum of wall sizes)
     instead of a comparison of every pair of walls.
     """
-    g = nx.Graph()
     walls = walls_of_ball(b)
     on_vertex: dict[ComplexVertex, list[int]] = {}
     for k, w in enumerate(walls):
-        g.add_node(w.key, wall=w)
         for v in w.vertex_set:
             on_vertex.setdefault(v, []).append(k)
     common: dict[tuple[int, int], list[ComplexVertex]] = {}
     for v, ks in on_vertex.items():
         for pair in itertools.combinations(ks, 2):
             common.setdefault(pair, []).append(v)
+    cg = CrossingGraph({w.key: w for w in walls}, {}, {w.key: set() for w in walls})
     for k1, k2 in sorted(common):   # the order of a pairwise scan of the walls
-        g.add_edge(walls[k1].key, walls[k2].key, vertices=sorted(common[k1, k2]))
-    return g
+        key1, key2 = walls[k1].key, walls[k2].key
+        cg.crossings[key1, key2] = sorted(common[k1, k2])
+        cg.neighbors[key1].add(key2)
+        cg.neighbors[key2].add(key1)
+    return cg
 
 
-def delta(cg: nx.Graph, k1: tuple, k2: tuple) -> tuple[float, bool]:
+def _bfs_levels(neighbors: Callable[[Hashable], Iterable[Hashable]],
+                sources: Iterable[Hashable]) -> Iterator[set]:
+    """The node sets at distance 0, 1, 2, ... from the sources."""
+    seen = set(sources)
+    level = set(seen)
+    while level:
+        yield level
+        level = {w for u in level for w in neighbors(u) if w not in seen}
+        seen |= level
+
+
+def delta(cg: CrossingGraph, k1: tuple, k2: tuple) -> tuple[float, bool]:
     """(distance, exact?) in the crossing graph.
 
     Unreachable pairs get (inf, False): within the ball only a lower bound on
@@ -187,21 +226,19 @@ def delta(cg: nx.Graph, k1: tuple, k2: tuple) -> tuple[float, bool]:
     """
     if k1 == k2:
         return 0, True
-    try:
-        d = nx.shortest_path_length(cg, k1, k2)
-    except nx.NetworkXNoPath:
-        return float("inf"), False
-    # crossings outside the ball can only shorten paths, so d >= 2 is a bound
-    return d, d <= 1
+    for d, level in enumerate(_bfs_levels(cg.neighbors.__getitem__, [k1])):
+        if k2 in level:
+            # crossings outside the ball can only shorten paths, so d >= 2 is a bound
+            return d, d <= 1
+    return float("inf"), False
 
 
-def crossing_graph_to_dot(cg: nx.Graph) -> str:
+def crossing_graph_to_dot(cg: CrossingGraph) -> str:
     lines = ["graph crossings {"]
-    for k in sorted(cg.nodes):
-        w = cg.nodes[k]["wall"]
+    for w in cg.walls.values():
         lines.append(f'  "{w.key_string()}" [label="{w.key_string()}"];')
-    for k1, k2 in sorted(cg.edges):
-        w1, w2 = cg.nodes[k1]["wall"], cg.nodes[k2]["wall"]
+    for k1, k2 in cg.crossings:
+        w1, w2 = cg.walls[k1], cg.walls[k2]
         lines.append(f'  "{w1.key_string()}" -- "{w2.key_string()}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -315,7 +352,7 @@ def pair_stabilizer_truncated(b: ComplexBall, T1: TreeWall, T2: TreeWall,
     return wall_stabilizer_truncated(b, T1, L) & wall_stabilizer_truncated(b, T2, L)
 
 
-def classify_pair(b: ComplexBall, cg: nx.Graph, T1: TreeWall, T2: TreeWall,
+def classify_pair(b: ComplexBall, cg: CrossingGraph, T1: TreeWall, T2: TreeWall,
                   L: int) -> Report:
     """Compare the truncated pair stabilizer with the distance classification:
 
@@ -340,9 +377,8 @@ def classify_pair(b: ComplexBall, cg: nx.Graph, T1: TreeWall, T2: TreeWall,
                    None if inter == expect else sorted(
                        format_word(g) for g in inter ^ expect))
     elif d == 2:
-        mids = sorted(set(cg.neighbors(T1.key)) & set(cg.neighbors(T2.key)),
-                      key=lambda k: (k[0], k[1]))
-        expects = [_parabolic_ball(b, cg.nodes[mid]["wall"].fixator_parabolic(p), L)
+        mids = sorted(cg.neighbors[T1.key] & cg.neighbors[T2.key])
+        expects = [_parabolic_ball(b, cg.walls[mid].fixator_parabolic(p), L)
                    for mid in mids]
         ok = any(inter == e for e in expects)
         report.add("walls.pair-stabilizer-delta2-is-connecting-fixator", inst, ok,
@@ -364,18 +400,6 @@ def classify_pair(b: ComplexBall, cg: nx.Graph, T1: TreeWall, T2: TreeWall,
 # -- minimal sets ------------------------------------------------------------------
 
 
-def _bfs_levels(adjacency: dict[ComplexVertex, list[ComplexEdge]],
-                sources) -> Iterator[set[ComplexVertex]]:
-    """The vertex sets at distance 0, 1, 2, ... from the sources."""
-    seen = set(sources)
-    level = set(seen)
-    while level:
-        yield level
-        level = {w for u in level for e in adjacency[u] for w in e.ends
-                 if w not in seen}
-        seen |= level
-
-
 def min_set(b: ComplexBall, T1: TreeWall, T2: TreeWall) -> tuple[set[ComplexVertex], int, int]:
     """(vertices of T1 closest to T2, that distance, diameter of the set).
 
@@ -383,8 +407,12 @@ def min_set(b: ComplexBall, T1: TreeWall, T2: TreeWall) -> tuple[set[ComplexVert
     """
     sq = subdivide(b) if b.form == "polygonal" else b
     adjacency = sq.vertex_edges
+
+    def neighbors(u: ComplexVertex) -> Iterator[ComplexVertex]:
+        return (w for e in adjacency[u] for w in e.ends)
+
     sources = [v for v in T2.vertex_set if v in adjacency]
-    for d, level in enumerate(_bfs_levels(adjacency, sources)):
+    for d, level in enumerate(_bfs_levels(neighbors, sources)):
         closest = level & T1.vertex_set
         if closest:
             break
@@ -393,7 +421,7 @@ def min_set(b: ComplexBall, T1: TreeWall, T2: TreeWall) -> tuple[set[ComplexVert
     diam = 0
     for v in closest:
         unreached = set(closest)
-        for k, level in enumerate(_bfs_levels(adjacency, [v])):
+        for k, level in enumerate(_bfs_levels(neighbors, [v])):
             if not unreached.isdisjoint(level):
                 unreached -= level
                 diam = max(diam, k)
@@ -402,18 +430,17 @@ def min_set(b: ComplexBall, T1: TreeWall, T2: TreeWall) -> tuple[set[ComplexVert
     return closest, d, diam
 
 
-def min_set_audit(b: ComplexBall, cg: nx.Graph) -> Report:
+def min_set_audit(b: ComplexBall, cg: CrossingGraph) -> Report:
     """Minimal sets have diameter at most twice the wall distance."""
     report = Report()
-    walls = {k: cg.nodes[k]["wall"] for k in cg.nodes}
-    pairs = list(itertools.combinations(sorted(walls), 2))[:MIN_SET_PAIRS]
+    pairs = itertools.islice(itertools.combinations(cg.walls, 2), MIN_SET_PAIRS)
     for k1, k2 in pairs:
-        T1, T2 = walls[k1], walls[k2]
+        T1, T2 = cg.walls[k1], cg.walls[k2]
         closest, d, diam = min_set(b, T1, T2)
         inst = f"{T1.key_string()}|{T2.key_string()}"
         report.add("walls.min-set-diameter", f"{inst} d={d}", diam <= 2 * d,
                    None if diam <= 2 * d else {"diameter": diam, "distance": d})
-        if delta(cg, k1, k2)[0] == 1:
+        if k2 in cg.neighbors[k1]:
             report.add("walls.min-set-of-crossing-pair", inst,
                        len(closest) == 1 and d == 0 and diam == 0)
     return report
@@ -573,11 +600,13 @@ def tree_property_audit(b: ComplexBall) -> Report:
         edges = [e for e in T.edges if e in b.interior_edges]
         if not edges:
             continue
-        g = nx.Graph()
-        for e in edges:
-            g.add_edge(e.ends[0], e.ends[1])
-        connected = nx.is_connected(g)
-        euler = g.number_of_nodes() - g.number_of_edges()
+        adj: dict[ComplexVertex, set[ComplexVertex]] = {}
+        for u, w in (e.ends for e in edges):
+            adj.setdefault(u, set()).add(w)
+            adj.setdefault(w, set()).add(u)
+        reached = sum(map(len, _bfs_levels(adj.__getitem__, [edges[0].ends[0]])))
+        connected = reached == len(adj)
+        euler = len(adj) - sum(map(len, adj.values())) // 2
         ok = connected and euler == 1
         report.add("walls.interior-restriction-is-tree",
                    f"{T.key_string()} edges={len(edges)}", ok,
@@ -585,12 +614,16 @@ def tree_property_audit(b: ComplexBall) -> Report:
     return report
 
 
-def no_triple_crossing_audit(cg: nx.Graph) -> Report:
+def no_triple_crossing_audit(cg: CrossingGraph) -> Report:
+    """No three walls cross pairwise: a triangle k1 < k2 < k3 of the crossing
+    graph shows up as a common neighbour k3 of a crossing pair (k1, k2)."""
     report = Report()
-    triangles = [tri for tri in nx.enumerate_all_cliques(cg) if len(tri) == 3]
+    nbrs = cg.neighbors
+    triangles = [(k1, k2, k3) for k1, k2 in cg.crossings
+                 for k3 in sorted(nbrs[k1] & nbrs[k2]) if k3 > k2]
     report.add("walls.no-three-pairwise-crossing",
                f"walls={cg.number_of_nodes()}", not triangles,
-               [[cg.nodes[k]['wall'].key_string() for k in t] for t in triangles] or None)
+               [[cg.walls[k].key_string() for k in t] for t in triangles] or None)
     return report
 
 
@@ -608,25 +641,26 @@ def wall_no_shared_polygon_audit(b: ComplexBall) -> Report:
     return report
 
 
-def vertex_stabilizer_criterion_audit(b: ComplexBall, L: int = 2) -> Report:
-    """stab(v) (truncated) stabilizes T exactly when v lies on T."""
+def vertex_stabilizer_criterion_audit(b: ComplexBall) -> Report:
+    """stab(v) stabilizes T exactly when v lies on T.
+
+    Decided exactly: stab(v) is the medium of v, and it lies in the wall's
+    stabilizer, the maximal ``CSubgroup(MAXIMAL, T.label, T.key_rep)``,
+    exactly when that maximal is one of the two containing the medium.
+    """
     report = Report()
-    p = b.presentation
-    walls = walls_of_ball(b)
+    walls = [(T, CSubgroup(MAXIMAL, T.label, T.key_rep)) for T in walls_of_ball(b)]
     bad = []
     checked = 0
     for v in sorted(b.interior_vertices):
-        stab_v = _parabolic_ball(b, _vertex_stabilizer(p, v), L)
-        for T in walls:
-            verdicts = [_stabilizes_wall(b, g, T) for g in stab_v]
-            if any(x is None for x in verdicts):
-                continue   # truncation blind spot: skip, never guess
+        maximals = containing_maximals(medium_of_vertex(v))
+        for T, stab_T in walls:
             checked += 1
-            stabilizes = all(verdicts)
+            stabilizes = stab_T in maximals
             if stabilizes != (v in T.vertex_set):
                 bad.append((v.key_string(), T.key_string(), stabilizes))
     report.add("walls.vertex-stabilizer-detects-membership",
-               f"L={L} pairs={checked}", not bad, bad or None)
+               f"pairs={checked}", not bad, bad or None)
     return report
 
 

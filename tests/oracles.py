@@ -25,6 +25,14 @@ cross-check the exact rule the walls adjacency audit uses.
 
 The minimal-set oracle runs networkx shortest paths over the whole square
 skeleton instead of the stopped breadth-first search of ``walls.min_set``.
+
+The vertex-on-wall oracle moves a wall's edges with ``act_edge`` by every
+element of a vertex stabilizer cut at a syllable length, instead of asking
+which maximals contain the vertex's medium.  A cut stabilizer is only a
+subset of the stabilizer, so the sweep decides only where the ball shows
+every element's action, and even then it can be fooled where the ball holds
+a wall that the short subset happens to stabilize (at radius 3 on 5 x Z/2,
+not at radius 2).
 """
 
 import itertools
@@ -33,7 +41,7 @@ import networkx as nx
 
 from cyclewall.algebraic import CSubgroup, containing_maximals
 from cyclewall.localgroups import IDENTITY, table_group
-from cyclewall.davis import subdivide
+from cyclewall.davis import act_edge, subdivide
 from cyclewall.errors import ValidationError
 from cyclewall.walls import walls_of_ball
 from cyclewall.words import (
@@ -296,3 +304,16 @@ def min_set_networkx(b, T1, T2):
         lengths = nx.single_source_shortest_path_length(g, v)
         diam = max(diam, max(lengths.get(u, 0) for u in closest))
     return closest, d, diam
+
+
+def sweep_stabilizes_wall(b, elements, T):
+    """Whether every element maps the wall T into itself in the ball: each
+    must move some edge of T onto an edge of the ball, and every such image
+    must lie on T.  None when some element moves no edge into the ball."""
+    verdict = True
+    for g in elements:
+        images = [f for f in (act_edge(g, e) for e in T.edges) if b.has_edge(f)]
+        if not images:
+            return None
+        verdict = verdict and all(f in T.edges for f in images)
+    return verdict

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -289,3 +293,26 @@ def test_bad_input_exits_2_without_traceback(case, tmp_path, capsys):
     assert rc == EXIT_RESOURCE
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+_WITHOUT_NETWORKX = """
+import sys
+sys.modules["networkx"] = None   # any import of networkx now raises ImportError
+import cyclewall
+from cyclewall.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_verify_all_runs_without_networkx(tmp_path):
+    """The package needs nothing beyond the standard library."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = tmp_path / "report.json"
+    run = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NETWORKX, "verify", "--suite", "all",
+         "--radius", "2", "--depth", "3", "--seed", "0", "--output", str(out),
+         "--presentation", str(root / "perfbench" / "presentations" / "c5_z2.json")],
+        env=env, capture_output=True, text=True)
+    assert run.returncode == EXIT_PASS, run.stderr
+    assert json.loads(out.read_text())["summary"]["fail"] == 0

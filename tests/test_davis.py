@@ -170,8 +170,8 @@ def test_vertex_link_is_complete_bipartite(c5_mixed):
     i, j = v.index, (v.index + 1) % 5
     ni, nj = c5_mixed.group(i).size, c5_mixed.group(j).size
     # K_{|G_j|, |G_i|}: one node per incident edge, complete across labels
-    assert link.number_of_nodes() == ni + nj
-    assert link.number_of_edges() == ni * nj
+    assert len(link) == ni + nj
+    assert sum(map(len, link.values())) == 2 * ni * nj
 
 
 def test_vertex_link_rejects_boundary(c5_z2):

@@ -1,14 +1,16 @@
-"""Source hygiene: every name a package module imports is used in it."""
+"""Source hygiene: every name a package module imports is used in it, and
+the package imports nothing outside the standard library."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 import cyclewall
 
-MODULES = sorted(p for p in Path(cyclewall.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE_FILES = sorted(Path(cyclewall.__file__).parent.glob("*.py"))
+MODULES = [p for p in PACKAGE_FILES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,3 +37,27 @@ def test_scan_flags_an_unused_import():
     assert unused_imports("import os\nfrom typing import Optional, Sequence\n"
                           "x: Sequence[int] = []\n") == ["Optional (line 2)",
                                                          "os (line 1)"]
+
+
+def non_stdlib_imports(source: str) -> list[str]:
+    """Top-level names of absolute imports that the standard library lacks."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return sorted(names - sys.stdlib_module_names)
+
+
+@pytest.mark.parametrize("path", PACKAGE_FILES, ids=lambda p: p.name)
+def test_imports_only_the_standard_library(path):
+    assert non_stdlib_imports(path.read_text()) == []
+
+
+def test_scan_flags_a_non_stdlib_import():
+    assert non_stdlib_imports("from __future__ import annotations\n"
+                              "import os.path\nimport networkx as nx\n"
+                              "from numpy.linalg import norm\n"
+                              "from . import words\nfrom .davis import x\n") == [
+        "networkx", "numpy"]

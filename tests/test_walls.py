@@ -6,10 +6,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import networkx as nx
 import pytest
 
 from cyclewall import walls
-from cyclewall.algebraic import MAXIMAL, CSubgroup, join_is_cmaximal, medium_of_vertex
+from cyclewall.algebraic import (
+    MAXIMAL,
+    CSubgroup,
+    containing_maximals,
+    join_is_cmaximal,
+    medium_of_vertex,
+)
 from cyclewall.davis import act_edge, build_ball, subdivide, x_edge
 from cyclewall.errors import InvariantError, ValidationError
 from cyclewall.walls import (
@@ -52,6 +59,7 @@ from oracles import (
     crossing_graph_pairwise,
     min_set_networkx,
     sweep_closure,
+    sweep_stabilizes_wall,
 )
 
 
@@ -140,8 +148,8 @@ def test_crossing_graph_distances(c5_z2):
 def test_crossing_walls_share_exactly_one_vertex(c5_mixed):
     b = build_ball(c5_mixed, 2)
     cg = crossing_graph(b)
-    for k1, k2 in cg.edges:
-        w1, w2 = cg.nodes[k1]["wall"], cg.nodes[k2]["wall"]
+    for k1, k2 in cg.crossings:
+        w1, w2 = cg.walls[k1], cg.walls[k2]
         assert len(w1.vertices() & w2.vertices()) == 1
 
 
@@ -152,13 +160,67 @@ def test_crossing_graph_matches_pairwise_oracle(make, radius):
     b = build_ball(make(), radius)
     got, want = crossing_graph(b), crossing_graph_pairwise(b)
     assert got.number_of_edges() > 0
-    assert list(got.nodes) == list(want.nodes)
-    assert list(got.edges(data="vertices")) == list(want.edges(data="vertices"))
+    assert list(got.walls.items()) == list(want.nodes(data="wall"))
+    assert [(k1, k2, vs) for (k1, k2), vs in got.crossings.items()] == \
+        list(want.edges(data="vertices"))
+    assert got.neighbors == {k: set(want[k]) for k in want}
+    # crossing-graph distances agree with networkx, inf where there is no path
+    for k1 in want:
+        lengths = nx.shortest_path_length(want, k1)
+        for k2 in want:
+            d = lengths.get(k2, float("inf"))
+            assert delta(got, k1, k2) == (d, d <= 1), (k1, k2)
 
 
 def test_no_triple_crossing(c5_z2, c5_mixed):
     assert no_triple_crossing_audit(crossing_graph(build_ball(c5_z2, 2))).ok
     assert no_triple_crossing_audit(crossing_graph(build_ball(c5_mixed, 2))).ok
+
+
+def test_no_triple_crossing_fails_on_an_added_triangle(c5_z2):
+    cg = crossing_graph(build_ball(c5_z2, 2))
+
+    def far(k1, k2):
+        """A wall crossing no wall that k1 or k2 crosses, or None."""
+        near = cg.neighbors[k1] | cg.neighbors[k2]
+        return next((k for k in cg.walls
+                     if k not in near and not cg.neighbors[k] & near), None)
+
+    # the new arcs k1-k3 and k2-k3 close exactly one triangle
+    k1, k2, k3 = next((k1, k2, k3) for k1, k2 in cg.crossings
+                      if (k3 := far(k1, k2)) is not None)
+    for a, c in ((k1, k3), (k2, k3)):
+        cg.crossings[min(a, c), max(a, c)] = []
+        cg.neighbors[a].add(c)
+        cg.neighbors[c].add(a)
+    r = no_triple_crossing_audit(cg)
+    assert [x.check_id for x in r.failures] == ["walls.no-three-pairwise-crossing"]
+    assert r.failures[0].witness == [
+        [cg.walls[k].key_string() for k in sorted((k1, k2, k3))]]
+
+
+def test_tree_property_fails_on_a_wall_split_in_two(c5_z2, monkeypatch):
+    b = build_ball(c5_z2, 3)
+    ws = walls_of_ball(b)
+
+    def split(T):
+        """T without an interior edge whose removal disconnects the rest but
+        keeps every vertex, or None."""
+        inner = sorted(e for e in T.edges if e in b.interior_edges)
+        for cut in inner:
+            rest = nx.Graph(e.ends for e in inner if e != cut)
+            if set(rest) == {v for e in inner for v in e.ends} \
+                    and not nx.is_connected(rest):
+                return cut
+        return None
+
+    k, T, cut = next((k, T, c) for k, T in enumerate(ws) if (c := split(T)))
+    rest = T.edges - {cut}
+    ws[k] = TreeWall(T.label, min(rest), rest, T.key_rep)
+    monkeypatch.setattr(walls, "walls_of_ball", lambda _b: ws)
+    r = tree_property_audit(b)
+    assert [x.check_id for x in r.failures] == ["walls.interior-restriction-is-tree"]
+    assert r.failures[0].witness == {"connected": False, "euler": 2}
 
 
 def test_crossing_graph_dot_export(c5_z2):
@@ -280,14 +342,14 @@ def test_far_pair_search_in_radius_three(c5_z2):
     b = build_ball(p, 3)
     cg = crossing_graph(b)
     far = []
-    for k1, k2 in itertools.combinations(sorted(cg.nodes), 2):
+    for k1, k2 in itertools.combinations(cg.walls, 2):
         d, _ = delta(cg, k1, k2)
         if d >= 3:
             far.append((k1, k2, d))
     if not far:
         pytest.skip("no distance >= 3 pair within this horizon")
     k1, k2, d = far[0]
-    r = classify_pair(b, cg, cg.nodes[k1]["wall"], cg.nodes[k2]["wall"], 2)
+    r = classify_pair(b, cg, cg.walls[k1], cg.walls[k2], 2)
     assert not r.failures  # pass or honestly inconclusive
 
 
@@ -365,9 +427,54 @@ def test_square_missing_a_side_is_a_failed_check(c5_z2):
 
 
 def test_vertex_stabilizer_criterion(c5_z2, c5_mixed):
-    r = vertex_stabilizer_criterion_audit(build_ball(c5_z2, 2), 2)
+    r = vertex_stabilizer_criterion_audit(build_ball(c5_z2, 2))
     assert r.ok and "pairs=" in r.results[0].instance
-    assert vertex_stabilizer_criterion_audit(build_ball(c5_mixed, 2), 2).ok
+    assert vertex_stabilizer_criterion_audit(build_ball(c5_mixed, 2)).ok
+
+
+def test_vertex_stabilizer_criterion_at_radius_three(c5_z2):
+    # a vertex stabilizer cut at length 2 stabilizes walls off the vertex here;
+    # the exact rule does not depend on a cut
+    r = vertex_stabilizer_criterion_audit(build_ball(c5_z2, 3))
+    assert r.ok and r.results[0].instance == "pairs=800"
+
+
+@pytest.mark.parametrize("make", [presentation_c5_z2, presentation_c5_mixed],
+                         ids=["c5_z2", "c5_mixed"])
+def test_vertex_stabilizer_criterion_matches_truncated_sweep(make):
+    """Where the vertex stabilizer cut at length 2 decides whether it
+    stabilizes a wall in a radius-2 ball, it agrees with the exact rule."""
+    p = make()
+    b = build_ball(p, 2)
+    ws = walls_of_ball(b)
+    ball = enumerate_ball_elements(p, 2)
+    seen = set()
+    for v in sorted(b.interior_vertices):
+        medium = medium_of_vertex(v)
+        stab_v = [g for g in ball if parabolic_member(g, medium.parabolic())]
+        maximals = containing_maximals(medium)
+        for T in ws:
+            swept = sweep_stabilizes_wall(b, stab_v, T)
+            if swept is None:
+                continue
+            exact = CSubgroup(MAXIMAL, T.label, T.key_rep) in maximals
+            assert swept == exact == (v in T.vertex_set), (v.key_string(), T.key_string())
+            seen.add(exact)
+    assert seen == {True, False}
+
+
+def test_vertex_stabilizer_criterion_fails_on_a_wall_missing_a_vertex(c5_z2, monkeypatch):
+    b = build_ball(c5_z2, 2)
+    ws = walls_of_ball(b)
+    T = ws[0]
+    v = min(T.vertex_set & b.interior_vertices)
+    broken = TreeWall(T.label, T.seed, T.edges, T.key_rep)
+    object.__setattr__(broken, "vertex_set", T.vertex_set - {v})
+    ws[0] = broken
+    monkeypatch.setattr(walls, "walls_of_ball", lambda _b: ws)
+    r = vertex_stabilizer_criterion_audit(b)
+    assert [x.check_id for x in r.failures] == ["walls.vertex-stabilizer-detects-membership"]
+    assert r.failures[0].witness == [(v.key_string(), T.key_string(), True)]
 
 
 def test_adjacency_criterion(c5_z2):
