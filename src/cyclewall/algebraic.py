@@ -119,30 +119,36 @@ def containing_maximals(h: CSubgroup) -> list[CSubgroup]:
 # -- the join decision ---------------------------------------------------------
 
 
-def _edge_cosets(h: CSubgroup) -> dict[int, set[GroupElement]]:
-    """Edge cosets of the X-vertex encoded by a medium subgroup, by label."""
+def _edge_cosets(h: CSubgroup, label: int) -> set[GroupElement]:
+    """Coset reps of the edges labelled ``label`` at the X-vertex encoded by a
+    medium subgroup; ``label`` is one of its two defining vertices."""
     p = h.presentation
-    i, j = h.base, (h.base + 1) % p.n
+    other = (h.base + 1) % p.n if label == h.base else h.base
     c = h.conjugator
-    out = {i: set(), j: set()}
-    for b in p.group(j).elements():
-        shift = mul(c, GroupElement(p, (Syllable(j, b),) if b else ()))
-        out[i].add(coset_rep(shift, (i,)))
-    for a in p.group(i).elements():
-        shift = mul(c, GroupElement(p, (Syllable(i, a),) if a else ()))
-        out[j].add(coset_rep(shift, (j,)))
-    return out
+    return {coset_rep(mul(c, GroupElement(p, (Syllable(other, x),) if x else ())),
+                      (label,))
+            for x in p.group(other).elements()}
 
 
 def shared_edge(h1: CSubgroup, h2: CSubgroup) -> Optional[tuple[int, GroupElement]]:
-    """(label, edge coset rep) of an edge joining the two encoded vertices."""
-    e1, e2 = _edge_cosets(h1), _edge_cosets(h2)
-    for label in sorted(set(e1) & set(e2)):
-        common = e1[label] & e2[label]
-        if common:
-            assert len(common) == 1
-            return label, next(iter(common))
-    return None
+    """(label, edge coset rep) of an edge joining the two encoded vertices.
+
+    An edge labelled i joins an X-vertex of base i - 1 to one of base i, so
+    two vertices can share only the edge labelled by the larger of two
+    cyclically adjacent bases.
+    """
+    n = h1.presentation.n
+    if h2.base == (h1.base + 1) % n:
+        label = h2.base
+    elif h1.base == (h2.base + 1) % n:
+        label = h1.base
+    else:
+        return None
+    common = _edge_cosets(h1, label) & _edge_cosets(h2, label)
+    if not common:
+        return None
+    assert len(common) == 1
+    return label, next(iter(common))
 
 
 def join_is_cmaximal(h1: CSubgroup,

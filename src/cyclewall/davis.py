@@ -9,9 +9,15 @@ Vertices and edges are identified by canonical coset representatives:
 * X-edge        = coset gG_i,              key (i, coset_rep(g, {i}));
 * X'-center     = coset g,                 one per polygon.
 
-A cell is interior iff every polygon of X containing it (computed
-algebraically from the coset structure) is present in the ball, so audits
-restricted to interior cells see exactly the infinite complex.
+A cell is interior iff every polygon of X containing it is present in the
+ball, so audits restricted to interior cells see exactly the infinite
+complex.  That is decided by the length of the cell's coset rep: a minimal
+representative w of w<G_S> satisfies |w·h| = |w| + |h| for h in <G_S>
+(the graph-product normal form; Green, *Graph products of groups*, 1990).
+The polygons around the X-vertex (i, w) are w·a·b (a in G_i, b in G_{i+1})
+of length |w| + #{a, b nontrivial}, and those around the X-edge (i, w) are
+w·a (a in G_i), so the vertex is interior iff |w| + 2 <= r and the edge iff
+|w| + 1 <= r.
 
 The link audits read each interior vertex's link as a plain adjacency dict
 (incident edge -> the incident edges it shares a 2-cell corner with).
@@ -29,12 +35,10 @@ from .reports import Report
 from .words import (
     GroupElement,
     Presentation,
-    Syllable,
     coset_rep,
     enumerate_ball_elements,
     format_word,
     mul,
-    reduce_word,
 )
 
 # vertex classes
@@ -226,10 +230,10 @@ def build_ball(p: Presentation, r: int, mem_mb: Optional[int] = None) -> Complex
     for v in ball.vertex_polygons:
         ball.vertex_edges.setdefault(v, [])
 
-    ball.vertices = sorted(ball.vertex_edges)
-    ball.edges = sorted(ball.edge_polygons)
+    ball.vertices = sorted(ball.vertex_edges, key=ComplexVertex.sort_key)
+    ball.edges = sorted(ball.edge_polygons, key=ComplexEdge.sort_key)
     for v in ball.vertices:
-        ball.vertex_edges[v].sort()
+        ball.vertex_edges[v].sort(key=ComplexEdge.sort_key)
         ball.vertex_polygons[v].sort()
     for e in ball.edges:
         ball.edge_polygons[e].sort()
@@ -238,34 +242,12 @@ def build_ball(p: Presentation, r: int, mem_mb: Optional[int] = None) -> Complex
     return ball
 
 
-def polygons_containing_vertex(p: Presentation, v: ComplexVertex) -> list[GroupElement]:
-    """All polygon reps of X whose boundary passes through the X-vertex v."""
-    assert v.cls == POLY
-    i, j = v.index, (v.index + 1) % p.n
-    out = []
-    for a in p.group(i).elements():
-        for b in p.group(j).elements():
-            syls = [Syllable(vv, x) for vv, x in ((i, a), (j, b)) if x]
-            out.append(mul(v.rep, reduce_word(p, syls)))
-    return out
-
-
-def polygons_containing_edge(p: Presentation, e: ComplexEdge) -> list[GroupElement]:
-    assert e.label is not None and e.rep is not None
-    p_ = p
-    return [mul(e.rep, reduce_word(p_, [Syllable(e.label, a)] if a else []))
-            for a in p_.group(e.label).elements()]
-
-
 def _mark_interior(ball: ComplexBall) -> None:
-    p = ball.presentation
-    present = ball.polygons.keys()
-    for v in ball.vertices:
-        if all(g in present for g in polygons_containing_vertex(p, v)):
-            ball.interior_vertices.add(v)
-    for e in ball.edges:
-        if all(g in present for g in polygons_containing_edge(p, e)):
-            ball.interior_edges.add(e)
+    r = ball.radius
+    ball.interior_vertices.update(
+        v for v in ball.vertices if len(v.rep.word) + 2 <= r)
+    ball.interior_edges.update(
+        e for e in ball.edges if len(e.rep.word) + 1 <= r)
 
 
 # -- subdivision ------------------------------------------------------------------
@@ -312,9 +294,10 @@ def _subdivide(b: ComplexBall) -> ComplexBall:
         for v in e.ends:
             sq.vertex_edges.setdefault(v, []).append(e)
     for v in sq.vertex_edges:
-        sq.vertex_edges[v] = sorted(set(sq.vertex_edges[v]))
-    sq.vertices = sorted(sq.vertex_edges)
-    sq.edges = sorted(sq.edge_squares)
+        sq.vertex_edges[v] = sorted(set(sq.vertex_edges[v]),
+                                    key=ComplexEdge.sort_key)
+    sq.vertices = sorted(sq.vertex_edges, key=ComplexVertex.sort_key)
+    sq.edges = sorted(sq.edge_squares, key=ComplexEdge.sort_key)
 
     # interiority inherited from the polygonal ball; an X-edge is determined
     # by its label and coset rep, and so are its midpoint and half-edges

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import total_ordering
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import GroupMismatchError, InfiniteGroupError, ValidationError
 from .localgroups import IDENTITY, LocalGroupSpec
@@ -77,9 +77,11 @@ class Presentation:
                 yield Syllable(v, x)
 
 
-@dataclass(frozen=True, order=True)
-class Syllable:
-    """A non-identity element of one vertex group."""
+class Syllable(NamedTuple):
+    """A non-identity element of one vertex group.
+
+    A plain tuple ``(vertex, value)``, so words hash and compare in C.
+    """
 
     vertex: int
     value: int
@@ -253,6 +255,16 @@ def coset_rep(g: GroupElement, S: Iterable[int]) -> GroupElement:
     Strips, right to left, every syllable with vertex in S that can be
     shuffled to the last position. ``coset_rep(g, S) == coset_rep(h, S)`` iff
     g and h lie in the same coset.
+
+    The stripped word needs no further reduction or sorting. Each stripped
+    syllable is a maximal element of the word's dependence order: nothing
+    after it fails to commute with it. Removing a maximal element merges no
+    same-vertex syllables, so the word stays reduced, and the least linear
+    extension of what remains is the old one with that syllable deleted, so
+    the word stays canonical.
+    The result w is the minimal representative of the graph-product normal
+    form (Green, *Graph products of groups*, 1990): |w·h| = |w| + |h| for
+    every h in ``<G_S>``.
     """
     p = g.presentation
     Sf = frozenset(v % p.n for v in S)
@@ -262,7 +274,7 @@ def coset_rep(g: GroupElement, S: Iterable[int]) -> GroupElement:
         if k is None:
             break
         del word[k]
-    return reduce_word(p, word)
+    return GroupElement(p, tuple(word))
 
 
 @dataclass(frozen=True)

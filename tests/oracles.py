@@ -33,6 +33,16 @@ subset of the stabilizer, so the sweep decides only where the ball shows
 every element's action, and even then it can be fooled where the ball holds
 a wall that the short subset happens to stabilize (at radius 3 on 5 x Z/2,
 not at radius 2).
+
+The interior oracles list every polygon of X around an X-vertex or X-edge
+by multiplying its coset rep with each element of the cell's stabilizer,
+instead of reading the rep's length.
+
+The coset-rep oracle strips the same syllables as ``words.coset_rep`` but
+re-reduces and re-sorts the result with ``reduce_word``.
+
+The shared-edge oracle scans the edge cosets of both labels of both
+vertices, instead of the one label their bases allow.
 """
 
 import itertools
@@ -41,16 +51,19 @@ import networkx as nx
 
 from cyclewall.algebraic import CSubgroup, containing_maximals
 from cyclewall.localgroups import IDENTITY, table_group
-from cyclewall.davis import act_edge, subdivide
+from cyclewall.davis import POLY, act_edge, subdivide
 from cyclewall.errors import ValidationError
 from cyclewall.walls import walls_of_ball
 from cyclewall.words import (
     GroupElement,
     Presentation,
     Syllable,
+    _right_strippable,
+    coset_rep,
     identity,
     inv,
     mul,
+    reduce_word,
 )
 
 
@@ -317,3 +330,72 @@ def sweep_stabilizes_wall(b, elements, T):
             return None
         verdict = verdict and all(f in T.edges for f in images)
     return verdict
+
+
+def polygons_containing_vertex(p: Presentation, v) -> list[GroupElement]:
+    """All polygon reps of X whose boundary passes through the X-vertex v."""
+    assert v.cls == POLY
+    i, j = v.index, (v.index + 1) % p.n
+    out = []
+    for a in p.group(i).elements():
+        for b in p.group(j).elements():
+            syls = [Syllable(vv, x) for vv, x in ((i, a), (j, b)) if x]
+            out.append(mul(v.rep, reduce_word(p, syls)))
+    return out
+
+
+def polygons_containing_edge(p: Presentation, e) -> list[GroupElement]:
+    """All polygon reps of X whose boundary contains the X-edge e."""
+    assert e.label is not None and e.rep is not None
+    return [mul(e.rep, reduce_word(p, [Syllable(e.label, a)] if a else []))
+            for a in p.group(e.label).elements()]
+
+
+def interior_by_enumeration(b):
+    """``(interior vertices, interior edges)`` of a polygonal ball: the cells
+    whose every containing polygon is in the ball."""
+    p = b.presentation
+    return ({v for v in b.vertices
+             if all(g in b.polygons for g in polygons_containing_vertex(p, v))},
+            {e for e in b.edges
+             if all(g in b.polygons for g in polygons_containing_edge(p, e))})
+
+
+def coset_rep_reduced(g: GroupElement, S) -> GroupElement:
+    """``words.coset_rep`` with the stripped word reduced and sorted again."""
+    p = g.presentation
+    Sf = frozenset(v % p.n for v in S)
+    word = list(g.word)
+    while True:
+        k = _right_strippable(p, word, Sf)
+        if k is None:
+            break
+        del word[k]
+    return reduce_word(p, word)
+
+
+def _edge_cosets_both_labels(h) -> dict:
+    """Edge coset reps of the X-vertex encoded by a medium, by label."""
+    p = h.presentation
+    i, j = h.base, (h.base + 1) % p.n
+    c = h.conjugator
+    out = {i: set(), j: set()}
+    for b in p.group(j).elements():
+        shift = mul(c, GroupElement(p, (Syllable(j, b),) if b else ()))
+        out[i].add(coset_rep(shift, (i,)))
+    for a in p.group(i).elements():
+        shift = mul(c, GroupElement(p, (Syllable(i, a),) if a else ()))
+        out[j].add(coset_rep(shift, (j,)))
+    return out
+
+
+def shared_edge_both_labels(h1, h2):
+    """``algebraic.shared_edge`` by intersecting the edge cosets of every
+    label the two vertices have in common."""
+    e1, e2 = _edge_cosets_both_labels(h1), _edge_cosets_both_labels(h2)
+    for label in sorted(set(e1) & set(e2)):
+        common = e1[label] & e2[label]
+        if common:
+            assert len(common) == 1
+            return label, next(iter(common))
+    return None

@@ -26,7 +26,7 @@ from cyclewall.davis import build_ball, x_vertex
 from cyclewall.errors import ValidationError
 from cyclewall.words import identity, parse_word
 
-from oracles import closure_join
+from oracles import closure_join, shared_edge_both_labels
 
 
 # -- encodings ------------------------------------------------------------------
@@ -115,6 +115,18 @@ def test_join_rejects_non_medium(c5_z2):
                          CSubgroup(MEDIUM, 2, identity(p)))
 
 
+def bucket_pairs(b):
+    """Every pair of mediums the rebuild tests: those sharing a maximal."""
+    buckets = {}
+    for v in b.vertices:
+        h = medium_of_vertex(v)
+        for m in containing_maximals(h):
+            buckets.setdefault(m, []).append(h)
+    for bucket in buckets.values():
+        yield from itertools.combinations(
+            sorted(bucket, key=CSubgroup.sort_key), 2)
+
+
 @pytest.mark.parametrize("name, radius",
                          [("c5_z2", 2), ("c5_mixed", 1), ("c6_z2", 1)])
 def test_exact_join_matches_closure_oracle(name, radius, request):
@@ -122,22 +134,15 @@ def test_exact_join_matches_closure_oracle(name, radius, request):
     bounded closure's depth-4 verdict, and the closure stays inside the
     shared maximal."""
     b = build_ball(request.getfixturevalue(name), radius)
-    buckets = {}
-    for v in b.vertices:
-        h = medium_of_vertex(v)
-        for m in containing_maximals(h):
-            buckets.setdefault(m, []).append(h)
     joins = 0
-    for bucket in buckets.values():
-        for h1, h2 in itertools.combinations(
-                sorted(bucket, key=CSubgroup.sort_key), 2):
-            ok, candidate = join_is_cmaximal(h1, h2)
-            reached, closure, oracle_candidate = closure_join(h1, h2, 4)
-            assert ok == reached, (h1.key_string(), h2.key_string())
-            assert all(oracle_candidate.member(g) for g in closure)
-            if ok:
-                joins += 1
-                assert candidate == oracle_candidate.conjugated(h1.conjugator)
+    for h1, h2 in bucket_pairs(b):
+        ok, candidate = join_is_cmaximal(h1, h2)
+        reached, closure, oracle_candidate = closure_join(h1, h2, 4)
+        assert ok == reached, (h1.key_string(), h2.key_string())
+        assert all(oracle_candidate.member(g) for g in closure)
+        if ok:
+            joins += 1
+            assert candidate == oracle_candidate.conjugated(h1.conjugator)
     assert joins == len(b.edges)
 
 
@@ -155,6 +160,22 @@ def test_shared_edge_of_adjacent_vertices(c5_z2):
     assert got is not None
     label, rep = got
     assert label == 2 and rep.is_identity
+
+
+@pytest.mark.parametrize("name", ["c5_z2", "c5_z3", "c5_mixed"])
+def test_shared_edge_matches_both_label_scan(name, request):
+    """On every pair the rebuild tests, reading only the label the bases
+    allow finds the same edge as scanning both labels of both vertices."""
+    b = build_ball(request.getfixturevalue(name), 2)
+    shared = 0
+    for h1, h2 in bucket_pairs(b):
+        got = shared_edge(h1, h2)
+        assert got == shared_edge_both_labels(h1, h2), \
+            (h1.key_string(), h2.key_string())
+        assert got == shared_edge(h2, h1)
+        shared += got is not None
+    # the two ends of an edge labelled i share one maximal, of base i
+    assert shared == len(b.edges)
 
 
 def test_containing_maximals_are_two(c5_mixed):

@@ -1,7 +1,9 @@
 import random
+from pathlib import Path
 
 import pytest
 
+from cyclewall.cli import load_presentation
 from cyclewall.davis import (
     EDGE,
     POLY,
@@ -15,8 +17,6 @@ from cyclewall.davis import (
     graph_girth,
     links_audit,
     polygon_pair_audit,
-    polygons_containing_edge,
-    polygons_containing_vertex,
     subdivide,
     t4_audit,
     vertex_link,
@@ -31,6 +31,14 @@ from cyclewall.words import (
     parse_word,
     reduce_word,
 )
+
+from oracles import interior_by_enumeration, polygons_containing_edge
+
+PRESENTATIONS = Path(__file__).parent.parent / "perfbench" / "presentations"
+
+
+def perfbench_presentation(name):
+    return load_presentation(str(PRESENTATIONS / f"{name}.json"))
 
 
 def random_element(rng, p, max_len):
@@ -72,15 +80,24 @@ def test_interior_vertex_polygon_count_is_product_of_orders(c5_mixed):
         assert len(b.vertex_polygons[v]) == want
 
 
-def test_interior_matches_algebraic_polygon_lists(c5_z2):
-    p = c5_z2
-    b = build_ball(p, 2)
-    for v in b.vertices:
-        expect = all(g in b.polygons for g in polygons_containing_vertex(p, v))
-        assert (v in b.interior_vertices) == expect
-    for e in b.edges:
-        expect = all(g in b.polygons for g in polygons_containing_edge(p, e))
-        assert (e in b.interior_edges) == expect
+def test_interior_matches_algebraic_polygon_lists():
+    """Interior by coset-rep length is interior by listing every polygon
+    around each cell."""
+    cases = [(name, r) for name in ("c5_mixed", "c5_s3", "c5_z2", "c5_z3",
+                                    "c6_mixed", "c6_z2") for r in (0, 1, 2)]
+    cases += [("c5_z2", 3), ("c6_z2", 3), ("c6_mixed", 3)]
+    for name, radius in cases:
+        b = build_ball(perfbench_presentation(name), radius)
+        assert interior_by_enumeration(b) == \
+            (b.interior_vertices, b.interior_edges), (name, radius)
+
+
+def test_interior_oracle_catches_a_dropped_interior_vertex(c5_mixed):
+    b = build_ball(c5_mixed, 2)
+    b.interior_vertices.discard(sorted(b.interior_vertices)[0])
+    vertices, edges = interior_by_enumeration(b)
+    assert edges == b.interior_edges
+    assert vertices != b.interior_vertices
 
 
 def test_cell_keys_are_coset_invariants(c5_mixed):

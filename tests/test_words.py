@@ -32,6 +32,7 @@ from conftest import presentation_c5_mixed, presentation_c5_z2
 from oracles import (
     all_raw_words,
     closure_classifier,
+    coset_rep_reduced,
     greedy_canonical_order,
     single_moves,
 )
@@ -181,6 +182,30 @@ def test_coset_rep_constant_on_cosets(c5_mixed):
         S = frozenset(rng.sample(range(5), rng.randrange(1, 4)))
         h = rng.choice([x for x in ball if x.support() <= S])
         assert coset_rep(mul(g, h), S) == coset_rep(g, S)
+
+
+@pytest.mark.parametrize("path", PERFBENCH_PRESENTATIONS, ids=lambda p: p.stem)
+def test_coset_rep_is_canonical_without_reduction(path):
+    """Stripping syllables that shuffle to the end leaves a canonical word:
+    re-reducing and re-sorting it changes nothing."""
+    p = load_presentation(str(path))
+    rng = random.Random(3)
+    for _ in range(300):
+        g = reduce_word(p, random_raw_word(rng, p, 40))
+        S = rng.sample(range(p.n), rng.randrange(1, 4))
+        rep = coset_rep(g, S)
+        assert rep.word == coset_rep_reduced(g, S).word, (format_word(g), S)
+        assert reduce_word(p, rep.word).word == rep.word
+
+
+def test_syllable_hashes_and_sorts_as_its_tuple(c6_mixed):
+    syllables = list(c6_mixed.syllables())
+    rng = random.Random(4)
+    rng.shuffle(syllables)
+    as_tuples = [(s.vertex, s.value) for s in syllables]
+    assert [hash(s) for s in syllables] == [hash(t) for t in as_tuples]
+    assert [tuple(s) for s in sorted(syllables)] == sorted(as_tuples)
+    assert repr(Syllable(2, 5)) == "Syllable(vertex=2, value=5)"
 
 
 def test_parabolic_member_examples(c5_z2):
