@@ -80,8 +80,13 @@ class ComplexEdge:
         return self.sort_key() < other.sort_key()
 
     def key_string(self) -> str:
-        lbl = "" if self.label is None else str(self.label)
-        return f"{lbl}|{self.ends[0].key_string()}--{self.ends[1].key_string()}"
+        return _edge_key(self.label, self.ends[0].key_string(), self.ends[1].key_string())
+
+
+def _edge_key(label: Optional[int], key0: str, key1: str) -> str:
+    """An edge's key string, from its label and its ends' key strings."""
+    lbl = "" if label is None else str(label)
+    return f"{lbl}|{key0}--{key1}"
 
 
 def _edge_between(a: ComplexVertex, b: ComplexVertex, label, rep) -> ComplexEdge:
@@ -444,45 +449,48 @@ def links_audit(b: ComplexBall) -> Report:
 
 
 def ball_to_dot(b: ComplexBall) -> str:
+    key = {v: v.key_string() for v in b.vertices}
     lines = ["graph ball {"]
     for v in b.vertices:
         interior = "true" if v in b.interior_vertices else "false"
-        lines.append(f'  "{v.key_string()}" [interior={interior}];')
+        lines.append(f'  "{key[v]}" [interior={interior}];')
     for e in b.edges:
         lbl = "" if e.label is None else f' [label="{e.label}"]'
-        lines.append(f'  "{e.ends[0].key_string()}" -- "{e.ends[1].key_string()}"{lbl};')
+        lines.append(f'  "{key[e.ends[0]]}" -- "{key[e.ends[1]]}"{lbl};')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def ball_to_json(b: ComplexBall) -> str:
+    key = {v: v.key_string() for v in b.vertices}
     doc = {
         "schema": "cyclewall/1",
         "form": b.form,
         "n": b.presentation.n,
         "radius": b.radius,
         "vertices": [
-            {"key": v.key_string(), "class": v.cls, "index": v.index,
+            {"key": key[v], "class": v.cls, "index": v.index,
              "rep": format_word(v.rep), "interior": v in b.interior_vertices}
             for v in b.vertices
         ],
         "edges": [
-            {"key": e.key_string(), "label": e.label,
+            {"key": _edge_key(e.label, key[e.ends[0]], key[e.ends[1]]),
+             "label": e.label,
              "rep": None if e.rep is None else format_word(e.rep),
-             "ends": [e.ends[0].key_string(), e.ends[1].key_string()],
+             "ends": [key[e.ends[0]], key[e.ends[1]]],
              "interior": e in b.interior_edges}
             for e in b.edges
         ],
         "polygons": [
             {"rep": format_word(g),
-             "boundary": [v.key_string() for v in poly.boundary]}
+             "boundary": [key[v] for v in poly.boundary]}
             for g, poly in sorted(b.polygons.items())
         ],
     }
     if b.form == "square":
         doc["squares"] = [
             {"polygon": format_word(s.polygon), "corner": s.corner,
-             "corners": [c.key_string() for c in s.corners]}
+             "corners": [key[c] for c in s.corners]}
             for s in b.squares
         ]
     return json.dumps(doc, indent=2, sort_keys=True)

@@ -13,16 +13,22 @@ with v, v included.
 
 The shuffles of a reduced word are the linear extensions of its dependence
 order (the trace-monoid view of graph-product normal forms), and the
-canonical word is the least one, found by a topological sort that pops a
-heap keyed on vertex index. For a word of L syllables on n vertices that is
-O(L*n) dependence edges plus O(L log L) heap work.
+canonical word is the least one: the output of the greedy topological sort
+that always emits the least available vertex. Words are kept canonical as
+they are built, one syllable at a time (the lexicographic normal form of a
+trace can be maintained letter by letter; Anisimov-Knuth, *Inhomogeneous
+sorting*, 1979). A pushed syllable that merges with nothing is inserted
+just before the first syllable of greater vertex after the last syllable it
+does not commute with, which is where the greedy sort would emit it; a merge
+changes only a value, and a cancelled syllable is maximal in the dependence
+order. Pushing one syllable onto a word of L syllables costs O(L), and no
+word is ever sorted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import total_ordering
-from heapq import heapify, heappop, heappush
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import GroupMismatchError, InfiniteGroupError, ValidationError
@@ -132,63 +138,42 @@ class GroupElement:
 
 
 def _push(p: Presentation, word: list[Syllable], syl: Syllable) -> None:
-    """Append one syllable to a reduced word, keeping it reduced.
+    """Multiply a canonical reduced word by one syllable, keeping it so.
 
-    Scans right to left over commuting syllables; merges with a same-vertex
-    syllable if one is reachable, otherwise appends.
+    Scans right to left over the syllables that commute with the new
+    syllable's vertex v. If it reaches a same-vertex syllable it merges the
+    two values, deleting the syllable when they cancel. Otherwise it stops
+    at the last blocking syllable, at index k0 (-1 if none), and inserts the
+    new syllable before the first index j > k0 with ``word[j].vertex > v``
+    (the leftmost greater vertex the scan passed), or at the end.
+
+    The insertion is exactly where the greedy least-vertex topological sort
+    of the word plus a new last syllable s would emit s: it emits the old
+    syllables in order up to k0 (s depends on k0), and after that emits s
+    as soon as v is below the next old vertex. No syllable after k0 shares
+    v, or the scan would have merged. A merge changes only a value, and a
+    cancelled syllable is maximal in the dependence order, so deleting it
+    keeps the least linear extension (see ``coset_rep``).
     """
     if syl.value == IDENTITY:
         return
     v = syl.vertex
     block = p.blocks[v]
-    for k in range(len(word) - 1, -1, -1):
-        w = word[k]
-        if w.vertex == v:
-            prod = p.groups[v].mul(w.value, syl.value)
+    j = len(word)
+    for k in range(j - 1, -1, -1):
+        u, x = word[k]
+        if u == v:
+            prod = p.groups[v].mul(x, syl.value)
             if prod == IDENTITY:
                 del word[k]
             else:
                 word[k] = Syllable(v, prod)
             return
-        if w.vertex in block:
+        if u in block:
             break
-    word.append(syl)
-
-
-def _canonical_order(p: Presentation, word: list[Syllable]) -> tuple[Syllable, ...]:
-    """Lexicographically least shuffle representative by vertex index.
-
-    The shuffles of a reduced word are the linear extensions of its
-    dependence order (syllable i before j when i < j and their vertices do
-    not commute), and the least one is emitted by a topological sort that
-    always pops the least vertex. Each syllable gets an edge from the last
-    earlier syllable of every vertex in its block, which suffices because
-    same-vertex syllables are totally ordered. Two available syllables never
-    share a vertex, so the heap key ``(vertex, index)`` has no ties.
-    """
-    blocks = p.blocks
-    vertices = [s.vertex for s in word]
-    succ: list[list[int]] = [[] for _ in word]
-    indeg = [0] * len(word)
-    last = [-1] * p.n  # index of the latest syllable of each vertex so far
-    for j, v in enumerate(vertices):
-        for u in blocks[v]:
-            i = last[u]
-            if i >= 0:
-                succ[i].append(j)
-                indeg[j] += 1
-        last[v] = j
-    heap = [(v, j) for j, v in enumerate(vertices) if not indeg[j]]
-    heapify(heap)
-    out: list[Syllable] = []
-    while heap:
-        i = heappop(heap)[1]
-        out.append(word[i])
-        for j in succ[i]:
-            indeg[j] -= 1
-            if not indeg[j]:
-                heappush(heap, (vertices[j], j))
-    return tuple(out)
+        if u > v:
+            j = k
+    word.insert(j, syl)
 
 
 def reduce_word(p: Presentation, syllables: Iterable[Syllable]) -> GroupElement:
@@ -197,7 +182,7 @@ def reduce_word(p: Presentation, syllables: Iterable[Syllable]) -> GroupElement:
     for s in syllables:
         p.group(s.vertex).check(s.value)
         _push(p, word, s)
-    return GroupElement(p, _canonical_order(p, word))
+    return GroupElement(p, tuple(word))
 
 
 def identity(p: Presentation) -> GroupElement:
@@ -214,7 +199,7 @@ def mul(a: GroupElement, b: GroupElement) -> GroupElement:
     word = list(a.word)
     for s in b.word:
         _push(a.presentation, word, s)
-    return GroupElement(a.presentation, _canonical_order(a.presentation, word))
+    return GroupElement(a.presentation, tuple(word))
 
 
 def mul_all(p: Presentation, elements: Iterable[GroupElement]) -> GroupElement:
@@ -371,7 +356,7 @@ def enumerate_ball_elements(p: Presentation, L: int) -> list[GroupElement]:
 
 def parse_word(p: Presentation, text: str) -> GroupElement:
     """Parse ``v3:2 v1:1`` into a canonical element."""
-    syllables = []
+    word: list[Syllable] = []
     for token in text.split():
         if not token.startswith("v") or ":" not in token:
             raise ValidationError(f"bad syllable token: {token!r}")
@@ -383,8 +368,8 @@ def parse_word(p: Presentation, text: str) -> GroupElement:
         if not 0 <= vertex < p.n:
             raise ValidationError(f"vertex {vertex} out of range for n={p.n}")
         p.group(vertex).check(value)
-        syllables.append(Syllable(vertex, value))
-    return reduce_word(p, syllables)
+        _push(p, word, Syllable(vertex, value))
+    return GroupElement(p, tuple(word))
 
 
 def format_word(g: GroupElement) -> str:

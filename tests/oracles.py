@@ -8,7 +8,11 @@ resulting partition.
 
 The canonical-form oracle is the direct greedy: among the syllables that
 commute with everything before them, emit the one of least vertex, and
-repeat (cubic in the word length).
+repeat (cubic in the word length).  The heap oracle reduces by appending
+each syllable (merging it with a reachable same-vertex syllable), then
+sorts the whole word once by a topological sort over its dependence edges
+that pops a heap keyed on vertex index, instead of inserting each syllable
+at its canonical place as it is pushed.
 
 The join oracle decides whether two medium subgroups generate a maximal by a
 bounded subgroup closure: products of conjugated generators up to a syllable
@@ -39,13 +43,14 @@ by multiplying its coset rep with each element of the cell's stabilizer,
 instead of reading the rep's length.
 
 The coset-rep oracle strips the same syllables as ``words.coset_rep`` but
-re-reduces and re-sorts the result with ``reduce_word``.
+re-reduces and re-sorts the result with the heap oracle.
 
 The shared-edge oracle scans the edge cosets of both labels of both
 vertices, instead of the one label their bases allow.
 """
 
 import itertools
+from heapq import heapify, heappop, heappush
 
 import networkx as nx
 
@@ -120,6 +125,72 @@ def greedy_canonical_order(p: Presentation, word):
                 if best is None or s.vertex < remaining[best].vertex:
                     best = k
         out.append(remaining.pop(best))
+    return tuple(out)
+
+
+def append_only_push(p: Presentation, word: list, syl: Syllable) -> None:
+    """Append one syllable to a reduced word, keeping it reduced but not
+    canonical: merge with a same-vertex syllable reachable over commuting
+    ones, otherwise append."""
+    if syl.value == IDENTITY:
+        return
+    v = syl.vertex
+    block = p.blocks[v]
+    for k in range(len(word) - 1, -1, -1):
+        w = word[k]
+        if w.vertex == v:
+            prod = p.groups[v].mul(w.value, syl.value)
+            if prod == IDENTITY:
+                del word[k]
+            else:
+                word[k] = Syllable(v, prod)
+            return
+        if w.vertex in block:
+            break
+    word.append(syl)
+
+
+def append_only_reduced(p: Presentation, raw) -> list:
+    """A reduced word for ``raw``, in no particular shuffle."""
+    word = []
+    for s in raw:
+        append_only_push(p, word, s)
+    return word
+
+
+def heap_canonical_order(p: Presentation, word) -> tuple:
+    """Lexicographically least shuffle of a reduced word, by vertex index.
+
+    The shuffles of a reduced word are the linear extensions of its
+    dependence order (syllable i before j when i < j and their vertices do
+    not commute), and the least one is emitted by a topological sort that
+    always pops the least vertex. Each syllable gets an edge from the last
+    earlier syllable of every vertex in its block, which suffices because
+    same-vertex syllables are totally ordered. Two available syllables never
+    share a vertex, so the heap key ``(vertex, index)`` has no ties.
+    """
+    blocks = p.blocks
+    vertices = [s.vertex for s in word]
+    succ = [[] for _ in word]
+    indeg = [0] * len(word)
+    last = [-1] * p.n  # index of the latest syllable of each vertex so far
+    for j, v in enumerate(vertices):
+        for u in blocks[v]:
+            i = last[u]
+            if i >= 0:
+                succ[i].append(j)
+                indeg[j] += 1
+        last[v] = j
+    heap = [(v, j) for j, v in enumerate(vertices) if not indeg[j]]
+    heapify(heap)
+    out = []
+    while heap:
+        i = heappop(heap)[1]
+        out.append(word[i])
+        for j in succ[i]:
+            indeg[j] -= 1
+            if not indeg[j]:
+                heappush(heap, (vertices[j], j))
     return tuple(out)
 
 
@@ -371,7 +442,7 @@ def coset_rep_reduced(g: GroupElement, S) -> GroupElement:
         if k is None:
             break
         del word[k]
-    return reduce_word(p, word)
+    return GroupElement(p, heap_canonical_order(p, append_only_reduced(p, word)))
 
 
 def _edge_cosets_both_labels(h) -> dict:

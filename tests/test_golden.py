@@ -1,4 +1,4 @@
-"""Golden digests: two CLI outputs pinned byte for byte.
+"""Golden digests: three CLI outputs pinned byte for byte.
 
 Performance work on the ball, word and walls layers must leave the canonical
 outputs unchanged.  Each digest is the SHA-256 of the command's standard
@@ -7,14 +7,27 @@ output, and must not depend on the interpreter's hash seed.
 
 import hashlib
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from cyclewall.cli import load_presentation
+
 ROOT = Path(__file__).resolve().parent.parent
 PRESENTATIONS = ROOT / "perfbench" / "presentations"
+
+
+def random_words(presentation: Path, count: int) -> list[str]:
+    """``count`` raw words of 8 to 48 syllables, as ``reduce`` arguments."""
+    syllables = list(load_presentation(str(presentation)).syllables())
+    rng = random.Random(0)
+    return [" ".join(f"v{s.vertex}:{s.value}"
+                     for s in (rng.choice(syllables) for _ in range(8 + k % 41)))
+            for k in range(count)]
+
 
 GOLDEN = {
     "ball_r3_c6_mixed": (
@@ -25,6 +38,10 @@ GOLDEN = {
         ["verify", "--suite", "all", "--radius", "2", "--depth", "3",
          "--seed", "0", "--presentation", str(PRESENTATIONS / "c5_mixed.json")],
         "1164c0bd477d3daf9e664c13ee002d6d1d372f86ac2c4605b64d820e00ba9e08"),
+    "reduce_300_c6_mixed": (
+        ["reduce", "--presentation", str(PRESENTATIONS / "c6_mixed.json"),
+         *random_words(PRESENTATIONS / "c6_mixed.json", 300)],
+        "71393e5e937d2eacc41c4196e5d6f64882b6fd70262253127aa8c41dec1b8879"),
 }
 
 

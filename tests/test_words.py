@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -31,9 +32,11 @@ from cyclewall.words import (
 from conftest import presentation_c5_mixed, presentation_c5_z2
 from oracles import (
     all_raw_words,
+    append_only_reduced,
     closure_classifier,
     coset_rep_reduced,
     greedy_canonical_order,
+    heap_canonical_order,
     single_moves,
 )
 
@@ -103,19 +106,59 @@ def test_confluence_under_random_move_sequences(c5_mixed):
         assert reduce_word(p, w) == target
 
 
-@pytest.mark.parametrize("name", [
+KERNEL_PRESENTATIONS = [
     *(f"perfbench/{path.name}" for path in PERFBENCH_PRESENTATIONS),
-    "c5_z2", "c5_z3", "c5_mixed", "c5_s3", "c6_z2", "c6_mixed"])
+    "c5_z2", "c5_z3", "c5_mixed", "c5_s3", "c6_z2", "c6_mixed"]
+
+
+def kernel_presentation(name, request):
+    if name.startswith("perfbench/"):
+        return load_presentation(str(PERFBENCH_DIR / name.removeprefix("perfbench/")))
+    return request.getfixturevalue(name)
+
+
+@pytest.mark.parametrize("name", KERNEL_PRESENTATIONS)
 def test_canonical_order_matches_greedy_oracle(name, request):
-    p = load_presentation(str(PERFBENCH_DIR / name.removeprefix("perfbench/"))) \
-        if name.startswith("perfbench/") else request.getfixturevalue(name)
+    p = kernel_presentation(name, request)
     rng = random.Random(0)
     for _ in range(150):
         raw = random_raw_word(rng, p, 60)
-        reduced = []
-        for s in raw:
-            _push(p, reduced, s)
+        reduced = append_only_reduced(p, raw)
         assert reduce_word(p, raw).word == greedy_canonical_order(p, reduced), raw
+
+
+@pytest.mark.parametrize("name", KERNEL_PRESENTATIONS)
+def test_reduce_matches_heap_oracle(name, request):
+    p = kernel_presentation(name, request)
+    rng = random.Random(5)
+    for _ in range(300):
+        raw = random_raw_word(rng, p, 60)
+        assert reduce_word(p, raw).word == \
+            heap_canonical_order(p, append_only_reduced(p, raw)), raw
+
+
+@pytest.mark.parametrize("name", KERNEL_PRESENTATIONS)
+def test_every_push_keeps_the_word_canonical(name, request):
+    """Each push onto a canonical word leaves it canonical, whether the
+    syllable is inserted, merges into a new value or cancels."""
+    p = kernel_presentation(name, request)
+    rng = random.Random(6)
+    alphabet = list(p.syllables())
+    seen = Counter()
+    for _ in range(60):
+        word = []
+        for _ in range(rng.randrange(61)):
+            s = rng.choice(alphabet)
+            before = len(word)
+            _push(p, word, s)
+            assert tuple(word) == greedy_canonical_order(p, word), (word, s)
+            event = ("cancel", "merge", "insert")[len(word) - before + 1]
+            seen[event, p.group(s.vertex).kind] += 1
+    assert seen["insert", "cyclic"] > 0 and seen["cancel", "cyclic"] > 0
+    if any(g.size > 2 for g in p.groups):  # two values can merge into a third
+        assert sum(n for (e, _), n in seen.items() if e == "merge") > 0
+    if any(g.kind == "table" for g in p.groups):  # S3 merges and cancels
+        assert seen["merge", "table"] > 0 and seen["cancel", "table"] > 0
 
 
 # -- group operations ---------------------------------------------------------
@@ -299,6 +342,12 @@ def test_parse_rejects_garbage(c5_z2):
     for bad in ["w1:1", "v9:1", "v1:7", "v1", "v1:x"]:
         with pytest.raises(ValidationError):
             parse_word(c5_z2, bad)
+
+
+def test_parse_reports_the_first_bad_token(c5_z2):
+    # a bad value at token 1 is reported before a bad format at token 3
+    with pytest.raises(ValidationError, match="7 is not an element"):
+        parse_word(c5_z2, "v1:7 v2:1 w3:1")
 
 
 def test_presentation_requires_n_at_least_5():
