@@ -82,7 +82,11 @@ def _group_from_json(spec, where: str):
         kind = spec.get("kind")
         try:
             if kind == "cyclic":
-                return cyclic_group(int(spec["order"]), name=spec.get("name", ""))
+                order = spec["order"]
+                if not isinstance(order, int) or isinstance(order, bool):
+                    raise ValidationError(
+                        f"{where}: cyclic order must be a JSON integer, got {order!r}")
+                return cyclic_group(order, name=spec.get("name", ""))
             if kind == "integers":
                 return integers_group(name=spec.get("name", ""))
             if kind == "table":

@@ -3,24 +3,33 @@ subdivision X', with interior marking and the local geometry audits.
 
 Polygons have trivial stabilizer, so they biject with group elements; a ball
 of radius r holds the polygons indexed by elements of syllable length <= r.
-Vertices and edges are identified by canonical coset representatives:
+Every cell of X and X' is a coset g<G_S>, keyed by its canonical coset
+representative:
 
 * X-vertex      = coset g(G_i x G_{i+1}),  key (i, coset_rep(g, {i, i+1}));
 * X-edge        = coset gG_i,              key (i, coset_rep(g, {i}));
+* X'-midpoint   = coset gG_i,              the X-edge's key;
 * X'-center     = coset g,                 one per polygon.
+
+Both forms of a ball share one cell model.  A 2-cell (``Polygon`` or
+``Square``) carries its corners and its ordered sides, and one indexer fills
+the two incidence maps ``vertex_cells`` and ``edge_cells`` (cell -> the
+2-cells containing it, in key order) and ``vertex_edges``.
 
 A cell is interior iff every polygon of X containing it is present in the
 ball, so audits restricted to interior cells see exactly the infinite
 complex.  That is decided by the length of the cell's coset rep: a minimal
 representative w of w<G_S> satisfies |w·h| = |w| + |h| for h in <G_S>
 (the graph-product normal form; Green, *Graph products of groups*, 1990).
-The polygons around the X-vertex (i, w) are w·a·b (a in G_i, b in G_{i+1})
-of length |w| + #{a, b nontrivial}, and those around the X-edge (i, w) are
-w·a (a in G_i), so the vertex is interior iff |w| + 2 <= r and the edge iff
-|w| + 1 <= r.
+The polygons around the vertex w<G_S> are w·h for h in <G_S>, the longest of
+length |w| + |S|, so one rule serves both forms: the vertex w<G_S> is
+interior iff |w| + |S| <= r, a labelled edge (an X-edge or a half of one)
+iff |w| + 1 <= r, and a spoke, which lies inside one polygon, always.
 
 The link audits read each interior vertex's link as a plain adjacency dict
-(incident edge -> the incident edges it shares a 2-cell corner with).
+(incident edge -> the incident edges it shares a 2-cell corner with).  A
+2-cell that meets its corner in other than two sides raises
+``InvariantError``, which the audits report as a failed check with a witness.
 """
 
 from __future__ import annotations
@@ -30,7 +39,12 @@ import os
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from .errors import BoundaryCellError, ResourceLimitError, ValidationError
+from .errors import (
+    BoundaryCellError,
+    InvariantError,
+    ResourceLimitError,
+    ValidationError,
+)
 from .reports import Report
 from .words import (
     GroupElement,
@@ -47,6 +61,7 @@ EDGE = "edge"         # coset of G_i (edge midpoints of the subdivision)
 POLY = "poly"         # coset of G_i x G_{i+1} (vertices of X)
 
 _CLASS_ORDER = {POLY: 0, EDGE: 1, TRIVIAL: 2}
+_SUBGROUP_RANK = {POLY: 2, EDGE: 1, TRIVIAL: 0}   # |S| for the coset g<G_S>
 
 
 @dataclass(frozen=True)
@@ -94,13 +109,18 @@ def _edge_between(a: ComplexVertex, b: ComplexVertex, label, rep) -> ComplexEdge
     return ComplexEdge((lo, hi), label, rep)
 
 
-@dataclass(frozen=True)
+# 2-cells are built once per ball and compare by identity, so they hash cheaply
+@dataclass(frozen=True, eq=False)
 class Polygon:
     rep: GroupElement
     boundary: tuple[ComplexVertex, ...]   # v_0 .. v_{n-1}, v_i = g(G_i x G_{i+1})
+    edges: tuple[ComplexEdge, ...]        # e_0 .. e_{n-1}, e_i = gG_i joins v_{i-1}, v_i
+
+    def name(self) -> str:
+        return format_word(self.rep)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Square:
     polygon: GroupElement
     corner: int   # the polygon corner v_corner this square surrounds
@@ -110,6 +130,9 @@ class Square:
     def name(self) -> str:
         """The polygon word and corner, e.g. ``ab#2``."""
         return f"{format_word(self.polygon)}#{self.corner}"
+
+
+Cell = Polygon | Square
 
 
 @dataclass
@@ -124,11 +147,9 @@ class ComplexBall:
     interior_vertices: set[ComplexVertex] = field(default_factory=set)
     interior_edges: set[ComplexEdge] = field(default_factory=set)
     vertex_edges: dict[ComplexVertex, list[ComplexEdge]] = field(default_factory=dict)
-    edge_polygons: dict[ComplexEdge, list[GroupElement]] = field(default_factory=dict)
-    vertex_polygons: dict[ComplexVertex, list[GroupElement]] = field(default_factory=dict)
-    vertex_squares: dict[ComplexVertex, list[Square]] = field(default_factory=dict)
-    edge_squares: dict[ComplexEdge, list[Square]] = field(default_factory=dict)
-    polygon_edges: dict[GroupElement, list[ComplexEdge]] = field(default_factory=dict)
+    # the 2-cells of this form (polygons or squares) containing each cell
+    vertex_cells: dict[ComplexVertex, list[Cell]] = field(default_factory=dict)
+    edge_cells: dict[ComplexEdge, list[Cell]] = field(default_factory=dict)
     # structures derived from this ball (subdivision, walls, element balls,
     # stabilizers), each built on first use; they live and die with the ball,
     # which is not changed once built, and are shared by every caller
@@ -151,7 +172,7 @@ class ComplexBall:
                            lambda: tuple(enumerate_ball_elements(self.presentation, L)))
 
     def has_edge(self, e: ComplexEdge) -> bool:
-        return e in self.edge_polygons or e in self.edge_squares
+        return e in self.edge_cells
 
 
 # -- cell constructors --------------------------------------------------------
@@ -216,43 +237,35 @@ def build_ball(p: Presentation, r: int, mem_mb: Optional[int] = None) -> Complex
 
     ball = ComplexBall(presentation=p, radius=r, form="polygonal")
     n = p.n
-    for g in reps:
-        corners = tuple(x_vertex(p, g, i) for i in range(n))
-        poly = Polygon(g, corners)
-        ball.polygons[g] = poly
-        edges = []
-        for i in range(n):
-            e = x_edge(p, g, i)
-            edges.append(e)
-            ball.edge_polygons.setdefault(e, []).append(g)
-        ball.polygon_edges[g] = edges
-        for v in corners:
-            ball.vertex_polygons.setdefault(v, []).append(g)
-
-    for e in ball.edge_polygons:
-        for v in e.ends:
-            ball.vertex_edges.setdefault(v, []).append(e)
-    for v in ball.vertex_polygons:
-        ball.vertex_edges.setdefault(v, [])
-
-    ball.vertices = sorted(ball.vertex_edges, key=ComplexVertex.sort_key)
-    ball.edges = sorted(ball.edge_polygons, key=ComplexEdge.sort_key)
-    for v in ball.vertices:
-        ball.vertex_edges[v].sort(key=ComplexEdge.sort_key)
-        ball.vertex_polygons[v].sort()
-    for e in ball.edges:
-        ball.edge_polygons[e].sort()
-
-    _mark_interior(ball)
+    for g in reps:   # sorted, so the cells come in key order
+        ball.polygons[g] = Polygon(g, tuple(x_vertex(p, g, i) for i in range(n)),
+                                   tuple(x_edge(p, g, i) for i in range(n)))
+    _index(ball, ((poly, poly.boundary) for poly in ball.polygons.values()))
     return ball
 
 
-def _mark_interior(ball: ComplexBall) -> None:
+def _index(ball: ComplexBall, cells) -> None:
+    """Fill ``ball``'s incidence maps from its 2-cells, given as (cell,
+    corners) pairs in key order, sort its vertices and edges by key and mark
+    the interior: the vertex g<G_S> is interior iff |rep| + |S| <= r, a
+    labelled edge iff |rep| + 1 <= r, and a spoke always."""
+    for cell, corners in cells:
+        for v in corners:
+            ball.vertex_cells.setdefault(v, []).append(cell)
+        for e in cell.edges:
+            ball.edge_cells.setdefault(e, []).append(cell)
+    for e in ball.edge_cells:
+        for v in e.ends:
+            ball.vertex_edges.setdefault(v, []).append(e)
+    ball.vertices = sorted(ball.vertex_edges, key=ComplexVertex.sort_key)
+    ball.edges = sorted(ball.edge_cells, key=ComplexEdge.sort_key)
+    for v in ball.vertices:
+        ball.vertex_edges[v].sort(key=ComplexEdge.sort_key)
     r = ball.radius
     ball.interior_vertices.update(
-        v for v in ball.vertices if len(v.rep.word) + 2 <= r)
+        v for v in ball.vertices if len(v.rep.word) + _SUBGROUP_RANK[v.cls] <= r)
     ball.interior_edges.update(
-        e for e in ball.edges if len(e.rep.word) + 1 <= r)
+        e for e in ball.edges if e.label is None or len(e.rep.word) + 1 <= r)
 
 
 # -- subdivision ------------------------------------------------------------------
@@ -277,50 +290,16 @@ def _subdivide(b: ComplexBall) -> ComplexBall:
 
     mid = {e: ComplexVertex(EDGE, e.label, e.rep) for e in b.edges}
 
-    for g, poly in b.polygons.items():
+    for g, poly in b.polygons.items():   # in key order, and so are the squares
         center = ComplexVertex(TRIVIAL, None, g)
-        poly_edges = b.polygon_edges[g]   # e_0 .. e_{n-1}; e_i joins v_{i-1}, v_i
-        for i in range(n):
-            e_i, e_next = poly_edges[i], poly_edges[(i + 1) % n]
-            v = poly.boundary[i]
+        spokes = [_edge_between(center, mid[e], None, None) for e in poly.edges]
+        for i, v in enumerate(poly.boundary):
+            e_i, e_next = poly.edges[i], poly.edges[(i + 1) % n]
             half1 = _edge_between(mid[e_i], v, e_i.label, e_i.rep)
             half2 = _edge_between(mid[e_next], v, e_next.label, e_next.rep)
-            spoke1 = _edge_between(center, mid[e_i], None, None)
-            spoke2 = _edge_between(center, mid[e_next], None, None)
-            square = Square(g, i, (mid[e_i], v, mid[e_next], center),
-                            (half1, half2, spoke1, spoke2))
-            sq.squares.append(square)
-            for c in square.corners:
-                sq.vertex_squares.setdefault(c, []).append(square)
-            for se in square.edges:
-                sq.edge_squares.setdefault(se, []).append(square)
-
-    for e in sq.edge_squares:
-        for v in e.ends:
-            sq.vertex_edges.setdefault(v, []).append(e)
-    for v in sq.vertex_edges:
-        sq.vertex_edges[v] = sorted(set(sq.vertex_edges[v]),
-                                    key=ComplexEdge.sort_key)
-    sq.vertices = sorted(sq.vertex_edges, key=ComplexVertex.sort_key)
-    sq.edges = sorted(sq.edge_squares, key=ComplexEdge.sort_key)
-
-    # interiority inherited from the polygonal ball; an X-edge is determined
-    # by its label and coset rep, and so are its midpoint and half-edges
-    interior_x_edges = {(e.label, e.rep) for e in b.interior_edges}
-    for v in sq.vertices:
-        if v.cls == POLY:
-            if v in b.interior_vertices:
-                sq.interior_vertices.add(v)
-        elif v.cls == EDGE:
-            if (v.index, v.rep) in interior_x_edges:
-                sq.interior_vertices.add(v)
-        else:
-            sq.interior_vertices.add(v)
-    for e in sq.edges:
-        if e.label is None:
-            sq.interior_edges.add(e)   # spokes lie inside one polygon
-        elif (e.label, e.rep) in interior_x_edges:
-            sq.interior_edges.add(e)
+            sq.squares.append(Square(g, i, (mid[e_i], v, mid[e_next], center),
+                                     (half1, half2, spokes[i], spokes[(i + 1) % n])))
+    _index(sq, ((s, s.corners) for s in sq.squares))
     return sq
 
 
@@ -336,15 +315,14 @@ def vertex_link(b: ComplexBall, v: ComplexVertex) -> dict[ComplexEdge, set[Compl
     if v not in b.interior_vertices:
         raise BoundaryCellError(f"vertex {v.key_string()} is not interior to the ball")
     link: dict[ComplexEdge, set[ComplexEdge]] = {e: set() for e in b.vertex_edges[v]}
-    if b.form == "polygonal":
-        cells = [b.polygon_edges[g] for g in b.vertex_polygons.get(v, [])]
-    else:
-        cells = [s.edges for s in b.vertex_squares.get(v, [])]
-    for cell_edges in cells:
-        at_v = [e for e in cell_edges if v in e.ends]
-        assert len(at_v) == 2
-        link[at_v[0]].add(at_v[1])
-        link[at_v[1]].add(at_v[0])
+    for cell in b.vertex_cells[v]:
+        at_v = [e for e in cell.edges if v in e.ends]
+        if len(at_v) != 2:
+            raise InvariantError("a 2-cell meets its corner in other than two sides",
+                                 [cell.name(), v.key_string(), len(at_v)])
+        a, c = at_v
+        link[a].add(c)
+        link[c].add(a)
     return link
 
 
@@ -379,7 +357,12 @@ def t4_audit(b: ComplexBall) -> Report:
                        witness=[v.key_string() for v in poly.boundary])
     bad = []
     for v in sorted(sq.interior_vertices):
-        girth = graph_girth(vertex_link(sq, v))
+        try:
+            link = vertex_link(sq, v)
+        except InvariantError as exc:
+            bad = {"error": str(exc), "at": exc.witness}
+            break
+        girth = graph_girth(link)
         if girth < 4:
             bad.append((v.key_string(), girth))
     report.add("davis.t4.link-girth", f"radius={b.radius}", not bad, witness=bad or None)
@@ -393,17 +376,16 @@ def polygon_pair_audit(b: ComplexBall) -> Report:
     report = Report()
     seen_pairs = set()
     bad = []
-    for v, polys in b.vertex_polygons.items():
+    for polys in b.vertex_cells.values():
         for idx, g in enumerate(polys):
             for h in polys[idx + 1:]:
                 if (g, h) in seen_pairs:
                     continue
                 seen_pairs.add((g, h))
-                shared_v = set(b.polygons[g].boundary) & set(b.polygons[h].boundary)
-                shared_e = set(b.polygon_edges[g]) & set(b.polygon_edges[h])
+                shared_v = set(g.boundary) & set(h.boundary)
+                shared_e = set(g.edges) & set(h.edges)
                 if len(shared_e) >= 2 or len(shared_v) >= 3:
-                    bad.append((format_word(g), format_word(h),
-                                len(shared_e), len(shared_v)))
+                    bad.append((g.name(), h.name(), len(shared_e), len(shared_v)))
     report.add("davis.polygon-pairs", f"radius={b.radius} pairs={len(seen_pairs)}",
                not bad, witness=bad or None)
     return report
@@ -415,7 +397,7 @@ def free_face_audit(b: ComplexBall) -> Report:
     sq = subdivide(b) if b.form == "polygonal" else b
     bad = []
     for e in sorted(sq.interior_edges):
-        if len(sq.edge_squares[e]) < 2:
+        if len(sq.edge_cells[e]) < 2:
             bad.append(e.key_string())
     report.add("davis.free-faces", f"radius={b.radius} edges={len(sq.interior_edges)}",
                not bad, witness=bad or None)
@@ -428,7 +410,11 @@ def links_audit(b: ComplexBall) -> Report:
     p = b.presentation
     bad = []
     for v in sorted(b.interior_vertices):
-        link = vertex_link(b, v)
+        try:
+            link = vertex_link(b, v)
+        except InvariantError as exc:
+            bad = {"error": str(exc), "at": exc.witness}
+            break
         i, j = v.index, (v.index + 1) % p.n
         side_i = {e for e in link if e.label == i}
         side_j = {e for e in link if e.label == j}

@@ -277,11 +277,12 @@ def fill_loop(b: ComplexBall, loop: Sequence[ComplexVertex],
         for j in range(L):
             v, w = loop[j], loop[(j + 1) % L]
             e = _ball_edge(b, v, w)
-            for rep in b.edge_polygons.get(e, ()):
+            for poly in b.edge_cells.get(e, ()):
+                rep = poly.rep
                 if creators[j] == rep:
                     continue   # would stack the same polygon on this edge
                 segment = [loop[(j + t) % L] for t in range(L)] + [loop[j]]
-                m = _match_polygon(b.polygons[rep].boundary, segment)
+                m = _match_polygon(poly.boundary, segment)
                 if m is None:
                     continue
                 k, completion = m
@@ -410,7 +411,7 @@ def union_boundary_loop(b: ComplexBall, reps: Sequence[GroupElement]):
     union is not bounded by one simple cycle."""
     count: dict = {}
     for rep in reps:
-        for e in b.polygon_edges[rep]:
+        for e in b.polygons[rep].edges:
             count[e] = count.get(e, 0) + 1
     border = [e for e, c in count.items() if c == 1]
     at: dict = {}
@@ -443,9 +444,9 @@ def sample_loops(b: ComplexBall, seed: int, count: int, max_len: int = 12):
         chosen = [rng.choice(reps)]
         for _ in range(rng.randrange(0, 3)):
             # grow across a shared edge to keep the union connected
-            frontier = [other
-                        for g in chosen for e in b.polygon_edges[g]
-                        for other in b.edge_polygons[e] if other not in chosen]
+            frontier = [other.rep
+                        for g in chosen for e in b.polygons[g].edges
+                        for other in b.edge_cells[e] if other.rep not in chosen]
             if not frontier:
                 break
             chosen.append(rng.choice(sorted(frontier, key=str)))

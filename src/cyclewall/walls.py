@@ -2,15 +2,15 @@
 truncated stabilizer audits.
 
 A tree-wall is a maximal connected subgraph of the 1-skeleton all of whose
-edges carry the same label.  Same-label edges never share a polygon, so any
-two of them meeting at a vertex make a straight angle and flood fill over
-shared vertices realizes the definition.
-
-Every wall with label i and a member edge uG_i is determined by the coset
-u<G_{i-1}, G_i, G_{i+1}>; that coset's minimal representative is the wall's
-algebraic key, constant across the wall's edges.  Stabilizer audits compare
-the geometric action on in-ball edges against membership in the conjugated
-parabolic with that key.
+edges carry the same label.  The wall with label i through the edge uG_i is
+the set of label-i edges in the coset u<G_{i-1}, G_i, G_{i+1}>; that coset's
+minimal representative is the wall's algebraic key.  So a ball's walls are
+read off its edges: bucket them by (label, key) and keep the buckets holding
+an interior edge.  A wall is the ball's edges with one key, also where the
+ball cuts it into pieces.  ``treewall_of_edge`` grows the piece through one
+edge by flood fill over same-label edges at shared vertices.  Stabilizer
+audits compare the geometric action on in-ball edges against membership in
+the conjugated parabolic with that key.
 
 Truncation semantics: "g stabilizes T in the ball" means g maps every edge
 of T whose image is still inside the ball into T, and at least one image is
@@ -136,30 +136,21 @@ def treewall_of_edge(b: ComplexBall, e: ComplexEdge) -> TreeWall:
 
 
 def walls_of_ball(b: ComplexBall) -> list[TreeWall]:
-    """All tree-walls through interior edges; one wall per algebraic key.
-
-    Components of one mathematical wall that the ball disconnects are merged
-    under their shared key.  Built once per ball.
-    """
+    """All tree-walls through interior edges, in key order; each is every
+    edge of the ball with its key.  Built once per ball."""
+    if b.form != "polygonal":
+        raise ValidationError("tree-walls live in the polygonal ball")
     return list(b.derive("walls", lambda: _walls_of_ball(b)))
 
 
 def _walls_of_ball(b: ComplexBall) -> list[TreeWall]:
-    by_key: dict[tuple, TreeWall] = {}
-    done: set[ComplexEdge] = set()
-    for e in sorted(b.interior_edges):
-        if e in done:
-            continue
-        w = treewall_of_edge(b, e)
-        done |= w.edges
-        if w.key in by_key:
-            prev = by_key[w.key]
-            merged = prev.edges | w.edges
-            by_key[w.key] = TreeWall(w.label, min(prev.seed, w.seed),
-                                     frozenset(merged), w.key_rep)
-        else:
-            by_key[w.key] = w
-    return [by_key[k] for k in sorted(by_key, key=lambda k: (k[0], k[1]))]
+    p = b.presentation
+    by_key: dict[tuple, list[ComplexEdge]] = {}
+    for e in b.edges:   # in key order, so each wall's first edge is its seed
+        by_key.setdefault((e.label, wall_key(p, e.label, e.rep)), []).append(e)
+    return [TreeWall(label, edges[0], frozenset(edges), key_rep)
+            for (label, key_rep), edges in sorted(by_key.items())
+            if not b.interior_edges.isdisjoint(edges)]
 
 
 # -- crossing graph -------------------------------------------------------------
@@ -516,7 +507,7 @@ def combinatorial_hyperplanes(b_sq: ComplexBall,
     position = b_sq.derive("square_positions", lambda: {
         (s.polygon, s.corner): k for k, s in enumerate(b_sq.squares)})
     crossed_squares = {position[s.polygon, s.corner]: s
-                       for e in dual for s in b_sq.edge_squares.get(e, ())}
+                       for e in dual for s in b_sq.edge_cells.get(e, ())}
     for k in sorted(crossed_squares):
         s = crossed_squares[k]
         crossed = [e for e in s.edges if e in dual]
@@ -633,7 +624,7 @@ def wall_no_shared_polygon_audit(b: ComplexBall) -> Report:
     for T in walls_of_ball(b):
         bad = []
         for e1, e2 in itertools.combinations(sorted(T.edges), 2):
-            common = set(b.edge_polygons[e1]) & set(b.edge_polygons[e2])
+            common = set(b.edge_cells[e1]) & set(b.edge_cells[e2])
             if common:
                 bad.append((e1.key_string(), e2.key_string()))
         report.add("walls.no-two-edges-share-polygon", T.key_string(), not bad,

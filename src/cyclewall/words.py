@@ -309,6 +309,11 @@ def cyclic_reduce(g: GroupElement) -> tuple[GroupElement, GroupElement]:
     Core is minimal under single-syllable conjugations, resolved
     deterministically by always conjugating by the lowest-vertex-index
     front syllable that strictly shortens the word.
+
+    Conjugating by the front syllable s = word[k] of vertex v deletes it at
+    the front, and the result is shorter exactly when s then merges at the
+    back of the rest of the word, that is when a v-syllable of the rest
+    shuffles to its end.  Only the winner is conjugated.
     """
     p = g.presentation
     core = g
@@ -317,16 +322,14 @@ def cyclic_reduce(g: GroupElement) -> tuple[GroupElement, GroupElement]:
         word = core.word
         candidates = sorted(_front_shufflable(p, word),
                             key=lambda k: (word[k].vertex, word[k].value))
-        progressed = False
         for k in candidates:
-            s = GroupElement(p, (word[k],))
-            trial = mul(mul(inv(s), core), s)
-            if trial.syllable_length < core.syllable_length:
-                core = trial
+            rest = word[:k] + word[k + 1:]
+            if _right_strippable(p, rest, {word[k].vertex}) is not None:
+                s = GroupElement(p, (word[k],))
+                core = mul(mul(inv(s), core), s)
                 conj = mul(conj, s)
-                progressed = True
                 break
-        if not progressed:
+        else:
             return core, conj
 
 

@@ -47,6 +47,18 @@ re-reduces and re-sorts the result with the heap oracle.
 
 The shared-edge oracle scans the edge cosets of both labels of both
 vertices, instead of the one label their bases allow.
+
+The cyclic-reduction oracle conjugates the word by every front syllable in
+turn and keeps the first conjugate that is shorter, instead of asking which
+front syllable merges at the back of the rest of the word.
+
+The wall oracle grows each wall through an interior edge by flood fill over
+same-label edges at shared vertices and merges the pieces with one key,
+instead of bucketing the ball's edges by key.
+
+The subdivision-interior oracle carries the polygonal ball's interior over to
+its subdivision cell by cell (an X'-vertex or half-edge is interior when its
+X-cell is), instead of applying the coset-rep length rule to the subdivision.
 """
 
 import itertools
@@ -56,9 +68,9 @@ import networkx as nx
 
 from cyclewall.algebraic import CSubgroup, containing_maximals
 from cyclewall.localgroups import IDENTITY, table_group
-from cyclewall.davis import POLY, act_edge, subdivide
+from cyclewall.davis import EDGE, POLY, act_edge, subdivide
 from cyclewall.errors import ValidationError
-from cyclewall.walls import walls_of_ball
+from cyclewall.walls import TreeWall, treewall_of_edge, walls_of_ball
 from cyclewall.words import (
     GroupElement,
     Presentation,
@@ -470,3 +482,59 @@ def shared_edge_both_labels(h1, h2):
             assert len(common) == 1
             return label, next(iter(common))
     return None
+
+
+def cyclic_reduce_by_trial(g: GroupElement) -> tuple[GroupElement, GroupElement]:
+    """``words.cyclic_reduce`` by trying each front-syllable conjugation."""
+    p = g.presentation
+    core, conj = g, identity(p)
+    while True:
+        word = core.word
+        front = [k for k in range(len(word))
+                 if all(p.commutes(word[j].vertex, word[k].vertex) for j in range(k))]
+        for k in sorted(front, key=lambda k: (word[k].vertex, word[k].value)):
+            s = GroupElement(p, (word[k],))
+            trial = mul(mul(inv(s), core), s)
+            if trial.syllable_length < core.syllable_length:
+                core, conj = trial, mul(conj, s)
+                break
+        else:
+            return core, conj
+
+
+def walls_by_flood_fill(b) -> list:
+    """``walls.walls_of_ball`` by flood fill from each interior edge not yet
+    reached, merging the pieces that share a key."""
+    by_key = {}
+    done = set()
+    for e in sorted(b.interior_edges):
+        if e in done:
+            continue
+        w = treewall_of_edge(b, e)
+        done |= w.edges
+        if w.key in by_key:
+            prev = by_key[w.key]
+            w = TreeWall(w.label, min(prev.seed, w.seed), prev.edges | w.edges,
+                         w.key_rep)
+        by_key[w.key] = w
+    return [by_key[k] for k in sorted(by_key)]
+
+
+def subdivision_interior_inherited(b):
+    """``(interior vertices, interior edges)`` of ``subdivide(b)``, carried
+    over from the polygonal ball ``b``: an X-vertex keeps its status, a
+    midpoint and a half-edge take their X-edge's, and centers and spokes lie
+    inside one polygon."""
+    sq = subdivide(b)
+    interior_x_edges = {(e.label, e.rep) for e in b.interior_edges}
+
+    def interior(v):
+        if v.cls == POLY:
+            return v in b.interior_vertices
+        if v.cls == EDGE:
+            return (v.index, v.rep) in interior_x_edges
+        return True
+
+    return ({v for v in sq.vertices if interior(v)},
+            {e for e in sq.edges
+             if e.label is None or (e.label, e.rep) in interior_x_edges})

@@ -258,6 +258,8 @@ _ERROR_CASES = {
                              ["verify", "--suite", "words"]),
     "non-integer-order": ([{"kind": "cyclic", "order": "x"}] + ["Z/2"] * 4,
                           ["verify", "--suite", "words"]),
+    "non-integral-order": ([{"kind": "cyclic", "order": 2.5}] + ["Z/2"] * 4,
+                           ["reduce", "v0:1"]),
     "infinite-group-in-verify": (["Z"] + ["Z/2"] * 4, ["verify"]),
     "aut-group-above-cap": (["Z/13"] + ["Z/2"] * 4, ["aut", "witness"]),
     "missing-images-file": (["Z/2"] * 5,

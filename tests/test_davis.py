@@ -1,4 +1,9 @@
+import dataclasses
+import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,7 +28,7 @@ from cyclewall.davis import (
     x_edge,
     x_vertex,
 )
-from cyclewall.errors import BoundaryCellError, ResourceLimitError
+from cyclewall.errors import BoundaryCellError, InvariantError, ResourceLimitError
 from cyclewall.words import (
     enumerate_ball_elements,
     identity,
@@ -32,7 +37,11 @@ from cyclewall.words import (
     reduce_word,
 )
 
-from oracles import interior_by_enumeration, polygons_containing_edge
+from oracles import (
+    interior_by_enumeration,
+    polygons_containing_edge,
+    subdivision_interior_inherited,
+)
 
 PRESENTATIONS = Path(__file__).parent.parent / "perfbench" / "presentations"
 
@@ -56,7 +65,7 @@ def test_ball_radius_one_all_z2_has_six_polygons(c5_z2):
     # every polygon has 5 distinct corners and 5 distinct sides
     for g, poly in b.polygons.items():
         assert len(set(poly.boundary)) == 5
-        assert len(set(b.polygon_edges[g])) == 5
+        assert len(set(poly.edges)) == 5
 
 
 def test_ball_polygon_count_matches_ball_enumeration(c5_mixed):
@@ -69,7 +78,7 @@ def test_interior_edge_lies_in_group_order_many_polygons(c5_mixed):
     b = build_ball(c5_mixed, 2)
     assert b.interior_edges
     for e in b.interior_edges:
-        assert len(b.edge_polygons[e]) == c5_mixed.group(e.label).size
+        assert len(b.edge_cells[e]) == c5_mixed.group(e.label).size
 
 
 def test_interior_vertex_polygon_count_is_product_of_orders(c5_mixed):
@@ -77,12 +86,13 @@ def test_interior_vertex_polygon_count_is_product_of_orders(c5_mixed):
     assert b.interior_vertices
     for v in b.interior_vertices:
         want = c5_mixed.group(v.index).size * c5_mixed.group(v.index + 1).size
-        assert len(b.vertex_polygons[v]) == want
+        assert len(b.vertex_cells[v]) == want
 
 
 def test_interior_matches_algebraic_polygon_lists():
     """Interior by coset-rep length is interior by listing every polygon
-    around each cell."""
+    around each cell, and in the subdivision it is the interior carried over
+    from the polygonal ball."""
     cases = [(name, r) for name in ("c5_mixed", "c5_s3", "c5_z2", "c5_z3",
                                     "c6_mixed", "c6_z2") for r in (0, 1, 2)]
     cases += [("c5_z2", 3), ("c6_z2", 3), ("c6_mixed", 3)]
@@ -90,6 +100,9 @@ def test_interior_matches_algebraic_polygon_lists():
         b = build_ball(perfbench_presentation(name), radius)
         assert interior_by_enumeration(b) == \
             (b.interior_vertices, b.interior_edges), (name, radius)
+        sq = subdivide(b)
+        assert subdivision_interior_inherited(b) == \
+            (sq.interior_vertices, sq.interior_edges), (name, radius)
 
 
 def test_interior_oracle_catches_a_dropped_interior_vertex(c5_mixed):
@@ -98,6 +111,15 @@ def test_interior_oracle_catches_a_dropped_interior_vertex(c5_mixed):
     vertices, edges = interior_by_enumeration(b)
     assert edges == b.interior_edges
     assert vertices != b.interior_vertices
+
+
+def test_subdivision_interior_oracle_catches_every_midpoint_interior(c5_mixed):
+    b = build_ball(c5_mixed, 2)
+    sq = subdivide(b)
+    sq.interior_vertices.update(v for v in sq.vertices if v.cls == EDGE)
+    vertices, edges = subdivision_interior_inherited(b)
+    assert edges == sq.interior_edges
+    assert vertices != sq.interior_vertices
 
 
 def test_cell_keys_are_coset_invariants(c5_mixed):
@@ -191,6 +213,53 @@ def test_vertex_link_is_complete_bipartite(c5_mixed):
     assert sum(map(len, link.values())) == 2 * ni * nj
 
 
+_CUT_POLYGON = """
+import dataclasses, json, sys
+from cyclewall.cli import load_presentation
+from cyclewall.davis import build_ball, links_audit
+b = build_ball(load_presentation(sys.argv[1]), 2)
+v = sorted(b.interior_vertices)[0]
+poly = b.vertex_cells[v][0]
+cut = next(e for e in poly.edges if v in e.ends)   # a side of poly at v
+b.vertex_cells[v][0] = dataclasses.replace(
+    poly, edges=tuple(e for e in poly.edges if e != cut))
+print(json.dumps({"optimize": sys.flags.optimize,
+                  "failed": [[r.check_id, r.witness] for r in links_audit(b).failures]}))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_links_audit_fails_on_a_polygon_missing_a_side_at_a_vertex(flags):
+    """A 2-cell meeting its corner in one side is a failed check with a
+    witness, not a crash, with or without ``python -O``."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = subprocess.run([sys.executable, *flags, "-c", _CUT_POLYGON,
+                          str(PRESENTATIONS / "c5_mixed.json")],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    doc = json.loads(out)
+    assert doc["optimize"] == len(flags)
+    [[check_id, witness]] = doc["failed"]
+    assert check_id == "davis.links-complete-bipartite"
+    assert witness["error"] == "a 2-cell meets its corner in other than two sides"
+    assert witness["at"][0] == "" and witness["at"][2] == 1   # the identity polygon
+
+
+def test_t4_audit_fails_on_a_square_missing_a_side_at_a_vertex(c5_mixed):
+    b = build_ball(c5_mixed, 2)
+    sq = subdivide(b)
+    v = sorted(sq.interior_vertices)[0]
+    s = sq.vertex_cells[v][0]
+    cut = next(e for e in s.edges if v in e.ends)   # a side of s at v
+    sq.vertex_cells[v][0] = dataclasses.replace(
+        s, edges=tuple(e for e in s.edges if e != cut))
+    with pytest.raises(InvariantError):
+        vertex_link(sq, v)
+    report = t4_audit(b)
+    assert [r.check_id for r in report.failures] == ["davis.t4.link-girth"]
+    assert report.failures[0].witness["at"][0] == s.name()
+
+
 def test_vertex_link_rejects_boundary(c5_z2):
     b = build_ball(c5_z2, 1)
     boundary = [v for v in b.vertices if v not in b.interior_vertices][0]
@@ -213,7 +282,7 @@ def test_adjacent_polygons_share_exactly_one_edge(c5_z2):
     b = build_ball(p, 2)
     g = identity(p)
     h = parse_word(p, "v0:1")
-    shared = set(b.polygon_edges[g]) & set(b.polygon_edges[h])
+    shared = set(b.polygons[g].edges) & set(b.polygons[h].edges)
     assert len(shared) == 1
     assert next(iter(shared)).label == 0
     # and exactly the two endpoints of that edge are shared vertices

@@ -19,7 +19,7 @@ def union_boundary_loop(b, reps):
     """Trace the boundary cycle of a disc-shaped union of polygons."""
     count = {}
     for rep in reps:
-        for e in b.polygon_edges[rep]:
+        for e in b.polygons[rep].edges:
             count[e] = count.get(e, 0) + 1
     border = [e for e, c in count.items() if c == 1]
     at = {}
@@ -133,7 +133,7 @@ def test_fill_three_polygon_fan(c5_z2):
 def test_fill_backtrack_gives_a_hair(c5_z2):
     p = c5_z2
     b = build_ball(p, 1)
-    e = b.polygon_edges[identity(p)][0]
+    e = b.polygons[identity(p)].edges[0]
     d = fill_loop(b, [e.ends[0], e.ends[1]])
     assert len(d.faces) == 0
     assert len(d.vertices) == 2 and len(d.edges) == 1

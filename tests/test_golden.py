@@ -1,4 +1,4 @@
-"""Golden digests: three CLI outputs pinned byte for byte.
+"""Golden digests: CLI outputs pinned byte for byte.
 
 Performance work on the ball, word and walls layers must leave the canonical
 outputs unchanged.  Each digest is the SHA-256 of the command's standard
@@ -42,6 +42,18 @@ GOLDEN = {
         ["reduce", "--presentation", str(PRESENTATIONS / "c6_mixed.json"),
          *random_words(PRESENTATIONS / "c6_mixed.json", 300)],
         "71393e5e937d2eacc41c4196e5d6f64882b6fd70262253127aa8c41dec1b8879"),
+    "ball_dot_r2_c5_s3": (
+        ["ball", "--radius", "2", "--subdivide", "--format", "dot",
+         "--presentation", str(PRESENTATIONS / "c5_s3.json")],
+        "482fcb6590bb0690aec2fd947de7ae39fb60880b8771800084985149b035c5d8"),
+    "verify_davis_r3_c5_z2": (
+        ["verify", "--suite", "davis", "--radius", "3",
+         "--presentation", str(PRESENTATIONS / "c5_z2.json")],
+        "3260aaa9f3f0ba0412891a141083eb0fd010c78801316531664a276d2b013b78"),
+    "verify_walls_c6_mixed": (
+        ["verify", "--suite", "walls", "--radius", "2", "--depth", "3",
+         "--seed", "0", "--presentation", str(PRESENTATIONS / "c6_mixed.json")],
+        "2302b94b530bd77e66070f16fae65a95786bf2bb37c9256239177113786593df"),
 }
 
 

@@ -17,6 +17,7 @@ from cyclewall.algebraic import (
     join_is_cmaximal,
     medium_of_vertex,
 )
+from cyclewall.cli import load_presentation
 from cyclewall.davis import act_edge, build_ball, subdivide, x_edge
 from cyclewall.errors import InvariantError, ValidationError
 from cyclewall.walls import (
@@ -60,7 +61,10 @@ from oracles import (
     min_set_networkx,
     sweep_closure,
     sweep_stabilizes_wall,
+    walls_by_flood_fill,
 )
+
+PRESENTATIONS = Path(__file__).parent.parent / "perfbench" / "presentations"
 
 
 def central_walls(b):
@@ -99,12 +103,24 @@ def test_wall_key_constant_over_edges(c5_mixed):
             assert wall_key(p, w.label, e.rep) == w.key_rep
 
 
+@pytest.mark.parametrize("radius", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(p.stem for p in PRESENTATIONS.glob("*.json")))
+def test_walls_match_flood_fill_oracle(name, radius):
+    """Bucketing the ball's edges by key gives the walls that flood fill from
+    the interior edges and merging by key gives: same keys, seeds and edges."""
+    b = build_ball(load_presentation(str(PRESENTATIONS / f"{name}.json")), radius)
+    assert [(w.key, w.seed, w.edges) for w in walls_of_ball(b)] == \
+        [(w.key, w.seed, w.edges) for w in walls_by_flood_fill(b)]
+
+
 def test_wall_rejects_spokes_and_square_form(c5_z2):
     b = build_ball(c5_z2, 1)
     sq = subdivide(b)
     spoke = next(e for e in sq.edges if e.label is None)
     with pytest.raises(ValidationError):
         treewall_of_edge(sq, spoke)
+    with pytest.raises(ValidationError, match="polygonal ball"):
+        walls_of_ball(sq)
 
 
 def test_no_two_wall_edges_share_a_polygon(c5_z2, c5_mixed):

@@ -35,6 +35,7 @@ from oracles import (
     append_only_reduced,
     closure_classifier,
     coset_rep_reduced,
+    cyclic_reduce_by_trial,
     greedy_canonical_order,
     heap_canonical_order,
     single_moves,
@@ -302,6 +303,22 @@ def test_cyclic_reduce_conjugated_syllable_roundtrip(c5_mixed):
         assert core.syllable_length == 1
         assert core.word[0].vertex == s.vertex
         assert mul(mul(conj, core), inv(conj)) == g
+
+
+@pytest.mark.parametrize("name", KERNEL_PRESENTATIONS)
+def test_cyclic_reduce_matches_trial_oracle(name, request):
+    """Deciding each front syllable by whether it merges at the back gives
+    the core and conjugator of trying every conjugation."""
+    p = kernel_presentation(name, request)
+    rng = random.Random(8)
+    shortened = 0
+    for _ in range(150):
+        w = reduce_word(p, random_raw_word(rng, p, 6))
+        g = mul(mul(w, reduce_word(p, random_raw_word(rng, p, 12))), inv(w))
+        core, conj = cyclic_reduce(g)
+        assert (core, conj) == cyclic_reduce_by_trial(g), format_word(g)
+        shortened += core.syllable_length < g.syllable_length
+    assert shortened > 50
 
 
 # -- enumeration ----------------------------------------------------------------
