@@ -263,17 +263,6 @@ def aut_act_vertex(a: AutElement, v: ComplexVertex) -> ComplexVertex:
     return ComplexVertex(POLY, j, coset_rep(moved, (j, (j + 1) % p.n)))
 
 
-def aut_act_edge(a: AutElement, e: ComplexEdge) -> ComplexEdge:
-    lo, hi = aut_act_vertex(a, e.ends[0]), aut_act_vertex(a, e.ends[1])
-    if lo.sort_key() > hi.sort_key():
-        lo, hi = hi, lo
-    if e.label is None:
-        return ComplexEdge((lo, hi), None, None)
-    j = a.local.sigma(e.label)
-    rep = coset_rep(mul(a.inner, a.local.apply(e.rep)), (j,))
-    return ComplexEdge((lo, hi), j, rep)
-
-
 def loc_stabilizes_P_audit(p: Presentation, sample: Sequence[LocalAut],
                            seed: int = 0) -> Report:
     """Pure-local elements fix the base polygon setwise; sampled non-trivial

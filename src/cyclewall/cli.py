@@ -71,15 +71,17 @@ def _group_from_json(spec, where: str):
         if text.upper() == _S3_NAME:
             return _builtin_s3()
         if text.startswith("Z/"):
-            try:
-                k = int(text[2:])
-            except ValueError:
+            digits = text[2:]
+            if not (digits.isascii() and digits.isdigit()):
                 raise ValidationError(f"{where}: bad cyclic order in {text!r}")
-            return cyclic_group(k, name=text)
+            return cyclic_group(int(digits), name=text)
         raise ValidationError(
             f"{where}: unknown group {text!r} (use 'Z/k', 'Z', 'S3', or a table)")
     if isinstance(spec, dict):
         kind = spec.get("kind")
+        if not isinstance(spec.get("name", ""), str):
+            raise ValidationError(
+                f"{where}: group name must be a JSON string, got {spec['name']!r}")
         try:
             if kind == "cyclic":
                 order = spec["order"]

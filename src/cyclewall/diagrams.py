@@ -15,12 +15,13 @@ edge) before any audit runs.
 :func:`fill_loop` builds a reduced diagram for a closed edge path by a
 deterministic depth-first search over polygon gluings, cancelling spurs as
 they appear, and refuses with :class:`FillError` rather than return a
-diagram it cannot verify.
+diagram it cannot verify.  The search carries a diagram vertex id with each
+boundary vertex, so its glues and folds are the diagram's faces and vertex
+identifications; nothing is replayed once it succeeds.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -177,29 +178,17 @@ def convention_lock(n: int = 5) -> Report:
 # -- filling loops -----------------------------------------------------------------
 
 
-def _cancel_spurs(loop: list, creators: list) -> list[tuple]:
-    """Remove backtracks (x, y, x) in place; return fold records."""
-    folds = []
-    changed = True
-    while changed and len(loop) > 2:
-        changed = False
+def _cancel_spurs(loop: list, creators: list, ids: list, merges: list) -> None:
+    """Remove backtracks (x, y, x) in place, recording each fold as the pair
+    of diagram vertex ids it identifies."""
+    while len(loop) > 2:
         L = len(loop)
-        for j in range(L):
-            a, b = loop[j], loop[(j + 1) % L]
-            c = loop[(j + 2) % L]
-            if a == c and L > 2:
-                folds.append((a, b))
-                for idx in sorted(((j + 1) % L, (j + 2) % L), reverse=True):
-                    del loop[idx]
-                    del creators[idx]
-                changed = True
-                break
-    if len(loop) == 2 and loop[0] != loop[1]:
-        # a pure backtrack over one edge
-        folds.append((loop[0], loop[1]))
-        del loop[1]
-        del creators[1]
-    return folds
+        j = next((j for j in range(L) if loop[j] == loop[(j + 2) % L]), None)
+        if j is None:
+            return
+        merges.append((ids[(j + 2) % L], ids[j]))
+        for idx in sorted(((j + 1) % L, (j + 2) % L), reverse=True):
+            del loop[idx], creators[idx], ids[idx]
 
 
 def _match_polygon(cycle: Sequence[ComplexVertex], segment: Sequence[ComplexVertex]):
@@ -245,7 +234,10 @@ def fill_loop(b: ComplexBall, loop: Sequence[ComplexVertex],
     The search glues one polygon at a time along the longest matching run of
     the current boundary, never glues a polygon back onto an edge it just
     created (which keeps the result reduced), cancels spurs, and backtracks.
-    Raises :class:`FillError` when no diagram exists within ``max_faces``.
+    Each boundary vertex carries its diagram vertex id, so the search builds
+    the diagram's faces and fold identifications as it goes and undoes them
+    on backtrack; nothing is replayed afterwards.  Raises :class:`FillError`
+    when no diagram exists within ``max_faces``.
     """
     loop = list(loop)
     if len(loop) < 1:
@@ -256,19 +248,21 @@ def fill_loop(b: ComplexBall, loop: Sequence[ComplexVertex],
         if len(loop) > 1 and _ball_edge(b, v, w) is None:
             raise FillError(f"loop is not an edge path at {v.key_string()}")
 
-    creators: list[Optional[GroupElement]] = [None] * len(loop)
-    steps: list[tuple] = []
+    start = list(range(len(loop)))
+    images: list[ComplexVertex] = list(loop)    # diagram vertex id -> image
+    faces: list[tuple[int, ...]] = []
+    face_polygons: list[GroupElement] = []
+    merges: list[tuple[int, int]] = []         # vertex ids identified by folds
     seen: set = set()
 
-    def search(loop, creators, budget) -> bool:
-        base = len(steps)
-        folds = _cancel_spurs(loop, creators)
-        steps.extend(("fold", a, bvert) for a, bvert in folds)
-        if len(loop) <= 1:
-            return True
+    def search(loop, creators, ids, budget) -> bool:
+        n_merges = len(merges)
+        _cancel_spurs(loop, creators, ids, merges)
+        if len(loop) <= 2:
+            return True    # a point, or one edge walked there and back
         state = _loop_state(loop, creators)
         if state in seen or budget == 0:
-            del steps[base:]
+            del merges[n_merges:]
             return False
         seen.add(state)
 
@@ -291,27 +285,44 @@ def fill_loop(b: ComplexBall, loop: Sequence[ComplexVertex],
                 candidates.append((-k, j, rep, k, completion))
         candidates.sort(key=lambda c: (c[0], c[1], c[2]))
 
+        n_images, n_faces = len(images), len(faces)
         for _, j, rep, k, completion in candidates:
-            # keep the path from loop[j+k] around to loop[j] (both endpoints),
-            # then close through the polygon's remaining corners
+            # the face runs along loop[j..j+k] and back through fresh corners;
+            # the new boundary keeps loop[j+k] around to loop[j] (both
+            # endpoints), then closes through those corners
+            fresh = list(range(n_images, n_images + len(completion)))
+            images.extend(completion)
+            faces.append(tuple(ids[(j + t) % L] for t in range(k + 1)) + tuple(fresh))
+            face_polygons.append(rep)
             new_loop = [loop[(j + k + t) % L] for t in range(L - k + 1)] \
                 + list(reversed(completion))
             new_creators = [creators[(j + k + t) % L] for t in range(L - k)] \
                 + [rep] * (len(completion) + 1)
-            mark = len(steps)
-            steps.append(("glue", loop[j], rep, k,
-                          [loop[(j + t) % L] for t in range(k + 1)], completion))
-            if search(new_loop, new_creators, budget - 1):
+            new_ids = [ids[(j + k + t) % L] for t in range(L - k + 1)] + fresh[::-1]
+            if search(new_loop, new_creators, new_ids, budget - 1):
                 return True
-            del steps[mark:]
-        del steps[base:]
+            del images[n_images:], faces[n_faces:], face_polygons[n_faces:]
+        del merges[n_merges:]
         return False
 
-    original = list(loop)
-    if not search(loop, creators, max_faces):
+    if not search(loop, [None] * len(loop), list(start), max_faces):
         raise FillError(
             f"no reduced filling with at most {max_faces} faces was found")
-    return _rebuild(b, original, steps)
+
+    uf = _UnionFind()
+    for a, c in merges:
+        uf.union(a, c)
+    root = uf.find
+    edges = sorted({frozenset({root(a), root(c)})
+                    for cycle in (start, *faces)
+                    for a, c in zip(cycle, cycle[1:] + cycle[:1])
+                    if root(a) != root(c)}, key=sorted)
+    d = DiscDiagram(sorted({root(v) for v in range(len(images))}), edges,
+                    [tuple(map(root, f)) for f in faces], tuple(map(root, start)),
+                    {root(v): img for v, img in enumerate(images)}, face_polygons)
+    if not d.is_reduced():
+        raise FillError("search produced a non-reduced diagram")
+    return d
 
 
 def _ball_edge(b: ComplexBall, v: ComplexVertex, w: ComplexVertex):
@@ -319,78 +330,6 @@ def _ball_edge(b: ComplexBall, v: ComplexVertex, w: ComplexVertex):
         if w in e.ends:
             return e
     return None
-
-
-def _rebuild(b: ComplexBall, loop: list, steps: list) -> DiscDiagram:
-    """Replay the recorded gluing sequence as an explicit planar complex."""
-    ids = itertools.count()
-    images: dict[int, ComplexVertex] = {}
-
-    def fresh(img):
-        i = next(ids)
-        images[i] = img
-        return i
-
-    boundary = [fresh(v) for v in loop]
-    start_boundary = list(boundary)
-    uf = _UnionFind()
-    edges = {frozenset({a, c}) for a, c in zip(boundary, boundary[1:] + boundary[:1])
-             if a != c}
-    faces: list[tuple[int, ...]] = []
-    face_polygons: list[GroupElement] = []
-
-    for step in steps:
-        if step[0] == "fold":
-            # boundary ... x -> y -> x' ... with images (a, b, a): identify
-            _, a, bimg = step
-            L = len(boundary)
-            for j in range(L):
-                if (images[boundary[j]] == a
-                        and images[boundary[(j + 1) % L]] == bimg
-                        and images[boundary[(j + 2) % L]] == a):
-                    uf.union(boundary[(j + 2) % L], boundary[j])
-                    keep = boundary[j]
-                    for idx in sorted(((j + 1) % L, (j + 2) % L), reverse=True):
-                        del boundary[idx]
-                    break
-            else:
-                raise FillError("recorded fold no longer matches the boundary")
-        else:
-            _, anchor_img, rep, k, segment_imgs, completion = step
-            L = len(boundary)
-            for j in range(L):
-                if all(images[boundary[(j + t) % L]] == segment_imgs[t]
-                       for t in range(k + 1)):
-                    break
-            else:
-                raise FillError("recorded gluing no longer matches the boundary")
-            seg_ids = [boundary[(j + t) % L] for t in range(k + 1)]
-            new_ids = [fresh(img) for img in completion]
-            cycle = seg_ids + new_ids
-            for a, c in zip(cycle, cycle[1:] + cycle[:1]):
-                edges.add(frozenset({a, c}))
-            faces.append(tuple(cycle))
-            face_polygons.append(rep)
-            rest = [boundary[(j + k + t) % L] for t in range(L - k + 1)]
-            boundary = rest + list(reversed(new_ids))
-
-    # apply the folds everywhere
-    def root(x):
-        return uf.find(x)
-
-    vert_ids = sorted({root(v) for v in images})
-    canon_images = {root(v): images[v] for v in images}
-    canon_edges = sorted({frozenset({root(a), root(c)}) for a, c in edges
-                          if root(a) != root(c)},
-                         key=sorted)
-    canon_faces = [tuple(root(v) for v in f) for f in faces]
-    canon_boundary = tuple(root(v) for v in start_boundary)
-
-    d = DiscDiagram(vert_ids, list(canon_edges), canon_faces, canon_boundary,
-                    canon_images, face_polygons)
-    if not d.is_reduced():
-        raise FillError("search produced a non-reduced diagram")
-    return d
 
 
 def fill_and_audit(b: ComplexBall, loop: Sequence[ComplexVertex],
@@ -471,9 +410,7 @@ def filling_audit(b: ComplexBall, seed: int = 0, count: int = 20,
             report.add("diagrams.gauss-bonnet-sum-is-eight", key, False,
                        {"fill_error": str(exc)})
             continue
-        total = d.total_curvature()
-        report.add("diagrams.gauss-bonnet-sum-is-eight", key, total == 8,
-                   None if total == 8 else {"total": total})
+        report.extend(gauss_bonnet_check(d, key))
         report.add("diagrams.filling-is-reduced", key, d.is_reduced())
     return report
 

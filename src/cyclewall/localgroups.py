@@ -17,7 +17,7 @@ from typing import Optional
 
 from .errors import EnumerationCapError, GroupMismatchError, InfiniteGroupError, ValidationError
 
-#: Brute-force automorphism search refuses groups above this order by default.
+#: Brute-force automorphism search refuses groups above this order.
 DEFAULT_AUT_ORDER_CAP = 12
 
 IDENTITY = 0
@@ -254,8 +254,7 @@ def _generating_sequence(g: LocalGroupSpec) -> list[int]:
     return gens
 
 
-def isomorphisms(src: LocalGroupSpec, dst: LocalGroupSpec,
-                 cap: int = DEFAULT_AUT_ORDER_CAP) -> list[LocalIso]:
+def isomorphisms(src: LocalGroupSpec, dst: LocalGroupSpec) -> list[LocalIso]:
     """All isomorphisms src -> dst, in a deterministic order.
 
     Finite groups are handled by backtracking over images of a generating
@@ -267,9 +266,10 @@ def isomorphisms(src: LocalGroupSpec, dst: LocalGroupSpec,
         return []
     if src.size != dst.size:
         return []
-    if src.size > cap:
+    if src.size > DEFAULT_AUT_ORDER_CAP:
         raise EnumerationCapError(
-            f"automorphism search capped at order {cap}, got {src.size}")
+            f"automorphism search capped at order {DEFAULT_AUT_ORDER_CAP}, "
+            f"got {src.size}")
 
     gens = _generating_sequence(src)
     found: list[LocalIso] = []
@@ -315,16 +315,16 @@ def isomorphisms(src: LocalGroupSpec, dst: LocalGroupSpec,
     return found
 
 
-def lg_automorphisms(g: LocalGroupSpec, cap: int = DEFAULT_AUT_ORDER_CAP) -> list[LocalIso]:
+def lg_automorphisms(g: LocalGroupSpec) -> list[LocalIso]:
     """Full automorphism group of a vertex group, deterministic order.
 
     Z has exactly the two signs; finite groups are searched by brute force up
-    to the configured order cap.
+    to order ``DEFAULT_AUT_ORDER_CAP``.
     """
-    return isomorphisms(g, g, cap=cap)
+    return isomorphisms(g, g)
 
 
-def determining_set(g: LocalGroupSpec, cap: int = DEFAULT_AUT_ORDER_CAP) -> list[LocalElement]:
+def determining_set(g: LocalGroupSpec) -> list[LocalElement]:
     """Finite subset fixed pointwise only by the identity automorphism.
 
     Grown greedily: scan elements in id order, keep those that strictly shrink
@@ -332,7 +332,7 @@ def determining_set(g: LocalGroupSpec, cap: int = DEFAULT_AUT_ORDER_CAP) -> list
     """
     if g.kind == "integers":
         return [LocalElement(g, 1)]
-    auts = lg_automorphisms(g, cap=cap)
+    auts = lg_automorphisms(g)
     fixing = list(auts)
     chosen: list[LocalElement] = []
     for x in g.nontrivial_elements():

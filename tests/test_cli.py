@@ -277,6 +277,9 @@ _ERROR_CASES = {
                              ["aut", "decompose", "--images", "latin1.json"]),
     "images-nested-too-deeply": (["Z/2"] * 5,
                                  ["aut", "decompose", "--images", "deep.json"]),
+    "name-not-a-string": ([{"kind": "cyclic", "order": 3, "name": [1]}]
+                          + ["Z/2"] * 4, ["reduce", "v0:1"]),
+    "cyclic-order-with-space": (["Z/ 3"] + ["Z/2"] * 4, ["reduce", "v0:1"]),
 }
 
 

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from cyclewall.davis import build_ball
@@ -8,6 +11,7 @@ from cyclewall.diagrams import (
     fill_and_audit,
     fill_loop,
     gauss_bonnet_check,
+    sample_loops,
     single_polygon_diagram,
     two_polygon_diagram,
 )
@@ -182,3 +186,35 @@ def test_json_export(c5_z2):
     assert doc["total_curvature"] == 8
     assert len(doc["faces"]) == 1
     assert all("image" in v for v in doc["vertices"])
+
+
+# -- pinned fills -------------------------------------------------------------------
+
+
+FILL_DIGESTS = {
+    "c5_mixed": "3cd30491708fe9d1fe44aae63a94fa0b6fb50e7f403a0eda860c1c0cf312e972",
+    "c6_mixed": "6c6f6e32cabaf12cc46c1fc8bbf2204b9238fbd2b7ac402d284f0c362c381044",
+}
+
+
+def fill_digest(b) -> str:
+    """SHA-256 over the exported diagrams (ids, edges and faces included) of
+    sampled loops and of single and doubled edge backtracks."""
+    loops = [loop for seed in range(5) for loop in sample_loops(b, seed, 20, 12)]
+    for e in b.edges[:10]:
+        u, w = e.ends
+        loops += [[u, w], [u, w, u, w]]
+    h = hashlib.sha256()
+    for loop in loops:
+        try:
+            doc = diagram_to_json_dict(fill_loop(b, loop))
+        except FillError as exc:
+            doc = {"fill_error": str(exc)}
+        h.update(json.dumps(doc, sort_keys=True).encode() + b"\n")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(FILL_DIGESTS))
+def test_fill_loop_diagrams_match_pinned_digest(name, request):
+    b = build_ball(request.getfixturevalue(name), 2)
+    assert fill_digest(b) == FILL_DIGESTS[name]
