@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .davis import POLY, ComplexBall, ComplexVertex, act_vertex
-from .errors import InconclusiveError, ValidationError
+from .errors import InconclusiveError, InvariantError, ValidationError
 from .reports import Report
 from .words import (
     GroupElement,
@@ -98,12 +98,14 @@ class CSubgroup:
 def medium_of_vertex(v: ComplexVertex) -> CSubgroup:
     """The stabilizer encoding of an X-vertex: its coset rep conjugates the
     two-vertex subgroup at the vertex's index."""
-    assert v.cls == POLY
+    if v.cls != POLY:
+        raise ValidationError("only polygonal X-vertices encode a medium subgroup")
     return CSubgroup(MEDIUM, v.index, v.rep)
 
 
 def vertex_of_medium(h: CSubgroup) -> ComplexVertex:
-    assert h.tier == MEDIUM
+    if h.tier != MEDIUM:
+        raise ValidationError("only medium subgroups encode an X-vertex")
     return ComplexVertex(POLY, h.base, h.conjugator)
 
 
@@ -147,7 +149,9 @@ def shared_edge(h1: CSubgroup, h2: CSubgroup) -> Optional[tuple[int, GroupElemen
     common = _edge_cosets(h1, label) & _edge_cosets(h2, label)
     if not common:
         return None
-    assert len(common) == 1
+    if len(common) != 1:
+        raise InvariantError("two X-vertices share more than one edge",
+                             sorted(map(format_word, common)))
     return label, next(iter(common))
 
 

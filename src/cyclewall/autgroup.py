@@ -18,8 +18,8 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .davis import EDGE, POLY, TRIVIAL, ComplexBall, ComplexEdge, ComplexVertex
-from .errors import DecompositionError, ValidationError
+from .davis import EDGE, POLY, TRIVIAL, ComplexVertex
+from .errors import DecompositionError, InvariantError, ValidationError
 from .localgroups import (
     LocalIso,
     determining_set,
@@ -478,8 +478,10 @@ def witness_details(p: Presentation) -> dict:
         word[k].vertex != word[k + 1].vertex
         and not p.adjacent(word[k].vertex, word[k + 1].vertex)
         for k in range(len(word) - 1))
-    assert rigid, "witness word has adjacent or equal consecutive supports"
-    assert g.syllable_length == 2 * n * m, "witness word is not reduced verbatim"
+    if not rigid:
+        raise InvariantError("witness word has adjacent or equal consecutive supports")
+    if g.syllable_length != 2 * n * m:
+        raise InvariantError("witness word is not reduced verbatim")
     return {"element": g, "degenerate": False, "m": m, "determining": det,
             "vertex_sequence": [s.vertex for s in g.word]}
 
@@ -503,45 +505,3 @@ def witness_fixator_check(p: Presentation, g: GroupElement) -> Report:
                None if trivial else
                [aut_serialize(local_aut(lam)) for lam in fixator[:5]])
     return report
-
-
-# -- axes ------------------------------------------------------------------------------
-
-
-def axis_segment(b: ComplexBall, i: int, k: int) -> list[ComplexEdge]:
-    """Edges of the translation axis through the central label-i edge.
-
-    The translating element is the product of one syllable on each side of
-    vertex group i; the segment is its orbit of the central edge and the
-    neighbouring one, truncated to the ball.
-    """
-    from .davis import act_edge, x_edge   # local import to avoid cycles
-    from .walls import treewall_of_edge, wall_key
-
-    p = b.presentation
-    i %= p.n
-    s_prev = GroupElement(p, (Syllable((i - 1) % p.n, 1),))
-    s_next = GroupElement(p, (Syllable((i + 1) % p.n, 1),))
-    g_i = mul(s_prev, s_next)
-
-    e0 = x_edge(p, identity(p), i)
-    e1 = act_edge(s_next, e0)
-    edges = []
-    for j in range(-k, k + 1):
-        power = identity(p)
-        step = g_i if j >= 0 else inv(g_i)
-        for _ in range(abs(j)):
-            power = mul(power, step)
-        for e in (act_edge(power, e0), act_edge(power, e1)):
-            if b.has_edge(e) and e not in edges:
-                edges.append(e)
-    if not edges:
-        raise ValidationError("axis leaves the ball immediately")
-
-    key = wall_key(p, i, e0.rep)
-    for e in edges:
-        assert e.label == i, "axis edge with the wrong label"
-        assert wall_key(p, i, e.rep) == key, "axis leaves its tree-wall"
-    wall = treewall_of_edge(b, e0)
-    assert all(e in wall.edges for e in edges)
-    return sorted(edges)

@@ -12,12 +12,10 @@ so the total over any contractible diagram is exactly 8.  The convention is
 locked by two reference diagrams (one polygon alone; two polygons sharing an
 edge) before any audit runs.
 
-:func:`fill_loop` builds a reduced diagram for a closed edge path by a
-deterministic depth-first search over polygon gluings, cancelling spurs as
-they appear, and refuses with :class:`FillError` rather than return a
-diagram it cannot verify.  The search carries a diagram vertex id with each
-boundary vertex, so its glues and folds are the diagram's faces and vertex
-identifications; nothing is replayed once it succeeds.
+:func:`fill_loop` builds a reduced diagram for a closed edge path greedily:
+it cancels spurs and glues the polygon along the longest matching run of the
+boundary, never undoing a glue, and refuses with :class:`FillError` rather
+than return a diagram it cannot verify.
 """
 
 from __future__ import annotations
@@ -217,27 +215,21 @@ def _match_polygon(cycle: Sequence[ComplexVertex], segment: Sequence[ComplexVert
     return best
 
 
-def _loop_state(loop: list, creators: list):
-    """Rotation-minimal canonical form for memoisation."""
-    if not loop:
-        return ()
-    pairs = [(v.key_string(), format_word(c) if c is not None else None)
-             for v, c in zip(loop, creators)]
-    L = len(pairs)
-    return min(tuple(pairs[(i + j) % L] for j in range(L)) for i in range(L))
-
-
 def fill_loop(b: ComplexBall, loop: Sequence[ComplexVertex],
               max_faces: int = 24) -> DiscDiagram:
     """Build a reduced disc diagram bounded by the closed edge path ``loop``.
 
-    The search glues one polygon at a time along the longest matching run of
-    the current boundary, never glues a polygon back onto an edge it just
-    created (which keeps the result reduced), cancels spurs, and backtracks.
-    Each boundary vertex carries its diagram vertex id, so the search builds
-    the diagram's faces and fold identifications as it goes and undoes them
-    on backtrack; nothing is replayed afterwards.  Raises :class:`FillError`
-    when no diagram exists within ``max_faces``.
+    Cancel spurs, then glue the polygon along the longest matching run of the
+    boundary (on ties the earliest run, then the least rep; never onto an
+    edge the same polygon created), until the boundary is a point or one edge
+    walked there and back.  No glue is undone: the complex is CAT(0) with
+    right-angled polygons, so C(5)-T(4) (two polygons share at most one edge,
+    vertex links are complete bipartite), where Greendlinger's lemma
+    (Lyndon-Schupp ch. V) gives a reduced filling a face with at most two
+    interior sides, whose polygon covers a long run of the loop and whose
+    glue shortens it.  The result is still validated and checked reduced.
+    Raises :class:`FillError` when no polygon fits or these glues need more
+    than ``max_faces`` faces.
     """
     loop = list(loop)
     if len(loop) < 1:
@@ -253,24 +245,16 @@ def fill_loop(b: ComplexBall, loop: Sequence[ComplexVertex],
     faces: list[tuple[int, ...]] = []
     face_polygons: list[GroupElement] = []
     merges: list[tuple[int, int]] = []         # vertex ids identified by folds
-    seen: set = set()
-
-    def search(loop, creators, ids, budget) -> bool:
-        n_merges = len(merges)
+    creators: list[Optional[GroupElement]] = [None] * len(loop)
+    ids = list(start)
+    while True:
         _cancel_spurs(loop, creators, ids, merges)
-        if len(loop) <= 2:
-            return True    # a point, or one edge walked there and back
-        state = _loop_state(loop, creators)
-        if state in seen or budget == 0:
-            del merges[n_merges:]
-            return False
-        seen.add(state)
-
         L = len(loop)
-        candidates = []
+        if L <= 2:
+            break    # a point, or one edge walked there and back
+        best = None
         for j in range(L):
-            v, w = loop[j], loop[(j + 1) % L]
-            e = _ball_edge(b, v, w)
+            e = _ball_edge(b, loop[j], loop[(j + 1) % L])
             for poly in b.edge_cells.get(e, ()):
                 rep = poly.rep
                 if creators[j] == rep:
@@ -282,32 +266,23 @@ def fill_loop(b: ComplexBall, loop: Sequence[ComplexVertex],
                 k, completion = m
                 if any(creators[(j + t) % L] == rep for t in range(k)):
                     continue
-                candidates.append((-k, j, rep, k, completion))
-        candidates.sort(key=lambda c: (c[0], c[1], c[2]))
-
-        n_images, n_faces = len(images), len(faces)
-        for _, j, rep, k, completion in candidates:
-            # the face runs along loop[j..j+k] and back through fresh corners;
-            # the new boundary keeps loop[j+k] around to loop[j] (both
-            # endpoints), then closes through those corners
-            fresh = list(range(n_images, n_images + len(completion)))
-            images.extend(completion)
-            faces.append(tuple(ids[(j + t) % L] for t in range(k + 1)) + tuple(fresh))
-            face_polygons.append(rep)
-            new_loop = [loop[(j + k + t) % L] for t in range(L - k + 1)] \
-                + list(reversed(completion))
-            new_creators = [creators[(j + k + t) % L] for t in range(L - k)] \
-                + [rep] * (len(completion) + 1)
-            new_ids = [ids[(j + k + t) % L] for t in range(L - k + 1)] + fresh[::-1]
-            if search(new_loop, new_creators, new_ids, budget - 1):
-                return True
-            del images[n_images:], faces[n_faces:], face_polygons[n_faces:]
-        del merges[n_merges:]
-        return False
-
-    if not search(loop, [None] * len(loop), list(start), max_faces):
-        raise FillError(
-            f"no reduced filling with at most {max_faces} faces was found")
+                if best is None or (-k, j, rep) < best[0]:
+                    best = ((-k, j, rep), k, completion)
+        if best is None or len(faces) >= max_faces:
+            raise FillError(
+                f"no reduced filling with at most {max_faces} faces was found")
+        (_, j, rep), k, completion = best
+        # the face runs along loop[j..j+k] and back through fresh corners; the
+        # boundary keeps loop[j+k] around to loop[j], then closes through them
+        fresh = list(range(len(images), len(images) + len(completion)))
+        images.extend(completion)
+        faces.append(tuple(ids[(j + t) % L] for t in range(k + 1)) + tuple(fresh))
+        face_polygons.append(rep)
+        loop = [loop[(j + k + t) % L] for t in range(L - k + 1)] \
+            + list(reversed(completion))
+        creators = [creators[(j + k + t) % L] for t in range(L - k)] \
+            + [rep] * (len(completion) + 1)
+        ids = [ids[(j + k + t) % L] for t in range(L - k + 1)] + fresh[::-1]
 
     uf = _UnionFind()
     for a, c in merges:

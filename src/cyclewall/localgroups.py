@@ -15,7 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import EnumerationCapError, GroupMismatchError, InfiniteGroupError, ValidationError
+from .errors import (
+    EnumerationCapError,
+    GroupMismatchError,
+    InfiniteGroupError,
+    InvariantError,
+    ValidationError,
+)
 
 #: Brute-force automorphism search refuses groups above this order.
 DEFAULT_AUT_ORDER_CAP = 12
@@ -129,7 +135,7 @@ class LocalGroupSpec:
         for b in range(len(self.table)):
             if self.table[a][b] == IDENTITY:
                 return b
-        raise AssertionError("validated table has inverses")
+        raise InvariantError(f"validated table has no inverse of {a}")
 
     def element_order(self, a: int) -> int:
         if self.kind == "integers":
@@ -342,7 +348,8 @@ def determining_set(g: LocalGroupSpec) -> list[LocalElement]:
         if len(still) < len(fixing):
             chosen.append(LocalElement(g, x))
             fixing = still
-    assert len(fixing) == 1
+    if len(fixing) != 1:
+        raise InvariantError("automorphisms fixing every element are not just the identity")
     return chosen
 
 

@@ -59,6 +59,14 @@ instead of bucketing the ball's edges by key.
 The subdivision-interior oracle carries the polygonal ball's interior over to
 its subdivision cell by cell (an X'-vertex or half-edge is interior when its
 X-cell is), instead of applying the coset-rep length rule to the subdivision.
+
+The filling oracle fills a loop by the depth-first search over polygon
+gluings that ``diagrams.fill_loop`` replaced with one greedy pass: it tries
+every candidate glue in the same order, memoises boundaries it has seen up to
+rotation, and undoes the faces and folds of a glue it backtracks from.
+
+The axis oracle builds a segment of the translation axis through a central
+edge and asserts, edge by edge, that it keeps its label and tree-wall.
 """
 
 import itertools
@@ -68,15 +76,17 @@ import networkx as nx
 
 from cyclewall.algebraic import CSubgroup, containing_maximals
 from cyclewall.localgroups import IDENTITY, table_group
-from cyclewall.davis import EDGE, POLY, act_edge, subdivide
-from cyclewall.errors import ValidationError
-from cyclewall.walls import TreeWall, treewall_of_edge, walls_of_ball
+from cyclewall.davis import EDGE, POLY, act_edge, subdivide, x_edge
+from cyclewall.diagrams import DiscDiagram, _ball_edge, _cancel_spurs, _match_polygon
+from cyclewall.errors import FillError, ValidationError
+from cyclewall.walls import TreeWall, _UnionFind, treewall_of_edge, wall_key, walls_of_ball
 from cyclewall.words import (
     GroupElement,
     Presentation,
     Syllable,
     _right_strippable,
     coset_rep,
+    format_word,
     identity,
     inv,
     mul,
@@ -538,3 +548,148 @@ def subdivision_interior_inherited(b):
     return ({v for v in sq.vertices if interior(v)},
             {e for e in sq.edges
              if e.label is None or (e.label, e.rep) in interior_x_edges})
+
+
+def _loop_state(loop: list, creators: list):
+    """Rotation-minimal canonical form for memoisation.  A creator is tagged
+    ``(0,)`` when absent and ``(1, word)`` otherwise, because the identity
+    polygon's rep also formats as the empty word."""
+    if not loop:
+        return ()
+    pairs = [(v.key_string(), (0,) if c is None else (1, format_word(c)))
+             for v, c in zip(loop, creators)]
+    L = len(pairs)
+    return min(tuple(pairs[(i + j) % L] for j in range(L)) for i in range(L))
+
+
+def fill_loop_by_search(b, loop, max_faces: int = 24) -> DiscDiagram:
+    """``diagrams.fill_loop`` by depth-first search with backtracking.
+
+    The search glues one polygon at a time along the longest matching run of
+    the current boundary, never glues a polygon back onto an edge it just
+    created (which keeps the result reduced), cancels spurs, and backtracks.
+    Each boundary vertex carries its diagram vertex id, so the search builds
+    the diagram's faces and fold identifications as it goes and undoes them
+    on backtrack.  Raises :class:`FillError` when no diagram exists within
+    ``max_faces``.
+    """
+    loop = list(loop)
+    if len(loop) < 1:
+        raise FillError("empty loop")
+    if loop[0] == loop[-1] and len(loop) > 1:
+        loop = loop[:-1]
+    for v, w in zip(loop, loop[1:] + loop[:1]):
+        if len(loop) > 1 and _ball_edge(b, v, w) is None:
+            raise FillError(f"loop is not an edge path at {v.key_string()}")
+
+    start = list(range(len(loop)))
+    images = list(loop)    # diagram vertex id -> image
+    faces = []
+    face_polygons = []
+    merges = []            # vertex ids identified by folds
+    seen = set()
+
+    def search(loop, creators, ids, budget) -> bool:
+        n_merges = len(merges)
+        _cancel_spurs(loop, creators, ids, merges)
+        if len(loop) <= 2:
+            return True    # a point, or one edge walked there and back
+        state = _loop_state(loop, creators)
+        if state in seen or budget == 0:
+            del merges[n_merges:]
+            return False
+        seen.add(state)
+
+        L = len(loop)
+        candidates = []
+        for j in range(L):
+            v, w = loop[j], loop[(j + 1) % L]
+            e = _ball_edge(b, v, w)
+            for poly in b.edge_cells.get(e, ()):
+                rep = poly.rep
+                if creators[j] == rep:
+                    continue   # would stack the same polygon on this edge
+                segment = [loop[(j + t) % L] for t in range(L)] + [loop[j]]
+                m = _match_polygon(poly.boundary, segment)
+                if m is None:
+                    continue
+                k, completion = m
+                if any(creators[(j + t) % L] == rep for t in range(k)):
+                    continue
+                candidates.append((-k, j, rep, k, completion))
+        candidates.sort(key=lambda c: (c[0], c[1], c[2]))
+
+        n_images, n_faces = len(images), len(faces)
+        for _, j, rep, k, completion in candidates:
+            # the face runs along loop[j..j+k] and back through fresh corners;
+            # the new boundary keeps loop[j+k] around to loop[j] (both
+            # endpoints), then closes through those corners
+            fresh = list(range(n_images, n_images + len(completion)))
+            images.extend(completion)
+            faces.append(tuple(ids[(j + t) % L] for t in range(k + 1)) + tuple(fresh))
+            face_polygons.append(rep)
+            new_loop = [loop[(j + k + t) % L] for t in range(L - k + 1)] \
+                + list(reversed(completion))
+            new_creators = [creators[(j + k + t) % L] for t in range(L - k)] \
+                + [rep] * (len(completion) + 1)
+            new_ids = [ids[(j + k + t) % L] for t in range(L - k + 1)] + fresh[::-1]
+            if search(new_loop, new_creators, new_ids, budget - 1):
+                return True
+            del images[n_images:], faces[n_faces:], face_polygons[n_faces:]
+        del merges[n_merges:]
+        return False
+
+    if not search(loop, [None] * len(loop), list(start), max_faces):
+        raise FillError(
+            f"no reduced filling with at most {max_faces} faces was found")
+
+    uf = _UnionFind()
+    for a, c in merges:
+        uf.union(a, c)
+    root = uf.find
+    edges = sorted({frozenset({root(a), root(c)})
+                    for cycle in (start, *faces)
+                    for a, c in zip(cycle, cycle[1:] + cycle[:1])
+                    if root(a) != root(c)}, key=sorted)
+    d = DiscDiagram(sorted({root(v) for v in range(len(images))}), edges,
+                    [tuple(map(root, f)) for f in faces], tuple(map(root, start)),
+                    {root(v): img for v, img in enumerate(images)}, face_polygons)
+    if not d.is_reduced():
+        raise FillError("search produced a non-reduced diagram")
+    return d
+
+
+def axis_segment(b, i: int, k: int) -> list:
+    """Edges of the translation axis through the central label-i edge.
+
+    The translating element is the product of one syllable on each side of
+    vertex group i; the segment is its orbit of the central edge and the
+    neighbouring one, truncated to the ball.
+    """
+    p = b.presentation
+    i %= p.n
+    s_prev = GroupElement(p, (Syllable((i - 1) % p.n, 1),))
+    s_next = GroupElement(p, (Syllable((i + 1) % p.n, 1),))
+    g_i = mul(s_prev, s_next)
+
+    e0 = x_edge(p, identity(p), i)
+    e1 = act_edge(s_next, e0)
+    edges = []
+    for j in range(-k, k + 1):
+        power = identity(p)
+        step = g_i if j >= 0 else inv(g_i)
+        for _ in range(abs(j)):
+            power = mul(power, step)
+        for e in (act_edge(power, e0), act_edge(power, e1)):
+            if b.has_edge(e) and e not in edges:
+                edges.append(e)
+    if not edges:
+        raise ValidationError("axis leaves the ball immediately")
+
+    key = wall_key(p, i, e0.rep)
+    for e in edges:
+        assert e.label == i, "axis edge with the wrong label"
+        assert wall_key(p, i, e.rep) == key, "axis leaves its tree-wall"
+    wall = treewall_of_edge(b, e0)
+    assert all(e in wall.edges for e in edges)
+    return sorted(edges)

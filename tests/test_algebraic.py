@@ -22,7 +22,7 @@ from cyclewall.algebraic import (
     vertex_of_medium,
     _induced_n_cycles,
 )
-from cyclewall.davis import build_ball, x_vertex
+from cyclewall.davis import EDGE, ComplexVertex, build_ball, x_vertex
 from cyclewall.errors import ValidationError
 from cyclewall.words import identity, parse_word
 
@@ -69,6 +69,14 @@ def test_vertex_medium_roundtrip(c5_mixed):
     p = c5_mixed
     v = x_vertex(p, parse_word(p, "v0:1 v3:2"), 1)
     assert vertex_of_medium(medium_of_vertex(v)) == v
+
+
+def test_vertex_medium_encoding_rejects_other_cells(c5_mixed):
+    p = c5_mixed
+    with pytest.raises(ValidationError):
+        medium_of_vertex(ComplexVertex(EDGE, 1, identity(p)))
+    with pytest.raises(ValidationError):
+        vertex_of_medium(CSubgroup(MAXIMAL, 1, identity(p)))
 
 
 def test_rejects_unknown_tier(c5_z2):

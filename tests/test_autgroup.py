@@ -14,7 +14,6 @@ from cyclewall.autgroup import (
     aut_identity,
     aut_inverse,
     aut_serialize,
-    axis_segment,
     coset_intersection,
     enumerate_loc,
     enumerate_symmetries,
@@ -41,6 +40,7 @@ from cyclewall.words import (
     mul,
     parse_word,
 )
+from oracles import axis_segment
 
 
 def random_aut(p, rng, loc=None, inner_pool=None):

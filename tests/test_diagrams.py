@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -14,32 +15,11 @@ from cyclewall.diagrams import (
     sample_loops,
     single_polygon_diagram,
     two_polygon_diagram,
+    union_boundary_loop,
 )
 from cyclewall.errors import FillError, ValidationError
 from cyclewall.words import identity, parse_word
-
-
-def union_boundary_loop(b, reps):
-    """Trace the boundary cycle of a disc-shaped union of polygons."""
-    count = {}
-    for rep in reps:
-        for e in b.polygons[rep].edges:
-            count[e] = count.get(e, 0) + 1
-    border = [e for e, c in count.items() if c == 1]
-    at = {}
-    for e in border:
-        for v in e.ends:
-            at.setdefault(v, []).append(e)
-    assert all(len(es) == 2 for es in at.values())
-    start = min(at, key=lambda v: v.sort_key())
-    loop, prev = [start], None
-    while True:
-        e = next(x for x in at[loop[-1]] if x is not prev)
-        nxt = e.ends[0] if e.ends[1] == loop[-1] else e.ends[1]
-        if nxt == start:
-            return loop
-        loop.append(nxt)
-        prev = e
+from oracles import fill_loop_by_search
 
 
 # -- convention lock ---------------------------------------------------------
@@ -104,6 +84,7 @@ def test_unreduced_pair_detected(c5_z2):
 def test_fill_single_polygon(c5_z2):
     b = build_ball(c5_z2, 1)
     loop = union_boundary_loop(b, [identity(c5_z2)])
+    assert loop is not None
     d = fill_loop(b, loop)
     assert len(d.faces) == 1
     assert d.face_polygons == [identity(c5_z2)]
@@ -116,6 +97,7 @@ def test_fill_two_polygons(c5_z2):
     b = build_ball(p, 1)
     reps = [identity(p), parse_word(p, "v2:1")]
     loop = union_boundary_loop(b, reps)
+    assert loop is not None
     assert len(loop) == 8
     d, report = fill_and_audit(b, loop)
     assert report.ok
@@ -128,6 +110,7 @@ def test_fill_three_polygon_fan(c5_z2):
     b = build_ball(p, 2)
     reps = [identity(p), parse_word(p, "v2:1"), parse_word(p, "v3:1")]
     loop = union_boundary_loop(b, reps)
+    assert loop is not None
     d, report = fill_and_audit(b, loop)
     assert report.ok
     assert len(d.faces) == 3
@@ -156,6 +139,7 @@ def test_fill_respects_face_budget(c5_z2):
     p = c5_z2
     b = build_ball(p, 1)
     loop = union_boundary_loop(b, [identity(p)])
+    assert loop is not None
     with pytest.raises(FillError):
         fill_loop(b, loop, max_faces=0)
 
@@ -164,6 +148,7 @@ def test_fill_mixed_groups(c5_mixed):
     p = c5_mixed
     b = build_ball(p, 1)
     loop = union_boundary_loop(b, [identity(p)])
+    assert loop is not None
     d, report = fill_and_audit(b, loop)
     assert report.ok and len(d.faces) == 1
 
@@ -173,6 +158,7 @@ def test_fill_hexagon_pair(c6_z2):
     b = build_ball(p, 1)
     reps = [identity(p), parse_word(p, "v2:1")]
     loop = union_boundary_loop(b, reps)
+    assert loop is not None
     assert len(loop) == 10
     d, report = fill_and_audit(b, loop)
     assert report.ok and len(d.faces) == 2
@@ -181,7 +167,9 @@ def test_fill_hexagon_pair(c6_z2):
 def test_json_export(c5_z2):
     p = c5_z2
     b = build_ball(p, 1)
-    d = fill_loop(b, union_boundary_loop(b, [identity(p)]))
+    loop = union_boundary_loop(b, [identity(p)])
+    assert loop is not None
+    d = fill_loop(b, loop)
     doc = diagram_to_json_dict(d)
     assert doc["total_curvature"] == 8
     assert len(doc["faces"]) == 1
@@ -218,3 +206,59 @@ def fill_digest(b) -> str:
 def test_fill_loop_diagrams_match_pinned_digest(name, request):
     b = build_ball(request.getfixturevalue(name), 2)
     assert fill_digest(b) == FILL_DIGESTS[name]
+
+
+# -- loops that revisit a vertex ----------------------------------------------------
+
+
+def figure_eights(b) -> list:
+    """Two sampled boundaries through a shared start vertex, walked one after
+    the other, the second in both orientations."""
+    eights = []
+    for a, c in itertools.combinations(sample_loops(b, 0, 20, 12), 2):
+        if a[0] == c[0] and a != c:
+            eights += [a + c, a + c[:1] + c[:0:-1]]
+    return eights
+
+
+@pytest.mark.parametrize("name", ["c5_z2", "c5_z3"])
+def test_fill_figure_eight_fills_or_refuses(name, request):
+    b = build_ball(request.getfixturevalue(name), 2)
+    eights = figure_eights(b)
+    assert eights
+    filled = 0
+    for max_faces in (24, 1):
+        for loop in eights:
+            try:
+                _, report = fill_and_audit(b, loop, max_faces)
+            except FillError:
+                continue
+            assert report.ok
+            filled += 1
+    assert filled
+
+
+# -- the search oracle ----------------------------------------------------------------
+
+
+def fill_outcome(fill, b, loop, max_faces) -> dict:
+    try:
+        return diagram_to_json_dict(fill(b, loop, max_faces))
+    except FillError as exc:
+        return {"fill_error": str(exc)}
+
+
+@pytest.mark.parametrize("name", ["c5_mixed", "c6_mixed"])
+def test_fill_loop_matches_search_oracle(name, request):
+    p = request.getfixturevalue(name)
+    for radius in (1, 2):
+        b = build_ball(p, radius)
+        cases = [(loop, 24) for seed in range(3) for loop in sample_loops(b, seed, 20, 12)]
+        if radius == 2:
+            cases += [(loop, max_faces) for loop in figure_eights(b) for max_faces in (24, 1)]
+        for e in b.edges[:20]:
+            u, w = e.ends
+            cases += [([u, w], 24), ([u, w, u, w], 24)]
+        for loop, max_faces in cases:
+            assert (fill_outcome(fill_loop, b, loop, max_faces)
+                    == fill_outcome(fill_loop_by_search, b, loop, max_faces))

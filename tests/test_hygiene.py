@@ -1,5 +1,6 @@
-"""Source hygiene: every name a package module imports is used in it, and
-the package imports nothing outside the standard library."""
+"""Source hygiene: every name a package module imports is used in it, the
+package imports nothing outside the standard library, and it holds no
+``assert`` statement (``python -O`` strips them, so a check must raise)."""
 
 import ast
 import sys
@@ -61,3 +62,18 @@ def test_scan_flags_a_non_stdlib_import():
                               "from numpy.linalg import norm\n"
                               "from . import words\nfrom .davis import x\n") == [
         "networkx", "numpy"]
+
+
+def assert_lines(source: str) -> list[int]:
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Assert))
+
+
+@pytest.mark.parametrize("path", PACKAGE_FILES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    assert assert_lines(path.read_text()) == []
+
+
+def test_scan_flags_an_assert():
+    assert assert_lines("x = 1\nassert x, 'x is set'\n"
+                        "def f(y):\n    assert y > 0\n    return y\n") == [2, 4]
