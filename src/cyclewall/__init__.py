@@ -43,7 +43,6 @@ from .words import (
     inv,
     mul,
     parabolic_member,
-    parabolic_normalizer,
     parse_word,
     reduce_word,
 )
@@ -58,7 +57,6 @@ from .walls import (
     TreeWall,
     crossing_graph,
     delta,
-    treewall_of_edge,
     walls_of_ball,
 )
 from .algebraic import (

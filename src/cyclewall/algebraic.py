@@ -1,11 +1,15 @@
 """Conjugated standard subgroups, the abstract complex rebuilt from them, and
 the isomorphism check against the geometric ball.
 
-Three tiers of subgroup appear, classified by their defining vertex window:
-minimal (one vertex group), medium (two consecutive), maximal (three
-consecutive).  Each is encoded by its tier, base vertex, and the minimal
-coset representative of its conjugator modulo the subgroup's normalizer, so
-equal subgroups get equal encodings and equality is field comparison.
+``CSubgroup`` is the package's one encoding of a conjugated standard
+subgroup.  Its tier names its window around the base vertex i: minimal {i}
+(a wall's fixator), medium {i, i+1} (an X-vertex's stabilizer), maximal
+{i-1, i, i+1} (a wall's stabilizer).  The conjugator is kept as its minimal
+coset representative modulo the subgroup's normalizer, so equal subgroups
+get equal encodings.  On a cycle with n >= 5 that normalizer is exact: for a
+minimal subgroup it is the maximal window (both neighbours of i commute with
+G_i), and a medium or maximal window is its own (no vertex is adjacent to
+all of it).
 
 The abstract complex has the medium encodings of a ball's vertices as nodes,
 arcs where the join of two mediums is a maximal, and faces for the induced
@@ -30,21 +34,27 @@ from .errors import InconclusiveError, InvariantError, ValidationError
 from .reports import Report
 from .words import (
     GroupElement,
-    ParabolicRef,
     Presentation,
     Syllable,
     coset_rep,
     format_word,
     mul,
     parabolic_member,
-    parabolic_normalizer,
 )
 
 MINIMAL = "minimal"
 MEDIUM = "medium"
 MAXIMAL = "maximal"
 
-_TIER_WIDTH = {MINIMAL: 1, MEDIUM: 2, MAXIMAL: 3}
+# each tier's window, as offsets from the base vertex
+_TIER_OFFSETS = {MINIMAL: (0,), MEDIUM: (0, 1), MAXIMAL: (-1, 0, 1)}
+# the tier whose window generates a tier's normalizer, on a cycle with n >= 5
+_NORMALIZER_TIER = {MINIMAL: MAXIMAL, MEDIUM: MEDIUM, MAXIMAL: MAXIMAL}
+
+
+def window_of(n: int, tier: str, base: int) -> frozenset[int]:
+    """The consecutive vertex window of a tier at a base vertex of C_n."""
+    return frozenset((base + k) % n for k in _TIER_OFFSETS[tier])
 
 
 @dataclass(frozen=True)
@@ -54,14 +64,17 @@ class CSubgroup:
     tier: str
     base: int
     conjugator: GroupElement
+    # the defining vertex window, kept so membership tests need not rebuild it
+    window: frozenset[int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.tier not in _TIER_WIDTH:
+        if self.tier not in _TIER_OFFSETS:
             raise ValidationError(f"unknown tier {self.tier!r}")
-        p = self.conjugator.presentation
-        object.__setattr__(self, "base", self.base % p.n)
-        canon = coset_rep(self.conjugator,
-                          parabolic_normalizer(p, self.defining_set()))
+        n = self.conjugator.presentation.n
+        object.__setattr__(self, "base", self.base % n)
+        object.__setattr__(self, "window", window_of(n, self.tier, self.base))
+        normalizer = window_of(n, _NORMALIZER_TIER[self.tier], self.base)
+        canon = coset_rep(self.conjugator, normalizer)
         if canon != self.conjugator:
             object.__setattr__(self, "conjugator", canon)
 
@@ -69,20 +82,8 @@ class CSubgroup:
     def presentation(self) -> Presentation:
         return self.conjugator.presentation
 
-    def defining_set(self) -> frozenset[int]:
-        n = self.presentation.n
-        i = self.base
-        if self.tier == MINIMAL:
-            return frozenset({i})
-        if self.tier == MEDIUM:
-            return frozenset({i, (i + 1) % n})
-        return frozenset({(i - 1) % n, i, (i + 1) % n})
-
-    def parabolic(self) -> ParabolicRef:
-        return ParabolicRef(self.defining_set(), self.conjugator)
-
     def member(self, g: GroupElement) -> bool:
-        return parabolic_member(g, self.parabolic())
+        return parabolic_member(g, self)
 
     def key_string(self) -> str:
         return f"{self.tier}|{self.base}|{format_word(self.conjugator)}"
@@ -92,7 +93,7 @@ class CSubgroup:
         return CSubgroup(self.tier, self.base, mul(g, self.conjugator))
 
     def sort_key(self):
-        return (_TIER_WIDTH[self.tier], self.base, self.conjugator)
+        return (len(self.window), self.base, self.conjugator)
 
 
 def medium_of_vertex(v: ComplexVertex) -> CSubgroup:

@@ -18,7 +18,8 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .davis import EDGE, POLY, TRIVIAL, ComplexVertex
+from .algebraic import MAXIMAL, window_of
+from .davis import EDGE, POLY, ComplexVertex, act_vertex
 from .errors import DecompositionError, InvariantError, ValidationError
 from .localgroups import (
     LocalIso,
@@ -252,15 +253,14 @@ def _image_pair_base(sigma: CycleSymmetry, i: int) -> int:
 
 
 def aut_act_vertex(a: AutElement, v: ComplexVertex) -> ComplexVertex:
-    p = a.presentation
-    moved = mul(a.inner, a.local.apply(v.rep))
-    if v.cls == TRIVIAL:
-        return ComplexVertex(TRIVIAL, None, moved)
+    """The local part maps the coset g<G_S> to lam(g)<G_sigma(S)>, and the
+    inner part then acts as translation (``davis.act_vertex``)."""
+    sigma, j = a.local.sigma, v.index   # None for a trivial coset
     if v.cls == EDGE:
-        j = a.local.sigma(v.index)
-        return ComplexVertex(EDGE, j, coset_rep(moved, (j,)))
-    j = _image_pair_base(a.local.sigma, v.index)
-    return ComplexVertex(POLY, j, coset_rep(moved, (j, (j + 1) % p.n)))
+        j = sigma(j)
+    elif v.cls == POLY:
+        j = _image_pair_base(sigma, j)
+    return act_vertex(a.inner, ComplexVertex(v.cls, j, a.local.apply(v.rep)))
 
 
 def loc_stabilizes_P_audit(p: Presentation, sample: Sequence[LocalAut],
@@ -349,10 +349,6 @@ def coset_intersection(c1: GroupElement, S1: frozenset[int],
     return coset_rep(mul(c2, lam), S1 & S2), S1 & S2
 
 
-def _window(p: Presentation, j: int) -> frozenset[int]:
-    return frozenset({(j - 1) % p.n, j, (j + 1) % p.n})
-
-
 def aut_decompose(p: Presentation, images: Sequence[Sequence[GroupElement]]) -> AutElement:
     """Recover the normal form (inner g, symmetry, per-vertex isomorphisms)
     from the images of every standard generator, or reject with a witness.
@@ -396,10 +392,11 @@ def aut_decompose(p: Presentation, images: Sequence[Sequence[GroupElement]]) -> 
             f"the induced vertex map is not an admissible cycle symmetry: {exc}",
             list(target)) from None
 
-    # g lies in conj_i * <window around sigma(i)> for every i; intersect
-    z, S = conjugators[0], _window(p, sigma(0))
+    # g lies in conj_i * <maximal window around sigma(i)> for every i; intersect
+    windows = [window_of(n, MAXIMAL, sigma(i)) for i in range(n)]
+    z, S = conjugators[0], windows[0]
     for i in range(1, n):
-        hit = coset_intersection(conjugators[i], _window(p, sigma(i)), z, S)
+        hit = coset_intersection(conjugators[i], windows[i], z, S)
         if hit is None:
             raise DecompositionError(
                 "conjugator constraints are inconsistent: no single inner "

@@ -155,8 +155,9 @@ def words_suite(p: Presentation, depth: int, seed: int) -> Report:
                        if last is None or (v != last and not p.adjacent(v, last))]
             v = rng.choice(choices)
             last = v
-            size = p.group(v).size
-            word.append(Syllable(v, rng.randrange(1, size if size else 5)))
+            group = p.group(v)
+            word.append(Syllable(v, rng.randrange(
+                1, group.size if group.is_finite else 5)))
         g = reduce_word(p, word)
         if g.word != tuple(word):
             verbatim_bad.append(format_word(GroupElement(p, tuple(word))))

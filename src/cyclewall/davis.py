@@ -191,13 +191,12 @@ def x_edge(p: Presentation, g: GroupElement, i: int) -> ComplexEdge:
 
 
 def act_vertex(h: GroupElement, v: ComplexVertex) -> ComplexVertex:
-    p = h.presentation
     moved = mul(h, v.rep)
     if v.cls == TRIVIAL:
         return ComplexVertex(TRIVIAL, None, moved)
     if v.cls == EDGE:
         return ComplexVertex(EDGE, v.index, coset_rep(moved, (v.index,)))
-    return ComplexVertex(POLY, v.index, coset_rep(moved, (v.index, (v.index + 1) % p.n)))
+    return x_vertex(h.presentation, moved, v.index)
 
 
 def act_edge(h: GroupElement, e: ComplexEdge) -> ComplexEdge:

@@ -235,6 +235,26 @@ def identity_iso(g: LocalGroupSpec) -> LocalIso:
     return LocalIso(g, g, mapping=tuple(range(g.size)))
 
 
+def _close(src: LocalGroupSpec, dst: LocalGroupSpec,
+           images: dict[int, int]) -> Optional[dict[int, int]]:
+    """Extend a map on generators of src to the subgroup they generate, as a
+    homomorphism into dst; None when the images clash."""
+    table = dict(images)
+    table[IDENTITY] = IDENTITY
+    frontier = list(table)
+    while frontier:
+        a = frontier.pop()
+        for s, t in images.items():
+            p, q = src.mul(a, s), dst.mul(table[a], t)
+            if p in table:
+                if table[p] != q:
+                    return None
+            else:
+                table[p] = q
+                frontier.append(p)
+    return table
+
+
 def _generating_sequence(g: LocalGroupSpec) -> list[int]:
     """Small generating list, grown greedily by subgroup closure."""
     gens: list[int] = []
@@ -243,18 +263,7 @@ def _generating_sequence(g: LocalGroupSpec) -> list[int]:
         if x in reached:
             continue
         gens.append(x)
-        frontier = list(reached)
-        reached = set(reached)
-        # close under multiplication with the new generating set
-        changed = True
-        while changed:
-            changed = False
-            for a in list(reached):
-                for s in gens:
-                    p = g.mul(a, s)
-                    if p not in reached:
-                        reached.add(p)
-                        changed = True
+        reached = set(_close(g, g, {s: s for s in gens}))
         if len(reached) == g.size:
             break
     return gens
@@ -280,30 +289,13 @@ def isomorphisms(src: LocalGroupSpec, dst: LocalGroupSpec) -> list[LocalIso]:
     gens = _generating_sequence(src)
     found: list[LocalIso] = []
 
-    def close(images: dict[int, int]) -> Optional[dict[int, int]]:
-        # extend a partial map on generators to the generated set; None on clash
-        table = dict(images)
-        table[IDENTITY] = IDENTITY
-        frontier = list(table)
-        while frontier:
-            a = frontier.pop()
-            for s, t in images.items():
-                p, q = src.mul(a, s), dst.mul(table[a], t)
-                if p in table:
-                    if table[p] != q:
-                        return None
-                else:
-                    table[p] = q
-                    frontier.append(p)
-        return table
-
     def candidates_for(gen: int) -> list[int]:
         order = src.element_order(gen)
         return [y for y in dst.nontrivial_elements() if dst.element_order(y) == order]
 
     def search(k: int, images: dict[int, int]) -> None:
         if k == len(gens):
-            table = close(images)
+            table = _close(src, dst, images)
             if table is None or len(table) != src.size:
                 return
             vals = [table[x] for x in range(src.size)]
@@ -314,7 +306,7 @@ def isomorphisms(src: LocalGroupSpec, dst: LocalGroupSpec) -> list[LocalIso]:
         for y in candidates_for(gens[k]):
             trial = dict(images)
             trial[gens[k]] = y
-            if close(trial) is not None:
+            if _close(src, dst, trial) is not None:
                 search(k + 1, trial)
 
     search(0, {})

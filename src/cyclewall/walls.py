@@ -3,14 +3,18 @@ truncated stabilizer audits.
 
 A tree-wall is a maximal connected subgraph of the 1-skeleton all of whose
 edges carry the same label.  The wall with label i through the edge uG_i is
-the set of label-i edges in the coset u<G_{i-1}, G_i, G_{i+1}>; that coset's
-minimal representative is the wall's algebraic key.  So a ball's walls are
-read off its edges: bucket them by (label, key) and keep the buckets holding
-an interior edge.  A wall is the ball's edges with one key, also where the
-ball cuts it into pieces.  ``treewall_of_edge`` grows the piece through one
-edge by flood fill over same-label edges at shared vertices.  Stabilizer
-audits compare the geometric action on in-ball edges against membership in
-the conjugated parabolic with that key.
+the set of label-i edges in the coset u<G_{i-1}, G_i, G_{i+1}>, so a ball's
+walls are read off its edges: bucket them by (label, key), the key being
+that coset's minimal representative, and keep the buckets holding an
+interior edge.  A wall is the ball's edges with one key, also where the ball
+cuts it into pieces.
+
+Stabilizer audits compare the geometric action on in-ball edges against
+membership in ``algebraic.CSubgroup``, the package's one encoding of a
+conjugated standard subgroup.  The wall's key is the conjugator of its
+stabilizer ``CSubgroup(MAXIMAL, i, u)``; its fixator ``CSubgroup(MINIMAL, i,
+u)`` is the same through every edge, as the maximal window normalizes G_i;
+an X-vertex's stabilizer is its medium.
 
 Truncation semantics: "g stabilizes T in the ball" means g maps every edge
 of T whose image is still inside the ball into T, and at least one image is
@@ -47,6 +51,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Optional
 
 from .algebraic import (
     MAXIMAL,
+    MINIMAL,
     CSubgroup,
     containing_maximals,
     join_is_cmaximal,
@@ -57,8 +62,6 @@ from .errors import InvariantError, ValidationError
 from .reports import Report
 from .words import (
     GroupElement,
-    ParabolicRef,
-    Presentation,
     coset_rep,
     format_word,
     identity,
@@ -74,7 +77,7 @@ class TreeWall:
     label: int
     seed: ComplexEdge
     edges: frozenset[ComplexEdge]
-    key_rep: GroupElement   # minimal rep of seed.rep <G_{label-1}, G_label, G_{label+1}>
+    key_rep: GroupElement   # the conjugator of CSubgroup(MAXIMAL, label, seed.rep)
     # ends and coset reps of the edges, computed once; an edge of the wall is
     # the pair (label, rep), so the reps alone identify the edges
     vertex_set: frozenset[ComplexVertex] = field(init=False, compare=False, repr=False)
@@ -95,44 +98,15 @@ class TreeWall:
     def vertices(self) -> set[ComplexVertex]:
         return set(self.vertex_set)
 
-    def window(self, p: Presentation) -> frozenset[int]:
-        i = self.label
-        return frozenset({(i - 1) % p.n, i, (i + 1) % p.n})
+    @property
+    def stabilizer(self) -> CSubgroup:
+        """The wall's stabilizer, a conjugate of <G_{i-1}, G_i, G_{i+1}>."""
+        return CSubgroup(MAXIMAL, self.label, self.key_rep)
 
-    def parabolic(self, p: Presentation) -> ParabolicRef:
-        """The wall stabilizer as a conjugated standard parabolic."""
-        return ParabolicRef(self.window(p), self.key_rep)
-
-    def fixator_parabolic(self, p: Presentation) -> ParabolicRef:
-        """The wall fixator: the conjugate of G_label through any member edge."""
-        return ParabolicRef(frozenset({self.label}), self.seed.rep)
-
-
-def wall_key(p: Presentation, label: int, edge_rep: GroupElement) -> GroupElement:
-    window = {(label - 1) % p.n, label, (label + 1) % p.n}
-    return coset_rep(edge_rep, window)
-
-
-def treewall_of_edge(b: ComplexBall, e: ComplexEdge) -> TreeWall:
-    """Flood fill over same-label edges meeting at a shared vertex."""
-    if e.label is None or e.rep is None:
-        raise ValidationError("tree-walls grow from labelled edges of the 1-skeleton")
-    if b.form != "polygonal":
-        raise ValidationError("tree-walls live in the polygonal ball")
-    label = e.label
-    seen = {e}
-    frontier = [e]
-    while frontier:
-        cur = frontier.pop()
-        for v in cur.ends:
-            for nxt in b.vertex_edges.get(v, []):
-                if nxt.label == label and nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-    p = b.presentation
-    key = wall_key(p, label, e.rep)
-    seed = min(seen)
-    return TreeWall(label, seed, frozenset(seen), key)
+    @property
+    def fixator(self) -> CSubgroup:
+        """The wall's fixator, a conjugate of G_i."""
+        return CSubgroup(MINIMAL, self.label, self.key_rep)
 
 
 def walls_of_ball(b: ComplexBall) -> list[TreeWall]:
@@ -144,10 +118,10 @@ def walls_of_ball(b: ComplexBall) -> list[TreeWall]:
 
 
 def _walls_of_ball(b: ComplexBall) -> list[TreeWall]:
-    p = b.presentation
     by_key: dict[tuple, list[ComplexEdge]] = {}
     for e in b.edges:   # in key order, so each wall's first edge is its seed
-        by_key.setdefault((e.label, wall_key(p, e.label, e.rep)), []).append(e)
+        key_rep = CSubgroup(MAXIMAL, e.label, e.rep).conjugator
+        by_key.setdefault((e.label, key_rep), []).append(e)
     return [TreeWall(label, edges[0], frozenset(edges), key_rep)
             for (label, key_rep), edges in sorted(by_key.items())
             if not b.interior_edges.isdisjoint(edges)]
@@ -256,15 +230,10 @@ def _stabilizes_wall(b: ComplexBall, g: GroupElement, T: TreeWall) -> Optional[b
     return True if observed else None
 
 
-def _parabolic_ball(b: ComplexBall, ref: ParabolicRef, L: int) -> frozenset[GroupElement]:
-    """The elements of ``b.elements(L)`` lying in ``ref``, computed once per ball."""
-    return b.derive(("parabolic", ref, L), lambda: frozenset(
-        g for g in b.elements(L) if parabolic_member(g, ref)))
-
-
-def _vertex_stabilizer(p: Presentation, v: ComplexVertex) -> ParabolicRef:
-    """The stabilizer of the X-vertex v = g(G_i x G_{i+1})."""
-    return ParabolicRef(frozenset({v.index, (v.index + 1) % p.n}), v.rep)
+def _parabolic_ball(b: ComplexBall, H: CSubgroup, L: int) -> frozenset[GroupElement]:
+    """The elements of ``b.elements(L)`` lying in ``H``, computed once per ball."""
+    return b.derive(("parabolic", H, L), lambda: frozenset(
+        g for g in b.elements(L) if parabolic_member(g, H)))
 
 
 def wall_fixator_truncated(b: ComplexBall, T: TreeWall, L: int) -> set[GroupElement]:
@@ -296,9 +265,8 @@ def _wall_stabilizer(b: ComplexBall, T: TreeWall, L: int) -> frozenset[GroupElem
 def wall_stabilizer_audit(b: ComplexBall, L: int) -> Report:
     """Geometric truncated wall stabilizers match the conjugated 3-vertex parabolic."""
     report = Report()
-    p = b.presentation
     for T in walls_of_ball(b):
-        algebraic = _parabolic_ball(b, T.parabolic(p), L)
+        algebraic = _parabolic_ball(b, T.stabilizer, L)
         geometric = wall_stabilizer_truncated(b, T, L)
         ok = geometric == algebraic
         witness = None
@@ -318,7 +286,7 @@ def wall_fixator_audit(b: ComplexBall, L: int) -> Report:
     p = b.presentation
     for T in walls_of_ball(b):
         fix = wall_fixator_truncated(b, T, L)
-        edge_stab = _parabolic_ball(b, T.fixator_parabolic(p), L)
+        edge_stab = _parabolic_ball(b, T.fixator, L)
         if fix != edge_stab:
             report.add("walls.fixator-is-edge-stabilizer",
                        f"{T.key_string()} L={L}", False, {
@@ -362,15 +330,14 @@ def classify_pair(b: ComplexBall, cg: CrossingGraph, T1: TreeWall, T2: TreeWall,
         ok = len(common) == 1
         report.add("walls.crossing-walls-meet-once", inst, ok,
                    None if ok else [v.key_string() for v in common])
-        expect = _parabolic_ball(b, _vertex_stabilizer(p, common[0]), L)
+        expect = _parabolic_ball(b, medium_of_vertex(common[0]), L)
         report.add("walls.pair-stabilizer-delta1-is-vertex-stabilizer", inst,
                    inter == expect,
                    None if inter == expect else sorted(
                        format_word(g) for g in inter ^ expect))
     elif d == 2:
         mids = sorted(cg.neighbors[T1.key] & cg.neighbors[T2.key])
-        expects = [_parabolic_ball(b, cg.walls[mid].fixator_parabolic(p), L)
-                   for mid in mids]
+        expects = [_parabolic_ball(b, cg.walls[mid].fixator, L) for mid in mids]
         ok = any(inter == e for e in expects)
         report.add("walls.pair-stabilizer-delta2-is-connecting-fixator", inst, ok,
                    None if ok else sorted(format_word(g) for g in inter))
@@ -636,11 +603,11 @@ def vertex_stabilizer_criterion_audit(b: ComplexBall) -> Report:
     """stab(v) stabilizes T exactly when v lies on T.
 
     Decided exactly: stab(v) is the medium of v, and it lies in the wall's
-    stabilizer, the maximal ``CSubgroup(MAXIMAL, T.label, T.key_rep)``,
-    exactly when that maximal is one of the two containing the medium.
+    stabilizer, the maximal ``T.stabilizer``, exactly when that maximal is
+    one of the two containing the medium.
     """
     report = Report()
-    walls = [(T, CSubgroup(MAXIMAL, T.label, T.key_rep)) for T in walls_of_ball(b)]
+    walls = [(T, T.stabilizer) for T in walls_of_ball(b)]
     bad = []
     checked = 0
     for v in sorted(b.interior_vertices):
@@ -667,7 +634,7 @@ def adjacency_criterion_audit(b: ComplexBall) -> Report:
     checked = 0
     for T in walls_of_ball(b):
         verts = sorted(v for v in T.vertex_set if v in b.interior_vertices)
-        stab_T = CSubgroup(MAXIMAL, T.label, T.key_rep)
+        stab_T = T.stabilizer
         edge_pairs = {frozenset(e.ends) for e in T.edges}
         for x, y in itertools.combinations(verts, 2):
             joined, maximal = join_is_cmaximal(medium_of_vertex(x), medium_of_vertex(y))

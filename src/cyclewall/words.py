@@ -23,16 +23,22 @@ does not commute with, which is where the greedy sort would emit it; a merge
 changes only a value, and a cancelled syllable is maximal in the dependence
 order. Pushing one syllable onto a word of L syllables costs O(L), and no
 word is ever sorted.
+
+Conjugated standard subgroups w<G_S>w^-1 are ``algebraic.CSubgroup`` values,
+the one encoding of them; ``parabolic_member`` tests membership in one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import total_ordering
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import GroupMismatchError, InfiniteGroupError, ValidationError
 from .localgroups import IDENTITY, LocalGroupSpec
+
+if TYPE_CHECKING:
+    from .algebraic import CSubgroup
 
 
 @dataclass(frozen=True)
@@ -219,7 +225,7 @@ def support(a: GroupElement) -> frozenset[int]:
     return a.support()
 
 
-# -- parabolic machinery -----------------------------------------------------
+# -- cosets and conjugated standard subgroups ---------------------------------
 
 
 def _right_strippable(p: Presentation, word: Sequence[Syllable], S: frozenset[int]) -> Optional[int]:
@@ -262,31 +268,11 @@ def coset_rep(g: GroupElement, S: Iterable[int]) -> GroupElement:
     return GroupElement(p, tuple(word))
 
 
-@dataclass(frozen=True)
-class ParabolicRef:
-    """Conjugate of a standard parabolic: ``w <G_S> w^-1``."""
-
-    vertices: frozenset[int]
-    conjugator: GroupElement
-
-    def __post_init__(self):
-        w = coset_rep(self.conjugator, self.vertices)
-        if w != self.conjugator:
-            object.__setattr__(self, "conjugator", w)
-
-
-def parabolic_member(g: GroupElement, ref: ParabolicRef) -> bool:
-    w = ref.conjugator
-    moved = mul(mul(inv(w), g), w)
-    return moved.support() <= ref.vertices
-
-
-def parabolic_normalizer(p: Presentation, S: Iterable[int]) -> frozenset[int]:
-    """Vertex set generating the normalizer of ``<G_S>``: S plus the vertices
-    adjacent to every vertex of S."""
-    Sf = frozenset(v % p.n for v in S)
-    extra = {v for v in p.vertices() if all(p.adjacent(v, s) for s in Sf)}
-    return frozenset(Sf | extra)
+def parabolic_member(g: GroupElement, H: CSubgroup) -> bool:
+    """Whether g lies in the conjugated standard subgroup ``H = w<G_S>w^-1``:
+    exactly when ``w^-1 g w`` is supported on the window S."""
+    w = H.conjugator
+    return mul(mul(inv(w), g), w).support() <= H.window
 
 
 # -- cyclic reduction ---------------------------------------------------------

@@ -53,8 +53,13 @@ turn and keeps the first conjugate that is shorter, instead of asking which
 front syllable merges at the back of the rest of the word.
 
 The wall oracle grows each wall through an interior edge by flood fill over
-same-label edges at shared vertices and merges the pieces with one key,
-instead of bucketing the ball's edges by key.
+same-label edges at shared vertices (``treewall_of_edge``) and merges the
+pieces with one key, instead of bucketing the ball's edges by key.
+
+The normalizer oracle takes S plus every vertex adjacent to all of S, for
+any vertex set S, instead of the per-tier rule ``CSubgroup`` canonicalizes
+by.  The window-membership oracle tests ``w^-1 g w`` against a vertex set
+and a conjugator given apart, without building a ``CSubgroup``.
 
 The subdivision-interior oracle carries the polygonal ball's interior over to
 its subdivision cell by cell (an X'-vertex or half-edge is interior when its
@@ -74,12 +79,12 @@ from heapq import heapify, heappop, heappush
 
 import networkx as nx
 
-from cyclewall.algebraic import CSubgroup, containing_maximals
+from cyclewall.algebraic import MAXIMAL, CSubgroup, containing_maximals
 from cyclewall.localgroups import IDENTITY, table_group
 from cyclewall.davis import EDGE, POLY, act_edge, subdivide, x_edge
 from cyclewall.diagrams import DiscDiagram, _ball_edge, _cancel_spurs, _match_polygon
 from cyclewall.errors import FillError, ValidationError
-from cyclewall.walls import TreeWall, _UnionFind, treewall_of_edge, wall_key, walls_of_ball
+from cyclewall.walls import TreeWall, _UnionFind, walls_of_ball
 from cyclewall.words import (
     GroupElement,
     Presentation,
@@ -322,7 +327,7 @@ def subgroup_truncation(h: CSubgroup, depth: int) -> frozenset:
     p = h.presentation
     c, ci = h.conjugator, inv(h.conjugator)
     out = set()
-    for u in enumerate_parabolic_ball(p, h.defining_set(),
+    for u in enumerate_parabolic_ball(p, h.window,
                                       depth + 2 * c.syllable_length):
         x = mul(mul(c, u), ci)
         if x.syllable_length <= depth:
@@ -334,7 +339,7 @@ def generator_conjugates(h: CSubgroup) -> set:
     p = h.presentation
     c, ci = h.conjugator, inv(h.conjugator)
     gens = set()
-    for v in h.defining_set():
+    for v in h.window:
         for x in p.group(v).nontrivial_elements():
             gens.add(mul(mul(c, GroupElement(p, (Syllable(v, x),))), ci))
     return gens
@@ -512,6 +517,41 @@ def cyclic_reduce_by_trial(g: GroupElement) -> tuple[GroupElement, GroupElement]
             return core, conj
 
 
+def treewall_of_edge(b, e) -> TreeWall:
+    """The piece of a tree-wall through one edge: flood fill over same-label
+    edges meeting at a shared vertex."""
+    if e.label is None or e.rep is None:
+        raise ValidationError("tree-walls grow from labelled edges of the 1-skeleton")
+    if b.form != "polygonal":
+        raise ValidationError("tree-walls live in the polygonal ball")
+    label = e.label
+    seen = {e}
+    frontier = [e]
+    while frontier:
+        cur = frontier.pop()
+        for v in cur.ends:
+            for nxt in b.vertex_edges.get(v, []):
+                if nxt.label == label and nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+    n = b.presentation.n
+    key = coset_rep(e.rep, {(label - 1) % n, label, (label + 1) % n})
+    return TreeWall(label, min(seen), frozenset(seen), key)
+
+
+def parabolic_normalizer(p: Presentation, S) -> frozenset:
+    """Vertex set generating the normalizer of ``<G_S>``: S plus the vertices
+    adjacent to every vertex of S."""
+    Sf = frozenset(v % p.n for v in S)
+    extra = {v for v in p.vertices() if all(p.adjacent(v, s) for s in Sf)}
+    return frozenset(Sf | extra)
+
+
+def window_member(g: GroupElement, S, w: GroupElement) -> bool:
+    """Whether g lies in ``w <G_S> w^-1``: ``w^-1 g w`` is supported on S."""
+    return mul(mul(inv(w), g), w).support() <= frozenset(S)
+
+
 def walls_by_flood_fill(b) -> list:
     """``walls.walls_of_ball`` by flood fill from each interior edge not yet
     reached, merging the pieces that share a key."""
@@ -686,10 +726,10 @@ def axis_segment(b, i: int, k: int) -> list:
     if not edges:
         raise ValidationError("axis leaves the ball immediately")
 
-    key = wall_key(p, i, e0.rep)
+    key = CSubgroup(MAXIMAL, i, e0.rep).conjugator
     for e in edges:
         assert e.label == i, "axis edge with the wrong label"
-        assert wall_key(p, i, e.rep) == key, "axis leaves its tree-wall"
+        assert CSubgroup(MAXIMAL, i, e.rep).conjugator == key, "axis leaves its tree-wall"
     wall = treewall_of_edge(b, e0)
     assert all(e in wall.edges for e in edges)
     return sorted(edges)

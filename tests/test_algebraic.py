@@ -24,9 +24,10 @@ from cyclewall.algebraic import (
 )
 from cyclewall.davis import EDGE, ComplexVertex, build_ball, x_vertex
 from cyclewall.errors import ValidationError
-from cyclewall.words import identity, parse_word
+from cyclewall.localgroups import cyclic_group
+from cyclewall.words import Presentation, from_syllable, identity, parse_word
 
-from oracles import closure_join, shared_edge_both_labels
+from oracles import closure_join, parabolic_normalizer, shared_edge_both_labels
 
 
 # -- encodings ------------------------------------------------------------------
@@ -53,6 +54,22 @@ def test_minimal_conjugator_uses_wide_normalizer(c5_z2):
     assert h.conjugator.is_identity
     h2 = CSubgroup(MINIMAL, 2, parse_word(p, "v0:1"))
     assert not h2.conjugator.is_identity
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_conjugators_are_reduced_modulo_the_exact_normalizer(n):
+    """A CSubgroup drops a one-syllable conjugator exactly when the syllable's
+    vertex normalizes its window, and those vertices are the ones
+    ``parabolic_normalizer`` finds, for every tier and base."""
+    p = Presentation(tuple(cyclic_group(2) for _ in range(n)))
+    offsets = {MINIMAL: (0,), MEDIUM: (0, 1), MAXIMAL: (-1, 0, 1)}
+    for tier, window in offsets.items():
+        for base in range(n):
+            h = CSubgroup(tier, base, identity(p))
+            assert h.window == {(base + k) % n for k in window}
+            dropped = {v for v in range(n)
+                       if CSubgroup(tier, base, from_syllable(p, v, 1)) == h}
+            assert dropped == parabolic_normalizer(p, h.window), (tier, base)
 
 
 def test_membership(c5_mixed):

@@ -30,7 +30,6 @@ from cyclewall.autgroup import (
 from cyclewall.davis import build_ball, x_vertex
 from cyclewall.errors import DecompositionError, ValidationError
 from cyclewall.localgroups import isomorphisms
-from cyclewall.walls import treewall_of_edge
 from cyclewall.words import (
     GroupElement,
     Syllable,
@@ -40,7 +39,7 @@ from cyclewall.words import (
     mul,
     parse_word,
 )
-from oracles import axis_segment
+from oracles import axis_segment, treewall_of_edge
 
 
 def random_aut(p, rng, loc=None, inner_pool=None):

@@ -132,6 +132,21 @@ def test_verify_words_suite(tmp_path, capsys):
     assert all(c["status"] == "pass" for c in doc["checks"])
 
 
+def test_verify_words_suite_with_an_infinite_vertex_group(tmp_path, capsys):
+    """The words suite draws values for a Z vertex below 5 instead of asking
+    Z for its size; the other suites still need finite groups."""
+    path = write_presentation(tmp_path, 5, ["Z"] + ["Z/2"] * 4)
+    rc = main(["verify", "--presentation", path, "--suite", "words"])
+    assert rc == EXIT_PASS
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["summary"]["fail"] == 0
+    assert doc["checks"] and all(c["status"] == "pass" for c in doc["checks"])
+    rc = main(["verify", "--presentation", path])
+    assert rc == EXIT_RESOURCE
+    assert capsys.readouterr().err == \
+        "error: operation requires finite vertex groups\n"
+
+
 def test_verify_davis_suite(tmp_path, capsys):
     path = write_presentation(tmp_path)
     rc = main(["verify", "--presentation", path, "--suite", "davis",

@@ -11,6 +11,7 @@ from cyclewall.errors import GroupMismatchError, ValidationError
 from cyclewall.localgroups import (
     LocalElement,
     LocalGroupSpec,
+    _generating_sequence,
     cyclic_group,
     determining_set,
     identity_iso,
@@ -108,6 +109,52 @@ def test_isomorphism_search_between_distinct_specs():
     assert len(isos) == 2  # phi(6) = 2
     # S3 and Z/6 have the same order but are not isomorphic
     assert isomorphisms(s3_table_group(), t6) == []
+
+
+def permutation_group(generators):
+    """The group generated by permutations, as a table group with its
+    elements in lexicographic order (the identity first, id 0)."""
+    size = len(generators[0])
+    elements = [tuple(range(size))]
+    seen = set(elements)
+    for a in elements:
+        for s in generators:
+            b = tuple(a[s[x]] for x in range(size))
+            if b not in seen:
+                seen.add(b)
+                elements.append(b)
+    elements.sort()
+    index = {a: k for k, a in enumerate(elements)}
+    return table_group([[index[tuple(a[b[x]] for x in range(size))] for b in elements]
+                        for a in elements])
+
+
+_GENERATED = {   # group -> (its generating list, |Aut| or None above the cap)
+    "S3": ([(1, 0, 2), (1, 2, 0)], [1, 2], 6),
+    "Klein four": ([(1, 0, 3, 2), (2, 3, 0, 1)], [1, 2], 6),
+    "D4": ([(1, 2, 3, 0), (0, 3, 2, 1)], [1, 2], 8),
+    "S4": ([(1, 0, 2, 3), (1, 2, 3, 0)], [1, 2, 6], None),
+    "Z/2^3": ([(1, 0, 2, 3, 4, 5), (0, 1, 3, 2, 4, 5), (0, 1, 2, 3, 5, 4)],
+              [1, 2, 4], 168),
+    "Z/2 x Z/6": ([(1, 0, 2, 3, 4, 5, 6, 7), (0, 1, 3, 4, 5, 6, 7, 2)], [1, 6], 12),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GENERATED))
+def test_generating_sequence_is_pinned(name):
+    """The greedy generating lists, and the automorphism counts that the
+    isomorphism search builds on them, stay as they were."""
+    perms, gens, auts = _GENERATED[name]
+    g = permutation_group(perms)
+    assert _generating_sequence(g) == gens
+    if auts is not None:
+        assert len(lg_automorphisms(g)) == auts
+
+
+def test_generating_sequence_of_cyclic_groups_is_one():
+    for k in range(2, 13):
+        assert _generating_sequence(cyclic_group(k)) == [1]
+    assert _generating_sequence(s3_table_group()) == [1, 2]
 
 
 def test_identity_iso_roundtrip():

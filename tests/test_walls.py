@@ -12,6 +12,8 @@ import pytest
 from cyclewall import walls
 from cyclewall.algebraic import (
     MAXIMAL,
+    MEDIUM,
+    MINIMAL,
     CSubgroup,
     containing_maximals,
     join_is_cmaximal,
@@ -35,17 +37,16 @@ from cyclewall.walls import (
     no_triple_crossing_audit,
     pair_stabilizer_truncated,
     tree_property_audit,
-    treewall_of_edge,
     vertex_stabilizer_criterion_audit,
     wall_fixator_audit,
     wall_fixator_truncated,
-    wall_key,
     wall_no_shared_polygon_audit,
     wall_stabilizer_audit,
     wall_stabilizer_truncated,
     walls_of_ball,
 )
 from cyclewall.words import (
+    coset_rep,
     enumerate_ball_elements,
     format_word,
     identity,
@@ -61,7 +62,9 @@ from oracles import (
     min_set_networkx,
     sweep_closure,
     sweep_stabilizes_wall,
+    treewall_of_edge,
     walls_by_flood_fill,
+    window_member,
 )
 
 PRESENTATIONS = Path(__file__).parent.parent / "perfbench" / "presentations"
@@ -100,7 +103,7 @@ def test_wall_key_constant_over_edges(c5_mixed):
     b = build_ball(p, 2)
     for w in walls_of_ball(b):
         for e in w.edges:
-            assert wall_key(p, w.label, e.rep) == w.key_rep
+            assert CSubgroup(MAXIMAL, w.label, e.rep).conjugator == w.key_rep
 
 
 @pytest.mark.parametrize("radius", [1, 2, 3])
@@ -111,6 +114,57 @@ def test_walls_match_flood_fill_oracle(name, radius):
     b = build_ball(load_presentation(str(PRESENTATIONS / f"{name}.json")), radius)
     assert [(w.key, w.seed, w.edges) for w in walls_of_ball(b)] == \
         [(w.key, w.seed, w.edges) for w in walls_by_flood_fill(b)]
+
+
+def old_encodings(b, vertices):
+    """Each wall's stabilizer and fixator, and the medium of each wall vertex
+    that ``vertices`` keeps, mapped to its window and conjugator as the
+    window helpers gave them: the seed's rep for a wall, the rep for a
+    vertex."""
+    n = b.presentation.n
+    old = {}
+    for T in walls_of_ball(b):
+        i = T.label
+        old[T.stabilizer] = (frozenset({(i - 1) % n, i, (i + 1) % n}), T.seed.rep)
+        old[T.fixator] = (frozenset({i}), T.seed.rep)
+        for v in filter(vertices, T.vertex_set):
+            old[medium_of_vertex(v)] = (frozenset({v.index, (v.index + 1) % n}), v.rep)
+    return old
+
+
+@pytest.mark.parametrize("radius", [2, 3])
+@pytest.mark.parametrize("name", sorted(p.stem for p in PRESENTATIONS.glob("*.json")))
+def test_wall_subgroups_match_the_old_encodings(name, radius):
+    """Every edge of a wall gives the wall's stabilizer and fixator, and each
+    subgroup has the old window.  Where its conjugator is not the old one
+    reduced modulo that window, membership over B(3) still agrees."""
+    p = load_presentation(str(PRESENTATIONS / f"{name}.json"))
+    b = build_ball(p, radius)
+    for T in walls_of_ball(b):
+        for e in T.edges:
+            assert CSubgroup(MAXIMAL, T.label, e.rep) == T.stabilizer
+            assert CSubgroup(MINIMAL, T.label, e.rep) == T.fixator
+    ball = enumerate_ball_elements(p, 3)
+    for H, (S, w) in old_encodings(b, lambda v: True).items():
+        assert H.window == S
+        if H.conjugator != coset_rep(w, S):
+            assert [parabolic_member(g, H) for g in ball] == \
+                [window_member(g, S, w) for g in ball], H.key_string()
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in PRESENTATIONS.glob("*.json")))
+def test_wall_subgroup_membership_matches_the_old_windows(name):
+    """At radius 2, membership over B(3) in each wall's stabilizer and
+    fixator and in each interior wall vertex's medium is membership in the
+    old window conjugated by the old conjugator."""
+    p = load_presentation(str(PRESENTATIONS / f"{name}.json"))
+    b = build_ball(p, 2)
+    ball = enumerate_ball_elements(p, 3)
+    old = old_encodings(b, b.interior_vertices.__contains__)
+    for H, (S, w) in old.items():
+        assert [parabolic_member(g, H) for g in ball] == \
+            [window_member(g, S, w) for g in ball], H.key_string()
+    assert {H.tier for H in old} == {MINIMAL, MEDIUM, MAXIMAL}
 
 
 def test_wall_rejects_spokes_and_square_form(c5_z2):
@@ -467,7 +521,7 @@ def test_vertex_stabilizer_criterion_matches_truncated_sweep(make):
     seen = set()
     for v in sorted(b.interior_vertices):
         medium = medium_of_vertex(v)
-        stab_v = [g for g in ball if parabolic_member(g, medium.parabolic())]
+        stab_v = [g for g in ball if parabolic_member(g, medium)]
         maximals = containing_maximals(medium)
         for T in ws:
             swept = sweep_stabilizes_wall(b, stab_v, T)
@@ -519,14 +573,14 @@ def test_exact_generation_matches_bounded_closure(make, radius, closure, verdict
 
     seen = set()
     for T in walls_of_ball(b):
-        stab_T = members(T.parabolic(p))
+        stab_T = members(T.stabilizer)
         wall = CSubgroup(MAXIMAL, T.label, T.key_rep)
         verts = sorted(v for v in T.vertex_set if v in b.interior_vertices)
         for x, y in itertools.combinations(verts, 2):
             hx, hy = medium_of_vertex(x), medium_of_vertex(y)
             joined, maximal = join_is_cmaximal(hx, hy)
             exact = joined and maximal == wall
-            gens = members(hx.parabolic()) | members(hy.parabolic())
+            gens = members(hx) | members(hy)
             assert (closure(p, gens, 3) == stab_T) == exact, \
                 (T.key_string(), x.key_string(), y.key_string())
             seen.add(exact)

@@ -6,11 +6,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cyclewall.algebraic import MEDIUM, CSubgroup
 from cyclewall.cli import load_presentation
 from cyclewall.errors import ValidationError
 from cyclewall.words import (
     GroupElement,
-    ParabolicRef,
     Presentation,
     Syllable,
     _push,
@@ -24,7 +24,6 @@ from cyclewall.words import (
     mul,
     mul_all,
     parabolic_member,
-    parabolic_normalizer,
     parse_word,
     reduce_word,
 )
@@ -38,6 +37,7 @@ from oracles import (
     cyclic_reduce_by_trial,
     greedy_canonical_order,
     heap_canonical_order,
+    parabolic_normalizer,
     single_moves,
 )
 
@@ -254,12 +254,12 @@ def test_syllable_hashes_and_sorts_as_its_tuple(c6_mixed):
 
 def test_parabolic_member_examples(c5_z2):
     p = c5_z2
-    anything = ParabolicRef(frozenset({0, 1}), identity(p))
+    anything = CSubgroup(MEDIUM, 0, identity(p))
     assert parabolic_member(identity(p), anything)
     a1 = parse_word(p, "v1:1")
-    assert parabolic_member(a1, ParabolicRef(frozenset({1, 2}), identity(p)))
+    assert parabolic_member(a1, CSubgroup(MEDIUM, 1, identity(p)))
     a3 = parse_word(p, "v3:1")
-    assert not parabolic_member(a3, ParabolicRef(frozenset({1, 2}), a1))
+    assert not parabolic_member(a3, CSubgroup(MEDIUM, 1, a1))
 
 
 def test_parabolic_normalizer(c5_z2):
