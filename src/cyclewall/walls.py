@@ -33,9 +33,12 @@ walls.  Graphs are plain adjacency dicts (``CrossingGraph.neighbors``), and
 one level-by-level breadth-first search over a neighbour function
 (``_bfs_levels``) serves crossing-graph distances, wall connectivity and
 minimal sets; the last runs over the subdivision's own adjacency and stops at
-the first level that reaches the other wall.  The walls, the subdivision, the
-element balls, each truncated parabolic subgroup and the per-wall truncated
-stabilizers are built once per ball, on first use, and kept on the ball
+the first level that reaches the other wall.  No element ball is scanned: a
+wall's truncated stabilizer is found among the transporters r'·x·r^-1
+between its edges, and a truncated ``w<G_S>w^-1`` by conjugating the short
+elements of <G_S>.  The walls, the subdivision, the window balls, each
+truncated parabolic subgroup and the per-wall truncated stabilizers are
+built once per ball, on first use, and kept on the ball
 (``ComplexBall.derived``); they live and die with it.  A wall's fixator is
 read off its stabilizer.
 A structure the audits rely on that turns out broken (a square without a
@@ -63,8 +66,11 @@ from .reports import Report
 from .words import (
     GroupElement,
     coset_rep,
+    enumerate_ball_elements,
     format_word,
+    from_syllable,
     identity,
+    inv,
     mul,
     parabolic_member,
 )
@@ -231,9 +237,25 @@ def _stabilizes_wall(b: ComplexBall, g: GroupElement, T: TreeWall) -> Optional[b
 
 
 def _parabolic_ball(b: ComplexBall, H: CSubgroup, L: int) -> frozenset[GroupElement]:
-    """The elements of ``b.elements(L)`` lying in ``H``, computed once per ball."""
-    return b.derive(("parabolic", H, L), lambda: frozenset(
-        g for g in b.elements(L) if parabolic_member(g, H)))
+    """The elements of ``H = w<G_S>w^-1`` of syllable length <= L, computed
+    once per ball.
+
+    Enumerated as w·h·w^-1 over the h in <G_S> with |h| <= L, which misses
+    none: w is the minimal rep of its coset, so no syllable of S ends it, and
+    once the tail of w that commutes with supp(h) is stripped, the rest w'
+    gives the reduced word w'·h·w'^-1 (Green, *Graph products of groups*,
+    1990), so |w·h·w^-1| >= |h|.  Each element kept still passes
+    ``parabolic_member``, so the audits test that membership rule.
+    """
+    def build() -> frozenset[GroupElement]:
+        w = H.conjugator
+        w_inv = inv(w)
+        window_ball = b.derive(("window-ball", H.window, L), lambda: tuple(
+            enumerate_ball_elements(b.presentation, L, H.window)))
+        conjugates = (mul(mul(w, h), w_inv) for h in window_ball)
+        return frozenset(g for g in conjugates
+                         if g.syllable_length <= L and parabolic_member(g, H))
+    return b.derive(("parabolic", H, L), build)
 
 
 def wall_fixator_truncated(b: ComplexBall, T: TreeWall, L: int) -> set[GroupElement]:
@@ -259,24 +281,57 @@ def wall_stabilizer_truncated(b: ComplexBall, T: TreeWall, L: int) -> set[GroupE
 
 
 def _wall_stabilizer(b: ComplexBall, T: TreeWall, L: int) -> frozenset[GroupElement]:
-    return frozenset(g for g in b.elements(L) if _stabilizes_wall(b, g, T))
+    """The elements of length <= L that ``_stabilizes_wall`` accepts.
+
+    Only transporters between wall edges are tried, which misses none: an
+    accepted g maps some edge (i, r) of T onto an edge (i, r') of T, so
+    g·r lies in r'·G_i and g = r'·x·r^-1 for some x in G_i.  Each candidate
+    still goes through the guard.
+    """
+    p = b.presentation
+    local = [identity(p)] + [from_syllable(p, T.label, x)
+                             for x in p.group(T.label).nontrivial_elements()]
+    edge_elements = {mul(r, x) for r in T.edge_reps for x in local}
+    candidates = set()
+    for r in T.edge_reps:
+        r_inv = inv(r)
+        for e in edge_elements:
+            # |e·r^-1| >= |e| - |r|, so skip the products that must be too long
+            if e.syllable_length - r.syllable_length <= L:
+                g = mul(e, r_inv)
+                if g.syllable_length <= L:
+                    candidates.add(g)
+    return frozenset(g for g in candidates if _stabilizes_wall(b, g, T))
 
 
 def wall_stabilizer_audit(b: ComplexBall, L: int) -> Report:
-    """Geometric truncated wall stabilizers match the conjugated 3-vertex parabolic."""
+    """Geometric truncated wall stabilizers match the conjugated 3-vertex parabolic.
+
+    An element of the parabolic that moves no wall edge into the ball lies
+    beyond the horizon: the ball cannot show that it stabilizes the wall.
+    A row whose only disagreements are such elements is inconclusive.
+    """
     report = Report()
+    check = "walls.stabilizer-is-three-vertex-parabolic"
     for T in walls_of_ball(b):
         algebraic = _parabolic_ball(b, T.stabilizer, L)
         geometric = wall_stabilizer_truncated(b, T, L)
-        ok = geometric == algebraic
-        witness = None
-        if not ok:
-            witness = {
-                "geometric_only": sorted(format_word(g) for g in geometric - algebraic),
-                "algebraic_only": sorted(format_word(g) for g in algebraic - geometric),
-            }
-        report.add("walls.stabilizer-is-three-vertex-parabolic",
-                   f"{T.key_string()} L={L}", ok, witness)
+        inst = f"{T.key_string()} L={L}"
+        geometric_only = geometric - algebraic
+        algebraic_only = algebraic - geometric
+        unobservable = {g for g in algebraic_only
+                        if _stabilizes_wall(b, g, T) is None}
+        if geometric_only or algebraic_only != unobservable:
+            report.add(check, inst, False, {
+                "geometric_only": sorted(format_word(g) for g in geometric_only),
+                "algebraic_only": sorted(format_word(g) for g in algebraic_only),
+            })
+        elif unobservable:
+            report.add_inconclusive(check, inst, {
+                "note": "moves no wall edge into the ball",
+                "unobservable": sorted(format_word(g) for g in unobservable)})
+        else:
+            report.add(check, inst, True)
     return report
 
 

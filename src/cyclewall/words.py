@@ -322,10 +322,18 @@ def cyclic_reduce(g: GroupElement) -> tuple[GroupElement, GroupElement]:
 # -- bounded enumeration ------------------------------------------------------
 
 
-def enumerate_ball_elements(p: Presentation, L: int) -> list[GroupElement]:
-    """All elements of syllable length <= L, canonical, sorted, no duplicates."""
+def enumerate_ball_elements(p: Presentation, L: int,
+                            window: Optional[Iterable[int]] = None) -> list[GroupElement]:
+    """All elements of syllable length <= L, canonical, sorted, no duplicates.
+
+    With a vertex ``window`` S, only those of the standard subgroup <G_S>:
+    the search multiplies by the syllables of S alone.
+    """
     p.require_finite()
     gens = list(p.syllables())
+    if window is not None:
+        S = frozenset(v % p.n for v in window)
+        gens = [s for s in gens if s.vertex in S]
     seen = {identity(p)}
     frontier = [identity(p)]
     for length in range(1, L + 1):

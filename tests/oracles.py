@@ -70,6 +70,11 @@ gluings that ``diagrams.fill_loop`` replaced with one greedy pass: it tries
 every candidate glue in the same order, memoises boundaries it has seen up to
 rotation, and undoes the faces and folds of a glue it backtracks from.
 
+The wall-stabilizer scan tries every element of the ball's element ball on
+a wall, instead of the transporters between the wall's edges alone, and the
+parabolic scan filters the element ball with ``parabolic_member``, instead
+of conjugating the window's own short elements.
+
 The axis oracle builds a segment of the translation axis through a central
 edge and asserts, edge by edge, that it keeps its label and tree-wall.
 """
@@ -84,17 +89,19 @@ from cyclewall.localgroups import IDENTITY, table_group
 from cyclewall.davis import EDGE, POLY, act_edge, subdivide, x_edge
 from cyclewall.diagrams import DiscDiagram, _ball_edge, _cancel_spurs, _match_polygon
 from cyclewall.errors import FillError, ValidationError
-from cyclewall.walls import TreeWall, _UnionFind, walls_of_ball
+from cyclewall.walls import TreeWall, _UnionFind, _stabilizes_wall, walls_of_ball
 from cyclewall.words import (
     GroupElement,
     Presentation,
     Syllable,
     _right_strippable,
     coset_rep,
+    enumerate_ball_elements,
     format_word,
     identity,
     inv,
     mul,
+    parabolic_member,
     reduce_word,
 )
 
@@ -256,25 +263,6 @@ def closure_classifier(p: Presentation, max_len: int):
 # -- bounded closure: the join oracle -------------------------------------------
 
 
-def enumerate_parabolic_ball(p: Presentation, S, L: int) -> list[GroupElement]:
-    """Elements of the standard parabolic ``<G_S>`` of syllable length <= L."""
-    p.require_finite()
-    Sf = frozenset(v % p.n for v in S)
-    gens = [s for s in p.syllables() if s.vertex in Sf]
-    seen = {identity(p)}
-    frontier = [identity(p)]
-    for length in range(1, L + 1):
-        nxt = []
-        for g in frontier:
-            for s in gens:
-                h = mul(g, GroupElement(p, (s,)))
-                if h.syllable_length == length and h not in seen:
-                    seen.add(h)
-                    nxt.append(h)
-        frontier = nxt
-    return sorted(seen)
-
-
 def pairwise_closure(p: Presentation, gens: set, L: int) -> set:
     """Close under pairwise products, discarding anything longer than L."""
     out = {g for g in gens if g.syllable_length <= L}
@@ -327,8 +315,7 @@ def subgroup_truncation(h: CSubgroup, depth: int) -> frozenset:
     p = h.presentation
     c, ci = h.conjugator, inv(h.conjugator)
     out = set()
-    for u in enumerate_parabolic_ball(p, h.window,
-                                      depth + 2 * c.syllable_length):
+    for u in enumerate_ball_elements(p, depth + 2 * c.syllable_length, h.window):
         x = mul(mul(c, u), ci)
         if x.syllable_length <= depth:
             out.add(x)
@@ -428,6 +415,17 @@ def sweep_stabilizes_wall(b, elements, T):
             return None
         verdict = verdict and all(f in T.edges for f in images)
     return verdict
+
+
+def wall_stabilizer_by_scan(b, T, L: int) -> frozenset:
+    """``walls._wall_stabilizer`` by trying every element of ``b.elements(L)``."""
+    return frozenset(g for g in b.elements(L) if _stabilizes_wall(b, g, T))
+
+
+def parabolic_ball_by_scan(b, H: CSubgroup, L: int) -> frozenset:
+    """``walls._parabolic_ball`` by filtering ``b.elements(L)`` with
+    ``parabolic_member``."""
+    return frozenset(g for g in b.elements(L) if parabolic_member(g, H))
 
 
 def polygons_containing_vertex(p: Presentation, v) -> list[GroupElement]:

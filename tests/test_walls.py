@@ -60,9 +60,11 @@ from oracles import (
     bounded_closure,
     crossing_graph_pairwise,
     min_set_networkx,
+    parabolic_ball_by_scan,
     sweep_closure,
     sweep_stabilizes_wall,
     treewall_of_edge,
+    wall_stabilizer_by_scan,
     walls_by_flood_fill,
     window_member,
 )
@@ -383,6 +385,95 @@ def test_stabilizer_cache_tells_part_of_a_wall_from_the_wall(c5_mixed):
 def test_stabilizer_audit(c5_z2, c5_mixed):
     assert wall_stabilizer_audit(build_ball(c5_z2, 2), 2).ok
     assert wall_stabilizer_audit(build_ball(c5_mixed, 2), 2).ok
+
+
+# Cells of the scan cross-check: (presentation, radius, L).  The scans try
+# every element of B(L) on every wall and subgroup, so the costlier cells
+# stay out: c5_s3, c5_z3 and c6_mixed past L = 2, c6_z2 past L = 3, and
+# radius 3 but for c5_mixed and c5_z2.
+SCAN_CELLS = (
+    [(name, 2, L) for name in ("c5_mixed", "c5_z2") for L in (1, 2, 3, 4)]
+    + [("c6_z2", 2, L) for L in (1, 2, 3)]
+    + [(name, 2, L) for name in ("c5_s3", "c5_z3", "c6_mixed") for L in (1, 2)]
+    + [(name, 3, 3) for name in ("c5_mixed", "c5_z2")])
+
+
+@pytest.mark.parametrize("name,radius,L", SCAN_CELLS)
+def test_stabilizers_and_parabolic_balls_match_the_scans(name, radius, L):
+    """The transporter candidates give every wall's truncated stabilizer the
+    element-ball scan gives, and conjugating the window ball gives every
+    truncated subgroup the walls audits ask for: each wall's stabilizer and
+    fixator, and the medium of each wall vertex."""
+    b = build_ball(load_presentation(str(PRESENTATIONS / f"{name}.json")), radius)
+    subgroups = set()
+    for T in walls_of_ball(b):
+        assert wall_stabilizer_truncated(b, T, L) == \
+            wall_stabilizer_by_scan(b, T, L), T.key_string()
+        subgroups |= {T.stabilizer, T.fixator}
+        subgroups |= {medium_of_vertex(v) for v in T.vertex_set}
+    for H in sorted(subgroups, key=CSubgroup.sort_key):
+        assert walls._parabolic_ball(b, H, L) == \
+            parabolic_ball_by_scan(b, H, L), H.key_string()
+
+
+def stabilizer_rows(report):
+    return {r.instance: r for r in report.results
+            if r.check_id == "walls.stabilizer-is-three-vertex-parabolic"}
+
+
+def test_stabilizer_audit_is_inconclusive_past_the_horizon(c5_mixed):
+    """At L >= 2r + 1 the parabolic holds elements that move no wall edge
+    into the ball; such rows are inconclusive, with those elements as the
+    witness, and no row fails."""
+    b = build_ball(c5_mixed, 1)
+    report = wall_stabilizer_audit(b, 3)
+    assert not report.failures and report.inconclusive
+    by_key = {T.key_string(): T for T in walls_of_ball(b)}
+    for row in report.inconclusive:
+        T = by_key[row.instance.split()[0]]
+        unobservable = [parse_word(c5_mixed, w) for w in row.witness["unobservable"]]
+        assert unobservable
+        assert all(walls._stabilizes_wall(b, g, T) is None for g in unobservable)
+
+
+def test_stabilizer_audit_fails_when_the_guard_accepts_everything(c5_mixed, monkeypatch):
+    """Every transporter between edges of one wall stabilizes it, so a guard
+    that accepts every candidate shows where the audit asks it whether an
+    element of the parabolic is observable: past the horizon, where each
+    radius-1 row is inconclusive without the mutant."""
+    monkeypatch.setattr(walls, "_stabilizes_wall", lambda b, g, T: True)
+    rows = stabilizer_rows(wall_stabilizer_audit(build_ball(c5_mixed, 1), 3))
+    assert rows and {r.status for r in rows.values()} == {"fail"}
+
+
+@pytest.mark.parametrize("radius,L", [(2, 3), (1, 3)])
+def test_stabilizer_audit_fails_on_a_wrong_membership_rule(c5_mixed, monkeypatch, radius, L):
+    monkeypatch.setattr(walls, "parabolic_member", lambda g, H: g.is_identity)
+    report = wall_stabilizer_audit(build_ball(c5_mixed, radius), L)
+    assert {r.status for r in stabilizer_rows(report).values()} == {"fail"}
+
+
+def test_stabilizer_audit_fails_on_a_dropped_observable_element(c5_mixed, monkeypatch):
+    """Dropping a syllable of the wall's own label, which fixes the wall's
+    central edge, from the algebraic side of a central wall fails its row,
+    also where the row is inconclusive without the mutant."""
+    p = c5_mixed
+    clean = stabilizer_rows(wall_stabilizer_audit(build_ball(p, 1), 3))
+    real = walls._parabolic_ball
+
+    def dropped(b, H, L):
+        got = real(b, H, L)
+        if H.tier == MAXIMAL and H.conjugator.is_identity:
+            got -= {parse_word(p, f"v{H.base}:1")}
+        return got
+
+    monkeypatch.setattr(walls, "_parabolic_ball", dropped)
+    mutated = stabilizer_rows(wall_stabilizer_audit(build_ball(p, 1), 3))
+    central = [f"T{i}@e L=3" for i in range(p.n)]
+    assert {clean[k].status for k in central} == {"inconclusive"}
+    assert {mutated[k].status for k in central} == {"fail"}
+    assert all(f"v{i}:1" in mutated[f"T{i}@e L=3"].witness["geometric_only"]
+               for i in range(p.n))
 
 
 def test_pair_stabilizer_classification(c5_z2):

@@ -338,6 +338,14 @@ def test_enumerate_ball_matches_naive_closure(c5_z2):
     assert len(ball) == len(set(ball))
 
 
+@pytest.mark.parametrize("window", [(2,), (1, 2), (0, 1, 2), (4, 0, 1), (0, 2)])
+def test_enumerate_window_ball_is_the_ball_cut_to_the_window(c5_mixed, window):
+    """The elements of <G_S> of length <= L are those of B(L) supported on S."""
+    ball = enumerate_ball_elements(c5_mixed, 3)
+    assert enumerate_ball_elements(c5_mixed, 3, window) == \
+        [g for g in ball if g.support() <= set(window)]
+
+
 def test_enumerate_ball_deterministic(c5_mixed):
     a = enumerate_ball_elements(c5_mixed, 2)
     b = enumerate_ball_elements(c5_mixed, 2)
