@@ -16,6 +16,15 @@ Both forms of a ball share one cell model.  A 2-cell (``Polygon`` or
 the two incidence maps ``vertex_cells`` and ``edge_cells`` (cell -> the
 2-cells containing it, in key order) and ``vertex_edges``.
 
+Each cell is one object per ball, shared by the 2-cells and maps that hold
+it.  A ``ComplexVertex`` or ``ComplexEdge`` computes its hash and its order
+key once, when it is made; cells still compare by value, so one built
+outside a ball (by ``act_vertex``, say) finds the ball's own in its maps.
+A polygon's side e_i is built from its own corners v_{i-1}, v_i, and every
+edge's ends come in a fixed order: an X-edge's by index, and in the
+subdivision an X-vertex before a midpoint before a center.  So only
+``act_edge`` compares the ends it builds.
+
 A cell is interior iff every polygon of X containing it is present in the
 ball, so audits restricted to interior cells see exactly the infinite
 complex.  That is decided by the length of the cell's coset rep: a minimal
@@ -64,49 +73,74 @@ _CLASS_ORDER = {POLY: 0, EDGE: 1, TRIVIAL: 2}
 _SUBGROUP_RANK = {POLY: 2, EDGE: 1, TRIVIAL: 0}   # |S| for the coset g<G_S>
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComplexVertex:
     cls: str
     index: Optional[int]   # i for EDGE/POLY, None for TRIVIAL
     rep: GroupElement
+    # computed once: the field tuple's hash and the order key
+    _hash: int = field(init=False, repr=False, compare=False)
+    _key: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.cls, self.index, self.rep)))
+        # (class order, index, rep), with the rep spelled out as GroupElement
+        # orders it, (len, word), so that keys compare in C
+        object.__setattr__(self, "_key", (
+            _CLASS_ORDER[self.cls], -1 if self.index is None else self.index,
+            len(self.rep.word), self.rep.word))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def sort_key(self):
-        return (_CLASS_ORDER[self.cls], -1 if self.index is None else self.index, self.rep)
+        return self._key
 
     def __lt__(self, other):
-        return self.sort_key() < other.sort_key()
+        return self._key < other._key
 
     def key_string(self) -> str:
-        idx = "" if self.index is None else str(self.index)
-        return f"{self.cls}|{idx}|{format_word(self.rep)}"
+        return _vertex_key(self.cls, self.index, format_word(self.rep))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComplexEdge:
-    ends: tuple[ComplexVertex, ComplexVertex]
+    ends: tuple[ComplexVertex, ComplexVertex]   # in key order
     label: Optional[int]             # X-edge label; None for center spokes
     rep: Optional[GroupElement]      # coset rep of gG_label for labelled edges
+    # computed once: the field tuple's hash and the order key
+    _hash: int = field(init=False, repr=False, compare=False)
+    _key: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.ends, self.label, self.rep)))
+        object.__setattr__(self, "_key", (
+            self.ends[0]._key, self.ends[1]._key,
+            -1 if self.label is None else self.label))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def sort_key(self):
-        return (self.ends[0].sort_key(), self.ends[1].sort_key(),
-                -1 if self.label is None else self.label)
+        return self._key
 
     def __lt__(self, other):
-        return self.sort_key() < other.sort_key()
+        return self._key < other._key
 
     def key_string(self) -> str:
         return _edge_key(self.label, self.ends[0].key_string(), self.ends[1].key_string())
+
+
+def _vertex_key(cls: str, index: Optional[int], rep: str) -> str:
+    """A vertex's key string, from its class, index and formatted rep."""
+    idx = "" if index is None else str(index)
+    return f"{cls}|{idx}|{rep}"
 
 
 def _edge_key(label: Optional[int], key0: str, key1: str) -> str:
     """An edge's key string, from its label and its ends' key strings."""
     lbl = "" if label is None else str(label)
     return f"{lbl}|{key0}--{key1}"
-
-
-def _edge_between(a: ComplexVertex, b: ComplexVertex, label, rep) -> ComplexEdge:
-    lo, hi = (a, b) if a.sort_key() <= b.sort_key() else (b, a)
-    return ComplexEdge((lo, hi), label, rep)
 
 
 # 2-cells are built once per ball and compare by identity, so they hash cheaply
@@ -187,7 +221,13 @@ def x_edge(p: Presentation, g: GroupElement, i: int) -> ComplexEdge:
     """Edge of X for the coset gG_i, joining g(G_{i-1} x G_i) and g(G_i x G_{i+1})."""
     i %= p.n
     rep = coset_rep(g, (i,))
-    return _edge_between(x_vertex(p, rep, i - 1), x_vertex(p, rep, i), i, rep)
+    return ComplexEdge(_side_ends(x_vertex(p, rep, i - 1), x_vertex(p, rep, i), i), i, rep)
+
+
+def _side_ends(prev: ComplexVertex, at: ComplexVertex, i: int):
+    """The ends of the X-edge gG_i, which joins prev = g(G_{i-1} x G_i) and
+    at = g(G_i x G_{i+1}), in key order: by index, so prev first unless i = 0."""
+    return (prev, at) if i else (at, prev)
 
 
 def act_vertex(h: GroupElement, v: ComplexVertex) -> ComplexVertex:
@@ -200,9 +240,9 @@ def act_vertex(h: GroupElement, v: ComplexVertex) -> ComplexVertex:
 
 
 def act_edge(h: GroupElement, e: ComplexEdge) -> ComplexEdge:
-    return _edge_between(act_vertex(h, e.ends[0]), act_vertex(h, e.ends[1]),
-                         e.label,
-                         None if e.rep is None else coset_rep(mul(h, e.rep), (e.label,)))
+    a, c = act_vertex(h, e.ends[0]), act_vertex(h, e.ends[1])
+    return ComplexEdge((a, c) if a._key <= c._key else (c, a), e.label,
+                       None if e.rep is None else coset_rep(mul(h, e.rep), (e.label,)))
 
 
 # -- construction ---------------------------------------------------------------
@@ -236,9 +276,26 @@ def build_ball(p: Presentation, r: int, mem_mb: Optional[int] = None) -> Complex
 
     ball = ComplexBall(presentation=p, radius=r, form="polygonal")
     n = p.n
+    # one object per cell, shared by the polygons around it; keyed by the
+    # cell's index and its coset rep's word
+    corners: dict[tuple, ComplexVertex] = {}
+    sides: dict[tuple, ComplexEdge] = {}
     for g in reps:   # sorted, so the cells come in key order
-        ball.polygons[g] = Polygon(g, tuple(x_vertex(p, g, i) for i in range(n)),
-                                   tuple(x_edge(p, g, i) for i in range(n)))
+        vs = []
+        for i in range(n):
+            rep = coset_rep(g, (i, (i + 1) % n))
+            v = corners.get((i, rep.word))
+            if v is None:
+                v = corners[i, rep.word] = ComplexVertex(POLY, i, rep)
+            vs.append(v)
+        es = []
+        for i in range(n):
+            rep = coset_rep(g, (i,))
+            e = sides.get((i, rep.word))
+            if e is None:
+                e = sides[i, rep.word] = ComplexEdge(_side_ends(vs[i - 1], vs[i], i), i, rep)
+            es.append(e)
+        ball.polygons[g] = Polygon(g, tuple(vs), tuple(es))
     _index(ball, ((poly, poly.boundary) for poly in ball.polygons.values()))
     return ball
 
@@ -287,17 +344,26 @@ def _subdivide(b: ComplexBall) -> ComplexBall:
     sq = ComplexBall(presentation=p, radius=b.radius, form="square")
     sq.polygons = b.polygons
 
-    mid = {e: ComplexVertex(EDGE, e.label, e.rep) for e in b.edges}
+    # A POLY vertex sorts before an EDGE midpoint, and that before a TRIVIAL
+    # center, so each edge of X' is built with its ends in key order.  The
+    # halves of each X-edge e, at e.ends[0] and at e.ends[1]:
+    halves = {}
+    for e in b.edges:
+        m = ComplexVertex(EDGE, e.label, e.rep)
+        halves[e] = tuple(ComplexEdge((v, m), e.label, e.rep) for v in e.ends)
 
     for g, poly in b.polygons.items():   # in key order, and so are the squares
         center = ComplexVertex(TRIVIAL, None, g)
-        spokes = [_edge_between(center, mid[e], None, None) for e in poly.edges]
+        # side i's halves at v_{i-1} and at v_i (its ends are in that order
+        # unless i = 0, see _side_ends)
+        side_halves = [halves[e] if i else halves[e][::-1]
+                       for i, e in enumerate(poly.edges)]
+        spokes = [ComplexEdge((h.ends[1], center), None, None) for h, _ in side_halves]
         for i, v in enumerate(poly.boundary):
-            e_i, e_next = poly.edges[i], poly.edges[(i + 1) % n]
-            half1 = _edge_between(mid[e_i], v, e_i.label, e_i.rep)
-            half2 = _edge_between(mid[e_next], v, e_next.label, e_next.rep)
-            sq.squares.append(Square(g, i, (mid[e_i], v, mid[e_next], center),
-                                     (half1, half2, spokes[i], spokes[(i + 1) % n])))
+            j = (i + 1) % n
+            half1, half2 = side_halves[i][1], side_halves[j][0]   # sides i and j at v_i
+            sq.squares.append(Square(g, i, (half1.ends[1], v, half2.ends[1], center),
+                                     (half1, half2, spokes[i], spokes[j])))
     _index(sq, ((s, s.corners) for s in sq.squares))
     return sq
 
@@ -447,34 +513,42 @@ def ball_to_dot(b: ComplexBall) -> str:
 
 
 def ball_to_json(b: ComplexBall) -> str:
-    key = {v: v.key_string() for v in b.vertices}
+    words: dict[GroupElement, str] = {}   # each rep formatted once
+
+    def word(g: GroupElement) -> str:
+        w = words.get(g)
+        if w is None:
+            w = words[g] = format_word(g)
+        return w
+
+    vertices, key = [], {}
+    for v in b.vertices:
+        rep = word(v.rep)
+        key[v] = _vertex_key(v.cls, v.index, rep)
+        vertices.append({"key": key[v], "class": v.cls, "index": v.index,
+                         "rep": rep, "interior": v in b.interior_vertices})
     doc = {
         "schema": "cyclewall/1",
         "form": b.form,
         "n": b.presentation.n,
         "radius": b.radius,
-        "vertices": [
-            {"key": key[v], "class": v.cls, "index": v.index,
-             "rep": format_word(v.rep), "interior": v in b.interior_vertices}
-            for v in b.vertices
-        ],
+        "vertices": vertices,
         "edges": [
             {"key": _edge_key(e.label, key[e.ends[0]], key[e.ends[1]]),
              "label": e.label,
-             "rep": None if e.rep is None else format_word(e.rep),
+             "rep": None if e.rep is None else word(e.rep),
              "ends": [key[e.ends[0]], key[e.ends[1]]],
              "interior": e in b.interior_edges}
             for e in b.edges
         ],
-        "polygons": [
-            {"rep": format_word(g),
-             "boundary": [key[v] for v in poly.boundary]}
-            for g, poly in sorted(b.polygons.items())
+        "polygons": [   # b.polygons is in key order
+            {"rep": word(g), "boundary": [key[v] for v in poly.boundary]}
+            for g, poly in b.polygons.items()
         ],
     }
     if b.form == "square":
         doc["squares"] = [
-            {"polygon": format_word(s.polygon), "corner": s.corner,
+            {"polygon": word(s.polygon), "corner": s.corner,
              "corners": [key[c] for c in s.corners]}
             for s in b.squares
         ]

@@ -136,6 +136,48 @@ def test_cell_keys_are_coset_invariants(c5_mixed):
         assert x_edge(p, g, i) == x_edge(p, mul(g, a), i)
 
 
+def test_cells_are_shared_values_with_a_cached_hash_and_key(c5_mixed):
+    """Each cell is one object per ball; a copy made any other way is equal to
+    it, with the same hash and order key; the hash is the field tuple's, and
+    the key orders as (class, index, rep)."""
+    p = c5_mixed
+    e_ = identity(p)
+    class_order = {POLY: 0, EDGE: 1, TRIVIAL: 2}
+    b = build_ball(p, 2)
+    for ball in (b, subdivide(b)):
+        for v in ball.vertices:
+            assert hash(v) == hash((v.cls, v.index, v.rep))
+            copies = [dataclasses.replace(v), act_vertex(e_, v)]
+            if v.cls == POLY:
+                copies.append(x_vertex(p, v.rep, v.index))
+            for c in copies:
+                assert c == v and hash(c) == hash(v) and c.sort_key() == v.sort_key()
+        for e in ball.edges:
+            assert hash(e) == hash((e.ends, e.label, e.rep))
+            copies = [dataclasses.replace(e), act_edge(e_, e)]
+            if ball.form == "polygonal":
+                copies.append(x_edge(p, e.rep, e.label))
+            for c in copies:
+                assert c == e and hash(c) == hash(e) and c.sort_key() == e.sort_key()
+        assert ball.vertices == sorted(ball.vertices, key=lambda v: (
+            class_order[v.cls], -1 if v.index is None else v.index, v.rep))
+        assert all(e.ends[0].sort_key() < e.ends[1].sort_key() for e in ball.edges)
+
+        vertex = {v: v for v in ball.vertices}
+        edge = {e: e for e in ball.edges}
+        cells = ball.squares if ball.form == "square" else list(ball.polygons.values())
+        assert len(ball.vertices) == len(vertex) and len(ball.edges) == len(edge)
+        for cell in cells:
+            corners = cell.corners if ball.form == "square" else cell.boundary
+            assert all(vertex[v] is v for v in corners)
+            assert all(edge[e] is e for e in cell.edges)
+        assert all(vertex[v] is v for e in ball.edges for v in e.ends)
+        for keys in (ball.vertex_cells, ball.vertex_edges, ball.interior_vertices):
+            assert all(vertex[v] is v for v in keys)
+        for keys in (ball.edge_cells, ball.interior_edges):
+            assert all(edge[e] is e for e in keys)
+
+
 def test_resource_limit_triggers(c5_z3):
     with pytest.raises(ResourceLimitError):
         build_ball(c5_z3, 3, mem_mb=1)
@@ -258,6 +300,56 @@ def test_t4_audit_fails_on_a_square_missing_a_side_at_a_vertex(c5_mixed):
     report = t4_audit(b)
     assert [r.check_id for r in report.failures] == ["davis.t4.link-girth"]
     assert report.failures[0].witness["at"][0] == s.name()
+
+
+# Each mutant corrupts a ball of its own: cells are objects shared across a
+# ball and its subdivision, so a corrupted ball must not reach another test.
+
+
+def test_free_face_audit_fails_on_an_edge_in_one_square(c5_mixed):
+    b = build_ball(c5_mixed, 2)
+    sq = subdivide(b)
+    e = sorted(sq.interior_edges)[0]
+    sq.edge_cells[e] = sq.edge_cells[e][:1]
+    [failure] = free_face_audit(b).failures
+    assert failure.check_id == "davis.free-faces"
+    assert failure.witness == [e.key_string()]
+
+
+@pytest.mark.parametrize("extra", ["edge", "vertex"])
+def test_polygon_pair_audit_fails_on_a_pair_sharing_too_much(c5_mixed, extra):
+    """Two polygons sharing two edges, or three vertices, are reported."""
+    b = build_ball(c5_mixed, 2)
+    v = sorted(b.interior_vertices)[0]
+    polys = b.vertex_cells[v]
+    first = polys[0]
+    k, second = next((k, h) for k, h in enumerate(polys)
+                     if len(set(first.edges) & set(h.edges)) == 1)
+    if extra == "edge":
+        more = next(e for e in first.edges if e not in second.edges)
+        polys[k] = dataclasses.replace(second, edges=second.edges + (more,))
+        want = (first.name(), second.name(), 2, 2)
+    else:
+        more = next(u for u in first.boundary if u not in second.boundary)
+        polys[k] = dataclasses.replace(second, boundary=second.boundary + (more,))
+        want = (first.name(), second.name(), 1, 3)
+    [failure] = polygon_pair_audit(b).failures
+    assert failure.check_id == "davis.polygon-pairs"
+    assert failure.witness == [want]
+
+
+@pytest.mark.parametrize("cut", ["dropped", "repeated"])
+def test_t4_audit_fails_on_a_polygon_without_n_distinct_corners(c5_mixed, cut):
+    b = build_ball(c5_mixed, 2)
+    subdivide(b)   # the link check reads squares built from the intact polygons
+    g = parse_word(c5_mixed, "v0:1")
+    poly = b.polygons[g]
+    kept = poly.boundary[:-1]
+    boundary = kept if cut == "dropped" else kept + kept[:1]
+    b.polygons[g] = dataclasses.replace(poly, boundary=boundary)
+    [failure] = t4_audit(b).failures
+    assert (failure.check_id, failure.instance) == ("davis.t4.polygon-sides", "v0:1")
+    assert failure.witness == [u.key_string() for u in boundary]
 
 
 def test_vertex_link_rejects_boundary(c5_z2):
