@@ -427,9 +427,10 @@ def t4_audit(b: ComplexBall) -> Report:
         except InvariantError as exc:
             bad = {"error": str(exc), "at": exc.witness}
             break
-        girth = graph_girth(link)
-        if girth < 4:
-            bad.append((v.key_string(), girth))
+        # Girth < 4 means a loop or a triangle (sets of neighbours hold no
+        # double edge): an edge a-c whose ends share a neighbour.
+        if any(nbrs & link[c] for nbrs in link.values() for c in nbrs):
+            bad.append((v.key_string(), graph_girth(link)))
     report.add("davis.t4.link-girth", f"radius={b.radius}", not bad, witness=bad or None)
     if all(len(p_.boundary) == n for p_ in b.polygons.values()):
         report.add("davis.t4.polygon-sides", f"radius={b.radius}", True)

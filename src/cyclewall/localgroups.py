@@ -66,6 +66,9 @@ class LocalGroupSpec:
     # table only, display names
     names: Optional[tuple[str, ...]] = field(default=None, hash=False)
     name: str = ""
+    # table only: inverses[a] is the inverse of a
+    inverses: Optional[tuple[int, ...]] = field(
+        default=None, init=False, compare=False, hash=False, repr=False)
 
     def __post_init__(self):
         if self.kind == "cyclic":
@@ -75,6 +78,8 @@ class LocalGroupSpec:
             if self.table is None:
                 raise ValidationError("table group needs a multiplication table")
             _validate_table(self.table)
+            object.__setattr__(self, "inverses", tuple(
+                row.index(IDENTITY) for row in self.table))
             if self.names is not None and len(self.names) != len(self.table):
                 raise ValidationError("names do not match table size")
         elif self.kind == "integers":
@@ -132,10 +137,7 @@ class LocalGroupSpec:
             return (-a) % self.order
         if self.kind == "integers":
             return -a
-        for b in range(len(self.table)):
-            if self.table[a][b] == IDENTITY:
-                return b
-        raise InvariantError(f"validated table has no inverse of {a}")
+        return self.inverses[a]
 
     def element_order(self, a: int) -> int:
         if self.kind == "integers":

@@ -49,6 +49,9 @@ class Presentation:
     # blocks[v]: the vertices that do not commute with v, v itself included.
     blocks: tuple[frozenset[int], ...] = field(
         init=False, compare=False, hash=False, repr=False)
+    # values[v]: the elements of vertex group v, None when it is Z.
+    values: tuple[Optional[range], ...] = field(
+        init=False, compare=False, hash=False, repr=False)
 
     def __post_init__(self):
         n = len(self.groups)
@@ -56,6 +59,8 @@ class Presentation:
             raise ValidationError("cyclic products need at least 5 vertex groups")
         object.__setattr__(self, "blocks", tuple(
             frozenset(range(n)) - {(v - 1) % n, (v + 1) % n} for v in range(n)))
+        object.__setattr__(self, "values", tuple(
+            g.elements() if g.is_finite else None for g in self.groups))
 
     @property
     def n(self) -> int:
@@ -186,9 +191,19 @@ def reduce_word(p: Presentation, syllables: Iterable[Syllable]) -> GroupElement:
     """Canonical reduced form of an arbitrary syllable sequence."""
     word: list[Syllable] = []
     for s in syllables:
-        p.group(s.vertex).check(s.value)
+        values = p.values[s.vertex]
+        if values is not None and s.value not in values:
+            p.group(s.vertex).check(s.value)
         _push(p, word, s)
     return GroupElement(p, tuple(word))
+
+
+def _canonical(p: Presentation, word: Iterable[Syllable]) -> GroupElement:
+    """``reduce_word`` for syllables already known to be group elements."""
+    out: list[Syllable] = []
+    for s in word:
+        _push(p, out, s)
+    return GroupElement(p, tuple(out))
 
 
 def identity(p: Presentation) -> GroupElement:
@@ -200,7 +215,7 @@ def from_syllable(p: Presentation, vertex: int, value: int) -> GroupElement:
 
 
 def mul(a: GroupElement, b: GroupElement) -> GroupElement:
-    if a.presentation != b.presentation:
+    if a.presentation is not b.presentation and a.presentation != b.presentation:
         raise GroupMismatchError("elements of different presentations")
     word = list(a.word)
     for s in b.word:
@@ -293,30 +308,47 @@ def cyclic_reduce(g: GroupElement) -> tuple[GroupElement, GroupElement]:
     """``(core, conj)`` with ``g == conj * core * conj^-1``.
 
     Core is minimal under single-syllable conjugations, resolved
-    deterministically by always conjugating by the lowest-vertex-index
+    deterministically by always conjugating by the least ``(vertex, value)``
     front syllable that strictly shortens the word.
 
     Conjugating by the front syllable s = word[k] of vertex v deletes it at
     the front, and the result is shorter exactly when s then merges at the
-    back of the rest of the word, that is when a v-syllable of the rest
-    shuffles to its end.  Only the winner is conjugated.
+    back of the rest of the word, that is when a v-syllable t of the rest
+    shuffles to its end.  Only the winner is conjugated: s is deleted, t's
+    value becomes ``t * s``, and t is deleted when that is the identity.
+
+    The loop runs on the trace of the word, its dependence order (Green,
+    *Graph products of groups*, 1990), and edits a plain list in place.
+    "Shuffles to the front" means minimal in that order and "shuffles to the
+    end" means maximal, so both tests hold on any linear extension; deleting
+    a minimal or a maximal syllable leaves a linear extension of a reduced
+    word.  The core is put in canonical order once, at the end, and it must
+    be: deleting a minimal syllable need not keep the least linear
+    extension.  On C5 with v4 of order 2, ``v3:2 v4:1 v2:1 v4:1`` is
+    canonical; conjugating by v4:1 leaves ``v3:2 v2:1``, whose canonical
+    order is ``v2:1 v3:2``.
     """
     p = g.presentation
-    core = g
-    conj = identity(p)
+    word = list(g.word)
+    conj: list[Syllable] = []
     while True:
-        word = core.word
-        candidates = sorted(_front_shufflable(p, word),
-                            key=lambda k: (word[k].vertex, word[k].value))
-        for k in candidates:
-            rest = word[:k] + word[k + 1:]
-            if _right_strippable(p, rest, {word[k].vertex}) is not None:
-                s = GroupElement(p, (word[k],))
-                core = mul(mul(inv(s), core), s)
-                conj = mul(conj, s)
+        for k in sorted(_front_shufflable(p, word), key=word.__getitem__):
+            s = word.pop(k)
+            j = _right_strippable(p, word, {s.vertex})
+            if j is not None:
+                prod = p.groups[s.vertex].mul(word[j].value, s.value)
+                if prod == IDENTITY:
+                    del word[j]
+                else:
+                    word[j] = Syllable(s.vertex, prod)
+                conj.append(s)
                 break
+            word.insert(k, s)
         else:
-            return core, conj
+            break
+    if not conj:
+        return g, identity(p)
+    return _canonical(p, word), _canonical(p, conj)
 
 
 # -- bounded enumeration ------------------------------------------------------
@@ -364,7 +396,9 @@ def parse_word(p: Presentation, text: str) -> GroupElement:
             raise ValidationError(f"bad syllable token: {token!r}") from None
         if not 0 <= vertex < p.n:
             raise ValidationError(f"vertex {vertex} out of range for n={p.n}")
-        p.group(vertex).check(value)
+        values = p.values[vertex]
+        if values is not None and value not in values:
+            p.group(vertex).check(value)
         _push(p, word, Syllable(vertex, value))
     return GroupElement(p, tuple(word))
 

@@ -352,6 +352,29 @@ def test_t4_audit_fails_on_a_polygon_without_n_distinct_corners(c5_mixed, cut):
     assert failure.witness == [u.key_string() for u in boundary]
 
 
+@pytest.mark.parametrize("short", ["triangle", "loop"])
+def test_t4_audit_fails_on_a_link_with_a_short_cycle(c5_mixed, short):
+    """A square at v joining two sides with a common neighbour in the link of
+    v closes a triangle; one meeting v twice in the same side is a loop.  The
+    witness gives the girth."""
+    b = build_ball(c5_mixed, 2)
+    sq = subdivide(b)
+    v = sorted(sq.interior_vertices)[0]
+    cells = sq.vertex_cells[v]
+    s = cells[0]
+    a, c = [e for e in s.edges if v in e.ends]
+    if short == "triangle":   # a - c - d in the link, and the new square joins a - d
+        d = next(e for t in cells if c in t.edges
+                 for e in t.edges if v in e.ends and e not in (a, c))
+        want = 3
+    else:
+        d, want = a, 1
+    cells.append(dataclasses.replace(s, edges=tuple(d if e == c else e for e in s.edges)))
+    [failure] = t4_audit(b).failures
+    assert failure.check_id == "davis.t4.link-girth"
+    assert failure.witness == [(v.key_string(), want)]
+
+
 def test_vertex_link_rejects_boundary(c5_z2):
     b = build_ball(c5_z2, 1)
     boundary = [v for v in b.vertices if v not in b.interior_vertices][0]

@@ -321,6 +321,37 @@ def test_cyclic_reduce_matches_trial_oracle(name, request):
     assert shortened > 50
 
 
+@pytest.mark.parametrize("name", KERNEL_PRESENTATIONS)
+def test_cyclic_reduce_matches_trial_oracle_on_deep_conjugates(name, request):
+    """Conjugators of 10-14 syllables around a short core, the shape of the
+    generator images ``aut_decompose`` reduces."""
+    p = kernel_presentation(name, request)
+    rng = random.Random(9)
+    alphabet = list(p.syllables())
+    deep = 0
+    for _ in range(40):
+        w, target = identity(p), rng.randint(10, 14)
+        while w.syllable_length < target:
+            w = mul(w, GroupElement(p, (rng.choice(alphabet),)))
+        inner = [rng.choice(alphabet) for _ in range(rng.randint(1, 3))]
+        g = mul(mul(w, reduce_word(p, inner)), inv(w))
+        core, conj = cyclic_reduce(g)
+        assert (core, conj) == cyclic_reduce_by_trial(g), format_word(g)
+        deep += conj.syllable_length >= 8
+    assert deep > 20
+
+
+def test_cyclic_reduce_puts_the_core_in_canonical_order(c5_mixed):
+    """Deleting a front syllable need not keep a word canonical: here v4:1
+    leaves the front and cancels with the last v4:1, and the rest
+    ``v3:2 v2:1`` must be reordered."""
+    g = parse_word(c5_mixed, "v3:2 v4:1 v2:1 v4:1")
+    core, conj = cyclic_reduce(g)
+    assert format_word(core) == "v2:1 v3:2"
+    assert format_word(conj) == "v4:1"
+    assert mul(mul(conj, core), inv(conj)) == g
+
+
 # -- enumeration ----------------------------------------------------------------
 
 
