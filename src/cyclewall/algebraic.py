@@ -13,8 +13,9 @@ all of it).
 
 The abstract complex has the medium encodings of a ball's vertices as nodes,
 arcs where the join of two mediums is a maximal, and faces for the induced
-n-cycles.  Its 1-skeleton, like the ball's interior 1-skeleton it is checked
-against, is a plain adjacency dict (node -> set of neighbours).  The join is
+n-cycles, found as the walks that wind once around the base cycle.  Its
+1-skeleton, like the ball's interior 1-skeleton it is checked against, is a
+plain adjacency dict (node -> set of neighbours).  The join is
 decided exactly: two mediums join to a maximal iff the vertices they encode
 share an edge coset (see ``join_is_cmaximal``).  The map (coset gH) ->
 (subgroup gHg^-1) is verified to be an equivariant isomorphism on interior
@@ -171,13 +172,17 @@ def join_is_cmaximal(h1: CSubgroup,
     if h1.tier != MEDIUM or h2.tier != MEDIUM:
         raise ValidationError("the join rule applies to medium subgroups")
     h1.presentation.require_finite()
-    if h1 == h2 or shared_edge(h1, h2) is None:
+    shared = None if h1 == h2 else shared_edge(h1, h2)
+    if shared is None:
         return False, None
-    shared = [m for m in containing_maximals(h1) if m in containing_maximals(h2)]
-    if not shared:
+    # of the two maximals containing each medium, only the one based at the
+    # shared edge's label can contain both
+    label = shared[0]
+    m = CSubgroup(MAXIMAL, label, h1.conjugator)
+    if m != CSubgroup(MAXIMAL, label, h2.conjugator):
         raise InconclusiveError(
             "vertices share an edge but no common maximal exists")
-    return True, shared[0]
+    return True, m
 
 
 # -- the abstract complex -----------------------------------------------------------
@@ -232,37 +237,78 @@ def _induced_n_cycles(g: Mapping, n: int) -> list[tuple]:
     return sorted(out, key=lambda c: [index[v] for v in c])
 
 
+def _winding_cycles(up: Mapping, starts: list, n: int) -> list[tuple]:
+    """The closed walks of n steps along ``up`` arcs (base b to base b + 1)
+    from each start, each as its n nodes from the start."""
+    out = []
+    for h in starts:
+        paths = [(h,)]
+        for _ in range(n - 1):
+            paths = [path + (w,) for path in paths for w in up[path[-1]]]
+        out.extend(path for path in paths if h in up[path[-1]])
+    return out
+
+
 def build_script_X_ball(b: ComplexBall) -> ScriptXBall:
-    """Rebuild the ball's 1-skeleton (plus filled n-cycles) from subgroup data."""
+    """Rebuild the ball's 1-skeleton (plus filled n-cycles) from subgroup data.
+
+    Arcs come from a hash join: each node's edge cosets, for both of its
+    labels, are bucketed by ``(label, edge coset rep)``.  An edge has two
+    ends, so a bucket holds at most two nodes, and ``join_is_cmaximal``
+    confirms each pair.
+
+    Faces are the closed n-step walks from a base-0 node along arcs to the
+    next base.  An arc labelled i joins bases i - 1 and i, so such a walk
+    visits bases 0, ..., n-1 once each: it is an embedded cycle, and an
+    induced one, since a chord would join bases that are not cyclically
+    adjacent.  Conversely every induced n-cycle winds once around the base
+    cycle.  Its base moves by ±1 at each of its n steps and by a multiple of
+    n in all; for odd n that sum cannot be 0, so it is ±n.  For any n >= 5,
+    X is a C(n)-T(4) complex (links have girth 4) whose polygons meet in at
+    most one edge, and a reduced disc diagram with two or more faces has two
+    faces with at most two interior edges each (Lyndon-Schupp,
+    *Combinatorial Group Theory*, ch. V), so its boundary is at least
+    2(n - 2) > n long.  An embedded n-cycle therefore bounds a single
+    polygon, whose boundary visits bases 0, ..., n-1 in order.  A walk's
+    base-0 node is its least in ``sort_key`` order and its next node has
+    base 1, so each walk is already in ``_induced_n_cycles``' canonical
+    rotation and direction, and the cycles are sorted as that search sorts
+    them.
+    """
     p = b.presentation
+    n = p.n
     sx = ScriptXBall(presentation=p)
-    encode = {}
     for v in b.vertices:
         h = medium_of_vertex(v)
-        encode[v] = h
         sx.nodes.append(h)
         if v in b.interior_vertices:
             sx.interior.add(h)
     if len(set(sx.nodes)) != len(sx.nodes):
         raise ValidationError("subgroup encodings collide: ball is inconsistent")
 
-    # hash-join on shared maximal candidates: only such pairs can join
-    buckets: dict[tuple, list[CSubgroup]] = {}
+    ends: dict[tuple[int, GroupElement], list[CSubgroup]] = {}
     for h in sx.nodes:
-        for m in containing_maximals(h):
-            buckets.setdefault((m.base, m.conjugator), []).append(h)
-    seen = set()
-    for bucket in buckets.values():
-        for h1, h2 in itertools.combinations(sorted(bucket, key=lambda h: h.sort_key()), 2):
-            pair = frozenset((h1, h2))
-            if pair in seen:
-                continue
-            seen.add(pair)
-            ok, candidate = join_is_cmaximal(h1, h2)
+        for label in (h.base, (h.base + 1) % n):
+            for rep in _edge_cosets(h, label):
+                ends.setdefault((label, rep), []).append(h)
+    up: dict[CSubgroup, set[CSubgroup]] = {h: set() for h in sx.nodes}
+    for (label, rep), bucket in ends.items():
+        if len(bucket) > 2:
+            raise InvariantError(
+                f"edge {label}|{format_word(rep)} has more than two ends",
+                sorted(h.key_string() for h in bucket))
+        if len(bucket) == 2:
+            ok, m = join_is_cmaximal(*bucket)
             if ok:
-                sx.arcs[pair] = candidate
+                h1, h2 = bucket
+                sx.arcs[frozenset(bucket)] = m
+                if h1.base == label:
+                    h1, h2 = h2, h1
+                up[h1].add(h2)
 
-    sx.cycles = _induced_n_cycles(sx.graph(), p.n)
+    starts = [h for h in sx.nodes if h.base == 0]
+    sx.cycles = sorted(_winding_cycles(up, starts, n),
+                       key=lambda c: [h.sort_key() for h in c])
     return sx
 
 
@@ -371,14 +417,14 @@ def join_agreement_audit(b: ComplexBall) -> Report:
     report = Report()
     skel = _interior_skeleton(b)
     interior = sorted(skel)
+    encode = {v: medium_of_vertex(v) for v in interior}
     bad = []
     inconclusive = []
     pairs = 0
     for u, w in itertools.combinations(interior, 2):
         pairs += 1
         try:
-            ok, candidate = join_is_cmaximal(medium_of_vertex(u),
-                                             medium_of_vertex(w))
+            ok, candidate = join_is_cmaximal(encode[u], encode[w])
         except InconclusiveError as exc:
             inconclusive.append((u.key_string(), w.key_string(), str(exc)))
             continue

@@ -75,6 +75,10 @@ a wall, instead of the transporters between the wall's edges alone, and the
 parabolic scan filters the element ball with ``parabolic_member``, instead
 of conjugating the window's own short elements.
 
+The arc oracle rebuilds the abstract complex's arcs by running the join on
+every pair of mediums that share a containing maximal, instead of bucketing
+the nodes' edge cosets.
+
 The axis oracle builds a segment of the translation axis through a central
 edge and asserts, edge by edge, that it keeps its label and tree-wall.
 """
@@ -84,7 +88,13 @@ from heapq import heapify, heappop, heappush
 
 import networkx as nx
 
-from cyclewall.algebraic import MAXIMAL, CSubgroup, containing_maximals
+from cyclewall.algebraic import (
+    MAXIMAL,
+    CSubgroup,
+    containing_maximals,
+    join_is_cmaximal,
+    medium_of_vertex,
+)
 from cyclewall.localgroups import IDENTITY, table_group
 from cyclewall.davis import EDGE, POLY, act_edge, subdivide, x_edge
 from cyclewall.diagrams import DiscDiagram, _ball_edge, _cancel_spurs, _match_polygon
@@ -350,6 +360,28 @@ def closure_join(h1: CSubgroup, h2: CSubgroup, L: int):
     closure = bounded_closure(a1.presentation,
                               generator_conjugates(a1) | generator_conjugates(a2), L)
     return closure >= subgroup_truncation(candidate, L), closure, candidate
+
+
+def bucket_pairs(b):
+    """Every pair of the ball's mediums that share a containing maximal."""
+    buckets = {}
+    for v in b.vertices:
+        h = medium_of_vertex(v)
+        for m in containing_maximals(h):
+            buckets.setdefault(m, []).append(h)
+    for bucket in buckets.values():
+        yield from itertools.combinations(
+            sorted(bucket, key=CSubgroup.sort_key), 2)
+
+
+def script_x_arcs_by_pairs(b) -> dict:
+    """``build_script_X_ball(b).arcs`` from the join of every bucket pair."""
+    arcs = {}
+    for h1, h2 in bucket_pairs(b):
+        ok, candidate = join_is_cmaximal(h1, h2)
+        if ok:
+            arcs[frozenset((h1, h2))] = candidate
+    return arcs
 
 
 def crossing_graph_pairwise(b) -> nx.Graph:

@@ -1,6 +1,6 @@
-import itertools
 import json
 
+import conftest
 import networkx as nx
 import pytest
 
@@ -23,11 +23,17 @@ from cyclewall.algebraic import (
     _induced_n_cycles,
 )
 from cyclewall.davis import EDGE, ComplexVertex, build_ball, x_vertex
-from cyclewall.errors import ValidationError
+from cyclewall.errors import InvariantError, ValidationError
 from cyclewall.localgroups import cyclic_group
 from cyclewall.words import Presentation, from_syllable, identity, parse_word
 
-from oracles import closure_join, parabolic_normalizer, shared_edge_both_labels
+from oracles import (
+    bucket_pairs,
+    closure_join,
+    parabolic_normalizer,
+    script_x_arcs_by_pairs,
+    shared_edge_both_labels,
+)
 
 
 # -- encodings ------------------------------------------------------------------
@@ -140,18 +146,6 @@ def test_join_rejects_non_medium(c5_z2):
                          CSubgroup(MEDIUM, 2, identity(p)))
 
 
-def bucket_pairs(b):
-    """Every pair of mediums the rebuild tests: those sharing a maximal."""
-    buckets = {}
-    for v in b.vertices:
-        h = medium_of_vertex(v)
-        for m in containing_maximals(h):
-            buckets.setdefault(m, []).append(h)
-    for bucket in buckets.values():
-        yield from itertools.combinations(
-            sorted(bucket, key=CSubgroup.sort_key), 2)
-
-
 @pytest.mark.parametrize("name, radius",
                          [("c5_z2", 2), ("c5_mixed", 1), ("c6_z2", 1)])
 def test_exact_join_matches_closure_oracle(name, radius, request):
@@ -246,6 +240,55 @@ def test_phi_iso_check_c6(c6_z2):
 def test_join_agreement(c5_z2, c5_mixed):
     assert join_agreement_audit(build_ball(c5_z2, 2)).ok
     assert join_agreement_audit(build_ball(c5_mixed, 2)).ok
+
+
+REBUILD_BALLS = [(name, 2) for name in ("c5_z2", "c5_z3", "c5_mixed", "c5_s3",
+                                       "c6_z2", "c6_mixed")] + [("c5_z3", 3)]
+
+
+@pytest.fixture(scope="module", params=REBUILD_BALLS,
+                ids=[f"{name}-r{radius}" for name, radius in REBUILD_BALLS])
+def rebuilt(request):
+    name, radius = request.param
+    b = build_ball(getattr(conftest, f"presentation_{name}")(), radius)
+    return b, build_script_X_ball(b)
+
+
+def test_rebuild_arcs_match_pair_oracle(rebuilt):
+    """Bucketing edge cosets finds the arcs that joining every pair of
+    mediums sharing a maximal finds, with the same maximals."""
+    b, sx = rebuilt
+    assert sx.arcs == script_x_arcs_by_pairs(b)
+    assert len(sx.arcs) == len(b.edges)
+
+
+def test_rebuild_cycles_match_unrestricted_search(rebuilt):
+    """The winding walks find every induced n-cycle of the rebuilt skeleton,
+    in the search's rotation and order."""
+    b, sx = rebuilt
+    assert sx.cycles == _induced_n_cycles(sx.graph(), sx.presentation.n)
+    assert len(sx.cycles) == len(b.polygons)
+
+
+def test_phi_iso_check_fails_when_the_rebuild_drops_a_cycle(c5_z2, monkeypatch):
+    walk = algebraic._winding_cycles
+    monkeypatch.setattr(algebraic, "_winding_cycles",
+                        lambda up, starts, n: walk(up, starts[:1], n))
+    report = phi_iso_check(build_ball(c5_z2, 3))
+    assert {r.check_id for r in report.failures} == {"phi.polygons-map-to-cycles"}
+
+
+def test_join_agreement_fails_when_every_pair_joins(c5_z2, monkeypatch):
+    monkeypatch.setattr(algebraic, "join_is_cmaximal", lambda h1, h2: (True, None))
+    report = join_agreement_audit(build_ball(c5_z2, 2))
+    assert {r.check_id for r in report.failures} == {"joins.agree-with-adjacency"}
+
+
+def test_rebuild_rejects_an_edge_with_three_ends(c5_z2, monkeypatch):
+    monkeypatch.setattr(algebraic, "_edge_cosets",
+                        lambda h, label: {identity(h.presentation)})
+    with pytest.raises(InvariantError, match="more than two ends"):
+        build_script_X_ball(build_ball(c5_z2, 1))
 
 
 # -- induced cycles -----------------------------------------------------------------
