@@ -15,11 +15,13 @@ The abstract complex has the medium encodings of a ball's vertices as nodes,
 arcs where the join of two mediums is a maximal, and faces for the induced
 n-cycles, found as the walks that wind once around the base cycle.  Its
 1-skeleton, like the ball's interior 1-skeleton it is checked against, is a
-plain adjacency dict (node -> set of neighbours).  The join is
-decided exactly: two mediums join to a maximal iff the vertices they encode
-share an edge coset (see ``join_is_cmaximal``).  The map (coset gH) ->
-(subgroup gHg^-1) is verified to be an equivariant isomorphism on interior
-cells.
+plain adjacency dict (node -> set of neighbours).  The join is decided
+exactly: two mediums c1<G_b x G_{b+1}> and c2<G_{b+1} x G_{b+2}> join to a
+maximal iff the vertices they encode share an edge, that is iff the
+canonical word of c2^-1·c1 lies in G_{b+2}·G_b (see ``shared_edge`` and
+``join_is_cmaximal``), so the join never enumerates a vertex group and never
+comes out undecided.  The map (coset gH) -> (subgroup gHg^-1) is verified to
+be an equivariant isomorphism on interior cells.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .davis import POLY, ComplexBall, ComplexVertex, act_vertex
-from .errors import InconclusiveError, InvariantError, ValidationError
+from .errors import InvariantError, ValidationError
 from .reports import Report
 from .words import (
     GroupElement,
@@ -39,6 +41,7 @@ from .words import (
     Syllable,
     coset_rep,
     format_word,
+    inv,
     mul,
     parabolic_member,
 )
@@ -125,12 +128,13 @@ def containing_maximals(h: CSubgroup) -> list[CSubgroup]:
 
 def _edge_cosets(h: CSubgroup, label: int) -> set[GroupElement]:
     """Coset reps of the edges labelled ``label`` at the X-vertex encoded by a
-    medium subgroup; ``label`` is one of its two defining vertices."""
+    medium subgroup; ``label`` is one of its two defining vertices.  They are
+    c·x for x in G_other: no window syllable strips off the right of the
+    minimal conjugator c, and ``label`` commutes with ``other``."""
     p = h.presentation
     other = (h.base + 1) % p.n if label == h.base else h.base
     c = h.conjugator
-    return {coset_rep(mul(c, GroupElement(p, (Syllable(other, x),) if x else ())),
-                      (label,))
+    return {mul(c, GroupElement(p, (Syllable(other, x),) if x else ()))
             for x in p.group(other).elements()}
 
 
@@ -139,22 +143,28 @@ def shared_edge(h1: CSubgroup, h2: CSubgroup) -> Optional[tuple[int, GroupElemen
 
     An edge labelled i joins an X-vertex of base i - 1 to one of base i, so
     two vertices can share only the edge labelled by the larger of two
-    cyclically adjacent bases.
+    cyclically adjacent bases.  For mediums c1<G_b x G_{b+1}> and
+    c2<G_{b+1} x G_{b+2}> these edges have the minimal reps c1·x (x in G_b)
+    and c2·y (y in G_{b+2}) (see ``_edge_cosets``), so one is shared iff
+    d = c2^-1·c1 equals y·x^-1.  As b and b + 2 do not commute, the
+    canonical word of d must then read [], [b+2], [b] or [b+2, b], and the
+    edge is c2·y with y its (b+2)-syllable or the identity.  No vertex group
+    is enumerated, and the normal form of d is unique (Green, *Graph
+    products of groups*, 1990), so no two edges are ever shared.
     """
     n = h1.presentation.n
     if h2.base == (h1.base + 1) % n:
-        label = h2.base
+        lo, hi = h1, h2
     elif h1.base == (h2.base + 1) % n:
-        label = h1.base
+        lo, hi = h2, h1
     else:
         return None
-    common = _edge_cosets(h1, label) & _edge_cosets(h2, label)
-    if not common:
+    word = mul(inv(hi.conjugator), lo.conjugator).word
+    if word and word[-1].vertex == lo.base:
+        word = word[:-1]  # x^-1
+    if len(word) > 1 or (word and word[0].vertex != (hi.base + 1) % n):
         return None
-    if len(common) != 1:
-        raise InvariantError("two X-vertices share more than one edge",
-                             sorted(map(format_word, common)))
-    return label, next(iter(common))
+    return hi.base, mul(hi.conjugator, GroupElement(h1.presentation, word))
 
 
 def join_is_cmaximal(h1: CSubgroup,
@@ -167,22 +177,17 @@ def join_is_cmaximal(h1: CSubgroup,
     mediums are ``G_i`` times the vertex groups of the Bass-Serre tree of
     the free product ``G_{i-1} * G_{i+1}`` (Serre, *Trees*, 1980).  Two
     vertex groups of that tree generate the whole free product exactly when
-    they are adjacent, i.e. when the encoded X-vertices share an edge coset.
+    they are adjacent, i.e. when the encoded X-vertices share an edge r G_i
+    (``shared_edge``).  The join is then r<G_{i-1}, G_i, G_{i+1}>, which holds
+    both conjugators r·x^-1 and r·y^-1, so it needs no second check.
     """
     if h1.tier != MEDIUM or h2.tier != MEDIUM:
         raise ValidationError("the join rule applies to medium subgroups")
-    h1.presentation.require_finite()
-    shared = None if h1 == h2 else shared_edge(h1, h2)
+    shared = shared_edge(h1, h2)
     if shared is None:
         return False, None
-    # of the two maximals containing each medium, only the one based at the
-    # shared edge's label can contain both
-    label = shared[0]
-    m = CSubgroup(MAXIMAL, label, h1.conjugator)
-    if m != CSubgroup(MAXIMAL, label, h2.conjugator):
-        raise InconclusiveError(
-            "vertices share an edge but no common maximal exists")
-    return True, m
+    label, rep = shared
+    return True, CSubgroup(MAXIMAL, label, rep)
 
 
 # -- the abstract complex -----------------------------------------------------------
@@ -413,26 +418,18 @@ def induced_cycle_audit(b: ComplexBall) -> Report:
 
 
 def join_agreement_audit(b: ComplexBall) -> Report:
-    """Join verdicts match adjacency in the ball's interior 1-skeleton."""
+    """Join verdicts (exact, never undecided) match interior adjacency."""
     report = Report()
     skel = _interior_skeleton(b)
     interior = sorted(skel)
     encode = {v: medium_of_vertex(v) for v in interior}
     bad = []
-    inconclusive = []
     pairs = 0
     for u, w in itertools.combinations(interior, 2):
         pairs += 1
-        try:
-            ok, candidate = join_is_cmaximal(encode[u], encode[w])
-        except InconclusiveError as exc:
-            inconclusive.append((u.key_string(), w.key_string(), str(exc)))
-            continue
+        ok, _ = join_is_cmaximal(encode[u], encode[w])
         if ok != (w in skel[u]):
             bad.append((u.key_string(), w.key_string(), ok))
     report.add("joins.agree-with-adjacency", f"pairs={pairs}",
                not bad, bad or None)
-    if inconclusive:
-        report.add_inconclusive("joins.agree-with-adjacency",
-                                f"undecided={len(inconclusive)}", inconclusive)
     return report

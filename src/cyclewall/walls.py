@@ -23,9 +23,9 @@ distance; distances at the ball's horizon are reported as lower bounds.
 
 Generation and vertex membership are decided exactly: two wall vertices
 generate the wall stabilizer when their mediums join to the wall's maximal
-(``algebraic.join_is_cmaximal``), and a vertex's stabilizer stabilizes the
-wall when the wall's maximal contains the vertex's medium
-(``algebraic.containing_maximals``).
+(``algebraic.join_is_cmaximal``, one canonical word per pair), and a
+vertex's stabilizer stabilizes the wall when the wall's maximal contains the
+vertex's medium (``algebraic.containing_maximals``).
 
 Cost: each X-vertex lies on at most two walls, so the crossing graph buckets
 walls by vertex in O(sum of wall sizes) rather than comparing every pair of

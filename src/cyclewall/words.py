@@ -232,8 +232,8 @@ def mul_all(p: Presentation, elements: Iterable[GroupElement]) -> GroupElement:
 
 def inv(a: GroupElement) -> GroupElement:
     p = a.presentation
-    rev = [Syllable(s.vertex, p.group(s.vertex).inv(s.value)) for s in reversed(a.word)]
-    return reduce_word(p, rev)
+    groups = p.groups
+    return _canonical(p, [Syllable(v, groups[v].inv(x)) for v, x in reversed(a.word)])
 
 
 def support(a: GroupElement) -> frozenset[int]:
@@ -383,9 +383,9 @@ def enumerate_ball_elements(p: Presentation, L: int,
 # -- text syntax --------------------------------------------------------------
 
 
-def parse_word(p: Presentation, text: str) -> GroupElement:
-    """Parse ``v3:2 v1:1`` into a canonical element."""
-    word: list[Syllable] = []
+def _syllables_of_text(p: Presentation, text: str) -> Iterator[Syllable]:
+    """The syllables of ``v3:2 v1:1``, lazily: ``reduce_word`` checks each in turn."""
+    n = p.n
     for token in text.split():
         if not token.startswith("v") or ":" not in token:
             raise ValidationError(f"bad syllable token: {token!r}")
@@ -394,13 +394,14 @@ def parse_word(p: Presentation, text: str) -> GroupElement:
             vertex, value = int(v_part), int(e_part)
         except ValueError:
             raise ValidationError(f"bad syllable token: {token!r}") from None
-        if not 0 <= vertex < p.n:
-            raise ValidationError(f"vertex {vertex} out of range for n={p.n}")
-        values = p.values[vertex]
-        if values is not None and value not in values:
-            p.group(vertex).check(value)
-        _push(p, word, Syllable(vertex, value))
-    return GroupElement(p, tuple(word))
+        if not 0 <= vertex < n:
+            raise ValidationError(f"vertex {vertex} out of range for n={n}")
+        yield Syllable(vertex, value)
+
+
+def parse_word(p: Presentation, text: str) -> GroupElement:
+    """Parse ``v3:2 v1:1`` into a canonical element."""
+    return reduce_word(p, _syllables_of_text(p, text))
 
 
 def format_word(g: GroupElement) -> str:

@@ -17,8 +17,8 @@ at its canonical place as it is pushed.
 The join oracle decides whether two medium subgroups generate a maximal by a
 bounded subgroup closure: products of conjugated generators up to a syllable
 length, compared with the shared maximal truncated at the same length.  It
-multiplies with ``mul`` but never calls ``shared_edge``, the edge-coset test
-the exact ``join_is_cmaximal`` rests on.
+multiplies with ``mul`` but never calls ``shared_edge``, the word test the
+exact ``join_is_cmaximal`` rests on.
 
 The crossing-graph oracle intersects the vertex sets of every pair of walls
 (quadratic in the number of walls) instead of bucketing walls by vertex.
@@ -45,8 +45,9 @@ instead of reading the rep's length.
 The coset-rep oracle strips the same syllables as ``words.coset_rep`` but
 re-reduces and re-sorts the result with the heap oracle.
 
-The shared-edge oracle scans the edge cosets of both labels of both
-vertices, instead of the one label their bases allow.
+The shared-edge oracle intersects the edge cosets of both labels of both
+vertices, instead of reading the one word c2^-1·c1 for the one label their
+bases allow.
 
 The cyclic-reduction oracle conjugates the word by every front syllable in
 turn and keeps the first conjugate that is shorter, instead of asking which

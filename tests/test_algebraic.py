@@ -22,9 +22,10 @@ from cyclewall.algebraic import (
     vertex_of_medium,
     _induced_n_cycles,
 )
+from cyclewall.cli import algebraic_suite
 from cyclewall.davis import EDGE, ComplexVertex, build_ball, x_vertex
 from cyclewall.errors import InvariantError, ValidationError
-from cyclewall.localgroups import cyclic_group
+from cyclewall.localgroups import cyclic_group, integers_group
 from cyclewall.words import Presentation, from_syllable, identity, parse_word
 
 from oracles import (
@@ -165,6 +166,18 @@ def test_exact_join_matches_closure_oracle(name, radius, request):
     assert joins == len(b.edges)
 
 
+def test_join_on_infinite_vertex_groups():
+    """The join reads one word, so Z vertex groups need no enumeration."""
+    z = integers_group()
+    p = Presentation((cyclic_group(2), z, cyclic_group(3), cyclic_group(2), z))
+    h, near = CSubgroup(MEDIUM, 1, identity(p)), parse_word(p, "v1:7")
+    assert shared_edge(h, CSubgroup(MEDIUM, 2, near)) == (2, near)
+    ok, m = join_is_cmaximal(h, CSubgroup(MEDIUM, 2, near))
+    assert ok and m == CSubgroup(MAXIMAL, 2, identity(p))
+    far = CSubgroup(MEDIUM, 2, parse_word(p, "v0:1 v1:7"))
+    assert join_is_cmaximal(h, far) == (False, None)
+
+
 def test_phi_iso_check_fails_without_shared_edges(c5_z2, monkeypatch):
     monkeypatch.setattr(algebraic, "shared_edge", lambda h1, h2: None)
     report = phi_iso_check(build_ball(c5_z2, 2))
@@ -181,7 +194,8 @@ def test_shared_edge_of_adjacent_vertices(c5_z2):
     assert label == 2 and rep.is_identity
 
 
-@pytest.mark.parametrize("name", ["c5_z2", "c5_z3", "c5_mixed"])
+@pytest.mark.parametrize("name", ["c5_z2", "c5_z3", "c5_mixed", "c5_s3",
+                                  "c6_z2", "c6_mixed"])
 def test_shared_edge_matches_both_label_scan(name, request):
     """On every pair the rebuild tests, reading only the label the bases
     allow finds the same edge as scanning both labels of both vertices."""
@@ -276,6 +290,40 @@ def test_phi_iso_check_fails_when_the_rebuild_drops_a_cycle(c5_z2, monkeypatch):
                         lambda up, starts, n: walk(up, starts[:1], n))
     report = phi_iso_check(build_ball(c5_z2, 3))
     assert {r.check_id for r in report.failures} == {"phi.polygons-map-to-cycles"}
+
+
+def _algebraic_suite_failures(b):
+    return {r.check_id for r in algebraic_suite(b, seed=0).failures}
+
+
+def test_phi_iso_check_fails_on_a_node_no_vertex_encodes(c5_z2, monkeypatch):
+    rebuild = algebraic.build_script_X_ball
+    extra = CSubgroup(MEDIUM, 0, parse_word(c5_z2, "v2:1 v4:1 v2:1 v4:1 v2:1"))
+
+    def with_extra_node(b):
+        sx = rebuild(b)
+        assert extra not in sx.nodes
+        sx.nodes.append(extra)
+        return sx
+
+    monkeypatch.setattr(algebraic, "build_script_X_ball", with_extra_node)
+    assert _algebraic_suite_failures(build_ball(c5_z2, 2)) == {
+        "phi.surjective-onto-nodes"}
+
+
+def test_phi_iso_check_fails_when_the_action_moves_nothing(c5_z2, monkeypatch):
+    monkeypatch.setattr(algebraic, "act_vertex", lambda g, v: v)
+    assert _algebraic_suite_failures(build_ball(c5_z2, 2)) == {
+        "phi.equivariance-on-samples"}
+
+
+def test_induced_cycle_audit_fails_without_an_interior_polygon(c5_z2):
+    b = build_ball(c5_z2, 2)
+    inner = [g for g, poly in b.polygons.items()
+             if all(v in b.interior_vertices for v in poly.boundary)]
+    del b.polygons[inner[0]]
+    assert _algebraic_suite_failures(b) == {
+        "cycles.induced-n-cycles-bound-polygons"}
 
 
 def test_join_agreement_fails_when_every_pair_joins(c5_z2, monkeypatch):
