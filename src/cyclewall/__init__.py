@@ -16,7 +16,6 @@ from .errors import (
     EnumerationCapError,
     FillError,
     GroupMismatchError,
-    InconclusiveError,
     InfiniteGroupError,
     ResourceLimitError,
     ValidationError,

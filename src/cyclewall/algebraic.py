@@ -350,13 +350,21 @@ def _interior_skeleton(b: ComplexBall) -> dict[ComplexVertex, set[ComplexVertex]
 
 
 def phi_iso_check(b: ComplexBall, seed: int = 0, samples: int = 50) -> Report:
-    """The coset-to-conjugate map is an equivariant isomorphism on interior cells."""
+    """The coset-to-conjugate map is an equivariant isomorphism on interior
+    cells.  A collision, which the rebuild refuses, ends the check."""
     report = Report()
-    sx = build_script_X_ball(b)
     encode = {v: medium_of_vertex(v) for v in b.vertices}
-
+    preimages: dict[CSubgroup, list[ComplexVertex]] = {}
+    for v, h in encode.items():
+        preimages.setdefault(h, []).append(v)
+    collisions = sorted([v.key_string() for v in vs]
+                        for vs in preimages.values() if len(vs) > 1)
     report.add("phi.injective-on-vertices", f"vertices={len(b.vertices)}",
-               len(set(encode.values())) == len(encode))
+               not collisions, collisions[:10] or None)
+    if collisions:
+        return report
+
+    sx = build_script_X_ball(b)
     report.add("phi.surjective-onto-nodes", f"nodes={len(sx.nodes)}",
                set(encode.values()) == set(sx.nodes))
 

@@ -32,8 +32,6 @@ from .words import (
     GroupElement,
     Presentation,
     Syllable,
-    _front_shufflable,
-    _right_strippable,
     coset_rep,
     cyclic_reduce,
     enumerate_ball_elements,
@@ -311,42 +309,19 @@ def generator_images(a: AutElement) -> list[list[GroupElement]]:
             for i in range(p.n)]
 
 
-def _strip_two_sided(p: Presentation, w: GroupElement, left_set: frozenset[int],
-                     right_set: frozenset[int]):
-    """Factor w = lam * rho with supports in the given sets, greedily.
-
-    Returns (lam, rho) or None when a middle part remains.
-    """
-    word = list(w.word)
-    lam: list[Syllable] = []
-    rho: list[Syllable] = []
-    progress = True
-    while word and progress:
-        progress = False
-        k = next((k for k in _front_shufflable(p, word)
-                  if word[k].vertex in left_set), None)
-        if k is not None:
-            lam.append(word.pop(k))
-            progress = True
-        k = _right_strippable(p, word, right_set)
-        if k is not None:
-            rho.insert(0, word.pop(k))
-            progress = True
-    if word:
-        return None
-    return reduce_word(p, lam), reduce_word(p, rho)
-
-
 def coset_intersection(c1: GroupElement, S1: frozenset[int],
                        c2: GroupElement, S2: frozenset[int]):
-    """Intersect c1<G_S1> with c2<G_S2>: (rep, S1 & S2) or None if empty."""
-    p = c1.presentation
-    w = mul(inv(c2), c1)
-    split = _strip_two_sided(p, w, S2, S1)
-    if split is None:
+    """Intersect c1<G_S1> with c2<G_S2>: (rep, S1 & S2) or None if empty.
+
+    They meet iff c2^-1·c1 = lam·rho with lam in <G_S2> and rho in <G_S1>.
+    Then r = coset_rep(c2^-1·c1, S1), the minimal rep of lam<G_S1>, is lam's
+    word with syllables stripped (Green, *Graph products of groups*, 1990),
+    so supp(r) lies in S2; and if it does, they meet in c2·r<G_{S1 & S2}>.
+    """
+    r = coset_rep(mul(inv(c2), c1), S1)
+    if not r.support() <= S2:
         return None
-    lam, _rho = split
-    return coset_rep(mul(c2, lam), S1 & S2), S1 & S2
+    return coset_rep(mul(c2, r), S1 & S2), S1 & S2
 
 
 def aut_decompose(p: Presentation, images: Sequence[Sequence[GroupElement]]) -> AutElement:
@@ -356,7 +331,9 @@ def aut_decompose(p: Presentation, images: Sequence[Sequence[GroupElement]]) -> 
     Each image must be conjugate to a single syllable; the syllable vertices
     determine the symmetry, the conjugators constrain g to one coset of a
     three-vertex parabolic per vertex, and intersecting those cosets pins g
-    down uniquely.  The result is verified against all images before return.
+    down uniquely, as the maximal windows of all n >= 5 base vertices have no
+    vertex in common.  The result is verified against all images before
+    return.
     """
     p.require_finite()
     n = p.n
@@ -394,18 +371,14 @@ def aut_decompose(p: Presentation, images: Sequence[Sequence[GroupElement]]) -> 
 
     # g lies in conj_i * <maximal window around sigma(i)> for every i; intersect
     windows = [window_of(n, MAXIMAL, sigma(i)) for i in range(n)]
-    z, S = conjugators[0], windows[0]
+    g, S = conjugators[0], windows[0]
     for i in range(1, n):
-        hit = coset_intersection(conjugators[i], windows[i], z, S)
+        hit = coset_intersection(conjugators[i], windows[i], g, S)
         if hit is None:
             raise DecompositionError(
                 "conjugator constraints are inconsistent: no single inner "
                 "element matches all vertices", format_word(conjugators[i]))
-        z, S = hit
-    if S:
-        raise DecompositionError(
-            "conjugator constraints do not pin the inner part down", sorted(S))
-    g = z
+        g, S = hit
 
     gi = inv(g)
     isos = []

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 from .davis import ComplexBall, ComplexVertex
 from .errors import FillError, ValidationError
 from .reports import Report
-from .walls import _UnionFind
+from .walls import UnionFind
 from .words import GroupElement, format_word
 
 
@@ -284,7 +284,7 @@ def fill_loop(b: ComplexBall, loop: Sequence[ComplexVertex],
             + [rep] * (len(completion) + 1)
         ids = [ids[(j + k + t) % L] for t in range(L - k + 1)] + fresh[::-1]
 
-    uf = _UnionFind()
+    uf = UnionFind()
     for a, c in merges:
         uf.union(a, c)
     root = uf.find

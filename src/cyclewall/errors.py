@@ -51,9 +51,5 @@ class InvariantError(CycleWallError):
         self.witness = witness
 
 
-class InconclusiveError(CycleWallError):
-    """A bounded search exhausted its depth without reaching a verdict."""
-
-
 class FillError(CycleWallError):
     """A loop could not be filled by a disc diagram inside the given ball."""

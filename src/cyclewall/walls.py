@@ -34,9 +34,11 @@ one level-by-level breadth-first search over a neighbour function
 (``_bfs_levels``) serves crossing-graph distances, wall connectivity and
 minimal sets; the last runs over the subdivision's own adjacency and stops at
 the first level that reaches the other wall.  No element ball is scanned: a
-wall's truncated stabilizer is found among the transporters r'·x·r^-1
-between its edges, and a truncated ``w<G_S>w^-1`` by conjugating the short
-elements of <G_S>.  The walls, the subdivision, the window balls, each
+wall's truncated stabilizer is its short transporters r'·x·r^-1 between
+its edges, each of which stabilizes it, and a truncated ``w<G_S>w^-1`` is
+found by conjugating the short elements of <G_S>.  The geometric test
+``_stabilizes_wall`` only tells which elements of a parabolic move no wall
+edge into the ball.  The walls, the subdivision, the window balls, each
 truncated parabolic subgroup and the per-wall truncated stabilizers are
 built once per ball, on first use, and kept on the ball
 (``ComplexBall.derived``); they live and die with it.  A wall's fixator is
@@ -281,12 +283,14 @@ def wall_stabilizer_truncated(b: ComplexBall, T: TreeWall, L: int) -> set[GroupE
 
 
 def _wall_stabilizer(b: ComplexBall, T: TreeWall, L: int) -> frozenset[GroupElement]:
-    """The elements of length <= L that ``_stabilizes_wall`` accepts.
+    """The elements of length <= L that ``_stabilizes_wall`` accepts: the
+    transporters r'·x·r^-1 (x in G_i) between wall edges (i, r), (i, r').
 
-    Only transporters between wall edges are tried, which misses none: an
-    accepted g maps some edge (i, r) of T onto an edge (i, r') of T, so
-    g·r lies in r'·G_i and g = r'·x·r^-1 for some x in G_i.  Each candidate
-    still goes through the guard.
+    An accepted g maps some edge (i, r) of T onto some (i, r'), so g·r lies
+    in r'·G_i.  Conversely, every edge of a wall with key u lies in
+    u<G_{i-1}, G_i, G_{i+1}>, which a transporter stabilizes; so it maps the
+    wall's edges to edges with its key, on T when in the ball, and (i, r)
+    onto (i, r').  The guard would accept each one, so it is not run.
     """
     p = b.presentation
     local = [identity(p)] + [from_syllable(p, T.label, x)
@@ -301,7 +305,7 @@ def _wall_stabilizer(b: ComplexBall, T: TreeWall, L: int) -> frozenset[GroupElem
                 g = mul(e, r_inv)
                 if g.syllable_length <= L:
                     candidates.add(g)
-    return frozenset(g for g in candidates if _stabilizes_wall(b, g, T))
+    return frozenset(candidates)
 
 
 def wall_stabilizer_audit(b: ComplexBall, L: int) -> Report:
@@ -462,7 +466,9 @@ def min_set_audit(b: ComplexBall, cg: CrossingGraph) -> Report:
 # -- hyperplanes of the square subdivision ------------------------------------------
 
 
-class _UnionFind:
+class UnionFind:
+    """Disjoint sets of hashable items, made on first ``find``."""
+
     def __init__(self):
         self.parent = {}
 
@@ -484,7 +490,7 @@ def hyperplane_classes(b_sq: ComplexBall) -> dict[ComplexEdge, list[ComplexEdge]
     to the same hyperplane."""
     if b_sq.form != "square":
         raise ValidationError("hyperplanes live in the square subdivision")
-    uf = _UnionFind()
+    uf = UnionFind()
     for s in b_sq.squares:
         # corners (m_i, v, m_{i+1}, c) in cyclic order; opposite edge pairs:
         m_i, v, m_next, c = s.corners

@@ -25,7 +25,8 @@ order. Pushing one syllable onto a word of L syllables costs O(L), and no
 word is ever sorted.
 
 Conjugated standard subgroups w<G_S>w^-1 are ``algebraic.CSubgroup`` values,
-the one encoding of them; ``parabolic_member`` tests membership in one.
+the one encoding of them; ``parabolic_member`` tests membership in one by
+comparing minimal coset representatives.
 """
 
 from __future__ import annotations
@@ -284,10 +285,13 @@ def coset_rep(g: GroupElement, S: Iterable[int]) -> GroupElement:
 
 
 def parabolic_member(g: GroupElement, H: CSubgroup) -> bool:
-    """Whether g lies in the conjugated standard subgroup ``H = w<G_S>w^-1``:
-    exactly when ``w^-1 g w`` is supported on the window S."""
+    """Whether g lies in the conjugated standard subgroup ``H = w<G_S>w^-1``.
+
+    g lies in H iff g·w<G_S> = w<G_S>, whose minimal rep is w itself:
+    ``CSubgroup`` keeps w minimal modulo a window that contains S.
+    """
     w = H.conjugator
-    return mul(mul(inv(w), g), w).support() <= H.window
+    return coset_rep(mul(g, w), H.window) == w
 
 
 # -- cyclic reduction ---------------------------------------------------------

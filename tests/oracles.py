@@ -45,6 +45,10 @@ instead of reading the rep's length.
 The coset-rep oracle strips the same syllables as ``words.coset_rep`` but
 re-reduces and re-sorts the result with the heap oracle.
 
+The coset-intersection oracle factors c2^-1·c1 into a <G_S2> part and a
+<G_S1> part by greedy two-sided stripping, instead of asking whether the
+minimal rep of c2^-1·c1 modulo S1 is supported on S2.
+
 The shared-edge oracle intersects the edge cosets of both labels of both
 vertices, instead of reading the one word c2^-1·c1 for the one label their
 bases allow.
@@ -100,11 +104,12 @@ from cyclewall.localgroups import IDENTITY, table_group
 from cyclewall.davis import EDGE, POLY, act_edge, subdivide, x_edge
 from cyclewall.diagrams import DiscDiagram, _ball_edge, _cancel_spurs, _match_polygon
 from cyclewall.errors import FillError, ValidationError
-from cyclewall.walls import TreeWall, _UnionFind, _stabilizes_wall, walls_of_ball
+from cyclewall.walls import TreeWall, UnionFind, _stabilizes_wall, walls_of_ball
 from cyclewall.words import (
     GroupElement,
     Presentation,
     Syllable,
+    _front_shufflable,
     _right_strippable,
     coset_rep,
     enumerate_ball_elements,
@@ -237,24 +242,6 @@ def heap_canonical_order(p: Presentation, word) -> tuple:
             if not indeg[j]:
                 heappush(heap, (vertices[j], j))
     return tuple(out)
-
-
-class UnionFind:
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, x):
-        p = self.parent.setdefault(x, x)
-        while p != self.parent[p]:
-            self.parent[p] = self.parent[self.parent[p]]
-            p = self.parent[p]
-        self.parent[x] = p
-        return p
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
 
 
 def closure_classifier(p: Presentation, max_len: int):
@@ -503,6 +490,31 @@ def coset_rep_reduced(g: GroupElement, S) -> GroupElement:
     return GroupElement(p, heap_canonical_order(p, append_only_reduced(p, word)))
 
 
+def coset_intersection_by_stripping(c1: GroupElement, S1, c2: GroupElement, S2):
+    """``autgroup.coset_intersection`` by factoring c2^-1·c1 = lam·rho with
+    lam in <G_S2> and rho in <G_S1>, greedily: strip S2-syllables that
+    shuffle to the front and S1-syllables that shuffle to the end until
+    neither moves.  The cosets meet iff nothing is left."""
+    p = c1.presentation
+    word = list(mul(inv(c2), c1).word)
+    lam = []
+    progress = True
+    while word and progress:
+        progress = False
+        k = next((k for k in _front_shufflable(p, word)
+                  if word[k].vertex in S2), None)
+        if k is not None:
+            lam.append(word.pop(k))
+            progress = True
+        k = _right_strippable(p, word, S1)
+        if k is not None:
+            del word[k]
+            progress = True
+    if word:
+        return None
+    return coset_rep(mul(c2, reduce_word(p, lam)), S1 & S2), S1 & S2
+
+
 def _edge_cosets_both_labels(h) -> dict:
     """Edge coset reps of the X-vertex encoded by a medium, by label."""
     p = h.presentation
@@ -714,7 +726,7 @@ def fill_loop_by_search(b, loop, max_faces: int = 24) -> DiscDiagram:
         raise FillError(
             f"no reduced filling with at most {max_faces} faces was found")
 
-    uf = _UnionFind()
+    uf = UnionFind()
     for a, c in merges:
         uf.union(a, c)
     root = uf.find

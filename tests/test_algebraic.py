@@ -311,6 +311,20 @@ def test_phi_iso_check_fails_on_a_node_no_vertex_encodes(c5_z2, monkeypatch):
         "phi.surjective-onto-nodes"}
 
 
+def test_phi_iso_check_fails_when_two_vertices_share_a_medium(c5_z2, monkeypatch):
+    """A collision is reported with the colliding vertices; the rebuild,
+    which refuses collisions, is not reached."""
+    monkeypatch.setattr(algebraic, "medium_of_vertex",
+                        lambda v: CSubgroup(MEDIUM, v.index, identity(c5_z2)))
+    b = build_ball(c5_z2, 2)
+    report = phi_iso_check(b)
+    assert [(r.check_id, r.status) for r in report.results] == [
+        ("phi.injective-on-vertices", "fail")]
+    by_index = sorted([v.key_string() for v in b.vertices if v.index == i]
+                      for i in range(5))
+    assert report.results[0].witness == by_index
+
+
 def test_phi_iso_check_fails_when_the_action_moves_nothing(c5_z2, monkeypatch):
     monkeypatch.setattr(algebraic, "act_vertex", lambda g, v: v)
     assert _algebraic_suite_failures(build_ball(c5_z2, 2)) == {

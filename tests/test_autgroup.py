@@ -1,7 +1,9 @@
 import random
+from pathlib import Path
 
 import pytest
 
+from cyclewall.algebraic import MAXIMAL, MEDIUM, MINIMAL, window_of
 from cyclewall.autgroup import (
     AutElement,
     CycleSymmetry,
@@ -27,6 +29,7 @@ from cyclewall.autgroup import (
     witness_details,
     witness_fixator_check,
 )
+from cyclewall.cli import load_presentation
 from cyclewall.davis import build_ball, x_vertex
 from cyclewall.errors import DecompositionError, ValidationError
 from cyclewall.localgroups import isomorphisms
@@ -34,12 +37,16 @@ from cyclewall.words import (
     GroupElement,
     Syllable,
     enumerate_ball_elements,
+    format_word,
     identity,
     inv,
     mul,
     parse_word,
+    reduce_word,
 )
-from oracles import axis_segment, treewall_of_edge
+from oracles import axis_segment, coset_intersection_by_stripping, treewall_of_edge
+
+PRESENTATIONS = Path(__file__).parent.parent / "perfbench" / "presentations"
 
 
 def random_aut(p, rng, loc=None, inner_pool=None):
@@ -183,6 +190,44 @@ def test_coset_intersection_examples(c5_z2):
     miss = coset_intersection(parse_word(p, "v3:1"), frozenset({0, 1}),
                               parse_word(p, "v0:1 v3:1 v0:1"), frozenset({1, 2}))
     assert miss is None
+
+
+def random_vertex_set(p, rng):
+    """A tier's window at a random base, or any non-empty vertex set."""
+    if rng.random() < 0.5:
+        return window_of(p.n, rng.choice((MINIMAL, MEDIUM, MAXIMAL)),
+                         rng.randrange(p.n))
+    return frozenset(rng.sample(range(p.n), rng.randint(1, p.n)))
+
+
+def random_element(p, rng, max_len, vertices=None):
+    alphabet = [s for s in p.syllables() if vertices is None or s.vertex in vertices]
+    return reduce_word(p, [rng.choice(alphabet)
+                           for _ in range(rng.randrange(max_len + 1))])
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in PRESENTATIONS.glob("*.json")))
+def test_coset_intersection_matches_the_stripping_oracle(name):
+    """Reading the minimal rep of c2^-1·c1 modulo S1 intersects two cosets
+    as greedy two-sided stripping does: on 2,000 random pairs per
+    presentation, half of them made to meet (c1 = c2·lam·rho with lam in
+    <G_S2> and rho in <G_S1>) and half drawn apart."""
+    p = load_presentation(str(PRESENTATIONS / f"{name}.json"))
+    rng = random.Random(12)
+    met = 0
+    for k in range(2000):
+        S1, S2 = random_vertex_set(p, rng), random_vertex_set(p, rng)
+        c2 = random_element(p, rng, 8)
+        if k % 2:
+            c1 = random_element(p, rng, 8)
+        else:
+            c1 = mul(mul(c2, random_element(p, rng, 4, S2)),
+                     random_element(p, rng, 4, S1))
+        got = coset_intersection(c1, S1, c2, S2)
+        assert got == coset_intersection_by_stripping(c1, S1, c2, S2), \
+            (format_word(c1), sorted(S1), format_word(c2), sorted(S2))
+        met += got is not None
+    assert 1000 <= met < 2000
 
 
 def test_decompose_roundtrip_samples(c5_z2, c5_mixed, c5_s3):

@@ -77,3 +77,23 @@ def test_no_assert_statements(path):
 def test_scan_flags_an_assert():
     assert assert_lines("x = 1\nassert x, 'x is set'\n"
                         "def f(y):\n    assert y > 0\n    return y\n") == [2, 4]
+
+
+def private_sibling_imports(source: str) -> list[str]:
+    """Underscore-prefixed names imported from a sibling module."""
+    return sorted(f"{node.module}.{alias.name} (line {node.lineno})"
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom) and node.level > 0
+                  for alias in node.names if alias.name.startswith("_"))
+
+
+@pytest.mark.parametrize("path", PACKAGE_FILES, ids=lambda p: p.name)
+def test_no_private_names_from_sibling_modules(path):
+    assert private_sibling_imports(path.read_text()) == []
+
+
+def test_scan_flags_a_private_sibling_import():
+    assert private_sibling_imports("from ._x import y\nfrom .words import (\n"
+                                   "    _push,\n    mul,\n)\n"
+                                   "from os import _exit\n") == [
+        "words._push (line 2)"]

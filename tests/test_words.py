@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclewall.algebraic import MEDIUM, CSubgroup
+from cyclewall.algebraic import MAXIMAL, MEDIUM, MINIMAL, CSubgroup
 from cyclewall.cli import load_presentation
 from cyclewall.errors import ValidationError
 from cyclewall.words import (
@@ -39,6 +39,7 @@ from oracles import (
     heap_canonical_order,
     parabolic_normalizer,
     single_moves,
+    window_member,
 )
 
 PERFBENCH_DIR = Path(__file__).parent.parent / "perfbench" / "presentations"
@@ -260,6 +261,35 @@ def test_parabolic_member_examples(c5_z2):
     assert parabolic_member(a1, CSubgroup(MEDIUM, 1, identity(p)))
     a3 = parse_word(p, "v3:1")
     assert not parabolic_member(a3, CSubgroup(MEDIUM, 1, a1))
+
+
+@pytest.mark.parametrize("path", PERFBENCH_PRESENTATIONS, ids=lambda p: p.stem)
+def test_parabolic_member_matches_the_conjugate_support_rule(path):
+    """Comparing minimal coset reps decides membership in w<G_S>w^-1 as
+    ``supp(w^-1·g·w) <= S`` does, for every tier and base: on random
+    elements, and on conjugates w·h·w^-1 of random h in <G_S>, each also
+    moved by one syllable."""
+    p = load_presentation(str(path))
+    rng = random.Random(11)
+    alphabet = list(p.syllables())
+    verdicts = Counter()
+    for tier in (MINIMAL, MEDIUM, MAXIMAL):
+        for base in p.vertices():
+            for _ in range(40):
+                H = CSubgroup(tier, base, reduce_word(p, random_raw_word(rng, p, 8)))
+                w = H.conjugator
+                h = reduce_word(p, [s for s in random_raw_word(rng, p, 12)
+                                    if s.vertex in H.window])
+                inside = mul(mul(w, h), inv(w))
+                nudged = mul(inside, GroupElement(p, (rng.choice(alphabet),)))
+                elsewhere = reduce_word(p, random_raw_word(rng, p, 10))
+                for g in (inside, nudged, elsewhere):
+                    got = parabolic_member(g, H)
+                    assert got == window_member(g, H.window, w), \
+                        (H.key_string(), format_word(g))
+                    verdicts[tier, got] += 1
+    assert all(verdicts[tier, got] >= 50 for tier in (MINIMAL, MEDIUM, MAXIMAL)
+               for got in (True, False)), verdicts
 
 
 def test_parabolic_normalizer(c5_z2):
