@@ -357,8 +357,11 @@ def cmd_aut(args) -> int:
 
 def _write(path: Optional[str], text: str) -> None:
     if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(path, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ValidationError(f"cannot write output file: {exc}")
     else:
         print(text)
 

@@ -36,7 +36,8 @@ interior iff |w| + |S| <= r, a labelled edge (an X-edge or a half of one)
 iff |w| + 1 <= r, and a spoke, which lies inside one polygon, always.
 
 The link audits read each interior vertex's link as a plain adjacency dict
-(incident edge -> the incident edges it shares a 2-cell corner with).  A
+(incident edge -> the incident edges it shares a 2-cell corner with), whose
+sides and nodes are told apart by identity, as the ball's own objects.  A
 2-cell that meets its corner in other than two sides raises
 ``InvariantError``, which the audits report as a failed check with a witness.
 """
@@ -380,8 +381,10 @@ def vertex_link(b: ComplexBall, v: ComplexVertex) -> dict[ComplexEdge, set[Compl
     if v not in b.interior_vertices:
         raise BoundaryCellError(f"vertex {v.key_string()} is not interior to the ball")
     link: dict[ComplexEdge, set[ComplexEdge]] = {e: set() for e in b.vertex_edges[v]}
+    a, c = b.vertex_edges[v][0].ends
+    v = a if a == v else c   # the ball's own object, so its sides are found by identity
     for cell in b.vertex_cells[v]:
-        at_v = [e for e in cell.edges if v in e.ends]
+        at_v = [e for e in cell.edges if e.ends[0] is v or e.ends[1] is v]
         if len(at_v) != 2:
             raise InvariantError("a 2-cell meets its corner in other than two sides",
                                  [cell.name(), v.key_string(), len(at_v)])
@@ -393,7 +396,9 @@ def vertex_link(b: ComplexBall, v: ComplexVertex) -> dict[ComplexEdge, set[Compl
 
 def graph_girth(g: Mapping) -> float:
     """Shortest cycle length of an adjacency mapping (node -> neighbours);
-    inf for forests.  BFS per node (links are small)."""
+    inf for forests.  BFS per node (links are small).  A node is told from
+    its BFS parent by identity, so every neighbour must be the very object
+    that keys it, as in ``vertex_link``'s links of a ball's own edges."""
     best = float("inf")
     for root in g:
         dist = {root: 0}
@@ -405,7 +410,7 @@ def graph_girth(g: Mapping) -> float:
                     dist[w] = dist[u] + 1
                     parent[w] = u
                     queue.append(w)
-                elif parent[u] != w:
+                elif parent[u] is not w:
                     best = min(best, dist[u] + dist[w] + 1)
     return best
 
@@ -513,44 +518,72 @@ def ball_to_dot(b: ComplexBall) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_int(x: Optional[int]) -> str:
+    return "null" if x is None else str(x)
+
+
+def _json_records(records: list[str]) -> str:
+    """A list of records at depth 1 of the ``indent=2`` layout."""
+    return "[\n    " + ",\n    ".join(records) + "\n  ]" if records else "[]"
+
+
+def _json_keys(keys) -> str:
+    """A list of escaped key strings at depth 3 of the ``indent=2`` layout."""
+    return '[\n        "' + '",\n        "'.join(keys) + '"\n      ]'
+
+
 def ball_to_json(b: ComplexBall) -> str:
-    words: dict[GroupElement, str] = {}   # each rep formatted once
+    """The ball's canonical JSON: the text ``json.dumps(doc, indent=2,
+    sort_keys=True)`` gives for its record document, written directly with
+    one fixed layout per record kind, keys in sorted order.
+
+    JSON escapes a string character by character, and a key string joins
+    its parts with ASCII separators that need no escape, so each vertex key
+    is escaped once, through its rep, and edge keys are joined from the
+    escaped vertex keys.
+    """
+    words: dict[tuple, str] = {}   # each rep formatted and escaped once
 
     def word(g: GroupElement) -> str:
-        w = words.get(g)
+        w = words.get(g.word)
         if w is None:
-            w = words[g] = format_word(g)
+            # json's own escaping (json.dumps's with ensure_ascii), quotes included
+            w = words[g.word] = json.encoder.encode_basestring_ascii(format_word(g))
         return w
 
-    vertices, key = [], {}
+    key: dict[ComplexVertex, str] = {}   # escaped, without quotes
+    vertices = []
     for v in b.vertices:
         rep = word(v.rep)
-        key[v] = _vertex_key(v.cls, v.index, rep)
-        vertices.append({"key": key[v], "class": v.cls, "index": v.index,
-                         "rep": rep, "interior": v in b.interior_vertices})
-    doc = {
-        "schema": "cyclewall/1",
-        "form": b.form,
-        "n": b.presentation.n,
-        "radius": b.radius,
-        "vertices": vertices,
-        "edges": [
-            {"key": _edge_key(e.label, key[e.ends[0]], key[e.ends[1]]),
-             "label": e.label,
-             "rep": None if e.rep is None else word(e.rep),
-             "ends": [key[e.ends[0]], key[e.ends[1]]],
-             "interior": e in b.interior_edges}
-            for e in b.edges
-        ],
-        "polygons": [   # b.polygons is in key order
-            {"rep": word(g), "boundary": [key[v] for v in poly.boundary]}
-            for g, poly in b.polygons.items()
-        ],
-    }
+        k = key[v] = _vertex_key(v.cls, v.index, rep[1:-1])
+        vertices.append(
+            f'{{\n      "class": "{v.cls}",\n      "index": {_json_int(v.index)},\n'
+            f'      "interior": {"true" if v in b.interior_vertices else "false"},\n'
+            f'      "key": "{k}",\n      "rep": {rep}\n    }}')
+    edges = []
+    for e in b.edges:
+        k0, k1 = key[e.ends[0]], key[e.ends[1]]
+        edges.append(
+            f'{{\n      "ends": {_json_keys((k0, k1))},\n'
+            f'      "interior": {"true" if e in b.interior_edges else "false"},\n'
+            f'      "key": "{_edge_key(e.label, k0, k1)}",\n'
+            f'      "label": {_json_int(e.label)},\n'
+            f'      "rep": {"null" if e.rep is None else word(e.rep)}\n    }}')
+    polygons = [   # b.polygons is in key order
+        f'{{\n      "boundary": {_json_keys(key[v] for v in poly.boundary)},\n'
+        f'      "rep": {word(g)}\n    }}'
+        for g, poly in b.polygons.items()]
+    doc = (f'{{\n  "edges": {_json_records(edges)},\n'
+           f'  "form": "{b.form}",\n'
+           f'  "n": {b.presentation.n},\n'
+           f'  "polygons": {_json_records(polygons)},\n'
+           f'  "radius": {b.radius},\n'
+           f'  "schema": "cyclewall/1",\n')
     if b.form == "square":
-        doc["squares"] = [
-            {"polygon": word(s.polygon), "corner": s.corner,
-             "corners": [key[c] for c in s.corners]}
-            for s in b.squares
-        ]
-    return json.dumps(doc, indent=2, sort_keys=True)
+        squares = [
+            f'{{\n      "corner": {s.corner},\n'
+            f'      "corners": {_json_keys(key[c] for c in s.corners)},\n'
+            f'      "polygon": {word(s.polygon)}\n    }}'
+            for s in b.squares]
+        doc += f'  "squares": {_json_records(squares)},\n'
+    return doc + f'  "vertices": {_json_records(vertices)}\n}}'

@@ -84,11 +84,16 @@ The arc oracle rebuilds the abstract complex's arcs by running the join on
 every pair of mediums that share a containing maximal, instead of bucketing
 the nodes' edge cosets.
 
+The JSON-export oracle builds the ball's record document as dicts and
+encodes it with ``json.dumps(doc, indent=2, sort_keys=True)``, against which
+``davis.ball_to_json``'s direct writer is checked byte for byte.
+
 The axis oracle builds a segment of the translation axis through a central
 edge and asserts, edge by edge, that it keeps its label and tree-wall.
 """
 
 import itertools
+import json
 from heapq import heapify, heappop, heappush
 
 import networkx as nx
@@ -101,7 +106,16 @@ from cyclewall.algebraic import (
     medium_of_vertex,
 )
 from cyclewall.localgroups import IDENTITY, table_group
-from cyclewall.davis import EDGE, POLY, act_edge, subdivide, x_edge
+from cyclewall.davis import (
+    EDGE,
+    POLY,
+    ComplexBall,
+    _edge_key,
+    _vertex_key,
+    act_edge,
+    subdivide,
+    x_edge,
+)
 from cyclewall.diagrams import DiscDiagram, _ball_edge, _cancel_spurs, _match_polygon
 from cyclewall.errors import FillError, ValidationError
 from cyclewall.walls import TreeWall, UnionFind, _stabilizes_wall, walls_of_ball
@@ -776,3 +790,46 @@ def axis_segment(b, i: int, k: int) -> list:
     wall = treewall_of_edge(b, e0)
     assert all(e in wall.edges for e in edges)
     return sorted(edges)
+
+
+def ball_to_json_by_dumps(b: ComplexBall) -> str:
+    words: dict[GroupElement, str] = {}   # each rep formatted once
+
+    def word(g: GroupElement) -> str:
+        w = words.get(g)
+        if w is None:
+            w = words[g] = format_word(g)
+        return w
+
+    vertices, key = [], {}
+    for v in b.vertices:
+        rep = word(v.rep)
+        key[v] = _vertex_key(v.cls, v.index, rep)
+        vertices.append({"key": key[v], "class": v.cls, "index": v.index,
+                         "rep": rep, "interior": v in b.interior_vertices})
+    doc = {
+        "schema": "cyclewall/1",
+        "form": b.form,
+        "n": b.presentation.n,
+        "radius": b.radius,
+        "vertices": vertices,
+        "edges": [
+            {"key": _edge_key(e.label, key[e.ends[0]], key[e.ends[1]]),
+             "label": e.label,
+             "rep": None if e.rep is None else word(e.rep),
+             "ends": [key[e.ends[0]], key[e.ends[1]]],
+             "interior": e in b.interior_edges}
+            for e in b.edges
+        ],
+        "polygons": [   # b.polygons is in key order
+            {"rep": word(g), "boundary": [key[v] for v in poly.boundary]}
+            for g, poly in b.polygons.items()
+        ],
+    }
+    if b.form == "square":
+        doc["squares"] = [
+            {"polygon": word(s.polygon), "corner": s.corner,
+             "corners": [key[c] for c in s.corners]}
+            for s in b.squares
+        ]
+    return json.dumps(doc, indent=2, sort_keys=True)

@@ -315,6 +315,20 @@ def test_bad_input_exits_2_without_traceback(case, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", [["ball", "--radius", "1"],
+                                     ["verify", "--suite", "words"],
+                                     ["aut", "witness"]], ids=lambda c: c[0])
+@pytest.mark.parametrize("target", ["missing-directory", "a-directory"])
+def test_unwritable_output_exits_2_without_traceback(command, target, tmp_path, capsys):
+    path = write_presentation(tmp_path)
+    output = tmp_path / "absent" / "x.json" if target == "missing-directory" else tmp_path
+    rc = main(command + ["--presentation", path, "--output", str(output)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_RESOURCE
+    assert err.startswith("error: cannot write output file:")
+    assert err.count("\n") == 1
+
+
 _WITHOUT_NETWORKX = """
 import sys
 sys.modules["networkx"] = None   # any import of networkx now raises ImportError

@@ -38,6 +38,7 @@ from cyclewall.words import (
 )
 
 from oracles import (
+    ball_to_json_by_dumps,
     interior_by_enumeration,
     polygons_containing_edge,
     subdivision_interior_inherited,
@@ -427,3 +428,17 @@ def test_exports_are_deterministic_and_well_formed(c5_z2):
     assert dot.startswith("graph ball {") and dot.rstrip().endswith("}")
     sq = subdivide(b1)
     assert "squares" in json.loads(ball_to_json(sq))
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in PRESENTATIONS.glob("*.json")))
+def test_ball_to_json_matches_the_dumps_oracle(name):
+    """The direct writer gives json.dumps's bytes for the record document,
+    in both forms, at radius 0-2 (and at radius 3 for the subdivided
+    c6_mixed ball, the largest the CLI is timed on)."""
+    p = perfbench_presentation(name)
+    for r in range(4 if name == "c6_mixed" else 3):
+        b = build_ball(p, r)
+        forms = [subdivide(b)] if r == 3 else [b, subdivide(b)]
+        for ball in forms:
+            assert ball_to_json(ball) == ball_to_json_by_dumps(ball), (r, ball.form)
+

@@ -34,6 +34,10 @@ GOLDEN = {
         ["ball", "--radius", "3", "--subdivide", "--format", "json",
          "--presentation", str(PRESENTATIONS / "c6_mixed.json")],
         "e078dd7c35b061038a033af65129a4133f15e75eaa48ead75de2d8e96d665e99"),
+    "ball_r3_c5_z3": (
+        ["ball", "--radius", "3", "--format", "json",
+         "--presentation", str(PRESENTATIONS / "c5_z3.json")],
+        "6086558f477971b26c8179e1d47831f05f2326097a6afc55da6aff0e1bc8211f"),
     "verify_all_c5_mixed": (
         ["verify", "--suite", "all", "--radius", "2", "--depth", "3",
          "--seed", "0", "--presentation", str(PRESENTATIONS / "c5_mixed.json")],
