@@ -27,7 +27,6 @@ from .localgroups import (
     determining_set,
     integers_group,
     isomorphisms,
-    lg_automorphisms,
     table_group,
 )
 from .words import (

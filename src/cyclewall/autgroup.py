@@ -9,14 +9,19 @@ unique, so composition and inversion are done in normal form.  Arbitrary
 candidate automorphisms enter only through :func:`aut_decompose`, which
 reconstructs the normal form from generator images or rejects with a typed
 witness.
+
+The local group is never listed: :func:`enumerate_loc` indexes it as a
+product, and :func:`loc_fixator` applies only the elements that match a
+word's syllable values vertex by vertex.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 from .algebraic import MAXIMAL, window_of
 from .davis import EDGE, POLY, ComplexVertex, act_vertex
@@ -94,10 +99,6 @@ def _iso_exists(src, dst) -> bool:
     return bool(isomorphisms(src, dst))
 
 
-def identity_symmetry(p: Presentation) -> CycleSymmetry:
-    return CycleSymmetry(p, tuple(range(p.n)))
-
-
 def enumerate_symmetries(p: Presentation) -> list[CycleSymmetry]:
     """All dihedral cycle symmetries compatible with the vertex groups."""
     out = []
@@ -162,19 +163,42 @@ class LocalAut:
 
 
 def identity_local_aut(p: Presentation) -> LocalAut:
-    return LocalAut(identity_symmetry(p),
+    return LocalAut(CycleSymmetry(p, tuple(range(p.n))),
                     tuple(identity_iso(p.group(i)) for i in range(p.n)))
 
 
-def enumerate_loc(p: Presentation) -> list[LocalAut]:
-    """The whole local group, deterministic order."""
-    out = []
-    for sigma in enumerate_symmetries(p):
-        per_vertex = [isomorphisms(p.group(i), p.group(sigma(i)))
-                      for i in range(p.n)]
-        for combo in itertools.product(*per_vertex):
-            out.append(LocalAut(sigma, tuple(combo)))
-    return out
+class Loc(Sequence):
+    """The local group as an indexed product: ``loc[k]`` decodes k in mixed
+    radix, first the symmetry, in :func:`enumerate_symmetries`' order, then
+    one isomorphism per vertex, the last vertex varying fastest."""
+
+    def __init__(self, p: Presentation):
+        # |Iso(G_i, G_sigma(i))| = |Aut(G_i)|, so every symmetry's block has one size
+        self.choices = [(sigma, [isomorphisms(p.group(i), p.group(sigma(i)))
+                                 for i in range(p.n)])
+                        for sigma in enumerate_symmetries(p)]
+        self._block = math.prod(len(isos) for isos in self.choices[0][1])
+
+    def __len__(self) -> int:
+        return len(self.choices) * self._block
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        if not -len(self) <= k < len(self):
+            raise IndexError("local group index out of range")
+        j, k = divmod(k % len(self), self._block)
+        sigma, per_vertex = self.choices[j]
+        isos = []
+        for options in reversed(per_vertex):
+            k, r = divmod(k, len(options))
+            isos.append(options[r])
+        return LocalAut(sigma, tuple(reversed(isos)))
+
+
+def enumerate_loc(p: Presentation) -> Loc:
+    """The whole local group as an indexed product, deterministic order."""
+    return Loc(p)
 
 
 # -- automorphisms in normal form ----------------------------------------------------
@@ -420,7 +444,7 @@ def witness_details(p: Presentation) -> dict:
     """The witness element plus the data of its construction."""
     p.require_finite()
     n = p.n
-    det = [[e.value for e in determining_set(p.group(i))] for i in range(n)]
+    det = [determining_set(p.group(i)) for i in range(n)]
     m = max((len(d) for d in det), default=0)
     if m == 0:
         return {"element": identity(p), "degenerate": True, "m": 0,
@@ -461,17 +485,35 @@ def acyl_witness(p: Presentation) -> GroupElement:
 
 
 def loc_fixator(p: Presentation, g: GroupElement) -> list[LocalAut]:
-    return [lam for lam in enumerate_loc(p) if lam.apply(g) == g]
+    """The local automorphisms fixing g, in :func:`enumerate_loc`'s order.
+
+    lam(g)'s word is g's reduced word with each syllable (v, x) sent to
+    (sigma(v), phi_v(x)), and that word is still reduced.  Reduced words of one
+    element carry the same syllables (Green, *Graph products of groups*,
+    1990), so lam fixes g only if each phi_v maps g's values at v onto its
+    values at sigma(v), as multisets.  Only those candidates are applied to g.
+    """
+    values = [sorted(s.value for s in g.word if s.vertex == v) for v in range(p.n)]
+    fixator = []
+    for sigma, per_vertex in enumerate_loc(p).choices:
+        kept = [[phi for phi in isos
+                 if sorted(map(phi.apply, values[i])) == values[sigma(i)]]
+                for i, isos in enumerate(per_vertex)]
+        for isos in itertools.product(*kept):
+            lam = LocalAut(sigma, isos)
+            if lam.apply(g) == g:
+                fixator.append(lam)
+    return fixator
 
 
 def witness_fixator_check(p: Presentation, g: GroupElement) -> Report:
-    """Enumerate the local group and collect the elements fixing g."""
+    """The local fixator of g (:func:`loc_fixator`) must be the identity
+    alone."""
     report = Report()
-    loc = enumerate_loc(p)
-    fixator = [lam for lam in loc if lam.apply(g) == g]
+    fixator = loc_fixator(p, g)
     trivial = len(fixator) == 1 and fixator[0].is_identity
     report.add("aut.witness-fixator-trivial",
-               f"g={format_word(g) or 'e'} loc={len(loc)}", trivial,
+               f"g={format_word(g) or 'e'} loc={len(enumerate_loc(p))}", trivial,
                None if trivial else
                [aut_serialize(local_aut(lam)) for lam in fixator[:5]])
     return report

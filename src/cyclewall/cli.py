@@ -2,8 +2,8 @@
 and automorphism utilities.
 
 Exit codes: 0 pass, 1 audit failure, 2 resource or validation error (any
-other ``CycleWallError`` too), 3 no failures but at least one inconclusive
-check.
+other ``CycleWallError`` too, and a stdout closed before the output was
+written), 3 no failures but at least one inconclusive check.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import random
 import sys
 from typing import Optional
@@ -421,6 +422,13 @@ def main(argv=None) -> int:
         return args.func(args)
     except CycleWallError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except BrokenPipeError:
+        # the reader closed stdout early; point it at devnull so that the
+        # flush at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output was closed before the output was "
+              "written", file=sys.stderr)
         return EXIT_RESOURCE
 
 

@@ -6,12 +6,13 @@ Three kinds of vertex group are supported:
 * ``table``        -- an explicit finite multiplication table, identity id 0;
 * ``integers``     -- (Z, +), elements are Python ints.
 
-Elements are plain ints throughout (ids in the finite case, integers
-otherwise), wrapped in :class:`LocalElement` only at API boundaries.
+Elements are plain ints throughout: ids in the finite case, integers
+otherwise.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -116,13 +117,8 @@ class LocalGroupSpec:
     def nontrivial_elements(self) -> range:
         return range(1, self.size)
 
-    def contains(self, value: int) -> bool:
-        if self.kind == "integers":
-            return True
-        return 0 <= value < self.size
-
     def check(self, value: int) -> None:
-        if not self.contains(value):
+        if self.kind != "integers" and not 0 <= value < self.size:
             raise ValidationError(f"{value} is not an element of {self.name}")
 
     def mul(self, a: int, b: int) -> int:
@@ -147,25 +143,6 @@ class LocalGroupSpec:
             x = self.mul(x, a)
             k += 1
         return k
-
-
-@dataclass(frozen=True)
-class LocalElement:
-    group: LocalGroupSpec
-    value: int
-
-    def __post_init__(self):
-        self.group.check(self.value)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.value == IDENTITY
-
-
-def lg_mul(a: LocalElement, b: LocalElement) -> LocalElement:
-    if a.group != b.group:
-        raise GroupMismatchError(f"cannot multiply elements of {a.group.name} and {b.group.name}")
-    return LocalElement(a.group, a.group.mul(a.value, b.value))
 
 
 @dataclass(frozen=True)
@@ -274,8 +251,10 @@ def _generating_sequence(g: LocalGroupSpec) -> list[int]:
 def isomorphisms(src: LocalGroupSpec, dst: LocalGroupSpec) -> list[LocalIso]:
     """All isomorphisms src -> dst, in a deterministic order.
 
-    Finite groups are handled by backtracking over images of a generating
-    sequence; Z -> Z gives the two signs.
+    Finite groups, up to order ``DEFAULT_AUT_ORDER_CAP``: every choice of
+    same-order images for a generating sequence, first generator slowest,
+    kept when it closes to a bijective homomorphism.  Z -> Z gives the two
+    signs.
     """
     if src.kind == "integers" and dst.kind == "integers":
         return [LocalIso(src, dst, sign=1), LocalIso(src, dst, sign=-1)]
@@ -289,58 +268,36 @@ def isomorphisms(src: LocalGroupSpec, dst: LocalGroupSpec) -> list[LocalIso]:
             f"got {src.size}")
 
     gens = _generating_sequence(src)
+    candidates = [[y for y in dst.nontrivial_elements()
+                   if dst.element_order(y) == src.element_order(x)]
+                  for x in gens]
     found: list[LocalIso] = []
-
-    def candidates_for(gen: int) -> list[int]:
-        order = src.element_order(gen)
-        return [y for y in dst.nontrivial_elements() if dst.element_order(y) == order]
-
-    def search(k: int, images: dict[int, int]) -> None:
-        if k == len(gens):
-            table = _close(src, dst, images)
-            if table is None or len(table) != src.size:
-                return
-            vals = [table[x] for x in range(src.size)]
-            if sorted(vals) != list(range(dst.size)):
-                return
+    for images in itertools.product(*candidates):
+        table = _close(src, dst, dict(zip(gens, images)))
+        if table is None or len(table) != src.size:
+            continue
+        vals = [table[x] for x in range(src.size)]
+        if sorted(vals) == list(range(dst.size)):
             found.append(LocalIso(src, dst, mapping=tuple(vals)))
-            return
-        for y in candidates_for(gens[k]):
-            trial = dict(images)
-            trial[gens[k]] = y
-            if _close(src, dst, trial) is not None:
-                search(k + 1, trial)
-
-    search(0, {})
     return found
 
 
-def lg_automorphisms(g: LocalGroupSpec) -> list[LocalIso]:
-    """Full automorphism group of a vertex group, deterministic order.
-
-    Z has exactly the two signs; finite groups are searched by brute force up
-    to order ``DEFAULT_AUT_ORDER_CAP``.
-    """
-    return isomorphisms(g, g)
-
-
-def determining_set(g: LocalGroupSpec) -> list[LocalElement]:
+def determining_set(g: LocalGroupSpec) -> list[int]:
     """Finite subset fixed pointwise only by the identity automorphism.
 
     Grown greedily: scan elements in id order, keep those that strictly shrink
     the subgroup of automorphisms fixing everything chosen so far.
     """
     if g.kind == "integers":
-        return [LocalElement(g, 1)]
-    auts = lg_automorphisms(g)
-    fixing = list(auts)
-    chosen: list[LocalElement] = []
+        return [1]
+    fixing = isomorphisms(g, g)
+    chosen: list[int] = []
     for x in g.nontrivial_elements():
         if len(fixing) == 1:
             break
         still = [a for a in fixing if a.apply(x) == x]
         if len(still) < len(fixing):
-            chosen.append(LocalElement(g, x))
+            chosen.append(x)
             fixing = still
     if len(fixing) != 1:
         raise InvariantError("automorphisms fixing every element are not just the identity")

@@ -90,6 +90,14 @@ encodes it with ``json.dumps(doc, indent=2, sort_keys=True)``, against which
 
 The axis oracle builds a segment of the translation axis through a central
 edge and asserts, edge by edge, that it keeps its label and tree-wall.
+
+The local-group oracles list every element of Loc, one symmetry after another
+with ``itertools.product`` over the per-vertex isomorphisms, instead of
+decoding an index; find a word's local fixator by applying every listed
+element to it, instead of only those that match its syllable values; and find
+the isomorphisms between two vertex groups by a recursive search that prunes
+each partial assignment of generator images with ``_close``, instead of one
+product over all of them.
 """
 
 import itertools
@@ -105,7 +113,15 @@ from cyclewall.algebraic import (
     join_is_cmaximal,
     medium_of_vertex,
 )
-from cyclewall.localgroups import IDENTITY, table_group
+from cyclewall.autgroup import LocalAut, enumerate_symmetries
+from cyclewall.localgroups import (
+    IDENTITY,
+    LocalIso,
+    _close,
+    _generating_sequence,
+    isomorphisms,
+    table_group,
+)
 from cyclewall.davis import (
     EDGE,
     POLY,
@@ -833,3 +849,50 @@ def ball_to_json_by_dumps(b: ComplexBall) -> str:
             for s in b.squares
         ]
     return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def enumerate_loc_by_listing(p: Presentation) -> list[LocalAut]:
+    out = []
+    for sigma in enumerate_symmetries(p):
+        per_vertex = [isomorphisms(p.group(i), p.group(sigma(i)))
+                      for i in range(p.n)]
+        for combo in itertools.product(*per_vertex):
+            out.append(LocalAut(sigma, tuple(combo)))
+    return out
+
+
+def loc_fixator_by_filter(p: Presentation, g: GroupElement) -> list[LocalAut]:
+    return [lam for lam in enumerate_loc_by_listing(p) if lam.apply(g) == g]
+
+
+def isomorphisms_by_search(src, dst) -> list[LocalIso]:
+    if src.kind == "integers" and dst.kind == "integers":
+        return [LocalIso(src, dst, sign=1), LocalIso(src, dst, sign=-1)]
+    if not src.is_finite or not dst.is_finite or src.size != dst.size:
+        return []
+
+    gens = _generating_sequence(src)
+    found: list[LocalIso] = []
+
+    def candidates_for(gen: int) -> list[int]:
+        order = src.element_order(gen)
+        return [y for y in dst.nontrivial_elements() if dst.element_order(y) == order]
+
+    def search(k: int, images: dict[int, int]) -> None:
+        if k == len(gens):
+            table = _close(src, dst, images)
+            if table is None or len(table) != src.size:
+                return
+            vals = [table[x] for x in range(src.size)]
+            if sorted(vals) != list(range(dst.size)):
+                return
+            found.append(LocalIso(src, dst, mapping=tuple(vals)))
+            return
+        for y in candidates_for(gens[k]):
+            trial = dict(images)
+            trial[gens[k]] = y
+            if _close(src, dst, trial) is not None:
+                search(k + 1, trial)
+
+    search(0, {})
+    return found

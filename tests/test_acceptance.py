@@ -212,7 +212,7 @@ def test_criterion_7_witness_with_trivial_local_fixator():
     # vertex maps fix every determining element
     predicted = [lam for lam in loc
                  if lam.sigma.is_identity
-                 and all(lam.isos[i].apply(e.value) == e.value
+                 and all(lam.isos[i].apply(e) == e
                          for i in range(p.n)
                          for e in determining_set(p.group(i)))]
     ok = ok and fix == predicted

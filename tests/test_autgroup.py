@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from cyclewall import autgroup, cli
 from cyclewall.algebraic import MAXIMAL, MEDIUM, MINIMAL, window_of
 from cyclewall.autgroup import (
     AutElement,
@@ -29,12 +30,13 @@ from cyclewall.autgroup import (
     witness_details,
     witness_fixator_check,
 )
-from cyclewall.cli import load_presentation
+from cyclewall.cli import load_presentation, run_suite
 from cyclewall.davis import build_ball, x_vertex
 from cyclewall.errors import DecompositionError, ValidationError
-from cyclewall.localgroups import isomorphisms
+from cyclewall.localgroups import integers_group, isomorphisms
 from cyclewall.words import (
     GroupElement,
+    Presentation,
     Syllable,
     enumerate_ball_elements,
     format_word,
@@ -44,9 +46,17 @@ from cyclewall.words import (
     parse_word,
     reduce_word,
 )
-from oracles import axis_segment, coset_intersection_by_stripping, treewall_of_edge
+from oracles import (
+    axis_segment,
+    coset_intersection_by_stripping,
+    enumerate_loc_by_listing,
+    loc_fixator_by_filter,
+    s3_table_group,
+    treewall_of_edge,
+)
 
 PRESENTATIONS = Path(__file__).parent.parent / "perfbench" / "presentations"
+REFERENCES = sorted(p.stem for p in PRESENTATIONS.glob("*.json"))
 
 
 def random_aut(p, rng, loc=None, inner_pool=None):
@@ -87,6 +97,28 @@ def test_loc_size_c5_s3(c5_s3):
     # iso classes (Z2, Z3, S3, Z2, Z3) admit only the identity symmetry;
     # |Aut| per vertex: 1, 2, 6, 1, 2
     assert len(enumerate_loc(c5_s3)) == 24
+
+
+@pytest.mark.parametrize("name", REFERENCES + ["5 x Z"])
+def test_indexed_loc_matches_the_listing(name):
+    """The indexed product holds the listed elements in the listed order, and
+    lengths, slices, indices and seeded draws behave as on the list."""
+    p = (Presentation((integers_group(),) * 5) if name == "5 x Z"
+         else load_presentation(str(PRESENTATIONS / f"{name}.json")))
+    loc, listed = enumerate_loc(p), enumerate_loc_by_listing(p)
+    assert list(loc) == listed
+    assert len(loc) == len(listed)
+    assert loc[:60] == listed[:60]
+    rng = random.Random(4)
+    for _ in range(20):
+        k = rng.randrange(len(listed))
+        assert loc[k] == listed[k]
+        assert loc[-1 - k] == listed[-1 - k]
+    assert random.Random(9).choice(loc) == random.Random(9).choice(listed)
+    with pytest.raises(IndexError):
+        loc[len(listed)]
+    with pytest.raises(IndexError):
+        loc[-1 - len(listed)]
 
 
 # -- group structure -----------------------------------------------------------
@@ -337,6 +369,65 @@ def test_fixator_of_single_syllable_is_a_subgroup(c5_z3):
               if lam.sigma(1) == 1 and lam.isos[1].apply(1) == 1]
     assert fix == expect
     assert len(fix) > 1  # a genuine subgroup, unlike the witness fixator
+
+
+@pytest.mark.parametrize("name", REFERENCES)
+def test_loc_fixator_matches_the_whole_group_filter(name):
+    """Applying only the elements that match g's syllable values finds the
+    same fixator, in the same order, as applying every element of Loc: on
+    the witness, every single syllable, the identity and 50 random words."""
+    p = load_presentation(str(PRESENTATIONS / f"{name}.json"))
+    d = witness_details(p)
+    words = [identity(p)] + [GroupElement(p, (s,)) for s in p.syllables()]
+    words += [] if d["degenerate"] else [d["element"]]
+    rng = random.Random(21)
+    words += [random_element(p, rng, 10) for _ in range(50)]
+    for g in words:
+        assert loc_fixator(p, g) == loc_fixator_by_filter(p, g), format_word(g)
+
+
+def test_aut_suite_on_six_s3_indexes_a_local_group_of_559872():
+    p = Presentation((s3_table_group(),) * 6)
+    report = run_suite(p, "aut", 2, 3, 0)
+    assert report.ok and not report.inconclusive
+    [row] = [r for r in report.results if r.check_id == "aut.witness-fixator-trivial"]
+    assert row.instance.endswith(" loc=559872")
+
+
+# -- every aut check can fail ---------------------------------------------------
+
+
+def aut_statuses(p):
+    return {r.check_id: r.status for r in cli.aut_suite(p, 3, 0).results}
+
+
+def test_witness_fixator_fails_without_the_apply_check(c5_z3, monkeypatch):
+    """On 5 x Z/3 the witness takes value 1 twice at every vertex, so under
+    each of the 10 symmetries the identity isomorphisms match its syllable
+    values; only applying them shows that 9 of them move it."""
+    assert aut_statuses(c5_z3)["aut.witness-fixator-trivial"] == "pass"
+    monkeypatch.setattr(autgroup.LocalAut, "apply", lambda lam, g: g)
+    assert aut_statuses(c5_z3)["aut.witness-fixator-trivial"] == "fail"
+    assert len(loc_fixator(c5_z3, acyl_witness(c5_z3))) == 10
+
+
+def test_decompose_roundtrip_fails_when_images_drop_the_inner_part(c5_z3, monkeypatch):
+    monkeypatch.setattr(cli, "generator_images",
+                        lambda a: generator_images(local_aut(a.local)))
+    assert aut_statuses(c5_z3)["aut.decompose-roundtrip"] == "fail"
+
+
+def test_local_fixes_base_polygon_fails_under_an_added_translation(c5_z3, monkeypatch):
+    shift = inner_aut(parse_word(c5_z3, "v0:1"))
+    monkeypatch.setattr(autgroup, "aut_act_vertex",
+                        lambda a, v: aut_act_vertex(aut_compose(shift, a), v))
+    assert aut_statuses(c5_z3)["aut.local-fixes-base-polygon"] == "fail"
+
+
+def test_inner_moves_base_polygon_fails_when_the_action_ignores_it(c5_z3, monkeypatch):
+    monkeypatch.setattr(autgroup, "aut_act_vertex",
+                        lambda a, v: aut_act_vertex(local_aut(a.local), v))
+    assert aut_statuses(c5_z3)["aut.nontrivial-inner-moves-base-polygon"] == "fail"
 
 
 # -- axes ----------------------------------------------------------------------

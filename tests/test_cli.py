@@ -350,3 +350,21 @@ def test_verify_all_runs_without_networkx(tmp_path):
         env=env, capture_output=True, text=True)
     assert run.returncode == EXIT_PASS, run.stderr
     assert json.loads(out.read_text())["summary"]["fail"] == 0
+
+
+def test_closed_stdout_exits_2_without_traceback():
+    """A reader that stops early (``| head -c 10``) gets one error line and
+    exit code 2, not a BrokenPipeError traceback."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cyclewall.cli", "ball", "--radius", "3", "--subdivide",
+         "--presentation", str(root / "perfbench" / "presentations" / "c6_mixed.json")],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == EXIT_RESOURCE
+    assert len(head) == 10
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err

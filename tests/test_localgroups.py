@@ -7,9 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from cyclewall.errors import GroupMismatchError, ValidationError
+from cyclewall.errors import ValidationError
 from cyclewall.localgroups import (
-    LocalElement,
     LocalGroupSpec,
     _generating_sequence,
     cyclic_group,
@@ -17,24 +16,16 @@ from cyclewall.localgroups import (
     identity_iso,
     integers_group,
     isomorphisms,
-    lg_automorphisms,
-    lg_mul,
     table_group,
 )
 
-from oracles import s3_table_group
+from oracles import isomorphisms_by_search, s3_table_group
 
 
 def test_cyclic_mul_is_modular_addition():
     z3 = cyclic_group(3)
-    assert lg_mul(LocalElement(z3, 1), LocalElement(z3, 2)).value == 0
-    assert lg_mul(LocalElement(z3, 0), LocalElement(z3, 2)).value == 2
-
-
-def test_mul_rejects_group_mismatch():
-    z2, z3 = cyclic_group(2), cyclic_group(3)
-    with pytest.raises(GroupMismatchError):
-        lg_mul(LocalElement(z2, 1), LocalElement(z3, 1))
+    assert z3.mul(1, 2) == 0
+    assert z3.mul(0, 2) == 2
 
 
 def test_s3_table_product():
@@ -65,18 +56,17 @@ def test_table_validation_rejects_non_associative_perturbations():
 
 
 def test_automorphisms_counts():
-    assert len(lg_automorphisms(cyclic_group(2))) == 1
-    assert len(lg_automorphisms(cyclic_group(3))) == 2
-    assert len(lg_automorphisms(cyclic_group(5))) == 4
-    assert len(lg_automorphisms(s3_table_group())) == 6
-    signs = sorted(a.sign for a in lg_automorphisms(integers_group()))
-    assert signs == [-1, 1]
+    for g, count in ((cyclic_group(2), 1), (cyclic_group(3), 2),
+                     (cyclic_group(5), 4), (s3_table_group(), 6)):
+        assert len(isomorphisms(g, g)) == count
+    z = integers_group()
+    assert sorted(a.sign for a in isomorphisms(z, z)) == [-1, 1]
 
 
 @pytest.mark.parametrize("g", [cyclic_group(2), cyclic_group(3), cyclic_group(4),
                                cyclic_group(6), s3_table_group()])
 def test_automorphism_group_axioms(g):
-    auts = lg_automorphisms(g)
+    auts = isomorphisms(g, g)
     assert any(a.is_identity for a in auts)
     keys = {a.mapping for a in auts}
     for a, b in itertools.product(auts, repeat=2):
@@ -89,13 +79,13 @@ def test_automorphism_group_axioms(g):
                                s3_table_group(), integers_group()])
 def test_determining_set_determines(g):
     S = determining_set(g)
-    for a in lg_automorphisms(g):
-        if all(a.apply(x.value) == x.value for x in S):
+    for a in isomorphisms(g, g):
+        if all(a.apply(x) == x for x in S):
             assert a.is_identity
 
 
 def test_determining_set_examples():
-    assert [x.value for x in determining_set(cyclic_group(3))] == [1]
+    assert determining_set(cyclic_group(3)) == [1]
     assert determining_set(cyclic_group(2)) == []
     assert len(determining_set(s3_table_group())) == 2
 
@@ -148,7 +138,28 @@ def test_generating_sequence_is_pinned(name):
     g = permutation_group(perms)
     assert _generating_sequence(g) == gens
     if auts is not None:
-        assert len(lg_automorphisms(g)) == auts
+        assert len(isomorphisms(g, g)) == auts
+
+
+_ZOO = {
+    **{f"Z/{k}": cyclic_group(k) for k in range(2, 13)},
+    **{name: permutation_group(_GENERATED[name][0])
+       for name in ("S3", "Klein four", "Z/2^3", "Z/2 x Z/6", "D4")},
+    "Z/3^2": permutation_group([(1, 2, 0, 3, 4, 5), (0, 1, 2, 4, 5, 3)]),
+    "D6": permutation_group([(1, 2, 3, 4, 5, 0), (0, 5, 4, 3, 2, 1)]),
+    "Z": integers_group(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ZOO))
+def test_isomorphisms_match_the_recursive_search(name):
+    """One product over the generators' same-order images finds the same
+    isomorphisms, in the same order, as the pruned recursive search, from
+    each group of the zoo to every other."""
+    src = _ZOO[name]
+    for dst in _ZOO.values():
+        assert isomorphisms(src, dst) == isomorphisms_by_search(src, dst)
+    assert isomorphisms(src, src)
 
 
 def test_generating_sequence_of_cyclic_groups_is_one():
