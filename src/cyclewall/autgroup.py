@@ -327,8 +327,10 @@ def generator_values(p: Presentation, i: int) -> list[int]:
 
 
 def generator_images(a: AutElement) -> list[list[GroupElement]]:
+    """``aut_apply(a, x)`` for every generator x, inverting a's inner part once."""
     p = a.presentation
-    return [[aut_apply(a, GroupElement(p, (Syllable(i, x),)))
+    g, gi = a.inner, inv(a.inner)
+    return [[mul(mul(g, a.local.apply(GroupElement(p, (Syllable(i, x),)))), gi)
              for x in generator_values(p, i)]
             for i in range(p.n)]
 
@@ -357,7 +359,7 @@ def aut_decompose(p: Presentation, images: Sequence[Sequence[GroupElement]]) -> 
     three-vertex parabolic per vertex, and intersecting those cosets pins g
     down uniquely, as the maximal windows of all n >= 5 base vertices have no
     vertex in common.  The result is verified against all images before
-    return.
+    return, by comparing them with its own ``generator_images``.
     """
     p.require_finite()
     n = p.n
@@ -426,9 +428,8 @@ def aut_decompose(p: Presentation, images: Sequence[Sequence[GroupElement]]) -> 
                 f"{exc}", mapping) from None
 
     a = AutElement(g, LocalAut(sigma, tuple(isos)))
-    for i in range(n):
-        for x, h in zip(generator_values(p, i), images[i]):
-            got = aut_apply(a, GroupElement(p, (Syllable(i, x),)))
+    for i, row in enumerate(generator_images(a)):
+        for x, h, got in zip(generator_values(p, i), images[i], row):
             if got != h:
                 raise DecompositionError(
                     f"reconstructed automorphism disagrees with the image of "

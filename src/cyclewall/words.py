@@ -24,6 +24,17 @@ changes only a value, and a cancelled syllable is maximal in the dependence
 order. Pushing one syllable onto a word of L syllables costs O(L), and no
 word is ever sorted.
 
+Each presentation also keeps a private memo of the finite syllables met so
+far, ``_interned``: a canonical token such as ``v3:2`` maps to its
+``Syllable``, and a syllable to its inverse, so ``parse_word`` and ``inv``
+read them by one dict lookup and parsed words share syllable objects. It
+starts empty and is filled only with syllables of finite vertex groups
+whose value lies in ``values[v]``, so it holds at most sum |G_v| tokens and
+as many syllables; a vertex group of order 10^12 costs nothing until its
+syllables are used. A miss falls through to the per-token parser and to
+``LocalGroupSpec.inv``: ``Z`` vertices, spellings such as ``v01:1`` and every
+``ValidationError`` take that path.
+
 Conjugated standard subgroups w<G_S>w^-1 are ``algebraic.CSubgroup`` values,
 the one encoding of them; ``parabolic_member`` tests membership in one by
 comparing minimal coset representatives.
@@ -53,6 +64,10 @@ class Presentation:
     # values[v]: the elements of vertex group v, None when it is Z.
     values: tuple[Optional[range], ...] = field(
         init=False, compare=False, hash=False, repr=False)
+    # _interned: canonical token -> Syllable and Syllable -> inverse, for the
+    # finite syllables met so far (see the module docstring).
+    _interned: dict = field(
+        init=False, compare=False, hash=False, repr=False)
 
     def __post_init__(self):
         n = len(self.groups)
@@ -62,6 +77,7 @@ class Presentation:
             frozenset(range(n)) - {(v - 1) % n, (v + 1) % n} for v in range(n)))
         object.__setattr__(self, "values", tuple(
             g.elements() if g.is_finite else None for g in self.groups))
+        object.__setattr__(self, "_interned", {})
 
     @property
     def n(self) -> int:
@@ -231,10 +247,20 @@ def mul_all(p: Presentation, elements: Iterable[GroupElement]) -> GroupElement:
     return acc
 
 
+def _inverse(p: Presentation, s: Syllable) -> Syllable:
+    """The inverse syllable, interned when s is a finite group element."""
+    v, x = s
+    t = Syllable(v, p.groups[v].inv(x))
+    values = p.values[v]
+    if values is not None and x in values:
+        p._interned[s] = t
+    return t
+
+
 def inv(a: GroupElement) -> GroupElement:
     p = a.presentation
-    groups = p.groups
-    return _canonical(p, [Syllable(v, groups[v].inv(x)) for v, x in reversed(a.word)])
+    memo = p._interned
+    return _canonical(p, [memo.get(s) or _inverse(p, s) for s in reversed(a.word)])
 
 
 def support(a: GroupElement) -> frozenset[int]:
@@ -387,20 +413,30 @@ def enumerate_ball_elements(p: Presentation, L: int,
 # -- text syntax --------------------------------------------------------------
 
 
+def _syllable_of_token(p: Presentation, token: str) -> Syllable:
+    """Parse one token, interning it when it is the canonical spelling of a
+    finite group element; the value of any other is left to ``reduce_word``."""
+    if not token.startswith("v") or ":" not in token:
+        raise ValidationError(f"bad syllable token: {token!r}")
+    v_part, _, e_part = token[1:].partition(":")
+    try:
+        vertex, value = int(v_part), int(e_part)
+    except ValueError:
+        raise ValidationError(f"bad syllable token: {token!r}") from None
+    if not 0 <= vertex < p.n:
+        raise ValidationError(f"vertex {vertex} out of range for n={p.n}")
+    s = Syllable(vertex, value)
+    values = p.values[vertex]
+    if values is not None and value in values and token == f"v{vertex}:{value}":
+        p._interned[token] = s
+    return s
+
+
 def _syllables_of_text(p: Presentation, text: str) -> Iterator[Syllable]:
     """The syllables of ``v3:2 v1:1``, lazily: ``reduce_word`` checks each in turn."""
-    n = p.n
+    memo = p._interned
     for token in text.split():
-        if not token.startswith("v") or ":" not in token:
-            raise ValidationError(f"bad syllable token: {token!r}")
-        v_part, _, e_part = token[1:].partition(":")
-        try:
-            vertex, value = int(v_part), int(e_part)
-        except ValueError:
-            raise ValidationError(f"bad syllable token: {token!r}") from None
-        if not 0 <= vertex < n:
-            raise ValidationError(f"vertex {vertex} out of range for n={n}")
-        yield Syllable(vertex, value)
+        yield memo.get(token) or _syllable_of_token(p, token)
 
 
 def parse_word(p: Presentation, text: str) -> GroupElement:

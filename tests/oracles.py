@@ -98,6 +98,12 @@ element to it, instead of only those that match its syllable values; and find
 the isomorphisms between two vertex groups by a recursive search that prunes
 each partial assignment of generator images with ``_close``, instead of one
 product over all of them.
+
+The parsing oracle reads each token of a word by ``startswith``, ``partition``
+and two ``int`` calls, the parser ``words.parse_word`` keeps only for tokens
+its presentation has not interned. The inverse oracle inverts every syllable
+with ``LocalGroupSpec.inv`` and sorts the reversed word by pushing it,
+instead of reading each syllable's inverse from the presentation's memo.
 """
 
 import itertools
@@ -139,6 +145,7 @@ from cyclewall.words import (
     GroupElement,
     Presentation,
     Syllable,
+    _canonical,
     _front_shufflable,
     _right_strippable,
     coset_rep,
@@ -896,3 +903,24 @@ def isomorphisms_by_search(src, dst) -> list[LocalIso]:
 
     search(0, {})
     return found
+
+
+def parse_word_by_tokens(p: Presentation, text: str) -> GroupElement:
+    def syllables():
+        for token in text.split():
+            if not token.startswith("v") or ":" not in token:
+                raise ValidationError(f"bad syllable token: {token!r}")
+            v_part, _, e_part = token[1:].partition(":")
+            try:
+                vertex, value = int(v_part), int(e_part)
+            except ValueError:
+                raise ValidationError(f"bad syllable token: {token!r}") from None
+            if not 0 <= vertex < p.n:
+                raise ValidationError(f"vertex {vertex} out of range for n={p.n}")
+            yield Syllable(vertex, value)
+    return reduce_word(p, syllables())
+
+
+def inv_by_reversal(a: GroupElement) -> GroupElement:
+    p = a.presentation
+    return _canonical(p, [Syllable(v, p.groups[v].inv(x)) for v, x in reversed(a.word)])

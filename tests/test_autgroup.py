@@ -273,6 +273,23 @@ def test_decompose_roundtrip_samples(c5_z2, c5_mixed, c5_s3):
             assert got == a
 
 
+def test_generator_images_are_aut_apply_on_each_generator(c5_mixed, c5_s3, c6_mixed):
+    """``generator_images`` inverts the inner part once, ``aut_apply`` once per
+    generator; the images agree, on long inner parts too."""
+    for p in (c5_mixed, c5_s3, c6_mixed):
+        rng = random.Random(8)
+        loc = enumerate_loc(p)
+        alphabet = list(p.syllables())
+        for _ in range(20):
+            inner = reduce_word(p, [rng.choice(alphabet)
+                                    for _ in range(rng.randrange(30))])
+            a = AutElement(inner, rng.choice(loc))
+            assert generator_images(a) == [
+                [aut_apply(a, GroupElement(p, (Syllable(i, x),)))
+                 for x in generator_values(p, i)]
+                for i in range(p.n)]
+
+
 def test_decompose_identity(c5_z2):
     p = c5_z2
     a = aut_decompose(p, generator_images(aut_identity(p)))

@@ -7,13 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclewall.algebraic import MAXIMAL, MEDIUM, MINIMAL, CSubgroup
+from cyclewall import cli
 from cyclewall.cli import load_presentation
 from cyclewall.errors import ValidationError
+from cyclewall.localgroups import cyclic_group, integers_group
 from cyclewall.words import (
     GroupElement,
     Presentation,
     Syllable,
     _push,
+    _right_strippable,
     coset_rep,
     cyclic_reduce,
     enumerate_ball_elements,
@@ -37,7 +40,9 @@ from oracles import (
     cyclic_reduce_by_trial,
     greedy_canonical_order,
     heap_canonical_order,
+    inv_by_reversal,
     parabolic_normalizer,
+    parse_word_by_tokens,
     single_moves,
     window_member,
 )
@@ -49,6 +54,37 @@ PERFBENCH_PRESENTATIONS = sorted(PERFBENCH_DIR.glob("*.json"))
 def random_raw_word(rng, p, max_len):
     alphabet = list(p.syllables())
     return tuple(rng.choice(alphabet) for _ in range(rng.randrange(max_len + 1)))
+
+
+SIX = ["c5_z2", "c5_z3", "c5_mixed", "c5_s3", "c6_z2", "c6_mixed"]
+
+
+def huge_presentation():
+    """Z/10^12 at v0 and Z at v1: neither may be tabulated."""
+    return Presentation((cyclic_group(10**12), integers_group(), cyclic_group(2),
+                         cyclic_group(3), cyclic_group(2)))
+
+
+def memo_tables(p):
+    """The presentation's interned tokens and inverses, split by key kind."""
+    tokens = {k: s for k, s in p._interned.items() if isinstance(k, str)}
+    inverses = {s: t for s, t in p._interned.items() if not isinstance(s, str)}
+    return tokens, inverses
+
+
+def assert_memo_sound(p):
+    """Only canonical tokens and true inverses of finite group elements, at
+    most sum |G_v| of each."""
+    tokens, inverses = memo_tables(p)
+    for token, s in tokens.items():
+        assert token == f"v{s.vertex}:{s.value}"
+    for s, t in inverses.items():
+        assert t == (s.vertex, p.groups[s.vertex].inv(s.value))
+    for s in [*tokens.values(), *inverses, *inverses.values()]:
+        assert type(s) is Syllable
+        assert p.values[s.vertex] is not None and s.value in p.values[s.vertex], s
+    bound = sum(len(values) for values in p.values if values is not None)
+    assert len(tokens) <= bound and len(inverses) <= bound
 
 
 # -- reduce -------------------------------------------------------------------
@@ -179,6 +215,38 @@ def test_inv_examples(c5_z3):
     assert mul(t, got).is_identity
     assert got == parse_word(c5_z3, "v3:2 v1:2")
     assert got.syllable_length == t.syllable_length
+
+
+@pytest.mark.parametrize("name", SIX)
+def test_inv_matches_the_reversal_oracle_on_the_r3_ball(name, request):
+    p = request.getfixturevalue(name)
+    for g in enumerate_ball_elements(p, 3) * 2:   # fill the memo, then read it
+        assert inv(g).word == inv_by_reversal(g).word, format_word(g)
+    assert_memo_sound(p)
+    assert len(memo_tables(p)[1]) == sum(len(p.group(v).nontrivial_elements())
+                                         for v in p.vertices())
+
+
+def test_inv_matches_the_reversal_oracle_on_huge_and_infinite_groups():
+    p = huge_presentation()
+    rng = random.Random(9)
+
+    def syllable():
+        v = rng.randrange(p.n)
+        if v == 0:
+            return Syllable(0, rng.choice([1, 2, 10**12 - 1, rng.randrange(1, 10**12)]))
+        if v == 1:
+            return Syllable(1, rng.choice([-3, -1, 1, 2, 3]))
+        return Syllable(v, rng.randrange(1, p.groups[v].order))
+
+    used = set()
+    for _ in range(300):
+        g = reduce_word(p, [syllable() for _ in range(rng.randrange(30))])
+        used |= {s for s in g.word if s.vertex != 1}
+        assert inv(g).word == inv_by_reversal(g).word, format_word(g)
+        assert mul(g, inv(g)).is_identity
+    assert_memo_sound(p)
+    assert set(memo_tables(p)[1]) == used
 
 
 @given(st.data())
@@ -436,7 +504,88 @@ def test_parse_reports_the_first_bad_token(c5_z2):
         parse_word(c5_z2, "v1:7 v2:1 w3:1")
 
 
+def parse_outcome(parse, p, text):
+    try:
+        return parse(p, text).word
+    except ValidationError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", SIX)
+def test_parse_matches_the_token_parser(name, request):
+    p = request.getfixturevalue(name)
+    assert p._interned == {}
+    tokens = [f"v{v}:{x}" for v in p.vertices() for x in p.values[v]]
+    texts = [*tokens, " ".join(tokens),
+             "v01:1", "v1:+1", "v1:\u0661", "v2:0", "v1:1 v01:1 v1:+1",
+             "w1:1", "v1", "v1:x", "v:1", "v1:1:1", "v-1:1", f"v{p.n}:1",
+             "v1:7", "v1:-1", "v0:1 v1:7 w3:1"]
+    for text in texts * 2:   # fill the memo, then read it
+        assert parse_outcome(parse_word, p, text) == \
+            parse_outcome(parse_word_by_tokens, p, text), text
+    assert_memo_sound(p)
+    assert sorted(memo_tables(p)[0]) == sorted(tokens)
+
+
+def test_parse_matches_the_token_parser_on_huge_and_infinite_groups():
+    p = huge_presentation()
+    assert p._interned == {}
+    texts = ["v0:999999999999 v0:1 v1:-3 v1:3 v2:1", "v1:-7", "v1:-7 v0:2 v1:7",
+             "v0:1000000000000", "v0:-1", "v1:+3", "v1:0 v2:0", "v2:2", "v3:-2"]
+    for text in texts * 2:
+        assert parse_outcome(parse_word, p, text) == \
+            parse_outcome(parse_word_by_tokens, p, text), text
+    assert format_word(parse_word(p, texts[0])) == "v2:1"
+    assert_memo_sound(p)
+    assert sorted(p._interned) == ["v0:1", "v0:2", "v0:999999999999", "v2:0", "v2:1"]
+
+
 def test_presentation_requires_n_at_least_5():
     from cyclewall.localgroups import cyclic_group
     with pytest.raises(ValidationError):
         Presentation(tuple(cyclic_group(2) for _ in range(4)))
+
+
+# -- every words check can fail ----------------------------------------------------
+
+
+WORDS_IDS = ["words.parse-format-roundtrip", "words.rigid-words-come-back-verbatim",
+             "words.coset-representative-idempotent"]
+
+
+def words_statuses(p):
+    return {r.check_id: r.status for r in cli.words_suite(p, 3, 0).results}
+
+
+def test_words_suite_passes(c5_mixed):
+    assert words_statuses(c5_mixed) == dict.fromkeys(WORDS_IDS, "pass")
+
+
+def test_parse_format_roundtrip_fails_when_the_memo_holds_a_wrong_syllable(
+        c5_mixed, monkeypatch):
+    monkeypatch.setitem(c5_mixed._interned, "v1:1", Syllable(1, 2))
+    assert words_statuses(c5_mixed) == {**dict.fromkeys(WORDS_IDS, "pass"),
+                                        "words.parse-format-roundtrip": "fail"}
+
+
+def test_rigid_words_fail_when_reduce_word_reverses_them(c5_mixed, monkeypatch):
+    def reversing(p, syllables):
+        syllables = tuple(syllables)
+        g = reduce_word(p, syllables)
+        return GroupElement(p, g.word[::-1]) if g.word == syllables else g
+    monkeypatch.setattr(cli, "reduce_word", reversing)
+    assert words_statuses(c5_mixed) == {
+        **dict.fromkeys(WORDS_IDS, "pass"),
+        "words.rigid-words-come-back-verbatim": "fail"}
+
+
+def test_coset_rep_idempotence_fails_when_it_strips_one_syllable_per_call(
+        c5_mixed, monkeypatch):
+    def strip_one(g, S):
+        p = g.presentation
+        k = _right_strippable(p, g.word, frozenset(S))
+        return g if k is None else GroupElement(p, g.word[:k] + g.word[k + 1:])
+    monkeypatch.setattr(cli, "coset_rep", strip_one)
+    assert words_statuses(c5_mixed) == {
+        **dict.fromkeys(WORDS_IDS, "pass"),
+        "words.coset-representative-idempotent": "fail"}
