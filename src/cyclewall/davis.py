@@ -6,10 +6,21 @@ of radius r holds the polygons indexed by elements of syllable length <= r.
 Every cell of X and X' is a coset g<G_S>, keyed by its canonical coset
 representative:
 
-* X-vertex      = coset g(G_i x G_{i+1}),  key (i, coset_rep(g, {i, i+1}));
-* X-edge        = coset gG_i,              key (i, coset_rep(g, {i}));
+* X-vertex      = coset g(G_i x G_{i+1}),  key (i, g without its maximal
+                                           syllables of vertices i, i+1);
+* X-edge        = coset gG_i,              key (i, g without its maximal
+                                           syllable of vertex i);
 * X'-midpoint   = coset gG_i,              the X-edge's key;
 * X'-center     = coset g,                 one per polygon.
+
+The X-keys are ``coset_rep(g, {i, i+1})`` and ``coset_rep(g, {i})``, read
+off the word's last syllables: a reduced word has at most two maximal
+syllables (they commute pairwise, and a clique of C_n, n >= 5, has at most
+two vertices), and stripping one of vertex i or i+1 makes no other one
+maximal.  So ``build_ball`` computes no coset rep.  A corner or side keyed
+by g itself is new; any other lies on the polygon of g without one of
+those syllables, a shorter word whose polygon was built first, and is
+taken from it.
 
 Both forms of a ball share one cell model.  A 2-cell (``Polygon`` or
 ``Square``) carries its corners and its ordered sides, and one indexer fills
@@ -59,6 +70,7 @@ from .reports import Report
 from .words import (
     GroupElement,
     Presentation,
+    Syllable,
     coset_rep,
     enumerate_ball_elements,
     format_word,
@@ -84,12 +96,13 @@ class ComplexVertex:
     _key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.cls, self.index, self.rep)))
         # (class order, index, rep), with the rep spelled out as GroupElement
         # orders it, (len, word), so that keys compare in C
+        index = -1 if self.index is None else self.index
         object.__setattr__(self, "_key", (
-            _CLASS_ORDER[self.cls], -1 if self.index is None else self.index,
-            len(self.rep.word), self.rep.word))
+            _CLASS_ORDER[self.cls], index, len(self.rep.word), self.rep.word))
+        # -1 for None, whose hash is an address before Python 3.12
+        object.__setattr__(self, "_hash", hash((self.cls, index, self.rep)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -114,10 +127,11 @@ class ComplexEdge:
     _key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.ends, self.label, self.rep)))
-        object.__setattr__(self, "_key", (
-            self.ends[0]._key, self.ends[1]._key,
-            -1 if self.label is None else self.label))
+        label = -1 if self.label is None else self.label
+        object.__setattr__(self, "_key", (self.ends[0]._key, self.ends[1]._key, label))
+        # -1 for None, whose hash is an address before Python 3.12
+        object.__setattr__(self, "_hash", hash(
+            (self.ends, label, -1 if self.rep is None else self.rep)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -259,6 +273,32 @@ def _memory_budget_mb() -> Optional[int]:
         raise ValidationError(f"CYCLEWALL_MEM_MB must be an integer, got {raw!r}") from None
 
 
+def _maximal_syllables(p: Presentation, word: tuple[Syllable, ...]) -> list[tuple[int, int]]:
+    """The (vertex, position) of each maximal syllable of a reduced word,
+    the syllables that shuffle to its end: the last one, and at most one
+    more, of a vertex next to the last one's.
+
+    Maximal syllables commute pairwise, and a clique of C_n (n >= 5) has at
+    most two vertices.  So the scan looks only for the two neighbours of the
+    last vertex, and stops once both are blocked.
+    """
+    if not word:
+        return []
+    last = len(word) - 1
+    a = word[last].vertex
+    n = p.n
+    free = {(a - 1) % n, (a + 1) % n}   # the vertices that commute with a
+    blocks = p.blocks
+    for k in range(last - 1, -1, -1):
+        v = word[k].vertex
+        if v in free:
+            return [(a, last), (v, k)]
+        free -= blocks[v]
+        if not free:
+            break
+    return [(a, last)]
+
+
 def build_ball(p: Presentation, r: int, mem_mb: Optional[int] = None) -> ComplexBall:
     """Sub-complex of X spanned by polygons g.P with syllable length(g) <= r."""
     if r < 0:
@@ -277,26 +317,24 @@ def build_ball(p: Presentation, r: int, mem_mb: Optional[int] = None) -> Complex
 
     ball = ComplexBall(presentation=p, radius=r, form="polygonal")
     n = p.n
-    # one object per cell, shared by the polygons around it; keyed by the
-    # cell's index and its coset rep's word
-    corners: dict[tuple, ComplexVertex] = {}
-    sides: dict[tuple, ComplexEdge] = {}
+    # one object per cell, shared by the polygons around it: a cell not keyed
+    # by g itself is taken from the polygon of g without a maximal syllable,
+    # which lies in the same coset and came earlier
+    by_word: dict[tuple, Polygon] = {}
     for g in reps:   # sorted, so the cells come in key order
+        word = g.word
+        below = {v: by_word[word[:k] + word[k + 1:]]
+                 for v, k in _maximal_syllables(p, word)}
         vs = []
         for i in range(n):
-            rep = coset_rep(g, (i, (i + 1) % n))
-            v = corners.get((i, rep.word))
-            if v is None:
-                v = corners[i, rep.word] = ComplexVertex(POLY, i, rep)
-            vs.append(v)
+            h = below.get(i) or below.get((i + 1) % n)
+            vs.append(h.boundary[i] if h else ComplexVertex(POLY, i, g))
         es = []
         for i in range(n):
-            rep = coset_rep(g, (i,))
-            e = sides.get((i, rep.word))
-            if e is None:
-                e = sides[i, rep.word] = ComplexEdge(_side_ends(vs[i - 1], vs[i], i), i, rep)
-            es.append(e)
-        ball.polygons[g] = Polygon(g, tuple(vs), tuple(es))
+            h = below.get(i)
+            es.append(h.edges[i] if h
+                      else ComplexEdge(_side_ends(vs[i - 1], vs[i], i), i, g))
+        ball.polygons[g] = by_word[word] = Polygon(g, tuple(vs), tuple(es))
     _index(ball, ((poly, poly.boundary) for poly in ball.polygons.values()))
     return ball
 

@@ -175,6 +175,11 @@ class LocalIso:
                     if m[self.source.mul(a, b)] != self.target.mul(m[a], m[b]):
                         raise ValidationError(f"mapping is not a homomorphism at ({a},{b})")
 
+    def __hash__(self) -> int:
+        # -1 for None, whose hash is an address before Python 3.12
+        return hash((self.source, self.target,
+                     -1 if self.mapping is None else self.mapping, self.sign))
+
     def apply(self, value: int) -> int:
         if self.mapping is None:
             return self.sign * value

@@ -61,6 +61,7 @@ from .algebraic import (
     containing_maximals,
     join_is_cmaximal,
     medium_of_vertex,
+    window_of,
 )
 from .davis import ComplexBall, ComplexEdge, ComplexVertex, subdivide
 from .errors import InvariantError, ValidationError
@@ -126,9 +127,11 @@ def walls_of_ball(b: ComplexBall) -> list[TreeWall]:
 
 
 def _walls_of_ball(b: ComplexBall) -> list[TreeWall]:
+    n = b.n
+    windows = [window_of(n, MAXIMAL, i) for i in range(n)]
     by_key: dict[tuple, list[ComplexEdge]] = {}
     for e in b.edges:   # in key order, so each wall's first edge is its seed
-        key_rep = CSubgroup(MAXIMAL, e.label, e.rep).conjugator
+        key_rep = coset_rep(e.rep, windows[e.label])
         by_key.setdefault((e.label, key_rep), []).append(e)
     return [TreeWall(label, edges[0], frozenset(edges), key_rep)
             for (label, key_rep), edges in sorted(by_key.items())

@@ -270,24 +270,42 @@ def support(a: GroupElement) -> frozenset[int]:
 # -- cosets and conjugated standard subgroups ---------------------------------
 
 
-def _right_strippable(p: Presentation, word: Sequence[Syllable], S: frozenset[int]) -> Optional[int]:
-    """Rightmost position whose syllable has vertex in S and shuffles to the end."""
-    blocked: set[int] = set()  # vertices that cannot pass the syllables seen
+def _strippable(p: Presentation, word: Sequence[Syllable], S: Iterable[int]) -> list[int]:
+    """The positions, right to left, of the syllables ``coset_rep`` strips.
+
+    One scan from the right: a syllable is stripped when its vertex is in S
+    and commutes with every kept syllable after it, and it blocks nothing,
+    as it is shuffled past them to the end and removed.  A kept syllable
+    blocks ``p.blocks`` of its vertex.  The scan stops as soon as every
+    vertex of S is blocked.
+    """
+    free = set(S)   # the vertices of S that no kept syllable seen blocks
+    out = []
+    blocks = p.blocks
     for k in range(len(word) - 1, -1, -1):
         v = word[k].vertex
-        if v in S and v not in blocked:
-            return k
-        # keep scanning: an S-syllable further left may still shuffle past
-        blocked |= p.blocks[v]
-    return None
+        if v in free:
+            out.append(k)
+        else:
+            free -= blocks[v]
+            if not free:
+                break
+    return out
 
 
 def coset_rep(g: GroupElement, S: Iterable[int]) -> GroupElement:
     """Minimal representative of the left coset ``g<G_S>``.
 
-    Strips, right to left, every syllable with vertex in S that can be
-    shuffled to the last position. ``coset_rep(g, S) == coset_rep(h, S)`` iff
-    g and h lie in the same coset.
+    Strips every syllable with vertex in S that can be shuffled to the last
+    position, in one pass from the right that ends once every vertex of S
+    is blocked (see ``_strippable``); g itself comes back when nothing is
+    stripped.  ``coset_rep(g, S) == coset_rep(h, S)`` iff g and h lie in the
+    same coset.
+
+    One pass strips what stripping the rightmost strippable syllable and
+    scanning again would: a stripped syllable blocks nothing, so the
+    syllables after the one stripped next are the kept ones the pass has
+    seen, and a kept syllable stays blocked by kept syllables after it.
 
     The stripped word needs no further reduction or sorting. Each stripped
     syllable is a maximal element of the word's dependence order: nothing
@@ -300,12 +318,11 @@ def coset_rep(g: GroupElement, S: Iterable[int]) -> GroupElement:
     every h in ``<G_S>``.
     """
     p = g.presentation
-    Sf = frozenset(v % p.n for v in S)
+    stripped = _strippable(p, g.word, (v % p.n for v in S))
+    if not stripped:
+        return g
     word = list(g.word)
-    while True:
-        k = _right_strippable(p, word, Sf)
-        if k is None:
-            break
+    for k in stripped:   # right to left, so no deletion moves a position still to come
         del word[k]
     return GroupElement(p, tuple(word))
 
@@ -364,8 +381,9 @@ def cyclic_reduce(g: GroupElement) -> tuple[GroupElement, GroupElement]:
     while True:
         for k in sorted(_front_shufflable(p, word), key=word.__getitem__):
             s = word.pop(k)
-            j = _right_strippable(p, word, {s.vertex})
-            if j is not None:
+            partner = _strippable(p, word, {s.vertex})   # at most one position
+            if partner:
+                j = partner[0]
                 prod = p.groups[s.vertex].mul(word[j].value, s.value)
                 if prod == IDENTITY:
                     del word[j]

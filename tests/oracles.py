@@ -42,8 +42,15 @@ The interior oracles list every polygon of X around an X-vertex or X-edge
 by multiplying its coset rep with each element of the cell's stabilizer,
 instead of reading the rep's length.
 
-The coset-rep oracle strips the same syllables as ``words.coset_rep`` but
-re-reduces and re-sorts the result with the heap oracle.
+The rescanning coset-rep oracle strips the rightmost syllable with vertex
+in S that shuffles to the end, then scans the whole word again, until none
+is left, instead of stripping in ``words.coset_rep``'s one early-exit pass.
+The reduced coset-rep oracle strips the same syllables and re-reduces and
+re-sorts the result with the heap oracle.
+
+The ball oracle keys each corner and each side of every polygon by its own
+rescanned coset rep and looks the cell up by that key, instead of reading
+the cell off the polygon of the word without a maximal syllable.
 
 The coset-intersection oracle factors c2^-1·c1 into a <G_S2> part and a
 <G_S1> part by greedy two-sided stripping, instead of asking whether the
@@ -132,7 +139,12 @@ from cyclewall.davis import (
     EDGE,
     POLY,
     ComplexBall,
+    ComplexEdge,
+    ComplexVertex,
+    Polygon,
     _edge_key,
+    _index,
+    _side_ends,
     _vertex_key,
     act_edge,
     subdivide,
@@ -147,7 +159,6 @@ from cyclewall.words import (
     Syllable,
     _canonical,
     _front_shufflable,
-    _right_strippable,
     coset_rep,
     enumerate_ball_elements,
     format_word,
@@ -514,17 +525,68 @@ def interior_by_enumeration(b):
              if all(g in b.polygons for g in polygons_containing_edge(p, e))})
 
 
-def coset_rep_reduced(g: GroupElement, S) -> GroupElement:
-    """``words.coset_rep`` with the stripped word reduced and sorted again."""
-    p = g.presentation
+def right_strippable(p: Presentation, word, S):
+    """Rightmost position whose syllable has vertex in S and shuffles to the
+    end, scanning the whole word; None when there is none."""
+    blocked: set[int] = set()  # vertices that cannot pass the syllables seen
+    for k in range(len(word) - 1, -1, -1):
+        v = word[k].vertex
+        if v in S and v not in blocked:
+            return k
+        blocked |= p.blocks[v]
+    return None
+
+
+def _strip_by_rescan(p: Presentation, word, S) -> list:
+    """Delete the rightmost strippable syllable and scan again, until none is
+    left."""
     Sf = frozenset(v % p.n for v in S)
-    word = list(g.word)
+    word = list(word)
     while True:
-        k = _right_strippable(p, word, Sf)
+        k = right_strippable(p, word, Sf)
         if k is None:
-            break
+            return word
         del word[k]
+
+
+def coset_rep_by_rescan(g: GroupElement, S) -> GroupElement:
+    """``words.coset_rep`` by the rescanning strip: after each stripped
+    syllable, scan the word again from the right."""
+    p = g.presentation
+    return GroupElement(p, tuple(_strip_by_rescan(p, g.word, S)))
+
+
+def coset_rep_reduced(g: GroupElement, S) -> GroupElement:
+    """``coset_rep_by_rescan`` with the stripped word reduced and sorted again."""
+    p = g.presentation
+    word = _strip_by_rescan(p, g.word, S)
     return GroupElement(p, heap_canonical_order(p, append_only_reduced(p, word)))
+
+
+def build_ball_by_coset_reps(p: Presentation, r: int) -> ComplexBall:
+    """``davis.build_ball`` by one coset rep per corner and per side of each
+    polygon, each cell looked up by its index and its rep's word."""
+    ball = ComplexBall(presentation=p, radius=r, form="polygonal")
+    n = p.n
+    corners, sides = {}, {}
+    for g in enumerate_ball_elements(p, r):
+        vs = []
+        for i in range(n):
+            rep = coset_rep_by_rescan(g, (i, (i + 1) % n))
+            v = corners.get((i, rep.word))
+            if v is None:
+                v = corners[i, rep.word] = ComplexVertex(POLY, i, rep)
+            vs.append(v)
+        es = []
+        for i in range(n):
+            rep = coset_rep_by_rescan(g, (i,))
+            e = sides.get((i, rep.word))
+            if e is None:
+                e = sides[i, rep.word] = ComplexEdge(_side_ends(vs[i - 1], vs[i], i), i, rep)
+            es.append(e)
+        ball.polygons[g] = Polygon(g, tuple(vs), tuple(es))
+    _index(ball, ((poly, poly.boundary) for poly in ball.polygons.values()))
+    return ball
 
 
 def coset_intersection_by_stripping(c1: GroupElement, S1, c2: GroupElement, S2):
@@ -543,7 +605,7 @@ def coset_intersection_by_stripping(c1: GroupElement, S1, c2: GroupElement, S2):
         if k is not None:
             lam.append(word.pop(k))
             progress = True
-        k = _right_strippable(p, word, S1)
+        k = right_strippable(p, word, S1)
         if k is not None:
             del word[k]
             progress = True

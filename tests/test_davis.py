@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from cyclewall import davis
 from cyclewall.cli import load_presentation
 from cyclewall.davis import (
     EDGE,
@@ -29,8 +30,12 @@ from cyclewall.davis import (
     x_vertex,
 )
 from cyclewall.errors import BoundaryCellError, InvariantError, ResourceLimitError
+from cyclewall.localgroups import cyclic_group
 from cyclewall.words import (
+    Presentation,
+    coset_rep,
     enumerate_ball_elements,
+    format_word,
     identity,
     mul,
     parse_word,
@@ -39,12 +44,14 @@ from cyclewall.words import (
 
 from oracles import (
     ball_to_json_by_dumps,
+    build_ball_by_coset_reps,
     interior_by_enumeration,
     polygons_containing_edge,
     subdivision_interior_inherited,
 )
 
 PRESENTATIONS = Path(__file__).parent.parent / "perfbench" / "presentations"
+SIX = ["c5_z2", "c5_z3", "c5_mixed", "c5_s3", "c6_z2", "c6_mixed"]
 
 
 def perfbench_presentation(name):
@@ -73,6 +80,95 @@ def test_ball_polygon_count_matches_ball_enumeration(c5_mixed):
     for r in (0, 1, 2):
         b = build_ball(c5_mixed, r)
         assert set(b.polygons) == set(enumerate_ball_elements(c5_mixed, r))
+
+
+def ball_differences(b, oracle) -> list[str]:
+    """The parts in which two polygonal balls differ; 2-cells, which compare
+    by identity, are named by their rep."""
+    def by_rep(cells):
+        return {key: [c.rep for c in cs] for key, cs in cells.items()}
+
+    parts = {
+        "vertices": (b.vertices, oracle.vertices),
+        "edges": (b.edges, oracle.edges),
+        "polygons": ([(g, P.boundary, P.edges) for g, P in b.polygons.items()],
+                     [(g, P.boundary, P.edges) for g, P in oracle.polygons.items()]),
+        "interior": ((b.interior_vertices, b.interior_edges),
+                     (oracle.interior_vertices, oracle.interior_edges)),
+        "vertex_cells": (by_rep(b.vertex_cells), by_rep(oracle.vertex_cells)),
+        "edge_cells": (by_rep(b.edge_cells), by_rep(oracle.edge_cells)),
+        "vertex_edges": (b.vertex_edges, oracle.vertex_edges),
+        # one object per cell, shared by the polygons around it
+        "shared": ((len({id(v) for P in b.polygons.values() for v in P.boundary}),
+                    len({id(e) for P in b.polygons.values() for e in P.edges})),
+                   (len(b.vertices), len(b.edges))),
+    }
+    return [name for name, (got, want) in parts.items() if got != want]
+
+
+BALL_ORACLE_CASES = [(name, r) for name in SIX for r in range(4)] + [("c5_z3", 4)]
+
+
+@pytest.mark.parametrize("name,radius", BALL_ORACLE_CASES)
+def test_build_ball_matches_the_coset_rep_oracle(name, radius):
+    p = perfbench_presentation(name)
+    assert ball_differences(build_ball(p, radius), build_ball_by_coset_reps(p, radius)) == []
+
+
+def test_ball_oracle_catches_cells_read_off_the_last_syllable_alone(c5_mixed, monkeypatch):
+    def last_only(p, word):
+        return [(word[-1].vertex, len(word) - 1)] if word else []
+    monkeypatch.setattr(davis, "_maximal_syllables", last_only)
+    differences = ball_differences(build_ball(c5_mixed, 2), build_ball_by_coset_reps(c5_mixed, 2))
+    assert "vertices" in differences
+
+
+def cycle_presentation(n):
+    return Presentation(tuple(cyclic_group(2 + v % 2) for v in range(n)))
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_maximal_syllables_are_the_ones_coset_reps_strip(n):
+    """A reduced word has at most two maximal syllables, found by the scan,
+    and the coset reps of {i} and {i, i+1} strip exactly those of vertex i
+    and of vertices i, i+1."""
+    p = cycle_presentation(n)
+    alphabet = list(p.syllables())
+    rng = random.Random(n)
+    for _ in range(300):
+        g = reduce_word(p, [rng.choice(alphabet) for _ in range(rng.randrange(30))])
+        word = g.word
+        maximal = [k for k in range(len(word) - 1, -1, -1)
+                   if all(p.commutes(word[k].vertex, s.vertex) for s in word[k + 1:])]
+        found = davis._maximal_syllables(p, word)
+        assert len(maximal) <= 2 and [k for _, k in found] == maximal, format_word(g)
+        assert all(word[k].vertex == v for v, k in found)
+        for i in range(n):
+            for S in ({i}, {i, (i + 1) % n}):
+                kept = tuple(s for k, s in enumerate(word)
+                             if not (k in maximal and s.vertex in S))
+                assert coset_rep(g, S).word == kept, (format_word(g), S)
+
+
+def test_cell_and_iso_hashes_are_the_same_in_every_process():
+    """Square-ball centers, spokes and isomorphisms of Z hold None; their
+    hashes must not be addresses, which move between processes."""
+    script = (
+        "import sys\n"
+        "from cyclewall.cli import load_presentation\n"
+        "from cyclewall.davis import build_ball, subdivide\n"
+        "from cyclewall.localgroups import LocalIso, integers_group\n"
+        "sq = subdivide(build_ball(load_presentation(sys.argv[1]), 1))\n"
+        "print([hash(v) for v in sq.vertices], [hash(e) for e in sq.edges])\n"
+        "print([v.key_string() for v in sq.interior_vertices])\n"
+        "z = integers_group()\n"
+        "print(hash(LocalIso(z, z, sign=1)), hash(LocalIso(z, z, sign=-1)))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(davis.__file__).parent.parent),
+               PYTHONHASHSEED="0")
+    outputs = [subprocess.run([sys.executable, "-c", script, str(PRESENTATIONS / "c5_z2.json")],
+                              env=env, capture_output=True, text=True, check=True).stdout
+               for _ in range(2)]
+    assert outputs[0] == outputs[1]
 
 
 def test_interior_edge_lies_in_group_order_many_polygons(c5_mixed):
@@ -139,22 +235,23 @@ def test_cell_keys_are_coset_invariants(c5_mixed):
 
 def test_cells_are_shared_values_with_a_cached_hash_and_key(c5_mixed):
     """Each cell is one object per ball; a copy made any other way is equal to
-    it, with the same hash and order key; the hash is the field tuple's, and
-    the key orders as (class, index, rep)."""
+    it, with the same hash and order key; the hash is the field tuple's, with
+    -1 for None, and the key orders as (class, index, rep)."""
     p = c5_mixed
     e_ = identity(p)
     class_order = {POLY: 0, EDGE: 1, TRIVIAL: 2}
     b = build_ball(p, 2)
     for ball in (b, subdivide(b)):
         for v in ball.vertices:
-            assert hash(v) == hash((v.cls, v.index, v.rep))
+            assert hash(v) == hash((v.cls, -1 if v.index is None else v.index, v.rep))
             copies = [dataclasses.replace(v), act_vertex(e_, v)]
             if v.cls == POLY:
                 copies.append(x_vertex(p, v.rep, v.index))
             for c in copies:
                 assert c == v and hash(c) == hash(v) and c.sort_key() == v.sort_key()
         for e in ball.edges:
-            assert hash(e) == hash((e.ends, e.label, e.rep))
+            assert hash(e) == hash((e.ends, -1 if e.label is None else e.label,
+                                    -1 if e.rep is None else e.rep))
             copies = [dataclasses.replace(e), act_edge(e_, e)]
             if ball.form == "polygonal":
                 copies.append(x_edge(p, e.rep, e.label))

@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclewall.algebraic import MAXIMAL, MEDIUM, MINIMAL, CSubgroup
-from cyclewall import cli
+from cyclewall.algebraic import MAXIMAL, MEDIUM, MINIMAL, CSubgroup, window_of
+from cyclewall import cli, words
 from cyclewall.cli import load_presentation
 from cyclewall.errors import ValidationError
 from cyclewall.localgroups import cyclic_group, integers_group
@@ -16,7 +16,6 @@ from cyclewall.words import (
     Presentation,
     Syllable,
     _push,
-    _right_strippable,
     coset_rep,
     cyclic_reduce,
     enumerate_ball_elements,
@@ -36,6 +35,7 @@ from oracles import (
     all_raw_words,
     append_only_reduced,
     closure_classifier,
+    coset_rep_by_rescan,
     coset_rep_reduced,
     cyclic_reduce_by_trial,
     greedy_canonical_order,
@@ -43,6 +43,7 @@ from oracles import (
     inv_by_reversal,
     parabolic_normalizer,
     parse_word_by_tokens,
+    right_strippable,
     single_moves,
     window_member,
 )
@@ -309,6 +310,56 @@ def test_coset_rep_is_canonical_without_reduction(path):
         rep = coset_rep(g, S)
         assert rep.word == coset_rep_reduced(g, S).word, (format_word(g), S)
         assert reduce_word(p, rep.word).word == rep.word
+
+
+def window_kinds(n):
+    """Vertex sets of each kind, by name: empty, single, consecutive,
+    non-consecutive, every maximal window, and all of C_n."""
+    return {
+        "empty": [()],
+        "single": [(i,) for i in range(n)],
+        "consecutive": [(i, (i + 1) % n) for i in range(n)],
+        "non-consecutive": [(i, (i + 2) % n) for i in range(n)],
+        "maximal": [tuple(window_of(n, MAXIMAL, i)) for i in range(n)],
+        "all": [tuple(range(n))],
+    }
+
+
+def rescan_mismatches(p, windows, seed=4):
+    """Random words up to 40 syllables on which ``coset_rep`` and the
+    rescanning oracle disagree, for every window given."""
+    rng = random.Random(seed)
+    bad = []
+    for _ in range(150):
+        g = reduce_word(p, random_raw_word(rng, p, 40))
+        for S in windows:
+            if coset_rep(g, S) != coset_rep_by_rescan(g, S):
+                bad.append((format_word(g), S))
+    return bad
+
+
+@pytest.mark.parametrize("name", SIX)
+@pytest.mark.parametrize("kind", ["empty", "single", "consecutive", "non-consecutive",
+                                  "maximal", "all"])
+def test_coset_rep_matches_the_rescanning_strip(name, kind):
+    p = load_presentation(str(PERFBENCH_DIR / f"{name}.json"))
+    assert rescan_mismatches(p, window_kinds(p.n)[kind]) == []
+
+
+def test_rescan_oracle_catches_stripped_syllables_that_block(monkeypatch):
+    def blocking_strip(p, word, S):
+        free, out = set(S), []
+        for k in range(len(word) - 1, -1, -1):
+            v = word[k].vertex
+            if v in free:
+                out.append(k)
+            free -= p.blocks[v]
+            if not free:
+                break
+        return out
+    monkeypatch.setattr(words, "_strippable", blocking_strip)
+    p = load_presentation(str(PERFBENCH_DIR / "c6_mixed.json"))
+    assert rescan_mismatches(p, window_kinds(p.n)["maximal"]) != []
 
 
 def test_syllable_hashes_and_sorts_as_its_tuple(c6_mixed):
@@ -583,7 +634,7 @@ def test_coset_rep_idempotence_fails_when_it_strips_one_syllable_per_call(
         c5_mixed, monkeypatch):
     def strip_one(g, S):
         p = g.presentation
-        k = _right_strippable(p, g.word, frozenset(S))
+        k = right_strippable(p, g.word, frozenset(S))
         return g if k is None else GroupElement(p, g.word[:k] + g.word[k + 1:])
     monkeypatch.setattr(cli, "coset_rep", strip_one)
     assert words_statuses(c5_mixed) == {
