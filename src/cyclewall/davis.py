@@ -14,13 +14,13 @@ representative:
 * X'-center     = coset g,                 one per polygon.
 
 The X-keys are ``coset_rep(g, {i, i+1})`` and ``coset_rep(g, {i})``, read
-off the word's last syllables: a reduced word has at most two maximal
-syllables (they commute pairwise, and a clique of C_n, n >= 5, has at most
-two vertices), and stripping one of vertex i or i+1 makes no other one
-maximal.  So ``build_ball`` computes no coset rep.  A corner or side keyed
-by g itself is new; any other lies on the polygon of g without one of
-those syllables, a shorter word whose polygon was built first, and is
-taken from it.
+off the word's last syllables (``words.maximal_syllables``): a reduced word
+has at most two maximal syllables (they commute pairwise, and a clique of
+C_n, n >= 5, has at most two vertices), and stripping one of vertex i or
+i+1 makes no other one maximal.  So ``build_ball`` computes no coset rep.
+A corner or side keyed by g itself is new; any other lies on the polygon
+of g without one of those syllables, a shorter word whose polygon was
+built first, and is taken from it.
 
 Both forms of a ball share one cell model.  A 2-cell (``Polygon`` or
 ``Square``) carries its corners and its ordered sides, and one indexer fills
@@ -70,10 +70,10 @@ from .reports import Report
 from .words import (
     GroupElement,
     Presentation,
-    Syllable,
     coset_rep,
     enumerate_ball_elements,
     format_word,
+    maximal_syllables,
     mul,
 )
 
@@ -273,39 +273,13 @@ def _memory_budget_mb() -> Optional[int]:
         raise ValidationError(f"CYCLEWALL_MEM_MB must be an integer, got {raw!r}") from None
 
 
-def _maximal_syllables(p: Presentation, word: tuple[Syllable, ...]) -> list[tuple[int, int]]:
-    """The (vertex, position) of each maximal syllable of a reduced word,
-    the syllables that shuffle to its end: the last one, and at most one
-    more, of a vertex next to the last one's.
-
-    Maximal syllables commute pairwise, and a clique of C_n (n >= 5) has at
-    most two vertices.  So the scan looks only for the two neighbours of the
-    last vertex, and stops once both are blocked.
-    """
-    if not word:
-        return []
-    last = len(word) - 1
-    a = word[last].vertex
-    n = p.n
-    free = {(a - 1) % n, (a + 1) % n}   # the vertices that commute with a
-    blocks = p.blocks
-    for k in range(last - 1, -1, -1):
-        v = word[k].vertex
-        if v in free:
-            return [(a, last), (v, k)]
-        free -= blocks[v]
-        if not free:
-            break
-    return [(a, last)]
-
-
-def build_ball(p: Presentation, r: int, mem_mb: Optional[int] = None) -> ComplexBall:
-    """Sub-complex of X spanned by polygons g.P with syllable length(g) <= r."""
+def build_ball(p: Presentation, r: int) -> ComplexBall:
+    """Sub-complex of X spanned by polygons g.P with syllable length(g) <= r,
+    within the ``CYCLEWALL_MEM_MB`` budget when that is set."""
     if r < 0:
         raise ValidationError("radius must be >= 0")
     p.require_finite()
-    if mem_mb is None:
-        mem_mb = _memory_budget_mb()
+    mem_mb = _memory_budget_mb()
 
     reps = enumerate_ball_elements(p, r)
     if mem_mb is not None:
@@ -324,7 +298,7 @@ def build_ball(p: Presentation, r: int, mem_mb: Optional[int] = None) -> Complex
     for g in reps:   # sorted, so the cells come in key order
         word = g.word
         below = {v: by_word[word[:k] + word[k + 1:]]
-                 for v, k in _maximal_syllables(p, word)}
+                 for v, k in maximal_syllables(p, word)}
         vs = []
         for i in range(n):
             h = below.get(i) or below.get((i + 1) % n)

@@ -70,21 +70,11 @@ class DiscDiagram:
                     raise ValidationError(f"face uses a missing edge ({a},{b})")
         if self.face_polygons and len(self.face_polygons) != len(self.faces):
             raise ValidationError("one polygon per face is required")
-        # connected
-        if vs:
-            adj = {v: set() for v in vs}
-            for a, b in map(sorted, es):
-                adj[a].add(b)
-                adj[b].add(a)
-            seen = {self.vertices[0]}
-            todo = [self.vertices[0]]
-            while todo:
-                for w in adj[todo.pop()]:
-                    if w not in seen:
-                        seen.add(w)
-                        todo.append(w)
-            if seen != vs:
-                raise ValidationError("diagram is not connected")
+        uf = UnionFind()
+        for a, b in es:
+            uf.union(a, b)
+        if len({uf.find(v) for v in vs}) > 1:
+            raise ValidationError("diagram is not connected")
         # contractible: V - E + F = 1
         if len(vs) - len(es) + len(self.faces) != 1:
             raise ValidationError("diagram is not contractible (V - E + F != 1)")

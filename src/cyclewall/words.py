@@ -337,18 +337,41 @@ def parabolic_member(g: GroupElement, H: CSubgroup) -> bool:
     return coset_rep(mul(g, w), H.window) == w
 
 
-# -- cyclic reduction ---------------------------------------------------------
+# -- the ends of a word and cyclic reduction -----------------------------------
 
 
-def _front_shufflable(p: Presentation, word: Sequence[Syllable]) -> list[int]:
-    """Positions whose syllables can be shuffled to the front."""
-    out = []
-    blocked: set[int] = set()  # vertices that cannot pass the syllables seen
-    for k, s in enumerate(word):
-        if s.vertex not in blocked:
-            out.append(k)
-        blocked |= p.blocks[s.vertex]
-    return out
+def maximal_syllables(p: Presentation, word: Sequence[Syllable]) -> list[tuple[int, int]]:
+    """The (vertex, position) of each maximal syllable of a reduced word,
+    the syllables that shuffle to its end: the last one, and at most one
+    more, of a vertex next to the last one's.
+
+    Maximal syllables commute pairwise, and a clique of C_n (n >= 5) has at
+    most two vertices.  So the scan looks only for the two neighbours of the
+    last vertex, and stops once both are blocked.  It reads the word as a
+    trace, so any linear extension of a reduced word will do.
+    """
+    if not word:
+        return []
+    last = len(word) - 1
+    a = word[last].vertex
+    n = p.n
+    free = {(a - 1) % n, (a + 1) % n}   # the vertices that commute with a
+    blocks = p.blocks
+    for k in range(last - 1, -1, -1):
+        v = word[k].vertex
+        if v in free:
+            return [(a, last), (v, k)]
+        free -= blocks[v]
+        if not free:
+            break
+    return [(a, last)]
+
+
+def minimal_syllables(p: Presentation, word: Sequence[Syllable]) -> list[tuple[int, int]]:
+    """The (vertex, position) of each minimal syllable, the ones that
+    shuffle to the front: ``maximal_syllables`` of the reversed word."""
+    last = len(word) - 1
+    return [(v, last - k) for v, k in maximal_syllables(p, word[::-1])]
 
 
 def cyclic_reduce(g: GroupElement) -> tuple[GroupElement, GroupElement]:
@@ -356,13 +379,16 @@ def cyclic_reduce(g: GroupElement) -> tuple[GroupElement, GroupElement]:
 
     Core is minimal under single-syllable conjugations, resolved
     deterministically by always conjugating by the least ``(vertex, value)``
-    front syllable that strictly shortens the word.
+    front syllable that strictly shortens the word.  That fixes the path,
+    not the result: two qualifying steps touch four distinct syllables and
+    each leaves the other qualifying, so they commute.
 
     Conjugating by the front syllable s = word[k] of vertex v deletes it at
     the front, and the result is shorter exactly when s then merges at the
-    back of the rest of the word, that is when a v-syllable t of the rest
-    shuffles to its end.  Only the winner is conjugated: s is deleted, t's
-    value becomes ``t * s``, and t is deleted when that is the identity.
+    back of the rest of the word, that is when v also has a maximal
+    syllable t != s (after s, as a v-syllable before s would block it).
+    Only the winner is conjugated: s is deleted, t's value becomes
+    ``t * s``, and t is deleted when that is the identity.
 
     The loop runs on the trace of the word, its dependence order (Green,
     *Graph products of groups*, 1990), and edits a plain list in place.
@@ -379,21 +405,19 @@ def cyclic_reduce(g: GroupElement) -> tuple[GroupElement, GroupElement]:
     word = list(g.word)
     conj: list[Syllable] = []
     while True:
-        for k in sorted(_front_shufflable(p, word), key=word.__getitem__):
-            s = word.pop(k)
-            partner = _strippable(p, word, {s.vertex})   # at most one position
-            if partner:
-                j = partner[0]
-                prod = p.groups[s.vertex].mul(word[j].value, s.value)
-                if prod == IDENTITY:
-                    del word[j]
-                else:
-                    word[j] = Syllable(s.vertex, prod)
-                conj.append(s)
-                break
-            word.insert(k, s)
-        else:
+        back = dict(maximal_syllables(p, word))
+        steps = [(word[k], k, back[v]) for v, k in minimal_syllables(p, word)
+                 if back.get(v, k) != k]
+        if not steps:
             break
+        s, k, j = min(steps)
+        prod = p.groups[s.vertex].mul(word[j].value, s.value)
+        if prod == IDENTITY:
+            del word[j]
+        else:
+            word[j] = Syllable(s.vertex, prod)
+        del word[k]   # k < j, so deleting t first moves nothing still to come
+        conj.append(s)
     if not conj:
         return g, identity(p)
     return _canonical(p, word), _canonical(p, conj)

@@ -158,12 +158,12 @@ from cyclewall.words import (
     Presentation,
     Syllable,
     _canonical,
-    _front_shufflable,
     coset_rep,
     enumerate_ball_elements,
     format_word,
     identity,
     inv,
+    minimal_syllables,
     mul,
     parabolic_member,
     reduce_word,
@@ -600,8 +600,7 @@ def coset_intersection_by_stripping(c1: GroupElement, S1, c2: GroupElement, S2):
     progress = True
     while word and progress:
         progress = False
-        k = next((k for k in _front_shufflable(p, word)
-                  if word[k].vertex in S2), None)
+        k = next((k for v, k in minimal_syllables(p, word) if v in S2), None)
         if k is not None:
             lam.append(word.pop(k))
             progress = True

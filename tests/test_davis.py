@@ -30,12 +30,8 @@ from cyclewall.davis import (
     x_vertex,
 )
 from cyclewall.errors import BoundaryCellError, InvariantError, ResourceLimitError
-from cyclewall.localgroups import cyclic_group
 from cyclewall.words import (
-    Presentation,
-    coset_rep,
     enumerate_ball_elements,
-    format_word,
     identity,
     mul,
     parse_word,
@@ -118,36 +114,9 @@ def test_build_ball_matches_the_coset_rep_oracle(name, radius):
 def test_ball_oracle_catches_cells_read_off_the_last_syllable_alone(c5_mixed, monkeypatch):
     def last_only(p, word):
         return [(word[-1].vertex, len(word) - 1)] if word else []
-    monkeypatch.setattr(davis, "_maximal_syllables", last_only)
+    monkeypatch.setattr(davis, "maximal_syllables", last_only)
     differences = ball_differences(build_ball(c5_mixed, 2), build_ball_by_coset_reps(c5_mixed, 2))
     assert "vertices" in differences
-
-
-def cycle_presentation(n):
-    return Presentation(tuple(cyclic_group(2 + v % 2) for v in range(n)))
-
-
-@pytest.mark.parametrize("n", [5, 6, 7])
-def test_maximal_syllables_are_the_ones_coset_reps_strip(n):
-    """A reduced word has at most two maximal syllables, found by the scan,
-    and the coset reps of {i} and {i, i+1} strip exactly those of vertex i
-    and of vertices i, i+1."""
-    p = cycle_presentation(n)
-    alphabet = list(p.syllables())
-    rng = random.Random(n)
-    for _ in range(300):
-        g = reduce_word(p, [rng.choice(alphabet) for _ in range(rng.randrange(30))])
-        word = g.word
-        maximal = [k for k in range(len(word) - 1, -1, -1)
-                   if all(p.commutes(word[k].vertex, s.vertex) for s in word[k + 1:])]
-        found = davis._maximal_syllables(p, word)
-        assert len(maximal) <= 2 and [k for _, k in found] == maximal, format_word(g)
-        assert all(word[k].vertex == v for v, k in found)
-        for i in range(n):
-            for S in ({i}, {i, (i + 1) % n}):
-                kept = tuple(s for k, s in enumerate(word)
-                             if not (k in maximal and s.vertex in S))
-                assert coset_rep(g, S).word == kept, (format_word(g), S)
 
 
 def test_cell_and_iso_hashes_are_the_same_in_every_process():
@@ -276,9 +245,10 @@ def test_cells_are_shared_values_with_a_cached_hash_and_key(c5_mixed):
             assert all(edge[e] is e for e in keys)
 
 
-def test_resource_limit_triggers(c5_z3):
+def test_resource_limit_triggers(c5_z3, monkeypatch):
+    monkeypatch.setenv("CYCLEWALL_MEM_MB", "1")
     with pytest.raises(ResourceLimitError):
-        build_ball(c5_z3, 3, mem_mb=1)
+        build_ball(c5_z3, 3)
 
 
 # -- group action on cells --------------------------------------------------------

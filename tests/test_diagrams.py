@@ -1,9 +1,11 @@
+import dataclasses
 import hashlib
 import itertools
 import json
 
 import pytest
 
+from cyclewall import diagrams
 from cyclewall.davis import build_ball
 from cyclewall.diagrams import (
     DiscDiagram,
@@ -11,6 +13,7 @@ from cyclewall.diagrams import (
     diagram_to_json_dict,
     fill_and_audit,
     fill_loop,
+    filling_audit,
     gauss_bonnet_check,
     sample_loops,
     single_polygon_diagram,
@@ -58,9 +61,14 @@ def test_rejects_non_contractible():
 
 
 def test_rejects_disconnected():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="diagram is not connected"):
         DiscDiagram([0, 1, 2, 3], [frozenset({0, 1}), frozenset({2, 3})],
                     [], (0, 1))
+    triangles = [(0, 1, 2), (3, 4, 5)]
+    with pytest.raises(ValidationError, match="diagram is not connected"):
+        DiscDiagram(list(range(6)),
+                    [frozenset({f[k], f[k - 1]}) for f in triangles for k in range(3)],
+                    triangles, (0, 1, 2))
 
 
 def test_rejects_face_with_missing_edge():
@@ -76,6 +84,46 @@ def test_unreduced_pair_detected(c5_z2):
     assert not d.is_reduced()
     d.face_polygons = [identity(p), parse_word(p, "v2:1")]
     assert d.is_reduced()
+
+
+# -- every diagrams check can fail ---------------------------------------------
+
+
+def failed_ids(report):
+    return sorted({r.check_id for r in report.failures})
+
+
+def test_convention_lock_fails_on_a_wrong_single_polygon(monkeypatch):
+    # two polygons for one: the ends of the shared edge are flat, not corners
+    monkeypatch.setattr(diagrams, "single_polygon_diagram", two_polygon_diagram)
+    assert failed_ids(convention_lock(5)) == ["diagrams.convention-lock-single-polygon"]
+
+
+def test_convention_lock_fails_on_a_wrong_shared_edge(monkeypatch):
+    # one polygon for two: no vertex lies on two faces
+    monkeypatch.setattr(diagrams, "two_polygon_diagram", single_polygon_diagram)
+    assert failed_ids(convention_lock(5)) == ["diagrams.convention-lock-shared-edge"]
+
+
+def test_fill_and_audit_fails_on_a_non_reduced_filling(c5_z2, monkeypatch):
+    p = c5_z2
+    b = build_ball(p, 1)
+    loop = union_boundary_loop(b, [identity(p), parse_word(p, "v2:1")])
+
+    def stacked(b, loop, max_faces=24):
+        # the true filling with both faces mapped to one polygon
+        d = fill_loop(b, loop, max_faces)
+        return dataclasses.replace(d, face_polygons=[d.face_polygons[0]] * 2)
+
+    monkeypatch.setattr(diagrams, "fill_loop", stacked)
+    _, report = fill_and_audit(b, loop)
+    assert failed_ids(report) == ["diagrams.filling-is-reduced"]
+
+
+def test_filling_audit_fails_when_the_sampler_finds_no_loop(c5_z2, monkeypatch):
+    monkeypatch.setattr(diagrams, "sample_loops", lambda *args: [])
+    report = filling_audit(build_ball(c5_z2, 1))
+    assert failed_ids(report) == ["diagrams.loop-sampler-found-instances"]
 
 
 # -- filling ---------------------------------------------------------------------

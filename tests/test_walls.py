@@ -184,6 +184,19 @@ def test_no_two_wall_edges_share_a_polygon(c5_z2, c5_mixed):
     assert wall_no_shared_polygon_audit(build_ball(c5_mixed, 2)).ok
 
 
+def test_shared_polygon_audit_fails_on_two_sides_of_one_polygon(c5_z2, monkeypatch):
+    b = build_ball(c5_z2, 2)
+    ws = list(walls_of_ball(b))
+    T = ws[0]
+    side = next(e for e in b.edge_cells[T.seed][0].edges if e not in T.edges)
+    ws[0] = TreeWall(T.label, T.seed, T.edges | {side}, T.key_rep)
+    monkeypatch.setattr(walls, "walls_of_ball", lambda _b: ws)
+    r = wall_no_shared_polygon_audit(b)
+    assert [(x.check_id, x.instance) for x in r.failures] == [
+        ("walls.no-two-edges-share-polygon", T.key_string())]
+    assert all(side.key_string() in pair for pair in r.failures[0].witness)
+
+
 def test_tree_property(c5_z2, c5_mixed, c6_z2):
     assert tree_property_audit(build_ball(c5_z2, 2)).ok
     assert tree_property_audit(build_ball(c5_mixed, 2)).ok
@@ -497,6 +510,19 @@ def test_pair_stabilizer_delta2_is_middle_vertex_group(c5_z2):
     assert inter == {identity(p), parse_word(p, "v2:1")}
 
 
+def test_far_pair_with_a_shared_stabilizer_element_is_inconclusive(c5_z2, monkeypatch):
+    """An observed distance >= 3 only bounds the true one, so a non-trivial
+    pair stabilizer there is reported inconclusive, never failed."""
+    b = build_ball(c5_z2, 2)
+    cent = central_walls(b)
+    # a crossing pair shares a vertex stabilizer; the ball is made to see it far
+    monkeypatch.setattr(walls, "delta", lambda cg, k1, k2: (3, False))
+    r = classify_pair(b, crossing_graph(b), cent[0], cent[1], 2)
+    assert [(x.check_id, x.status) for x in r.results] == [
+        ("walls.pair-stabilizer-far-trivial", "inconclusive")]
+    assert len(r.results[0].witness["intersection"]) > 1
+
+
 def test_far_pair_search_in_radius_three(c5_z2):
     # hunt a distance >= 3 pair; if the horizon hides one, report, don't fail
     p = c5_z2
@@ -538,6 +564,34 @@ def test_min_set_audit(c5_z2, c5_mixed):
     assert min_set_audit(b, crossing_graph(b)).ok
     b = build_ball(c5_mixed, 2)
     assert min_set_audit(b, crossing_graph(b)).ok
+
+
+def test_min_set_audit_fails_on_a_wide_minimal_set(c5_z2, monkeypatch):
+    b = build_ball(c5_z2, 2)
+    exact = walls.min_set
+
+    def wide(b, T1, T2):
+        closest, d, diam = exact(b, T1, T2)
+        return closest, d, diam if d == 0 else 2 * d + 1
+
+    monkeypatch.setattr(walls, "min_set", wide)
+    r = min_set_audit(b, crossing_graph(b))
+    assert {x.check_id for x in r.failures} == {"walls.min-set-diameter"}
+    assert all(x.witness["diameter"] == 2 * x.witness["distance"] + 1 for x in r.failures)
+
+
+def test_min_set_audit_fails_when_crossing_walls_are_close_along_more_than_a_vertex(
+        c5_z2, monkeypatch):
+    b = build_ball(c5_z2, 2)
+    exact = walls.min_set
+
+    def spread(b, T1, T2):
+        closest, d, diam = exact(b, T1, T2)
+        return (T1.vertex_set if d == 0 else closest), d, diam
+
+    monkeypatch.setattr(walls, "min_set", spread)
+    r = min_set_audit(b, crossing_graph(b))
+    assert {x.check_id for x in r.failures} == {"walls.min-set-of-crossing-pair"}
 
 
 # -- hyperplanes --------------------------------------------------------------------

@@ -23,6 +23,8 @@ from cyclewall.words import (
     from_syllable,
     identity,
     inv,
+    maximal_syllables,
+    minimal_syllables,
     mul,
     mul_all,
     parabolic_member,
@@ -424,7 +426,92 @@ def test_parabolic_normalizer_c6(c6_z2):
     assert parabolic_normalizer(c6_z2, [0]) == {5, 0, 1}
 
 
-# -- cyclic reduction -----------------------------------------------------------
+# -- the ends of a word and cyclic reduction -----------------------------------
+
+
+def cycle_presentation(n):
+    return Presentation(tuple(cyclic_group(2 + v % 2) for v in range(n)))
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_maximal_syllables_are_the_ones_coset_reps_strip(n):
+    """A reduced word has at most two maximal syllables, found by the scan,
+    and the coset reps of {i} and {i, i+1} strip exactly those of vertex i
+    and of vertices i, i+1."""
+    p = cycle_presentation(n)
+    alphabet = list(p.syllables())
+    rng = random.Random(n)
+    for _ in range(300):
+        g = reduce_word(p, [rng.choice(alphabet) for _ in range(rng.randrange(30))])
+        word = g.word
+        maximal = [k for k in range(len(word) - 1, -1, -1)
+                   if all(p.commutes(word[k].vertex, s.vertex) for s in word[k + 1:])]
+        found = maximal_syllables(p, word)
+        assert len(maximal) <= 2 and [k for _, k in found] == maximal, format_word(g)
+        assert all(word[k].vertex == v for v, k in found)
+        for i in range(n):
+            for S in ({i}, {i, (i + 1) % n}):
+                kept = tuple(s for k, s in enumerate(word)
+                             if not (k in maximal and s.vertex in S))
+                assert coset_rep(g, S).word == kept, (format_word(g), S)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_minimal_syllables_are_the_ones_that_shuffle_to_the_front(n):
+    """A reduced word has at most two minimal syllables, the first one and
+    at most one more, and the scan of the reversed word finds them."""
+    p = cycle_presentation(n)
+    alphabet = list(p.syllables())
+    rng = random.Random(100 + n)
+    seen = Counter()
+    for _ in range(300):
+        g = reduce_word(p, [rng.choice(alphabet) for _ in range(rng.randrange(30))])
+        word = g.word
+        minimal = [k for k in range(len(word))
+                   if all(p.commutes(s.vertex, word[k].vertex) for s in word[:k])]
+        found = minimal_syllables(p, word)
+        assert len(minimal) <= 2 and [k for _, k in found] == minimal, format_word(g)
+        assert all(word[k].vertex == v for v, k in found)
+        seen[len(minimal)] += 1
+    assert seen[2] > 50 and seen[1] > 50
+
+
+def conjugate_alphabet(p):
+    """Syllables for random words: every one of a finite vertex group, and
+    the values +-1, +-2 of a ``Z`` vertex."""
+    return [Syllable(v, x) for v in p.vertices()
+            for x in (p.group(v).nontrivial_elements() if p.group(v).is_finite
+                      else (-2, -1, 1, 2))]
+
+
+def trial_mismatches(p, seed, count=1000):
+    """The conjugates w·h·w^-1 (w of up to 6 raw syllables, h of up to 12)
+    on which ``cyclic_reduce`` and ``cyclic_reduce_by_trial`` differ, and
+    how many of them the oracle shortens."""
+    rng = random.Random(seed)
+    alphabet = conjugate_alphabet(p)
+    mismatches, shortened = [], 0
+    for _ in range(count):
+        w = reduce_word(p, [rng.choice(alphabet) for _ in range(rng.randrange(7))])
+        h = reduce_word(p, [rng.choice(alphabet) for _ in range(rng.randrange(13))])
+        g = mul(mul(w, h), inv(w))
+        want = cyclic_reduce_by_trial(g)
+        if cyclic_reduce(g) != want:
+            mismatches.append(format_word(g))
+        shortened += want[0].syllable_length < g.syllable_length
+    return mismatches, shortened
+
+
+TRIAL_PRESENTATIONS = [*KERNEL_PRESENTATIONS, "c5_with_z", "c7"]
+
+
+def trial_presentation(name, request):
+    if name == "c5_with_z":
+        return Presentation((cyclic_group(2), integers_group(), cyclic_group(3),
+                             cyclic_group(2), cyclic_group(3)))
+    if name == "c7":
+        return cycle_presentation(7)
+    return kernel_presentation(name, request)
 
 
 def test_cyclic_reduce_single_syllable(c5_z2):
@@ -454,20 +541,40 @@ def test_cyclic_reduce_conjugated_syllable_roundtrip(c5_mixed):
         assert mul(mul(conj, core), inv(conj)) == g
 
 
-@pytest.mark.parametrize("name", KERNEL_PRESENTATIONS)
+@pytest.mark.parametrize("name", TRIAL_PRESENTATIONS)
 def test_cyclic_reduce_matches_trial_oracle(name, request):
-    """Deciding each front syllable by whether it merges at the back gives
-    the core and conjugator of trying every conjugation."""
-    p = kernel_presentation(name, request)
-    rng = random.Random(8)
-    shortened = 0
-    for _ in range(150):
-        w = reduce_word(p, random_raw_word(rng, p, 6))
-        g = mul(mul(w, reduce_word(p, random_raw_word(rng, p, 12))), inv(w))
-        core, conj = cyclic_reduce(g)
-        assert (core, conj) == cyclic_reduce_by_trial(g), format_word(g)
-        shortened += core.syllable_length < g.syllable_length
-    assert shortened > 50
+    """The rule (conjugate by the least front syllable whose vertex also has
+    a maximal syllable) gives the core and conjugator of trying every
+    conjugation, on 1,000 seeded conjugates."""
+    mismatches, shortened = trial_mismatches(trial_presentation(name, request), seed=8)
+    assert mismatches == []
+    assert shortened > 500
+
+
+def test_trial_check_catches_a_loop_that_reads_only_the_first_syllable(c6_mixed, monkeypatch):
+    """Taking word[0] as the only front syllable misses every conjugation
+    by the other minimal syllable."""
+    monkeypatch.setattr(words, "minimal_syllables",
+                        lambda p, word: minimal_syllables(p, word)[:1])
+    mismatches, _ = trial_mismatches(c6_mixed, seed=8)
+    assert len(mismatches) > 10
+
+
+def test_the_greatest_qualifying_front_syllable_gives_the_same_result(c6_mixed, monkeypatch):
+    """The least-first rule fixes the path, not the result.  Two qualifying
+    steps touch four distinct syllables, and each leaves the other
+    qualifying, so they commute; conjugating by the greatest qualifying
+    front syllable (``max`` for ``min``) gives the same core and conjugator
+    although it often takes another step first."""
+    choices = Counter()
+
+    def greatest(steps):
+        choices[len(steps)] += 1
+        return max(steps)
+
+    monkeypatch.setattr(words, "min", greatest, raising=False)
+    mismatches, _ = trial_mismatches(c6_mixed, seed=8)
+    assert mismatches == [] and choices[2] > 100
 
 
 @pytest.mark.parametrize("name", KERNEL_PRESENTATIONS)
