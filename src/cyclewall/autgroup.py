@@ -11,12 +11,13 @@ reconstructs the normal form from generator images or rejects with a typed
 witness.
 
 The local group is never listed: :func:`enumerate_loc` indexes it as a
-product, and :func:`loc_fixator` applies only the elements that match a
-word's syllable values vertex by vertex.
+product, and :func:`loc_fixator` returns a word's fixator as a product of
+the same kind, read off the word's syllable values vertex by vertex.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -168,26 +169,29 @@ def identity_local_aut(p: Presentation) -> LocalAut:
 
 
 class Loc(Sequence):
-    """The local group as an indexed product: ``loc[k]`` decodes k in mixed
-    radix, first the symmetry, in :func:`enumerate_symmetries`' order, then
-    one isomorphism per vertex, the last vertex varying fastest."""
+    """Local automorphisms as an indexed product: ``choices`` pairs each
+    symmetry with one list of isomorphisms per vertex, and ``loc[k]``
+    decodes k in mixed radix, first the symmetry, in the order of
+    ``choices``, then one isomorphism per vertex, the last vertex varying
+    fastest."""
 
-    def __init__(self, p: Presentation):
-        # |Iso(G_i, G_sigma(i))| = |Aut(G_i)|, so every symmetry's block has one size
-        self.choices = [(sigma, [isomorphisms(p.group(i), p.group(sigma(i)))
-                                 for i in range(p.n)])
-                        for sigma in enumerate_symmetries(p)]
-        self._block = math.prod(len(isos) for isos in self.choices[0][1])
+    def __init__(self, choices):
+        self.choices = choices
+        self._ends = list(itertools.accumulate(
+            math.prod(map(len, per_vertex)) for _, per_vertex in choices))
 
     def __len__(self) -> int:
-        return len(self.choices) * self._block
+        return self._ends[-1] if self._ends else 0
 
     def __getitem__(self, k):
         if isinstance(k, slice):
             return [self[i] for i in range(*k.indices(len(self)))]
         if not -len(self) <= k < len(self):
             raise IndexError("local group index out of range")
-        j, k = divmod(k % len(self), self._block)
+        k %= len(self)
+        j = bisect.bisect_right(self._ends, k)
+        if j:
+            k -= self._ends[j - 1]
         sigma, per_vertex = self.choices[j]
         isos = []
         for options in reversed(per_vertex):
@@ -197,8 +201,11 @@ class Loc(Sequence):
 
 
 def enumerate_loc(p: Presentation) -> Loc:
-    """The whole local group as an indexed product, deterministic order."""
-    return Loc(p)
+    """The whole local group as an indexed product, in
+    :func:`enumerate_symmetries`' order."""
+    return Loc([(sigma, [isomorphisms(p.group(i), p.group(sigma(i)))
+                         for i in range(p.n)])
+                for sigma in enumerate_symmetries(p)])
 
 
 # -- automorphisms in normal form ----------------------------------------------------
@@ -360,6 +367,16 @@ def aut_decompose(p: Presentation, images: Sequence[Sequence[GroupElement]]) -> 
     down uniquely, as the maximal windows of all n >= 5 base vertices have no
     vertex in common.  The result is verified against all images before
     return, by comparing them with its own ``generator_images``.
+
+    Only the first image at each vertex i is cyclically reduced, which gives
+    the conjugator c_i.  Each later image h is read through it: when
+    m = c_i^-1·h·c_i is one syllable, m is its core, and only otherwise is h
+    cyclically reduced.  This rejects exactly what reducing every image
+    does, with the same message and witness: all one-syllable conjugates of
+    h lie at one vertex v, since the retraction onto G_v sends h to a
+    conjugate of a non-identity element and every other vertex retraction
+    sends it to 1.  Once g is pinned, g^-1·h·g = w^-1·m·w with
+    w = c_i^-1·g, a short word in the window around sigma(i).
     """
     p.require_finite()
     n = p.n
@@ -368,13 +385,22 @@ def aut_decompose(p: Presentation, images: Sequence[Sequence[GroupElement]]) -> 
 
     target = [None] * n
     conjugators = [None] * n
+    inverses = [None] * n   # conjugators[i]^-1
+    conjugated = []   # conjugated[i][k] = conjugators[i]^-1 · images[i][k] · conjugators[i]
     for i in range(n):
         gens = generator_values(p, i)
         if len(images[i]) != len(gens):
             raise DecompositionError(
                 f"vertex {i}: expected {len(gens)} generator images", None)
+        row = []
         for x, h in zip(gens, images[i]):
-            core, conj = cyclic_reduce(h)
+            if row:
+                m = mul(mul(inverses[i], h), conjugators[i])
+                core = m if m.syllable_length == 1 else cyclic_reduce(h)[0]
+            else:
+                m, conjugators[i] = cyclic_reduce(h)
+                inverses[i] = inv(conjugators[i])
+                core = m
             if core.syllable_length != 1:
                 raise DecompositionError(
                     f"image of generator {x} at vertex {i} is not conjugate "
@@ -382,11 +408,12 @@ def aut_decompose(p: Presentation, images: Sequence[Sequence[GroupElement]]) -> 
             vertex = core.word[0].vertex
             if target[i] is None:
                 target[i] = vertex
-                conjugators[i] = conj
             elif target[i] != vertex:
                 raise DecompositionError(
                     f"vertex {i}: generator images land in different vertex "
                     f"groups {target[i]} and {vertex}", format_word(h))
+            row.append(m)
+        conjugated.append(row)
 
     try:
         sigma = CycleSymmetry(p, tuple(target))
@@ -406,14 +433,15 @@ def aut_decompose(p: Presentation, images: Sequence[Sequence[GroupElement]]) -> 
                 "element matches all vertices", format_word(conjugators[i]))
         g, S = hit
 
-    gi = inv(g)
     isos = []
     for i in range(n):
         j = sigma(i)
         src, dst = p.group(i), p.group(j)
+        w = mul(inverses[i], g)
+        wi = inv(w)
         mapping = [0] * src.size
-        for x, h in zip(generator_values(p, i), images[i]):
-            moved = mul(mul(gi, h), g)
+        for x, m in zip(generator_values(p, i), conjugated[i]):
+            moved = mul(mul(wi, m), w)
             if moved.syllable_length != 1 or moved.word[0].vertex != j:
                 raise DecompositionError(
                     f"after removing the inner part, the image of generator "
@@ -485,26 +513,35 @@ def acyl_witness(p: Presentation) -> GroupElement:
     return witness_details(p)["element"]
 
 
-def loc_fixator(p: Presentation, g: GroupElement) -> list[LocalAut]:
-    """The local automorphisms fixing g, in :func:`enumerate_loc`'s order.
+def loc_fixator(p: Presentation, g: GroupElement) -> Loc:
+    """The local automorphisms fixing g, in :func:`enumerate_loc`'s order,
+    as an indexed product.
 
     lam(g)'s word is g's reduced word with each syllable (v, x) sent to
-    (sigma(v), phi_v(x)), and that word is still reduced.  Reduced words of one
-    element carry the same syllables (Green, *Graph products of groups*,
-    1990), so lam fixes g only if each phi_v maps g's values at v onto its
-    values at sigma(v), as multisets.  Only those candidates are applied to g.
+    (sigma(v), phi_v(x)), and that word is still reduced.  Reduced words of
+    one element are shuffles of each other (Green, *Graph products of
+    groups*, 1990), and a shuffle keeps the order of the syllables at each
+    vertex.  So lam fixes g iff two things hold:
+
+    - sigma relabels g's word into a shuffle of it, which depends on sigma
+      alone;
+    - each phi_v maps the sequence of g's values at v onto the sequence of
+      its values at sigma(v), in occurrence order.
+
+    Per symmetry, the second keeps a list of isomorphisms per vertex, and
+    the fixator is the product of those lists.  The first holds for every
+    element of that product or for none, so applying one element to g
+    decides it.
     """
-    values = [sorted(s.value for s in g.word if s.vertex == v) for v in range(p.n)]
-    fixator = []
+    values = [tuple(s.value for s in g.word if s.vertex == v) for v in range(p.n)]
+    choices = []
     for sigma, per_vertex in enumerate_loc(p).choices:
         kept = [[phi for phi in isos
-                 if sorted(map(phi.apply, values[i])) == values[sigma(i)]]
+                 if tuple(map(phi.apply, values[i])) == values[sigma(i)]]
                 for i, isos in enumerate(per_vertex)]
-        for isos in itertools.product(*kept):
-            lam = LocalAut(sigma, isos)
-            if lam.apply(g) == g:
-                fixator.append(lam)
-    return fixator
+        if all(kept) and LocalAut(sigma, tuple(k[0] for k in kept)).apply(g) == g:
+            choices.append((sigma, kept))
+    return Loc(choices)
 
 
 def witness_fixator_check(p: Presentation, g: GroupElement) -> Report:

@@ -22,7 +22,10 @@ just before the first syllable of greater vertex after the last syllable it
 does not commute with, which is where the greedy sort would emit it; a merge
 changes only a value, and a cancelled syllable is maximal in the dependence
 order. Pushing one syllable onto a word of L syllables costs O(L), and no
-word is ever sorted.
+word is ever sorted. One private loop pushes a whole sequence of syllables,
+reading the presentation's tables once per call; ``mul``, ``inv`` and
+``reduce_word`` all go through it, and ``reduce_word`` checks each value
+just before its syllable is pushed.
 
 Each presentation also keeps a private memo of the finite syllables met so
 far, ``_interned``: a canonical token such as ``v3:2`` maps to its
@@ -165,11 +168,12 @@ class GroupElement:
 # -- reduction and canonical form -------------------------------------------
 
 
-def _push(p: Presentation, word: list[Syllable], syl: Syllable) -> None:
-    """Multiply a canonical reduced word by one syllable, keeping it so.
+def _push_all(p: Presentation, word: list[Syllable], syllables: Iterable[Syllable],
+              check: bool = False) -> None:
+    """Multiply a canonical reduced word by each syllable in turn, keeping it so.
 
-    Scans right to left over the syllables that commute with the new
-    syllable's vertex v. If it reaches a same-vertex syllable it merges the
+    For each syllable of vertex v it scans right to left over the syllables
+    that commute with v. If it reaches a same-vertex syllable it merges the
     two values, deleting the syllable when they cancel. Otherwise it stops
     at the last blocking syllable, at index k0 (-1 if none), and inserts the
     new syllable before the first index j > k0 with ``word[j].vertex > v``
@@ -182,44 +186,52 @@ def _push(p: Presentation, word: list[Syllable], syl: Syllable) -> None:
     v, or the scan would have merged. A merge changes only a value, and a
     cancelled syllable is maximal in the dependence order, so deleting it
     keeps the least linear extension (see ``coset_rep``).
+
+    With ``check``, each syllable's value is checked against its vertex
+    group just before it is pushed, so a bad value is reported in input
+    order, after the syllables before it were read.
     """
-    if syl.value == IDENTITY:
-        return
-    v = syl.vertex
-    block = p.blocks[v]
-    j = len(word)
-    for k in range(j - 1, -1, -1):
-        u, x = word[k]
-        if u == v:
-            prod = p.groups[v].mul(x, syl.value)
-            if prod == IDENTITY:
-                del word[k]
-            else:
-                word[k] = Syllable(v, prod)
-            return
-        if u in block:
-            break
-        if u > v:
-            j = k
-    word.insert(j, syl)
+    blocks, groups = p.blocks, p.groups
+    values = p.values if check else None
+    for syl in syllables:
+        v, x = syl
+        if values is not None:
+            allowed = values[v]
+            if allowed is not None and x not in allowed:
+                groups[v].check(x)
+        if x == IDENTITY:
+            continue
+        block = blocks[v]
+        j = len(word)
+        for k in range(j - 1, -1, -1):
+            u = word[k][0]
+            if u == v:
+                prod = groups[v].mul(word[k][1], x)
+                if prod == IDENTITY:
+                    del word[k]
+                else:
+                    word[k] = Syllable(v, prod)
+                break
+            if u in block:
+                word.insert(j, syl)
+                break
+            if u > v:
+                j = k
+        else:
+            word.insert(j, syl)
 
 
 def reduce_word(p: Presentation, syllables: Iterable[Syllable]) -> GroupElement:
     """Canonical reduced form of an arbitrary syllable sequence."""
     word: list[Syllable] = []
-    for s in syllables:
-        values = p.values[s.vertex]
-        if values is not None and s.value not in values:
-            p.group(s.vertex).check(s.value)
-        _push(p, word, s)
+    _push_all(p, word, syllables, check=True)
     return GroupElement(p, tuple(word))
 
 
 def _canonical(p: Presentation, word: Iterable[Syllable]) -> GroupElement:
     """``reduce_word`` for syllables already known to be group elements."""
     out: list[Syllable] = []
-    for s in word:
-        _push(p, out, s)
+    _push_all(p, out, word)
     return GroupElement(p, tuple(out))
 
 
@@ -235,8 +247,7 @@ def mul(a: GroupElement, b: GroupElement) -> GroupElement:
     if a.presentation is not b.presentation and a.presentation != b.presentation:
         raise GroupMismatchError("elements of different presentations")
     word = list(a.word)
-    for s in b.word:
-        _push(a.presentation, word, s)
+    _push_all(a.presentation, word, b.word)
     return GroupElement(a.presentation, tuple(word))
 
 

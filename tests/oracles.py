@@ -101,7 +101,7 @@ edge and asserts, edge by edge, that it keeps its label and tree-wall.
 The local-group oracles list every element of Loc, one symmetry after another
 with ``itertools.product`` over the per-vertex isomorphisms, instead of
 decoding an index; find a word's local fixator by applying every listed
-element to it, instead of only those that match its syllable values; and find
+element to it, instead of a product read off its syllable values; and find
 the isomorphisms between two vertex groups by a recursive search that prunes
 each partial assignment of generator images with ``_close``, instead of one
 product over all of them.
@@ -111,6 +111,10 @@ and two ``int`` calls, the parser ``words.parse_word`` keeps only for tokens
 its presentation has not interned. The inverse oracle inverts every syllable
 with ``LocalGroupSpec.inv`` and sorts the reversed word by pushing it,
 instead of reading each syllable's inverse from the presentation's memo.
+
+The decomposition oracle cyclically reduces every generator image, instead
+of reducing one image per vertex and reading the others through its
+conjugator, and computes each moved image as g^-1·h·g on the full words.
 """
 
 import itertools
@@ -125,8 +129,17 @@ from cyclewall.algebraic import (
     containing_maximals,
     join_is_cmaximal,
     medium_of_vertex,
+    window_of,
 )
-from cyclewall.autgroup import LocalAut, enumerate_symmetries
+from cyclewall.autgroup import (
+    AutElement,
+    CycleSymmetry,
+    LocalAut,
+    coset_intersection,
+    enumerate_symmetries,
+    generator_images,
+    generator_values,
+)
 from cyclewall.localgroups import (
     IDENTITY,
     LocalIso,
@@ -151,7 +164,7 @@ from cyclewall.davis import (
     x_edge,
 )
 from cyclewall.diagrams import DiscDiagram, _ball_edge, _cancel_spurs, _match_polygon
-from cyclewall.errors import FillError, ValidationError
+from cyclewall.errors import DecompositionError, FillError, ValidationError
 from cyclewall.walls import TreeWall, UnionFind, _stabilizes_wall, walls_of_ball
 from cyclewall.words import (
     GroupElement,
@@ -159,6 +172,7 @@ from cyclewall.words import (
     Syllable,
     _canonical,
     coset_rep,
+    cyclic_reduce,
     enumerate_ball_elements,
     format_word,
     identity,
@@ -929,8 +943,10 @@ def enumerate_loc_by_listing(p: Presentation) -> list[LocalAut]:
     return out
 
 
-def loc_fixator_by_filter(p: Presentation, g: GroupElement) -> list[LocalAut]:
-    return [lam for lam in enumerate_loc_by_listing(p) if lam.apply(g) == g]
+def loc_fixator_by_filter(p: Presentation, g: GroupElement, listed=None) -> list[LocalAut]:
+    """``listed``: ``enumerate_loc_by_listing(p)``, when the caller has it."""
+    listed = enumerate_loc_by_listing(p) if listed is None else listed
+    return [lam for lam in listed if lam.apply(g) == g]
 
 
 def isomorphisms_by_search(src, dst) -> list[LocalIso]:
@@ -985,3 +1001,83 @@ def parse_word_by_tokens(p: Presentation, text: str) -> GroupElement:
 def inv_by_reversal(a: GroupElement) -> GroupElement:
     p = a.presentation
     return _canonical(p, [Syllable(v, p.groups[v].inv(x)) for v, x in reversed(a.word)])
+
+
+def aut_decompose_by_reduction(p: Presentation, images) -> AutElement:
+    """``autgroup.aut_decompose`` with every generator image cyclically
+    reduced, and each moved image computed as g^-1·h·g on the full words."""
+    p.require_finite()
+    n = p.n
+    if len(images) != n:
+        raise DecompositionError("one image list per vertex is required", None)
+
+    target = [None] * n
+    conjugators = [None] * n
+    for i in range(n):
+        gens = generator_values(p, i)
+        if len(images[i]) != len(gens):
+            raise DecompositionError(
+                f"vertex {i}: expected {len(gens)} generator images", None)
+        for x, h in zip(gens, images[i]):
+            core, conj = cyclic_reduce(h)
+            if core.syllable_length != 1:
+                raise DecompositionError(
+                    f"image of generator {x} at vertex {i} is not conjugate "
+                    "to a syllable", format_word(h))
+            vertex = core.word[0].vertex
+            if target[i] is None:
+                target[i] = vertex
+                conjugators[i] = conj
+            elif target[i] != vertex:
+                raise DecompositionError(
+                    f"vertex {i}: generator images land in different vertex "
+                    f"groups {target[i]} and {vertex}", format_word(h))
+
+    try:
+        sigma = CycleSymmetry(p, tuple(target))
+    except ValidationError as exc:
+        raise DecompositionError(
+            f"the induced vertex map is not an admissible cycle symmetry: {exc}",
+            list(target)) from None
+
+    # g lies in conj_i * <maximal window around sigma(i)> for every i; intersect
+    windows = [window_of(n, MAXIMAL, sigma(i)) for i in range(n)]
+    g, S = conjugators[0], windows[0]
+    for i in range(1, n):
+        hit = coset_intersection(conjugators[i], windows[i], g, S)
+        if hit is None:
+            raise DecompositionError(
+                "conjugator constraints are inconsistent: no single inner "
+                "element matches all vertices", format_word(conjugators[i]))
+        g, S = hit
+
+    gi = inv(g)
+    isos = []
+    for i in range(n):
+        j = sigma(i)
+        src, dst = p.group(i), p.group(j)
+        mapping = [0] * src.size
+        for x, h in zip(generator_values(p, i), images[i]):
+            moved = mul(mul(gi, h), g)
+            if moved.syllable_length != 1 or moved.word[0].vertex != j:
+                raise DecompositionError(
+                    f"after removing the inner part, the image of generator "
+                    f"{x} at vertex {i} is not a syllable at vertex {j}",
+                    format_word(moved))
+            mapping[x] = moved.word[0].value
+        try:
+            isos.append(LocalIso(src, dst, mapping=tuple(mapping)))
+        except ValidationError as exc:
+            raise DecompositionError(
+                f"vertex {i}: generator images do not define an isomorphism: "
+                f"{exc}", mapping) from None
+
+    a = AutElement(g, LocalAut(sigma, tuple(isos)))
+    for i, row in enumerate(generator_images(a)):
+        for x, h, got in zip(generator_values(p, i), images[i], row):
+            if got != h:
+                raise DecompositionError(
+                    f"reconstructed automorphism disagrees with the image of "
+                    f"generator {x} at vertex {i}",
+                    {"expected": format_word(h), "got": format_word(got)})
+    return a

@@ -215,7 +215,7 @@ def test_criterion_7_witness_with_trivial_local_fixator():
                  and all(lam.isos[i].apply(e) == e
                          for i in range(p.n)
                          for e in determining_set(p.group(i)))]
-    ok = ok and fix == predicted
+    ok = ok and list(fix) == predicted
     verdict(7, "length-10 witness, |Loc|=320, trivial fixator", ok, t0, 30)
 
 

@@ -1,4 +1,6 @@
+import inspect
 import random
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -32,7 +34,7 @@ from cyclewall.autgroup import (
 )
 from cyclewall.cli import load_presentation, run_suite
 from cyclewall.davis import build_ball, x_vertex
-from cyclewall.errors import DecompositionError, ValidationError
+from cyclewall.errors import CycleWallError, DecompositionError, ValidationError
 from cyclewall.localgroups import integers_group, isomorphisms
 from cyclewall.words import (
     GroupElement,
@@ -47,6 +49,7 @@ from cyclewall.words import (
     reduce_word,
 )
 from oracles import (
+    aut_decompose_by_reduction,
     axis_segment,
     coset_intersection_by_stripping,
     enumerate_loc_by_listing,
@@ -347,6 +350,88 @@ def test_inner_intersect_local_is_trivial(c5_z2, c5_mixed):
                 assert not a.is_identity
 
 
+def reference_or_s3x5(name):
+    if name == "5 x S3":
+        return Presentation((s3_table_group(),) * 5)
+    return load_presentation(str(PRESENTATIONS / f"{name}.json"))
+
+
+def decomposition_cases(p, seed, count):
+    """Accepted image sets and five corruptions of them, in turn: a random
+    element for one image, one image conjugated by a random element,
+    another vertex's image, a whole row conjugated by one element, and a
+    reversed row."""
+    rng = random.Random(seed)
+    loc = enumerate_loc(p)
+    cases = []
+    for k in range(count):
+        images = generator_images(AutElement(random_element(p, rng, 12),
+                                             rng.choice(loc)))
+        i = rng.randrange(p.n)
+        x = rng.randrange(len(images[i]))
+        f = random_element(p, rng, 4)
+        kind = k % 6
+        if kind == 1:
+            images[i][x] = random_element(p, rng, 12)
+        elif kind == 2:
+            images[i][x] = mul(mul(f, images[i][x]), inv(f))
+        elif kind == 3:
+            images[i][x] = rng.choice(images[rng.choice(
+                [j for j in range(p.n) if j != i])])
+        elif kind == 4:
+            images[i] = [mul(mul(f, h), inv(f)) for h in images[i]]
+        elif kind == 5:
+            images[i].reverse()
+        cases.append(images)
+    return cases
+
+
+def decomposition_outcome(decompose, p, images):
+    """The decomposition, or the type, message and witness of its error."""
+    try:
+        return decompose(p, images)
+    except CycleWallError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "witness", None)
+
+
+def decomposition_mismatches(p, cases):
+    return [k for k, images in enumerate(cases)
+            if decomposition_outcome(autgroup.aut_decompose, p, images)
+            != decomposition_outcome(aut_decompose_by_reduction, p, images)]
+
+
+@pytest.mark.parametrize("name", REFERENCES + ["5 x S3"])
+def test_decompose_matches_reducing_every_image(name):
+    """Reducing one image per vertex and reading the rest through its
+    conjugator accepts and rejects what reducing every image does, with the
+    same result or the same error, message and witness: 270 cases on each
+    of seven presentations."""
+    p = reference_or_s3x5(name)
+    cases = decomposition_cases(p, 31, 270)
+    assert decomposition_mismatches(p, cases) == []
+    outcomes = [decomposition_outcome(aut_decompose, p, images) for images in cases]
+    messages = " ".join(o[1] for o in outcomes if isinstance(o, tuple))
+    assert sum(isinstance(o, AutElement) for o in outcomes) >= 45
+    assert "is not conjugate to a syllable" in messages
+    if any(g.size > 2 for g in p.groups):   # a row with a later image
+        assert "land in different vertex groups" in messages
+
+
+def test_decompose_match_fails_when_the_fast_path_skips_the_vertex_check(monkeypatch):
+    """A core read through the first conjugator must still be compared with
+    the vertex's target: without that, another vertex's image is rejected
+    later, with another message."""
+    source = textwrap.dedent(inspect.getsource(autgroup.aut_decompose))
+    mutated = source.replace("elif target[i] != vertex:",
+                             "elif core is not m and target[i] != vertex:")
+    assert mutated != source
+    namespace = dict(vars(autgroup))
+    exec(compile(mutated, autgroup.__file__, "exec"), namespace)
+    monkeypatch.setattr(autgroup, "aut_decompose", namespace["aut_decompose"])
+    p = reference_or_s3x5("c6_mixed")
+    assert decomposition_mismatches(p, decomposition_cases(p, 31, 60))
+
+
 # -- the witness ---------------------------------------------------------------
 
 
@@ -384,7 +469,7 @@ def test_fixator_of_single_syllable_is_a_subgroup(c5_z3):
     fix = loc_fixator(p, g)
     expect = [lam for lam in enumerate_loc(p)
               if lam.sigma(1) == 1 and lam.isos[1].apply(1) == 1]
-    assert fix == expect
+    assert list(fix) == expect
     assert len(fix) > 1  # a genuine subgroup, unlike the witness fixator
 
 
@@ -400,7 +485,24 @@ def test_loc_fixator_matches_the_whole_group_filter(name):
     rng = random.Random(21)
     words += [random_element(p, rng, 10) for _ in range(50)]
     for g in words:
-        assert loc_fixator(p, g) == loc_fixator_by_filter(p, g), format_word(g)
+        assert list(loc_fixator(p, g)) == loc_fixator_by_filter(p, g), format_word(g)
+
+
+def test_loc_fixator_matches_the_whole_group_filter_on_five_s3():
+    """On 5 x S3 (|Loc| = 77,760) the fixator product holds what applying
+    every element finds, in the same order: on the identity, every syllable
+    and two words on two vertices each, so most vertices have an empty value
+    sequence."""
+    p = reference_or_s3x5("5 x S3")
+    listed = enumerate_loc_by_listing(p)
+    rng = random.Random(22)
+    words = [identity(p)] + [GroupElement(p, (s,)) for s in p.syllables()]
+    for u, w in ((1, 4), (0, 2)):   # not adjacent, so u w u w is reduced
+        words.append(reduce_word(p, [Syllable(v, rng.randrange(1, 6))
+                                     for v in (u, w, u, w)]))
+    for g in words:
+        assert list(loc_fixator(p, g)) == loc_fixator_by_filter(p, g, listed), \
+            format_word(g)
 
 
 def test_aut_suite_on_six_s3_indexes_a_local_group_of_559872():

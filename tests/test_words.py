@@ -15,7 +15,7 @@ from cyclewall.words import (
     GroupElement,
     Presentation,
     Syllable,
-    _push,
+    _push_all,
     coset_rep,
     cyclic_reduce,
     enumerate_ball_elements,
@@ -181,7 +181,8 @@ def test_reduce_matches_heap_oracle(name, request):
 @pytest.mark.parametrize("name", KERNEL_PRESENTATIONS)
 def test_every_push_keeps_the_word_canonical(name, request):
     """Each push onto a canonical word leaves it canonical, whether the
-    syllable is inserted, merges into a new value or cancels."""
+    syllable is inserted, merges into a new value or cancels: the push loop
+    is driven one syllable at a time."""
     p = kernel_presentation(name, request)
     rng = random.Random(6)
     alphabet = list(p.syllables())
@@ -191,7 +192,7 @@ def test_every_push_keeps_the_word_canonical(name, request):
         for _ in range(rng.randrange(61)):
             s = rng.choice(alphabet)
             before = len(word)
-            _push(p, word, s)
+            _push_all(p, word, [s])
             assert tuple(word) == greedy_canonical_order(p, word), (word, s)
             event = ("cancel", "merge", "insert")[len(word) - before + 1]
             seen[event, p.group(s.vertex).kind] += 1
@@ -660,6 +661,15 @@ def test_parse_reports_the_first_bad_token(c5_z2):
     # a bad value at token 1 is reported before a bad format at token 3
     with pytest.raises(ValidationError, match="7 is not an element"):
         parse_word(c5_z2, "v1:7 v2:1 w3:1")
+
+
+def test_parse_reports_mixed_bad_tokens_in_input_order(c5_z2):
+    # the value check runs as each syllable is pushed, so whichever bad
+    # token comes first is reported, a bad value or a bad format
+    with pytest.raises(ValidationError, match="7 is not an element"):
+        parse_word(c5_z2, "v1:7 vx")
+    with pytest.raises(ValidationError, match="bad syllable token: 'vx'"):
+        parse_word(c5_z2, "vx v1:7")
 
 
 def parse_outcome(parse, p, text):
