@@ -13,21 +13,20 @@ all of it).
 
 The abstract complex has the medium encodings of a ball's vertices as nodes,
 arcs where the join of two mediums is a maximal, and faces for the induced
-n-cycles, found as the walks that wind once around the base cycle.  Its
-1-skeleton, like the ball's interior 1-skeleton it is checked against, is a
-plain adjacency dict (node -> set of neighbours).  The join is decided
-exactly: two mediums c1<G_b x G_{b+1}> and c2<G_{b+1} x G_{b+2}> join to a
-maximal iff the vertices they encode share an edge, that is iff the
-canonical word of c2^-1·c1 lies in G_{b+2}·G_b (see ``shared_edge`` and
-``join_is_cmaximal``), so the join never enumerates a vertex group and never
-comes out undecided.  The map (coset gH) -> (subgroup gHg^-1) is verified to
-be an equivariant isomorphism on interior cells.
+n-cycles, found as the walks that wind once around the base cycle.  The
+join is decided exactly: two mediums c1<G_b x G_{b+1}> and c2<G_{b+1} x
+G_{b+2}> join to a maximal iff the vertices they encode share an edge, that
+is iff the canonical word of c2^-1·c1 lies in G_{b+2}·G_b (see
+``shared_edge`` and ``join_is_cmaximal``), so the join never enumerates a
+vertex group and never comes out undecided.  The map (coset gH) -> (subgroup gHg^-1) is verified to
+be an equivariant isomorphism on interior cells.  On edges that is one
+comparison of two sets of vertex pairs: the ball's edges between interior
+vertices, and the rebuild's arcs between their encodings, decoded.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import random
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
@@ -43,7 +42,6 @@ from .words import (
     format_word,
     inv,
     mul,
-    parabolic_member,
 )
 
 MINIMAL = "minimal"
@@ -86,9 +84,6 @@ class CSubgroup:
     def presentation(self) -> Presentation:
         return self.conjugator.presentation
 
-    def member(self, g: GroupElement) -> bool:
-        return parabolic_member(g, self)
-
     def key_string(self) -> str:
         return f"{self.tier}|{self.base}|{format_word(self.conjugator)}"
 
@@ -106,12 +101,6 @@ def medium_of_vertex(v: ComplexVertex) -> CSubgroup:
     if v.cls != POLY:
         raise ValidationError("only polygonal X-vertices encode a medium subgroup")
     return CSubgroup(MEDIUM, v.index, v.rep)
-
-
-def vertex_of_medium(h: CSubgroup) -> ComplexVertex:
-    if h.tier != MEDIUM:
-        raise ValidationError("only medium subgroups encode an X-vertex")
-    return ComplexVertex(POLY, h.base, h.conjugator)
 
 
 def containing_maximals(h: CSubgroup) -> list[CSubgroup]:
@@ -199,16 +188,6 @@ class ScriptXBall:
     nodes: list[CSubgroup] = field(default_factory=list)
     arcs: dict[frozenset, CSubgroup] = field(default_factory=dict)
     cycles: list[tuple[CSubgroup, ...]] = field(default_factory=list)
-    interior: set[CSubgroup] = field(default_factory=set)
-
-    def graph(self) -> dict[CSubgroup, set[CSubgroup]]:
-        """The 1-skeleton as an adjacency dict, every node a key."""
-        g: dict[CSubgroup, set[CSubgroup]] = {h: set() for h in self.nodes}
-        for pair in self.arcs:
-            h1, h2 = pair
-            g[h1].add(h2)
-            g[h2].add(h1)
-        return g
 
 
 def _induced_n_cycles(g: Mapping, n: int) -> list[tuple]:
@@ -283,11 +262,7 @@ def build_script_X_ball(b: ComplexBall) -> ScriptXBall:
     p = b.presentation
     n = p.n
     sx = ScriptXBall(presentation=p)
-    for v in b.vertices:
-        h = medium_of_vertex(v)
-        sx.nodes.append(h)
-        if v in b.interior_vertices:
-            sx.interior.add(h)
+    sx.nodes = [medium_of_vertex(v) for v in b.vertices]
     if len(set(sx.nodes)) != len(sx.nodes):
         raise ValidationError("subgroup encodings collide: ball is inconsistent")
 
@@ -315,24 +290,6 @@ def build_script_X_ball(b: ComplexBall) -> ScriptXBall:
     sx.cycles = sorted(_winding_cycles(up, starts, n),
                        key=lambda c: [h.sort_key() for h in c])
     return sx
-
-
-def script_x_to_json(sx: ScriptXBall) -> str:
-    doc = {
-        "schema": "cyclewall/1",
-        "form": "abstract",
-        "n": sx.presentation.n,
-        "nodes": [{"key": h.key_string(),
-                   "interior": h in sx.interior} for h in sorted(
-                       sx.nodes, key=lambda h: h.sort_key())],
-        "arcs": sorted(
-            ({"ends": sorted(h.key_string() for h in pair),
-              "maximal": m.key_string()}
-             for pair, m in sx.arcs.items()),
-            key=lambda d: (d["ends"], d["maximal"])),
-        "cycles": sorted([h.key_string() for h in c] for c in sx.cycles),
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
 
 
 # -- isomorphism and cycle audits -----------------------------------------------------
@@ -368,18 +325,18 @@ def phi_iso_check(b: ComplexBall, seed: int = 0, samples: int = 50) -> Report:
     report.add("phi.surjective-onto-nodes", f"nodes={len(sx.nodes)}",
                set(encode.values()) == set(sx.nodes))
 
-    skel = _interior_skeleton(b)
-    sxg = sx.graph()
-    bad = []
-    pairs = 0
-    interior = sorted(skel)
-    for u, w in itertools.combinations(interior, 2):
-        pairs += 1
-        x_adj = w in skel[u]
-        sx_adj = encode[w] in sxg[encode[u]]
-        if x_adj != sx_adj:
-            bad.append((u.key_string(), w.key_string(), x_adj, sx_adj))
-    report.add("phi.edges-preserved-both-ways", f"interior-pairs={pairs}",
+    # both edge sets on the interior vertices, as vertex pairs in key order
+    # (an edge's ends already are); sorted, the pairs come in the order of
+    # combinations(sorted(interior), 2)
+    interior = b.interior_vertices
+    x_edges = {e.ends for e in b.edges if interior.issuperset(e.ends)}
+    decode = {h: v for v, h in encode.items()}
+    arc_ends = (tuple(sorted(decode[h] for h in pair)) for pair in sx.arcs)
+    sx_edges = {ends for ends in arc_ends if interior.issuperset(ends)}
+    bad = [(u.key_string(), w.key_string(), (u, w) in x_edges, (u, w) in sx_edges)
+           for u, w in sorted(x_edges ^ sx_edges)]
+    k = len(interior)
+    report.add("phi.edges-preserved-both-ways", f"interior-pairs={k * (k - 1) // 2}",
                not bad, bad[:10] or None)
 
     # interior polygons map onto induced-cycle faces

@@ -45,7 +45,6 @@ from .words import (
     identity,
     inv,
     mul,
-    mul_all,
     reduce_word,
 )
 
@@ -125,11 +124,12 @@ class LocalAut:
     isos: tuple[LocalIso, ...]
 
     def __post_init__(self):
-        p = self.presentation
-        if len(self.isos) != p.n:
+        groups, perm = self.presentation.groups, self.sigma.perm
+        if len(self.isos) != len(groups):
             raise ValidationError("one isomorphism per vertex is required")
         for i, phi in enumerate(self.isos):
-            if phi.source != p.group(i) or phi.target != p.group(self.sigma(i)):
+            # tuples compare their items by identity first
+            if (phi.source, phi.target) != (groups[i], groups[perm[i]]):
                 raise ValidationError(
                     f"isomorphism at vertex {i} does not follow the symmetry")
 
@@ -476,8 +476,7 @@ def witness_details(p: Presentation) -> dict:
     det = [determining_set(p.group(i)) for i in range(n)]
     m = max((len(d) for d in det), default=0)
     if m == 0:
-        return {"element": identity(p), "degenerate": True, "m": 0,
-                "determining": det}
+        return {"element": identity(p), "degenerate": True, "m": 0}
     padded = []
     for i, d in enumerate(det):
         if not d:
@@ -488,15 +487,9 @@ def witness_details(p: Presentation) -> dict:
             d = d + [d[-1]]   # repeat the last element (arbitrary, recorded)
         padded.append(d)
 
-    factors = []
-    for j in range(m):
-        for i in range(n):
-            factors.append(GroupElement(
-                p, (Syllable((i + 2) % n, padded[(i + 2) % n][j]),)))
-            factors.append(GroupElement(p, (Syllable(i, padded[i][j]),)))
-    g = mul_all(p, factors)
-
-    word = tuple(s for f in factors for s in f.word)
+    word = tuple(Syllable(v, padded[v][j]) for j in range(m) for i in range(n)
+                 for v in ((i + 2) % n, i))
+    g = reduce_word(p, word)
     rigid = all(
         word[k].vertex != word[k + 1].vertex
         and not p.adjacent(word[k].vertex, word[k + 1].vertex)
@@ -505,7 +498,7 @@ def witness_details(p: Presentation) -> dict:
         raise InvariantError("witness word has adjacent or equal consecutive supports")
     if g.syllable_length != 2 * n * m:
         raise InvariantError("witness word is not reduced verbatim")
-    return {"element": g, "degenerate": False, "m": m, "determining": det,
+    return {"element": g, "degenerate": False, "m": m,
             "vertex_sequence": [s.vertex for s in g.word]}
 
 

@@ -220,9 +220,6 @@ class ComplexBall:
         return self.derive(("elements", L),
                            lambda: tuple(enumerate_ball_elements(self.presentation, L)))
 
-    def has_edge(self, e: ComplexEdge) -> bool:
-        return e in self.edge_cells
-
 
 # -- cell constructors --------------------------------------------------------
 
@@ -430,7 +427,7 @@ def graph_girth(g: Mapping) -> float:
 def t4_audit(b: ComplexBall) -> Report:
     """Every interior X'-vertex link has girth >= 4; every polygon has n sides."""
     report = Report()
-    sq = subdivide(b) if b.form == "polygonal" else b
+    sq = subdivide(b)
     n = b.presentation.n
     for g, poly in b.polygons.items():
         ok = len(poly.boundary) == n and len(set(poly.boundary)) == n
@@ -477,7 +474,7 @@ def polygon_pair_audit(b: ComplexBall) -> Report:
 def free_face_audit(b: ComplexBall) -> Report:
     """Every interior edge of X' lies in at least two squares."""
     report = Report()
-    sq = subdivide(b) if b.form == "polygonal" else b
+    sq = subdivide(b)
     bad = []
     for e in sorted(sq.interior_edges):
         if len(sq.edge_cells[e]) < 2:

@@ -104,9 +104,6 @@ class TreeWall:
     def key_string(self) -> str:
         return f"T{self.label}@{format_word(self.key_rep) or 'e'}"
 
-    def vertices(self) -> set[ComplexVertex]:
-        return set(self.vertex_set)
-
     @property
     def stabilizer(self) -> CSubgroup:
         """The wall's stabilizer, a conjugate of <G_{i-1}, G_i, G_{i+1}>."""
@@ -207,17 +204,6 @@ def delta(cg: CrossingGraph, k1: tuple, k2: tuple) -> tuple[float, bool]:
             # crossings outside the ball can only shorten paths, so d >= 2 is a bound
             return d, d <= 1
     return float("inf"), False
-
-
-def crossing_graph_to_dot(cg: CrossingGraph) -> str:
-    lines = ["graph crossings {"]
-    for w in cg.walls.values():
-        lines.append(f'  "{w.key_string()}" [label="{w.key_string()}"];')
-    for k1, k2 in cg.crossings:
-        w1, w2 = cg.walls[k1], cg.walls[k2]
-        lines.append(f'  "{w1.key_string()}" -- "{w2.key_string()}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 # -- truncated stabilizers --------------------------------------------------------
@@ -368,11 +354,6 @@ def wall_fixator_audit(b: ComplexBall, L: int) -> Report:
     return report
 
 
-def pair_stabilizer_truncated(b: ComplexBall, T1: TreeWall, T2: TreeWall,
-                              L: int) -> set[GroupElement]:
-    return wall_stabilizer_truncated(b, T1, L) & wall_stabilizer_truncated(b, T2, L)
-
-
 def classify_pair(b: ComplexBall, cg: CrossingGraph, T1: TreeWall, T2: TreeWall,
                   L: int) -> Report:
     """Compare the truncated pair stabilizer with the distance classification:
@@ -384,7 +365,7 @@ def classify_pair(b: ComplexBall, cg: CrossingGraph, T1: TreeWall, T2: TreeWall,
     report = Report()
     p = b.presentation
     d, exact = delta(cg, T1.key, T2.key)
-    inter = pair_stabilizer_truncated(b, T1, T2, L)
+    inter = wall_stabilizer_truncated(b, T1, L) & wall_stabilizer_truncated(b, T2, L)
     inst = f"{T1.key_string()}|{T2.key_string()} L={L} delta={d}"
 
     if d == 1:
@@ -425,8 +406,7 @@ def min_set(b: ComplexBall, T1: TreeWall, T2: TreeWall) -> tuple[set[ComplexVert
 
     Distances are edge counts in the square subdivision's 1-skeleton.
     """
-    sq = subdivide(b) if b.form == "polygonal" else b
-    adjacency = sq.vertex_edges
+    adjacency = subdivide(b).vertex_edges
 
     def neighbors(u: ComplexVertex) -> Iterator[ComplexVertex]:
         return (w for e in adjacency[u] for w in e.ends)

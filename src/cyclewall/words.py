@@ -93,9 +93,6 @@ class Presentation:
         d = (i - j) % self.n
         return d == 1 or d == self.n - 1
 
-    def commutes(self, i: int, j: int) -> bool:
-        return self.adjacent(i, j)
-
     @property
     def all_finite(self) -> bool:
         return all(g.is_finite for g in self.groups)
@@ -104,12 +101,9 @@ class Presentation:
         if not self.all_finite:
             raise InfiniteGroupError("operation requires finite vertex groups")
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def syllables(self) -> Iterator["Syllable"]:
         """All generator syllables (every non-identity local element)."""
-        for v in self.vertices():
+        for v in range(self.n):
             for x in self.group(v).nontrivial_elements():
                 yield Syllable(v, x)
 
@@ -130,9 +124,6 @@ class GroupElement:
     presentation: Presentation
     word: tuple[Syllable, ...]
 
-    def __len__(self) -> int:
-        return len(self.word)
-
     @property
     def syllable_length(self) -> int:
         return len(self.word)
@@ -147,12 +138,6 @@ class GroupElement:
     def __hash__(self) -> int:
         # Equal elements have equal canonical words.
         return hash(self.word)
-
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return mul(self, other)
-
-    def __invert__(self) -> "GroupElement":
-        return inv(self)
 
     def __lt__(self, other: "GroupElement") -> bool:
         return (len(self.word), self.word) < (len(other.word), other.word)
@@ -251,13 +236,6 @@ def mul(a: GroupElement, b: GroupElement) -> GroupElement:
     return GroupElement(a.presentation, tuple(word))
 
 
-def mul_all(p: Presentation, elements: Iterable[GroupElement]) -> GroupElement:
-    acc = identity(p)
-    for e in elements:
-        acc = mul(acc, e)
-    return acc
-
-
 def _inverse(p: Presentation, s: Syllable) -> Syllable:
     """The inverse syllable, interned when s is a finite group element."""
     v, x = s
@@ -272,10 +250,6 @@ def inv(a: GroupElement) -> GroupElement:
     p = a.presentation
     memo = p._interned
     return _canonical(p, [memo.get(s) or _inverse(p, s) for s in reversed(a.word)])
-
-
-def support(a: GroupElement) -> frozenset[int]:
-    return a.support()
 
 
 # -- cosets and conjugated standard subgroups ---------------------------------

@@ -89,7 +89,9 @@ of conjugating the window's own short elements.
 
 The arc oracle rebuilds the abstract complex's arcs by running the join on
 every pair of mediums that share a containing maximal, instead of bucketing
-the nodes' edge cosets.
+the nodes' edge cosets.  The phi-edge oracle tests every pair of interior
+vertices for adjacency in the ball and, through their mediums, in the
+rebuild, instead of comparing the two edge sets.
 
 The JSON-export oracle builds the ball's record document as dicts and
 encodes it with ``json.dumps(doc, indent=2, sort_keys=True)``, against which
@@ -216,7 +218,7 @@ def single_moves(p: Presentation, word):
                 out.append(word[:k] + word[k + 2:])
             else:
                 out.append(word[:k] + (Syllable(a.vertex, prod),) + word[k + 2:])
-        elif p.commutes(a.vertex, b.vertex):
+        elif p.adjacent(a.vertex, b.vertex):
             out.append(word[:k] + (b, a) + word[k + 2:])
     return out
 
@@ -233,7 +235,7 @@ def greedy_canonical_order(p: Presentation, word):
     while remaining:
         best = None
         for k, s in enumerate(remaining):
-            if all(p.commutes(t.vertex, s.vertex) for t in remaining[:k]):
+            if all(p.adjacent(t.vertex, s.vertex) for t in remaining[:k]):
                 if best is None or s.vertex < remaining[best].vertex:
                     best = k
         out.append(remaining.pop(best))
@@ -434,6 +436,37 @@ def script_x_arcs_by_pairs(b) -> dict:
     return arcs
 
 
+def script_x_graph(sx) -> dict:
+    """The rebuild's 1-skeleton as an adjacency dict, every node a key."""
+    g = {h: set() for h in sx.nodes}
+    for h1, h2 in sx.arcs:
+        g[h1].add(h2)
+        g[h2].add(h1)
+    return g
+
+
+def phi_edge_mismatches_by_pairs(b, sx) -> tuple[int, list]:
+    """(pairs, mismatches) of ``phi.edges-preserved-both-ways`` on the ball
+    ``b`` and its rebuild ``sx``: every pair u < w of interior vertices whose
+    adjacency in ``b`` differs from that of their mediums in ``sx``, as
+    (u key, w key, adjacent in b, adjacent in sx)."""
+    skel = {v: set() for v in b.vertices if v in b.interior_vertices}
+    for e in b.edges:
+        u, w = e.ends
+        if u in skel and w in skel:
+            skel[u].add(w)
+            skel[w].add(u)
+    sxg = script_x_graph(sx)
+    pairs, bad = 0, []
+    for u, w in itertools.combinations(sorted(skel), 2):
+        pairs += 1
+        x_adj = w in skel[u]
+        sx_adj = medium_of_vertex(w) in sxg[medium_of_vertex(u)]
+        if x_adj != sx_adj:
+            bad.append((u.key_string(), w.key_string(), x_adj, sx_adj))
+    return pairs, bad
+
+
 def crossing_graph_pairwise(b) -> nx.Graph:
     """The crossing graph of ``b`` from a comparison of every pair of walls."""
     g = nx.Graph()
@@ -492,7 +525,7 @@ def sweep_stabilizes_wall(b, elements, T):
     must lie on T.  None when some element moves no edge into the ball."""
     verdict = True
     for g in elements:
-        images = [f for f in (act_edge(g, e) for e in T.edges) if b.has_edge(f)]
+        images = [f for f in (act_edge(g, e) for e in T.edges) if f in b.edge_cells]
         if not images:
             return None
         verdict = verdict and all(f in T.edges for f in images)
@@ -661,7 +694,7 @@ def cyclic_reduce_by_trial(g: GroupElement) -> tuple[GroupElement, GroupElement]
     while True:
         word = core.word
         front = [k for k in range(len(word))
-                 if all(p.commutes(word[j].vertex, word[k].vertex) for j in range(k))]
+                 if all(p.adjacent(word[j].vertex, word[k].vertex) for j in range(k))]
         for k in sorted(front, key=lambda k: (word[k].vertex, word[k].value)):
             s = GroupElement(p, (word[k],))
             trial = mul(mul(inv(s), core), s)
@@ -698,7 +731,7 @@ def parabolic_normalizer(p: Presentation, S) -> frozenset:
     """Vertex set generating the normalizer of ``<G_S>``: S plus the vertices
     adjacent to every vertex of S."""
     Sf = frozenset(v % p.n for v in S)
-    extra = {v for v in p.vertices() if all(p.adjacent(v, s) for s in Sf)}
+    extra = {v for v in range(p.n) if all(p.adjacent(v, s) for s in Sf)}
     return frozenset(Sf | extra)
 
 
@@ -876,7 +909,7 @@ def axis_segment(b, i: int, k: int) -> list:
         for _ in range(abs(j)):
             power = mul(power, step)
         for e in (act_edge(power, e0), act_edge(power, e1)):
-            if b.has_edge(e) and e not in edges:
+            if e in b.edge_cells and e not in edges:
                 edges.append(e)
     if not edges:
         raise ValidationError("axis leaves the ball immediately")

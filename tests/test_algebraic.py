@@ -1,4 +1,4 @@
-import json
+import itertools
 
 import conftest
 import networkx as nx
@@ -17,22 +17,28 @@ from cyclewall.algebraic import (
     join_is_cmaximal,
     medium_of_vertex,
     phi_iso_check,
-    script_x_to_json,
     shared_edge,
-    vertex_of_medium,
     _induced_n_cycles,
 )
 from cyclewall.cli import algebraic_suite
 from cyclewall.davis import EDGE, ComplexVertex, build_ball, x_vertex
 from cyclewall.errors import InvariantError, ValidationError
 from cyclewall.localgroups import cyclic_group, integers_group
-from cyclewall.words import Presentation, from_syllable, identity, parse_word
+from cyclewall.words import (
+    Presentation,
+    from_syllable,
+    identity,
+    parabolic_member,
+    parse_word,
+)
 
 from oracles import (
     bucket_pairs,
     closure_join,
     parabolic_normalizer,
+    phi_edge_mismatches_by_pairs,
     script_x_arcs_by_pairs,
+    script_x_graph,
     shared_edge_both_labels,
 )
 
@@ -82,25 +88,24 @@ def test_conjugators_are_reduced_modulo_the_exact_normalizer(n):
 def test_membership(c5_mixed):
     p = c5_mixed
     h = CSubgroup(MEDIUM, 1, identity(p))
-    assert h.member(parse_word(p, "v1:1 v2:1"))
-    assert not h.member(parse_word(p, "v3:1"))
+    assert parabolic_member(parse_word(p, "v1:1 v2:1"), h)
+    assert not parabolic_member(parse_word(p, "v3:1"), h)
     conj = CSubgroup(MEDIUM, 1, parse_word(p, "v4:1"))
-    assert conj.member(parse_word(p, "v4:1 v1:1 v4:1"))
-    assert not conj.member(parse_word(p, "v1:1"))
+    assert parabolic_member(parse_word(p, "v4:1 v1:1 v4:1"), conj)
+    assert not parabolic_member(parse_word(p, "v1:1"), conj)
 
 
 def test_vertex_medium_roundtrip(c5_mixed):
     p = c5_mixed
     v = x_vertex(p, parse_word(p, "v0:1 v3:2"), 1)
-    assert vertex_of_medium(medium_of_vertex(v)) == v
+    h = medium_of_vertex(v)
+    assert (h.tier, h.base, h.conjugator) == (MEDIUM, v.index, v.rep)
 
 
 def test_vertex_medium_encoding_rejects_other_cells(c5_mixed):
     p = c5_mixed
     with pytest.raises(ValidationError):
         medium_of_vertex(ComplexVertex(EDGE, 1, identity(p)))
-    with pytest.raises(ValidationError):
-        vertex_of_medium(CSubgroup(MAXIMAL, 1, identity(p)))
 
 
 def test_rejects_unknown_tier(c5_z2):
@@ -159,7 +164,7 @@ def test_exact_join_matches_closure_oracle(name, radius, request):
         ok, candidate = join_is_cmaximal(h1, h2)
         reached, closure, oracle_candidate = closure_join(h1, h2, 4)
         assert ok == reached, (h1.key_string(), h2.key_string())
-        assert all(oracle_candidate.member(g) for g in closure)
+        assert all(parabolic_member(g, oracle_candidate) for g in closure)
         if ok:
             joins += 1
             assert candidate == oracle_candidate.conjugated(h1.conjugator)
@@ -220,7 +225,7 @@ def test_containing_maximals_are_two(c5_mixed):
     conjugated_gen = parse_word(p, "v1:1 v4:1 v1:2")  # v1 generates a Z/3 here
     for m in ms:
         # the medium's generators all belong to each containing maximal
-        assert m.member(conjugated_gen)
+        assert parabolic_member(conjugated_gen, m)
 
 
 # -- the rebuilt complex -----------------------------------------------------------
@@ -232,14 +237,6 @@ def test_script_x_matches_ball_skeleton(c5_z2):
     assert len(sx.nodes) == len(b.vertices)
     assert len(sx.arcs) == len(b.edges)
     assert len(sx.cycles) == len(b.polygons)
-
-
-def test_script_x_json_schema(c5_z2):
-    sx = build_script_X_ball(build_ball(c5_z2, 1))
-    doc = json.loads(script_x_to_json(sx))
-    assert doc["schema"] == "cyclewall/1"
-    assert len(doc["nodes"]) == len(sx.nodes)
-    assert len(doc["arcs"]) == len(sx.arcs)
 
 
 def test_phi_iso_check_reference_presentations(c5_z2, c5_mixed):
@@ -280,8 +277,74 @@ def test_rebuild_cycles_match_unrestricted_search(rebuilt):
     """The winding walks find every induced n-cycle of the rebuilt skeleton,
     in the search's rotation and order."""
     b, sx = rebuilt
-    assert sx.cycles == _induced_n_cycles(sx.graph(), sx.presentation.n)
+    assert sx.cycles == _induced_n_cycles(script_x_graph(sx), sx.presentation.n)
     assert len(sx.cycles) == len(b.polygons)
+
+
+def _assert_phi_edge_row_matches_pair_oracle(b, sx):
+    """The ``phi.edges-preserved-both-ways`` row of ``phi_iso_check(b)``
+    (whose rebuild must be ``sx``) is the one testing every interior pair
+    gives: same instance, status and witness."""
+    pairs, bad = phi_edge_mismatches_by_pairs(b, sx)
+    [row] = [r for r in phi_iso_check(b).results
+             if r.check_id == "phi.edges-preserved-both-ways"]
+    assert row.instance == f"interior-pairs={pairs}"
+    assert row.status == ("fail" if bad else "pass")
+    assert row.witness == (bad[:10] or None)
+    return bad
+
+
+PHI_BALLS = [(name, 2) for name in ("c5_z2", "c5_z3", "c5_mixed", "c5_s3",
+                                   "c6_z2", "c6_mixed")] + [("c5_z3", 3),
+                                                            ("c6_mixed", 3)]
+
+
+@pytest.mark.parametrize("name, radius", PHI_BALLS,
+                         ids=[f"{name}-r{radius}" for name, radius in PHI_BALLS])
+def test_phi_edge_row_matches_pair_oracle(name, radius, request):
+    b = build_ball(request.getfixturevalue(name), radius)
+    assert not _assert_phi_edge_row_matches_pair_oracle(b, build_script_X_ball(b))
+
+
+def _interior_nodes(b):
+    return [medium_of_vertex(v) for v in sorted(b.interior_vertices)]
+
+
+def _drop_interior_arcs(b, sx):
+    """Drop every arc between interior nodes: more mismatches than a witness holds."""
+    interior = set(_interior_nodes(b))
+    for pair in [pair for pair in sx.arcs if pair <= interior]:
+        del sx.arcs[pair]
+
+
+def _gain_interior_arc(b, sx):
+    """Add one arc between two interior nodes that no arc joins."""
+    nodes = _interior_nodes(b)
+    pair = next(frozenset(pair) for pair in itertools.combinations(nodes, 2)
+                if frozenset(pair) not in sx.arcs)
+    sx.arcs[pair] = CSubgroup(MAXIMAL, 0, identity(b.presentation))
+
+
+def _drop_one_gain_one(b, sx):
+    e = next(e for e in b.edges if b.interior_vertices.issuperset(e.ends))
+    del sx.arcs[frozenset(medium_of_vertex(v) for v in e.ends)]
+    _gain_interior_arc(b, sx)
+
+
+@pytest.mark.parametrize("mutate, kinds", [
+    (_drop_interior_arcs, {(True, False)}),
+    (_gain_interior_arc, {(False, True)}),
+    (_drop_one_gain_one, {(True, False), (False, True)}),
+], ids=["drops-arcs", "gains-an-arc", "drops-one-gains-one"])
+def test_phi_edge_row_matches_pair_oracle_on_a_wrong_rebuild(c5_z2, monkeypatch,
+                                                            mutate, kinds):
+    rebuild = algebraic.build_script_X_ball
+    b = build_ball(c5_z2, 3)
+    sx = rebuild(b)
+    mutate(b, sx)
+    monkeypatch.setattr(algebraic, "build_script_X_ball", lambda ball: sx)
+    bad = _assert_phi_edge_row_matches_pair_oracle(b, sx)
+    assert {(x_adj, sx_adj) for _, _, x_adj, sx_adj in bad} == kinds
 
 
 def test_phi_iso_check_fails_when_the_rebuild_drops_a_cycle(c5_z2, monkeypatch):

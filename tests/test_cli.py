@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from cyclewall import davis, walls
 from cyclewall.cli import (
@@ -368,3 +371,89 @@ def test_closed_stdout_exits_2_without_traceback():
     assert len(head) == 10
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+# -- exit-code fuzz ---------------------------------------------------------------
+
+_json_scalars = st.one_of(st.none(), st.booleans(), st.integers(-3, 7),
+                          st.floats(allow_nan=False, width=16), st.text(max_size=6))
+_json = st.recursive(_json_scalars,
+                     lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+                     max_leaves=8)
+_good_group = st.sampled_from(
+    ["Z/2", "Z/3", "Z/4", "S3", "s3", " Z/2 ", {"kind": "cyclic", "order": 2},
+     {"kind": "table", "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}])
+_bad_group = st.one_of(
+    st.sampled_from(["Z", "Z/1", "Z/0", "Z/-2", "Z/ 3", "Z/x", "Q8", "", "Z/13"]),
+    st.fixed_dictionaries(
+        {"kind": st.sampled_from(["cyclic", "integers", "table", "free"])},
+        optional={"order": st.one_of(st.integers(-1, 4), st.just(2.5), st.text(max_size=2)),
+                  "table": st.one_of(
+                      st.lists(st.lists(st.integers(-1, 3), max_size=3), max_size=3),
+                      _json),
+                  "names": _json,
+                  "name": st.one_of(st.text(max_size=3), st.integers())}),
+    _json)
+# mostly well-formed groups, so that most presentations load
+_group = st.sampled_from([True] * 12 + [False]).flatmap(
+    lambda good: _good_group if good else _bad_group)
+_presentation = st.sampled_from([True] * 6 + [False]).flatmap(
+    lambda good: st.builds(
+        lambda groups, shift: {"n": len(groups) + shift, "groups": groups},
+        st.sampled_from([5, 5, 5, 6, 6, 4]).flatmap(
+            lambda n: st.lists(_group, min_size=n, max_size=n)),
+        st.sampled_from([0] * 6 + [1])) if good else _json)
+_token = st.one_of(
+    st.builds("v{}:{}".format, st.integers(-1, 7), st.integers(-2, 5)),
+    st.text(alphabet="v0123456789:-x ", max_size=5))
+_word = st.lists(_token, max_size=6).map(" ".join)
+_images = st.one_of(
+    st.fixed_dictionaries({"images": st.lists(st.lists(_word, max_size=3), max_size=7)}),
+    _json)
+
+
+@st.composite
+def _cli_case(draw):
+    """A presentation document, an images document and the rest of an argv."""
+    command = draw(st.sampled_from(["reduce", "ball", "verify", "aut"]))
+    rest = ["--radius", str(draw(st.sampled_from([-1, 0, 1, 1]))),
+            "--depth", str(draw(st.sampled_from([-1, 0, 1, 2, 2]))), "--seed", "0"]
+    if command == "reduce":
+        rest.append(draw(_word))
+    elif command == "ball":
+        rest += ["--format", draw(st.sampled_from(["json", "dot"]))]
+        rest += ["--subdivide"] if draw(st.booleans()) else []
+    elif command == "verify":
+        rest += ["--suite", draw(st.sampled_from(
+            ["words", "davis", "walls", "algebraic", "aut", "diagrams", "all"]))]
+    else:
+        action = draw(st.sampled_from(["witness", "fixator", "decompose"]))
+        rest.append(action)
+        if action == "fixator" and draw(st.booleans()):
+            rest += ["--element", draw(_word)]
+        if action == "decompose" and draw(st.booleans()):
+            rest += ["--images", "IMAGES"]
+    return draw(_presentation), draw(_images), command, rest
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_cli_case())
+def test_any_input_exits_with_a_documented_code(case, tmp_path_factory):
+    """Presentation documents, words and image documents drawn at random, run
+    in process: every run returns or exits with 0, 1, 2 or 3, and no other
+    exception escapes ``main``."""
+    doc, images, command, rest = case
+    folder = tmp_path_factory.mktemp("fuzz")
+    (folder / "p.json").write_text(json.dumps(doc))
+    (folder / "images.json").write_text(json.dumps(images))
+    rest = [str(folder / "images.json") if a == "IMAGES" else a for a in rest]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main([command, "--presentation", str(folder / "p.json"), *rest])
+        except SystemExit as exc:   # argparse's usage errors
+            rc = exc.code
+    event(f"{command} exit {rc}")
+    assert rc in (0, 1, 2, 3), (rc, err.getvalue())
+    assert "Traceback" not in err.getvalue()

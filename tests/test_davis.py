@@ -29,7 +29,12 @@ from cyclewall.davis import (
     x_edge,
     x_vertex,
 )
-from cyclewall.errors import BoundaryCellError, InvariantError, ResourceLimitError
+from cyclewall.errors import (
+    BoundaryCellError,
+    InvariantError,
+    ResourceLimitError,
+    ValidationError,
+)
 from cyclewall.words import (
     enumerate_ball_elements,
     identity,
@@ -453,6 +458,12 @@ def test_vertex_link_rejects_boundary(c5_z2):
 def test_t4_audit_passes(c5_mixed, c6_z2):
     assert t4_audit(build_ball(c5_mixed, 2)).ok
     assert t4_audit(build_ball(c6_z2, 1)).ok
+
+
+@pytest.mark.parametrize("audit", [t4_audit, free_face_audit], ids=lambda a: a.__name__)
+def test_subdividing_audits_refuse_a_square_ball(c5_z2, audit):
+    with pytest.raises(ValidationError, match="can only subdivide a polygonal ball"):
+        audit(subdivide(build_ball(c5_z2, 1)))
 
 
 def test_polygon_pair_audit_passes(c5_z2, c5_mixed):

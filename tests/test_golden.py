@@ -59,6 +59,18 @@ GOLDEN = {
          "--seed", "0", "--presentation", str(PRESENTATIONS / "c6_mixed.json")],
         "2302b94b530bd77e66070f16fae65a95786bf2bb37c9256239177113786593df"),
 }
+GOLDEN.update(
+    (f"verify_all_{name}",
+     (["verify", "--suite", "all", "--radius", "2", "--depth", "3", "--seed",
+       "0", "--presentation", str(PRESENTATIONS / f"{name}.json")], digest))
+    for name, digest in [
+        ("c5_z2", "ea8427bbf3dc6a363f14bcd1a6096b5e4b9c71dcc2b9c0ff986515d10e307f35"),
+        ("c5_z3", "69e8adf7114d602a5c5a50a07241c959e600658e12080c26ce0c46fd78e6703c"),
+        ("c5_s3", "b06ce02e45ac3c71f808d12d1cf7e172c10449fc3aa4bda893e06e5b2a387988"),
+        ("c6_z2", "b52a56c2a7d7529e0feccea5a52fbc992f6623f9292f4684ef48d593448c2242"),
+        ("c6_mixed",
+         "1bd0228bbc6af8f0847e185686e15ad41af187a85bed3e763f0d75dc720c2a5a"),
+    ])
 
 
 @pytest.mark.parametrize("hash_seed", ["0", "7", "123"])

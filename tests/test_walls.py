@@ -28,14 +28,12 @@ from cyclewall.walls import (
     classify_pair,
     combinatorial_hyperplanes,
     crossing_graph,
-    crossing_graph_to_dot,
     delta,
     hyperplane_classes,
     hyperplane_treewall_audit,
     min_set,
     min_set_audit,
     no_triple_crossing_audit,
-    pair_stabilizer_truncated,
     tree_property_audit,
     vertex_stabilizer_criterion_audit,
     wall_fixator_audit,
@@ -92,7 +90,7 @@ def test_wall_endpoint_degrees_match_neighbour_group_orders(c5_mixed):
     b = build_ball(p, 2)
     w = central_walls(b)[1]
     # at a vertex of classes (0,1) the wall branches |G_0| ways, at (1,2) |G_2| ways
-    for v in w.vertices():
+    for v in w.vertex_set:
         if v not in b.interior_vertices:
             continue
         deg = sum(1 for e in w.edges if v in e.ends)
@@ -209,7 +207,7 @@ def test_translated_wall_is_a_wall(c5_z2):
     g = parse_word(p, "v0:1")
     w = central_walls(b)[2]
     moved = {act_edge(g, e) for e in w.edges}
-    in_ball = {e for e in moved if b.has_edge(e)}
+    in_ball = {e for e in moved if e in b.edge_cells}
     target = treewall_of_edge(b, act_edge(g, w.seed))
     assert in_ball <= target.edges
 
@@ -235,7 +233,7 @@ def test_crossing_walls_share_exactly_one_vertex(c5_mixed):
     cg = crossing_graph(b)
     for k1, k2 in cg.crossings:
         w1, w2 = cg.walls[k1], cg.walls[k2]
-        assert len(w1.vertices() & w2.vertices()) == 1
+        assert len(w1.vertex_set & w2.vertex_set) == 1
 
 
 @pytest.mark.parametrize("make, radius", [
@@ -306,13 +304,6 @@ def test_tree_property_fails_on_a_wall_split_in_two(c5_z2, monkeypatch):
     r = tree_property_audit(b)
     assert [x.check_id for x in r.failures] == ["walls.interior-restriction-is-tree"]
     assert r.failures[0].witness == {"connected": False, "euler": 2}
-
-
-def test_crossing_graph_dot_export(c5_z2):
-    cg = crossing_graph(build_ball(c5_z2, 1))
-    dot = crossing_graph_to_dot(cg)
-    assert dot.startswith("graph crossings {")
-    assert dot.count("--") == cg.number_of_edges()
 
 
 # -- truncated stabilizers ------------------------------------------------------
@@ -506,7 +497,8 @@ def test_pair_stabilizer_delta2_is_middle_vertex_group(c5_z2):
     p = c5_z2
     b = build_ball(p, 2)
     cent = central_walls(b)
-    inter = pair_stabilizer_truncated(b, cent[1], cent[3], 2)
+    inter = (wall_stabilizer_truncated(b, cent[1], 2)
+             & wall_stabilizer_truncated(b, cent[3], 2))
     assert inter == {identity(p), parse_word(p, "v2:1")}
 
 
@@ -548,7 +540,14 @@ def test_min_set_of_crossing_pair_is_the_intersection(c5_z2):
     cent = central_walls(b)
     closest, d, diam = min_set(b, cent[0], cent[1])
     assert d == 0 and diam == 0 and len(closest) == 1
-    assert closest == cent[0].vertices() & cent[1].vertices()
+    assert closest == cent[0].vertex_set & cent[1].vertex_set
+
+
+def test_min_set_refuses_a_square_ball(c5_z2):
+    b = build_ball(c5_z2, 2)
+    cent = central_walls(b)
+    with pytest.raises(ValidationError, match="can only subdivide a polygonal ball"):
+        min_set(subdivide(b), cent[0], cent[1])
 
 
 def test_derived_structures_are_built_once_per_ball(c5_z2):

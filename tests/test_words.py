@@ -26,7 +26,6 @@ from cyclewall.words import (
     maximal_syllables,
     minimal_syllables,
     mul,
-    mul_all,
     parabolic_member,
     parse_word,
     reduce_word,
@@ -228,7 +227,7 @@ def test_inv_matches_the_reversal_oracle_on_the_r3_ball(name, request):
         assert inv(g).word == inv_by_reversal(g).word, format_word(g)
     assert_memo_sound(p)
     assert len(memo_tables(p)[1]) == sum(len(p.group(v).nontrivial_elements())
-                                         for v in p.vertices())
+                                         for v in range(p.n))
 
 
 def test_inv_matches_the_reversal_oracle_on_huge_and_infinite_groups():
@@ -396,7 +395,7 @@ def test_parabolic_member_matches_the_conjugate_support_rule(path):
     alphabet = list(p.syllables())
     verdicts = Counter()
     for tier in (MINIMAL, MEDIUM, MAXIMAL):
-        for base in p.vertices():
+        for base in range(p.n):
             for _ in range(40):
                 H = CSubgroup(tier, base, reduce_word(p, random_raw_word(rng, p, 8)))
                 w = H.conjugator
@@ -446,7 +445,7 @@ def test_maximal_syllables_are_the_ones_coset_reps_strip(n):
         g = reduce_word(p, [rng.choice(alphabet) for _ in range(rng.randrange(30))])
         word = g.word
         maximal = [k for k in range(len(word) - 1, -1, -1)
-                   if all(p.commutes(word[k].vertex, s.vertex) for s in word[k + 1:])]
+                   if all(p.adjacent(word[k].vertex, s.vertex) for s in word[k + 1:])]
         found = maximal_syllables(p, word)
         assert len(maximal) <= 2 and [k for _, k in found] == maximal, format_word(g)
         assert all(word[k].vertex == v for v, k in found)
@@ -469,7 +468,7 @@ def test_minimal_syllables_are_the_ones_that_shuffle_to_the_front(n):
         g = reduce_word(p, [rng.choice(alphabet) for _ in range(rng.randrange(30))])
         word = g.word
         minimal = [k for k in range(len(word))
-                   if all(p.commutes(s.vertex, word[k].vertex) for s in word[:k])]
+                   if all(p.adjacent(s.vertex, word[k].vertex) for s in word[:k])]
         found = minimal_syllables(p, word)
         assert len(minimal) <= 2 and [k for _, k in found] == minimal, format_word(g)
         assert all(word[k].vertex == v for v, k in found)
@@ -480,7 +479,7 @@ def test_minimal_syllables_are_the_ones_that_shuffle_to_the_front(n):
 def conjugate_alphabet(p):
     """Syllables for random words: every one of a finite vertex group, and
     the values +-1, +-2 of a ``Z`` vertex."""
-    return [Syllable(v, x) for v in p.vertices()
+    return [Syllable(v, x) for v in range(p.n)
             for x in (p.group(v).nontrivial_elements() if p.group(v).is_finite
                       else (-2, -1, 1, 2))]
 
@@ -683,7 +682,7 @@ def parse_outcome(parse, p, text):
 def test_parse_matches_the_token_parser(name, request):
     p = request.getfixturevalue(name)
     assert p._interned == {}
-    tokens = [f"v{v}:{x}" for v in p.vertices() for x in p.values[v]]
+    tokens = [f"v{v}:{x}" for v in range(p.n) for x in p.values[v]]
     texts = [*tokens, " ".join(tokens),
              "v01:1", "v1:+1", "v1:\u0661", "v2:0", "v1:1 v01:1 v1:+1",
              "w1:1", "v1", "v1:x", "v:1", "v1:1:1", "v-1:1", f"v{p.n}:1",
