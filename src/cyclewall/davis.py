@@ -23,9 +23,11 @@ of g without one of those syllables, a shorter word whose polygon was
 built first, and is taken from it.
 
 Both forms of a ball share one cell model.  A 2-cell (``Polygon`` or
-``Square``) carries its corners and its ordered sides, and one indexer fills
-the two incidence maps ``vertex_cells`` and ``edge_cells`` (cell -> the
-2-cells containing it, in key order) and ``vertex_edges``.
+``Square``) carries its corners and its ordered sides.  Each vertex and edge
+is listed where it is made and sorted by key once.  The incidence maps
+``vertex_cells`` and ``edge_cells`` (cell -> the 2-cells containing it) and
+``vertex_edges`` are built on first use, so exports, the subdivision, the
+walls and their crossing graph, which read none of them, never build them.
 
 Each cell is one object per ball, shared by the 2-cells and maps that hold
 it.  A ``ComplexVertex`` or ``ComplexEdge`` computes its hash and its order
@@ -56,6 +58,7 @@ sides and nodes are told apart by identity, as the ball's own objects.  A
 from __future__ import annotations
 
 import json
+import operator
 import os
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
@@ -84,6 +87,7 @@ POLY = "poly"         # coset of G_i x G_{i+1} (vertices of X)
 
 _CLASS_ORDER = {POLY: 0, EDGE: 1, TRIVIAL: 2}
 _SUBGROUP_RANK = {POLY: 2, EDGE: 1, TRIVIAL: 0}   # |S| for the coset g<G_S>
+_by_key = operator.attrgetter("_key")   # a cell's order key, read in C
 
 
 @dataclass(frozen=True, slots=True)
@@ -195,13 +199,9 @@ class ComplexBall:
     squares: list[Square] = field(default_factory=list)
     interior_vertices: set[ComplexVertex] = field(default_factory=set)
     interior_edges: set[ComplexEdge] = field(default_factory=set)
-    vertex_edges: dict[ComplexVertex, list[ComplexEdge]] = field(default_factory=dict)
-    # the 2-cells of this form (polygons or squares) containing each cell
-    vertex_cells: dict[ComplexVertex, list[Cell]] = field(default_factory=dict)
-    edge_cells: dict[ComplexEdge, list[Cell]] = field(default_factory=dict)
-    # structures derived from this ball (subdivision, walls, element balls,
-    # stabilizers), each built on first use; they live and die with the ball,
-    # which is not changed once built, and are shared by every caller
+    # what is derived from this ball (incidence maps, subdivision, walls,
+    # element balls, stabilizers), built on first use; it lives and dies with
+    # the ball, which is not changed once built, and is shared by every caller
     derived: dict = field(default_factory=dict, init=False, compare=False,
                           repr=False)
 
@@ -219,6 +219,36 @@ class ComplexBall:
         """``enumerate_ball_elements(presentation, L)``, computed once per ball."""
         return self.derive(("elements", L),
                            lambda: tuple(enumerate_ball_elements(self.presentation, L)))
+
+    # the 2-cells of this form (polygons or squares) containing each cell, in
+    # cell order, and each vertex's edges in key order
+    @property
+    def vertex_cells(self) -> dict[ComplexVertex, list[Cell]]:
+        return self.derive("incidence", self._incidence)[0]
+
+    @property
+    def edge_cells(self) -> dict[ComplexEdge, list[Cell]]:
+        return self.derive("incidence", self._incidence)[1]
+
+    @property
+    def vertex_edges(self) -> dict[ComplexVertex, list[ComplexEdge]]:
+        return self.derive("incidence", self._incidence)[2]
+
+    def _incidence(self):
+        cells = (((s, s.corners) for s in self.squares) if self.form == "square"
+                 else ((poly, poly.boundary) for poly in self.polygons.values()))
+        vertex_cells, edge_cells, vertex_edges = {}, {}, {}
+        for cell, corners in cells:
+            for v in corners:
+                vertex_cells.setdefault(v, []).append(cell)
+            for e in cell.edges:
+                edge_cells.setdefault(e, []).append(cell)
+        for e in edge_cells:
+            for v in e.ends:
+                vertex_edges.setdefault(v, []).append(e)
+        for es in vertex_edges.values():
+            es.sort(key=_by_key)
+        return vertex_cells, edge_cells, vertex_edges
 
 
 # -- cell constructors --------------------------------------------------------
@@ -292,6 +322,7 @@ def build_ball(p: Presentation, r: int) -> ComplexBall:
     # by g itself is taken from the polygon of g without a maximal syllable,
     # which lies in the same coset and came earlier
     by_word: dict[tuple, Polygon] = {}
+    vertices, edges = [], []   # each cell once, where it is made
     for g in reps:   # sorted, so the cells come in key order
         word = g.word
         below = {v: by_word[word[:k] + word[k + 1:]]
@@ -300,33 +331,27 @@ def build_ball(p: Presentation, r: int) -> ComplexBall:
         for i in range(n):
             h = below.get(i) or below.get((i + 1) % n)
             vs.append(h.boundary[i] if h else ComplexVertex(POLY, i, g))
+            if not h:
+                vertices.append(vs[-1])
         es = []
         for i in range(n):
             h = below.get(i)
             es.append(h.edges[i] if h
                       else ComplexEdge(_side_ends(vs[i - 1], vs[i], i), i, g))
+            if not h:
+                edges.append(es[-1])
         ball.polygons[g] = by_word[word] = Polygon(g, tuple(vs), tuple(es))
-    _index(ball, ((poly, poly.boundary) for poly in ball.polygons.values()))
+    _sort_and_mark(ball, vertices, edges)
     return ball
 
 
-def _index(ball: ComplexBall, cells) -> None:
-    """Fill ``ball``'s incidence maps from its 2-cells, given as (cell,
-    corners) pairs in key order, sort its vertices and edges by key and mark
-    the interior: the vertex g<G_S> is interior iff |rep| + |S| <= r, a
-    labelled edge iff |rep| + 1 <= r, and a spoke always."""
-    for cell, corners in cells:
-        for v in corners:
-            ball.vertex_cells.setdefault(v, []).append(cell)
-        for e in cell.edges:
-            ball.edge_cells.setdefault(e, []).append(cell)
-    for e in ball.edge_cells:
-        for v in e.ends:
-            ball.vertex_edges.setdefault(v, []).append(e)
-    ball.vertices = sorted(ball.vertex_edges, key=ComplexVertex.sort_key)
-    ball.edges = sorted(ball.edge_cells, key=ComplexEdge.sort_key)
-    for v in ball.vertices:
-        ball.vertex_edges[v].sort(key=ComplexEdge.sort_key)
+def _sort_and_mark(ball: ComplexBall, vertices, edges) -> None:
+    """Set ``ball``'s vertices and edges, each listed once, sorted by key,
+    and mark the interior: the vertex g<G_S> is interior iff
+    |rep| + |S| <= r, a labelled edge iff |rep| + 1 <= r, and a spoke
+    always."""
+    ball.vertices = sorted(vertices, key=_by_key)
+    ball.edges = sorted(edges, key=_by_key)
     r = ball.radius
     ball.interior_vertices.update(
         v for v in ball.vertices if len(v.rep.word) + _SUBGROUP_RANK[v.cls] <= r)
@@ -354,27 +379,32 @@ def _subdivide(b: ComplexBall) -> ComplexBall:
     sq = ComplexBall(presentation=p, radius=b.radius, form="square")
     sq.polygons = b.polygons
 
+    vertices, edges = list(b.vertices), []   # each cell once, where it is made
     # A POLY vertex sorts before an EDGE midpoint, and that before a TRIVIAL
     # center, so each edge of X' is built with its ends in key order.  The
     # halves of each X-edge e, at e.ends[0] and at e.ends[1]:
     halves = {}
     for e in b.edges:
         m = ComplexVertex(EDGE, e.label, e.rep)
+        vertices.append(m)
         halves[e] = tuple(ComplexEdge((v, m), e.label, e.rep) for v in e.ends)
+        edges += halves[e]
 
     for g, poly in b.polygons.items():   # in key order, and so are the squares
         center = ComplexVertex(TRIVIAL, None, g)
+        vertices.append(center)
         # side i's halves at v_{i-1} and at v_i (its ends are in that order
         # unless i = 0, see _side_ends)
         side_halves = [halves[e] if i else halves[e][::-1]
                        for i, e in enumerate(poly.edges)]
         spokes = [ComplexEdge((h.ends[1], center), None, None) for h, _ in side_halves]
+        edges += spokes
         for i, v in enumerate(poly.boundary):
             j = (i + 1) % n
             half1, half2 = side_halves[i][1], side_halves[j][0]   # sides i and j at v_i
             sq.squares.append(Square(g, i, (half1.ends[1], v, half2.ends[1], center),
                                      (half1, half2, spokes[i], spokes[j])))
-    _index(sq, ((s, s.corners) for s in sq.squares))
+    _sort_and_mark(sq, vertices, edges)
     return sq
 
 
@@ -429,11 +459,11 @@ def t4_audit(b: ComplexBall) -> Report:
     report = Report()
     sq = subdivide(b)
     n = b.presentation.n
-    for g, poly in b.polygons.items():
-        ok = len(poly.boundary) == n and len(set(poly.boundary)) == n
-        if not ok:
-            report.add("davis.t4.polygon-sides", format_word(g), False,
-                       witness=[v.key_string() for v in poly.boundary])
+    bad_sides = [(g, poly) for g, poly in b.polygons.items()
+                 if not len(poly.boundary) == n == len(set(poly.boundary))]
+    for g, poly in bad_sides:
+        report.add("davis.t4.polygon-sides", format_word(g), False,
+                   witness=[v.key_string() for v in poly.boundary])
     bad = []
     for v in sorted(sq.interior_vertices):
         try:
@@ -446,7 +476,7 @@ def t4_audit(b: ComplexBall) -> Report:
         if any(nbrs & link[c] for nbrs in link.values() for c in nbrs):
             bad.append((v.key_string(), graph_girth(link)))
     report.add("davis.t4.link-girth", f"radius={b.radius}", not bad, witness=bad or None)
-    if all(len(p_.boundary) == n for p_ in b.polygons.values()):
+    if not bad_sides:
         report.add("davis.t4.polygon-sides", f"radius={b.radius}", True)
     return report
 

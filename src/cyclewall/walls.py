@@ -41,8 +41,9 @@ found by conjugating the short elements of <G_S>.  The geometric test
 edge into the ball.  The walls, the subdivision, the window balls, each
 truncated parabolic subgroup and the per-wall truncated stabilizers are
 built once per ball, on first use, and kept on the ball
-(``ComplexBall.derived``); they live and die with it.  A wall's fixator is
-read off its stabilizer.
+(``ComplexBall.derived``, beside its incidence maps, which building the
+walls and their crossing graph does not need); they live and die with it.
+A wall's fixator is read off its stabilizer.
 A structure the audits rely on that turns out broken (a square without a
 side, an inconsistent hyperplane) raises ``InvariantError``, which the
 audits report as a failed check with a witness.

@@ -157,8 +157,8 @@ from cyclewall.davis import (
     ComplexEdge,
     ComplexVertex,
     Polygon,
+    _SUBGROUP_RANK,
     _edge_key,
-    _index,
     _side_ends,
     _vertex_key,
     act_edge,
@@ -632,8 +632,31 @@ def build_ball_by_coset_reps(p: Presentation, r: int) -> ComplexBall:
                 e = sides[i, rep.word] = ComplexEdge(_side_ends(vs[i - 1], vs[i], i), i, rep)
             es.append(e)
         ball.polygons[g] = Polygon(g, tuple(vs), tuple(es))
-    _index(ball, ((poly, poly.boundary) for poly in ball.polygons.values()))
+    ball.vertices = sorted(corners.values(), key=ComplexVertex.sort_key)
+    ball.edges = sorted(sides.values(), key=ComplexEdge.sort_key)
+    ball.interior_vertices = {v for v in ball.vertices
+                              if len(v.rep.word) + _SUBGROUP_RANK[v.cls] <= r}
+    ball.interior_edges = {e for e in ball.edges if len(e.rep.word) + 1 <= r}
     return ball
+
+
+def index_by_cells(ball: ComplexBall, cells):
+    """``ball``'s incidence maps ``(vertex_cells, edge_cells, vertex_edges)``
+    as plain dicts, filled eagerly from its 2-cells, given as (cell, corners)
+    pairs in key order: the 2-cells around each cell in that order, and each
+    vertex's edges sorted by key."""
+    vertex_cells, edge_cells, vertex_edges = {}, {}, {}
+    for cell, corners in cells:
+        for v in corners:
+            vertex_cells.setdefault(v, []).append(cell)
+        for e in cell.edges:
+            edge_cells.setdefault(e, []).append(cell)
+    for e in edge_cells:
+        for v in e.ends:
+            vertex_edges.setdefault(v, []).append(e)
+    for v in ball.vertices:
+        vertex_edges[v].sort(key=ComplexEdge.sort_key)
+    return vertex_cells, edge_cells, vertex_edges
 
 
 def coset_intersection_by_stripping(c1: GroupElement, S1, c2: GroupElement, S2):

@@ -35,6 +35,7 @@ from cyclewall.errors import (
     ResourceLimitError,
     ValidationError,
 )
+from cyclewall.walls import crossing_graph
 from cyclewall.words import (
     enumerate_ball_elements,
     identity,
@@ -46,6 +47,7 @@ from cyclewall.words import (
 from oracles import (
     ball_to_json_by_dumps,
     build_ball_by_coset_reps,
+    index_by_cells,
     interior_by_enumeration,
     polygons_containing_edge,
     subdivision_interior_inherited,
@@ -84,11 +86,14 @@ def test_ball_polygon_count_matches_ball_enumeration(c5_mixed):
 
 
 def ball_differences(b, oracle) -> list[str]:
-    """The parts in which two polygonal balls differ; 2-cells, which compare
-    by identity, are named by their rep."""
+    """The parts in which two polygonal balls differ, ``b``'s incidence maps
+    compared with the ones ``index_by_cells`` fills from the oracle's
+    polygons; 2-cells, which compare by identity, are named by their rep."""
     def by_rep(cells):
         return {key: [c.rep for c in cs] for key, cs in cells.items()}
 
+    vertex_cells, edge_cells, vertex_edges = index_by_cells(
+        oracle, ((P, P.boundary) for P in oracle.polygons.values()))
     parts = {
         "vertices": (b.vertices, oracle.vertices),
         "edges": (b.edges, oracle.edges),
@@ -96,9 +101,9 @@ def ball_differences(b, oracle) -> list[str]:
                      [(g, P.boundary, P.edges) for g, P in oracle.polygons.items()]),
         "interior": ((b.interior_vertices, b.interior_edges),
                      (oracle.interior_vertices, oracle.interior_edges)),
-        "vertex_cells": (by_rep(b.vertex_cells), by_rep(oracle.vertex_cells)),
-        "edge_cells": (by_rep(b.edge_cells), by_rep(oracle.edge_cells)),
-        "vertex_edges": (b.vertex_edges, oracle.vertex_edges),
+        "vertex_cells": (by_rep(b.vertex_cells), by_rep(vertex_cells)),
+        "edge_cells": (by_rep(b.edge_cells), by_rep(edge_cells)),
+        "vertex_edges": (b.vertex_edges, vertex_edges),
         # one object per cell, shared by the polygons around it
         "shared": ((len({id(v) for P in b.polygons.values() for v in P.boundary}),
                     len({id(e) for P in b.polygons.values() for e in P.edges})),
@@ -112,8 +117,16 @@ BALL_ORACLE_CASES = [(name, r) for name in SIX for r in range(4)] + [("c5_z3", 4
 
 @pytest.mark.parametrize("name,radius", BALL_ORACLE_CASES)
 def test_build_ball_matches_the_coset_rep_oracle(name, radius):
+    """The ball matches the oracle's, and its subdivision's cells and
+    incidence maps match the ones indexed from its squares."""
     p = perfbench_presentation(name)
-    assert ball_differences(build_ball(p, radius), build_ball_by_coset_reps(p, radius)) == []
+    b = build_ball(p, radius)
+    assert ball_differences(b, build_ball_by_coset_reps(p, radius)) == []
+    sq = subdivide(b)
+    maps = index_by_cells(sq, ((s, s.corners) for s in sq.squares))
+    assert (sq.vertex_cells, sq.edge_cells, sq.vertex_edges) == maps
+    assert sq.vertices == sorted(maps[2], key=lambda v: v.sort_key())
+    assert sq.edges == sorted(maps[1], key=lambda e: e.sort_key())
 
 
 def test_ball_oracle_catches_cells_read_off_the_last_syllable_alone(c5_mixed, monkeypatch):
@@ -122,6 +135,22 @@ def test_ball_oracle_catches_cells_read_off_the_last_syllable_alone(c5_mixed, mo
     monkeypatch.setattr(davis, "maximal_syllables", last_only)
     differences = ball_differences(build_ball(c5_mixed, 2), build_ball_by_coset_reps(c5_mixed, 2))
     assert "vertices" in differences
+
+
+def test_incidence_maps_are_built_once_and_only_when_read(c6_mixed):
+    """Exports and walls read no incidence map, so neither the ball nor its
+    subdivision builds one; the first read builds all three, kept on the
+    ball."""
+    b = build_ball(c6_mixed, 2)
+    sq = subdivide(b)
+    ball_to_json(sq)
+    ball_to_dot(sq)
+    crossing_graph(b)
+    assert "incidence" not in b.derived and "incidence" not in sq.derived
+    for ball in (b, sq):
+        maps = (ball.vertex_cells, ball.edge_cells, ball.vertex_edges)
+        again = (ball.vertex_cells, ball.edge_cells, ball.vertex_edges)
+        assert all(x is y is z for x, y, z in zip(maps, again, ball.derived["incidence"]))
 
 
 def test_cell_and_iso_hashes_are_the_same_in_every_process():
@@ -420,9 +449,12 @@ def test_t4_audit_fails_on_a_polygon_without_n_distinct_corners(c5_mixed, cut):
     kept = poly.boundary[:-1]
     boundary = kept if cut == "dropped" else kept + kept[:1]
     b.polygons[g] = dataclasses.replace(poly, boundary=boundary)
-    [failure] = t4_audit(b).failures
+    report = t4_audit(b)
+    [failure] = report.failures
     assert (failure.check_id, failure.instance) == ("davis.t4.polygon-sides", "v0:1")
     assert failure.witness == [u.key_string() for u in boundary]
+    assert [r for r in report.results
+            if r.check_id == "davis.t4.polygon-sides" and r.status == "pass"] == []
 
 
 @pytest.mark.parametrize("short", ["triangle", "loop"])
