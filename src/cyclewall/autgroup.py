@@ -116,6 +116,20 @@ def enumerate_symmetries(p: Presentation) -> list[CycleSymmetry]:
 # -- local automorphisms ------------------------------------------------------------
 
 
+def _check_isos(sigma: CycleSymmetry, per_vertex) -> None:
+    """Raise unless ``per_vertex`` holds, for each vertex i, isomorphisms
+    G_i -> G_sigma(i) only."""
+    groups, perm = sigma.presentation.groups, sigma.perm
+    if len(per_vertex) != len(groups):
+        raise ValidationError("one isomorphism per vertex is required")
+    for i, options in enumerate(per_vertex):
+        for phi in options:
+            # tuples compare their items by identity first
+            if (phi.source, phi.target) != (groups[i], groups[perm[i]]):
+                raise ValidationError(
+                    f"isomorphism at vertex {i} does not follow the symmetry")
+
+
 @dataclass(frozen=True)
 class LocalAut:
     """A cycle symmetry with one vertex-group isomorphism per vertex."""
@@ -124,14 +138,16 @@ class LocalAut:
     isos: tuple[LocalIso, ...]
 
     def __post_init__(self):
-        groups, perm = self.presentation.groups, self.sigma.perm
-        if len(self.isos) != len(groups):
-            raise ValidationError("one isomorphism per vertex is required")
-        for i, phi in enumerate(self.isos):
-            # tuples compare their items by identity first
-            if (phi.source, phi.target) != (groups[i], groups[perm[i]]):
-                raise ValidationError(
-                    f"isomorphism at vertex {i} does not follow the symmetry")
+        _check_isos(self.sigma, [(phi,) for phi in self.isos])
+
+    @classmethod
+    def _checked(cls, sigma: CycleSymmetry, isos: tuple[LocalIso, ...]) -> "LocalAut":
+        """One whose isomorphisms :func:`_check_isos` has already passed,
+        built without checking them again."""
+        lam = object.__new__(cls)
+        object.__setattr__(lam, "sigma", sigma)
+        object.__setattr__(lam, "isos", isos)
+        return lam
 
     @property
     def presentation(self) -> Presentation:
@@ -173,9 +189,12 @@ class Loc(Sequence):
     symmetry with one list of isomorphisms per vertex, and ``loc[k]``
     decodes k in mixed radix, first the symmetry, in the order of
     ``choices``, then one isomorphism per vertex, the last vertex varying
-    fastest."""
+    fastest.  Each block's isomorphisms are checked once, here, so an
+    element is decoded without checking them again."""
 
     def __init__(self, choices):
+        for sigma, per_vertex in choices:
+            _check_isos(sigma, per_vertex)
         self.choices = choices
         self._ends = list(itertools.accumulate(
             math.prod(map(len, per_vertex)) for _, per_vertex in choices))
@@ -186,9 +205,10 @@ class Loc(Sequence):
     def __getitem__(self, k):
         if isinstance(k, slice):
             return [self[i] for i in range(*k.indices(len(self)))]
-        if not -len(self) <= k < len(self):
+        size = len(self)
+        if not -size <= k < size:
             raise IndexError("local group index out of range")
-        k %= len(self)
+        k %= size
         j = bisect.bisect_right(self._ends, k)
         if j:
             k -= self._ends[j - 1]
@@ -197,7 +217,7 @@ class Loc(Sequence):
         for options in reversed(per_vertex):
             k, r = divmod(k, len(options))
             isos.append(options[r])
-        return LocalAut(sigma, tuple(reversed(isos)))
+        return LocalAut._checked(sigma, tuple(reversed(isos)))
 
 
 def enumerate_loc(p: Presentation) -> Loc:

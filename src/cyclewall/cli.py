@@ -296,9 +296,10 @@ def cmd_reduce(args) -> int:
 def cmd_ball(args) -> int:
     p = load_presentation(args.presentation)
     b = davis.build_ball(p, args.radius)
-    if args.subdivide:
-        b = davis.subdivide(b)
-    out = davis.ball_to_json(b) if args.format == "json" else davis.ball_to_dot(b)
+    if args.format == "json":
+        out = davis.ball_to_json(b, square=args.subdivide)
+    else:
+        out = davis.ball_to_dot(davis.subdivide(b) if args.subdivide else b)
     _write(args.output, out)
     return EXIT_PASS
 

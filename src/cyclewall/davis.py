@@ -48,6 +48,18 @@ length |w| + |S|, so one rule serves both forms: the vertex w<G_S> is
 interior iff |w| + |S| <= r, a labelled edge (an X-edge or a half of one)
 iff |w| + 1 <= r, and a spoke, which lies inside one polygon, always.
 
+``ball_to_json(b, square=True)`` writes X' from the polygonal ball's own
+cells, with no square ball built, since X' and its key order are fixed by
+X: the X-vertices in the ball's order and with its interior flags, then one
+``edge`` midpoint per X-edge in (label, |rep|, rep) order, interior iff its
+X-edge is, then one ``trivial`` center per polygon in polygon order, always
+interior; the halves, grouped by X-vertex in the ball's order and by
+midpoint within a group, each with its X-edge's label, rep and interior
+flag, then the spokes, grouped by midpoint and by polygon within a group,
+unlabelled and always interior; the squares in polygon order, corner i with
+corners (midpoint of side i, v_i, midpoint of side i+1, center).  The dot
+export and the audits build X' with ``subdivide``.
+
 The link audits read each interior vertex's link as a plain adjacency dict
 (incident edge -> the incident edges it shares a 2-cell corner with), whose
 sides and nodes are told apart by identity, as the ball's own objects.  A
@@ -571,16 +583,61 @@ def _json_keys(keys) -> str:
     return '[\n        "' + '",\n        "'.join(keys) + '"\n      ]'
 
 
-def ball_to_json(b: ComplexBall) -> str:
-    """The ball's canonical JSON: the text ``json.dumps(doc, indent=2,
-    sort_keys=True)`` gives for its record document, written directly with
-    one fixed layout per record kind, keys in sorted order.
+def _json_bool(x: bool) -> str:
+    return "true" if x else "false"
+
+
+def _vertex_record(cls: str, index: Optional[int], interior: bool, key: str,
+                   rep: str) -> str:
+    """A vertex record; ``key`` escaped without quotes, ``rep`` a JSON string."""
+    return (f'{{\n      "class": "{cls}",\n      "index": {_json_int(index)},\n'
+            f'      "interior": {_json_bool(interior)},\n'
+            f'      "key": "{key}",\n      "rep": {rep}\n    }}')
+
+
+def _edge_record(label: Optional[int], k0: str, k1: str, interior: bool,
+                 rep: str) -> str:
+    """An edge record; end keys escaped without quotes, ``rep`` JSON."""
+    return (f'{{\n      "ends": {_json_keys((k0, k1))},\n'
+            f'      "interior": {_json_bool(interior)},\n'
+            f'      "key": "{_edge_key(label, k0, k1)}",\n'
+            f'      "label": {_json_int(label)},\n'
+            f'      "rep": {rep}\n    }}')
+
+
+def _midpoint_order(e: ComplexEdge) -> tuple:
+    """The key order of the midpoints of X-edges: (label, |rep|, rep)."""
+    return e.label, len(e.rep.word), e.rep.word
+
+
+def ball_to_json(b: ComplexBall, square: bool = False) -> str:
+    """The canonical JSON of a polygonal ball, or with ``square`` of its
+    subdivision X': the text ``json.dumps(doc, indent=2, sort_keys=True)``
+    gives for the record document, written directly with one fixed layout
+    per record kind, keys in sorted order.
+
+    X' is written from the ball's own cells, with no square ball built.
+    Its sections list the cells of X' in key order, which is:
+
+    * vertices: the X-vertices, in the ball's order and with its interior
+      flags; one ``edge`` midpoint per X-edge, in (label, |rep|, rep) order,
+      interior iff its X-edge is; one ``trivial`` center per polygon, in
+      polygon order, always interior;
+    * edges: the halves, grouped by X-vertex in the ball's order and by
+      midpoint within a group, each with its X-edge's label, rep and
+      interior flag; then the spokes, grouped by midpoint and by polygon
+      within a group, with no label or rep, always interior;
+    * squares: in polygon order, corner i of a polygon with corners (the
+      midpoint of side i, v_i, the midpoint of side i+1, the center).
 
     JSON escapes a string character by character, and a key string joins
     its parts with ASCII separators that need no escape, so each vertex key
     is escaped once, through its rep, and edge keys are joined from the
     escaped vertex keys.
     """
+    if b.form != "polygonal":
+        raise ValidationError(
+            "ball_to_json takes a polygonal ball; square=True writes its subdivision")
     words: dict[tuple, str] = {}   # each rep formatted and escaped once
 
     def word(g: GroupElement) -> str:
@@ -595,34 +652,47 @@ def ball_to_json(b: ComplexBall) -> str:
     for v in b.vertices:
         rep = word(v.rep)
         k = key[v] = _vertex_key(v.cls, v.index, rep[1:-1])
-        vertices.append(
-            f'{{\n      "class": "{v.cls}",\n      "index": {_json_int(v.index)},\n'
-            f'      "interior": {"true" if v in b.interior_vertices else "false"},\n'
-            f'      "key": "{k}",\n      "rep": {rep}\n    }}')
-    edges = []
-    for e in b.edges:
-        k0, k1 = key[e.ends[0]], key[e.ends[1]]
-        edges.append(
-            f'{{\n      "ends": {_json_keys((k0, k1))},\n'
-            f'      "interior": {"true" if e in b.interior_edges else "false"},\n'
-            f'      "key": "{_edge_key(e.label, k0, k1)}",\n'
-            f'      "label": {_json_int(e.label)},\n'
-            f'      "rep": {"null" if e.rep is None else word(e.rep)}\n    }}')
+        vertices.append(_vertex_record(v.cls, v.index, v in b.interior_vertices, k, rep))
     polygons = [   # b.polygons is in key order
         f'{{\n      "boundary": {_json_keys(key[v] for v in poly.boundary)},\n'
         f'      "rep": {word(g)}\n    }}'
         for g, poly in b.polygons.items()]
+    if not square:
+        edges = [_edge_record(e.label, key[e.ends[0]], key[e.ends[1]],
+                              e in b.interior_edges, word(e.rep))
+                 for e in b.edges]
+    else:
+        sides = sorted(b.edges, key=_midpoint_order)
+        mid: dict[ComplexEdge, str] = {}        # midpoint keys, escaped
+        halves: dict[ComplexVertex, list] = {}  # half records at each X-vertex
+        spokes: dict[ComplexEdge, list] = {}    # spoke records at each midpoint
+        for e in sides:
+            rep, inside = word(e.rep), e in b.interior_edges
+            m = mid[e] = _vertex_key(EDGE, e.label, rep[1:-1])
+            vertices.append(_vertex_record(EDGE, e.label, inside, m, rep))
+            for v in e.ends:
+                halves.setdefault(v, []).append(_edge_record(e.label, key[v], m, inside, rep))
+        squares = []
+        for g, poly in b.polygons.items():
+            rep = word(g)
+            center = _vertex_key(TRIVIAL, None, rep[1:-1])
+            vertices.append(_vertex_record(TRIVIAL, None, True, center, rep))
+            ms = [mid[e] for e in poly.edges]
+            for e, m in zip(poly.edges, ms):
+                spokes.setdefault(e, []).append(_edge_record(None, m, center, True, "null"))
+            for i, v in enumerate(poly.boundary):
+                squares.append(
+                    f'{{\n      "corner": {i},\n'
+                    f'      "corners": {_json_keys((ms[i], key[v], ms[(i + 1) % len(ms)], center))},\n'
+                    f'      "polygon": {rep}\n    }}')
+        edges = [h for v in b.vertices for h in halves[v]]
+        edges += [s for e in sides for s in spokes[e]]
     doc = (f'{{\n  "edges": {_json_records(edges)},\n'
-           f'  "form": "{b.form}",\n'
+           f'  "form": "{"square" if square else "polygonal"}",\n'
            f'  "n": {b.presentation.n},\n'
            f'  "polygons": {_json_records(polygons)},\n'
            f'  "radius": {b.radius},\n'
            f'  "schema": "cyclewall/1",\n')
-    if b.form == "square":
-        squares = [
-            f'{{\n      "corner": {s.corner},\n'
-            f'      "corners": {_json_keys(key[c] for c in s.corners)},\n'
-            f'      "polygon": {word(s.polygon)}\n    }}'
-            for s in b.squares]
+    if square:
         doc += f'  "squares": {_json_records(squares)},\n'
     return doc + f'  "vertices": {_json_records(vertices)}\n}}'

@@ -95,7 +95,9 @@ rebuild, instead of comparing the two edge sets.
 
 The JSON-export oracle builds the ball's record document as dicts and
 encodes it with ``json.dumps(doc, indent=2, sort_keys=True)``, against which
-``davis.ball_to_json``'s direct writer is checked byte for byte.
+``davis.ball_to_json``'s direct writer is checked byte for byte; the square
+form, which the writer reads off the polygonal ball, against the records of
+the square ball ``subdivide`` builds.
 
 The axis oracle builds a segment of the translation axis through a central
 edge and asserts, edge by edge, that it keeps its label and tree-wall.

@@ -193,6 +193,32 @@ def test_action_on_vertices_matches_translation(c5_mixed, rng=random.Random(9)):
         assert aut_act_vertex(inner_aut(g), v) == act_vertex(g, v)
 
 
+def test_loc_checks_each_block_once_and_decodes_without_rechecking(c5_mixed, monkeypatch):
+    """A block with an isomorphism that does not follow its symmetry is
+    refused when the Loc is built, with LocalAut's error text; decoding runs
+    no check, and a LocalAut built directly is still checked."""
+    p = c5_mixed   # Z/2, Z/3, Z/2, Z/3, Z/2
+    sigma, per_vertex = enumerate_loc(p).choices[0]
+    identity_isos = identity_local_aut(p).isos
+    bad = [per_vertex[0], per_vertex[1] + per_vertex[0], *per_vertex[2:]]
+    message = "isomorphism at vertex 1 does not follow the symmetry"
+    with pytest.raises(ValidationError, match=message):
+        autgroup.Loc([(sigma, bad)])
+    with pytest.raises(ValidationError, match=message):
+        LocalAut(sigma, (per_vertex[0][0], per_vertex[0][0], *identity_isos[2:]))
+    with pytest.raises(ValidationError, match="one isomorphism per vertex"):
+        autgroup.Loc([(sigma, per_vertex[:-1])])
+    listed = enumerate_loc_by_listing(p)
+
+    def refuse(self):
+        raise AssertionError("a decoded element was checked again")
+
+    monkeypatch.setattr(LocalAut, "__post_init__", refuse)
+    assert list(enumerate_loc(p)) == listed
+    with pytest.raises(AssertionError, match="checked again"):
+        LocalAut(sigma, identity_isos)
+
+
 def test_reflection_maps_vertex_classes(c5_z2):
     p = c5_z2
     sigma = CycleSymmetry(p, (0, 4, 3, 2, 1))

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import operator
 import os
 import random
 import subprocess
@@ -143,7 +144,7 @@ def test_incidence_maps_are_built_once_and_only_when_read(c6_mixed):
     ball."""
     b = build_ball(c6_mixed, 2)
     sq = subdivide(b)
-    ball_to_json(sq)
+    ball_to_json(b, square=True)
     ball_to_dot(sq)
     crossing_graph(b)
     assert "incidence" not in b.derived and "incidence" not in sq.derived
@@ -536,19 +537,41 @@ def test_exports_are_deterministic_and_well_formed(c5_z2):
     assert len(doc["polygons"]) == 6
     dot = ball_to_dot(b1)
     assert dot.startswith("graph ball {") and dot.rstrip().endswith("}")
-    sq = subdivide(b1)
-    assert "squares" in json.loads(ball_to_json(sq))
+    doc = json.loads(ball_to_json(b1, square=True))
+    assert doc["form"] == "square" and len(doc["squares"]) == 6 * 5
+
+
+def test_ball_to_json_takes_only_a_polygonal_ball(c5_z2):
+    """The square form is written from the polygonal ball itself."""
+    with pytest.raises(ValidationError, match="polygonal"):
+        ball_to_json(subdivide(build_ball(c5_z2, 1)))
+
+
+def json_forms_differing_from_the_oracle(p, r):
+    """The forms whose direct JSON is not json.dumps's text for the records
+    of the ball (``polygonal``) or of its square ball (``square``)."""
+    b = build_ball(p, r)
+    return [form for form, text, ball in
+            [("polygonal", ball_to_json(b), b),
+             ("square", ball_to_json(b, square=True), subdivide(b))]
+            if text != ball_to_json_by_dumps(ball)]
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in PRESENTATIONS.glob("*.json")))
 def test_ball_to_json_matches_the_dumps_oracle(name):
     """The direct writer gives json.dumps's bytes for the record document,
-    in both forms, at radius 0-2 (and at radius 3 for the subdivided
-    c6_mixed ball, the largest the CLI is timed on)."""
+    in both forms, the square one against the records of the square ball,
+    at radius 0-2, at radius 3 for c6_mixed (the ball the CLI is timed on)
+    and at radius 4 for c5_z3."""
     p = perfbench_presentation(name)
-    for r in range(4 if name == "c6_mixed" else 3):
-        b = build_ball(p, r)
-        forms = [subdivide(b)] if r == 3 else [b, subdivide(b)]
-        for ball in forms:
-            assert ball_to_json(ball) == ball_to_json_by_dumps(ball), (r, ball.form)
+    radii = {"c6_mixed": range(4), "c5_z3": range(5)}.get(name, range(3))
+    for r in radii:
+        assert json_forms_differing_from_the_oracle(p, r) == [], r
+
+
+def test_dumps_oracle_catches_midpoints_in_edge_key_order(c5_mixed, monkeypatch):
+    """A writer that lists the midpoints in X-edge key order (the ball's
+    edge order) instead of (label, |rep|, rep) order fails the comparison."""
+    monkeypatch.setattr(davis, "_midpoint_order", operator.attrgetter("_key"))
+    assert json_forms_differing_from_the_oracle(c5_mixed, 1) == ["square"]
 

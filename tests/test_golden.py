@@ -14,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from cyclewall.cli import load_presentation
+from cyclewall import davis
+from cyclewall.cli import load_presentation, main
 
 ROOT = Path(__file__).resolve().parent.parent
 PRESENTATIONS = ROOT / "perfbench" / "presentations"
@@ -83,3 +84,16 @@ def test_cli_output_matches_golden_digest(name, hash_seed):
                          env=env, capture_output=True)
     assert run.returncode == 0, run.stderr.decode()
     assert hashlib.sha256(run.stdout).hexdigest() == digest
+
+
+def test_square_json_export_builds_no_square_ball(monkeypatch, capsys):
+    """``ball --subdivide --format json`` writes X' from the polygonal
+    ball's own cells, so it runs, with the golden bytes, when building the
+    square ball fails."""
+    def refuse(b):
+        raise AssertionError("the JSON export built the square ball")
+
+    monkeypatch.setattr(davis, "_subdivide", refuse)
+    argv, digest = GOLDEN["ball_r3_c6_mixed"]
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
