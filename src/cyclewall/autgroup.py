@@ -219,6 +219,14 @@ class Loc(Sequence):
             isos.append(options[r])
         return LocalAut._checked(sigma, tuple(reversed(isos)))
 
+    def __iter__(self):
+        """The elements in index order, each block walked as a product
+        without decoding an index."""
+        checked = LocalAut._checked
+        for sigma, per_vertex in self.choices:
+            for isos in itertools.product(*per_vertex):
+                yield checked(sigma, isos)
+
 
 def enumerate_loc(p: Presentation) -> Loc:
     """The whole local group as an indexed product, in
@@ -264,8 +272,7 @@ def local_aut(lam: LocalAut) -> AutElement:
 
 
 def aut_apply(a: AutElement, x: GroupElement) -> GroupElement:
-    moved = a.local.apply(x)
-    return mul(mul(a.inner, moved), inv(a.inner))
+    return mul(a.inner, a.local.apply(x), inv(a.inner))
 
 
 def aut_compose(a: AutElement, b: AutElement) -> AutElement:
@@ -348,16 +355,18 @@ def loc_stabilizes_P_audit(p: Presentation, sample: Sequence[LocalAut],
 # -- decomposition ------------------------------------------------------------------
 
 
-def generator_values(p: Presentation, i: int) -> list[int]:
+def generator_values(p: Presentation, i: int) -> range:
     """The fixed generating list of a vertex group: all non-identity elements."""
-    return list(p.group(i).nontrivial_elements())
+    return p.group(i).nontrivial_elements()
 
 
 def generator_images(a: AutElement) -> list[list[GroupElement]]:
-    """``aut_apply(a, x)`` for every generator x, inverting a's inner part once."""
-    p = a.presentation
+    """``aut_apply(a, x)`` for every generator x, inverting a's inner part
+    once.  The local part sends a generator to one syllable, as an
+    isomorphism sends no non-identity value to the identity."""
+    p, lam = a.presentation, a.local
     g, gi = a.inner, inv(a.inner)
-    return [[mul(mul(g, a.local.apply(GroupElement(p, (Syllable(i, x),)))), gi)
+    return [[mul(g, GroupElement(p, (lam.apply_syllable(Syllable(i, x)),)), gi)
              for x in generator_values(p, i)]
             for i in range(p.n)]
 
@@ -415,7 +424,7 @@ def aut_decompose(p: Presentation, images: Sequence[Sequence[GroupElement]]) -> 
         row = []
         for x, h in zip(gens, images[i]):
             if row:
-                m = mul(mul(inverses[i], h), conjugators[i])
+                m = mul(inverses[i], h, conjugators[i])
                 core = m if m.syllable_length == 1 else cyclic_reduce(h)[0]
             else:
                 m, conjugators[i] = cyclic_reduce(h)
@@ -461,7 +470,7 @@ def aut_decompose(p: Presentation, images: Sequence[Sequence[GroupElement]]) -> 
         wi = inv(w)
         mapping = [0] * src.size
         for x, m in zip(generator_values(p, i), conjugated[i]):
-            moved = mul(mul(wi, m), w)
+            moved = mul(wi, m, w)
             if moved.syllable_length != 1 or moved.word[0].vertex != j:
                 raise DecompositionError(
                     f"after removing the inner part, the image of generator "

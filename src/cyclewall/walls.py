@@ -244,7 +244,7 @@ def _parabolic_ball(b: ComplexBall, H: CSubgroup, L: int) -> frozenset[GroupElem
         w_inv = inv(w)
         window_ball = b.derive(("window-ball", H.window, L), lambda: tuple(
             enumerate_ball_elements(b.presentation, L, H.window)))
-        conjugates = (mul(mul(w, h), w_inv) for h in window_ball)
+        conjugates = (mul(w, h, w_inv) for h in window_ball)
         return frozenset(g for g in conjugates
                          if g.syllable_length <= L and parabolic_member(g, H))
     return b.derive(("parabolic", H, L), build)

@@ -22,10 +22,14 @@ just before the first syllable of greater vertex after the last syllable it
 does not commute with, which is where the greedy sort would emit it; a merge
 changes only a value, and a cancelled syllable is maximal in the dependence
 order. Pushing one syllable onto a word of L syllables costs O(L), and no
-word is ever sorted. One private loop pushes a whole sequence of syllables,
-reading the presentation's tables once per call; ``mul``, ``inv`` and
-``reduce_word`` all go through it, and ``reduce_word`` checks each value
-just before its syllable is pushed.
+word is ever sorted. Most pushes settle at the last syllable, which the
+push compares first: it merges or cancels there, or is blocked by it and
+appended; only a push that commutes with the last syllable scans further.
+One private loop pushes a whole sequence of syllables, reading the
+presentation's tables once per call; ``mul``, ``inv`` and ``reduce_word``
+all go through it, and ``reduce_word`` checks each value just before its
+syllable is pushed. ``mul`` takes any number of factors and pushes them
+all onto one word, so a conjugate ``w * h * w^-1`` is one product.
 
 Each presentation also keeps a private memo of the finite syllables met so
 far, ``_interned``: a canonical token such as ``v3:2`` maps to its
@@ -34,9 +38,13 @@ read them by one dict lookup and parsed words share syllable objects. It
 starts empty and is filled only with syllables of finite vertex groups
 whose value lies in ``values[v]``, so it holds at most sum |G_v| tokens and
 as many syllables; a vertex group of order 10^12 costs nothing until its
-syllables are used. A miss falls through to the per-token parser and to
-``LocalGroupSpec.inv``: ``Z`` vertices, spellings such as ``v01:1`` and every
-``ValidationError`` take that path.
+syllables are used. ``parse_word`` reads a text's syllables from the memo
+when it holds every token; if one misses, the text is parsed token by
+token instead, through the per-token parser, as ``inv`` falls through to
+``LocalGroupSpec.inv``: ``Z`` vertices, spellings such as ``v01:1`` and
+every ``ValidationError`` take that path. A second memo, ``_tokens``, maps
+each finite syllable that ``format_word`` has written to its token, under
+the same bound, so a word is written by one lookup per syllable.
 
 Conjugated standard subgroups w<G_S>w^-1 are ``algebraic.CSubgroup`` values,
 the one encoding of them; ``parabolic_member`` tests membership in one by
@@ -47,6 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import total_ordering
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import GroupMismatchError, InfiniteGroupError, ValidationError
@@ -71,6 +80,10 @@ class Presentation:
     # finite syllables met so far (see the module docstring).
     _interned: dict = field(
         init=False, compare=False, hash=False, repr=False)
+    # _tokens: Syllable -> canonical token, for the finite syllables formatted
+    # so far.
+    _tokens: dict = field(
+        init=False, compare=False, hash=False, repr=False)
 
     def __post_init__(self):
         n = len(self.groups)
@@ -81,6 +94,7 @@ class Presentation:
         object.__setattr__(self, "values", tuple(
             g.elements() if g.is_finite else None for g in self.groups))
         object.__setattr__(self, "_interned", {})
+        object.__setattr__(self, "_tokens", {})
 
     @property
     def n(self) -> int:
@@ -147,7 +161,7 @@ class GroupElement:
 
     def conjugate(self, by: "GroupElement") -> "GroupElement":
         """``by * self * by^-1``."""
-        return mul(mul(by, self), inv(by))
+        return mul(by, self, inv(by))
 
 
 # -- reduction and canonical form -------------------------------------------
@@ -157,12 +171,16 @@ def _push_all(p: Presentation, word: list[Syllable], syllables: Iterable[Syllabl
               check: bool = False) -> None:
     """Multiply a canonical reduced word by each syllable in turn, keeping it so.
 
-    For each syllable of vertex v it scans right to left over the syllables
-    that commute with v. If it reaches a same-vertex syllable it merges the
-    two values, deleting the syllable when they cancel. Otherwise it stops
-    at the last blocking syllable, at index k0 (-1 if none), and inserts the
-    new syllable before the first index j > k0 with ``word[j].vertex > v``
-    (the leftmost greater vertex the scan passed), or at the end.
+    Each syllable of vertex v is first set against the last syllable of the
+    word, where most pushes settle: a same-vertex last syllable merges with
+    it (and is deleted when they cancel), and a blocking one takes it
+    after.  Only when the last syllable commutes with v does it scan right
+    to left over the syllables that commute with v.  If it reaches a
+    same-vertex syllable it merges the two values, deleting the syllable
+    when they cancel. Otherwise it stops at the last blocking syllable, at
+    index k0 (-1 if none), and inserts the new syllable before the first
+    index j > k0 with ``word[j].vertex > v`` (the leftmost greater vertex
+    the scan passed), or at the end.
 
     The insertion is exactly where the greedy least-vertex topological sort
     of the word plus a new last syllable s would emit s: it emits the old
@@ -174,21 +192,39 @@ def _push_all(p: Presentation, word: list[Syllable], syllables: Iterable[Syllabl
 
     With ``check``, each syllable's value is checked against its vertex
     group just before it is pushed, so a bad value is reported in input
-    order, after the syllables before it were read.
+    order, after the syllables before it were read, and an identity
+    syllable is skipped.  Without it the syllables are known group
+    elements, none of them the identity, as in the words of elements.
     """
     blocks, groups = p.blocks, p.groups
     values = p.values if check else None
+    append = word.append
     for syl in syllables:
         v, x = syl
         if values is not None:
             allowed = values[v]
             if allowed is not None and x not in allowed:
                 groups[v].check(x)
-        if x == IDENTITY:
+            if x == IDENTITY:
+                continue
+        if not word:
+            append(syl)
+            continue
+        u, y = word[-1]
+        if u == v:
+            prod = groups[v].mul(y, x)
+            if prod == IDENTITY:
+                del word[-1]
+            else:
+                word[-1] = Syllable(v, prod)
             continue
         block = blocks[v]
-        j = len(word)
-        for k in range(j - 1, -1, -1):
+        if u in block:
+            append(syl)
+            continue
+        last = len(word) - 1
+        j = last if u > v else last + 1
+        for k in range(last - 1, -1, -1):
             u = word[k][0]
             if u == v:
                 prod = groups[v].mul(word[k][1], x)
@@ -228,12 +264,27 @@ def from_syllable(p: Presentation, vertex: int, value: int) -> GroupElement:
     return reduce_word(p, [Syllable(vertex % p.n, value)])
 
 
-def mul(a: GroupElement, b: GroupElement) -> GroupElement:
-    if a.presentation is not b.presentation and a.presentation != b.presentation:
-        raise GroupMismatchError("elements of different presentations")
+def mul(a: GroupElement, b: GroupElement, *rest: GroupElement) -> GroupElement:
+    """The product ``a * b * ...``: every further factor is pushed onto the
+    same word, so a product of k factors builds one word, not k - 1."""
+    p = a.presentation
+    if rest:
+        factors = (b, *rest)
+        for c in factors:
+            if c.presentation is not p and c.presentation != p:
+                raise GroupMismatchError("elements of different presentations")
+        syllables = chain.from_iterable([c.word for c in factors])
+    else:
+        if b.presentation is not p and b.presentation != p:
+            raise GroupMismatchError("elements of different presentations")
+        if not b.word:
+            return a
+        if not a.word:
+            return b
+        syllables = b.word
     word = list(a.word)
-    _push_all(a.presentation, word, b.word)
-    return GroupElement(a.presentation, tuple(word))
+    _push_all(p, word, syllables)
+    return GroupElement(p, tuple(word))
 
 
 def _inverse(p: Presentation, s: Syllable) -> Syllable:
@@ -325,38 +376,48 @@ def parabolic_member(g: GroupElement, H: CSubgroup) -> bool:
 # -- the ends of a word and cyclic reduction -----------------------------------
 
 
-def maximal_syllables(p: Presentation, word: Sequence[Syllable]) -> list[tuple[int, int]]:
-    """The (vertex, position) of each maximal syllable of a reduced word,
-    the syllables that shuffle to its end: the last one, and at most one
-    more, of a vertex next to the last one's.
+def _end_syllables(p: Presentation, word: Sequence[Syllable], end: int,
+                   inward: range) -> list[tuple[int, int]]:
+    """The (vertex, position) of ``word[end]`` and of at most one more
+    syllable that shuffles to the same end, read at the positions
+    ``inward`` from that end.
 
-    Maximal syllables commute pairwise, and a clique of C_n (n >= 5) has at
-    most two vertices.  So the scan looks only for the two neighbours of the
-    last vertex, and stops once both are blocked.  It reads the word as a
-    trace, so any linear extension of a reduced word will do.
+    Such syllables commute pairwise, and a clique of C_n (n >= 5) has at
+    most two vertices.  So the scan looks only for the two neighbours of
+    ``word[end]``'s vertex, and stops once both are blocked.
     """
-    if not word:
-        return []
-    last = len(word) - 1
-    a = word[last].vertex
-    n = p.n
+    a = word[end][0]
+    n = len(p.groups)
     free = {(a - 1) % n, (a + 1) % n}   # the vertices that commute with a
     blocks = p.blocks
-    for k in range(last - 1, -1, -1):
-        v = word[k].vertex
+    for k in inward:
+        v = word[k][0]
         if v in free:
-            return [(a, last), (v, k)]
+            return [(a, end), (v, k)]
         free -= blocks[v]
         if not free:
             break
-    return [(a, last)]
+    return [(a, end)]
+
+
+def maximal_syllables(p: Presentation, word: Sequence[Syllable]) -> list[tuple[int, int]]:
+    """The (vertex, position) of each maximal syllable of a reduced word,
+    the syllables that shuffle to its end: the last one, and at most one
+    more, of a vertex next to the last one's.  It reads the word as a
+    trace, so any linear extension of a reduced word will do."""
+    if not word:
+        return []
+    last = len(word) - 1
+    return _end_syllables(p, word, last, range(last - 1, -1, -1))
 
 
 def minimal_syllables(p: Presentation, word: Sequence[Syllable]) -> list[tuple[int, int]]:
     """The (vertex, position) of each minimal syllable, the ones that
-    shuffle to the front: ``maximal_syllables`` of the reversed word."""
-    last = len(word) - 1
-    return [(v, last - k) for v, k in maximal_syllables(p, word[::-1])]
+    shuffle to the front: the first one, and at most one more, found by
+    the same scan as ``maximal_syllables``, run forward from the front."""
+    if not word:
+        return []
+    return _end_syllables(p, word, 0, range(1, len(word)))
 
 
 def cyclic_reduce(g: GroupElement) -> tuple[GroupElement, GroupElement]:
@@ -375,6 +436,9 @@ def cyclic_reduce(g: GroupElement) -> tuple[GroupElement, GroupElement]:
     Only the winner is conjugated: s is deleted, t's value becomes
     ``t * s``, and t is deleted when that is the identity.
 
+    Each step reads the word's at most two maximal syllables, scanning from
+    the back, and its at most two minimal ones, scanning forward from the
+    front, both on the list itself, and pairs them by vertex.
     The loop runs on the trace of the word, its dependence order (Green,
     *Graph products of groups*, 1990), and edits a plain list in place.
     "Shuffles to the front" means minimal in that order and "shuffles to the
@@ -390,9 +454,9 @@ def cyclic_reduce(g: GroupElement) -> tuple[GroupElement, GroupElement]:
     word = list(g.word)
     conj: list[Syllable] = []
     while True:
-        back = dict(maximal_syllables(p, word))
-        steps = [(word[k], k, back[v]) for v, k in minimal_syllables(p, word)
-                 if back.get(v, k) != k]
+        back = maximal_syllables(p, word)
+        steps = [(word[k], k, j) for v, k in minimal_syllables(p, word)
+                 for u, j in back if u == v and j != k]
         if not steps:
             break
         s, k, j = min(steps)
@@ -459,17 +523,38 @@ def _syllable_of_token(p: Presentation, token: str) -> Syllable:
     return s
 
 
-def _syllables_of_text(p: Presentation, text: str) -> Iterator[Syllable]:
-    """The syllables of ``v3:2 v1:1``, lazily: ``reduce_word`` checks each in turn."""
+def _syllables_of_tokens(p: Presentation, tokens: list[str]) -> Iterator[Syllable]:
+    """The syllables of ``v3:2 v1:1``'s tokens, lazily: ``reduce_word``
+    checks each in turn."""
     memo = p._interned
-    for token in text.split():
+    for token in tokens:
         yield memo.get(token) or _syllable_of_token(p, token)
 
 
 def parse_word(p: Presentation, text: str) -> GroupElement:
-    """Parse ``v3:2 v1:1`` into a canonical element."""
-    return reduce_word(p, _syllables_of_text(p, text))
+    """Parse ``v3:2 v1:1`` into a canonical element.
+
+    When the memo holds every token, the syllables are read from it without
+    building a list; otherwise the tokens are parsed lazily, so the first
+    bad token is the one reported."""
+    tokens = text.split()
+    memo = p._interned
+    if all(map(memo.__contains__, tokens)):
+        return reduce_word(p, map(memo.__getitem__, tokens))
+    return reduce_word(p, _syllables_of_tokens(p, tokens))
+
+
+def _token(p: Presentation, s: Syllable) -> str:
+    """The canonical token of s, memoised when s is a finite group element."""
+    v, x = s
+    token = f"v{v}:{x}"
+    values = p.values[v]
+    if values is not None and x in values:
+        p._tokens[s] = token
+    return token
 
 
 def format_word(g: GroupElement) -> str:
-    return " ".join(f"v{s.vertex}:{s.value}" for s in g.word)
+    p = g.presentation
+    tokens = p._tokens
+    return " ".join([tokens.get(s) or _token(p, s) for s in g.word])

@@ -181,6 +181,7 @@ from cyclewall.words import (
     format_word,
     identity,
     inv,
+    maximal_syllables,
     minimal_syllables,
     mul,
     parabolic_member,
@@ -1054,6 +1055,13 @@ def parse_word_by_tokens(p: Presentation, text: str) -> GroupElement:
                 raise ValidationError(f"vertex {vertex} out of range for n={p.n}")
             yield Syllable(vertex, value)
     return reduce_word(p, syllables())
+
+
+def minimal_syllables_by_reversal(p: Presentation, word) -> list[tuple[int, int]]:
+    """The minimal syllables as ``maximal_syllables`` of the reversed word,
+    with the positions mapped back."""
+    last = len(word) - 1
+    return [(v, last - k) for v, k in maximal_syllables(p, word[::-1])]
 
 
 def inv_by_reversal(a: GroupElement) -> GroupElement:

@@ -102,14 +102,16 @@ def test_loc_size_c5_s3(c5_s3):
     assert len(enumerate_loc(c5_s3)) == 24
 
 
-@pytest.mark.parametrize("name", REFERENCES + ["5 x Z"])
+@pytest.mark.parametrize("name", REFERENCES + ["5 x Z", "5 x S3"])
 def test_indexed_loc_matches_the_listing(name):
     """The indexed product holds the listed elements in the listed order, and
-    lengths, slices, indices and seeded draws behave as on the list."""
+    lengths, slices, indices and seeded draws behave as on the list.  Its
+    iterator, which walks each block as a product, and its indices agree."""
     p = (Presentation((integers_group(),) * 5) if name == "5 x Z"
-         else load_presentation(str(PRESENTATIONS / f"{name}.json")))
+         else reference_or_s3x5(name))
     loc, listed = enumerate_loc(p), enumerate_loc_by_listing(p)
     assert list(loc) == listed
+    assert list(loc) == [loc[k] for k in range(len(loc))]
     assert len(loc) == len(listed)
     assert loc[:60] == listed[:60]
     rng = random.Random(4)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from cyclewall.algebraic import MAXIMAL, MEDIUM, MINIMAL, CSubgroup, window_of
 from cyclewall import cli, words
 from cyclewall.cli import load_presentation
-from cyclewall.errors import ValidationError
+from cyclewall.errors import GroupMismatchError, ValidationError
 from cyclewall.localgroups import cyclic_group, integers_group
 from cyclewall.words import (
     GroupElement,
@@ -42,6 +42,7 @@ from oracles import (
     greedy_canonical_order,
     heap_canonical_order,
     inv_by_reversal,
+    minimal_syllables_by_reversal,
     parabolic_normalizer,
     parse_word_by_tokens,
     right_strippable,
@@ -76,7 +77,7 @@ def memo_tables(p):
 
 def assert_memo_sound(p):
     """Only canonical tokens and true inverses of finite group elements, at
-    most sum |G_v| of each."""
+    most sum |G_v| of each, and the same of the written tokens."""
     tokens, inverses = memo_tables(p)
     for token, s in tokens.items():
         assert token == f"v{s.vertex}:{s.value}"
@@ -84,9 +85,12 @@ def assert_memo_sound(p):
         assert t == (s.vertex, p.groups[s.vertex].inv(s.value))
     for s in [*tokens.values(), *inverses, *inverses.values()]:
         assert type(s) is Syllable
-        assert p.values[s.vertex] is not None and s.value in p.values[s.vertex], s
+    for s, token in p._tokens.items():
+        assert token == f"v{s[0]}:{s[1]}"
+    for v, x in [*tokens.values(), *inverses, *inverses.values(), *p._tokens]:
+        assert p.values[v] is not None and x in p.values[v], (v, x)
     bound = sum(len(values) for values in p.values if values is not None)
-    assert len(tokens) <= bound and len(inverses) <= bound
+    assert len(tokens) <= bound and len(inverses) <= bound and len(p._tokens) <= bound
 
 
 # -- reduce -------------------------------------------------------------------
@@ -209,6 +213,33 @@ def test_mul_examples(c5_z2):
     a1, a3 = parse_word(c5_z2, "v1:1"), parse_word(c5_z2, "v3:1")
     assert format_word(mul(a1, a3)) == "v1:1 v3:1"
     assert mul(a1, inv(a1)).is_identity
+
+
+@pytest.mark.parametrize("name", SIX)
+def test_mul_of_more_factors_is_the_product_of_pairs(name, request):
+    """Each further factor of ``mul`` is pushed onto the same word, which
+    gives the word of multiplying pair by pair."""
+    p = request.getfixturevalue(name)
+    rng = random.Random(28)
+    for _ in range(200):
+        a, b, c, d = (reduce_word(p, random_raw_word(rng, p, 12)) for _ in range(4))
+        assert mul(a, b, c).word == mul(mul(a, b), c).word
+        assert mul(a, b, c, d).word == mul(mul(mul(a, b), c), d).word
+        assert mul(a, b, inv(a)) == b.conjugate(a)
+
+
+def test_mul_refuses_a_factor_of_another_presentation_in_any_position(c5_z2, c5_z3):
+    a, b = parse_word(c5_z2, "v1:1"), parse_word(c5_z3, "v1:1")
+    for k in range(4):
+        factors = [a] * 4
+        factors[k] = b
+        with pytest.raises(GroupMismatchError):
+            mul(*factors)
+        with pytest.raises(GroupMismatchError):
+            mul(*factors[:max(k + 1, 2)])
+    # an equal presentation built apart is the same group
+    twin = parse_word(Presentation(c5_z2.groups), "v3:1")
+    assert format_word(mul(a, twin, a)) == "v1:1 v3:1 v1:1"
 
 
 def test_inv_examples(c5_z3):
@@ -459,7 +490,7 @@ def test_maximal_syllables_are_the_ones_coset_reps_strip(n):
 @pytest.mark.parametrize("n", [5, 6, 7])
 def test_minimal_syllables_are_the_ones_that_shuffle_to_the_front(n):
     """A reduced word has at most two minimal syllables, the first one and
-    at most one more, and the scan of the reversed word finds them."""
+    at most one more, and the forward scan finds them."""
     p = cycle_presentation(n)
     alphabet = list(p.syllables())
     rng = random.Random(100 + n)
@@ -474,6 +505,22 @@ def test_minimal_syllables_are_the_ones_that_shuffle_to_the_front(n):
         assert all(word[k].vertex == v for v, k in found)
         seen[len(minimal)] += 1
     assert seen[2] > 50 and seen[1] > 50
+
+
+@pytest.mark.parametrize("name", SIX)
+def test_forward_minimal_syllables_match_the_reversed_maximal_scan(name, request):
+    """The forward scan gives what ``maximal_syllables`` of the reversed
+    word gives, with the positions mapped back."""
+    p = request.getfixturevalue(name)
+    rng = random.Random(31)
+    seen = Counter()
+    for _ in range(300):
+        word = reduce_word(p, random_raw_word(rng, p, 30)).word
+        found = minimal_syllables(p, word)
+        assert found == minimal_syllables_by_reversal(p, word), format_word(
+            GroupElement(p, word))
+        seen[len(found)] += 1
+    assert seen[2] > 30 and seen[1] > 30
 
 
 def conjugate_alphabet(p):
@@ -650,6 +697,27 @@ def test_parse_format_roundtrip(c5_mixed):
         assert parse_word(p, format_word(g)) == g
 
 
+@pytest.mark.parametrize("name", SIX)
+def test_format_matches_the_spelled_out_tokens_on_the_r3_ball(name, request):
+    p = request.getfixturevalue(name)
+    assert p._tokens == {}
+    for g in enumerate_ball_elements(p, 3) * 2:   # fill the memo, then read it
+        assert format_word(g) == " ".join(f"v{v}:{x}" for v, x in g.word)
+    assert_memo_sound(p)
+    assert len(p._tokens) == sum(len(p.group(v).nontrivial_elements())
+                                 for v in range(p.n))
+
+
+def test_format_memoises_only_the_tokens_of_finite_syllables():
+    p = huge_presentation()
+    g = reduce_word(p, [Syllable(0, 10**12 - 1), Syllable(1, -3), Syllable(2, 1),
+                        Syllable(1, 7), Syllable(3, 2)])
+    for _ in range(2):
+        assert format_word(g) == " ".join(f"v{v}:{x}" for v, x in g.word)
+    assert_memo_sound(p)
+    assert sorted(p._tokens) == [(0, 10**12 - 1), (2, 1), (3, 2)]
+
+
 def test_parse_rejects_garbage(c5_z2):
     for bad in ["w1:1", "v9:1", "v1:7", "v1", "v1:x"]:
         with pytest.raises(ValidationError):
@@ -692,6 +760,34 @@ def test_parse_matches_the_token_parser(name, request):
             parse_outcome(parse_word_by_tokens, p, text), text
     assert_memo_sound(p)
     assert sorted(memo_tables(p)[0]) == sorted(tokens)
+
+
+@pytest.mark.parametrize("name", [*SIX, "huge"])
+def test_parse_matches_the_token_parser_on_seeded_mixed_texts(name, request):
+    """Texts of canonical tokens, read from the memo once it holds them
+    all, mixed with spellings it never holds (``v01:1``, ``v1:+1``, a ``Z``
+    vertex's values) and with bad tokens among good ones: the same word, or
+    the same error text, as the token parser."""
+    p = huge_presentation() if name == "huge" else request.getfixturevalue(name)
+    rng = random.Random(33)
+    good = [f"v{v}:{x}" for v, values in enumerate(p.values) if values is not None
+            for x in (values if len(values) <= 10 else (0, 1, 999999999999))]
+    odd = ["v01:1", "v1:+1", "v2:01", "v1:-3", "v1:3"]   # v1 is Z in "huge"
+    bad = ["v1:7", "v0:-1", "w3:1", "v1", f"v{p.n}:1", "v1:x"]
+    texts = []
+    for _ in range(300):
+        tokens = [rng.choice(good) for _ in range(rng.randrange(12))]
+        for pool, chance in ((odd, 0.3), (bad, 0.2)):
+            if rng.random() < chance:
+                tokens.insert(rng.randrange(len(tokens) + 1), rng.choice(pool))
+        texts.append(" ".join(tokens))
+    interned = 0
+    for text in texts * 2:   # fill the memo, then read it
+        interned += all(token in p._interned for token in text.split())
+        assert parse_outcome(parse_word, p, text) == \
+            parse_outcome(parse_word_by_tokens, p, text), text
+    assert interned > 150
+    assert_memo_sound(p)
 
 
 def test_parse_matches_the_token_parser_on_huge_and_infinite_groups():
