@@ -23,6 +23,7 @@ import math
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import Optional
 
 from .algebraic import MAXIMAL, window_of
 from .davis import EDGE, POLY, ComplexVertex, act_vertex
@@ -38,14 +39,17 @@ from .words import (
     GroupElement,
     Presentation,
     Syllable,
+    canonical,
+    conjugates,
     coset_rep,
-    cyclic_reduce,
     enumerate_ball_elements,
     format_word,
     identity,
     inv,
     mul,
     reduce_word,
+    split_conjugate,
+    star_split,
 )
 
 
@@ -157,12 +161,12 @@ class LocalAut:
     def is_identity(self) -> bool:
         return self.sigma.is_identity and all(phi.is_identity for phi in self.isos)
 
-    def apply_syllable(self, s: Syllable) -> Syllable:
-        return Syllable(self.sigma(s.vertex), self.isos[s.vertex].apply(s.value))
-
     def apply(self, g: GroupElement) -> GroupElement:
-        return reduce_word(self.presentation,
-                           (self.apply_syllable(s) for s in g.word))
+        """lam(g): relabelling g's reduced word gives a reduced word, so it
+        is only put in canonical order."""
+        perm, isos = self.sigma.perm, self.isos
+        return canonical(self.presentation,
+                         [Syllable(perm[v], isos[v].apply(x)) for v, x in g.word])
 
     def compose(self, inner: "LocalAut") -> "LocalAut":
         """self after inner."""
@@ -361,26 +365,31 @@ def generator_values(p: Presentation, i: int) -> range:
 
 
 def generator_images(a: AutElement) -> list[list[GroupElement]]:
-    """``aut_apply(a, x)`` for every generator x, inverting a's inner part
-    once.  The local part sends a generator to one syllable, as an
-    isomorphism sends no non-identity value to the identity."""
+    """``aut_apply(a, x)`` for every generator x.  The local part sends the
+    generators of vertex i to syllables at sigma(i), as an isomorphism
+    sends no non-identity value to the identity, and ``conjugates`` writes
+    out their conjugates by a's inner part, splitting it once per vertex."""
     p, lam = a.presentation, a.local
-    g, gi = a.inner, inv(a.inner)
-    return [[mul(g, GroupElement(p, (lam.apply_syllable(Syllable(i, x)),)), gi)
-             for x in generator_values(p, i)]
+    return [conjugates(a.inner, lam.sigma(i),
+                       map(lam.isos[i].apply, generator_values(p, i)))
             for i in range(p.n)]
 
 
 def coset_intersection(c1: GroupElement, S1: frozenset[int],
-                       c2: GroupElement, S2: frozenset[int]):
+                       c2: GroupElement, S2: frozenset[int], *,
+                       c1_inv: Optional[GroupElement] = None):
     """Intersect c1<G_S1> with c2<G_S2>: (rep, S1 & S2) or None if empty.
 
     They meet iff c2^-1·c1 = lam·rho with lam in <G_S2> and rho in <G_S1>.
     Then r = coset_rep(c2^-1·c1, S1), the minimal rep of lam<G_S1>, is lam's
     word with syllables stripped (Green, *Graph products of groups*, 1990),
     so supp(r) lies in S2; and if it does, they meet in c2·r<G_{S1 & S2}>.
+    c2^-1·c1 is computed as the inverse of c1^-1·c2, which is short when
+    the cosets are close; a caller that holds c1^-1 passes it as c1_inv.
     """
-    r = coset_rep(mul(inv(c2), c1), S1)
+    if c1_inv is None:
+        c1_inv = inv(c1)
+    r = coset_rep(inv(mul(c1_inv, c2)), S1)
     if not r.support() <= S2:
         return None
     return coset_rep(mul(c2, r), S1 & S2), S1 & S2
@@ -397,15 +406,42 @@ def aut_decompose(p: Presentation, images: Sequence[Sequence[GroupElement]]) -> 
     vertex in common.  The result is verified against all images before
     return, by comparing them with its own ``generator_images``.
 
-    Only the first image at each vertex i is cyclically reduced, which gives
-    the conjugator c_i.  Each later image h is read through it: when
-    m = c_i^-1·h·c_i is one syllable, m is its core, and only otherwise is h
-    cyclically reduced.  This rejects exactly what reducing every image
-    does, with the same message and witness: all one-syllable conjugates of
-    h lie at one vertex v, since the retraction onto G_v sends h to a
-    conjugate of a non-identity element and every other vertex retraction
-    sends it to 1.  Once g is pinned, g^-1·h·g = w^-1·m·w with
-    w = c_i^-1·g, a short word in the window around sigma(i).
+    The images are read through one lemma (Green's normal form, *Graph
+    products of groups*, 1990).  Let s = (v, y) be a syllable and g an
+    element, let u = coset_rep(g, star(v)) with star(v) = {v-1, v, v+1},
+    and let t be the value of the v-syllable that this strip removes (the
+    identity if none).  Then the canonical word of g·s·g^-1 is u's word,
+    the syllable (v, t·y·t^-1), then u^-1's word.  Proof: g = u·t·r with r
+    in the free product of G_{v-1} and G_{v+1}, which commutes with G_v, so
+    g·s·g^-1 = u·(v, t·y·t^-1)·u^-1.  Every syllable of u lies below the
+    middle syllable in the dependence order: those that do not would form
+    an upper set of u, and a maximal element of it would be maximal in u
+    and, commuting with the middle, lie in star(v), so the strip would have
+    removed it.  Likewise every syllable of u^-1 lies above the middle.  So
+    no two syllables of the word merge (one of u and one of u^-1 have the
+    middle between them), and its least linear extension is u's, then the
+    middle, then u^-1's.
+
+    So the first image at vertex i is read by ``split_conjugate``, which
+    gives its core and the conjugator c_i = u without reducing it; an image
+    of any other shape is not conjugate to a syllable.  A later image whose
+    word is c_i's, one syllable, then c_i^-1's has that syllable for its
+    m = c_i^-1·h·c_i; otherwise m is that product, and when m is not one
+    syllable h's own core is read by ``split_conjugate``.  This rejects
+    exactly what cyclically reducing every image does, with the same
+    message and witness: all one-syllable conjugates of h lie at one vertex
+    v, since the retraction onto G_v sends h to a conjugate of a
+    non-identity element and every other vertex retraction sends it to 1.
+
+    Once g is pinned, it lies in c_i<G_star(j)> with j = sigma(i), and c_i
+    is already the minimal rep modulo star(j): a syllable it could shed at
+    j would merge with the middle syllable, and one at j-1 or j+1 would
+    meet its inverse in c_i^-1 across it, so h's word would not be reduced.
+    So w = c_i^-1·g is t_w times an element of the free product of G_{j-1}
+    and G_{j+1}, with t_w the value that ``star_split(g, j)`` strips, and
+    g^-1·h·g = w^-1·m·w is the syllable (j, t_w^-1·m·t_w), computed in G_j,
+    when m is a syllable at j, and no syllable at j otherwise; the word
+    product is left to that error's witness.
     """
     p.require_finite()
     n = p.n
@@ -424,16 +460,23 @@ def aut_decompose(p: Presentation, images: Sequence[Sequence[GroupElement]]) -> 
         row = []
         for x, h in zip(gens, images[i]):
             if row:
-                m = mul(inverses[i], h, conjugators[i])
-                core = m if m.syllable_length == 1 else cyclic_reduce(h)[0]
+                c, ci = conjugators[i], inverses[i]
+                k = len(c.word)
+                word = h.word
+                if len(word) == 2 * k + 1 and word[:k] == c.word and word[k + 1:] == ci.word:
+                    m = GroupElement(p, word[k:k + 1])
+                else:
+                    m = mul(ci, h, c)
+                split = (m,) if m.syllable_length == 1 else split_conjugate(h)
             else:
-                m, conjugators[i] = cyclic_reduce(h)
-                inverses[i] = inv(conjugators[i])
-                core = m
-            if core.syllable_length != 1:
+                split = split_conjugate(h)
+            if split is None:
                 raise DecompositionError(
                     f"image of generator {x} at vertex {i} is not conjugate "
                     "to a syllable", format_word(h))
+            core = split[0]
+            if not row:
+                m, conjugators[i], inverses[i] = split
             vertex = core.word[0].vertex
             if target[i] is None:
                 target[i] = vertex
@@ -455,7 +498,7 @@ def aut_decompose(p: Presentation, images: Sequence[Sequence[GroupElement]]) -> 
     windows = [window_of(n, MAXIMAL, sigma(i)) for i in range(n)]
     g, S = conjugators[0], windows[0]
     for i in range(1, n):
-        hit = coset_intersection(conjugators[i], windows[i], g, S)
+        hit = coset_intersection(conjugators[i], windows[i], g, S, c1_inv=inverses[i])
         if hit is None:
             raise DecompositionError(
                 "conjugator constraints are inconsistent: no single inner "
@@ -466,17 +509,17 @@ def aut_decompose(p: Presentation, images: Sequence[Sequence[GroupElement]]) -> 
     for i in range(n):
         j = sigma(i)
         src, dst = p.group(i), p.group(j)
-        w = mul(inverses[i], g)
-        wi = inv(w)
+        tw = star_split(g, j)[1]
+        twi = dst.inv(tw)
         mapping = [0] * src.size
         for x, m in zip(generator_values(p, i), conjugated[i]):
-            moved = mul(wi, m, w)
-            if moved.syllable_length != 1 or moved.word[0].vertex != j:
+            if m.syllable_length != 1:
+                w = mul(inverses[i], g)
                 raise DecompositionError(
                     f"after removing the inner part, the image of generator "
                     f"{x} at vertex {i} is not a syllable at vertex {j}",
-                    format_word(moved))
-            mapping[x] = moved.word[0].value
+                    format_word(mul(inv(w), m, w)))
+            mapping[x] = dst.mul(dst.mul(twi, m.word[0].value), tw)
         try:
             isos.append(LocalIso(src, dst, mapping=tuple(mapping)))
         except ValidationError as exc:

@@ -29,7 +29,9 @@ One private loop pushes a whole sequence of syllables, reading the
 presentation's tables once per call; ``mul``, ``inv`` and ``reduce_word``
 all go through it, and ``reduce_word`` checks each value just before its
 syllable is pushed. ``mul`` takes any number of factors and pushes them
-all onto one word, so a conjugate ``w * h * w^-1`` is one product.
+all onto one word, so a conjugate ``w * h * w^-1`` is one product; a
+conjugate of one syllable is written out from w's minimal coset rep
+instead (``conjugates``), and ``split_conjugate`` reads it back.
 
 Each presentation also keeps a private memo of the finite syllables met so
 far, ``_interned``: a canonical token such as ``v3:2`` maps to its
@@ -249,8 +251,11 @@ def reduce_word(p: Presentation, syllables: Iterable[Syllable]) -> GroupElement:
     return GroupElement(p, tuple(word))
 
 
-def _canonical(p: Presentation, word: Iterable[Syllable]) -> GroupElement:
-    """``reduce_word`` for syllables already known to be group elements."""
+def canonical(p: Presentation, word: Iterable[Syllable]) -> GroupElement:
+    """``reduce_word`` for syllables already known to be group elements,
+    none of them the identity, without its value checks.  On a word that is
+    already reduced, such as a local automorphism's image of a reduced word,
+    it only puts the syllables in canonical order."""
     out: list[Syllable] = []
     _push_all(p, out, word)
     return GroupElement(p, tuple(out))
@@ -300,7 +305,7 @@ def _inverse(p: Presentation, s: Syllable) -> Syllable:
 def inv(a: GroupElement) -> GroupElement:
     p = a.presentation
     memo = p._interned
-    return _canonical(p, [memo.get(s) or _inverse(p, s) for s in reversed(a.word)])
+    return canonical(p, [memo.get(s) or _inverse(p, s) for s in reversed(a.word)])
 
 
 # -- cosets and conjugated standard subgroups ---------------------------------
@@ -371,6 +376,43 @@ def parabolic_member(g: GroupElement, H: CSubgroup) -> bool:
     """
     w = H.conjugator
     return coset_rep(mul(g, w), H.window) == w
+
+
+# -- conjugates of a syllable ---------------------------------------------------
+
+
+def star_split(g: GroupElement, v: int) -> tuple[GroupElement, int]:
+    """``(u, t)``: u = ``coset_rep(g, star)`` for the star {v-1, v, v+1} of
+    v, and t the value of the v-syllable that the strip removes, IDENTITY
+    if none.  <G_star> is G_v times the free product of G_{v-1} and
+    G_{v+1}, and at most one v-syllable is stripped, so g = u·t·r with r
+    commuting with G_v."""
+    p = g.presentation
+    n = len(p.groups)
+    stripped = _strippable(p, g.word, ((v - 1) % n, v, (v + 1) % n))
+    word = list(g.word)
+    t = IDENTITY
+    for k in stripped:   # right to left, as in coset_rep
+        if word[k].vertex == v:
+            t = word[k].value
+        del word[k]
+    return GroupElement(p, tuple(word)), t
+
+
+def conjugates(g: GroupElement, v: int, values: Iterable[int]) -> list[GroupElement]:
+    """``g·(v, y)·g^-1`` for each non-identity value y of G_v, written out
+    without multiplying words: with ``(u, t) = star_split(g, v)``, the
+    canonical word of g·(v, y)·g^-1 is u's word, the syllable (v, t·y·t^-1),
+    then u^-1's word (Green's normal form; ``autgroup.aut_decompose`` gives
+    the proof)."""
+    p = g.presentation
+    u, t = star_split(g, v)
+    head, tail = u.word, inv(u).word
+    if t != IDENTITY:
+        G = p.groups[v]
+        ti = G.inv(t)
+        values = [G.mul(G.mul(t, y), ti) for y in values]
+    return [GroupElement(p, (*head, Syllable(v, y), *tail)) for y in values]
 
 
 # -- the ends of a word and cyclic reduction -----------------------------------
@@ -469,7 +511,35 @@ def cyclic_reduce(g: GroupElement) -> tuple[GroupElement, GroupElement]:
         conj.append(s)
     if not conj:
         return g, identity(p)
-    return _canonical(p, word), _canonical(p, conj)
+    return canonical(p, word), canonical(p, conj)
+
+
+def split_conjugate(h: GroupElement) -> Optional[tuple[GroupElement, GroupElement,
+                                                       GroupElement]]:
+    """``(core, conj, conj^-1)`` when h's word is a word u, one syllable s,
+    then u^-1's word, with u its first half; None otherwise.
+
+    Every conjugate of a syllable has this shape (``conjugates``), so None
+    means h is not conjugate to a syllable, and on it ``cyclic_reduce(h)``
+    is ``(s, u)``, read here without reducing.  The first half of a
+    canonical word is canonical, as a prefix of a least linear extension
+    is the least one of what it holds.  Every syllable of u is below s in
+    the dependence order: if one were not, a maximal syllable of u would
+    not be either, and it would meet its inverse, a minimal syllable of
+    u^-1, across s, so h's word would not be reduced.  So the front
+    syllables that merge at the back are those of u, each with its own
+    inverse, until s is left.
+    """
+    word = h.word
+    k, odd = divmod(len(word), 2)
+    if not odd:
+        return None
+    p = h.presentation
+    conj = GroupElement(p, word[:k])
+    conj_inv = inv(conj)
+    if word[k + 1:] != conj_inv.word:
+        return None
+    return GroupElement(p, word[k:k + 1]), conj, conj_inv
 
 
 # -- bounded enumeration ------------------------------------------------------

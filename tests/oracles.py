@@ -117,8 +117,11 @@ with ``LocalGroupSpec.inv`` and sorts the reversed word by pushing it,
 instead of reading each syllable's inverse from the presentation's memo.
 
 The decomposition oracle cyclically reduces every generator image, instead
-of reducing one image per vertex and reading the others through its
-conjugator, and computes each moved image as g^-1·h·g on the full words.
+of splitting one image per vertex into its conjugator and core and reading
+the others through that conjugator, and computes each moved image as
+g^-1·h·g on the full words.  Its generator images, which it checks its
+result against, are products g·lam(x)·g^-1, instead of words written out
+from g's strip at each vertex.
 """
 
 import itertools
@@ -141,7 +144,6 @@ from cyclewall.autgroup import (
     LocalAut,
     coset_intersection,
     enumerate_symmetries,
-    generator_images,
     generator_values,
 )
 from cyclewall.localgroups import (
@@ -174,7 +176,7 @@ from cyclewall.words import (
     GroupElement,
     Presentation,
     Syllable,
-    _canonical,
+    canonical,
     coset_rep,
     cyclic_reduce,
     enumerate_ball_elements,
@@ -1066,7 +1068,17 @@ def minimal_syllables_by_reversal(p: Presentation, word) -> list[tuple[int, int]
 
 def inv_by_reversal(a: GroupElement) -> GroupElement:
     p = a.presentation
-    return _canonical(p, [Syllable(v, p.groups[v].inv(x)) for v, x in reversed(a.word)])
+    return canonical(p, [Syllable(v, p.groups[v].inv(x)) for v, x in reversed(a.word)])
+
+
+def generator_images_by_products(a: AutElement) -> list[list[GroupElement]]:
+    """``autgroup.generator_images`` as one product g·lam(x)·g^-1 per
+    generator, inverting a's inner part once."""
+    p, lam = a.presentation, a.local
+    g, gi = a.inner, inv(a.inner)
+    return [[mul(g, GroupElement(p, (Syllable(lam.sigma(i), lam.isos[i].apply(x)),)), gi)
+             for x in generator_values(p, i)]
+            for i in range(p.n)]
 
 
 def aut_decompose_by_reduction(p: Presentation, images) -> AutElement:
@@ -1139,7 +1151,7 @@ def aut_decompose_by_reduction(p: Presentation, images) -> AutElement:
                 f"{exc}", mapping) from None
 
     a = AutElement(g, LocalAut(sigma, tuple(isos)))
-    for i, row in enumerate(generator_images(a)):
+    for i, row in enumerate(generator_images_by_products(a)):
         for x, h, got in zip(generator_values(p, i), images[i], row):
             if got != h:
                 raise DecompositionError(

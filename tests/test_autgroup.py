@@ -274,7 +274,8 @@ def test_coset_intersection_matches_the_stripping_oracle(name):
     """Reading the minimal rep of c2^-1·c1 modulo S1 intersects two cosets
     as greedy two-sided stripping does: on 2,000 random pairs per
     presentation, half of them made to meet (c1 = c2·lam·rho with lam in
-    <G_S2> and rho in <G_S1>) and half drawn apart."""
+    <G_S2> and rho in <G_S1>) and half drawn apart.  c1^-1 is passed in, as
+    ``aut_decompose`` passes the inverse it holds."""
     p = load_presentation(str(PRESENTATIONS / f"{name}.json"))
     rng = random.Random(12)
     met = 0
@@ -286,7 +287,7 @@ def test_coset_intersection_matches_the_stripping_oracle(name):
         else:
             c1 = mul(mul(c2, random_element(p, rng, 4, S2)),
                      random_element(p, rng, 4, S1))
-        got = coset_intersection(c1, S1, c2, S2)
+        got = coset_intersection(c1, S1, c2, S2, c1_inv=inv(c1))
         assert got == coset_intersection_by_stripping(c1, S1, c2, S2), \
             (format_word(c1), sorted(S1), format_word(c2), sorted(S2))
         met += got is not None
@@ -460,6 +461,20 @@ def test_decompose_match_fails_when_the_fast_path_skips_the_vertex_check(monkeyp
     assert decomposition_mismatches(p, decomposition_cases(p, 31, 60))
 
 
+def test_decompose_reads_a_later_image_off_its_middle_only_on_the_whole_template(c5_s3):
+    """A later image with the first image's length and conjugator word in
+    front, but another tail, is not read off its middle syllable: under
+    conjugation by v0:1, the image v0:1 v2:2 v4:1 of v2:2 is not conjugate
+    to a syllable."""
+    p = c5_s3
+    images = generator_images(inner_aut(parse_word(p, "v0:1")))
+    assert format_word(images[2][0]) == "v0:1 v2:1 v0:1"
+    images[2][1] = parse_word(p, "v0:1 v2:2 v4:1")
+    with pytest.raises(DecompositionError,
+                       match="generator 2 at vertex 2 is not conjugate to a syllable"):
+        aut_decompose(p, images)
+
+
 # -- the witness ---------------------------------------------------------------
 
 
@@ -531,6 +546,19 @@ def test_loc_fixator_matches_the_whole_group_filter_on_five_s3():
     for g in words:
         assert list(loc_fixator(p, g)) == loc_fixator_by_filter(p, g, listed), \
             format_word(g)
+
+
+@pytest.mark.parametrize("name", REFERENCES + ["5 x S3"])
+def test_local_apply_is_reduce_word_of_the_relabelled_word(name):
+    """``LocalAut.apply`` only reorders the relabelled word, and gets what
+    reducing it does: on 200 seeded words and elements of Loc."""
+    p = reference_or_s3x5(name)
+    rng = random.Random(32)
+    loc = enumerate_loc(p)
+    for _ in range(200):
+        lam, g = loc[rng.randrange(len(loc))], random_element(p, rng, 20)
+        relabelled = [Syllable(lam.sigma(v), lam.isos[v].apply(x)) for v, x in g.word]
+        assert lam.apply(g) == reduce_word(p, relabelled), format_word(g)
 
 
 def test_aut_suite_on_six_s3_indexes_a_local_group_of_559872():

@@ -10,12 +10,14 @@ from cyclewall.algebraic import MAXIMAL, MEDIUM, MINIMAL, CSubgroup, window_of
 from cyclewall import cli, words
 from cyclewall.cli import load_presentation
 from cyclewall.errors import GroupMismatchError, ValidationError
-from cyclewall.localgroups import cyclic_group, integers_group
+from cyclewall.localgroups import IDENTITY, cyclic_group, integers_group
 from cyclewall.words import (
     GroupElement,
     Presentation,
     Syllable,
     _push_all,
+    canonical,
+    conjugates,
     coset_rep,
     cyclic_reduce,
     enumerate_ball_elements,
@@ -29,6 +31,8 @@ from cyclewall.words import (
     parabolic_member,
     parse_word,
     reduce_word,
+    split_conjugate,
+    star_split,
 )
 
 from conftest import presentation_c5_mixed, presentation_c5_z2
@@ -46,6 +50,7 @@ from oracles import (
     parabolic_normalizer,
     parse_word_by_tokens,
     right_strippable,
+    s3_table_group,
     single_moves,
     window_member,
 )
@@ -653,6 +658,84 @@ def test_cyclic_reduce_puts_the_core_in_canonical_order(c5_mixed):
     assert format_word(core) == "v2:1 v3:2"
     assert format_word(conj) == "v4:1"
     assert mul(mul(conj, core), inv(conj)) == g
+
+
+# -- conjugates of a syllable -----------------------------------------------------
+
+
+CONJUGATE_PRESENTATIONS = [path.stem for path in PERFBENCH_PRESENTATIONS] + ["5 x S3"]
+
+
+def conjugate_presentation(name):
+    if name == "5 x S3":   # S3 at every vertex: t·y·t^-1 differs from y
+        return Presentation((s3_table_group(),) * 5)
+    return load_presentation(str(PERFBENCH_DIR / f"{name}.json"))
+
+
+def random_element(rng, p, max_len):
+    return reduce_word(p, random_raw_word(rng, p, max_len))
+
+
+@pytest.mark.parametrize("name", CONJUGATE_PRESENTATIONS)
+def test_conjugates_of_a_syllable_are_the_products(name):
+    """Writing g·(v, y)·g^-1 out as u, (v, t·y·t^-1), u^-1 from g's strip at
+    v gives the product's canonical word: for every vertex and value, on 40
+    seeded g of up to 20 raw syllables, and the strip removes a v-syllable
+    (t is not the identity) in at least a tenth of the splits."""
+    p = conjugate_presentation(name)
+    rng = random.Random(29)
+    stripped = splits = 0
+    for _ in range(40):
+        g = random_element(rng, p, 20)
+        gi = inv(g)
+        for v in range(p.n):
+            values = p.group(v).nontrivial_elements()
+            assert conjugates(g, v, values) == \
+                [mul(g, GroupElement(p, (Syllable(v, y),)), gi) for y in values]
+            stripped += star_split(g, v)[1] != IDENTITY
+            splits += 1
+    assert stripped * 10 >= splits
+
+
+@pytest.mark.parametrize("name", CONJUGATE_PRESENTATIONS)
+def test_split_conjugate_reads_what_cyclic_reduce_finds(name):
+    """On 300 seeded conjugates of a syllable, and on every word of 2,000
+    seeded short ones that happens to have the split shape, the split gives
+    ``cyclic_reduce``'s core and conjugator, and the conjugator's inverse;
+    odd words of any other shape are not split."""
+    p = conjugate_presentation(name)
+    rng = random.Random(30)
+    for _ in range(300):
+        v = rng.randrange(p.n)
+        [h] = conjugates(random_element(rng, p, 20), v,
+                         [rng.choice(p.group(v).nontrivial_elements())])
+        core, conj = cyclic_reduce(h)
+        assert split_conjugate(h) == (core, conj, inv(conj)), format_word(h)
+    shapes = Counter()
+    for _ in range(2000):
+        h = random_element(rng, p, 5)
+        split = split_conjugate(h)
+        if split is None:
+            shapes["odd, not split"] += len(h.word) % 2
+            continue
+        core, conj = cyclic_reduce(h)
+        assert split == (core, conj, inv(conj)), format_word(h)
+        shapes["split around a syllable"] += len(h.word) > 1
+    assert shapes["split around a syllable"] >= 5 and shapes["odd, not split"] >= 200
+
+
+@pytest.mark.parametrize("name", CONJUGATE_PRESENTATIONS)
+def test_canonical_order_of_group_element_syllables_is_reduce_word(name):
+    """Without the value checks, ``canonical`` reduces a sequence of
+    non-identity syllables as ``reduce_word`` does: on 300 seeded raw words
+    and their reversals, which are reduced words put out of order."""
+    p = conjugate_presentation(name)
+    rng = random.Random(31)
+    for _ in range(300):
+        raw = random_raw_word(rng, p, 30)
+        assert canonical(p, raw) == reduce_word(p, raw)
+        reduced = reduce_word(p, raw).word[::-1]
+        assert canonical(p, reduced) == reduce_word(p, reduced)
 
 
 # -- enumeration ----------------------------------------------------------------
