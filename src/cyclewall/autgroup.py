@@ -423,25 +423,26 @@ def aut_decompose(p: Presentation, images: Sequence[Sequence[GroupElement]]) -> 
     middle, then u^-1's.
 
     So the first image at vertex i is read by ``split_conjugate``, which
-    gives its core and the conjugator c_i = u without reducing it; an image
-    of any other shape is not conjugate to a syllable.  A later image whose
-    word is c_i's, one syllable, then c_i^-1's has that syllable for its
-    m = c_i^-1·h·c_i; otherwise m is that product, and when m is not one
-    syllable h's own core is read by ``split_conjugate``.  This rejects
-    exactly what cyclically reducing every image does, with the same
-    message and witness: all one-syllable conjugates of h lie at one vertex
-    v, since the retraction onto G_v sends h to a conjugate of a
-    non-identity element and every other vertex retraction sends it to 1.
+    gives its core, at a vertex v, and the conjugator c_i = u without
+    reducing it; an image of any other shape is not conjugate to a
+    syllable.  c_i is the minimal rep modulo star(v): a syllable it could
+    shed at v would merge with the middle syllable, and one at v-1 or v+1
+    would meet its inverse in c_i^-1 across it, so h's word would not be
+    reduced.  So by the lemma m = c_i^-1·h·c_i, for a later image h, is a
+    syllable at v iff h's word is c_i's, one syllable, then c_i^-1's, and m
+    is that middle syllable; given (c_i, c_i^-1), ``split_conjugate``
+    returns c_i itself exactly then, and otherwise reads h alone.  If m is
+    a syllable at another vertex w, all one-syllable conjugates of h lie at
+    w (the retraction onto G_w sends h to a conjugate of a non-identity
+    element, every other one sends it to 1), so the split's core is at w.
+    So a split of None or a core off v is rejected at once, as when every
+    image is cyclically reduced, and a core at v off the template means m
+    is no syllable.
 
-    Once g is pinned, it lies in c_i<G_star(j)> with j = sigma(i), and c_i
-    is already the minimal rep modulo star(j): a syllable it could shed at
-    j would merge with the middle syllable, and one at j-1 or j+1 would
-    meet its inverse in c_i^-1 across it, so h's word would not be reduced.
-    So w = c_i^-1·g is t_w times an element of the free product of G_{j-1}
+    Once g is pinned, it lies in c_i<G_star(j)> with j = sigma(i), so
+    w = c_i^-1·g is t_w times an element of the free product of G_{j-1}
     and G_{j+1}, with t_w the value that ``star_split(g, j)`` strips, and
-    g^-1·h·g = w^-1·m·w is the syllable (j, t_w^-1·m·t_w), computed in G_j,
-    when m is a syllable at j, and no syllable at j otherwise; the word
-    product is left to that error's witness.
+    g^-1·h·g = w^-1·m·w is the syllable (j, t_w^-1·m·t_w), computed in G_j.
     """
     p.require_finite()
     n = p.n
@@ -451,41 +452,31 @@ def aut_decompose(p: Presentation, images: Sequence[Sequence[GroupElement]]) -> 
     target = [None] * n
     conjugators = [None] * n
     inverses = [None] * n   # conjugators[i]^-1
-    conjugated = []   # conjugated[i][k] = conjugators[i]^-1 · images[i][k] · conjugators[i]
+    middles = []   # middles[i][k]: images[i][k]'s middle syllable around conjugators[i], or None
     for i in range(n):
         gens = generator_values(p, i)
         if len(images[i]) != len(gens):
             raise DecompositionError(
                 f"vertex {i}: expected {len(gens)} generator images", None)
+        pair = None   # (c_i, c_i^-1), once the first image is split
         row = []
         for x, h in zip(gens, images[i]):
-            if row:
-                c, ci = conjugators[i], inverses[i]
-                k = len(c.word)
-                word = h.word
-                if len(word) == 2 * k + 1 and word[:k] == c.word and word[k + 1:] == ci.word:
-                    m = GroupElement(p, word[k:k + 1])
-                else:
-                    m = mul(ci, h, c)
-                split = (m,) if m.syllable_length == 1 else split_conjugate(h)
-            else:
-                split = split_conjugate(h)
+            split = split_conjugate(h, pair)
             if split is None:
                 raise DecompositionError(
                     f"image of generator {x} at vertex {i} is not conjugate "
                     "to a syllable", format_word(h))
-            core = split[0]
-            if not row:
-                m, conjugators[i], inverses[i] = split
+            core, c, ci = split
             vertex = core.word[0].vertex
-            if target[i] is None:
-                target[i] = vertex
+            if pair is None:
+                target[i], pair = vertex, (c, ci)
             elif target[i] != vertex:
                 raise DecompositionError(
                     f"vertex {i}: generator images land in different vertex "
                     f"groups {target[i]} and {vertex}", format_word(h))
-            row.append(m)
-        conjugated.append(row)
+            row.append(core.word[0] if c is pair[0] else None)
+        conjugators[i], inverses[i] = pair
+        middles.append(row)
 
     try:
         sigma = CycleSymmetry(p, tuple(target))
@@ -512,14 +503,13 @@ def aut_decompose(p: Presentation, images: Sequence[Sequence[GroupElement]]) -> 
         tw = star_split(g, j)[1]
         twi = dst.inv(tw)
         mapping = [0] * src.size
-        for x, m in zip(generator_values(p, i), conjugated[i]):
-            if m.syllable_length != 1:
-                w = mul(inverses[i], g)
+        for x, h, m in zip(generator_values(p, i), images[i], middles[i]):
+            if m is None:
                 raise DecompositionError(
                     f"after removing the inner part, the image of generator "
                     f"{x} at vertex {i} is not a syllable at vertex {j}",
-                    format_word(mul(inv(w), m, w)))
-            mapping[x] = dst.mul(dst.mul(twi, m.word[0].value), tw)
+                    format_word(mul(inv(g), h, g)))
+            mapping[x] = dst.mul(dst.mul(twi, m.value), tw)
         try:
             isos.append(LocalIso(src, dst, mapping=tuple(mapping)))
         except ValidationError as exc:

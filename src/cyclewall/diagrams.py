@@ -20,6 +20,7 @@ than return a diagram it cannot verify.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -338,9 +339,8 @@ def union_boundary_loop(b: ComplexBall, reps: Sequence[GroupElement]):
 def sample_loops(b: ComplexBall, seed: int, count: int, max_len: int = 12):
     """Deterministic sample of null-homotopic loops: boundaries of random
     connected polygon unions, capped at ``max_len`` edges."""
-    import random as _random
-    rng = _random.Random(seed)
-    reps = sorted(b.polygons)
+    rng = random.Random(seed)
+    reps = list(b.polygons)
     loops = []
     attempts = 0
     while len(loops) < count and attempts < 50 * count:

@@ -31,7 +31,9 @@ all go through it, and ``reduce_word`` checks each value just before its
 syllable is pushed. ``mul`` takes any number of factors and pushes them
 all onto one word, so a conjugate ``w * h * w^-1`` is one product; a
 conjugate of one syllable is written out from w's minimal coset rep
-instead (``conjugates``), and ``split_conjugate`` reads it back.
+instead (``conjugates``), and ``split_conjugate`` reads it back.  Each
+element of a ball is made once, from its canonical word's prefix, the
+element one syllable shorter (``enumerate_ball_elements``).
 
 Each presentation also keeps a private memo of the finite syllables met so
 far, ``_interned``: a canonical token such as ``v3:2`` maps to its
@@ -514,8 +516,9 @@ def cyclic_reduce(g: GroupElement) -> tuple[GroupElement, GroupElement]:
     return canonical(p, word), canonical(p, conj)
 
 
-def split_conjugate(h: GroupElement) -> Optional[tuple[GroupElement, GroupElement,
-                                                       GroupElement]]:
+def split_conjugate(h: GroupElement,
+                    conj: Optional[tuple[GroupElement, GroupElement]] = None
+                    ) -> Optional[tuple[GroupElement, GroupElement, GroupElement]]:
     """``(core, conj, conj^-1)`` when h's word is a word u, one syllable s,
     then u^-1's word, with u its first half; None otherwise.
 
@@ -529,17 +532,21 @@ def split_conjugate(h: GroupElement) -> Optional[tuple[GroupElement, GroupElemen
     u^-1, across s, so h's word would not be reduced.  So the front
     syllables that merge at the back are those of u, each with its own
     inverse, until s is left.
+
+    When h's first half is the c of a given pair ``conj = (c, c^-1)``, that
+    pair itself comes back, and c is not inverted again.
     """
     word = h.word
     k, odd = divmod(len(word), 2)
     if not odd:
         return None
     p = h.presentation
-    conj = GroupElement(p, word[:k])
-    conj_inv = inv(conj)
-    if word[k + 1:] != conj_inv.word:
+    if conj is None or conj[0].word != word[:k]:
+        u = GroupElement(p, word[:k])
+        conj = u, inv(u)
+    if word[k + 1:] != conj[1].word:
         return None
-    return GroupElement(p, word[k:k + 1]), conj, conj_inv
+    return GroupElement(p, word[k:k + 1]), *conj
 
 
 # -- bounded enumeration ------------------------------------------------------
@@ -547,28 +554,28 @@ def split_conjugate(h: GroupElement) -> Optional[tuple[GroupElement, GroupElemen
 
 def enumerate_ball_elements(p: Presentation, L: int,
                             window: Optional[Iterable[int]] = None) -> list[GroupElement]:
-    """All elements of syllable length <= L, canonical, sorted, no duplicates.
+    """All elements of syllable length <= L, canonical, each once, in
+    ``(len, word)`` order.
 
-    With a vertex ``window`` S, only those of the standard subgroup <G_S>:
-    the search multiplies by the syllables of S alone.
+    Level k+1 keeps h = g·s, g of level k and s a generator, iff h's word
+    ends with s.  The rest of that word is then canonical (a prefix of a
+    reduced word is reduced, and of the least linear extension is least)
+    and is h·s^-1 = g, so |h| = |g| + 1 and each element of length k+1
+    comes from one (g, s).  Extending a level in word order by generators
+    in ``(vertex, value)`` order keeps word order.  With a ``window`` S,
+    the generators are the syllables of S alone.
     """
     p.require_finite()
-    gens = list(p.syllables())
+    gens = [GroupElement(p, (s,)) for s in p.syllables()]
     if window is not None:
         S = frozenset(v % p.n for v in window)
-        gens = [s for s in gens if s.vertex in S]
-    seen = {identity(p)}
-    frontier = [identity(p)]
-    for length in range(1, L + 1):
-        nxt = []
-        for g in frontier:
-            for s in gens:
-                h = mul(g, GroupElement(p, (s,)))
-                if h.syllable_length == length and h not in seen:
-                    seen.add(h)
-                    nxt.append(h)
-        frontier = nxt
-    return sorted(seen)
+        gens = [s for s in gens if s.word[0].vertex in S]
+    level = [identity(p)]
+    out = level[:]
+    for _ in range(L):
+        level = [h for g in level for s in gens if (h := mul(g, s)).word[-1:] == s.word]
+        out += level
+    return out
 
 
 # -- text syntax --------------------------------------------------------------

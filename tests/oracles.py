@@ -122,6 +122,11 @@ the others through that conjugator, and computes each moved image as
 g^-1·h·g on the full words.  Its generator images, which it checks its
 result against, are products g·lam(x)·g^-1, instead of words written out
 from g's strip at each vertex.
+
+The ball-enumeration oracle is a breadth-first search: it multiplies every
+element of a level by every generator, keeps the products of the next
+length that it has not seen, and sorts the ball at the end, instead of
+keeping each element's one canonical parent.
 """
 
 import itertools
@@ -189,6 +194,29 @@ from cyclewall.words import (
     parabolic_member,
     reduce_word,
 )
+
+
+def enumerate_ball_elements_by_search(p: Presentation, L: int,
+                                      window=None) -> list[GroupElement]:
+    """All elements of syllable length <= L, sorted, by breadth-first search
+    with a dedupe set."""
+    p.require_finite()
+    gens = list(p.syllables())
+    if window is not None:
+        S = frozenset(v % p.n for v in window)
+        gens = [s for s in gens if s.vertex in S]
+    seen = {identity(p)}
+    frontier = [identity(p)]
+    for length in range(1, L + 1):
+        nxt = []
+        for g in frontier:
+            for s in gens:
+                h = mul(g, GroupElement(p, (s,)))
+                if h.syllable_length == length and h not in seen:
+                    seen.add(h)
+                    nxt.append(h)
+        frontier = nxt
+    return sorted(seen)
 
 
 def s3_table_group():

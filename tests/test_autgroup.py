@@ -447,12 +447,12 @@ def test_decompose_matches_reducing_every_image(name):
 
 
 def test_decompose_match_fails_when_the_fast_path_skips_the_vertex_check(monkeypatch):
-    """A core read through the first conjugator must still be compared with
-    the vertex's target: without that, another vertex's image is rejected
-    later, with another message."""
+    """A core read off the first conjugator's template must still be
+    compared with the vertex's target: without that, another vertex's image
+    is rejected later, with another message."""
     source = textwrap.dedent(inspect.getsource(autgroup.aut_decompose))
     mutated = source.replace("elif target[i] != vertex:",
-                             "elif core is not m and target[i] != vertex:")
+                             "elif c is not pair[0] and target[i] != vertex:")
     assert mutated != source
     namespace = dict(vars(autgroup))
     exec(compile(mutated, autgroup.__file__, "exec"), namespace)
@@ -473,6 +473,33 @@ def test_decompose_reads_a_later_image_off_its_middle_only_on_the_whole_template
     with pytest.raises(DecompositionError,
                        match="generator 2 at vertex 2 is not conjugate to a syllable"):
         aut_decompose(p, images)
+
+
+@pytest.mark.parametrize("image, message, witness", [
+    ("v4:1 v2:2 v4:2", "after removing the inner part, the image of generator 2 "
+     "at vertex 2 is not a syllable at vertex 2", "v3:1 v0:1 v4:1 v2:2 v0:1 v3:1 v4:2"),
+    ("v0:1", "vertex 2: generator images land in different vertex groups 2 and 0",
+     "v0:1"),
+    ("v1:1", "vertex 2: generator images land in different vertex groups 2 and 1",
+     "v1:1"),
+    ("v0:1 v3:1 v0:1", "vertex 2: generator images land in different vertex "
+     "groups 2 and 3", "v0:1 v3:1 v0:1"),
+    ("v0:1 v2:2 v4:1", "image of generator 2 at vertex 2 is not conjugate to a "
+     "syllable", "v0:1 v2:2 v4:1"),
+], ids=["no-syllable-after-g", "at-v0", "at-v1", "at-v3", "not-conjugate"])
+def test_decompose_rejects_a_later_image_off_the_template(c5_s3, image, message,
+                                                          witness):
+    """Under conjugation by g = v0:1 v3:1, the first image at vertex 2 is
+    v0:1 v2:1 v0:1; a later image off that template is rejected by what
+    splitting it alone reads: no syllable after removing g (witness
+    g^-1·h·g), a syllable at another vertex, or no conjugate of a syllable."""
+    p = c5_s3
+    images = generator_images(inner_aut(parse_word(p, "v0:1 v3:1")))
+    assert format_word(images[2][0]) == "v0:1 v2:1 v0:1"
+    images[2][1] = parse_word(p, image)
+    with pytest.raises(DecompositionError) as err:
+        aut_decompose(p, images)
+    assert (str(err.value), err.value.witness) == (message, witness)
 
 
 # -- the witness ---------------------------------------------------------------

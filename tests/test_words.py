@@ -43,6 +43,7 @@ from oracles import (
     coset_rep_by_rescan,
     coset_rep_reduced,
     cyclic_reduce_by_trial,
+    enumerate_ball_elements_by_search,
     greedy_canonical_order,
     heap_canonical_order,
     inv_by_reversal,
@@ -761,6 +762,18 @@ def test_enumerate_window_ball_is_the_ball_cut_to_the_window(c5_mixed, window):
     ball = enumerate_ball_elements(c5_mixed, 3)
     assert enumerate_ball_elements(c5_mixed, 3, window) == \
         [g for g in ball if g.support() <= set(window)]
+
+
+@pytest.mark.parametrize("name", CONJUGATE_PRESENTATIONS)
+def test_enumerate_ball_keeps_what_the_search_finds_in_its_order(name):
+    """Keeping each element's one canonical parent lists the ball, and each
+    window ball, as the breadth-first search with a dedupe set and a final
+    sort does, order included."""
+    p = conjugate_presentation(name)
+    for window in (None, (0, 1, 2), (1,), (0, 2), (4, 0, 1)):
+        for L in range(5):
+            assert enumerate_ball_elements(p, L, window) == \
+                enumerate_ball_elements_by_search(p, L, window), (window, L)
 
 
 def test_enumerate_ball_deterministic(c5_mixed):
