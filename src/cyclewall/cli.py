@@ -14,7 +14,7 @@ import json
 import os
 import random
 import sys
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import algebraic, davis, diagrams, walls
 from .autgroup import (
@@ -297,10 +297,10 @@ def cmd_ball(args) -> int:
     p = load_presentation(args.presentation)
     b = davis.build_ball(p, args.radius)
     if args.format == "json":
-        out = davis.ball_to_json(b, square=args.subdivide)
+        chunks = davis.iter_ball_json(b, square=args.subdivide)
     else:
-        out = davis.ball_to_dot(davis.subdivide(b) if args.subdivide else b)
-    _write(args.output, out)
+        chunks = davis.iter_ball_dot(davis.subdivide(b) if args.subdivide else b)
+    _write(args.output, chunks)
     return EXIT_PASS
 
 
@@ -357,15 +357,17 @@ def cmd_aut(args) -> int:
     return EXIT_PASS
 
 
-def _write(path: Optional[str], text: str) -> None:
+def _write(path: Optional[str], text: str | Iterable[str]) -> None:
+    """Write ``text``, or its chunks in turn, and then a newline."""
+    chunks = itertools.chain([text] if isinstance(text, str) else text, ["\n"])
     if path:
         try:
             with open(path, "w") as fh:
-                fh.write(text + "\n")
+                fh.writelines(chunks)
         except OSError as exc:
             raise ValidationError(f"cannot write output file: {exc}")
     else:
-        print(text)
+        sys.stdout.writelines(chunks)
 
 
 # -- argument parsing ----------------------------------------------------------------

@@ -49,16 +49,9 @@ interior iff |w| + |S| <= r, a labelled edge (an X-edge or a half of one)
 iff |w| + 1 <= r, and a spoke, which lies inside one polygon, always.
 
 ``ball_to_json(b, square=True)`` writes X' from the polygonal ball's own
-cells, with no square ball built, since X' and its key order are fixed by
-X: the X-vertices in the ball's order and with its interior flags, then one
-``edge`` midpoint per X-edge in (label, |rep|, rep) order, interior iff its
-X-edge is, then one ``trivial`` center per polygon in polygon order, always
-interior; the halves, grouped by X-vertex in the ball's order and by
-midpoint within a group, each with its X-edge's label, rep and interior
-flag, then the spokes, grouped by midpoint and by polygon within a group,
-unlabelled and always interior; the squares in polygon order, corner i with
-corners (midpoint of side i, v_i, midpoint of side i+1, center).  The dot
-export and the audits build X' with ``subdivide``.
+cells, with no square ball built; the dot export and the audits build X'
+with ``subdivide``.  Both exports stream, in chunks of up to 1,024 records
+or lines, holding only key strings, cell reference lists and a rep memo.
 
 The link audits read each interior vertex's link as a plain adjacency dict
 (incident edge -> the incident edges it shares a 2-cell corner with), whose
@@ -73,7 +66,8 @@ import json
 import operator
 import os
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from itertools import chain, islice
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import (
     BoundaryCellError,
@@ -159,19 +153,14 @@ class ComplexEdge:
         return self._key < other._key
 
     def key_string(self) -> str:
-        return _edge_key(self.label, self.ends[0].key_string(), self.ends[1].key_string())
+        label = "" if self.label is None else self.label
+        return f"{label}|{self.ends[0].key_string()}--{self.ends[1].key_string()}"
 
 
 def _vertex_key(cls: str, index: Optional[int], rep: str) -> str:
     """A vertex's key string, from its class, index and formatted rep."""
     idx = "" if index is None else str(index)
     return f"{cls}|{idx}|{rep}"
-
-
-def _edge_key(label: Optional[int], key0: str, key1: str) -> str:
-    """An edge's key string, from its label and its ends' key strings."""
-    lbl = "" if label is None else str(label)
-    return f"{lbl}|{key0}--{key1}"
 
 
 # 2-cells are built once per ball and compare by identity, so they hash cheaply
@@ -555,54 +544,40 @@ def links_audit(b: ComplexBall) -> Report:
 
 # -- exports ----------------------------------------------------------------------
 
+_BATCH = 1024   # records or lines per chunk, each chunk one write
+
+
+def _batches(items: Iterable) -> Iterator[list]:
+    """Lists of up to ``_BATCH`` consecutive items."""
+    it = iter(items)
+    while batch := list(islice(it, _BATCH)):
+        yield batch
+
+
+def iter_ball_dot(b: ComplexBall) -> Iterator[str]:
+    """``ball_to_dot(b)``, in chunks of up to ``_BATCH`` lines."""
+    key = {v: v.key_string() for v in b.vertices}
+    label = {None: ""} | {i: f' [label="{i}"]' for i in range(b.n)}
+    lines = chain(
+        ["graph ball {\n"],
+        (f'  "{key[v]}" [interior={"true" if v in b.interior_vertices else "false"}];\n'
+         for v in b.vertices),
+        (f'  "{key[e.ends[0]]}" -- "{key[e.ends[1]]}"{label[e.label]};\n' for e in b.edges),
+        ["}\n"])
+    return map("".join, _batches(lines))
+
 
 def ball_to_dot(b: ComplexBall) -> str:
-    key = {v: v.key_string() for v in b.vertices}
-    lines = ["graph ball {"]
-    for v in b.vertices:
-        interior = "true" if v in b.interior_vertices else "false"
-        lines.append(f'  "{key[v]}" [interior={interior}];')
-    for e in b.edges:
-        lbl = "" if e.label is None else f' [label="{e.label}"]'
-        lines.append(f'  "{key[e.ends[0]]}" -- "{key[e.ends[1]]}"{lbl};')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "".join(iter_ball_dot(b))
 
 
-def _json_int(x: Optional[int]) -> str:
-    return "null" if x is None else str(x)
-
-
-def _json_records(records: list[str]) -> str:
-    """A list of records at depth 1 of the ``indent=2`` layout."""
-    return "[\n    " + ",\n    ".join(records) + "\n  ]" if records else "[]"
-
-
-def _json_keys(keys) -> str:
-    """A list of escaped key strings at depth 3 of the ``indent=2`` layout."""
-    return '[\n        "' + '",\n        "'.join(keys) + '"\n      ]'
-
-
-def _json_bool(x: bool) -> str:
-    return "true" if x else "false"
-
-
-def _vertex_record(cls: str, index: Optional[int], interior: bool, key: str,
-                   rep: str) -> str:
-    """A vertex record; ``key`` escaped without quotes, ``rep`` a JSON string."""
-    return (f'{{\n      "class": "{cls}",\n      "index": {_json_int(index)},\n'
-            f'      "interior": {_json_bool(interior)},\n'
-            f'      "key": "{key}",\n      "rep": {rep}\n    }}')
-
-
-def _edge_record(label: Optional[int], k0: str, k1: str, interior: bool,
-                 rep: str) -> str:
-    """An edge record; end keys escaped without quotes, ``rep`` JSON."""
-    return (f'{{\n      "ends": {_json_keys((k0, k1))},\n'
-            f'      "interior": {_json_bool(interior)},\n'
-            f'      "key": "{_edge_key(label, k0, k1)}",\n'
-            f'      "label": {_json_int(label)},\n'
-            f'      "rep": {rep}\n    }}')
+def _json_list(head: str, records: Iterable[str]) -> Iterator[str]:
+    """``head`` and a list of records at depth 1 of the ``indent=2`` layout, in batches."""
+    sep = head + "[\n    "
+    for batch in _batches(records):
+        yield sep + ",\n    ".join(batch)
+        sep = ",\n    "
+    yield "\n  ]" if sep == ",\n    " else head + "[]"
 
 
 def _midpoint_order(e: ComplexEdge) -> tuple:
@@ -610,23 +585,22 @@ def _midpoint_order(e: ComplexEdge) -> tuple:
     return e.label, len(e.rep.word), e.rep.word
 
 
-def ball_to_json(b: ComplexBall, square: bool = False) -> str:
+def iter_ball_json(b: ComplexBall, square: bool = False) -> Iterator[str]:
     """The canonical JSON of a polygonal ball, or with ``square`` of its
-    subdivision X': the text ``json.dumps(doc, indent=2, sort_keys=True)``
-    gives for the record document, written directly with one fixed layout
-    per record kind, keys in sorted order.
+    subdivision X', in chunks of up to ``_BATCH`` records: the text
+    ``json.dumps(doc, indent=2, sort_keys=True)`` gives for the record
+    document, with one fixed layout per record kind.  The form is checked
+    before any chunk is made.
 
-    X' is written from the ball's own cells, with no square ball built.
-    Its sections list the cells of X' in key order, which is:
+    X' is written from the ball's own cells, its sections in key order:
 
-    * vertices: the X-vertices, in the ball's order and with its interior
-      flags; one ``edge`` midpoint per X-edge, in (label, |rep|, rep) order,
-      interior iff its X-edge is; one ``trivial`` center per polygon, in
-      polygon order, always interior;
+    * vertices: the X-vertices as in the ball; one ``edge`` midpoint per
+      X-edge, in (label, |rep|, rep) order, interior iff its X-edge is; one
+      ``trivial`` center per polygon, in polygon order, always interior;
     * edges: the halves, grouped by X-vertex in the ball's order and by
-      midpoint within a group, each with its X-edge's label, rep and
-      interior flag; then the spokes, grouped by midpoint and by polygon
-      within a group, with no label or rep, always interior;
+      midpoint within a group, with their X-edge's label, rep and interior
+      flag; then the spokes, grouped by midpoint and by polygon within a
+      group, with no label or rep, always interior;
     * squares: in polygon order, corner i of a polygon with corners (the
       midpoint of side i, v_i, the midpoint of side i+1, the center).
 
@@ -647,52 +621,62 @@ def ball_to_json(b: ComplexBall, square: bool = False) -> str:
             w = words[g.word] = json.encoder.encode_basestring_ascii(format_word(g))
         return w
 
-    key: dict[ComplexVertex, str] = {}   # escaped, without quotes
-    vertices = []
-    for v in b.vertices:
-        rep = word(v.rep)
-        k = key[v] = _vertex_key(v.cls, v.index, rep[1:-1])
-        vertices.append(_vertex_record(v.cls, v.index, v in b.interior_vertices, k, rep))
-    polygons = [   # b.polygons is in key order
-        f'{{\n      "boundary": {_json_keys(key[v] for v in poly.boundary)},\n'
-        f'      "rep": {word(g)}\n    }}'
-        for g, poly in b.polygons.items()]
+    # keys escaped, unquoted; rows (class, index, interior, key, rep), (k0, k1, interior, label, rep)
+    key = {v: _vertex_key(v.cls, v.index, word(v.rep)[1:-1]) for v in b.vertices}
+    vertex_rows = ((v.cls, v.index, v in b.interior_vertices, key[v], word(v.rep))
+                   for v in b.vertices)
     if not square:
-        edges = [_edge_record(e.label, key[e.ends[0]], key[e.ends[1]],
-                              e in b.interior_edges, word(e.rep))
-                 for e in b.edges]
+        edge_rows = ((key[e.ends[0]], key[e.ends[1]], e in b.interior_edges, e.label,
+                      word(e.rep)) for e in b.edges)
     else:
         sides = sorted(b.edges, key=_midpoint_order)
-        mid: dict[ComplexEdge, str] = {}        # midpoint keys, escaped
-        halves: dict[ComplexVertex, list] = {}  # half records at each X-vertex
-        spokes: dict[ComplexEdge, list] = {}    # spoke records at each midpoint
+        mid = {e: _vertex_key(EDGE, e.label, word(e.rep)[1:-1]) for e in sides}
+        halves = {v: [] for v in b.vertices}   # the X-edges at each X-vertex
         for e in sides:
-            rep, inside = word(e.rep), e in b.interior_edges
-            m = mid[e] = _vertex_key(EDGE, e.label, rep[1:-1])
-            vertices.append(_vertex_record(EDGE, e.label, inside, m, rep))
             for v in e.ends:
-                halves.setdefault(v, []).append(_edge_record(e.label, key[v], m, inside, rep))
-        squares = []
+                halves[v].append(e)
+        spokes = {e: [] for e in sides}        # the polygons on each X-edge
         for g, poly in b.polygons.items():
-            rep = word(g)
-            center = _vertex_key(TRIVIAL, None, rep[1:-1])
-            vertices.append(_vertex_record(TRIVIAL, None, True, center, rep))
-            ms = [mid[e] for e in poly.edges]
-            for e, m in zip(poly.edges, ms):
-                spokes.setdefault(e, []).append(_edge_record(None, m, center, True, "null"))
-            for i, v in enumerate(poly.boundary):
-                squares.append(
-                    f'{{\n      "corner": {i},\n'
-                    f'      "corners": {_json_keys((ms[i], key[v], ms[(i + 1) % len(ms)], center))},\n'
-                    f'      "polygon": {rep}\n    }}')
-        edges = [h for v in b.vertices for h in halves[v]]
-        edges += [s for e in sides for s in spokes[e]]
-    doc = (f'{{\n  "edges": {_json_records(edges)},\n'
-           f'  "form": "{"square" if square else "polygonal"}",\n'
-           f'  "n": {b.presentation.n},\n'
-           f'  "polygons": {_json_records(polygons)},\n'
-           f'  "radius": {b.radius},\n'
-           f'  "schema": "cyclewall/1",\n')
-    if square:
-        doc += f'  "squares": {_json_records(squares)},\n'
-    return doc + f'  "vertices": {_json_records(vertices)}\n}}'
+            for e in poly.edges:
+                spokes[e].append(g)
+        edge_rows = chain(
+            ((key[v], mid[e], e in b.interior_edges, e.label, word(e.rep))
+             for v in b.vertices for e in halves[v]),
+            ((mid[e], _vertex_key(TRIVIAL, None, word(g)[1:-1]), True, None, "null")
+             for e in sides for g in spokes[e]))
+        vertex_rows = chain(
+            vertex_rows,
+            ((EDGE, e.label, e in b.interior_edges, mid[e], word(e.rep)) for e in sides),
+            ((TRIVIAL, None, True, _vertex_key(TRIVIAL, None, word(g)[1:-1]), word(g))
+             for g in b.polygons))
+    sep = '",\n        "'
+    head = f',\n  "radius": {b.radius},\n  "schema": "cyclewall/1",\n'
+    return chain(
+        _json_list('{\n  "edges": ', (
+            f'{{\n      "ends": [\n        "{k0}",\n        "{k1}"\n      ],\n'
+            f'      "interior": {"true" if inside else "false"},\n'
+            f'      "key": "{"" if label is None else label}|{k0}--{k1}",\n'
+            f'      "label": {"null" if label is None else label},\n      "rep": {rep}\n    }}'
+            for k0, k1, inside, label, rep in edge_rows)),
+        _json_list(f',\n  "form": "{"square" if square else "polygonal"}",\n  "n": {b.n},\n'
+                   '  "polygons": ', (
+            f'{{\n      "boundary": [\n        "{sep.join([key[v] for v in poly.boundary])}"\n'
+            f'      ],\n      "rep": {word(g)}\n    }}' for g, poly in b.polygons.items())),
+        _json_list(head + '  "squares": ', (
+            f'{{\n      "corner": {i},\n      "corners": [\n        "{mid[poly.edges[i]]}",\n'
+            f'        "{key[v]}",\n        "{mid[poly.edges[(i + 1) % b.n]]}",\n'
+            f'        "{_vertex_key(TRIVIAL, None, word(g)[1:-1])}"\n      ],\n'
+            f'      "polygon": {word(g)}\n    }}'
+            for g, poly in b.polygons.items() for i, v in enumerate(poly.boundary)))
+        if square else (),
+        _json_list((",\n" if square else head) + '  "vertices": ', (
+            f'{{\n      "class": "{cls}",\n      "index": {"null" if index is None else index},\n'
+            f'      "interior": {"true" if inside else "false"},\n'
+            f'      "key": "{k}",\n      "rep": {rep}\n    }}'
+            for cls, index, inside, k, rep in vertex_rows)),
+        ["\n}"])
+
+
+def ball_to_json(b: ComplexBall, square: bool = False) -> str:
+    """The text of ``iter_ball_json(b, square)``."""
+    return "".join(iter_ball_json(b, square))

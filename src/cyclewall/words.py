@@ -557,25 +557,39 @@ def enumerate_ball_elements(p: Presentation, L: int,
     """All elements of syllable length <= L, canonical, each once, in
     ``(len, word)`` order.
 
-    Level k+1 keeps h = g·s, g of level k and s a generator, iff h's word
-    ends with s.  The rest of that word is then canonical (a prefix of a
-    reduced word is reduced, and of the least linear extension is least)
-    and is h·s^-1 = g, so |h| = |g| + 1 and each element of length k+1
-    comes from one (g, s).  Extending a level in word order by generators
-    in ``(vertex, value)`` order keeps word order.  With a ``window`` S,
-    the generators are the syllables of S alone.
+    An element h of length k+1 is g·s for s = (v, x) its word's last
+    syllable and g the rest (canonical, as a prefix of the least linear
+    extension is least), and pushing s onto g's word appends it.  So level
+    k+1 is g's word plus s over the pairs whose push appends, each element
+    once.  The push (``_push_all``) scans g's word from the end by vertex:
+    it merges at a syllable of vertex v, puts s before a commuting syllable
+    of greater vertex, and appends s at a blocking syllable or the start of
+    the word, whichever comes first; ``_appends`` decides it from v alone.
+    Extending a level in word order by generators in ``(vertex, value)``
+    order keeps word order.  With a ``window`` S, the generators are the
+    syllables of S alone.
     """
     p.require_finite()
-    gens = [GroupElement(p, (s,)) for s in p.syllables()]
-    if window is not None:
-        S = frozenset(v % p.n for v in window)
-        gens = [s for s in gens if s.word[0].vertex in S]
+    vertices = range(p.n) if window is None else sorted({v % p.n for v in window})
+    gens = [(v, p.blocks[v], [Syllable(v, x) for x in p.group(v).nontrivial_elements()])
+            for v in vertices]
     level = [identity(p)]
     out = level[:]
     for _ in range(L):
-        level = [h for g in level for s in gens if (h := mul(g, s)).word[-1:] == s.word]
+        level = [GroupElement(p, g.word + (s,)) for g in level for v, block, syllables in gens
+                 if _appends(g.word, v, block) for s in syllables]
         out += level
     return out
+
+
+def _appends(word: tuple[Syllable, ...], v: int, block: frozenset[int]) -> bool:
+    """Whether a syllable of vertex v, blocked by ``block``, is appended to ``word``."""
+    for u, _ in reversed(word):
+        if u in block:
+            return u != v
+        if u > v:
+            return False
+    return True
 
 
 # -- text syntax --------------------------------------------------------------

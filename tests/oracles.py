@@ -167,7 +167,6 @@ from cyclewall.davis import (
     ComplexVertex,
     Polygon,
     _SUBGROUP_RANK,
-    _edge_key,
     _side_ends,
     _vertex_key,
     act_edge,
@@ -1001,7 +1000,7 @@ def ball_to_json_by_dumps(b: ComplexBall) -> str:
         "radius": b.radius,
         "vertices": vertices,
         "edges": [
-            {"key": _edge_key(e.label, key[e.ends[0]], key[e.ends[1]]),
+            {"key": f'{"" if e.label is None else e.label}|{key[e.ends[0]]}--{key[e.ends[1]]}',
              "label": e.label,
              "rep": None if e.rep is None else word(e.rep),
              "ends": [key[e.ends[0]], key[e.ends[1]]],

@@ -116,6 +116,23 @@ def test_ball_dot_export(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("graph")
 
 
+@pytest.mark.parametrize("argv", [[], ["--subdivide"], ["--format", "dot", "--subdivide"]],
+                         ids=["json", "json-square", "dot-square"])
+def test_ball_writes_the_same_bytes_to_stdout_and_to_output(argv, tmp_path):
+    """The streamed export, newline included, is the same through a pipe
+    and through a file."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    command = [sys.executable, "-m", "cyclewall.cli", "ball", "--radius", "2", *argv,
+               "--presentation", str(root / "perfbench" / "presentations" / "c5_mixed.json")]
+    out = tmp_path / "ball.out"
+    piped = subprocess.run(command, env=env, capture_output=True)
+    written = subprocess.run(command + ["--output", str(out)], env=env, capture_output=True)
+    assert (piped.returncode, written.returncode) == (EXIT_PASS, EXIT_PASS)
+    assert piped.stderr == written.stderr == written.stdout == b""
+    assert piped.stdout.endswith(b"\n") and piped.stdout == out.read_bytes()
+
+
 def test_ball_resource_cap(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CYCLEWALL_MEM_MB", "0")
     path = write_presentation(tmp_path)

@@ -22,6 +22,8 @@ from cyclewall.davis import (
     build_ball,
     free_face_audit,
     graph_girth,
+    iter_ball_dot,
+    iter_ball_json,
     links_audit,
     polygon_pair_audit,
     subdivide,
@@ -542,19 +544,32 @@ def test_exports_are_deterministic_and_well_formed(c5_z2):
 
 
 def test_ball_to_json_takes_only_a_polygonal_ball(c5_z2):
-    """The square form is written from the polygonal ball itself."""
+    """The square form is written from the polygonal ball itself.  The
+    iterator refuses a square ball when it is called, before any chunk."""
+    sq = subdivide(build_ball(c5_z2, 1))
     with pytest.raises(ValidationError, match="polygonal"):
-        ball_to_json(subdivide(build_ball(c5_z2, 1)))
+        ball_to_json(sq)
+    with pytest.raises(ValidationError, match="polygonal"):
+        iter_ball_json(sq)
+
+
+def test_exports_stream_in_chunks():
+    """Neither export of c6_mixed's r3 square ball comes as one string: no
+    chunk of the JSON or of the dot text is longer than a quarter of it."""
+    b = build_ball(perfbench_presentation("c6_mixed"), 3)
+    for chunks in (list(iter_ball_json(b, square=True)), list(iter_ball_dot(subdivide(b)))):
+        assert max(map(len, chunks)) <= len("".join(chunks)) / 4
 
 
 def json_forms_differing_from_the_oracle(p, r):
-    """The forms whose direct JSON is not json.dumps's text for the records
+    """The forms whose direct JSON, as ``ball_to_json`` or as the join of
+    ``iter_ball_json``'s chunks, is not json.dumps's text for the records
     of the ball (``polygonal``) or of its square ball (``square``)."""
     b = build_ball(p, r)
-    return [form for form, text, ball in
-            [("polygonal", ball_to_json(b), b),
-             ("square", ball_to_json(b, square=True), subdivide(b))]
-            if text != ball_to_json_by_dumps(ball)]
+    return [form for form, square, ball in
+            [("polygonal", False, b), ("square", True, subdivide(b))]
+            if {ball_to_json(b, square), "".join(iter_ball_json(b, square))}
+            != {ball_to_json_by_dumps(ball)}]
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in PRESENTATIONS.glob("*.json")))
