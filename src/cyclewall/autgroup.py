@@ -23,7 +23,6 @@ import math
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Optional
 
 from .algebraic import MAXIMAL, window_of
 from .davis import EDGE, POLY, ComplexVertex, act_vertex
@@ -263,10 +262,6 @@ class AutElement:
         return self.inner.is_identity and self.local.is_identity
 
 
-def aut_identity(p: Presentation) -> AutElement:
-    return AutElement(identity(p), identity_local_aut(p))
-
-
 def inner_aut(g: GroupElement) -> AutElement:
     return AutElement(g, identity_local_aut(g.presentation))
 
@@ -376,8 +371,7 @@ def generator_images(a: AutElement) -> list[list[GroupElement]]:
 
 
 def coset_intersection(c1: GroupElement, S1: frozenset[int],
-                       c2: GroupElement, S2: frozenset[int], *,
-                       c1_inv: Optional[GroupElement] = None):
+                       c2: GroupElement, S2: frozenset[int]):
     """Intersect c1<G_S1> with c2<G_S2>: (rep, S1 & S2) or None if empty.
 
     They meet iff c2^-1·c1 = lam·rho with lam in <G_S2> and rho in <G_S1>.
@@ -385,11 +379,9 @@ def coset_intersection(c1: GroupElement, S1: frozenset[int],
     word with syllables stripped (Green, *Graph products of groups*, 1990),
     so supp(r) lies in S2; and if it does, they meet in c2·r<G_{S1 & S2}>.
     c2^-1·c1 is computed as the inverse of c1^-1·c2, which is short when
-    the cosets are close; a caller that holds c1^-1 passes it as c1_inv.
+    the cosets are close.
     """
-    if c1_inv is None:
-        c1_inv = inv(c1)
-    r = coset_rep(inv(mul(c1_inv, c2)), S1)
+    r = coset_rep(inv(mul(inv(c1), c2)), S1)
     if not r.support() <= S2:
         return None
     return coset_rep(mul(c2, r), S1 & S2), S1 & S2
@@ -451,7 +443,6 @@ def aut_decompose(p: Presentation, images: Sequence[Sequence[GroupElement]]) -> 
 
     target = [None] * n
     conjugators = [None] * n
-    inverses = [None] * n   # conjugators[i]^-1
     middles = []   # middles[i][k]: images[i][k]'s middle syllable around conjugators[i], or None
     for i in range(n):
         gens = generator_values(p, i)
@@ -475,7 +466,7 @@ def aut_decompose(p: Presentation, images: Sequence[Sequence[GroupElement]]) -> 
                     f"vertex {i}: generator images land in different vertex "
                     f"groups {target[i]} and {vertex}", format_word(h))
             row.append(core.word[0] if c is pair[0] else None)
-        conjugators[i], inverses[i] = pair
+        conjugators[i] = pair[0]
         middles.append(row)
 
     try:
@@ -489,7 +480,7 @@ def aut_decompose(p: Presentation, images: Sequence[Sequence[GroupElement]]) -> 
     windows = [window_of(n, MAXIMAL, sigma(i)) for i in range(n)]
     g, S = conjugators[0], windows[0]
     for i in range(1, n):
-        hit = coset_intersection(conjugators[i], windows[i], g, S, c1_inv=inverses[i])
+        hit = coset_intersection(conjugators[i], windows[i], g, S)
         if hit is None:
             raise DecompositionError(
                 "conjugator constraints are inconsistent: no single inner "

@@ -295,12 +295,8 @@ def cmd_reduce(args) -> int:
 
 def cmd_ball(args) -> int:
     p = load_presentation(args.presentation)
-    b = davis.build_ball(p, args.radius)
-    if args.format == "json":
-        chunks = davis.iter_ball_json(b, square=args.subdivide)
-    else:
-        chunks = davis.iter_ball_dot(davis.subdivide(b) if args.subdivide else b)
-    _write(args.output, chunks)
+    export = davis.iter_ball_json if args.format == "json" else davis.iter_ball_dot
+    _write(args.output, export(davis.build_ball(p, args.radius), args.subdivide))
     return EXIT_PASS
 
 

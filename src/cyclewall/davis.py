@@ -48,10 +48,11 @@ length |w| + |S|, so one rule serves both forms: the vertex w<G_S> is
 interior iff |w| + |S| <= r, a labelled edge (an X-edge or a half of one)
 iff |w| + 1 <= r, and a spoke, which lies inside one polygon, always.
 
-``ball_to_json(b, square=True)`` writes X' from the polygonal ball's own
-cells, with no square ball built; the dot export and the audits build X'
-with ``subdivide``.  Both exports stream, in chunks of up to 1,024 records
-or lines, holding only key strings, cell reference lists and a rep memo.
+Both exports, ``iter_ball_json`` and ``iter_ball_dot``, write X' from the
+polygonal ball's own cells, listed once for both (``_rows``), with no square
+ball built; only the audits build X', with ``subdivide``.  Both stream, in
+chunks of up to 1,024 records or lines, holding only key strings, cell
+reference lists and a rep memo.
 
 The link audits read each interior vertex's link as a plain adjacency dict
 (incident edge -> the incident edges it shares a 2-cell corner with), whose
@@ -62,7 +63,6 @@ sides and nodes are told apart by identity, as the ball's own objects.  A
 
 from __future__ import annotations
 
-import json
 import operator
 import os
 from dataclasses import dataclass, field
@@ -258,13 +258,6 @@ class ComplexBall:
 def x_vertex(p: Presentation, g: GroupElement, i: int) -> ComplexVertex:
     i %= p.n
     return ComplexVertex(POLY, i, coset_rep(g, (i, (i + 1) % p.n)))
-
-
-def x_edge(p: Presentation, g: GroupElement, i: int) -> ComplexEdge:
-    """Edge of X for the coset gG_i, joining g(G_{i-1} x G_i) and g(G_i x G_{i+1})."""
-    i %= p.n
-    rep = coset_rep(g, (i,))
-    return ComplexEdge(_side_ends(x_vertex(p, rep, i - 1), x_vertex(p, rep, i), i), i, rep)
 
 
 def _side_ends(prev: ComplexVertex, at: ComplexVertex, i: int):
@@ -554,23 +547,6 @@ def _batches(items: Iterable) -> Iterator[list]:
         yield batch
 
 
-def iter_ball_dot(b: ComplexBall) -> Iterator[str]:
-    """``ball_to_dot(b)``, in chunks of up to ``_BATCH`` lines."""
-    key = {v: v.key_string() for v in b.vertices}
-    label = {None: ""} | {i: f' [label="{i}"]' for i in range(b.n)}
-    lines = chain(
-        ["graph ball {\n"],
-        (f'  "{key[v]}" [interior={"true" if v in b.interior_vertices else "false"}];\n'
-         for v in b.vertices),
-        (f'  "{key[e.ends[0]]}" -- "{key[e.ends[1]]}"{label[e.label]};\n' for e in b.edges),
-        ["}\n"])
-    return map("".join, _batches(lines))
-
-
-def ball_to_dot(b: ComplexBall) -> str:
-    return "".join(iter_ball_dot(b))
-
-
 def _json_list(head: str, records: Iterable[str]) -> Iterator[str]:
     """``head`` and a list of records at depth 1 of the ``indent=2`` layout, in batches."""
     sep = head + "[\n    "
@@ -585,14 +561,19 @@ def _midpoint_order(e: ComplexEdge) -> tuple:
     return e.label, len(e.rep.word), e.rep.word
 
 
-def iter_ball_json(b: ComplexBall, square: bool = False) -> Iterator[str]:
-    """The canonical JSON of a polygonal ball, or with ``square`` of its
-    subdivision X', in chunks of up to ``_BATCH`` records: the text
-    ``json.dumps(doc, indent=2, sort_keys=True)`` gives for the record
-    document, with one fixed layout per record kind.  The form is checked
-    before any chunk is made.
+def _rows(b: ComplexBall, square: bool):
+    """The cells of a polygonal ball, or with ``square`` of its subdivision
+    X', as both exports list them: ``(word, key, mid, vertex_rows,
+    edge_rows)``.  ``word(g)`` is g's formatted word in double quotes, as
+    JSON writes it, memoised; ``key`` and ``mid`` map each X-vertex and each
+    X-edge to the key string of the vertex and of the edge's midpoint; the
+    rows, made as they are read, are (class, index, interior, key, rep) per
+    vertex and (end key, end key, interior, label, rep) per edge, with rep
+    ``word``'s text, or ``null`` for a spoke.  The form is checked when it
+    is called.
 
-    X' is written from the ball's own cells, its sections in key order:
+    X' is listed from the ball's own cells, with no square ball built, in
+    the key order of the square ball's cells:
 
     * vertices: the X-vertices as in the ball; one ``edge`` midpoint per
       X-edge, in (label, |rep|, rep) order, interior iff its X-edge is; one
@@ -600,55 +581,79 @@ def iter_ball_json(b: ComplexBall, square: bool = False) -> Iterator[str]:
     * edges: the halves, grouped by X-vertex in the ball's order and by
       midpoint within a group, with their X-edge's label, rep and interior
       flag; then the spokes, grouped by midpoint and by polygon within a
-      group, with no label or rep, always interior;
-    * squares: in polygon order, corner i of a polygon with corners (the
-      midpoint of side i, v_i, the midpoint of side i+1, the center).
-
-    JSON escapes a string character by character, and a key string joins
-    its parts with ASCII separators that need no escape, so each vertex key
-    is escaped once, through its rep, and edge keys are joined from the
-    escaped vertex keys.
+      group, with no label or rep, always interior.
     """
     if b.form != "polygonal":
         raise ValidationError(
-            "ball_to_json takes a polygonal ball; square=True writes its subdivision")
-    words: dict[tuple, str] = {}   # each rep formatted and escaped once
+            "the ball exports take a polygonal ball; square=True writes its subdivision")
+    words: dict[tuple, str] = {}   # each rep formatted once
 
     def word(g: GroupElement) -> str:
         w = words.get(g.word)
         if w is None:
-            # json's own escaping (json.dumps's with ensure_ascii), quotes included
-            w = words[g.word] = json.encoder.encode_basestring_ascii(format_word(g))
+            w = words[g.word] = f'"{format_word(g)}"'
         return w
 
-    # keys escaped, unquoted; rows (class, index, interior, key, rep), (k0, k1, interior, label, rep)
     key = {v: _vertex_key(v.cls, v.index, word(v.rep)[1:-1]) for v in b.vertices}
     vertex_rows = ((v.cls, v.index, v in b.interior_vertices, key[v], word(v.rep))
                    for v in b.vertices)
     if not square:
-        edge_rows = ((key[e.ends[0]], key[e.ends[1]], e in b.interior_edges, e.label,
-                      word(e.rep)) for e in b.edges)
-    else:
-        sides = sorted(b.edges, key=_midpoint_order)
-        mid = {e: _vertex_key(EDGE, e.label, word(e.rep)[1:-1]) for e in sides}
-        halves = {v: [] for v in b.vertices}   # the X-edges at each X-vertex
-        for e in sides:
-            for v in e.ends:
-                halves[v].append(e)
-        spokes = {e: [] for e in sides}        # the polygons on each X-edge
-        for g, poly in b.polygons.items():
-            for e in poly.edges:
-                spokes[e].append(g)
-        edge_rows = chain(
-            ((key[v], mid[e], e in b.interior_edges, e.label, word(e.rep))
-             for v in b.vertices for e in halves[v]),
-            ((mid[e], _vertex_key(TRIVIAL, None, word(g)[1:-1]), True, None, "null")
-             for e in sides for g in spokes[e]))
-        vertex_rows = chain(
-            vertex_rows,
-            ((EDGE, e.label, e in b.interior_edges, mid[e], word(e.rep)) for e in sides),
-            ((TRIVIAL, None, True, _vertex_key(TRIVIAL, None, word(g)[1:-1]), word(g))
-             for g in b.polygons))
+        return word, key, {}, vertex_rows, (
+            (key[e.ends[0]], key[e.ends[1]], e in b.interior_edges, e.label, word(e.rep))
+            for e in b.edges)
+    sides = sorted(b.edges, key=_midpoint_order)
+    mid = {e: _vertex_key(EDGE, e.label, word(e.rep)[1:-1]) for e in sides}
+    halves = {v: [] for v in b.vertices}   # the X-edges at each X-vertex
+    for e in sides:
+        for v in e.ends:
+            halves[v].append(e)
+    spokes = {e: [] for e in sides}        # the polygons on each X-edge
+    for g, poly in b.polygons.items():
+        for e in poly.edges:
+            spokes[e].append(g)
+    return word, key, mid, chain(
+        vertex_rows,
+        ((EDGE, e.label, e in b.interior_edges, mid[e], word(e.rep)) for e in sides),
+        ((TRIVIAL, None, True, _vertex_key(TRIVIAL, None, word(g)[1:-1]), word(g))
+         for g in b.polygons)), chain(
+        ((key[v], mid[e], e in b.interior_edges, e.label, word(e.rep))
+         for v in b.vertices for e in halves[v]),
+        ((mid[e], _vertex_key(TRIVIAL, None, word(g)[1:-1]), True, None, "null")
+         for e in sides for g in spokes[e]))
+
+
+def iter_ball_dot(b: ComplexBall, square: bool = False) -> Iterator[str]:
+    """The dot graph of a polygonal ball's 1-skeleton, or with ``square`` of
+    its subdivision X', in chunks of up to ``_BATCH`` lines: a line per
+    vertex with its interior flag, then a line per edge with its label, in
+    key order, as ``_rows`` lists them (so X' is written with no square ball
+    built).  The form is checked before any chunk is made."""
+    _, _, _, vertex_rows, edge_rows = _rows(b, square)
+    label = {None: ""} | {i: f' [label="{i}"]' for i in range(b.n)}
+    lines = chain(
+        ["graph ball {\n"],
+        (f'  "{k}" [interior={"true" if inside else "false"}];\n'
+         for _, _, inside, k, _ in vertex_rows),
+        (f'  "{k0}" -- "{k1}"{label[i]};\n' for k0, k1, _, i, _ in edge_rows),
+        ["}\n"])
+    return map("".join, _batches(lines))
+
+
+def iter_ball_json(b: ComplexBall, square: bool = False) -> Iterator[str]:
+    """The canonical JSON of a polygonal ball, or with ``square`` of its
+    subdivision X', in chunks of up to ``_BATCH`` records: the text
+    ``json.dumps(doc, indent=2, sort_keys=True)`` gives for the record
+    document, with one fixed layout per record kind.  The form is checked
+    before any chunk is made.
+
+    The vertices and edges are ``_rows``'s, so X' is written with no square
+    ball built; its squares come in polygon order, corner i of a polygon
+    with corners (the midpoint of side i, v_i, the midpoint of side i+1,
+    the center).  A key string or a formatted word holds only ASCII
+    letters, digits and ``:|- `` (``format_word`` writes ``v<int>:<int>``
+    tokens), which JSON writes as they are, so no string is escaped.
+    """
+    word, key, mid, vertex_rows, edge_rows = _rows(b, square)
     sep = '",\n        "'
     head = f',\n  "radius": {b.radius},\n  "schema": "cyclewall/1",\n'
     return chain(

@@ -28,7 +28,7 @@ from .davis import ComplexBall, ComplexVertex
 from .errors import FillError, ValidationError
 from .reports import Report
 from .walls import UnionFind
-from .words import GroupElement, format_word
+from .words import GroupElement
 
 
 # -- the planar complex ---------------------------------------------------------
@@ -379,20 +379,3 @@ def filling_audit(b: ComplexBall, seed: int = 0, count: int = 20,
         report.add("diagrams.filling-is-reduced", key, d.is_reduced())
     return report
 
-
-def diagram_to_json_dict(d: DiscDiagram) -> dict:
-    return {
-        "schema": "cyclewall/1",
-        "vertices": [{"id": v,
-                      "image": d.images[v].key_string() if v in d.images else None,
-                      "curvature": d.vertex_curvature(v)}
-                     for v in d.vertices],
-        "edges": [sorted(e) for e in d.edges],
-        "faces": [{"cycle": list(f),
-                   "polygon": format_word(d.face_polygons[i])
-                   if d.face_polygons and d.face_polygons[i] is not None else None,
-                   "curvature": d.face_curvature(i)}
-                  for i, f in enumerate(d.faces)],
-        "boundary": list(d.boundary),
-        "total_curvature": d.total_curvature(),
-    }

@@ -97,7 +97,10 @@ The JSON-export oracle builds the ball's record document as dicts and
 encodes it with ``json.dumps(doc, indent=2, sort_keys=True)``, against which
 ``davis.ball_to_json``'s direct writer is checked byte for byte; the square
 form, which the writer reads off the polygonal ball, against the records of
-the square ball ``subdivide`` builds.
+the square ball ``subdivide`` builds.  The dot-export oracle walks any
+ball's own ``vertices`` and ``edges``, the polygonal ball's or the square
+ball's, against which ``davis.iter_ball_dot``, which lists X' from the
+polygonal ball's cells, is checked.
 
 The axis oracle builds a segment of the translation axis through a central
 edge and asserts, edge by edge, that it keeps its label and tree-wall.
@@ -105,7 +108,9 @@ edge and asserts, edge by edge, that it keeps its label and tree-wall.
 The local-group oracles list every element of Loc, one symmetry after another
 with ``itertools.product`` over the per-vertex isomorphisms, instead of
 decoding an index; find a word's local fixator by applying every listed
-element to it, instead of a product read off its syllable values; and find
+element to it (each verdict memoised by what ``LocalAut.apply`` reads of the
+element: its symmetry and its isomorphisms at the word's support), instead
+of a product read off its syllable values; and find
 the isomorphisms between two vertex groups by a recursive search that prunes
 each partial assignment of generator images with ``_close``, instead of one
 product over all of them.
@@ -171,7 +176,7 @@ from cyclewall.davis import (
     _vertex_key,
     act_edge,
     subdivide,
-    x_edge,
+    x_vertex,
 )
 from cyclewall.diagrams import DiscDiagram, _ball_edge, _cancel_spurs, _match_polygon
 from cyclewall.errors import DecompositionError, FillError, ValidationError
@@ -1021,6 +1026,26 @@ def ball_to_json_by_dumps(b: ComplexBall) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
+def ball_to_dot_by_walk(b: ComplexBall) -> str:
+    """The dot graph of any ball's 1-skeleton, walked from its own vertices
+    and edges."""
+    key = {v: v.key_string() for v in b.vertices}
+    label = {None: ""} | {i: f' [label="{i}"]' for i in range(b.n)}
+    return "".join([
+        "graph ball {\n",
+        *(f'  "{key[v]}" [interior={"true" if v in b.interior_vertices else "false"}];\n'
+          for v in b.vertices),
+        *(f'  "{key[e.ends[0]]}" -- "{key[e.ends[1]]}"{label[e.label]};\n' for e in b.edges),
+        "}\n"])
+
+
+def x_edge(p: Presentation, g: GroupElement, i: int) -> ComplexEdge:
+    """Edge of X for the coset gG_i, joining g(G_{i-1} x G_i) and g(G_i x G_{i+1})."""
+    i %= p.n
+    rep = coset_rep(g, (i,))
+    return ComplexEdge(_side_ends(x_vertex(p, rep, i - 1), x_vertex(p, rep, i), i), i, rep)
+
+
 def enumerate_loc_by_listing(p: Presentation) -> list[LocalAut]:
     out = []
     for sigma in enumerate_symmetries(p):
@@ -1034,7 +1059,16 @@ def enumerate_loc_by_listing(p: Presentation) -> list[LocalAut]:
 def loc_fixator_by_filter(p: Presentation, g: GroupElement, listed=None) -> list[LocalAut]:
     """``listed``: ``enumerate_loc_by_listing(p)``, when the caller has it."""
     listed = enumerate_loc_by_listing(p) if listed is None else listed
-    return [lam for lam in listed if lam.apply(g) == g]
+    support = sorted(g.support())
+    fixes = {}   # lam.apply(g) reads lam's symmetry and its isomorphisms at supp(g)
+    out = []
+    for lam in listed:
+        seen = (lam.sigma.perm, *(id(lam.isos[v]) for v in support))
+        if seen not in fixes:
+            fixes[seen] = lam.apply(g) == g
+        if fixes[seen]:
+            out.append(lam)
+    return out
 
 
 def isomorphisms_by_search(src, dst) -> list[LocalIso]:

@@ -17,7 +17,6 @@ from cyclewall.davis import (
     TRIVIAL,
     act_edge,
     act_vertex,
-    ball_to_dot,
     ball_to_json,
     build_ball,
     free_face_audit,
@@ -29,7 +28,6 @@ from cyclewall.davis import (
     subdivide,
     t4_audit,
     vertex_link,
-    x_edge,
     x_vertex,
 )
 from cyclewall.errors import (
@@ -48,12 +46,14 @@ from cyclewall.words import (
 )
 
 from oracles import (
+    ball_to_dot_by_walk,
     ball_to_json_by_dumps,
     build_ball_by_coset_reps,
     index_by_cells,
     interior_by_enumeration,
     polygons_containing_edge,
     subdivision_interior_inherited,
+    x_edge,
 )
 
 PRESENTATIONS = Path(__file__).parent.parent / "perfbench" / "presentations"
@@ -147,7 +147,7 @@ def test_incidence_maps_are_built_once_and_only_when_read(c6_mixed):
     b = build_ball(c6_mixed, 2)
     sq = subdivide(b)
     ball_to_json(b, square=True)
-    ball_to_dot(sq)
+    "".join(iter_ball_dot(b, square=True))
     crossing_graph(b)
     assert "incidence" not in b.derived and "incidence" not in sq.derived
     for ball in (b, sq):
@@ -537,7 +537,7 @@ def test_exports_are_deterministic_and_well_formed(c5_z2):
     doc = json.loads(ball_to_json(b1))
     assert doc["schema"] == "cyclewall/1"
     assert len(doc["polygons"]) == 6
-    dot = ball_to_dot(b1)
+    dot = "".join(iter_ball_dot(b1))
     assert dot.startswith("graph ball {") and dot.rstrip().endswith("}")
     doc = json.loads(ball_to_json(b1, square=True))
     assert doc["form"] == "square" and len(doc["squares"]) == 6 * 5
@@ -545,19 +545,33 @@ def test_exports_are_deterministic_and_well_formed(c5_z2):
 
 def test_ball_to_json_takes_only_a_polygonal_ball(c5_z2):
     """The square form is written from the polygonal ball itself.  The
-    iterator refuses a square ball when it is called, before any chunk."""
+    iterators, JSON and dot, refuse a square ball when they are called,
+    before any chunk."""
     sq = subdivide(build_ball(c5_z2, 1))
     with pytest.raises(ValidationError, match="polygonal"):
         ball_to_json(sq)
-    with pytest.raises(ValidationError, match="polygonal"):
-        iter_ball_json(sq)
+    for square in (False, True):
+        for export in (iter_ball_json, iter_ball_dot):
+            with pytest.raises(ValidationError, match="polygonal"):
+                export(sq, square)
+
+
+@pytest.mark.parametrize("name", SIX)
+def test_iter_ball_dot_matches_the_walk_oracle(name):
+    """The dot export gives the walk oracle's text on the ball and, with
+    ``square``, on the square ball ``subdivide`` builds: at radius 0-2."""
+    p = perfbench_presentation(name)
+    for r in range(3):
+        b = build_ball(p, r)
+        assert "".join(iter_ball_dot(b)) == ball_to_dot_by_walk(b), r
+        assert "".join(iter_ball_dot(b, square=True)) == ball_to_dot_by_walk(subdivide(b)), r
 
 
 def test_exports_stream_in_chunks():
     """Neither export of c6_mixed's r3 square ball comes as one string: no
     chunk of the JSON or of the dot text is longer than a quarter of it."""
     b = build_ball(perfbench_presentation("c6_mixed"), 3)
-    for chunks in (list(iter_ball_json(b, square=True)), list(iter_ball_dot(subdivide(b)))):
+    for chunks in (list(iter_ball_json(b, square=True)), list(iter_ball_dot(b, square=True))):
         assert max(map(len, chunks)) <= len("".join(chunks)) / 4
 
 

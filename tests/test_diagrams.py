@@ -10,7 +10,6 @@ from cyclewall.davis import build_ball
 from cyclewall.diagrams import (
     DiscDiagram,
     convention_lock,
-    diagram_to_json_dict,
     fill_and_audit,
     fill_loop,
     filling_audit,
@@ -21,8 +20,26 @@ from cyclewall.diagrams import (
     union_boundary_loop,
 )
 from cyclewall.errors import FillError, ValidationError
-from cyclewall.words import identity, parse_word
+from cyclewall.words import format_word, identity, parse_word
 from oracles import fill_loop_by_search
+
+
+def diagram_to_json_dict(d: DiscDiagram) -> dict:
+    return {
+        "schema": "cyclewall/1",
+        "vertices": [{"id": v,
+                      "image": d.images[v].key_string() if v in d.images else None,
+                      "curvature": d.vertex_curvature(v)}
+                     for v in d.vertices],
+        "edges": [sorted(e) for e in d.edges],
+        "faces": [{"cycle": list(f),
+                   "polygon": format_word(d.face_polygons[i])
+                   if d.face_polygons and d.face_polygons[i] is not None else None,
+                   "curvature": d.face_curvature(i)}
+                  for i, f in enumerate(d.faces)],
+        "boundary": list(d.boundary),
+        "total_curvature": d.total_curvature(),
+    }
 
 
 # -- convention lock ---------------------------------------------------------

@@ -3,6 +3,7 @@ package imports nothing outside the standard library, and it holds no
 ``assert`` statement (``python -O`` strips them, so a check must raise)."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -97,3 +98,64 @@ def test_scan_flags_a_private_sibling_import():
                                    "    _push,\n    mul,\n)\n"
                                    "from os import _exit\n") == [
         "words._push (line 2)"]
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def names_used_from(module: str, source: str) -> set[str]:
+    """The names ``source`` imports from the sibling ``module`` or reads off
+    it as ``module.name``."""
+    used = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level > 0 and node.module == module:
+            used.update(alias.name for alias in node.names)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == module):
+            used.add(node.attr)
+    return used
+
+
+def names_only_tests_use(sources: dict[str, str], perfbench_text: str) -> list[str]:
+    """``module.name`` for each module-level public function or class of
+    the package (``sources``: module name -> source) that its own module
+    does not read, no other package module uses, ``__init__`` does not
+    export and ``perfbench_text`` does not name."""
+    exported = {alias.name for node in ast.walk(ast.parse(sources["__init__"]))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    found = []
+    for module, source in sorted(sources.items()):
+        tree = ast.parse(source)
+        used = exported.union(
+            (node.id for node in ast.walk(tree) if isinstance(node, ast.Name)),
+            *(names_used_from(module, other) for name, other in sources.items()
+              if name != module))
+        found += [f"{module}.{node.name}" for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_") and node.name not in used
+                  and not re.search(rf"\b{node.name}\b", perfbench_text)]
+    return found
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    """A public function or class of the package is read by its own module,
+    used by another package module, exported by ``__init__`` or named by
+    perfbench (in ``layers.json`` or its code); one that only the tests use
+    belongs in them."""
+    sources = {p.stem: p.read_text() for p in PACKAGE_FILES}
+    perfbench_text = "\n".join(p.read_text() for p in sorted(PERFBENCH.glob("*.py"))
+                               + [PERFBENCH / "layers.json"])
+    assert names_only_tests_use(sources, perfbench_text) == []
+
+
+def test_scan_flags_a_test_only_name():
+    sources = {
+        "__init__": "from .words import mul\n",
+        "words": "def mul(): pass\ndef inv(): pass\ndef parse(): pass\n"
+                 "def format(): pass\nclass Word: pass\ndef _push(): pass\n"
+                 "def one(): pass\ndef two(): return one()\n",
+        "cli": "from . import words\nfrom .words import inv\n"
+               "def main(): return words.parse()\n",
+    }
+    assert names_only_tests_use(sources, '{"format": ["calls"]}') == [
+        "cli.main", "words.Word", "words.two"]

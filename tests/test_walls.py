@@ -20,7 +20,7 @@ from cyclewall.algebraic import (
     medium_of_vertex,
 )
 from cyclewall.cli import load_presentation
-from cyclewall.davis import act_edge, build_ball, subdivide, x_edge
+from cyclewall.davis import act_edge, build_ball, subdivide
 from cyclewall.errors import InvariantError, ValidationError
 from cyclewall.walls import (
     TreeWall,
@@ -65,6 +65,7 @@ from oracles import (
     wall_stabilizer_by_scan,
     walls_by_flood_fill,
     window_member,
+    x_edge,
 )
 
 PRESENTATIONS = Path(__file__).parent.parent / "perfbench" / "presentations"
