@@ -9,23 +9,35 @@ coset representative modulo the subgroup's normalizer, so equal subgroups
 get equal encodings.  On a cycle with n >= 5 that normalizer is exact: for a
 minimal subgroup it is the maximal window (both neighbours of i commute with
 G_i), and a medium or maximal window is its own (no vertex is adjacent to
-all of it).
+all of it).  An encoding hashes its fields once, when it is made, and each
+window is built once per (n, tier, base).
 
 The abstract complex has the medium encodings of a ball's vertices as nodes,
 arcs where the join of two mediums is a maximal, and faces for the induced
-n-cycles, found as the walks that wind once around the base cycle.  The
-join is decided exactly: two mediums c1<G_b x G_{b+1}> and c2<G_{b+1} x
-G_{b+2}> join to a maximal iff the vertices they encode share an edge, that
-is iff the canonical word of c2^-1·c1 lies in G_{b+2}·G_b (see
-``shared_edge`` and ``join_is_cmaximal``), so the join never enumerates a
-vertex group and never comes out undecided.  The map (coset gH) -> (subgroup gHg^-1) is verified to
-be an equivariant isomorphism on interior cells.  On edges that is one
-comparison of two sets of vertex pairs: the ball's edges between interior
-vertices, and the rebuild's arcs between their encodings, decoded.
+n-cycles, found as the walks that wind once around the base cycle.  A
+ball's mediums are encoded once (``vertex_mediums``) and read by the
+rebuild, ``phi_iso_check`` and the join audits, here and in ``walls``.
+
+The rebuild writes its edge cosets out instead of multiplying.  Those of a
+node c<G_i x G_{i+1}> are c·x for x in one of its two window groups.  As c
+is minimal modulo the window, pushing x onto c's word merges nothing and
+inserts it at an index that depends on c and x's vertex alone (the splice
+lemma), so each c·x is c's word with x spliced in (``_edge_cosets``).
+
+The join is decided exactly: two mediums c1<G_b x G_{b+1}> and
+c2<G_{b+1} x G_{b+2}> join to a maximal iff the vertices they encode share
+an edge, that is iff the canonical word of c2^-1·c1 lies in G_{b+2}·G_b
+(see ``shared_edge`` and ``join_is_cmaximal``), so the join never
+enumerates a vertex group and never comes out undecided.  The map
+(coset gH) -> (subgroup gHg^-1) is verified to be an equivariant
+isomorphism on interior cells.  On edges that is one comparison of two sets
+of vertex pairs: the ball's edges between interior vertices, and the
+rebuild's arcs between their encodings, decoded.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -54,8 +66,10 @@ _TIER_OFFSETS = {MINIMAL: (0,), MEDIUM: (0, 1), MAXIMAL: (-1, 0, 1)}
 _NORMALIZER_TIER = {MINIMAL: MAXIMAL, MEDIUM: MEDIUM, MAXIMAL: MAXIMAL}
 
 
+@functools.cache
 def window_of(n: int, tier: str, base: int) -> frozenset[int]:
-    """The consecutive vertex window of a tier at a base vertex of C_n."""
+    """The consecutive vertex window of a tier at a base vertex of C_n,
+    built once per (n, tier, base)."""
     return frozenset((base + k) % n for k in _TIER_OFFSETS[tier])
 
 
@@ -68,17 +82,25 @@ class CSubgroup:
     conjugator: GroupElement
     # the defining vertex window, kept so membership tests need not rebuild it
     window: frozenset[int] = field(init=False, compare=False, repr=False)
+    # computed once: the hash of the field tuple, (tier, base, conjugator)
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.tier not in _TIER_OFFSETS:
             raise ValidationError(f"unknown tier {self.tier!r}")
         n = self.conjugator.presentation.n
-        object.__setattr__(self, "base", self.base % n)
-        object.__setattr__(self, "window", window_of(n, self.tier, self.base))
-        normalizer = window_of(n, _NORMALIZER_TIER[self.tier], self.base)
+        base = self.base % n
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "window", window_of(n, self.tier, base))
+        normalizer = window_of(n, _NORMALIZER_TIER[self.tier], base)
         canon = coset_rep(self.conjugator, normalizer)
-        if canon != self.conjugator:
+        if canon is not self.conjugator:
             object.__setattr__(self, "conjugator", canon)
+        # a GroupElement hashes as its word
+        object.__setattr__(self, "_hash", hash((self.tier, base, canon.word)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def presentation(self) -> Presentation:
@@ -103,6 +125,12 @@ def medium_of_vertex(v: ComplexVertex) -> CSubgroup:
     return CSubgroup(MEDIUM, v.index, v.rep)
 
 
+def vertex_mediums(b: ComplexBall) -> dict[ComplexVertex, CSubgroup]:
+    """Each X-vertex's medium (``medium_of_vertex``), in ``b.vertices``
+    order, encoded once per ball."""
+    return b.derive("mediums", lambda: {v: medium_of_vertex(v) for v in b.vertices})
+
+
 def containing_maximals(h: CSubgroup) -> list[CSubgroup]:
     """The exactly two maximal-tier subgroups containing a medium one."""
     if h.tier != MEDIUM:
@@ -115,16 +143,39 @@ def containing_maximals(h: CSubgroup) -> list[CSubgroup]:
 # -- the join decision ---------------------------------------------------------
 
 
-def _edge_cosets(h: CSubgroup, label: int) -> set[GroupElement]:
+def _splice_index(p: Presentation, word: tuple[Syllable, ...], v: int) -> int:
+    """Where pushing a syllable of vertex v onto ``word`` inserts it, when the
+    push merges nothing: before the leftmost syllable of greater vertex
+    after the last one that blocks v, or at the end (see ``_push_all``)."""
+    block = p.blocks[v]
+    j = len(word)
+    for k in range(len(word) - 1, -1, -1):
+        u = word[k].vertex
+        if u in block:
+            break
+        if u > v:
+            j = k
+    return j
+
+
+def _edge_cosets(h: CSubgroup, label: int) -> list[GroupElement]:
     """Coset reps of the edges labelled ``label`` at the X-vertex encoded by a
     medium subgroup; ``label`` is one of its two defining vertices.  They are
     c·x for x in G_other: no window syllable strips off the right of the
-    minimal conjugator c, and ``label`` commutes with ``other``."""
+    minimal conjugator c, and ``label`` commutes with ``other``.
+
+    So no syllable of c at ``other`` commutes with everything after it (the
+    strip would remove it), and pushing (other, x) onto c's word merges
+    nothing: x is spliced in at an index that depends on c and ``other``
+    alone (``_splice_index``), the rule by which ``enumerate_ball_elements``
+    appends.  Each c·x is written out, not multiplied."""
     p = h.presentation
     other = (h.base + 1) % p.n if label == h.base else h.base
     c = h.conjugator
-    return {mul(c, GroupElement(p, (Syllable(other, x),) if x else ()))
-            for x in p.group(other).elements()}
+    k = _splice_index(p, c.word, other)
+    head, tail = c.word[:k], c.word[k:]
+    return [c] + [GroupElement(p, head + (Syllable(other, x),) + tail)
+                  for x in p.group(other).nontrivial_elements()]
 
 
 def shared_edge(h1: CSubgroup, h2: CSubgroup) -> Optional[tuple[int, GroupElement]]:
@@ -236,10 +287,14 @@ def _winding_cycles(up: Mapping, starts: list, n: int) -> list[tuple]:
 def build_script_X_ball(b: ComplexBall) -> ScriptXBall:
     """Rebuild the ball's 1-skeleton (plus filled n-cycles) from subgroup data.
 
-    Arcs come from a hash join: each node's edge cosets, for both of its
-    labels, are bucketed by ``(label, edge coset rep)``.  An edge has two
-    ends, so a bucket holds at most two nodes, and ``join_is_cmaximal``
-    confirms each pair.
+    The nodes are the ball's mediums, encoded once per ball
+    (``vertex_mediums``) and shared with ``phi_iso_check`` and the join
+    audits.  Arcs come from a hash join: each node's edge cosets, for both
+    of its labels, are bucketed by ``(label, word of the edge coset rep)``.
+    Each rep is the node's conjugator with one syllable spliced in
+    (``_edge_cosets``), so no product is taken.  An edge has two ends, so a
+    bucket holds at most two nodes, and ``join_is_cmaximal`` confirms each
+    pair.
 
     Faces are the closed n-step walks from a base-0 node along arcs to the
     next base.  An arc labelled i joins bases i - 1 and i, so such a walk
@@ -262,20 +317,20 @@ def build_script_X_ball(b: ComplexBall) -> ScriptXBall:
     p = b.presentation
     n = p.n
     sx = ScriptXBall(presentation=p)
-    sx.nodes = [medium_of_vertex(v) for v in b.vertices]
+    sx.nodes = list(vertex_mediums(b).values())
     if len(set(sx.nodes)) != len(sx.nodes):
         raise ValidationError("subgroup encodings collide: ball is inconsistent")
 
-    ends: dict[tuple[int, GroupElement], list[CSubgroup]] = {}
+    ends: dict[tuple[int, tuple[Syllable, ...]], list[CSubgroup]] = {}
     for h in sx.nodes:
         for label in (h.base, (h.base + 1) % n):
             for rep in _edge_cosets(h, label):
-                ends.setdefault((label, rep), []).append(h)
+                ends.setdefault((label, rep.word), []).append(h)
     up: dict[CSubgroup, set[CSubgroup]] = {h: set() for h in sx.nodes}
-    for (label, rep), bucket in ends.items():
+    for (label, word), bucket in ends.items():
         if len(bucket) > 2:
             raise InvariantError(
-                f"edge {label}|{format_word(rep)} has more than two ends",
+                f"edge {label}|{format_word(GroupElement(p, word))} has more than two ends",
                 sorted(h.key_string() for h in bucket))
         if len(bucket) == 2:
             ok, m = join_is_cmaximal(*bucket)
@@ -310,7 +365,7 @@ def phi_iso_check(b: ComplexBall, seed: int = 0, samples: int = 50) -> Report:
     """The coset-to-conjugate map is an equivariant isomorphism on interior
     cells.  A collision, which the rebuild refuses, ends the check."""
     report = Report()
-    encode = {v: medium_of_vertex(v) for v in b.vertices}
+    encode = vertex_mediums(b)
     preimages: dict[CSubgroup, list[ComplexVertex]] = {}
     for v, h in encode.items():
         preimages.setdefault(h, []).append(v)
@@ -387,7 +442,7 @@ def join_agreement_audit(b: ComplexBall) -> Report:
     report = Report()
     skel = _interior_skeleton(b)
     interior = sorted(skel)
-    encode = {v: medium_of_vertex(v) for v in interior}
+    encode = vertex_mediums(b)
     bad = []
     pairs = 0
     for u, w in itertools.combinations(interior, 2):

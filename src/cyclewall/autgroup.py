@@ -396,7 +396,7 @@ def aut_decompose(p: Presentation, images: Sequence[Sequence[GroupElement]]) -> 
     three-vertex parabolic per vertex, and intersecting those cosets pins g
     down uniquely, as the maximal windows of all n >= 5 base vertices have no
     vertex in common.  The result is verified against all images before
-    return, by comparing them with its own ``generator_images``.
+    return (see the last paragraph).
 
     The images are read through one lemma (Green's normal form, *Graph
     products of groups*, 1990).  Let s = (v, y) be a syllable and g an
@@ -435,6 +435,13 @@ def aut_decompose(p: Presentation, images: Sequence[Sequence[GroupElement]]) -> 
     w = c_i^-1·g is t_w times an element of the free product of G_{j-1}
     and G_{j+1}, with t_w the value that ``star_split(g, j)`` strips, and
     g^-1·h·g = w^-1·m·w is the syllable (j, t_w^-1·m·t_w), computed in G_j.
+
+    By the lemma again, the result's image of that generator is the word of
+    u_j = ``star_split(g, j)``'s part, the syllable (j, t_w·(t_w^-1·m·t_w)·
+    t_w^-1) = m, then u_j^-1's word; h is c_i's word, m, then c_i^-1's.  So
+    the result's images are the given ones exactly when u_j = c_i for every
+    i, and only when one differs are its ``generator_images`` compared with
+    the images, to name the first that disagrees.
     """
     p.require_finite()
     n = p.n
@@ -488,10 +495,12 @@ def aut_decompose(p: Presentation, images: Sequence[Sequence[GroupElement]]) -> 
         g, S = hit
 
     isos = []
+    agrees = True   # whether every u_j read so far is c_i
     for i in range(n):
         j = sigma(i)
         src, dst = p.group(i), p.group(j)
-        tw = star_split(g, j)[1]
+        u, tw = star_split(g, j)
+        agrees = agrees and u.word == conjugators[i].word
         twi = dst.inv(tw)
         mapping = [0] * src.size
         for x, h, m in zip(generator_values(p, i), images[i], middles[i]):
@@ -509,6 +518,8 @@ def aut_decompose(p: Presentation, images: Sequence[Sequence[GroupElement]]) -> 
                 f"{exc}", mapping) from None
 
     a = AutElement(g, LocalAut(sigma, tuple(isos)))
+    if agrees:
+        return a
     for i, row in enumerate(generator_images(a)):
         for x, h, got in zip(generator_values(p, i), images[i], row):
             if got != h:

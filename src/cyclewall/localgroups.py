@@ -70,11 +70,15 @@ class LocalGroupSpec:
     # table only: inverses[a] is the inverse of a
     inverses: Optional[tuple[int, ...]] = field(
         default=None, init=False, compare=False, hash=False, repr=False)
+    # finite only: elements whose products give every element (1 for Z/k)
+    generators: Optional[tuple[int, ...]] = field(
+        default=None, init=False, compare=False, hash=False, repr=False)
 
     def __post_init__(self):
         if self.kind == "cyclic":
             if self.order is None or self.order < 2:
                 raise ValidationError("cyclic group needs order >= 2")
+            object.__setattr__(self, "generators", (1,))
         elif self.kind == "table":
             if self.table is None:
                 raise ValidationError("table group needs a multiplication table")
@@ -83,6 +87,7 @@ class LocalGroupSpec:
                 row.index(IDENTITY) for row in self.table))
             if self.names is not None and len(self.names) != len(self.table):
                 raise ValidationError("names do not match table size")
+            object.__setattr__(self, "generators", tuple(_generating_sequence(self)))
         elif self.kind == "integers":
             pass
         else:
@@ -170,10 +175,17 @@ class LocalIso:
                 raise ValidationError("mapping is not a bijection onto the target")
             if m[IDENTITY] != IDENTITY:
                 raise ValidationError("mapping does not fix the identity")
-            for a in self.source.elements():
-                for b in self.source.elements():
-                    if m[self.source.mul(a, b)] != self.target.mul(m[a], m[b]):
-                        raise ValidationError(f"mapping is not a homomorphism at ({a},{b})")
+            # m(a·s) = m(a)·m(s) for every a and every generator s gives
+            # m(a·b) = m(a)·m(b) for all a, b, by induction on a word for b in
+            # the generators; a failure is located by the scan of all pairs
+            src, dst = self.source, self.target
+            if any(m[src.mul(a, s)] != dst.mul(m[a], m[s])
+                   for a in src.elements() for s in src.generators):
+                for a in src.elements():
+                    for b in src.elements():
+                        if m[src.mul(a, b)] != dst.mul(m[a], m[b]):
+                            raise ValidationError(
+                                f"mapping is not a homomorphism at ({a},{b})")
 
     def __hash__(self) -> int:
         # -1 for None, whose hash is an address before Python 3.12
@@ -272,7 +284,7 @@ def isomorphisms(src: LocalGroupSpec, dst: LocalGroupSpec) -> list[LocalIso]:
             f"automorphism search capped at order {DEFAULT_AUT_ORDER_CAP}, "
             f"got {src.size}")
 
-    gens = _generating_sequence(src)
+    gens = src.generators
     candidates = [[y for y in dst.nontrivial_elements()
                    if dst.element_order(y) == src.element_order(x)]
                   for x in gens]

@@ -62,6 +62,7 @@ from .algebraic import (
     containing_maximals,
     join_is_cmaximal,
     medium_of_vertex,
+    vertex_mediums,
     window_of,
 )
 from .davis import ComplexBall, ComplexEdge, ComplexVertex, subdivide
@@ -647,16 +648,17 @@ def wall_no_shared_polygon_audit(b: ComplexBall) -> Report:
 def vertex_stabilizer_criterion_audit(b: ComplexBall) -> Report:
     """stab(v) stabilizes T exactly when v lies on T.
 
-    Decided exactly: stab(v) is the medium of v, and it lies in the wall's
-    stabilizer, the maximal ``T.stabilizer``, exactly when that maximal is
-    one of the two containing the medium.
+    Decided exactly: stab(v) is the medium of v (``vertex_mediums``), and it
+    lies in the wall's stabilizer, the maximal ``T.stabilizer``, exactly
+    when that maximal is one of the two containing the medium.
     """
     report = Report()
     walls = [(T, T.stabilizer) for T in walls_of_ball(b)]
+    encode = vertex_mediums(b)
     bad = []
     checked = 0
     for v in sorted(b.interior_vertices):
-        maximals = containing_maximals(medium_of_vertex(v))
+        maximals = containing_maximals(encode[v])
         for T, stab_T in walls:
             checked += 1
             stabilizes = stab_T in maximals
@@ -671,10 +673,12 @@ def adjacency_criterion_audit(b: ComplexBall) -> Report:
     """Two wall vertices generate the whole wall stabilizer exactly when they
     are adjacent on the wall.
 
-    Decided exactly: the vertices' mediums must join to a maximal
-    (``join_is_cmaximal``), and that maximal must be the wall's stabilizer.
+    Decided exactly: the vertices' mediums (``vertex_mediums``) must join to
+    a maximal (``join_is_cmaximal``), and that maximal must be the wall's
+    stabilizer.
     """
     report = Report()
+    encode = vertex_mediums(b)
     bad = []
     checked = 0
     for T in walls_of_ball(b):
@@ -682,7 +686,7 @@ def adjacency_criterion_audit(b: ComplexBall) -> Report:
         stab_T = T.stabilizer
         edge_pairs = {frozenset(e.ends) for e in T.edges}
         for x, y in itertools.combinations(verts, 2):
-            joined, maximal = join_is_cmaximal(medium_of_vertex(x), medium_of_vertex(y))
+            joined, maximal = join_is_cmaximal(encode[x], encode[y])
             generates = joined and maximal == stab_T
             adjacent = frozenset({x, y}) in edge_pairs
             checked += 1

@@ -58,7 +58,9 @@ minimal rep of c2^-1·c1 modulo S1 is supported on S2.
 
 The shared-edge oracle intersects the edge cosets of both labels of both
 vertices, instead of reading the one word c2^-1·c1 for the one label their
-bases allow.
+bases allow.  The edge-coset oracle multiplies a medium's conjugator by
+every element of the other window vertex's group, instead of splicing the
+syllable into the conjugator's word.
 
 The cyclic-reduction oracle conjugates the word by every front syllable in
 turn and keeps the first conjugate that is shorter, instead of asking which
@@ -113,7 +115,8 @@ element: its symmetry and its isomorphisms at the word's support), instead
 of a product read off its syllable values; and find
 the isomorphisms between two vertex groups by a recursive search that prunes
 each partial assignment of generator images with ``_close``, instead of one
-product over all of them.
+product over all of them.  The homomorphism oracle tests a value map on
+every pair of elements, instead of on each element times a generator.
 
 The parsing oracle reads each token of a word by ``startswith``, ``partition``
 and two ``int`` calls, the parser ``words.parse_word`` keeps only for tokens
@@ -735,6 +738,16 @@ def _edge_cosets_both_labels(h) -> dict:
     return out
 
 
+def edge_cosets_by_products(h, label) -> set:
+    """``algebraic._edge_cosets`` as the products c·x, for x in the group of
+    the window vertex other than ``label``."""
+    p = h.presentation
+    other = (h.base + 1) % p.n if label == h.base else h.base
+    c = h.conjugator
+    return {mul(c, GroupElement(p, (Syllable(other, x),) if x else ()))
+            for x in p.group(other).elements()}
+
+
 def shared_edge_both_labels(h1, h2):
     """``algebraic.shared_edge`` by intersecting the edge cosets of every
     label the two vertices have in common."""
@@ -1220,3 +1233,14 @@ def aut_decompose_by_reduction(p: Presentation, images) -> AutElement:
                     f"generator {x} at vertex {i}",
                     {"expected": format_word(h), "got": format_word(got)})
     return a
+
+
+def homomorphism_error_by_scan(source, target, mapping):
+    """The error ``LocalIso(source, target, mapping)`` raises on a bijection
+    that fixes the identity, or None: the first pair (a, b), in row order,
+    with mapping[a·b] != mapping[a]·mapping[b]."""
+    for a in source.elements():
+        for b in source.elements():
+            if mapping[source.mul(a, b)] != target.mul(mapping[a], mapping[b]):
+                return f"mapping is not a homomorphism at ({a},{b})"
+    return None

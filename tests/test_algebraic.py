@@ -18,11 +18,14 @@ from cyclewall.algebraic import (
     medium_of_vertex,
     phi_iso_check,
     shared_edge,
+    vertex_mediums,
+    _edge_cosets,
     _induced_n_cycles,
 )
 from cyclewall.cli import algebraic_suite
 from cyclewall.davis import EDGE, ComplexVertex, build_ball, x_vertex
 from cyclewall.errors import InvariantError, ValidationError
+from cyclewall.walls import adjacency_criterion_audit, vertex_stabilizer_criterion_audit
 from cyclewall.localgroups import cyclic_group, integers_group
 from cyclewall.words import (
     Presentation,
@@ -35,6 +38,7 @@ from cyclewall.words import (
 from oracles import (
     bucket_pairs,
     closure_join,
+    edge_cosets_by_products,
     parabolic_normalizer,
     phi_edge_mismatches_by_pairs,
     script_x_arcs_by_pairs,
@@ -279,6 +283,51 @@ def test_rebuild_cycles_match_unrestricted_search(rebuilt):
     b, sx = rebuilt
     assert sx.cycles == _induced_n_cycles(script_x_graph(sx), sx.presentation.n)
     assert len(sx.cycles) == len(b.polygons)
+
+
+def test_edge_cosets_are_the_products(rebuilt):
+    """Splicing the other window syllable into a medium's conjugator writes
+    out the products c·x, each once, for every node and both labels."""
+    b, sx = rebuilt
+    for h in sx.nodes:
+        for label in (h.base, (h.base + 1) % sx.presentation.n):
+            reps = _edge_cosets(h, label)
+            assert len(set(reps)) == len(reps)
+            assert set(reps) == edge_cosets_by_products(h, label), \
+                (h.key_string(), label)
+
+
+def test_subgroup_hash_is_the_field_tuple_hash(rebuilt):
+    """A CSubgroup hashes as the dataclass hash of its compared fields, so no
+    set or dict of them changes order."""
+    b, sx = rebuilt
+    for h in sx.nodes:
+        for k in [h, *containing_maximals(h)]:
+            assert hash(k) == hash((k.tier, k.base, k.conjugator))
+    for m in sx.arcs.values():
+        assert hash(m) == hash((m.tier, m.base, m.conjugator))
+
+
+def test_mediums_are_encoded_once_per_ball(c5_z2, monkeypatch):
+    """The rebuild, the phi check (without equivariance samples, which encode
+    moved vertices), the join audit and both walls audits that read mediums
+    share one encoding of each vertex."""
+    encoded = []
+    encode = algebraic.medium_of_vertex
+
+    def counting(v):
+        encoded.append(v)
+        return encode(v)
+
+    monkeypatch.setattr(algebraic, "medium_of_vertex", counting)
+    b = build_ball(c5_z2, 2)
+    build_script_X_ball(b)
+    assert phi_iso_check(b, samples=0).ok
+    assert join_agreement_audit(b).ok
+    assert vertex_stabilizer_criterion_audit(b).ok
+    assert adjacency_criterion_audit(b).ok
+    assert encoded == b.vertices
+    assert list(vertex_mediums(b)) == b.vertices
 
 
 def _assert_phi_edge_row_matches_pair_oracle(b, sx):

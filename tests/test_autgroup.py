@@ -41,6 +41,7 @@ from cyclewall.words import (
     Syllable,
     enumerate_ball_elements,
     format_word,
+    from_syllable,
     identity,
     inv,
     mul,
@@ -502,6 +503,41 @@ def test_decompose_rejects_a_later_image_off_the_template(c5_s3, image, message,
     with pytest.raises(DecompositionError) as err:
         aut_decompose(p, images)
     assert (str(err.value), err.value.witness) == (message, witness)
+
+
+def test_decompose_reports_a_wrong_inner_part_by_its_first_wrong_image(c5_z3, monkeypatch):
+    """When the inner part comes out wrong, here v0:1 for the identity, the
+    images disagree where its strip differs from the image's conjugator,
+    outside the star of vertex 0: the first is generator 1 at vertex 2."""
+    intersect = autgroup.coset_intersection
+
+    def wrong_at_the_end(c1, S1, c2, S2):
+        hit = intersect(c1, S1, c2, S2)
+        if hit is not None and hit[0].is_identity and not hit[1]:
+            return from_syllable(c5_z3, 0, 1), hit[1]
+        return hit
+
+    monkeypatch.setattr(autgroup, "coset_intersection", wrong_at_the_end)
+    with pytest.raises(DecompositionError) as err:
+        aut_decompose(c5_z3, generator_images(aut_identity(c5_z3)))
+    assert str(err.value) == ("reconstructed automorphism disagrees with the "
+                              "image of generator 1 at vertex 2")
+    assert err.value.witness == {"expected": "v2:1", "got": "v0:1 v2:1 v0:2"}
+
+
+def test_decompose_writes_no_images_when_every_strip_is_the_conjugator(c5_s3, monkeypatch):
+    """An accepted decomposition is checked by comparing words it already
+    holds, without writing out its own generator images."""
+    rng = random.Random(5)
+    auts = [random_aut(c5_s3, rng) for _ in range(20)]
+    cases = [(a, generator_images(a)) for a in auts]
+
+    def refuse(a):
+        raise AssertionError("generator images written out")
+
+    monkeypatch.setattr(autgroup, "generator_images", refuse)
+    for a, images in cases:
+        assert aut_decompose(c5_s3, images) == a
 
 
 # -- the witness ---------------------------------------------------------------

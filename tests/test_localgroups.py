@@ -9,7 +9,10 @@ import pytest
 
 from cyclewall.errors import ValidationError
 from cyclewall.localgroups import (
+    IDENTITY,
     LocalGroupSpec,
+    LocalIso,
+    _close,
     _generating_sequence,
     cyclic_group,
     determining_set,
@@ -19,7 +22,7 @@ from cyclewall.localgroups import (
     table_group,
 )
 
-from oracles import isomorphisms_by_search, s3_table_group
+from oracles import homomorphism_error_by_scan, isomorphisms_by_search, s3_table_group
 
 
 def test_cyclic_mul_is_modular_addition():
@@ -166,6 +169,42 @@ def test_generating_sequence_of_cyclic_groups_is_one():
     for k in range(2, 13):
         assert _generating_sequence(cyclic_group(k)) == [1]
     assert _generating_sequence(s3_table_group()) == [1, 2]
+
+
+@pytest.mark.parametrize("name", sorted(_ZOO))
+def test_generators_generate(name):
+    """A finite group's stored generators reach every element, and are the
+    greedy generating list."""
+    g = _ZOO[name]
+    if not g.is_finite:
+        assert g.generators is None
+        return
+    assert g.generators == tuple(_generating_sequence(g))
+    assert len(_close(g, g, {s: s for s in g.generators})) == g.size
+
+
+def test_huge_cyclic_group_builds_no_generating_list():
+    assert cyclic_group(10 ** 12).generators == (1,)
+
+
+@pytest.mark.parametrize("group", [s3_table_group(), cyclic_group(4)],
+                         ids=["S3", "Z/4"])
+def test_local_iso_accepts_and_rejects_as_the_full_scan(group):
+    """On every bijection of the group that fixes the identity, testing each
+    element times a generator accepts what testing every pair accepts, and
+    rejects the rest naming the same first failing pair."""
+    accepted = 0
+    for rest in itertools.permutations(group.nontrivial_elements()):
+        mapping = (IDENTITY, *rest)
+        try:
+            LocalIso(group, group, mapping=mapping)
+            got = None
+        except ValidationError as exc:
+            got = str(exc)
+        assert got == homomorphism_error_by_scan(group, group, mapping), mapping
+        accepted += got is None
+    assert accepted == len(isomorphisms(group, group))
+    assert 0 < accepted < len(list(itertools.permutations(group.nontrivial_elements())))
 
 
 def test_identity_iso_roundtrip():
