@@ -84,6 +84,7 @@ class CSubgroup:
     window: frozenset[int] = field(init=False, compare=False, repr=False)
     # computed once: the hash of the field tuple, (tier, base, conjugator)
     _hash: int = field(init=False, compare=False, repr=False)
+    _inverse: Optional[GroupElement] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.tier not in _TIER_OFFSETS:
@@ -108,6 +109,13 @@ class CSubgroup:
 
     def key_string(self) -> str:
         return f"{self.tier}|{self.base}|{format_word(self.conjugator)}"
+
+    @property
+    def conjugator_inverse(self) -> GroupElement:
+        """The conjugator's inverse, computed on first use."""
+        if self._inverse is None:
+            object.__setattr__(self, "_inverse", inv(self.conjugator))
+        return self._inverse
 
     def conjugated(self, g: GroupElement) -> "CSubgroup":
         """The subgroup g * self * g^-1."""
@@ -199,7 +207,7 @@ def shared_edge(h1: CSubgroup, h2: CSubgroup) -> Optional[tuple[int, GroupElemen
         lo, hi = h2, h1
     else:
         return None
-    word = mul(inv(hi.conjugator), lo.conjugator).word
+    word = mul(hi.conjugator_inverse, lo.conjugator).word
     if word and word[-1].vertex == lo.base:
         word = word[:-1]  # x^-1
     if len(word) > 1 or (word and word[0].vertex != (hi.base + 1) % n):

@@ -14,6 +14,8 @@ import json
 import os
 import random
 import sys
+from array import array
+from math import isqrt
 from typing import Iterable, Optional
 
 from . import algebraic, davis, diagrams, walls
@@ -197,12 +199,16 @@ def walls_suite(b: davis.ComplexBall, depth: int, seed: int) -> Report:
     report.extend(walls.hyperplane_treewall_audit(davis.subdivide(b)))
     report.extend(walls.vertex_stabilizer_criterion_audit(b))
     report.extend(walls.adjacency_criterion_audit(b))
-    rng = random.Random(seed)
-    pairs = list(itertools.combinations(cg.walls, 2))
-    rng.shuffle(pairs)
-    for k1, k2 in pairs[:25]:
-        report.extend(walls.classify_pair(
-            b, cg, cg.walls[k1], cg.walls[k2], depth))
+    # 25 pairs of walls, drawn as the shuffle of the list of all pairs would
+    # draw them: its draws depend on the length alone, so the ranks of the
+    # pairs in combinations order are shuffled instead, and each is unranked
+    ws, w = list(cg.walls.values()), len(cg.walls)
+    ranks = array("I", range(w * (w - 1) // 2))
+    random.Random(seed).shuffle(ranks)
+    for m in ranks[:25]:
+        i = w - 2 - (isqrt(8 * (len(ranks) - 1 - m) + 1) - 1) // 2   # pair m is (i, j)
+        j = m - i * (2 * w - i - 1) // 2 + i + 1
+        report.extend(walls.classify_pair(b, cg, ws[i], ws[j], depth))
     return report
 
 
@@ -296,7 +302,7 @@ def cmd_reduce(args) -> int:
 def cmd_ball(args) -> int:
     p = load_presentation(args.presentation)
     export = davis.iter_ball_json if args.format == "json" else davis.iter_ball_dot
-    _write(args.output, export(davis.build_ball(p, args.radius), args.subdivide))
+    _write(args.output, export(davis.ball_table(p, args.radius), args.subdivide))
     return EXIT_PASS
 
 

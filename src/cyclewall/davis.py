@@ -17,24 +17,28 @@ The X-keys are ``coset_rep(g, {i, i+1})`` and ``coset_rep(g, {i})``, read
 off the word's last syllables (``words.maximal_syllables``): a reduced word
 has at most two maximal syllables (they commute pairwise, and a clique of
 C_n, n >= 5, has at most two vertices), and stripping one of vertex i or
-i+1 makes no other one maximal.  So ``build_ball`` computes no coset rep.
-A corner or side keyed by g itself is new; any other lies on the polygon
-of g without one of those syllables, a shorter word whose polygon was
-built first, and is taken from it.
+i+1 makes no other one maximal.  So no coset rep is computed.  A corner or
+side keyed by g itself is new; any other lies on the polygon of g without
+one of those syllables, a shorter word whose polygon came first.
 
-Both forms of a ball share one cell model.  A 2-cell (``Polygon`` or
-``Square``) carries its corners and its ordered sides.  Each vertex and edge
-is listed where it is made and sorted by key once.  The incidence maps
-``vertex_cells`` and ``edge_cells`` (cell -> the 2-cells containing it) and
-``vertex_edges`` are built on first use, so exports, the subdivision, the
-walls and their crossing graph, which read none of them, never build them.
+The ball is listed once as integers (``ball_table``, a ``BallTable``): each
+element of B(r) is numbered by its place in ``(len, word)`` order, a vertex
+is (index, rep number), an X-edge (label, rep number, end vertex ids) and a
+polygon its corners' and its sides' ids.  A new cell takes the next number
+of its index or label, so vertex ids come in key order and edge ids in
+(label, rep) order, the midpoints' key order, with no sort; the edges' key
+order is a sort of integer pairs.  ``build_ball`` makes the cells from the
+table.  A 2-cell (``Polygon`` or ``Square``) carries its corners and its
+ordered sides.  The incidence maps ``vertex_cells`` and ``edge_cells``
+(cell -> the 2-cells containing it) and ``vertex_edges`` are built on first
+use, so exports, the subdivision, the walls and their crossing graph, which
+read none of them, never build them.
 
 Each cell is one object per ball, shared by the 2-cells and maps that hold
 it.  A ``ComplexVertex`` or ``ComplexEdge`` computes its hash and its order
 key once, when it is made; cells still compare by value, so one built
 outside a ball (by ``act_vertex``, say) finds the ball's own in its maps.
-A polygon's side e_i is built from its own corners v_{i-1}, v_i, and every
-edge's ends come in a fixed order: an X-edge's by index, and in the
+Every edge's ends come in a fixed order: an X-edge's by index, and in the
 subdivision an X-vertex before a midpoint before a center.  So only
 ``act_edge`` compares the ends it builds.
 
@@ -48,11 +52,11 @@ length |w| + |S|, so one rule serves both forms: the vertex w<G_S> is
 interior iff |w| + |S| <= r, a labelled edge (an X-edge or a half of one)
 iff |w| + 1 <= r, and a spoke, which lies inside one polygon, always.
 
-Both exports, ``iter_ball_json`` and ``iter_ball_dot``, write X' from the
-polygonal ball's own cells, listed once for both (``_rows``), with no square
-ball built; only the audits build X', with ``subdivide``.  Both stream, in
-chunks of up to 1,024 records or lines, holding only key strings, cell
-reference lists and a rep memo.
+Both exports, ``iter_ball_json`` and ``iter_ball_dot``, read the table
+alone (``_rows``) and make no cell object: each element's word is
+formatted once, every vertex and midpoint key string has a list slot, and
+X' is written with no square ball built; only the audits build X', with
+``subdivide``.  Both stream, in chunks of up to 1,024 records or lines.
 
 The link audits read each interior vertex's link as a plain adjacency dict
 (incident edge -> the incident edges it shares a 2-cell corner with), whose
@@ -65,9 +69,10 @@ from __future__ import annotations
 
 import operator
 import os
+from array import array
 from dataclasses import dataclass, field
-from itertools import chain, islice
-from typing import Iterable, Iterator, Mapping, Optional
+from itertools import accumulate, chain, cycle, islice, repeat
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .errors import (
     BoundaryCellError,
@@ -124,7 +129,7 @@ class ComplexVertex:
         return self._key < other._key
 
     def key_string(self) -> str:
-        return _vertex_key(self.cls, self.index, format_word(self.rep))
+        return f"{self.cls}|{'' if self.index is None else self.index}|{format_word(self.rep)}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,12 +160,6 @@ class ComplexEdge:
     def key_string(self) -> str:
         label = "" if self.label is None else self.label
         return f"{label}|{self.ends[0].key_string()}--{self.ends[1].key_string()}"
-
-
-def _vertex_key(cls: str, index: Optional[int], rep: str) -> str:
-    """A vertex's key string, from its class, index and formatted rep."""
-    idx = "" if index is None else str(index)
-    return f"{cls}|{idx}|{rep}"
 
 
 # 2-cells are built once per ball and compare by identity, so they hash cheaply
@@ -260,12 +259,6 @@ def x_vertex(p: Presentation, g: GroupElement, i: int) -> ComplexVertex:
     return ComplexVertex(POLY, i, coset_rep(g, (i, (i + 1) % p.n)))
 
 
-def _side_ends(prev: ComplexVertex, at: ComplexVertex, i: int):
-    """The ends of the X-edge gG_i, which joins prev = g(G_{i-1} x G_i) and
-    at = g(G_i x G_{i+1}), in key order: by index, so prev first unless i = 0."""
-    return (prev, at) if i else (at, prev)
-
-
 def act_vertex(h: GroupElement, v: ComplexVertex) -> ComplexVertex:
     moved = mul(h, v.rep)
     if v.cls == TRIVIAL:
@@ -294,9 +287,43 @@ def _memory_budget_mb() -> Optional[int]:
         raise ValidationError(f"CYCLEWALL_MEM_MB must be an integer, got {raw!r}") from None
 
 
-def build_ball(p: Presentation, r: int) -> ComplexBall:
-    """Sub-complex of X spanned by polygons g.P with syllable length(g) <= r,
-    within the ``CYCLEWALL_MEM_MB`` budget when that is set."""
+class BallTable(NamedTuple):
+    """The polygonal ball B(r) listed as integers, in flat ``array``s of
+    fixed-width records (read with ``_records``).
+
+    ``reps`` holds B(r) in ``(len, word)`` order; an element's rep number is
+    its place there.  A vertex g(G_i x G_{i+1}) is (i, rep), listed in key
+    order; an X-edge gG_i is (i, rep, end, end), with its end vertex ids in
+    key order, listed in (label, rep) order, the key order of X''s
+    midpoints; ``edge_order`` lists the edge ids in key order.  Polygon k,
+    that of ``reps[k]``, is the record of its corners' vertex ids
+    (v_0 .. v_{n-1}) and then its sides' edge ids (e_0 .. e_{n-1}).
+    """
+
+    presentation: Presentation
+    radius: int
+    reps: list[GroupElement]
+    vertices: array
+    edges: array
+    edge_order: array
+    polygons: array
+
+
+def _records(a: array, width: int) -> Iterator[tuple[int, ...]]:
+    """The consecutive ``width``-tuples of a flat table column."""
+    return zip(*[iter(a)] * width)
+
+
+def ball_table(p: Presentation, r: int) -> BallTable:
+    """The polygonal ball of radius r as a ``BallTable``, within the
+    ``CYCLEWALL_MEM_MB`` budget when that is set.
+
+    A polygon's corner or side keyed by its own element g is new; any other
+    is taken from the polygon of g without a maximal syllable, which came
+    earlier.  A new cell gets the next number of its index (or label), so
+    reps come in order within each, and adding each one's offset gives ids
+    in key order (vertices) and in (label, rep) order (edges), unsorted.
+    """
     if r < 0:
         raise ValidationError("radius must be >= 0")
     p.require_finite()
@@ -310,42 +337,61 @@ def build_ball(p: Presentation, r: int) -> ComplexBall:
             raise ResourceLimitError(
                 f"ball of radius {r} needs ~{estimate_mb:.0f} MiB, budget {mem_mb} MiB")
 
-    ball = ComplexBall(presentation=p, radius=r, form="polygonal")
-    n = p.n
-    # one object per cell, shared by the polygons around it: a cell not keyed
-    # by g itself is taken from the polygon of g without a maximal syllable,
-    # which lies in the same coset and came earlier
-    by_word: dict[tuple, Polygon] = {}
-    vertices, edges = [], []   # each cell once, where it is made
-    for g in reps:   # sorted, so the cells come in key order
+    n, w = p.n, 2 * p.n
+    place = {g.word: k for k, g in enumerate(reps)}
+    made = [[] for _ in range(w)]   # the reps of each index's new vertices, then each label's edges
+    polygons = array("i")           # numbers within an index or label, flat: the collector skips it
+    for k, g in enumerate(reps):
         word = g.word
-        below = {v: by_word[word[:k] + word[k + 1:]]
-                 for v, k in maximal_syllables(p, word)}
-        vs = []
-        for i in range(n):
-            h = below.get(i) or below.get((i + 1) % n)
-            vs.append(h.boundary[i] if h else ComplexVertex(POLY, i, g))
-            if not h:
-                vertices.append(vs[-1])
-        es = []
-        for i in range(n):
-            h = below.get(i)
-            es.append(h.edges[i] if h
-                      else ComplexEdge(_side_ends(vs[i - 1], vs[i], i), i, g))
-            if not h:
-                edges.append(es[-1])
-        ball.polygons[g] = by_word[word] = Polygon(g, tuple(vs), tuple(es))
-    _sort_and_mark(ball, vertices, edges)
+        cells = [None] * w
+        for v, j in maximal_syllables(p, word):
+            h = place[word[:j] + word[j + 1:]] * w
+            u = (v - 1) % n
+            cells[u], cells[v], cells[n + v] = polygons[h + u], polygons[h + v], polygons[h + n + v]
+        for i, c in enumerate(cells):
+            if c is None:
+                cells[i] = len(made[i])
+                made[i].append(k)
+        polygons.extend(cells)
+    # an id is a number plus the count of cells of the indices (or labels) before
+    offsets = [*accumulate(map(len, made[:n - 1]), initial=0),
+               *accumulate(map(len, made[n:-1]), initial=0)]
+    polygons = array("i", map(operator.add, cycle(offsets), polygons))
+    # side i joins corners i-1 and i; by index, i-1 comes first unless i = 0
+    edges = array("i", chain.from_iterable(
+        (i, k, polygons[k * w + i - 1], polygons[k * w + i]) if i else
+        (0, k, polygons[k * w], polygons[k * w + n - 1])
+        for i in range(n) for k in made[n + i]))
+    nv = sum(map(len, made[:n]))
+    codes = [a * nv + b for a, b in zip(edges[2::4], edges[3::4])]   # key order
+    return BallTable(
+        p, r, reps, array("i", chain.from_iterable(
+            chain.from_iterable(zip(repeat(i), ks) for i, ks in enumerate(made[:n])))),
+        edges, array("i", sorted(range(len(codes)), key=codes.__getitem__)), polygons)
+
+
+def build_ball(p: Presentation, r: int) -> ComplexBall:
+    """Sub-complex of X spanned by polygons g.P with syllable length(g) <= r,
+    within the ``CYCLEWALL_MEM_MB`` budget when that is set: the cells of
+    ``ball_table(p, r)``, each one object, shared by the polygons around it.
+    The table is kept on the ball, for its exports."""
+    t = ball_table(p, r)
+    reps, n = t.reps, p.n
+    vertices = [ComplexVertex(POLY, i, reps[k]) for i, k in _records(t.vertices, 2)]
+    edges = [ComplexEdge((vertices[a], vertices[b]), i, reps[k])
+             for i, k, a, b in _records(t.edges, 4)]
+    ball = ComplexBall(p, r, "polygonal", vertices, list(map(edges.__getitem__, t.edge_order)), {
+        g: Polygon(g, tuple(map(vertices.__getitem__, c[:n])), tuple(map(edges.__getitem__, c[n:])))
+        for g, c in zip(reps, _records(t.polygons, 2 * n))})
+    _mark(ball)
+    ball.derived["table"] = t   # what its exports read
     return ball
 
 
-def _sort_and_mark(ball: ComplexBall, vertices, edges) -> None:
-    """Set ``ball``'s vertices and edges, each listed once, sorted by key,
-    and mark the interior: the vertex g<G_S> is interior iff
+def _mark(ball: ComplexBall) -> None:
+    """Mark the interior of ``ball``: the vertex g<G_S> is interior iff
     |rep| + |S| <= r, a labelled edge iff |rep| + 1 <= r, and a spoke
     always."""
-    ball.vertices = sorted(vertices, key=_by_key)
-    ball.edges = sorted(edges, key=_by_key)
     r = ball.radius
     ball.interior_vertices.update(
         v for v in ball.vertices if len(v.rep.word) + _SUBGROUP_RANK[v.cls] <= r)
@@ -388,7 +434,7 @@ def _subdivide(b: ComplexBall) -> ComplexBall:
         center = ComplexVertex(TRIVIAL, None, g)
         vertices.append(center)
         # side i's halves at v_{i-1} and at v_i (its ends are in that order
-        # unless i = 0, see _side_ends)
+        # unless i = 0, see BallTable)
         side_halves = [halves[e] if i else halves[e][::-1]
                        for i, e in enumerate(poly.edges)]
         spokes = [ComplexEdge((h.ends[1], center), None, None) for h, _ in side_halves]
@@ -398,7 +444,8 @@ def _subdivide(b: ComplexBall) -> ComplexBall:
             half1, half2 = side_halves[i][1], side_halves[j][0]   # sides i and j at v_i
             sq.squares.append(Square(g, i, (half1.ends[1], v, half2.ends[1], center),
                                      (half1, half2, spokes[i], spokes[j])))
-    _sort_and_mark(sq, vertices, edges)
+    sq.vertices, sq.edges = sorted(vertices, key=_by_key), sorted(edges, key=_by_key)
+    _mark(sq)
     return sq
 
 
@@ -556,80 +603,86 @@ def _json_list(head: str, records: Iterable[str]) -> Iterator[str]:
     yield "\n  ]" if sep == ",\n    " else head + "[]"
 
 
-def _midpoint_order(e: ComplexEdge) -> tuple:
-    """The key order of the midpoints of X-edges: (label, |rep|, rep)."""
-    return e.label, len(e.rep.word), e.rep.word
+def _midpoint_order(t: BallTable) -> Iterable[int]:
+    """The edge ids in the key order of the midpoints of X-edges,
+    (label, |rep|, rep): the order of the ids themselves."""
+    return range(len(t.edges) // 4)
 
 
-def _rows(b: ComplexBall, square: bool):
-    """The cells of a polygonal ball, or with ``square`` of its subdivision
-    X', as both exports list them: ``(word, key, mid, vertex_rows,
-    edge_rows)``.  ``word(g)`` is g's formatted word in double quotes, as
-    JSON writes it, memoised; ``key`` and ``mid`` map each X-vertex and each
-    X-edge to the key string of the vertex and of the edge's midpoint; the
-    rows, made as they are read, are (class, index, interior, key, rep) per
-    vertex and (end key, end key, interior, label, rep) per edge, with rep
-    ``word``'s text, or ``null`` for a spoke.  The form is checked when it
-    is called.
+def _rows(b: ComplexBall | BallTable, square: bool):
+    """What both exports list of a polygonal ball, or with ``square`` of its
+    subdivision X': ``(t, word, key, mid, center, vertex_rows, edge_rows)``.
+    ``t`` is the table read: ``b`` itself, or a polygonal ball's own (kept
+    by ``build_ball``, or listed once per ball); the form is checked when
+    this is called.  ``word``,
+    ``key``, ``mid`` and ``center`` are lists of strings, each made once:
+    every rep's formatted word in double quotes, as JSON writes it, by rep
+    number; the key string of each vertex and of each X-edge's midpoint, by
+    id; each polygon center's key string, by rep number.  The rows, made as
+    they are read, are (class, index, interior, key, rep) per vertex and
+    (end key, end key, interior, label, rep) per edge, with rep ``null`` for
+    a spoke.  Interior flags come from rep lengths.
 
-    X' is listed from the ball's own cells, with no square ball built, in
-    the key order of the square ball's cells:
+    X' is listed in the key order of the square ball's cells:
 
     * vertices: the X-vertices as in the ball; one ``edge`` midpoint per
-      X-edge, in (label, |rep|, rep) order, interior iff its X-edge is; one
+      X-edge, in ``_midpoint_order``, interior iff its X-edge is; one
       ``trivial`` center per polygon, in polygon order, always interior;
     * edges: the halves, grouped by X-vertex in the ball's order and by
       midpoint within a group, with their X-edge's label, rep and interior
       flag; then the spokes, grouped by midpoint and by polygon within a
       group, with no label or rep, always interior.
     """
-    if b.form != "polygonal":
+    if isinstance(b, BallTable):
+        t = b
+    elif b.form != "polygonal":
         raise ValidationError(
             "the ball exports take a polygonal ball; square=True writes its subdivision")
-    words: dict[tuple, str] = {}   # each rep formatted once
-
-    def word(g: GroupElement) -> str:
-        w = words.get(g.word)
-        if w is None:
-            w = words[g.word] = f'"{format_word(g)}"'
-        return w
-
-    key = {v: _vertex_key(v.cls, v.index, word(v.rep)[1:-1]) for v in b.vertices}
-    vertex_rows = ((v.cls, v.index, v in b.interior_vertices, key[v], word(v.rep))
-                   for v in b.vertices)
+    else:
+        t = b.derive("table", lambda: ball_table(b.presentation, b.radius))
+    n = t.presentation.n
+    text = [format_word(g) for g in t.reps]
+    word = [f'"{w}"' for w in text]
+    # by rep number: whether an X-vertex and an X-edge of that rep are interior
+    inner_v, inner_e = ([len(g.word) + rank <= t.radius for g in t.reps] for rank in (2, 1))
+    vertices = list(_records(t.vertices, 2))
+    key = [f"{POLY}|{i}|{text[k]}" for i, k in vertices]   # as key_string writes them
+    edges = list(_records(t.edges, 4))
+    vertex_rows = ((POLY, i, inner_v[k], key[v], word[k]) for v, (i, k) in enumerate(vertices))
     if not square:
-        return word, key, {}, vertex_rows, (
-            (key[e.ends[0]], key[e.ends[1]], e in b.interior_edges, e.label, word(e.rep))
-            for e in b.edges)
-    sides = sorted(b.edges, key=_midpoint_order)
-    mid = {e: _vertex_key(EDGE, e.label, word(e.rep)[1:-1]) for e in sides}
-    halves = {v: [] for v in b.vertices}   # the X-edges at each X-vertex
-    for e in sides:
-        for v in e.ends:
-            halves[v].append(e)
-    spokes = {e: [] for e in sides}        # the polygons on each X-edge
-    for g, poly in b.polygons.items():
-        for e in poly.edges:
-            spokes[e].append(g)
-    return word, key, mid, chain(
+        return t, word, key, [], [], vertex_rows, (
+            (key[x], key[y], inner_e[k], i, word[k])
+            for i, k, x, y in map(edges.__getitem__, t.edge_order))
+    mid = [f"{EDGE}|{i}|{text[k]}" for i, k, _, _ in edges]
+    center = [f"{TRIVIAL}||{w}" for w in text]
+    order = _midpoint_order(t)
+    halves = [[] for _ in vertices]     # the midpoints next to each X-vertex
+    for e in order:
+        i, k, x, y = edges[e]
+        halves[x].append((mid[e], inner_e[k], i, word[k]))
+        halves[y].append(halves[x][-1])
+    spokes = [[] for _ in edges]        # the polygons on each X-edge
+    for k, c in enumerate(_records(t.polygons, 2 * n)):
+        for e in c[n:]:
+            spokes[e].append(k)
+    return t, word, key, mid, center, chain(
         vertex_rows,
-        ((EDGE, e.label, e in b.interior_edges, mid[e], word(e.rep)) for e in sides),
-        ((TRIVIAL, None, True, _vertex_key(TRIVIAL, None, word(g)[1:-1]), word(g))
-         for g in b.polygons)), chain(
-        ((key[v], mid[e], e in b.interior_edges, e.label, word(e.rep))
-         for v in b.vertices for e in halves[v]),
-        ((mid[e], _vertex_key(TRIVIAL, None, word(g)[1:-1]), True, None, "null")
-         for e in sides for g in spokes[e]))
+        ((EDGE, i, inner_e[k], mid[e], word[k])
+         for e, (i, k, _, _) in zip(order, map(edges.__getitem__, order))),
+        ((TRIVIAL, None, True, c, w) for c, w in zip(center, word))), chain(
+        ((key[v], *half) for v, hs in enumerate(halves) for half in hs),
+        ((mid[e], center[k], True, None, "null") for e in order for k in spokes[e]))
 
 
-def iter_ball_dot(b: ComplexBall, square: bool = False) -> Iterator[str]:
+def iter_ball_dot(b: ComplexBall | BallTable, square: bool = False) -> Iterator[str]:
     """The dot graph of a polygonal ball's 1-skeleton, or with ``square`` of
     its subdivision X', in chunks of up to ``_BATCH`` lines: a line per
     vertex with its interior flag, then a line per edge with its label, in
-    key order, as ``_rows`` lists them (so X' is written with no square ball
-    built).  The form is checked before any chunk is made."""
-    _, _, _, vertex_rows, edge_rows = _rows(b, square)
-    label = {None: ""} | {i: f' [label="{i}"]' for i in range(b.n)}
+    key order, as ``_rows`` lists them from the ball's table, so no cell is
+    read and no square ball built.  ``b`` is a ``BallTable`` or a polygonal
+    ball; the form is checked before any chunk is made."""
+    t, *_, vertex_rows, edge_rows = _rows(b, square)
+    label = {None: ""} | {i: f' [label="{i}"]' for i in range(t.presentation.n)}
     lines = chain(
         ["graph ball {\n"],
         (f'  "{k}" [interior={"true" if inside else "false"}];\n'
@@ -639,23 +692,26 @@ def iter_ball_dot(b: ComplexBall, square: bool = False) -> Iterator[str]:
     return map("".join, _batches(lines))
 
 
-def iter_ball_json(b: ComplexBall, square: bool = False) -> Iterator[str]:
+def iter_ball_json(b: ComplexBall | BallTable, square: bool = False) -> Iterator[str]:
     """The canonical JSON of a polygonal ball, or with ``square`` of its
     subdivision X', in chunks of up to ``_BATCH`` records: the text
     ``json.dumps(doc, indent=2, sort_keys=True)`` gives for the record
-    document, with one fixed layout per record kind.  The form is checked
-    before any chunk is made.
+    document, with one fixed layout per record kind.  ``b`` is a
+    ``BallTable`` or a polygonal ball; the form is checked before any chunk
+    is made.
 
-    The vertices and edges are ``_rows``'s, so X' is written with no square
-    ball built; its squares come in polygon order, corner i of a polygon
-    with corners (the midpoint of side i, v_i, the midpoint of side i+1,
-    the center).  A key string or a formatted word holds only ASCII
-    letters, digits and ``:|- `` (``format_word`` writes ``v<int>:<int>``
-    tokens), which JSON writes as they are, so no string is escaped.
+    All of it is read from the ball's table through ``_rows``, so no cell is
+    read and no square ball built; the squares come in polygon order,
+    corner i of a polygon with corners (the midpoint of side i, v_i, the
+    midpoint of side i+1, the center).  A key string or a formatted word
+    holds only ASCII letters, digits and ``:|- `` (``format_word`` writes
+    ``v<int>:<int>`` tokens), which JSON writes as they are, so no string is
+    escaped.
     """
-    word, key, mid, vertex_rows, edge_rows = _rows(b, square)
+    t, word, key, mid, center, vertex_rows, edge_rows = _rows(b, square)
+    n = t.presentation.n
     sep = '",\n        "'
-    head = f',\n  "radius": {b.radius},\n  "schema": "cyclewall/1",\n'
+    head = f',\n  "radius": {t.radius},\n  "schema": "cyclewall/1",\n'
     return chain(
         _json_list('{\n  "edges": ', (
             f'{{\n      "ends": [\n        "{k0}",\n        "{k1}"\n      ],\n'
@@ -663,16 +719,17 @@ def iter_ball_json(b: ComplexBall, square: bool = False) -> Iterator[str]:
             f'      "key": "{"" if label is None else label}|{k0}--{k1}",\n'
             f'      "label": {"null" if label is None else label},\n      "rep": {rep}\n    }}'
             for k0, k1, inside, label, rep in edge_rows)),
-        _json_list(f',\n  "form": "{"square" if square else "polygonal"}",\n  "n": {b.n},\n'
+        _json_list(f',\n  "form": "{"square" if square else "polygonal"}",\n  "n": {n},\n'
                    '  "polygons": ', (
-            f'{{\n      "boundary": [\n        "{sep.join([key[v] for v in poly.boundary])}"\n'
-            f'      ],\n      "rep": {word(g)}\n    }}' for g, poly in b.polygons.items())),
+            f'{{\n      "boundary": [\n        "{sep.join([key[v] for v in c[:n]])}"\n'
+            f'      ],\n      "rep": {w}\n    }}'
+            for w, c in zip(word, _records(t.polygons, 2 * n)))),
         _json_list(head + '  "squares": ', (
-            f'{{\n      "corner": {i},\n      "corners": [\n        "{mid[poly.edges[i]]}",\n'
-            f'        "{key[v]}",\n        "{mid[poly.edges[(i + 1) % b.n]]}",\n'
-            f'        "{_vertex_key(TRIVIAL, None, word(g)[1:-1])}"\n      ],\n'
-            f'      "polygon": {word(g)}\n    }}'
-            for g, poly in b.polygons.items() for i, v in enumerate(poly.boundary)))
+            f'{{\n      "corner": {i},\n      "corners": [\n        "{mid[c[n + i]]}",\n'
+            f'        "{key[c[i]]}",\n        "{mid[c[n + (i + 1) % n]]}",\n'
+            f'        "{z}"\n      ],\n'
+            f'      "polygon": {w}\n    }}'
+            for w, z, c in zip(word, center, _records(t.polygons, 2 * n)) for i in range(n)))
         if square else (),
         _json_list((",\n" if square else head) + '  "vertices": ', (
             f'{{\n      "class": "{cls}",\n      "index": {"null" if index is None else index},\n'
@@ -682,6 +739,6 @@ def iter_ball_json(b: ComplexBall, square: bool = False) -> Iterator[str]:
         ["\n}"])
 
 
-def ball_to_json(b: ComplexBall, square: bool = False) -> str:
+def ball_to_json(b: ComplexBall | BallTable, square: bool = False) -> str:
     """The text of ``iter_ball_json(b, square)``."""
     return "".join(iter_ball_json(b, square))

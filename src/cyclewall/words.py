@@ -314,7 +314,8 @@ def inv(a: GroupElement) -> GroupElement:
 
 
 def _strippable(p: Presentation, word: Sequence[Syllable], S: Iterable[int]) -> list[int]:
-    """The positions, right to left, of the syllables ``coset_rep`` strips.
+    """The positions, right to left, of the syllables ``coset_rep`` strips,
+    for the vertices S taken mod n.
 
     One scan from the right: a syllable is stripped when its vertex is in S
     and commutes with every kept syllable after it, and it blocks nothing,
@@ -322,9 +323,10 @@ def _strippable(p: Presentation, word: Sequence[Syllable], S: Iterable[int]) -> 
     blocks ``p.blocks`` of its vertex.  The scan stops as soon as every
     vertex of S is blocked.
     """
-    free = set(S)   # the vertices of S that no kept syllable seen blocks
-    out = []
     blocks = p.blocks
+    n = len(blocks)
+    free = {v % n for v in S}   # the vertices of S that no kept syllable seen blocks
+    out = []
     for k in range(len(word) - 1, -1, -1):
         v = word[k].vertex
         if v in free:
@@ -361,7 +363,7 @@ def coset_rep(g: GroupElement, S: Iterable[int]) -> GroupElement:
     every h in ``<G_S>``.
     """
     p = g.presentation
-    stripped = _strippable(p, g.word, (v % p.n for v in S))
+    stripped = _strippable(p, g.word, S)
     if not stripped:
         return g
     word = list(g.word)
@@ -390,8 +392,7 @@ def star_split(g: GroupElement, v: int) -> tuple[GroupElement, int]:
     G_{v+1}, and at most one v-syllable is stripped, so g = u·t·r with r
     commuting with G_v."""
     p = g.presentation
-    n = len(p.groups)
-    stripped = _strippable(p, g.word, ((v - 1) % n, v, (v + 1) % n))
+    stripped = _strippable(p, g.word, (v - 1, v, v + 1))
     word = list(g.word)
     t = IDENTITY
     for k in stripped:   # right to left, as in coset_rep

@@ -175,8 +175,6 @@ from cyclewall.davis import (
     ComplexVertex,
     Polygon,
     _SUBGROUP_RANK,
-    _side_ends,
-    _vertex_key,
     act_edge,
     subdivide,
     x_vertex,
@@ -650,6 +648,12 @@ def coset_rep_reduced(g: GroupElement, S) -> GroupElement:
     return GroupElement(p, heap_canonical_order(p, append_only_reduced(p, word)))
 
 
+def side_ends(prev: ComplexVertex, at: ComplexVertex, i: int):
+    """The ends of the X-edge gG_i, which joins prev = g(G_{i-1} x G_i) and
+    at = g(G_i x G_{i+1}), in key order: by index, so prev first unless i = 0."""
+    return (prev, at) if i else (at, prev)
+
+
 def build_ball_by_coset_reps(p: Presentation, r: int) -> ComplexBall:
     """``davis.build_ball`` by one coset rep per corner and per side of each
     polygon, each cell looked up by its index and its rep's word."""
@@ -669,7 +673,7 @@ def build_ball_by_coset_reps(p: Presentation, r: int) -> ComplexBall:
             rep = coset_rep_by_rescan(g, (i,))
             e = sides.get((i, rep.word))
             if e is None:
-                e = sides[i, rep.word] = ComplexEdge(_side_ends(vs[i - 1], vs[i], i), i, rep)
+                e = sides[i, rep.word] = ComplexEdge(side_ends(vs[i - 1], vs[i], i), i, rep)
             es.append(e)
         ball.polygons[g] = Polygon(g, tuple(vs), tuple(es))
     ball.vertices = sorted(corners.values(), key=ComplexVertex.sort_key)
@@ -1008,7 +1012,7 @@ def ball_to_json_by_dumps(b: ComplexBall) -> str:
     vertices, key = [], {}
     for v in b.vertices:
         rep = word(v.rep)
-        key[v] = _vertex_key(v.cls, v.index, rep)
+        key[v] = v.key_string()
         vertices.append({"key": key[v], "class": v.cls, "index": v.index,
                          "rep": rep, "interior": v in b.interior_vertices})
     doc = {
@@ -1056,7 +1060,7 @@ def x_edge(p: Presentation, g: GroupElement, i: int) -> ComplexEdge:
     """Edge of X for the coset gG_i, joining g(G_{i-1} x G_i) and g(G_i x G_{i+1})."""
     i %= p.n
     rep = coset_rep(g, (i,))
-    return ComplexEdge(_side_ends(x_vertex(p, rep, i - 1), x_vertex(p, rep, i), i), i, rep)
+    return ComplexEdge(side_ends(x_vertex(p, rep, i - 1), x_vertex(p, rep, i), i), i, rep)
 
 
 def enumerate_loc_by_listing(p: Presentation) -> list[LocalAut]:

@@ -31,6 +31,7 @@ from cyclewall.words import (
     Presentation,
     from_syllable,
     identity,
+    mul,
     parabolic_member,
     parse_word,
 )
@@ -328,6 +329,28 @@ def test_mediums_are_encoded_once_per_ball(c5_z2, monkeypatch):
     assert adjacency_criterion_audit(b).ok
     assert encoded == b.vertices
     assert list(vertex_mediums(b)) == b.vertices
+
+
+def test_each_node_conjugator_is_inverted_once(c5_z2, monkeypatch):
+    """The rebuild and the join audit invert a node's conjugator at most
+    once, however many joins the node is in; the inverse is the
+    conjugator's."""
+    inverted = []
+    invert = algebraic.inv
+
+    def counting(g):
+        inverted.append(g)
+        return invert(g)
+
+    monkeypatch.setattr(algebraic, "inv", counting)
+    b = build_ball(c5_z2, 2)
+    build_script_X_ball(b)
+    assert join_agreement_audit(b).ok
+    made = len(inverted)
+    assert join_agreement_audit(b).ok
+    assert 0 < made == len(inverted) <= len(vertex_mediums(b))
+    for h in vertex_mediums(b).values():
+        assert mul(h.conjugator, h.conjugator_inverse) == identity(c5_z2)
 
 
 def _assert_phi_edge_row_matches_pair_oracle(b, sx):

@@ -1,7 +1,9 @@
 import contextlib
 import io
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -18,8 +20,10 @@ from cyclewall.cli import (
     load_presentation,
     main,
     run_suite,
+    walls_suite,
 )
-from cyclewall.errors import ValidationError
+from cyclewall.errors import ResourceLimitError, ValidationError
+from cyclewall.reports import Report
 
 from conftest import presentation_c5_mixed
 
@@ -140,6 +144,36 @@ def test_ball_resource_cap(tmp_path, capsys, monkeypatch):
     assert rc == EXIT_RESOURCE
 
 
+@pytest.mark.parametrize("argv", [[], ["--subdivide"], ["--format", "dot"],
+                                  ["--format", "dot", "--subdivide"]],
+                         ids=["json", "json-square", "dot", "dot-square"])
+def test_ball_command_makes_no_cell_object(argv, capsys, monkeypatch):
+    """``cyclewall ball`` writes the export of the built ball from the
+    ball's integer table alone: with the cell constructors made to raise it
+    still writes the same text, and a zero memory budget still ends it with
+    exit 2 and build_ball's error line."""
+    path = str(Path(__file__).resolve().parent.parent / "perfbench" / "presentations"
+               / "c6_mixed.json")
+    square = "--subdivide" in argv
+    export = davis.iter_ball_dot if "dot" in argv else davis.iter_ball_json
+    want = "".join(export(davis.build_ball(load_presentation(path), 2), square)) + "\n"
+    monkeypatch.setenv("CYCLEWALL_MEM_MB", "0")
+    with pytest.raises(ResourceLimitError) as budget:
+        davis.build_ball(load_presentation(path), 2)
+    monkeypatch.delenv("CYCLEWALL_MEM_MB")
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"made a {type(self).__name__}")
+    for cls in (davis.ComplexVertex, davis.ComplexEdge, davis.Polygon):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    capsys.readouterr()
+    assert main(["ball", "--presentation", path, "--radius", "2", *argv]) == EXIT_PASS
+    assert capsys.readouterr() == (want, "")
+    monkeypatch.setenv("CYCLEWALL_MEM_MB", "0")
+    assert main(["ball", "--presentation", path, "--radius", "2", *argv]) == EXIT_RESOURCE
+    assert capsys.readouterr() == ("", f"error: {budget.value}\n")
+
+
 # -- verify -----------------------------------------------------------------------
 
 
@@ -212,6 +246,25 @@ def test_run_suite_builds_ball_subdivision_and_stabilizers_once(monkeypatch):
     assert calls["subdivide", None] == 1
     per_wall = [n for (name, _), n in calls.items() if name == "stabilizer"]
     assert per_wall and max(per_wall) == 1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_walls_suite_samples_the_pairs_a_shuffled_pair_list_gives(seed, monkeypatch):
+    """The walls suite classifies the first 25 pairs that shuffling the
+    list of all wall pairs with ``Random(seed)`` would give, in that order,
+    though it shuffles their ranks and never lists the pairs."""
+    b = davis.build_ball(presentation_c5_mixed(), 2)
+    cg = walls.crossing_graph(b)
+    pairs = list(itertools.combinations(cg.walls, 2))
+    random.Random(seed).shuffle(pairs)
+    classified = []
+
+    def record(b, cg, T1, T2, depth):
+        classified.append((T1.key, T2.key))
+        return Report()
+    monkeypatch.setattr(walls, "classify_pair", record)
+    walls_suite(b, 2, seed)
+    assert len(pairs) > 25 and classified == pairs[:25]
 
 
 def test_run_suite_diagrams_direct():

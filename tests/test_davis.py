@@ -17,6 +17,7 @@ from cyclewall.davis import (
     TRIVIAL,
     act_edge,
     act_vertex,
+    ball_table,
     ball_to_json,
     build_ball,
     free_face_audit,
@@ -130,6 +131,31 @@ def test_build_ball_matches_the_coset_rep_oracle(name, radius):
     assert (sq.vertex_cells, sq.edge_cells, sq.vertex_edges) == maps
     assert sq.vertices == sorted(maps[2], key=lambda v: v.sort_key())
     assert sq.edges == sorted(maps[1], key=lambda e: e.sort_key())
+
+
+@pytest.mark.parametrize("name,radius", [(name, 2) for name in SIX] + [("c5_z3", 3)])
+def test_ball_table_numbers_the_oracle_cells(name, radius):
+    """The table of a ball, against the oracle's cells: its reps are the
+    ball's elements; its vertices are (index, rep number) in key order; its
+    edges, by id, are (label, rep number, end ids) in (label, |rep|, rep)
+    order, and ``edge_order`` lists them in key order; each polygon is its
+    corners' ids and then its sides' ids."""
+    p = perfbench_presentation(name)
+    t = ball_table(p, radius)
+    oracle = build_ball_by_coset_reps(p, radius)
+    assert t.reps == enumerate_ball_elements(p, radius)
+    number = {g: k for k, g in enumerate(t.reps)}
+    vertex = {v: k for k, v in enumerate(oracle.vertices)}
+    edges = sorted(oracle.edges, key=lambda e: (e.label, e.rep))
+    edge = {e: k for k, e in enumerate(edges)}
+    assert list(zip(t.vertices[::2], t.vertices[1::2])) == [
+        (v.index, number[v.rep]) for v in oracle.vertices]
+    assert list(zip(*[iter(t.edges)] * 4)) == [
+        (e.label, number[e.rep], vertex[e.ends[0]], vertex[e.ends[1]]) for e in edges]
+    assert list(t.edge_order) == [edge[e] for e in oracle.edges]
+    assert list(zip(*[iter(t.polygons)] * (2 * p.n))) == [
+        (*map(vertex.__getitem__, P.boundary), *map(edge.__getitem__, P.edges))
+        for P in oracle.polygons.values()]
 
 
 def test_ball_oracle_catches_cells_read_off_the_last_syllable_alone(c5_mixed, monkeypatch):
@@ -601,6 +627,6 @@ def test_ball_to_json_matches_the_dumps_oracle(name):
 def test_dumps_oracle_catches_midpoints_in_edge_key_order(c5_mixed, monkeypatch):
     """A writer that lists the midpoints in X-edge key order (the ball's
     edge order) instead of (label, |rep|, rep) order fails the comparison."""
-    monkeypatch.setattr(davis, "_midpoint_order", operator.attrgetter("_key"))
+    monkeypatch.setattr(davis, "_midpoint_order", operator.attrgetter("edge_order"))
     assert json_forms_differing_from_the_oracle(c5_mixed, 1) == ["square"]
 
