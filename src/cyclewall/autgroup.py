@@ -431,6 +431,18 @@ def aut_decompose(p: Presentation, images: Sequence[Sequence[GroupElement]]) -> 
     image is cyclically reduced, and a core at v off the template means m
     is no syllable.
 
+    The cosets are intersected in vertex order until the intersected window
+    S is empty (after four of them, as sigma maps consecutive vertices to
+    consecutive ones); from then on the coset g<G_S> is {g}, and each later
+    constraint i is the test ``star_split(g, sigma(i))[0] == c_i``.  It is
+    exact: with S empty, ``coset_intersection`` finds a hit iff the minimal
+    rep of g^-1·c_i modulo star(sigma(i)) is the identity, that is iff g
+    lies in c_i<G_star(sigma(i))>, that is iff g and c_i have one minimal
+    rep modulo that star, which is c_i itself (see above); and it then
+    returns g itself with S still empty.  So the same constraint fails
+    first, with the same error and witness, and the splits are kept for
+    the isomorphisms.
+
     Once g is pinned, it lies in c_i<G_star(j)> with j = sigma(i), so
     w = c_i^-1·g is t_w times an element of the free product of G_{j-1}
     and G_{j+1}, with t_w the value that ``star_split(g, j)`` strips, and
@@ -484,22 +496,29 @@ def aut_decompose(p: Presentation, images: Sequence[Sequence[GroupElement]]) -> 
             list(target)) from None
 
     # g lies in conj_i * <maximal window around sigma(i)> for every i; intersect
+    # until g is pinned, then test membership
     windows = [window_of(n, MAXIMAL, sigma(i)) for i in range(n)]
+    splits = [None] * n   # star_split(g, sigma(i)), for the i tested once g is pinned
     g, S = conjugators[0], windows[0]
     for i in range(1, n):
-        hit = coset_intersection(conjugators[i], windows[i], g, S)
-        if hit is None:
+        if S:
+            hit = coset_intersection(conjugators[i], windows[i], g, S)
+            if hit is not None:
+                g, S = hit
+        else:
+            splits[i] = star_split(g, sigma(i))
+            hit = splits[i][0].word == conjugators[i].word
+        if not hit:
             raise DecompositionError(
                 "conjugator constraints are inconsistent: no single inner "
                 "element matches all vertices", format_word(conjugators[i]))
-        g, S = hit
 
     isos = []
     agrees = True   # whether every u_j read so far is c_i
     for i in range(n):
         j = sigma(i)
         src, dst = p.group(i), p.group(j)
-        u, tw = star_split(g, j)
+        u, tw = splits[i] or star_split(g, j)
         agrees = agrees and u.word == conjugators[i].word
         twi = dst.inv(tw)
         mapping = [0] * src.size

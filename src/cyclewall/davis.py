@@ -414,37 +414,50 @@ def subdivide(b: ComplexBall) -> ComplexBall:
 
 
 def _subdivide(b: ComplexBall) -> ComplexBall:
+    """X' from the ball's table, each cell made once, in the key order that
+    ``_rows`` lists it, so nothing is sorted.  The X-vertices are the
+    ball's own; the midpoints and their halves come in edge-id order
+    (``_midpoint_order``), each half filed under its X-vertex; the centers
+    and their spokes in polygon order, each spoke filed under its midpoint.
+    A POLY vertex sorts before an EDGE midpoint, and that before a TRIVIAL
+    center, so each edge of X' has its ends in key order."""
     p = b.presentation
     n = p.n
+    t = b.derive("table", lambda: ball_table(p, b.radius))
+    reps, vertices = t.reps, b.vertices
     sq = ComplexBall(presentation=p, radius=b.radius, form="square")
     sq.polygons = b.polygons
 
-    vertices, edges = list(b.vertices), []   # each cell once, where it is made
-    # A POLY vertex sorts before an EDGE midpoint, and that before a TRIVIAL
-    # center, so each edge of X' is built with its ends in key order.  The
-    # halves of each X-edge e, at e.ends[0] and at e.ends[1]:
-    halves = {}
-    for e in b.edges:
-        m = ComplexVertex(EDGE, e.label, e.rep)
-        vertices.append(m)
-        halves[e] = tuple(ComplexEdge((v, m), e.label, e.rep) for v in e.ends)
-        edges += halves[e]
+    mids, halves = [], []               # by edge id: the midpoint, its halves at both ends
+    at_vertex = [[] for _ in vertices]  # the halves at each X-vertex, by midpoint
+    for i, k, x, y in _records(t.edges, 4):
+        m = ComplexVertex(EDGE, i, reps[k])
+        pair = (ComplexEdge((vertices[x], m), i, reps[k]),
+                ComplexEdge((vertices[y], m), i, reps[k]))
+        mids.append(m)
+        halves.append(pair)
+        at_vertex[x].append(pair[0])
+        at_vertex[y].append(pair[1])
 
-    for g, poly in b.polygons.items():   # in key order, and so are the squares
+    centers = []
+    at_mid = [[] for _ in mids]         # the spokes at each midpoint, by polygon
+    for g, c in zip(reps, _records(t.polygons, 2 * n)):
         center = ComplexVertex(TRIVIAL, None, g)
-        vertices.append(center)
+        centers.append(center)
+        sides = c[n:]
         # side i's halves at v_{i-1} and at v_i (its ends are in that order
         # unless i = 0, see BallTable)
-        side_halves = [halves[e] if i else halves[e][::-1]
-                       for i, e in enumerate(poly.edges)]
+        side_halves = [halves[e] if i else halves[e][::-1] for i, e in enumerate(sides)]
         spokes = [ComplexEdge((h.ends[1], center), None, None) for h, _ in side_halves]
-        edges += spokes
-        for i, v in enumerate(poly.boundary):
+        for e, spoke in zip(sides, spokes):
+            at_mid[e].append(spoke)
+        for i in range(n):
             j = (i + 1) % n
             half1, half2 = side_halves[i][1], side_halves[j][0]   # sides i and j at v_i
-            sq.squares.append(Square(g, i, (half1.ends[1], v, half2.ends[1], center),
+            sq.squares.append(Square(g, i, (half1.ends[1], vertices[c[i]], half2.ends[1], center),
                                      (half1, half2, spokes[i], spokes[j])))
-    sq.vertices, sq.edges = sorted(vertices, key=_by_key), sorted(edges, key=_by_key)
+    sq.vertices = [*vertices, *mids, *centers]
+    sq.edges = [*chain.from_iterable(at_vertex), *chain.from_iterable(at_mid)]
     _mark(sq)
     return sq
 

@@ -26,9 +26,13 @@ word is ever sorted. Most pushes settle at the last syllable, which the
 push compares first: it merges or cancels there, or is blocked by it and
 appended; only a push that commutes with the last syllable scans further.
 One private loop pushes a whole sequence of syllables, reading the
-presentation's tables once per call; ``mul``, ``inv`` and ``reduce_word``
-all go through it, and ``reduce_word`` checks each value just before its
-syllable is pushed. ``mul`` takes any number of factors and pushes them
+presentation's tables once per call; ``mul``, ``inv``, ``reduce_word`` and
+``parse_word`` all go through it.  The loop takes group elements, none of
+them the identity, and checks nothing: values from outside are checked
+where they come in, by ``reduce_word`` in input order before it pushes
+(skipping identity syllables), and by the token parser before a syllable
+is interned, so ``parse_word`` pushes interned syllables unchecked.
+``mul`` takes any number of factors and pushes them
 all onto one word, so a conjugate ``w * h * w^-1`` is one product; a
 conjugate of one syllable is written out from w's minimal coset rep
 instead (``conjugates``), and ``split_conjugate`` reads it back.  Each
@@ -48,7 +52,13 @@ token instead, through the per-token parser, as ``inv`` falls through to
 ``LocalGroupSpec.inv``: ``Z`` vertices, spellings such as ``v01:1`` and
 every ``ValidationError`` take that path. A second memo, ``_tokens``, maps
 each finite syllable that ``format_word`` has written to its token, under
-the same bound, so a word is written by one lookup per syllable.
+the same bound, so a word is written by one lookup per syllable.  A third,
+``_products``, maps each pair of same-vertex finite syllables that the push
+loop has merged to their product syllable, or to None when they cancel, so
+a merge is one lookup, with no ``LocalGroupSpec.mul`` call and no new
+syllable.  It is filled under the same rule, values in ``values[v]``, so it
+holds at most sum |G_v|^2 pairs; a merge at a ``Z`` vertex is computed
+every time.
 
 Conjugated standard subgroups w<G_S>w^-1 are ``algebraic.CSubgroup`` values,
 the one encoding of them; ``parabolic_member`` tests membership in one by
@@ -60,6 +70,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import total_ordering
 from itertools import chain
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import GroupMismatchError, InfiniteGroupError, ValidationError
@@ -88,6 +99,10 @@ class Presentation:
     # so far.
     _tokens: dict = field(
         init=False, compare=False, hash=False, repr=False)
+    # _products: (Syllable, Syllable) -> their merge, None for the identity,
+    # for the pairs of finite syllables of one vertex merged so far.
+    _products: dict = field(
+        init=False, compare=False, hash=False, repr=False)
 
     def __post_init__(self):
         n = len(self.groups)
@@ -99,6 +114,7 @@ class Presentation:
             g.elements() if g.is_finite else None for g in self.groups))
         object.__setattr__(self, "_interned", {})
         object.__setattr__(self, "_tokens", {})
+        object.__setattr__(self, "_products", {})
 
     @property
     def n(self) -> int:
@@ -171,8 +187,10 @@ class GroupElement:
 # -- reduction and canonical form -------------------------------------------
 
 
-def _push_all(p: Presentation, word: list[Syllable], syllables: Iterable[Syllable],
-              check: bool = False) -> None:
+_MISSING = object()   # no products memo entry
+
+
+def _push_all(p: Presentation, word: list[Syllable], syllables: Iterable[Syllable]) -> None:
     """Multiply a canonical reduced word by each syllable in turn, keeping it so.
 
     Each syllable of vertex v is first set against the last syllable of the
@@ -194,48 +212,45 @@ def _push_all(p: Presentation, word: list[Syllable], syllables: Iterable[Syllabl
     cancelled syllable is maximal in the dependence order, so deleting it
     keeps the least linear extension (see ``coset_rep``).
 
-    With ``check``, each syllable's value is checked against its vertex
-    group just before it is pushed, so a bad value is reported in input
-    order, after the syllables before it were read, and an identity
-    syllable is skipped.  Without it the syllables are known group
-    elements, none of them the identity, as in the words of elements.
+    The syllables are group elements, none of them the identity (callers
+    check outside values first), and a merge reads the presentation's
+    products memo (``_merge``).
     """
-    blocks, groups = p.blocks, p.groups
-    values = p.values if check else None
+    blocks, products = p.blocks, p._products
     append = word.append
     for syl in syllables:
-        v, x = syl
-        if values is not None:
-            allowed = values[v]
-            if allowed is not None and x not in allowed:
-                groups[v].check(x)
-            if x == IDENTITY:
-                continue
         if not word:
             append(syl)
             continue
-        u, y = word[-1]
+        v = syl[0]
+        last = word[-1]
+        u = last[0]
         if u == v:
-            prod = groups[v].mul(y, x)
-            if prod == IDENTITY:
+            prod = products.get((last, syl), _MISSING)
+            if prod is _MISSING:
+                prod = _merge(p, last, syl)
+            if prod is None:
                 del word[-1]
             else:
-                word[-1] = Syllable(v, prod)
+                word[-1] = prod
             continue
         block = blocks[v]
         if u in block:
             append(syl)
             continue
-        last = len(word) - 1
-        j = last if u > v else last + 1
-        for k in range(last - 1, -1, -1):
-            u = word[k][0]
+        end = len(word) - 1
+        j = end if u > v else end + 1
+        for k in range(end - 1, -1, -1):
+            other = word[k]
+            u = other[0]
             if u == v:
-                prod = groups[v].mul(word[k][1], x)
-                if prod == IDENTITY:
+                prod = products.get((other, syl), _MISSING)
+                if prod is _MISSING:
+                    prod = _merge(p, other, syl)
+                if prod is None:
                     del word[k]
                 else:
-                    word[k] = Syllable(v, prod)
+                    word[k] = prod
                 break
             if u in block:
                 word.insert(j, syl)
@@ -246,11 +261,35 @@ def _push_all(p: Presentation, word: list[Syllable], syllables: Iterable[Syllabl
             word.insert(j, syl)
 
 
+def _merge(p: Presentation, a: Syllable, b: Syllable) -> Optional[Syllable]:
+    """The syllable a·b of one vertex, None when it is the identity,
+    memoised when both values are finite group elements."""
+    v, x = a
+    y = b[1]
+    z = p.groups[v].mul(x, y)
+    prod = None if z == IDENTITY else Syllable(v, z)
+    values = p.values[v]
+    if values is not None and x in values and y in values:
+        p._products[a, b] = prod
+    return prod
+
+
 def reduce_word(p: Presentation, syllables: Iterable[Syllable]) -> GroupElement:
-    """Canonical reduced form of an arbitrary syllable sequence."""
-    word: list[Syllable] = []
-    _push_all(p, word, syllables, check=True)
-    return GroupElement(p, tuple(word))
+    """Canonical reduced form of an arbitrary syllable sequence.
+
+    Each value is checked against its vertex group in input order, as the
+    syllables are read, so the first bad one is reported; identity
+    syllables are skipped.  The rest are then pushed (``canonical``)."""
+    values, groups = p.values, p.groups
+    checked = []
+    for s in syllables:
+        v, x = s
+        allowed = values[v]
+        if allowed is not None and x not in allowed:
+            groups[v].check(x)
+        if x != IDENTITY:
+            checked.append(s)
+    return canonical(p, checked)
 
 
 def canonical(p: Presentation, word: Iterable[Syllable]) -> GroupElement:
@@ -626,14 +665,18 @@ def _syllables_of_tokens(p: Presentation, tokens: list[str]) -> Iterator[Syllabl
 def parse_word(p: Presentation, text: str) -> GroupElement:
     """Parse ``v3:2 v1:1`` into a canonical element.
 
-    When the memo holds every token, the syllables are read from it without
-    building a list; otherwise the tokens are parsed lazily, so the first
-    bad token is the one reported."""
+    When the memo holds every token, its syllables, checked when they were
+    interned, are pushed as they are, identity syllables left out;
+    otherwise the tokens are parsed lazily through ``reduce_word``, so the
+    first bad token is the one reported."""
     tokens = text.split()
     memo = p._interned
     if all(map(memo.__contains__, tokens)):
-        return reduce_word(p, map(memo.__getitem__, tokens))
+        return canonical(p, filter(_value, map(memo.__getitem__, tokens)))
     return reduce_word(p, _syllables_of_tokens(p, tokens))
+
+
+_value = itemgetter(1)   # a syllable's value, falsy exactly for the identity
 
 
 def _token(p: Presentation, s: Syllable) -> str:

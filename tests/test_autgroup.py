@@ -445,6 +445,7 @@ def test_decompose_matches_reducing_every_image(name):
     messages = " ".join(o[1] for o in outcomes if isinstance(o, tuple))
     assert sum(isinstance(o, AutElement) for o in outcomes) >= 45
     assert "is not conjugate to a syllable" in messages
+    assert "conjugator constraints are inconsistent" in messages
     if any(g.size > 2 for g in p.groups):   # a row with a later image
         assert "land in different vertex groups" in messages
 
@@ -456,6 +457,20 @@ def test_decompose_match_fails_when_the_fast_path_skips_the_vertex_check(monkeyp
     source = textwrap.dedent(inspect.getsource(autgroup.aut_decompose))
     mutated = source.replace("elif target[i] != vertex:",
                              "elif c is not pair[0] and target[i] != vertex:")
+    assert mutated != source
+    namespace = dict(vars(autgroup))
+    exec(compile(mutated, autgroup.__file__, "exec"), namespace)
+    monkeypatch.setattr(autgroup, "aut_decompose", namespace["aut_decompose"])
+    p = reference_or_s3x5("c6_mixed")
+    assert decomposition_mismatches(p, decomposition_cases(p, 31, 60))
+
+
+def test_decompose_match_fails_when_the_pinned_element_skips_the_membership_test(monkeypatch):
+    """Once the intersected window is empty, each later conjugator is
+    tested against one star split of g: without that test, an inconsistent
+    conjugator is rejected later, with another message."""
+    source = textwrap.dedent(inspect.getsource(autgroup.aut_decompose))
+    mutated = source.replace("hit = splits[i][0].word == conjugators[i].word", "hit = True")
     assert mutated != source
     namespace = dict(vars(autgroup))
     exec(compile(mutated, autgroup.__file__, "exec"), namespace)

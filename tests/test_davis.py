@@ -119,6 +119,20 @@ def ball_differences(b, oracle) -> list[str]:
 BALL_ORACLE_CASES = [(name, r) for name in SIX for r in range(4)] + [("c5_z3", 4)]
 
 
+@pytest.mark.parametrize("name,radius", [(name, r) for name in SIX for r in range(3)]
+                         + [("c5_z3", 3)])
+def test_subdivision_is_made_in_key_order(name, radius):
+    """X''s vertex and edge lists, made unsorted, equal their sorted lists,
+    and hold the very cells its squares hold, each once."""
+    sq = subdivide(build_ball(perfbench_presentation(name), radius))
+    assert sq.vertices == sorted(sq.vertices, key=lambda v: v.sort_key())
+    assert sq.edges == sorted(sq.edges, key=lambda e: e.sort_key())
+    for cells, of in ((sq.vertices, operator.attrgetter("corners")),
+                      (sq.edges, operator.attrgetter("edges"))):
+        assert len(set(map(id, cells))) == len(cells)
+        assert set(map(id, cells)) == {id(c) for s in sq.squares for c in of(s)}
+
+
 @pytest.mark.parametrize("name,radius", BALL_ORACLE_CASES)
 def test_build_ball_matches_the_coset_rep_oracle(name, radius):
     """The ball matches the oracle's, and its subdivision's cells and

@@ -83,7 +83,9 @@ def memo_tables(p):
 
 def assert_memo_sound(p):
     """Only canonical tokens and true inverses of finite group elements, at
-    most sum |G_v| of each, and the same of the written tokens."""
+    most sum |G_v| of each, and the same of the written tokens; only true
+    merges of two finite group elements of one vertex, None for the
+    identity, at most sum |G_v|^2 of them."""
     tokens, inverses = memo_tables(p)
     for token, s in tokens.items():
         assert token == f"v{s.vertex}:{s.value}"
@@ -97,6 +99,15 @@ def assert_memo_sound(p):
         assert p.values[v] is not None and x in p.values[v], (v, x)
     bound = sum(len(values) for values in p.values if values is not None)
     assert len(tokens) <= bound and len(inverses) <= bound and len(p._tokens) <= bound
+    for (a, b), prod in p._products.items():
+        v, values = a[0], p.values[a[0]]
+        assert b[0] == v and values is not None and a[1] in values and b[1] in values, (a, b)
+        z = p.groups[v].mul(a[1], b[1])
+        if z == IDENTITY:
+            assert prod is None, (a, b)
+        else:
+            assert type(prod) is Syllable and prod == (v, z), (a, b)
+    assert len(p._products) <= sum(len(values) ** 2 for values in p.values if values is not None)
 
 
 # -- reduce -------------------------------------------------------------------
@@ -210,6 +221,60 @@ def test_every_push_keeps_the_word_canonical(name, request):
         assert sum(n for (e, _), n in seen.items() if e == "merge") > 0
     if any(g.kind == "table" for g in p.groups):  # S3 merges and cancels
         assert seen["merge", "table"] > 0 and seen["cancel", "table"] > 0
+
+
+def merge_mismatches(p, seed=7, count=300):
+    """``(mismatches, scan-branch cancellations)`` over seeded raw words on
+    vertices 0, 1 and 2 with at most two values each, so that syllables
+    merge and cancel often, also past a commuting last syllable (the push's
+    scan branch): a raw word is a mismatch when ``reduce_word`` or
+    ``canonical`` differs from the oracles.  The cancellations are counted
+    by pushing each word again one syllable at a time."""
+    rng = random.Random(seed)
+    alphabet = [Syllable(v, x) for v in (0, 1, 2)
+                for x in p.group(v).nontrivial_elements()[:2]]
+    bad, scan_cancels = [], 0
+    for _ in range(count):
+        raw = [rng.choice(alphabet) for _ in range(rng.randrange(41))]
+        want = heap_canonical_order(p, append_only_reduced(p, raw))
+        if reduce_word(p, raw).word != want or canonical(p, raw).word != want:
+            bad.append(raw)
+        word = []
+        for s in raw:
+            before, last = len(word), word[-1].vertex if word else None
+            _push_all(p, word, [s])
+            scan_cancels += len(word) < before and last != s.vertex
+    return bad, scan_cancels
+
+
+@pytest.mark.parametrize("name", SIX)
+def test_kernel_matches_the_oracles_on_words_with_many_merges(name, request):
+    p = request.getfixturevalue(name)
+    bad, scan_cancels = merge_mismatches(p)
+    assert bad == []
+    assert scan_cancels > 0
+    assert_memo_sound(p)
+
+
+def test_merge_oracle_catches_a_wrong_products_entry(c5_mixed, monkeypatch):
+    s = Syllable(1, 1)   # in Z/3, v1:1 v1:1 is v1:2
+    monkeypatch.setitem(c5_mixed._products, (s, s), s)
+    bad, _ = merge_mismatches(c5_mixed)
+    assert bad
+
+
+def test_merges_memoise_only_finite_pairs_on_huge_and_infinite_groups():
+    """Merges at Z/10^12 and at Z are right, in both branches of the push,
+    and only the Z/10^12 and Z/2 ones are memoised."""
+    p = huge_presentation()
+    raw = [Syllable(0, 10**12 - 1), Syllable(1, -7), Syllable(0, 2), Syllable(1, 7),
+           Syllable(1, 5), Syllable(0, 10**12 - 1), Syllable(2, 1), Syllable(1, -5),
+           Syllable(2, 1), Syllable(1, 3)]
+    for _ in range(2):
+        assert reduce_word(p, raw).word == heap_canonical_order(p, append_only_reduced(p, raw))
+    assert_memo_sound(p)
+    assert sorted(p._products) == [((0, 1), (0, 10**12 - 1)), ((0, 10**12 - 1), (0, 2)),
+                                   ((2, 1), (2, 1))]
 
 
 # -- group operations ---------------------------------------------------------
