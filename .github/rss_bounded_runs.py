@@ -1,0 +1,73 @@
+"""Run the RSS-bounded CLI steps of CI from one table.
+
+Each row runs one ``cyclewall`` command under ``timeout``, hashes its
+stdout as it streams, and reads the peak RSS of the command from its own
+``wait4`` usage (so one row's peak never shows in another's).  A row passes
+when the exit code, the stdout sha256 and the bound on the peak RSS all
+hold.  Every row runs; the script exits 1 if any failed.
+
+usage: python3 .github/rss_bounded_runs.py
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+
+C5_Z3 = "perfbench/presentations/c5_z3.json"
+C6_MIXED = "perfbench/presentations/c6_mixed.json"
+
+# (name, argv, exit code, stdout sha256, timeout in s, peak RSS bound in MB)
+ROWS = [
+    # the export reads the ball's integer cell table and makes no cell
+    # object (34.9 MB measured, 43.7 MB when the cells were built)
+    ("Radius-5 ball is byte-identical",
+     ["ball", "--radius", "5", "--presentation", C5_Z3], 0,
+     "efeabba424b46d1b8cf3570d56e8996cdaf2e2cb597b2aaeb615406be2695596", 60, 42),
+    # the export is written in record batches from the ball's integer cell
+    # table, so the run's peak RSS follows the table, not its 67 MB text
+    # (49.4 MB measured; 57.8 MB when the cells were built, 289 MB when the
+    # text was built as one string)
+    ("Radius-5 subdivided ball is byte-identical and streamed",
+     ["ball", "--radius", "5", "--subdivide", "--presentation", C5_Z3], 0,
+     "481c7441c50a3080205789581cbac5814aa5ffb6eaa33e7f9a7aae38df79acaa", 60, 56),
+    # the dot export writes X' from the polygonal ball's cells, as the JSON
+    # export does, so no square ball is built (41 MB measured, 74 MB when
+    # the square ball was built)
+    ("Radius-4 subdivided dot export is byte-identical",
+     ["ball", "--radius", "4", "--subdivide", "--format", "dot", "--presentation", C6_MIXED], 0,
+     "c27ecd63c46a2998e9d158f8e5f6d6e997e6bb14f60e5639b4a443dc9557cc5a", 60, 58),
+    # the X' audits read the ball's integer squares (64.6 MB measured,
+    # 159.0 MB when they built the square ball of cell objects)
+    ("Radius-5 davis report is byte-identical",
+     ["verify", "--suite", "davis", "--radius", "5", "--depth", "3", "--seed", "0",
+      "--presentation", C5_Z3], 0,
+     "fe24529d6362cbbe415ace9ab86c70167789a42e270e0177280924394e0b8b94", 60, 100),
+]
+
+
+def run(argv: list[str], seconds: int) -> tuple[int, str, float]:
+    """(exit code, stdout sha256, peak RSS in MB) of ``cyclewall argv``."""
+    proc = subprocess.Popen(["timeout", str(seconds), "cyclewall", *argv],
+                            stdout=subprocess.PIPE)
+    digest = hashlib.sha256()
+    for chunk in iter(lambda: proc.stdout.read(1 << 16), b""):
+        digest.update(chunk)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, digest.hexdigest(), usage.ru_maxrss / 1024
+
+
+def main() -> int:
+    failed = 0
+    for name, argv, want_rc, want_digest, seconds, bound_mb in ROWS:
+        rc, digest, rss_mb = run(argv, seconds)
+        ok = rc == want_rc and digest == want_digest and rss_mb <= bound_mb
+        failed += not ok
+        print(f"{'ok  ' if ok else 'FAIL'} {name}: exit {rc}, peak RSS {rss_mb:.1f} MB "
+              f"(bound {bound_mb}), sha256 {digest}", flush=True)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -49,7 +49,7 @@ from .davis import (
     ComplexEdge,
     ComplexVertex,
     build_ball,
-    subdivide,
+    subdivision,
 )
 from .walls import (
     TreeWall,

@@ -196,7 +196,7 @@ def walls_suite(b: davis.ComplexBall, depth: int, seed: int) -> Report:
     report.extend(walls.wall_stabilizer_audit(b, depth))
     report.extend(walls.no_triple_crossing_audit(cg))
     report.extend(walls.min_set_audit(b, cg))
-    report.extend(walls.hyperplane_treewall_audit(davis.subdivide(b)))
+    report.extend(walls.hyperplane_treewall_audit(b))
     report.extend(walls.vertex_stabilizer_criterion_audit(b))
     report.extend(walls.adjacency_criterion_audit(b))
     # 25 pairs of walls, drawn as the shuffle of the list of all pairs would

@@ -28,19 +28,29 @@ polygon its corners' and its sides' ids.  A new cell takes the next number
 of its index or label, so vertex ids come in key order and edge ids in
 (label, rep) order, the midpoints' key order, with no sort; the edges' key
 order is a sort of integer pairs.  ``build_ball`` makes the cells from the
-table.  A 2-cell (``Polygon`` or ``Square``) carries its corners and its
-ordered sides.  The incidence maps ``vertex_cells`` and ``edge_cells``
-(cell -> the 2-cells containing it) and ``vertex_edges`` are built on first
-use, so exports, the subdivision, the walls and their crossing graph, which
-read none of them, never build them.
+table.  A ``Polygon`` carries its corners and its ordered sides.  The
+incidence maps ``vertex_cells`` and ``edge_cells`` (cell -> the polygons
+containing it) and ``vertex_edges`` are built on first use, so exports, the
+subdivision, the walls and their crossing graph, which read none of them,
+never build them.
 
-Each cell is one object per ball, shared by the 2-cells and maps that hold
-it.  A ``ComplexVertex`` or ``ComplexEdge`` computes its hash and its order
-key once, when it is made; cells still compare by value, so one built
+X' is arithmetic on the table (``Subdivision``, built once per ball by
+``subdivision``), with no cell object: with V X-vertices, E X-edges and n
+sides per polygon, its vertex ids are the X-vertex ids, then V + e for the
+midpoint of X-edge e, then V + E + k for the center of polygon k, so they
+come in key order; its edge ids are 2e + end for the half of X-edge e at
+that end, then 2E + n·k + i for spoke i of polygon k.  Square q = n·k + i,
+around corner i of polygon k, is four corner ids and four side ids
+(``_squares``); the audits read these records, through an index of the
+squares at each vertex, and the JSON export lists them.
+
+Each cell of X is one object per ball, shared by the polygons and maps that
+hold it.  A ``ComplexVertex`` or ``ComplexEdge`` computes its hash and its
+order key once, when it is made; cells still compare by value, so one built
 outside a ball (by ``act_vertex``, say) finds the ball's own in its maps.
-Every edge's ends come in a fixed order: an X-edge's by index, and in the
-subdivision an X-vertex before a midpoint before a center.  So only
-``act_edge`` compares the ends it builds.
+Every edge's ends come in key order: an X-edge's by index, an X' edge's an
+X-vertex before a midpoint before a center.  So only ``act_edge`` compares
+the ends it builds.
 
 A cell is interior iff every polygon of X containing it is present in the
 ball, so audits restricted to interior cells see exactly the infinite
@@ -54,15 +64,16 @@ iff |w| + 1 <= r, and a spoke, which lies inside one polygon, always.
 
 Both exports, ``iter_ball_json`` and ``iter_ball_dot``, read the table
 alone (``_rows``) and make no cell object: each element's word is
-formatted once, every vertex and midpoint key string has a list slot, and
-X' is written with no square ball built; only the audits build X', with
-``subdivide``.  Both stream, in chunks of up to 1,024 records or lines.
+formatted once and every vertex and midpoint key string has a list slot.
+Neither builds the square index.  Both stream, in chunks of up to 1,024
+records or lines.
 
 The link audits read each interior vertex's link as a plain adjacency dict
-(incident edge -> the incident edges it shares a 2-cell corner with), whose
-sides and nodes are told apart by identity, as the ball's own objects.  A
-2-cell that meets its corner in other than two sides raises
-``InvariantError``, which the audits report as a failed check with a witness.
+(incident edge -> the incident edges it shares a 2-cell corner with): in X
+over the ball's own edge objects, told apart by identity, and in X' over
+side ids, one link at a time.  A 2-cell that meets its corner in other than
+two sides raises ``InvariantError``, which the audits report as a failed
+check with a witness.
 """
 
 from __future__ import annotations
@@ -71,8 +82,8 @@ import operator
 import os
 from array import array
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, cycle, islice, repeat
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
+from itertools import accumulate, chain, compress, count, cycle, islice, repeat
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .errors import (
     BoundaryCellError,
@@ -97,7 +108,6 @@ EDGE = "edge"         # coset of G_i (edge midpoints of the subdivision)
 POLY = "poly"         # coset of G_i x G_{i+1} (vertices of X)
 
 _CLASS_ORDER = {POLY: 0, EDGE: 1, TRIVIAL: 2}
-_SUBGROUP_RANK = {POLY: 2, EDGE: 1, TRIVIAL: 0}   # |S| for the coset g<G_S>
 _by_key = operator.attrgetter("_key")   # a cell's order key, read in C
 
 
@@ -173,30 +183,13 @@ class Polygon:
         return format_word(self.rep)
 
 
-@dataclass(frozen=True, eq=False)
-class Square:
-    polygon: GroupElement
-    corner: int   # the polygon corner v_corner this square surrounds
-    corners: tuple[ComplexVertex, ...]   # (mid e_corner, v_corner, mid e_{corner+1}, center)
-    edges: tuple[ComplexEdge, ...]
-
-    def name(self) -> str:
-        """The polygon word and corner, e.g. ``ab#2``."""
-        return f"{format_word(self.polygon)}#{self.corner}"
-
-
-Cell = Polygon | Square
-
-
 @dataclass
 class ComplexBall:
     presentation: Presentation
     radius: int
-    form: str  # "polygonal" or "square"
     vertices: list[ComplexVertex] = field(default_factory=list)
     edges: list[ComplexEdge] = field(default_factory=list)
     polygons: dict[GroupElement, Polygon] = field(default_factory=dict)
-    squares: list[Square] = field(default_factory=list)
     interior_vertices: set[ComplexVertex] = field(default_factory=set)
     interior_edges: set[ComplexEdge] = field(default_factory=set)
     # what is derived from this ball (incidence maps, subdivision, walls,
@@ -209,6 +202,10 @@ class ComplexBall:
     def n(self) -> int:
         return self.presentation.n
 
+    # not a field: a ball is polygonal (X' is a ``Subdivision``); kept for
+    # callers that key balls by their form, as perfbench's tracer does
+    form = "polygonal"
+
     def derive(self, key, build):
         """``build()``, computed once per key and kept on this ball."""
         if key not in self.derived:
@@ -220,14 +217,14 @@ class ComplexBall:
         return self.derive(("elements", L),
                            lambda: tuple(enumerate_ball_elements(self.presentation, L)))
 
-    # the 2-cells of this form (polygons or squares) containing each cell, in
-    # cell order, and each vertex's edges in key order
+    # the polygons containing each cell, in polygon order, and each vertex's
+    # edges in key order
     @property
-    def vertex_cells(self) -> dict[ComplexVertex, list[Cell]]:
+    def vertex_cells(self) -> dict[ComplexVertex, list[Polygon]]:
         return self.derive("incidence", self._incidence)[0]
 
     @property
-    def edge_cells(self) -> dict[ComplexEdge, list[Cell]]:
+    def edge_cells(self) -> dict[ComplexEdge, list[Polygon]]:
         return self.derive("incidence", self._incidence)[1]
 
     @property
@@ -235,14 +232,12 @@ class ComplexBall:
         return self.derive("incidence", self._incidence)[2]
 
     def _incidence(self):
-        cells = (((s, s.corners) for s in self.squares) if self.form == "square"
-                 else ((poly, poly.boundary) for poly in self.polygons.values()))
         vertex_cells, edge_cells, vertex_edges = {}, {}, {}
-        for cell, corners in cells:
-            for v in corners:
-                vertex_cells.setdefault(v, []).append(cell)
-            for e in cell.edges:
-                edge_cells.setdefault(e, []).append(cell)
+        for poly in self.polygons.values():
+            for v in poly.boundary:
+                vertex_cells.setdefault(v, []).append(poly)
+            for e in poly.edges:
+                edge_cells.setdefault(e, []).append(poly)
         for e in edge_cells:
             for v in e.ends:
                 vertex_edges.setdefault(v, []).append(e)
@@ -380,118 +375,191 @@ def build_ball(p: Presentation, r: int) -> ComplexBall:
     vertices = [ComplexVertex(POLY, i, reps[k]) for i, k in _records(t.vertices, 2)]
     edges = [ComplexEdge((vertices[a], vertices[b]), i, reps[k])
              for i, k, a, b in _records(t.edges, 4)]
-    ball = ComplexBall(p, r, "polygonal", vertices, list(map(edges.__getitem__, t.edge_order)), {
+    ball = ComplexBall(p, r, vertices, list(map(edges.__getitem__, t.edge_order)), {
         g: Polygon(g, tuple(map(vertices.__getitem__, c[:n])), tuple(map(edges.__getitem__, c[n:])))
         for g, c in zip(reps, _records(t.polygons, 2 * n))})
-    _mark(ball)
-    ball.derived["table"] = t   # what its exports read
+    # the vertex g(G_i x G_{i+1}) is interior iff |g| + 2 <= r, the edge gG_i iff |g| + 1 <= r
+    ball.interior_vertices.update(v for v in vertices if len(v.rep.word) + 2 <= r)
+    ball.interior_edges.update(e for e in edges if len(e.rep.word) + 1 <= r)
+    ball.derived["table"] = t   # what its exports and its subdivision read
     return ball
 
 
-def _mark(ball: ComplexBall) -> None:
-    """Mark the interior of ``ball``: the vertex g<G_S> is interior iff
-    |rep| + |S| <= r, a labelled edge iff |rep| + 1 <= r, and a spoke
-    always."""
-    r = ball.radius
-    ball.interior_vertices.update(
-        v for v in ball.vertices if len(v.rep.word) + _SUBGROUP_RANK[v.cls] <= r)
-    ball.interior_edges.update(
-        e for e in ball.edges if e.label is None or len(e.rep.word) + 1 <= r)
+def _table(b: ComplexBall | BallTable) -> BallTable:
+    """``b`` itself, or a polygonal ball's own table (kept by ``build_ball``,
+    or listed once per ball)."""
+    if isinstance(b, BallTable):
+        return b
+    return b.derive("table", lambda: ball_table(b.presentation, b.radius))
+
+
+def _inner(t: BallTable, rank: int) -> list[bool]:
+    """By rep number g: whether the cell g<G_S> with |S| = ``rank`` is interior."""
+    return [len(g.word) + rank <= t.radius for g in t.reps]
 
 
 # -- subdivision ------------------------------------------------------------------
 
 
-def subdivide(b: ComplexBall) -> ComplexBall:
-    """First square subdivision X' of a polygonal ball.
-
-    Built once per ball: every call on ``b`` returns the same square ball,
-    which is shared and must not be mutated.
-    """
-    if b.form != "polygonal":
-        raise ValidationError("can only subdivide a polygonal ball")
-    return b.derive("subdivision", lambda: _subdivide(b))
-
-
-def _subdivide(b: ComplexBall) -> ComplexBall:
-    """X' from the ball's table, each cell made once, in the key order that
-    ``_rows`` lists it, so nothing is sorted.  The X-vertices are the
-    ball's own; the midpoints and their halves come in edge-id order
-    (``_midpoint_order``), each half filed under its X-vertex; the centers
-    and their spokes in polygon order, each spoke filed under its midpoint.
-    A POLY vertex sorts before an EDGE midpoint, and that before a TRIVIAL
-    center, so each edge of X' has its ends in key order."""
-    p = b.presentation
-    n = p.n
-    t = b.derive("table", lambda: ball_table(p, b.radius))
-    reps, vertices = t.reps, b.vertices
-    sq = ComplexBall(presentation=p, radius=b.radius, form="square")
-    sq.polygons = b.polygons
-
-    mids, halves = [], []               # by edge id: the midpoint, its halves at both ends
-    at_vertex = [[] for _ in vertices]  # the halves at each X-vertex, by midpoint
-    for i, k, x, y in _records(t.edges, 4):
-        m = ComplexVertex(EDGE, i, reps[k])
-        pair = (ComplexEdge((vertices[x], m), i, reps[k]),
-                ComplexEdge((vertices[y], m), i, reps[k]))
-        mids.append(m)
-        halves.append(pair)
-        at_vertex[x].append(pair[0])
-        at_vertex[y].append(pair[1])
-
-    centers = []
-    at_mid = [[] for _ in mids]         # the spokes at each midpoint, by polygon
-    for g, c in zip(reps, _records(t.polygons, 2 * n)):
-        center = ComplexVertex(TRIVIAL, None, g)
-        centers.append(center)
-        sides = c[n:]
-        # side i's halves at v_{i-1} and at v_i (its ends are in that order
-        # unless i = 0, see BallTable)
-        side_halves = [halves[e] if i else halves[e][::-1] for i, e in enumerate(sides)]
-        spokes = [ComplexEdge((h.ends[1], center), None, None) for h, _ in side_halves]
-        for e, spoke in zip(sides, spokes):
-            at_mid[e].append(spoke)
+def _squares(t: BallTable) -> Iterator[tuple[int, ...]]:
+    """Each square of X', q = n·k + i, as its corner ids (the midpoint of
+    side i, v_i, the midpoint of side i+1, the center of polygon k) and
+    its side ids (the halves of sides i and i+1 at v_i, spokes i and i+1),
+    each side joining the corners it lies between.  Side i joins corners
+    i-1 and i, in that order unless i = 0 (``BallTable``), so its half at
+    v_i is its second half unless i = 0."""
+    n = t.presentation.n
+    nv, ne = len(t.vertices) // 2, len(t.edges) // 4
+    for k, c in enumerate(_records(t.polygons, 2 * n)):
         for i in range(n):
             j = (i + 1) % n
-            half1, half2 = side_halves[i][1], side_halves[j][0]   # sides i and j at v_i
-            sq.squares.append(Square(g, i, (half1.ends[1], vertices[c[i]], half2.ends[1], center),
-                                     (half1, half2, spokes[i], spokes[j])))
-    sq.vertices = [*vertices, *mids, *centers]
-    sq.edges = [*chain.from_iterable(at_vertex), *chain.from_iterable(at_mid)]
-    _mark(sq)
-    return sq
+            yield (nv + c[n + i], c[i], nv + c[n + j], nv + ne + k, 2 * c[n + i] + (i > 0),
+                   2 * c[n + j] + (j == 0), 2 * ne + n * k + i, 2 * ne + n * k + j)
+
+
+class Subdivision(NamedTuple):
+    """X' of a polygonal ball, numbered from its table (see the module
+    docstring), in flat ``array``s.
+
+    ``squares`` holds square q's record from ``_squares`` at
+    ``8q .. 8q + 7``; ``ends`` holds X' edge s's two end ids, in key order,
+    at ``2s`` and ``2s + 1``.  The squares at vertex x are listed in square
+    order by ``at[start[x]:start[x + 1]]``, each as 4q + the place of x
+    among q's corners.  Ids order the vertices by key, and edges by their
+    ends' ids."""
+
+    table: BallTable
+    squares: array
+    ends: array
+    start: array
+    at: array
+
+    def records(self) -> Iterator[tuple[int, ...]]:
+        """Each square's corner ids and then its side ids, in square order."""
+        return _records(self.squares, 8)
+
+    def sides(self, q: int) -> array:
+        return self.squares[8 * q + 4:8 * q + 8]
+
+    def edge_ids(self) -> range:
+        return range(len(self.ends) // 2)
+
+    def edge_ends(self, s: int) -> tuple[int, int]:
+        """Edge s's end ids, in key order: also its sort key among the edges."""
+        return self.ends[2 * s], self.ends[2 * s + 1]
+
+    def squares_at(self, x: int) -> Iterator[tuple[int, int]]:
+        """(square, the place of x among its corners), in square order."""
+        return map(divmod, self.at[self.start[x]:self.start[x + 1]], repeat(4))
+
+    def neighbors(self, x: int) -> Iterator[int]:
+        """The vertices joined to x by an edge: the corners next to x in the
+        squares at x, each as often as it is."""
+        for q, j in self.squares_at(x):
+            yield self.squares[8 * q + (j + 1) % 4]
+            yield self.squares[8 * q + (j - 1) % 4]
+
+    def vertex_key(self, x: int) -> str:
+        t = self.table
+        nv, ne = len(t.vertices) // 2, len(t.edges) // 4
+        cls, index, k = ((POLY, *t.vertices[2 * x:2 * x + 2]) if x < nv else
+                         (EDGE, *t.edges[4 * (x - nv):4 * (x - nv) + 2]) if x < nv + ne else
+                         (TRIVIAL, "", x - nv - ne))
+        return f"{cls}|{index}|{format_word(t.reps[k])}"
+
+    def label(self, s: int) -> Optional[int]:
+        """The label of a half's X-edge; None for a spoke."""
+        return self.table.edges[4 * (s // 2)] if s < len(self.table.edges) // 2 else None
+
+    def edge_key(self, s: int) -> str:
+        label = self.label(s)
+        a, c = self.edge_ends(s)
+        return f"{'' if label is None else label}|{self.vertex_key(a)}--{self.vertex_key(c)}"
+
+    def square_name(self, q: int) -> str:
+        """The polygon word and corner, e.g. ``ab#2``."""
+        k, i = divmod(q, self.table.presentation.n)
+        return f"{format_word(self.table.reps[k])}#{i}"
+
+    def interior_vertices(self) -> Iterator[bool]:
+        """By vertex id: X-vertices and midpoints by the rep-length rule,
+        centers always."""
+        t = self.table
+        inner_v, inner_e = _inner(t, 2), _inner(t, 1)
+        return chain(map(inner_v.__getitem__, t.vertices[1::2]),
+                     map(inner_e.__getitem__, t.edges[1::4]),
+                     repeat(True, len(t.reps)))
+
+    def interior_edges(self) -> Iterator[bool]:
+        """By edge id: both halves of an X-edge as it is, spokes always."""
+        t = self.table
+        inner_e = _inner(t, 1)
+        return chain(chain.from_iterable((inner_e[k],) * 2 for k in t.edges[1::4]),
+                     repeat(True, len(self.ends) // 2 - len(t.edges) // 2))
+
+
+def subdivision(b: ComplexBall) -> Subdivision:
+    """X' of a polygonal ball, built once per ball and shared."""
+    return b.derive("subdivision", lambda: _subdivision(b))
+
+
+def _subdivision(b: ComplexBall) -> Subdivision:
+    t = _table(b)
+    n = t.presentation.n
+    nv, ne = len(t.vertices) // 2, len(t.edges) // 4
+    squares = array("i", chain.from_iterable(_squares(t)))
+    # a half's ends are its X-vertex and midpoint; a spoke's its midpoint and center
+    ends = array("i", chain(
+        chain.from_iterable((x, nv + e, y, nv + e)
+                            for e, (_, _, x, y) in enumerate(_records(t.edges, 4))),
+        chain.from_iterable((nv + e, nv + ne + k)
+                            for k, c in enumerate(_records(t.polygons, 2 * n)) for e in c[n:])))
+    corner = array("i", chain.from_iterable(c[:4] for c in _records(squares, 8)))
+    degree = [0] * (nv + ne + len(t.reps))   # the squares at each vertex
+    for x in corner:
+        degree[x] += 1
+    # sorted is stable, so the squares at a vertex stay in square order
+    return Subdivision(t, squares, ends, array("i", accumulate(degree, initial=0)),
+                       array("i", sorted(range(len(corner)), key=corner.__getitem__)))
 
 
 # -- links and audits ----------------------------------------------------------------
 
 
 def vertex_link(b: ComplexBall, v: ComplexVertex) -> dict[ComplexEdge, set[ComplexEdge]]:
-    """Link graph of an interior vertex, as an adjacency dict.
+    """Link graph of an interior vertex of X, as an adjacency dict.
 
-    Nodes are the incident edges; two are joined when a 2-cell (polygon or
-    square) has a corner at v between them.
+    Nodes are the incident edges; two are joined when a polygon has a corner
+    at v between them.
     """
     if v not in b.interior_vertices:
         raise BoundaryCellError(f"vertex {v.key_string()} is not interior to the ball")
-    link: dict[ComplexEdge, set[ComplexEdge]] = {e: set() for e in b.vertex_edges[v]}
     a, c = b.vertex_edges[v][0].ends
     v = a if a == v else c   # the ball's own object, so its sides are found by identity
-    for cell in b.vertex_cells[v]:
-        at_v = [e for e in cell.edges if e.ends[0] is v or e.ends[1] is v]
+    return _link({e: set() for e in b.vertex_edges[v]}, (
+        (cell, [e for e in cell.edges if e.ends[0] is v or e.ends[1] is v])
+        for cell in b.vertex_cells[v]), Polygon.name, v.key_string)
+
+
+def _link(link: dict, cells: Iterable[tuple], name: Callable, vertex: Callable[[], str]) -> dict:
+    """Join in ``link`` (node -> neighbours) the two sides that each 2-cell
+    at a vertex has there, given as (cell, its sides there).  A cell with
+    other than two raises ``InvariantError``, naming the cell
+    (``name(cell)``) and the vertex (``vertex()``)."""
+    for cell, at_v in cells:
         if len(at_v) != 2:
             raise InvariantError("a 2-cell meets its corner in other than two sides",
-                                 [cell.name(), v.key_string(), len(at_v)])
+                                 [name(cell), vertex(), len(at_v)])
         a, c = at_v
-        link[a].add(c)
-        link[c].add(a)
+        link.setdefault(a, set()).add(c)
+        link.setdefault(c, set()).add(a)
     return link
 
 
 def graph_girth(g: Mapping) -> float:
     """Shortest cycle length of an adjacency mapping (node -> neighbours);
     inf for forests.  BFS per node (links are small).  A node is told from
-    its BFS parent by identity, so every neighbour must be the very object
-    that keys it, as in ``vertex_link``'s links of a ball's own edges."""
+    its BFS parent by equality."""
     best = float("inf")
     for root in g:
         dist = {root: 0}
@@ -503,15 +571,23 @@ def graph_girth(g: Mapping) -> float:
                     dist[w] = dist[u] + 1
                     parent[w] = u
                     queue.append(w)
-                elif parent[u] is not w:
+                elif parent[u] != w:
                     best = min(best, dist[u] + dist[w] + 1)
     return best
+
+
+def _square_link(x: Subdivision, v: int) -> dict[int, set[int]]:
+    """The link of X' vertex v over side ids: two sides are joined when a
+    square has its corner at v between them."""
+    ends = x.ends
+    return _link({}, ((q, [s for s in x.sides(q) if ends[2 * s] == v or ends[2 * s + 1] == v])
+                      for q, _ in x.squares_at(v)), x.square_name, lambda: x.vertex_key(v))
 
 
 def t4_audit(b: ComplexBall) -> Report:
     """Every interior X'-vertex link has girth >= 4; every polygon has n sides."""
     report = Report()
-    sq = subdivide(b)
+    x = subdivision(b)
     n = b.presentation.n
     bad_sides = [(g, poly) for g, poly in b.polygons.items()
                  if not len(poly.boundary) == n == len(set(poly.boundary))]
@@ -519,16 +595,16 @@ def t4_audit(b: ComplexBall) -> Report:
         report.add("davis.t4.polygon-sides", format_word(g), False,
                    witness=[v.key_string() for v in poly.boundary])
     bad = []
-    for v in sorted(sq.interior_vertices):
+    for v in compress(count(), x.interior_vertices()):   # in key order
         try:
-            link = vertex_link(sq, v)
+            link = _square_link(x, v)
         except InvariantError as exc:
             bad = {"error": str(exc), "at": exc.witness}
             break
         # Girth < 4 means a loop or a triangle (sets of neighbours hold no
         # double edge): an edge a-c whose ends share a neighbour.
         if any(nbrs & link[c] for nbrs in link.values() for c in nbrs):
-            bad.append((v.key_string(), graph_girth(link)))
+            bad.append((x.vertex_key(v), graph_girth(link)))
     report.add("davis.t4.link-girth", f"radius={b.radius}", not bad, witness=bad or None)
     if not bad_sides:
         report.add("davis.t4.polygon-sides", f"radius={b.radius}", True)
@@ -558,12 +634,14 @@ def polygon_pair_audit(b: ComplexBall) -> Report:
 def free_face_audit(b: ComplexBall) -> Report:
     """Every interior edge of X' lies in at least two squares."""
     report = Report()
-    sq = subdivide(b)
-    bad = []
-    for e in sorted(sq.interior_edges):
-        if len(sq.edge_cells[e]) < 2:
-            bad.append(e.key_string())
-    report.add("davis.free-faces", f"radius={b.radius} edges={len(sq.interior_edges)}",
+    x = subdivision(b)
+    on = [0] * len(x.edge_ids())   # the squares on each edge, in a list: a dict would weigh more
+    for c in x.records():
+        for s in c[4:]:
+            on[s] += 1
+    inside = list(compress(count(), x.interior_edges()))
+    bad = [x.edge_key(s) for s in sorted((s for s in inside if on[s] < 2), key=x.edge_ends)]
+    report.add("davis.free-faces", f"radius={b.radius} edges={len(inside)}",
                not bad, witness=bad or None)
     return report
 
@@ -625,9 +703,7 @@ def _midpoint_order(t: BallTable) -> Iterable[int]:
 def _rows(b: ComplexBall | BallTable, square: bool):
     """What both exports list of a polygonal ball, or with ``square`` of its
     subdivision X': ``(t, word, key, mid, center, vertex_rows, edge_rows)``.
-    ``t`` is the table read: ``b`` itself, or a polygonal ball's own (kept
-    by ``build_ball``, or listed once per ball); the form is checked when
-    this is called.  ``word``,
+    ``t`` is the table read (``_table``).  ``word``,
     ``key``, ``mid`` and ``center`` are lists of strings, each made once:
     every rep's formatted word in double quotes, as JSON writes it, by rep
     number; the key string of each vertex and of each X-edge's midpoint, by
@@ -636,7 +712,7 @@ def _rows(b: ComplexBall | BallTable, square: bool):
     (end key, end key, interior, label, rep) per edge, with rep ``null`` for
     a spoke.  Interior flags come from rep lengths.
 
-    X' is listed in the key order of the square ball's cells:
+    X' is listed in the key order of its cells:
 
     * vertices: the X-vertices as in the ball; one ``edge`` midpoint per
       X-edge, in ``_midpoint_order``, interior iff its X-edge is; one
@@ -646,18 +722,12 @@ def _rows(b: ComplexBall | BallTable, square: bool):
       flag; then the spokes, grouped by midpoint and by polygon within a
       group, with no label or rep, always interior.
     """
-    if isinstance(b, BallTable):
-        t = b
-    elif b.form != "polygonal":
-        raise ValidationError(
-            "the ball exports take a polygonal ball; square=True writes its subdivision")
-    else:
-        t = b.derive("table", lambda: ball_table(b.presentation, b.radius))
+    t = _table(b)
     n = t.presentation.n
     text = [format_word(g) for g in t.reps]
     word = [f'"{w}"' for w in text]
     # by rep number: whether an X-vertex and an X-edge of that rep are interior
-    inner_v, inner_e = ([len(g.word) + rank <= t.radius for g in t.reps] for rank in (2, 1))
+    inner_v, inner_e = _inner(t, 2), _inner(t, 1)
     vertices = list(_records(t.vertices, 2))
     key = [f"{POLY}|{i}|{text[k]}" for i, k in vertices]   # as key_string writes them
     edges = list(_records(t.edges, 4))
@@ -692,8 +762,7 @@ def iter_ball_dot(b: ComplexBall | BallTable, square: bool = False) -> Iterator[
     its subdivision X', in chunks of up to ``_BATCH`` lines: a line per
     vertex with its interior flag, then a line per edge with its label, in
     key order, as ``_rows`` lists them from the ball's table, so no cell is
-    read and no square ball built.  ``b`` is a ``BallTable`` or a polygonal
-    ball; the form is checked before any chunk is made."""
+    read.  ``b`` is a ``BallTable`` or a polygonal ball."""
     t, *_, vertex_rows, edge_rows = _rows(b, square)
     label = {None: ""} | {i: f' [label="{i}"]' for i in range(t.presentation.n)}
     lines = chain(
@@ -710,20 +779,18 @@ def iter_ball_json(b: ComplexBall | BallTable, square: bool = False) -> Iterator
     subdivision X', in chunks of up to ``_BATCH`` records: the text
     ``json.dumps(doc, indent=2, sort_keys=True)`` gives for the record
     document, with one fixed layout per record kind.  ``b`` is a
-    ``BallTable`` or a polygonal ball; the form is checked before any chunk
-    is made.
+    ``BallTable`` or a polygonal ball.
 
-    All of it is read from the ball's table through ``_rows``, so no cell is
-    read and no square ball built; the squares come in polygon order,
-    corner i of a polygon with corners (the midpoint of side i, v_i, the
-    midpoint of side i+1, the center).  A key string or a formatted word
-    holds only ASCII letters, digits and ``:|- `` (``format_word`` writes
-    ``v<int>:<int>`` tokens), which JSON writes as they are, so no string is
-    escaped.
+    All of it is read from the ball's table, through ``_rows`` and
+    ``_squares``, so no cell is read and no square index built.  A key
+    string or a formatted word holds only ASCII letters, digits and ``:|- ``
+    (``format_word`` writes ``v<int>:<int>`` tokens), which JSON writes as
+    they are, so no string is escaped.
     """
     t, word, key, mid, center, vertex_rows, edge_rows = _rows(b, square)
     n = t.presentation.n
     sep = '",\n        "'
+    nv, ne = len(key), len(mid)
     head = f',\n  "radius": {t.radius},\n  "schema": "cyclewall/1",\n'
     return chain(
         _json_list('{\n  "edges": ', (
@@ -738,11 +805,10 @@ def iter_ball_json(b: ComplexBall | BallTable, square: bool = False) -> Iterator
             f'      ],\n      "rep": {w}\n    }}'
             for w, c in zip(word, _records(t.polygons, 2 * n)))),
         _json_list(head + '  "squares": ', (
-            f'{{\n      "corner": {i},\n      "corners": [\n        "{mid[c[n + i]]}",\n'
-            f'        "{key[c[i]]}",\n        "{mid[c[n + (i + 1) % n]]}",\n'
-            f'        "{z}"\n      ],\n'
-            f'      "polygon": {w}\n    }}'
-            for w, z, c in zip(word, center, _records(t.polygons, 2 * n)) for i in range(n)))
+            f'{{\n      "corner": {q % n},\n      "corners": [\n'
+            f'        "{mid[m - nv]}{sep}{key[v]}{sep}{mid[m_next - nv]}{sep}{center[c - nv - ne]}"\n'
+            f'      ],\n      "polygon": {word[q // n]}\n    }}'
+            for q, (m, v, m_next, c, *_) in enumerate(_squares(t))))
         if square else (),
         _json_list((",\n" if square else head) + '  "vertices": ', (
             f'{{\n      "class": "{cls}",\n      "index": {"null" if index is None else index},\n'

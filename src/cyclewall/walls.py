@@ -32,26 +32,32 @@ walls by vertex in O(sum of wall sizes) rather than comparing every pair of
 walls.  Graphs are plain adjacency dicts (``CrossingGraph.neighbors``), and
 one level-by-level breadth-first search over a neighbour function
 (``_bfs_levels``) serves crossing-graph distances, wall connectivity and
-minimal sets; the last runs over the subdivision's own adjacency and stops at
-the first level that reaches the other wall.  No element ball is scanned: a
+minimal sets; the last runs over the vertex ids of X' (``davis.Subdivision``),
+each vertex's neighbours read off the squares at it, and stops at the first
+level that reaches the other wall.  No element ball is scanned: a
 wall's truncated stabilizer is its short transporters r'·x·r^-1 between
 its edges, each of which stabilizes it, and a truncated ``w<G_S>w^-1`` is
 found by conjugating the short elements of <G_S>.  The geometric test
 ``_stabilizes_wall`` only tells which elements of a parabolic move no wall
-edge into the ball.  The walls, the subdivision, the window balls, each
+edge into the ball.  The walls, the subdivision X', the window balls, each
 truncated parabolic subgroup and the per-wall truncated stabilizers are
 built once per ball, on first use, and kept on the ball
 (``ComplexBall.derived``, beside its incidence maps, which building the
 walls and their crossing graph does not need); they live and die with it.
 A wall's fixator is read off its stabilizer.
-A structure the audits rely on that turns out broken (a square without a
-side, an inconsistent hyperplane) raises ``InvariantError``, which the
-audits report as a failed check with a witness.
+
+The hyperplanes of X' are classes of its edge ids: the two opposite sides
+of each square are joined in a ``UnionFind``, and each class's two sides
+are 2-colored over vertex ids.  A structure the audits rely on that turns
+out broken (a square without a side, an inconsistent hyperplane) raises
+``InvariantError``, which the audits report as a failed check with a
+witness.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Iterator, Optional
 
@@ -65,7 +71,7 @@ from .algebraic import (
     vertex_mediums,
     window_of,
 )
-from .davis import ComplexBall, ComplexEdge, ComplexVertex, subdivide
+from .davis import ComplexBall, ComplexEdge, ComplexVertex, subdivision
 from .errors import InvariantError, ValidationError
 from .reports import Report
 from .words import (
@@ -120,8 +126,6 @@ class TreeWall:
 def walls_of_ball(b: ComplexBall) -> list[TreeWall]:
     """All tree-walls through interior edges, in key order; each is every
     edge of the ball with its key.  Built once per ball."""
-    if b.form != "polygonal":
-        raise ValidationError("tree-walls live in the polygonal ball")
     return list(b.derive("walls", lambda: _walls_of_ball(b)))
 
 
@@ -406,16 +410,19 @@ def classify_pair(b: ComplexBall, cg: CrossingGraph, T1: TreeWall, T2: TreeWall,
 def min_set(b: ComplexBall, T1: TreeWall, T2: TreeWall) -> tuple[set[ComplexVertex], int, int]:
     """(vertices of T1 closest to T2, that distance, diameter of the set).
 
-    Distances are edge counts in the square subdivision's 1-skeleton.
+    Distances are edge counts in the 1-skeleton of X', searched over its
+    vertex ids: the neighbours of a vertex are the corners next to it in
+    the squares at it.  An X-vertex's id is its place in ``b.vertices``.
     """
-    adjacency = subdivide(b).vertex_edges
+    x = subdivision(b)
 
-    def neighbors(u: ComplexVertex) -> Iterator[ComplexVertex]:
-        return (w for e in adjacency[u] for w in e.ends)
+    def ids(T: TreeWall) -> list[int]:
+        return [bisect_left(b.vertices, v.sort_key(), key=ComplexVertex.sort_key)
+                for v in T.vertex_set]
 
-    sources = [v for v in T2.vertex_set if v in adjacency]
-    for d, level in enumerate(_bfs_levels(neighbors, sources)):
-        closest = level & T1.vertex_set
+    targets = set(ids(T1))
+    for d, level in enumerate(_bfs_levels(x.neighbors, ids(T2))):
+        closest = level & targets
         if closest:
             break
     else:
@@ -423,13 +430,13 @@ def min_set(b: ComplexBall, T1: TreeWall, T2: TreeWall) -> tuple[set[ComplexVert
     diam = 0
     for v in closest:
         unreached = set(closest)
-        for k, level in enumerate(_bfs_levels(neighbors, [v])):
+        for k, level in enumerate(_bfs_levels(x.neighbors, [v])):
             if not unreached.isdisjoint(level):
                 unreached -= level
                 diam = max(diam, k)
                 if not unreached:
                     break
-    return closest, d, diam
+    return set(map(b.vertices.__getitem__, closest)), d, diam
 
 
 def min_set_audit(b: ComplexBall, cg: CrossingGraph) -> Report:
@@ -470,127 +477,102 @@ class UnionFind:
             self.parent[ra] = rb
 
 
-def hyperplane_classes(b_sq: ComplexBall) -> dict[ComplexEdge, list[ComplexEdge]]:
-    """Square-midline equivalence classes: edges opposite in a square are dual
-    to the same hyperplane."""
-    if b_sq.form != "square":
-        raise ValidationError("hyperplanes live in the square subdivision")
+def hyperplane_classes(b: ComplexBall) -> dict[int, list[int]]:
+    """Square-midline equivalence classes of X' edge ids, each keyed by its
+    union-find root: edges opposite in a square are dual to the same
+    hyperplane."""
+    x = subdivision(b)
     uf = UnionFind()
-    for s in b_sq.squares:
-        # corners (m_i, v, m_{i+1}, c) in cyclic order; opposite edge pairs:
-        m_i, v, m_next, c = s.corners
-        pairs = [((m_i, v), (m_next, c)), ((v, m_next), (c, m_i))]
-        for (a1, b1), (a2, b2) in pairs:
-            e1 = _find_edge(s, a1, b1)
-            e2 = _find_edge(s, a2, b2)
+    for q, (m_i, v, m_next, c, *sides) in enumerate(x.records()):
+        # corners (m_i, v, m_{i+1}, c) in cyclic order; each side by its ends, in key order
+        side = {x.edge_ends(s): s for s in sides}
+        for pair in (((m_i, v), (m_next, c)), ((v, m_next), (c, m_i))):
+            e1, e2 = (side.get((min(a, z), max(a, z))) for a, z in pair)
+            if e1 is None or e2 is None:
+                a, z = pair[0] if e1 is None else pair[1]
+                raise InvariantError("square is missing one of its sides",
+                                     [x.square_name(q), x.vertex_key(a), x.vertex_key(z)])
             uf.union(e1, e2)
-    classes: dict[ComplexEdge, list[ComplexEdge]] = {}
-    for e in b_sq.edges:
+    classes: dict[int, list[int]] = {}
+    for e in x.edge_ids():
         classes.setdefault(uf.find(e), []).append(e)
     return classes
 
 
-def _find_edge(s, a, b) -> ComplexEdge:
-    want = {a, b}
-    for e in s.edges:
-        if set(e.ends) == want:
-            return e
-    raise InvariantError("square is missing one of its sides",
-                         [s.name(), a.key_string(), b.key_string()])
+def combinatorial_hyperplanes(b: ComplexBall, dual_edges: list[int]) -> list[set[int]]:
+    """The two side graphs of a hyperplane, as X' edge ids.
 
-
-def combinatorial_hyperplanes(b_sq: ComplexBall,
-                              dual_edges: list[ComplexEdge]) -> list[set[ComplexEdge]]:
-    """The two side graphs of a hyperplane.
-
-    Endpoints of dual (crossed) edges are 2-colored: the two endpoints of a
-    crossed edge get different colors; corners joined by a square side
-    parallel to the hyperplane get the same color.  Each combinatorial
-    hyperplane is the set of parallel sides within one color.
+    The ends of dual (crossed) edges are 2-colored: the two ends of a
+    crossed edge get different colors; corners joined by a side of a
+    crossed square parallel to the hyperplane get the same color.  Each
+    combinatorial hyperplane is the set of parallel sides within one color.
     """
+    x = subdivision(b)
     dual = set(dual_edges)
-    color: dict[ComplexVertex, int] = {}
-    adj_same: dict[ComplexVertex, set[ComplexVertex]] = {}
-    adj_diff: dict[ComplexVertex, set[ComplexVertex]] = {}
-    parallel_edges: set[ComplexEdge] = set()
-    for e in dual:
-        adj_diff.setdefault(e.ends[0], set()).add(e.ends[1])
-        adj_diff.setdefault(e.ends[1], set()).add(e.ends[0])
-    # the crossed squares, reached through the dual edges, in ball order
-    position = b_sq.derive("square_positions", lambda: {
-        (s.polygon, s.corner): k for k, s in enumerate(b_sq.squares)})
-    crossed_squares = {position[s.polygon, s.corner]: s
-                       for e in dual for s in b_sq.edge_cells.get(e, ())}
-    for k in sorted(crossed_squares):
-        s = crossed_squares[k]
-        crossed = [e for e in s.edges if e in dual]
+    parallel_edges: set[int] = set()
+    # the crossed squares: those at a dual edge's first end that hold it
+    for q in sorted({q for e in dual for q, _ in x.squares_at(x.edge_ends(e)[0])
+                     if e in x.sides(q)}):
+        sides = x.sides(q)
+        crossed = [e for e in sides if e in dual]
         if len(crossed) != 2:
             raise InvariantError("a square meets a hyperplane in opposite sides",
-                                 [s.name(), len(crossed)])
-        for e in s.edges:
-            if e not in dual:
-                parallel_edges.add(e)
-                adj_same.setdefault(e.ends[0], set()).add(e.ends[1])
-                adj_same.setdefault(e.ends[1], set()).add(e.ends[0])
-    # BFS 2-coloring
-    for start in sorted(adj_diff):
+                                 [x.square_name(q), len(crossed)])
+        parallel_edges.update(set(sides) - dual)
+    # vertex -> (neighbour, 1 across the hyperplane or 0 along it)
+    joined: dict[int, set[tuple[int, int]]] = {}
+    for e, flip in itertools.chain(zip(dual, itertools.repeat(1)),
+                                   zip(parallel_edges, itertools.repeat(0))):
+        a, c = x.edge_ends(e)
+        joined.setdefault(a, set()).add((c, flip))
+        joined.setdefault(c, set()).add((a, flip))
+    color: dict[int, int] = {}
+    for start in sorted(joined):   # BFS 2-coloring
         if start in color:
             continue
         color[start] = 0
         queue = [start]
         while queue:
             u = queue.pop()
-            for w in adj_same.get(u, ()):
+            for w, flip in joined[u]:
                 if w not in color:
-                    color[w] = color[u]
+                    color[w] = color[u] ^ flip
                     queue.append(w)
-                elif color[w] != color[u]:
-                    raise InvariantError("hyperplane sides are inconsistent",
-                                         [u.key_string(), w.key_string()])
-            for w in adj_diff.get(u, ()):
-                if w not in color:
-                    color[w] = 1 - color[u]
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    raise InvariantError("hyperplane is one-sided in the ball",
-                                         [u.key_string(), w.key_string()])
+                elif color[w] != color[u] ^ flip:
+                    raise InvariantError("hyperplane is one-sided in the ball" if flip
+                                         else "hyperplane sides are inconsistent",
+                                         [x.vertex_key(u), x.vertex_key(w)])
     sides = [set(), set()]
     for e in parallel_edges:
-        c0, c1 = color[e.ends[0]], color[e.ends[1]]
-        if c0 != c1:
-            raise InvariantError("a parallel side straddles the hyperplane",
-                                 e.key_string())
-        sides[c0].add(e)
+        sides[color[x.edge_ends(e)[0]]].add(e)
     return sides
 
 
-def hyperplane_treewall_audit(b_sq: ComplexBall) -> Report:
-    """Exactly one side of each interior hyperplane is a constant-label
-    subgraph of the unsubdivided 1-skeleton."""
+def hyperplane_treewall_audit(b: ComplexBall) -> Report:
+    """Exactly one side of each interior hyperplane of X' is a
+    constant-label subgraph of the unsubdivided 1-skeleton."""
     report = Report()
     try:
-        classes = hyperplane_classes(b_sq)
+        classes = hyperplane_classes(b)
     except InvariantError as exc:
         report.add("walls.hyperplane-side-is-wall", "classes", False,
                    {"error": str(exc), "at": exc.witness})
         return report
-    for idx, root in enumerate(sorted(classes, key=lambda e: e.sort_key())):
+    x = subdivision(b)
+    for idx, root in enumerate(sorted(classes, key=x.edge_ends)):
         try:
-            sides = combinatorial_hyperplanes(b_sq, classes[root])
+            sides = combinatorial_hyperplanes(b, classes[root])
         except InvariantError as exc:
             report.add("walls.hyperplane-side-is-wall", f"hyperplane#{idx}", False,
                        {"error": str(exc), "at": exc.witness})
             continue
-        skeleton_sides = 0
-        for side in sides:
-            labels = {e.label for e in side}
-            if None not in labels and len(labels) == 1:
-                skeleton_sides += 1
+        labels = [set(map(x.label, side)) for side in sides]
+        skeleton_sides = sum(None not in ls and len(ls) == 1 for ls in labels)
         report.add("walls.hyperplane-side-is-wall", f"hyperplane#{idx}",
                    skeleton_sides == 1,
                    None if skeleton_sides == 1 else {
                        "sides_in_skeleton": skeleton_sides,
-                       "side_labels": [sorted({str(e.label) for e in s}) for s in sides]})
+                       "side_labels": [sorted(map(str, ls)) for ls in labels]})
     return report
 
 

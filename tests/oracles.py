@@ -27,8 +27,16 @@ The generation oracle closes two vertex stabilizers under products with
 their elements, discarding anything longer than a syllable length, to
 cross-check the exact rule the walls adjacency audit uses.
 
+The square-ball oracle (``subdivide``) builds X' as cell objects: a
+``ComplexVertex`` per vertex, a ``ComplexEdge`` per edge and a ``Square``
+per square, holding its corner and side objects, with incidence maps
+indexed from the squares and interior marked by coset-rep length.  The
+integer ``davis.Subdivision`` is checked against it key string by key
+string, and the X' audits' mutants are written against both.
+
 The minimal-set oracle runs networkx shortest paths over the whole square
-skeleton instead of the stopped breadth-first search of ``walls.min_set``.
+skeleton of the square-ball oracle, instead of the stopped breadth-first
+search over vertex ids of ``walls.min_set``.
 
 The vertex-on-wall oracle moves a wall's edges with ``act_edge`` by every
 element of a vertex stabilizer cut at a syllable length, instead of asking
@@ -98,11 +106,11 @@ rebuild, instead of comparing the two edge sets.
 The JSON-export oracle builds the ball's record document as dicts and
 encodes it with ``json.dumps(doc, indent=2, sort_keys=True)``, against which
 ``davis.ball_to_json``'s direct writer is checked byte for byte; the square
-form, which the writer reads off the polygonal ball, against the records of
-the square ball ``subdivide`` builds.  The dot-export oracle walks any
-ball's own ``vertices`` and ``edges``, the polygonal ball's or the square
-ball's, against which ``davis.iter_ball_dot``, which lists X' from the
-polygonal ball's cells, is checked.
+form, which the writer reads off the polygonal ball's table, against the
+records of the square-ball oracle.  The dot-export oracle walks any ball's
+own ``vertices`` and ``edges``, the polygonal ball's or the square-ball
+oracle's, against which ``davis.iter_ball_dot``, which lists X' from the
+polygonal ball's table, is checked.
 
 The axis oracle builds a segment of the translation axis through a central
 edge and asserts, edge by edge, that it keeps its label and tree-wall.
@@ -139,6 +147,7 @@ keeping each element's one canonical parent.
 
 import itertools
 import json
+from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 
 import networkx as nx
@@ -170,13 +179,14 @@ from cyclewall.localgroups import (
 from cyclewall.davis import (
     EDGE,
     POLY,
+    TRIVIAL,
     ComplexBall,
     ComplexEdge,
     ComplexVertex,
     Polygon,
-    _SUBGROUP_RANK,
+    _records,
+    _table,
     act_edge,
-    subdivide,
     x_vertex,
 )
 from cyclewall.diagrams import DiscDiagram, _ball_edge, _cancel_spurs, _match_polygon
@@ -657,7 +667,7 @@ def side_ends(prev: ComplexVertex, at: ComplexVertex, i: int):
 def build_ball_by_coset_reps(p: Presentation, r: int) -> ComplexBall:
     """``davis.build_ball`` by one coset rep per corner and per side of each
     polygon, each cell looked up by its index and its rep's word."""
-    ball = ComplexBall(presentation=p, radius=r, form="polygonal")
+    ball = ComplexBall(presentation=p, radius=r)
     n = p.n
     corners, sides = {}, {}
     for g in enumerate_ball_elements(p, r):
@@ -678,8 +688,7 @@ def build_ball_by_coset_reps(p: Presentation, r: int) -> ComplexBall:
         ball.polygons[g] = Polygon(g, tuple(vs), tuple(es))
     ball.vertices = sorted(corners.values(), key=ComplexVertex.sort_key)
     ball.edges = sorted(sides.values(), key=ComplexEdge.sort_key)
-    ball.interior_vertices = {v for v in ball.vertices
-                              if len(v.rep.word) + _SUBGROUP_RANK[v.cls] <= r}
+    ball.interior_vertices = {v for v in ball.vertices if len(v.rep.word) + 2 <= r}
     ball.interior_edges = {e for e in ball.edges if len(e.rep.word) + 1 <= r}
     return ball
 
@@ -701,6 +710,101 @@ def index_by_cells(ball: ComplexBall, cells):
     for v in ball.vertices:
         vertex_edges[v].sort(key=ComplexEdge.sort_key)
     return vertex_cells, edge_cells, vertex_edges
+
+
+@dataclass(frozen=True, eq=False)
+class Square:
+    polygon: GroupElement
+    corner: int   # the polygon corner v_corner this square surrounds
+    corners: tuple[ComplexVertex, ...]   # (mid e_corner, v_corner, mid e_{corner+1}, center)
+    edges: tuple[ComplexEdge, ...]
+
+    def name(self) -> str:
+        """The polygon word and corner, e.g. ``ab#2``."""
+        return f"{format_word(self.polygon)}#{self.corner}"
+
+
+@dataclass
+class SquareBall(ComplexBall):
+    """X' of a polygonal ball as cell objects: its own vertices and edges,
+    the polygonal ball's polygons, and its squares, whose incidence maps
+    ``vertex_cells``, ``edge_cells`` and ``vertex_edges`` index."""
+
+    squares: list[Square] = field(default_factory=list)
+    form = "square"
+
+    def _incidence(self):
+        return index_by_cells(self, ((s, s.corners) for s in self.squares))
+
+
+_RANK = {POLY: 2, EDGE: 1, TRIVIAL: 0}   # |S| for the coset g<G_S>
+
+
+def subdivide(b: ComplexBall) -> SquareBall:
+    """X' of a polygonal ball as cell objects, built once per ball, each
+    cell made once, from the ball's table, in the key order that
+    ``davis._rows`` lists it.  The X-vertices are the ball's own; the
+    midpoints and their halves come in edge-id order, each half filed under
+    its X-vertex; the centers and their spokes in polygon order, each spoke
+    filed under its midpoint.  The vertex g<G_S> is interior iff
+    |g| + |S| <= r, a half iff its X-edge is, and a spoke always."""
+    return b.derive("square ball", lambda: _square_ball(b))
+
+
+def _square_ball(b: ComplexBall) -> SquareBall:
+    p = b.presentation
+    n = p.n
+    t = _table(b)
+    reps, vertices = t.reps, b.vertices
+    sq = SquareBall(presentation=p, radius=b.radius, polygons=b.polygons)
+
+    mids, halves = [], []               # by edge id: the midpoint, its halves at both ends
+    at_vertex = [[] for _ in vertices]  # the halves at each X-vertex, by midpoint
+    for i, k, x, y in _records(t.edges, 4):
+        m = ComplexVertex(EDGE, i, reps[k])
+        pair = (ComplexEdge((vertices[x], m), i, reps[k]),
+                ComplexEdge((vertices[y], m), i, reps[k]))
+        mids.append(m)
+        halves.append(pair)
+        at_vertex[x].append(pair[0])
+        at_vertex[y].append(pair[1])
+
+    centers = []
+    at_mid = [[] for _ in mids]         # the spokes at each midpoint, by polygon
+    for g, c in zip(reps, _records(t.polygons, 2 * n)):
+        center = ComplexVertex(TRIVIAL, None, g)
+        centers.append(center)
+        sides = c[n:]
+        # side i's halves at v_{i-1} and at v_i (its ends are in that order
+        # unless i = 0, see BallTable)
+        side_halves = [halves[e] if i else halves[e][::-1] for i, e in enumerate(sides)]
+        spokes = [ComplexEdge((h.ends[1], center), None, None) for h, _ in side_halves]
+        for e, spoke in zip(sides, spokes):
+            at_mid[e].append(spoke)
+        for i in range(n):
+            j = (i + 1) % n
+            half1, half2 = side_halves[i][1], side_halves[j][0]   # sides i and j at v_i
+            sq.squares.append(Square(g, i, (half1.ends[1], vertices[c[i]], half2.ends[1], center),
+                                     (half1, half2, spokes[i], spokes[j])))
+    sq.vertices = [*vertices, *mids, *centers]
+    sq.edges = [*itertools.chain.from_iterable(at_vertex), *itertools.chain.from_iterable(at_mid)]
+    r = b.radius
+    sq.interior_vertices = {v for v in sq.vertices if len(v.rep.word) + _RANK[v.cls] <= r}
+    sq.interior_edges = {e for e in sq.edges if e.label is None or len(e.rep.word) + 1 <= r}
+    return sq
+
+
+def hyperplane_classes_by_components(sq: SquareBall) -> set[frozenset[str]]:
+    """The hyperplane classes of the square-ball oracle, as sets of edge key
+    strings: the connected components of the graph joining the two sides of
+    each square that share no corner."""
+    g = nx.Graph()
+    g.add_nodes_from(e.key_string() for e in sq.edges)
+    for s in sq.squares:
+        g.add_edges_from((e.key_string(), f.key_string())
+                         for e, f in itertools.combinations(s.edges, 2)
+                         if not set(e.ends) & set(f.ends))
+    return set(map(frozenset, nx.connected_components(g)))
 
 
 def coset_intersection_by_stripping(c1: GroupElement, S1, c2: GroupElement, S2):
@@ -1034,7 +1138,7 @@ def ball_to_json_by_dumps(b: ComplexBall) -> str:
             for g, poly in b.polygons.items()
         ],
     }
-    if b.form == "square":
+    if isinstance(b, SquareBall):
         doc["squares"] = [
             {"polygon": word(s.polygon), "corner": s.corner,
              "corners": [key[c] for c in s.corners]}

@@ -37,7 +37,6 @@ from cyclewall.davis import (
     free_face_audit,
     links_audit,
     polygon_pair_audit,
-    subdivide,
     t4_audit,
 )
 from cyclewall.diagrams import convention_lock, fill_and_audit, sample_loops
@@ -139,7 +138,7 @@ def test_criterion_4_tree_wall_suite():
         ok = ok and wall_fixator_audit(b, 3).ok
         ok = ok and wall_stabilizer_audit(b, 2).ok
         ok = ok and no_triple_crossing_audit(cg).ok
-        ok = ok and hyperplane_treewall_audit(subdivide(b)).ok
+        ok = ok and hyperplane_treewall_audit(b).ok
         for k1, k2 in itertools.combinations(cg.walls, 2):
             d, _ = delta(cg, k1, k2)
             if d not in (1, 2) and d < 3:

@@ -238,12 +238,12 @@ def test_run_suite_builds_ball_subdivision_and_stabilizers_once(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(davis, "build_ball", counted("ball", davis.build_ball))
-    monkeypatch.setattr(davis, "_subdivide", counted("subdivide", davis._subdivide))
+    monkeypatch.setattr(davis, "_subdivision", counted("subdivision", davis._subdivision))
     monkeypatch.setattr(walls, "_wall_stabilizer", counted(
         "stabilizer", walls._wall_stabilizer, key=lambda b, T, L: T.key))
     assert run_suite(presentation_c5_mixed(), "all", 2, 3, 0).ok
     assert calls["ball", None] == 1
-    assert calls["subdivide", None] == 1
+    assert calls["subdivision", None] == 1
     per_wall = [n for (name, _), n in calls.items() if name == "stabilizer"]
     assert per_wall and max(per_wall) == 1
 

@@ -26,7 +26,7 @@ from cyclewall.davis import (
     iter_ball_json,
     links_audit,
     polygon_pair_audit,
-    subdivide,
+    subdivision,
     t4_audit,
     vertex_link,
     x_vertex,
@@ -37,7 +37,7 @@ from cyclewall.errors import (
     ResourceLimitError,
     ValidationError,
 )
-from cyclewall.walls import crossing_graph
+from cyclewall.walls import crossing_graph, hyperplane_classes
 from cyclewall.words import (
     enumerate_ball_elements,
     identity,
@@ -50,9 +50,11 @@ from oracles import (
     ball_to_dot_by_walk,
     ball_to_json_by_dumps,
     build_ball_by_coset_reps,
+    hyperplane_classes_by_components,
     index_by_cells,
     interior_by_enumeration,
     polygons_containing_edge,
+    subdivide,
     subdivision_interior_inherited,
     x_edge,
 )
@@ -135,16 +137,56 @@ def test_subdivision_is_made_in_key_order(name, radius):
 
 @pytest.mark.parametrize("name,radius", BALL_ORACLE_CASES)
 def test_build_ball_matches_the_coset_rep_oracle(name, radius):
-    """The ball matches the oracle's, and its subdivision's cells and
-    incidence maps match the ones indexed from its squares."""
+    """The ball matches the oracle's."""
     p = perfbench_presentation(name)
     b = build_ball(p, radius)
     assert ball_differences(b, build_ball_by_coset_reps(p, radius)) == []
-    sq = subdivide(b)
-    maps = index_by_cells(sq, ((s, s.corners) for s in sq.squares))
-    assert (sq.vertex_cells, sq.edge_cells, sq.vertex_edges) == maps
-    assert sq.vertices == sorted(maps[2], key=lambda v: v.sort_key())
-    assert sq.edges == sorted(maps[1], key=lambda e: e.sort_key())
+
+
+def integer_subdivision_differences(b) -> list[str]:
+    """Where ``subdivision(b)`` differs from the square-ball oracle, by key
+    strings: its squares' corners and sides, its interior vertices and
+    edges, and its hyperplane classes."""
+    x, sq = subdivision(b), subdivide(b)
+    records = list(zip(*[iter(x.squares)] * 8))
+    interior_vertices = {x.vertex_key(v) for v, inner in enumerate(x.interior_vertices()) if inner}
+    interior_edges = {x.edge_key(s) for s, inner in enumerate(x.interior_edges()) if inner}
+    classes = {frozenset(map(x.edge_key, c)) for c in hyperplane_classes(b).values()}
+    parts = {
+        "squares": ([([x.vertex_key(c) for c in r[:4]], [x.edge_key(s) for s in r[4:]], x.square_name(q))
+                     for q, r in enumerate(records)],
+                    [([c.key_string() for c in s.corners], [e.key_string() for e in s.edges], s.name())
+                     for s in sq.squares]),
+        "interior vertices": (interior_vertices, {v.key_string() for v in sq.interior_vertices}),
+        "interior edges": (interior_edges, {e.key_string() for e in sq.interior_edges}),
+        "edge order": ([x.edge_key(s) for s in sorted(x.edge_ids(), key=x.edge_ends)],
+                       [e.key_string() for e in sq.edges]),
+        "hyperplanes": (classes, hyperplane_classes_by_components(sq)),
+    }
+    return [name for name, (got, want) in parts.items() if got != want]
+
+
+@pytest.mark.parametrize("name,radius", [(name, r) for name in SIX for r in range(3)]
+                         + [("c5_z3", 3)])
+def test_integer_subdivision_matches_the_square_ball_oracle(name, radius):
+    """Every integer square has the oracle square's corner and side key
+    strings and name; the interior vertex and edge sets, the edges' key
+    order and the hyperplane classes agree."""
+    b = build_ball(perfbench_presentation(name), radius)
+    assert integer_subdivision_differences(b) == []
+
+
+def test_integer_subdivision_oracle_catches_a_swapped_square_side(c5_mixed, monkeypatch):
+    """Squares whose two halves are listed in the other order differ from
+    the oracle's."""
+    listed = davis._squares
+
+    def swapped(t):
+        for r in listed(t):
+            yield (*r[:4], r[5], r[4], *r[6:])
+
+    monkeypatch.setattr(davis, "_squares", swapped)
+    assert integer_subdivision_differences(build_ball(c5_mixed, 1)) == ["squares"]
 
 
 @pytest.mark.parametrize("name,radius", [(name, 2) for name in SIX] + [("c5_z3", 3)])
@@ -181,19 +223,17 @@ def test_ball_oracle_catches_cells_read_off_the_last_syllable_alone(c5_mixed, mo
 
 
 def test_incidence_maps_are_built_once_and_only_when_read(c6_mixed):
-    """Exports and walls read no incidence map, so neither the ball nor its
-    subdivision builds one; the first read builds all three, kept on the
-    ball."""
+    """Exports, the subdivision and walls read no incidence map, so the ball
+    builds none; the first read builds all three, kept on the ball."""
     b = build_ball(c6_mixed, 2)
-    sq = subdivide(b)
+    subdivision(b)
     ball_to_json(b, square=True)
     "".join(iter_ball_dot(b, square=True))
     crossing_graph(b)
-    assert "incidence" not in b.derived and "incidence" not in sq.derived
-    for ball in (b, sq):
-        maps = (ball.vertex_cells, ball.edge_cells, ball.vertex_edges)
-        again = (ball.vertex_cells, ball.edge_cells, ball.vertex_edges)
-        assert all(x is y is z for x, y, z in zip(maps, again, ball.derived["incidence"]))
+    assert "incidence" not in b.derived
+    maps = (b.vertex_cells, b.edge_cells, b.vertex_edges)
+    again = (b.vertex_cells, b.edge_cells, b.vertex_edges)
+    assert all(x is y is z for x, y, z in zip(maps, again, b.derived["incidence"]))
 
 
 def test_cell_and_iso_hashes_are_the_same_in_every_process():
@@ -202,15 +242,16 @@ def test_cell_and_iso_hashes_are_the_same_in_every_process():
     script = (
         "import sys\n"
         "from cyclewall.cli import load_presentation\n"
-        "from cyclewall.davis import build_ball, subdivide\n"
+        "from cyclewall.davis import build_ball\n"
         "from cyclewall.localgroups import LocalIso, integers_group\n"
+        "from oracles import subdivide\n"
         "sq = subdivide(build_ball(load_presentation(sys.argv[1]), 1))\n"
         "print([hash(v) for v in sq.vertices], [hash(e) for e in sq.edges])\n"
         "print([v.key_string() for v in sq.interior_vertices])\n"
         "z = integers_group()\n"
         "print(hash(LocalIso(z, z, sign=1)), hash(LocalIso(z, z, sign=-1)))\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(davis.__file__).parent.parent),
-               PYTHONHASHSEED="0")
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=os.pathsep.join(
+        [str(Path(davis.__file__).parent.parent), str(Path(__file__).parent)]))
     outputs = [subprocess.run([sys.executable, "-c", script, str(PRESENTATIONS / "c5_z2.json")],
                               env=env, capture_output=True, text=True, check=True).stdout
                for _ in range(2)]
@@ -433,32 +474,42 @@ def test_links_audit_fails_on_a_polygon_missing_a_side_at_a_vertex(flags):
 
 
 def test_t4_audit_fails_on_a_square_missing_a_side_at_a_vertex(c5_mixed):
+    """The first square at the first interior vertex v, with its first side
+    at v replaced by a side not at v, meets v in one side."""
     b = build_ball(c5_mixed, 2)
-    sq = subdivide(b)
-    v = sorted(sq.interior_vertices)[0]
-    s = sq.vertex_cells[v][0]
-    cut = next(e for e in s.edges if v in e.ends)   # a side of s at v
-    sq.vertex_cells[v][0] = dataclasses.replace(
-        s, edges=tuple(e for e in s.edges if e != cut))
+    x = subdivision(b)
+    v = next(v for v, inner in enumerate(x.interior_vertices()) if inner)
+    q, _ = next(x.squares_at(v))
+    sides = x.sides(q)
+    cut = next(k for k, s in enumerate(sides) if v in x.edge_ends(s))
+    x.squares[8 * q + 4 + cut] = next(s for s in sides if v not in x.edge_ends(s))
     with pytest.raises(InvariantError):
-        vertex_link(sq, v)
+        davis._square_link(x, v)
     report = t4_audit(b)
     assert [r.check_id for r in report.failures] == ["davis.t4.link-girth"]
-    assert report.failures[0].witness["at"][0] == s.name()
+    witness = report.failures[0].witness
+    assert witness["error"] == "a 2-cell meets its corner in other than two sides"
+    oracle = subdivide(b)
+    assert witness["at"] == [oracle.squares[q].name(), sorted(oracle.interior_vertices)[0].key_string(), 1]
 
 
-# Each mutant corrupts a ball of its own: cells are objects shared across a
-# ball and its subdivision, so a corrupted ball must not reach another test.
+# Each mutant corrupts a ball of its own: its subdivision is kept on the
+# ball, so a corrupted one must not reach another test.
 
 
 def test_free_face_audit_fails_on_an_edge_in_one_square(c5_mixed):
+    """The first interior edge of X', replaced in every square but the first
+    that holds it by another side of that square, lies in one square."""
     b = build_ball(c5_mixed, 2)
-    sq = subdivide(b)
-    e = sorted(sq.interior_edges)[0]
-    sq.edge_cells[e] = sq.edge_cells[e][:1]
+    x = subdivision(b)
+    e = min((s for s, inner in enumerate(x.interior_edges()) if inner), key=x.edge_ends)
+    holding = [q for q, r in enumerate(x.records()) if e in r[4:]]
+    for q in holding[1:]:
+        k = x.sides(q).index(e)
+        x.squares[8 * q + 4 + k] = x.squares[8 * q + 4 + (k + 1) % 4]
     [failure] = free_face_audit(b).failures
     assert failure.check_id == "davis.free-faces"
-    assert failure.witness == [e.key_string()]
+    assert failure.witness == [sorted(subdivide(b).interior_edges)[0].key_string()]
 
 
 @pytest.mark.parametrize("extra", ["edge", "vertex"])
@@ -486,7 +537,6 @@ def test_polygon_pair_audit_fails_on_a_pair_sharing_too_much(c5_mixed, extra):
 @pytest.mark.parametrize("cut", ["dropped", "repeated"])
 def test_t4_audit_fails_on_a_polygon_without_n_distinct_corners(c5_mixed, cut):
     b = build_ball(c5_mixed, 2)
-    subdivide(b)   # the link check reads squares built from the intact polygons
     g = parse_word(c5_mixed, "v0:1")
     poly = b.polygons[g]
     kept = poly.boundary[:-1]
@@ -500,27 +550,41 @@ def test_t4_audit_fails_on_a_polygon_without_n_distinct_corners(c5_mixed, cut):
             if r.check_id == "davis.t4.polygon-sides" and r.status == "pass"] == []
 
 
+def file_square_at(x, v, record):
+    """Add ``record`` to the subdivision ``x`` as a last square, at vertex v
+    alone (at its corner 1)."""
+    q = len(x.squares) // 8
+    x.squares.extend(record)
+    x.at.insert(x.start[v + 1], 4 * q + 1)
+    for y in range(v + 1, len(x.start)):
+        x.start[y] += 1
+
+
 @pytest.mark.parametrize("short", ["triangle", "loop"])
 def test_t4_audit_fails_on_a_link_with_a_short_cycle(c5_mixed, short):
     """A square at v joining two sides with a common neighbour in the link of
     v closes a triangle; one meeting v twice in the same side is a loop.  The
     witness gives the girth."""
     b = build_ball(c5_mixed, 2)
-    sq = subdivide(b)
-    v = sorted(sq.interior_vertices)[0]
-    cells = sq.vertex_cells[v]
-    s = cells[0]
-    a, c = [e for e in s.edges if v in e.ends]
+    x = subdivision(b)
+    v = next(v for v, inner in enumerate(x.interior_vertices()) if inner)
+
+    def sides_at_v(q):
+        return [s for s in x.sides(q) if v in x.edge_ends(s)]
+
+    squares = [q for q, _ in x.squares_at(v)]
+    record = x.squares[8 * squares[0]:8 * squares[0] + 8]
+    a, c = sides_at_v(squares[0])
     if short == "triangle":   # a - c - d in the link, and the new square joins a - d
-        d = next(e for t in cells if c in t.edges
-                 for e in t.edges if v in e.ends and e not in (a, c))
+        d = next(e for t in squares if c in sides_at_v(t)
+                 for e in sides_at_v(t) if e not in (a, c))
         want = 3
     else:
         d, want = a, 1
-    cells.append(dataclasses.replace(s, edges=tuple(d if e == c else e for e in s.edges)))
+    file_square_at(x, v, [d if s == c else s for s in record])
     [failure] = t4_audit(b).failures
     assert failure.check_id == "davis.t4.link-girth"
-    assert failure.witness == [(v.key_string(), want)]
+    assert failure.witness == [(sorted(subdivide(b).interior_vertices)[0].key_string(), want)]
 
 
 def test_vertex_link_rejects_boundary(c5_z2):
@@ -533,12 +597,6 @@ def test_vertex_link_rejects_boundary(c5_z2):
 def test_t4_audit_passes(c5_mixed, c6_z2):
     assert t4_audit(build_ball(c5_mixed, 2)).ok
     assert t4_audit(build_ball(c6_z2, 1)).ok
-
-
-@pytest.mark.parametrize("audit", [t4_audit, free_face_audit], ids=lambda a: a.__name__)
-def test_subdividing_audits_refuse_a_square_ball(c5_z2, audit):
-    with pytest.raises(ValidationError, match="can only subdivide a polygonal ball"):
-        audit(subdivide(build_ball(c5_z2, 1)))
 
 
 def test_polygon_pair_audit_passes(c5_z2, c5_mixed):
@@ -565,6 +623,9 @@ def test_graph_girth_helper():
     assert graph_girth(nx.cycle_graph(4)) == 4
     assert graph_girth(nx.complete_bipartite_graph(2, 3)) == 4
     assert graph_girth(nx.complete_graph(3)) == 3
+    # a path on ints above 256, each neighbour built apart from its key
+    assert graph_girth({1000 + i: [1000 + j for j in (i - 1, i + 1) if 0 <= j < 5]
+                        for i in range(5)}) == float("inf")
 
 
 # -- exports -----------------------------------------------------------------------
@@ -581,19 +642,6 @@ def test_exports_are_deterministic_and_well_formed(c5_z2):
     assert dot.startswith("graph ball {") and dot.rstrip().endswith("}")
     doc = json.loads(ball_to_json(b1, square=True))
     assert doc["form"] == "square" and len(doc["squares"]) == 6 * 5
-
-
-def test_ball_to_json_takes_only_a_polygonal_ball(c5_z2):
-    """The square form is written from the polygonal ball itself.  The
-    iterators, JSON and dot, refuse a square ball when they are called,
-    before any chunk."""
-    sq = subdivide(build_ball(c5_z2, 1))
-    with pytest.raises(ValidationError, match="polygonal"):
-        ball_to_json(sq)
-    for square in (False, True):
-        for export in (iter_ball_json, iter_ball_dot):
-            with pytest.raises(ValidationError, match="polygonal"):
-                export(sq, square)
 
 
 @pytest.mark.parametrize("name", SIX)

@@ -89,12 +89,12 @@ def test_cli_output_matches_golden_digest(name, hash_seed):
 @pytest.mark.parametrize("name", ["ball_r3_c6_mixed", "ball_dot_r2_c5_s3"])
 def test_square_json_export_builds_no_square_ball(monkeypatch, capsys, name):
     """``ball --subdivide``, as JSON and as dot, writes X' from the
-    polygonal ball's own cells, so it runs, with the golden bytes, when
-    building the square ball fails."""
+    polygonal ball's table, so it runs, with the golden bytes, when
+    building the subdivision's square index fails."""
     def refuse(b):
-        raise AssertionError("the export built the square ball")
+        raise AssertionError("the export built the square index")
 
-    monkeypatch.setattr(davis, "_subdivide", refuse)
+    monkeypatch.setattr(davis, "_subdivision", refuse)
     argv, digest = GOLDEN[name]
     assert main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

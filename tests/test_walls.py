@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import os
@@ -20,7 +19,7 @@ from cyclewall.algebraic import (
     medium_of_vertex,
 )
 from cyclewall.cli import load_presentation
-from cyclewall.davis import act_edge, build_ball, subdivide
+from cyclewall.davis import act_edge, build_ball, subdivision
 from cyclewall.errors import InvariantError, ValidationError
 from cyclewall.walls import (
     TreeWall,
@@ -58,6 +57,7 @@ from oracles import (
     bounded_closure,
     crossing_graph_pairwise,
     min_set_networkx,
+    subdivide,
     parabolic_ball_by_scan,
     sweep_closure,
     sweep_stabilizes_wall,
@@ -174,8 +174,9 @@ def test_wall_rejects_spokes_and_square_form(c5_z2):
     spoke = next(e for e in sq.edges if e.label is None)
     with pytest.raises(ValidationError):
         treewall_of_edge(sq, spoke)
+    half = next(e for e in sq.edges if e.label is not None)
     with pytest.raises(ValidationError, match="polygonal ball"):
-        walls_of_ball(sq)
+        treewall_of_edge(sq, half)
 
 
 def test_no_two_wall_edges_share_a_polygon(c5_z2, c5_mixed):
@@ -544,19 +545,12 @@ def test_min_set_of_crossing_pair_is_the_intersection(c5_z2):
     assert closest == cent[0].vertex_set & cent[1].vertex_set
 
 
-def test_min_set_refuses_a_square_ball(c5_z2):
-    b = build_ball(c5_z2, 2)
-    cent = central_walls(b)
-    with pytest.raises(ValidationError, match="can only subdivide a polygonal ball"):
-        min_set(subdivide(b), cent[0], cent[1])
-
-
 def test_derived_structures_are_built_once_per_ball(c5_z2):
     b = build_ball(c5_z2, 2)
-    assert subdivide(b) is subdivide(b)
+    assert subdivision(b) is subdivision(b)
     first, again = walls_of_ball(b), walls_of_ball(b)
     assert first == again and all(x is y for x, y in zip(first, again))
-    assert subdivide(build_ball(c5_z2, 2)) is not subdivide(b)
+    assert subdivision(build_ball(c5_z2, 2)) is not subdivision(b)
 
 
 def test_min_set_audit(c5_z2, c5_mixed):
@@ -598,44 +592,46 @@ def test_min_set_audit_fails_when_crossing_walls_are_close_along_more_than_a_ver
 
 
 def test_hyperplane_classes_partition_edges(c5_z2):
-    sq = subdivide(build_ball(c5_z2, 1))
-    classes = hyperplane_classes(sq)
-    assert sum(len(v) for v in classes.values()) == len(sq.edges)
+    b = build_ball(c5_z2, 1)
+    classes = hyperplane_classes(b)
+    assert sorted(e for c in classes.values() for e in c) == list(range(len(subdivide(b).edges)))
 
 
 def test_hyperplane_treewall_audit(c5_z2, c5_mixed):
-    assert hyperplane_treewall_audit(subdivide(build_ball(c5_z2, 2))).ok
-    assert hyperplane_treewall_audit(subdivide(build_ball(c5_mixed, 1))).ok
+    assert hyperplane_treewall_audit(build_ball(c5_z2, 2)).ok
+    assert hyperplane_treewall_audit(build_ball(c5_mixed, 1)).ok
 
 
 def test_one_sided_cut_raises_a_typed_error(c5_z2):
-    sq = subdivide(build_ball(c5_z2, 1))
+    b = build_ball(c5_z2, 1)
     with pytest.raises(InvariantError, match="opposite sides"):
-        combinatorial_hyperplanes(sq, [sq.squares[0].edges[0]])
+        combinatorial_hyperplanes(b, [subdivision(b).sides(0)[0]])
 
 
 def test_broken_hyperplane_is_a_failed_check(c5_z2, monkeypatch):
-    sq = subdivide(build_ball(c5_z2, 1))
+    b = build_ball(c5_z2, 1)
     # one class holding every edge meets each square in four sides
     monkeypatch.setattr(walls, "hyperplane_classes",
-                        lambda b_sq: {b_sq.edges[0]: list(b_sq.edges)})
-    r = hyperplane_treewall_audit(sq)
+                        lambda b: {0: list(subdivision(b).edge_ids())})
+    r = hyperplane_treewall_audit(b)
     assert [x.check_id for x in r.failures] == ["walls.hyperplane-side-is-wall"]
     assert r.failures[0].witness["error"] == \
         "a square meets a hyperplane in opposite sides"
+    assert r.failures[0].witness["at"] == [subdivide(b).squares[0].name(), 4]
 
 
 def test_square_missing_a_side_is_a_failed_check(c5_z2):
-    shared = subdivide(build_ball(c5_z2, 1))
-    s = shared.squares[0]
-    half1, _, spoke1, spoke2 = s.edges
-    # the subdivision is shared with its ball, so break a copy of it
-    broken = [dataclasses.replace(s, edges=(half1, half1, spoke1, spoke2))]
-    sq = dataclasses.replace(shared, squares=broken + shared.squares[1:])
-    r = hyperplane_treewall_audit(sq)
-    assert [(x.check_id, x.instance) for x in r.failures] == [
+    """Square 0 with its second side (v to m_{i+1}) listed as its first."""
+    b = build_ball(c5_z2, 1)
+    x = subdivision(b)
+    x.squares[5] = x.squares[4]
+    r = hyperplane_treewall_audit(b)
+    assert [(f.check_id, f.instance) for f in r.failures] == [
         ("walls.hyperplane-side-is-wall", "classes")]
     assert r.failures[0].witness["error"] == "square is missing one of its sides"
+    s = subdivide(b).squares[0]
+    assert r.failures[0].witness["at"] == [s.name(), s.corners[1].key_string(),
+                                           s.corners[2].key_string()]
 
 
 # -- membership criteria ----------------------------------------------------------
