@@ -10,7 +10,6 @@ with an exact integer curvature identity.
 """
 
 from .errors import (
-    BoundaryCellError,
     CycleWallError,
     DecompositionError,
     EnumerationCapError,

@@ -94,8 +94,11 @@ def _group_from_json(spec, where: str):
             if kind == "integers":
                 return integers_group(name=spec.get("name", ""))
             if kind == "table":
-                return table_group(spec["table"], names=spec.get("names"),
-                                   name=spec.get("name", ""))
+                names = spec.get("names")
+                if names is not None and not (isinstance(names, list)
+                                              and all(isinstance(x, str) for x in names)):
+                    raise ValidationError(f"{where}: table names must be a list of strings")
+                return table_group(spec["table"], names=names, name=spec.get("name", ""))
         except KeyError as exc:
             raise ValidationError(f"{where}: {kind} group needs field {exc}")
         except (TypeError, ValueError) as exc:
@@ -125,7 +128,7 @@ def load_presentation(path: str) -> Presentation:
         raise ValidationError(f"{path}: expected a JSON object")
     n = doc.get("n")
     groups = doc.get("groups")
-    if not isinstance(n, int) or not isinstance(groups, list):
+    if not isinstance(n, int) or isinstance(n, bool) or not isinstance(groups, list):
         raise ValidationError(f"{path}: required fields: n (int), groups (list)")
     if len(groups) != n:
         raise ValidationError(f"{path}: n={n} but {len(groups)} groups given")

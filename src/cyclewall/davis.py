@@ -29,10 +29,10 @@ of its index or label, so vertex ids come in key order and edge ids in
 (label, rep) order, the midpoints' key order, with no sort; the edges' key
 order is a sort of integer pairs.  ``build_ball`` makes the cells from the
 table.  A ``Polygon`` carries its corners and its ordered sides.  The
-incidence maps ``vertex_cells`` and ``edge_cells`` (cell -> the polygons
-containing it) and ``vertex_edges`` are built on first use, so exports, the
-subdivision, the walls and their crossing graph, which read none of them,
-never build them.
+incidence maps ``edge_cells`` (X-edge -> the polygons containing it) and
+``vertex_edges`` serve the disc diagrams alone: they are built on first
+use, so exports, the subdivision, the walls and the audits, which read
+neither, never build them.
 
 X' is arithmetic on the table (``Subdivision``, built once per ball by
 ``subdivision``), with no cell object: with V X-vertices, E X-edges and n
@@ -68,12 +68,17 @@ formatted once and every vertex and midpoint key string has a list slot.
 Neither builds the square index.  Both stream, in chunks of up to 1,024
 records or lines.
 
-The link audits read each interior vertex's link as a plain adjacency dict
-(incident edge -> the incident edges it shares a 2-cell corner with): in X
-over the ball's own edge objects, told apart by identity, and in X' over
-side ids, one link at a time.  A 2-cell that meets its corner in other than
-two sides raises ``InvariantError``, which the audits report as a failed
-check with a witness.
+The link audits read each interior vertex's link in X' as a plain
+adjacency dict over side ids (side at the vertex -> the sides it shares a
+square corner with), one link at a time.  The squares at an X-vertex are
+its polygons' corners there, and a square's two sides at it are the halves
+of its polygon's two sides; so the link of an X-vertex in X is its link in
+X', each half read as its X-edge, which is what ``links_audit`` reads.  A
+square that meets its corner in other than two sides raises
+``InvariantError``, which the audits report as a failed check with a
+witness naming the square (``word#corner``).  ``polygon_pair_audit`` takes
+the polygons at each X-vertex from the squares at it and intersects their
+corner and side ids in the table's polygon records.
 """
 
 from __future__ import annotations
@@ -83,14 +88,9 @@ import os
 from array import array
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, count, cycle, islice, repeat
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
-from .errors import (
-    BoundaryCellError,
-    InvariantError,
-    ResourceLimitError,
-    ValidationError,
-)
+from .errors import InvariantError, ResourceLimitError, ValidationError
 from .reports import Report
 from .words import (
     GroupElement,
@@ -179,9 +179,6 @@ class Polygon:
     boundary: tuple[ComplexVertex, ...]   # v_0 .. v_{n-1}, v_i = g(G_i x G_{i+1})
     edges: tuple[ComplexEdge, ...]        # e_0 .. e_{n-1}, e_i = gG_i joins v_{i-1}, v_i
 
-    def name(self) -> str:
-        return format_word(self.rep)
-
 
 @dataclass
 class ComplexBall:
@@ -217,25 +214,19 @@ class ComplexBall:
         return self.derive(("elements", L),
                            lambda: tuple(enumerate_ball_elements(self.presentation, L)))
 
-    # the polygons containing each cell, in polygon order, and each vertex's
+    # the polygons containing each edge, in polygon order, and each vertex's
     # edges in key order
     @property
-    def vertex_cells(self) -> dict[ComplexVertex, list[Polygon]]:
+    def edge_cells(self) -> dict[ComplexEdge, list[Polygon]]:
         return self.derive("incidence", self._incidence)[0]
 
     @property
-    def edge_cells(self) -> dict[ComplexEdge, list[Polygon]]:
+    def vertex_edges(self) -> dict[ComplexVertex, list[ComplexEdge]]:
         return self.derive("incidence", self._incidence)[1]
 
-    @property
-    def vertex_edges(self) -> dict[ComplexVertex, list[ComplexEdge]]:
-        return self.derive("incidence", self._incidence)[2]
-
     def _incidence(self):
-        vertex_cells, edge_cells, vertex_edges = {}, {}, {}
+        edge_cells, vertex_edges = {}, {}
         for poly in self.polygons.values():
-            for v in poly.boundary:
-                vertex_cells.setdefault(v, []).append(poly)
             for e in poly.edges:
                 edge_cells.setdefault(e, []).append(poly)
         for e in edge_cells:
@@ -243,7 +234,7 @@ class ComplexBall:
                 vertex_edges.setdefault(v, []).append(e)
         for es in vertex_edges.values():
             es.sort(key=_by_key)
-        return vertex_cells, edge_cells, vertex_edges
+        return edge_cells, vertex_edges
 
 
 # -- cell constructors --------------------------------------------------------
@@ -526,36 +517,6 @@ def _subdivision(b: ComplexBall) -> Subdivision:
 # -- links and audits ----------------------------------------------------------------
 
 
-def vertex_link(b: ComplexBall, v: ComplexVertex) -> dict[ComplexEdge, set[ComplexEdge]]:
-    """Link graph of an interior vertex of X, as an adjacency dict.
-
-    Nodes are the incident edges; two are joined when a polygon has a corner
-    at v between them.
-    """
-    if v not in b.interior_vertices:
-        raise BoundaryCellError(f"vertex {v.key_string()} is not interior to the ball")
-    a, c = b.vertex_edges[v][0].ends
-    v = a if a == v else c   # the ball's own object, so its sides are found by identity
-    return _link({e: set() for e in b.vertex_edges[v]}, (
-        (cell, [e for e in cell.edges if e.ends[0] is v or e.ends[1] is v])
-        for cell in b.vertex_cells[v]), Polygon.name, v.key_string)
-
-
-def _link(link: dict, cells: Iterable[tuple], name: Callable, vertex: Callable[[], str]) -> dict:
-    """Join in ``link`` (node -> neighbours) the two sides that each 2-cell
-    at a vertex has there, given as (cell, its sides there).  A cell with
-    other than two raises ``InvariantError``, naming the cell
-    (``name(cell)``) and the vertex (``vertex()``)."""
-    for cell, at_v in cells:
-        if len(at_v) != 2:
-            raise InvariantError("a 2-cell meets its corner in other than two sides",
-                                 [name(cell), vertex(), len(at_v)])
-        a, c = at_v
-        link.setdefault(a, set()).add(c)
-        link.setdefault(c, set()).add(a)
-    return link
-
-
 def graph_girth(g: Mapping) -> float:
     """Shortest cycle length of an adjacency mapping (node -> neighbours);
     inf for forests.  BFS per node (links are small).  A node is told from
@@ -578,10 +539,19 @@ def graph_girth(g: Mapping) -> float:
 
 def _square_link(x: Subdivision, v: int) -> dict[int, set[int]]:
     """The link of X' vertex v over side ids: two sides are joined when a
-    square has its corner at v between them."""
+    square has its corner at v between them.  A square meeting v in other
+    than two sides raises ``InvariantError``, naming the square and v."""
     ends = x.ends
-    return _link({}, ((q, [s for s in x.sides(q) if ends[2 * s] == v or ends[2 * s + 1] == v])
-                      for q, _ in x.squares_at(v)), x.square_name, lambda: x.vertex_key(v))
+    link: dict[int, set[int]] = {}
+    for q, _ in x.squares_at(v):
+        at_v = [s for s in x.sides(q) if ends[2 * s] == v or ends[2 * s + 1] == v]
+        if len(at_v) != 2:
+            raise InvariantError("a 2-cell meets its corner in other than two sides",
+                                 [x.square_name(q), x.vertex_key(v), len(at_v)])
+        a, c = at_v
+        link.setdefault(a, set()).add(c)
+        link.setdefault(c, set()).add(a)
+    return link
 
 
 def t4_audit(b: ComplexBall) -> Report:
@@ -612,20 +582,29 @@ def t4_audit(b: ComplexBall) -> Report:
 
 
 def polygon_pair_audit(b: ComplexBall) -> Report:
-    """No two polygons share two edges or three vertices."""
+    """No two polygons share two edges or three vertices.  The polygons at
+    an X-vertex are those of the squares at it, and their corner and side
+    ids are read from the table's polygon records."""
     report = Report()
+    x = subdivision(b)
+    t = x.table
+    n = t.presentation.n
+    w = 2 * n   # a polygon record's width
     seen_pairs = set()
     bad = []
-    for polys in b.vertex_cells.values():
+    for v in range(len(t.vertices) // 2):
+        polys = [q // n for q, _ in x.squares_at(v)]   # in polygon order
         for idx, g in enumerate(polys):
             for h in polys[idx + 1:]:
                 if (g, h) in seen_pairs:
                     continue
                 seen_pairs.add((g, h))
-                shared_v = set(g.boundary) & set(h.boundary)
-                shared_e = set(g.edges) & set(h.edges)
+                pg, ph = t.polygons[w * g:w * g + w], t.polygons[w * h:w * h + w]
+                shared_v = set(pg[:n]) & set(ph[:n])
+                shared_e = set(pg[n:]) & set(ph[n:])
                 if len(shared_e) >= 2 or len(shared_v) >= 3:
-                    bad.append((g.name(), h.name(), len(shared_e), len(shared_v)))
+                    bad.append((format_word(t.reps[g]), format_word(t.reps[h]),
+                                len(shared_e), len(shared_v)))
     report.add("davis.polygon-pairs", f"radius={b.radius} pairs={len(seen_pairs)}",
                not bad, witness=bad or None)
     return report
@@ -647,28 +626,36 @@ def free_face_audit(b: ComplexBall) -> Report:
 
 
 def links_audit(b: ComplexBall) -> Report:
-    """Interior X-vertex links are complete bipartite w.r.t. the two labels."""
+    """Interior X-vertex links are complete bipartite w.r.t. the two labels.
+
+    The squares at an X-vertex are its polygons' corners there, and a
+    square's two sides at it are the halves of its polygon's two sides
+    there; so its link in X is its link in X', each half read as its
+    X-edge."""
     report = Report()
     p = b.presentation
+    x = subdivision(b)
+    index = x.table.vertices[::2]
+    inside = list(compress(range(len(index)), x.interior_vertices()))   # X-vertices first
     bad = []
-    for v in sorted(b.interior_vertices):
+    for v in inside:   # in key order
         try:
-            link = vertex_link(b, v)
+            link = _square_link(x, v)
         except InvariantError as exc:
             bad = {"error": str(exc), "at": exc.witness}
             break
-        i, j = v.index, (v.index + 1) % p.n
-        side_i = {e for e in link if e.label == i}
-        side_j = {e for e in link if e.label == j}
+        i, j = index[v], (index[v] + 1) % p.n
+        side_i = {s for s in link if x.label(s) == i}
+        side_j = {s for s in link if x.label(s) == j}
         ok = (len(side_i) + len(side_j) == len(link)
               and len(side_i) == p.group(j).size
               and len(side_j) == p.group(i).size
               and all(link[a] == side_j for a in side_i)
               and all(link[c] == side_i for c in side_j))
         if not ok:
-            bad.append(v.key_string())
+            bad.append(x.vertex_key(v))
     report.add("davis.links-complete-bipartite",
-               f"radius={b.radius} vertices={len(b.interior_vertices)}",
+               f"radius={b.radius} vertices={len(inside)}",
                not bad, witness=bad or None)
     return report
 

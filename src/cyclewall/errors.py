@@ -25,10 +25,6 @@ class ResourceLimitError(CycleWallError):
     """A construction would exceed the configured memory budget."""
 
 
-class BoundaryCellError(CycleWallError):
-    """An operation that requires an interior cell was given a boundary cell."""
-
-
 class DecompositionError(CycleWallError):
     """Generator images are not consistent with any inner-times-local map.
 

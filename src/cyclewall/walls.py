@@ -42,9 +42,10 @@ found by conjugating the short elements of <G_S>.  The geometric test
 edge into the ball.  The walls, the subdivision X', the window balls, each
 truncated parabolic subgroup and the per-wall truncated stabilizers are
 built once per ball, on first use, and kept on the ball
-(``ComplexBall.derived``, beside its incidence maps, which building the
-walls and their crossing graph does not need); they live and die with it.
-A wall's fixator is read off its stabilizer.
+(``ComplexBall.derived``); they live and die with it.  A wall's fixator is
+read off its stabilizer.  No audit here reads the ball's incidence maps:
+the shared-polygon audit files each polygon's sides under the walls that
+hold them, in one pass over the polygons.
 
 The hyperplanes of X' are classes of its edge ids: the two opposite sides
 of each square are joined in a ``UnionFind``, and each class's two sides
@@ -614,16 +615,25 @@ def no_triple_crossing_audit(cg: CrossingGraph) -> Report:
 
 
 def wall_no_shared_polygon_audit(b: ComplexBall) -> Report:
-    """No two edges of one wall lie in a common polygon."""
+    """No two edges of one wall lie in a common polygon: one pass over each
+    polygon's sides, each filed under every wall holding it."""
     report = Report()
-    for T in walls_of_ball(b):
-        bad = []
-        for e1, e2 in itertools.combinations(sorted(T.edges), 2):
-            common = set(b.edge_cells[e1]) & set(b.edge_cells[e2])
-            if common:
-                bad.append((e1.key_string(), e2.key_string()))
-        report.add("walls.no-two-edges-share-polygon", T.key_string(), not bad,
-                   bad or None)
+    ws = walls_of_ball(b)
+    on: dict[ComplexEdge, list[int]] = {}   # edge -> the walls holding it
+    for k, T in enumerate(ws):
+        for e in T.edges:
+            on.setdefault(e, []).append(k)
+    shared: list[set] = [set() for _ in ws]   # by wall: its edge pairs sharing a polygon
+    for poly in b.polygons.values():
+        held: dict[int, set[ComplexEdge]] = {}   # wall -> its sides of poly
+        for e in poly.edges:
+            for k in on.get(e, ()):
+                held.setdefault(k, set()).add(e)
+        for k, es in held.items():
+            shared[k].update(itertools.combinations(sorted(es), 2))
+    for T, pairs in zip(ws, shared):
+        bad = [(e1.key_string(), e2.key_string()) for e1, e2 in sorted(pairs)]
+        report.add("walls.no-two-edges-share-polygon", T.key_string(), not bad, bad or None)
     return report
 
 

@@ -27,6 +27,13 @@ The generation oracle closes two vertex stabilizers under products with
 their elements, discarding anything longer than a syllable length, to
 cross-check the exact rule the walls adjacency audit uses.
 
+The link oracle (``vertex_link``) joins the edge objects at an X-vertex
+that each polygon around it has there, instead of reading the vertex's link
+in X' over side ids.  The polygon-pair oracle intersects the corner and side
+objects of every two polygons at a vertex, instead of the table's polygon
+records.  The shared-polygon oracle intersects the polygons on every pair
+of edges of a wall, instead of one pass over each polygon's sides.
+
 The square-ball oracle (``subdivide``) builds X' as cell objects: a
 ``ComplexVertex`` per vertex, a ``ComplexEdge`` per edge and a ``Square``
 per square, holding its corner and side objects, with incidence maps
@@ -190,7 +197,8 @@ from cyclewall.davis import (
     x_vertex,
 )
 from cyclewall.diagrams import DiscDiagram, _ball_edge, _cancel_spurs, _match_polygon
-from cyclewall.errors import DecompositionError, FillError, ValidationError
+from cyclewall.errors import DecompositionError, FillError, InvariantError, ValidationError
+from cyclewall.reports import Report
 from cyclewall.walls import TreeWall, UnionFind, _stabilizes_wall, walls_of_ball
 from cyclewall.words import (
     GroupElement,
@@ -712,6 +720,62 @@ def index_by_cells(ball: ComplexBall, cells):
     return vertex_cells, edge_cells, vertex_edges
 
 
+def polygons_at(b: ComplexBall) -> dict:
+    """The polygons at each X-vertex of a polygonal ball, in polygon order,
+    filed from their corner objects; kept on the ball."""
+    return b.derive("oracle vertex cells", lambda: index_by_cells(
+        b, ((P, P.boundary) for P in b.polygons.values()))[0])
+
+
+def vertex_link(b: ComplexBall, v: ComplexVertex) -> dict:
+    """The link of an interior X-vertex over the ball's edge objects: its
+    nodes are the edges at v, two joined when a polygon has its corner at v
+    between them.  A polygon meeting v in other than two sides raises
+    ``InvariantError``."""
+    assert v in b.interior_vertices
+    link = {e: set() for e in b.vertex_edges[v]}
+    for P in polygons_at(b)[v]:
+        at_v = [e for e in P.edges if v in e.ends]
+        if len(at_v) != 2:
+            raise InvariantError("a 2-cell meets its corner in other than two sides",
+                                 [format_word(P.rep), v.key_string(), len(at_v)])
+        a, c = at_v
+        link[a].add(c)
+        link[c].add(a)
+    return link
+
+
+def polygon_pairs_by_objects(b: ComplexBall) -> tuple[int, list]:
+    """(the number of pairs of polygons sharing a vertex, those of them
+    sharing two edges or three vertices as (name, name, edges, vertices)),
+    by intersecting the polygons' corner and side objects at each vertex."""
+    seen, bad = set(), []
+    for polys in polygons_at(b).values():
+        for g, h in itertools.combinations(polys, 2):
+            if (g, h) not in seen:
+                seen.add((g, h))
+                shared_v = set(g.boundary) & set(h.boundary)
+                shared_e = set(g.edges) & set(h.edges)
+                if len(shared_e) >= 2 or len(shared_v) >= 3:
+                    bad.append((format_word(g.rep), format_word(h.rep),
+                                len(shared_e), len(shared_v)))
+    return len(seen), bad
+
+
+def wall_no_shared_polygon_by_pairs(b: ComplexBall, ws: list) -> Report:
+    """``walls.wall_no_shared_polygon_audit`` on the walls ``ws`` of ``b``,
+    by intersecting the polygons on every pair of edges of each wall
+    (``edge_cells``), instead of one pass over each polygon's sides."""
+    report = Report()
+    for T in ws:
+        bad = [(e1.key_string(), e2.key_string())
+               for e1, e2 in itertools.combinations(sorted(T.edges), 2)
+               if set(b.edge_cells[e1]) & set(b.edge_cells[e2])]
+        report.add("walls.no-two-edges-share-polygon", T.key_string(), not bad,
+                   bad or None)
+    return report
+
+
 @dataclass(frozen=True, eq=False)
 class Square:
     polygon: GroupElement
@@ -734,7 +798,7 @@ class SquareBall(ComplexBall):
     form = "square"
 
     def _incidence(self):
-        return index_by_cells(self, ((s, s.corners) for s in self.squares))
+        return index_by_cells(self, ((s, s.corners) for s in self.squares))[1:]
 
 
 _RANK = {POLY: 2, EDGE: 1, TRIVIAL: 0}   # |S| for the coset g<G_S>

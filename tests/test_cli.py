@@ -75,6 +75,25 @@ def test_load_rejects_malformed_group_objects(tmp_path):
         assert "groups[0]" in str(err.value)
 
 
+def test_load_rejects_a_boolean_n(tmp_path, capsys):
+    """A JSON boolean is not an integer n, though Python's bool is an int."""
+    path = write_presentation(tmp_path, True, [])
+    with pytest.raises(ValidationError, match=r"required fields: n \(int\)"):
+        load_presentation(path)
+    assert main(["verify", "--suite", "words", "--presentation", path]) == EXIT_RESOURCE
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("names", ["ab", [1, 2]], ids=["a-string", "not-strings"])
+def test_load_rejects_table_names_that_are_not_a_list_of_strings(names, tmp_path, capsys):
+    path = write_presentation(tmp_path, 5, [
+        {"kind": "table", "table": [[0, 1], [1, 0]], "names": names}] + ["Z/2"] * 4)
+    with pytest.raises(ValidationError, match=r"groups\[0\]: table names must be"):
+        load_presentation(path)
+    assert main(["verify", "--suite", "words", "--presentation", path]) == EXIT_RESOURCE
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_load_rejects_bad_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

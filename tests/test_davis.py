@@ -28,18 +28,13 @@ from cyclewall.davis import (
     polygon_pair_audit,
     subdivision,
     t4_audit,
-    vertex_link,
     x_vertex,
 )
-from cyclewall.errors import (
-    BoundaryCellError,
-    InvariantError,
-    ResourceLimitError,
-    ValidationError,
-)
-from cyclewall.walls import crossing_graph, hyperplane_classes
+from cyclewall.errors import InvariantError, ResourceLimitError, ValidationError
+from cyclewall.walls import crossing_graph, hyperplane_classes, wall_no_shared_polygon_audit
 from cyclewall.words import (
     enumerate_ball_elements,
+    format_word,
     identity,
     mul,
     parse_word,
@@ -53,9 +48,12 @@ from oracles import (
     hyperplane_classes_by_components,
     index_by_cells,
     interior_by_enumeration,
+    polygon_pairs_by_objects,
+    polygons_at,
     polygons_containing_edge,
     subdivide,
     subdivision_interior_inherited,
+    vertex_link,
     x_edge,
 )
 
@@ -98,7 +96,7 @@ def ball_differences(b, oracle) -> list[str]:
     def by_rep(cells):
         return {key: [c.rep for c in cs] for key, cs in cells.items()}
 
-    vertex_cells, edge_cells, vertex_edges = index_by_cells(
+    _, edge_cells, vertex_edges = index_by_cells(
         oracle, ((P, P.boundary) for P in oracle.polygons.values()))
     parts = {
         "vertices": (b.vertices, oracle.vertices),
@@ -107,7 +105,6 @@ def ball_differences(b, oracle) -> list[str]:
                      [(g, P.boundary, P.edges) for g, P in oracle.polygons.items()]),
         "interior": ((b.interior_vertices, b.interior_edges),
                      (oracle.interior_vertices, oracle.interior_edges)),
-        "vertex_cells": (by_rep(b.vertex_cells), by_rep(vertex_cells)),
         "edge_cells": (by_rep(b.edge_cells), by_rep(edge_cells)),
         "vertex_edges": (b.vertex_edges, vertex_edges),
         # one object per cell, shared by the polygons around it
@@ -223,16 +220,19 @@ def test_ball_oracle_catches_cells_read_off_the_last_syllable_alone(c5_mixed, mo
 
 
 def test_incidence_maps_are_built_once_and_only_when_read(c6_mixed):
-    """Exports, the subdivision and walls read no incidence map, so the ball
-    builds none; the first read builds all three, kept on the ball."""
+    """Exports, the subdivision, walls and the audits of X's links,
+    polygon pairs and walls' polygons read no incidence map, so the ball
+    builds none; the first read builds both, kept on the ball."""
     b = build_ball(c6_mixed, 2)
     subdivision(b)
     ball_to_json(b, square=True)
     "".join(iter_ball_dot(b, square=True))
     crossing_graph(b)
+    for audit in (links_audit, polygon_pair_audit, wall_no_shared_polygon_audit):
+        assert audit(b).ok
     assert "incidence" not in b.derived
-    maps = (b.vertex_cells, b.edge_cells, b.vertex_edges)
-    again = (b.vertex_cells, b.edge_cells, b.vertex_edges)
+    maps = (b.edge_cells, b.vertex_edges)
+    again = (b.edge_cells, b.vertex_edges)
     assert all(x is y is z for x, y, z in zip(maps, again, b.derived["incidence"]))
 
 
@@ -266,11 +266,15 @@ def test_interior_edge_lies_in_group_order_many_polygons(c5_mixed):
 
 
 def test_interior_vertex_polygon_count_is_product_of_orders(c5_mixed):
+    """As many polygons have a corner at an interior X-vertex, and as many
+    squares of X' are at it."""
     b = build_ball(c5_mixed, 2)
+    x = subdivision(b)
     assert b.interior_vertices
     for v in b.interior_vertices:
         want = c5_mixed.group(v.index).size * c5_mixed.group(v.index + 1).size
-        assert len(b.vertex_cells[v]) == want
+        assert len(polygons_at(b)[v]) == want
+        assert len(list(x.squares_at(b.vertices.index(v)))) == want
 
 
 def test_interior_matches_algebraic_polygon_lists():
@@ -357,7 +361,7 @@ def test_cells_are_shared_values_with_a_cached_hash_and_key(c5_mixed):
             assert all(vertex[v] is v for v in corners)
             assert all(edge[e] is e for e in cell.edges)
         assert all(vertex[v] is v for e in ball.edges for v in e.ends)
-        for keys in (ball.vertex_cells, ball.vertex_edges, ball.interior_vertices):
+        for keys in (ball.vertex_edges, ball.interior_vertices):
             assert all(vertex[v] is v for v in keys)
         for keys in (ball.edge_cells, ball.interior_edges):
             assert all(edge[e] is e for e in keys)
@@ -441,16 +445,55 @@ def test_vertex_link_is_complete_bipartite(c5_mixed):
     assert sum(map(len, link.values())) == 2 * ni * nj
 
 
+LINK_CASES = [(name, r) for name in SIX for r in range(3)] + [("c5_z3", 3)]
+
+
+@pytest.mark.parametrize("name,radius", LINK_CASES)
+def test_x_link_is_the_square_link_at_an_x_vertex(name, radius):
+    """At every interior X-vertex, the link ``links_audit`` reads in X'
+    (each half read as its X-edge) is the object oracle's link in X,
+    compared by key strings; and an X-vertex's key in X' is its cell's."""
+    b = build_ball(perfbench_presentation(name), radius)
+    x = subdivision(b)
+    t = x.table
+
+    def x_edge_key(s):   # the key string of half s's X-edge
+        i, _, a, c = t.edges[4 * (s // 2):4 * (s // 2) + 4]
+        return f"{i}|{x.vertex_key(a)}--{x.vertex_key(c)}"
+
+    assert [x.vertex_key(v) for v in range(len(b.vertices))] == \
+        [v.key_string() for v in b.vertices]
+    for v, cell in enumerate(b.vertices):
+        if cell in b.interior_vertices:
+            got = {x_edge_key(s): {x_edge_key(u) for u in us}
+                   for s, us in davis._square_link(x, v).items()}
+            assert got == {e.key_string(): {f.key_string() for f in fs}
+                           for e, fs in vertex_link(b, cell).items()}, cell.key_string()
+
+
+@pytest.mark.parametrize("name,radius", LINK_CASES)
+def test_polygon_pair_audit_matches_the_object_oracle(name, radius):
+    """The pair count and witness read from the table's polygon records are
+    the object oracle's."""
+    b = build_ball(perfbench_presentation(name), radius)
+    pairs, bad = polygon_pairs_by_objects(b)
+    [result] = polygon_pair_audit(b).results
+    assert (result.instance, result.witness, bad) == (f"radius={radius} pairs={pairs}", None, [])
+
+
+# the first square at the first interior X-vertex v, with its first side at
+# v replaced by one of its sides not at v
 _CUT_POLYGON = """
-import dataclasses, json, sys
+import json, sys
 from cyclewall.cli import load_presentation
-from cyclewall.davis import build_ball, links_audit
+from cyclewall.davis import build_ball, links_audit, subdivision
 b = build_ball(load_presentation(sys.argv[1]), 2)
-v = sorted(b.interior_vertices)[0]
-poly = b.vertex_cells[v][0]
-cut = next(e for e in poly.edges if v in e.ends)   # a side of poly at v
-b.vertex_cells[v][0] = dataclasses.replace(
-    poly, edges=tuple(e for e in poly.edges if e != cut))
+x = subdivision(b)
+v = next(v for v, inner in enumerate(x.interior_vertices()) if inner)
+q, _ = next(x.squares_at(v))
+sides = x.sides(q)
+cut = next(k for k, s in enumerate(sides) if v in x.edge_ends(s))
+x.squares[8 * q + 4 + cut] = next(s for s in sides if v not in x.edge_ends(s))
 print(json.dumps({"optimize": sys.flags.optimize,
                   "failed": [[r.check_id, r.witness] for r in links_audit(b).failures]}))
 """
@@ -470,7 +513,26 @@ def test_links_audit_fails_on_a_polygon_missing_a_side_at_a_vertex(flags):
     [[check_id, witness]] = doc["failed"]
     assert check_id == "davis.links-complete-bipartite"
     assert witness["error"] == "a 2-cell meets its corner in other than two sides"
-    assert witness["at"][0] == "" and witness["at"][2] == 1   # the identity polygon
+    # corner 0 of the identity polygon, at the vertex (0, identity)
+    assert witness["at"] == ["#0", "poly|0|", 1]
+
+
+def test_links_audit_fails_on_a_link_that_is_not_complete_bipartite(c5_mixed):
+    """The first square at the first interior X-vertex v, with one of its
+    sides at v replaced by another side at v of the same label, drops an
+    edge of the link of v, whose key is the witness."""
+    b = build_ball(c5_mixed, 2)
+    x = subdivision(b)
+    v = next(v for v, inner in enumerate(x.interior_vertices()) if inner)
+    squares = [q for q, _ in x.squares_at(v)]
+    sides = x.sides(squares[0])
+    c = next(s for s in sides if v in x.edge_ends(s))
+    other = next(s for q in squares for s in x.sides(q)
+                 if v in x.edge_ends(s) and s not in sides and x.label(s) == x.label(c))
+    x.squares[8 * squares[0] + 4 + sides.index(c)] = other
+    [failure] = links_audit(b).failures
+    assert failure.check_id == "davis.links-complete-bipartite"
+    assert failure.witness == [sorted(b.interior_vertices)[0].key_string()]
 
 
 def test_t4_audit_fails_on_a_square_missing_a_side_at_a_vertex(c5_mixed):
@@ -513,25 +575,35 @@ def test_free_face_audit_fails_on_an_edge_in_one_square(c5_mixed):
 
 
 @pytest.mark.parametrize("extra", ["edge", "vertex"])
-def test_polygon_pair_audit_fails_on_a_pair_sharing_too_much(c5_mixed, extra):
-    """Two polygons sharing two edges, or three vertices, are reported."""
-    b = build_ball(c5_mixed, 2)
-    v = sorted(b.interior_vertices)[0]
-    polys = b.vertex_cells[v]
+def test_polygon_pair_audit_fails_on_a_pair_sharing_too_much(c5_mixed, extra, monkeypatch):
+    """Two polygons sharing two edges, or three vertices, are reported, as
+    the object oracle reports them.  At the first interior X-vertex, the
+    first polygon and the first one sharing one edge with it; a side (or a
+    corner) of the second that the first lacks becomes one of the first's,
+    in the table the ball is built from."""
+    n = c5_mixed.n
+    t = ball_table(c5_mixed, 2)
+
+    def record(k):
+        return t.polygons[2 * n * k:2 * n * (k + 1)]
+
+    v = next(v for v, k in enumerate(t.vertices[1::2]) if len(t.reps[k].word) + 2 <= t.radius)
+    polys = [k for k in range(len(t.reps)) if v in record(k)[:n]]
     first = polys[0]
-    k, second = next((k, h) for k, h in enumerate(polys)
-                     if len(set(first.edges) & set(h.edges)) == 1)
-    if extra == "edge":
-        more = next(e for e in first.edges if e not in second.edges)
-        polys[k] = dataclasses.replace(second, edges=second.edges + (more,))
-        want = (first.name(), second.name(), 2, 2)
-    else:
-        more = next(u for u in first.boundary if u not in second.boundary)
-        polys[k] = dataclasses.replace(second, boundary=second.boundary + (more,))
-        want = (first.name(), second.name(), 1, 3)
+    second = next(h for h in polys if len(set(record(first)[n:]) & set(record(h)[n:])) == 1)
+    at = n if extra == "edge" else 0   # the sides, or the corners
+    mine, theirs = record(second)[at:at + n], record(first)[at:at + n]
+    slot = 2 * n * second + at + next(j for j, c in enumerate(mine) if c not in theirs)
+    t.polygons[slot] = next(c for c in theirs if c not in mine)
+    monkeypatch.setattr(davis, "ball_table", lambda p, r: t)
+    b = build_ball(c5_mixed, 2)
+    names = format_word(t.reps[first]), format_word(t.reps[second])
+    want = (*names, 2, 2) if extra == "edge" else (*names, 1, 3)
     [failure] = polygon_pair_audit(b).failures
     assert failure.check_id == "davis.polygon-pairs"
     assert failure.witness == [want]
+    pairs, bad = polygon_pairs_by_objects(b)
+    assert bad == [want] and failure.instance == f"radius=2 pairs={pairs}"
 
 
 @pytest.mark.parametrize("cut", ["dropped", "repeated"])
@@ -585,13 +657,6 @@ def test_t4_audit_fails_on_a_link_with_a_short_cycle(c5_mixed, short):
     [failure] = t4_audit(b).failures
     assert failure.check_id == "davis.t4.link-girth"
     assert failure.witness == [(sorted(subdivide(b).interior_vertices)[0].key_string(), want)]
-
-
-def test_vertex_link_rejects_boundary(c5_z2):
-    b = build_ball(c5_z2, 1)
-    boundary = [v for v in b.vertices if v not in b.interior_vertices][0]
-    with pytest.raises(BoundaryCellError):
-        vertex_link(b, boundary)
 
 
 def test_t4_audit_passes(c5_mixed, c6_z2):

@@ -62,6 +62,7 @@ from oracles import (
     sweep_closure,
     sweep_stabilizes_wall,
     treewall_of_edge,
+    wall_no_shared_polygon_by_pairs,
     wall_stabilizer_by_scan,
     walls_by_flood_fill,
     window_member,
@@ -195,6 +196,28 @@ def test_shared_polygon_audit_fails_on_two_sides_of_one_polygon(c5_z2, monkeypat
     assert [(x.check_id, x.instance) for x in r.failures] == [
         ("walls.no-two-edges-share-polygon", T.key_string())]
     assert all(side.key_string() in pair for pair in r.failures[0].witness)
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in PRESENTATIONS.glob("*.json")))
+def test_shared_polygon_audit_matches_the_pairwise_oracle(name, monkeypatch):
+    """The one pass over each polygon's sides reports what intersecting the
+    polygons on every pair of a wall's edges reports: on the ball's walls at
+    radius 0-2, and at radius 2 on walls that each gain another side of a
+    polygon on their seed, a side that its own wall holds too."""
+    p = load_presentation(str(PRESENTATIONS / f"{name}.json"))
+    for radius in range(3):
+        b = build_ball(p, radius)
+        assert wall_no_shared_polygon_audit(b) == \
+            wall_no_shared_polygon_by_pairs(b, walls_of_ball(b)), radius
+    ws = walls_of_ball(b)
+    for k, T in enumerate(ws[:4]):
+        side = next(e for e in b.edge_cells[T.seed][0].edges if e not in T.edges)
+        assert any(side in U.edges for U in ws)
+        ws[k] = TreeWall(T.label, T.seed, T.edges | {side}, T.key_rep)
+    monkeypatch.setattr(walls, "walls_of_ball", lambda _b: ws)
+    report = wall_no_shared_polygon_audit(b)
+    assert len(report.failures) == 4
+    assert report == wall_no_shared_polygon_by_pairs(b, ws)
 
 
 def test_tree_property(c5_z2, c5_mixed, c6_z2):
