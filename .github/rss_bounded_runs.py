@@ -19,6 +19,16 @@ C6_MIXED = "perfbench/presentations/c6_mixed.json"
 
 # (name, argv, exit code, stdout sha256, timeout in s, peak RSS bound in MB)
 ROWS = [
+    # the hyperplane audit reads X' in one pass over the squares; bounded
+    # at 1.2 x the 20.1 MB measured when it 2-colored each class on its own
+    ("Radius-3 walls report is byte-identical",
+     ["verify", "--suite", "walls", "--radius", "3", "--depth", "3", "--seed", "0",
+      "--presentation", C5_Z3], 0,
+     "860a0f32720d73970d152c31d6e787913627f277eb413d154a979351ef14af5b", 60, 24),
+    # bounded at 1.2 x the 20.1 MB measured before the row was added
+    ("Radius-3 davis report is byte-identical",
+     ["verify", "--suite", "davis", "--radius", "3", "--presentation", C6_MIXED], 0,
+     "d47cd475a8cadd53caf011e6037c5acf56899bddc66ae2b024315377955d7dff", 60, 24),
     # the export reads the ball's integer cell table and makes no cell
     # object (34.9 MB measured, 43.7 MB when the cells were built)
     ("Radius-5 ball is byte-identical",

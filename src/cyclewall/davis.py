@@ -584,28 +584,31 @@ def t4_audit(b: ComplexBall) -> Report:
 def polygon_pair_audit(b: ComplexBall) -> Report:
     """No two polygons share two edges or three vertices.  The polygons at
     an X-vertex are those of the squares at it, and their corner and side
-    ids are read from the table's polygon records."""
+    ids are read from the table's polygon records.  Each pair is counted
+    and checked once, at its least shared X-vertex: the vertices are walked
+    in id order, so that is where the pair is first met."""
     report = Report()
     x = subdivision(b)
     t = x.table
     n = t.presentation.n
     w = 2 * n   # a polygon record's width
-    seen_pairs = set()
+    pairs = 0
     bad = []
     for v in range(len(t.vertices) // 2):
         polys = [q // n for q, _ in x.squares_at(v)]   # in polygon order
+        corners = {g: set(t.polygons[w * g:w * g + n]) for g in polys}
         for idx, g in enumerate(polys):
             for h in polys[idx + 1:]:
-                if (g, h) in seen_pairs:
+                shared_v = corners[g] & corners[h]
+                if min(shared_v) != v:
                     continue
-                seen_pairs.add((g, h))
-                pg, ph = t.polygons[w * g:w * g + w], t.polygons[w * h:w * h + w]
-                shared_v = set(pg[:n]) & set(ph[:n])
-                shared_e = set(pg[n:]) & set(ph[n:])
+                pairs += 1
+                shared_e = (set(t.polygons[w * g + n:w * g + w])
+                            & set(t.polygons[w * h + n:w * h + w]))
                 if len(shared_e) >= 2 or len(shared_v) >= 3:
                     bad.append((format_word(t.reps[g]), format_word(t.reps[h]),
                                 len(shared_e), len(shared_v)))
-    report.add("davis.polygon-pairs", f"radius={b.radius} pairs={len(seen_pairs)}",
+    report.add("davis.polygon-pairs", f"radius={b.radius} pairs={pairs}",
                not bad, witness=bad or None)
     return report
 

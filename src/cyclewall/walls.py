@@ -48,16 +48,26 @@ the shared-polygon audit files each polygon's sides under the walls that
 hold them, in one pass over the polygons.
 
 The hyperplanes of X' are classes of its edge ids: the two opposite sides
-of each square are joined in a ``UnionFind``, and each class's two sides
-are 2-colored over vertex ids.  A structure the audits rely on that turns
-out broken (a square without a side, an inconsistent hyperplane) raises
-``InvariantError``, which the audits report as a failed check with a
-witness.
+of each square are joined in a ``UnionFind``, in one pass over the squares.
+Square (m_i, v, m_{i+1}, c) crosses two classes, {half (m_i, v), spoke
+(m_{i+1}, c)} and {half (v, m_{i+1}), spoke (c, m_i)}; in each, the
+parallel half lies at the X-vertex corner v and the parallel spoke at the
+center c.  Two squares of one class are joined by a chain of squares, each
+sharing a dual edge with the next: a dual half shares its X-vertex, a dual
+spoke its center.  So every class has one side of halves only (its
+X-vertex side) and one of spokes only (its center side), and a second pass
+over the squares files each class's parallel halves' labels and places its
+midpoints on either side; the class's tree-wall side is its halves' side
+exactly when their labels are one label.  A structure the audit relies on
+that turns out broken (a square without a side, a square whose two classes
+are one, a midpoint on both sides of a class) is reported as a failed check
+with a witness.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Iterator, Optional
@@ -73,7 +83,7 @@ from .algebraic import (
     window_of,
 )
 from .davis import ComplexBall, ComplexEdge, ComplexVertex, subdivision
-from .errors import InvariantError, ValidationError
+from .errors import ValidationError
 from .reports import Report
 from .words import (
     GroupElement,
@@ -478,12 +488,15 @@ class UnionFind:
             self.parent[ra] = rb
 
 
-def hyperplane_classes(b: ComplexBall) -> dict[int, list[int]]:
-    """Square-midline equivalence classes of X' edge ids, each keyed by its
-    union-find root: edges opposite in a square are dual to the same
-    hyperplane."""
+def hyperplane_treewall_audit(b: ComplexBall) -> Report:
+    """Exactly one side of each interior hyperplane of X' is a
+    constant-label subgraph of the unsubdivided 1-skeleton: its halves'
+    side (see the module docstring)."""
+    check = "walls.hyperplane-side-is-wall"
+    report = Report()
     x = subdivision(b)
     uf = UnionFind()
+    halves = array("i")   # each square's halves (m_i, v) and (v, m_{i+1})
     for q, (m_i, v, m_next, c, *sides) in enumerate(x.records()):
         # corners (m_i, v, m_{i+1}, c) in cyclic order; each side by its ends, in key order
         side = {x.edge_ends(s): s for s in sides}
@@ -491,89 +504,37 @@ def hyperplane_classes(b: ComplexBall) -> dict[int, list[int]]:
             e1, e2 = (side.get((min(a, z), max(a, z))) for a, z in pair)
             if e1 is None or e2 is None:
                 a, z = pair[0] if e1 is None else pair[1]
-                raise InvariantError("square is missing one of its sides",
-                                     [x.square_name(q), x.vertex_key(a), x.vertex_key(z)])
+                report.add(check, "classes", False,
+                           {"error": "square is missing one of its sides",
+                            "at": [x.square_name(q), x.vertex_key(a), x.vertex_key(z)]})
+                return report
             uf.union(e1, e2)
-    classes: dict[int, list[int]] = {}
-    for e in x.edge_ids():
-        classes.setdefault(uf.find(e), []).append(e)
-    return classes
-
-
-def combinatorial_hyperplanes(b: ComplexBall, dual_edges: list[int]) -> list[set[int]]:
-    """The two side graphs of a hyperplane, as X' edge ids.
-
-    The ends of dual (crossed) edges are 2-colored: the two ends of a
-    crossed edge get different colors; corners joined by a side of a
-    crossed square parallel to the hyperplane get the same color.  Each
-    combinatorial hyperplane is the set of parallel sides within one color.
-    """
-    x = subdivision(b)
-    dual = set(dual_edges)
-    parallel_edges: set[int] = set()
-    # the crossed squares: those at a dual edge's first end that hold it
-    for q in sorted({q for e in dual for q, _ in x.squares_at(x.edge_ends(e)[0])
-                     if e in x.sides(q)}):
-        sides = x.sides(q)
-        crossed = [e for e in sides if e in dual]
-        if len(crossed) != 2:
-            raise InvariantError("a square meets a hyperplane in opposite sides",
-                                 [x.square_name(q), len(crossed)])
-        parallel_edges.update(set(sides) - dual)
-    # vertex -> (neighbour, 1 across the hyperplane or 0 along it)
-    joined: dict[int, set[tuple[int, int]]] = {}
-    for e, flip in itertools.chain(zip(dual, itertools.repeat(1)),
-                                   zip(parallel_edges, itertools.repeat(0))):
-        a, c = x.edge_ends(e)
-        joined.setdefault(a, set()).add((c, flip))
-        joined.setdefault(c, set()).add((a, flip))
-    color: dict[int, int] = {}
-    for start in sorted(joined):   # BFS 2-coloring
-        if start in color:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            for w, flip in joined[u]:
-                if w not in color:
-                    color[w] = color[u] ^ flip
-                    queue.append(w)
-                elif color[w] != color[u] ^ flip:
-                    raise InvariantError("hyperplane is one-sided in the ball" if flip
-                                         else "hyperplane sides are inconsistent",
-                                         [x.vertex_key(u), x.vertex_key(w)])
-    sides = [set(), set()]
-    for e in parallel_edges:
-        sides[color[x.edge_ends(e)[0]]].add(e)
-    return sides
-
-
-def hyperplane_treewall_audit(b: ComplexBall) -> Report:
-    """Exactly one side of each interior hyperplane of X' is a
-    constant-label subgraph of the unsubdivided 1-skeleton."""
-    report = Report()
-    try:
-        classes = hyperplane_classes(b)
-    except InvariantError as exc:
-        report.add("walls.hyperplane-side-is-wall", "classes", False,
-                   {"error": str(exc), "at": exc.witness})
-        return report
-    x = subdivision(b)
-    for idx, root in enumerate(sorted(classes, key=x.edge_ends)):
-        try:
-            sides = combinatorial_hyperplanes(b, classes[root])
-        except InvariantError as exc:
-            report.add("walls.hyperplane-side-is-wall", f"hyperplane#{idx}", False,
-                       {"error": str(exc), "at": exc.witness})
-            continue
-        labels = [set(map(x.label, side)) for side in sides]
-        skeleton_sides = sum(None not in ls and len(ls) == 1 for ls in labels)
-        report.add("walls.hyperplane-side-is-wall", f"hyperplane#{idx}",
-                   skeleton_sides == 1,
-                   None if skeleton_sides == 1 else {
-                       "sides_in_skeleton": skeleton_sides,
-                       "side_labels": [sorted(map(str, ls)) for ls in labels]})
+            halves.append(e1)
+    label_of: dict[int, Optional[int]] = {}   # class root -> its first parallel half's label
+    mixed: dict[int, set] = {}   # class root -> its parallel halves' labels, when not one
+    placed: dict[tuple[int, int], int] = {}   # (class root, midpoint) -> 0 X-vertex, 1 center side
+    errors: dict[int, dict] = {}   # class root -> the witness of its first broken square
+    pairs = iter(halves)
+    for q, ((m_i, _, m_next, *_), h0, h1) in enumerate(zip(x.records(), pairs, pairs)):
+        r0, r1 = uf.find(h0), uf.find(h1)
+        if r0 == r1:
+            errors.setdefault(r0, {"error": "a square meets a hyperplane in opposite sides",
+                                   "at": [x.square_name(q)]})
+        # class r0 runs along the half (v, m_{i+1}), so m_{i+1} is on its X-vertex
+        # side and m_i on its center side; class r1 runs along (m_i, v)
+        for root, along, near, far in ((r0, h1, m_next, m_i), (r1, h0, m_i, m_next)):
+            label = x.label(along)
+            if label_of.setdefault(root, label) != label:
+                mixed.setdefault(root, {label_of[root]}).add(label)
+            for m, on in ((near, 0), (far, 1)):
+                if placed.setdefault((root, m), on) != on:
+                    errors.setdefault(root, {"error": "hyperplane sides are inconsistent",
+                                             "at": [x.square_name(q), x.vertex_key(m)]})
+    for idx, root in enumerate(sorted(label_of, key=x.edge_ends)):
+        ok = root not in errors and root not in mixed and label_of[root] is not None
+        report.add(check, f"hyperplane#{idx}", ok, None if ok else errors.get(root, {
+            "sides_in_skeleton": 0,
+            "side_labels": [sorted(map(str, mixed.get(root, {label_of[root]}))), ["None"]]}))
     return report
 
 

@@ -41,6 +41,12 @@ indexed from the squares and interior marked by coset-rep length.  The
 integer ``davis.Subdivision`` is checked against it key string by key
 string, and the X' audits' mutants are written against both.
 
+The hyperplane oracle joins the opposite sides of each square of X' in a
+union-find (``hyperplane_classes``) and 2-colors each class's sides on its
+own, by a breadth-first search over the ends of the class's dual and
+parallel edges (``combinatorial_hyperplanes``), instead of filing every
+class's labels and midpoints in one more pass over the squares.
+
 The minimal-set oracle runs networkx shortest paths over the whole square
 skeleton of the square-ball oracle, instead of the stopped breadth-first
 search over vertex ids of ``walls.min_set``.
@@ -194,6 +200,7 @@ from cyclewall.davis import (
     _records,
     _table,
     act_edge,
+    subdivision,
     x_vertex,
 )
 from cyclewall.diagrams import DiscDiagram, _ball_edge, _cancel_spurs, _match_polygon
@@ -869,6 +876,95 @@ def hyperplane_classes_by_components(sq: SquareBall) -> set[frozenset[str]]:
                          for e, f in itertools.combinations(s.edges, 2)
                          if not set(e.ends) & set(f.ends))
     return set(map(frozenset, nx.connected_components(g)))
+
+
+def hyperplane_classes(b: ComplexBall) -> dict[int, list[int]]:
+    """Square-midline equivalence classes of X' edge ids, each keyed by its
+    union-find root: edges opposite in a square are dual to the same
+    hyperplane."""
+    x = subdivision(b)
+    uf = UnionFind()
+    for q, (m_i, v, m_next, c, *sides) in enumerate(x.records()):
+        # corners (m_i, v, m_{i+1}, c) in cyclic order; each side by its ends, in key order
+        side = {x.edge_ends(s): s for s in sides}
+        for pair in (((m_i, v), (m_next, c)), ((v, m_next), (c, m_i))):
+            e1, e2 = (side.get((min(a, z), max(a, z))) for a, z in pair)
+            if e1 is None or e2 is None:
+                a, z = pair[0] if e1 is None else pair[1]
+                raise InvariantError("square is missing one of its sides",
+                                     [x.square_name(q), x.vertex_key(a), x.vertex_key(z)])
+            uf.union(e1, e2)
+    classes: dict[int, list[int]] = {}
+    for e in x.edge_ids():
+        classes.setdefault(uf.find(e), []).append(e)
+    return classes
+
+
+def combinatorial_hyperplanes(b: ComplexBall, dual_edges: list[int]) -> list[set[int]]:
+    """The two side graphs of a hyperplane, as X' edge ids.
+
+    The ends of dual (crossed) edges are 2-colored: the two ends of a
+    crossed edge get different colors; corners joined by a side of a
+    crossed square parallel to the hyperplane get the same color.  Each
+    combinatorial hyperplane is the set of parallel sides within one color.
+    """
+    x = subdivision(b)
+    dual = set(dual_edges)
+    parallel_edges: set[int] = set()
+    # the crossed squares: those at a dual edge's first end that hold it
+    for q in sorted({q for e in dual for q, _ in x.squares_at(x.edge_ends(e)[0])
+                     if e in x.sides(q)}):
+        sides = x.sides(q)
+        crossed = [e for e in sides if e in dual]
+        if len(crossed) != 2:
+            raise InvariantError("a square meets a hyperplane in opposite sides",
+                                 [x.square_name(q), len(crossed)])
+        parallel_edges.update(set(sides) - dual)
+    # vertex -> (neighbour, 1 across the hyperplane or 0 along it)
+    joined: dict[int, set[tuple[int, int]]] = {}
+    for e, flip in itertools.chain(zip(dual, itertools.repeat(1)),
+                                   zip(parallel_edges, itertools.repeat(0))):
+        a, c = x.edge_ends(e)
+        joined.setdefault(a, set()).add((c, flip))
+        joined.setdefault(c, set()).add((a, flip))
+    color: dict[int, int] = {}
+    for start in sorted(joined):   # BFS 2-coloring
+        if start in color:
+            continue
+        color[start] = 0
+        queue = [start]
+        while queue:
+            u = queue.pop()
+            for w, flip in joined[u]:
+                if w not in color:
+                    color[w] = color[u] ^ flip
+                    queue.append(w)
+                elif color[w] != color[u] ^ flip:
+                    raise InvariantError("hyperplane is one-sided in the ball" if flip
+                                         else "hyperplane sides are inconsistent",
+                                         [x.vertex_key(u), x.vertex_key(w)])
+    sides = [set(), set()]
+    for e in parallel_edges:
+        sides[color[x.edge_ends(e)[0]]].add(e)
+    return sides
+
+
+def hyperplane_treewall_by_classes(b: ComplexBall) -> Report:
+    """``walls.hyperplane_treewall_audit`` by 2-coloring each class's
+    sides on its own (``combinatorial_hyperplanes``) and counting the sides
+    whose labels are one X-edge label."""
+    report = Report()
+    x = subdivision(b)
+    classes = hyperplane_classes(b)
+    for idx, root in enumerate(sorted(classes, key=x.edge_ends)):
+        labels = [set(map(x.label, side)) for side in combinatorial_hyperplanes(b, classes[root])]
+        skeleton_sides = sum(None not in ls and len(ls) == 1 for ls in labels)
+        report.add("walls.hyperplane-side-is-wall", f"hyperplane#{idx}",
+                   skeleton_sides == 1,
+                   None if skeleton_sides == 1 else {
+                       "sides_in_skeleton": skeleton_sides,
+                       "side_labels": [sorted(map(str, ls)) for ls in labels]})
+    return report
 
 
 def coset_intersection_by_stripping(c1: GroupElement, S1, c2: GroupElement, S2):

@@ -31,7 +31,7 @@ from cyclewall.davis import (
     x_vertex,
 )
 from cyclewall.errors import InvariantError, ResourceLimitError, ValidationError
-from cyclewall.walls import crossing_graph, hyperplane_classes, wall_no_shared_polygon_audit
+from cyclewall.walls import crossing_graph, wall_no_shared_polygon_audit
 from cyclewall.words import (
     enumerate_ball_elements,
     format_word,
@@ -45,6 +45,7 @@ from oracles import (
     ball_to_dot_by_walk,
     ball_to_json_by_dumps,
     build_ball_by_coset_reps,
+    hyperplane_classes,
     hyperplane_classes_by_components,
     index_by_cells,
     interior_by_enumeration,

@@ -19,16 +19,14 @@ from cyclewall.algebraic import (
     medium_of_vertex,
 )
 from cyclewall.cli import load_presentation
-from cyclewall.davis import act_edge, build_ball, subdivision
-from cyclewall.errors import InvariantError, ValidationError
+from cyclewall.davis import Subdivision, act_edge, build_ball, subdivision
+from cyclewall.errors import ValidationError
 from cyclewall.walls import (
     TreeWall,
     adjacency_criterion_audit,
     classify_pair,
-    combinatorial_hyperplanes,
     crossing_graph,
     delta,
-    hyperplane_classes,
     hyperplane_treewall_audit,
     min_set,
     min_set_audit,
@@ -55,7 +53,10 @@ from cyclewall.words import (
 from conftest import presentation_c5_mixed, presentation_c5_z2, presentation_c6_mixed
 from oracles import (
     bounded_closure,
+    combinatorial_hyperplanes,
     crossing_graph_pairwise,
+    hyperplane_classes,
+    hyperplane_treewall_by_classes,
     min_set_networkx,
     subdivide,
     parabolic_ball_by_scan,
@@ -625,22 +626,73 @@ def test_hyperplane_treewall_audit(c5_z2, c5_mixed):
     assert hyperplane_treewall_audit(build_ball(c5_mixed, 1)).ok
 
 
-def test_one_sided_cut_raises_a_typed_error(c5_z2):
-    b = build_ball(c5_z2, 1)
-    with pytest.raises(InvariantError, match="opposite sides"):
-        combinatorial_hyperplanes(b, [subdivision(b).sides(0)[0]])
+@pytest.mark.parametrize("name,radius", [(name, r) for name in
+                                          sorted(p.stem for p in PRESENTATIONS.glob("*.json"))
+                                          for r in range(3)] + [("c5_z3", 3)])
+def test_hyperplane_treewall_audit_matches_the_per_class_oracle(name, radius):
+    """One pass over the squares gives the report, row for row, that
+    2-coloring each class's sides on its own gives."""
+    b = build_ball(load_presentation(str(PRESENTATIONS / f"{name}.json")), radius)
+    want = hyperplane_treewall_by_classes(b)
+    got = hyperplane_treewall_audit(b)
+    assert json.dumps([r.to_dict() for r in got.results]) == \
+        json.dumps([r.to_dict() for r in want.results])
+    assert got.to_json() == want.to_json()
 
 
-def test_broken_hyperplane_is_a_failed_check(c5_z2, monkeypatch):
+def test_one_sided_hyperplane_is_a_failed_check(c5_z2):
+    """Square 0 listed from its second midpoint, (m_1, c, m_0, v): its four
+    sides and so its two classes are as before, but it puts each class's
+    midpoints on the sides its neighbours do not."""
     b = build_ball(c5_z2, 1)
-    # one class holding every edge meets each square in four sides
-    monkeypatch.setattr(walls, "hyperplane_classes",
-                        lambda b: {0: list(subdivision(b).edge_ids())})
+    x = subdivision(b)
+    m_0, v, m_1, c = x.squares[:4]
+    x.squares[0], x.squares[1], x.squares[2], x.squares[3] = m_1, c, m_0, v
+    r = hyperplane_treewall_audit(b)
+    assert len(r.failures) == 2
+    for f in r.failures:
+        assert f.check_id == "walls.hyperplane-side-is-wall"
+        assert f.witness["error"] == "hyperplane sides are inconsistent"
+        assert f.witness["at"][1] in {x.vertex_key(m_0), x.vertex_key(m_1)}
+
+
+def test_broken_hyperplane_is_a_failed_check(c5_z2):
+    """Square 0 with its center corner replaced by its X-vertex,
+    (m_0, v, m_1, v): its two halves are each other's opposite sides, so
+    its two classes are one."""
+    b = build_ball(c5_z2, 1)
+    x = subdivision(b)
+    x.squares[3] = x.squares[1]
     r = hyperplane_treewall_audit(b)
     assert [x.check_id for x in r.failures] == ["walls.hyperplane-side-is-wall"]
     assert r.failures[0].witness["error"] == \
         "a square meets a hyperplane in opposite sides"
-    assert r.failures[0].witness["at"] == [subdivide(b).squares[0].name(), 4]
+    assert r.failures[0].witness["at"] == [subdivide(b).squares[0].name()]
+
+
+def test_misread_half_label_fails_its_hyperplanes(c5_z2, monkeypatch):
+    """An interior half read with the next label splits the labels of each
+    hyperplane it runs along; the per-class oracle names those rows."""
+    b = build_ball(c5_z2, 2)
+    x = subdivision(b)
+    n = c5_z2.n
+    star = next(s for s, inner in enumerate(x.interior_edges())
+                if inner and x.label(s) is not None)
+    true_label = x.label(star)
+    classes = hyperplane_classes(b)
+    along = [f"hyperplane#{idx}" for idx, root in enumerate(sorted(classes, key=x.edge_ends))
+             if any(star in side for side in combinatorial_hyperplanes(b, classes[root]))]
+    assert along
+    label = Subdivision.label
+    monkeypatch.setattr(Subdivision, "label", lambda self, s: (true_label + 1) % n
+                        if s == star else label(self, s))
+    r = hyperplane_treewall_audit(b)
+    assert [f.instance for f in r.failures] == along
+    for f in r.failures:
+        assert f.check_id == "walls.hyperplane-side-is-wall"
+        assert f.witness == {"sides_in_skeleton": 0,
+                             "side_labels": [sorted([str(true_label), str((true_label + 1) % n)]),
+                                             ["None"]]}
 
 
 def test_square_missing_a_side_is_a_failed_check(c5_z2):
