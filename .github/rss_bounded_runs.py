@@ -60,6 +60,13 @@ ROWS = [
      ["verify", "--suite", "walls", "--radius", "5", "--depth", "3", "--seed", "0",
       "--presentation", C5_Z3], 0,
      "d327e264313123beddc6cdf126aa55127d5e78f8c917b1d2a1a1086c4d03a8c2", 120, 142),
+    # the walls and the crossing graph are read off the ball's integer
+    # table, and the cells are made on first read; bounded at 1.2 x the
+    # 60.7 MB measured before the row was added
+    ("Radius-4 c6_mixed walls report is byte-identical",
+     ["verify", "--suite", "walls", "--radius", "4", "--depth", "3", "--seed", "0",
+      "--presentation", C6_MIXED], 0,
+     "cc5b97f22b1c5ca77a10f4cb3a61475f07fe65b99001156bcc1b22e3e6e357e0", 120, 73),
 ]
 
 

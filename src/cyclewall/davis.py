@@ -27,8 +27,12 @@ is (index, rep number), an X-edge (label, rep number, end vertex ids) and a
 polygon its corners' and its sides' ids.  A new cell takes the next number
 of its index or label, so vertex ids come in key order and edge ids in
 (label, rep) order, the midpoints' key order, with no sort; the edges' key
-order is a sort of integer pairs.  ``build_ball`` makes the cells from the
-table.  A ``Polygon`` carries its corners and its ordered sides.  The
+order is a sort of integer pairs.  The table also lists each X-edge's wall
+key as a rep number, read off the same last syllables in O(1) per polygon
+side (``ball_table``).  ``build_ball`` lists the table alone: the cells are
+made from it on first read of any cell list, once per ball
+(``ComplexBall``), so the walls and the crossing graph, which read the
+table, make none.  A ``Polygon`` carries its corners and its ordered sides.  The
 incidence maps ``edge_cells`` (X-edge -> the polygons containing it) and
 ``vertex_edges`` serve the disc diagrams alone: they are built on first
 use, so exports, the subdivision, the walls and the audits, which read
@@ -180,24 +184,63 @@ class Polygon:
     edges: tuple[ComplexEdge, ...]        # e_0 .. e_{n-1}, e_i = gG_i joins v_{i-1}, v_i
 
 
+class lazy_attribute:
+    """A method read as an attribute: computed on first read, then kept on
+    the instance as a plain attribute, which an assignment also sets.
+    Unlike ``functools.cached_property`` it stores the value by attribute
+    assignment, not through the instance's ``__dict__``, so CPython keeps
+    reading the instance's other attributes on its fast path."""
+
+    def __init__(self, make):
+        self.make = make
+
+    def __set_name__(self, owner, name: str):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = self.make(instance)
+        object.__setattr__(instance, self.name, value)
+        return value
+
+
 @dataclass
 class ComplexBall:
+    """A polygonal ball: its table (``ball_table``), listed once, and its
+    cells as objects (``cells``), all made from the table on first read of
+    any of them: ``vertices`` and ``edges`` in key order, ``polygons`` by
+    rep, and the sets ``interior_vertices`` and ``interior_edges``.  A cell
+    list assigned before it is read is the ball's own."""
+
     presentation: Presentation
     radius: int
-    vertices: list[ComplexVertex] = field(default_factory=list)
-    edges: list[ComplexEdge] = field(default_factory=list)
-    polygons: dict[GroupElement, Polygon] = field(default_factory=dict)
-    interior_vertices: set[ComplexVertex] = field(default_factory=set)
-    interior_edges: set[ComplexEdge] = field(default_factory=set)
-    # what is derived from this ball (incidence maps, subdivision, walls,
-    # element balls, stabilizers), built on first use; it lives and dies with
-    # the ball, which is not changed once built, and is shared by every caller
+    # what is derived from this ball (its table and cells, incidence maps,
+    # subdivision, walls, element balls, stabilizers), built on first use; it
+    # lives and dies with the ball, which is not changed once built, and is
+    # shared by every caller
     derived: dict = field(default_factory=dict, init=False, compare=False,
                           repr=False)
+
+    vertices = lazy_attribute(lambda b: b.cells.vertices)
+    edges = lazy_attribute(lambda b: b.cells.edges)
+    polygons = lazy_attribute(lambda b: b.cells.polygons)
+    interior_vertices = lazy_attribute(lambda b: b.cells.interior_vertices)
+    interior_edges = lazy_attribute(lambda b: b.cells.interior_edges)
+
+    @property
+    def cells(self) -> _Cells:
+        """The ball's cell objects, made on first read (``_Cells``)."""
+        return self.derive("cells", lambda: _Cells(self.table))
 
     @property
     def n(self) -> int:
         return self.presentation.n
+
+    @property
+    def table(self) -> BallTable:
+        """The ball as integers, kept by ``build_ball`` or listed once."""
+        return self.derive("table", lambda: ball_table(self.presentation, self.radius))
 
     # not a field: a ball is polygonal (X' is a ``Subdivision``); kept for
     # callers that key balls by their form, as perfbench's tracer does
@@ -284,6 +327,8 @@ class BallTable(NamedTuple):
     midpoints; ``edge_order`` lists the edge ids in key order.  Polygon k,
     that of ``reps[k]``, is the record of its corners' vertex ids
     (v_0 .. v_{n-1}) and then its sides' edge ids (e_0 .. e_{n-1}).
+    ``wall_keys`` holds, by edge id, the rep number of the edge's wall key:
+    the minimal rep of g<G_{i-1}, G_i, G_{i+1}> for the edge gG_i.
     """
 
     presentation: Presentation
@@ -293,6 +338,7 @@ class BallTable(NamedTuple):
     edges: array
     edge_order: array
     polygons: array
+    wall_keys: array
 
 
 def _records(a: array, width: int) -> Iterator[tuple[int, ...]]:
@@ -309,6 +355,13 @@ def ball_table(p: Presentation, r: int) -> BallTable:
     earlier.  A new cell gets the next number of its index (or label), so
     reps come in order within each, and adding each one's offset gives ids
     in key order (vertices) and in (label, rep) order (edges), unsorted.
+
+    Wall keys are read off the same syllables.  A maximal syllable of g of
+    vertex v lies in the star {i-1, i, i+1} of the labels i = v-1, v, v+1,
+    so for those labels g and g without it have one wall key; for any other
+    label g is its own key, as none of its syllables in that star can be
+    shuffled to its end.  So each key is a rep number, found in O(1) per
+    side, with no coset rep computed: O(n·|B(r)|) in all.
     """
     if r < 0:
         raise ValidationError("radius must be >= 0")
@@ -327,18 +380,22 @@ def ball_table(p: Presentation, r: int) -> BallTable:
     place = {g.word: k for k, g in enumerate(reps)}
     made = [[] for _ in range(w)]   # the reps of each index's new vertices, then each label's edges
     polygons = array("i")           # numbers within an index or label, flat: the collector skips it
+    walls = array("i")              # at n·k + i, the wall key of polygon k's side i
     for k, g in enumerate(reps):
         word = g.word
         cells = [None] * w
+        keys = [k] * n
         for v, j in maximal_syllables(p, word):
-            h = place[word[:j] + word[j + 1:]] * w
-            u = (v - 1) % n
-            cells[u], cells[v], cells[n + v] = polygons[h + u], polygons[h + v], polygons[h + n + v]
+            h = place[word[:j] + word[j + 1:]]
+            u, x, c, s = (v - 1) % n, (v + 1) % n, h * w, h * n
+            cells[u], cells[v], cells[n + v] = polygons[c + u], polygons[c + v], polygons[c + n + v]
+            keys[u], keys[v], keys[x] = walls[s + u], walls[s + v], walls[s + x]
         for i, c in enumerate(cells):
             if c is None:
                 cells[i] = len(made[i])
                 made[i].append(k)
         polygons.extend(cells)
+        walls.extend(keys)
     # an id is a number plus the count of cells of the indices (or labels) before
     offsets = [*accumulate(map(len, made[:n - 1]), initial=0),
                *accumulate(map(len, made[n:-1]), initial=0)]
@@ -353,35 +410,53 @@ def ball_table(p: Presentation, r: int) -> BallTable:
     return BallTable(
         p, r, reps, array("i", chain.from_iterable(
             chain.from_iterable(zip(repeat(i), ks) for i, ks in enumerate(made[:n])))),
-        edges, array("i", sorted(range(len(codes)), key=codes.__getitem__)), polygons)
+        edges, array("i", sorted(range(len(codes)), key=codes.__getitem__)), polygons,
+        array("i", (walls[k * n + i] for i in range(n) for k in made[n + i])))
 
 
 def build_ball(p: Presentation, r: int) -> ComplexBall:
     """Sub-complex of X spanned by polygons g.P with syllable length(g) <= r,
-    within the ``CYCLEWALL_MEM_MB`` budget when that is set: the cells of
-    ``ball_table(p, r)``, each one object, shared by the polygons around it.
-    The table is kept on the ball, for its exports."""
-    t = ball_table(p, r)
-    reps, n = t.reps, p.n
-    vertices = [ComplexVertex(POLY, i, reps[k]) for i, k in _records(t.vertices, 2)]
-    edges = [ComplexEdge((vertices[a], vertices[b]), i, reps[k])
-             for i, k, a, b in _records(t.edges, 4)]
-    ball = ComplexBall(p, r, vertices, list(map(edges.__getitem__, t.edge_order)), {
-        g: Polygon(g, tuple(map(vertices.__getitem__, c[:n])), tuple(map(edges.__getitem__, c[n:])))
-        for g, c in zip(reps, _records(t.polygons, 2 * n))})
-    # the vertex g(G_i x G_{i+1}) is interior iff |g| + 2 <= r, the edge gG_i iff |g| + 1 <= r
-    ball.interior_vertices.update(v for v in vertices if len(v.rep.word) + 2 <= r)
-    ball.interior_edges.update(e for e in edges if len(e.rep.word) + 1 <= r)
-    ball.derived["table"] = t   # what its exports and its subdivision read
+    within the ``CYCLEWALL_MEM_MB`` budget when that is set: the ball of
+    ``ball_table(p, r)``, whose cells are made on first read."""
+    ball = ComplexBall(p, r)
+    ball.derived["table"] = ball_table(p, r)
     return ball
 
 
+_CELLS = ("vertices", "edges", "polygons", "interior_vertices", "interior_edges")
+
+
+class _Cells:
+    """The cells of a ball's table as objects (``_CELLS``), all made on
+    first read of any.  Each cell is one object, shared by the polygons
+    around it.  A ball's walls read their edges here, so that they hold no
+    reference to their ball."""
+
+    def __init__(self, table: BallTable):
+        self.table = table
+
+    def __getattr__(self, name: str):
+        # reached only while the cells are not made
+        if name not in _CELLS:
+            raise AttributeError(name)
+        t = self.table
+        reps, n, r = t.reps, t.presentation.n, t.radius
+        vertices = [ComplexVertex(POLY, i, reps[k]) for i, k in _records(t.vertices, 2)]
+        edges = [ComplexEdge((vertices[a], vertices[c]), i, reps[k])
+                 for i, k, a, c in _records(t.edges, 4)]
+        self.vertices, self.edges = vertices, list(map(edges.__getitem__, t.edge_order))
+        self.polygons = {g: Polygon(g, tuple(map(vertices.__getitem__, c[:n])),
+                                    tuple(map(edges.__getitem__, c[n:])))
+                         for g, c in zip(reps, _records(t.polygons, 2 * n))}
+        # the vertex g(G_i x G_{i+1}) is interior iff |g| + 2 <= r, the edge gG_i iff |g| + 1 <= r
+        self.interior_vertices = {v for v in vertices if len(v.rep.word) + 2 <= r}
+        self.interior_edges = {e for e in edges if len(e.rep.word) + 1 <= r}
+        return vars(self)[name]
+
+
 def _table(b: ComplexBall | BallTable) -> BallTable:
-    """``b`` itself, or a polygonal ball's own table (kept by ``build_ball``,
-    or listed once per ball)."""
-    if isinstance(b, BallTable):
-        return b
-    return b.derive("table", lambda: ball_table(b.presentation, b.radius))
+    """``b`` itself, or a polygonal ball's own table."""
+    return b if isinstance(b, BallTable) else b.table
 
 
 def _inner(t: BallTable, rank: int) -> list[bool]:

@@ -7,7 +7,13 @@ the set of label-i edges in the coset u<G_{i-1}, G_i, G_{i+1}>, so a ball's
 walls are read off its edges: bucket them by (label, key), the key being
 that coset's minimal representative, and keep the buckets holding an
 interior edge.  A wall is the ball's edges with one key, also where the ball
-cuts it into pieces.
+cuts it into pieces.  All of it is read off the ball's table
+(``davis.BallTable``), by integer ids: each edge's key is a rep number the
+table lists, O(1) per edge; the buckets are keyed by (label, key number)
+and sorted as integer pairs, O(E) and O(W log W) for E edges and W walls,
+which is the keys' order, as rep numbers come in (len, word) order; and a
+``TreeWall`` is a view of its edges' places, whose cell objects are made
+on first read.
 
 Stabilizer audits compare the geometric action on in-ball edges against
 membership in ``algebraic.CSubgroup``, the package's one encoding of a
@@ -28,9 +34,10 @@ vertex's stabilizer stabilizes the wall when the wall's maximal contains the
 vertex's medium (``algebraic.containing_maximals``).
 
 Cost: each X-vertex lies on at most two walls, so the crossing graph buckets
-walls by vertex in O(sum of wall sizes) rather than comparing every pair of
-walls.  Graphs are plain adjacency dicts (``CrossingGraph.neighbors``), and
-one level-by-level breadth-first search over a neighbour function
+walls by their edges' end vertex ids in O(E) rather than comparing every
+pair of walls, and makes no cell object but each arc's shared vertex.
+Graphs are plain adjacency dicts (``CrossingGraph.neighbors``), and one
+level-by-level breadth-first search over a neighbour function
 (``_bfs_levels``) serves crossing-graph distances, wall connectivity and
 minimal sets; the last runs over the vertex ids of X' (``davis.Subdivision``),
 each vertex's neighbours read off the squares at it, and stops at the first
@@ -55,10 +62,13 @@ parallel half lies at the X-vertex corner v and the parallel spoke at the
 center c.  Two squares of one class are joined by a chain of squares, each
 sharing a dual edge with the next: a dual half shares its X-vertex, a dual
 spoke its center.  So every class has one side of halves only (its
-X-vertex side) and one of spokes only (its center side), and a second pass
-over the squares files each class's parallel halves' labels and places its
-midpoints on either side; the class's tree-wall side is its halves' side
-exactly when their labels are one label.  A structure the audit relies on
+X-vertex side) and one of spokes only (its center side).  A midpoint lies
+on a class's center side exactly when one of its two halves is in the
+class (the dual half of a square joins its center-side midpoint to v), so
+a second pass over the squares files each class's parallel halves' labels
+and checks that neither half of the midpoint on its X-vertex side is in
+it, with no per-class side map; the class's tree-wall side is its halves'
+side exactly when their labels are one label.  A structure the audit relies on
 that turns out broken (a square without a side, a square whose two classes
 are one, a midpoint on both sides of a class) is reported as a failed check
 with a witness.
@@ -69,7 +79,7 @@ from __future__ import annotations
 import itertools
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, Optional
 
 from .algebraic import (
@@ -80,9 +90,8 @@ from .algebraic import (
     join_is_cmaximal,
     medium_of_vertex,
     vertex_mediums,
-    window_of,
 )
-from .davis import ComplexBall, ComplexEdge, ComplexVertex, subdivision
+from .davis import POLY, ComplexBall, ComplexEdge, ComplexVertex, lazy_attribute, subdivision
 from .errors import ValidationError
 from .reports import Report
 from .words import (
@@ -100,21 +109,45 @@ from .words import (
 MIN_SET_PAIRS = 40   # wall pairs, in key order, whose minimal sets are audited
 
 
-@dataclass(frozen=True)
 class TreeWall:
-    label: int
-    seed: ComplexEdge
-    edges: frozenset[ComplexEdge]
-    key_rep: GroupElement   # the conjugator of CSubgroup(MAXIMAL, label, seed.rep)
-    # ends and coset reps of the edges, computed once; an edge of the wall is
-    # the pair (label, rep), so the reps alone identify the edges
-    vertex_set: frozenset[ComplexVertex] = field(init=False, compare=False, repr=False)
-    edge_reps: frozenset[GroupElement] = field(init=False, compare=False, repr=False)
+    """A tree-wall: its label, its key and its edges.
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertex_set",
-                           frozenset(v for e in self.edges for v in e.ends))
-        object.__setattr__(self, "edge_reps", frozenset(e.rep for e in self.edges))
+    A ball's walls (``walls_of_ball``) are views of its table: each holds
+    its edges' places in the key order of the ball's edges, ascending, and
+    its ``edges``, ``seed``, ``vertex_set`` and ``edge_reps`` are made on
+    first read.  A wall made by hand is given its seed and its edges.
+    """
+
+    def __init__(self, label: int, seed: ComplexEdge, edges: frozenset[ComplexEdge],
+                 key_rep: GroupElement):
+        self.label, self.seed, self.edges, self.key_rep = label, seed, edges, key_rep
+
+    @classmethod
+    def view(cls, b: ComplexBall, label: int, key_rep: GroupElement,
+             ids: array) -> TreeWall:
+        """The wall of ``b`` whose edges are ``b.edges[k]`` for k in ``ids``."""
+        T = cls.__new__(cls)
+        T.label, T.key_rep, T.cells, T.ids = label, key_rep, b.cells, ids
+        return T
+
+    @lazy_attribute
+    def edges(self) -> frozenset[ComplexEdge]:
+        return frozenset(map(self.cells.edges.__getitem__, self.ids))
+
+    @lazy_attribute
+    def seed(self) -> ComplexEdge:
+        """The wall's first edge in key order."""
+        return self.cells.edges[self.ids[0]]
+
+    @lazy_attribute
+    def vertex_set(self) -> frozenset[ComplexVertex]:
+        return frozenset(v for e in self.edges for v in e.ends)
+
+    @lazy_attribute
+    def edge_reps(self) -> frozenset[GroupElement]:
+        """The coset reps of the edges: an edge of the wall is the pair
+        (label, rep), so the reps alone identify the edges."""
+        return frozenset(e.rep for e in self.edges)
 
     @property
     def key(self) -> tuple:
@@ -137,19 +170,32 @@ class TreeWall:
 def walls_of_ball(b: ComplexBall) -> list[TreeWall]:
     """All tree-walls through interior edges, in key order; each is every
     edge of the ball with its key.  Built once per ball."""
-    return list(b.derive("walls", lambda: _walls_of_ball(b)))
+    return list(b.derive("walls", lambda: _walls(b)))
 
 
-def _walls_of_ball(b: ComplexBall) -> list[TreeWall]:
-    n = b.n
-    windows = [window_of(n, MAXIMAL, i) for i in range(n)]
-    by_key: dict[tuple, list[ComplexEdge]] = {}
-    for e in b.edges:   # in key order, so each wall's first edge is its seed
-        key_rep = coset_rep(e.rep, windows[e.label])
-        by_key.setdefault((e.label, key_rep), []).append(e)
-    return [TreeWall(label, edges[0], frozenset(edges), key_rep)
-            for (label, key_rep), edges in sorted(by_key.items())
-            if not b.interior_edges.isdisjoint(edges)]
+def _walls(b: ComplexBall) -> list[TreeWall]:
+    """The table's edges bucketed by (label, wall key number), in O(E), and
+    the W buckets sorted as integer pairs, in O(W log W): rep numbers come in
+    (len, word) order, the order of the keys.  A bucket is kept when it has
+    an interior edge, one with |rep| + 1 <= r: reps come in length order, so
+    that is a rep number below the count of reps shorter than r."""
+    t = b.table
+    labels, reps, keys, count = t.edges[0::4], t.edges[1::4], t.wall_keys, len(t.reps)
+    inner = bisect_left(t.reps, t.radius, key=GroupElement.syllable_length.fget)
+    by_key: dict[int, list[int]] = {}
+    for k, e in enumerate(t.edge_order):   # in key order, so each wall's first edge is its seed
+        by_key.setdefault(labels[e] * count + keys[e], []).append(k)
+    return [TreeWall.view(b, code // count, t.reps[code % count], array("i", ks))
+            for code, ks in sorted(by_key.items())
+            if any(reps[t.edge_order[k]] < inner for k in ks)]
+
+
+def _vertex_ids(b: ComplexBall, T: TreeWall) -> set[int]:
+    """The ids of the ends of a wall's edges, read from the table."""
+    t = b.table
+    a, c = b.derive("edge ends", lambda: [   # in key order
+        array("i", map(t.edges[j::4].__getitem__, t.edge_order)) for j in (2, 3)])
+    return {*map(a.__getitem__, T.ids), *map(c.__getitem__, T.ids)}
 
 
 # -- crossing graph -------------------------------------------------------------
@@ -175,23 +221,27 @@ class CrossingGraph:
 def crossing_graph(b: ComplexBall) -> CrossingGraph:
     """Nodes are the ball's tree-walls; arcs join walls sharing a vertex.
 
-    Walls are bucketed by vertex: the X-vertex g(G_i x G_{i+1}) lies on at
-    most two walls, of labels i and i+1, so this costs O(sum of wall sizes)
-    instead of a comparison of every pair of walls.
+    Walls are bucketed by the ids of their edges' end vertices: the X-vertex
+    g(G_i x G_{i+1}) lies on at most two walls, of labels i and i+1, so this
+    costs O(E) instead of a comparison of every pair of walls.  Each arc's
+    shared vertices are made from their ids, so no cell list is read.
     """
     walls = walls_of_ball(b)
-    on_vertex: dict[ComplexVertex, list[int]] = {}
-    for k, w in enumerate(walls):
-        for v in w.vertex_set:
-            on_vertex.setdefault(v, []).append(k)
-    common: dict[tuple[int, int], list[ComplexVertex]] = {}
-    for v, ks in on_vertex.items():
+    t = b.table
+    on_vertex: dict[int, list[int]] = {}
+    for k, T in enumerate(walls):
+        for x in _vertex_ids(b, T):
+            on_vertex.setdefault(x, []).append(k)
+    common: dict[tuple[int, int], list[int]] = {}
+    for x, ks in on_vertex.items():
         for pair in itertools.combinations(ks, 2):
-            common.setdefault(pair, []).append(v)
-    cg = CrossingGraph({w.key: w for w in walls}, {}, {w.key: set() for w in walls})
+            common.setdefault(pair, []).append(x)
+    cg = CrossingGraph({T.key: T for T in walls}, {}, {T.key: set() for T in walls})
     for k1, k2 in sorted(common):   # the order of a pairwise scan of the walls
         key1, key2 = walls[k1].key, walls[k2].key
-        cg.crossings[key1, key2] = sorted(common[k1, k2])
+        cg.crossings[key1, key2] = [   # vertex ids come in key order
+            ComplexVertex(POLY, t.vertices[2 * x], t.reps[t.vertices[2 * x + 1]])
+            for x in sorted(common[k1, k2])]
         cg.neighbors[key1].add(key2)
         cg.neighbors[key2].add(key1)
     return cg
@@ -232,7 +282,9 @@ def _stabilizes_wall(b: ComplexBall, g: GroupElement, T: TreeWall) -> Optional[b
     An X-edge is its (label, coset rep) pair, so g moves the edge (i, r) to
     (i, coset_rep(g r, {i})): one product and one coset rep per edge.
     """
-    in_ball = b.derive("edge_keys", lambda: {(e.label, e.rep) for e in b.edges})
+    t = b.table
+    in_ball = b.derive("edge_keys", lambda: set(
+        zip(t.edges[0::4], map(t.reps.__getitem__, t.edges[1::4]))))
     window = (T.label,)
     observed = False
     for rep in T.edge_reps:
@@ -423,16 +475,12 @@ def min_set(b: ComplexBall, T1: TreeWall, T2: TreeWall) -> tuple[set[ComplexVert
 
     Distances are edge counts in the 1-skeleton of X', searched over its
     vertex ids: the neighbours of a vertex are the corners next to it in
-    the squares at it.  An X-vertex's id is its place in ``b.vertices``.
+    the squares at it.  An X-vertex's id in X' is its table id, and the
+    walls' vertex ids are read from the table.
     """
     x = subdivision(b)
-
-    def ids(T: TreeWall) -> list[int]:
-        return [bisect_left(b.vertices, v.sort_key(), key=ComplexVertex.sort_key)
-                for v in T.vertex_set]
-
-    targets = set(ids(T1))
-    for d, level in enumerate(_bfs_levels(x.neighbors, ids(T2))):
+    targets = _vertex_ids(b, T1)
+    for d, level in enumerate(_bfs_levels(x.neighbors, _vertex_ids(b, T2))):
         closest = level & targets
         if closest:
             break
@@ -512,8 +560,8 @@ def hyperplane_treewall_audit(b: ComplexBall) -> Report:
             halves.append(e1)
     label_of: dict[int, Optional[int]] = {}   # class root -> its first parallel half's label
     mixed: dict[int, set] = {}   # class root -> its parallel halves' labels, when not one
-    placed: dict[tuple[int, int], int] = {}   # (class root, midpoint) -> 0 X-vertex, 1 center side
     errors: dict[int, dict] = {}   # class root -> the witness of its first broken square
+    nv = len(x.table.vertices) // 2   # the midpoint of X-edge e is X' vertex nv + e
     pairs = iter(halves)
     for q, ((m_i, _, m_next, *_), h0, h1) in enumerate(zip(x.records(), pairs, pairs)):
         r0, r1 = uf.find(h0), uf.find(h1)
@@ -521,15 +569,15 @@ def hyperplane_treewall_audit(b: ComplexBall) -> Report:
             errors.setdefault(r0, {"error": "a square meets a hyperplane in opposite sides",
                                    "at": [x.square_name(q)]})
         # class r0 runs along the half (v, m_{i+1}), so m_{i+1} is on its X-vertex
-        # side and m_i on its center side; class r1 runs along (m_i, v)
-        for root, along, near, far in ((r0, h1, m_next, m_i), (r1, h0, m_i, m_next)):
+        # side, and neither half of m_{i+1} (edge ids 2e, 2e + 1) is in it; class
+        # r1 runs along (m_i, v)
+        for root, along, near in ((r0, h1, m_next), (r1, h0, m_i)):
             label = x.label(along)
             if label_of.setdefault(root, label) != label:
                 mixed.setdefault(root, {label_of[root]}).add(label)
-            for m, on in ((near, 0), (far, 1)):
-                if placed.setdefault((root, m), on) != on:
-                    errors.setdefault(root, {"error": "hyperplane sides are inconsistent",
-                                             "at": [x.square_name(q), x.vertex_key(m)]})
+            if root in (uf.find(2 * (near - nv)), uf.find(2 * (near - nv) + 1)):
+                errors.setdefault(root, {"error": "hyperplane sides are inconsistent",
+                                         "at": [x.square_name(q), x.vertex_key(near)]})
     for idx, root in enumerate(sorted(label_of, key=x.edge_ends)):
         ok = root not in errors and root not in mixed and label_of[root] is not None
         report.add(check, f"hyperplane#{idx}", ok, None if ok else errors.get(root, {
@@ -606,16 +654,16 @@ def vertex_stabilizer_criterion_audit(b: ComplexBall) -> Report:
     when that maximal is one of the two containing the medium.
     """
     report = Report()
-    walls = [(T, T.stabilizer) for T in walls_of_ball(b)]
+    walls = [(T, T.stabilizer, T.vertex_set) for T in walls_of_ball(b)]
     encode = vertex_mediums(b)
     bad = []
     checked = 0
     for v in sorted(b.interior_vertices):
         maximals = containing_maximals(encode[v])
-        for T, stab_T in walls:
+        for T, stab_T, on_T in walls:
             checked += 1
             stabilizes = stab_T in maximals
-            if stabilizes != (v in T.vertex_set):
+            if stabilizes != (v in on_T):
                 bad.append((v.key_string(), T.key_string(), stabilizes))
     report.add("walls.vertex-stabilizer-detects-membership",
                f"pairs={checked}", not bad, bad or None)

@@ -683,6 +683,7 @@ def build_ball_by_coset_reps(p: Presentation, r: int) -> ComplexBall:
     """``davis.build_ball`` by one coset rep per corner and per side of each
     polygon, each cell looked up by its index and its rep's word."""
     ball = ComplexBall(presentation=p, radius=r)
+    ball.polygons = {}   # the oracle's own cells, never the ones made from the table
     n = p.n
     corners, sides = {}, {}
     for g in enumerate_ball_elements(p, r):
@@ -827,7 +828,8 @@ def _square_ball(b: ComplexBall) -> SquareBall:
     n = p.n
     t = _table(b)
     reps, vertices = t.reps, b.vertices
-    sq = SquareBall(presentation=p, radius=b.radius, polygons=b.polygons)
+    sq = SquareBall(presentation=p, radius=b.radius)
+    sq.polygons = b.polygons
 
     mids, halves = [], []               # by edge id: the midpoint, its halves at both ends
     at_vertex = [[] for _ in vertices]  # the halves at each X-vertex, by midpoint
@@ -1079,6 +1081,20 @@ def parabolic_normalizer(p: Presentation, S) -> frozenset:
 def window_member(g: GroupElement, S, w: GroupElement) -> bool:
     """Whether g lies in ``w <G_S> w^-1``: ``w^-1 g w`` is supported on S."""
     return mul(mul(inv(w), g), w).support() <= frozenset(S)
+
+
+def walls_by_objects(b) -> list:
+    """``walls.walls_of_ball`` from the ball's cell objects: each edge's key
+    is ``coset_rep`` of its rep, the edges are bucketed by (label, key) in
+    key order, and the buckets holding an interior edge are kept."""
+    windows = [window_of(b.n, MAXIMAL, i) for i in range(b.n)]
+    by_key = {}
+    for e in b.edges:   # in key order, so each wall's first edge is its seed
+        key_rep = coset_rep(e.rep, windows[e.label])
+        by_key.setdefault((e.label, key_rep), []).append(e)
+    return [TreeWall(label, edges[0], frozenset(edges), key_rep)
+            for (label, key_rep), edges in sorted(by_key.items())
+            if not b.interior_edges.isdisjoint(edges)]
 
 
 def walls_by_flood_fill(b) -> list:

@@ -15,6 +15,9 @@ from cyclewall.davis import (
     EDGE,
     POLY,
     TRIVIAL,
+    ComplexEdge,
+    ComplexVertex,
+    Polygon,
     act_edge,
     act_vertex,
     ball_table,
@@ -31,8 +34,9 @@ from cyclewall.davis import (
     x_vertex,
 )
 from cyclewall.errors import InvariantError, ResourceLimitError, ValidationError
-from cyclewall.walls import crossing_graph, wall_no_shared_polygon_audit
+from cyclewall.walls import crossing_graph, wall_no_shared_polygon_audit, walls_of_ball
 from cyclewall.words import (
+    coset_rep,
     enumerate_ball_elements,
     format_word,
     identity,
@@ -193,7 +197,8 @@ def test_ball_table_numbers_the_oracle_cells(name, radius):
     ball's elements; its vertices are (index, rep number) in key order; its
     edges, by id, are (label, rep number, end ids) in (label, |rep|, rep)
     order, and ``edge_order`` lists them in key order; each polygon is its
-    corners' ids and then its sides' ids."""
+    corners' ids and then its sides' ids; each edge's wall key is the rep
+    number of a coset rep."""
     p = perfbench_presentation(name)
     t = ball_table(p, radius)
     oracle = build_ball_by_coset_reps(p, radius)
@@ -207,6 +212,9 @@ def test_ball_table_numbers_the_oracle_cells(name, radius):
     assert list(zip(*[iter(t.edges)] * 4)) == [
         (e.label, number[e.rep], vertex[e.ends[0]], vertex[e.ends[1]]) for e in edges]
     assert list(t.edge_order) == [edge[e] for e in oracle.edges]
+    # each edge's wall key: the minimal rep of its coset of the star of its label
+    assert list(t.wall_keys) == [
+        number[coset_rep(e.rep, (e.label - 1, e.label, e.label + 1))] for e in edges]
     assert list(zip(*[iter(t.polygons)] * (2 * p.n))) == [
         (*map(vertex.__getitem__, P.boundary), *map(edge.__getitem__, P.edges))
         for P in oracle.polygons.values()]
@@ -235,6 +243,32 @@ def test_incidence_maps_are_built_once_and_only_when_read(c6_mixed):
     maps = (b.edge_cells, b.vertex_edges)
     again = (b.edge_cells, b.vertex_edges)
     assert all(x is y is z for x, y, z in zip(maps, again, b.derived["incidence"]))
+
+
+def test_ball_and_crossing_graph_make_no_cell_until_one_is_read(c6_mixed, monkeypatch):
+    """``build_ball`` lists the table alone; the crossing graph reads its
+    walls off the table and makes only each arc's shared vertex; the first
+    read of a cell list makes every cell, once per ball."""
+    made = dict.fromkeys(["ComplexVertex", "ComplexEdge", "Polygon"], 0)
+    for cls in (ComplexVertex, ComplexEdge, Polygon):
+        def counting(self, *args, init=cls.__init__, name=cls.__name__, **kwargs):
+            made[name] += 1
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting)
+    b = build_ball(c6_mixed, 3)
+    assert made == {"ComplexVertex": 0, "ComplexEdge": 0, "Polygon": 0}
+    cg = crossing_graph(b)
+    assert made["ComplexEdge"] == made["Polygon"] == 0
+    assert 0 < made["ComplexVertex"] <= cg.number_of_edges()
+    made.update(dict.fromkeys(made, 0))
+    cells = {"ComplexVertex": len(b.vertices), "ComplexEdge": len(b.edges),
+             "Polygon": len(b.polygons)}
+    assert made == cells
+    for T in walls_of_ball(b):
+        assert T.seed in T.edges <= set(b.edges)
+    assert b.interior_vertices and b.interior_edges
+    assert made == cells
+    assert b.vertices is b.cells.vertices and b.cells is b.derived["cells"]
 
 
 def test_cell_and_iso_hashes_are_the_same_in_every_process():

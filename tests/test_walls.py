@@ -50,7 +50,7 @@ from cyclewall.words import (
     parse_word,
 )
 
-from conftest import presentation_c5_mixed, presentation_c5_z2, presentation_c6_mixed
+from conftest import presentation_c5_mixed, presentation_c5_z2
 from oracles import (
     bounded_closure,
     combinatorial_hyperplanes,
@@ -66,6 +66,7 @@ from oracles import (
     wall_no_shared_polygon_by_pairs,
     wall_stabilizer_by_scan,
     walls_by_flood_fill,
+    walls_by_objects,
     window_member,
     x_edge,
 )
@@ -109,14 +110,21 @@ def test_wall_key_constant_over_edges(c5_mixed):
             assert CSubgroup(MAXIMAL, w.label, e.rep).conjugator == w.key_rep
 
 
-@pytest.mark.parametrize("radius", [1, 2, 3])
-@pytest.mark.parametrize("name", sorted(p.stem for p in PRESENTATIONS.glob("*.json")))
+SIX = sorted(p.stem for p in PRESENTATIONS.glob("*.json"))
+
+
+@pytest.mark.parametrize("radius", [0, 1, 2, 3])
+@pytest.mark.parametrize("name", SIX)
 def test_walls_match_flood_fill_oracle(name, radius):
-    """Bucketing the ball's edges by key gives the walls that flood fill from
-    the interior edges and merging by key gives: same keys, seeds and edges."""
+    """The walls read off the ball's table are the walls that bucketing the
+    ball's edge objects by ``coset_rep`` gives, and the walls that flood fill
+    from the interior edges and merging by key give: same keys, seeds and
+    edges."""
     b = build_ball(load_presentation(str(PRESENTATIONS / f"{name}.json")), radius)
-    assert [(w.key, w.seed, w.edges) for w in walls_of_ball(b)] == \
-        [(w.key, w.seed, w.edges) for w in walls_by_flood_fill(b)]
+    got = [(w.key, w.seed, w.edges) for w in walls_of_ball(b)]
+    assert got == [(w.key, w.seed, w.edges) for w in walls_by_objects(b)]
+    assert got == [(w.key, w.seed, w.edges) for w in walls_by_flood_fill(b)]
+    assert bool(got) == (radius > 0)
 
 
 def old_encodings(b, vertices):
@@ -262,13 +270,17 @@ def test_crossing_walls_share_exactly_one_vertex(c5_mixed):
         assert len(w1.vertex_set & w2.vertex_set) == 1
 
 
-@pytest.mark.parametrize("make, radius", [
-    (presentation_c5_z2, 3), (presentation_c5_mixed, 2), (presentation_c6_mixed, 2),
-], ids=["c5_z2-r3", "c5_mixed-r2", "c6_mixed-r2"])
-def test_crossing_graph_matches_pairwise_oracle(make, radius):
-    b = build_ball(make(), radius)
+# the six presentations at radius 0-2, and three at radius 3
+CROSSING_CASES = ([(name, r) for name in SIX for r in range(3)]
+                  + [("c5_z2", 3), ("c5_z3", 3), ("c6_mixed", 3)])
+
+
+@pytest.mark.parametrize("name,radius", CROSSING_CASES,
+                         ids=[f"{name}-r{r}" for name, r in CROSSING_CASES])
+def test_crossing_graph_matches_pairwise_oracle(name, radius):
+    b = build_ball(load_presentation(str(PRESENTATIONS / f"{name}.json")), radius)
     got, want = crossing_graph(b), crossing_graph_pairwise(b)
-    assert got.number_of_edges() > 0
+    assert (got.number_of_edges() > 0) == (radius > 0)
     assert list(got.walls.items()) == list(want.nodes(data="wall"))
     assert [(k1, k2, vs) for (k1, k2), vs in got.crossings.items()] == \
         list(want.edges(data="vertices"))
