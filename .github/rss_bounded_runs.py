@@ -29,6 +29,12 @@ ROWS = [
     ("Radius-3 davis report is byte-identical",
      ["verify", "--suite", "davis", "--radius", "3", "--presentation", C6_MIXED], 0,
      "d47cd475a8cadd53caf011e6037c5acf56899bddc66ae2b024315377955d7dff", 60, 24),
+    # the rebuild on an even n: each shared edge coset is an arc, with no
+    # join taken; bounded at 1.2 x the 26.0 MB measured before the row was added
+    ("Radius-3 c6_mixed algebraic report is byte-identical",
+     ["verify", "--suite", "algebraic", "--radius", "3", "--depth", "3", "--seed", "0",
+      "--presentation", C6_MIXED], 0,
+     "8a2f0704926f7773e617cd196f4ba4537eb17eb5272a0f4bfd0a9c7d7ad104d0", 60, 31),
     # the export reads the ball's integer cell table and makes no cell
     # object (34.9 MB measured, 43.7 MB when the cells were built)
     ("Radius-5 ball is byte-identical",

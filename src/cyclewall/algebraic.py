@@ -14,7 +14,11 @@ window is built once per (n, tier, base).
 
 The abstract complex has the medium encodings of a ball's vertices as nodes,
 arcs where the join of two mediums is a maximal, and faces for the induced
-n-cycles, found as the walks that wind once around the base cycle.  A
+n-cycles, found as the walks that wind once around the base cycle.  The
+arcs are the buckets of the rebuild's hash join on edge cosets: two mediums
+share an edge coset exactly when they join, so the join itself is not
+taken there; the tests' oracle joins every pair, and ``join_agreement_audit``
+tests the join against the ball's adjacency.  A
 ball's mediums are encoded once (``vertex_mediums``) and read by the
 rebuild, ``phi_iso_check`` and the join audits, here and in ``walls``.
 
@@ -301,8 +305,10 @@ def build_script_X_ball(b: ComplexBall) -> ScriptXBall:
     of its labels, are bucketed by ``(label, word of the edge coset rep)``.
     Each rep is the node's conjugator with one syllable spliced in
     (``_edge_cosets``), so no product is taken.  An edge has two ends, so a
-    bucket holds at most two nodes, and ``join_is_cmaximal`` confirms each
-    pair.
+    bucket holds at most two nodes.  A bucket of two is an arc, with no join
+    taken: its nodes are the ends of the edge gG_i, of bases i - 1 and i,
+    and two mediums join to a maximal exactly when they share an edge
+    (``shared_edge``), the join being g<G_{i-1}, G_i, G_{i+1}>.
 
     Faces are the closed n-step walks from a base-0 node along arcs to the
     next base.  An arc labelled i joins bases i - 1 and i, so such a walk
@@ -341,13 +347,11 @@ def build_script_X_ball(b: ComplexBall) -> ScriptXBall:
                 f"edge {label}|{format_word(GroupElement(p, word))} has more than two ends",
                 sorted(h.key_string() for h in bucket))
         if len(bucket) == 2:
-            ok, m = join_is_cmaximal(*bucket)
-            if ok:
-                h1, h2 = bucket
-                sx.arcs[frozenset(bucket)] = m
-                if h1.base == label:
-                    h1, h2 = h2, h1
-                up[h1].add(h2)
+            h1, h2 = bucket
+            sx.arcs[frozenset(bucket)] = CSubgroup(MAXIMAL, label, GroupElement(p, word))
+            if h1.base == label:
+                h1, h2 = h2, h1
+            up[h1].add(h2)
 
     starts = [h for h in sx.nodes if h.base == 0]
     sx.cycles = sorted(_winding_cycles(up, starts, n),

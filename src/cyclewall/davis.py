@@ -31,12 +31,12 @@ order is a sort of integer pairs.  The table also lists each X-edge's wall
 key as a rep number, read off the same last syllables in O(1) per polygon
 side (``ball_table``).  ``build_ball`` lists the table alone: the cells are
 made from it on first read of any cell list, once per ball
-(``ComplexBall``), so the walls and the crossing graph, which read the
-table, make none.  A ``Polygon`` carries its corners and its ordered sides.  The
-incidence maps ``edge_cells`` (X-edge -> the polygons containing it) and
-``vertex_edges`` serve the disc diagrams alone: they are built on first
-use, so exports, the subdivision, the walls and the audits, which read
-neither, never build them.
+(``ComplexBall``), so the walls, the crossing graph and the davis suite's
+audits, which read the table alone, make none.  A ``Polygon`` carries its
+corners and its ordered sides.  The incidence maps ``edge_cells`` (X-edge
+-> the polygons containing it) and ``vertex_edges`` serve the disc
+diagrams alone: they are built on first use, so exports, the subdivision,
+the walls and the audits, which read neither, never build them.
 
 X' is arithmetic on the table (``Subdivision``, built once per ball by
 ``subdivision``), with no cell object: with V X-vertices, E X-edges and n
@@ -92,7 +92,7 @@ import os
 from array import array
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, count, cycle, islice, repeat
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import InvariantError, ResourceLimitError, ValidationError
 from .reports import Report
@@ -592,26 +592,6 @@ def _subdivision(b: ComplexBall) -> Subdivision:
 # -- links and audits ----------------------------------------------------------------
 
 
-def graph_girth(g: Mapping) -> float:
-    """Shortest cycle length of an adjacency mapping (node -> neighbours);
-    inf for forests.  BFS per node (links are small).  A node is told from
-    its BFS parent by equality."""
-    best = float("inf")
-    for root in g:
-        dist = {root: 0}
-        parent = {root: None}
-        queue = [root]
-        for u in queue:
-            for w in g[u]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    parent[w] = u
-                    queue.append(w)
-                elif parent[u] != w:
-                    best = min(best, dist[u] + dist[w] + 1)
-    return best
-
-
 def _square_link(x: Subdivision, v: int) -> dict[int, set[int]]:
     """The link of X' vertex v over side ids: two sides are joined when a
     square has its corner at v between them.  A square meeting v in other
@@ -630,15 +610,17 @@ def _square_link(x: Subdivision, v: int) -> dict[int, set[int]]:
 
 
 def t4_audit(b: ComplexBall) -> Report:
-    """Every interior X'-vertex link has girth >= 4; every polygon has n sides."""
+    """Every interior X'-vertex link has girth >= 4; every polygon has n
+    distinct corners, read from its table record."""
     report = Report()
     x = subdivision(b)
-    n = b.presentation.n
-    bad_sides = [(g, poly) for g, poly in b.polygons.items()
-                 if not len(poly.boundary) == n == len(set(poly.boundary))]
-    for g, poly in bad_sides:
+    t = x.table
+    n = t.presentation.n
+    corners = (c[:n] for c in _records(t.polygons, 2 * n))
+    bad_sides = [(g, c) for g, c in zip(t.reps, corners) if len(set(c)) != n]
+    for g, c in bad_sides:
         report.add("davis.t4.polygon-sides", format_word(g), False,
-                   witness=[v.key_string() for v in poly.boundary])
+                   witness=[x.vertex_key(v) for v in c])
     bad = []
     for v in compress(count(), x.interior_vertices()):   # in key order
         try:
@@ -647,9 +629,10 @@ def t4_audit(b: ComplexBall) -> Report:
             bad = {"error": str(exc), "at": exc.witness}
             break
         # Girth < 4 means a loop or a triangle (sets of neighbours hold no
-        # double edge): an edge a-c whose ends share a neighbour.
+        # double edge): an edge a-c whose ends share a neighbour.  The
+        # witness is the girth, 1 with a loop and 3 without.
         if any(nbrs & link[c] for nbrs in link.values() for c in nbrs):
-            bad.append((x.vertex_key(v), graph_girth(link)))
+            bad.append((x.vertex_key(v), 1 if any(a in link[a] for a in link) else 3))
     report.add("davis.t4.link-girth", f"radius={b.radius}", not bad, witness=bad or None)
     if not bad_sides:
         report.add("davis.t4.polygon-sides", f"radius={b.radius}", True)

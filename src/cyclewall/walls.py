@@ -35,7 +35,8 @@ vertex's medium (``algebraic.containing_maximals``).
 
 Cost: each X-vertex lies on at most two walls, so the crossing graph buckets
 walls by their edges' end vertex ids in O(E) rather than comparing every
-pair of walls, and makes no cell object but each arc's shared vertex.
+pair of walls, and makes no cell object: each arc holds the ids of the
+vertices its walls share.
 Graphs are plain adjacency dicts (``CrossingGraph.neighbors``), and one
 level-by-level breadth-first search over a neighbour function
 (``_bfs_levels``) serves crossing-graph distances, wall connectivity and
@@ -91,7 +92,7 @@ from .algebraic import (
     medium_of_vertex,
     vertex_mediums,
 )
-from .davis import POLY, ComplexBall, ComplexEdge, ComplexVertex, lazy_attribute, subdivision
+from .davis import ComplexBall, ComplexEdge, ComplexVertex, lazy_attribute, subdivision
 from .errors import ValidationError
 from .reports import Report
 from .words import (
@@ -207,8 +208,9 @@ class CrossingGraph:
     a vertex."""
 
     walls: dict[tuple, TreeWall]        # key -> wall, in key order
-    # (k1, k2) with k1 < k2 -> their sorted shared vertices, in key-pair order
-    crossings: dict[tuple[tuple, tuple], list[ComplexVertex]]
+    # (k1, k2) with k1 < k2 -> the ids of their shared vertices, in key
+    # order (``b.vertices[x]`` is vertex x), in key-pair order
+    crossings: dict[tuple[tuple, tuple], list[int]]
     neighbors: dict[tuple, set[tuple]]  # key -> keys of the walls it crosses
 
     def number_of_nodes(self) -> int:
@@ -223,11 +225,10 @@ def crossing_graph(b: ComplexBall) -> CrossingGraph:
 
     Walls are bucketed by the ids of their edges' end vertices: the X-vertex
     g(G_i x G_{i+1}) lies on at most two walls, of labels i and i+1, so this
-    costs O(E) instead of a comparison of every pair of walls.  Each arc's
-    shared vertices are made from their ids, so no cell list is read.
+    costs O(E) instead of a comparison of every pair of walls.  Each arc
+    holds its shared vertices' ids, so no cell object is made.
     """
     walls = walls_of_ball(b)
-    t = b.table
     on_vertex: dict[int, list[int]] = {}
     for k, T in enumerate(walls):
         for x in _vertex_ids(b, T):
@@ -239,9 +240,7 @@ def crossing_graph(b: ComplexBall) -> CrossingGraph:
     cg = CrossingGraph({T.key: T for T in walls}, {}, {T.key: set() for T in walls})
     for k1, k2 in sorted(common):   # the order of a pairwise scan of the walls
         key1, key2 = walls[k1].key, walls[k2].key
-        cg.crossings[key1, key2] = [   # vertex ids come in key order
-            ComplexVertex(POLY, t.vertices[2 * x], t.reps[t.vertices[2 * x + 1]])
-            for x in sorted(common[k1, k2])]
+        cg.crossings[key1, key2] = sorted(common[k1, k2])   # vertex ids come in key order
         cg.neighbors[key1].add(key2)
         cg.neighbors[key2].add(key1)
     return cg
@@ -438,7 +437,7 @@ def classify_pair(b: ComplexBall, cg: CrossingGraph, T1: TreeWall, T2: TreeWall,
     inst = f"{T1.key_string()}|{T2.key_string()} L={L} delta={d}"
 
     if d == 1:
-        common = sorted(T1.vertex_set & T2.vertex_set)
+        common = [b.vertices[x] for x in cg.crossings[min(T1.key, T2.key), max(T1.key, T2.key)]]
         ok = len(common) == 1
         report.add("walls.crossing-walls-meet-once", inst, ok,
                    None if ok else [v.key_string() for v in common])

@@ -32,7 +32,10 @@ that each polygon around it has there, instead of reading the vertex's link
 in X' over side ids.  The polygon-pair oracle intersects the corner and side
 objects of every two polygons at a vertex, instead of the table's polygon
 records.  The shared-polygon oracle intersects the polygons on every pair
-of edges of a wall, instead of one pass over each polygon's sides.
+of edges of a wall, instead of one pass over each polygon's sides.  The
+girth oracle (``graph_girth``) runs a breadth-first search from every node
+of a graph, instead of telling a loop from a triangle, which is all that
+``davis.t4_audit`` needs to know of a link of girth below 4.
 
 The square-ball oracle (``subdivide``) builds X' as cell objects: a
 ``ComplexVertex`` per vertex, a ``ComplexEdge`` per edge and a ``Square``
@@ -751,6 +754,26 @@ def vertex_link(b: ComplexBall, v: ComplexVertex) -> dict:
         link[a].add(c)
         link[c].add(a)
     return link
+
+
+def graph_girth(g) -> float:
+    """Shortest cycle length of an adjacency mapping (node -> neighbours);
+    inf for forests.  BFS per node (links are small).  A node is told from
+    its BFS parent by equality."""
+    best = float("inf")
+    for root in g:
+        dist = {root: 0}
+        parent = {root: None}
+        queue = [root]
+        for u in queue:
+            for w in g[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    parent[w] = u
+                    queue.append(w)
+                elif parent[u] != w:
+                    best = min(best, dist[u] + dist[w] + 1)
+    return best
 
 
 def polygon_pairs_by_objects(b: ComplexBall) -> tuple[int, list]:

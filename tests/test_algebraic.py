@@ -189,10 +189,19 @@ def test_join_on_infinite_vertex_groups():
 
 
 def test_phi_iso_check_fails_without_shared_edges(c5_z2, monkeypatch):
-    monkeypatch.setattr(algebraic, "shared_edge", lambda h1, h2: None)
+    """The rebuild's arcs are its shared edge cosets, and the join audit
+    reads the join: without the cosets of one label the rebuild misses arcs,
+    and without shared edges the join misses adjacencies."""
+    edge_cosets = algebraic._edge_cosets
+    monkeypatch.setattr(algebraic, "_edge_cosets",
+                        lambda h, label: edge_cosets(h, label) if label == h.base else [])
     report = phi_iso_check(build_ball(c5_z2, 2))
     assert "phi.edges-preserved-both-ways" in {
         r.check_id for r in report.failures}
+    monkeypatch.setattr(algebraic, "_edge_cosets", edge_cosets)
+    monkeypatch.setattr(algebraic, "shared_edge", lambda h1, h2: None)
+    report = join_agreement_audit(build_ball(c5_z2, 2))
+    assert "joins.agree-with-adjacency" in {r.check_id for r in report.failures}
 
 
 def test_shared_edge_of_adjacent_vertices(c5_z2):

@@ -282,7 +282,7 @@ def test_crossing_graph_matches_pairwise_oracle(name, radius):
     got, want = crossing_graph(b), crossing_graph_pairwise(b)
     assert (got.number_of_edges() > 0) == (radius > 0)
     assert list(got.walls.items()) == list(want.nodes(data="wall"))
-    assert [(k1, k2, vs) for (k1, k2), vs in got.crossings.items()] == \
+    assert [(k1, k2, [b.vertices[x] for x in xs]) for (k1, k2), xs in got.crossings.items()] == \
         list(want.edges(data="vertices"))
     assert got.neighbors == {k: set(want[k]) for k in want}
     # crossing-graph distances agree with networkx, inf where there is no path
@@ -529,6 +529,19 @@ def test_pair_stabilizer_classification(c5_z2):
     r = classify_pair(b, cg, cent[1], cent[3], 2)
     assert r.ok and r.results[0].check_id == \
         "walls.pair-stabilizer-delta2-is-connecting-fixator"
+
+
+def test_crossing_pair_with_two_shared_vertices_fails_to_meet_once(c5_z2):
+    """A crossing pair given a second shared vertex id in the crossing graph
+    fails its meet-once row, with both vertices as the witness."""
+    b = build_ball(c5_z2, 2)
+    cg = crossing_graph(b)
+    cent = central_walls(b)
+    xs = cg.crossings[cent[0].key, cent[1].key]
+    xs.append(xs[0] + 1)
+    r = classify_pair(b, cg, cent[0], cent[1], 2)
+    [failure] = [x for x in r.failures if x.check_id == "walls.crossing-walls-meet-once"]
+    assert failure.witness == [b.vertices[x].key_string() for x in xs]
 
 
 def test_pair_stabilizer_delta2_is_middle_vertex_group(c5_z2):
