@@ -45,7 +45,6 @@ from .words import (
 )
 from .davis import (
     ComplexBall,
-    ComplexEdge,
     ComplexVertex,
     build_ball,
     subdivision,

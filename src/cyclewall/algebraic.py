@@ -19,8 +19,11 @@ arcs are the buckets of the rebuild's hash join on edge cosets: two mediums
 share an edge coset exactly when they join, so the join itself is not
 taken there; the tests' oracle joins every pair, and ``join_agreement_audit``
 tests the join against the ball's adjacency.  A
-ball's mediums are encoded once (``vertex_mediums``) and read by the
-rebuild, ``phi_iso_check`` and the join audits, here and in ``walls``.
+ball's mediums are encoded once, by vertex id (``vertex_mediums``), and
+read by the rebuild, ``phi_iso_check`` and the join audits, here and in
+``walls``.  The audits read the ball's table (``davis.BallTable``) by id:
+the interior skeleton is id adjacency from the edges' end ids, polygons
+are their corner records, and witnesses are key strings.
 
 The rebuild writes its edge cosets out instead of multiplying.  Those of a
 node c<G_i x G_{i+1}> are c·x for x in one of its two window groups.  As c
@@ -35,8 +38,10 @@ an edge, that is iff the canonical word of c2^-1·c1 lies in G_{b+2}·G_b
 enumerates a vertex group and never comes out undecided.  The map
 (coset gH) -> (subgroup gHg^-1) is verified to be an equivariant
 isomorphism on interior cells.  On edges that is one comparison of two sets
-of vertex pairs: the ball's edges between interior vertices, and the
-rebuild's arcs between their encodings, decoded.
+of vertex id pairs: the ball's edges between interior vertices, and the
+rebuild's arcs between their encodings, decoded.  Equivariance is sampled
+on vertices made one at a time from the table (``davis.act_vertex`` acts
+on a ``ComplexVertex``).
 """
 
 from __future__ import annotations
@@ -137,10 +142,12 @@ def medium_of_vertex(v: ComplexVertex) -> CSubgroup:
     return CSubgroup(MEDIUM, v.index, v.rep)
 
 
-def vertex_mediums(b: ComplexBall) -> dict[ComplexVertex, CSubgroup]:
-    """Each X-vertex's medium (``medium_of_vertex``), in ``b.vertices``
-    order, encoded once per ball."""
-    return b.derive("mediums", lambda: {v: medium_of_vertex(v) for v in b.vertices})
+def vertex_mediums(b: ComplexBall) -> list[CSubgroup]:
+    """Each X-vertex's medium, by vertex id, encoded once per ball: the
+    coset rep of g(G_i x G_{i+1}) conjugates <G_i, G_{i+1}>."""
+    t = b.table
+    return b.derive("mediums", lambda: [CSubgroup(MEDIUM, i, t.reps[k])
+                                        for i, k in zip(t.vertices[::2], t.vertices[1::2])])
 
 
 def containing_maximals(h: CSubgroup) -> list[CSubgroup]:
@@ -253,23 +260,19 @@ class ScriptXBall:
     cycles: list[tuple[CSubgroup, ...]] = field(default_factory=list)
 
 
-def _induced_n_cycles(g: Mapping, n: int) -> list[tuple]:
-    """All induced cycles of length exactly n, each in canonical rotation, in
-    an adjacency mapping (node -> neighbours)."""
+def _induced_n_cycles(g: Mapping[int, set[int]], n: int) -> list[tuple[int, ...]]:
+    """All induced cycles of length exactly n, each in canonical rotation (its
+    least node first, then its lesser neighbour), sorted, in an adjacency
+    mapping over integer nodes (node -> neighbours)."""
     out = set()
-    nodes = sorted(g, key=lambda x: x.sort_key() if hasattr(x, "sort_key")
-                   else x)
-    index = {v: k for k, v in enumerate(nodes)}
 
     def extend(path: list):
         if len(path) == n:
             if path[0] in g[path[-1]]:
-                key = tuple(path) if index[path[1]] < index[path[-1]] \
-                    else (path[0],) + tuple(reversed(path[1:]))
-                out.add(key)
+                out.add(tuple(path) if path[1] < path[-1] else (path[0], *reversed(path[1:])))
             return
-        for w in sorted(g[path[-1]], key=lambda x: index[x]):
-            if index[w] <= index[path[0]] or w in path:
+        for w in sorted(g[path[-1]]):
+            if w <= path[0] or w in path:
                 continue
             # induced: w may touch only its predecessor among path vertices,
             # plus the start vertex when w closes the cycle
@@ -279,9 +282,9 @@ def _induced_n_cycles(g: Mapping, n: int) -> list[tuple]:
                 continue
             extend(path + [w])
 
-    for start in nodes:
+    for start in sorted(g):
         extend([start])
-    return sorted(out, key=lambda c: [index[v] for v in c])
+    return sorted(out)
 
 
 def _winding_cycles(up: Mapping, starts: list, n: int) -> list[tuple]:
@@ -323,15 +326,15 @@ def build_script_X_ball(b: ComplexBall) -> ScriptXBall:
     *Combinatorial Group Theory*, ch. V), so its boundary is at least
     2(n - 2) > n long.  An embedded n-cycle therefore bounds a single
     polygon, whose boundary visits bases 0, ..., n-1 in order.  A walk's
-    base-0 node is its least in ``sort_key`` order and its next node has
-    base 1, so each walk is already in ``_induced_n_cycles``' canonical
-    rotation and direction, and the cycles are sorted as that search sorts
-    them.
+    base-0 node is its least in ``sort_key`` order (the nodes' order, by
+    vertex id) and its next node has base 1, so each walk is already in
+    ``_induced_n_cycles``' canonical rotation and direction, read over the
+    nodes' places, and the cycles are sorted as that search sorts them.
     """
     p = b.presentation
     n = p.n
     sx = ScriptXBall(presentation=p)
-    sx.nodes = list(vertex_mediums(b).values())
+    sx.nodes = list(vertex_mediums(b))
     if len(set(sx.nodes)) != len(sx.nodes):
         raise ValidationError("subgroup encodings collide: ball is inconsistent")
 
@@ -362,11 +365,12 @@ def build_script_X_ball(b: ComplexBall) -> ScriptXBall:
 # -- isomorphism and cycle audits -----------------------------------------------------
 
 
-def _interior_skeleton(b: ComplexBall) -> dict[ComplexVertex, set[ComplexVertex]]:
-    """The 1-skeleton on the interior vertices, as an adjacency dict."""
-    g = {v: set() for v in b.vertices if v in b.interior_vertices}
-    for e in b.edges:
-        u, w = e.ends
+def _interior_skeleton(b: ComplexBall) -> dict[int, set[int]]:
+    """The 1-skeleton on the interior vertices, as id adjacency read off the
+    table's edge ends."""
+    t = b.table
+    g = {x: set() for x in t.interior_vertices()}
+    for u, w in zip(t.edges[2::4], t.edges[3::4]):
         if u in g and w in g:
             g[u].add(w)
             g[w].add(u)
@@ -377,44 +381,47 @@ def phi_iso_check(b: ComplexBall, seed: int = 0, samples: int = 50) -> Report:
     """The coset-to-conjugate map is an equivariant isomorphism on interior
     cells.  A collision, which the rebuild refuses, ends the check."""
     report = Report()
+    t = b.table
     encode = vertex_mediums(b)
-    preimages: dict[CSubgroup, list[ComplexVertex]] = {}
-    for v, h in encode.items():
-        preimages.setdefault(h, []).append(v)
-    collisions = sorted([v.key_string() for v in vs]
-                        for vs in preimages.values() if len(vs) > 1)
-    report.add("phi.injective-on-vertices", f"vertices={len(b.vertices)}",
+    preimages: dict[CSubgroup, list[int]] = {}
+    for x, h in enumerate(encode):
+        preimages.setdefault(h, []).append(x)
+    collisions = sorted([t.vertex_key(x) for x in xs]
+                        for xs in preimages.values() if len(xs) > 1)
+    report.add("phi.injective-on-vertices", f"vertices={len(encode)}",
                not collisions, collisions[:10] or None)
     if collisions:
         return report
 
     sx = build_script_X_ball(b)
     report.add("phi.surjective-onto-nodes", f"nodes={len(sx.nodes)}",
-               set(encode.values()) == set(sx.nodes))
+               set(encode) == set(sx.nodes))
 
-    # both edge sets on the interior vertices, as vertex pairs in key order
-    # (an edge's ends already are); sorted, the pairs come in the order of
+    # both edge sets on the interior vertices, as id pairs in key order (an
+    # edge's ends already are); sorted, the pairs come in the order of
     # combinations(sorted(interior), 2)
-    interior = b.interior_vertices
-    x_edges = {e.ends for e in b.edges if interior.issuperset(e.ends)}
-    decode = {h: v for v, h in encode.items()}
+    interior = set(t.interior_vertices())
+    x_edges = {(u, w) for u, w in zip(t.edges[2::4], t.edges[3::4])
+               if u in interior and w in interior}
+    decode = {h: x for x, h in enumerate(encode)}
     arc_ends = (tuple(sorted(decode[h] for h in pair)) for pair in sx.arcs)
     sx_edges = {ends for ends in arc_ends if interior.issuperset(ends)}
-    bad = [(u.key_string(), w.key_string(), (u, w) in x_edges, (u, w) in sx_edges)
+    bad = [(t.vertex_key(u), t.vertex_key(w), (u, w) in x_edges, (u, w) in sx_edges)
            for u, w in sorted(x_edges ^ sx_edges)]
     k = len(interior)
     report.add("phi.edges-preserved-both-ways", f"interior-pairs={k * (k - 1) // 2}",
                not bad, bad[:10] or None)
 
     # interior polygons map onto induced-cycle faces
+    n = b.presentation.n
     cycle_sets = {frozenset(c) for c in sx.cycles}
     bad_faces = []
     interior_polys = 0
-    for g, poly in b.polygons.items():
-        if all(v in b.interior_vertices for v in poly.boundary):
+    for k, g in enumerate(t.reps):
+        corners = t.corners(k)
+        if interior.issuperset(corners):
             interior_polys += 1
-            image = frozenset(encode[v] for v in poly.boundary)
-            if image not in cycle_sets:
+            if frozenset(map(encode.__getitem__, corners)) not in cycle_sets:
                 bad_faces.append(format_word(g))
     report.add("phi.polygons-map-to-cycles", f"interior-polygons={interior_polys}",
                not bad_faces, bad_faces or None)
@@ -424,44 +431,46 @@ def phi_iso_check(b: ComplexBall, seed: int = 0, samples: int = 50) -> Report:
     bad_eq = []
     for _ in range(samples):
         g = rng.choice(gens)
-        v = rng.choice(b.vertices)
-        lhs = medium_of_vertex(act_vertex(g, v))
-        rhs = encode[v].conjugated(g)
+        x = rng.choice(range(len(encode)))   # the draw of a choice from the vertex list
+        i, k = t.vertices[2 * x:2 * x + 2]
+        lhs = medium_of_vertex(act_vertex(g, ComplexVertex(POLY, i, t.reps[k])))
+        rhs = encode[x].conjugated(g)
         if lhs != rhs:
-            bad_eq.append((format_word(g), v.key_string()))
+            bad_eq.append((format_word(g), t.vertex_key(x)))
     report.add("phi.equivariance-on-samples", f"samples={samples} seed={seed}",
                not bad_eq, bad_eq or None)
     return report
 
 
 def induced_cycle_audit(b: ComplexBall) -> Report:
-    """Every induced cycle of length n through interior vertices bounds a polygon."""
+    """Every induced cycle of length n through interior vertices bounds a
+    polygon, read as its table record's corner ids."""
     report = Report()
-    p = b.presentation
-    skel = _interior_skeleton(b)
-    cycles = _induced_n_cycles(skel, p.n)
-    poly_boundaries = {frozenset(poly.boundary) for poly in b.polygons.values()}
+    t = b.table
+    n = b.presentation.n
+    cycles = _induced_n_cycles(_interior_skeleton(b), n)
+    poly_boundaries = {frozenset(t.corners(k)) for k in range(len(t.reps))}
     bad = [c for c in cycles if frozenset(c) not in poly_boundaries]
     report.add("cycles.induced-n-cycles-bound-polygons",
                f"radius={b.radius} cycles={len(cycles)}",
                not bad,
-               [[v.key_string() for v in c] for c in bad] or None)
+               [[t.vertex_key(x) for x in c] for c in bad] or None)
     return report
 
 
 def join_agreement_audit(b: ComplexBall) -> Report:
     """Join verdicts (exact, never undecided) match interior adjacency."""
     report = Report()
+    t = b.table
     skel = _interior_skeleton(b)
-    interior = sorted(skel)
     encode = vertex_mediums(b)
     bad = []
     pairs = 0
-    for u, w in itertools.combinations(interior, 2):
+    for u, w in itertools.combinations(sorted(skel), 2):
         pairs += 1
         ok, _ = join_is_cmaximal(encode[u], encode[w])
         if ok != (w in skel[u]):
-            bad.append((u.key_string(), w.key_string(), ok))
+            bad.append((t.vertex_key(u), t.vertex_key(w), ok))
     report.add("joins.agree-with-adjacency", f"pairs={pairs}",
                not bad, bad or None)
     return report

@@ -2,8 +2,9 @@
 and automorphism utilities.
 
 Exit codes: 0 pass, 1 audit failure, 2 resource or validation error (any
-other ``CycleWallError`` too, and a stdout closed before the output was
-written), 3 no failures but at least one inconclusive check.
+other ``CycleWallError`` too, running out of memory, and a stdout closed
+before the output was written), 3 no failures but at least one inconclusive
+check.
 """
 
 from __future__ import annotations
@@ -431,6 +432,8 @@ def main(argv=None) -> int:
     except CycleWallError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except MemoryError:
+        pass   # reported below, once the handler has let go of the failing frames
     except BrokenPipeError:
         # the reader closed stdout early; point it at devnull so that the
         # flush at interpreter exit cannot raise again
@@ -438,6 +441,8 @@ def main(argv=None) -> int:
         print("error: standard output was closed before the output was "
               "written", file=sys.stderr)
         return EXIT_RESOURCE
+    print("error: out of memory", file=sys.stderr)
+    return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

@@ -29,14 +29,10 @@ of its index or label, so vertex ids come in key order and edge ids in
 (label, rep) order, the midpoints' key order, with no sort; the edges' key
 order is a sort of integer pairs.  The table also lists each X-edge's wall
 key as a rep number, read off the same last syllables in O(1) per polygon
-side (``ball_table``).  ``build_ball`` lists the table alone: the cells are
-made from it on first read of any cell list, once per ball
-(``ComplexBall``), so the walls, the crossing graph and the davis suite's
-audits, which read the table alone, make none.  A ``Polygon`` carries its
-corners and its ordered sides.  The incidence maps ``edge_cells`` (X-edge
--> the polygons containing it) and ``vertex_edges`` serve the disc
-diagrams alone: they are built on first use, so exports, the subdivision,
-the walls and the audits, which read neither, never build them.
+side (``ball_table``).  ``build_ball`` lists the table alone, and it is the
+ball's one form: every audit, the walls, the rebuild and the disc diagrams
+read its records by id, and witnesses name a cell by the key string its
+ids spell (``BallTable.vertex_key`` and ``BallTable.edge_key``).
 
 X' is arithmetic on the table (``Subdivision``, built once per ball by
 ``subdivision``), with no cell object: with V X-vertices, E X-edges and n
@@ -48,13 +44,9 @@ around corner i of polygon k, is four corner ids and four side ids
 (``_squares``); the audits read these records, through an index of the
 squares at each vertex, and the JSON export lists them.
 
-Each cell of X is one object per ball, shared by the polygons and maps that
-hold it.  A ``ComplexVertex`` or ``ComplexEdge`` computes its hash and its
-order key once, when it is made; cells still compare by value, so one built
-outside a ball (by ``act_vertex``, say) finds the ball's own in its maps.
-Every edge's ends come in key order: an X-edge's by index, an X' edge's an
-X-vertex before a midpoint before a center.  So only ``act_edge`` compares
-the ends it builds.
+``ComplexVertex`` is the value type of the group's action on vertices
+(``act_vertex``): a vertex given by its class, index and coset rep, which
+hashes and orders by its key, made one at a time where an element acts.
 
 A cell is interior iff every polygon of X containing it is present in the
 ball, so audits restricted to interior cells see exactly the infinite
@@ -67,10 +59,9 @@ interior iff |w| + |S| <= r, a labelled edge (an X-edge or a half of one)
 iff |w| + 1 <= r, and a spoke, which lies inside one polygon, always.
 
 Both exports, ``iter_ball_json`` and ``iter_ball_dot``, read the table
-alone (``_rows``) and make no cell object: each element's word is
-formatted once and every vertex and midpoint key string has a list slot.
-Neither builds the square index.  Both stream, in chunks of up to 1,024
-records or lines.
+alone (``_rows``): each element's word is formatted once and every vertex
+and midpoint key string has a list slot.  Neither builds the square index.
+Both stream, in chunks of up to 1,024 records or lines.
 
 The link audits read each interior vertex's link in X' as a plain
 adjacency dict over side ids (side at the vertex -> the sides it shares a
@@ -112,7 +103,6 @@ EDGE = "edge"         # coset of G_i (edge midpoints of the subdivision)
 POLY = "poly"         # coset of G_i x G_{i+1} (vertices of X)
 
 _CLASS_ORDER = {POLY: 0, EDGE: 1, TRIVIAL: 2}
-_by_key = operator.attrgetter("_key")   # a cell's order key, read in C
 
 
 @dataclass(frozen=True, slots=True)
@@ -146,92 +136,19 @@ class ComplexVertex:
         return f"{self.cls}|{'' if self.index is None else self.index}|{format_word(self.rep)}"
 
 
-@dataclass(frozen=True, slots=True)
-class ComplexEdge:
-    ends: tuple[ComplexVertex, ComplexVertex]   # in key order
-    label: Optional[int]             # X-edge label; None for center spokes
-    rep: Optional[GroupElement]      # coset rep of gG_label for labelled edges
-    # computed once: the field tuple's hash and the order key
-    _hash: int = field(init=False, repr=False, compare=False)
-    _key: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        label = -1 if self.label is None else self.label
-        object.__setattr__(self, "_key", (self.ends[0]._key, self.ends[1]._key, label))
-        # -1 for None, whose hash is an address before Python 3.12
-        object.__setattr__(self, "_hash", hash(
-            (self.ends, label, -1 if self.rep is None else self.rep)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def sort_key(self):
-        return self._key
-
-    def __lt__(self, other):
-        return self._key < other._key
-
-    def key_string(self) -> str:
-        label = "" if self.label is None else self.label
-        return f"{label}|{self.ends[0].key_string()}--{self.ends[1].key_string()}"
-
-
-# 2-cells are built once per ball and compare by identity, so they hash cheaply
-@dataclass(frozen=True, eq=False)
-class Polygon:
-    rep: GroupElement
-    boundary: tuple[ComplexVertex, ...]   # v_0 .. v_{n-1}, v_i = g(G_i x G_{i+1})
-    edges: tuple[ComplexEdge, ...]        # e_0 .. e_{n-1}, e_i = gG_i joins v_{i-1}, v_i
-
-
-class lazy_attribute:
-    """A method read as an attribute: computed on first read, then kept on
-    the instance as a plain attribute, which an assignment also sets.
-    Unlike ``functools.cached_property`` it stores the value by attribute
-    assignment, not through the instance's ``__dict__``, so CPython keeps
-    reading the instance's other attributes on its fast path."""
-
-    def __init__(self, make):
-        self.make = make
-
-    def __set_name__(self, owner, name: str):
-        self.name = name
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = self.make(instance)
-        object.__setattr__(instance, self.name, value)
-        return value
-
-
 @dataclass
 class ComplexBall:
-    """A polygonal ball: its table (``ball_table``), listed once, and its
-    cells as objects (``cells``), all made from the table on first read of
-    any of them: ``vertices`` and ``edges`` in key order, ``polygons`` by
-    rep, and the sets ``interior_vertices`` and ``interior_edges``.  A cell
-    list assigned before it is read is the ball's own."""
+    """A polygonal ball: its table (``ball_table``), listed once, and what is
+    derived from it."""
 
     presentation: Presentation
     radius: int
-    # what is derived from this ball (its table and cells, incidence maps,
-    # subdivision, walls, element balls, stabilizers), built on first use; it
+    # what is derived from this ball (its table, subdivision, walls, element
+    # balls, stabilizers, mediums, incidence indexes), built on first use; it
     # lives and dies with the ball, which is not changed once built, and is
     # shared by every caller
     derived: dict = field(default_factory=dict, init=False, compare=False,
                           repr=False)
-
-    vertices = lazy_attribute(lambda b: b.cells.vertices)
-    edges = lazy_attribute(lambda b: b.cells.edges)
-    polygons = lazy_attribute(lambda b: b.cells.polygons)
-    interior_vertices = lazy_attribute(lambda b: b.cells.interior_vertices)
-    interior_edges = lazy_attribute(lambda b: b.cells.interior_edges)
-
-    @property
-    def cells(self) -> _Cells:
-        """The ball's cell objects, made on first read (``_Cells``)."""
-        return self.derive("cells", lambda: _Cells(self.table))
 
     @property
     def n(self) -> int:
@@ -257,28 +174,6 @@ class ComplexBall:
         return self.derive(("elements", L),
                            lambda: tuple(enumerate_ball_elements(self.presentation, L)))
 
-    # the polygons containing each edge, in polygon order, and each vertex's
-    # edges in key order
-    @property
-    def edge_cells(self) -> dict[ComplexEdge, list[Polygon]]:
-        return self.derive("incidence", self._incidence)[0]
-
-    @property
-    def vertex_edges(self) -> dict[ComplexVertex, list[ComplexEdge]]:
-        return self.derive("incidence", self._incidence)[1]
-
-    def _incidence(self):
-        edge_cells, vertex_edges = {}, {}
-        for poly in self.polygons.values():
-            for e in poly.edges:
-                edge_cells.setdefault(e, []).append(poly)
-        for e in edge_cells:
-            for v in e.ends:
-                vertex_edges.setdefault(v, []).append(e)
-        for es in vertex_edges.values():
-            es.sort(key=_by_key)
-        return edge_cells, vertex_edges
-
 
 # -- cell constructors --------------------------------------------------------
 
@@ -295,12 +190,6 @@ def act_vertex(h: GroupElement, v: ComplexVertex) -> ComplexVertex:
     if v.cls == EDGE:
         return ComplexVertex(EDGE, v.index, coset_rep(moved, (v.index,)))
     return x_vertex(h.presentation, moved, v.index)
-
-
-def act_edge(h: GroupElement, e: ComplexEdge) -> ComplexEdge:
-    a, c = act_vertex(h, e.ends[0]), act_vertex(h, e.ends[1])
-    return ComplexEdge((a, c) if a._key <= c._key else (c, a), e.label,
-                       None if e.rep is None else coset_rep(mul(h, e.rep), (e.label,)))
 
 
 # -- construction ---------------------------------------------------------------
@@ -339,6 +228,40 @@ class BallTable(NamedTuple):
     edge_order: array
     polygons: array
     wall_keys: array
+
+    def inner(self, rank: int) -> list[bool]:
+        """By rep number g: whether the cell g<G_S> with |S| = ``rank`` is
+        interior, |g| + |S| <= r (the module docstring)."""
+        return [len(g.word) + rank <= self.radius for g in self.reps]
+
+    def interior_vertices(self) -> list[int]:
+        """The ids of the interior X-vertices, in key order."""
+        inner = self.inner(2)
+        return [x for x, k in enumerate(self.vertices[1::2]) if inner[k]]
+
+    def corners(self, k: int) -> array:
+        """Polygon k's corner ids, v_0 .. v_{n-1}."""
+        n = self.presentation.n
+        return self.polygons[2 * n * k:2 * n * k + n]
+
+    def sides(self, k: int) -> array:
+        """Polygon k's side ids, e_0 .. e_{n-1}."""
+        n = self.presentation.n
+        return self.polygons[2 * n * k + n:2 * n * (k + 1)]
+
+    def ends(self, e: int) -> array:
+        """X-edge e's end ids, in key order (so in id order)."""
+        return self.edges[4 * e + 2:4 * e + 4]
+
+    def vertex_key(self, x: int) -> str:
+        """X-vertex x's key string, ``ComplexVertex.key_string``'s."""
+        i, k = self.vertices[2 * x:2 * x + 2]
+        return f"{POLY}|{i}|{format_word(self.reps[k])}"
+
+    def edge_key(self, e: int) -> str:
+        """X-edge e's key string: its label and its ends' keys."""
+        a, c = self.ends(e)
+        return f"{self.edges[4 * e]}|{self.vertex_key(a)}--{self.vertex_key(c)}"
 
 
 def _records(a: array, width: int) -> Iterator[tuple[int, ...]]:
@@ -417,51 +340,15 @@ def ball_table(p: Presentation, r: int) -> BallTable:
 def build_ball(p: Presentation, r: int) -> ComplexBall:
     """Sub-complex of X spanned by polygons g.P with syllable length(g) <= r,
     within the ``CYCLEWALL_MEM_MB`` budget when that is set: the ball of
-    ``ball_table(p, r)``, whose cells are made on first read."""
+    ``ball_table(p, r)``."""
     ball = ComplexBall(p, r)
     ball.derived["table"] = ball_table(p, r)
     return ball
 
 
-_CELLS = ("vertices", "edges", "polygons", "interior_vertices", "interior_edges")
-
-
-class _Cells:
-    """The cells of a ball's table as objects (``_CELLS``), all made on
-    first read of any.  Each cell is one object, shared by the polygons
-    around it.  A ball's walls read their edges here, so that they hold no
-    reference to their ball."""
-
-    def __init__(self, table: BallTable):
-        self.table = table
-
-    def __getattr__(self, name: str):
-        # reached only while the cells are not made
-        if name not in _CELLS:
-            raise AttributeError(name)
-        t = self.table
-        reps, n, r = t.reps, t.presentation.n, t.radius
-        vertices = [ComplexVertex(POLY, i, reps[k]) for i, k in _records(t.vertices, 2)]
-        edges = [ComplexEdge((vertices[a], vertices[c]), i, reps[k])
-                 for i, k, a, c in _records(t.edges, 4)]
-        self.vertices, self.edges = vertices, list(map(edges.__getitem__, t.edge_order))
-        self.polygons = {g: Polygon(g, tuple(map(vertices.__getitem__, c[:n])),
-                                    tuple(map(edges.__getitem__, c[n:])))
-                         for g, c in zip(reps, _records(t.polygons, 2 * n))}
-        # the vertex g(G_i x G_{i+1}) is interior iff |g| + 2 <= r, the edge gG_i iff |g| + 1 <= r
-        self.interior_vertices = {v for v in vertices if len(v.rep.word) + 2 <= r}
-        self.interior_edges = {e for e in edges if len(e.rep.word) + 1 <= r}
-        return vars(self)[name]
-
-
 def _table(b: ComplexBall | BallTable) -> BallTable:
     """``b`` itself, or a polygonal ball's own table."""
     return b if isinstance(b, BallTable) else b.table
-
-
-def _inner(t: BallTable, rank: int) -> list[bool]:
-    """By rep number g: whether the cell g<G_S> with |S| = ``rank`` is interior."""
-    return [len(g.word) + rank <= t.radius for g in t.reps]
 
 
 # -- subdivision ------------------------------------------------------------------
@@ -528,8 +415,9 @@ class Subdivision(NamedTuple):
     def vertex_key(self, x: int) -> str:
         t = self.table
         nv, ne = len(t.vertices) // 2, len(t.edges) // 4
-        cls, index, k = ((POLY, *t.vertices[2 * x:2 * x + 2]) if x < nv else
-                         (EDGE, *t.edges[4 * (x - nv):4 * (x - nv) + 2]) if x < nv + ne else
+        if x < nv:
+            return t.vertex_key(x)
+        cls, index, k = ((EDGE, *t.edges[4 * (x - nv):4 * (x - nv) + 2]) if x < nv + ne else
                          (TRIVIAL, "", x - nv - ne))
         return f"{cls}|{index}|{format_word(t.reps[k])}"
 
@@ -551,7 +439,7 @@ class Subdivision(NamedTuple):
         """By vertex id: X-vertices and midpoints by the rep-length rule,
         centers always."""
         t = self.table
-        inner_v, inner_e = _inner(t, 2), _inner(t, 1)
+        inner_v, inner_e = t.inner(2), t.inner(1)
         return chain(map(inner_v.__getitem__, t.vertices[1::2]),
                      map(inner_e.__getitem__, t.edges[1::4]),
                      repeat(True, len(t.reps)))
@@ -559,7 +447,7 @@ class Subdivision(NamedTuple):
     def interior_edges(self) -> Iterator[bool]:
         """By edge id: both halves of an X-edge as it is, spokes always."""
         t = self.table
-        inner_e = _inner(t, 1)
+        inner_e = t.inner(1)
         return chain(chain.from_iterable((inner_e[k],) * 2 for k in t.edges[1::4]),
                      repeat(True, len(self.ends) // 2 - len(t.edges) // 2))
 
@@ -649,20 +537,18 @@ def polygon_pair_audit(b: ComplexBall) -> Report:
     x = subdivision(b)
     t = x.table
     n = t.presentation.n
-    w = 2 * n   # a polygon record's width
     pairs = 0
     bad = []
     for v in range(len(t.vertices) // 2):
         polys = [q // n for q, _ in x.squares_at(v)]   # in polygon order
-        corners = {g: set(t.polygons[w * g:w * g + n]) for g in polys}
+        corners = {g: set(t.corners(g)) for g in polys}
         for idx, g in enumerate(polys):
             for h in polys[idx + 1:]:
                 shared_v = corners[g] & corners[h]
                 if min(shared_v) != v:
                     continue
                 pairs += 1
-                shared_e = (set(t.polygons[w * g + n:w * g + w])
-                            & set(t.polygons[w * h + n:w * h + w]))
+                shared_e = set(t.sides(g)) & set(t.sides(h))
                 if len(shared_e) >= 2 or len(shared_v) >= 3:
                     bad.append((format_word(t.reps[g]), format_word(t.reps[h]),
                                 len(shared_e), len(shared_v)))
@@ -697,7 +583,7 @@ def links_audit(b: ComplexBall) -> Report:
     p = b.presentation
     x = subdivision(b)
     index = x.table.vertices[::2]
-    inside = list(compress(range(len(index)), x.interior_vertices()))   # X-vertices first
+    inside = x.table.interior_vertices()
     bad = []
     for v in inside:   # in key order
         try:
@@ -775,7 +661,7 @@ def _rows(b: ComplexBall | BallTable, square: bool):
     text = [format_word(g) for g in t.reps]
     word = [f'"{w}"' for w in text]
     # by rep number: whether an X-vertex and an X-edge of that rep are interior
-    inner_v, inner_e = _inner(t, 2), _inner(t, 1)
+    inner_v, inner_e = t.inner(2), t.inner(1)
     vertices = list(_records(t.vertices, 2))
     key = [f"{POLY}|{i}|{text[k]}" for i, k in vertices]   # as key_string writes them
     edges = list(_records(t.edges, 4))
@@ -809,8 +695,8 @@ def iter_ball_dot(b: ComplexBall | BallTable, square: bool = False) -> Iterator[
     """The dot graph of a polygonal ball's 1-skeleton, or with ``square`` of
     its subdivision X', in chunks of up to ``_BATCH`` lines: a line per
     vertex with its interior flag, then a line per edge with its label, in
-    key order, as ``_rows`` lists them from the ball's table, so no cell is
-    read.  ``b`` is a ``BallTable`` or a polygonal ball."""
+    key order, as ``_rows`` lists them from the ball's table.  ``b`` is a
+    ``BallTable`` or a polygonal ball."""
     t, *_, vertex_rows, edge_rows = _rows(b, square)
     label = {None: ""} | {i: f' [label="{i}"]' for i in range(t.presentation.n)}
     lines = chain(
@@ -830,10 +716,10 @@ def iter_ball_json(b: ComplexBall | BallTable, square: bool = False) -> Iterator
     ``BallTable`` or a polygonal ball.
 
     All of it is read from the ball's table, through ``_rows`` and
-    ``_squares``, so no cell is read and no square index built.  A key
-    string or a formatted word holds only ASCII letters, digits and ``:|- ``
-    (``format_word`` writes ``v<int>:<int>`` tokens), which JSON writes as
-    they are, so no string is escaped.
+    ``_squares``, so no square index is built.  A key string or a formatted
+    word holds only ASCII letters, digits and ``:|- `` (``format_word``
+    writes ``v<int>:<int>`` tokens), which JSON writes as they are, so no
+    string is escaped.
     """
     t, word, key, mid, center, vertex_rows, edge_rows = _rows(b, square)
     n = t.presentation.n

@@ -16,6 +16,13 @@ edge) before any audit runs.
 it cancels spurs and glues the polygon along the longest matching run of the
 boundary, never undoing a glue, and refuses with :class:`FillError` rather
 than return a diagram it cannot verify.
+
+Loops are lists of X-vertex ids of the ball's table (``davis.BallTable``),
+and a diagram's images are X-vertex ids too.  The fills and the loop sampler
+read polygons as their corner and side records, through two indexes built
+once per ball: the polygons on each X-edge and the edges at each X-vertex.
+A polygon is its id, its rep's number; rep numbers come in the order of the
+reps, so ties between polygons break as between their reps.
 """
 
 from __future__ import annotations
@@ -24,11 +31,11 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .davis import ComplexBall, ComplexVertex
+from .davis import ComplexBall
 from .errors import FillError, ValidationError
 from .reports import Report
 from .walls import UnionFind
-from .words import GroupElement
+from .words import GroupElement, format_word
 
 
 # -- the planar complex ---------------------------------------------------------
@@ -39,7 +46,7 @@ class DiscDiagram:
     """A contractible planar complex mapped into the polygonal complex.
 
     ``faces`` are cycles of local vertex ids; ``images`` sends local ids to
-    complex vertices; ``face_polygons`` sends face indices to polygon
+    X-vertex ids of the ball's table; ``face_polygons`` sends face indices to polygon
     representatives (None for abstract diagrams used in convention locks).
     """
 
@@ -47,7 +54,7 @@ class DiscDiagram:
     edges: list[frozenset[int]]
     faces: list[tuple[int, ...]]
     boundary: tuple[int, ...]
-    images: dict[int, ComplexVertex] = field(default_factory=dict)
+    images: dict[int, int] = field(default_factory=dict)
     face_polygons: list[Optional[GroupElement]] = field(default_factory=list)
 
     def __post_init__(self):
@@ -180,7 +187,7 @@ def _cancel_spurs(loop: list, creators: list, ids: list, merges: list) -> None:
             del loop[idx], creators[idx], ids[idx]
 
 
-def _match_polygon(cycle: Sequence[ComplexVertex], segment: Sequence[ComplexVertex]):
+def _match_polygon(cycle: Sequence[int], segment: Sequence[int]):
     """Longest run of the polygon cycle equal to the segment, either direction.
 
     Returns (k, completion) where the first k edges of the segment are covered
@@ -206,9 +213,36 @@ def _match_polygon(cycle: Sequence[ComplexVertex], segment: Sequence[ComplexVert
     return best
 
 
-def fill_loop(b: ComplexBall, loop: Sequence[ComplexVertex],
+def _edge_polygons(b: ComplexBall) -> list[list[int]]:
+    """By X-edge id, the ids of the polygons on it, in polygon order, read
+    off the polygons' side records; built once per ball."""
+    def build():
+        t = b.table
+        on = [[] for _ in range(len(t.edges) // 4)]
+        for k in range(len(t.reps)):
+            for e in t.sides(k):
+                on[e].append(k)
+        return on
+    return b.derive("edge polygons", build)
+
+
+def _vertex_edges(b: ComplexBall) -> list[list[int]]:
+    """By X-vertex id, the ids of the edges at it, in key order; built once
+    per ball."""
+    def build():
+        t = b.table
+        at = [[] for _ in range(len(t.vertices) // 2)]
+        for e in t.edge_order:
+            for x in t.ends(e):
+                at[x].append(e)
+        return at
+    return b.derive("vertex edges", build)
+
+
+def fill_loop(b: ComplexBall, loop: Sequence[int],
               max_faces: int = 24) -> DiscDiagram:
-    """Build a reduced disc diagram bounded by the closed edge path ``loop``.
+    """Build a reduced disc diagram bounded by the closed edge path ``loop``,
+    a list of X-vertex ids.
 
     Cancel spurs, then glue the polygon along the longest matching run of the
     boundary (on ties the earliest run, then the least rep; never onto an
@@ -229,14 +263,15 @@ def fill_loop(b: ComplexBall, loop: Sequence[ComplexVertex],
         loop = loop[:-1]
     for v, w in zip(loop, loop[1:] + loop[:1]):
         if len(loop) > 1 and _ball_edge(b, v, w) is None:
-            raise FillError(f"loop is not an edge path at {v.key_string()}")
+            raise FillError(f"loop is not an edge path at {b.table.vertex_key(v)}")
 
+    on_edge = _edge_polygons(b)
     start = list(range(len(loop)))
-    images: list[ComplexVertex] = list(loop)    # diagram vertex id -> image
+    images: list[int] = list(loop)    # diagram vertex id -> image
     faces: list[tuple[int, ...]] = []
     face_polygons: list[GroupElement] = []
     merges: list[tuple[int, int]] = []         # vertex ids identified by folds
-    creators: list[Optional[GroupElement]] = [None] * len(loop)
+    creators: list[Optional[int]] = [None] * len(loop)   # polygon ids
     ids = list(start)
     while True:
         _cancel_spurs(loop, creators, ids, merges)
@@ -246,33 +281,32 @@ def fill_loop(b: ComplexBall, loop: Sequence[ComplexVertex],
         best = None
         for j in range(L):
             e = _ball_edge(b, loop[j], loop[(j + 1) % L])
-            for poly in b.edge_cells.get(e, ()):
-                rep = poly.rep
-                if creators[j] == rep:
+            for poly in on_edge[e]:
+                if creators[j] == poly:
                     continue   # would stack the same polygon on this edge
                 segment = [loop[(j + t) % L] for t in range(L)] + [loop[j]]
-                m = _match_polygon(poly.boundary, segment)
+                m = _match_polygon(b.table.corners(poly), segment)
                 if m is None:
                     continue
                 k, completion = m
-                if any(creators[(j + t) % L] == rep for t in range(k)):
+                if any(creators[(j + t) % L] == poly for t in range(k)):
                     continue
-                if best is None or (-k, j, rep) < best[0]:
-                    best = ((-k, j, rep), k, completion)
+                if best is None or (-k, j, poly) < best[0]:
+                    best = ((-k, j, poly), k, completion)
         if best is None or len(faces) >= max_faces:
             raise FillError(
                 f"no reduced filling with at most {max_faces} faces was found")
-        (_, j, rep), k, completion = best
+        (_, j, poly), k, completion = best
         # the face runs along loop[j..j+k] and back through fresh corners; the
         # boundary keeps loop[j+k] around to loop[j], then closes through them
         fresh = list(range(len(images), len(images) + len(completion)))
         images.extend(completion)
         faces.append(tuple(ids[(j + t) % L] for t in range(k + 1)) + tuple(fresh))
-        face_polygons.append(rep)
+        face_polygons.append(b.table.reps[poly])
         loop = [loop[(j + k + t) % L] for t in range(L - k + 1)] \
             + list(reversed(completion))
         creators = [creators[(j + k + t) % L] for t in range(L - k)] \
-            + [rep] * (len(completion) + 1)
+            + [poly] * (len(completion) + 1)
         ids = [ids[(j + k + t) % L] for t in range(L - k + 1)] + fresh[::-1]
 
     uf = UnionFind()
@@ -291,14 +325,16 @@ def fill_loop(b: ComplexBall, loop: Sequence[ComplexVertex],
     return d
 
 
-def _ball_edge(b: ComplexBall, v: ComplexVertex, w: ComplexVertex):
-    for e in b.vertex_edges.get(v, ()):
-        if w in e.ends:
+def _ball_edge(b: ComplexBall, v: int, w: int) -> Optional[int]:
+    """The id of the X-edge joining the X-vertices v and w, or None."""
+    t = b.table
+    for e in _vertex_edges(b)[v]:
+        if w in t.ends(e):
             return e
     return None
 
 
-def fill_and_audit(b: ComplexBall, loop: Sequence[ComplexVertex],
+def fill_and_audit(b: ComplexBall, loop: Sequence[int],
                    max_faces: int = 24) -> tuple[DiscDiagram, Report]:
     """Fill the loop and audit the curvature identity on the result."""
     report = convention_lock(b.presentation.n)
@@ -311,25 +347,28 @@ def fill_and_audit(b: ComplexBall, loop: Sequence[ComplexVertex],
     return d, report
 
 
-def union_boundary_loop(b: ComplexBall, reps: Sequence[GroupElement]):
-    """Boundary cycle of a disc-shaped union of polygons, or None if the
-    union is not bounded by one simple cycle."""
-    count: dict = {}
-    for rep in reps:
-        for e in b.polygons[rep].edges:
+def union_boundary_loop(b: ComplexBall, polygons: Sequence[int]) -> Optional[list[int]]:
+    """Boundary cycle of a disc-shaped union of polygons, given by their
+    ids, as X-vertex ids from the least; or None if the union is not bounded
+    by one simple cycle."""
+    t = b.table
+    count: dict[int, int] = {}
+    for k in polygons:
+        for e in t.sides(k):
             count[e] = count.get(e, 0) + 1
     border = [e for e, c in count.items() if c == 1]
-    at: dict = {}
+    at: dict[int, list[int]] = {}
     for e in border:
-        for v in e.ends:
+        for v in t.ends(e):
             at.setdefault(v, []).append(e)
     if not at or any(len(es) != 2 for es in at.values()):
         return None
-    start = min(at, key=lambda v: v.sort_key())
+    start = min(at)
     loop, prev = [start], None
     while True:
-        e = next(x for x in at[loop[-1]] if x is not prev)
-        nxt = e.ends[0] if e.ends[1] == loop[-1] else e.ends[1]
+        e = next(x for x in at[loop[-1]] if x != prev)
+        a, c = t.ends(e)
+        nxt = a if c == loop[-1] else c
         if nxt == start:
             return loop if len(loop) == len(border) else None
         loop.append(nxt)
@@ -340,20 +379,22 @@ def sample_loops(b: ComplexBall, seed: int, count: int, max_len: int = 12):
     """Deterministic sample of null-homotopic loops: boundaries of random
     connected polygon unions, capped at ``max_len`` edges."""
     rng = random.Random(seed)
-    reps = list(b.polygons)
+    t = b.table
+    on_edge = _edge_polygons(b)
     loops = []
     attempts = 0
     while len(loops) < count and attempts < 50 * count:
         attempts += 1
-        chosen = [rng.choice(reps)]
+        chosen = [rng.choice(range(len(t.reps)))]   # the draw of a choice from the polygon list
         for _ in range(rng.randrange(0, 3)):
             # grow across a shared edge to keep the union connected
-            frontier = [other.rep
-                        for g in chosen for e in b.polygons[g].edges
-                        for other in b.edge_cells[e] if other.rep not in chosen]
+            frontier = [other
+                        for k in chosen for e in t.sides(k)
+                        for other in on_edge[e] if other not in chosen]
             if not frontier:
                 break
-            chosen.append(rng.choice(sorted(frontier, key=str)))
+            # sorted by the reps' text, not their numbers, the order the draws have been made in
+            chosen.append(rng.choice(sorted(frontier, key=lambda k: format_word(t.reps[k]))))
         loop = union_boundary_loop(b, chosen)
         if loop is not None and len(loop) <= max_len:
             loops.append(loop)
@@ -368,7 +409,7 @@ def filling_audit(b: ComplexBall, seed: int = 0, count: int = 20,
     report.add("diagrams.loop-sampler-found-instances", f"loops={len(loops)}",
                bool(loops))
     for idx, loop in enumerate(loops):
-        key = f"loop {idx:03d}: len={len(loop)} at={loop[0].key_string()}"
+        key = f"loop {idx:03d}: len={len(loop)} at={b.table.vertex_key(loop[0])}"
         try:
             d = fill_loop(b, loop)
         except FillError as exc:

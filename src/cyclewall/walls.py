@@ -12,8 +12,9 @@ cuts it into pieces.  All of it is read off the ball's table
 table lists, O(1) per edge; the buckets are keyed by (label, key number)
 and sorted as integer pairs, O(E) and O(W log W) for E edges and W walls,
 which is the keys' order, as rep numbers come in (len, word) order; and a
-``TreeWall`` is a view of its edges' places, whose cell objects are made
-on first read.
+``TreeWall`` holds its edges' ids and reads its vertices and reps off the
+table.  Audits name vertices and edges by their key strings
+(``BallTable.vertex_key`` and ``BallTable.edge_key``).
 
 Stabilizer audits compare the geometric action on in-ball edges against
 membership in ``algebraic.CSubgroup``, the package's one encoding of a
@@ -35,14 +36,14 @@ vertex's medium (``algebraic.containing_maximals``).
 
 Cost: each X-vertex lies on at most two walls, so the crossing graph buckets
 walls by their edges' end vertex ids in O(E) rather than comparing every
-pair of walls, and makes no cell object: each arc holds the ids of the
-vertices its walls share.
+pair of walls: each arc holds the ids of the vertices its walls share.
 Graphs are plain adjacency dicts (``CrossingGraph.neighbors``), and one
 level-by-level breadth-first search over a neighbour function
-(``_bfs_levels``) serves crossing-graph distances, wall connectivity and
-minimal sets; the last runs over the vertex ids of X' (``davis.Subdivision``),
-each vertex's neighbours read off the squares at it, and stops at the first
-level that reaches the other wall.  No element ball is scanned: a
+(``_bfs_levels``) serves crossing-graph distances (one search per source
+wall, kept on the graph), wall connectivity and minimal sets; the last
+runs over the vertex ids of X' (``davis.Subdivision``), each vertex's
+neighbours read off the squares at it, and stops at the first level that
+reaches the other wall.  No element ball is scanned: a
 wall's truncated stabilizer is its short transporters r'·x·r^-1 between
 its edges, each of which stabilizes it, and a truncated ``w<G_S>w^-1`` is
 found by conjugating the short elements of <G_S>.  The geometric test
@@ -79,8 +80,7 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Iterator, Optional
 
 from .algebraic import (
@@ -89,10 +89,9 @@ from .algebraic import (
     CSubgroup,
     containing_maximals,
     join_is_cmaximal,
-    medium_of_vertex,
     vertex_mediums,
 )
-from .davis import ComplexBall, ComplexEdge, ComplexVertex, lazy_attribute, subdivision
+from .davis import BallTable, ComplexBall, subdivision
 from .errors import ValidationError
 from .reports import Report
 from .words import (
@@ -111,44 +110,34 @@ MIN_SET_PAIRS = 40   # wall pairs, in key order, whose minimal sets are audited
 
 
 class TreeWall:
-    """A tree-wall: its label, its key and its edges.
+    """A tree-wall of a ball: its label, its key and its edges' ids in the
+    ball's table (``davis.BallTable``), listed in the edges' key order, so
+    the first is its seed.  Its vertex ids and its edges' reps are read off
+    the table."""
 
-    A ball's walls (``walls_of_ball``) are views of its table: each holds
-    its edges' places in the key order of the ball's edges, ascending, and
-    its ``edges``, ``seed``, ``vertex_set`` and ``edge_reps`` are made on
-    first read.  A wall made by hand is given its seed and its edges.
-    """
+    def __init__(self, table: BallTable, label: int, key_rep: GroupElement, ids: array):
+        self.table, self.label, self.key_rep, self.ids = table, label, key_rep, ids
+        self._reps: Optional[frozenset[GroupElement]] = None
 
-    def __init__(self, label: int, seed: ComplexEdge, edges: frozenset[ComplexEdge],
-                 key_rep: GroupElement):
-        self.label, self.seed, self.edges, self.key_rep = label, seed, edges, key_rep
+    @property
+    def seed(self) -> int:
+        """The id of the wall's first edge in key order."""
+        return self.ids[0]
 
-    @classmethod
-    def view(cls, b: ComplexBall, label: int, key_rep: GroupElement,
-             ids: array) -> TreeWall:
-        """The wall of ``b`` whose edges are ``b.edges[k]`` for k in ``ids``."""
-        T = cls.__new__(cls)
-        T.label, T.key_rep, T.cells, T.ids = label, key_rep, b.cells, ids
-        return T
+    @property
+    def vertex_set(self) -> set[int]:
+        """The ids of the ends of the wall's edges."""
+        e = self.table.edges
+        return {*(e[4 * k + 2] for k in self.ids), *(e[4 * k + 3] for k in self.ids)}
 
-    @lazy_attribute
-    def edges(self) -> frozenset[ComplexEdge]:
-        return frozenset(map(self.cells.edges.__getitem__, self.ids))
-
-    @lazy_attribute
-    def seed(self) -> ComplexEdge:
-        """The wall's first edge in key order."""
-        return self.cells.edges[self.ids[0]]
-
-    @lazy_attribute
-    def vertex_set(self) -> frozenset[ComplexVertex]:
-        return frozenset(v for e in self.edges for v in e.ends)
-
-    @lazy_attribute
+    @property
     def edge_reps(self) -> frozenset[GroupElement]:
-        """The coset reps of the edges: an edge of the wall is the pair
-        (label, rep), so the reps alone identify the edges."""
-        return frozenset(e.rep for e in self.edges)
+        """The coset reps of the edges, read once: an edge of the wall is
+        the pair (label, rep), so the reps alone identify the edges."""
+        if self._reps is None:
+            t = self.table
+            self._reps = frozenset(t.reps[t.edges[4 * k + 1]] for k in self.ids)
+        return self._reps
 
     @property
     def key(self) -> tuple:
@@ -171,32 +160,22 @@ class TreeWall:
 def walls_of_ball(b: ComplexBall) -> list[TreeWall]:
     """All tree-walls through interior edges, in key order; each is every
     edge of the ball with its key.  Built once per ball."""
-    return list(b.derive("walls", lambda: _walls(b)))
+    return list(b.derive("walls", lambda: _walls(b.table)))
 
 
-def _walls(b: ComplexBall) -> list[TreeWall]:
+def _walls(t: BallTable) -> list[TreeWall]:
     """The table's edges bucketed by (label, wall key number), in O(E), and
     the W buckets sorted as integer pairs, in O(W log W): rep numbers come in
     (len, word) order, the order of the keys.  A bucket is kept when it has
-    an interior edge, one with |rep| + 1 <= r: reps come in length order, so
-    that is a rep number below the count of reps shorter than r."""
-    t = b.table
+    an interior edge, one with |rep| + 1 <= r."""
     labels, reps, keys, count = t.edges[0::4], t.edges[1::4], t.wall_keys, len(t.reps)
-    inner = bisect_left(t.reps, t.radius, key=GroupElement.syllable_length.fget)
+    inner = t.inner(1)
     by_key: dict[int, list[int]] = {}
-    for k, e in enumerate(t.edge_order):   # in key order, so each wall's first edge is its seed
-        by_key.setdefault(labels[e] * count + keys[e], []).append(k)
-    return [TreeWall.view(b, code // count, t.reps[code % count], array("i", ks))
-            for code, ks in sorted(by_key.items())
-            if any(reps[t.edge_order[k]] < inner for k in ks)]
-
-
-def _vertex_ids(b: ComplexBall, T: TreeWall) -> set[int]:
-    """The ids of the ends of a wall's edges, read from the table."""
-    t = b.table
-    a, c = b.derive("edge ends", lambda: [   # in key order
-        array("i", map(t.edges[j::4].__getitem__, t.edge_order)) for j in (2, 3)])
-    return {*map(a.__getitem__, T.ids), *map(c.__getitem__, T.ids)}
+    for e in t.edge_order:   # in key order, so each wall's first edge is its seed
+        by_key.setdefault(labels[e] * count + keys[e], []).append(e)
+    return [TreeWall(t, code // count, t.reps[code % count], array("i", es))
+            for code, es in sorted(by_key.items())
+            if any(inner[reps[e]] for e in es)]
 
 
 # -- crossing graph -------------------------------------------------------------
@@ -209,9 +188,12 @@ class CrossingGraph:
 
     walls: dict[tuple, TreeWall]        # key -> wall, in key order
     # (k1, k2) with k1 < k2 -> the ids of their shared vertices, in key
-    # order (``b.vertices[x]`` is vertex x), in key-pair order
+    # order, in key-pair order
     crossings: dict[tuple[tuple, tuple], list[int]]
     neighbors: dict[tuple, set[tuple]]  # key -> keys of the walls it crosses
+    # key -> the distance of each wall it reaches, from one search made on
+    # first use (``delta``)
+    distances: dict[tuple, dict[tuple, int]] = field(default_factory=dict, repr=False)
 
     def number_of_nodes(self) -> int:
         return len(self.walls)
@@ -231,7 +213,7 @@ def crossing_graph(b: ComplexBall) -> CrossingGraph:
     walls = walls_of_ball(b)
     on_vertex: dict[int, list[int]] = {}
     for k, T in enumerate(walls):
-        for x in _vertex_ids(b, T):
+        for x in T.vertex_set:
             on_vertex.setdefault(x, []).append(k)
     common: dict[tuple[int, int], list[int]] = {}
     for x, ks in on_vertex.items():
@@ -261,15 +243,19 @@ def delta(cg: CrossingGraph, k1: tuple, k2: tuple) -> tuple[float, bool]:
     """(distance, exact?) in the crossing graph.
 
     Unreachable pairs get (inf, False): within the ball only a lower bound on
-    the true distance is observable.
+    the true distance is observable.  The distances from k1 come from one
+    breadth-first search, kept on the graph.
     """
     if k1 == k2:
         return 0, True
-    for d, level in enumerate(_bfs_levels(cg.neighbors.__getitem__, [k1])):
-        if k2 in level:
-            # crossings outside the ball can only shorten paths, so d >= 2 is a bound
-            return d, d <= 1
-    return float("inf"), False
+    if k1 not in cg.distances:
+        cg.distances[k1] = {k: d for d, level in enumerate(
+            _bfs_levels(cg.neighbors.__getitem__, [k1])) for k in level}
+    d = cg.distances[k1].get(k2)
+    if d is None:
+        return float("inf"), False
+    # crossings outside the ball can only shorten paths, so d >= 2 is a bound
+    return d, d <= 1
 
 
 # -- truncated stabilizers --------------------------------------------------------
@@ -331,11 +317,11 @@ def wall_fixator_truncated(b: ComplexBall, T: TreeWall, L: int) -> set[GroupElem
 def wall_stabilizer_truncated(b: ComplexBall, T: TreeWall, L: int) -> set[GroupElement]:
     """Elements of length <= L mapping observable wall edges into the wall.
 
-    Computed once per ball, wall and L.  The wall is keyed by its edge set,
-    not its key alone: a wall grown from one edge may be only part of the
+    Computed once per ball, wall and L.  The wall is keyed by its edge ids,
+    not its key alone: a wall made of some of its edges is only part of the
     ball's wall with that key.
     """
-    return set(b.derive(("stabilizer", T.edges, L),
+    return set(b.derive(("stabilizer", T.ids.tobytes(), L),
                         lambda: _wall_stabilizer(b, T, L)))
 
 
@@ -400,6 +386,7 @@ def wall_fixator_audit(b: ComplexBall, L: int) -> Report:
     """Geometric wall fixators equal the stabilizer of a single member edge."""
     report = Report()
     p = b.presentation
+    t = b.table
     for T in walls_of_ball(b):
         fix = wall_fixator_truncated(b, T, L)
         edge_stab = _parabolic_ball(b, T.fixator, L)
@@ -413,7 +400,7 @@ def wall_fixator_audit(b: ComplexBall, L: int) -> Report:
             continue
         # the fixator is a conjugate of G_label, so never bigger than it
         ok = len(fix) <= p.group(T.label).size
-        if T.seed.rep.is_identity and L >= 1:
+        if t.reps[t.edges[4 * T.seed + 1]].is_identity and L >= 1:
             # central wall: the conjugate is G_label itself and fits in the ball
             ok = ok and len(fix) == p.group(T.label).size
         report.add("walls.fixator-is-edge-stabilizer",
@@ -437,11 +424,11 @@ def classify_pair(b: ComplexBall, cg: CrossingGraph, T1: TreeWall, T2: TreeWall,
     inst = f"{T1.key_string()}|{T2.key_string()} L={L} delta={d}"
 
     if d == 1:
-        common = [b.vertices[x] for x in cg.crossings[min(T1.key, T2.key), max(T1.key, T2.key)]]
+        common = cg.crossings[min(T1.key, T2.key), max(T1.key, T2.key)]
         ok = len(common) == 1
         report.add("walls.crossing-walls-meet-once", inst, ok,
-                   None if ok else [v.key_string() for v in common])
-        expect = _parabolic_ball(b, medium_of_vertex(common[0]), L)
+                   None if ok else [b.table.vertex_key(x) for x in common])
+        expect = _parabolic_ball(b, vertex_mediums(b)[common[0]], L)
         report.add("walls.pair-stabilizer-delta1-is-vertex-stabilizer", inst,
                    inter == expect,
                    None if inter == expect else sorted(
@@ -469,8 +456,9 @@ def classify_pair(b: ComplexBall, cg: CrossingGraph, T1: TreeWall, T2: TreeWall,
 # -- minimal sets ------------------------------------------------------------------
 
 
-def min_set(b: ComplexBall, T1: TreeWall, T2: TreeWall) -> tuple[set[ComplexVertex], int, int]:
-    """(vertices of T1 closest to T2, that distance, diameter of the set).
+def min_set(b: ComplexBall, T1: TreeWall, T2: TreeWall) -> tuple[set[int], int, int]:
+    """(ids of the vertices of T1 closest to T2, that distance, diameter of
+    the set).
 
     Distances are edge counts in the 1-skeleton of X', searched over its
     vertex ids: the neighbours of a vertex are the corners next to it in
@@ -478,8 +466,8 @@ def min_set(b: ComplexBall, T1: TreeWall, T2: TreeWall) -> tuple[set[ComplexVert
     walls' vertex ids are read from the table.
     """
     x = subdivision(b)
-    targets = _vertex_ids(b, T1)
-    for d, level in enumerate(_bfs_levels(x.neighbors, _vertex_ids(b, T2))):
+    targets = T1.vertex_set
+    for d, level in enumerate(_bfs_levels(x.neighbors, T2.vertex_set)):
         closest = level & targets
         if closest:
             break
@@ -494,7 +482,7 @@ def min_set(b: ComplexBall, T1: TreeWall, T2: TreeWall) -> tuple[set[ComplexVert
                 diam = max(diam, k)
                 if not unreached:
                     break
-    return set(map(b.vertices.__getitem__, closest)), d, diam
+    return closest, d, diam
 
 
 def min_set_audit(b: ComplexBall, cg: CrossingGraph) -> Report:
@@ -591,15 +579,17 @@ def hyperplane_treewall_audit(b: ComplexBall) -> Report:
 def tree_property_audit(b: ComplexBall) -> Report:
     """Interior restriction of every wall is a tree: connected, V - E = 1."""
     report = Report()
+    t = b.table
+    inner = t.inner(1)
     for T in walls_of_ball(b):
-        edges = [e for e in T.edges if e in b.interior_edges]
+        edges = [t.ends(e) for e in T.ids if inner[t.edges[4 * e + 1]]]
         if not edges:
             continue
-        adj: dict[ComplexVertex, set[ComplexVertex]] = {}
-        for u, w in (e.ends for e in edges):
+        adj: dict[int, set[int]] = {}
+        for u, w in edges:
             adj.setdefault(u, set()).add(w)
             adj.setdefault(w, set()).add(u)
-        reached = sum(map(len, _bfs_levels(adj.__getitem__, [edges[0].ends[0]])))
+        reached = sum(map(len, _bfs_levels(adj.__getitem__, [edges[0][0]])))
         connected = reached == len(adj)
         euler = len(adj) - sum(map(len, adj.values())) // 2
         ok = connected and euler == 1
@@ -626,21 +616,26 @@ def wall_no_shared_polygon_audit(b: ComplexBall) -> Report:
     """No two edges of one wall lie in a common polygon: one pass over each
     polygon's sides, each filed under every wall holding it."""
     report = Report()
+    t = b.table
     ws = walls_of_ball(b)
-    on: dict[ComplexEdge, list[int]] = {}   # edge -> the walls holding it
+    on: dict[int, list[int]] = {}   # edge id -> the walls holding it
     for k, T in enumerate(ws):
-        for e in T.edges:
+        for e in T.ids:
             on.setdefault(e, []).append(k)
-    shared: list[set] = [set() for _ in ws]   # by wall: its edge pairs sharing a polygon
-    for poly in b.polygons.values():
-        held: dict[int, set[ComplexEdge]] = {}   # wall -> its sides of poly
-        for e in poly.edges:
-            for k in on.get(e, ()):
-                held.setdefault(k, set()).add(e)
-        for k, es in held.items():
-            shared[k].update(itertools.combinations(sorted(es), 2))
+    place = array("i", [0]) * len(t.edge_order)   # by edge id: its place in key order
+    for j, e in enumerate(t.edge_order):
+        place[e] = j
+    shared: list[set] = [set() for _ in ws]   # by wall: places of its sides of one polygon, paired
+    for k in range(len(t.reps)):
+        held: dict[int, set[int]] = {}   # wall -> the places of its sides of polygon k
+        for e in t.sides(k):
+            for w in on.get(e, ()):
+                held.setdefault(w, set()).add(place[e])
+        for w, js in held.items():
+            shared[w].update(itertools.combinations(sorted(js), 2))
     for T, pairs in zip(ws, shared):
-        bad = [(e1.key_string(), e2.key_string()) for e1, e2 in sorted(pairs)]
+        bad = [(t.edge_key(t.edge_order[i]), t.edge_key(t.edge_order[j]))
+               for i, j in sorted(pairs)]
         report.add("walls.no-two-edges-share-polygon", T.key_string(), not bad, bad or None)
     return report
 
@@ -653,17 +648,18 @@ def vertex_stabilizer_criterion_audit(b: ComplexBall) -> Report:
     when that maximal is one of the two containing the medium.
     """
     report = Report()
+    t = b.table
     walls = [(T, T.stabilizer, T.vertex_set) for T in walls_of_ball(b)]
     encode = vertex_mediums(b)
     bad = []
     checked = 0
-    for v in sorted(b.interior_vertices):
+    for v in t.interior_vertices():
         maximals = containing_maximals(encode[v])
         for T, stab_T, on_T in walls:
             checked += 1
             stabilizes = stab_T in maximals
             if stabilizes != (v in on_T):
-                bad.append((v.key_string(), T.key_string(), stabilizes))
+                bad.append((t.vertex_key(v), T.key_string(), stabilizes))
     report.add("walls.vertex-stabilizer-detects-membership",
                f"pairs={checked}", not bad, bad or None)
     return report
@@ -678,20 +674,22 @@ def adjacency_criterion_audit(b: ComplexBall) -> Report:
     stabilizer.
     """
     report = Report()
+    t = b.table
     encode = vertex_mediums(b)
+    inside = set(t.interior_vertices())
     bad = []
     checked = 0
     for T in walls_of_ball(b):
-        verts = sorted(v for v in T.vertex_set if v in b.interior_vertices)
+        verts = sorted(T.vertex_set & inside)
         stab_T = T.stabilizer
-        edge_pairs = {frozenset(e.ends) for e in T.edges}
+        edge_pairs = {tuple(t.ends(e)) for e in T.ids}
         for x, y in itertools.combinations(verts, 2):
             joined, maximal = join_is_cmaximal(encode[x], encode[y])
             generates = joined and maximal == stab_T
-            adjacent = frozenset({x, y}) in edge_pairs
+            adjacent = (x, y) in edge_pairs
             checked += 1
             if generates != adjacent:
-                bad.append((x.key_string(), y.key_string(), generates, adjacent))
+                bad.append((t.vertex_key(x), t.vertex_key(y), generates, adjacent))
     report.add("walls.generation-detects-adjacency", f"pairs={checked}",
                not bad, bad or None)
     return report

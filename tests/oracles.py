@@ -1,5 +1,16 @@
 """Independent oracles used by the test suite.
 
+The object oracle (``objects``) makes the cells of a ball's table as
+objects, the form the package itself no longer keeps: a ``ComplexVertex``
+per X-vertex, a ``ComplexEdge`` per X-edge and a ``Polygon`` per polygon,
+each cell one object shared by the polygons around it, with the interior
+sets and the incidence maps ``edge_cells`` and ``vertex_edges``, in an
+``ObjectBall`` that shares the ball's derived data.  The table-reading
+audits and their id witnesses are checked against it, and the oracles below
+that need cells read them there.  ``ObjectWall`` is a tree-wall as edge
+objects; ``wall_objects`` and ``wall_view`` turn a ``walls.TreeWall`` into
+one and back.
+
 The word-problem oracle deliberately avoids the package's normal-form
 machinery: equality of words is decided by exhaustively closing the set of
 raw words under the three elementary rewriting moves (delete identity / merge
@@ -163,8 +174,10 @@ keeping each element's one canonical parent.
 
 import itertools
 import json
+from array import array
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
+from typing import Optional
 
 import networkx as nx
 
@@ -197,16 +210,21 @@ from cyclewall.davis import (
     POLY,
     TRIVIAL,
     ComplexBall,
-    ComplexEdge,
     ComplexVertex,
-    Polygon,
     _records,
     _table,
-    act_edge,
+    act_vertex,
+    build_ball,
     subdivision,
     x_vertex,
 )
-from cyclewall.diagrams import DiscDiagram, _ball_edge, _cancel_spurs, _match_polygon
+from cyclewall.diagrams import (
+    DiscDiagram,
+    _ball_edge,
+    _cancel_spurs,
+    _edge_polygons,
+    _match_polygon,
+)
 from cyclewall.errors import DecompositionError, FillError, InvariantError, ValidationError
 from cyclewall.reports import Report
 from cyclewall.walls import TreeWall, UnionFind, _stabilizes_wall, walls_of_ball
@@ -227,6 +245,142 @@ from cyclewall.words import (
     parabolic_member,
     reduce_word,
 )
+
+
+@dataclass(frozen=True, slots=True)
+class ComplexEdge:
+    ends: tuple[ComplexVertex, ComplexVertex]   # in key order
+    label: Optional[int]             # X-edge label; None for center spokes
+    rep: Optional[GroupElement]      # coset rep of gG_label for labelled edges
+    # computed once: the field tuple's hash and the order key
+    _hash: int = field(init=False, repr=False, compare=False)
+    _key: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        label = -1 if self.label is None else self.label
+        object.__setattr__(self, "_key", (self.ends[0]._key, self.ends[1]._key, label))
+        # -1 for None, whose hash is an address before Python 3.12
+        object.__setattr__(self, "_hash", hash(
+            (self.ends, label, -1 if self.rep is None else self.rep)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def sort_key(self):
+        return self._key
+
+    def __lt__(self, other):
+        return self._key < other._key
+
+    def key_string(self) -> str:
+        label = "" if self.label is None else self.label
+        return f"{label}|{self.ends[0].key_string()}--{self.ends[1].key_string()}"
+
+
+# 2-cells are built once per ball and compare by identity, so they hash cheaply
+@dataclass(frozen=True, eq=False)
+class Polygon:
+    rep: GroupElement
+    boundary: tuple[ComplexVertex, ...]   # v_0 .. v_{n-1}, v_i = g(G_i x G_{i+1})
+    edges: tuple[ComplexEdge, ...]        # e_0 .. e_{n-1}, e_i = gG_i joins v_{i-1}, v_i
+
+
+def act_edge(h: GroupElement, e: ComplexEdge) -> ComplexEdge:
+    a, c = act_vertex(h, e.ends[0]), act_vertex(h, e.ends[1])
+    return ComplexEdge((a, c) if a._key <= c._key else (c, a), e.label,
+                       None if e.rep is None else coset_rep(mul(h, e.rep), (e.label,)))
+
+
+@dataclass
+class ObjectBall(ComplexBall):
+    """A polygonal ball with its cells as objects: ``vertices`` and
+    ``edges`` in key order, ``polygons`` by rep, the sets
+    ``interior_vertices`` and ``interior_edges``, and, when made from a
+    table (``objects``), ``edges_by_id``, the edges by table id.  The
+    incidence maps ``edge_cells`` (edge -> the polygons on it, in polygon
+    order) and ``vertex_edges`` (vertex -> its edges in key order) are
+    filled from the polygons on first read."""
+
+    vertices: list = field(default_factory=list)
+    edges: list = field(default_factory=list)
+    polygons: dict = field(default_factory=dict)
+    interior_vertices: set = field(default_factory=set)
+    interior_edges: set = field(default_factory=set)
+    edges_by_id: list = field(default_factory=list)
+
+    @property
+    def edge_cells(self) -> dict:
+        return self.derive("object incidence", self._incidence)[0]
+
+    @property
+    def vertex_edges(self) -> dict:
+        return self.derive("object incidence", self._incidence)[1]
+
+    def _incidence(self):
+        return index_by_cells(self, ((P, P.boundary) for P in self.polygons.values()))[1:]
+
+
+def objects(b: ComplexBall) -> ObjectBall:
+    """The cells of ``b``'s table as objects, made once per ball, in an
+    ``ObjectBall`` sharing ``b``'s derived data (its table, X', walls); an
+    ``ObjectBall`` is its own."""
+    if isinstance(b, ObjectBall):
+        return b
+    return b.derive("objects", lambda: _objects(b))
+
+
+def _objects(b: ComplexBall) -> ObjectBall:
+    t = b.table
+    reps, n, r = t.reps, t.presentation.n, t.radius
+    vertices = [ComplexVertex(POLY, i, reps[k]) for i, k in _records(t.vertices, 2)]
+    edges = [ComplexEdge((vertices[a], vertices[c]), i, reps[k])
+             for i, k, a, c in _records(t.edges, 4)]
+    o = ObjectBall(
+        b.presentation, b.radius, vertices, list(map(edges.__getitem__, t.edge_order)),
+        {g: Polygon(g, tuple(map(vertices.__getitem__, c[:n])),
+                    tuple(map(edges.__getitem__, c[n:])))
+         for g, c in zip(reps, _records(t.polygons, 2 * n))},
+        # the vertex g(G_i x G_{i+1}) is interior iff |g| + 2 <= r, the edge gG_i iff |g| + 1 <= r
+        {v for v in vertices if len(v.rep.word) + 2 <= r},
+        {e for e in edges if len(e.rep.word) + 1 <= r}, edges)
+    o.derived = b.derived
+    return o
+
+
+def object_ball(p: Presentation, r: int) -> ObjectBall:
+    """``objects(build_ball(p, r))``."""
+    return objects(build_ball(p, r))
+
+
+@dataclass(frozen=True)
+class ObjectWall:
+    """A tree-wall as edge objects: its label, its seed (its first edge in
+    key order), its edges and its key rep."""
+
+    label: int
+    seed: ComplexEdge
+    edges: frozenset
+    key_rep: GroupElement
+
+    @property
+    def key(self) -> tuple:
+        return (self.label, self.key_rep)
+
+    @property
+    def vertex_set(self) -> frozenset:
+        return frozenset(v for e in self.edges for v in e.ends)
+
+
+def wall_objects(b: ComplexBall, T: TreeWall) -> ObjectWall:
+    """The wall ``T`` of ``b`` as edge objects."""
+    by_id = objects(b).edges_by_id
+    return ObjectWall(T.label, by_id[T.seed], frozenset(map(by_id.__getitem__, T.ids)), T.key_rep)
+
+
+def wall_view(b: ComplexBall, W: ObjectWall) -> TreeWall:
+    """``W`` as a ``walls.TreeWall`` of ``b``: its edges' table ids, in key order."""
+    ids = {e: k for k, e in enumerate(objects(b).edges_by_id)}
+    return TreeWall(b.table, W.label, W.key_rep, array("i", (ids[e] for e in sorted(W.edges))))
 
 
 def enumerate_ball_elements_by_search(p: Presentation, L: int,
@@ -483,7 +637,7 @@ def closure_join(h1: CSubgroup, h2: CSubgroup, L: int):
 def bucket_pairs(b):
     """Every pair of the ball's mediums that share a containing maximal."""
     buckets = {}
-    for v in b.vertices:
+    for v in objects(b).vertices:
         h = medium_of_vertex(v)
         for m in containing_maximals(h):
             buckets.setdefault(m, []).append(h)
@@ -516,6 +670,7 @@ def phi_edge_mismatches_by_pairs(b, sx) -> tuple[int, list]:
     ``b`` and its rebuild ``sx``: every pair u < w of interior vertices whose
     adjacency in ``b`` differs from that of their mediums in ``sx``, as
     (u key, w key, adjacent in b, adjacent in sx)."""
+    b = objects(b)
     skel = {v: set() for v in b.vertices if v in b.interior_vertices}
     for e in b.edges:
         u, w = e.ends
@@ -539,9 +694,9 @@ def crossing_graph_pairwise(b) -> nx.Graph:
     walls = walls_of_ball(b)
     for w in walls:
         g.add_node(w.key, wall=w)
-    for w1, w2 in itertools.combinations(walls, 2):
-        common = ({v for e in w1.edges for v in e.ends}
-                  & {v for e in w2.edges for v in e.ends})
+    vertex_sets = [wall_objects(b, w).vertex_set for w in walls]
+    for (w1, s1), (w2, s2) in itertools.combinations(zip(walls, vertex_sets), 2):
+        common = s1 & s2
         if common:
             g.add_edge(w1.key, w2.key, vertices=sorted(common))
     return g
@@ -566,14 +721,15 @@ def sweep_closure(p: Presentation, gens: set, L: int) -> set:
 
 
 def min_set_networkx(b, T1, T2):
-    """``walls.min_set`` from networkx shortest paths on the square skeleton."""
-    sq = subdivide(b) if b.form == "polygonal" else b
+    """``walls.min_set`` from networkx shortest paths on the square skeleton
+    of the walls' edge objects: the closest vertices as ids."""
+    sq = subdivide(b)
     g = nx.Graph()
     g.add_nodes_from(sq.vertices)
     g.add_edges_from(e.ends for e in sq.edges)
-    sources = [v for v in T2.vertex_set if v in g]
+    sources = [v for v in wall_objects(b, T2).vertex_set if v in g]
     dist = nx.multi_source_dijkstra_path_length(g, sources)
-    t1_vertices = [v for v in T1.vertex_set if v in dist]
+    t1_vertices = [v for v in wall_objects(b, T1).vertex_set if v in dist]
     if not t1_vertices:
         raise ValidationError("walls are not connected within the ball")
     d = min(dist[v] for v in t1_vertices)
@@ -582,13 +738,16 @@ def min_set_networkx(b, T1, T2):
     for v in closest:
         lengths = nx.single_source_shortest_path_length(g, v)
         diam = max(diam, max(lengths.get(u, 0) for u in closest))
-    return closest, d, diam
+    ids = {v: x for x, v in enumerate(objects(b).vertices)}
+    return {ids[v] for v in closest}, d, diam
 
 
-def sweep_stabilizes_wall(b, elements, T):
-    """Whether every element maps the wall T into itself in the ball: each
-    must move some edge of T onto an edge of the ball, and every such image
-    must lie on T.  None when some element moves no edge into the ball."""
+def sweep_stabilizes_wall(b, elements, T: ObjectWall):
+    """Whether every element maps the wall T, as edge objects, into itself
+    in the ball: each must move some edge of T onto an edge of the ball, and
+    every such image must lie on T.  None when some element moves no edge
+    into the ball."""
+    b = objects(b)
     verdict = True
     for g in elements:
         images = [f for f in (act_edge(g, e) for e in T.edges) if f in b.edge_cells]
@@ -632,6 +791,7 @@ def interior_by_enumeration(b):
     """``(interior vertices, interior edges)`` of a polygonal ball: the cells
     whose every containing polygon is in the ball."""
     p = b.presentation
+    b = objects(b)
     return ({v for v in b.vertices
              if all(g in b.polygons for g in polygons_containing_vertex(p, v))},
             {e for e in b.edges
@@ -682,11 +842,11 @@ def side_ends(prev: ComplexVertex, at: ComplexVertex, i: int):
     return (prev, at) if i else (at, prev)
 
 
-def build_ball_by_coset_reps(p: Presentation, r: int) -> ComplexBall:
-    """``davis.build_ball`` by one coset rep per corner and per side of each
-    polygon, each cell looked up by its index and its rep's word."""
-    ball = ComplexBall(presentation=p, radius=r)
-    ball.polygons = {}   # the oracle's own cells, never the ones made from the table
+def build_ball_by_coset_reps(p: Presentation, r: int) -> ObjectBall:
+    """``objects(davis.build_ball(p, r))`` by one coset rep per corner and per
+    side of each polygon, each cell looked up by its index and its rep's
+    word."""
+    ball = ObjectBall(presentation=p, radius=r)
     n = p.n
     corners, sides = {}, {}
     for g in enumerate_ball_elements(p, r):
@@ -734,6 +894,7 @@ def index_by_cells(ball: ComplexBall, cells):
 def polygons_at(b: ComplexBall) -> dict:
     """The polygons at each X-vertex of a polygonal ball, in polygon order,
     filed from their corner objects; kept on the ball."""
+    b = objects(b)
     return b.derive("oracle vertex cells", lambda: index_by_cells(
         b, ((P, P.boundary) for P in b.polygons.values()))[0])
 
@@ -743,6 +904,7 @@ def vertex_link(b: ComplexBall, v: ComplexVertex) -> dict:
     nodes are the edges at v, two joined when a polygon has its corner at v
     between them.  A polygon meeting v in other than two sides raises
     ``InvariantError``."""
+    b = objects(b)
     assert v in b.interior_vertices
     link = {e: set() for e in b.vertex_edges[v]}
     for P in polygons_at(b)[v]:
@@ -798,10 +960,11 @@ def wall_no_shared_polygon_by_pairs(b: ComplexBall, ws: list) -> Report:
     by intersecting the polygons on every pair of edges of each wall
     (``edge_cells``), instead of one pass over each polygon's sides."""
     report = Report()
+    edge_cells = objects(b).edge_cells
     for T in ws:
         bad = [(e1.key_string(), e2.key_string())
-               for e1, e2 in itertools.combinations(sorted(T.edges), 2)
-               if set(b.edge_cells[e1]) & set(b.edge_cells[e2])]
+               for e1, e2 in itertools.combinations(sorted(wall_objects(b, T).edges), 2)
+               if set(edge_cells[e1]) & set(edge_cells[e2])]
         report.add("walls.no-two-edges-share-polygon", T.key_string(), not bad,
                    bad or None)
     return report
@@ -820,7 +983,7 @@ class Square:
 
 
 @dataclass
-class SquareBall(ComplexBall):
+class SquareBall(ObjectBall):
     """X' of a polygonal ball as cell objects: its own vertices and edges,
     the polygonal ball's polygons, and its squares, whose incidence maps
     ``vertex_cells``, ``edge_cells`` and ``vertex_edges`` index."""
@@ -850,6 +1013,7 @@ def _square_ball(b: ComplexBall) -> SquareBall:
     p = b.presentation
     n = p.n
     t = _table(b)
+    b = objects(b)
     reps, vertices = t.reps, b.vertices
     sq = SquareBall(presentation=p, radius=b.radius)
     sq.polygons = b.polygons
@@ -1071,13 +1235,14 @@ def cyclic_reduce_by_trial(g: GroupElement) -> tuple[GroupElement, GroupElement]
             return core, conj
 
 
-def treewall_of_edge(b, e) -> TreeWall:
+def treewall_of_edge(b, e) -> ObjectWall:
     """The piece of a tree-wall through one edge: flood fill over same-label
     edges meeting at a shared vertex."""
     if e.label is None or e.rep is None:
         raise ValidationError("tree-walls grow from labelled edges of the 1-skeleton")
     if b.form != "polygonal":
         raise ValidationError("tree-walls live in the polygonal ball")
+    b = objects(b)
     label = e.label
     seen = {e}
     frontier = [e]
@@ -1090,7 +1255,7 @@ def treewall_of_edge(b, e) -> TreeWall:
                     frontier.append(nxt)
     n = b.presentation.n
     key = coset_rep(e.rep, {(label - 1) % n, label, (label + 1) % n})
-    return TreeWall(label, min(seen), frozenset(seen), key)
+    return ObjectWall(label, min(seen), frozenset(seen), key)
 
 
 def parabolic_normalizer(p: Presentation, S) -> frozenset:
@@ -1110,12 +1275,13 @@ def walls_by_objects(b) -> list:
     """``walls.walls_of_ball`` from the ball's cell objects: each edge's key
     is ``coset_rep`` of its rep, the edges are bucketed by (label, key) in
     key order, and the buckets holding an interior edge are kept."""
+    b = objects(b)
     windows = [window_of(b.n, MAXIMAL, i) for i in range(b.n)]
     by_key = {}
     for e in b.edges:   # in key order, so each wall's first edge is its seed
         key_rep = coset_rep(e.rep, windows[e.label])
         by_key.setdefault((e.label, key_rep), []).append(e)
-    return [TreeWall(label, edges[0], frozenset(edges), key_rep)
+    return [ObjectWall(label, edges[0], frozenset(edges), key_rep)
             for (label, key_rep), edges in sorted(by_key.items())
             if not b.interior_edges.isdisjoint(edges)]
 
@@ -1125,15 +1291,15 @@ def walls_by_flood_fill(b) -> list:
     reached, merging the pieces that share a key."""
     by_key = {}
     done = set()
-    for e in sorted(b.interior_edges):
+    for e in sorted(objects(b).interior_edges):
         if e in done:
             continue
         w = treewall_of_edge(b, e)
         done |= w.edges
         if w.key in by_key:
             prev = by_key[w.key]
-            w = TreeWall(w.label, min(prev.seed, w.seed), prev.edges | w.edges,
-                         w.key_rep)
+            w = ObjectWall(w.label, min(prev.seed, w.seed), prev.edges | w.edges,
+                           w.key_rep)
         by_key[w.key] = w
     return [by_key[k] for k in sorted(by_key)]
 
@@ -1144,6 +1310,7 @@ def subdivision_interior_inherited(b):
     midpoint and a half-edge take their X-edge's, and centers and spokes lie
     inside one polygon."""
     sq = subdivide(b)
+    b = objects(b)
     interior_x_edges = {(e.label, e.rep) for e in b.interior_edges}
 
     def interior(v):
@@ -1159,19 +1326,18 @@ def subdivision_interior_inherited(b):
 
 
 def _loop_state(loop: list, creators: list):
-    """Rotation-minimal canonical form for memoisation.  A creator is tagged
-    ``(0,)`` when absent and ``(1, word)`` otherwise, because the identity
-    polygon's rep also formats as the empty word."""
+    """Rotation-minimal canonical form for memoisation, over vertex ids and
+    creator polygon ids (-1 when absent)."""
     if not loop:
         return ()
-    pairs = [(v.key_string(), (0,) if c is None else (1, format_word(c)))
-             for v, c in zip(loop, creators)]
+    pairs = [(v, -1 if c is None else c) for v, c in zip(loop, creators)]
     L = len(pairs)
     return min(tuple(pairs[(i + j) % L] for j in range(L)) for i in range(L))
 
 
 def fill_loop_by_search(b, loop, max_faces: int = 24) -> DiscDiagram:
-    """``diagrams.fill_loop`` by depth-first search with backtracking.
+    """``diagrams.fill_loop`` by depth-first search with backtracking, over
+    the same X-vertex and polygon ids.
 
     The search glues one polygon at a time along the longest matching run of
     the current boundary, never glues a polygon back onto an edge it just
@@ -1188,7 +1354,7 @@ def fill_loop_by_search(b, loop, max_faces: int = 24) -> DiscDiagram:
         loop = loop[:-1]
     for v, w in zip(loop, loop[1:] + loop[:1]):
         if len(loop) > 1 and _ball_edge(b, v, w) is None:
-            raise FillError(f"loop is not an edge path at {v.key_string()}")
+            raise FillError(f"loop is not an edge path at {b.table.vertex_key(v)}")
 
     start = list(range(len(loop)))
     images = list(loop)    # diagram vertex id -> image
@@ -1213,12 +1379,11 @@ def fill_loop_by_search(b, loop, max_faces: int = 24) -> DiscDiagram:
         for j in range(L):
             v, w = loop[j], loop[(j + 1) % L]
             e = _ball_edge(b, v, w)
-            for poly in b.edge_cells.get(e, ()):
-                rep = poly.rep
+            for rep in _edge_polygons(b)[e]:
                 if creators[j] == rep:
                     continue   # would stack the same polygon on this edge
                 segment = [loop[(j + t) % L] for t in range(L)] + [loop[j]]
-                m = _match_polygon(poly.boundary, segment)
+                m = _match_polygon(b.table.corners(rep), segment)
                 if m is None:
                     continue
                 k, completion = m
@@ -1235,7 +1400,7 @@ def fill_loop_by_search(b, loop, max_faces: int = 24) -> DiscDiagram:
             fresh = list(range(n_images, n_images + len(completion)))
             images.extend(completion)
             faces.append(tuple(ids[(j + t) % L] for t in range(k + 1)) + tuple(fresh))
-            face_polygons.append(rep)
+            face_polygons.append(b.table.reps[rep])
             new_loop = [loop[(j + k + t) % L] for t in range(L - k + 1)] \
                 + list(reversed(completion))
             new_creators = [creators[(j + k + t) % L] for t in range(L - k)] \
@@ -1275,6 +1440,7 @@ def axis_segment(b, i: int, k: int) -> list:
     neighbouring one, truncated to the ball.
     """
     p = b.presentation
+    b = objects(b)
     i %= p.n
     s_prev = GroupElement(p, (Syllable((i - 1) % p.n, 1),))
     s_next = GroupElement(p, (Syllable((i + 1) % p.n, 1),))
@@ -1304,6 +1470,7 @@ def axis_segment(b, i: int, k: int) -> list:
 
 
 def ball_to_json_by_dumps(b: ComplexBall) -> str:
+    b = objects(b)
     words: dict[GroupElement, str] = {}   # each rep formatted once
 
     def word(g: GroupElement) -> str:
@@ -1349,6 +1516,7 @@ def ball_to_json_by_dumps(b: ComplexBall) -> str:
 def ball_to_dot_by_walk(b: ComplexBall) -> str:
     """The dot graph of any ball's 1-skeleton, walked from its own vertices
     and edges."""
+    b = objects(b)
     key = {v: v.key_string() for v in b.vertices}
     label = {None: ""} | {i: f' [label="{i}"]' for i in range(b.n)}
     return "".join([

@@ -40,6 +40,7 @@ from oracles import (
     bucket_pairs,
     closure_join,
     edge_cosets_by_products,
+    object_ball,
     parabolic_normalizer,
     phi_edge_mismatches_by_pairs,
     script_x_arcs_by_pairs,
@@ -163,7 +164,7 @@ def test_exact_join_matches_closure_oracle(name, radius, request):
     """Every pair the rebuild tests (mediums sharing a maximal) gets the
     bounded closure's depth-4 verdict, and the closure stays inside the
     shared maximal."""
-    b = build_ball(request.getfixturevalue(name), radius)
+    b = object_ball(request.getfixturevalue(name), radius)
     joins = 0
     for h1, h2 in bucket_pairs(b):
         ok, candidate = join_is_cmaximal(h1, h2)
@@ -218,7 +219,7 @@ def test_shared_edge_of_adjacent_vertices(c5_z2):
 def test_shared_edge_matches_both_label_scan(name, request):
     """On every pair the rebuild tests, reading only the label the bases
     allow finds the same edge as scanning both labels of both vertices."""
-    b = build_ball(request.getfixturevalue(name), 2)
+    b = object_ball(request.getfixturevalue(name), 2)
     shared = 0
     for h1, h2 in bucket_pairs(b):
         got = shared_edge(h1, h2)
@@ -246,7 +247,7 @@ def test_containing_maximals_are_two(c5_mixed):
 
 
 def test_script_x_matches_ball_skeleton(c5_z2):
-    b = build_ball(c5_z2, 2)
+    b = object_ball(c5_z2, 2)
     sx = build_script_X_ball(b)
     assert len(sx.nodes) == len(b.vertices)
     assert len(sx.arcs) == len(b.edges)
@@ -275,7 +276,7 @@ REBUILD_BALLS = [(name, 2) for name in ("c5_z2", "c5_z3", "c5_mixed", "c5_s3",
                 ids=[f"{name}-r{radius}" for name, radius in REBUILD_BALLS])
 def rebuilt(request):
     name, radius = request.param
-    b = build_ball(getattr(conftest, f"presentation_{name}")(), radius)
+    b = object_ball(getattr(conftest, f"presentation_{name}")(), radius)
     return b, build_script_X_ball(b)
 
 
@@ -289,9 +290,14 @@ def test_rebuild_arcs_match_pair_oracle(rebuilt):
 
 def test_rebuild_cycles_match_unrestricted_search(rebuilt):
     """The winding walks find every induced n-cycle of the rebuilt skeleton,
-    in the search's rotation and order."""
+    in the search's rotation and order: the nodes come in ``sort_key``
+    order, so the search runs over their places."""
     b, sx = rebuilt
-    assert sx.cycles == _induced_n_cycles(script_x_graph(sx), sx.presentation.n)
+    assert sx.nodes == sorted(sx.nodes, key=CSubgroup.sort_key)
+    place = {h: k for k, h in enumerate(sx.nodes)}
+    graph = {place[h]: set(map(place.__getitem__, hs)) for h, hs in script_x_graph(sx).items()}
+    assert [tuple(map(place.__getitem__, c)) for c in sx.cycles] == \
+        _induced_n_cycles(graph, sx.presentation.n)
     assert len(sx.cycles) == len(b.polygons)
 
 
@@ -321,23 +327,25 @@ def test_subgroup_hash_is_the_field_tuple_hash(rebuilt):
 def test_mediums_are_encoded_once_per_ball(c5_z2, monkeypatch):
     """The rebuild, the phi check (without equivariance samples, which encode
     moved vertices), the join audit and both walls audits that read mediums
-    share one encoding of each vertex."""
+    share one encoding of each vertex, made from its table record and listed
+    by vertex id."""
     encoded = []
-    encode = algebraic.medium_of_vertex
+    make = algebraic.CSubgroup
 
-    def counting(v):
-        encoded.append(v)
-        return encode(v)
+    def counting(tier, base, conjugator):
+        if tier == MEDIUM:
+            encoded.append((base, conjugator))
+        return make(tier, base, conjugator)
 
-    monkeypatch.setattr(algebraic, "medium_of_vertex", counting)
-    b = build_ball(c5_z2, 2)
+    monkeypatch.setattr(algebraic, "CSubgroup", counting)
+    b = object_ball(c5_z2, 2)
     build_script_X_ball(b)
     assert phi_iso_check(b, samples=0).ok
     assert join_agreement_audit(b).ok
     assert vertex_stabilizer_criterion_audit(b).ok
     assert adjacency_criterion_audit(b).ok
-    assert encoded == b.vertices
-    assert list(vertex_mediums(b)) == b.vertices
+    assert encoded == [(v.index, v.rep) for v in b.vertices]
+    assert vertex_mediums(b) == [medium_of_vertex(v) for v in b.vertices]
 
 
 def test_each_node_conjugator_is_inverted_once(c5_z2, monkeypatch):
@@ -358,7 +366,7 @@ def test_each_node_conjugator_is_inverted_once(c5_z2, monkeypatch):
     made = len(inverted)
     assert join_agreement_audit(b).ok
     assert 0 < made == len(inverted) <= len(vertex_mediums(b))
-    for h in vertex_mediums(b).values():
+    for h in vertex_mediums(b):
         assert mul(h.conjugator, h.conjugator_inverse) == identity(c5_z2)
 
 
@@ -420,7 +428,7 @@ def _drop_one_gain_one(b, sx):
 def test_phi_edge_row_matches_pair_oracle_on_a_wrong_rebuild(c5_z2, monkeypatch,
                                                             mutate, kinds):
     rebuild = algebraic.build_script_X_ball
-    b = build_ball(c5_z2, 3)
+    b = object_ball(c5_z2, 3)
     sx = rebuild(b)
     mutate(b, sx)
     monkeypatch.setattr(algebraic, "build_script_X_ball", lambda ball: sx)
@@ -455,18 +463,18 @@ def test_phi_iso_check_fails_on_a_node_no_vertex_encodes(c5_z2, monkeypatch):
         "phi.surjective-onto-nodes"}
 
 
-def test_phi_iso_check_fails_when_two_vertices_share_a_medium(c5_z2, monkeypatch):
+def test_phi_iso_check_fails_when_two_vertices_share_a_medium(c5_z2):
     """A collision is reported with the colliding vertices; the rebuild,
-    which refuses collisions, is not reached."""
-    monkeypatch.setattr(algebraic, "medium_of_vertex",
-                        lambda v: CSubgroup(MEDIUM, v.index, identity(c5_z2)))
+    which refuses collisions, is not reached.  Vertex 1's table record is
+    made vertex 0's, so both encode one medium."""
     b = build_ball(c5_z2, 2)
+    t = b.table
+    t.vertices[2:4] = t.vertices[0:2]
     report = phi_iso_check(b)
     assert [(r.check_id, r.status) for r in report.results] == [
         ("phi.injective-on-vertices", "fail")]
-    by_index = sorted([v.key_string() for v in b.vertices if v.index == i]
-                      for i in range(5))
-    assert report.results[0].witness == by_index
+    assert report.results[0].witness == [[t.vertex_key(0), t.vertex_key(1)]]
+    assert t.vertex_key(0) == t.vertex_key(1)
 
 
 def test_phi_iso_check_fails_when_the_action_moves_nothing(c5_z2, monkeypatch):
@@ -476,10 +484,15 @@ def test_phi_iso_check_fails_when_the_action_moves_nothing(c5_z2, monkeypatch):
 
 
 def test_induced_cycle_audit_fails_without_an_interior_polygon(c5_z2):
+    """The first polygon with every corner interior, with its first corner
+    id replaced in its table record by a vertex that is not interior: no
+    polygon record bounds its cycle, and the phi check, which maps only
+    polygons with interior corners, no longer reads it."""
     b = build_ball(c5_z2, 2)
-    inner = [g for g, poly in b.polygons.items()
-             if all(v in b.interior_vertices for v in poly.boundary)]
-    del b.polygons[inner[0]]
+    t = b.table
+    interior = set(t.interior_vertices())
+    k = next(k for k in range(len(t.reps)) if interior.issuperset(t.corners(k)))
+    t.polygons[2 * c5_z2.n * k] = next(x for x in range(len(t.vertices) // 2) if x not in interior)
     assert _algebraic_suite_failures(b) == {
         "cycles.induced-n-cycles-bound-polygons"}
 

@@ -49,6 +49,7 @@ from cyclewall.words import (
     reduce_word,
 )
 from oracles import (
+    act_edge,
     aut_decompose_by_reduction,
     axis_segment,
     coset_intersection_by_stripping,
@@ -699,7 +700,6 @@ def test_axis_segment_lies_in_one_wall(c5_z2):
 
 
 def test_axis_translation_by_one_period(c5_z2):
-    from cyclewall.davis import act_edge
     p = c5_z2
     b = build_ball(p, 3)
     seg = set(axis_segment(b, 0, 2))

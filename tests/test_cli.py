@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from cyclewall import davis, walls
+from cyclewall import cli, davis, walls
 from cyclewall.cli import (
     EXIT_FAIL,
     EXIT_PASS,
@@ -168,9 +168,10 @@ def test_ball_resource_cap(tmp_path, capsys, monkeypatch):
                          ids=["json", "json-square", "dot", "dot-square"])
 def test_ball_command_makes_no_cell_object(argv, capsys, monkeypatch):
     """``cyclewall ball`` writes the export of the built ball from the
-    ball's integer table alone: with the cell constructors made to raise it
-    still writes the same text, and a zero memory budget still ends it with
-    exit 2 and build_ball's error line."""
+    ball's integer table alone: with ``ComplexVertex``, the one cell type
+    the package makes, set to raise it still writes the same text, and a
+    zero memory budget still ends it with exit 2 and build_ball's error
+    line."""
     path = str(Path(__file__).resolve().parent.parent / "perfbench" / "presentations"
                / "c6_mixed.json")
     square = "--subdivide" in argv
@@ -183,8 +184,7 @@ def test_ball_command_makes_no_cell_object(argv, capsys, monkeypatch):
 
     def refuse(self, *args, **kwargs):
         raise AssertionError(f"made a {type(self).__name__}")
-    for cls in (davis.ComplexVertex, davis.ComplexEdge, davis.Polygon):
-        monkeypatch.setattr(cls, "__init__", refuse)
+    monkeypatch.setattr(davis.ComplexVertex, "__init__", refuse)
     capsys.readouterr()
     assert main(["ball", "--presentation", path, "--radius", "2", *argv]) == EXIT_PASS
     assert capsys.readouterr() == (want, "")
@@ -419,6 +419,25 @@ def test_unwritable_output_exits_2_without_traceback(command, target, tmp_path, 
     assert rc == EXIT_RESOURCE
     assert err.startswith("error: cannot write output file:")
     assert err.count("\n") == 1
+
+
+def _exhausted(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("command, owner, name", [
+    (["verify", "--suite", "davis"], davis, "ball_table"),
+    (["ball", "--radius", "1"], davis, "ball_table"),
+    (["aut", "witness"], cli, "witness_details"),
+], ids=["verify", "ball", "aut"])
+def test_running_out_of_memory_exits_2_without_traceback(command, owner, name, tmp_path,
+                                                         capsys, monkeypatch):
+    """A ``MemoryError`` on the run's path ends the run with one error line
+    and exit 2, not a traceback and the audit-failure code."""
+    monkeypatch.setattr(owner, name, _exhausted)
+    path = write_presentation(tmp_path)
+    assert main(command + ["--presentation", path]) == EXIT_RESOURCE
+    assert capsys.readouterr() == ("", "error: out of memory\n")
 
 
 _WITHOUT_NETWORKX = """

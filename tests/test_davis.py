@@ -9,16 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from cyclewall import davis
-from cyclewall.cli import davis_suite, load_presentation
+from cyclewall import davis, diagrams
+from cyclewall.cli import davis_suite, load_presentation, run_suite
 from cyclewall.davis import (
     EDGE,
     POLY,
     TRIVIAL,
-    ComplexEdge,
     ComplexVertex,
-    Polygon,
-    act_edge,
     act_vertex,
     ball_table,
     ball_to_json,
@@ -45,6 +42,9 @@ from cyclewall.words import (
 )
 
 from oracles import (
+    ComplexEdge,
+    Polygon,
+    act_edge,
     ball_to_dot_by_walk,
     ball_to_json_by_dumps,
     build_ball_by_coset_reps,
@@ -53,12 +53,15 @@ from oracles import (
     hyperplane_classes_by_components,
     index_by_cells,
     interior_by_enumeration,
+    object_ball,
+    objects,
     polygon_pairs_by_objects,
     polygons_at,
     polygons_containing_edge,
     subdivide,
     subdivision_interior_inherited,
     vertex_link,
+    wall_objects,
     x_edge,
 )
 
@@ -79,7 +82,7 @@ def random_element(rng, p, max_len):
 
 
 def test_ball_radius_one_all_z2_has_six_polygons(c5_z2):
-    b = build_ball(c5_z2, 1)
+    b = object_ball(c5_z2, 1)
     assert len(b.polygons) == 6
     assert identity(c5_z2) in b.polygons
     # every polygon has 5 distinct corners and 5 distinct sides
@@ -90,7 +93,7 @@ def test_ball_radius_one_all_z2_has_six_polygons(c5_z2):
 
 def test_ball_polygon_count_matches_ball_enumeration(c5_mixed):
     for r in (0, 1, 2):
-        b = build_ball(c5_mixed, r)
+        b = object_ball(c5_mixed, r)
         assert set(b.polygons) == set(enumerate_ball_elements(c5_mixed, r))
 
 
@@ -141,7 +144,7 @@ def test_subdivision_is_made_in_key_order(name, radius):
 def test_build_ball_matches_the_coset_rep_oracle(name, radius):
     """The ball matches the oracle's."""
     p = perfbench_presentation(name)
-    b = build_ball(p, radius)
+    b = object_ball(p, radius)
     assert ball_differences(b, build_ball_by_coset_reps(p, radius)) == []
 
 
@@ -224,14 +227,18 @@ def test_ball_oracle_catches_cells_read_off_the_last_syllable_alone(c5_mixed, mo
     def last_only(p, word):
         return [(word[-1].vertex, len(word) - 1)] if word else []
     monkeypatch.setattr(davis, "maximal_syllables", last_only)
-    differences = ball_differences(build_ball(c5_mixed, 2), build_ball_by_coset_reps(c5_mixed, 2))
+    differences = ball_differences(object_ball(c5_mixed, 2), build_ball_by_coset_reps(c5_mixed, 2))
     assert "vertices" in differences
+
+
+INDEXES = ("edge polygons", "vertex edges")
 
 
 def test_incidence_maps_are_built_once_and_only_when_read(c6_mixed):
     """Exports, the subdivision, walls and the audits of X's links,
-    polygon pairs and walls' polygons read no incidence map, so the ball
-    builds none; the first read builds both, kept on the ball."""
+    polygon pairs and walls' polygons read no incidence index, so the ball
+    builds none; the disc diagrams' first read builds each, kept on the
+    ball."""
     b = build_ball(c6_mixed, 2)
     subdivision(b)
     ball_to_json(b, square=True)
@@ -239,10 +246,23 @@ def test_incidence_maps_are_built_once_and_only_when_read(c6_mixed):
     crossing_graph(b)
     for audit in (links_audit, polygon_pair_audit, wall_no_shared_polygon_audit):
         assert audit(b).ok
-    assert "incidence" not in b.derived
-    maps = (b.edge_cells, b.vertex_edges)
-    again = (b.edge_cells, b.vertex_edges)
-    assert all(x is y is z for x, y, z in zip(maps, again, b.derived["incidence"]))
+    assert not set(INDEXES) & set(b.derived)
+    maps = (diagrams._edge_polygons(b), diagrams._vertex_edges(b))
+    again = (diagrams._edge_polygons(b), diagrams._vertex_edges(b))
+    assert all(x is y is b.derived[k] for x, y, k in zip(maps, again, INDEXES))
+
+
+@pytest.mark.parametrize("name,radius", [(name, 2) for name in SIX] + [("c5_z3", 3)])
+def test_diagram_indexes_match_the_object_incidence_maps(name, radius):
+    """The polygons on each X-edge and the edges at each X-vertex, read off
+    the table's records by id, are the object oracle's ``edge_cells`` and
+    ``vertex_edges``, in the same order."""
+    b = build_ball(perfbench_presentation(name), radius)
+    o, t = objects(b), b.table
+    assert [[t.reps[k] for k in ks] for ks in diagrams._edge_polygons(b)] == \
+        [[P.rep for P in o.edge_cells[e]] for e in o.edges_by_id]
+    assert [[o.edges_by_id[e] for e in es] for es in diagrams._vertex_edges(b)] == \
+        [o.vertex_edges[v] for v in o.vertices]
 
 
 @pytest.fixture
@@ -259,27 +279,40 @@ def cells_made(monkeypatch):
 
 def test_ball_and_crossing_graph_make_no_cell_until_one_is_read(c6_mixed, cells_made):
     """``build_ball`` lists the table alone; the crossing graph reads its
-    walls off the table and holds vertex ids; the first read of a cell list
-    makes every cell, once per ball."""
+    walls off the table and holds vertex ids; the object oracle makes every
+    cell from the table, once per ball."""
     made = cells_made
     b = build_ball(c6_mixed, 3)
     assert made == {"ComplexVertex": 0, "ComplexEdge": 0, "Polygon": 0}
     assert crossing_graph(b).number_of_edges() > 0
     assert made == {"ComplexVertex": 0, "ComplexEdge": 0, "Polygon": 0}
-    cells = {"ComplexVertex": len(b.vertices), "ComplexEdge": len(b.edges),
-             "Polygon": len(b.polygons)}
+    o = objects(b)
+    cells = {"ComplexVertex": len(o.vertices), "ComplexEdge": len(o.edges),
+             "Polygon": len(o.polygons)}
     assert made == cells
     for T in walls_of_ball(b):
-        assert T.seed in T.edges <= set(b.edges)
-    assert b.interior_vertices and b.interior_edges
+        W = wall_objects(b, T)
+        assert W.seed in W.edges <= set(o.edges)
+    assert o.interior_vertices and o.interior_edges
     assert made == cells
-    assert b.vertices is b.cells.vertices and b.cells is b.derived["cells"]
+    assert objects(b) is o is b.derived["objects"] and o.table is b.table
 
 
 def test_davis_suite_makes_no_cell(c6_mixed, cells_made):
     """The davis audits read the ball's table and X' alone."""
     assert davis_suite(build_ball(c6_mixed, 3)).ok
     assert cells_made == {"ComplexVertex": 0, "ComplexEdge": 0, "Polygon": 0}
+
+
+@pytest.mark.parametrize("suite, most", [("walls", 0), ("diagrams", 0), ("algebraic", 2 * 50)])
+def test_suites_make_no_cell_but_the_sampled_vertices(c6_mixed, cells_made, suite, most):
+    """The walls, algebraic and diagrams suites read the ball's table by id:
+    at radius 3 the walls and diagrams suites make no cell object, and the
+    algebraic suite makes only the vertices its 50 equivariance samples act
+    on, at most two each (the sample and its image)."""
+    assert run_suite(c6_mixed, suite, 3, 3, 0).ok
+    assert cells_made["ComplexEdge"] == cells_made["Polygon"] == 0
+    assert cells_made["ComplexVertex"] <= most
 
 
 def test_cell_and_iso_hashes_are_the_same_in_every_process():
@@ -305,7 +338,7 @@ def test_cell_and_iso_hashes_are_the_same_in_every_process():
 
 
 def test_interior_edge_lies_in_group_order_many_polygons(c5_mixed):
-    b = build_ball(c5_mixed, 2)
+    b = object_ball(c5_mixed, 2)
     assert b.interior_edges
     for e in b.interior_edges:
         assert len(b.edge_cells[e]) == c5_mixed.group(e.label).size
@@ -314,7 +347,7 @@ def test_interior_edge_lies_in_group_order_many_polygons(c5_mixed):
 def test_interior_vertex_polygon_count_is_product_of_orders(c5_mixed):
     """As many polygons have a corner at an interior X-vertex, and as many
     squares of X' are at it."""
-    b = build_ball(c5_mixed, 2)
+    b = object_ball(c5_mixed, 2)
     x = subdivision(b)
     assert b.interior_vertices
     for v in b.interior_vertices:
@@ -331,7 +364,7 @@ def test_interior_matches_algebraic_polygon_lists():
                                     "c6_mixed", "c6_z2") for r in (0, 1, 2)]
     cases += [("c5_z2", 3), ("c6_z2", 3), ("c6_mixed", 3)]
     for name, radius in cases:
-        b = build_ball(perfbench_presentation(name), radius)
+        b = object_ball(perfbench_presentation(name), radius)
         assert interior_by_enumeration(b) == \
             (b.interior_vertices, b.interior_edges), (name, radius)
         sq = subdivide(b)
@@ -340,7 +373,7 @@ def test_interior_matches_algebraic_polygon_lists():
 
 
 def test_interior_oracle_catches_a_dropped_interior_vertex(c5_mixed):
-    b = build_ball(c5_mixed, 2)
+    b = object_ball(c5_mixed, 2)
     b.interior_vertices.discard(sorted(b.interior_vertices)[0])
     vertices, edges = interior_by_enumeration(b)
     assert edges == b.interior_edges
@@ -377,7 +410,7 @@ def test_cells_are_shared_values_with_a_cached_hash_and_key(c5_mixed):
     p = c5_mixed
     e_ = identity(p)
     class_order = {POLY: 0, EDGE: 1, TRIVIAL: 2}
-    b = build_ball(p, 2)
+    b = object_ball(p, 2)
     for ball in (b, subdivide(b)):
         for v in ball.vertices:
             assert hash(v) == hash((v.cls, -1 if v.index is None else v.index, v.rep))
@@ -424,7 +457,7 @@ def test_resource_limit_triggers(c5_z3, monkeypatch):
 
 def test_action_is_equivariant_on_incidence(c5_mixed):
     p = c5_mixed
-    b = build_ball(p, 2)
+    b = object_ball(p, 2)
     rng = random.Random(12)
     interior = sorted(b.interior_edges)
     for _ in range(60):
@@ -451,7 +484,7 @@ def test_action_is_a_left_action(c5_mixed):
 
 
 def test_subdivision_counts(c5_z2):
-    b = build_ball(c5_z2, 1)
+    b = object_ball(c5_z2, 1)
     sq = subdivide(b)
     # one square per polygon corner
     assert len(sq.squares) == 5 * len(b.polygons)
@@ -480,7 +513,7 @@ def test_every_interior_square_edge_in_two_or_more_squares(c5_mixed):
 
 
 def test_vertex_link_is_complete_bipartite(c5_mixed):
-    b = build_ball(c5_mixed, 2)
+    b = object_ball(c5_mixed, 2)
     assert links_audit(b).ok
     v = sorted(b.interior_vertices)[0]
     link = vertex_link(b, v)
@@ -499,7 +532,7 @@ def test_x_link_is_the_square_link_at_an_x_vertex(name, radius):
     """At every interior X-vertex, the link ``links_audit`` reads in X'
     (each half read as its X-edge) is the object oracle's link in X,
     compared by key strings; and an X-vertex's key in X' is its cell's."""
-    b = build_ball(perfbench_presentation(name), radius)
+    b = object_ball(perfbench_presentation(name), radius)
     x = subdivision(b)
     t = x.table
 
@@ -578,7 +611,7 @@ def test_links_audit_fails_on_a_link_that_is_not_complete_bipartite(c5_mixed):
     x.squares[8 * squares[0] + 4 + sides.index(c)] = other
     [failure] = links_audit(b).failures
     assert failure.check_id == "davis.links-complete-bipartite"
-    assert failure.witness == [sorted(b.interior_vertices)[0].key_string()]
+    assert failure.witness == [sorted(objects(b).interior_vertices)[0].key_string()]
 
 
 def test_t4_audit_fails_on_a_square_missing_a_side_at_a_vertex(c5_mixed):
@@ -660,7 +693,7 @@ def test_t4_audit_fails_on_a_polygon_without_n_distinct_corners(c5_mixed, cut):
     n = c5_mixed.n
     b = build_ball(c5_mixed, 2)
     g = parse_word(c5_mixed, "v0:1")
-    kept = b.polygons[g].boundary[:-1]
+    kept = objects(b).polygons[g].boundary[:-1]
     boundary = kept + kept[:1]
     t = subdivision(b).table
     at = 2 * n * t.reps.index(g)
@@ -723,7 +756,7 @@ def test_polygon_pair_audit_passes(c5_z2, c5_mixed):
 
 def test_adjacent_polygons_share_exactly_one_edge(c5_z2):
     p = c5_z2
-    b = build_ball(p, 2)
+    b = object_ball(p, 2)
     g = identity(p)
     h = parse_word(p, "v0:1")
     shared = set(b.polygons[g].edges) & set(b.polygons[h].edges)

@@ -24,11 +24,13 @@ from cyclewall.words import format_word, identity, parse_word
 from oracles import fill_loop_by_search
 
 
-def diagram_to_json_dict(d: DiscDiagram) -> dict:
+def diagram_to_json_dict(d: DiscDiagram, b) -> dict:
+    """``d``'s record document, each image named by its key string in the
+    ball ``b``."""
     return {
         "schema": "cyclewall/1",
         "vertices": [{"id": v,
-                      "image": d.images[v].key_string() if v in d.images else None,
+                      "image": b.table.vertex_key(d.images[v]) if v in d.images else None,
                       "curvature": d.vertex_curvature(v)}
                      for v in d.vertices],
         "edges": [sorted(e) for e in d.edges],
@@ -125,7 +127,7 @@ def test_convention_lock_fails_on_a_wrong_shared_edge(monkeypatch):
 def test_fill_and_audit_fails_on_a_non_reduced_filling(c5_z2, monkeypatch):
     p = c5_z2
     b = build_ball(p, 1)
-    loop = union_boundary_loop(b, [identity(p), parse_word(p, "v2:1")])
+    loop = union_boundary_loop(b, polygon_ids(b, identity(p), parse_word(p, "v2:1")))
 
     def stacked(b, loop, max_faces=24):
         # the true filling with both faces mapped to one polygon
@@ -146,9 +148,20 @@ def test_filling_audit_fails_when_the_sampler_finds_no_loop(c5_z2, monkeypatch):
 # -- filling ---------------------------------------------------------------------
 
 
+def polygon_ids(b, *reps):
+    """The polygon ids of the given reps in the ball ``b``."""
+    return [b.table.reps.index(g) for g in reps]
+
+
+def edge_ends(b, count):
+    """The end ids of the ball's first ``count`` X-edges in key order."""
+    t = b.table
+    return [tuple(t.ends(e)) for e in t.edge_order[:count]]
+
+
 def test_fill_single_polygon(c5_z2):
     b = build_ball(c5_z2, 1)
-    loop = union_boundary_loop(b, [identity(c5_z2)])
+    loop = union_boundary_loop(b, polygon_ids(b, identity(c5_z2)))
     assert loop is not None
     d = fill_loop(b, loop)
     assert len(d.faces) == 1
@@ -161,7 +174,7 @@ def test_fill_two_polygons(c5_z2):
     p = c5_z2
     b = build_ball(p, 1)
     reps = [identity(p), parse_word(p, "v2:1")]
-    loop = union_boundary_loop(b, reps)
+    loop = union_boundary_loop(b, polygon_ids(b, *reps))
     assert loop is not None
     assert len(loop) == 8
     d, report = fill_and_audit(b, loop)
@@ -174,7 +187,7 @@ def test_fill_three_polygon_fan(c5_z2):
     p = c5_z2
     b = build_ball(p, 2)
     reps = [identity(p), parse_word(p, "v2:1"), parse_word(p, "v3:1")]
-    loop = union_boundary_loop(b, reps)
+    loop = union_boundary_loop(b, polygon_ids(b, *reps))
     assert loop is not None
     d, report = fill_and_audit(b, loop)
     assert report.ok
@@ -185,8 +198,9 @@ def test_fill_three_polygon_fan(c5_z2):
 def test_fill_backtrack_gives_a_hair(c5_z2):
     p = c5_z2
     b = build_ball(p, 1)
-    e = b.polygons[identity(p)].edges[0]
-    d = fill_loop(b, [e.ends[0], e.ends[1]])
+    t = b.table
+    e = t.sides(0)[0]   # side 0 of the identity polygon, polygon 0
+    d = fill_loop(b, list(t.ends(e)))
     assert len(d.faces) == 0
     assert len(d.vertices) == 2 and len(d.edges) == 1
     assert d.total_curvature() == 8   # two leaves worth 4 each
@@ -195,7 +209,7 @@ def test_fill_backtrack_gives_a_hair(c5_z2):
 def test_fill_rejects_non_edge_path(c5_z2):
     p = c5_z2
     b = build_ball(p, 1)
-    poly = b.polygons[identity(p)].boundary
+    poly = b.table.corners(0)   # the identity polygon's
     with pytest.raises(FillError):
         fill_loop(b, [poly[0], poly[2], poly[4]])  # skips around the polygon
 
@@ -203,7 +217,7 @@ def test_fill_rejects_non_edge_path(c5_z2):
 def test_fill_respects_face_budget(c5_z2):
     p = c5_z2
     b = build_ball(p, 1)
-    loop = union_boundary_loop(b, [identity(p)])
+    loop = union_boundary_loop(b, polygon_ids(b, identity(p)))
     assert loop is not None
     with pytest.raises(FillError):
         fill_loop(b, loop, max_faces=0)
@@ -212,7 +226,7 @@ def test_fill_respects_face_budget(c5_z2):
 def test_fill_mixed_groups(c5_mixed):
     p = c5_mixed
     b = build_ball(p, 1)
-    loop = union_boundary_loop(b, [identity(p)])
+    loop = union_boundary_loop(b, polygon_ids(b, identity(p)))
     assert loop is not None
     d, report = fill_and_audit(b, loop)
     assert report.ok and len(d.faces) == 1
@@ -222,7 +236,7 @@ def test_fill_hexagon_pair(c6_z2):
     p = c6_z2
     b = build_ball(p, 1)
     reps = [identity(p), parse_word(p, "v2:1")]
-    loop = union_boundary_loop(b, reps)
+    loop = union_boundary_loop(b, polygon_ids(b, *reps))
     assert loop is not None
     assert len(loop) == 10
     d, report = fill_and_audit(b, loop)
@@ -232,10 +246,10 @@ def test_fill_hexagon_pair(c6_z2):
 def test_json_export(c5_z2):
     p = c5_z2
     b = build_ball(p, 1)
-    loop = union_boundary_loop(b, [identity(p)])
+    loop = union_boundary_loop(b, polygon_ids(b, identity(p)))
     assert loop is not None
     d = fill_loop(b, loop)
-    doc = diagram_to_json_dict(d)
+    doc = diagram_to_json_dict(d, b)
     assert doc["total_curvature"] == 8
     assert len(doc["faces"]) == 1
     assert all("image" in v for v in doc["vertices"])
@@ -254,13 +268,12 @@ def fill_digest(b) -> str:
     """SHA-256 over the exported diagrams (ids, edges and faces included) of
     sampled loops and of single and doubled edge backtracks."""
     loops = [loop for seed in range(5) for loop in sample_loops(b, seed, 20, 12)]
-    for e in b.edges[:10]:
-        u, w = e.ends
+    for u, w in edge_ends(b, 10):
         loops += [[u, w], [u, w, u, w]]
     h = hashlib.sha256()
     for loop in loops:
         try:
-            doc = diagram_to_json_dict(fill_loop(b, loop))
+            doc = diagram_to_json_dict(fill_loop(b, loop), b)
         except FillError as exc:
             doc = {"fill_error": str(exc)}
         h.update(json.dumps(doc, sort_keys=True).encode() + b"\n")
@@ -308,7 +321,7 @@ def test_fill_figure_eight_fills_or_refuses(name, request):
 
 def fill_outcome(fill, b, loop, max_faces) -> dict:
     try:
-        return diagram_to_json_dict(fill(b, loop, max_faces))
+        return diagram_to_json_dict(fill(b, loop, max_faces), b)
     except FillError as exc:
         return {"fill_error": str(exc)}
 
@@ -321,8 +334,7 @@ def test_fill_loop_matches_search_oracle(name, request):
         cases = [(loop, 24) for seed in range(3) for loop in sample_loops(b, seed, 20, 12)]
         if radius == 2:
             cases += [(loop, max_faces) for loop in figure_eights(b) for max_faces in (24, 1)]
-        for e in b.edges[:20]:
-            u, w = e.ends
+        for u, w in edge_ends(b, 20):
             cases += [([u, w], 24), ([u, w, u, w], 24)]
         for loop, max_faces in cases:
             assert (fill_outcome(fill_loop, b, loop, max_faces)

@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 import json
 import os
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import networkx as nx
@@ -19,7 +21,7 @@ from cyclewall.algebraic import (
     medium_of_vertex,
 )
 from cyclewall.cli import load_presentation
-from cyclewall.davis import Subdivision, act_edge, build_ball, subdivision
+from cyclewall.davis import Subdivision, build_ball, subdivision
 from cyclewall.errors import ValidationError
 from cyclewall.walls import (
     TreeWall,
@@ -52,12 +54,16 @@ from cyclewall.words import (
 
 from conftest import presentation_c5_mixed, presentation_c5_z2
 from oracles import (
+    ObjectWall,
+    act_edge,
     bounded_closure,
     combinatorial_hyperplanes,
     crossing_graph_pairwise,
     hyperplane_classes,
     hyperplane_treewall_by_classes,
     min_set_networkx,
+    object_ball,
+    objects,
     subdivide,
     parabolic_ball_by_scan,
     sweep_closure,
@@ -67,6 +73,8 @@ from oracles import (
     wall_stabilizer_by_scan,
     walls_by_flood_fill,
     walls_by_objects,
+    wall_objects,
+    wall_view,
     window_member,
     x_edge,
 )
@@ -91,8 +99,8 @@ def test_wall_of_lone_polygon_is_single_edge(c5_z2):
 
 def test_wall_endpoint_degrees_match_neighbour_group_orders(c5_mixed):
     p = c5_mixed
-    b = build_ball(p, 2)
-    w = central_walls(b)[1]
+    b = object_ball(p, 2)
+    w = wall_objects(b, central_walls(b)[1])
     # at a vertex of classes (0,1) the wall branches |G_0| ways, at (1,2) |G_2| ways
     for v in w.vertex_set:
         if v not in b.interior_vertices:
@@ -106,7 +114,7 @@ def test_wall_key_constant_over_edges(c5_mixed):
     p = c5_mixed
     b = build_ball(p, 2)
     for w in walls_of_ball(b):
-        for e in w.edges:
+        for e in wall_objects(b, w).edges:
             assert CSubgroup(MAXIMAL, w.label, e.rep).conjugator == w.key_rep
 
 
@@ -119,11 +127,11 @@ def test_walls_match_flood_fill_oracle(name, radius):
     """The walls read off the ball's table are the walls that bucketing the
     ball's edge objects by ``coset_rep`` gives, and the walls that flood fill
     from the interior edges and merging by key give: same keys, seeds and
-    edges."""
+    edges, the walls' edge ids read as the object oracle's edges."""
     b = build_ball(load_presentation(str(PRESENTATIONS / f"{name}.json")), radius)
-    got = [(w.key, w.seed, w.edges) for w in walls_of_ball(b)]
-    assert got == [(w.key, w.seed, w.edges) for w in walls_by_objects(b)]
-    assert got == [(w.key, w.seed, w.edges) for w in walls_by_flood_fill(b)]
+    got = [wall_objects(b, w) for w in walls_of_ball(b)]
+    assert got == walls_by_objects(b)
+    assert got == walls_by_flood_fill(b)
     assert bool(got) == (radius > 0)
 
 
@@ -136,9 +144,10 @@ def old_encodings(b, vertices):
     old = {}
     for T in walls_of_ball(b):
         i = T.label
-        old[T.stabilizer] = (frozenset({(i - 1) % n, i, (i + 1) % n}), T.seed.rep)
-        old[T.fixator] = (frozenset({i}), T.seed.rep)
-        for v in filter(vertices, T.vertex_set):
+        W = wall_objects(b, T)
+        old[T.stabilizer] = (frozenset({(i - 1) % n, i, (i + 1) % n}), W.seed.rep)
+        old[T.fixator] = (frozenset({i}), W.seed.rep)
+        for v in filter(vertices, W.vertex_set):
             old[medium_of_vertex(v)] = (frozenset({v.index, (v.index + 1) % n}), v.rep)
     return old
 
@@ -152,7 +161,7 @@ def test_wall_subgroups_match_the_old_encodings(name, radius):
     p = load_presentation(str(PRESENTATIONS / f"{name}.json"))
     b = build_ball(p, radius)
     for T in walls_of_ball(b):
-        for e in T.edges:
+        for e in wall_objects(b, T).edges:
             assert CSubgroup(MAXIMAL, T.label, e.rep) == T.stabilizer
             assert CSubgroup(MINIMAL, T.label, e.rep) == T.fixator
     ball = enumerate_ball_elements(p, 3)
@@ -171,7 +180,7 @@ def test_wall_subgroup_membership_matches_the_old_windows(name):
     p = load_presentation(str(PRESENTATIONS / f"{name}.json"))
     b = build_ball(p, 2)
     ball = enumerate_ball_elements(p, 3)
-    old = old_encodings(b, b.interior_vertices.__contains__)
+    old = old_encodings(b, objects(b).interior_vertices.__contains__)
     for H, (S, w) in old.items():
         assert [parabolic_member(g, H) for g in ball] == \
             [window_member(g, S, w) for g in ball], H.key_string()
@@ -194,12 +203,19 @@ def test_no_two_wall_edges_share_a_polygon(c5_z2, c5_mixed):
     assert wall_no_shared_polygon_audit(build_ball(c5_mixed, 2)).ok
 
 
+def gain_a_side(b, T):
+    """``T`` with another side of the first polygon on its seed, as a wall
+    of edge ids, and that side."""
+    W = wall_objects(b, T)
+    side = next(e for e in objects(b).edge_cells[W.seed][0].edges if e not in W.edges)
+    return wall_view(b, dataclasses.replace(W, edges=W.edges | {side})), side
+
+
 def test_shared_polygon_audit_fails_on_two_sides_of_one_polygon(c5_z2, monkeypatch):
     b = build_ball(c5_z2, 2)
     ws = list(walls_of_ball(b))
     T = ws[0]
-    side = next(e for e in b.edge_cells[T.seed][0].edges if e not in T.edges)
-    ws[0] = TreeWall(T.label, T.seed, T.edges | {side}, T.key_rep)
+    ws[0], side = gain_a_side(b, T)
     monkeypatch.setattr(walls, "walls_of_ball", lambda _b: ws)
     r = wall_no_shared_polygon_audit(b)
     assert [(x.check_id, x.instance) for x in r.failures] == [
@@ -220,9 +236,8 @@ def test_shared_polygon_audit_matches_the_pairwise_oracle(name, monkeypatch):
             wall_no_shared_polygon_by_pairs(b, walls_of_ball(b)), radius
     ws = walls_of_ball(b)
     for k, T in enumerate(ws[:4]):
-        side = next(e for e in b.edge_cells[T.seed][0].edges if e not in T.edges)
-        assert any(side in U.edges for U in ws)
-        ws[k] = TreeWall(T.label, T.seed, T.edges | {side}, T.key_rep)
+        ws[k], side = gain_a_side(b, T)
+        assert any(side in wall_objects(b, U).edges for U in ws)
     monkeypatch.setattr(walls, "walls_of_ball", lambda _b: ws)
     report = wall_no_shared_polygon_audit(b)
     assert len(report.failures) == 4
@@ -237,9 +252,9 @@ def test_tree_property(c5_z2, c5_mixed, c6_z2):
 
 def test_translated_wall_is_a_wall(c5_z2):
     p = c5_z2
-    b = build_ball(p, 2)
+    b = object_ball(p, 2)
     g = parse_word(p, "v0:1")
-    w = central_walls(b)[2]
+    w = wall_objects(b, central_walls(b)[2])
     moved = {act_edge(g, e) for e in w.edges}
     in_ball = {e for e in moved if e in b.edge_cells}
     target = treewall_of_edge(b, act_edge(g, w.seed))
@@ -282,7 +297,8 @@ def test_crossing_graph_matches_pairwise_oracle(name, radius):
     got, want = crossing_graph(b), crossing_graph_pairwise(b)
     assert (got.number_of_edges() > 0) == (radius > 0)
     assert list(got.walls.items()) == list(want.nodes(data="wall"))
-    assert [(k1, k2, [b.vertices[x] for x in xs]) for (k1, k2), xs in got.crossings.items()] == \
+    vertices = objects(b).vertices
+    assert [(k1, k2, [vertices[x] for x in xs]) for (k1, k2), xs in got.crossings.items()] == \
         list(want.edges(data="vertices"))
     assert got.neighbors == {k: set(want[k]) for k in want}
     # crossing-graph distances agree with networkx, inf where there is no path
@@ -321,13 +337,13 @@ def test_no_triple_crossing_fails_on_an_added_triangle(c5_z2):
 
 
 def test_tree_property_fails_on_a_wall_split_in_two(c5_z2, monkeypatch):
-    b = build_ball(c5_z2, 3)
+    b = object_ball(c5_z2, 3)
     ws = walls_of_ball(b)
 
     def split(T):
         """T without an interior edge whose removal disconnects the rest but
         keeps every vertex, or None."""
-        inner = sorted(e for e in T.edges if e in b.interior_edges)
+        inner = sorted(e for e in wall_objects(b, T).edges if e in b.interior_edges)
         for cut in inner:
             rest = nx.Graph(e.ends for e in inner if e != cut)
             if set(rest) == {v for e in inner for v in e.ends} \
@@ -336,8 +352,8 @@ def test_tree_property_fails_on_a_wall_split_in_two(c5_z2, monkeypatch):
         return None
 
     k, T, cut = next((k, T, c) for k, T in enumerate(ws) if (c := split(T)))
-    rest = T.edges - {cut}
-    ws[k] = TreeWall(T.label, min(rest), rest, T.key_rep)
+    rest = wall_objects(b, T).edges - {cut}
+    ws[k] = wall_view(b, ObjectWall(T.label, min(rest), rest, T.key_rep))
     monkeypatch.setattr(walls, "walls_of_ball", lambda _b: ws)
     r = tree_property_audit(b)
     assert [x.check_id for x in r.failures] == ["walls.interior-restriction-is-tree"]
@@ -366,7 +382,7 @@ def test_fixator_of_translated_wall_is_conjugate(c5_z2):
     p = c5_z2
     b = build_ball(p, 2)
     g = parse_word(p, "v3:1")
-    w = treewall_of_edge(b, act_edge(g, x_edge(p, identity(p), 1)))
+    w = wall_view(b, treewall_of_edge(b, act_edge(g, x_edge(p, identity(p), 1))))
     # the conjugate generator has syllable length 3, so search length 3
     fix = wall_fixator_truncated(b, w, 3)
     a1 = parse_word(p, "v1:1")
@@ -417,8 +433,8 @@ def test_stabilizer_cache_tells_part_of_a_wall_from_the_wall(c5_mixed):
     p = c5_mixed
     b = build_ball(p, 2)
     w = central_walls(b)[2]
-    part = TreeWall(w.label, w.seed, frozenset({w.seed}), w.key_rep)
-    assert part.key == w.key and part.edges != w.edges
+    part = TreeWall(b.table, w.label, w.key_rep, w.ids[:1])
+    assert part.key == w.key and part.ids != w.ids
     whole = wall_stabilizer_truncated(b, w, 2)
     fresh = wall_stabilizer_truncated(build_ball(p, 2), part, 2)
     assert wall_stabilizer_truncated(b, part, 2) == fresh != whole
@@ -452,7 +468,7 @@ def test_stabilizers_and_parabolic_balls_match_the_scans(name, radius, L):
         assert wall_stabilizer_truncated(b, T, L) == \
             wall_stabilizer_by_scan(b, T, L), T.key_string()
         subgroups |= {T.stabilizer, T.fixator}
-        subgroups |= {medium_of_vertex(v) for v in T.vertex_set}
+        subgroups |= {medium_of_vertex(v) for v in wall_objects(b, T).vertex_set}
     for H in sorted(subgroups, key=CSubgroup.sort_key):
         assert walls._parabolic_ball(b, H, L) == \
             parabolic_ball_by_scan(b, H, L), H.key_string()
@@ -541,7 +557,7 @@ def test_crossing_pair_with_two_shared_vertices_fails_to_meet_once(c5_z2):
     xs.append(xs[0] + 1)
     r = classify_pair(b, cg, cent[0], cent[1], 2)
     [failure] = [x for x in r.failures if x.check_id == "walls.crossing-walls-meet-once"]
-    assert failure.witness == [b.vertices[x].key_string() for x in xs]
+    assert failure.witness == [objects(b).vertices[x].key_string() for x in xs]
 
 
 def test_pair_stabilizer_delta2_is_middle_vertex_group(c5_z2):
@@ -756,36 +772,40 @@ def test_vertex_stabilizer_criterion_matches_truncated_sweep(make):
     """Where the vertex stabilizer cut at length 2 decides whether it
     stabilizes a wall in a radius-2 ball, it agrees with the exact rule."""
     p = make()
-    b = build_ball(p, 2)
-    ws = walls_of_ball(b)
+    b = object_ball(p, 2)
+    ws = [(T, wall_objects(b, T)) for T in walls_of_ball(b)]
     ball = enumerate_ball_elements(p, 2)
     seen = set()
     for v in sorted(b.interior_vertices):
         medium = medium_of_vertex(v)
         stab_v = [g for g in ball if parabolic_member(g, medium)]
         maximals = containing_maximals(medium)
-        for T in ws:
-            swept = sweep_stabilizes_wall(b, stab_v, T)
+        for T, W in ws:
+            swept = sweep_stabilizes_wall(b, stab_v, W)
             if swept is None:
                 continue
             exact = CSubgroup(MAXIMAL, T.label, T.key_rep) in maximals
-            assert swept == exact == (v in T.vertex_set), (v.key_string(), T.key_string())
+            assert swept == exact == (v in W.vertex_set), (v.key_string(), T.key_string())
             seen.add(exact)
     assert seen == {True, False}
 
 
 def test_vertex_stabilizer_criterion_fails_on_a_wall_missing_a_vertex(c5_z2, monkeypatch):
+    """The first wall without its edges at its least interior vertex v: v
+    leaves its vertex ids, and every other interior vertex of the wall keeps
+    an edge, so v alone is the witness."""
     b = build_ball(c5_z2, 2)
+    t = b.table
     ws = walls_of_ball(b)
     T = ws[0]
-    v = min(T.vertex_set & b.interior_vertices)
-    broken = TreeWall(T.label, T.seed, T.edges, T.key_rep)
-    object.__setattr__(broken, "vertex_set", T.vertex_set - {v})
-    ws[0] = broken
+    v = min(T.vertex_set & set(t.interior_vertices()))
+    ws[0] = TreeWall(t, T.label, T.key_rep, array(
+        "i", (e for e in T.ids if v not in t.ends(e))))
+    assert v not in ws[0].vertex_set
     monkeypatch.setattr(walls, "walls_of_ball", lambda _b: ws)
     r = vertex_stabilizer_criterion_audit(b)
     assert [x.check_id for x in r.failures] == ["walls.vertex-stabilizer-detects-membership"]
-    assert r.failures[0].witness == [(v.key_string(), T.key_string(), True)]
+    assert r.failures[0].witness == [(objects(b).vertices[v].key_string(), T.key_string(), True)]
 
 
 def test_adjacency_criterion(c5_z2):
@@ -806,7 +826,7 @@ def test_exact_generation_matches_bounded_closure(make, radius, closure, verdict
     vertices' mediums join to the wall's maximal, for every pair of interior
     vertices on a wall."""
     p = make()
-    b = build_ball(p, radius)
+    b = object_ball(p, radius)
     ball = enumerate_ball_elements(p, 3)
 
     def members(ref):
@@ -816,7 +836,7 @@ def test_exact_generation_matches_bounded_closure(make, radius, closure, verdict
     for T in walls_of_ball(b):
         stab_T = members(T.stabilizer)
         wall = CSubgroup(MAXIMAL, T.label, T.key_rep)
-        verts = sorted(v for v in T.vertex_set if v in b.interior_vertices)
+        verts = sorted(v for v in wall_objects(b, T).vertex_set if v in b.interior_vertices)
         for x, y in itertools.combinations(verts, 2):
             hx, hy = medium_of_vertex(x), medium_of_vertex(y)
             joined, maximal = join_is_cmaximal(hx, hy)
@@ -836,12 +856,13 @@ def test_min_set_matches_networkx_oracle(c5_mixed):
 
 
 def test_adjacency_criterion_fails_on_a_wall_missing_an_edge(c5_z2, monkeypatch):
-    b = build_ball(c5_z2, 2)
+    b = object_ball(c5_z2, 2)
     ws = walls_of_ball(b)
-    k, T, cut = next((k, T, e) for k, T in enumerate(ws) for e in sorted(T.edges)
+    k, T, cut = next((k, T, e) for k, T in enumerate(ws)
+                     for e in sorted(wall_objects(b, T).edges)
                      if all(v in b.interior_vertices for v in e.ends))
-    rest = T.edges - {cut}
-    ws[k] = TreeWall(T.label, min(rest), rest, T.key_rep)
+    rest = wall_objects(b, T).edges - {cut}
+    ws[k] = wall_view(b, ObjectWall(T.label, min(rest), rest, T.key_rep))
     monkeypatch.setattr(walls, "walls_of_ball", lambda _b: ws)
     r = adjacency_criterion_audit(b)
     assert [x.check_id for x in r.failures] == ["walls.generation-detects-adjacency"]
