@@ -74,12 +74,21 @@ ROWS = [
       "--presentation", C6_MIXED], 0,
      "cc5b97f22b1c5ca77a10f4cb3a61475f07fe65b99001156bcc1b22e3e6e357e0", 120, 73),
     # mediums, the interior skeleton and the polygons are read off the
-    # ball's integer table by id; bounded at 1.2 x the 106.7 MB measured
-    # (126.5 MB when the audits read the ball's cell objects)
+    # ball's integer table by id, and the rebuild keeps its arcs as id
+    # pairs with their (label, word) keys; bounded at 1.2 x the 74.5 MB
+    # measured (106.7 MB when each arc held a maximal subgroup object,
+    # 126.5 MB when the audits read the ball's cell objects)
     ("Radius-5 algebraic report is byte-identical",
      ["verify", "--suite", "algebraic", "--radius", "5", "--depth", "3", "--seed", "0",
       "--presentation", C5_Z3], 0,
-     "fb679ca0bd03544245e2862d09c5196bacdc6b9a56051fdf26913e95d3baa45c", 60, 128),
+     "fb679ca0bd03544245e2862d09c5196bacdc6b9a56051fdf26913e95d3baa45c", 60, 89),
+    # the rebuild on an even n at radius 4, in vertex ids; bounded at
+    # 1.2 x the 50.8 MB measured (69.3 MB when each arc held a maximal
+    # subgroup object)
+    ("Radius-4 c6_mixed algebraic report is byte-identical",
+     ["verify", "--suite", "algebraic", "--radius", "4", "--depth", "3", "--seed", "0",
+      "--presentation", C6_MIXED], 0,
+     "aaedef772ed2326ebd9f2752950a07565ee05361548e51b9dac41c7aa481db36", 60, 61),
 ]
 
 

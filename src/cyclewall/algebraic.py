@@ -18,18 +18,22 @@ n-cycles, found as the walks that wind once around the base cycle.  The
 arcs are the buckets of the rebuild's hash join on edge cosets: two mediums
 share an edge coset exactly when they join, so the join itself is not
 taken there; the tests' oracle joins every pair, and ``join_agreement_audit``
-tests the join against the ball's adjacency.  A
-ball's mediums are encoded once, by vertex id (``vertex_mediums``), and
-read by the rebuild, ``phi_iso_check`` and the join audits, here and in
-``walls``.  The audits read the ball's table (``davis.BallTable``) by id:
-the interior skeleton is id adjacency from the edges' end ids, polygons
-are their corner records, and witnesses are key strings.
+tests the join against the ball's adjacency.  The rebuild is kept in the
+ball's integers (``ScriptXBall``): a node is named by its vertex id, an arc
+is its two ids with its (label, edge coset word), a face is its nodes'
+ids, and no maximal is made.  A ball's mediums are encoded once, by vertex
+id (``vertex_mediums``), and read by the rebuild, ``phi_iso_check`` and the
+join audits, here and in ``walls``.  The audits read the ball's table
+(``davis.BallTable``) by id: the interior skeleton is id adjacency from the
+edges' end ids, polygons are their corner records, and witnesses are key
+strings.
 
-The rebuild writes its edge cosets out instead of multiplying.  Those of a
-node c<G_i x G_{i+1}> are c·x for x in one of its two window groups.  As c
-is minimal modulo the window, pushing x onto c's word merges nothing and
-inserts it at an index that depends on c and x's vertex alone (the splice
-lemma), so each c·x is c's word with x spliced in (``_edge_cosets``).
+The rebuild writes its edge cosets out as words instead of multiplying.
+Those of a node c<G_i x G_{i+1}> are c·x for x in one of its two window
+groups.  As c is minimal modulo the window, pushing x onto c's word merges
+nothing and inserts it at an index that depends on c and x's vertex alone
+(the splice lemma), so each c·x is c's word with x spliced in
+(``_edge_cosets``); each syllable x is made once per rebuild.
 
 The join is decided exactly: two mediums c1<G_b x G_{b+1}> and
 c2<G_{b+1} x G_{b+2}> join to a maximal iff the vertices they encode share
@@ -39,9 +43,9 @@ enumerates a vertex group and never comes out undecided.  The map
 (coset gH) -> (subgroup gHg^-1) is verified to be an equivariant
 isomorphism on interior cells.  On edges that is one comparison of two sets
 of vertex id pairs: the ball's edges between interior vertices, and the
-rebuild's arcs between their encodings, decoded.  Equivariance is sampled
-on vertices made one at a time from the table (``davis.act_vertex`` acts
-on a ``ComplexVertex``).
+rebuild's arc keys between them; on polygons, of corner id sets with the
+faces' id sets.  Equivariance is sampled on vertices made one at a time
+from the table (``davis.act_vertex`` acts on a ``ComplexVertex``).
 """
 
 from __future__ import annotations
@@ -130,9 +134,6 @@ class CSubgroup:
         """The subgroup g * self * g^-1."""
         return CSubgroup(self.tier, self.base, mul(g, self.conjugator))
 
-    def sort_key(self):
-        return (len(self.window), self.base, self.conjugator)
-
 
 def medium_of_vertex(v: ComplexVertex) -> CSubgroup:
     """The stabilizer encoding of an X-vertex: its coset rep conjugates the
@@ -177,10 +178,12 @@ def _splice_index(p: Presentation, word: tuple[Syllable, ...], v: int) -> int:
     return j
 
 
-def _edge_cosets(h: CSubgroup, label: int) -> list[GroupElement]:
-    """Coset reps of the edges labelled ``label`` at the X-vertex encoded by a
-    medium subgroup; ``label`` is one of its two defining vertices.  They are
-    c·x for x in G_other: no window syllable strips off the right of the
+def _edge_cosets(h: CSubgroup, label: int,
+                 syllables: list[list[Syllable]]) -> list[tuple[Syllable, ...]]:
+    """Words of the coset reps of the edges labelled ``label`` at the X-vertex
+    encoded by a medium subgroup; ``label`` is one of its two defining
+    vertices, and ``syllables`` lists each vertex group's syllables.  They
+    are c·x for x in G_other: no window syllable strips off the right of the
     minimal conjugator c, and ``label`` commutes with ``other``.
 
     So no syllable of c at ``other`` commutes with everything after it (the
@@ -190,11 +193,10 @@ def _edge_cosets(h: CSubgroup, label: int) -> list[GroupElement]:
     appends.  Each c·x is written out, not multiplied."""
     p = h.presentation
     other = (h.base + 1) % p.n if label == h.base else h.base
-    c = h.conjugator
-    k = _splice_index(p, c.word, other)
-    head, tail = c.word[:k], c.word[k:]
-    return [c] + [GroupElement(p, head + (Syllable(other, x),) + tail)
-                  for x in p.group(other).nontrivial_elements()]
+    word = h.conjugator.word
+    k = _splice_index(p, word, other)
+    head, tail = word[:k], word[k:]
+    return [word] + [(*head, s, *tail) for s in syllables[other]]
 
 
 def shared_edge(h1: CSubgroup, h2: CSubgroup) -> Optional[tuple[int, GroupElement]]:
@@ -254,10 +256,14 @@ def join_is_cmaximal(h1: CSubgroup,
 
 @dataclass
 class ScriptXBall:
+    """The rebuilt complex on the ball's vertex ids: ``nodes[x]`` is the
+    medium of X-vertex x, ``arcs`` maps an id pair u < w to the arc's
+    (label, edge coset word), and each cycle is its nodes' ids."""
+
     presentation: Presentation
     nodes: list[CSubgroup] = field(default_factory=list)
-    arcs: dict[frozenset, CSubgroup] = field(default_factory=dict)
-    cycles: list[tuple[CSubgroup, ...]] = field(default_factory=list)
+    arcs: dict[tuple[int, int], tuple[int, tuple[Syllable, ...]]] = field(default_factory=dict)
+    cycles: list[tuple[int, ...]] = field(default_factory=list)
 
 
 def _induced_n_cycles(g: Mapping[int, set[int]], n: int) -> list[tuple[int, ...]]:
@@ -287,9 +293,9 @@ def _induced_n_cycles(g: Mapping[int, set[int]], n: int) -> list[tuple[int, ...]
     return sorted(out)
 
 
-def _winding_cycles(up: Mapping, starts: list, n: int) -> list[tuple]:
-    """The closed walks of n steps along ``up`` arcs (base b to base b + 1)
-    from each start, each as its n nodes from the start."""
+def _winding_cycles(up: list[list[int]], starts: list[int], n: int) -> list[tuple[int, ...]]:
+    """The closed walks of n steps along ``up`` arcs (base b to base b + 1,
+    by node id) from each start, each as its n node ids from the start."""
     out = []
     for h in starts:
         paths = [(h,)]
@@ -300,18 +306,22 @@ def _winding_cycles(up: Mapping, starts: list, n: int) -> list[tuple]:
 
 
 def build_script_X_ball(b: ComplexBall) -> ScriptXBall:
-    """Rebuild the ball's 1-skeleton (plus filled n-cycles) from subgroup data.
+    """Rebuild the ball's 1-skeleton (plus filled n-cycles) from subgroup
+    data, on the ball's vertex ids.
 
-    The nodes are the ball's mediums, encoded once per ball
+    The nodes are the ball's mediums by vertex id, encoded once per ball
     (``vertex_mediums``) and shared with ``phi_iso_check`` and the join
     audits.  Arcs come from a hash join: each node's edge cosets, for both
     of its labels, are bucketed by ``(label, word of the edge coset rep)``.
     Each rep is the node's conjugator with one syllable spliced in
-    (``_edge_cosets``), so no product is taken.  An edge has two ends, so a
-    bucket holds at most two nodes.  A bucket of two is an arc, with no join
+    (``_edge_cosets``), so no product is taken, and the words are the
+    rebuild's own: the table's edge records are never read.  An edge has
+    two ends, so a bucket holds at most two nodes.  A bucket of two is an
+    arc, keyed by its two ids and valued by its bucket key, with no join
     taken: its nodes are the ends of the edge gG_i, of bases i - 1 and i,
     and two mediums join to a maximal exactly when they share an edge
-    (``shared_edge``), the join being g<G_{i-1}, G_i, G_{i+1}>.
+    (``shared_edge``), the join being g<G_{i-1}, G_i, G_{i+1}>, that is
+    ``CSubgroup(MAXIMAL, label, GroupElement(p, word))``.
 
     Faces are the closed n-step walks from a base-0 node along arcs to the
     next base.  An arc labelled i joins bases i - 1 and i, so such a walk
@@ -325,40 +335,46 @@ def build_script_X_ball(b: ComplexBall) -> ScriptXBall:
     faces with at most two interior edges each (Lyndon-Schupp,
     *Combinatorial Group Theory*, ch. V), so its boundary is at least
     2(n - 2) > n long.  An embedded n-cycle therefore bounds a single
-    polygon, whose boundary visits bases 0, ..., n-1 in order.  A walk's
-    base-0 node is its least in ``sort_key`` order (the nodes' order, by
-    vertex id) and its next node has base 1, so each walk is already in
-    ``_induced_n_cycles``' canonical rotation and direction, read over the
-    nodes' places, and the cycles are sorted as that search sorts them.
+    polygon, whose boundary visits bases 0, ..., n-1 in order.
+
+    Vertex ids order the nodes as their encodings order, by (tier, base,
+    conjugator) with conjugators by (length, word): the table lists the
+    vertex g(G_i x G_{i+1}) in (i, rep) order, reps by (length, word), and
+    the rep is minimal modulo the window, so it is the medium's conjugator.
+    So a walk's base-0 node is its least id and its next node has base 1:
+    each walk is already in ``_induced_n_cycles``' canonical rotation and
+    direction, and the cycles are sorted as that search sorts them.
     """
     p = b.presentation
     n = p.n
-    sx = ScriptXBall(presentation=p)
-    sx.nodes = list(vertex_mediums(b))
+    sx = ScriptXBall(presentation=p, nodes=list(vertex_mediums(b)))
     if len(set(sx.nodes)) != len(sx.nodes):
         raise ValidationError("subgroup encodings collide: ball is inconsistent")
 
-    ends: dict[tuple[int, tuple[Syllable, ...]], list[CSubgroup]] = {}
-    for h in sx.nodes:
+    # each vertex group's syllables, made once per rebuild
+    syllables = [[Syllable(v, x) for x in p.group(v).nontrivial_elements()]
+                 for v in range(n)]
+    ends: dict[tuple[int, tuple[Syllable, ...]], list[int]] = {}
+    for x, h in enumerate(sx.nodes):
         for label in (h.base, (h.base + 1) % n):
-            for rep in _edge_cosets(h, label):
-                ends.setdefault((label, rep.word), []).append(h)
-    up: dict[CSubgroup, set[CSubgroup]] = {h: set() for h in sx.nodes}
-    for (label, word), bucket in ends.items():
+            for word in _edge_cosets(h, label, syllables):
+                ends.setdefault((label, word), []).append(x)
+    up: list[list[int]] = [[] for _ in sx.nodes]
+    for key, bucket in ends.items():
         if len(bucket) > 2:
+            label, word = key
             raise InvariantError(
                 f"edge {label}|{format_word(GroupElement(p, word))} has more than two ends",
-                sorted(h.key_string() for h in bucket))
+                sorted(sx.nodes[x].key_string() for x in bucket))
         if len(bucket) == 2:
-            h1, h2 = bucket
-            sx.arcs[frozenset(bucket)] = CSubgroup(MAXIMAL, label, GroupElement(p, word))
-            if h1.base == label:
-                h1, h2 = h2, h1
-            up[h1].add(h2)
+            u, w = bucket   # in id order, as the nodes are read
+            sx.arcs[u, w] = key
+            if sx.nodes[u].base == key[0]:
+                u, w = w, u
+            up[u].append(w)
 
-    starts = [h for h in sx.nodes if h.base == 0]
-    sx.cycles = sorted(_winding_cycles(up, starts, n),
-                       key=lambda c: [h.sort_key() for h in c])
+    starts = [x for x, h in enumerate(sx.nodes) if h.base == 0]
+    sx.cycles = sorted(_winding_cycles(up, starts, n))
     return sx
 
 
@@ -398,22 +414,19 @@ def phi_iso_check(b: ComplexBall, seed: int = 0, samples: int = 50) -> Report:
                set(encode) == set(sx.nodes))
 
     # both edge sets on the interior vertices, as id pairs in key order (an
-    # edge's ends already are); sorted, the pairs come in the order of
-    # combinations(sorted(interior), 2)
+    # edge's ends and an arc's key already are); sorted, the pairs come in
+    # the order of combinations(sorted(interior), 2)
     interior = set(t.interior_vertices())
     x_edges = {(u, w) for u, w in zip(t.edges[2::4], t.edges[3::4])
                if u in interior and w in interior}
-    decode = {h: x for x, h in enumerate(encode)}
-    arc_ends = (tuple(sorted(decode[h] for h in pair)) for pair in sx.arcs)
-    sx_edges = {ends for ends in arc_ends if interior.issuperset(ends)}
+    sx_edges = {(u, w) for u, w in sx.arcs if u in interior and w in interior}
     bad = [(t.vertex_key(u), t.vertex_key(w), (u, w) in x_edges, (u, w) in sx_edges)
            for u, w in sorted(x_edges ^ sx_edges)]
     k = len(interior)
     report.add("phi.edges-preserved-both-ways", f"interior-pairs={k * (k - 1) // 2}",
                not bad, bad[:10] or None)
 
-    # interior polygons map onto induced-cycle faces
-    n = b.presentation.n
+    # interior polygons map onto induced-cycle faces, both as id sets
     cycle_sets = {frozenset(c) for c in sx.cycles}
     bad_faces = []
     interior_polys = 0
@@ -421,7 +434,7 @@ def phi_iso_check(b: ComplexBall, seed: int = 0, samples: int = 50) -> Report:
         corners = t.corners(k)
         if interior.issuperset(corners):
             interior_polys += 1
-            if frozenset(map(encode.__getitem__, corners)) not in cycle_sets:
+            if frozenset(corners) not in cycle_sets:
                 bad_faces.append(format_word(g))
     report.add("phi.polygons-map-to-cycles", f"interior-polygons={interior_polys}",
                not bad_faces, bad_faces or None)

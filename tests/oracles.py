@@ -126,9 +126,13 @@ of conjugating the window's own short elements.
 
 The arc oracle rebuilds the abstract complex's arcs by running the join on
 every pair of mediums that share a containing maximal, instead of bucketing
-the nodes' edge cosets.  The phi-edge oracle tests every pair of interior
-vertices for adjacency in the ball and, through their mediums, in the
-rebuild, instead of comparing the two edge sets.
+the nodes' edge cosets, and keys them by their two mediums, each with its
+maximal; ``decoded_arcs`` reads the rebuild's id-form arcs the same way.
+The phi-edge oracle tests every pair of interior vertices for adjacency in
+the ball and, through their mediums' places among the rebuild's nodes, in
+the rebuild, instead of comparing the two edge sets.  Subgroups are ordered
+by ``subgroup_sort_key`` (tier size, base, conjugator), the order the
+rebuild's nodes come in.
 
 The JSON-export oracle builds the ball's record document as dicts and
 encodes it with ``json.dumps(doc, indent=2, sort_keys=True)``, against which
@@ -634,6 +638,11 @@ def closure_join(h1: CSubgroup, h2: CSubgroup, L: int):
     return closure >= subgroup_truncation(candidate, L), closure, candidate
 
 
+def subgroup_sort_key(h: CSubgroup) -> tuple:
+    """A subgroup's order key: its window's size, its base, its conjugator."""
+    return (len(h.window), h.base, h.conjugator)
+
+
 def bucket_pairs(b):
     """Every pair of the ball's mediums that share a containing maximal."""
     buckets = {}
@@ -643,11 +652,12 @@ def bucket_pairs(b):
             buckets.setdefault(m, []).append(h)
     for bucket in buckets.values():
         yield from itertools.combinations(
-            sorted(bucket, key=CSubgroup.sort_key), 2)
+            sorted(bucket, key=subgroup_sort_key), 2)
 
 
 def script_x_arcs_by_pairs(b) -> dict:
-    """``build_script_X_ball(b).arcs`` from the join of every bucket pair."""
+    """``build_script_X_ball(b).arcs``, decoded (``decoded_arcs``), from the
+    join of every bucket pair."""
     arcs = {}
     for h1, h2 in bucket_pairs(b):
         ok, candidate = join_is_cmaximal(h1, h2)
@@ -656,12 +666,20 @@ def script_x_arcs_by_pairs(b) -> dict:
     return arcs
 
 
+def decoded_arcs(sx) -> dict:
+    """The rebuild's arcs as {frozenset of its two mediums: its maximal}."""
+    p = sx.presentation
+    return {frozenset((sx.nodes[u], sx.nodes[w])): CSubgroup(MAXIMAL, label, GroupElement(p, word))
+            for (u, w), (label, word) in sx.arcs.items()}
+
+
 def script_x_graph(sx) -> dict:
-    """The rebuild's 1-skeleton as an adjacency dict, every node a key."""
-    g = {h: set() for h in sx.nodes}
-    for h1, h2 in sx.arcs:
-        g[h1].add(h2)
-        g[h2].add(h1)
+    """The rebuild's 1-skeleton as an adjacency dict over node ids, every
+    node a key."""
+    g = {x: set() for x in range(len(sx.nodes))}
+    for u, w in sx.arcs:
+        g[u].add(w)
+        g[w].add(u)
     return g
 
 
@@ -669,7 +687,8 @@ def phi_edge_mismatches_by_pairs(b, sx) -> tuple[int, list]:
     """(pairs, mismatches) of ``phi.edges-preserved-both-ways`` on the ball
     ``b`` and its rebuild ``sx``: every pair u < w of interior vertices whose
     adjacency in ``b`` differs from that of their mediums in ``sx``, as
-    (u key, w key, adjacent in b, adjacent in sx)."""
+    (u key, w key, adjacent in b, adjacent in sx).  A medium is found among
+    the rebuild's nodes by its encoding, not by the vertex's id."""
     b = objects(b)
     skel = {v: set() for v in b.vertices if v in b.interior_vertices}
     for e in b.edges:
@@ -678,11 +697,12 @@ def phi_edge_mismatches_by_pairs(b, sx) -> tuple[int, list]:
             skel[u].add(w)
             skel[w].add(u)
     sxg = script_x_graph(sx)
+    place = {h: x for x, h in enumerate(sx.nodes)}
     pairs, bad = 0, []
     for u, w in itertools.combinations(sorted(skel), 2):
         pairs += 1
         x_adj = w in skel[u]
-        sx_adj = medium_of_vertex(w) in sxg[medium_of_vertex(u)]
+        sx_adj = place[medium_of_vertex(w)] in sxg[place[medium_of_vertex(u)]]
         if x_adj != sx_adj:
             bad.append((u.key_string(), w.key_string(), x_adj, sx_adj))
     return pairs, bad

@@ -28,7 +28,9 @@ from cyclewall.errors import InvariantError, ValidationError
 from cyclewall.walls import adjacency_criterion_audit, vertex_stabilizer_criterion_audit
 from cyclewall.localgroups import cyclic_group, integers_group
 from cyclewall.words import (
+    GroupElement,
     Presentation,
+    Syllable,
     from_syllable,
     identity,
     mul,
@@ -39,6 +41,7 @@ from cyclewall.words import (
 from oracles import (
     bucket_pairs,
     closure_join,
+    decoded_arcs,
     edge_cosets_by_products,
     object_ball,
     parabolic_normalizer,
@@ -46,6 +49,7 @@ from oracles import (
     script_x_arcs_by_pairs,
     script_x_graph,
     shared_edge_both_labels,
+    subgroup_sort_key,
 )
 
 
@@ -195,7 +199,8 @@ def test_phi_iso_check_fails_without_shared_edges(c5_z2, monkeypatch):
     and without shared edges the join misses adjacencies."""
     edge_cosets = algebraic._edge_cosets
     monkeypatch.setattr(algebraic, "_edge_cosets",
-                        lambda h, label: edge_cosets(h, label) if label == h.base else [])
+                        lambda h, label, syllables:
+                        edge_cosets(h, label, syllables) if label == h.base else [])
     report = phi_iso_check(build_ball(c5_z2, 2))
     assert "phi.edges-preserved-both-ways" in {
         r.check_id for r in report.failures}
@@ -282,22 +287,22 @@ def rebuilt(request):
 
 def test_rebuild_arcs_match_pair_oracle(rebuilt):
     """Bucketing edge cosets finds the arcs that joining every pair of
-    mediums sharing a maximal finds, with the same maximals."""
+    mediums sharing a maximal finds, with the same maximals: each arc is
+    keyed by its nodes' ids in order, and decodes to its two mediums and
+    the maximal ``CSubgroup(MAXIMAL, label, GroupElement(p, word))``."""
     b, sx = rebuilt
-    assert sx.arcs == script_x_arcs_by_pairs(b)
+    assert all(u < w for u, w in sx.arcs)
+    assert decoded_arcs(sx) == script_x_arcs_by_pairs(b)
     assert len(sx.arcs) == len(b.edges)
 
 
 def test_rebuild_cycles_match_unrestricted_search(rebuilt):
     """The winding walks find every induced n-cycle of the rebuilt skeleton,
-    in the search's rotation and order: the nodes come in ``sort_key``
-    order, so the search runs over their places."""
+    in the search's rotation and order: the nodes come in
+    ``subgroup_sort_key`` order, so the search runs over their ids."""
     b, sx = rebuilt
-    assert sx.nodes == sorted(sx.nodes, key=CSubgroup.sort_key)
-    place = {h: k for k, h in enumerate(sx.nodes)}
-    graph = {place[h]: set(map(place.__getitem__, hs)) for h, hs in script_x_graph(sx).items()}
-    assert [tuple(map(place.__getitem__, c)) for c in sx.cycles] == \
-        _induced_n_cycles(graph, sx.presentation.n)
+    assert sx.nodes == sorted(sx.nodes, key=subgroup_sort_key)
+    assert sx.cycles == _induced_n_cycles(script_x_graph(sx), sx.presentation.n)
     assert len(sx.cycles) == len(b.polygons)
 
 
@@ -305,11 +310,14 @@ def test_edge_cosets_are_the_products(rebuilt):
     """Splicing the other window syllable into a medium's conjugator writes
     out the products c·x, each once, for every node and both labels."""
     b, sx = rebuilt
+    p = sx.presentation
+    syllables = [[Syllable(v, x) for x in p.group(v).nontrivial_elements()]
+                 for v in range(p.n)]
     for h in sx.nodes:
-        for label in (h.base, (h.base + 1) % sx.presentation.n):
-            reps = _edge_cosets(h, label)
-            assert len(set(reps)) == len(reps)
-            assert set(reps) == edge_cosets_by_products(h, label), \
+        for label in (h.base, (h.base + 1) % p.n):
+            words = _edge_cosets(h, label, syllables)
+            assert len(set(words)) == len(words)
+            assert {GroupElement(p, w) for w in words} == edge_cosets_by_products(h, label), \
                 (h.key_string(), label)
 
 
@@ -320,7 +328,7 @@ def test_subgroup_hash_is_the_field_tuple_hash(rebuilt):
     for h in sx.nodes:
         for k in [h, *containing_maximals(h)]:
             assert hash(k) == hash((k.tier, k.base, k.conjugator))
-    for m in sx.arcs.values():
+    for m in decoded_arcs(sx).values():
         assert hash(m) == hash((m.tier, m.base, m.conjugator))
 
 
@@ -395,28 +403,32 @@ def test_phi_edge_row_matches_pair_oracle(name, radius, request):
     assert not _assert_phi_edge_row_matches_pair_oracle(b, build_script_X_ball(b))
 
 
-def _interior_nodes(b):
-    return [medium_of_vertex(v) for v in sorted(b.interior_vertices)]
+def _interior_nodes(b, sx):
+    """The rebuild's node ids of the ball's interior vertices, found by
+    their mediums, in order."""
+    place = {h: x for x, h in enumerate(sx.nodes)}
+    return sorted(place[medium_of_vertex(v)] for v in b.interior_vertices)
 
 
 def _drop_interior_arcs(b, sx):
     """Drop every arc between interior nodes: more mismatches than a witness holds."""
-    interior = set(_interior_nodes(b))
-    for pair in [pair for pair in sx.arcs if pair <= interior]:
+    interior = set(_interior_nodes(b, sx))
+    for pair in [pair for pair in sx.arcs if interior.issuperset(pair)]:
         del sx.arcs[pair]
 
 
 def _gain_interior_arc(b, sx):
     """Add one arc between two interior nodes that no arc joins."""
-    nodes = _interior_nodes(b)
-    pair = next(frozenset(pair) for pair in itertools.combinations(nodes, 2)
-                if frozenset(pair) not in sx.arcs)
-    sx.arcs[pair] = CSubgroup(MAXIMAL, 0, identity(b.presentation))
+    nodes = _interior_nodes(b, sx)
+    pair = next(pair for pair in itertools.combinations(nodes, 2)
+                if pair not in sx.arcs)
+    sx.arcs[pair] = (0, ())
 
 
 def _drop_one_gain_one(b, sx):
     e = next(e for e in b.edges if b.interior_vertices.issuperset(e.ends))
-    del sx.arcs[frozenset(medium_of_vertex(v) for v in e.ends)]
+    place = {h: x for x, h in enumerate(sx.nodes)}
+    del sx.arcs[tuple(sorted(place[medium_of_vertex(v)] for v in e.ends))]
     _gain_interior_arc(b, sx)
 
 
@@ -504,10 +516,50 @@ def test_join_agreement_fails_when_every_pair_joins(c5_z2, monkeypatch):
 
 
 def test_rebuild_rejects_an_edge_with_three_ends(c5_z2, monkeypatch):
+    """Every node gives the empty word for both labels: the first bucket,
+    label 0's, holds every node with label 0, and its witness lists them."""
     monkeypatch.setattr(algebraic, "_edge_cosets",
-                        lambda h, label: {identity(h.presentation)})
-    with pytest.raises(InvariantError, match="more than two ends"):
-        build_script_X_ball(build_ball(c5_z2, 1))
+                        lambda h, label, syllables: [()])
+    b = build_ball(c5_z2, 1)
+    with pytest.raises(InvariantError, match="more than two ends") as raised:
+        build_script_X_ball(b)
+    assert raised.value.witness == sorted(
+        h.key_string() for h in vertex_mediums(b) if 0 in (h.base, (h.base + 1) % c5_z2.n))
+
+
+def test_rebuild_ignores_the_tables_edges(c5_z2):
+    """The rebuild splices its arcs' words from the mediums' conjugators and
+    never reads the table's edge records: with one interior X-edge's end id
+    moved to a vertex outside the interior, its arcs are unchanged, and the
+    phi check, which compares the two, names that pair."""
+    b = build_ball(c5_z2, 2)
+    t = b.table
+    want = build_script_X_ball(build_ball(c5_z2, 2)).arcs
+    interior = set(t.interior_vertices())
+    e = next(e for e in range(len(t.edges) // 4) if interior.issuperset(t.ends(e)))
+    u, w = t.ends(e)
+    t.edges[4 * e + 3] = next(x for x in range(len(t.vertices) // 2) if x not in interior)
+    assert build_script_X_ball(b).arcs == want
+    [row] = [r for r in phi_iso_check(b).results
+             if r.check_id == "phi.edges-preserved-both-ways"]
+    assert row.status == "fail"
+    assert row.witness == [(t.vertex_key(u), t.vertex_key(w), False, True)]
+
+
+def test_rebuild_makes_no_subgroup_once_the_mediums_are_encoded(c5_z2, monkeypatch):
+    """The rebuild keeps its arcs as id pairs with their (label, word)
+    bucket keys: once the ball's mediums are encoded it makes no
+    ``CSubgroup`` and no ``GroupElement``."""
+    b = build_ball(c5_z2, 3)
+    vertex_mediums(b)
+    made = []
+    for name in ("CSubgroup", "GroupElement"):
+        make = getattr(algebraic, name)
+        monkeypatch.setattr(algebraic, name,
+                            lambda *args, make=make: made.append(args) or make(*args))
+    sx = build_script_X_ball(b)
+    assert made == []
+    assert len(sx.arcs) == len(b.table.edges) // 4
 
 
 # -- induced cycles -----------------------------------------------------------------

@@ -66,6 +66,7 @@ from oracles import (
     objects,
     subdivide,
     parabolic_ball_by_scan,
+    subgroup_sort_key,
     sweep_closure,
     sweep_stabilizes_wall,
     treewall_of_edge,
@@ -469,7 +470,7 @@ def test_stabilizers_and_parabolic_balls_match_the_scans(name, radius, L):
             wall_stabilizer_by_scan(b, T, L), T.key_string()
         subgroups |= {T.stabilizer, T.fixator}
         subgroups |= {medium_of_vertex(v) for v in wall_objects(b, T).vertex_set}
-    for H in sorted(subgroups, key=CSubgroup.sort_key):
+    for H in sorted(subgroups, key=subgroup_sort_key):
         assert walls._parabolic_ball(b, H, L) == \
             parabolic_ball_by_scan(b, H, L), H.key_string()
 
