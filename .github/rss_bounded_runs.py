@@ -73,6 +73,12 @@ ROWS = [
      ["verify", "--suite", "walls", "--radius", "4", "--depth", "3", "--seed", "0",
       "--presentation", C6_MIXED], 0,
      "cc5b97f22b1c5ca77a10f4cb3a61475f07fe65b99001156bcc1b22e3e6e357e0", 120, 73),
+    # the rebuild on an odd n at radius 4; bounded at 1.2 x the 27.5 MB
+    # measured when the row was added
+    ("Radius-4 algebraic report is byte-identical",
+     ["verify", "--suite", "algebraic", "--radius", "4", "--depth", "3", "--seed", "0",
+      "--presentation", C5_Z3], 0,
+     "8c94dbb1a2206bf3905efe67babdb0668d687aaa8feca038afc4221a9c4e3415", 60, 33),
     # mediums, the interior skeleton and the polygons are read off the
     # ball's integer table by id, and the rebuild keeps its arcs as id
     # pairs with their (label, word) keys; bounded at 1.2 x the 74.5 MB

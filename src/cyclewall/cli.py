@@ -206,13 +206,13 @@ def walls_suite(b: davis.ComplexBall, depth: int, seed: int) -> Report:
     # 25 pairs of walls, drawn as the shuffle of the list of all pairs would
     # draw them: its draws depend on the length alone, so the ranks of the
     # pairs in combinations order are shuffled instead, and each is unranked
-    ws, w = list(cg.walls.values()), len(cg.walls)
+    w = len(cg.walls)
     ranks = array("I", range(w * (w - 1) // 2))
     random.Random(seed).shuffle(ranks)
     for m in ranks[:25]:
         i = w - 2 - (isqrt(8 * (len(ranks) - 1 - m) + 1) - 1) // 2   # pair m is (i, j)
         j = m - i * (2 * w - i - 1) // 2 + i + 1
-        report.extend(walls.classify_pair(b, cg, ws[i], ws[j], depth))
+        report.extend(walls.classify_pair(b, cg, i, j, depth))
     return report
 
 

@@ -13,8 +13,10 @@ table lists, O(1) per edge; the buckets are keyed by (label, key number)
 and sorted as integer pairs, O(E) and O(W log W) for E edges and W walls,
 which is the keys' order, as rep numbers come in (len, word) order; and a
 ``TreeWall`` holds its edges' ids and reads its vertices and reps off the
-table.  Audits name vertices and edges by their key strings
-(``BallTable.vertex_key`` and ``BallTable.edge_key``).
+table.  A wall is named by its index in ``walls_of_ball``, whose order is
+the keys' order, in the crossing graph and every audit.  Audits name
+vertices and edges by their key strings (``BallTable.vertex_key`` and
+``BallTable.edge_key``), and walls by ``TreeWall.key_string``.
 
 Stabilizer audits compare the geometric action on in-ball edges against
 membership in ``algebraic.CSubgroup``, the package's one encoding of a
@@ -32,15 +34,19 @@ Generation and vertex membership are decided exactly: two wall vertices
 generate the wall stabilizer when their mediums join to the wall's maximal
 (``algebraic.join_is_cmaximal``, one canonical word per pair), and a
 vertex's stabilizer stabilizes the wall when the wall's maximal contains the
-vertex's medium (``algebraic.containing_maximals``).
+vertex's medium (``algebraic.containing_maximals``).  The membership audit
+reads that from two indexes, the walls by stabilizer and the walls through
+each vertex, in O(V + W): only the walls with one of a vertex's two
+maximals and the walls through it can disagree.
 
 Cost: each X-vertex lies on at most two walls, so the crossing graph buckets
 walls by their edges' end vertex ids in O(E) rather than comparing every
 pair of walls: each arc holds the ids of the vertices its walls share.
-Graphs are plain adjacency dicts (``CrossingGraph.neighbors``), and one
-level-by-level breadth-first search over a neighbour function
-(``_bfs_levels``) serves crossing-graph distances (one search per source
-wall, kept on the graph), wall connectivity and minimal sets; the last
+The crossing graph is lists by wall index (``CrossingGraph.neighbors``
+holds a set of indices per wall), and one level-by-level breadth-first
+search over a neighbour function (``_bfs_levels``) serves crossing-graph
+distances (one search per source wall, kept on the graph), wall
+connectivity and minimal sets; the last
 runs over the vertex ids of X' (``davis.Subdivision``), each vertex's
 neighbours read off the squares at it, and stops at the first level that
 reaches the other wall.  No element ball is scanned: a
@@ -48,9 +54,11 @@ wall's truncated stabilizer is its short transporters r'·x·r^-1 between
 its edges, each of which stabilizes it, and a truncated ``w<G_S>w^-1`` is
 found by conjugating the short elements of <G_S>.  The geometric test
 ``_stabilizes_wall`` only tells which elements of a parabolic move no wall
-edge into the ball.  The walls, the subdivision X', the window balls, each
-truncated parabolic subgroup and the per-wall truncated stabilizers are
-built once per ball, on first use, and kept on the ball
+edge into the ball; the edge (i, m), m minimal modulo G_i, is in the ball
+iff |m| <= r, the interior rule of ``davis`` one rank down, so no set of
+the ball's edges is kept.  The walls, the subdivision X', the window
+balls, each truncated parabolic subgroup and the per-wall truncated
+stabilizers are built once per ball, on first use, and kept on the ball
 (``ComplexBall.derived``); they live and die with it.  A wall's fixator is
 read off its stabilizer.  No audit here reads the ball's incidence maps:
 the shared-polygon audit files each polygon's sides under the walls that
@@ -139,10 +147,6 @@ class TreeWall:
             self._reps = frozenset(t.reps[t.edges[4 * k + 1]] for k in self.ids)
         return self._reps
 
-    @property
-    def key(self) -> tuple:
-        return (self.label, self.key_rep)
-
     def key_string(self) -> str:
         return f"T{self.label}@{format_word(self.key_rep) or 'e'}"
 
@@ -184,22 +188,31 @@ def _walls(t: BallTable) -> list[TreeWall]:
 @dataclass
 class CrossingGraph:
     """The crossing graph of a ball: its walls, and arcs between walls sharing
-    a vertex."""
+    a vertex.  A wall is named by its index in ``walls``."""
 
-    walls: dict[tuple, TreeWall]        # key -> wall, in key order
+    walls: list[TreeWall]   # ``walls_of_ball``, in key order
     # (k1, k2) with k1 < k2 -> the ids of their shared vertices, in key
-    # order, in key-pair order
-    crossings: dict[tuple[tuple, tuple], list[int]]
-    neighbors: dict[tuple, set[tuple]]  # key -> keys of the walls it crosses
-    # key -> the distance of each wall it reaches, from one search made on
+    # order, in index-pair order
+    crossings: dict[tuple[int, int], list[int]]
+    neighbors: list[set[int]]   # by index: the walls it crosses
+    # index -> the distance of each wall it reaches, from one search made on
     # first use (``delta``)
-    distances: dict[tuple, dict[tuple, int]] = field(default_factory=dict, repr=False)
+    distances: dict[int, dict[int, int]] = field(default_factory=dict, repr=False)
 
     def number_of_nodes(self) -> int:
         return len(self.walls)
 
     def number_of_edges(self) -> int:
         return len(self.crossings)
+
+
+def _walls_at(walls: list[TreeWall]) -> dict[int, list[int]]:
+    """Vertex id -> the indices of the walls through it, in index order."""
+    at: dict[int, list[int]] = {}
+    for k, T in enumerate(walls):
+        for x in T.vertex_set:
+            at.setdefault(x, []).append(k)
+    return at
 
 
 def crossing_graph(b: ComplexBall) -> CrossingGraph:
@@ -211,20 +224,15 @@ def crossing_graph(b: ComplexBall) -> CrossingGraph:
     holds its shared vertices' ids, so no cell object is made.
     """
     walls = walls_of_ball(b)
-    on_vertex: dict[int, list[int]] = {}
-    for k, T in enumerate(walls):
-        for x in T.vertex_set:
-            on_vertex.setdefault(x, []).append(k)
     common: dict[tuple[int, int], list[int]] = {}
-    for x, ks in on_vertex.items():
+    for x, ks in _walls_at(walls).items():
         for pair in itertools.combinations(ks, 2):
             common.setdefault(pair, []).append(x)
-    cg = CrossingGraph({T.key: T for T in walls}, {}, {T.key: set() for T in walls})
+    cg = CrossingGraph(walls, {}, [set() for _ in walls])
     for k1, k2 in sorted(common):   # the order of a pairwise scan of the walls
-        key1, key2 = walls[k1].key, walls[k2].key
-        cg.crossings[key1, key2] = sorted(common[k1, k2])   # vertex ids come in key order
-        cg.neighbors[key1].add(key2)
-        cg.neighbors[key2].add(key1)
+        cg.crossings[k1, k2] = sorted(common[k1, k2])   # vertex ids come in key order
+        cg.neighbors[k1].add(k2)
+        cg.neighbors[k2].add(k1)
     return cg
 
 
@@ -239,8 +247,9 @@ def _bfs_levels(neighbors: Callable[[Hashable], Iterable[Hashable]],
         seen |= level
 
 
-def delta(cg: CrossingGraph, k1: tuple, k2: tuple) -> tuple[float, bool]:
-    """(distance, exact?) in the crossing graph.
+def delta(cg: CrossingGraph, k1: int, k2: int) -> tuple[float, bool]:
+    """(distance, exact?) between the walls of indices k1 and k2 in the
+    crossing graph.
 
     Unreachable pairs get (inf, False): within the ball only a lower bound on
     the true distance is observable.  The distances from k1 come from one
@@ -265,16 +274,15 @@ def _stabilizes_wall(b: ComplexBall, g: GroupElement, T: TreeWall) -> Optional[b
     """Guarded geometric test; None when no image of a wall edge is observable.
 
     An X-edge is its (label, coset rep) pair, so g moves the edge (i, r) to
-    (i, coset_rep(g r, {i})): one product and one coset rep per edge.
+    (i, coset_rep(g r, {i})): one product and one coset rep per edge.  The
+    edge (i, m), m minimal modulo G_i, is in the ball iff |m| <= r: the
+    polygons on it are m·x, x in G_i, and the shortest is m itself.
     """
-    t = b.table
-    in_ball = b.derive("edge_keys", lambda: set(
-        zip(t.edges[0::4], map(t.reps.__getitem__, t.edges[1::4]))))
     window = (T.label,)
     observed = False
     for rep in T.edge_reps:
         moved = coset_rep(mul(g, rep), window)
-        if (T.label, moved) in in_ball:
+        if moved.syllable_length <= b.radius:
             observed = True
             if moved not in T.edge_reps:
                 return False
@@ -409,9 +417,9 @@ def wall_fixator_audit(b: ComplexBall, L: int) -> Report:
     return report
 
 
-def classify_pair(b: ComplexBall, cg: CrossingGraph, T1: TreeWall, T2: TreeWall,
-                  L: int) -> Report:
-    """Compare the truncated pair stabilizer with the distance classification:
+def classify_pair(b: ComplexBall, cg: CrossingGraph, k1: int, k2: int, L: int) -> Report:
+    """Compare the truncated pair stabilizer of the walls of indices k1 and
+    k2 with the distance classification:
 
     crossing walls share a full vertex stabilizer; distance-2 walls share the
     connecting wall's fixator; further walls share only the identity (reported
@@ -419,12 +427,13 @@ def classify_pair(b: ComplexBall, cg: CrossingGraph, T1: TreeWall, T2: TreeWall,
     """
     report = Report()
     p = b.presentation
-    d, exact = delta(cg, T1.key, T2.key)
+    T1, T2 = cg.walls[k1], cg.walls[k2]
+    d, exact = delta(cg, k1, k2)
     inter = wall_stabilizer_truncated(b, T1, L) & wall_stabilizer_truncated(b, T2, L)
     inst = f"{T1.key_string()}|{T2.key_string()} L={L} delta={d}"
 
     if d == 1:
-        common = cg.crossings[min(T1.key, T2.key), max(T1.key, T2.key)]
+        common = cg.crossings[min(k1, k2), max(k1, k2)]
         ok = len(common) == 1
         report.add("walls.crossing-walls-meet-once", inst, ok,
                    None if ok else [b.table.vertex_key(x) for x in common])
@@ -434,7 +443,7 @@ def classify_pair(b: ComplexBall, cg: CrossingGraph, T1: TreeWall, T2: TreeWall,
                    None if inter == expect else sorted(
                        format_word(g) for g in inter ^ expect))
     elif d == 2:
-        mids = sorted(cg.neighbors[T1.key] & cg.neighbors[T2.key])
+        mids = sorted(cg.neighbors[k1] & cg.neighbors[k2])
         expects = [_parabolic_ball(b, cg.walls[mid].fixator, L) for mid in mids]
         ok = any(inter == e for e in expects)
         report.add("walls.pair-stabilizer-delta2-is-connecting-fixator", inst, ok,
@@ -488,7 +497,7 @@ def min_set(b: ComplexBall, T1: TreeWall, T2: TreeWall) -> tuple[set[int], int, 
 def min_set_audit(b: ComplexBall, cg: CrossingGraph) -> Report:
     """Minimal sets have diameter at most twice the wall distance."""
     report = Report()
-    pairs = itertools.islice(itertools.combinations(cg.walls, 2), MIN_SET_PAIRS)
+    pairs = itertools.islice(itertools.combinations(range(len(cg.walls)), 2), MIN_SET_PAIRS)
     for k1, k2 in pairs:
         T1, T2 = cg.walls[k1], cg.walls[k2]
         closest, d, diam = min_set(b, T1, T2)
@@ -641,27 +650,33 @@ def wall_no_shared_polygon_audit(b: ComplexBall) -> Report:
 
 
 def vertex_stabilizer_criterion_audit(b: ComplexBall) -> Report:
-    """stab(v) stabilizes T exactly when v lies on T.
+    """stab(v) stabilizes T exactly when v lies on T, for every interior
+    vertex v and wall T.
 
     Decided exactly: stab(v) is the medium of v (``vertex_mediums``), and it
     lies in the wall's stabilizer, the maximal ``T.stabilizer``, exactly
-    when that maximal is one of the two containing the medium.
+    when that maximal is one of the two containing the medium.  So only the
+    walls with one of those stabilizers and the walls through v can
+    disagree: both are read from an index of the walls, by stabilizer and
+    by vertex, in O(V + W).
     """
     report = Report()
     t = b.table
-    walls = [(T, T.stabilizer, T.vertex_set) for T in walls_of_ball(b)]
+    ws = walls_of_ball(b)
+    by_stabilizer: dict[CSubgroup, list[int]] = {}
+    for k, T in enumerate(ws):
+        by_stabilizer.setdefault(T.stabilizer, []).append(k)
+    through = _walls_at(ws)
     encode = vertex_mediums(b)
+    inside = t.interior_vertices()
     bad = []
-    checked = 0
-    for v in t.interior_vertices():
-        maximals = containing_maximals(encode[v])
-        for T, stab_T, on_T in walls:
-            checked += 1
-            stabilizes = stab_T in maximals
-            if stabilizes != (v in on_T):
-                bad.append((t.vertex_key(v), T.key_string(), stabilizes))
+    for v in inside:
+        stabilized = {k for H in containing_maximals(encode[v])
+                      for k in by_stabilizer.get(H, ())}
+        bad.extend((t.vertex_key(v), ws[k].key_string(), k in stabilized)
+                   for k in sorted(stabilized.symmetric_difference(through.get(v, ()))))
     report.add("walls.vertex-stabilizer-detects-membership",
-               f"pairs={checked}", not bad, bad or None)
+               f"pairs={len(inside) * len(ws)}", not bad, bad or None)
     return report
 
 

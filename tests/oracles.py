@@ -105,6 +105,11 @@ The wall oracle grows each wall through an interior edge by flood fill over
 same-label edges at shared vertices (``treewall_of_edge``) and merges the
 pieces with one key, instead of bucketing the ball's edges by key.
 
+The vertex-stabilizer oracle asks, for every pair of an interior vertex
+and a wall, whether the wall's stabilizer is one of the vertex medium's
+two containing maximals and whether the vertex lies on the wall, instead
+of reading both from an index of the walls.
+
 The normalizer oracle takes S plus every vertex adjacent to all of S, for
 any vertex set S, instead of the per-tier rule ``CSubgroup`` canonicalizes
 by.  The window-membership oracle tests ``w^-1 g w`` against a vertex set
@@ -191,6 +196,7 @@ from cyclewall.algebraic import (
     containing_maximals,
     join_is_cmaximal,
     medium_of_vertex,
+    vertex_mediums,
     window_of,
 )
 from cyclewall.autgroup import (
@@ -709,16 +715,17 @@ def phi_edge_mismatches_by_pairs(b, sx) -> tuple[int, list]:
 
 
 def crossing_graph_pairwise(b) -> nx.Graph:
-    """The crossing graph of ``b`` from a comparison of every pair of walls."""
+    """The crossing graph of ``b`` from a comparison of every pair of walls,
+    each node a wall's index in ``walls_of_ball(b)``."""
     g = nx.Graph()
     walls = walls_of_ball(b)
-    for w in walls:
-        g.add_node(w.key, wall=w)
+    for k, w in enumerate(walls):
+        g.add_node(k, wall=w)
     vertex_sets = [wall_objects(b, w).vertex_set for w in walls]
-    for (w1, s1), (w2, s2) in itertools.combinations(zip(walls, vertex_sets), 2):
+    for (k1, s1), (k2, s2) in itertools.combinations(enumerate(vertex_sets), 2):
         common = s1 & s2
         if common:
-            g.add_edge(w1.key, w2.key, vertices=sorted(common))
+            g.add_edge(k1, k2, vertices=sorted(common))
     return g
 
 
@@ -987,6 +994,27 @@ def wall_no_shared_polygon_by_pairs(b: ComplexBall, ws: list) -> Report:
                if set(edge_cells[e1]) & set(edge_cells[e2])]
         report.add("walls.no-two-edges-share-polygon", T.key_string(), not bad,
                    bad or None)
+    return report
+
+
+def vertex_stabilizer_by_pairs(b: ComplexBall) -> Report:
+    """``walls.vertex_stabilizer_criterion_audit`` by testing every pair of
+    an interior vertex and a wall of ``walls_of_ball(b)``."""
+    report = Report()
+    t = b.table
+    ws = [(T, T.stabilizer, T.vertex_set) for T in walls_of_ball(b)]
+    encode = vertex_mediums(b)
+    bad = []
+    checked = 0
+    for v in t.interior_vertices():
+        maximals = containing_maximals(encode[v])
+        for T, stab_T, on_T in ws:
+            checked += 1
+            stabilizes = stab_T in maximals
+            if stabilizes != (v in on_T):
+                bad.append((t.vertex_key(v), T.key_string(), stabilizes))
+    report.add("walls.vertex-stabilizer-detects-membership",
+               f"pairs={checked}", not bad, bad or None)
     return report
 
 

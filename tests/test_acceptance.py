@@ -139,14 +139,14 @@ def test_criterion_4_tree_wall_suite():
         ok = ok and wall_stabilizer_audit(b, 2).ok
         ok = ok and no_triple_crossing_audit(cg).ok
         ok = ok and hyperplane_treewall_audit(b).ok
-        for k1, k2 in itertools.combinations(cg.walls, 2):
+        for k1, k2 in itertools.combinations(range(len(cg.walls)), 2):
             d, _ = delta(cg, k1, k2)
             if d not in (1, 2) and d < 3:
                 continue
             key = min(d, 3)
             if delta_counts[key] >= (10 if key < 3 else 3):
                 continue
-            r = classify_pair(b, cg, cg.walls[k1], cg.walls[k2], 2)
+            r = classify_pair(b, cg, k1, k2, 2)
             ok = ok and not r.failures
             delta_counts[key] += 1
     ok = ok and delta_counts[1] >= 10 and delta_counts[2] >= 10

@@ -70,6 +70,7 @@ from oracles import (
     sweep_closure,
     sweep_stabilizes_wall,
     treewall_of_edge,
+    vertex_stabilizer_by_pairs,
     wall_no_shared_polygon_by_pairs,
     wall_stabilizer_by_scan,
     walls_by_flood_fill,
@@ -85,6 +86,11 @@ PRESENTATIONS = Path(__file__).parent.parent / "perfbench" / "presentations"
 
 def central_walls(b):
     return {w.label: w for w in walls_of_ball(b) if w.key_rep.is_identity}
+
+
+def central_indices(cg):
+    """The indices in ``cg.walls`` of the central walls, by label."""
+    return {w.label: k for k, w in enumerate(cg.walls) if w.key_rep.is_identity}
 
 
 # -- wall construction --------------------------------------------------------
@@ -268,13 +274,13 @@ def test_translated_wall_is_a_wall(c5_z2):
 def test_crossing_graph_distances(c5_z2):
     b = build_ball(c5_z2, 2)
     cg = crossing_graph(b)
-    cent = central_walls(b)
+    cent = central_indices(cg)
     # consecutive labels cross at a corner of the central polygon
     for i in range(5):
-        d, exact = delta(cg, cent[i].key, cent[(i + 1) % 5].key)
+        d, exact = delta(cg, cent[i], cent[(i + 1) % 5])
         assert d == 1 and exact
     # skip-one labels are at distance two
-    d, _ = delta(cg, cent[1].key, cent[3].key)
+    d, _ = delta(cg, cent[1], cent[3])
     assert d == 2
 
 
@@ -297,11 +303,11 @@ def test_crossing_graph_matches_pairwise_oracle(name, radius):
     b = build_ball(load_presentation(str(PRESENTATIONS / f"{name}.json")), radius)
     got, want = crossing_graph(b), crossing_graph_pairwise(b)
     assert (got.number_of_edges() > 0) == (radius > 0)
-    assert list(got.walls.items()) == list(want.nodes(data="wall"))
+    assert list(enumerate(got.walls)) == list(want.nodes(data="wall"))
     vertices = objects(b).vertices
     assert [(k1, k2, [vertices[x] for x in xs]) for (k1, k2), xs in got.crossings.items()] == \
         list(want.edges(data="vertices"))
-    assert got.neighbors == {k: set(want[k]) for k in want}
+    assert got.neighbors == [set(want[k]) for k in want]
     # crossing-graph distances agree with networkx, inf where there is no path
     for k1 in want:
         lengths = nx.shortest_path_length(want, k1)
@@ -321,7 +327,7 @@ def test_no_triple_crossing_fails_on_an_added_triangle(c5_z2):
     def far(k1, k2):
         """A wall crossing no wall that k1 or k2 crosses, or None."""
         near = cg.neighbors[k1] | cg.neighbors[k2]
-        return next((k for k in cg.walls
+        return next((k for k in range(len(cg.walls))
                      if k not in near and not cg.neighbors[k] & near), None)
 
     # the new arcs k1-k3 and k2-k3 close exactly one triangle
@@ -435,7 +441,7 @@ def test_stabilizer_cache_tells_part_of_a_wall_from_the_wall(c5_mixed):
     b = build_ball(p, 2)
     w = central_walls(b)[2]
     part = TreeWall(b.table, w.label, w.key_rep, w.ids[:1])
-    assert part.key == w.key and part.ids != w.ids
+    assert (part.label, part.key_rep) == (w.label, w.key_rep) and part.ids != w.ids
     whole = wall_stabilizer_truncated(b, w, 2)
     fresh = wall_stabilizer_truncated(build_ball(p, 2), part, 2)
     assert wall_stabilizer_truncated(b, part, 2) == fresh != whole
@@ -495,6 +501,25 @@ def test_stabilizer_audit_is_inconclusive_past_the_horizon(c5_mixed):
         assert all(walls._stabilizes_wall(b, g, T) is None for g in unobservable)
 
 
+@pytest.mark.parametrize("radius", range(4))
+@pytest.mark.parametrize("name", SIX)
+def test_an_edge_is_in_the_ball_iff_its_rep_is_short(name, radius):
+    """The length rule ``_stabilizes_wall`` reads: for every g in B(r + 2)
+    and label i, the edge (i, coset_rep(g, {i})) is an edge of the ball's
+    table iff its rep has length <= r."""
+    p = load_presentation(str(PRESENTATIONS / f"{name}.json"))
+    t = build_ball(p, radius).table
+    edges = set(zip(t.edges[0::4], map(t.reps.__getitem__, t.edges[1::4])))
+    seen = set()
+    for g in enumerate_ball_elements(p, radius + 2):
+        for i in range(p.n):
+            m = coset_rep(g, {i})
+            short = m.syllable_length <= radius
+            assert ((i, m) in edges) == short, (i, format_word(m))
+            seen.add(short)
+    assert seen == {True, False}
+
+
 def test_stabilizer_audit_fails_when_the_guard_accepts_everything(c5_mixed, monkeypatch):
     """Every transporter between edges of one wall stabilizes it, so a guard
     that accepts every candidate shows where the audit asks it whether an
@@ -538,7 +563,7 @@ def test_stabilizer_audit_fails_on_a_dropped_observable_element(c5_mixed, monkey
 def test_pair_stabilizer_classification(c5_z2):
     b = build_ball(c5_z2, 2)
     cg = crossing_graph(b)
-    cent = central_walls(b)
+    cent = central_indices(cg)
     r = classify_pair(b, cg, cent[0], cent[1], 2)
     assert r.ok and {x.check_id for x in r.results} == {
         "walls.crossing-walls-meet-once",
@@ -553,8 +578,8 @@ def test_crossing_pair_with_two_shared_vertices_fails_to_meet_once(c5_z2):
     fails its meet-once row, with both vertices as the witness."""
     b = build_ball(c5_z2, 2)
     cg = crossing_graph(b)
-    cent = central_walls(b)
-    xs = cg.crossings[cent[0].key, cent[1].key]
+    cent = central_indices(cg)
+    xs = cg.crossings[cent[0], cent[1]]
     xs.append(xs[0] + 1)
     r = classify_pair(b, cg, cent[0], cent[1], 2)
     [failure] = [x for x in r.failures if x.check_id == "walls.crossing-walls-meet-once"]
@@ -574,10 +599,11 @@ def test_far_pair_with_a_shared_stabilizer_element_is_inconclusive(c5_z2, monkey
     """An observed distance >= 3 only bounds the true one, so a non-trivial
     pair stabilizer there is reported inconclusive, never failed."""
     b = build_ball(c5_z2, 2)
-    cent = central_walls(b)
+    cg = crossing_graph(b)
+    cent = central_indices(cg)
     # a crossing pair shares a vertex stabilizer; the ball is made to see it far
     monkeypatch.setattr(walls, "delta", lambda cg, k1, k2: (3, False))
-    r = classify_pair(b, crossing_graph(b), cent[0], cent[1], 2)
+    r = classify_pair(b, cg, cent[0], cent[1], 2)
     assert [(x.check_id, x.status) for x in r.results] == [
         ("walls.pair-stabilizer-far-trivial", "inconclusive")]
     assert len(r.results[0].witness["intersection"]) > 1
@@ -589,14 +615,14 @@ def test_far_pair_search_in_radius_three(c5_z2):
     b = build_ball(p, 3)
     cg = crossing_graph(b)
     far = []
-    for k1, k2 in itertools.combinations(cg.walls, 2):
+    for k1, k2 in itertools.combinations(range(len(cg.walls)), 2):
         d, _ = delta(cg, k1, k2)
         if d >= 3:
             far.append((k1, k2, d))
     if not far:
         pytest.skip("no distance >= 3 pair within this horizon")
     k1, k2, d = far[0]
-    r = classify_pair(b, cg, cg.walls[k1], cg.walls[k2], 2)
+    r = classify_pair(b, cg, k1, k2, 2)
     assert not r.failures  # pass or honestly inconclusive
 
 
@@ -807,6 +833,58 @@ def test_vertex_stabilizer_criterion_fails_on_a_wall_missing_a_vertex(c5_z2, mon
     r = vertex_stabilizer_criterion_audit(b)
     assert [x.check_id for x in r.failures] == ["walls.vertex-stabilizer-detects-membership"]
     assert r.failures[0].witness == [(objects(b).vertices[v].key_string(), T.key_string(), True)]
+
+
+VERTEX_STABILIZER_CASES = [(name, 2) for name in SIX] + [("c5_z3", 3), ("c6_mixed", 3)]
+
+
+@pytest.mark.parametrize("name,radius", VERTEX_STABILIZER_CASES,
+                         ids=[f"{name}-r{r}" for name, r in VERTEX_STABILIZER_CASES])
+def test_vertex_stabilizer_criterion_matches_the_pairwise_oracle(name, radius):
+    """The audit read from the indexes of the walls by stabilizer and by
+    vertex gives the report that testing every (vertex, wall) pair gives."""
+    b = build_ball(load_presentation(str(PRESENTATIONS / f"{name}.json")), radius)
+    got = vertex_stabilizer_criterion_audit(b)
+    assert got.ok and got.results == vertex_stabilizer_by_pairs(b).results
+
+
+def test_vertex_stabilizer_criterion_fails_on_a_vertex_missing_from_the_index(
+        c5_z2, monkeypatch):
+    """The index of the walls through each vertex without the first wall at
+    its least interior vertex v: the audit fails with (v, that wall) as the
+    witness, where the pairwise oracle passes."""
+    b = build_ball(c5_z2, 2)
+    t = b.table
+    T = walls_of_ball(b)[0]
+    v = min(T.vertex_set & set(t.interior_vertices()))
+    exact = walls._walls_at
+
+    def dropped(ws):
+        at = exact(ws)
+        at[v] = [k for k in at[v] if k != 0]
+        return at
+
+    monkeypatch.setattr(walls, "_walls_at", dropped)
+    r = vertex_stabilizer_criterion_audit(b)
+    assert vertex_stabilizer_by_pairs(b).ok
+    assert [x.check_id for x in r.failures] == ["walls.vertex-stabilizer-detects-membership"]
+    assert r.failures[0].witness == [(t.vertex_key(v), T.key_string(), True)]
+
+
+def test_vertex_stabilizer_criterion_reads_the_maximals_once_per_vertex(c5_z3, monkeypatch):
+    """The two containing maximals are read once per interior vertex, not
+    once per (vertex, wall) pair."""
+    b = build_ball(c5_z3, 3)
+    calls = []
+
+    def counted(h):
+        calls.append(h)
+        return containing_maximals(h)
+
+    monkeypatch.setattr(walls, "containing_maximals", counted)
+    assert vertex_stabilizer_criterion_audit(b).ok
+    assert len(walls_of_ball(b)) > 1
+    assert len(calls) == len(b.table.interior_vertices())
 
 
 def test_adjacency_criterion(c5_z2):
