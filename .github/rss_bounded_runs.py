@@ -29,12 +29,14 @@ ROWS = [
     ("Radius-3 davis report is byte-identical",
      ["verify", "--suite", "davis", "--radius", "3", "--presentation", C6_MIXED], 0,
      "d47cd475a8cadd53caf011e6037c5acf56899bddc66ae2b024315377955d7dff", 60, 24),
-    # the rebuild on an even n: each shared edge coset is an arc, with no
-    # join taken; bounded at 1.2 x the 26.0 MB measured before the row was added
+    # the rebuild on an even n: arcs are looked up by the last-syllable
+    # rule, with no join taken; bounded at 1.2 x the 19.3 MB measured
+    # (21.6 MB when the edge cosets were bucketed, 26.0 MB when the row
+    # was added)
     ("Radius-3 c6_mixed algebraic report is byte-identical",
      ["verify", "--suite", "algebraic", "--radius", "3", "--depth", "3", "--seed", "0",
       "--presentation", C6_MIXED], 0,
-     "8a2f0704926f7773e617cd196f4ba4537eb17eb5272a0f4bfd0a9c7d7ad104d0", 60, 31),
+     "8a2f0704926f7773e617cd196f4ba4537eb17eb5272a0f4bfd0a9c7d7ad104d0", 60, 23),
     # the export reads the ball's integer cell table and makes no cell
     # object (34.9 MB measured, 43.7 MB when the cells were built)
     ("Radius-5 ball is byte-identical",
@@ -73,28 +75,31 @@ ROWS = [
      ["verify", "--suite", "walls", "--radius", "4", "--depth", "3", "--seed", "0",
       "--presentation", C6_MIXED], 0,
      "cc5b97f22b1c5ca77a10f4cb3a61475f07fe65b99001156bcc1b22e3e6e357e0", 120, 73),
-    # the rebuild on an odd n at radius 4; bounded at 1.2 x the 27.5 MB
-    # measured when the row was added
+    # the rebuild on an odd n at radius 4; bounded at 1.2 x the 22.8 MB
+    # measured (27.5 MB when the edge cosets were bucketed)
     ("Radius-4 algebraic report is byte-identical",
      ["verify", "--suite", "algebraic", "--radius", "4", "--depth", "3", "--seed", "0",
       "--presentation", C5_Z3], 0,
-     "8c94dbb1a2206bf3905efe67babdb0668d687aaa8feca038afc4221a9c4e3415", 60, 33),
+     "8c94dbb1a2206bf3905efe67babdb0668d687aaa8feca038afc4221a9c4e3415", 60, 27),
     # mediums, the interior skeleton and the polygons are read off the
-    # ball's integer table by id, and the rebuild keeps its arcs as id
-    # pairs with their (label, word) keys; bounded at 1.2 x the 74.5 MB
-    # measured (106.7 MB when each arc held a maximal subgroup object,
-    # 126.5 MB when the audits read the ball's cell objects)
+    # ball's integer table by id, the rebuild looks each arc up by the
+    # last-syllable rule and keeps it as an id pair with its (label, word),
+    # and no conjugator's inverse is kept; bounded at 1.2 x the 48.8 MB
+    # measured (74.5 MB when the edge cosets were bucketed, 106.7 MB when
+    # each arc held a maximal subgroup object, 126.5 MB when the audits
+    # read the ball's cell objects)
     ("Radius-5 algebraic report is byte-identical",
      ["verify", "--suite", "algebraic", "--radius", "5", "--depth", "3", "--seed", "0",
       "--presentation", C5_Z3], 0,
-     "fb679ca0bd03544245e2862d09c5196bacdc6b9a56051fdf26913e95d3baa45c", 60, 89),
-    # the rebuild on an even n at radius 4, in vertex ids; bounded at
-    # 1.2 x the 50.8 MB measured (69.3 MB when each arc held a maximal
-    # subgroup object)
+     "fb679ca0bd03544245e2862d09c5196bacdc6b9a56051fdf26913e95d3baa45c", 60, 59),
+    # the rebuild on an even n at radius 4, in vertex ids, by the
+    # last-syllable rule; bounded at 1.2 x the 34.4 MB measured (50.8 MB
+    # when the edge cosets were bucketed, 69.3 MB when each arc held a
+    # maximal subgroup object)
     ("Radius-4 c6_mixed algebraic report is byte-identical",
      ["verify", "--suite", "algebraic", "--radius", "4", "--depth", "3", "--seed", "0",
       "--presentation", C6_MIXED], 0,
-     "aaedef772ed2326ebd9f2752950a07565ee05361548e51b9dac41c7aa481db36", 60, 61),
+     "aaedef772ed2326ebd9f2752950a07565ee05361548e51b9dac41c7aa481db36", 60, 41),
 ]
 
 

@@ -14,33 +14,27 @@ window is built once per (n, tier, base).
 
 The abstract complex has the medium encodings of a ball's vertices as nodes,
 arcs where the join of two mediums is a maximal, and faces for the induced
-n-cycles, found as the walks that wind once around the base cycle.  The
-arcs are the buckets of the rebuild's hash join on edge cosets: two mediums
-share an edge coset exactly when they join, so the join itself is not
-taken there; the tests' oracle joins every pair, and ``join_agreement_audit``
-tests the join against the ball's adjacency.  The rebuild is kept in the
-ball's integers (``ScriptXBall``): a node is named by its vertex id, an arc
-is its two ids with its (label, edge coset word), a face is its nodes'
-ids, and no maximal is made.  A ball's mediums are encoded once, by vertex
-id (``vertex_mediums``), and read by the rebuild, ``phi_iso_check`` and the
-join audits, here and in ``walls``.  The audits read the ball's table
-(``davis.BallTable``) by id: the interior skeleton is id adjacency from the
-edges' end ids, polygons are their corner records, and witnesses are key
-strings.
+n-cycles, found as the walks that wind once around the base cycle.  Two
+mediums join to a maximal exactly when the vertices they encode share an
+edge, and one rule decides that, read off the conjugators' last syllables
+as ``davis.ball_table`` reads the ball (``words.maximal_syllables``): an
+edge's two ends are its rep less its maximal syllable of one or the other
+vertex next to its label (``shared_edge``).  The join reads the rule on a
+pair, and the rebuild finds each arc by looking a node's word, or that word
+less one maximal syllable, up among the nodes; neither takes a product, so
+the join never enumerates a vertex group and never comes out undecided.
+The tests' oracle decides arcs from products of edge cosets, and
+``join_agreement_audit`` tests the join against the ball's adjacency.  The
+rebuild is kept in the ball's integers (``ScriptXBall``): a node is named
+by its vertex id, an arc is its two ids with its (label, edge coset word),
+a face is its nodes' ids, and no maximal is made.  A ball's mediums are
+encoded once, by vertex id (``vertex_mediums``), and read by the rebuild,
+``phi_iso_check`` and the join audits, here and in ``walls``.  The audits
+read the ball's table (``davis.BallTable``) by id: the interior skeleton is
+id adjacency from the edges' end ids, polygons are their corner records,
+and witnesses are key strings.
 
-The rebuild writes its edge cosets out as words instead of multiplying.
-Those of a node c<G_i x G_{i+1}> are c·x for x in one of its two window
-groups.  As c is minimal modulo the window, pushing x onto c's word merges
-nothing and inserts it at an index that depends on c and x's vertex alone
-(the splice lemma), so each c·x is c's word with x spliced in
-(``_edge_cosets``); each syllable x is made once per rebuild.
-
-The join is decided exactly: two mediums c1<G_b x G_{b+1}> and
-c2<G_{b+1} x G_{b+2}> join to a maximal iff the vertices they encode share
-an edge, that is iff the canonical word of c2^-1·c1 lies in G_{b+2}·G_b
-(see ``shared_edge`` and ``join_is_cmaximal``), so the join never
-enumerates a vertex group and never comes out undecided.  The map
-(coset gH) -> (subgroup gHg^-1) is verified to be an equivariant
+The map (coset gH) -> (subgroup gHg^-1) is verified to be an equivariant
 isomorphism on interior cells.  On edges that is one comparison of two sets
 of vertex id pairs: the ball's edges between interior vertices, and the
 rebuild's arc keys between them; on polygons, of corner id sets with the
@@ -65,7 +59,7 @@ from .words import (
     Syllable,
     coset_rep,
     format_word,
-    inv,
+    maximal_syllables,
     mul,
 )
 
@@ -97,7 +91,6 @@ class CSubgroup:
     window: frozenset[int] = field(init=False, compare=False, repr=False)
     # computed once: the hash of the field tuple, (tier, base, conjugator)
     _hash: int = field(init=False, compare=False, repr=False)
-    _inverse: Optional[GroupElement] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.tier not in _TIER_OFFSETS:
@@ -122,13 +115,6 @@ class CSubgroup:
 
     def key_string(self) -> str:
         return f"{self.tier}|{self.base}|{format_word(self.conjugator)}"
-
-    @property
-    def conjugator_inverse(self) -> GroupElement:
-        """The conjugator's inverse, computed on first use."""
-        if self._inverse is None:
-            object.__setattr__(self, "_inverse", inv(self.conjugator))
-        return self._inverse
 
     def conjugated(self, g: GroupElement) -> "CSubgroup":
         """The subgroup g * self * g^-1."""
@@ -163,40 +149,12 @@ def containing_maximals(h: CSubgroup) -> list[CSubgroup]:
 # -- the join decision ---------------------------------------------------------
 
 
-def _splice_index(p: Presentation, word: tuple[Syllable, ...], v: int) -> int:
-    """Where pushing a syllable of vertex v onto ``word`` inserts it, when the
-    push merges nothing: before the leftmost syllable of greater vertex
-    after the last one that blocks v, or at the end (see ``_push_all``)."""
-    block = p.blocks[v]
-    j = len(word)
-    for k in range(len(word) - 1, -1, -1):
-        u = word[k].vertex
-        if u in block:
-            break
-        if u > v:
-            j = k
-    return j
-
-
-def _edge_cosets(h: CSubgroup, label: int,
-                 syllables: list[list[Syllable]]) -> list[tuple[Syllable, ...]]:
-    """Words of the coset reps of the edges labelled ``label`` at the X-vertex
-    encoded by a medium subgroup; ``label`` is one of its two defining
-    vertices, and ``syllables`` lists each vertex group's syllables.  They
-    are c·x for x in G_other: no window syllable strips off the right of the
-    minimal conjugator c, and ``label`` commutes with ``other``.
-
-    So no syllable of c at ``other`` commutes with everything after it (the
-    strip would remove it), and pushing (other, x) onto c's word merges
-    nothing: x is spliced in at an index that depends on c and ``other``
-    alone (``_splice_index``), the rule by which ``enumerate_ball_elements``
-    appends.  Each c·x is written out, not multiplied."""
-    p = h.presentation
-    other = (h.base + 1) % p.n if label == h.base else h.base
-    word = h.conjugator.word
-    k = _splice_index(p, word, other)
-    head, tail = word[:k], word[k:]
-    return [word] + [(*head, s, *tail) for s in syllables[other]]
+def _far_ends(p: Presentation, word: tuple[Syllable, ...],
+              v: int) -> list[tuple[Syllable, ...]]:
+    """The words the far end of the edge with rep ``word`` may have, where
+    v is the far end's window vertex off the edge's label: ``word``, and
+    ``word`` less its maximal v-syllable if it has one (``shared_edge``)."""
+    return [word, *(word[:j] + word[j + 1:] for u, j in maximal_syllables(p, word) if u == v)]
 
 
 def shared_edge(h1: CSubgroup, h2: CSubgroup) -> Optional[tuple[int, GroupElement]]:
@@ -204,28 +162,36 @@ def shared_edge(h1: CSubgroup, h2: CSubgroup) -> Optional[tuple[int, GroupElemen
 
     An edge labelled i joins an X-vertex of base i - 1 to one of base i, so
     two vertices can share only the edge labelled by the larger of two
-    cyclically adjacent bases.  For mediums c1<G_b x G_{b+1}> and
-    c2<G_{b+1} x G_{b+2}> these edges have the minimal reps c1·x (x in G_b)
-    and c2·y (y in G_{b+2}) (see ``_edge_cosets``), so one is shared iff
-    d = c2^-1·c1 equals y·x^-1.  As b and b + 2 do not commute, the
-    canonical word of d must then read [], [b+2], [b] or [b+2, b], and the
-    edge is c2·y with y its (b+2)-syllable or the identity.  No vertex group
-    is enumerated, and the normal form of d is unique (Green, *Graph
-    products of groups*, 1990), so no two edges are ever shared.
+    cyclically adjacent bases.  Take mediums c1<G_a x G_{a+1}> and
+    c2<G_{a+1} x G_{a+2}>, with conjugators minimal modulo their windows,
+    and an edge eG_{a+1}, e minimal modulo G_{a+1}.  Its end of base a is
+    ``coset_rep(e, {a, a+1})``: e less its maximal a-syllable, as e has no
+    maximal (a+1)-syllable and a commutes with a + 1.  Likewise its end of
+    base a + 1 is e less its maximal (a+2)-syllable.  Maximal syllables
+    commute pairwise, and for n >= 5 a and a + 2 do not, so e has at most
+    one of the two.  So the vertices share the edge iff c1 = c2, or c2 is
+    c1 plus a maximal a-syllable, or c1 is c2 plus a maximal
+    (a+2)-syllable, and its rep is the longer word.  Deleting a maximal
+    syllable from a canonical word leaves a canonical word (``coset_rep``),
+    so each case compares words, with no product taken and no vertex group
+    enumerated; the normal form is unique (Green, *Graph products of
+    groups*, 1990), so no two edges are ever shared.
     """
-    n = h1.presentation.n
+    p = h1.presentation
+    n = p.n
     if h2.base == (h1.base + 1) % n:
         lo, hi = h1, h2
     elif h1.base == (h2.base + 1) % n:
         lo, hi = h2, h1
     else:
         return None
-    word = mul(hi.conjugator_inverse, lo.conjugator).word
-    if word and word[-1].vertex == lo.base:
-        word = word[:-1]  # x^-1
-    if len(word) > 1 or (word and word[0].vertex != (hi.base + 1) % n):
-        return None
-    return hi.base, mul(hi.conjugator, GroupElement(h1.presentation, word))
+    c1, c2 = lo.conjugator, hi.conjugator
+    d = len(c1.word) - len(c2.word)   # the rep is the longer word
+    if d in (0, 1) and c2.word in _far_ends(p, c1.word, (hi.base + 1) % n):
+        return hi.base, c1
+    if d == -1 and c1.word in _far_ends(p, c2.word, lo.base):
+        return hi.base, c2
+    return None
 
 
 def join_is_cmaximal(h1: CSubgroup,
@@ -311,16 +277,20 @@ def build_script_X_ball(b: ComplexBall) -> ScriptXBall:
 
     The nodes are the ball's mediums by vertex id, encoded once per ball
     (``vertex_mediums``) and shared with ``phi_iso_check`` and the join
-    audits.  Arcs come from a hash join: each node's edge cosets, for both
-    of its labels, are bucketed by ``(label, word of the edge coset rep)``.
-    Each rep is the node's conjugator with one syllable spliced in
-    (``_edge_cosets``), so no product is taken, and the words are the
-    rebuild's own: the table's edge records are never read.  An edge has
-    two ends, so a bucket holds at most two nodes.  A bucket of two is an
-    arc, keyed by its two ids and valued by its bucket key, with no join
-    taken: its nodes are the ends of the edge gG_i, of bases i - 1 and i,
-    and two mediums join to a maximal exactly when they share an edge
-    (``shared_edge``), the join being g<G_{i-1}, G_i, G_{i+1}>, that is
+    audits.  Arcs are read off the conjugators' last syllables by the rule
+    ``shared_edge`` proves, through one dict from each node's (base, word)
+    to its id, and the table's edge records are never read.  A node
+    c<G_i x G_{i+1}> is an end of the edges labelled i and i + 1 with rep
+    c.  The far end of the first has base i - 1 and the word c or c less
+    its maximal (i-1)-syllable; that of the second has base i + 1 and the
+    word c or c less its maximal (i+2)-syllable (``_far_ends``).  c has at
+    most one of those two syllables, so at most three keys are looked up
+    per node, and no product is taken.  An edge has two ends, so at most
+    one word of each far end is a node's; two would be a third end, which
+    is refused.  An arc is keyed by its two ids and valued by its label and
+    rep, the longer word, with no join taken: two mediums join to a
+    maximal exactly when they share an edge, the join being
+    g<G_{i-1}, G_i, G_{i+1}>, that is
     ``CSubgroup(MAXIMAL, label, GroupElement(p, word))``.
 
     Faces are the closed n-step walks from a base-0 node along arcs to the
@@ -348,30 +318,27 @@ def build_script_X_ball(b: ComplexBall) -> ScriptXBall:
     p = b.presentation
     n = p.n
     sx = ScriptXBall(presentation=p, nodes=list(vertex_mediums(b)))
-    if len(set(sx.nodes)) != len(sx.nodes):
+    place = {(h.base, h.conjugator.word): x for x, h in enumerate(sx.nodes)}
+    if len(place) != len(sx.nodes):
         raise ValidationError("subgroup encodings collide: ball is inconsistent")
 
-    # each vertex group's syllables, made once per rebuild
-    syllables = [[Syllable(v, x) for x in p.group(v).nontrivial_elements()]
-                 for v in range(n)]
-    ends: dict[tuple[int, tuple[Syllable, ...]], list[int]] = {}
     for x, h in enumerate(sx.nodes):
-        for label in (h.base, (h.base + 1) % n):
-            for word in _edge_cosets(h, label, syllables):
-                ends.setdefault((label, word), []).append(x)
+        i, word = h.base, h.conjugator.word
+        # (label, the far end's base, its window vertex off the label)
+        for label, far, v in ((i, (i - 1) % n, (i - 1) % n),
+                              ((i + 1) % n, (i + 1) % n, (i + 2) % n)):
+            ends = [place[far, w] for w in _far_ends(p, word, v) if (far, w) in place]
+            if len(ends) > 1:
+                raise InvariantError(
+                    f"edge {label}|{format_word(GroupElement(p, word))} has more than two ends",
+                    sorted(sx.nodes[y].key_string() for y in (x, *ends)))
+            for y in ends:
+                sx.arcs[min(x, y), max(x, y)] = label, word
     up: list[list[int]] = [[] for _ in sx.nodes]
-    for key, bucket in ends.items():
-        if len(bucket) > 2:
-            label, word = key
-            raise InvariantError(
-                f"edge {label}|{format_word(GroupElement(p, word))} has more than two ends",
-                sorted(sx.nodes[x].key_string() for x in bucket))
-        if len(bucket) == 2:
-            u, w = bucket   # in id order, as the nodes are read
-            sx.arcs[u, w] = key
-            if sx.nodes[u].base == key[0]:
-                u, w = w, u
-            up[u].append(w)
+    for (u, w), (label, _) in sx.arcs.items():
+        if sx.nodes[u].base == label:
+            u, w = w, u
+        up[u].append(w)
 
     starts = [x for x, h in enumerate(sx.nodes) if h.base == 0]
     sx.cycles = sorted(_winding_cycles(up, starts, n))

@@ -253,12 +253,17 @@ def fill_loop(b: ComplexBall, loop: Sequence[int],
     (Lyndon-Schupp ch. V) gives a reduced filling a face with at most two
     interior sides, whose polygon covers a long run of the loop and whose
     glue shortens it.  The result is still validated and checked reduced.
-    Raises :class:`FillError` when no polygon fits or these glues need more
-    than ``max_faces`` faces.
+    Raises :class:`FillError` when an entry is not an X-vertex id of the
+    ball, when no polygon fits or when these glues need more than
+    ``max_faces`` faces.
     """
     loop = list(loop)
     if len(loop) < 1:
         raise FillError("empty loop")
+    nv = len(b.table.vertices) // 2
+    for v in loop:
+        if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < nv:
+            raise FillError(f"loop entry {v!r} is not an X-vertex id of the ball")
     if loop[0] == loop[-1] and len(loop) > 1:
         loop = loop[:-1]
     for v, w in zip(loop, loop[1:] + loop[:1]):

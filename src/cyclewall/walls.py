@@ -32,8 +32,9 @@ distance; distances at the ball's horizon are reported as lower bounds.
 
 Generation and vertex membership are decided exactly: two wall vertices
 generate the wall stabilizer when their mediums join to the wall's maximal
-(``algebraic.join_is_cmaximal``, one canonical word per pair), and a
-vertex's stabilizer stabilizes the wall when the wall's maximal contains the
+(``algebraic.join_is_cmaximal``: the two conjugators share an edge by the
+rule read off their last syllables, with no product taken), and a vertex's
+stabilizer stabilizes the wall when the wall's maximal contains the
 vertex's medium (``algebraic.containing_maximals``).  The membership audit
 reads that from two indexes, the walls by stabilizer and the walls through
 each vertex, in O(V + W): only the walls with one of a vertex's two

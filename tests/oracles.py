@@ -28,8 +28,8 @@ at its canonical place as it is pushed.
 The join oracle decides whether two medium subgroups generate a maximal by a
 bounded subgroup closure: products of conjugated generators up to a syllable
 length, compared with the shared maximal truncated at the same length.  It
-multiplies with ``mul`` but never calls ``shared_edge``, the word test the
-exact ``join_is_cmaximal`` rests on.
+multiplies with ``mul`` but never calls ``shared_edge``, the last-syllable
+rule the exact ``join_is_cmaximal`` rests on.
 
 The crossing-graph oracle intersects the vertex sets of every pair of walls
 (quadratic in the number of walls) instead of bucketing walls by vertex.
@@ -129,10 +129,11 @@ a wall, instead of the transporters between the wall's edges alone, and the
 parabolic scan filters the element ball with ``parabolic_member``, instead
 of conjugating the window's own short elements.
 
-The arc oracle rebuilds the abstract complex's arcs by running the join on
-every pair of mediums that share a containing maximal, instead of bucketing
-the nodes' edge cosets, and keys them by their two mediums, each with its
-maximal; ``decoded_arcs`` reads the rebuild's id-form arcs the same way.
+The arc oracle rebuilds the abstract complex's arcs by intersecting the
+edge cosets, taken as products and ``coset_rep``, of every pair of mediums
+that share a containing maximal (``shared_edge_both_labels``), instead of
+reading the conjugators' last syllables, and keys them by their two
+mediums, each with its maximal; ``decoded_arcs`` reads the rebuild's id-form arcs the same way.
 The phi-edge oracle tests every pair of interior vertices for adjacency in
 the ball and, through their mediums' places among the rebuild's nodes, in
 the rebuild, instead of comparing the two edge sets.  Subgroups are ordered
@@ -194,7 +195,6 @@ from cyclewall.algebraic import (
     MAXIMAL,
     CSubgroup,
     containing_maximals,
-    join_is_cmaximal,
     medium_of_vertex,
     vertex_mediums,
     window_of,
@@ -663,12 +663,14 @@ def bucket_pairs(b):
 
 def script_x_arcs_by_pairs(b) -> dict:
     """``build_script_X_ball(b).arcs``, decoded (``decoded_arcs``), from the
-    join of every bucket pair."""
+    edge cosets, taken as products, that each bucket pair shares
+    (``shared_edge_both_labels``), with no use of the last-syllable rule."""
     arcs = {}
     for h1, h2 in bucket_pairs(b):
-        ok, candidate = join_is_cmaximal(h1, h2)
-        if ok:
-            arcs[frozenset((h1, h2))] = candidate
+        shared = shared_edge_both_labels(h1, h2)
+        if shared is not None:
+            label, rep = shared
+            arcs[frozenset((h1, h2))] = CSubgroup(MAXIMAL, label, rep)
     return arcs
 
 
@@ -1244,8 +1246,9 @@ def _edge_cosets_both_labels(h) -> dict:
 
 
 def edge_cosets_by_products(h, label) -> set:
-    """``algebraic._edge_cosets`` as the products c·x, for x in the group of
-    the window vertex other than ``label``."""
+    """The reps of the edges labelled ``label`` at the X-vertex encoded by a
+    medium, as the products c·x, for x in the group of the window vertex
+    other than ``label``."""
     p = h.presentation
     other = (h.base + 1) % p.n if label == h.base else h.base
     c = h.conjugator

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import conftest
 import networkx as nx
@@ -19,7 +20,7 @@ from cyclewall.algebraic import (
     phi_iso_check,
     shared_edge,
     vertex_mediums,
-    _edge_cosets,
+    _far_ends,
     _induced_n_cycles,
 )
 from cyclewall.cli import algebraic_suite
@@ -194,17 +195,16 @@ def test_join_on_infinite_vertex_groups():
 
 
 def test_phi_iso_check_fails_without_shared_edges(c5_z2, monkeypatch):
-    """The rebuild's arcs are its shared edge cosets, and the join audit
-    reads the join: without the cosets of one label the rebuild misses arcs,
-    and without shared edges the join misses adjacencies."""
-    edge_cosets = algebraic._edge_cosets
-    monkeypatch.setattr(algebraic, "_edge_cosets",
-                        lambda h, label, syllables:
-                        edge_cosets(h, label, syllables) if label == h.base else [])
+    """The rebuild's arcs are the edges the last-syllable rule shares, and
+    the join audit reads the join: without the far ends of a node's own word
+    the rebuild misses arcs, and without shared edges the join misses
+    adjacencies."""
+    far_ends = algebraic._far_ends
+    monkeypatch.setattr(algebraic, "_far_ends", lambda p, word, v: far_ends(p, word, v)[1:])
     report = phi_iso_check(build_ball(c5_z2, 2))
     assert "phi.edges-preserved-both-ways" in {
         r.check_id for r in report.failures}
-    monkeypatch.setattr(algebraic, "_edge_cosets", edge_cosets)
+    monkeypatch.setattr(algebraic, "_far_ends", far_ends)
     monkeypatch.setattr(algebraic, "shared_edge", lambda h1, h2: None)
     report = join_agreement_audit(build_ball(c5_z2, 2))
     assert "joins.agree-with-adjacency" in {r.check_id for r in report.failures}
@@ -286,8 +286,9 @@ def rebuilt(request):
 
 
 def test_rebuild_arcs_match_pair_oracle(rebuilt):
-    """Bucketing edge cosets finds the arcs that joining every pair of
-    mediums sharing a maximal finds, with the same maximals: each arc is
+    """The last-syllable rule finds the arcs that intersecting the product
+    edge cosets of every pair of mediums sharing a maximal finds, with the
+    same maximals: each arc is
     keyed by its nodes' ids in order, and decodes to its two mediums and
     the maximal ``CSubgroup(MAXIMAL, label, GroupElement(p, word))``."""
     b, sx = rebuilt
@@ -307,17 +308,21 @@ def test_rebuild_cycles_match_unrestricted_search(rebuilt):
 
 
 def test_edge_cosets_are_the_products(rebuilt):
-    """Splicing the other window syllable into a medium's conjugator writes
-    out the products c·x, each once, for every node and both labels."""
+    """Each edge coset c·x of a node, for x in its window group off the
+    label, taken as the product, has the node's word c among the far-end
+    words the rule reads off it (``_far_ends``), and the products are
+    distinct, for every node and both labels."""
     b, sx = rebuilt
     p = sx.presentation
-    syllables = [[Syllable(v, x) for x in p.group(v).nontrivial_elements()]
-                 for v in range(p.n)]
     for h in sx.nodes:
+        c = h.conjugator
         for label in (h.base, (h.base + 1) % p.n):
-            words = _edge_cosets(h, label, syllables)
+            other = (h.base + 1) % p.n if label == h.base else h.base
+            words = [mul(c, GroupElement(p, (Syllable(other, x),) if x else ())).word
+                     for x in p.group(other).elements()]
             assert len(set(words)) == len(words)
-            assert {GroupElement(p, w) for w in words} == edge_cosets_by_products(h, label), \
+            assert {GroupElement(p, w) for w in words
+                    if c.word in _far_ends(p, w, other)} == edge_cosets_by_products(h, label), \
                 (h.key_string(), label)
 
 
@@ -356,26 +361,22 @@ def test_mediums_are_encoded_once_per_ball(c5_z2, monkeypatch):
     assert vertex_mediums(b) == [medium_of_vertex(v) for v in b.vertices]
 
 
-def test_each_node_conjugator_is_inverted_once(c5_z2, monkeypatch):
-    """The rebuild and the join audit invert a node's conjugator at most
-    once, however many joins the node is in; the inverse is the
-    conjugator's."""
-    inverted = []
-    invert = algebraic.inv
-
-    def counting(g):
-        inverted.append(g)
-        return invert(g)
-
-    monkeypatch.setattr(algebraic, "inv", counting)
+def test_rebuild_and_join_audit_take_no_products(c5_z2, monkeypatch):
+    """The rebuild (encoding the mediums too) and the join audit read the
+    conjugators' last syllables: they call neither ``mul`` nor ``inv``, by
+    any module's name for it."""
     b = build_ball(c5_z2, 2)
-    build_script_X_ball(b)
+    calls = []
+    for module in [m for name, m in sys.modules.items() if name.startswith("cyclewall")]:
+        for name in ("mul", "inv"):
+            f = getattr(module, name, None)
+            if f is not None:
+                monkeypatch.setattr(module, name,
+                                    lambda *args, f=f, name=name: calls.append(name) or f(*args))
+    sx = build_script_X_ball(b)
     assert join_agreement_audit(b).ok
-    made = len(inverted)
-    assert join_agreement_audit(b).ok
-    assert 0 < made == len(inverted) <= len(vertex_mediums(b))
-    for h in vertex_mediums(b):
-        assert mul(h.conjugator, h.conjugator_inverse) == identity(c5_z2)
+    assert calls == []
+    assert len(sx.arcs) == len(b.table.edges) // 4
 
 
 def _assert_phi_edge_row_matches_pair_oracle(b, sx):
@@ -516,19 +517,22 @@ def test_join_agreement_fails_when_every_pair_joins(c5_z2, monkeypatch):
 
 
 def test_rebuild_rejects_an_edge_with_three_ends(c5_z2, monkeypatch):
-    """Every node gives the empty word for both labels: the first bucket,
-    label 0's, holds every node with label 0, and its witness lists them."""
-    monkeypatch.setattr(algebraic, "_edge_cosets",
-                        lambda h, label, syllables: [()])
+    """Every word's last syllable reads as maximal for every vertex, so both
+    far-end words of an edge can be nodes: the edge 0|v2:1 of the node
+    (0, v2:1), the first in id order to find two, ends at (4, v2:1) and at
+    (4, []) too, and the witness lists its three ends."""
+    monkeypatch.setattr(algebraic, "maximal_syllables",
+                        lambda p, word: [(v, len(word) - 1) for v in range(p.n)] if word else [])
     b = build_ball(c5_z2, 1)
-    with pytest.raises(InvariantError, match="more than two ends") as raised:
+    with pytest.raises(InvariantError, match="edge 0|v2:1 has more than two ends") as raised:
         build_script_X_ball(b)
+    g = parse_word(c5_z2, "v2:1")
     assert raised.value.witness == sorted(
-        h.key_string() for h in vertex_mediums(b) if 0 in (h.base, (h.base + 1) % c5_z2.n))
+        CSubgroup(MEDIUM, i, w).key_string() for i, w in ((0, g), (4, g), (4, identity(c5_z2))))
 
 
 def test_rebuild_ignores_the_tables_edges(c5_z2):
-    """The rebuild splices its arcs' words from the mediums' conjugators and
+    """The rebuild reads its arcs' words off the mediums' conjugators and
     never reads the table's edge records: with one interior X-edge's end id
     moved to a vertex outside the interior, its arcs are unchanged, and the
     phi check, which compares the two, names that pair."""
@@ -548,7 +552,7 @@ def test_rebuild_ignores_the_tables_edges(c5_z2):
 
 def test_rebuild_makes_no_subgroup_once_the_mediums_are_encoded(c5_z2, monkeypatch):
     """The rebuild keeps its arcs as id pairs with their (label, word)
-    bucket keys: once the ball's mediums are encoded it makes no
+    values: once the ball's mediums are encoded it makes no
     ``CSubgroup`` and no ``GroupElement``."""
     b = build_ball(c5_z2, 3)
     vertex_mediums(b)

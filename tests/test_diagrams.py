@@ -214,6 +214,17 @@ def test_fill_rejects_non_edge_path(c5_z2):
         fill_loop(b, [poly[0], poly[2], poly[4]])  # skips around the polygon
 
 
+@pytest.mark.parametrize("loop, bad", [([60, 61, 62], "60"), ([-1, -2, -3], "-1"),
+                                       ([0, 1.0, 2], "1.0"), ([True], "True"), ([60], "60")])
+def test_fill_rejects_ids_outside_the_ball(c5_z2, loop, bad):
+    """An entry that is not an X-vertex id of the ball (c5_z2 r2 has 60) is
+    refused with a FillError naming it, not an IndexError or a ValueError."""
+    b = build_ball(c5_z2, 2)
+    assert len(b.table.vertices) // 2 == 60
+    with pytest.raises(FillError, match=f"loop entry {bad} is not an X-vertex id"):
+        fill_loop(b, loop)
+
+
 def test_fill_respects_face_budget(c5_z2):
     p = c5_z2
     b = build_ball(p, 1)
