@@ -47,11 +47,11 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .davis import POLY, ComplexBall, ComplexVertex, act_vertex
 from .errors import InvariantError, ValidationError
+from .localgroups import Frozen, set_field
 from .reports import Report
 from .words import (
     GroupElement,
@@ -80,31 +80,33 @@ def window_of(n: int, tier: str, base: int) -> frozenset[int]:
     return frozenset((base + k) % n for k in _TIER_OFFSETS[tier])
 
 
-@dataclass(frozen=True)
-class CSubgroup:
-    """A conjugate of a 1-, 2- or 3-vertex consecutive standard subgroup."""
+class CSubgroup(Frozen):
+    """A conjugate of a 1-, 2- or 3-vertex consecutive standard subgroup.
 
-    tier: str
-    base: int
-    conjugator: GroupElement
-    # the defining vertex window, kept so membership tests need not rebuild it
-    window: frozenset[int] = field(init=False, compare=False, repr=False)
-    # computed once: the hash of the field tuple, (tier, base, conjugator)
-    _hash: int = field(init=False, compare=False, repr=False)
+    Subgroups are equal when ``(tier, base, conjugator)`` are, and hash as
+    that tuple; the base is taken mod n and the conjugator is kept minimal
+    modulo the window of the tier's normalizer.  ``window`` is the defining
+    vertex window, kept so membership tests need not rebuild it.
+    """
 
-    def __post_init__(self):
-        if self.tier not in _TIER_OFFSETS:
-            raise ValidationError(f"unknown tier {self.tier!r}")
-        n = self.conjugator.presentation.n
-        base = self.base % n
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "window", window_of(n, self.tier, base))
-        normalizer = window_of(n, _NORMALIZER_TIER[self.tier], base)
-        canon = coset_rep(self.conjugator, normalizer)
-        if canon is not self.conjugator:
-            object.__setattr__(self, "conjugator", canon)
-        # a GroupElement hashes as its word
-        object.__setattr__(self, "_hash", hash((self.tier, base, canon.word)))
+    __slots__ = ("tier", "base", "conjugator", "window", "_hash")
+
+    def __init__(self, tier: str, base: int, conjugator: GroupElement):
+        if tier not in _TIER_OFFSETS:
+            raise ValidationError(f"unknown tier {tier!r}")
+        n = conjugator.presentation.n
+        base %= n
+        canon = coset_rep(conjugator, window_of(n, _NORMALIZER_TIER[tier], base))
+        set_field(self, "tier", tier)
+        set_field(self, "base", base)
+        set_field(self, "conjugator", canon)
+        set_field(self, "window", window_of(n, tier, base))
+        # computed once; a GroupElement hashes as its word
+        set_field(self, "_hash", hash((tier, base, canon.word)))
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and (
+            self.tier, self.base, self.conjugator) == (other.tier, other.base, other.conjugator)
 
     def __hash__(self) -> int:
         return self._hash
@@ -220,16 +222,16 @@ def join_is_cmaximal(h1: CSubgroup,
 # -- the abstract complex -----------------------------------------------------------
 
 
-@dataclass
 class ScriptXBall:
     """The rebuilt complex on the ball's vertex ids: ``nodes[x]`` is the
     medium of X-vertex x, ``arcs`` maps an id pair u < w to the arc's
     (label, edge coset word), and each cycle is its nodes' ids."""
 
-    presentation: Presentation
-    nodes: list[CSubgroup] = field(default_factory=list)
-    arcs: dict[tuple[int, int], tuple[int, tuple[Syllable, ...]]] = field(default_factory=dict)
-    cycles: list[tuple[int, ...]] = field(default_factory=list)
+    def __init__(self, presentation: Presentation, nodes: list[CSubgroup]):
+        self.presentation = presentation
+        self.nodes = nodes
+        self.arcs: dict[tuple[int, int], tuple[int, tuple[Syllable, ...]]] = {}
+        self.cycles: list[tuple[int, ...]] = []
 
 
 def _induced_n_cycles(g: Mapping[int, set[int]], n: int) -> list[tuple[int, ...]]:

@@ -22,16 +22,17 @@ import itertools
 import math
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .algebraic import MAXIMAL, window_of
 from .davis import EDGE, POLY, ComplexVertex, act_vertex
 from .errors import DecompositionError, InvariantError, ValidationError
 from .localgroups import (
+    Frozen,
     LocalIso,
     determining_set,
     identity_iso,
     isomorphisms,
+    set_field,
 )
 from .reports import Report
 from .words import (
@@ -55,27 +56,33 @@ from .words import (
 # -- cycle symmetries -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CycleSymmetry:
+class CycleSymmetry(Frozen):
     """A dihedral symmetry of the cycle preserving group isomorphism classes."""
 
-    presentation: Presentation
-    perm: tuple[int, ...]
+    __slots__ = ("presentation", "perm")
 
-    def __post_init__(self):
-        p = self.presentation
-        n = p.n
-        if sorted(self.perm) != list(range(n)):
+    def __init__(self, presentation: Presentation, perm: tuple[int, ...]):
+        set_field(self, "presentation", presentation)
+        set_field(self, "perm", perm)
+        n = presentation.n
+        if sorted(perm) != list(range(n)):
             raise ValidationError("not a permutation of the cycle's vertices")
-        step = (self.perm[1] - self.perm[0]) % n
+        step = (perm[1] - perm[0]) % n
         if step not in (1, n - 1) or any(
-                (self.perm[(i + 1) % n] - self.perm[i]) % n != step
+                (perm[(i + 1) % n] - perm[i]) % n != step
                 for i in range(n)):
             raise ValidationError("not a rotation or reflection of the cycle")
         for i in range(n):
-            if not _iso_exists(p.group(i), p.group(self.perm[i])):
+            if not _iso_exists(presentation.group(i), presentation.group(perm[i])):
                 raise ValidationError(
-                    f"vertex groups {i} and {self.perm[i]} are not isomorphic")
+                    f"vertex groups {i} and {perm[i]} are not isomorphic")
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and (
+            self.presentation, self.perm) == (other.presentation, other.perm)
+
+    def __hash__(self) -> int:
+        return hash((self.presentation, self.perm))
 
     def __call__(self, i: int) -> int:
         return self.perm[i % self.presentation.n]
@@ -133,24 +140,31 @@ def _check_isos(sigma: CycleSymmetry, per_vertex) -> None:
                     f"isomorphism at vertex {i} does not follow the symmetry")
 
 
-@dataclass(frozen=True)
-class LocalAut:
+class LocalAut(Frozen):
     """A cycle symmetry with one vertex-group isomorphism per vertex."""
 
-    sigma: CycleSymmetry
-    isos: tuple[LocalIso, ...]
+    __slots__ = ("sigma", "isos")
 
-    def __post_init__(self):
-        _check_isos(self.sigma, [(phi,) for phi in self.isos])
+    def __init__(self, sigma: CycleSymmetry, isos: tuple[LocalIso, ...]):
+        _check_isos(sigma, [(phi,) for phi in isos])
+        set_field(self, "sigma", sigma)
+        set_field(self, "isos", isos)
 
     @classmethod
     def _checked(cls, sigma: CycleSymmetry, isos: tuple[LocalIso, ...]) -> "LocalAut":
         """One whose isomorphisms :func:`_check_isos` has already passed,
         built without checking them again."""
         lam = object.__new__(cls)
-        object.__setattr__(lam, "sigma", sigma)
-        object.__setattr__(lam, "isos", isos)
+        set_field(lam, "sigma", sigma)
+        set_field(lam, "isos", isos)
         return lam
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and (
+            self.sigma, self.isos) == (other.sigma, other.isos)
+
+    def __hash__(self) -> int:
+        return hash((self.sigma, self.isos))
 
     @property
     def presentation(self) -> Presentation:
@@ -242,16 +256,23 @@ def enumerate_loc(p: Presentation) -> Loc:
 # -- automorphisms in normal form ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AutElement:
+class AutElement(Frozen):
     """Conjugation by ``inner`` composed after the local automorphism."""
 
-    inner: GroupElement
-    local: LocalAut
+    __slots__ = ("inner", "local")
 
-    def __post_init__(self):
-        if self.inner.presentation != self.local.presentation:
+    def __init__(self, inner: GroupElement, local: LocalAut):
+        if inner.presentation != local.presentation:
             raise ValidationError("inner and local parts disagree on the presentation")
+        set_field(self, "inner", inner)
+        set_field(self, "local", local)
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and (
+            self.inner, self.local) == (other.inner, other.local)
+
+    def __hash__(self) -> int:
+        return hash((self.inner, self.local))
 
     @property
     def presentation(self) -> Presentation:

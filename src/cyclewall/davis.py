@@ -81,11 +81,11 @@ from __future__ import annotations
 import operator
 import os
 from array import array
-from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, count, cycle, islice, repeat
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import InvariantError, ResourceLimitError, ValidationError
+from .localgroups import Frozen, set_field
 from .reports import Report
 from .words import (
     GroupElement,
@@ -105,23 +105,29 @@ POLY = "poly"         # coset of G_i x G_{i+1} (vertices of X)
 _CLASS_ORDER = {POLY: 0, EDGE: 1, TRIVIAL: 2}
 
 
-@dataclass(frozen=True, slots=True)
-class ComplexVertex:
-    cls: str
-    index: Optional[int]   # i for EDGE/POLY, None for TRIVIAL
-    rep: GroupElement
-    # computed once: the field tuple's hash and the order key
-    _hash: int = field(init=False, repr=False, compare=False)
-    _key: tuple = field(init=False, repr=False, compare=False)
+class ComplexVertex(Frozen):
+    """A vertex of the subdivided complex: the coset of class ``cls`` with
+    minimal rep ``rep``, at ``index`` (i for EDGE/POLY, None for TRIVIAL).
 
-    def __post_init__(self):
-        # (class order, index, rep), with the rep spelled out as GroupElement
-        # orders it, (len, word), so that keys compare in C
-        index = -1 if self.index is None else self.index
-        object.__setattr__(self, "_key", (
-            _CLASS_ORDER[self.cls], index, len(self.rep.word), self.rep.word))
-        # -1 for None, whose hash is an address before Python 3.12
-        object.__setattr__(self, "_hash", hash((self.cls, index, self.rep)))
+    Vertices are equal when ``(cls, index, rep)`` are.  They hash as
+    ``(cls, index, rep)`` with -1 for a None index (hash(None) is an
+    address before Python 3.12), and are ordered by their key."""
+
+    __slots__ = ("cls", "index", "rep", "_hash", "_key")
+
+    def __init__(self, cls: str, index: Optional[int], rep: GroupElement):
+        set_field(self, "cls", cls)
+        set_field(self, "index", index)
+        set_field(self, "rep", rep)
+        # computed once: (class order, index, rep), with the rep spelled out
+        # as GroupElement orders it, (len, word), so that keys compare in C
+        index = -1 if index is None else index
+        set_field(self, "_key", (_CLASS_ORDER[cls], index, len(rep.word), rep.word))
+        set_field(self, "_hash", hash((cls, index, rep)))
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and (
+            self.cls, self.index, self.rep) == (other.cls, other.index, other.rep)
 
     def __hash__(self) -> int:
         return self._hash
@@ -136,19 +142,18 @@ class ComplexVertex:
         return f"{self.cls}|{'' if self.index is None else self.index}|{format_word(self.rep)}"
 
 
-@dataclass
 class ComplexBall:
     """A polygonal ball: its table (``ball_table``), listed once, and what is
     derived from it."""
 
-    presentation: Presentation
-    radius: int
-    # what is derived from this ball (its table, subdivision, walls, element
-    # balls, stabilizers, mediums, incidence indexes), built on first use; it
-    # lives and dies with the ball, which is not changed once built, and is
-    # shared by every caller
-    derived: dict = field(default_factory=dict, init=False, compare=False,
-                          repr=False)
+    def __init__(self, presentation: Presentation, radius: int):
+        self.presentation = presentation
+        self.radius = radius
+        # what is derived from this ball (its table, subdivision, walls,
+        # element balls, stabilizers, mediums, incidence indexes), built on
+        # first use; it lives and dies with the ball, which is not changed
+        # once built, and is shared by every caller
+        self.derived: dict = {}
 
     @property
     def n(self) -> int:
@@ -159,7 +164,7 @@ class ComplexBall:
         """The ball as integers, kept by ``build_ball`` or listed once."""
         return self.derive("table", lambda: ball_table(self.presentation, self.radius))
 
-    # not a field: a ball is polygonal (X' is a ``Subdivision``); kept for
+    # a class attribute: a ball is polygonal (X' is a ``Subdivision``); kept for
     # callers that key balls by their form, as perfbench's tracer does
     form = "polygonal"
 

@@ -28,7 +28,6 @@ reps, so ties between polygons break as between their reps.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .davis import ComplexBall
@@ -41,7 +40,6 @@ from .words import GroupElement, format_word
 # -- the planar complex ---------------------------------------------------------
 
 
-@dataclass
 class DiscDiagram:
     """A contractible planar complex mapped into the polygonal complex.
 
@@ -50,14 +48,16 @@ class DiscDiagram:
     representatives (None for abstract diagrams used in convention locks).
     """
 
-    vertices: list[int]
-    edges: list[frozenset[int]]
-    faces: list[tuple[int, ...]]
-    boundary: tuple[int, ...]
-    images: dict[int, int] = field(default_factory=dict)
-    face_polygons: list[Optional[GroupElement]] = field(default_factory=list)
-
-    def __post_init__(self):
+    def __init__(self, vertices: list[int], edges: list[frozenset[int]],
+                 faces: list[tuple[int, ...]], boundary: tuple[int, ...],
+                 images: Optional[dict[int, int]] = None,
+                 face_polygons: Optional[list[Optional[GroupElement]]] = None):
+        self.vertices = vertices
+        self.edges = edges
+        self.faces = faces
+        self.boundary = boundary
+        self.images = {} if images is None else images
+        self.face_polygons = [] if face_polygons is None else face_polygons
         self.validate()
 
     def validate(self) -> None:

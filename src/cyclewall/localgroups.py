@@ -13,7 +13,6 @@ otherwise.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import (
@@ -28,6 +27,31 @@ from .errors import (
 DEFAULT_AUT_ORDER_CAP = 12
 
 IDENTITY = 0
+
+#: how ``__init__`` writes a field of a ``Frozen`` value, past its ``__setattr__``
+set_field = object.__setattr__
+
+
+class Frozen:
+    """Base of the package's immutable values.
+
+    A subclass lists its fields in ``__slots__``, writes each once in
+    ``__init__`` through ``set_field``, and defines its own
+    ``__eq__`` and ``__hash__``.  Setting or deleting an attribute
+    afterwards raises ``AttributeError``.
+    """
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        fields = (f"{k}={getattr(self, k)!r}" for k in self.__slots__ if k[0] != "_")
+        return f"{type(self).__name__}({', '.join(fields)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _validate_table(table: tuple[tuple[int, ...], ...]) -> None:
@@ -53,47 +77,50 @@ def _validate_table(table: tuple[tuple[int, ...], ...]) -> None:
             raise ValidationError(f"element {a} has no inverse")
 
 
-@dataclass(frozen=True)
-class LocalGroupSpec:
-    """One vertex group: ``cyclic``, ``table`` or ``integers``."""
+class LocalGroupSpec(Frozen):
+    """One vertex group: ``cyclic``, ``table`` or ``integers``.
 
-    # Fields that may be None stay out of the hash: before Python 3.12,
-    # hash(None) is an address, so the hash would differ between processes.
-    kind: str
-    # cyclic only
-    order: Optional[int] = field(default=None, hash=False)
-    # table only
-    table: Optional[tuple[tuple[int, ...], ...]] = field(default=None, hash=False)
-    # table only, display names
-    names: Optional[tuple[str, ...]] = field(default=None, hash=False)
-    name: str = ""
-    # table only: inverses[a] is the inverse of a
-    inverses: Optional[tuple[int, ...]] = field(
-        default=None, init=False, compare=False, hash=False, repr=False)
-    # finite only: elements whose products give every element (1 for Z/k)
-    generators: Optional[tuple[int, ...]] = field(
-        default=None, init=False, compare=False, hash=False, repr=False)
+    ``order`` is set for cyclic groups only, ``table`` (the multiplication
+    table) and ``names`` (display names) for table groups only.  Specs are
+    equal when the five given fields are, and hash as ``(kind, name)``: a
+    field that may be None stays out of the hash, as hash(None) is an
+    address before Python 3.12 and would differ between processes.
+    ``inverses`` (table only: inverses[a] is the inverse of a) and
+    ``generators`` (finite only: elements whose products give every
+    element, 1 for Z/k) are derived.
+    """
 
-    def __post_init__(self):
-        if self.kind == "cyclic":
-            if self.order is None or self.order < 2:
+    __slots__ = ("kind", "order", "table", "names", "name", "inverses", "generators")
+
+    def __init__(self, kind: str, order: Optional[int] = None,
+                 table: Optional[tuple[tuple[int, ...], ...]] = None,
+                 names: Optional[tuple[str, ...]] = None, name: str = ""):
+        for field, value in zip(self.__slots__, (kind, order, table, names, name, None, None)):
+            set_field(self, field, value)
+        if kind == "cyclic":
+            if order is None or order < 2:
                 raise ValidationError("cyclic group needs order >= 2")
-            object.__setattr__(self, "generators", (1,))
-        elif self.kind == "table":
-            if self.table is None:
+            set_field(self, "generators", (1,))
+        elif kind == "table":
+            if table is None:
                 raise ValidationError("table group needs a multiplication table")
-            _validate_table(self.table)
-            object.__setattr__(self, "inverses", tuple(
-                row.index(IDENTITY) for row in self.table))
-            if self.names is not None and len(self.names) != len(self.table):
+            _validate_table(table)
+            set_field(self, "inverses", tuple(row.index(IDENTITY) for row in table))
+            if names is not None and len(names) != len(table):
                 raise ValidationError("names do not match table size")
-            object.__setattr__(self, "generators", tuple(_generating_sequence(self)))
-        elif self.kind == "integers":
-            pass
-        else:
-            raise ValidationError(f"unknown group kind: {self.kind!r}")
-        if not self.name:
-            object.__setattr__(self, "name", self._default_name())
+            set_field(self, "generators", tuple(_generating_sequence(self)))
+        elif kind != "integers":
+            raise ValidationError(f"unknown group kind: {kind!r}")
+        if not name:
+            set_field(self, "name", self._default_name())
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and (
+            self.kind, self.order, self.table, self.names, self.name) == (
+            other.kind, other.order, other.table, other.names, other.name)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.name))
 
     def _default_name(self) -> str:
         if self.kind == "cyclic":
@@ -150,20 +177,21 @@ class LocalGroupSpec:
         return k
 
 
-@dataclass(frozen=True)
-class LocalIso:
+class LocalIso(Frozen):
     """Isomorphism between two vertex groups.
 
     Finite case: ``mapping`` is the full value table (mapping[x] = image of x).
     Integers case: ``sign`` is +1 or -1 and mapping is None.
     """
 
-    source: LocalGroupSpec
-    target: LocalGroupSpec
-    mapping: Optional[tuple[int, ...]] = None
-    sign: int = 1
+    __slots__ = ("source", "target", "mapping", "sign")
 
-    def __post_init__(self):
+    def __init__(self, source: LocalGroupSpec, target: LocalGroupSpec,
+                 mapping: Optional[tuple[int, ...]] = None, sign: int = 1):
+        set_field(self, "source", source)
+        set_field(self, "target", target)
+        set_field(self, "mapping", mapping)
+        set_field(self, "sign", sign)
         if self.source.kind == "integers" or self.target.kind == "integers":
             if self.source.kind != "integers" or self.target.kind != "integers":
                 raise ValidationError("Z is only isomorphic to Z")
@@ -186,6 +214,11 @@ class LocalIso:
                         if m[src.mul(a, b)] != dst.mul(m[a], m[b]):
                             raise ValidationError(
                                 f"mapping is not a homomorphism at ({a},{b})")
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and (
+            self.source, self.target, self.mapping, self.sign) == (
+            other.source, other.target, other.mapping, other.sign)
 
     def __hash__(self) -> int:
         # -1 for None, whose hash is an address before Python 3.12

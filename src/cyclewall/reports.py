@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Any
 
 PASS = "pass"
@@ -13,12 +12,15 @@ INCONCLUSIVE = "inconclusive"
 SCHEMA = "cyclewall/1"
 
 
-@dataclass
 class CheckResult:
-    check_id: str
-    instance: str
-    status: str
-    witness: Any = None
+    def __init__(self, check_id: str, instance: str, status: str, witness: Any = None):
+        self.check_id = check_id
+        self.instance = instance
+        self.status = status
+        self.witness = witness
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and vars(self) == vars(other)
 
     def to_dict(self) -> dict:
         return {
@@ -29,9 +31,12 @@ class CheckResult:
         }
 
 
-@dataclass
 class Report:
-    results: list[CheckResult] = field(default_factory=list)
+    def __init__(self):
+        self.results: list[CheckResult] = []
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self.results == other.results
 
     def add(self, check_id: str, instance: str, ok: bool, witness: Any = None) -> None:
         self.results.append(CheckResult(check_id, instance, PASS if ok else FAIL, witness))

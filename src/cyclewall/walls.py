@@ -89,7 +89,6 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Iterator, Optional
 
 from .algebraic import (
@@ -186,19 +185,20 @@ def _walls(t: BallTable) -> list[TreeWall]:
 # -- crossing graph -------------------------------------------------------------
 
 
-@dataclass
 class CrossingGraph:
     """The crossing graph of a ball: its walls, and arcs between walls sharing
     a vertex.  A wall is named by its index in ``walls``."""
 
-    walls: list[TreeWall]   # ``walls_of_ball``, in key order
-    # (k1, k2) with k1 < k2 -> the ids of their shared vertices, in key
-    # order, in index-pair order
-    crossings: dict[tuple[int, int], list[int]]
-    neighbors: list[set[int]]   # by index: the walls it crosses
-    # index -> the distance of each wall it reaches, from one search made on
-    # first use (``delta``)
-    distances: dict[int, dict[int, int]] = field(default_factory=dict, repr=False)
+    def __init__(self, walls: list[TreeWall], crossings: dict[tuple[int, int], list[int]],
+                 neighbors: list[set[int]]):
+        self.walls = walls   # ``walls_of_ball``, in key order
+        # (k1, k2) with k1 < k2 -> the ids of their shared vertices, in key
+        # order, in index-pair order
+        self.crossings = crossings
+        self.neighbors = neighbors   # by index: the walls it crosses
+        # index -> the distance of each wall it reaches, from one search made
+        # on first use (``delta``)
+        self.distances: dict[int, dict[int, int]] = {}
 
     def number_of_nodes(self) -> int:
         return len(self.walls)

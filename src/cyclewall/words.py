@@ -67,58 +67,53 @@ comparing minimal coset representatives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import total_ordering
 from itertools import chain
 from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import GroupMismatchError, InfiniteGroupError, ValidationError
-from .localgroups import IDENTITY, LocalGroupSpec
+from .localgroups import IDENTITY, Frozen, LocalGroupSpec, set_field
 
 if TYPE_CHECKING:
     from .algebraic import CSubgroup
 
 
-@dataclass(frozen=True)
-class Presentation:
-    """A cyclic product: n >= 5 non-trivial vertex groups on the cycle C_n."""
+class Presentation(Frozen):
+    """A cyclic product: n >= 5 non-trivial vertex groups on the cycle C_n.
 
-    groups: tuple[LocalGroupSpec, ...]
-    # blocks[v]: the vertices that do not commute with v, v itself included.
-    blocks: tuple[frozenset[int], ...] = field(
-        init=False, compare=False, hash=False, repr=False)
-    # values[v]: the elements of vertex group v, None when it is Z.
-    values: tuple[Optional[range], ...] = field(
-        init=False, compare=False, hash=False, repr=False)
-    # _interned: canonical token -> Syllable and Syllable -> inverse, for the
-    # finite syllables met so far (see the module docstring).
-    _interned: dict = field(
-        init=False, compare=False, hash=False, repr=False)
-    # _tokens: Syllable -> canonical token, for the finite syllables formatted
-    # so far.
-    _tokens: dict = field(
-        init=False, compare=False, hash=False, repr=False)
-    # _products: (Syllable, Syllable) -> their merge, None for the identity,
-    # for the pairs of finite syllables of one vertex merged so far.
-    _products: dict = field(
-        init=False, compare=False, hash=False, repr=False)
+    Presentations are equal when their ``groups`` are, and hash as
+    ``(groups,)``; the other fields are derived from the groups."""
 
-    def __post_init__(self):
-        n = len(self.groups)
+    __slots__ = ("groups", "n", "blocks", "values", "_interned", "_tokens", "_products")
+
+    def __init__(self, groups: tuple[LocalGroupSpec, ...]):
+        n = len(groups)
         if n < 5:
             raise ValidationError("cyclic products need at least 5 vertex groups")
-        object.__setattr__(self, "blocks", tuple(
+        set_field(self, "groups", groups)
+        set_field(self, "n", n)
+        # blocks[v]: the vertices that do not commute with v, v itself included.
+        set_field(self, "blocks", tuple(
             frozenset(range(n)) - {(v - 1) % n, (v + 1) % n} for v in range(n)))
-        object.__setattr__(self, "values", tuple(
-            g.elements() if g.is_finite else None for g in self.groups))
-        object.__setattr__(self, "_interned", {})
-        object.__setattr__(self, "_tokens", {})
-        object.__setattr__(self, "_products", {})
+        # values[v]: the elements of vertex group v, None when it is Z.
+        set_field(self, "values", tuple(g.elements() if g.is_finite else None for g in groups))
+        # _interned: canonical token -> Syllable and Syllable -> inverse, for
+        # the finite syllables met so far (see the module docstring).
+        set_field(self, "_interned", {})
+        # _tokens: Syllable -> canonical token, for the finite syllables
+        # formatted so far.
+        set_field(self, "_tokens", {})
+        # _products: (Syllable, Syllable) -> their merge, None for the
+        # identity, for the pairs of finite syllables of one vertex merged so
+        # far.
+        set_field(self, "_products", {})
 
-    @property
-    def n(self) -> int:
-        return len(self.groups)
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self.groups == other.groups
+
+    def __hash__(self) -> int:
+        return hash((self.groups,))
 
     def group(self, vertex: int) -> LocalGroupSpec:
         return self.groups[vertex % self.n]
@@ -153,10 +148,17 @@ class Syllable(NamedTuple):
 
 
 @total_ordering
-@dataclass(frozen=True)
-class GroupElement:
-    presentation: Presentation
-    word: tuple[Syllable, ...]
+class GroupElement(Frozen):
+    """An element of a presentation's group, as its canonical reduced word.
+
+    Elements are equal when their presentations and words are; they hash
+    as the word and are ordered by ``(len, word)``."""
+
+    __slots__ = ("presentation", "word")
+
+    def __init__(self, presentation: Presentation, word: tuple[Syllable, ...]):
+        _set_presentation(self, presentation)
+        _set_word(self, word)
 
     @property
     def syllable_length(self) -> int:
@@ -168,6 +170,11 @@ class GroupElement:
 
     def support(self) -> frozenset[int]:
         return frozenset(s.vertex for s in self.word)
+
+    def __eq__(self, other):
+        # the words first: most elements compared share one presentation object
+        return other.__class__ is self.__class__ and self.word == other.word and (
+            self.presentation is other.presentation or self.presentation == other.presentation)
 
     def __hash__(self) -> int:
         # Equal elements have equal canonical words.
@@ -182,6 +189,11 @@ class GroupElement:
     def conjugate(self, by: "GroupElement") -> "GroupElement":
         """``by * self * by^-1``."""
         return mul(by, self, inv(by))
+
+
+# the slots' own setters, which write past Frozen.__setattr__ faster than set_field
+_set_presentation = GroupElement.presentation.__set__
+_set_word = GroupElement.word.__set__
 
 
 # -- reduction and canonical form -------------------------------------------
@@ -344,9 +356,25 @@ def _inverse(p: Presentation, s: Syllable) -> Syllable:
 
 
 def inv(a: GroupElement) -> GroupElement:
+    """The inverse: a's inverted syllables in reverse, in canonical order.
+
+    The reverse of a reduced word is reduced, so no two syllables merge:
+    each is inserted as ``_push_all`` inserts one that meets no same-vertex
+    syllable, before the leftmost greater vertex after the last blocking
+    syllable, or at the end."""
     p = a.presentation
-    memo = p._interned
-    return canonical(p, [memo.get(s) or _inverse(p, s) for s in reversed(a.word)])
+    memo, blocks = p._interned, p.blocks
+    word: list[Syllable] = []
+    for t in [memo.get(s) or _inverse(p, s) for s in reversed(a.word)]:
+        v = t[0]
+        block = blocks[v]
+        j = k = len(word)
+        while k and (u := word[k - 1][0]) not in block:
+            k -= 1
+            if u > v:
+                j = k
+        word.insert(j, t)
+    return GroupElement(p, tuple(word))
 
 
 # -- cosets and conjugated standard subgroups ---------------------------------

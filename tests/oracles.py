@@ -204,6 +204,7 @@ from cyclewall.autgroup import (
     CycleSymmetry,
     LocalAut,
     coset_intersection,
+    enumerate_loc,
     enumerate_symmetries,
     generator_values,
 )
@@ -212,6 +213,7 @@ from cyclewall.localgroups import (
     LocalIso,
     _close,
     _generating_sequence,
+    integers_group,
     isomorphisms,
     table_group,
 )
@@ -253,6 +255,7 @@ from cyclewall.words import (
     minimal_syllables,
     mul,
     parabolic_member,
+    parse_word,
     reduce_word,
 )
 
@@ -301,7 +304,6 @@ def act_edge(h: GroupElement, e: ComplexEdge) -> ComplexEdge:
                        None if e.rep is None else coset_rep(mul(h, e.rep), (e.label,)))
 
 
-@dataclass
 class ObjectBall(ComplexBall):
     """A polygonal ball with its cells as objects: ``vertices`` and
     ``edges`` in key order, ``polygons`` by rep, the sets
@@ -309,14 +311,18 @@ class ObjectBall(ComplexBall):
     table (``objects``), ``edges_by_id``, the edges by table id.  The
     incidence maps ``edge_cells`` (edge -> the polygons on it, in polygon
     order) and ``vertex_edges`` (vertex -> its edges in key order) are
-    filled from the polygons on first read."""
+    filled from the polygons on first read.  Each cell field left out
+    starts empty."""
 
-    vertices: list = field(default_factory=list)
-    edges: list = field(default_factory=list)
-    polygons: dict = field(default_factory=dict)
-    interior_vertices: set = field(default_factory=set)
-    interior_edges: set = field(default_factory=set)
-    edges_by_id: list = field(default_factory=list)
+    def __init__(self, presentation, radius, vertices=None, edges=None, polygons=None,
+                 interior_vertices=None, interior_edges=None, edges_by_id=None):
+        super().__init__(presentation, radius)
+        self.vertices = [] if vertices is None else vertices
+        self.edges = [] if edges is None else edges
+        self.polygons = {} if polygons is None else polygons
+        self.interior_vertices = set() if interior_vertices is None else interior_vertices
+        self.interior_edges = set() if interior_edges is None else interior_edges
+        self.edges_by_id = [] if edges_by_id is None else edges_by_id
 
     @property
     def edge_cells(self) -> dict:
@@ -426,6 +432,30 @@ def s3_table_group():
     ]
     names = ["".join(map(str, p)) for p in perms]
     return table_group(table, names=names, name="S3")
+
+
+def frozen_values(p: Presentation) -> list:
+    """``(type name, value)`` for a value of each of the package's frozen
+    types, built from ``p`` (a presentation with a table group at vertex 2
+    and a local automorphism other than the identity) and ``Z`` alone, so
+    that two calls give equal values built apart.  Each field that may be
+    None is None in one of them."""
+    g = parse_word(p, "v0:1 v2:3 v4:2")
+    lam = next(lam for lam in enumerate_loc(p) if not lam.is_identity)
+    z = integers_group()
+    return [("Presentation", p),
+            ("LocalGroupSpec", p.group(0)),
+            ("LocalGroupSpec", p.group(2)),
+            ("LocalGroupSpec", z),
+            ("LocalIso", isomorphisms(p.group(2), p.group(2))[-1]),
+            ("LocalIso", LocalIso(z, z, sign=-1)),
+            ("GroupElement", g),
+            ("CycleSymmetry", lam.sigma),
+            ("LocalAut", lam),
+            ("AutElement", AutElement(g, lam)),
+            ("CSubgroup", CSubgroup(MAXIMAL, 3, g)),
+            ("ComplexVertex", x_vertex(p, g, 1)),
+            ("ComplexVertex", ComplexVertex(TRIVIAL, None, g))]
 
 
 def all_raw_words(p: Presentation, max_len: int):
@@ -1032,14 +1062,16 @@ class Square:
         return f"{format_word(self.polygon)}#{self.corner}"
 
 
-@dataclass
 class SquareBall(ObjectBall):
     """X' of a polygonal ball as cell objects: its own vertices and edges,
     the polygonal ball's polygons, and its squares, whose incidence maps
     ``vertex_cells``, ``edge_cells`` and ``vertex_edges`` index."""
 
-    squares: list[Square] = field(default_factory=list)
     form = "square"
+
+    def __init__(self, presentation, radius):
+        super().__init__(presentation, radius)
+        self.squares: list[Square] = []
 
     def _incidence(self):
         return index_by_cells(self, ((s, s.corners) for s in self.squares))[1:]

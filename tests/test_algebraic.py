@@ -327,8 +327,8 @@ def test_edge_cosets_are_the_products(rebuilt):
 
 
 def test_subgroup_hash_is_the_field_tuple_hash(rebuilt):
-    """A CSubgroup hashes as the dataclass hash of its compared fields, so no
-    set or dict of them changes order."""
+    """A CSubgroup hashes as the tuple of its compared fields, as it did when
+    it was a dataclass, so no set or dict of them changes order."""
     b, sx = rebuilt
     for h in sx.nodes:
         for k in [h, *containing_maximals(h)]:

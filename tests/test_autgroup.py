@@ -217,10 +217,10 @@ def test_loc_checks_each_block_once_and_decodes_without_rechecking(c5_mixed, mon
         autgroup.Loc([(sigma, per_vertex[:-1])])
     listed = enumerate_loc_by_listing(p)
 
-    def refuse(self):
+    def refuse(self, *args):
         raise AssertionError("a decoded element was checked again")
 
-    monkeypatch.setattr(LocalAut, "__post_init__", refuse)
+    monkeypatch.setattr(LocalAut, "__init__", refuse)
     assert list(enumerate_loc(p)) == listed
     with pytest.raises(AssertionError, match="checked again"):
         LocalAut(sigma, identity_isos)

@@ -414,7 +414,7 @@ def test_cells_are_shared_values_with_a_cached_hash_and_key(c5_mixed):
     for ball in (b, subdivide(b)):
         for v in ball.vertices:
             assert hash(v) == hash((v.cls, -1 if v.index is None else v.index, v.rep))
-            copies = [dataclasses.replace(v), act_vertex(e_, v)]
+            copies = [ComplexVertex(v.cls, v.index, v.rep), act_vertex(e_, v)]
             if v.cls == POLY:
                 copies.append(x_vertex(p, v.rep, v.index))
             for c in copies:

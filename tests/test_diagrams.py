@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -132,7 +131,8 @@ def test_fill_and_audit_fails_on_a_non_reduced_filling(c5_z2, monkeypatch):
     def stacked(b, loop, max_faces=24):
         # the true filling with both faces mapped to one polygon
         d = fill_loop(b, loop, max_faces)
-        return dataclasses.replace(d, face_polygons=[d.face_polygons[0]] * 2)
+        return DiscDiagram(d.vertices, d.edges, d.faces, d.boundary, d.images,
+                           [d.face_polygons[0]] * 2)
 
     monkeypatch.setattr(diagrams, "fill_loop", stacked)
     _, report = fill_and_audit(b, loop)

@@ -1,9 +1,12 @@
 """Source hygiene: every name a package module imports is used in it, the
-package imports nothing outside the standard library, and it holds no
-``assert`` statement (``python -O`` strips them, so a check must raise)."""
+package imports nothing outside the standard library, it holds no
+``assert`` statement (``python -O`` strips them, so a check must raise), and
+importing it loads none of the modules that only code generation and
+introspection need."""
 
 import ast
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -159,3 +162,59 @@ def test_scan_flags_a_test_only_name():
     }
     assert names_only_tests_use(sources, '{"format": ["calls"]}') == [
         "cli.main", "words.Word", "words.two"]
+
+
+# Modules that ``import dataclasses`` brings in to generate and inspect
+# methods; the package defines its value types by hand so that a command's
+# start-up does not load them (about 6 ms, plus 7 ms to generate the methods).
+START_UP_HEAVY = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
+def heavy_imports(source: str) -> list[str]:
+    """``module (line n)`` for each import of a ``START_UP_HEAVY`` module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [f"{name} (line {node.lineno})" for name in names
+                  if name.split(".")[0] in START_UP_HEAVY]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", PACKAGE_FILES, ids=lambda p: p.name)
+def test_no_module_imports_the_dataclass_machinery(path):
+    assert heavy_imports(path.read_text()) == []
+
+
+def test_scan_flags_a_dataclass_import():
+    assert heavy_imports("import json\nfrom dataclasses import dataclass, field\n"
+                         "import inspect as _inspect\nfrom . import ast\n"
+                         "def f():\n    import dis.x\n") == [
+        "dataclasses (line 2)", "dis.x (line 6)", "inspect (line 3)"]
+
+
+_IMPORT_CLI = """
+import sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+import cyclewall.cli
+print(" ".join(sorted(before)))
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_importing_the_cli_loads_no_dataclass_machinery():
+    """A fresh interpreter (no site, no environment) that imports
+    ``cyclewall.cli`` loads no ``START_UP_HEAVY`` module, and had none
+    loaded before, so the diff of ``sys.modules`` can show one."""
+    src = Path(cyclewall.__file__).resolve().parent.parent
+    before, added = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", _IMPORT_CLI, str(src)],
+        capture_output=True, text=True, check=True).stdout.splitlines()
+    assert "cyclewall.cli" in added.split()
+    assert START_UP_HEAVY & set(before.split()) == set()
+    assert START_UP_HEAVY & set(added.split()) == set()

@@ -214,23 +214,28 @@ def test_identity_iso_roundtrip():
     assert e.compose(e).is_identity
 
 
-_HASH_ONE_ELEMENT = """
+_HASH_ONE_OF_EACH = """
 from cyclewall.localgroups import cyclic_group
-from cyclewall.words import Presentation, parse_word
-from oracles import s3_table_group
+from cyclewall.words import Presentation
+from oracles import frozen_values, s3_table_group
 p = Presentation((cyclic_group(2), cyclic_group(3), s3_table_group(),
                   cyclic_group(2), cyclic_group(3)))
-print(hash(parse_word(p, "v0:1 v2:3 v4:2")))
+for name, value in frozen_values(p):
+    print(name, hash(value))
 """
 
 
 def test_element_hash_agrees_across_processes():
-    """With a fixed PYTHONHASHSEED an element hashes alike in every process,
-    so no spec field may hash by address (as None does before Python 3.12)."""
+    """With a fixed PYTHONHASHSEED an element, and a value of each other
+    frozen type, hashes alike in every process, so no hashed field may hash
+    by address (as None does before Python 3.12)."""
     tests = Path(__file__).resolve().parent
     env = dict(os.environ, PYTHONHASHSEED="0",
                PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
-    hashes = [subprocess.run([sys.executable, "-c", _HASH_ONE_ELEMENT], env=env,
+    hashes = [subprocess.run([sys.executable, "-c", _HASH_ONE_OF_EACH], env=env,
                              capture_output=True, text=True, check=True).stdout
               for _ in range(2)]
     assert hashes[0] == hashes[1]
+    assert [line.split()[0] for line in hashes[0].splitlines()] == [
+        "Presentation", *["LocalGroupSpec"] * 3, *["LocalIso"] * 2, "GroupElement",
+        "CycleSymmetry", "LocalAut", "AutElement", "CSubgroup", *["ComplexVertex"] * 2]

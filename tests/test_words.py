@@ -354,6 +354,31 @@ def test_inv_matches_the_reversal_oracle_on_huge_and_infinite_groups():
     assert set(memo_tables(p)[1]) == used
 
 
+@pytest.mark.parametrize("name", ["c5_s3", "5 x Z"])
+def test_inv_is_the_canonical_reversed_word_on_long_seeded_words(name, request):
+    """``inv`` inserts each inverted syllable without a merge branch: on
+    seeded reduced words of up to 40 syllables it gives the canonical form
+    of the reversed, inverted word."""
+    p = (Presentation((integers_group(),) * 5) if name == "5 x Z"
+         else request.getfixturevalue(name))
+    rng = random.Random(45)
+
+    def syllable():
+        v = rng.randrange(p.n)
+        if not p.groups[v].is_finite:
+            return Syllable(v, rng.choice([-1, 1]) * rng.randrange(1, 9))
+        return Syllable(v, rng.choice(p.groups[v].nontrivial_elements()))
+
+    longest = 0
+    for _ in range(500):
+        # a prefix of a canonical reduced word is one
+        word = reduce_word(p, [syllable() for _ in range(rng.randrange(61))]).word[:40]
+        longest = max(longest, len(word))
+        g = GroupElement(p, word)
+        assert inv(g).word == inv_by_reversal(g).word, format_word(g)
+    assert longest == 40
+
+
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_group_axioms(data):
