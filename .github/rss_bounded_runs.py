@@ -71,14 +71,15 @@ ROWS = [
       "--presentation", C5_Z3], 0,
      "fe24529d6362cbbe415ace9ab86c70167789a42e270e0177280924394e0b8b94", 60, 50),
     # the walls audits read the walls, X' and the polygons, and build no
-    # incidence map; bounded at 1.2 x the 77.1 MB measured with the value
-    # types written by hand (79.1 MB with dataclasses, 108.9 MB when the
-    # row was added, 118.3 MB when the shared-polygon audit read the
-    # incidence maps)
+    # incidence map; bounded at 1.2 x the 75.6 MB measured with each wall's
+    # stabilizer read off its key (76.1 MB with the transporter loop over
+    # pairs of wall edges, 77.1 MB with the value types written by hand,
+    # 79.1 MB with dataclasses, 108.9 MB when the row was added, 118.3 MB
+    # when the shared-polygon audit read the incidence maps)
     ("Radius-5 walls report is byte-identical",
      ["verify", "--suite", "walls", "--radius", "5", "--depth", "3", "--seed", "0",
       "--presentation", C5_Z3], 0,
-     "d327e264313123beddc6cdf126aa55127d5e78f8c917b1d2a1a1086c4d03a8c2", 120, 93),
+     "d327e264313123beddc6cdf126aa55127d5e78f8c917b1d2a1a1086c4d03a8c2", 120, 91),
     # the walls and the crossing graph are read off the ball's integer
     # table, and no cell object is made; bounded at 1.2 x the 51.5 MB
     # measured with the value types written by hand (52.3 MB with

@@ -289,10 +289,15 @@ def build_script_X_ball(b: ComplexBall) -> ScriptXBall:
     most one of those two syllables, so at most three keys are looked up
     per node, and no product is taken.  An edge has two ends, so at most
     one word of each far end is a node's; two would be a third end, which
-    is refused.  An arc is keyed by its two ids and valued by its label and
-    rep, the longer word, with no join taken: two mediums join to a
-    maximal exactly when they share an edge, the join being
-    g<G_{i-1}, G_i, G_{i+1}>, that is
+    is refused.  The refusal is a guard that cannot fire on a ball from
+    ``ball_table``: the two words differ only when c ends in a maximal
+    (i-1)- or (i+2)-syllable, a syllable of the far end's window, and then
+    c is no far end's conjugator, as ``CSubgroup`` strips exactly such a
+    syllable off its conjugator with ``coset_rep``; only a wrong
+    ``maximal_syllables`` reaches it.  An arc is keyed by its two ids and
+    valued by its label and rep, the longer word, with no join taken: two
+    mediums join to a maximal exactly when they share an edge, the join
+    being g<G_{i-1}, G_i, G_{i+1}>, that is
     ``CSubgroup(MAXIMAL, label, GroupElement(p, word))``.
 
     Faces are the closed n-step walks from a base-0 node along arcs to the

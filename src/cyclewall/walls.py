@@ -50,10 +50,12 @@ distances (one search per source wall, kept on the graph), wall
 connectivity and minimal sets; the last
 runs over the vertex ids of X' (``davis.Subdivision``), each vertex's
 neighbours read off the squares at it, and stops at the first level that
-reaches the other wall.  No element ball is scanned: a
-wall's truncated stabilizer is its short transporters r'·x·r^-1 between
-its edges, each of which stabilizes it, and a truncated ``w<G_S>w^-1`` is
-found by conjugating the short elements of <G_S>.  The geometric test
+reaches the other wall.  No element ball is scanned: a wall's truncated
+stabilizer is read off its key u, as the short u·x·f·u^-1 with x in G_i
+and f in the L-ball of G_{i-1} * G_{i+1} such that f·a = a' for two of its
+edges (i, u·a), (i, u·a'), each of which stabilizes it, and a truncated
+``w<G_S>w^-1`` is found by conjugating the short elements of <G_S>; both
+read the window balls through one helper.  The geometric test
 ``_stabilizes_wall`` only tells which elements of a parabolic move no wall
 edge into the ball; the edge (i, m), m minimal modulo G_i, is in the ball
 iff |m| <= r, the interior rule of ``davis`` one rank down, so no set of
@@ -290,6 +292,13 @@ def _stabilizes_wall(b: ComplexBall, g: GroupElement, T: TreeWall) -> Optional[b
     return True if observed else None
 
 
+def _window_ball(b: ComplexBall, window: frozenset[int], L: int) -> tuple[GroupElement, ...]:
+    """The elements of <G_window> of syllable length <= L, enumerated once
+    per ball and window."""
+    return b.derive(("window-ball", window, L), lambda: tuple(
+        enumerate_ball_elements(b.presentation, L, window)))
+
+
 def _parabolic_ball(b: ComplexBall, H: CSubgroup, L: int) -> frozenset[GroupElement]:
     """The elements of ``H = w<G_S>w^-1`` of syllable length <= L, computed
     once per ball.
@@ -304,60 +313,69 @@ def _parabolic_ball(b: ComplexBall, H: CSubgroup, L: int) -> frozenset[GroupElem
     def build() -> frozenset[GroupElement]:
         w = H.conjugator
         w_inv = inv(w)
-        window_ball = b.derive(("window-ball", H.window, L), lambda: tuple(
-            enumerate_ball_elements(b.presentation, L, H.window)))
-        conjugates = (mul(w, h, w_inv) for h in window_ball)
+        conjugates = (mul(w, h, w_inv) for h in _window_ball(b, H.window, L))
         return frozenset(g for g in conjugates
                          if g.syllable_length <= L and parabolic_member(g, H))
     return b.derive(("parabolic", H, L), build)
 
 
-def wall_fixator_truncated(b: ComplexBall, T: TreeWall, L: int) -> set[GroupElement]:
+def wall_fixator_truncated(b: ComplexBall, T: TreeWall, L: int) -> frozenset[GroupElement]:
     """Elements of length <= L fixing every edge of T, computed geometrically.
 
     An element fixing every edge maps each into the wall, observably, so the
     fixator is read off the truncated stabilizer.
     """
     window = (T.label,)
-    return {g for g in wall_stabilizer_truncated(b, T, L)
-            if all(coset_rep(mul(g, rep), window) == rep for rep in T.edge_reps)}
+    return frozenset(g for g in wall_stabilizer_truncated(b, T, L)
+                     if all(coset_rep(mul(g, rep), window) == rep for rep in T.edge_reps))
 
 
-def wall_stabilizer_truncated(b: ComplexBall, T: TreeWall, L: int) -> set[GroupElement]:
-    """Elements of length <= L mapping observable wall edges into the wall.
+def wall_stabilizer_truncated(b: ComplexBall, T: TreeWall, L: int) -> frozenset[GroupElement]:
+    """Elements of length <= L mapping observable wall edges into the wall:
+    the short u·x·f·u^-1, u the wall's key, x in G_i and f in
+    G_{i-1} * G_{i+1} with f·a = a' for two of the wall's edges (i, u·a),
+    (i, u·a') (``_wall_stabilizer``).
 
-    Computed once per ball, wall and L.  The wall is keyed by its edge ids,
-    not its key alone: a wall made of some of its edges is only part of the
-    ball's wall with that key.
+    Computed once per ball, wall and L, and returned as the kept frozenset.
+    The wall is keyed by its edge ids, not its key alone: a wall made of
+    some of its edges is only part of the ball's wall with that key.
     """
-    return set(b.derive(("stabilizer", T.ids.tobytes(), L),
-                        lambda: _wall_stabilizer(b, T, L)))
+    return b.derive(("stabilizer", T.ids.tobytes(), L), lambda: _wall_stabilizer(b, T, L))
 
 
 def _wall_stabilizer(b: ComplexBall, T: TreeWall, L: int) -> frozenset[GroupElement]:
-    """The elements of length <= L that ``_stabilizes_wall`` accepts: the
-    transporters r'·x·r^-1 (x in G_i) between wall edges (i, r), (i, r').
+    """The elements of length <= L that ``_stabilizes_wall`` accepts, read
+    off the wall's key u: the u·x·f·u^-1 of length <= L with x in G_i and f
+    in the L-ball of F = G_{i-1} * G_{i+1} such that f·R meets R, where R
+    is the set of u^-1·r over the wall's edges (i, r).
 
-    An accepted g maps some edge (i, r) of T onto some (i, r'), so g·r lies
-    in r'·G_i.  Conversely, every edge of a wall with key u lies in
-    u<G_{i-1}, G_i, G_{i+1}>, which a transporter stabilizes; so it maps the
-    wall's edges to edges with its key, on T when in the ball, and (i, r)
-    onto (i, r').  The guard would accept each one, so it is not run.
+    Let S = {i-1, i, i+1}, so <G_S> = G_i x F.  An edge rep r of the wall
+    lies in u<G_S>, and u·h is reduced for every h in <G_S> as u is the
+    minimal rep of that coset; r is minimal modulo G_i, which commutes with
+    F, so h = u^-1·r has no G_i syllable and lies in F.  An accepted g maps
+    some edge (i, r) of T onto some (i, r'), so it is a transporter
+    r'·x·r^-1 with x in G_i, and with a = u^-1·r, a' = u^-1·r':
+    r'·x·r^-1 = u·a'·x·a^-1·u^-1 = u·x·(a'·a^-1)·u^-1, where f = a'·a^-1
+    has f·a = a' in R.  Conversely such a g lies in u<G_S>u^-1, so it maps
+    the wall's edges to edges with its key, on T when in the ball, and
+    (i, r) onto (i, r'); the guard would accept each one, so it is not run.
+    Finally |u·h·u^-1| >= |h| for h in <G_S> (Green, *Graph products of
+    groups*, 1990), and |x·f| >= |f|, so no f longer than L can give an
+    element of length <= L; and |a'·a^-1| <= |a'| + |a|, so no f longer
+    than twice R's longest word is probed.  R is probed shortest word
+    first.
     """
     p = b.presentation
-    local = [identity(p)] + [from_syllable(p, T.label, x)
-                             for x in p.group(T.label).nontrivial_elements()]
-    edge_elements = {mul(r, x) for r in T.edge_reps for x in local}
-    candidates = set()
-    for r in T.edge_reps:
-        r_inv = inv(r)
-        for e in edge_elements:
-            # |e·r^-1| >= |e| - |r|, so skip the products that must be too long
-            if e.syllable_length - r.syllable_length <= L:
-                g = mul(e, r_inv)
-                if g.syllable_length <= L:
-                    candidates.add(g)
-    return frozenset(candidates)
+    i, u = T.label, T.key_rep
+    u_inv = inv(u)
+    R = sorted((mul(u_inv, r) for r in T.edge_reps), key=lambda a: a.syllable_length)
+    members = frozenset(R)
+    longest = 2 * R[-1].syllable_length
+    F_L = _window_ball(b, frozenset({(i - 1) % p.n, (i + 1) % p.n}), L)
+    local = [identity(p)] + [from_syllable(p, i, x) for x in p.group(i).nontrivial_elements()]
+    conjugates = (mul(u, x, f, u_inv) for f in F_L if f.syllable_length <= longest
+                  and any(mul(f, a) in members for a in R) for x in local)
+    return frozenset(g for g in conjugates if g.syllable_length <= L)
 
 
 def wall_stabilizer_audit(b: ComplexBall, L: int) -> Report:

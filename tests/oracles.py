@@ -125,7 +125,8 @@ every candidate glue in the same order, memoises boundaries it has seen up to
 rotation, and undoes the faces and folds of a glue it backtracks from.
 
 The wall-stabilizer scan tries every element of the ball's element ball on
-a wall, instead of the transporters between the wall's edges alone, and the
+a wall, and the transporter oracle multiplies every pair of the wall's edge
+reps, instead of reading the short u·x·f·u^-1 off the wall's key u; the
 parabolic scan filters the element ball with ``parabolic_member``, instead
 of conjugating the window's own short elements.
 
@@ -249,6 +250,7 @@ from cyclewall.words import (
     cyclic_reduce,
     enumerate_ball_elements,
     format_word,
+    from_syllable,
     identity,
     inv,
     maximal_syllables,
@@ -819,6 +821,28 @@ def sweep_stabilizes_wall(b, elements, T: ObjectWall):
 def wall_stabilizer_by_scan(b, T, L: int) -> frozenset:
     """``walls._wall_stabilizer`` by trying every element of ``b.elements(L)``."""
     return frozenset(g for g in b.elements(L) if _stabilizes_wall(b, g, T))
+
+
+def wall_stabilizer_by_transporters(b, T, L: int) -> frozenset:
+    """``walls._wall_stabilizer`` as the transporters r'·x·r^-1 (x in G_i)
+    of length <= L between every pair of wall edges (i, r), (i, r'),
+    instead of reading them off the wall's key: each product r·x of an edge
+    rep with an element of G_i is multiplied by the inverse of every edge
+    rep, skipping the products that must be too long."""
+    p = b.presentation
+    local = [identity(p)] + [from_syllable(p, T.label, x)
+                             for x in p.group(T.label).nontrivial_elements()]
+    edge_elements = {mul(r, x) for r in T.edge_reps for x in local}
+    candidates = set()
+    for r in T.edge_reps:
+        r_inv = inv(r)
+        for e in edge_elements:
+            # |e·r^-1| >= |e| - |r|, so skip the products that must be too long
+            if e.syllable_length - r.syllable_length <= L:
+                g = mul(e, r_inv)
+                if g.syllable_length <= L:
+                    candidates.add(g)
+    return frozenset(candidates)
 
 
 def parabolic_ball_by_scan(b, H: CSubgroup, L: int) -> frozenset:

@@ -46,7 +46,9 @@ from cyclewall.words import (
     coset_rep,
     enumerate_ball_elements,
     format_word,
+    from_syllable,
     identity,
+    inv,
     mul,
     parabolic_member,
     parse_word,
@@ -73,6 +75,7 @@ from oracles import (
     vertex_stabilizer_by_pairs,
     wall_no_shared_polygon_by_pairs,
     wall_stabilizer_by_scan,
+    wall_stabilizer_by_transporters,
     walls_by_flood_fill,
     walls_by_objects,
     wall_objects,
@@ -465,10 +468,11 @@ SCAN_CELLS = (
 
 @pytest.mark.parametrize("name,radius,L", SCAN_CELLS)
 def test_stabilizers_and_parabolic_balls_match_the_scans(name, radius, L):
-    """The transporter candidates give every wall's truncated stabilizer the
-    element-ball scan gives, and conjugating the window ball gives every
-    truncated subgroup the walls audits ask for: each wall's stabilizer and
-    fixator, and the medium of each wall vertex."""
+    """Reading the short u·x·f·u^-1 off each wall's key u gives every
+    wall's truncated stabilizer the element-ball scan gives, and
+    conjugating the window ball gives every truncated subgroup the walls
+    audits ask for: each wall's stabilizer and fixator, and the medium of
+    each wall vertex."""
     b = build_ball(load_presentation(str(PRESENTATIONS / f"{name}.json")), radius)
     subgroups = set()
     for T in walls_of_ball(b):
@@ -479,6 +483,20 @@ def test_stabilizers_and_parabolic_balls_match_the_scans(name, radius, L):
     for H in sorted(subgroups, key=subgroup_sort_key):
         assert walls._parabolic_ball(b, H, L) == \
             parabolic_ball_by_scan(b, H, L), H.key_string()
+
+
+# Cells of the transporter cross-check: radii the scan cells skip.
+TRANSPORTER_CELLS = [("c5_z3", 3, 3), ("c6_mixed", 3, 3), ("c5_z3", 4, 2)]
+
+
+@pytest.mark.parametrize("name,radius,L", TRANSPORTER_CELLS)
+def test_stabilizers_match_the_transporter_oracle(name, radius, L):
+    """Reading the short u·x·f·u^-1 off each wall's key u gives the
+    transporters r'·x·r^-1 between every pair of the wall's edges."""
+    b = build_ball(load_presentation(str(PRESENTATIONS / f"{name}.json")), radius)
+    for T in walls_of_ball(b):
+        assert wall_stabilizer_truncated(b, T, L) == \
+            wall_stabilizer_by_transporters(b, T, L), T.key_string()
 
 
 def stabilizer_rows(report):
@@ -528,6 +546,30 @@ def test_stabilizer_audit_fails_when_the_guard_accepts_everything(c5_mixed, monk
     monkeypatch.setattr(walls, "_stabilizes_wall", lambda b, g, T: True)
     rows = stabilizer_rows(wall_stabilizer_audit(build_ball(c5_mixed, 1), 3))
     assert rows and {r.status for r in rows.values()} == {"fail"}
+
+
+def test_stabilizer_audit_reads_the_walls_edges(c5_mixed, monkeypatch):
+    """A stabilizer that keeps every f of the L-ball of G_{i-1} * G_{i+1},
+    not only those moving one wall edge onto another, is the whole
+    truncated parabolic, with the elements that move no wall edge into the
+    ball: so each central radius-1 row, inconclusive without the mutant,
+    passes, and the geometric side reads the ball's edges."""
+    p = c5_mixed
+    clean = stabilizer_rows(wall_stabilizer_audit(build_ball(p, 1), 3))
+
+    def ignores_the_edges(b, T, L):
+        i, u = T.label, T.key_rep
+        local = [identity(p)] + [from_syllable(p, i, x)
+                                 for x in p.group(i).nontrivial_elements()]
+        F_L = walls._window_ball(b, frozenset({(i - 1) % p.n, (i + 1) % p.n}), L)
+        conjugates = (mul(u, x, f, inv(u)) for f in F_L for x in local)
+        return frozenset(g for g in conjugates if g.syllable_length <= L)
+
+    monkeypatch.setattr(walls, "_wall_stabilizer", ignores_the_edges)
+    mutated = stabilizer_rows(wall_stabilizer_audit(build_ball(p, 1), 3))
+    central = [f"T{i}@e L=3" for i in range(p.n)]
+    assert {clean[k].status for k in central} == {"inconclusive"}
+    assert {mutated[k].status for k in central} == {"pass"}
 
 
 @pytest.mark.parametrize("radius,L", [(2, 3), (1, 3)])
