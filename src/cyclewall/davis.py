@@ -410,13 +410,6 @@ class Subdivision(NamedTuple):
         """(square, the place of x among its corners), in square order."""
         return map(divmod, self.at[self.start[x]:self.start[x + 1]], repeat(4))
 
-    def neighbors(self, x: int) -> Iterator[int]:
-        """The vertices joined to x by an edge: the corners next to x in the
-        squares at x, each as often as it is."""
-        for q, j in self.squares_at(x):
-            yield self.squares[8 * q + (j + 1) % 4]
-            yield self.squares[8 * q + (j - 1) % 4]
-
     def vertex_key(self, x: int) -> str:
         t = self.table
         nv, ne = len(t.vertices) // 2, len(t.edges) // 4

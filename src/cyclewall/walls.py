@@ -47,21 +47,25 @@ The crossing graph is lists by wall index (``CrossingGraph.neighbors``
 holds a set of indices per wall), and one level-by-level breadth-first
 search over a neighbour function (``_bfs_levels``) serves crossing-graph
 distances (one search per source wall, kept on the graph), wall
-connectivity and minimal sets; the last
-runs over the vertex ids of X' (``davis.Subdivision``), each vertex's
-neighbours read off the squares at it, and stops at the first level that
-reaches the other wall.  No element ball is scanned: a wall's truncated
-stabilizer is read off its key u, as the short u·x·f·u^-1 with x in G_i
-and f in the L-ball of G_{i-1} * G_{i+1} such that f·a = a' for two of its
-edges (i, u·a), (i, u·a'), each of which stabilizes it, and a truncated
-``w<G_S>w^-1`` is found by conjugating the short elements of <G_S>; both
-read the window balls through one helper.  The geometric test
-``_stabilizes_wall`` only tells which elements of a parabolic move no wall
-edge into the ball; the edge (i, m), m minimal modulo G_i, is in the ball
-iff |m| <= r, the interior rule of ``davis`` one rank down, so no set of
-the ball's edges is kept.  The walls, the subdivision X', the window
-balls, each truncated parabolic subgroup and the per-wall truncated
-stabilizers are built once per ball, on first use, and kept on the ball
+connectivity and minimal sets; the last runs over the vertex ids of X'
+(``davis.Subdivision``), each vertex's neighbours one slice of a CSR
+skeleton built once per ball from X''s edge list (``_skeleton``), and
+stops at the first level that reaches the other wall.  No element ball is
+scanned: a wall's truncated stabilizer is read off its key u, as the short
+u·x·f·u^-1 with x in G_i and f in the L-ball of G_{i-1} * G_{i+1} such
+that f·a = a' for two of its edges (i, u·a), (i, u·a'), each of which
+stabilizes it, and a truncated ``w<G_S>w^-1`` is found by conjugating the
+short elements of <G_S>; both read the window balls through one helper,
+and both size each conjugate by Green's length formula
+|w·h·w^-1| = |h| + 2·|coset_rep(w, C(supp(h)))| before multiplying it,
+so no conjugate longer than L is multiplied out (``_fitting``).  The
+geometric test ``_stabilizes_wall`` only tells which elements of a
+parabolic move no wall edge into the ball; the edge (i, m), m minimal
+modulo G_i, is in the ball iff |m| <= r, the interior rule of ``davis``
+one rank down, so no set of the ball's edges is kept.  The walls, the
+subdivision X' and its skeleton, the window balls, each truncated
+parabolic subgroup and the per-wall truncated stabilizers are built once
+per ball, on first use, and kept on the ball
 (``ComplexBall.derived``); they live and die with it.  A wall's fixator is
 read off its stabilizer.  No audit here reads the ball's incidence maps:
 the shared-polygon audit files each polygon's sides under the walls that
@@ -292,11 +296,44 @@ def _stabilizes_wall(b: ComplexBall, g: GroupElement, T: TreeWall) -> Optional[b
     return True if observed else None
 
 
-def _window_ball(b: ComplexBall, window: frozenset[int], L: int) -> tuple[GroupElement, ...]:
-    """The elements of <G_window> of syllable length <= L, enumerated once
-    per ball and window."""
-    return b.derive(("window-ball", window, L), lambda: tuple(
-        enumerate_ball_elements(b.presentation, L, window)))
+def _window_ball(b: ComplexBall, window: frozenset[int], L: int) -> dict[frozenset, list]:
+    """The elements of <G_window> of syllable length <= L by support, each
+    bucket a list in (len, word) order, enumerated once per ball and
+    window."""
+    def build() -> dict[frozenset, list]:
+        by_support: dict[frozenset[int], list[GroupElement]] = {}
+        for h in enumerate_ball_elements(b.presentation, L, window):
+            by_support.setdefault(h.support(), []).append(h)
+        return by_support
+    return b.derive(("window-ball", window, L), build)
+
+
+def _fitting(b: ComplexBall, w: GroupElement, window: frozenset, L: int) -> Iterator[GroupElement]:
+    """The h in the L-ball of <G_window> with |w·h·w^-1| <= L, for w
+    minimal modulo <G_window>, with no product taken.
+
+    Green's normal form (*Graph products of groups*, 1990) gives
+    |w·h·w^-1| = |h| + 2·|w'|, w' = coset_rep(w, C(supp(h))), C(sigma)
+    being the vertices that commute with every vertex of sigma.  Proof:
+    w = w'·t with t in <G_C(sigma)>, so t commutes with h and
+    w·h·w^-1 = w'·h·w'^-1.  No last syllable of w' has its vertex in
+    C(sigma), as coset_rep strips them; nor in sigma, as such a syllable
+    commutes with t, so it would end w, and sigma lies in the window.  A
+    last syllable of w'·h is one of h (vertex in sigma) or one of w' that
+    commutes with h (vertex in C(sigma)), so none merges with a first
+    syllable of w'^-1: w'·h·w'^-1 is reduced.  So |w'| is read once per
+    support, at most 2^3 times, and each bucket of the window ball is cut
+    at length L - 2|w'|.
+
+    More than one syllable of w can commute with h, so |w·h·w^-1| >=
+    2|w| - 1 is false: the wall T0@v0:1 v2:1 of c5_z2 keeps v1:1, as
+    C({1}) = {0, 2} and w' is the identity.
+    """
+    p = w.presentation
+    for sigma, hs in _window_ball(b, window, L).items():
+        commuting = set(range(p.n)).difference(*map(p.blocks.__getitem__, sigma))
+        room = L - 2 * coset_rep(w, commuting).syllable_length
+        yield from itertools.takewhile(lambda h: h.syllable_length <= room, hs)
 
 
 def _parabolic_ball(b: ComplexBall, H: CSubgroup, L: int) -> frozenset[GroupElement]:
@@ -304,16 +341,19 @@ def _parabolic_ball(b: ComplexBall, H: CSubgroup, L: int) -> frozenset[GroupElem
     once per ball.
 
     Enumerated as w·h·w^-1 over the h in <G_S> with |h| <= L, which misses
-    none: w is the minimal rep of its coset, so no syllable of S ends it, and
-    once the tail of w that commutes with supp(h) is stripped, the rest w'
-    gives the reduced word w'·h·w'^-1 (Green, *Graph products of groups*,
-    1990), so |w·h·w^-1| >= |h|.  Each element kept still passes
+    none, as |w·h·w^-1| >= |h|: w is minimal modulo <G_S> (``CSubgroup``
+    keeps it minimal modulo a window that contains S), so
+    |w·h·w^-1| = |h| + 2·|coset_rep(w, C(supp(h)))|, C(sigma) the vertices
+    commuting with all of sigma (``_fitting`` proves it).  An h whose
+    conjugate that formula makes longer than L is skipped before it is
+    multiplied; |w·h·w^-1| >= 2|w| - 1 is no bound (``_fitting`` has the
+    counterexample).  Each element kept still passes the length filter and
     ``parabolic_member``, so the audits test that membership rule.
     """
     def build() -> frozenset[GroupElement]:
         w = H.conjugator
         w_inv = inv(w)
-        conjugates = (mul(w, h, w_inv) for h in _window_ball(b, H.window, L))
+        conjugates = (mul(w, h, w_inv) for h in _fitting(b, w, H.window, L))
         return frozenset(g for g in conjugates
                          if g.syllable_length <= L and parabolic_member(g, H))
     return b.derive(("parabolic", H, L), build)
@@ -359,22 +399,30 @@ def _wall_stabilizer(b: ComplexBall, T: TreeWall, L: int) -> frozenset[GroupElem
     has f·a = a' in R.  Conversely such a g lies in u<G_S>u^-1, so it maps
     the wall's edges to edges with its key, on T when in the ball, and
     (i, r) onto (i, r'); the guard would accept each one, so it is not run.
-    Finally |u·h·u^-1| >= |h| for h in <G_S> (Green, *Graph products of
-    groups*, 1990), and |x·f| >= |f|, so no f longer than L can give an
-    element of length <= L; and |a'·a^-1| <= |a'| + |a|, so no f longer
-    than twice R's longest word is probed.  R is probed shortest word
-    first.
+    Lengths are known before any product is taken: u is minimal modulo
+    <G_S>, so |u·h·u^-1| = |h| + 2·|coset_rep(u, C(supp(h)))|, C(sigma) the
+    vertices commuting with all of sigma (``_fitting`` proves it).  For
+    x = 1 that is |f| + 2·|coset_rep(u, C(supp(f)))|; as |x·f| >= |f| and
+    adding i to the support only shrinks C, it bounds every x from below, so
+    an f it makes longer than L is not probed.  For x != 1, C(supp(f) + {i})
+    lies in C({i}) = {i-1, i+1}, which no syllable of u ends, so the
+    conjugate has length |f| + 1 + 2|u|.  |u·h·u^-1| >= 2|u| - 1 is no
+    bound: more than one syllable of u can commute with h (the wall
+    T0@v0:1 v2:1 of c5_z2 keeps v1:1).  And |a'·a^-1| <= |a'| + |a|, so no
+    f longer than twice R's longest word is probed.  R is probed shortest
+    word first.
     """
     p = b.presentation
     i, u = T.label, T.key_rep
-    u_inv = inv(u)
+    u_inv, far = inv(u), L - 1 - 2 * u.syllable_length   # x != 1 fits when |f| <= far
     R = sorted((mul(u_inv, r) for r in T.edge_reps), key=lambda a: a.syllable_length)
     members = frozenset(R)
     longest = 2 * R[-1].syllable_length
-    F_L = _window_ball(b, frozenset({(i - 1) % p.n, (i + 1) % p.n}), L)
+    F_L = _fitting(b, u, frozenset({(i - 1) % p.n, (i + 1) % p.n}), L)
     local = [identity(p)] + [from_syllable(p, i, x) for x in p.group(i).nontrivial_elements()]
     conjugates = (mul(u, x, f, u_inv) for f in F_L if f.syllable_length <= longest
-                  and any(mul(f, a) in members for a in R) for x in local)
+                  and any(mul(f, a) in members for a in R)
+                  for x in (local if f.syllable_length <= far else local[:1]))
     return frozenset(g for g in conjugates if g.syllable_length <= L)
 
 
@@ -484,18 +532,40 @@ def classify_pair(b: ComplexBall, cg: CrossingGraph, k1: int, k2: int, L: int) -
 # -- minimal sets ------------------------------------------------------------------
 
 
+def _skeleton(b: ComplexBall) -> Callable[[int], array]:
+    """X' vertex id -> its neighbours in the 1-skeleton of X', each one
+    slice of CSR arrays built once per ball: a start array and a flat
+    neighbour array.  Read off ``Subdivision.ends``, which lists each edge
+    once, so each neighbour is listed once, in edge order: each end is
+    placed at the next free slot of its vertex, in one pass and with no
+    index list, which a sort of the ends would hold (21.8 MB at c5_z3
+    radius 5)."""
+    def build() -> Callable[[int], array]:
+        x = subdivision(b)
+        ends, degree = x.ends, [0] * (len(x.start) - 1)
+        for v in ends:
+            degree[v] += 1
+        start = array("i", itertools.accumulate(degree, initial=0))
+        nbr, free = array("i", ends), array("i", start)
+        for k, v in enumerate(ends):   # the other end of the end at place k is at k ^ 1
+            nbr[free[v]] = ends[k ^ 1]
+            free[v] += 1
+        return lambda v: nbr[start[v]:start[v + 1]]
+    return b.derive("skeleton", build)
+
+
 def min_set(b: ComplexBall, T1: TreeWall, T2: TreeWall) -> tuple[set[int], int, int]:
     """(ids of the vertices of T1 closest to T2, that distance, diameter of
     the set).
 
     Distances are edge counts in the 1-skeleton of X', searched over its
-    vertex ids: the neighbours of a vertex are the corners next to it in
-    the squares at it.  An X-vertex's id in X' is its table id, and the
-    walls' vertex ids are read from the table.
+    vertex ids, each vertex's neighbours read as one slice of the ball's
+    CSR skeleton (``_skeleton``).  An X-vertex's id in X' is its table id,
+    and the walls' vertex ids are read from the table.
     """
-    x = subdivision(b)
+    neighbors = _skeleton(b)
     targets = T1.vertex_set
-    for d, level in enumerate(_bfs_levels(x.neighbors, T2.vertex_set)):
+    for d, level in enumerate(_bfs_levels(neighbors, T2.vertex_set)):
         closest = level & targets
         if closest:
             break
@@ -504,7 +574,7 @@ def min_set(b: ComplexBall, T1: TreeWall, T2: TreeWall) -> tuple[set[int], int, 
     diam = 0
     for v in closest:
         unreached = set(closest)
-        for k, level in enumerate(_bfs_levels(x.neighbors, [v])):
+        for k, level in enumerate(_bfs_levels(neighbors, [v])):
             if not unreached.isdisjoint(level):
                 unreached -= level
                 diam = max(diam, k)

@@ -63,7 +63,12 @@ class's labels and midpoints in one more pass over the squares.
 
 The minimal-set oracle runs networkx shortest paths over the whole square
 skeleton of the square-ball oracle, instead of the stopped breadth-first
-search over vertex ids of ``walls.min_set``.
+search over the CSR skeleton of vertex ids of ``walls.min_set``.
+
+The conjugation oracle (``parabolic_ball_by_conjugation``) multiplies out
+w·h·w^-1 for every h of the window's L-ball and filters the products by
+length, instead of skipping each h whose conjugate Green's length formula
+makes too long before the product, as ``walls._parabolic_ball`` does.
 
 The vertex-on-wall oracle moves a wall's edges with ``act_edge`` by every
 element of a vertex stabilizer cut at a syllable length, instead of asking
@@ -843,6 +848,15 @@ def wall_stabilizer_by_transporters(b, T, L: int) -> frozenset:
                 if g.syllable_length <= L:
                     candidates.add(g)
     return frozenset(candidates)
+
+
+def parabolic_ball_by_conjugation(b, H: CSubgroup, L: int) -> frozenset:
+    """``walls._parabolic_ball`` by conjugating every h in <G_S> with
+    |h| <= L, with no length read before the product."""
+    w = H.conjugator
+    w_inv = inv(w)
+    conjugates = (mul(w, h, w_inv) for h in enumerate_ball_elements(b.presentation, L, H.window))
+    return frozenset(g for g in conjugates if g.syllable_length <= L and parabolic_member(g, H))
 
 
 def parabolic_ball_by_scan(b, H: CSubgroup, L: int) -> frozenset:

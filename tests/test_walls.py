@@ -67,6 +67,7 @@ from oracles import (
     object_ball,
     objects,
     subdivide,
+    parabolic_ball_by_conjugation,
     parabolic_ball_by_scan,
     subgroup_sort_key,
     sweep_closure,
@@ -485,8 +486,12 @@ def test_stabilizers_and_parabolic_balls_match_the_scans(name, radius, L):
             parabolic_ball_by_scan(b, H, L), H.key_string()
 
 
-# Cells of the transporter cross-check: radii the scan cells skip.
-TRANSPORTER_CELLS = [("c5_z3", 3, 3), ("c6_mixed", 3, 3), ("c5_z3", 4, 2)]
+# Cells of the transporter and conjugation cross-checks: radii the scan
+# cells skip, and cells where keys longer than (L + 1) / 2 keep elements
+# shorter than 2|u| - 1 (c5_z2 r4 L = 3) or where most products are skipped
+# by length (c5_z3 r3 L = 1).
+TRANSPORTER_CELLS = [("c5_z3", 3, 3), ("c6_mixed", 3, 3), ("c5_z3", 4, 2),
+                     ("c5_z2", 4, 3), ("c5_z3", 3, 1)]
 
 
 @pytest.mark.parametrize("name,radius,L", TRANSPORTER_CELLS)
@@ -497,6 +502,68 @@ def test_stabilizers_match_the_transporter_oracle(name, radius, L):
     for T in walls_of_ball(b):
         assert wall_stabilizer_truncated(b, T, L) == \
             wall_stabilizer_by_transporters(b, T, L), T.key_string()
+
+
+@pytest.mark.parametrize("name,radius,L", TRANSPORTER_CELLS)
+def test_parabolic_balls_match_the_conjugation_oracle(name, radius, L):
+    """Skipping each h whose conjugate Green's length formula makes longer
+    than L gives the truncated stabilizer and fixator of every wall that
+    multiplying out every w·h·w^-1 gives."""
+    b = build_ball(load_presentation(str(PRESENTATIONS / f"{name}.json")), radius)
+    for T in walls_of_ball(b):
+        for H in (T.stabilizer, T.fixator):
+            assert walls._parabolic_ball(b, H, L) == \
+                parabolic_ball_by_conjugation(b, H, L), H.key_string()
+
+
+def kept_by_long_keys(name, radius, L):
+    """Wall -> the nontrivial elements of its truncated stabilizer, for the
+    walls whose key u is longer than (L + 1) / 2.  A bound
+    |u·h·u^-1| >= 2|u| - 1 would leave this empty."""
+    b = build_ball(load_presentation(str(PRESENTATIONS / f"{name}.json")), radius)
+    kept = {}
+    for T in walls_of_ball(b):
+        if 2 * T.key_rep.syllable_length > L + 1:
+            short = {format_word(g) for g in wall_stabilizer_truncated(b, T, L)
+                     if not g.is_identity}
+            if short:
+                kept[T.key_string()] = short
+    return kept
+
+
+# (presentation, radius, L, walls kept by long keys, a wall and an element
+# it keeps that is shorter than 2|u| - 1)
+LONG_KEY_CELLS = [("c5_z2", 3, 1, 10, "T0@v0:1 v2:1", "v1:1"),
+                  ("c5_z2", 4, 3, 30, "T0@v0:1 v1:1 v3:1", "v1:1 v4:1 v1:1")]
+
+
+@pytest.mark.parametrize("name,radius,L,count,wall,element", LONG_KEY_CELLS)
+def test_long_keys_keep_short_stabilizer_elements(name, radius, L, count, wall, element):
+    """More than one syllable of a key can commute with a stabilizer
+    element: u = v0:1 v2:1 commutes with v1:1, so the wall T0@v0:1 v2:1
+    keeps v1:1, of length 1 < 2|u| - 1."""
+    kept = kept_by_long_keys(name, radius, L)
+    assert len(kept) == count
+    assert element in kept[wall]
+
+
+def test_long_key_test_fails_when_long_keys_are_skipped(monkeypatch):
+    """A stabilizer that keeps only the identity for keys longer than
+    (L + 1) / 2, as the bound |u·h·u^-1| >= 2|u| - 1 would allow, fails
+    the long-key test and the stabilizer audit."""
+    real = walls._wall_stabilizer
+
+    def skips_long_keys(b, T, L):
+        if 2 * T.key_rep.syllable_length > L + 1:
+            return frozenset({identity(b.presentation)})
+        return real(b, T, L)
+
+    monkeypatch.setattr(walls, "_wall_stabilizer", skips_long_keys)
+    for name, radius, L, *_ in LONG_KEY_CELLS:
+        assert kept_by_long_keys(name, radius, L) == {}
+    p = load_presentation(str(PRESENTATIONS / "c5_z2.json"))
+    rows = stabilizer_rows(wall_stabilizer_audit(build_ball(p, 3), 1))
+    assert rows["T0@v0:1 v2:1 L=1"].status == "fail"
 
 
 def stabilizer_rows(report):
@@ -561,7 +628,7 @@ def test_stabilizer_audit_reads_the_walls_edges(c5_mixed, monkeypatch):
         i, u = T.label, T.key_rep
         local = [identity(p)] + [from_syllable(p, i, x)
                                  for x in p.group(i).nontrivial_elements()]
-        F_L = walls._window_ball(b, frozenset({(i - 1) % p.n, (i + 1) % p.n}), L)
+        F_L = enumerate_ball_elements(p, L, {(i - 1) % p.n, (i + 1) % p.n})
         conjugates = (mul(u, x, f, inv(u)) for f in F_L for x in local)
         return frozenset(g for g in conjugates if g.syllable_length <= L)
 
@@ -974,6 +1041,44 @@ def test_min_set_matches_networkx_oracle(c5_mixed):
     for T1, T2 in itertools.combinations(walls_of_ball(b), 2):
         assert min_set(b, T1, T2) == min_set_networkx(b, T1, T2), \
             (T1.key_string(), T2.key_string())
+
+
+@pytest.fixture(scope="module")
+def audited_min_sets():
+    """The c5_z3 radius-3 ball, its walls, the pairs ``min_set_audit``
+    reads, and the networkx oracle's minimal set of each pair."""
+    b = build_ball(load_presentation(str(PRESENTATIONS / "c5_z3.json")), 3)
+    ws = walls_of_ball(b)
+    pairs = list(itertools.islice(itertools.combinations(ws, 2), walls.MIN_SET_PAIRS))
+    return b, {(T1, T2): min_set_networkx(b, T1, T2) for T1, T2 in pairs}
+
+
+def min_set_mismatches(b, oracle):
+    return [(T1.key_string(), T2.key_string()) for (T1, T2), want in oracle.items()
+            if min_set(b, T1, T2) != want]
+
+
+def test_min_set_matches_networkx_oracle_on_the_audited_pairs(audited_min_sets):
+    """At c5_z3 radius 3, the minimal set of each pair ``min_set_audit``
+    reads, as the CSR skeleton gives it, is the networkx oracle's."""
+    b, oracle = audited_min_sets
+    assert len(oracle) == walls.MIN_SET_PAIRS
+    assert {d for _, d, _ in oracle.values()} == {0, 4, 6, 8}
+    assert min_set_mismatches(b, oracle) == []
+
+
+def test_min_set_oracle_fails_on_a_skeleton_missing_an_edge(audited_min_sets, monkeypatch):
+    """A skeleton without the half of X' edge 0, from the central X-vertex
+    to a midpoint, gives some audited pair another minimal set."""
+    b, oracle = audited_min_sets
+    real = walls._skeleton
+
+    def drops_an_edge(b):
+        neighbors, cut = real(b), set(subdivision(b).edge_ends(0))
+        return lambda v: [w for w in neighbors(v) if {v, w} != cut]
+
+    monkeypatch.setattr(walls, "_skeleton", drops_an_edge)
+    assert min_set_mismatches(b, oracle)
 
 
 def test_adjacency_criterion_fails_on_a_wall_missing_an_edge(c5_z2, monkeypatch):
