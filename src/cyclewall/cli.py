@@ -1,22 +1,25 @@
 """Command-line interface: word reduction, ball exports, the verify harness,
 and automorphism utilities.
 
-Exit codes: 0 pass, 1 audit failure, 2 resource or validation error (any
-other ``CycleWallError`` too, running out of memory, and a stdout closed
-before the output was written), 3 no failures but at least one inconclusive
-check.
+Exit codes: 0 pass (and ``--help``), 1 audit failure, 2 usage, resource or
+validation error (any other ``CycleWallError`` too, running out of memory,
+and a stdout closed before the output was written), 3 no failures but at
+least one inconclusive check.  The argv is read with ``getopt`` off one
+table of the commands, their options and their positionals.
 """
 
 from __future__ import annotations
 
-import argparse
+import getopt
 import itertools
 import json
 import os
 import random
+import re
 import sys
 from array import array
 from math import isqrt
+from types import SimpleNamespace
 from typing import Iterable, Optional
 
 from . import algebraic, davis, diagrams, walls
@@ -378,56 +381,95 @@ def _write(path: Optional[str], text: str | Iterable[str]) -> None:
 
 # -- argument parsing ----------------------------------------------------------------
 
+# the valued options of every command: name -> (default, type), where a type
+# is int, str or a tuple of choices
+_COMMON = {"presentation": (None, str), "radius": (2, int), "depth": (3, int),
+           "seed": (0, int), "output": (None, str)}
+# command -> (handler, summary, its own valued options, its flags, its
+# positional): the choices of ``action``, None for any number of ``word``
+# arguments, or () for none
+_COMMANDS = {
+    "reduce": (cmd_reduce, "print canonical forms of words, or of stdin's lines", {}, (), None),
+    "ball": (cmd_ball, "build and export a bounded ball, or its square subdivision",
+             {"format": ("json", ("json", "dot"))}, ("subdivide",), ()),
+    "verify": (cmd_verify, "run an audit suite and print the report",
+               {"suite": ("all", _SUITES)}, (), ()),
+    "aut": (cmd_aut, "automorphism utilities", {"images": (None, str), "element": (None, str)},
+            (), ("decompose", "witness", "fixator")),
+}
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cyclewall",
-        description="Toolkit for cyclic products of groups: normal forms, "
-                    "polygonal complex audits, tree-walls, automorphisms, "
-                    "and curvature checks.")
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--presentation", required=True,
-                        help="JSON file: {\"n\": int, \"groups\": [...]}")
-        sp.add_argument("--radius", type=int, default=2)
-        sp.add_argument("--depth", type=int, default=3,
-                        help="syllable-length bound for truncated searches")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--output", default=None, help="write to file, not stdout")
+def _value(name: str, text: str, kind):
+    """``text`` read as the value of ``name``, of type ``kind``."""
+    try:   # a text that is no choice raises ValueError, as one that is no int does
+        return kind[kind.index(text)] if isinstance(kind, tuple) else kind(text)
+    except ValueError:
+        raise ValidationError(f"argument {name}: invalid value: {text!r}" + (
+            f" (choose from {', '.join(kind)})" if isinstance(kind, tuple) else "")) from None
 
-    sp = sub.add_parser("reduce", help="print canonical forms of words")
-    common(sp)
-    sp.add_argument("word", nargs="*",
-                    help="words like 'v1:1 v2:1'; reads stdin lines if omitted")
-    sp.set_defaults(func=cmd_reduce)
 
-    sp = sub.add_parser("ball", help="build and export a bounded ball")
-    common(sp)
-    sp.add_argument("--format", choices=("json", "dot"), default="json")
-    sp.add_argument("--subdivide", action="store_true",
-                    help="export the square subdivision instead")
-    sp.set_defaults(func=cmd_ball)
+def _parse_args(argv: list[str]) -> SimpleNamespace:
+    """The command, its handler ``func`` and the value of each of its options
+    and positionals, read off ``argv`` by ``getopt.gnu_getopt``: options and
+    positionals in any order, ``--name value`` or ``--name=value``, any
+    unique prefix of an option's name, and ``--`` before positionals.
+    ``-h``/``--help`` gives the handler ``_help``.  A usage error raises
+    ``ValidationError``.  As with argparse, a value given as an argument of
+    its own may not look like an option (``--output --seed``), so that a
+    missing value is an error."""
+    command = argv[0] if argv[:1] and argv[0] in _COMMANDS else None
+    func, _, own, flags, positional = _COMMANDS.get(command, (None, "", {}, (), ()))
+    options = {**_COMMON, **own} if command else {}   # before a command, only --help
+    try:
+        opts, words = getopt.gnu_getopt(argv[1:] if command else argv[:1], "h",
+                                        ["help", *flags, *(o + "=" for o in options)])
+    except getopt.GetoptError as exc:
+        raise ValidationError(exc.msg) from None
+    args = SimpleNamespace(command=command, func=func, **dict.fromkeys(flags, False),
+                           **{o: default for o, (default, _) in options.items()})
+    for opt, text in opts:
+        if opt in ("-h", "--help"):
+            return SimpleNamespace(command=command, func=_help)
+        # a value given as an argument of its own (one after "=" is not in
+        # argv) that argparse read as an option: no "-", negative number or space
+        if text in argv and text[:1] == "-" != text and " " not in text \
+                and not re.fullmatch(r"-\d+|-\d*\.\d+", text):
+            raise ValidationError(f"argument {opt}: expected one argument")
+        name = opt[2:]
+        setattr(args, name, True if name in flags else _value(opt, text, options[name][1]))
+    if command is None:
+        raise ValidationError(f"the first argument is a command: {', '.join(_COMMANDS)}")
+    if args.presentation is None or positional and not words:
+        raise ValidationError("the following arguments are required: "
+                              + ("--presentation" if args.presentation is None else "action"))
+    if positional is None:
+        args.word, words = words, []
+    elif positional:
+        args.action = _value("action", words.pop(0), positional)
+    if words:
+        raise ValidationError(f"unrecognized arguments: {' '.join(words)}")
+    return args
 
-    sp = sub.add_parser("verify", help="run an audit suite and print the report")
-    common(sp)
-    sp.add_argument("--suite", choices=_SUITES, default="all")
-    sp.set_defaults(func=cmd_verify)
 
-    sp = sub.add_parser("aut", help="automorphism utilities")
-    common(sp)
-    sp.add_argument("action", choices=("decompose", "witness", "fixator"))
-    sp.add_argument("--images", default=None,
-                    help="JSON file {\"images\": [[word, ...], ...]} for decompose")
-    sp.add_argument("--element", default=None,
-                    help="word whose local fixator to compute (fixator action)")
-    sp.set_defaults(func=cmd_aut)
-    return parser
+def _help(args) -> int:
+    """Print the usage of ``args.command``, or of every command, off
+    ``_COMMANDS``: each option with its default, or its choices with the
+    default first."""
+    print("usage: cyclewall COMMAND --presentation=FILE [OPTION ...]; an option is --name "
+          "value, --name=value or a unique prefix of --name; its default is shown, first")
+    for name in [args.command] if args.command else _COMMANDS:
+        _, about, own, flags, positional = _COMMANDS[name]
+        shown = [f"--{o}=" + ("|".join(dict.fromkeys((default, *kind))) if isinstance(kind, tuple)
+                              else o.upper() if default is None else str(default))
+                 for o, (default, kind) in {**_COMMON, **own}.items()] + [f"--{f}" for f in flags]
+        shown.append("[WORD ...]" if positional is None else "|".join(positional))
+        print(f"  cyclewall {name} {' '.join(shown).rstrip()}\n      {about}")
+    return EXIT_PASS
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
         return args.func(args)
     except CycleWallError as exc:
         print(f"error: {exc}", file=sys.stderr)

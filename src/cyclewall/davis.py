@@ -495,6 +495,14 @@ def _square_link(x: Subdivision, v: int) -> dict[int, set[int]]:
     return link
 
 
+def _x_links(b: ComplexBall) -> dict[int, dict[int, set[int]]]:
+    """``_square_link(x, v)`` by interior X-vertex v, in key order: built
+    once per ball, read by ``t4_audit`` and ``links_audit``."""
+    x = subdivision(b)
+    return b.derive("x-links", lambda: {v: _square_link(x, v)
+                                        for v in x.table.interior_vertices()})
+
+
 def t4_audit(b: ComplexBall) -> Report:
     """Every interior X'-vertex link has girth >= 4; every polygon has n
     distinct corners, read from its table record."""
@@ -508,17 +516,17 @@ def t4_audit(b: ComplexBall) -> Report:
         report.add("davis.t4.polygon-sides", format_word(g), False,
                    witness=[x.vertex_key(v) for v in c])
     bad = []
-    for v in compress(count(), x.interior_vertices()):   # in key order
-        try:
-            link = _square_link(x, v)
-        except InvariantError as exc:
-            bad = {"error": str(exc), "at": exc.witness}
-            break
-        # Girth < 4 means a loop or a triangle (sets of neighbours hold no
-        # double edge): an edge a-c whose ends share a neighbour.  The
-        # witness is the girth, 1 with a loop and 3 without.
-        if any(nbrs & link[c] for nbrs in link.values() for c in nbrs):
-            bad.append((x.vertex_key(v), 1 if any(a in link[a] for a in link) else 3))
+    try:
+        links = _x_links(b)
+        for v in compress(count(), x.interior_vertices()):   # in key order
+            link = links[v] if v in links else _square_link(x, v)
+            # Girth < 4 means a loop or a triangle (sets of neighbours hold
+            # no double edge): an edge a-c whose ends share a neighbour.
+            # The witness is the girth, 1 with a loop and 3 without.
+            if any(nbrs & link[c] for nbrs in link.values() for c in nbrs):
+                bad.append((x.vertex_key(v), 1 if any(a in link[a] for a in link) else 3))
+    except InvariantError as exc:   # the first X'-vertex whose link cannot be read
+        bad = {"error": str(exc), "at": exc.witness}
     report.add("davis.t4.link-girth", f"radius={b.radius}", not bad, witness=bad or None)
     if not bad_sides:
         report.add("davis.t4.polygon-sides", f"radius={b.radius}", True)
@@ -583,12 +591,11 @@ def links_audit(b: ComplexBall) -> Report:
     index = x.table.vertices[::2]
     inside = x.table.interior_vertices()
     bad = []
-    for v in inside:   # in key order
-        try:
-            link = _square_link(x, v)
-        except InvariantError as exc:
-            bad = {"error": str(exc), "at": exc.witness}
-            break
+    try:
+        links = _x_links(b)
+    except InvariantError as exc:
+        bad, links = {"error": str(exc), "at": exc.witness}, {}
+    for v, link in links.items():   # in key order
         i, j = index[v], (index[v] + 1) % p.n
         side_i = {s for s in link if x.label(s) == i}
         side_j = {s for s in link if x.label(s) == j}

@@ -186,8 +186,13 @@ The ball-enumeration oracle is a breadth-first search: it multiplies every
 element of a level by every generator, keeps the products of the next
 length that it has not seen, and sorts the ball at the end, instead of
 keeping each element's one canonical parent.
+
+The argument-parsing oracle (``build_parser``) is the argparse parser the
+CLI used before it read its argv with ``getopt`` off one command table:
+five parsers with their options, defaults, choices and handlers.
 """
 
+import argparse
 import itertools
 import json
 from array import array
@@ -197,6 +202,7 @@ from typing import Optional
 
 import networkx as nx
 
+from cyclewall import cli
 from cyclewall.algebraic import (
     MAXIMAL,
     CSubgroup,
@@ -1840,3 +1846,52 @@ def homomorphism_error_by_scan(source, target, mapping):
             if mapping[source.mul(a, b)] != target.mul(mapping[a], mapping[b]):
                 return f"mapping is not a homomorphism at ({a},{b})"
     return None
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argparse parser: a sub-parser per command, each with the
+    common options, its own options and positionals, and its handler as
+    ``func``.  Its usage errors raise ``SystemExit(2)``."""
+    parser = argparse.ArgumentParser(
+        prog="cyclewall",
+        description="Toolkit for cyclic products of groups: normal forms, "
+                    "polygonal complex audits, tree-walls, automorphisms, "
+                    "and curvature checks.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(sp):
+        sp.add_argument("--presentation", required=True,
+                        help="JSON file: {\"n\": int, \"groups\": [...]}")
+        sp.add_argument("--radius", type=int, default=2)
+        sp.add_argument("--depth", type=int, default=3,
+                        help="syllable-length bound for truncated searches")
+        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--output", default=None, help="write to file, not stdout")
+
+    sp = sub.add_parser("reduce", help="print canonical forms of words")
+    common(sp)
+    sp.add_argument("word", nargs="*",
+                    help="words like 'v1:1 v2:1'; reads stdin lines if omitted")
+    sp.set_defaults(func=cli.cmd_reduce)
+
+    sp = sub.add_parser("ball", help="build and export a bounded ball")
+    common(sp)
+    sp.add_argument("--format", choices=("json", "dot"), default="json")
+    sp.add_argument("--subdivide", action="store_true",
+                    help="export the square subdivision instead")
+    sp.set_defaults(func=cli.cmd_ball)
+
+    sp = sub.add_parser("verify", help="run an audit suite and print the report")
+    common(sp)
+    sp.add_argument("--suite", choices=cli._SUITES, default="all")
+    sp.set_defaults(func=cli.cmd_verify)
+
+    sp = sub.add_parser("aut", help="automorphism utilities")
+    common(sp)
+    sp.add_argument("action", choices=("decompose", "witness", "fixator"))
+    sp.add_argument("--images", default=None,
+                    help="JSON file {\"images\": [[word, ...], ...]} for decompose")
+    sp.add_argument("--element", default=None,
+                    help="word whose local fixator to compute (fixator action)")
+    sp.set_defaults(func=cli.cmd_aut)
+    return parser

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -24,8 +25,10 @@ from cyclewall.cli import (
 )
 from cyclewall.errors import ResourceLimitError, ValidationError
 from cyclewall.reports import Report
+from cyclewall.words import parse_word
 
-from conftest import presentation_c5_mixed
+from conftest import presentation_c5_mixed, presentation_c5_z2
+from oracles import build_parser
 
 
 def write_presentation(tmp_path, n=5, groups=None, name="p.json"):
@@ -542,26 +545,249 @@ def _cli_case(draw):
             rest += ["--element", draw(_word)]
         if action == "decompose" and draw(st.booleans()):
             rest += ["--images", "IMAGES"]
+    rest += draw(st.sampled_from([[]] * len(_TAILS) + _TAILS))
     return draw(_presentation), draw(_images), command, rest
+
+
+# tails that make most commands a usage error (and a few that are none):
+# an unknown option, a missing value, a bad int or choice, an ambiguous or
+# attached spelling, a flag given a value, a stray positional and ``--``;
+# none names ``--output``, so that no run writes outside its folder
+_TAILS = [["--bogus"], ["-x"], ["--radius"], ["--radius", "two"], ["--depth", "--seed"],
+          ["--suite", "bogus"], ["--format", "svg"], ["--s", "1"], ["--se=1"],
+          ["--subdivide=yes"], ["--images", "-i"], ["extra"], ["--"], ["fixator"]]
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=_cli_case())
 def test_any_input_exits_with_a_documented_code(case, tmp_path_factory):
-    """Presentation documents, words and image documents drawn at random, run
-    in process: every run returns or exits with 0, 1, 2 or 3, and no other
-    exception escapes ``main``."""
+    """Presentation documents, words, image documents and usage errors drawn
+    at random, run in process: every run returns 0, 1, 2 or 3, and no
+    exception escapes ``main``, ``SystemExit`` included."""
     doc, images, command, rest = case
     folder = tmp_path_factory.mktemp("fuzz")
     (folder / "p.json").write_text(json.dumps(doc))
     (folder / "images.json").write_text(json.dumps(images))
     rest = [str(folder / "images.json") if a == "IMAGES" else a for a in rest]
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            rc = main([command, "--presentation", str(folder / "p.json"), *rest])
-        except SystemExit as exc:   # argparse's usage errors
-            rc = exc.code
+    # a reduce with no word (its word drawn as "--") reads an empty stdin
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch("sys.stdin", io.StringIO()):
+        rc = main([command, "--presentation", str(folder / "p.json"), *rest])
     event(f"{command} exit {rc}")
     assert rc in (0, 1, 2, 3), (rc, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+# -- argument parsing against the argparse oracle ------------------------------------
+
+# texts drawn for each valued option: good ones, bad ones, and ones that
+# look like an option (as their own argument, argparse took them for a
+# missing value) or do not (a negative number, a space inside)
+_VALUES = {
+    "presentation": ["p.json", "", "-p"],
+    "radius": ["2", "-1", " 3 ", "two", "2.5"],
+    "depth": ["3", "0", "-2", "x"],
+    "seed": ["0", "+7", "s"],
+    "output": ["out.json", "-", "-1", "-1.5", "-o", "--seed", "-o x"],
+    "suite": [*cli._SUITES, "bogus", "ALL"],
+    "format": ["json", "dot", "svg"],
+    "images": ["i.json", "-i"],
+    "element": ["v1:1", "", "-x", "v0:1 v2:1"],
+}
+_POSITIONALS = ["v1:1", "v0:1 v2:1", "", "-", "witness", "fixator", "decompose", "bogus"]
+
+
+@st.composite
+def _spelled_option(draw):
+    """A valued option, the flag or a stray token, as a list of arguments:
+    the name in full or cut to any prefix (unique, ambiguous or another
+    command's), the value as its own argument or after ``=``."""
+    kind = draw(st.sampled_from(["value"] * 6 + ["flag", "stray"]))
+    if kind == "stray":
+        return [draw(st.sampled_from(["--bogus", "-x", "-p", "--subdivide=yes"]))]
+    name = "subdivide" if kind == "flag" else draw(st.sampled_from(sorted(_VALUES)))
+    spelled = "--" + name[:draw(st.integers(1, len(name)))] if draw(st.booleans()) \
+        else "--" + name
+    if kind == "flag":
+        return [spelled]
+    text = draw(st.sampled_from(_VALUES[name]))
+    return [f"{spelled}={text}"] if draw(st.booleans()) else [spelled, text]
+
+
+@st.composite
+def _usage_case(draw):
+    """An argv: a command, an unknown one or none; options in any spelling
+    and order, repeated or left out, ``--presentation`` too; a run of
+    positionals at any place, or after ``--`` at the end, and maybe a
+    second run; and maybe an option missing its value at the very end."""
+    command = draw(st.sampled_from(["reduce", "ball", "verify", "aut", "bogus", None]))
+    items = draw(st.lists(_spelled_option(), max_size=5))
+    if draw(st.sampled_from([True] * 4 + [False])):
+        items.insert(draw(st.integers(0, len(items))), ["--presentation", "p.json"])
+    dashes = False   # one ``--`` at most
+    for run in draw(st.lists(st.lists(st.sampled_from(_POSITIONALS), min_size=1, max_size=2),
+                             max_size=draw(st.sampled_from([1] * 4 + [2])))):
+        if command and not dashes and draw(st.booleans()):
+            items.append(["--", *run])
+            dashes = True
+        else:
+            items.insert(draw(st.integers(0, len(items))), run)
+    items.append(draw(st.sampled_from([[]] * 6 + [["--radius"], ["--output"], ["--suite"]])))
+    return [command] * bool(command) + [a for item in items for a in item]
+
+
+def _oracle(argv):
+    """argparse's namespace for argv as a dict, or its exit code, with
+    what it wrote to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            return vars(build_parser().parse_args(argv)), ""
+        except SystemExit as exc:
+            return exc.code, err.getvalue()
+
+
+def _gathered(args) -> list[str]:
+    """An argv that gives ``args``: its command, each option set as
+    ``--name=value``, each flag set, then ``--`` and its positionals, if
+    it has any."""
+    fields = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+    words = [fields.pop("action")] if "action" in fields else fields.pop("word", [])
+    return [args.command, *(f"--{k}" if v is True else f"--{k}={v}"
+                            for k, v in fields.items() if v is not None and v is not False),
+            *(["--", *words] if words else [])]
+
+
+def _agrees_with_the_oracle(argv):
+    """Where the argparse parser the CLI used to build accepts argv,
+    ``_parse_args`` gives the same command, handler and value for every
+    field; where it exits 2, ``_parse_args`` raises ``ValidationError`` and
+    ``main`` returns 2 with one ``error:`` line and no traceback.
+
+    Two differences are by design.  ``getopt`` takes positionals, and
+    ``--``, anywhere among the options; argparse took them from one run of
+    arguments only and refused the others as unrecognized arguments, where
+    gathering the positionals after the options gives the same values.  argparse took an argument that starts with
+    ``-`` but names no option and is a negative number or holds a space as
+    a positional; ``getopt`` reads it as an option and refuses it.  No word
+    and no ``aut`` action starts with ``-``, so such a run exited 2 before
+    too."""
+    want, message = _oracle(argv)
+    try:
+        got = cli._parse_args(argv)
+    except ValidationError:
+        got = None
+    if isinstance(want, dict) and got is None:
+        dashed = [w for w in want.get("word", []) if w[:1] == "-"]
+        assert dashed, argv
+        with pytest.raises(ValidationError):
+            parse_word(presentation_c5_z2(), dashed[0])
+    elif isinstance(want, dict):
+        assert vars(got) == want, argv
+    elif got is not None:
+        assert want == 2 and "unrecognized arguments" in message, (argv, message)
+        assert _oracle(_gathered(got)) == (vars(got), "")
+    else:
+        assert want == 2, argv
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(argv) == EXIT_RESOURCE
+        out, err = out.getvalue(), err.getvalue()
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=st.one_of(_usage_case(), _cli_case().map(
+    lambda case: [case[2], "--presentation", "p.json", *case[3]])))
+def test_parse_args_agrees_with_the_argparse_oracle(argv):
+    """Argvs drawn from the exit-code fuzz cases and from usage cases agree
+    with the argparse oracle (``_agrees_with_the_oracle``)."""
+    want, _ = _oracle(argv)
+    event("oracle accepts" if isinstance(want, dict) else f"oracle exits {want}")
+    _agrees_with_the_oracle(argv)
+
+
+@pytest.mark.parametrize("command", [["reduce"], ["reduce", "v1:1"], ["ball"], ["verify"],
+                                     ["aut", "witness"], ["aut", "fixator"], ["aut", "decompose"]],
+                         ids=" ".join)
+def test_every_option_value_agrees_with_the_oracle(command):
+    """Each command, given only ``--presentation`` (and its positional), and
+    then any one of the texts drawn for any option (or the flag), as its
+    own argument or after ``=``, agrees with the argparse oracle: it gets
+    the same defaults and values, or is refused."""
+    head = [command[0], "--presentation", "p", *command[1:]]
+    cases = [head] + [head + ["--subdivide"]] + [
+        head + spelled for name, texts in _VALUES.items() for text in texts
+        for spelled in ([f"--{name}", text], [f"--{name}={text}"])]
+    for argv in cases:
+        _agrees_with_the_oracle(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "--presentation", "P", "--", "-1"],
+    ["reduce", "--presentation", "P", "-1"],
+    ["reduce", "--presentation", "P", "-x y"],
+], ids=["after-dashes", "negative-number", "with-a-space"])
+def test_a_word_that_starts_with_a_dash_exits_2(argv, capsys):
+    """Read as a word (after ``--``, as argparse read them all) or as an
+    option, a word that starts with ``-`` ends the run with exit 2."""
+    path = str(Path(__file__).resolve().parent.parent / "perfbench" / "presentations"
+               / "c5_z2.json")
+    assert main([path if a == "P" else a for a in argv]) == EXIT_RESOURCE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
+def test_words_may_come_on_either_side_of_an_option(tmp_path, capsys):
+    """``getopt`` takes positionals anywhere among the options, so
+    ``reduce`` reads words split by an option (argparse refused the words
+    after the option as unrecognized arguments)."""
+    path = write_presentation(tmp_path)
+    assert main(["reduce", "v1:1 v2:1 v1:1", "--presentation", path, "v2:1 v2:1"]) \
+        == EXIT_PASS
+    assert capsys.readouterr().out.splitlines() == ["v2:1", ""]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["--he"], ["-h", "verify"],
+                                  ["verify", "-h"], ["aut", "--help", "--radius", "two"],
+                                  ["ball", "--presentation", "p", "--h"]],
+                         ids=lambda argv: " ".join(argv))
+def test_help_prints_the_usage_and_exits_0(argv, capsys):
+    """``-h``, ``--help`` or a prefix of it, before a command or after, is
+    read before a later usage error and prints the usage off the command
+    table: every command's, or the one it follows."""
+    assert main(argv) == EXIT_PASS
+    out, err = capsys.readouterr()
+    named = argv[:1] if argv[0] in cli._COMMANDS else []
+    assert err == "" and out.startswith("usage: cyclewall")
+    for command in named or cli._COMMANDS:
+        assert f"\n  cyclewall {command} --presentation=PRESENTATION --radius=2 --depth=3 " \
+               "--seed=0 --output=OUTPUT" in out
+    assert out.count("\n  cyclewall ") == len(named or cli._COMMANDS)
+    if "verify" in argv:
+        assert " --suite=all|words|davis|walls|algebraic|aut|diagrams\n" in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the first argument is a command: reduce, ball, verify, aut"),
+    (["bogus"], "the first argument is a command: reduce, ball, verify, aut"),
+    (["verify", "--radius", "two", "--presentation", "p"],
+     "argument --radius: invalid value: 'two'"),
+    (["verify", "--presentation", "p", "--suite", "bogus"],
+     "argument --suite: invalid value: 'bogus' (choose from words, davis, walls, "
+     "algebraic, aut, diagrams, all)"),
+    (["verify", "--presentation", "p", "--s", "1"], "option --s not a unique prefix"),
+    (["verify", "--presentation", "p", "--bogus"], "option --bogus not recognized"),
+    (["verify", "--presentation", "p", "--radius"], "option --radius requires argument"),
+    (["verify", "--presentation", "p", "--output", "--seed"],
+     "argument --output: expected one argument"),
+    (["verify", "--radius", "1"], "the following arguments are required: --presentation"),
+    (["aut", "--presentation", "p"], "the following arguments are required: action"),
+    (["aut", "--presentation", "p", "witness", "fixator"], "unrecognized arguments: fixator"),
+    (["verify", "--presentation", "p", "--", "x"], "unrecognized arguments: x"),
+], ids=lambda x: " ".join(x) if isinstance(x, list) else None)
+def test_a_usage_error_is_one_error_line_and_exit_2(argv, message, capsys):
+    assert main(argv) == EXIT_RESOURCE
+    assert capsys.readouterr() == ("", f"error: {message}\n")

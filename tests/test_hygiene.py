@@ -167,7 +167,10 @@ def test_scan_flags_a_test_only_name():
 # Modules that ``import dataclasses`` brings in to generate and inspect
 # methods; the package defines its value types by hand so that a command's
 # start-up does not load them (about 6 ms, plus 7 ms to generate the methods).
-START_UP_HEAVY = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+# And argparse: the CLI reads its argv with ``getopt`` off one command table,
+# instead of building five parsers on every call (about 2 ms with the
+# ``locale`` import its first message translation makes).
+START_UP_HEAVY = {"dataclasses", "inspect", "ast", "dis", "tokenize", "argparse"}
 
 
 def heavy_imports(source: str) -> list[str]:
@@ -218,3 +221,27 @@ def test_importing_the_cli_loads_no_dataclass_machinery():
     assert "cyclewall.cli" in added.split()
     assert START_UP_HEAVY & set(before.split()) == set()
     assert START_UP_HEAVY & set(added.split()) == set()
+
+
+_VERIFY = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from cyclewall.cli import main
+code = main(["verify", "--suite", "algebraic", "--radius", "2", "--depth", "3", "--seed", "0",
+             "--presentation", sys.argv[2], "--output", sys.argv[3]])
+print(code, sorted(set(sys.modules) & {"argparse", "locale"}))
+"""
+
+
+def test_a_verify_call_loads_neither_argparse_nor_locale(tmp_path):
+    """A fresh interpreter (no site, no environment) that runs ``verify
+    --suite algebraic`` on c5_z3 at radius 2 through ``main`` returns 0
+    with neither ``argparse`` nor ``locale`` loaded: reading the argv
+    translates no message, so gettext never imports locale."""
+    src = Path(cyclewall.__file__).resolve().parent.parent
+    presentation = src.parent / "perfbench" / "presentations" / "c5_z3.json"
+    out = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", _VERIFY, str(src), str(presentation),
+         str(tmp_path / "report.json")],
+        capture_output=True, text=True, check=True).stdout
+    assert out == "0 []\n"
