@@ -45,7 +45,6 @@ from .words import (
 )
 from .davis import (
     ComplexBall,
-    ComplexVertex,
     build_ball,
     subdivision,
 )

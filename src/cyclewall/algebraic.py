@@ -38,8 +38,9 @@ The map (coset gH) -> (subgroup gHg^-1) is verified to be an equivariant
 isomorphism on interior cells.  On edges that is one comparison of two sets
 of vertex id pairs: the ball's edges between interior vertices, and the
 rebuild's arc keys between them; on polygons, of corner id sets with the
-faces' id sets.  Equivariance is sampled on vertices made one at a time
-from the table (``davis.act_vertex`` acts on a ``ComplexVertex``).
+faces' id sets.  Equivariance is sampled on X-vertices read one at a time
+from the table as (index, rep) pairs and moved by ``davis.act_vertex``;
+both sides read the same record, so the sample tests the action alone.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import itertools
 import random
 from typing import Mapping, Optional
 
-from .davis import POLY, ComplexBall, ComplexVertex, act_vertex
+from .davis import ComplexBall, act_vertex
 from .errors import InvariantError, ValidationError
 from .localgroups import Frozen, set_field
 from .reports import Report
@@ -121,14 +122,6 @@ class CSubgroup(Frozen):
     def conjugated(self, g: GroupElement) -> "CSubgroup":
         """The subgroup g * self * g^-1."""
         return CSubgroup(self.tier, self.base, mul(g, self.conjugator))
-
-
-def medium_of_vertex(v: ComplexVertex) -> CSubgroup:
-    """The stabilizer encoding of an X-vertex: its coset rep conjugates the
-    two-vertex subgroup at the vertex's index."""
-    if v.cls != POLY:
-        raise ValidationError("only polygonal X-vertices encode a medium subgroup")
-    return CSubgroup(MEDIUM, v.index, v.rep)
 
 
 def vertex_mediums(b: ComplexBall) -> list[CSubgroup]:
@@ -420,7 +413,7 @@ def phi_iso_check(b: ComplexBall, seed: int = 0, samples: int = 50) -> Report:
         g = rng.choice(gens)
         x = rng.choice(range(len(encode)))   # the draw of a choice from the vertex list
         i, k = t.vertices[2 * x:2 * x + 2]
-        lhs = medium_of_vertex(act_vertex(g, ComplexVertex(POLY, i, t.reps[k])))
+        lhs = CSubgroup(MEDIUM, *act_vertex(g, (i, t.reps[k])))
         rhs = encode[x].conjugated(g)
         if lhs != rhs:
             bad_eq.append((format_word(g), t.vertex_key(x)))

@@ -24,7 +24,7 @@ import random
 from collections.abc import Sequence
 
 from .algebraic import MAXIMAL, window_of
-from .davis import EDGE, POLY, ComplexVertex, act_vertex
+from .davis import act_vertex
 from .errors import DecompositionError, InvariantError, ValidationError
 from .localgroups import (
     Frozen,
@@ -328,15 +328,13 @@ def _image_pair_base(sigma: CycleSymmetry, i: int) -> int:
     return a if (a + 1) % n == b else b
 
 
-def aut_act_vertex(a: AutElement, v: ComplexVertex) -> ComplexVertex:
-    """The local part maps the coset g<G_S> to lam(g)<G_sigma(S)>, and the
-    inner part then acts as translation (``davis.act_vertex``)."""
-    sigma, j = a.local.sigma, v.index   # None for a trivial coset
-    if v.cls == EDGE:
-        j = sigma(j)
-    elif v.cls == POLY:
-        j = _image_pair_base(sigma, j)
-    return act_vertex(a.inner, ComplexVertex(v.cls, j, a.local.apply(v.rep)))
+def aut_act_vertex(a: AutElement, v: tuple[int, GroupElement]) -> tuple[int, GroupElement]:
+    """The image of the X-vertex v = (i, g), the coset g(G_i x G_{i+1}), as
+    the same kind of pair.  The local part maps it to lam(g)(G_j x G_{j+1}),
+    {j, j+1} = sigma({i, i+1}), and the inner part then acts as translation
+    (``davis.act_vertex``)."""
+    i, g = v
+    return act_vertex(a.inner, (_image_pair_base(a.local.sigma, i), a.local.apply(g)))
 
 
 def loc_stabilizes_P_audit(p: Presentation, sample: Sequence[LocalAut],
@@ -344,7 +342,7 @@ def loc_stabilizes_P_audit(p: Presentation, sample: Sequence[LocalAut],
     """Pure-local elements fix the base polygon setwise; sampled non-trivial
     inner elements move it."""
     report = Report()
-    corners = {ComplexVertex(POLY, i, identity(p)) for i in range(p.n)}
+    corners = {(i, identity(p)) for i in range(p.n)}
 
     bad = []
     for lam in sample:

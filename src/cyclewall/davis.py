@@ -44,9 +44,9 @@ around corner i of polygon k, is four corner ids and four side ids
 (``_squares``); the audits read these records, through an index of the
 squares at each vertex, and the JSON export lists them.
 
-``ComplexVertex`` is the value type of the group's action on vertices
-(``act_vertex``): a vertex given by its class, index and coset rep, which
-hashes and orders by its key, made one at a time where an element acts.
+The group acts on X-vertices as (index, rep) pairs (``act_vertex``), the
+record a vertex id names in the table, read one at a time where an element
+acts; no code orders or names a moved vertex, so it needs no cell type.
 
 A cell is interior iff every polygon of X containing it is present in the
 ball, so audits restricted to interior cells see exactly the infinite
@@ -85,7 +85,6 @@ from itertools import accumulate, chain, compress, count, cycle, islice, repeat
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import InvariantError, ResourceLimitError, ValidationError
-from .localgroups import Frozen, set_field
 from .reports import Report
 from .words import (
     GroupElement,
@@ -97,49 +96,10 @@ from .words import (
     mul,
 )
 
-# vertex classes
+# vertex classes, as key strings name them
 TRIVIAL = "trivial"   # coset of the trivial subgroup (squares' centers)
 EDGE = "edge"         # coset of G_i (edge midpoints of the subdivision)
 POLY = "poly"         # coset of G_i x G_{i+1} (vertices of X)
-
-_CLASS_ORDER = {POLY: 0, EDGE: 1, TRIVIAL: 2}
-
-
-class ComplexVertex(Frozen):
-    """A vertex of the subdivided complex: the coset of class ``cls`` with
-    minimal rep ``rep``, at ``index`` (i for EDGE/POLY, None for TRIVIAL).
-
-    Vertices are equal when ``(cls, index, rep)`` are.  They hash as
-    ``(cls, index, rep)`` with -1 for a None index (hash(None) is an
-    address before Python 3.12), and are ordered by their key."""
-
-    __slots__ = ("cls", "index", "rep", "_hash", "_key")
-
-    def __init__(self, cls: str, index: Optional[int], rep: GroupElement):
-        set_field(self, "cls", cls)
-        set_field(self, "index", index)
-        set_field(self, "rep", rep)
-        # computed once: (class order, index, rep), with the rep spelled out
-        # as GroupElement orders it, (len, word), so that keys compare in C
-        index = -1 if index is None else index
-        set_field(self, "_key", (_CLASS_ORDER[cls], index, len(rep.word), rep.word))
-        set_field(self, "_hash", hash((cls, index, rep)))
-
-    def __eq__(self, other):
-        return other.__class__ is self.__class__ and (
-            self.cls, self.index, self.rep) == (other.cls, other.index, other.rep)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def sort_key(self):
-        return self._key
-
-    def __lt__(self, other):
-        return self._key < other._key
-
-    def key_string(self) -> str:
-        return f"{self.cls}|{'' if self.index is None else self.index}|{format_word(self.rep)}"
 
 
 class ComplexBall:
@@ -161,8 +121,8 @@ class ComplexBall:
 
     @property
     def table(self) -> BallTable:
-        """The ball as integers, kept by ``build_ball`` or listed once."""
-        return self.derive("table", lambda: ball_table(self.presentation, self.radius))
+        """The ball as integers, kept by ``build_ball``."""
+        return self.derived["table"]
 
     # a class attribute: a ball is polygonal (X' is a ``Subdivision``); kept for
     # callers that key balls by their form, as perfbench's tracer does
@@ -180,21 +140,14 @@ class ComplexBall:
                            lambda: tuple(enumerate_ball_elements(self.presentation, L)))
 
 
-# -- cell constructors --------------------------------------------------------
+# -- the action on X-vertices ---------------------------------------------------
 
 
-def x_vertex(p: Presentation, g: GroupElement, i: int) -> ComplexVertex:
-    i %= p.n
-    return ComplexVertex(POLY, i, coset_rep(g, (i, (i + 1) % p.n)))
-
-
-def act_vertex(h: GroupElement, v: ComplexVertex) -> ComplexVertex:
-    moved = mul(h, v.rep)
-    if v.cls == TRIVIAL:
-        return ComplexVertex(TRIVIAL, None, moved)
-    if v.cls == EDGE:
-        return ComplexVertex(EDGE, v.index, coset_rep(moved, (v.index,)))
-    return x_vertex(h.presentation, moved, v.index)
+def act_vertex(h: GroupElement, v: tuple[int, GroupElement]) -> tuple[int, GroupElement]:
+    """h·v for the X-vertex v = (i, rep), the coset rep(G_i x G_{i+1}), as
+    the same kind of pair: i and the minimal rep of h·rep modulo the window."""
+    i, rep = v
+    return i, coset_rep(mul(h, rep), (i, (i + 1) % h.presentation.n))
 
 
 # -- construction ---------------------------------------------------------------
@@ -259,7 +212,7 @@ class BallTable(NamedTuple):
         return self.edges[4 * e + 2:4 * e + 4]
 
     def vertex_key(self, x: int) -> str:
-        """X-vertex x's key string, ``ComplexVertex.key_string``'s."""
+        """X-vertex x's key string, ``poly|i|rep``."""
         i, k = self.vertices[2 * x:2 * x + 2]
         return f"{POLY}|{i}|{format_word(self.reps[k])}"
 
@@ -349,11 +302,6 @@ def build_ball(p: Presentation, r: int) -> ComplexBall:
     ball = ComplexBall(p, r)
     ball.derived["table"] = ball_table(p, r)
     return ball
-
-
-def _table(b: ComplexBall | BallTable) -> BallTable:
-    """``b`` itself, or a polygonal ball's own table."""
-    return b if isinstance(b, BallTable) else b.table
 
 
 # -- subdivision ------------------------------------------------------------------
@@ -456,7 +404,7 @@ def subdivision(b: ComplexBall) -> Subdivision:
 
 
 def _subdivision(b: ComplexBall) -> Subdivision:
-    t = _table(b)
+    t = b.table
     n = t.presentation.n
     nv, ne = len(t.vertices) // 2, len(t.edges) // 4
     squares = array("i", chain.from_iterable(_squares(t)))
@@ -633,17 +581,10 @@ def _json_list(head: str, records: Iterable[str]) -> Iterator[str]:
     yield "\n  ]" if sep == ",\n    " else head + "[]"
 
 
-def _midpoint_order(t: BallTable) -> Iterable[int]:
-    """The edge ids in the key order of the midpoints of X-edges,
-    (label, |rep|, rep): the order of the ids themselves."""
-    return range(len(t.edges) // 4)
-
-
-def _rows(b: ComplexBall | BallTable, square: bool):
-    """What both exports list of a polygonal ball, or with ``square`` of its
-    subdivision X': ``(t, word, key, mid, center, vertex_rows, edge_rows)``.
-    ``t`` is the table read (``_table``).  ``word``,
-    ``key``, ``mid`` and ``center`` are lists of strings, each made once:
+def _rows(t: BallTable, square: bool):
+    """What both exports list of a ball's table, or with ``square`` of its
+    subdivision X': ``(word, key, mid, center, vertex_rows, edge_rows)``.
+    ``word``, ``key``, ``mid`` and ``center`` are lists of strings, each made once:
     every rep's formatted word in double quotes, as JSON writes it, by rep
     number; the key string of each vertex and of each X-edge's midpoint, by
     id; each polygon center's key string, by rep number.  The rows, made as
@@ -654,55 +595,52 @@ def _rows(b: ComplexBall | BallTable, square: bool):
     X' is listed in the key order of its cells:
 
     * vertices: the X-vertices as in the ball; one ``edge`` midpoint per
-      X-edge, in ``_midpoint_order``, interior iff its X-edge is; one
+      X-edge, in edge id order, interior iff its X-edge is; one
       ``trivial`` center per polygon, in polygon order, always interior;
     * edges: the halves, grouped by X-vertex in the ball's order and by
       midpoint within a group, with their X-edge's label, rep and interior
       flag; then the spokes, grouped by midpoint and by polygon within a
       group, with no label or rep, always interior.
     """
-    t = _table(b)
     n = t.presentation.n
     text = [format_word(g) for g in t.reps]
     word = [f'"{w}"' for w in text]
     # by rep number: whether an X-vertex and an X-edge of that rep are interior
     inner_v, inner_e = t.inner(2), t.inner(1)
     vertices = list(_records(t.vertices, 2))
-    key = [f"{POLY}|{i}|{text[k]}" for i, k in vertices]   # as key_string writes them
+    key = [f"{POLY}|{i}|{text[k]}" for i, k in vertices]   # as vertex_key writes them
     edges = list(_records(t.edges, 4))
     vertex_rows = ((POLY, i, inner_v[k], key[v], word[k]) for v, (i, k) in enumerate(vertices))
     if not square:
-        return t, word, key, [], [], vertex_rows, (
+        return word, key, [], [], vertex_rows, (
             (key[x], key[y], inner_e[k], i, word[k])
             for i, k, x, y in map(edges.__getitem__, t.edge_order))
+    # the midpoints are listed in edge id order, which is their key order,
+    # (label, |rep|, rep)
     mid = [f"{EDGE}|{i}|{text[k]}" for i, k, _, _ in edges]
     center = [f"{TRIVIAL}||{w}" for w in text]
-    order = _midpoint_order(t)
     halves = [[] for _ in vertices]     # the midpoints next to each X-vertex
-    for e in order:
-        i, k, x, y = edges[e]
+    for e, (i, k, x, y) in enumerate(edges):
         halves[x].append((mid[e], inner_e[k], i, word[k]))
         halves[y].append(halves[x][-1])
     spokes = [[] for _ in edges]        # the polygons on each X-edge
     for k, c in enumerate(_records(t.polygons, 2 * n)):
         for e in c[n:]:
             spokes[e].append(k)
-    return t, word, key, mid, center, chain(
+    return word, key, mid, center, chain(
         vertex_rows,
-        ((EDGE, i, inner_e[k], mid[e], word[k])
-         for e, (i, k, _, _) in zip(order, map(edges.__getitem__, order))),
+        ((EDGE, i, inner_e[k], m, word[k]) for m, (i, k, _, _) in zip(mid, edges)),
         ((TRIVIAL, None, True, c, w) for c, w in zip(center, word))), chain(
         ((key[v], *half) for v, hs in enumerate(halves) for half in hs),
-        ((mid[e], center[k], True, None, "null") for e in order for k in spokes[e]))
+        ((m, center[k], True, None, "null") for m, ks in zip(mid, spokes) for k in ks))
 
 
-def iter_ball_dot(b: ComplexBall | BallTable, square: bool = False) -> Iterator[str]:
-    """The dot graph of a polygonal ball's 1-skeleton, or with ``square`` of
-    its subdivision X', in chunks of up to ``_BATCH`` lines: a line per
-    vertex with its interior flag, then a line per edge with its label, in
-    key order, as ``_rows`` lists them from the ball's table.  ``b`` is a
-    ``BallTable`` or a polygonal ball."""
-    t, *_, vertex_rows, edge_rows = _rows(b, square)
+def iter_ball_dot(t: BallTable, square: bool = False) -> Iterator[str]:
+    """The dot graph of the 1-skeleton of a ball's table ``t``, or with
+    ``square`` of its subdivision X', in chunks of up to ``_BATCH`` lines: a
+    line per vertex with its interior flag, then a line per edge with its
+    label, in key order, as ``_rows`` lists them."""
+    *_, vertex_rows, edge_rows = _rows(t, square)
     label = {None: ""} | {i: f' [label="{i}"]' for i in range(t.presentation.n)}
     lines = chain(
         ["graph ball {\n"],
@@ -713,20 +651,19 @@ def iter_ball_dot(b: ComplexBall | BallTable, square: bool = False) -> Iterator[
     return map("".join, _batches(lines))
 
 
-def iter_ball_json(b: ComplexBall | BallTable, square: bool = False) -> Iterator[str]:
-    """The canonical JSON of a polygonal ball, or with ``square`` of its
+def iter_ball_json(t: BallTable, square: bool = False) -> Iterator[str]:
+    """The canonical JSON of a ball's table ``t``, or with ``square`` of its
     subdivision X', in chunks of up to ``_BATCH`` records: the text
     ``json.dumps(doc, indent=2, sort_keys=True)`` gives for the record
-    document, with one fixed layout per record kind.  ``b`` is a
-    ``BallTable`` or a polygonal ball.
+    document, with one fixed layout per record kind.
 
-    All of it is read from the ball's table, through ``_rows`` and
+    All of it is read from the table, through ``_rows`` and
     ``_squares``, so no square index is built.  A key string or a formatted
     word holds only ASCII letters, digits and ``:|- `` (``format_word``
     writes ``v<int>:<int>`` tokens), which JSON writes as they are, so no
     string is escaped.
     """
-    t, word, key, mid, center, vertex_rows, edge_rows = _rows(b, square)
+    word, key, mid, center, vertex_rows, edge_rows = _rows(t, square)
     n = t.presentation.n
     sep = '",\n        "'
     nv, ne = len(key), len(mid)
@@ -757,6 +694,6 @@ def iter_ball_json(b: ComplexBall | BallTable, square: bool = False) -> Iterator
         ["\n}"])
 
 
-def ball_to_json(b: ComplexBall | BallTable, square: bool = False) -> str:
-    """The text of ``iter_ball_json(b, square)``."""
-    return "".join(iter_ball_json(b, square))
+def ball_to_json(t: BallTable, square: bool = False) -> str:
+    """The text of ``iter_ball_json(t, square)``."""
+    return "".join(iter_ball_json(t, square))

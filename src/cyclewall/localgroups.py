@@ -59,7 +59,8 @@ def _validate_table(table: tuple[tuple[int, ...], ...]) -> None:
     if m < 2:
         raise ValidationError("group table needs at least 2 elements")
     for row in table:
-        if len(row) != m or any(not (0 <= x < m) for x in row):
+        # an id is exactly an int: a bool is one too, and would print as True
+        if len(row) != m or any(type(x) is not int or not 0 <= x < m for x in row):
             raise ValidationError("group table is not a square table of element ids")
     # identity must be id 0
     for a in range(m):

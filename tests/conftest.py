@@ -11,6 +11,16 @@ from cyclewall.words import Presentation
 from oracles import s3_table_group
 
 
+# the classes ``davis`` defines: the ball, its table and X', and no cell type
+DAVIS_CLASSES = {"ComplexBall", "BallTable", "Subdivision"}
+
+
+def classes_defined_in(module) -> set[str]:
+    """The names of the classes ``module`` defines itself."""
+    return {name for name, x in vars(module).items()
+            if isinstance(x, type) and x.__module__ == module.__name__}
+
+
 def presentation_c5_z2():
     return Presentation(tuple(cyclic_group(2) for _ in range(5)))
 

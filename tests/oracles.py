@@ -9,7 +9,11 @@ sets and the incidence maps ``edge_cells`` and ``vertex_edges``, in an
 audits and their id witnesses are checked against it, and the oracles below
 that need cells read them there.  ``ObjectWall`` is a tree-wall as edge
 objects; ``wall_objects`` and ``wall_view`` turn a ``walls.TreeWall`` into
-one and back.
+one and back.  The vertex type keeps the three classes of X' (X-vertex,
+midpoint, center), its key order and its key strings, and acts by
+``act_vertex_object`` and ``aut_act_vertex_object`` on all three; the
+package acts on X-vertices alone, as (index, rep) pairs, and is checked
+against these.
 
 The word-problem oracle deliberately avoids the package's normal-form
 machinery: equality of words is decided by exhaustively closing the set of
@@ -205,9 +209,9 @@ import networkx as nx
 from cyclewall import cli
 from cyclewall.algebraic import (
     MAXIMAL,
+    MEDIUM,
     CSubgroup,
     containing_maximals,
-    medium_of_vertex,
     vertex_mediums,
     window_of,
 )
@@ -215,6 +219,7 @@ from cyclewall.autgroup import (
     AutElement,
     CycleSymmetry,
     LocalAut,
+    _image_pair_base,
     coset_intersection,
     enumerate_loc,
     enumerate_symmetries,
@@ -222,11 +227,13 @@ from cyclewall.autgroup import (
 )
 from cyclewall.localgroups import (
     IDENTITY,
+    Frozen,
     LocalIso,
     _close,
     _generating_sequence,
     integers_group,
     isomorphisms,
+    set_field,
     table_group,
 )
 from cyclewall.davis import (
@@ -234,13 +241,9 @@ from cyclewall.davis import (
     POLY,
     TRIVIAL,
     ComplexBall,
-    ComplexVertex,
     _records,
-    _table,
-    act_vertex,
     build_ball,
     subdivision,
-    x_vertex,
 )
 from cyclewall.diagrams import (
     DiscDiagram,
@@ -271,6 +274,82 @@ from cyclewall.words import (
     parse_word,
     reduce_word,
 )
+
+
+_CLASS_ORDER = {POLY: 0, EDGE: 1, TRIVIAL: 2}
+
+
+class ComplexVertex(Frozen):
+    """A vertex of the subdivided complex: the coset of class ``cls`` with
+    minimal rep ``rep``, at ``index`` (i for EDGE/POLY, None for TRIVIAL).
+
+    Vertices are equal when ``(cls, index, rep)`` are.  They hash as
+    ``(cls, index, rep)`` with -1 for a None index (hash(None) is an
+    address before Python 3.12), and are ordered by their key."""
+
+    __slots__ = ("cls", "index", "rep", "_hash", "_key")
+
+    def __init__(self, cls: str, index: Optional[int], rep: GroupElement):
+        set_field(self, "cls", cls)
+        set_field(self, "index", index)
+        set_field(self, "rep", rep)
+        # computed once: (class order, index, rep), with the rep spelled out
+        # as GroupElement orders it, (len, word), so that keys compare in C
+        index = -1 if index is None else index
+        set_field(self, "_key", (_CLASS_ORDER[cls], index, len(rep.word), rep.word))
+        set_field(self, "_hash", hash((cls, index, rep)))
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and (
+            self.cls, self.index, self.rep) == (other.cls, other.index, other.rep)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def sort_key(self):
+        return self._key
+
+    def __lt__(self, other):
+        return self._key < other._key
+
+    def key_string(self) -> str:
+        return f"{self.cls}|{'' if self.index is None else self.index}|{format_word(self.rep)}"
+
+
+def x_vertex(p: Presentation, g: GroupElement, i: int) -> ComplexVertex:
+    """The X-vertex g(G_i x G_{i+1}) as an object."""
+    i %= p.n
+    return ComplexVertex(POLY, i, coset_rep(g, (i, (i + 1) % p.n)))
+
+
+def act_vertex_object(h: GroupElement, v: ComplexVertex) -> ComplexVertex:
+    """h·v on a vertex object of any of the three classes."""
+    moved = mul(h, v.rep)
+    if v.cls == TRIVIAL:
+        return ComplexVertex(TRIVIAL, None, moved)
+    if v.cls == EDGE:
+        return ComplexVertex(EDGE, v.index, coset_rep(moved, (v.index,)))
+    return x_vertex(h.presentation, moved, v.index)
+
+
+def aut_act_vertex_object(a: AutElement, v: ComplexVertex) -> ComplexVertex:
+    """The automorphism ``a`` on a vertex object of any of the three
+    classes: the local part maps the coset g<G_S> to lam(g)<G_sigma(S)>,
+    and the inner part then acts as translation (``act_vertex_object``)."""
+    sigma, j = a.local.sigma, v.index   # None for a trivial coset
+    if v.cls == EDGE:
+        j = sigma(j)
+    elif v.cls == POLY:
+        j = _image_pair_base(sigma, j)
+    return act_vertex_object(a.inner, ComplexVertex(v.cls, j, a.local.apply(v.rep)))
+
+
+def medium_of_vertex(v: ComplexVertex) -> CSubgroup:
+    """The stabilizer encoding of an X-vertex: its coset rep conjugates the
+    two-vertex subgroup at the vertex's index."""
+    if v.cls != POLY:
+        raise ValidationError("only polygonal X-vertices encode a medium subgroup")
+    return CSubgroup(MEDIUM, v.index, v.rep)
 
 
 @dataclass(frozen=True, slots=True)
@@ -312,7 +391,7 @@ class Polygon:
 
 
 def act_edge(h: GroupElement, e: ComplexEdge) -> ComplexEdge:
-    a, c = act_vertex(h, e.ends[0]), act_vertex(h, e.ends[1])
+    a, c = act_vertex_object(h, e.ends[0]), act_vertex_object(h, e.ends[1])
     return ComplexEdge((a, c) if a._key <= c._key else (c, a), e.label,
                        None if e.rep is None else coset_rep(mul(h, e.rep), (e.label,)))
 
@@ -1138,7 +1217,7 @@ def subdivide(b: ComplexBall) -> SquareBall:
 def _square_ball(b: ComplexBall) -> SquareBall:
     p = b.presentation
     n = p.n
-    t = _table(b)
+    t = b.table
     b = objects(b)
     reps, vertices = t.reps, b.vertices
     sq = SquareBall(presentation=p, radius=b.radius)

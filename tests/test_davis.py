@@ -1,10 +1,12 @@
 import dataclasses
+import itertools
 import json
 import operator
 import os
 import random
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,6 @@ from cyclewall.davis import (
     EDGE,
     POLY,
     TRIVIAL,
-    ComplexVertex,
     act_vertex,
     ball_table,
     ball_to_json,
@@ -27,7 +28,6 @@ from cyclewall.davis import (
     polygon_pair_audit,
     subdivision,
     t4_audit,
-    x_vertex,
 )
 from cyclewall.errors import InvariantError, ResourceLimitError, ValidationError
 from cyclewall.walls import crossing_graph, wall_no_shared_polygon_audit, walls_of_ball
@@ -41,10 +41,13 @@ from cyclewall.words import (
     reduce_word,
 )
 
+from conftest import DAVIS_CLASSES, classes_defined_in
 from oracles import (
     ComplexEdge,
+    ComplexVertex,
     Polygon,
     act_edge,
+    act_vertex_object,
     ball_to_dot_by_walk,
     ball_to_json_by_dumps,
     build_ball_by_coset_reps,
@@ -63,6 +66,7 @@ from oracles import (
     vertex_link,
     wall_objects,
     x_edge,
+    x_vertex,
 )
 
 PRESENTATIONS = Path(__file__).parent.parent / "perfbench" / "presentations"
@@ -241,8 +245,8 @@ def test_incidence_maps_are_built_once_and_only_when_read(c6_mixed):
     ball."""
     b = build_ball(c6_mixed, 2)
     subdivision(b)
-    ball_to_json(b, square=True)
-    "".join(iter_ball_dot(b, square=True))
+    ball_to_json(b.table, square=True)
+    "".join(iter_ball_dot(b.table, square=True))
     crossing_graph(b)
     for audit in (links_audit, polygon_pair_audit, wall_no_shared_polygon_audit):
         assert audit(b).ok
@@ -267,7 +271,9 @@ def test_diagram_indexes_match_the_object_incidence_maps(name, radius):
 
 @pytest.fixture
 def cells_made(monkeypatch):
-    """The number of cell objects made from here on, by class name."""
+    """The number of the object oracle's cells made from here on, by class
+    name; ``davis`` defines no cell type, so only the oracle makes one."""
+    assert classes_defined_in(davis) == DAVIS_CLASSES
     made = dict.fromkeys(["ComplexVertex", "ComplexEdge", "Polygon"], 0)
     for cls in (ComplexVertex, ComplexEdge, Polygon):
         def counting(self, *args, init=cls.__init__, name=cls.__name__, **kwargs):
@@ -414,7 +420,7 @@ def test_cells_are_shared_values_with_a_cached_hash_and_key(c5_mixed):
     for ball in (b, subdivide(b)):
         for v in ball.vertices:
             assert hash(v) == hash((v.cls, -1 if v.index is None else v.index, v.rep))
-            copies = [ComplexVertex(v.cls, v.index, v.rep), act_vertex(e_, v)]
+            copies = [ComplexVertex(v.cls, v.index, v.rep), act_vertex_object(e_, v)]
             if v.cls == POLY:
                 copies.append(x_vertex(p, v.rep, v.index))
             for c in copies:
@@ -464,7 +470,7 @@ def test_action_is_equivariant_on_incidence(c5_mixed):
         h = random_element(rng, p, 2)
         e = rng.choice(interior)
         he = act_edge(h, e)
-        assert set(he.ends) == {act_vertex(h, e.ends[0]), act_vertex(h, e.ends[1])}
+        assert set(he.ends) == {act_vertex_object(h, e.ends[0]), act_vertex_object(h, e.ends[1])}
         # the action permutes containing polygons
         assert sorted(mul(h, g) for g in polygons_containing_edge(p, e)) == \
             sorted(polygons_containing_edge(p, he))
@@ -475,9 +481,23 @@ def test_action_is_a_left_action(c5_mixed):
     rng = random.Random(13)
     for _ in range(60):
         g, h = random_element(rng, p, 3), random_element(rng, p, 3)
-        v = x_vertex(p, random_element(rng, p, 3), rng.randrange(5))
+        o = x_vertex(p, random_element(rng, p, 3), rng.randrange(5))
+        v = (o.index, o.rep)
         assert act_vertex(mul(g, h), v) == act_vertex(g, act_vertex(h, v))
         assert act_vertex(identity(p), v) == v
+
+
+@pytest.mark.parametrize("name", ["c5_z3", "c6_mixed"])
+def test_action_on_vertex_pairs_matches_the_object_action(name):
+    """For 20 seeded h in B(2), h moves each X-vertex (i, rep) of the
+    radius-2 ball as the oracle's action moves the vertex object."""
+    p = perfbench_presentation(name)
+    t = build_ball(p, 2).table
+    rng = random.Random(14)
+    for h in rng.sample(enumerate_ball_elements(p, 2), 20):
+        for i, k in zip(t.vertices[::2], t.vertices[1::2]):
+            o = act_vertex_object(h, ComplexVertex(POLY, i, t.reps[k]))
+            assert act_vertex(h, (i, t.reps[k])) == (o.index, o.rep)
 
 
 # -- subdivision ------------------------------------------------------------------
@@ -783,7 +803,7 @@ def test_graph_girth_helper():
 
 def test_exports_are_deterministic_and_well_formed(c5_z2):
     import json
-    b1, b2 = build_ball(c5_z2, 1), build_ball(c5_z2, 1)
+    b1, b2 = build_ball(c5_z2, 1).table, build_ball(c5_z2, 1).table
     assert ball_to_json(b1) == ball_to_json(b2)
     doc = json.loads(ball_to_json(b1))
     assert doc["schema"] == "cyclewall/1"
@@ -801,26 +821,29 @@ def test_iter_ball_dot_matches_the_walk_oracle(name):
     p = perfbench_presentation(name)
     for r in range(3):
         b = build_ball(p, r)
-        assert "".join(iter_ball_dot(b)) == ball_to_dot_by_walk(b), r
-        assert "".join(iter_ball_dot(b, square=True)) == ball_to_dot_by_walk(subdivide(b)), r
+        assert "".join(iter_ball_dot(b.table)) == ball_to_dot_by_walk(b), r
+        assert "".join(iter_ball_dot(b.table, square=True)) == ball_to_dot_by_walk(subdivide(b)), r
 
 
 def test_exports_stream_in_chunks():
     """Neither export of c6_mixed's r3 square ball comes as one string: no
     chunk of the JSON or of the dot text is longer than a quarter of it."""
-    b = build_ball(perfbench_presentation("c6_mixed"), 3)
-    for chunks in (list(iter_ball_json(b, square=True)), list(iter_ball_dot(b, square=True))):
+    t = build_ball(perfbench_presentation("c6_mixed"), 3).table
+    for chunks in (list(iter_ball_json(t, square=True)), list(iter_ball_dot(t, square=True))):
         assert max(map(len, chunks)) <= len("".join(chunks)) / 4
 
 
-def json_forms_differing_from_the_oracle(p, r):
+def json_forms_differing_from_the_oracle(p, r, renumber=lambda t: t):
     """The forms whose direct JSON, as ``ball_to_json`` or as the join of
     ``iter_ball_json``'s chunks, is not json.dumps's text for the records
-    of the ball (``polygonal``) or of its square ball (``square``)."""
+    of the ball (``polygonal``) or of its square ball (``square``).  The
+    writer reads ``renumber(t)`` for the ball's table t, the oracle the
+    ball itself."""
     b = build_ball(p, r)
+    t = renumber(b.table)
     return [form for form, square, ball in
             [("polygonal", False, b), ("square", True, subdivide(b))]
-            if {ball_to_json(b, square), "".join(iter_ball_json(b, square))}
+            if {ball_to_json(t, square), "".join(iter_ball_json(t, square))}
             != {ball_to_json_by_dumps(ball)}]
 
 
@@ -836,9 +859,23 @@ def test_ball_to_json_matches_the_dumps_oracle(name):
         assert json_forms_differing_from_the_oracle(p, r) == [], r
 
 
-def test_dumps_oracle_catches_midpoints_in_edge_key_order(c5_mixed, monkeypatch):
+def edges_in_key_order(t):
+    """``t`` with its X-edges numbered in key order (``edge_order``) instead
+    of (label, rep) order, in its edge records, polygon sides and wall keys."""
+    n, order = t.presentation.n, t.edge_order
+    new = {e: k for k, e in enumerate(order)}
+    return t._replace(
+        edges=array("i", itertools.chain.from_iterable(t.edges[4 * e:4 * e + 4] for e in order)),
+        edge_order=array("i", range(len(order))),
+        polygons=array("i", (x if j % (2 * n) < n else new[x] for j, x in enumerate(t.polygons))),
+        wall_keys=array("i", map(t.wall_keys.__getitem__, order)))
+
+
+def test_dumps_oracle_catches_midpoints_in_edge_key_order(c5_mixed):
     """A writer that lists the midpoints in X-edge key order (the ball's
-    edge order) instead of (label, |rep|, rep) order fails the comparison."""
-    monkeypatch.setattr(davis, "_midpoint_order", operator.attrgetter("edge_order"))
-    assert json_forms_differing_from_the_oracle(c5_mixed, 1) == ["square"]
+    edge order) instead of (label, |rep|, rep) order fails the comparison:
+    the writer lists them in edge id order, so it is given the table with
+    its edges numbered in key order.  The polygonal form, which lists the
+    edges in key order either way, still passes."""
+    assert json_forms_differing_from_the_oracle(c5_mixed, 1, edges_in_key_order) == ["square"]
 

@@ -58,6 +58,13 @@ def test_table_validation_rejects_non_associative_perturbations():
     assert rejected == 50
 
 
+@pytest.mark.parametrize("entry", [True, 1.0], ids=["bool", "float"])
+def test_table_validation_rejects_entries_that_are_not_ints(entry):
+    """A bool is an int and 1.0 == 1, but neither is an element id."""
+    with pytest.raises(ValidationError, match="not a square table of element ids"):
+        table_group([[0, entry], [entry, 0]])
+
+
 def test_automorphisms_counts():
     for g, count in ((cyclic_group(2), 1), (cyclic_group(3), 2),
                      (cyclic_group(5), 4), (s3_table_group(), 6)):

@@ -18,7 +18,6 @@ from cyclewall.algebraic import (
     CSubgroup,
     containing_maximals,
     join_is_cmaximal,
-    medium_of_vertex,
 )
 from cyclewall.cli import load_presentation
 from cyclewall.davis import Subdivision, build_ball, subdivision
@@ -63,6 +62,7 @@ from oracles import (
     crossing_graph_pairwise,
     hyperplane_classes,
     hyperplane_treewall_by_classes,
+    medium_of_vertex,
     min_set_networkx,
     object_ball,
     objects,
