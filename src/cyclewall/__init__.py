@@ -64,7 +64,6 @@ from .autgroup import (
     AutElement,
     CycleSymmetry,
     LocalAut,
-    acyl_witness,
     aut_apply,
     aut_compose,
     aut_decompose,

@@ -604,10 +604,6 @@ def witness_details(p: Presentation) -> dict:
             "vertex_sequence": [s.vertex for s in g.word]}
 
 
-def acyl_witness(p: Presentation) -> GroupElement:
-    return witness_details(p)["element"]
-
-
 def loc_fixator(p: Presentation, g: GroupElement) -> Loc:
     """The local automorphisms fixing g, in :func:`enumerate_loc`'s order,
     as an indexed product.

@@ -69,7 +69,7 @@ def _builtin_s3():
     return table_group(table, names=names, name=_S3_NAME)
 
 
-def _group_from_json(spec, where: str):
+def _group_from_json(spec):
     if isinstance(spec, str):
         text = spec.strip()
         if text == "Z":
@@ -79,21 +79,18 @@ def _group_from_json(spec, where: str):
         if text.startswith("Z/"):
             digits = text[2:]
             if not (digits.isascii() and digits.isdigit()):
-                raise ValidationError(f"{where}: bad cyclic order in {text!r}")
+                raise ValidationError(f"bad cyclic order in {text!r}")
             return cyclic_group(int(digits), name=text)
-        raise ValidationError(
-            f"{where}: unknown group {text!r} (use 'Z/k', 'Z', 'S3', or a table)")
+        raise ValidationError(f"unknown group {text!r} (use 'Z/k', 'Z', 'S3', or a table)")
     if isinstance(spec, dict):
         kind = spec.get("kind")
         if not isinstance(spec.get("name", ""), str):
-            raise ValidationError(
-                f"{where}: group name must be a JSON string, got {spec['name']!r}")
+            raise ValidationError(f"group name must be a JSON string, got {spec['name']!r}")
         try:
             if kind == "cyclic":
                 order = spec["order"]
                 if not isinstance(order, int) or isinstance(order, bool):
-                    raise ValidationError(
-                        f"{where}: cyclic order must be a JSON integer, got {order!r}")
+                    raise ValidationError(f"cyclic order must be a JSON integer, got {order!r}")
                 return cyclic_group(order, name=spec.get("name", ""))
             if kind == "integers":
                 return integers_group(name=spec.get("name", ""))
@@ -101,14 +98,14 @@ def _group_from_json(spec, where: str):
                 names = spec.get("names")
                 if names is not None and not (isinstance(names, list)
                                               and all(isinstance(x, str) for x in names)):
-                    raise ValidationError(f"{where}: table names must be a list of strings")
+                    raise ValidationError("table names must be a list of strings")
                 return table_group(spec["table"], names=names, name=spec.get("name", ""))
         except KeyError as exc:
-            raise ValidationError(f"{where}: {kind} group needs field {exc}")
+            raise ValidationError(f"{kind} group needs field {exc}")
         except (TypeError, ValueError) as exc:
-            raise ValidationError(f"{where}: malformed {kind} group: {exc}")
-        raise ValidationError(f"{where}: unknown group kind {kind!r}")
-    raise ValidationError(f"{where}: a group is a string or an object")
+            raise ValidationError(f"malformed {kind} group: {exc}")
+        raise ValidationError(f"unknown group kind {kind!r}")
+    raise ValidationError("a group is a string or an object")
 
 
 def _read_json(path: str, what: str):
@@ -136,9 +133,13 @@ def load_presentation(path: str) -> Presentation:
         raise ValidationError(f"{path}: required fields: n (int), groups (list)")
     if len(groups) != n:
         raise ValidationError(f"{path}: n={n} but {len(groups)} groups given")
-    built = tuple(_group_from_json(g, f"{path}: groups[{i}]")
-                  for i, g in enumerate(groups))
-    return Presentation(built)
+    built = []
+    for i, g in enumerate(groups):   # every group error names its group once
+        try:
+            built.append(_group_from_json(g))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: groups[{i}]: {exc}") from None
+    return Presentation(tuple(built))
 
 
 # -- suites --------------------------------------------------------------------

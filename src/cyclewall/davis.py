@@ -63,17 +63,26 @@ alone (``_rows``): each element's word is formatted once and every vertex
 and midpoint key string has a list slot.  Neither builds the square index.
 Both stream, in chunks of up to 1,024 records or lines.
 
-The link audits read each interior vertex's link in X' as a plain
-adjacency dict over side ids (side at the vertex -> the sides it shares a
-square corner with), one link at a time.  The squares at an X-vertex are
-its polygons' corners there, and a square's two sides at it are the halves
-of its polygon's two sides; so the link of an X-vertex in X is its link in
-X', each half read as its X-edge, which is what ``links_audit`` reads.  A
-square that meets its corner in other than two sides raises
-``InvariantError``, which the audits report as a failed check with a
-witness naming the square (``word#corner``).  ``polygon_pair_audit`` takes
-the polygons at each X-vertex from the squares at it and intersects their
-corner and side ids in the table's polygon records.
+The link audits build no link.  Every interior link of X' has a closed form
+fixed by its cell kind: K_{|G_{i+1}|,|G_i|} at the X-vertex g(G_i x G_{i+1}),
+K_{2,|G_i|} at the midpoint of a label-i X-edge, and the n-cycle at a polygon
+center.  Each has girth 4 or n >= 5, which is the link condition for a
+square complex (Bridson-Haefliger, *Metric Spaces of Non-positive
+Curvature*, II.5.20).  One pass over the square records (``_links``, built
+once per ball) checks, a column at a time, that each record's sides end at
+the corners their places say and that square n·k + i holds spokes i and
+i+1 of polygon k; then the square count at each interior vertex, with the
+pairs of sides at an X-vertex, decides whether its link is its closed form
+(the proof is in ``_links``).  ``t4_audit``, ``links_audit`` and
+``free_face_audit``, which reads each side's square count, take their
+verdicts from it; a broken record is the link rows' witness, naming the
+square (``word#corner``).  The squares at an X-vertex are its polygons'
+corners there, and a square's two sides at it are the halves of its
+polygon's two sides; so the link of an X-vertex in X is its link in X',
+each half read as its X-edge, which is what ``links_audit`` reads.
+``polygon_pair_audit`` takes the polygons at each X-vertex from the squares
+at it and intersects their corner and side ids in the table's polygon
+records.
 """
 
 from __future__ import annotations
@@ -84,7 +93,7 @@ from array import array
 from itertools import accumulate, chain, compress, count, cycle, islice, repeat
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .errors import InvariantError, ResourceLimitError, ValidationError
+from .errors import ResourceLimitError, ValidationError
 from .reports import Report
 from .words import (
     GroupElement,
@@ -425,56 +434,146 @@ def _subdivision(b: ComplexBall) -> Subdivision:
 
 # -- links and audits ----------------------------------------------------------------
 
-
-def _square_link(x: Subdivision, v: int) -> dict[int, set[int]]:
-    """The link of X' vertex v over side ids: two sides are joined when a
-    square has its corner at v between them.  A square meeting v in other
-    than two sides raises ``InvariantError``, naming the square and v."""
-    ends = x.ends
-    link: dict[int, set[int]] = {}
-    for q, _ in x.squares_at(v):
-        at_v = [s for s in x.sides(q) if ends[2 * s] == v or ends[2 * s + 1] == v]
-        if len(at_v) != 2:
-            raise InvariantError("a 2-cell meets its corner in other than two sides",
-                                 [x.square_name(q), x.vertex_key(v), len(at_v)])
-        a, c = at_v
-        link.setdefault(a, set()).add(c)
-        link.setdefault(c, set()).add(a)
-    return link
+# the places of a square's two sides at each of its corners (m_i, v_i, m_{i+1}, c)
+_AT_CORNER = ((0, 2), (0, 1), (1, 3), (2, 3))
+# the places of each half's two corners, in id order (X-vertex, then midpoint)
+_ENDS = ((1, 0), (1, 2))
 
 
-def _x_links(b: ComplexBall) -> dict[int, dict[int, set[int]]]:
-    """``_square_link(x, v)`` by interior X-vertex v, in key order: built
-    once per ball, read by ``t4_audit`` and ``links_audit``."""
-    x = subdivision(b)
-    return b.derive("x-links", lambda: {v: _square_link(x, v)
-                                        for v in x.table.interior_vertices()})
+def _links(b: ComplexBall) -> tuple[list[int], Optional[dict], Optional[dict], list[int]]:
+    """One pass over X''s square records, built once per ball, that checks
+    each interior vertex's link against its closed form and builds no link
+    graph: (``on``, the squares holding each edge, by edge id; the first
+    broken record, as a witness; the first one broken at an interior
+    X-vertex; the ids of the interior vertices whose link is not its closed
+    form, in id order).  ``t4_audit``, ``links_audit`` and
+    ``free_face_audit`` take their verdicts from it.
+
+    The link of an X' vertex v has a node per side at v and an edge per
+    square at v, joining the square's two sides there.  By the kind of v:
+
+    * K_{a,b} at the X-vertex g(G_i x G_{i+1}): a = |G_{i+1}| sides of
+      label i, b = |G_i| of label i+1, and a·b squares;
+    * K_{2,m} at the midpoint of a label-i X-edge: its two halves and
+      m = |G_i| spokes, and 2m squares;
+    * the n-cycle of its polygon's spokes at a center, and n squares.
+
+    Each has girth 4 or n >= 5, so no link holds a loop, a bigon or a
+    triangle, which is the link condition for a square complex (Bridson-
+    Haefliger, *Metric Spaces of Non-positive Curvature*, II.5.20).
+
+    **The records.**  ``_squares`` writes square q = n·k + i as (m_i, v_i,
+    m_{i+1}, c; half_i, half_{i+1}, spoke_i, spoke_{i+1}), so the two sides
+    at each corner have fixed places (``_AT_CORNER``).  Of the n·|B(r)|
+    squares the numbering names, ``_faults`` reads two facts, a column at a
+    time:
+
+    (a) each side's ends (``Subdivision.ends``, in id order) are the two
+        corners it lies between;
+    (b) its spokes are spokes i and i+1 of polygon k, the ids 2E + n·k + i
+        and 2E + n·k + (i+1 mod n).
+
+    A broken record is the link rows' witness, in place of their verdicts.
+    With (a) and (b), record q is polygon k's corner i: a spoke's ends are
+    its side's midpoint and its polygon's center, so q's center is k's and
+    its midpoints are those of k's sides i and i+1; its halves are halves
+    of those sides at a common end, which is v_i, the one end they share
+    (k has n distinct corners: ``davis.t4.polygon-sides``).  Its corners are
+    then distinct, so it meets each corner in exactly its two sides there.
+    So ``at``, which lists each square at each of its corners, lists: at a
+    center, its polygon's n squares, joining spokes i and i+1 for each i;
+    at the midpoint of an X-edge, two squares for each polygon on the edge,
+    one at each end, joining that polygon's spoke to both halves; at an
+    X-vertex of index i, one square per polygon at it, joining a half of
+    label i to one of label i+1.
+
+    **The counts.**  Hence a center's link is the n-cycle, and a midpoint's
+    is K_{2,m} for the m polygons on its edge, half its square count: each
+    is its closed form exactly when its square count is.  An X-vertex's
+    link is bipartite by label, with an edge per square, but its count
+    misses two squares on the same two sides, so its squares' sides are
+    read too: a·b squares with a·b distinct pairs of sides, a sides of
+    label i and b of label i+1, fill the a·b pairs of the two parts.  That
+    read needs (a) at the vertex alone, so ``links_audit`` reports a record
+    only if it is broken at an interior X-vertex.
+
+    A square holding side s has both ends of s as corners, by (a), so s's
+    degree in the link at either end is its square count, ``on[s]``, read
+    from the side columns of every record: ``free_face_audit``'s count.
+    """
+    return b.derive("links", lambda: _read_links(subdivision(b)))
+
+
+def _read_links(x: Subdivision):
+    t, n = x.table, x.table.presentation.n
+    nv, sq, start = len(t.vertices) // 2, x.squares, x.start
+    on = [0] * len(x.edge_ids())   # a list: a dict would weigh more
+    for s in chain(sq[4::8], sq[5::8], sq[6::8], sq[7::8]):
+        on[s] += 1
+    faults = list(_faults(x, n * len(t.reps)))
+    inner, size = list(x.interior_vertices()), [g.size for g in t.presentation.groups]
+    want = chain((size[i] * size[(i + 1) % n] for i in t.vertices[::2]),
+                 (2 * size[i] for i in t.edges[::4]), repeat(n))
+    bad = set(compress(count(), map(operator.and_, inner, map(
+        operator.ne, map(operator.sub, start[1:], start), want))))
+    for v, i in compress(enumerate(t.vertices[::2]), inner):
+        # the entry of square q at its X-vertex is 4q + 1, and its halves are 8q + 4, 8q + 5
+        pairs = {(sq[2 * e + 2], sq[2 * e + 3]) for e in x.at[start[v]:start[v + 1]]}
+        a, c = {s for s, _ in pairs}, {s for _, s in pairs}
+        if ((len(pairs), len(a), len(c), {*map(x.label, a)}, {*map(x.label, c)})
+                != (start[v + 1] - start[v], size[(i + 1) % n], size[i], {i}, {(i + 1) % n})):
+            bad.add(v)
+    return (on, next((f for _, f in faults), None),
+            next((f for v, f in faults if 0 <= v < nv and inner[v]), None), sorted(bad))
+
+
+def _faults(x: Subdivision, nq: int) -> Iterator[tuple[int, dict]]:
+    """Each break of (a) or (b) of ``_links`` in the first nq square
+    records, in square order, as (the corner's vertex id, or -1 for the
+    spokes, a witness): a corner met by k != 2 of its two sides as [square,
+    vertex key, k], a square holding spokes other than its own as [square,
+    the keys of the spokes it holds].  None, when both hold column by
+    column, the squares at each corner place i of the polygons as one
+    slice: (b) against the spoke numbering; (a) for the spokes, whose ends
+    (b) makes one slice of ``ends`` in square order (both spokes of a square
+    end at its polygon's center, so m_{i+1} is the one end left to read);
+    (a) for the halves, by ``_ENDS``, against each half's ends in id
+    order."""
+    sq, n, e0 = x.squares[:8 * nq], x.table.presentation.n, len(x.table.edges) // 2
+    spokes = range(e0, e0 + nq)   # spoke i of polygon k is 2E + n·k + i
+    spoke, ends = x.ends[2 * e0:2 * (e0 + nq)], (x.ends[::2], x.ends[1::2])   # spokes' ends
+    if (sq[6::8] == array("i", spokes) and sq[0::8] == spoke[::2] and sq[3::8] == spoke[1::2]
+            and all(sq[8 * i + 7::8 * n] == array("i", spokes[(i + 1) % n::n])
+                    and sq[8 * i + 2::8 * n] == spoke[2 * ((i + 1) % n)::2 * n] for i in range(n))
+            and all(array("i", map(ends[e].__getitem__, sq[4 + j::8])) == sq[c::8]
+                    for j, corners in enumerate(_ENDS) for e, c in enumerate(corners))):
+        return
+    for q, c in zip(range(nq), _records(sq, 8)):
+        for v, places in zip(c, _AT_CORNER):
+            k = sum(v in x.edge_ends(c[4 + j]) for j in places)
+            if k != 2:
+                yield v, {"error": "a 2-cell meets its corner in other than two sides",
+                          "at": [x.square_name(q), x.vertex_key(v), k]}
+        if (c[6], c[7]) != (spokes[q], spokes[q - q % n + (q + 1) % n]):
+            yield -1, {"error": "a square does not hold its polygon's spokes",
+                       "at": [x.square_name(q), x.edge_key(c[6]), x.edge_key(c[7])]}
 
 
 def t4_audit(b: ComplexBall) -> Report:
-    """Every interior X'-vertex link has girth >= 4; every polygon has n
-    distinct corners, read from its table record."""
+    """Every interior X'-vertex link is its closed form (``_links``), so has
+    girth >= 4; every polygon has n distinct corners, read from its table
+    record.  The link row's witness is the first broken square record, or
+    the keys of the vertices whose link is not its closed form."""
     report = Report()
     x = subdivision(b)
-    t = x.table
-    n = t.presentation.n
+    t, n = x.table, b.n
     corners = (c[:n] for c in _records(t.polygons, 2 * n))
     bad_sides = [(g, c) for g, c in zip(t.reps, corners) if len(set(c)) != n]
     for g, c in bad_sides:
         report.add("davis.t4.polygon-sides", format_word(g), False,
                    witness=[x.vertex_key(v) for v in c])
-    bad = []
-    try:
-        links = _x_links(b)
-        for v in compress(count(), x.interior_vertices()):   # in key order
-            link = links[v] if v in links else _square_link(x, v)
-            # Girth < 4 means a loop or a triangle (sets of neighbours hold
-            # no double edge): an edge a-c whose ends share a neighbour.
-            # The witness is the girth, 1 with a loop and 3 without.
-            if any(nbrs & link[c] for nbrs in link.values() for c in nbrs):
-                bad.append((x.vertex_key(v), 1 if any(a in link[a] for a in link) else 3))
-    except InvariantError as exc:   # the first X'-vertex whose link cannot be read
-        bad = {"error": str(exc), "at": exc.witness}
+    _, fault, _, bad = _links(b)
+    bad = fault or [x.vertex_key(v) for v in bad]
     report.add("davis.t4.link-girth", f"radius={b.radius}", not bad, witness=bad or None)
     if not bad_sides:
         report.add("davis.t4.polygon-sides", f"radius={b.radius}", True)
@@ -499,7 +598,7 @@ def polygon_pair_audit(b: ComplexBall) -> Report:
         for idx, g in enumerate(polys):
             for h in polys[idx + 1:]:
                 shared_v = corners[g] & corners[h]
-                if min(shared_v) != v:
+                if v not in shared_v or min(shared_v) != v:   # not in: a broken X'
                     continue
                 pairs += 1
                 shared_e = set(t.sides(g)) & set(t.sides(h))
@@ -512,13 +611,11 @@ def polygon_pair_audit(b: ComplexBall) -> Report:
 
 
 def free_face_audit(b: ComplexBall) -> Report:
-    """Every interior edge of X' lies in at least two squares."""
+    """Every interior edge of X' lies in at least two squares: its square
+    count, read by ``_links``."""
     report = Report()
     x = subdivision(b)
-    on = [0] * len(x.edge_ids())   # the squares on each edge, in a list: a dict would weigh more
-    for c in x.records():
-        for s in c[4:]:
-            on[s] += 1
+    on = _links(b)[0]
     inside = list(compress(count(), x.interior_edges()))
     bad = [x.edge_key(s) for s in sorted((s for s in inside if on[s] < 2), key=x.edge_ends)]
     report.add("davis.free-faces", f"radius={b.radius} edges={len(inside)}",
@@ -527,35 +624,20 @@ def free_face_audit(b: ComplexBall) -> Report:
 
 
 def links_audit(b: ComplexBall) -> Report:
-    """Interior X-vertex links are complete bipartite w.r.t. the two labels.
+    """Interior X-vertex links are complete bipartite w.r.t. the two labels,
+    K_{|G_{i+1}|, |G_i|} at g(G_i x G_{i+1}), as ``_links`` reads them.
 
     The squares at an X-vertex are its polygons' corners there, and a
     square's two sides at it are the halves of its polygon's two sides
     there; so its link in X is its link in X', each half read as its
-    X-edge."""
+    X-edge.  The witness is the first square record broken at an interior
+    X-vertex, or the keys of the X-vertices whose link is not K_{a,b}."""
     report = Report()
-    p = b.presentation
     x = subdivision(b)
-    index = x.table.vertices[::2]
-    inside = x.table.interior_vertices()
-    bad = []
-    try:
-        links = _x_links(b)
-    except InvariantError as exc:
-        bad, links = {"error": str(exc), "at": exc.witness}, {}
-    for v, link in links.items():   # in key order
-        i, j = index[v], (index[v] + 1) % p.n
-        side_i = {s for s in link if x.label(s) == i}
-        side_j = {s for s in link if x.label(s) == j}
-        ok = (len(side_i) + len(side_j) == len(link)
-              and len(side_i) == p.group(j).size
-              and len(side_j) == p.group(i).size
-              and all(link[a] == side_j for a in side_i)
-              and all(link[c] == side_i for c in side_j))
-        if not ok:
-            bad.append(x.vertex_key(v))
+    _, _, fault, bad = _links(b)
+    bad = fault or [x.vertex_key(v) for v in bad if v < len(x.table.vertices) // 2]
     report.add("davis.links-complete-bipartite",
-               f"radius={b.radius} vertices={len(inside)}",
+               f"radius={b.radius} vertices={len(x.table.interior_vertices())}",
                not bad, witness=bad or None)
     return report
 

@@ -47,10 +47,16 @@ that each polygon around it has there, instead of reading the vertex's link
 in X' over side ids.  The polygon-pair oracle intersects the corner and side
 objects of every two polygons at a vertex, instead of the table's polygon
 records.  The shared-polygon oracle intersects the polygons on every pair
-of edges of a wall, instead of one pass over each polygon's sides.  The
-girth oracle (``graph_girth``) runs a breadth-first search from every node
-of a graph, instead of telling a loop from a triangle, which is all that
-``davis.t4_audit`` needs to know of a link of girth below 4.
+of edges of a wall, instead of one pass over each polygon's sides.  The X'
+link oracle (``square_link``) builds the link of an X' vertex by searching
+each square at it for its sides that end there, and
+``link_is_closed_form`` checks that link for the closed form of its cell
+kind (part sizes, completeness, one cycle by a walk), where
+``davis._links`` reads the sides at each corner off their places in the
+square record and decides each link from square counts, building none.
+The girth oracle (``graph_girth``) runs a breadth-first search from every
+node of a graph; the davis audits compute no girth, as every closed form
+has girth 4 or n.
 
 The square-ball oracle (``subdivide``) builds X' as cell objects: a
 ``ComplexVertex`` per vertex, a ``ComplexEdge`` per edge and a ``Square``
@@ -241,6 +247,7 @@ from cyclewall.davis import (
     POLY,
     TRIVIAL,
     ComplexBall,
+    Subdivision,
     _records,
     build_ball,
     subdivision,
@@ -1118,6 +1125,59 @@ def graph_girth(g) -> float:
                 elif parent[u] != w:
                     best = min(best, dist[u] + dist[w] + 1)
     return best
+
+
+def square_link(x: Subdivision, v: int) -> dict[int, set[int]]:
+    """The link of X' vertex v over side ids, by search: two sides are
+    joined when a square at v has them as its sides ending at v.  A square
+    meeting v in other than two sides raises ``InvariantError``, naming the
+    square and v.  ``davis._links`` builds no link: it reads the two sides
+    at each corner off their places in the square record."""
+    link: dict[int, set[int]] = {}
+    for q, _ in x.squares_at(v):
+        at_v = [s for s in x.sides(q) if v in x.edge_ends(s)]
+        if len(at_v) != 2:
+            raise InvariantError("a 2-cell meets its corner in other than two sides",
+                                 [x.square_name(q), x.vertex_key(v), len(at_v)])
+        a, c = at_v
+        link.setdefault(a, set()).add(c)
+        link.setdefault(c, set()).add(a)
+    return link
+
+
+def link_is_closed_form(x: Subdivision, v: int) -> bool:
+    """Whether the link of X' vertex v, built by ``square_link``, is the
+    closed form of its cell kind, with one square per edge: K_{|G_{i+1}|,
+    |G_i|}, parted by the labels i and i+1, at an X-vertex of index i;
+    K_{2,|G_i|}, the two halves against the spokes, at the midpoint of a
+    label-i X-edge; the n-cycle at a polygon center.  It checks part sizes,
+    completeness and, at a center, that the n nodes of degree 2 form one
+    cycle, by a walk."""
+    t = x.table
+    p = t.presentation
+    nv, ne = len(t.vertices) // 2, len(t.edges) // 4
+    link = square_link(x, v)
+    pairs = {frozenset((a, c)) for a, nbrs in link.items() for c in nbrs}
+    if len(pairs) != x.start[v + 1] - x.start[v] or any(a in link[a] for a in link):
+        return False   # two squares on the same two sides, or a loop
+    if v < nv:
+        i = t.vertices[2 * v]
+        parts = [{s for s in link if x.label(s) == k} for k in (i, (i + 1) % p.n)]
+    elif v < nv + ne:
+        parts = [{2 * (v - nv), 2 * (v - nv) + 1}, set(link) - {2 * (v - nv), 2 * (v - nv) + 1}]
+    else:
+        seen, todo = set(), [min(link)]
+        while todo:
+            a = todo.pop()
+            seen.add(a)
+            todo.extend(link[a] - seen)
+        return (len(link) == p.n and all(len(nbrs) == 2 for nbrs in link.values())
+                and seen == set(link))
+    sizes = ([p.group(i + 1).size, p.group(i).size] if v < nv
+             else [2, p.group(t.edges[4 * (v - nv)]).size])
+    return ([len(part) for part in parts] == sizes and set(link) == parts[0] | parts[1]
+            and all(link[a] == parts[1] for a in parts[0])
+            and all(link[c] == parts[0] for c in parts[1]))
 
 
 def polygon_pairs_by_objects(b: ComplexBall) -> tuple[int, list]:

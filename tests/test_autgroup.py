@@ -11,7 +11,6 @@ from cyclewall.autgroup import (
     AutElement,
     CycleSymmetry,
     LocalAut,
-    acyl_witness,
     aut_act_vertex,
     aut_apply,
     aut_compose,
@@ -597,7 +596,7 @@ def test_witness_mixed_pads_missing_vertices(c5_mixed):
 
 def test_witness_fixator_trivial_c5_z3(c5_z3):
     p = c5_z3
-    g = acyl_witness(p)
+    g = witness_details(p)["element"]
     assert witness_fixator_check(p, g).ok
     fix = loc_fixator(p, g)
     assert len(fix) == 1 and fix[0].is_identity
@@ -682,7 +681,7 @@ def test_witness_fixator_fails_without_the_apply_check(c5_z3, monkeypatch):
     assert aut_statuses(c5_z3)["aut.witness-fixator-trivial"] == "pass"
     monkeypatch.setattr(autgroup.LocalAut, "apply", lambda lam, g: g)
     assert aut_statuses(c5_z3)["aut.witness-fixator-trivial"] == "fail"
-    assert len(loc_fixator(c5_z3, acyl_witness(c5_z3))) == 10
+    assert len(loc_fixator(c5_z3, witness_details(c5_z3)["element"])) == 10
 
 
 def test_decompose_roundtrip_fails_when_images_drop_the_inner_part(c5_z3, monkeypatch):

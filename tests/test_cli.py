@@ -136,7 +136,24 @@ def test_reduce_refuses_a_table_group_with_entries_that_are_not_ints(entry, tmp_
     path = write_presentation(tmp_path, 5, [{"kind": "table", "table": table}] + ["Z/2"] * 4)
     assert main(["reduce", "--presentation", path, "v0:2 v0:2", "v0:1"]) == EXIT_RESOURCE
     assert capsys.readouterr() == (
-        "", "error: group table is not a square table of element ids\n")
+        "", f"error: {path}: groups[0]: group table is not a square table of element ids\n")
+
+
+@pytest.mark.parametrize("at,group,message", [
+    (1, {"kind": "cyclic", "order": 1}, "cyclic group needs order >= 2"),
+    (1, "Z/1", "cyclic group needs order >= 2"),
+    (0, {"kind": "table", "table": [[0, 1, 2], [1, 2, 0], [2, 1, 0]]},
+     "table is not associative at (1,1,1)"),
+    (2, "Z/x", "bad cyclic order in 'Z/x'"),
+], ids=["order-1", "Z/1", "not-associative", "loader"])
+def test_a_group_error_names_its_group_once(at, group, message, tmp_path, capsys):
+    """A group error names the file and the group, with one prefix, whether
+    ``cyclic_group`` or ``table_group`` raises it or the loader does."""
+    groups = ["Z/2"] * 5
+    groups[at] = group
+    path = write_presentation(tmp_path, 5, groups)
+    assert main(["reduce", "--presentation", path, "v0:1"]) == EXIT_RESOURCE
+    assert capsys.readouterr() == ("", f"error: {path}: groups[{at}]: {message}\n")
 
 
 # -- ball -------------------------------------------------------------------------
@@ -274,11 +291,13 @@ def test_run_suite_builds_ball_subdivision_and_stabilizers_once(monkeypatch):
 
     monkeypatch.setattr(davis, "build_ball", counted("ball", davis.build_ball))
     monkeypatch.setattr(davis, "_subdivision", counted("subdivision", davis._subdivision))
+    monkeypatch.setattr(davis, "_read_links", counted("links", davis._read_links))
     monkeypatch.setattr(walls, "_wall_stabilizer", counted(
         "stabilizer", walls._wall_stabilizer, key=lambda b, T, L: (T.label, T.key_rep)))
     assert run_suite(presentation_c5_mixed(), "all", 2, 3, 0).ok
     assert calls["ball", None] == 1
     assert calls["subdivision", None] == 1
+    assert calls["links", None] == 1
     per_wall = [n for (name, _), n in calls.items() if name == "stabilizer"]
     assert per_wall and max(per_wall) == 1
 

@@ -7,12 +7,14 @@ import random
 import subprocess
 import sys
 from array import array
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from cyclewall import davis, diagrams
-from cyclewall.cli import davis_suite, load_presentation, run_suite
+from cyclewall.cli import EXIT_FAIL, davis_suite, load_presentation, run_suite
+from cyclewall.cli import main as cli_main
 from cyclewall.davis import (
     EDGE,
     POLY,
@@ -56,11 +58,13 @@ from oracles import (
     hyperplane_classes_by_components,
     index_by_cells,
     interior_by_enumeration,
+    link_is_closed_form,
     object_ball,
     objects,
     polygon_pairs_by_objects,
     polygons_at,
     polygons_containing_edge,
+    square_link,
     subdivide,
     subdivision_interior_inherited,
     vertex_link,
@@ -565,7 +569,7 @@ def test_x_link_is_the_square_link_at_an_x_vertex(name, radius):
     for v, cell in enumerate(b.vertices):
         if cell in b.interior_vertices:
             got = {x_edge_key(s): {x_edge_key(u) for u in us}
-                   for s, us in davis._square_link(x, v).items()}
+                   for s, us in square_link(x, v).items()}
             assert got == {e.key_string(): {f.key_string() for f in fs}
                            for e, fs in vertex_link(b, cell).items()}, cell.key_string()
 
@@ -645,7 +649,7 @@ def test_t4_audit_fails_on_a_square_missing_a_side_at_a_vertex(c5_mixed):
     cut = next(k for k, s in enumerate(sides) if v in x.edge_ends(s))
     x.squares[8 * q + 4 + cut] = next(s for s in sides if v not in x.edge_ends(s))
     with pytest.raises(InvariantError):
-        davis._square_link(x, v)
+        square_link(x, v)
     report = t4_audit(b)
     assert [r.check_id for r in report.failures] == ["davis.t4.link-girth"]
     witness = report.failures[0].witness
@@ -740,7 +744,8 @@ def file_square_at(x, v, record):
 def test_t4_audit_fails_on_a_link_with_a_short_cycle(c5_mixed, short):
     """A square at v joining two sides with a common neighbour in the link of
     v closes a triangle; one meeting v twice in the same side is a loop.  The
-    witness gives the girth."""
+    oracle's link has that girth; the witness names v, whose link is not
+    K_{a,b}, having a·b + 1 squares."""
     b = build_ball(c5_mixed, 2)
     x = subdivision(b)
     v = next(v for v, inner in enumerate(x.interior_vertices()) if inner)
@@ -758,10 +763,156 @@ def test_t4_audit_fails_on_a_link_with_a_short_cycle(c5_mixed, short):
     else:
         d, want = a, 1
     file_square_at(x, v, [d if s == c else s for s in record])
-    assert graph_girth(davis._square_link(x, v)) == want
+    assert graph_girth(square_link(x, v)) == want
     [failure] = t4_audit(b).failures
     assert failure.check_id == "davis.t4.link-girth"
-    assert failure.witness == [(sorted(subdivide(b).interior_vertices)[0].key_string(), want)]
+    assert failure.witness == [sorted(subdivide(b).interior_vertices)[0].key_string()]
+
+
+def test_t4_audit_fails_on_a_square_holding_its_next_spoke_twice(c5_mixed):
+    """Square 0 with spoke 1 in the place of spoke 0: it meets its first
+    midpoint in one of its sides there, though all its corners keep their
+    places and every count holds."""
+    b = build_ball(c5_mixed, 2)
+    x = subdivision(b)
+    x.squares[6] = x.squares[7]
+    assert [r.check_id for r in links_audit(b).failures] == []
+    [failure] = t4_audit(b).failures
+    assert failure.witness == {"error": "a 2-cell meets its corner in other than two sides",
+                               "at": ["#0", x.vertex_key(x.squares[0]), 1]}
+
+
+def test_links_audit_fails_on_an_x_vertex_whose_squares_are_listed_mirrored(c5_z3):
+    """Every square at the first interior X-vertex v listed from its other
+    end: (m_{i+1}, v, m_i, c; half_{i+1}, half_i, spoke_{i+1}, spoke_i).
+    Each still meets each corner in two sides, but holds the other polygon
+    side's half in the place of label i, so the halves in that place are
+    not of v's index.  With |G_i| = |G_{i+1}| the part sizes hold, so only
+    the labels tell."""
+    b = build_ball(c5_z3, 2)
+    x = subdivision(b)
+    v = first_inner(x, 0)
+    for q, _ in x.squares_at(v):
+        r = x.squares[8 * q:8 * q + 8]
+        x.squares[8 * q:8 * q + 8] = array("i", [r[2], r[1], r[0], r[3], r[5], r[4], r[7], r[6]])
+    [failure] = links_audit(b).failures
+    assert failure.witness == [x.vertex_key(v)]
+    [failure] = t4_audit(b).failures
+    assert failure.witness["error"] == "a square does not hold its polygon's spokes"
+
+
+def unfile_square_at(x, v, k):
+    """Take the k-th square at vertex v out of the index of the subdivision
+    ``x``, at v alone; its record stays."""
+    del x.at[x.start[v] + k]
+    for y in range(v + 1, len(x.start)):
+        x.start[y] -= 1
+
+
+def first_inner(x, kind):
+    """The first interior X' vertex of a kind: 0 X-vertex, 1 midpoint, 2 center."""
+    t = x.table
+    nv, ne = len(t.vertices) // 2, len(t.edges) // 4
+    low, high = [(0, nv), (nv, nv + ne), (nv + ne, len(x.start) - 1)][kind]
+    return next(v for v, inner in enumerate(x.interior_vertices()) if inner and low <= v < high)
+
+
+# (case, kind of vertex, change to its index): none, one square taken out,
+# the first square listed twice; an X-vertex is interior from radius 2, a
+# midpoint from radius 1
+LINK_MUTANTS = [(case, None, None) for case in LINK_CASES] + [
+    (case, kind, change) for case in LINK_CASES for kind in range(3)
+    for change in ("out", "twice") if case[1] >= 2 - kind]
+
+
+@pytest.mark.parametrize("case,kind,change", LINK_MUTANTS)
+def test_links_verdict_is_the_oracle_s_at_every_interior_vertex(case, kind, change):
+    """At every interior X' vertex, ``davis._links`` finds the link not its
+    closed form exactly when the oracle, which builds the link by search
+    and checks part sizes, completeness and one cycle, does: on the ball
+    as built, and with one square taken out of, or listed twice at, the
+    first interior vertex of each kind."""
+    name, radius = case
+    b = build_ball(perfbench_presentation(name), radius)
+    x = subdivision(b)
+    if change is not None:
+        v = first_inner(x, kind)
+        if change == "out":
+            unfile_square_at(x, v, 0)
+        else:
+            q, place = next(x.squares_at(v))
+            x.at.insert(x.start[v + 1], 4 * q + place)
+            for y in range(v + 1, len(x.start)):
+                x.start[y] += 1
+    on, fault, x_fault, bad = davis._links(b)
+    assert (fault, x_fault) == (None, None)
+    assert bad == [v for v, inner in enumerate(x.interior_vertices())
+                   if inner and not link_is_closed_form(x, v)]
+    assert bad == ([] if change is None else [v])
+    held = Counter(s for r in x.records() for s in r[4:])
+    assert on == [held[s] for s in x.edge_ids()]
+
+
+def verify_davis(monkeypatch, capsys, name, **patches):
+    """``verify --suite davis --radius 2`` on a reference presentation, with
+    ``davis`` attributes patched: its exit code and failed rows."""
+    for attr, value in patches.items():
+        monkeypatch.setattr(davis, attr, value)
+    rc = cli_main(["verify", "--presentation", str(PRESENTATIONS / f"{name}.json"),
+                   "--suite", "davis", "--radius", "2"])
+    doc = json.loads(capsys.readouterr().out)
+    return rc, [(c["check"], c["witness"]) for c in doc["checks"] if c["status"] == "fail"]
+
+
+def test_verify_fails_on_a_square_dropped_from_an_interior_polygon(monkeypatch, capsys):
+    """X' built without square 0, corner 0 of the identity polygon, whose
+    corners are all interior: each later record holds the next square's
+    spokes, and the first of them is the witness."""
+    squares = davis._squares
+    rc, failed = verify_davis(monkeypatch, capsys, "c5_mixed",
+                              _squares=lambda t: itertools.islice(squares(t), 1, None))
+    assert rc == EXIT_FAIL
+    assert ("davis.t4.link-girth", {"error": "a square does not hold its polygon's spokes",
+                                    "at": ["#0", "|edge|1|--trivial||", "|edge|2|--trivial||"]}) \
+        in failed
+
+
+def test_verify_fails_on_a_center_swapped_between_two_squares(monkeypatch, capsys):
+    """X' built with the centers of square 0 (the identity polygon's) and
+    square n (polygon v0:1's) swapped: square 0 meets v0:1's center in
+    none of its sides."""
+    squares = davis._squares
+    n = 5
+
+    def swapped(t):
+        records = [list(r) for r in squares(t)]
+        records[0][3], records[n][3] = records[n][3], records[0][3]
+        return records
+    rc, failed = verify_davis(monkeypatch, capsys, "c5_mixed", _squares=swapped)
+    assert rc == EXIT_FAIL
+    assert failed == [("davis.t4.link-girth", {
+        "error": "a 2-cell meets its corner in other than two sides",
+        "at": ["#0", "trivial||v0:1", 0]})]
+
+
+def test_verify_fails_on_a_link_missing_one_square(monkeypatch, capsys):
+    """The first interior midpoint's link with its first square taken out
+    of the index: K_{2,m} less an edge still has girth >= 4, so a girth
+    test passes it, and no other davis row reads a midpoint's squares; but
+    it has 2m - 1 squares, not its closed form's 2m."""
+    build = davis._subdivision
+    seen = {}
+
+    def cut(b):
+        x = build(b)
+        v = first_inner(x, 1)
+        unfile_square_at(x, v, 0)
+        assert graph_girth(square_link(x, v)) >= 4 and not link_is_closed_form(x, v)
+        seen["key"] = x.vertex_key(v)
+        return x
+    rc, failed = verify_davis(monkeypatch, capsys, "c5_mixed", _subdivision=cut)
+    assert rc == EXIT_FAIL
+    assert failed == [("davis.t4.link-girth", [seen["key"]])]
 
 
 def test_t4_audit_passes(c5_mixed, c6_z2):
