@@ -62,14 +62,15 @@ ROWS = [
     ("Radius-4 subdivided dot export is byte-identical",
      ["ball", "--radius", "4", "--subdivide", "--format", "dot", "--presentation", C6_MIXED], 0,
      "c27ecd63c46a2998e9d158f8e5f6d6e997e6bb14f60e5639b4a443dc9557cc5a", 60, 40),
-    # the X' audits read the ball's integer squares; bounded at 1.2 x the
-    # 41.7 MB measured with the value types written by hand (43.8 MB with
-    # dataclasses, 64.6 MB when the row was added, 159.0 MB when they built
-    # the square ball of cell objects)
+    # the X' audits read the ball's integer squares, through an index of
+    # the squares at each vertex built by counting; bounded at 1.2 x the
+    # 27.5 MB measured then (41.7 MB when a stable sort built the index,
+    # 43.8 MB with dataclasses, 64.6 MB when the row was added, 159.0 MB
+    # when they built the square ball of cell objects)
     ("Radius-5 davis report is byte-identical",
      ["verify", "--suite", "davis", "--radius", "5", "--depth", "3", "--seed", "0",
       "--presentation", C5_Z3], 0,
-     "fe24529d6362cbbe415ace9ab86c70167789a42e270e0177280924394e0b8b94", 60, 50),
+     "fe24529d6362cbbe415ace9ab86c70167789a42e270e0177280924394e0b8b94", 60, 33),
     # the walls audits read the walls, X' and the polygons, and build no
     # incidence map; bounded at 1.2 x the 75.6 MB measured with each wall's
     # stabilizer read off its key (76.1 MB with the transporter loop over

@@ -64,17 +64,14 @@ from .autgroup import (
     AutElement,
     CycleSymmetry,
     LocalAut,
-    aut_apply,
     aut_compose,
     aut_decompose,
-    aut_inverse,
     enumerate_loc,
     witness_fixator_check,
 )
 from .diagrams import (
     DiscDiagram,
     convention_lock,
-    fill_and_audit,
     fill_loop,
     gauss_bonnet_check,
 )

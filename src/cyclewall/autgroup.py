@@ -236,14 +236,6 @@ class Loc(Sequence):
             isos.append(options[r])
         return LocalAut._checked(sigma, tuple(reversed(isos)))
 
-    def __iter__(self):
-        """The elements in index order, each block walked as a product
-        without decoding an index."""
-        checked = LocalAut._checked
-        for sigma, per_vertex in self.choices:
-            for isos in itertools.product(*per_vertex):
-                yield checked(sigma, isos)
-
 
 def enumerate_loc(p: Presentation) -> Loc:
     """The whole local group as an indexed product, in
@@ -291,18 +283,9 @@ def local_aut(lam: LocalAut) -> AutElement:
     return AutElement(identity(lam.presentation), lam)
 
 
-def aut_apply(a: AutElement, x: GroupElement) -> GroupElement:
-    return mul(a.inner, a.local.apply(x), inv(a.inner))
-
-
 def aut_compose(a: AutElement, b: AutElement) -> AutElement:
     return AutElement(mul(a.inner, a.local.apply(b.inner)),
                       a.local.compose(b.local))
-
-
-def aut_inverse(a: AutElement) -> AutElement:
-    lam = a.local.inverse()
-    return AutElement(lam.apply(inv(a.inner)), lam)
 
 
 def aut_serialize(a: AutElement) -> dict:
@@ -379,7 +362,7 @@ def generator_values(p: Presentation, i: int) -> range:
 
 
 def generator_images(a: AutElement) -> list[list[GroupElement]]:
-    """``aut_apply(a, x)`` for every generator x.  The local part sends the
+    """a(x) = inner·local(x)·inner^-1 for every generator x.  The local part sends the
     generators of vertex i to syllables at sigma(i), as an isomorphism
     sends no non-identity value to the identity, and ``conjugates`` writes
     out their conjugates by a's inner part, splitting it once per vertex."""

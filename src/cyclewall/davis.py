@@ -42,7 +42,10 @@ come in key order; its edge ids are 2e + end for the half of X-edge e at
 that end, then 2E + n·k + i for spoke i of polygon k.  Square q = n·k + i,
 around corner i of polygon k, is four corner ids and four side ids
 (``_squares``); the audits read these records, through an index of the
-squares at each vertex, and the JSON export lists them.
+squares at each vertex, and the JSON export lists them.  That index, like
+the walls' skeleton of X', is built by ``incidence``: one pass counts the
+squares at each vertex and a second puts each at its vertex's next free
+slot, with no sort.
 
 The group acts on X-vertices as (index, rep) pairs (``act_vertex``), the
 record a vertex id names in the table, read one at a time where an element
@@ -236,6 +239,17 @@ def _records(a: array, width: int) -> Iterator[tuple[int, ...]]:
     return zip(*[iter(a)] * width)
 
 
+def edge_polygons(t: BallTable) -> list[list[int]]:
+    """By X-edge id, the ids of the polygons on it, in polygon order, read
+    off the polygons' side records."""
+    n = t.presentation.n
+    on = [[] for _ in range(len(t.edges) // 4)]
+    for k, c in enumerate(_records(t.polygons, 2 * n)):
+        for e in c[n:]:
+            on[e].append(k)
+    return on
+
+
 def ball_table(p: Presentation, r: int) -> BallTable:
     """The polygonal ball of radius r as a ``BallTable``, within the
     ``CYCLEWALL_MEM_MB`` budget when that is set.
@@ -332,6 +346,26 @@ def _squares(t: BallTable) -> Iterator[tuple[int, ...]]:
                    2 * c[n + j] + (j == 0), 2 * ne + n * k + i, 2 * ne + n * k + j)
 
 
+def incidence(keys: array, size: int,
+              values: Optional[Iterable[int]] = None) -> tuple[array, array]:
+    """(start, flat), an index of the places that hold each key: for each
+    x < ``size``, the places k with ``keys[k] == x`` (or ``values[k]`` for
+    them), in place order, at ``flat[start[x]:start[x + 1]]``.  One counting
+    pass sizes each key's slice and a second puts each place at its key's
+    next free slot, with no index list, which a sort of the places would
+    hold (21.8 MB for the ends of X''s edges at c5_z3 radius 5)."""
+    degree = [0] * size
+    for x in keys:
+        degree[x] += 1
+    start = array("i", accumulate(degree, initial=0))
+    flat, free = array("i", [0]) * len(keys), array("i", start)
+    for y, x in enumerate(keys) if values is None else zip(values, keys):
+        i = free[x]
+        flat[i] = y
+        free[x] = i + 1
+    return start, flat
+
+
 class Subdivision(NamedTuple):
     """X' of a polygonal ball, numbered from its table (see the module
     docstring), in flat ``array``s.
@@ -340,7 +374,8 @@ class Subdivision(NamedTuple):
     ``8q .. 8q + 7``; ``ends`` holds X' edge s's two end ids, in key order,
     at ``2s`` and ``2s + 1``.  The squares at vertex x are listed in square
     order by ``at[start[x]:start[x + 1]]``, each as 4q + the place of x
-    among q's corners.  Ids order the vertices by key, and edges by their
+    among q's corners: the ``incidence`` of the squares' corner columns,
+    counted, not sorted.  Ids order the vertices by key, and edges by their
     ends' ids."""
 
     table: BallTable
@@ -423,13 +458,8 @@ def _subdivision(b: ComplexBall) -> Subdivision:
                             for e, (_, _, x, y) in enumerate(_records(t.edges, 4))),
         chain.from_iterable((nv + e, nv + ne + k)
                             for k, c in enumerate(_records(t.polygons, 2 * n)) for e in c[n:])))
-    corner = array("i", chain.from_iterable(c[:4] for c in _records(squares, 8)))
-    degree = [0] * (nv + ne + len(t.reps))   # the squares at each vertex
-    for x in corner:
-        degree[x] += 1
-    # sorted is stable, so the squares at a vertex stay in square order
-    return Subdivision(t, squares, ends, array("i", accumulate(degree, initial=0)),
-                       array("i", sorted(range(len(corner)), key=corner.__getitem__)))
+    corner = array("i", chain.from_iterable(zip(*(squares[j::8] for j in range(4)))))
+    return Subdivision(t, squares, ends, *incidence(corner, nv + ne + len(t.reps)))
 
 
 # -- links and audits ----------------------------------------------------------------
@@ -684,7 +714,6 @@ def _rows(t: BallTable, square: bool):
       flag; then the spokes, grouped by midpoint and by polygon within a
       group, with no label or rep, always interior.
     """
-    n = t.presentation.n
     text = [format_word(g) for g in t.reps]
     word = [f'"{w}"' for w in text]
     # by rep number: whether an X-vertex and an X-edge of that rep are interior
@@ -705,16 +734,12 @@ def _rows(t: BallTable, square: bool):
     for e, (i, k, x, y) in enumerate(edges):
         halves[x].append((mid[e], inner_e[k], i, word[k]))
         halves[y].append(halves[x][-1])
-    spokes = [[] for _ in edges]        # the polygons on each X-edge
-    for k, c in enumerate(_records(t.polygons, 2 * n)):
-        for e in c[n:]:
-            spokes[e].append(k)
     return word, key, mid, center, chain(
         vertex_rows,
         ((EDGE, i, inner_e[k], m, word[k]) for m, (i, k, _, _) in zip(mid, edges)),
         ((TRIVIAL, None, True, c, w) for c, w in zip(center, word))), chain(
         ((key[v], *half) for v, hs in enumerate(halves) for half in hs),
-        ((m, center[k], True, None, "null") for m, ks in zip(mid, spokes) for k in ks))
+        ((m, center[k], True, None, "null") for m, ks in zip(mid, edge_polygons(t)) for k in ks))
 
 
 def iter_ball_dot(t: BallTable, square: bool = False) -> Iterator[str]:

@@ -20,7 +20,8 @@ than return a diagram it cannot verify.
 Loops are lists of X-vertex ids of the ball's table (``davis.BallTable``),
 and a diagram's images are X-vertex ids too.  The fills and the loop sampler
 read polygons as their corner and side records, through two indexes built
-once per ball: the polygons on each X-edge and the edges at each X-vertex.
+once per ball: the polygons on each X-edge, ``davis.edge_polygons``, the
+list the square export reads too, and the edges at each X-vertex.
 A polygon is its id, its rep's number; rep numbers come in the order of the
 reps, so ties between polygons break as between their reps.
 """
@@ -30,7 +31,7 @@ from __future__ import annotations
 import random
 from typing import Optional, Sequence
 
-from .davis import ComplexBall
+from .davis import ComplexBall, edge_polygons
 from .errors import FillError, ValidationError
 from .reports import Report
 from .walls import UnionFind
@@ -214,16 +215,8 @@ def _match_polygon(cycle: Sequence[int], segment: Sequence[int]):
 
 
 def _edge_polygons(b: ComplexBall) -> list[list[int]]:
-    """By X-edge id, the ids of the polygons on it, in polygon order, read
-    off the polygons' side records; built once per ball."""
-    def build():
-        t = b.table
-        on = [[] for _ in range(len(t.edges) // 4)]
-        for k in range(len(t.reps)):
-            for e in t.sides(k):
-                on[e].append(k)
-        return on
-    return b.derive("edge polygons", build)
+    """``davis.edge_polygons`` of the ball's table, built once per ball."""
+    return b.derive("edge polygons", lambda: edge_polygons(b.table))
 
 
 def _vertex_edges(b: ComplexBall) -> list[list[int]]:
@@ -337,19 +330,6 @@ def _ball_edge(b: ComplexBall, v: int, w: int) -> Optional[int]:
         if w in t.ends(e):
             return e
     return None
-
-
-def fill_and_audit(b: ComplexBall, loop: Sequence[int],
-                   max_faces: int = 24) -> tuple[DiscDiagram, Report]:
-    """Fill the loop and audit the curvature identity on the result."""
-    report = convention_lock(b.presentation.n)
-    d = fill_loop(b, loop, max_faces)
-    report.add("diagrams.filling-is-reduced", f"faces={len(d.faces)}",
-               d.is_reduced())
-    ok_bound = all(d.images[v] == w for v, w in zip(d.boundary, loop))
-    report.add("diagrams.boundary-matches-loop", f"len={len(loop)}", ok_bound)
-    report.extend(gauss_bonnet_check(d, f"faces={len(d.faces)}"))
-    return d, report
 
 
 def union_boundary_loop(b: ComplexBall, polygons: Sequence[int]) -> Optional[list[int]]:

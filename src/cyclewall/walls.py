@@ -105,7 +105,7 @@ from .algebraic import (
     join_is_cmaximal,
     vertex_mediums,
 )
-from .davis import BallTable, ComplexBall, subdivision
+from .davis import BallTable, ComplexBall, incidence, subdivision
 from .errors import ValidationError
 from .reports import Report
 from .words import (
@@ -536,20 +536,13 @@ def _skeleton(b: ComplexBall) -> Callable[[int], array]:
     """X' vertex id -> its neighbours in the 1-skeleton of X', each one
     slice of CSR arrays built once per ball: a start array and a flat
     neighbour array.  Read off ``Subdivision.ends``, which lists each edge
-    once, so each neighbour is listed once, in edge order: each end is
-    placed at the next free slot of its vertex, in one pass and with no
-    index list, which a sort of the ends would hold (21.8 MB at c5_z3
-    radius 5)."""
+    once, by ``incidence``: each end's vertex is its key and the other end
+    its value, so each neighbour is listed once, in edge order."""
     def build() -> Callable[[int], array]:
         x = subdivision(b)
-        ends, degree = x.ends, [0] * (len(x.start) - 1)
-        for v in ends:
-            degree[v] += 1
-        start = array("i", itertools.accumulate(degree, initial=0))
-        nbr, free = array("i", ends), array("i", start)
-        for k, v in enumerate(ends):   # the other end of the end at place k is at k ^ 1
-            nbr[free[v]] = ends[k ^ 1]
-            free[v] += 1
+        ends = x.ends   # the other end of the end at place k is at k ^ 1
+        start, nbr = incidence(ends, len(x.start) - 1,
+                               itertools.chain.from_iterable(zip(ends[1::2], ends[::2])))
         return lambda v: nbr[start[v]:start[v + 1]]
     return b.derive("skeleton", build)
 

@@ -58,6 +58,10 @@ The girth oracle (``graph_girth``) runs a breadth-first search from every
 node of a graph; the davis audits compute no girth, as every closed form
 has girth 4 or n.
 
+The incidence oracle (``incidence_by_sort``) lists the places that hold
+each key by a stable sort of the places, instead of ``davis.incidence``'s
+counting pass.
+
 The square-ball oracle (``subdivide``) builds X' as cell objects: a
 ``ComplexVertex`` per vertex, a ``ComplexEdge`` per edge and a ``Square``
 per square, holding its corner and side objects, with incidence maps
@@ -133,6 +137,13 @@ and a conjugator given apart, without building a ``CSubgroup``.
 The subdivision-interior oracle carries the polygonal ball's interior over to
 its subdivision cell by cell (an X'-vertex or half-edge is interior when its
 X-cell is), instead of applying the coset-rep length rule to the subdivision.
+
+The fill-and-audit oracle (``fill_and_audit``) fills a loop with
+``diagrams.fill_loop`` and checks, besides the curvature identity and
+reducedness that ``diagrams.filling_audit`` checks, that the diagram's
+boundary maps onto the loop.  ``aut_apply`` and ``aut_inverse`` apply and
+invert an automorphism in normal form by products, checking
+``autgroup.aut_compose`` and ``generator_images``.
 
 The filling oracle fills a loop by the depth-first search over polygon
 gluings that ``diagrams.fill_loop`` replaced with one greedy pass: it tries
@@ -212,7 +223,7 @@ from typing import Optional
 
 import networkx as nx
 
-from cyclewall import cli
+from cyclewall import cli, diagrams
 from cyclewall.algebraic import (
     MAXIMAL,
     MEDIUM,
@@ -258,6 +269,8 @@ from cyclewall.diagrams import (
     _cancel_spurs,
     _edge_polygons,
     _match_polygon,
+    convention_lock,
+    gauss_bonnet_check,
 )
 from cyclewall.errors import DecompositionError, FillError, InvariantError, ValidationError
 from cyclewall.reports import Report
@@ -1127,6 +1140,19 @@ def graph_girth(g) -> float:
     return best
 
 
+def incidence_by_sort(keys, size: int, values=None) -> tuple[array, array]:
+    """``davis.incidence`` by a stable sort of the places by key, as the
+    subdivision indexed the squares at each vertex before it counted: each
+    key's count, summed into the starts, and the places (or their values)
+    in key order, in place order within a key."""
+    degree = [0] * size
+    for x in keys:
+        degree[x] += 1
+    values = range(len(keys)) if values is None else list(values)
+    return (array("i", itertools.accumulate(degree, initial=0)),
+            array("i", (values[k] for k in sorted(range(len(keys)), key=keys.__getitem__))))
+
+
 def square_link(x: Subdivision, v: int) -> dict[int, set[int]]:
     """The link of X' vertex v over side ids, by search: two sides are
     joined when a square at v has them as its sides ending at v.  A square
@@ -1591,6 +1617,20 @@ def subdivision_interior_inherited(b):
              if e.label is None or (e.label, e.rep) in interior_x_edges})
 
 
+def fill_and_audit(b: ComplexBall, loop, max_faces: int = 24) -> tuple[DiscDiagram, Report]:
+    """Fill the loop with ``diagrams.fill_loop`` and audit the result: the
+    convention lock, the filling reduced, its boundary mapped onto the loop
+    and the curvature identity."""
+    report = convention_lock(b.presentation.n)
+    d = diagrams.fill_loop(b, loop, max_faces)
+    report.add("diagrams.filling-is-reduced", f"faces={len(d.faces)}",
+               d.is_reduced())
+    ok_bound = all(d.images[v] == w for v, w in zip(d.boundary, loop))
+    report.add("diagrams.boundary-matches-loop", f"len={len(loop)}", ok_bound)
+    report.extend(gauss_bonnet_check(d, f"faces={len(d.faces)}"))
+    return d, report
+
+
 def _loop_state(loop: list, creators: list):
     """Rotation-minimal canonical form for memoisation, over vertex ids and
     creator polygon ids (-1 when absent)."""
@@ -1884,6 +1924,16 @@ def minimal_syllables_by_reversal(p: Presentation, word) -> list[tuple[int, int]
 def inv_by_reversal(a: GroupElement) -> GroupElement:
     p = a.presentation
     return canonical(p, [Syllable(v, p.groups[v].inv(x)) for v, x in reversed(a.word)])
+
+
+def aut_apply(a: AutElement, x: GroupElement) -> GroupElement:
+    """a(x) = inner·local(x)·inner^-1, as one product."""
+    return mul(a.inner, a.local.apply(x), inv(a.inner))
+
+
+def aut_inverse(a: AutElement) -> AutElement:
+    lam = a.local.inverse()
+    return AutElement(lam.apply(inv(a.inner)), lam)
 
 
 def generator_images_by_products(a: AutElement) -> list[list[GroupElement]]:

@@ -17,12 +17,11 @@ from conftest import (
     presentation_c6_mixed,
     presentation_c6_z2,
 )
-from oracles import all_raw_words, closure_classifier
+from oracles import all_raw_words, aut_apply, closure_classifier, fill_and_audit
 
 from cyclewall.algebraic import induced_cycle_audit, phi_iso_check
 from cyclewall.autgroup import (
     AutElement,
-    aut_apply,
     aut_decompose,
     enumerate_loc,
     generator_images,
@@ -39,7 +38,7 @@ from cyclewall.davis import (
     polygon_pair_audit,
     t4_audit,
 )
-from cyclewall.diagrams import convention_lock, fill_and_audit, sample_loops
+from cyclewall.diagrams import convention_lock, sample_loops
 from cyclewall.localgroups import determining_set
 from cyclewall.walls import (
     classify_pair,

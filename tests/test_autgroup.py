@@ -12,10 +12,8 @@ from cyclewall.autgroup import (
     CycleSymmetry,
     LocalAut,
     aut_act_vertex,
-    aut_apply,
     aut_compose,
     aut_decompose,
-    aut_inverse,
     aut_serialize,
     coset_intersection,
     enumerate_loc,
@@ -50,7 +48,9 @@ from cyclewall.words import (
 from oracles import (
     act_edge,
     aut_act_vertex_object,
+    aut_apply,
     aut_decompose_by_reduction,
+    aut_inverse,
     axis_segment,
     coset_intersection_by_stripping,
     enumerate_loc_by_listing,
@@ -112,7 +112,7 @@ def test_loc_size_c5_s3(c5_s3):
 def test_indexed_loc_matches_the_listing(name):
     """The indexed product holds the listed elements in the listed order, and
     lengths, slices, indices and seeded draws behave as on the list.  Its
-    iterator, which walks each block as a product, and its indices agree."""
+    iterator, ``Sequence``'s walk over the indices, and its indices agree."""
     p = (Presentation((integers_group(),) * 5) if name == "5 x Z"
          else reference_or_s3x5(name))
     loc, listed = enumerate_loc(p), enumerate_loc_by_listing(p)

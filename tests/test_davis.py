@@ -11,8 +11,9 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cyclewall import davis, diagrams
+from cyclewall import davis, diagrams, walls
 from cyclewall.cli import EXIT_FAIL, davis_suite, load_presentation, run_suite
 from cyclewall.cli import main as cli_main
 from cyclewall.davis import (
@@ -24,6 +25,7 @@ from cyclewall.davis import (
     ball_to_json,
     build_ball,
     free_face_audit,
+    incidence,
     iter_ball_dot,
     iter_ball_json,
     links_audit,
@@ -56,6 +58,7 @@ from oracles import (
     graph_girth,
     hyperplane_classes,
     hyperplane_classes_by_components,
+    incidence_by_sort,
     index_by_cells,
     interior_by_enumeration,
     link_is_closed_form,
@@ -549,6 +552,39 @@ def test_vertex_link_is_complete_bipartite(c5_mixed):
 
 
 LINK_CASES = [(name, r) for name in SIX for r in range(3)] + [("c5_z3", 3)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 12).flatmap(lambda size: st.tuples(
+    st.just(size),
+    st.lists(st.integers(0, size - 1), max_size=40) if size else st.just([]),
+    st.booleans())))
+def test_incidence_matches_a_stable_sort(case):
+    """The counting pass lists each key's places, or their values, in place
+    order, as a stable sort of the places by key does: keys may be absent
+    (unused ids get empty slices), and the list may be empty."""
+    size, keys, with_values = case
+    keys = array("i", keys)
+    # decreasing, so values kept in place order are not in value order
+    values = [3 * (len(keys) - k) for k in range(len(keys))] if with_values else None
+    assert incidence(keys, size, values) == incidence_by_sort(keys, size, values)
+
+
+@pytest.mark.parametrize("name,radius", LINK_CASES)
+def test_counted_indexes_match_the_sorted_ones(name, radius):
+    """The squares at each X' vertex are the sort-built index of the
+    squares' corner columns, and the skeleton's neighbours of each vertex
+    are the other ends of its edges, read off ``ends`` in edge order."""
+    b = build_ball(perfbench_presentation(name), radius)
+    x = subdivision(b)
+    corner = array("i", (v for c in x.records() for v in c[:4]))
+    assert (x.start, x.at) == incidence_by_sort(corner, len(x.start) - 1)
+    assert isinstance(x.start, array) and isinstance(x.at, array)
+    neighbours = walls._skeleton(b)
+    others = [[] for _ in range(len(x.start) - 1)]
+    for k, v in enumerate(x.ends):
+        others[v].append(x.ends[k ^ 1])
+    assert [list(neighbours(v)) for v in range(len(others))] == others
 
 
 @pytest.mark.parametrize("name,radius", LINK_CASES)

@@ -9,7 +9,6 @@ from cyclewall.davis import build_ball
 from cyclewall.diagrams import (
     DiscDiagram,
     convention_lock,
-    fill_and_audit,
     fill_loop,
     filling_audit,
     gauss_bonnet_check,
@@ -20,7 +19,7 @@ from cyclewall.diagrams import (
 )
 from cyclewall.errors import FillError, ValidationError
 from cyclewall.words import format_word, identity, parse_word
-from oracles import fill_loop_by_search
+from oracles import fill_and_audit, fill_loop_by_search
 
 
 def diagram_to_json_dict(d: DiscDiagram, b) -> dict:
