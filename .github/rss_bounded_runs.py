@@ -71,6 +71,14 @@ ROWS = [
      ["verify", "--suite", "davis", "--radius", "5", "--depth", "3", "--seed", "0",
       "--presentation", C5_Z3], 0,
      "fe24529d6362cbbe415ace9ab86c70167789a42e270e0177280924394e0b8b94", 60, 33),
+    # the one diagrams report above radius 2: the sampled loops are filled
+    # with each run read off its polygon's corner record; bounded at 1.2 x
+    # the 27.9 MB measured then (27.8-28.0 MB with the two-way match from
+    # every start)
+    ("Radius-5 diagrams report is byte-identical",
+     ["verify", "--suite", "diagrams", "--radius", "5", "--depth", "3", "--seed", "0",
+      "--presentation", C5_Z3], 0,
+     "6d8094a8d06aab1f9449d39a40c4b082a80e1c92b38164aaae428a7f4230af1c", 60, 33),
     # the walls audits read the walls, X' and the polygons, and build no
     # incidence map; bounded at 1.2 x the 75.6 MB measured with each wall's
     # stabilizer read off its key (76.1 MB with the transporter loop over

@@ -15,7 +15,9 @@ edge) before any audit runs.
 :func:`fill_loop` builds a reduced diagram for a closed edge path greedily:
 it cancels spurs and glues the polygon along the longest matching run of the
 boundary, never undoing a glue, and refuses with :class:`FillError` rather
-than return a diagram it cannot verify.
+than return a diagram it cannot verify.  Each run is read off the polygon's
+corner record from the one place and direction its first edge fixes, with
+no copy of the boundary.
 
 Loops are lists of X-vertex ids of the ball's table (``davis.BallTable``),
 and a diagram's images are X-vertex ids too.  The fills and the loop sampler
@@ -188,30 +190,27 @@ def _cancel_spurs(loop: list, creators: list, ids: list, merges: list) -> None:
             del loop[idx], creators[idx], ids[idx]
 
 
-def _match_polygon(cycle: Sequence[int], segment: Sequence[int]):
-    """Longest run of the polygon cycle equal to the segment, either direction.
+def _read_run(c: Sequence[int], loop: Sequence[int], j: int):
+    """The run of the polygon with corner record ``c`` along the boundary
+    ``loop`` from ``loop[j]``, read off the record, and its completion.
 
-    Returns (k, completion) where the first k edges of the segment are covered
-    and ``completion`` is the polygon's remaining corner path from segment[k]
-    back to segment[0] (exclusive of both endpoints).
+    Returns (k, completion): from the place s of loop[j] in c, and in the
+    direction d in which ``c[s + d]`` is ``loop[j + 1]``, loop[j + t] is
+    ``c[s + d*t]`` for t = 0 .. k (indices mod len(loop) and mod n), with
+    k >= 1 as large as that allows up to ``min(len(loop), n - 1)``;
+    ``completion`` is ``c[s + d*t]`` for t = k+1 .. n-1, the corners from
+    loop[j+k] back to loop[j], both excluded.  None when c does not hold
+    the edge loop[j], loop[j+1].
     """
-    n = len(cycle)
-    best = None
-    for direction in (1, -1):
-        cyc = list(cycle) if direction == 1 else list(reversed(cycle))
-        for start in range(n):
-            if cyc[start] != segment[0]:
-                continue
-            k = 0
-            while k < min(len(segment) - 1, n - 1) and \
-                    cyc[(start + k + 1) % n] == segment[k + 1]:
-                k += 1
-            if k == 0:
-                continue
-            completion = [cyc[(start + j) % n] for j in range(k + 1, n)]
-            if best is None or k > best[0]:
-                best = (k, completion)
-    return best
+    n, L = len(c), len(loop)
+    if loop[j] not in c:
+        return None
+    s = c.index(loop[j])
+    d = 1 if c[(s + 1) % n] == loop[(j + 1) % L] else -1
+    k, most = 0, min(L, n - 1)
+    while k < most and c[(s + d * (k + 1)) % n] == loop[(j + k + 1) % L]:
+        k += 1
+    return (k, [c[(s + d * t) % n] for t in range(k + 1, n)]) if k else None
 
 
 def _edge_polygons(b: ComplexBall) -> list[list[int]]:
@@ -246,6 +245,16 @@ def fill_loop(b: ComplexBall, loop: Sequence[int],
     (Lyndon-Schupp ch. V) gives a reduced filling a face with at most two
     interior sides, whose polygon covers a long run of the loop and whose
     glue shortens it.  The result is still validated and checked reduced.
+
+    A candidate is a boundary place j and a polygon on the edge loop[j],
+    loop[j+1].  Its run is read off the polygon's corner record c
+    (``_read_run``): from the place s of loop[j], in the direction d with
+    ``c[s + d] == loop[j + 1]``, for as long as the record follows the loop.
+    This is the longest run that any start and direction of c would give:
+    c has n distinct corners (``davis.t4.polygon-sides``), so loop[j] has
+    one place in it, and exactly one of that place's two neighbours is
+    loop[j + 1]; every other start and direction gives a run of length 0.
+
     Raises :class:`FillError` when an entry is not an X-vertex id of the
     ball, when no polygon fits or when these glues need more than
     ``max_faces`` faces.
@@ -278,18 +287,14 @@ def fill_loop(b: ComplexBall, loop: Sequence[int],
             break    # a point, or one edge walked there and back
         best = None
         for j in range(L):
-            e = _ball_edge(b, loop[j], loop[(j + 1) % L])
-            for poly in on_edge[e]:
-                if creators[j] == poly:
-                    continue   # would stack the same polygon on this edge
-                segment = [loop[(j + t) % L] for t in range(L)] + [loop[j]]
-                m = _match_polygon(b.table.corners(poly), segment)
+            for poly in on_edge[_ball_edge(b, loop[j], loop[(j + 1) % L])]:
+                m = _read_run(b.table.corners(poly), loop, j)
                 if m is None:
                     continue
                 k, completion = m
-                if any(creators[(j + t) % L] == poly for t in range(k)):
-                    continue
-                if best is None or (-k, j, poly) < best[0]:
+                # t = 0 keeps the polygon off an edge it created itself
+                if (best is None or (-k, j, poly) < best[0]) and \
+                        not any(creators[(j + t) % L] == poly for t in range(k)):
                     best = ((-k, j, poly), k, completion)
         if best is None or len(faces) >= max_faces:
             raise FillError(
@@ -301,8 +306,7 @@ def fill_loop(b: ComplexBall, loop: Sequence[int],
         images.extend(completion)
         faces.append(tuple(ids[(j + t) % L] for t in range(k + 1)) + tuple(fresh))
         face_polygons.append(b.table.reps[poly])
-        loop = [loop[(j + k + t) % L] for t in range(L - k + 1)] \
-            + list(reversed(completion))
+        loop = [loop[(j + k + t) % L] for t in range(L - k + 1)] + completion[::-1]
         creators = [creators[(j + k + t) % L] for t in range(L - k)] \
             + [poly] * (len(completion) + 1)
         ids = [ids[(j + k + t) % L] for t in range(L - k + 1)] + fresh[::-1]

@@ -364,6 +364,16 @@ def wall_fixator_truncated(b: ComplexBall, T: TreeWall, L: int) -> frozenset[Gro
 
     An element fixing every edge maps each into the wall, observably, so the
     fixator is read off the truncated stabilizer.
+
+    Testing the edges one at a time costs each element outside the fixator
+    one edge.  An element u·x·f·u^-1 of the stabilizer (x in G_i, f in
+    F = G_{i-1} * G_{i+1}; ``_wall_stabilizer``) fixes the edge (i, u·a),
+    a in F, iff a^-1·x·f·a is in G_i.  As x commutes with a, that is
+    x·(a^-1·f·a), which lies in G_i iff a^-1·f·a does; G_i meets F only in
+    1, so that is iff f = 1, whatever a is.  So an element that moves one
+    edge of the wall moves every edge, and ``all`` stops at its first; only
+    the kept elements are tested on every edge, which the audit needs to
+    fail on a wrong edge set.
     """
     window = (T.label,)
     return frozenset(g for g in wall_stabilizer_truncated(b, T, L)

@@ -148,7 +148,12 @@ invert an automorphism in normal form by products, checking
 The filling oracle fills a loop by the depth-first search over polygon
 gluings that ``diagrams.fill_loop`` replaced with one greedy pass: it tries
 every candidate glue in the same order, memoises boundaries it has seen up to
-rotation, and undoes the faces and folds of a glue it backtracks from.
+rotation, and undoes the faces and folds of a glue it backtracks from.  It
+finds each candidate's run by the general match
+(``match_polygon_by_search``), which tries both directions from every place
+of the polygon's corner record against a rotated copy of the boundary,
+instead of reading the one place and direction off the record as
+``diagrams._read_run`` does.
 
 The wall-stabilizer scan tries every element of the ball's element ball on
 a wall, and the transporter oracle multiplies every pair of the wall's edge
@@ -268,7 +273,6 @@ from cyclewall.diagrams import (
     _ball_edge,
     _cancel_spurs,
     _edge_polygons,
-    _match_polygon,
     convention_lock,
     gauss_bonnet_check,
 )
@@ -1641,6 +1645,34 @@ def _loop_state(loop: list, creators: list):
     return min(tuple(pairs[(i + j) % L] for j in range(L)) for i in range(L))
 
 
+def match_polygon_by_search(cycle, segment):
+    """Longest run of the polygon cycle equal to the segment, either direction.
+
+    Tries both directions from every place of the cycle that holds
+    segment[0].  Returns (k, completion) where the first k edges of the
+    segment are covered and ``completion`` is the polygon's remaining corner
+    path from segment[k] back to segment[0] (exclusive of both endpoints);
+    None when no run covers an edge.
+    """
+    n = len(cycle)
+    best = None
+    for direction in (1, -1):
+        cyc = list(cycle) if direction == 1 else list(reversed(cycle))
+        for start in range(n):
+            if cyc[start] != segment[0]:
+                continue
+            k = 0
+            while k < min(len(segment) - 1, n - 1) and \
+                    cyc[(start + k + 1) % n] == segment[k + 1]:
+                k += 1
+            if k == 0:
+                continue
+            completion = [cyc[(start + j) % n] for j in range(k + 1, n)]
+            if best is None or k > best[0]:
+                best = (k, completion)
+    return best
+
+
 def fill_loop_by_search(b, loop, max_faces: int = 24) -> DiscDiagram:
     """``diagrams.fill_loop`` by depth-first search with backtracking, over
     the same X-vertex and polygon ids.
@@ -1650,8 +1682,9 @@ def fill_loop_by_search(b, loop, max_faces: int = 24) -> DiscDiagram:
     created (which keeps the result reduced), cancels spurs, and backtracks.
     Each boundary vertex carries its diagram vertex id, so the search builds
     the diagram's faces and fold identifications as it goes and undoes them
-    on backtrack.  Raises :class:`FillError` when no diagram exists within
-    ``max_faces``.
+    on backtrack.  Each run is found by the general match
+    ``match_polygon_by_search``, not by ``diagrams._read_run``.  Raises
+    :class:`FillError` when no diagram exists within ``max_faces``.
     """
     loop = list(loop)
     if len(loop) < 1:
@@ -1689,7 +1722,7 @@ def fill_loop_by_search(b, loop, max_faces: int = 24) -> DiscDiagram:
                 if creators[j] == rep:
                     continue   # would stack the same polygon on this edge
                 segment = [loop[(j + t) % L] for t in range(L)] + [loop[j]]
-                m = _match_polygon(b.table.corners(rep), segment)
+                m = match_polygon_by_search(b.table.corners(rep), segment)
                 if m is None:
                     continue
                 k, completion = m

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+from array import array
 
 import pytest
 
@@ -19,7 +20,7 @@ from cyclewall.diagrams import (
 )
 from cyclewall.errors import FillError, ValidationError
 from cyclewall.words import format_word, identity, parse_word
-from oracles import fill_and_audit, fill_loop_by_search
+from oracles import fill_and_audit, fill_loop_by_search, match_polygon_by_search
 
 
 def diagram_to_json_dict(d: DiscDiagram, b) -> dict:
@@ -349,3 +350,63 @@ def test_fill_loop_matches_search_oracle(name, request):
         for loop, max_faces in cases:
             assert (fill_outcome(fill_loop, b, loop, max_faces)
                     == fill_outcome(fill_loop_by_search, b, loop, max_faces))
+
+
+# -- the run read off a corner record -------------------------------------------------
+
+
+PRESENTATIONS = ["c5_z2", "c5_z3", "c5_mixed", "c5_s3", "c6_z2", "c6_mixed"]
+
+
+def run_by_search(c, loop, j):
+    """The general match's run of the corner record ``c`` along ``loop`` from
+    ``loop[j]``, against the boundary rotated to start there and closed."""
+    L = len(loop)
+    return match_polygon_by_search(c, [loop[(j + t) % L] for t in range(L)] + [loop[j]])
+
+
+@pytest.mark.parametrize("radius", [1, 2, 3])
+@pytest.mark.parametrize("name", PRESENTATIONS)
+def test_read_run_matches_the_general_match(name, radius, request, monkeypatch):
+    """Every run the greedy pass reads off a corner record, at every
+    boundary place and polygon it meets, is the run, or the None, of the
+    two-way, every-start match: over the sampled loops of seeds 0-4, the
+    figure-eights and single and doubled backtracks."""
+    b = build_ball(request.getfixturevalue(name), radius)
+    read, reads = diagrams._read_run, []
+
+    def recording(c, loop, j):
+        got = read(c, loop, j)
+        reads.append((c, list(loop), j, got))
+        return got
+
+    monkeypatch.setattr(diagrams, "_read_run", recording)
+    loops = [loop for seed in range(5) for loop in sample_loops(b, seed, 20, 12)]
+    loops += figure_eights(b)
+    for u, w in edge_ends(b, 10):
+        loops += [[u, w], [u, w, u, w]]
+    for loop in loops:
+        try:
+            fill_loop(b, loop)
+        except FillError:
+            pass
+    assert reads
+    for c, loop, j, got in reads:
+        assert got == run_by_search(c, loop, j)
+
+
+def test_read_run_gives_no_candidate_on_a_broken_record(c5_z2):
+    """A corner record without loop[j], and one where neither neighbour of
+    loop[j] is loop[j + 1], give no candidate, as the general match does,
+    and raise nothing."""
+    b = build_ball(c5_z2, 1)
+    loop = union_boundary_loop(b, polygon_ids(b, identity(c5_z2)))
+    outside = next(x for x in range(len(b.table.vertices) // 2) if x not in loop)
+    for j in range(len(loop)):
+        without = array("i", [outside if x == loop[j] else x for x in loop])
+        # a pentagram: loop[j]'s neighbours are loop[j + 2] and loop[j + 3]
+        skipping = array("i", [loop[(j + 2 * t) % 5] for t in range(5)])
+        for c in (without, skipping):
+            assert diagrams._read_run(c, loop, j) is None
+            assert run_by_search(c, loop, j) is None
+        assert diagrams._read_run(array("i", loop), loop, j) == run_by_search(loop, loop, j)

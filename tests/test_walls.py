@@ -400,6 +400,23 @@ def test_fixator_of_translated_wall_is_conjugate(c5_z2):
     assert fix == {identity(p), mul(mul(g, a1), g)}  # g a_1 g^-1, g an involution
 
 
+@pytest.mark.parametrize("name, radius", [("c5_z3", 3), ("c6_mixed", 3), ("c5_mixed", 3),
+                                          ("c5_z2", 3), ("c6_z2", 3), ("c5_s3", 2)])
+def test_stabilizer_elements_outside_the_fixator_move_every_edge(name, radius, request):
+    """An element u·x·f·u^-1 of a wall's truncated stabilizer fixes one of
+    the wall's edges iff f = 1, so one that ``wall_fixator_truncated`` drops
+    moves every edge of the wall: testing the edges one by one costs it one
+    edge, and there is nothing to save by reading the fixator off the key."""
+    b = build_ball(request.getfixturevalue(name), radius)
+    dropped = 0
+    for T in walls_of_ball(b):
+        window = (T.label,)
+        for g in wall_stabilizer_truncated(b, T, 3) - wall_fixator_truncated(b, T, 3):
+            assert all(coset_rep(mul(g, rep), window) != rep for rep in T.edge_reps)
+            dropped += 1
+    assert dropped
+
+
 def test_fixator_audit(c5_z2, c5_mixed):
     assert wall_fixator_audit(build_ball(c5_z2, 2), 2).ok
     assert wall_fixator_audit(build_ball(c5_mixed, 2), 2).ok
