@@ -125,6 +125,15 @@ ROWS = [
      ["verify", "--suite", "algebraic", "--radius", "4", "--depth", "3", "--seed", "0",
       "--presentation", C6_MIXED], 0,
      "aaedef772ed2326ebd9f2752950a07565ee05361548e51b9dac41c7aa481db36", 60, 39),
+    # the rebuild on an even n at radius 5, built once per ball and read by
+    # the phi check and the join audit, which calls the join on interior
+    # edges and arcs alone (of 3,462,396 interior pairs); bounded at 1.2 x
+    # the 127.8 MB measured (129.3 MB when the join audit called the join
+    # on every interior pair)
+    ("Radius-5 c6_mixed algebraic report is byte-identical",
+     ["verify", "--suite", "algebraic", "--radius", "5", "--depth", "3", "--seed", "0",
+      "--presentation", C6_MIXED], 0,
+     "61ae1b14eb5659832f90f77695ba4efe5b4fe48a2371da01aac27ab3abf0a02a", 60, 153),
 ]
 
 

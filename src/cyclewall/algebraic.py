@@ -23,16 +23,22 @@ vertex next to its label (``shared_edge``).  The join reads the rule on a
 pair, and the rebuild finds each arc by looking a node's word, or that word
 less one maximal syllable, up among the nodes; neither takes a product, so
 the join never enumerates a vertex group and never comes out undecided.
-The tests' oracle decides arcs from products of edge cosets, and
-``join_agreement_audit`` tests the join against the ball's adjacency.  The
-rebuild is kept in the ball's integers (``ScriptXBall``): a node is named
-by its vertex id, an arc is its two ids with its (label, edge coset word),
-a face is its nodes' ids, and no maximal is made.  A ball's mediums are
-encoded once, by vertex id (``vertex_mediums``), and read by the rebuild,
-``phi_iso_check`` and the join audits, here and in ``walls``.  The audits
-read the ball's table (``davis.BallTable``) by id: the interior skeleton is
-id adjacency from the edges' end ids, polygons are their corner records,
-and witnesses are key strings.
+The tests' oracle decides arcs from products of edge cosets.  The rebuild
+is built once per ball and read by ``phi_iso_check`` and
+``join_agreement_audit``, which tests the join against the ball's
+adjacency on the interior skeleton's edges and the rebuild's interior arcs:
+the join can say yes only where the rebuild finds an arc, so every other
+interior pair is a "no" without a call, and a join that wrongly says yes
+on a far pair is caught by the tests' all-pairs oracle
+(``join_agreement_by_pairs``).  The rebuild is kept in the ball's integers
+(``ScriptXBall``): a node is named by its vertex id, an arc is its two ids
+with its (label, edge coset word), a face is its nodes' ids, and no
+maximal is made.  A ball's mediums are encoded once, by vertex id
+(``vertex_mediums``), and read by the rebuild, ``phi_iso_check`` and the
+join audits, here and in ``walls``.  The audits read the ball's table
+(``davis.BallTable``) by id: the interior skeleton is id adjacency from the
+edges' end ids, polygons are their corner records, and witnesses are key
+strings.
 
 The map (coset gH) -> (subgroup gHg^-1) is verified to be an equivariant
 isomorphism on interior cells.  On edges that is one comparison of two sets
@@ -46,7 +52,6 @@ both sides read the same record, so the sample tests the action alone.
 from __future__ import annotations
 
 import functools
-import itertools
 import random
 from typing import Mapping, Optional
 
@@ -268,7 +273,8 @@ def _winding_cycles(up: list[list[int]], starts: list[int], n: int) -> list[tupl
 
 def build_script_X_ball(b: ComplexBall) -> ScriptXBall:
     """Rebuild the ball's 1-skeleton (plus filled n-cycles) from subgroup
-    data, on the ball's vertex ids.
+    data, on the ball's vertex ids, once per ball (``b.derive``): the phi
+    check and the join audit read the one rebuild.
 
     The nodes are the ball's mediums by vertex id, encoded once per ball
     (``vertex_mediums``) and shared with ``phi_iso_check`` and the join
@@ -314,14 +320,23 @@ def build_script_X_ball(b: ComplexBall) -> ScriptXBall:
     So a walk's base-0 node is its least id and its next node has base 1:
     each walk is already in ``_induced_n_cycles``' canonical rotation and
     direction, and the cycles are sorted as that search sorts them.
+
+    Two vertices with one medium are not refused.  A ball from
+    ``ball_table`` has none, as the table lists each (i, rep) once, and
+    ``phi_iso_check`` reports a collision before it reads the rebuild.  On
+    a ball that has one (a corrupted table), the (base, word) dict keeps
+    the last id of each medium, so arcs are found from every node but only
+    to that id, and the join audit, which reads the rebuild too, runs to
+    its report instead of raising.
     """
+    return b.derive("script X", lambda: _rebuild(b))
+
+
+def _rebuild(b: ComplexBall) -> ScriptXBall:
     p = b.presentation
     n = p.n
     sx = ScriptXBall(presentation=p, nodes=list(vertex_mediums(b)))
     place = {(h.base, h.conjugator.word): x for x, h in enumerate(sx.nodes)}
-    if len(place) != len(sx.nodes):
-        raise ValidationError("subgroup encodings collide: ball is inconsistent")
-
     for x, h in enumerate(sx.nodes):
         i, word = h.base, h.conjugator.word
         # (label, the far end's base, its window vertex off the label)
@@ -360,9 +375,17 @@ def _interior_skeleton(b: ComplexBall) -> dict[int, set[int]]:
     return g
 
 
+def _interior_edge_sets(sx: ScriptXBall, skel: Mapping[int, set[int]]) -> tuple[set, set]:
+    """The interior skeleton's edges and the rebuild's arcs between interior
+    vertices, both as sets of id pairs u < w."""
+    return ({(u, w) for u in skel for w in skel[u] if u < w},
+            {(u, w) for u, w in sx.arcs if u in skel and w in skel})
+
+
 def phi_iso_check(b: ComplexBall, seed: int = 0, samples: int = 50) -> Report:
     """The coset-to-conjugate map is an equivariant isomorphism on interior
-    cells.  A collision, which the rebuild refuses, ends the check."""
+    cells.  A collision ends the check before the rebuild is read; the
+    interior edges are the interior skeleton's (``_interior_skeleton``)."""
     report = Report()
     t = b.table
     encode = vertex_mediums(b)
@@ -380,16 +403,13 @@ def phi_iso_check(b: ComplexBall, seed: int = 0, samples: int = 50) -> Report:
     report.add("phi.surjective-onto-nodes", f"nodes={len(sx.nodes)}",
                set(encode) == set(sx.nodes))
 
-    # both edge sets on the interior vertices, as id pairs in key order (an
-    # edge's ends and an arc's key already are); sorted, the pairs come in
-    # the order of combinations(sorted(interior), 2)
-    interior = set(t.interior_vertices())
-    x_edges = {(u, w) for u, w in zip(t.edges[2::4], t.edges[3::4])
-               if u in interior and w in interior}
-    sx_edges = {(u, w) for u, w in sx.arcs if u in interior and w in interior}
+    # sorted, the id pairs u < w come in the order of
+    # combinations(sorted(interior), 2)
+    skel = _interior_skeleton(b)
+    x_edges, sx_edges = _interior_edge_sets(sx, skel)
     bad = [(t.vertex_key(u), t.vertex_key(w), (u, w) in x_edges, (u, w) in sx_edges)
            for u, w in sorted(x_edges ^ sx_edges)]
-    k = len(interior)
+    k = len(skel)
     report.add("phi.edges-preserved-both-ways", f"interior-pairs={k * (k - 1) // 2}",
                not bad, bad[:10] or None)
 
@@ -399,7 +419,7 @@ def phi_iso_check(b: ComplexBall, seed: int = 0, samples: int = 50) -> Report:
     interior_polys = 0
     for k, g in enumerate(t.reps):
         corners = t.corners(k)
-        if interior.issuperset(corners):
+        if all(x in skel for x in corners):
             interior_polys += 1
             if frozenset(corners) not in cycle_sets:
                 bad_faces.append(format_word(g))
@@ -439,18 +459,29 @@ def induced_cycle_audit(b: ComplexBall) -> Report:
 
 
 def join_agreement_audit(b: ComplexBall) -> Report:
-    """Join verdicts (exact, never undecided) match interior adjacency."""
+    """Join verdicts (exact, never undecided) match interior adjacency.
+
+    The join is called on the interior skeleton's edges and on the
+    rebuild's arcs between interior vertices, in the order of
+    combinations(sorted(interior), 2), and every other interior pair is
+    counted as a "no".  That is exact: ``shared_edge`` answers yes only
+    where ``_far_ends`` of one conjugator lists the other's word, and the
+    rebuild looks those keys up and adds an arc at exactly those pairs, so
+    a pair that is neither an edge nor an arc is non-adjacent and its join
+    is no.  A join that wrongly answers yes on such a far pair is therefore
+    not caught here but by the tests' all-pairs oracle; a rule that wrongly
+    adds a far end adds the arc too, and fails here and in the phi check.
+    """
     report = Report()
     t = b.table
     skel = _interior_skeleton(b)
     encode = vertex_mediums(b)
     bad = []
-    pairs = 0
-    for u, w in itertools.combinations(sorted(skel), 2):
-        pairs += 1
+    for u, w in sorted(set.union(*_interior_edge_sets(build_script_X_ball(b), skel))):
         ok, _ = join_is_cmaximal(encode[u], encode[w])
         if ok != (w in skel[u]):
             bad.append((t.vertex_key(u), t.vertex_key(w), ok))
-    report.add("joins.agree-with-adjacency", f"pairs={pairs}",
+    k = len(skel)
+    report.add("joins.agree-with-adjacency", f"pairs={k * (k - 1) // 2}",
                not bad, bad or None)
     return report

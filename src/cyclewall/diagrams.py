@@ -23,7 +23,8 @@ Loops are lists of X-vertex ids of the ball's table (``davis.BallTable``),
 and a diagram's images are X-vertex ids too.  The fills and the loop sampler
 read polygons as their corner and side records, through two indexes built
 once per ball: the polygons on each X-edge, ``davis.edge_polygons``, the
-list the square export reads too, and the edges at each X-vertex.
+list the square export reads too, and one dict from each X-edge's pair of
+end ids to its id.
 A polygon is its id, its rep's number; rep numbers come in the order of the
 reps, so ties between polygons break as between their reps.
 """
@@ -31,6 +32,7 @@ reps, so ties between polygons break as between their reps.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from typing import Optional, Sequence
 
 from .davis import ComplexBall, edge_polygons
@@ -41,6 +43,13 @@ from .words import GroupElement, format_word
 
 
 # -- the planar complex ---------------------------------------------------------
+
+
+def _vertex_curvature(degree: int, corners: int) -> int:
+    """A vertex's curvature from its degree and its corners: its link has
+    the degree's nodes and one arc per corner."""
+    chi_link = degree - corners
+    return 8 - 4 * chi_link - 2 * corners
 
 
 class DiscDiagram:
@@ -99,14 +108,17 @@ class DiscDiagram:
         return sum(1 for e in self.edges if v in e)
 
     def vertex_curvature(self, v: int) -> int:
-        chi_link = self.degree(v) - self.corner_count(v)
-        return 8 - 4 * chi_link - 2 * self.corner_count(v)
+        return _vertex_curvature(self.degree(v), self.corner_count(v))
 
     def face_curvature(self, f: int) -> int:
         return 8 - 2 * len(self.faces[f])
 
     def total_curvature(self) -> int:
-        return (sum(self.vertex_curvature(v) for v in self.vertices)
+        """Every vertex's and face's curvature, summed; each vertex's degree
+        and corners are counted in one pass over the edges and the faces."""
+        degree = Counter(v for e in self.edges for v in e)
+        corners = Counter(v for f in self.faces for v in f)
+        return (sum(_vertex_curvature(degree[v], corners[v]) for v in self.vertices)
                 + sum(self.face_curvature(i) for i in range(len(self.faces))))
 
     def is_reduced(self) -> bool:
@@ -218,17 +230,13 @@ def _edge_polygons(b: ComplexBall) -> list[list[int]]:
     return b.derive("edge polygons", lambda: edge_polygons(b.table))
 
 
-def _vertex_edges(b: ComplexBall) -> list[list[int]]:
-    """By X-vertex id, the ids of the edges at it, in key order; built once
-    per ball."""
-    def build():
-        t = b.table
-        at = [[] for _ in range(len(t.vertices) // 2)]
-        for e in t.edge_order:
-            for x in t.ends(e):
-                at[x].append(e)
-        return at
-    return b.derive("vertex edges", build)
+def _edge_ids(b: ComplexBall) -> dict[int, int]:
+    """Each X-edge's id, keyed by its end ids u < w (the table's key order)
+    as u·V + w for V X-vertices; built once per ball."""
+    t = b.table
+    nv = len(t.vertices) // 2
+    return b.derive("edge ids", lambda: {
+        u * nv + w: e for e, (u, w) in enumerate(zip(t.edges[2::4], t.edges[3::4]))})
 
 
 def fill_loop(b: ComplexBall, loop: Sequence[int],
@@ -329,11 +337,8 @@ def fill_loop(b: ComplexBall, loop: Sequence[int],
 
 def _ball_edge(b: ComplexBall, v: int, w: int) -> Optional[int]:
     """The id of the X-edge joining the X-vertices v and w, or None."""
-    t = b.table
-    for e in _vertex_edges(b)[v]:
-        if w in t.ends(e):
-            return e
-    return None
+    nv = len(b.table.vertices) // 2
+    return _edge_ids(b).get(min(v, w) * nv + max(v, w))
 
 
 def union_boundary_loop(b: ComplexBall, polygons: Sequence[int]) -> Optional[list[int]]:

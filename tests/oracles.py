@@ -168,7 +168,11 @@ reading the conjugators' last syllables, and keys them by their two
 mediums, each with its maximal; ``decoded_arcs`` reads the rebuild's id-form arcs the same way.
 The phi-edge oracle tests every pair of interior vertices for adjacency in
 the ball and, through their mediums' places among the rebuild's nodes, in
-the rebuild, instead of comparing the two edge sets.  Subgroups are ordered
+the rebuild, instead of comparing the two edge sets.  The join-agreement
+oracle (``join_agreement_by_pairs``) calls the join on every pair of
+interior vertices, as ``algebraic.join_agreement_audit`` did before it
+read only the interior skeleton's edges and the rebuild's interior arcs;
+a join that wrongly says yes on a far pair fails here alone.  Subgroups are ordered
 by ``subgroup_sort_key`` (tier size, base, conjugator), the order the
 rebuild's nodes come in.
 
@@ -228,7 +232,7 @@ from typing import Optional
 
 import networkx as nx
 
-from cyclewall import cli, diagrams
+from cyclewall import algebraic, cli, diagrams
 from cyclewall.algebraic import (
     MAXIMAL,
     MEDIUM,
@@ -860,6 +864,27 @@ def phi_edge_mismatches_by_pairs(b, sx) -> tuple[int, list]:
         if x_adj != sx_adj:
             bad.append((u.key_string(), w.key_string(), x_adj, sx_adj))
     return pairs, bad
+
+
+def join_agreement_by_pairs(b) -> Report:
+    """``algebraic.join_agreement_audit`` by calling the join on every pair
+    of interior vertices, instead of on the interior skeleton's edges and
+    the rebuild's interior arcs alone; the join is read through the module,
+    so a patched ``join_is_cmaximal`` reaches it."""
+    report = Report()
+    t = b.table
+    skel = algebraic._interior_skeleton(b)
+    encode = vertex_mediums(b)
+    bad = []
+    pairs = 0
+    for u, w in itertools.combinations(sorted(skel), 2):
+        pairs += 1
+        ok, _ = algebraic.join_is_cmaximal(encode[u], encode[w])
+        if ok != (w in skel[u]):
+            bad.append((t.vertex_key(u), t.vertex_key(w), ok))
+    report.add("joins.agree-with-adjacency", f"pairs={pairs}",
+               not bad, bad or None)
+    return report
 
 
 def crossing_graph_pairwise(b) -> nx.Graph:

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import sys
 
@@ -43,6 +44,7 @@ from oracles import (
     closure_join,
     decoded_arcs,
     edge_cosets_by_products,
+    join_agreement_by_pairs,
     medium_of_vertex,
     object_ball,
     parabolic_normalizer,
@@ -457,13 +459,15 @@ def _algebraic_suite_failures(b):
 
 
 def test_phi_iso_check_fails_on_a_node_no_vertex_encodes(c5_z2, monkeypatch):
+    """The wrapper adds its node to a copy of the rebuild: the rebuild is
+    kept on the ball and read by both the phi check and the join audit."""
     rebuild = algebraic.build_script_X_ball
     extra = CSubgroup(MEDIUM, 0, parse_word(c5_z2, "v2:1 v4:1 v2:1 v4:1 v2:1"))
 
     def with_extra_node(b):
-        sx = rebuild(b)
+        sx = copy.copy(rebuild(b))
         assert extra not in sx.nodes
-        sx.nodes.append(extra)
+        sx.nodes = [*sx.nodes, extra]
         return sx
 
     monkeypatch.setattr(algebraic, "build_script_X_ball", with_extra_node)
@@ -472,9 +476,9 @@ def test_phi_iso_check_fails_on_a_node_no_vertex_encodes(c5_z2, monkeypatch):
 
 
 def test_phi_iso_check_fails_when_two_vertices_share_a_medium(c5_z2):
-    """A collision is reported with the colliding vertices; the rebuild,
-    which refuses collisions, is not reached.  Vertex 1's table record is
-    made vertex 0's, so both encode one medium."""
+    """A collision is reported with the colliding vertices, and the check
+    ends before it reads the rebuild.  Vertex 1's table record is made
+    vertex 0's, so both encode one medium."""
     b = build_ball(c5_z2, 2)
     t = b.table
     t.vertices[2:4] = t.vertices[0:2]
@@ -483,6 +487,19 @@ def test_phi_iso_check_fails_when_two_vertices_share_a_medium(c5_z2):
         ("phi.injective-on-vertices", "fail")]
     assert report.results[0].witness == [[t.vertex_key(0), t.vertex_key(1)]]
     assert t.vertex_key(0) == t.vertex_key(1)
+
+
+def test_a_collided_ball_fails_two_rows_and_raises_nothing(c5_z2):
+    """On the ball whose vertex 1 record is vertex 0's, the suite reports
+    the collision and the join row, and raises nothing: the join audit
+    reads the rebuild, which keeps one id per medium, and its row is the
+    all-pairs oracle's."""
+    b = build_ball(c5_z2, 2)
+    t = b.table
+    t.vertices[2:4] = t.vertices[0:2]
+    assert _algebraic_suite_failures(b) == {
+        "phi.injective-on-vertices", "joins.agree-with-adjacency"}
+    assert join_agreement_audit(b) == join_agreement_by_pairs(b)
 
 
 def test_phi_iso_check_fails_when_the_action_moves_nothing(c5_z2, monkeypatch):
@@ -506,9 +523,108 @@ def test_induced_cycle_audit_fails_without_an_interior_polygon(c5_z2):
 
 
 def test_join_agreement_fails_when_every_pair_joins(c5_z2, monkeypatch):
+    """A join that says yes on every pair is wrong only on pairs that are
+    neither an edge nor an arc.  The audit never asks it there, so its row
+    passes; the all-pairs oracle asks every pair, and its row fails."""
     monkeypatch.setattr(algebraic, "join_is_cmaximal", lambda h1, h2: (True, None))
-    report = join_agreement_audit(build_ball(c5_z2, 2))
-    assert {r.check_id for r in report.failures} == {"joins.agree-with-adjacency"}
+    b = build_ball(c5_z2, 2)
+    assert {r.check_id for r in join_agreement_by_pairs(b).failures} == {
+        "joins.agree-with-adjacency"}
+    assert join_agreement_audit(b).ok
+
+
+JOIN_BALLS = [(name, 3) for name in ("c5_z2", "c5_z3", "c5_mixed", "c6_mixed",
+                                    "c6_z2")] + [("c5_z3", 4)]
+
+
+@pytest.mark.parametrize("name, radius", JOIN_BALLS,
+                         ids=[f"{name}-r{radius}" for name, radius in JOIN_BALLS])
+def test_join_audit_matches_all_pairs_oracle(name, radius, request):
+    """Calling the join on the interior edges and arcs alone gives the row
+    that calling it on every interior pair gives: instance, status and
+    witness."""
+    b = build_ball(request.getfixturevalue(name), radius)
+    assert join_agreement_audit(b) == join_agreement_by_pairs(b)
+
+
+def _interior_pair(b, adjacent: bool, same_word_end: bool = False):
+    """The first interior pair (u, w) in id order, u of base a and w of base
+    a + 1, whose words differ in length by 0 or 1 (w's the shorter), and
+    which is or is not an edge as ``adjacent`` asks; with
+    ``same_word_end``, u's label-(a+1) edge also ends at a node of u's own
+    word, which finds the edge from its end too."""
+    skel = algebraic._interior_skeleton(b)
+    encode = vertex_mediums(b)
+    p = b.presentation
+    return next((u, w) for u in sorted(skel) for w in sorted(skel)
+                if encode[w].base == (encode[u].base + 1) % p.n
+                and (w in skel[u]) == adjacent
+                and len(encode[u].conjugator.word) - len(encode[w].conjugator.word) in (0, 1)
+                and not (same_word_end and len(_far_ends(
+                    p, encode[u].conjugator.word, (encode[u].base + 2) % p.n)) > 1))
+
+
+def test_join_audit_fails_on_a_spurious_far_end(c5_z2, monkeypatch):
+    """``_far_ends`` yields, for one interior node u's label-(a+1) edge, the
+    word of an interior node w of base a + 1 that is not adjacent, in place
+    of the real far end, whose word is u's, so the rebuild still finds the
+    edge from that end.  The rebuild gains the arc (u, w) and the join
+    says yes there and no on the real edge, so the phi edge row and the
+    join row both fail, and the audit's row is the all-pairs oracle's."""
+    b = build_ball(c5_z2, 3)
+    t = b.table
+    encode = vertex_mediums(b)
+    u, w = _interior_pair(b, adjacent=False, same_word_end=True)
+    call = (encode[u].conjugator.word, (encode[u].base + 2) % c5_z2.n)
+    far_ends = algebraic._far_ends
+    monkeypatch.setattr(algebraic, "_far_ends", lambda p, word, v: (
+        [encode[w].conjugator.word] if (word, v) == call else far_ends(p, word, v)))
+    report = algebraic_suite(b, seed=0)
+    assert {r.check_id for r in report.failures} == {
+        "phi.edges-preserved-both-ways", "joins.agree-with-adjacency"}
+    [row] = [r for r in report.results if r.check_id == "joins.agree-with-adjacency"]
+    assert (t.vertex_key(u), t.vertex_key(w), True) in row.witness
+    assert join_agreement_audit(b) == join_agreement_by_pairs(b)
+
+
+def test_join_audit_fails_on_a_join_that_misses_one_edge(c5_z2, monkeypatch):
+    """A join that says no on one interior edge fails the audit's row, with
+    that edge its one witness."""
+    b = build_ball(c5_z2, 3)
+    t = b.table
+    encode = vertex_mediums(b)
+    u, w = _interior_pair(b, adjacent=True)
+    join = algebraic.join_is_cmaximal
+    monkeypatch.setattr(algebraic, "join_is_cmaximal", lambda h1, h2: (
+        (False, None) if {h1, h2} == {encode[u], encode[w]} else join(h1, h2)))
+    report = join_agreement_audit(b)
+    assert report.results[0].status == "fail"
+    assert report.results[0].witness == [(t.vertex_key(u), t.vertex_key(w), False)]
+    assert report == join_agreement_by_pairs(b)
+
+
+def test_join_audit_fails_on_a_rule_that_drops_an_edge(c5_z2, monkeypatch):
+    """``_far_ends`` lists no far end for one interior edge (u, w), from
+    either end, so the rebuild has no arc there and the join says no: the
+    audit still asks the join on the skeleton's edge, and its row fails
+    with that edge as a witness, as the phi edge row does and the cycle
+    row, which loses the faces through the edge."""
+    b = build_ball(c5_z2, 3)
+    t = b.table
+    encode = vertex_mediums(b)
+    u, w = _interior_pair(b, adjacent=True)
+    a = encode[u].base
+    calls = {(encode[u].conjugator.word, (a + 2) % c5_z2.n), (encode[w].conjugator.word, a)}
+    far_ends = algebraic._far_ends
+    monkeypatch.setattr(algebraic, "_far_ends", lambda p, word, v: (
+        [] if (word, v) in calls else far_ends(p, word, v)))
+    report = algebraic_suite(b, seed=0)
+    assert {r.check_id for r in report.failures} == {
+        "phi.edges-preserved-both-ways", "phi.polygons-map-to-cycles",
+        "joins.agree-with-adjacency"}
+    [row] = [r for r in report.results if r.check_id == "joins.agree-with-adjacency"]
+    assert (t.vertex_key(u), t.vertex_key(w), False) in row.witness
+    assert join_agreement_audit(b) == join_agreement_by_pairs(b)
 
 
 def test_rebuild_rejects_an_edge_with_three_ends(c5_z2, monkeypatch):

@@ -242,7 +242,7 @@ def test_ball_oracle_catches_cells_read_off_the_last_syllable_alone(c5_mixed, mo
     assert "vertices" in differences
 
 
-INDEXES = ("edge polygons", "vertex edges")
+INDEXES = ("edge polygons", "edge ids")
 
 
 def test_incidence_maps_are_built_once_and_only_when_read(c6_mixed):
@@ -258,22 +258,33 @@ def test_incidence_maps_are_built_once_and_only_when_read(c6_mixed):
     for audit in (links_audit, polygon_pair_audit, wall_no_shared_polygon_audit):
         assert audit(b).ok
     assert not set(INDEXES) & set(b.derived)
-    maps = (diagrams._edge_polygons(b), diagrams._vertex_edges(b))
-    again = (diagrams._edge_polygons(b), diagrams._vertex_edges(b))
+    maps = (diagrams._edge_polygons(b), diagrams._edge_ids(b))
+    again = (diagrams._edge_polygons(b), diagrams._edge_ids(b))
     assert all(x is y is b.derived[k] for x, y, k in zip(maps, again, INDEXES))
 
 
 @pytest.mark.parametrize("name,radius", [(name, 2) for name in SIX] + [("c5_z3", 3)])
 def test_diagram_indexes_match_the_object_incidence_maps(name, radius):
-    """The polygons on each X-edge and the edges at each X-vertex, read off
-    the table's records by id, are the object oracle's ``edge_cells`` and
-    ``vertex_edges``, in the same order."""
+    """The polygons on each X-edge, read off the table's records by id, are
+    the object oracle's ``edge_cells``, in the same order; the edge ids
+    keyed by their end ids, gathered at each X-vertex, are its
+    ``vertex_edges``, and ``_ball_edge`` finds each of them from either
+    end."""
     b = build_ball(perfbench_presentation(name), radius)
     o, t = objects(b), b.table
     assert [[t.reps[k] for k in ks] for ks in diagrams._edge_polygons(b)] == \
         [[P.rep for P in o.edge_cells[e]] for e in o.edges_by_id]
-    assert [[o.edges_by_id[e] for e in es] for es in diagrams._vertex_edges(b)] == \
+    nv = len(o.vertices)
+    at = [[] for _ in o.vertices]
+    for key, e in diagrams._edge_ids(b).items():
+        at[key // nv].append(e)
+        at[key % nv].append(e)
+    assert [sorted(o.edges_by_id[e] for e in es) for es in at] == \
         [o.vertex_edges[v] for v in o.vertices]
+    place = {v: x for x, v in enumerate(o.vertices)}
+    for e, E in enumerate(o.edges_by_id):
+        u, w = (place[v] for v in E.ends)
+        assert diagrams._ball_edge(b, u, w) == diagrams._ball_edge(b, w, u) == e
 
 
 @pytest.fixture
