@@ -15,6 +15,7 @@ import subprocess
 import sys
 
 C5_Z3 = "perfbench/presentations/c5_z3.json"
+C5_S3 = "perfbench/presentations/c5_s3.json"
 C6_MIXED = "perfbench/presentations/c6_mixed.json"
 
 # (name, argv, exit code, stdout sha256, timeout in s, peak RSS bound in MB)
@@ -32,10 +33,13 @@ ROWS = [
     ("Radius-3 davis report is byte-identical",
      ["verify", "--suite", "davis", "--radius", "3", "--presentation", C6_MIXED], 0,
      "d47cd475a8cadd53caf011e6037c5acf56899bddc66ae2b024315377955d7dff", 60, 21),
-    # the rebuild on an even n: arcs are looked up by the last-syllable
-    # rule, with no join taken; bounded at 1.2 x the 17.7 MB measured with
-    # the value types written by hand (19.3 MB with dataclasses, 21.6 MB
-    # when the edge cosets were bucketed, 26.0 MB when the row was added)
+    # the rebuild on an even n: each conjugator word is numbered and
+    # scanned once, and each far end is read by list index, with no join
+    # taken (17.3-17.9 MB measured so; 17.9-18.0 MB when each node's words were
+    # looked up in a (base, word) dict); bounded at 1.2 x the 17.7 MB
+    # measured with the value types written by hand (19.3 MB with
+    # dataclasses, 21.6 MB when the edge cosets were bucketed, 26.0 MB when
+    # the row was added)
     ("Radius-3 c6_mixed algebraic report is byte-identical",
      ["verify", "--suite", "algebraic", "--radius", "3", "--depth", "3", "--seed", "0",
       "--presentation", C6_MIXED], 0,
@@ -97,17 +101,27 @@ ROWS = [
      ["verify", "--suite", "walls", "--radius", "4", "--depth", "3", "--seed", "0",
       "--presentation", C6_MIXED], 0,
      "cc5b97f22b1c5ca77a10f4cb3a61475f07fe65b99001156bcc1b22e3e6e357e0", 120, 62),
-    # the rebuild on an odd n at radius 4; bounded at 1.2 x the 20.8 MB
-    # measured with the value types written by hand (22.6 MB with
-    # dataclasses, 27.5 MB when the edge cosets were bucketed)
+    # the rebuild on an odd n at radius 4, far ends read off word numbers
+    # (20.2-20.3 MB measured so; 21.1-21.2 MB with the (base, word) dict);
+    # bounded at 1.2 x the 20.8 MB measured with the value types written by
+    # hand (22.6 MB with dataclasses, 27.5 MB when the edge cosets were
+    # bucketed)
     ("Radius-4 algebraic report is byte-identical",
      ["verify", "--suite", "algebraic", "--radius", "4", "--depth", "3", "--seed", "0",
       "--presentation", C5_Z3], 0,
      "8c94dbb1a2206bf3905efe67babdb0668d687aaa8feca038afc4221a9c4e3415", 60, 25),
-    # mediums, the interior skeleton and the polygons are read off the
-    # ball's integer table by id, the rebuild looks each arc up by the
-    # last-syllable rule and keeps it as an id pair with its (label, word),
-    # and no conjugator's inverse is kept; bounded at 1.2 x the 45.3 MB
+    # the rebuild on a non-abelian vertex group (S3 at vertex 2) above
+    # radius 2, far ends read off word numbers by list index; bounded at
+    # 1.2 x the 21.4 MB measured (22.0-22.1 MB with the (base, word) dict)
+    ("Radius-4 c5_s3 algebraic report is byte-identical",
+     ["verify", "--suite", "algebraic", "--radius", "4", "--depth", "3", "--seed", "0",
+      "--presentation", C5_S3], 0,
+     "c3100cc62233406018c4a2c6eb79129e2802a0bdff5315b2f982f689f025b9d0", 60, 26),
+    # mediums, the interior skeleton (built once) and the polygons are read
+    # off the ball's integer table by id, the rebuild reads each arc's far
+    # end off word numbers by list index and keeps it as an id pair with its
+    # (label, word), and no conjugator's inverse is kept (44.6-44.8 MB
+    # measured so; 45.6 MB with the (base, word) dict); bounded at 1.2 x the 45.3 MB
     # measured with the value types written by hand (48.8 MB with
     # dataclasses, 74.5 MB when the edge cosets were bucketed, 106.7 MB
     # when each arc held a maximal subgroup object, 126.5 MB when the
@@ -116,8 +130,9 @@ ROWS = [
      ["verify", "--suite", "algebraic", "--radius", "5", "--depth", "3", "--seed", "0",
       "--presentation", C5_Z3], 0,
      "fb679ca0bd03544245e2862d09c5196bacdc6b9a56051fdf26913e95d3baa45c", 60, 54),
-    # the rebuild on an even n at radius 4, in vertex ids, by the
-    # last-syllable rule; bounded at 1.2 x the 32.5 MB measured with the
+    # the rebuild on an even n at radius 4, in vertex ids, far ends read
+    # off word numbers (31.3-31.5 MB measured so; 32.6 MB with the (base,
+    # word) dict); bounded at 1.2 x the 32.5 MB measured with the
     # value types written by hand (34.2 MB with dataclasses, 50.8 MB when
     # the edge cosets were bucketed, 69.3 MB when each arc held a maximal
     # subgroup object)
@@ -127,7 +142,10 @@ ROWS = [
      "aaedef772ed2326ebd9f2752950a07565ee05361548e51b9dac41c7aa481db36", 60, 39),
     # the rebuild on an even n at radius 5, built once per ball and read by
     # the phi check and the join audit, which calls the join on interior
-    # edges and arcs alone (of 3,462,396 interior pairs); bounded at 1.2 x
+    # edges, arcs and a sample of far pairs about as many as the edges (of
+    # 3,462,396 interior pairs); the rebuild frees its word tables before
+    # its walks (128.7-128.8 MB measured so; 133.4-133.5 MB when it kept
+    # them, 129.7-129.8 MB with the (base, word) dict); bounded at 1.2 x
     # the 127.8 MB measured (129.3 MB when the join audit called the join
     # on every interior pair)
     ("Radius-5 c6_mixed algebraic report is byte-identical",

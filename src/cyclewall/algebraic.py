@@ -20,20 +20,18 @@ edge, and one rule decides that, read off the conjugators' last syllables
 as ``davis.ball_table`` reads the ball (``words.maximal_syllables``): an
 edge's two ends are its rep less its maximal syllable of one or the other
 vertex next to its label (``shared_edge``).  The join reads the rule on a
-pair, and the rebuild finds each arc by looking a node's word, or that word
-less one maximal syllable, up among the nodes; neither takes a product, so
-the join never enumerates a vertex group and never comes out undecided.
-The tests' oracle decides arcs from products of edge cosets.  The rebuild
-is built once per ball and read by ``phi_iso_check`` and
-``join_agreement_audit``, which tests the join against the ball's
-adjacency on the interior skeleton's edges and the rebuild's interior arcs:
-the join can say yes only where the rebuild finds an arc, so every other
-interior pair is a "no" without a call, and a join that wrongly says yes
-on a far pair is caught by the tests' all-pairs oracle
-(``join_agreement_by_pairs``).  The rebuild is kept in the ball's integers
-(``ScriptXBall``): a node is named by its vertex id, an arc is its two ids
-with its (label, edge coset word), a face is its nodes' ids, and no
-maximal is made.  A ball's mediums are encoded once, by vertex id
+pair; the rebuild numbers and scans each distinct conjugator word once
+(``_far_ends``) and finds each far end by list indexing.  Neither takes a
+product, so the join never enumerates a vertex group and never comes out
+undecided.  The tests' oracles decide arcs from products of edge cosets,
+and rebuild by (base, word) lookups.  The rebuild and the interior skeleton
+are built once per ball.  ``join_agreement_audit`` asks the join on the
+interior edges, the interior arcs and a sample of other interior pairs,
+and counts every other pair as a "no"; the tests' oracle
+(``join_agreement_by_pairs``) asks every pair.  The rebuild is kept in the
+ball's integers (``ScriptXBall``): a node is named by its vertex id, an arc
+is its two ids with its (label, edge coset word), a face is its nodes' ids,
+and no maximal is made.  A ball's mediums are encoded once, by vertex id
 (``vertex_mediums``), and read by the rebuild, ``phi_iso_check`` and the
 join audits, here and in ``walls``.  The audits read the ball's table
 (``davis.BallTable``) by id: the interior skeleton is id adjacency from the
@@ -55,7 +53,7 @@ import functools
 import random
 from typing import Mapping, Optional
 
-from .davis import ComplexBall, act_vertex
+from .davis import BallTable, ComplexBall, act_vertex
 from .errors import InvariantError, ValidationError
 from .localgroups import Frozen, set_field
 from .reports import Report
@@ -149,12 +147,13 @@ def containing_maximals(h: CSubgroup) -> list[CSubgroup]:
 # -- the join decision ---------------------------------------------------------
 
 
-def _far_ends(p: Presentation, word: tuple[Syllable, ...],
-              v: int) -> list[tuple[Syllable, ...]]:
-    """The words the far end of the edge with rep ``word`` may have, where
-    v is the far end's window vertex off the edge's label: ``word``, and
-    ``word`` less its maximal v-syllable if it has one (``shared_edge``)."""
-    return [word, *(word[:j] + word[j + 1:] for u, j in maximal_syllables(p, word) if u == v)]
+def _far_ends(p: Presentation, word: tuple[Syllable, ...]) -> dict[int, list]:
+    """The words the far end of an edge with rep ``word`` may have, by v,
+    the far end's window vertex off the edge's label (``shared_edge``):
+    ``word``, and ``word`` less its maximal v-syllable if it has one.  One
+    scan of the word's maximal syllables lists each v that has one; any
+    other v is left out, and its far end has ``word`` alone."""
+    return {v: [word, word[:j] + word[j + 1:]] for v, j in maximal_syllables(p, word)}
 
 
 def shared_edge(h1: CSubgroup, h2: CSubgroup) -> Optional[tuple[int, GroupElement]]:
@@ -187,9 +186,9 @@ def shared_edge(h1: CSubgroup, h2: CSubgroup) -> Optional[tuple[int, GroupElemen
         return None
     c1, c2 = lo.conjugator, hi.conjugator
     d = len(c1.word) - len(c2.word)   # the rep is the longer word
-    if d in (0, 1) and c2.word in _far_ends(p, c1.word, (hi.base + 1) % n):
+    if d in (0, 1) and c2.word in _far_ends(p, c1.word).get((hi.base + 1) % n, [c1.word]):
         return hi.base, c1
-    if d == -1 and c1.word in _far_ends(p, c2.word, lo.base):
+    if d == -1 and c1.word in _far_ends(p, c2.word).get(lo.base, [c2.word]):
         return hi.base, c2
     return None
 
@@ -279,21 +278,24 @@ def build_script_X_ball(b: ComplexBall) -> ScriptXBall:
     The nodes are the ball's mediums by vertex id, encoded once per ball
     (``vertex_mediums``) and shared with ``phi_iso_check`` and the join
     audits.  Arcs are read off the conjugators' last syllables by the rule
-    ``shared_edge`` proves, through one dict from each node's (base, word)
-    to its id, and the table's edge records are never read.  A node
-    c<G_i x G_{i+1}> is an end of the edges labelled i and i + 1 with rep
-    c.  The far end of the first has base i - 1 and the word c or c less
-    its maximal (i-1)-syllable; that of the second has base i + 1 and the
-    word c or c less its maximal (i+2)-syllable (``_far_ends``).  c has at
-    most one of those two syllables, so at most three keys are looked up
-    per node, and no product is taken.  An edge has two ends, so at most
-    one word of each far end is a node's; two would be a third end, which
-    is refused.  The refusal is a guard that cannot fire on a ball from
-    ``ball_table``: the two words differ only when c ends in a maximal
-    (i-1)- or (i+2)-syllable, a syllable of the far end's window, and then
-    c is no far end's conjugator, as ``CSubgroup`` strips exactly such a
-    syllable off its conjugator with ``coset_rep``; only a wrong
-    ``maximal_syllables`` reaches it.  An arc is keyed by its two ids and
+    ``shared_edge`` proves, on numbers, and the table's edge records are
+    never read.  Each distinct conjugator word is numbered once, and one
+    scan of it (``_far_ends``) gives the number of the word less each
+    maximal syllable; a node is its base and word number, and
+    ``at[base][number]`` is its id.  A node c<G_i x G_{i+1}> is an end of
+    the edges labelled i and i + 1 with rep c.  The far end of the first
+    has base i - 1 and the word c or c less its maximal (i-1)-syllable;
+    that of the second has base i + 1 and the word c or c less its maximal
+    (i+2)-syllable.  So each far end is found by list indexing, with no
+    word sliced, hashed or compared per node.  An edge
+    has two ends, so at most one word of each far end is a node's; two
+    would be a third end, which is refused.  The refusal is a guard that
+    cannot fire on a ball from ``ball_table``: the two words differ only
+    when c ends in a maximal (i-1)- or (i+2)-syllable, a syllable of the
+    far end's window, and then c is no far end's conjugator, as
+    ``CSubgroup`` strips exactly such a syllable off its conjugator with
+    ``coset_rep``; only a wrong ``maximal_syllables`` reaches it.  An arc
+    is keyed by its two ids and
     valued by its label and rep, the longer word, with no join taken: two
     mediums join to a maximal exactly when they share an edge, the join
     being g<G_{i-1}, G_i, G_{i+1}>, that is
@@ -324,10 +326,10 @@ def build_script_X_ball(b: ComplexBall) -> ScriptXBall:
     Two vertices with one medium are not refused.  A ball from
     ``ball_table`` has none, as the table lists each (i, rep) once, and
     ``phi_iso_check`` reports a collision before it reads the rebuild.  On
-    a ball that has one (a corrupted table), the (base, word) dict keeps
-    the last id of each medium, so arcs are found from every node but only
-    to that id, and the join audit, which reads the rebuild too, runs to
-    its report instead of raising.
+    a ball that has one (a corrupted table), ``at`` keeps the last id of
+    each medium, so arcs are found from every node but only to that id,
+    and the join audit, which reads the rebuild too, runs to its report
+    instead of raising.
     """
     return b.derive("script X", lambda: _rebuild(b))
 
@@ -336,27 +338,41 @@ def _rebuild(b: ComplexBall) -> ScriptXBall:
     p = b.presentation
     n = p.n
     sx = ScriptXBall(presentation=p, nodes=list(vertex_mediums(b)))
-    place = {(h.base, h.conjugator.word): x for x, h in enumerate(sx.nodes)}
+    number: dict[tuple[Syllable, ...], int] = {}
+    ks = [number.setdefault(h.conjugator.word, len(number)) for h in sx.nodes]
+    # at[base][k]: the node id of that base and word number k, or -1; k = -1
+    # reads the extra last entry
+    at = [[-1] * (len(number) + 1) for _ in range(n)]
     for x, h in enumerate(sx.nodes):
-        i, word = h.base, h.conjugator.word
-        # (label, the far end's base, its window vertex off the label)
-        for label, far, v in ((i, (i - 1) % n, (i - 1) % n),
-                              ((i + 1) % n, (i + 1) % n, (i + 2) % n)):
-            ends = [place[far, w] for w in _far_ends(p, word, v) if (far, w) in place]
-            if len(ends) > 1:
+        at[h.base][ks[x]] = x
+    # by window vertex v and word k: may the far end have word k, and the
+    # other word it may have, or -1
+    own = [bytearray(b"\1") * len(number) for _ in range(n)]
+    less = [[-1] * len(number) for _ in range(n)]
+    for word, k in number.items():
+        for v, ws in _far_ends(p, word).items():
+            own[v][k] = word in ws
+            less[v][k] = next((number.get(w, -1) for w in ws if w != word), -1)
+    # by base, per label: the far end's ``at`` row and its window vertex's rows
+    steps = [[(label, at[far], own[v], less[v]) for label, far, v in (
+        (i, (i - 1) % n, (i - 1) % n), ((i + 1) % n, (i + 1) % n, (i + 2) % n))] for i in range(n)]
+    for x, (h, k) in enumerate(zip(sx.nodes, ks)):
+        for label, row, own_v, less_v in steps[h.base]:
+            y, z = row[k] if own_v[k] else -1, row[less_v[k]]
+            if y >= 0 <= z:
                 raise InvariantError(
-                    f"edge {label}|{format_word(GroupElement(p, word))} has more than two ends",
-                    sorted(sx.nodes[y].key_string() for y in (x, *ends)))
-            for y in ends:
-                sx.arcs[min(x, y), max(x, y)] = label, word
+                    f"edge {label}|{format_word(h.conjugator)} has more than two ends",
+                    sorted(sx.nodes[e].key_string() for e in (x, y, z)))
+            if (y := max(y, z)) >= 0:
+                sx.arcs[(x, y) if x < y else (y, x)] = label, h.conjugator.word
+    # freed before the walks, which set the peak
+    del number, ks, at, own, less, steps
     up: list[list[int]] = [[] for _ in sx.nodes]
     for (u, w), (label, _) in sx.arcs.items():
         if sx.nodes[u].base == label:
             u, w = w, u
         up[u].append(w)
-
-    starts = [x for x, h in enumerate(sx.nodes) if h.base == 0]
-    sx.cycles = sorted(_winding_cycles(up, starts, n))
+    sx.cycles = sorted(_winding_cycles(up, [x for x, h in enumerate(sx.nodes) if h.base == 0], n))
     return sx
 
 
@@ -365,8 +381,12 @@ def _rebuild(b: ComplexBall) -> ScriptXBall:
 
 def _interior_skeleton(b: ComplexBall) -> dict[int, set[int]]:
     """The 1-skeleton on the interior vertices, as id adjacency read off the
-    table's edge ends."""
-    t = b.table
+    table's edge ends, built once per ball (``b.derive``) and read by the
+    phi check and the cycle and join audits."""
+    return b.derive("interior skeleton", lambda: _skeleton(b.table))
+
+
+def _skeleton(t: BallTable) -> dict[int, set[int]]:
     g = {x: set() for x in t.interior_vertices()}
     for u, w in zip(t.edges[2::4], t.edges[3::4]):
         if u in g and w in g:
@@ -447,8 +467,7 @@ def induced_cycle_audit(b: ComplexBall) -> Report:
     polygon, read as its table record's corner ids."""
     report = Report()
     t = b.table
-    n = b.presentation.n
-    cycles = _induced_n_cycles(_interior_skeleton(b), n)
+    cycles = _induced_n_cycles(_interior_skeleton(b), b.presentation.n)
     poly_boundaries = {frozenset(t.corners(k)) for k in range(len(t.reps))}
     bad = [c for c in cycles if frozenset(c) not in poly_boundaries]
     report.add("cycles.induced-n-cycles-bound-polygons",
@@ -461,23 +480,27 @@ def induced_cycle_audit(b: ComplexBall) -> Report:
 def join_agreement_audit(b: ComplexBall) -> Report:
     """Join verdicts (exact, never undecided) match interior adjacency.
 
-    The join is called on the interior skeleton's edges and on the
-    rebuild's arcs between interior vertices, in the order of
-    combinations(sorted(interior), 2), and every other interior pair is
-    counted as a "no".  That is exact: ``shared_edge`` answers yes only
-    where ``_far_ends`` of one conjugator lists the other's word, and the
-    rebuild looks those keys up and adds an arc at exactly those pairs, so
-    a pair that is neither an edge nor an arc is non-adjacent and its join
-    is no.  A join that wrongly answers yes on such a far pair is therefore
-    not caught here but by the tests' all-pairs oracle; a rule that wrongly
-    adds a far end adds the arc too, and fails here and in the phi check.
+    The join is called on the interior skeleton's edges, the rebuild's
+    interior arcs and a sample of other interior pairs, about as many as
+    the edges, in the order of combinations(sorted(interior), 2); every
+    other interior pair is counted as a "no".  That is exact:
+    ``shared_edge`` says yes only where ``_far_ends`` of one conjugator
+    lists the other's word, which is where the rebuild finds an arc.  A
+    join that wrongly says yes on a far pair is caught here when the
+    sample, drawn on bases adjacent or not from the audit's own generator
+    (seeded 0, so the phi check's draws do not move), holds the pair; the
+    tests' all-pairs oracle asks every pair.  A rule that wrongly adds a
+    far end adds the arc too, and fails here and in the phi check.
     """
     report = Report()
     t = b.table
     skel = _interior_skeleton(b)
     encode = vertex_mediums(b)
+    edges, arcs = _interior_edge_sets(build_script_X_ball(b), skel)
+    picks = random.Random(0).choices(sorted(skel), k=2 * len(edges))
+    sample = {(u, w) if u < w else (w, u) for u, w in zip(picks[::2], picks[1::2]) if u != w}
     bad = []
-    for u, w in sorted(set.union(*_interior_edge_sets(build_script_X_ball(b), skel))):
+    for u, w in sorted(edges | arcs | sample):
         ok, _ = join_is_cmaximal(encode[u], encode[w])
         if ok != (w in skel[u]):
             bad.append((t.vertex_key(u), t.vertex_key(w), ok))

@@ -171,8 +171,13 @@ the ball and, through their mediums' places among the rebuild's nodes, in
 the rebuild, instead of comparing the two edge sets.  The join-agreement
 oracle (``join_agreement_by_pairs``) calls the join on every pair of
 interior vertices, as ``algebraic.join_agreement_audit`` did before it
-read only the interior skeleton's edges and the rebuild's interior arcs;
-a join that wrongly says yes on a far pair fails here alone.  Subgroups are ordered
+read only the interior skeleton's edges, the rebuild's interior arcs and
+a sample of the other interior pairs; a join that wrongly says yes on a
+far pair the sample misses fails here alone.  The word-keyed rebuild
+(``rebuild_by_words``) finds each arc by looking a node's (base, word),
+or its word less one maximal syllable, up in one dict of the nodes,
+slicing and hashing words at every node, instead of numbering the words
+once and reading far ends off lists.  Subgroups are ordered
 by ``subgroup_sort_key`` (tier size, base, conjugator), the order the
 rebuild's nodes come in.
 
@@ -237,6 +242,8 @@ from cyclewall.algebraic import (
     MAXIMAL,
     MEDIUM,
     CSubgroup,
+    ScriptXBall,
+    _winding_cycles,
     containing_maximals,
     vertex_mediums,
     window_of,
@@ -864,6 +871,39 @@ def phi_edge_mismatches_by_pairs(b, sx) -> tuple[int, list]:
         if x_adj != sx_adj:
             bad.append((u.key_string(), w.key_string(), x_adj, sx_adj))
     return pairs, bad
+
+
+def rebuild_by_words(b: ComplexBall) -> ScriptXBall:
+    """``algebraic.build_script_X_ball(b)``, with each far end looked up in
+    a dict from every node's (base, word) to its id: the word itself, or
+    the word less its maximal syllable of the far end's window vertex off
+    the label, at the neighbouring base.  It refuses a third end as the
+    rebuild does, and reads ``up`` off the arcs."""
+    p = b.presentation
+    n = p.n
+    sx = ScriptXBall(presentation=p, nodes=list(vertex_mediums(b)))
+    place = {(h.base, h.conjugator.word): x for x, h in enumerate(sx.nodes)}
+    for x, h in enumerate(sx.nodes):
+        i, word = h.base, h.conjugator.word
+        # (label, the far end's base, its window vertex off the label)
+        for label, far, v in ((i, (i - 1) % n, (i - 1) % n),
+                              ((i + 1) % n, (i + 1) % n, (i + 2) % n)):
+            words = [word, *(word[:j] + word[j + 1:]
+                             for u, j in maximal_syllables(p, word) if u == v)]
+            ends = [place[far, w] for w in words if (far, w) in place]
+            if len(ends) > 1:
+                raise InvariantError(
+                    f"edge {label}|{format_word(GroupElement(p, word))} has more than two ends",
+                    sorted(sx.nodes[y].key_string() for y in (x, *ends)))
+            for y in ends:
+                sx.arcs[min(x, y), max(x, y)] = label, word
+    up: list[list[int]] = [[] for _ in sx.nodes]
+    for (u, w), (label, _) in sx.arcs.items():
+        if sx.nodes[u].base == label:
+            u, w = w, u
+        up[u].append(w)
+    sx.cycles = sorted(_winding_cycles(up, [x for x, h in enumerate(sx.nodes) if h.base == 0], n))
+    return sx
 
 
 def join_agreement_by_pairs(b) -> Report:

@@ -24,7 +24,7 @@ from cyclewall.algebraic import (
     _induced_n_cycles,
 )
 from cyclewall.cli import algebraic_suite
-from cyclewall.davis import build_ball
+from cyclewall.davis import BallTable, build_ball
 from cyclewall.errors import InvariantError, ValidationError
 from cyclewall.walls import adjacency_criterion_audit, vertex_stabilizer_criterion_audit
 from cyclewall.localgroups import cyclic_group, integers_group
@@ -49,6 +49,7 @@ from oracles import (
     object_ball,
     parabolic_normalizer,
     phi_edge_mismatches_by_pairs,
+    rebuild_by_words,
     script_x_arcs_by_pairs,
     script_x_graph,
     shared_edge_both_labels,
@@ -191,13 +192,26 @@ def test_join_on_infinite_vertex_groups():
     assert join_is_cmaximal(h, far) == (False, None)
 
 
+def _change_far_ends(monkeypatch, change):
+    """Patch ``_far_ends`` so that the far-end words of each (word, v), v
+    the far end's window vertex, are ``change(word, v, words)`` of the
+    words the rule lists; the join and the rebuild both read the patch."""
+    far_ends = algebraic._far_ends
+
+    def changed(p, word):
+        ends = far_ends(p, word)
+        return {v: change(word, v, ends.get(v, [word])) for v in range(p.n)}
+
+    monkeypatch.setattr(algebraic, "_far_ends", changed)
+
+
 def test_phi_iso_check_fails_without_shared_edges(c5_z2, monkeypatch):
     """The rebuild's arcs are the edges the last-syllable rule shares, and
     the join audit reads the join: without the far ends of a node's own word
     the rebuild misses arcs, and without shared edges the join misses
     adjacencies."""
     far_ends = algebraic._far_ends
-    monkeypatch.setattr(algebraic, "_far_ends", lambda p, word, v: far_ends(p, word, v)[1:])
+    _change_far_ends(monkeypatch, lambda word, v, words: words[1:])
     report = phi_iso_check(build_ball(c5_z2, 2))
     assert "phi.edges-preserved-both-ways" in {
         r.check_id for r in report.failures}
@@ -319,7 +333,7 @@ def test_edge_cosets_are_the_products(rebuilt):
                      for x in p.group(other).elements()]
             assert len(set(words)) == len(words)
             assert {GroupElement(p, w) for w in words
-                    if c.word in _far_ends(p, w, other)} == edge_cosets_by_products(h, label), \
+                    if c.word in _far_ends(p, w).get(other, [w])} == edge_cosets_by_products(h, label), \
                 (h.key_string(), label)
 
 
@@ -524,13 +538,38 @@ def test_induced_cycle_audit_fails_without_an_interior_polygon(c5_z2):
 
 def test_join_agreement_fails_when_every_pair_joins(c5_z2, monkeypatch):
     """A join that says yes on every pair is wrong only on pairs that are
-    neither an edge nor an arc.  The audit never asks it there, so its row
-    passes; the all-pairs oracle asks every pair, and its row fails."""
+    neither an edge nor an arc.  The audit asks it on a sample of those, so
+    its row fails, as the all-pairs oracle's does."""
     monkeypatch.setattr(algebraic, "join_is_cmaximal", lambda h1, h2: (True, None))
     b = build_ball(c5_z2, 2)
     assert {r.check_id for r in join_agreement_by_pairs(b).failures} == {
         "joins.agree-with-adjacency"}
-    assert join_agreement_audit(b).ok
+    assert {r.check_id for r in join_agreement_audit(b).failures} == {
+        "joins.agree-with-adjacency"}
+
+
+def test_join_audit_fails_on_a_join_that_says_yes_on_adjacent_base_far_pairs(
+        c5_z2, monkeypatch):
+    """A ``shared_edge`` that also says yes on every pair of mediums on
+    cyclically adjacent bases that share no edge is wrong only on far
+    pairs, never on an edge or an arc.  The audit's sample holds such
+    pairs at radius 3, so its row fails, each witness a sampled far pair
+    of adjacent bases that the join wrongly joins."""
+    shared = algebraic.shared_edge
+    n = c5_z2.n
+    monkeypatch.setattr(algebraic, "shared_edge", lambda h1, h2: shared(h1, h2) or (
+        (h1.base, h1.conjugator) if (h1.base - h2.base) % n in (1, n - 1) else None))
+    b = build_ball(c5_z2, 3)
+    t = b.table
+    report = join_agreement_audit(b)
+    assert [r.status for r in report.results] == ["fail"]
+    skel = algebraic._interior_skeleton(b)
+    encode = vertex_mediums(b)
+    keys = {t.vertex_key(x): x for x in skel}
+    for u_key, w_key, ok in report.results[0].witness:
+        u, w = keys[u_key], keys[w_key]
+        assert ok and w not in skel[u]
+        assert (encode[u].base - encode[w].base) % n in (1, n - 1)
 
 
 JOIN_BALLS = [(name, 3) for name in ("c5_z2", "c5_z3", "c5_mixed", "c6_mixed",
@@ -560,8 +599,8 @@ def _interior_pair(b, adjacent: bool, same_word_end: bool = False):
                 if encode[w].base == (encode[u].base + 1) % p.n
                 and (w in skel[u]) == adjacent
                 and len(encode[u].conjugator.word) - len(encode[w].conjugator.word) in (0, 1)
-                and not (same_word_end and len(_far_ends(
-                    p, encode[u].conjugator.word, (encode[u].base + 2) % p.n)) > 1))
+                and not (same_word_end and (encode[u].base + 2) % p.n in _far_ends(
+                    p, encode[u].conjugator.word)))
 
 
 def test_join_audit_fails_on_a_spurious_far_end(c5_z2, monkeypatch):
@@ -576,9 +615,8 @@ def test_join_audit_fails_on_a_spurious_far_end(c5_z2, monkeypatch):
     encode = vertex_mediums(b)
     u, w = _interior_pair(b, adjacent=False, same_word_end=True)
     call = (encode[u].conjugator.word, (encode[u].base + 2) % c5_z2.n)
-    far_ends = algebraic._far_ends
-    monkeypatch.setattr(algebraic, "_far_ends", lambda p, word, v: (
-        [encode[w].conjugator.word] if (word, v) == call else far_ends(p, word, v)))
+    _change_far_ends(monkeypatch, lambda word, v, words: (
+        [encode[w].conjugator.word] if (word, v) == call else words))
     report = algebraic_suite(b, seed=0)
     assert {r.check_id for r in report.failures} == {
         "phi.edges-preserved-both-ways", "joins.agree-with-adjacency"}
@@ -615,9 +653,7 @@ def test_join_audit_fails_on_a_rule_that_drops_an_edge(c5_z2, monkeypatch):
     u, w = _interior_pair(b, adjacent=True)
     a = encode[u].base
     calls = {(encode[u].conjugator.word, (a + 2) % c5_z2.n), (encode[w].conjugator.word, a)}
-    far_ends = algebraic._far_ends
-    monkeypatch.setattr(algebraic, "_far_ends", lambda p, word, v: (
-        [] if (word, v) in calls else far_ends(p, word, v)))
+    _change_far_ends(monkeypatch, lambda word, v, words: [] if (word, v) in calls else words)
     report = algebraic_suite(b, seed=0)
     assert {r.check_id for r in report.failures} == {
         "phi.edges-preserved-both-ways", "phi.polygons-map-to-cycles",
@@ -640,6 +676,63 @@ def test_rebuild_rejects_an_edge_with_three_ends(c5_z2, monkeypatch):
     g = parse_word(c5_z2, "v2:1")
     assert raised.value.witness == sorted(
         CSubgroup(MEDIUM, i, w).key_string() for i, w in ((0, g), (4, g), (4, identity(c5_z2))))
+
+
+WORD_REBUILD_BALLS = REBUILD_BALLS + [
+    (name, radius) for radius in (0, 1) for name in ("c5_z2", "c5_z3", "c5_mixed", "c5_s3",
+                                                     "c6_z2", "c6_mixed")] + [
+    ("c5_z3", 4), ("c6_mixed", 3)]
+
+
+@pytest.mark.parametrize("name, radius", WORD_REBUILD_BALLS,
+                         ids=[f"{name}-r{radius}" for name, radius in WORD_REBUILD_BALLS])
+def test_rebuild_matches_the_word_keyed_rebuild(name, radius, request):
+    """Reading far ends off word numbers finds the arcs, in the same order
+    and with the same values, and the cycles that looking each node's words
+    up in a (base, word) dict finds."""
+    b = build_ball(request.getfixturevalue(name), radius)
+    sx, want = build_script_X_ball(b), rebuild_by_words(b)
+    assert list(sx.arcs.items()) == list(want.arcs.items())
+    assert sx.cycles == want.cycles
+
+
+def test_rebuild_matches_the_word_keyed_rebuild_on_a_collided_ball(c5_z2):
+    """On the ball whose vertex 1 record is vertex 0's, both rebuilds find
+    arcs from every node to the last id of each medium."""
+    b = build_ball(c5_z2, 2)
+    b.table.vertices[2:4] = b.table.vertices[0:2]
+    sx, want = build_script_X_ball(b), rebuild_by_words(b)
+    assert list(sx.arcs.items()) == list(want.arcs.items())
+    assert sx.cycles == want.cycles
+
+
+def test_rebuild_scans_each_conjugator_once(c5_z3, monkeypatch):
+    """Once the mediums are encoded, the rebuild reads each distinct
+    conjugator word's maximal syllables with one scan: 71 at radius 2,
+    where a scan per node and label made 390."""
+    b = build_ball(c5_z3, 2)
+    words = {h.conjugator.word for h in vertex_mediums(b)}
+    scanned = []
+    scan = algebraic.maximal_syllables
+    monkeypatch.setattr(algebraic, "maximal_syllables",
+                        lambda p, word: scanned.append(word) or scan(p, word))
+    build_script_X_ball(b)
+    assert sorted(scanned) == sorted(words)
+    assert len(scanned) == 71
+
+
+def test_interior_skeleton_is_built_once_per_suite(c5_z3, monkeypatch):
+    """The phi check and the cycle and join audits read one interior
+    skeleton, kept on the ball: one run of the algebraic suite lists the
+    interior vertices once."""
+    b = build_ball(c5_z3, 2)
+    listed = []
+    interior = BallTable.interior_vertices
+    monkeypatch.setattr(BallTable, "interior_vertices",
+                        lambda t: listed.append(t) or interior(t))
+    assert algebraic_suite(b, seed=0).ok
+    assert listed == [b.table]
+    assert algebraic._interior_skeleton(b) is b.derived["interior skeleton"]
 
 
 def test_rebuild_ignores_the_tables_edges(c5_z2):
