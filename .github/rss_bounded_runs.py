@@ -101,6 +101,14 @@ ROWS = [
      ["verify", "--suite", "walls", "--radius", "4", "--depth", "3", "--seed", "0",
       "--presentation", C6_MIXED], 0,
      "cc5b97f22b1c5ca77a10f4cb3a61475f07fe65b99001156bcc1b22e3e6e357e0", 120, 62),
+    # the walls audits on a non-abelian vertex group (S3 at vertex 2); the
+    # hyperplane audit pairs each square's opposite sides by place once the
+    # square records pass their scan; bounded at 1.2 x the 27.9 MB measured
+    # (28.2-28.4 MB when it matched each square's sides by their ends)
+    ("Radius-4 c5_s3 walls report is byte-identical",
+     ["verify", "--suite", "walls", "--radius", "4", "--depth", "3", "--seed", "0",
+      "--presentation", C5_S3], 0,
+     "f0059e9777fdf75e7222b6733d194a4e1687be214896d71919ccccf7f28296e6", 60, 33),
     # the rebuild on an odd n at radius 4, far ends read off word numbers
     # (20.2-20.3 MB measured so; 21.1-21.2 MB with the (base, word) dict);
     # bounded at 1.2 x the 20.8 MB measured with the value types written by

@@ -496,7 +496,8 @@ def _links(b: ComplexBall) -> tuple[list[int], Optional[dict], Optional[dict], l
     m_{i+1}, c; half_i, half_{i+1}, spoke_i, spoke_{i+1}), so the two sides
     at each corner have fixed places (``_AT_CORNER``).  Of the n·|B(r)|
     squares the numbering names, ``_faults`` reads two facts, a column at a
-    time:
+    time, once per ball (``square_faults``, which the hyperplane audit of
+    ``walls`` reads too):
 
     (a) each side's ends (``Subdivision.ends``, in id order) are the two
         corners it lies between;
@@ -531,16 +532,24 @@ def _links(b: ComplexBall) -> tuple[list[int], Optional[dict], Optional[dict], l
     degree in the link at either end is its square count, ``on[s]``, read
     from the side columns of every record: ``free_face_audit``'s count.
     """
-    return b.derive("links", lambda: _read_links(subdivision(b)))
+    return b.derive("links", lambda: _read_links(subdivision(b), square_faults(b)))
 
 
-def _read_links(x: Subdivision):
+def square_faults(b: ComplexBall) -> list[tuple[int, dict]]:
+    """Each break of (a) or (b) of ``_links`` in X''s square records, in
+    square order (``_faults``), scanned once per ball: empty exactly when
+    every record q = n·k + i is polygon k's corner i, by the proof in
+    ``_links``.  ``_links`` and ``walls.hyperplane_treewall_audit`` read it,
+    the first entry's witness as the first broken record."""
+    return b.derive("faults", lambda: list(_faults(subdivision(b), b.n * len(b.table.reps))))
+
+
+def _read_links(x: Subdivision, faults: list[tuple[int, dict]]):
     t, n = x.table, x.table.presentation.n
     nv, sq, start = len(t.vertices) // 2, x.squares, x.start
     on = [0] * len(x.edge_ids())   # a list: a dict would weigh more
     for s in chain(sq[4::8], sq[5::8], sq[6::8], sq[7::8]):
         on[s] += 1
-    faults = list(_faults(x, n * len(t.reps)))
     inner, size = list(x.interior_vertices()), [g.size for g in t.presentation.groups]
     want = chain((size[i] * size[(i + 1) % n] for i in t.vertices[::2]),
                  (2 * size[i] for i in t.edges[::4]), repeat(n))
@@ -559,16 +568,16 @@ def _read_links(x: Subdivision):
 
 def _faults(x: Subdivision, nq: int) -> Iterator[tuple[int, dict]]:
     """Each break of (a) or (b) of ``_links`` in the first nq square
-    records, in square order, as (the corner's vertex id, or -1 for the
-    spokes, a witness): a corner met by k != 2 of its two sides as [square,
-    vertex key, k], a square holding spokes other than its own as [square,
-    the keys of the spokes it holds].  None, when both hold column by
-    column, the squares at each corner place i of the polygons as one
-    slice: (b) against the spoke numbering; (a) for the spokes, whose ends
-    (b) makes one slice of ``ends`` in square order (both spokes of a square
-    end at its polygon's center, so m_{i+1} is the one end left to read);
-    (a) for the halves, by ``_ENDS``, against each half's ends in id
-    order."""
+    records, in square order, listed once per ball by ``square_faults``, as
+    (the corner's vertex id, or -1 for the spokes, a witness): a corner met
+    by k != 2 of its two sides as [square, vertex key, k], a square holding
+    spokes other than its own as [square, the keys of the spokes it
+    holds].  None, when both hold column by column, the squares at each
+    corner place i of the polygons as one slice: (b) against the spoke
+    numbering; (a) for the spokes, whose ends (b) makes one slice of
+    ``ends`` in square order (both spokes of a square end at its polygon's
+    center, so m_{i+1} is the one end left to read); (a) for the halves, by
+    ``_ENDS``, against each half's ends in id order."""
     sq, n, e0 = x.squares[:8 * nq], x.table.presentation.n, len(x.table.edges) // 2
     spokes = range(e0, e0 + nq)   # spoke i of polygon k is 2E + n·k + i
     spoke, ends = x.ends[2 * e0:2 * (e0 + nq)], (x.ends[::2], x.ends[1::2])   # spokes' ends

@@ -13,6 +13,7 @@ otherwise.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Optional
 
 from .errors import (
@@ -25,6 +26,12 @@ from .errors import (
 
 #: Brute-force automorphism search refuses groups above this order.
 DEFAULT_AUT_ORDER_CAP = 12
+
+#: Isomorphisms between two cyclic groups of order k are refused when k²,
+#: about the entries of their value tables (one per unit, k entries each),
+#: is above this: 65,536 entries keep k <= 256, so every entry is one of
+#: Python's cached small ints and the tables take at most half a megabyte.
+CYCLIC_AUT_ENTRY_CAP = 1 << 16
 
 IDENTITY = 0
 
@@ -302,7 +309,10 @@ def _generating_sequence(g: LocalGroupSpec) -> list[int]:
 def isomorphisms(src: LocalGroupSpec, dst: LocalGroupSpec) -> list[LocalIso]:
     """All isomorphisms src -> dst, in a deterministic order.
 
-    Finite groups, up to order ``DEFAULT_AUT_ORDER_CAP``: every choice of
+    Two cyclic groups of one order k: x -> u·x mod k for the units u in
+    increasing order, the search's order, as their generating sequence is
+    (1,); refused when k² is above ``CYCLIC_AUT_ENTRY_CAP``.  Other finite
+    groups, up to order ``DEFAULT_AUT_ORDER_CAP``: every choice of
     same-order images for a generating sequence, first generator slowest,
     kept when it closes to a bijective homomorphism.  Z -> Z gives the two
     signs.
@@ -313,10 +323,18 @@ def isomorphisms(src: LocalGroupSpec, dst: LocalGroupSpec) -> list[LocalIso]:
         return []
     if src.size != dst.size:
         return []
-    if src.size > DEFAULT_AUT_ORDER_CAP:
+    k = src.size
+    if src.kind == dst.kind == "cyclic":
+        if k * k > CYCLIC_AUT_ENTRY_CAP:
+            raise EnumerationCapError(
+                f"automorphisms of a cyclic group capped at {CYCLIC_AUT_ENTRY_CAP} "
+                f"table entries, got order {k}")
+        return [LocalIso(src, dst, mapping=tuple(u * x % k for x in range(k)))
+                for u in range(1, k) if math.gcd(u, k) == 1]
+    if k > DEFAULT_AUT_ORDER_CAP:
         raise EnumerationCapError(
             f"automorphism search capped at order {DEFAULT_AUT_ORDER_CAP}, "
-            f"got {src.size}")
+            f"got {k}")
 
     gens = src.generators
     candidates = [[y for y in dst.nontrivial_elements()
@@ -325,9 +343,9 @@ def isomorphisms(src: LocalGroupSpec, dst: LocalGroupSpec) -> list[LocalIso]:
     found: list[LocalIso] = []
     for images in itertools.product(*candidates):
         table = _close(src, dst, dict(zip(gens, images)))
-        if table is None or len(table) != src.size:
+        if table is None or len(table) != k:
             continue
-        vals = [table[x] for x in range(src.size)]
+        vals = [table[x] for x in range(k)]
         if sorted(vals) == list(range(dst.size)):
             found.append(LocalIso(src, dst, mapping=tuple(vals)))
     return found

@@ -72,9 +72,12 @@ the shared-polygon audit files each polygon's sides under the walls that
 hold them, in one pass over the polygons.
 
 The hyperplanes of X' are classes of its edge ids: the two opposite sides
-of each square are joined in a ``UnionFind``, in one pass over the squares.
-Square (m_i, v, m_{i+1}, c) crosses two classes, {half (m_i, v), spoke
-(m_{i+1}, c)} and {half (v, m_{i+1}), spoke (c, m_i)}; in each, the
+of each square are joined in a ``UnionFind``, in one pass over the squares'
+side columns, by their places in the record.  The records are checked once
+per ball (``davis.square_faults``, which the davis link audits read too);
+with them sound, square (m_i, v, m_{i+1}, c; half_i, half_{i+1}, spoke_i,
+spoke_{i+1}) crosses two classes, {half_i (m_i, v), spoke_{i+1} (m_{i+1},
+c)} and {half_{i+1} (v, m_{i+1}), spoke_i (c, m_i)}; in each, the
 parallel half lies at the X-vertex corner v and the parallel spoke at the
 center c.  Two squares of one class are joined by a chain of squares, each
 sharing a dual edge with the next: a dual half shares its X-vertex, a dual
@@ -82,13 +85,14 @@ spoke its center.  So every class has one side of halves only (its
 X-vertex side) and one of spokes only (its center side).  A midpoint lies
 on a class's center side exactly when one of its two halves is in the
 class (the dual half of a square joins its center-side midpoint to v), so
-a second pass over the squares files each class's parallel halves' labels
-and checks that neither half of the midpoint on its X-vertex side is in
-it, with no per-class side map; the class's tree-wall side is its halves'
-side exactly when their labels are one label.  A structure the audit relies on
-that turns out broken (a square without a side, a square whose two classes
-are one, a midpoint on both sides of a class) is reported as a failed check
-with a witness.
+a second pass over the squares, with each edge's class root found once,
+files each class's parallel halves' labels and checks that neither half of
+the midpoint on its X-vertex side is in it, with no per-class side map; the
+class's tree-wall side is its halves' side exactly when their labels are
+one label.  A broken square record fails the audit's ``classes`` row with
+the scan's witness; any other structure the audit relies on that turns out
+broken (a square whose two classes are one, a midpoint on both sides of a
+class) is reported as a failed check with a witness.
 """
 
 from __future__ import annotations
@@ -105,7 +109,7 @@ from .algebraic import (
     join_is_cmaximal,
     vertex_mediums,
 )
-from .davis import BallTable, ComplexBall, incidence, subdivision
+from .davis import BallTable, ComplexBall, incidence, square_faults, subdivision
 from .errors import ValidationError
 from .reports import Report
 from .words import (
@@ -627,32 +631,34 @@ class UnionFind:
 def hyperplane_treewall_audit(b: ComplexBall) -> Report:
     """Exactly one side of each interior hyperplane of X' is a
     constant-label subgraph of the unsubdivided 1-skeleton: its halves'
-    side (see the module docstring)."""
+    side (see the module docstring).
+
+    A broken square record (``davis.square_faults``) fails the ``classes``
+    row with its witness.  Otherwise each record q = n·k + i is polygon k's
+    corner i (the proof is in ``davis._links``): its four corners are
+    distinct and each side ends at the two corners its place names, so the
+    side opposite half_i (m_i, v) is spoke_{i+1} (m_{i+1}, c), and the one
+    opposite half_{i+1} (v, m_{i+1}) is spoke_i (c, m_i): the pairs, in
+    the same order, that matching each square's sides by their ends finds."""
     check = "walls.hyperplane-side-is-wall"
     report = Report()
+    faults = square_faults(b)
+    if faults:
+        report.add(check, "classes", False, faults[0][1])
+        return report
     x = subdivision(b)
+    sq = x.squares
     uf = UnionFind()
-    halves = array("i")   # each square's halves (m_i, v) and (v, m_{i+1})
-    for q, (m_i, v, m_next, c, *sides) in enumerate(x.records()):
-        # corners (m_i, v, m_{i+1}, c) in cyclic order; each side by its ends, in key order
-        side = {x.edge_ends(s): s for s in sides}
-        for pair in (((m_i, v), (m_next, c)), ((v, m_next), (c, m_i))):
-            e1, e2 = (side.get((min(a, z), max(a, z))) for a, z in pair)
-            if e1 is None or e2 is None:
-                a, z = pair[0] if e1 is None else pair[1]
-                report.add(check, "classes", False,
-                           {"error": "square is missing one of its sides",
-                            "at": [x.square_name(q), x.vertex_key(a), x.vertex_key(z)]})
-                return report
-            uf.union(e1, e2)
-            halves.append(e1)
+    for h0, h1, s0, s1 in zip(sq[4::8], sq[5::8], sq[6::8], sq[7::8]):
+        uf.union(h0, s1)
+        uf.union(h1, s0)
     label_of: dict[int, Optional[int]] = {}   # class root -> its first parallel half's label
     mixed: dict[int, set] = {}   # class root -> its parallel halves' labels, when not one
     errors: dict[int, dict] = {}   # class root -> the witness of its first broken square
     nv = len(x.table.vertices) // 2   # the midpoint of X-edge e is X' vertex nv + e
-    pairs = iter(halves)
-    for q, ((m_i, _, m_next, *_), h0, h1) in enumerate(zip(x.records(), pairs, pairs)):
-        r0, r1 = uf.find(h0), uf.find(h1)
+    cls = [uf.find(s) for s in x.edge_ids()]   # by edge id: its class root
+    for q, (m_i, m_next, h0, h1) in enumerate(zip(sq[0::8], sq[2::8], sq[4::8], sq[5::8])):
+        r0, r1 = cls[h0], cls[h1]
         if r0 == r1:
             errors.setdefault(r0, {"error": "a square meets a hyperplane in opposite sides",
                                    "at": [x.square_name(q)]})
@@ -663,7 +669,7 @@ def hyperplane_treewall_audit(b: ComplexBall) -> Report:
             label = x.label(along)
             if label_of.setdefault(root, label) != label:
                 mixed.setdefault(root, {label_of[root]}).add(label)
-            if root in (uf.find(2 * (near - nv)), uf.find(2 * (near - nv) + 1)):
+            if root in (cls[2 * (near - nv)], cls[2 * (near - nv) + 1]):
                 errors.setdefault(root, {"error": "hyperplane sides are inconsistent",
                                          "at": [x.square_name(q), x.vertex_key(near)]})
     for idx, root in enumerate(sorted(label_of, key=x.edge_ends)):

@@ -69,11 +69,14 @@ indexed from the squares and interior marked by coset-rep length.  The
 integer ``davis.Subdivision`` is checked against it key string by key
 string, and the X' audits' mutants are written against both.
 
-The hyperplane oracle joins the opposite sides of each square of X' in a
-union-find (``hyperplane_classes``) and 2-colors each class's sides on its
-own, by a breadth-first search over the ends of the class's dual and
-parallel edges (``combinatorial_hyperplanes``), instead of filing every
-class's labels and midpoints in one more pass over the squares.
+The hyperplane oracle finds the opposite sides of each square of X' by
+matching their ends (``opposite_sides_by_ends``), instead of pairing them
+by their places in the square record once ``davis.square_faults`` has
+found every record sound; it joins them in a union-find
+(``hyperplane_classes``) and 2-colors each class's sides on its own, by a
+breadth-first search over the ends of the class's dual and parallel edges
+(``combinatorial_hyperplanes``), instead of filing every class's labels and
+midpoints in one more pass over the squares.
 
 The minimal-set oracle runs networkx shortest paths over the whole square
 skeleton of the square-ball oracle, instead of the stopped breadth-first
@@ -233,7 +236,7 @@ import json
 from array import array
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from typing import Optional
+from typing import Iterator, Optional
 
 import networkx as nx
 
@@ -1427,21 +1430,34 @@ def hyperplane_classes_by_components(sq: SquareBall) -> set[frozenset[str]]:
     return set(map(frozenset, nx.connected_components(g)))
 
 
-def hyperplane_classes(b: ComplexBall) -> dict[int, list[int]]:
-    """Square-midline equivalence classes of X' edge ids, each keyed by its
-    union-find root: edges opposite in a square are dual to the same
-    hyperplane."""
+def opposite_sides_by_ends(b: ComplexBall) -> Iterator[tuple[tuple[int, int], tuple[int, int]]]:
+    """Each square's two pairs of opposite sides, in square order, found by
+    matching the sides' ends: the sides (m_i, v) and (m_{i+1}, c), then
+    (v, m_{i+1}) and (c, m_i)."""
     x = subdivision(b)
-    uf = UnionFind()
     for q, (m_i, v, m_next, c, *sides) in enumerate(x.records()):
         # corners (m_i, v, m_{i+1}, c) in cyclic order; each side by its ends, in key order
         side = {x.edge_ends(s): s for s in sides}
+        pairs = []
         for pair in (((m_i, v), (m_next, c)), ((v, m_next), (c, m_i))):
             e1, e2 = (side.get((min(a, z), max(a, z))) for a, z in pair)
             if e1 is None or e2 is None:
                 a, z = pair[0] if e1 is None else pair[1]
                 raise InvariantError("square is missing one of its sides",
                                      [x.square_name(q), x.vertex_key(a), x.vertex_key(z)])
+            pairs.append((e1, e2))
+        yield tuple(pairs)
+
+
+def hyperplane_classes(b: ComplexBall) -> dict[int, list[int]]:
+    """Square-midline equivalence classes of X' edge ids, each keyed by its
+    union-find root: edges opposite in a square are dual to the same
+    hyperplane, matched by their ends (``opposite_sides_by_ends``), where
+    ``walls.hyperplane_treewall_audit`` pairs them by their places."""
+    x = subdivision(b)
+    uf = UnionFind()
+    for pairs in opposite_sides_by_ends(b):
+        for e1, e2 in pairs:
             uf.union(e1, e2)
     classes: dict[int, list[int]] = {}
     for e in x.edge_ids():

@@ -292,14 +292,36 @@ def test_run_suite_builds_ball_subdivision_and_stabilizers_once(monkeypatch):
     monkeypatch.setattr(davis, "build_ball", counted("ball", davis.build_ball))
     monkeypatch.setattr(davis, "_subdivision", counted("subdivision", davis._subdivision))
     monkeypatch.setattr(davis, "_read_links", counted("links", davis._read_links))
+    monkeypatch.setattr(davis, "_faults", counted("record scan", davis._faults))
     monkeypatch.setattr(walls, "_wall_stabilizer", counted(
         "stabilizer", walls._wall_stabilizer, key=lambda b, T, L: (T.label, T.key_rep)))
     assert run_suite(presentation_c5_mixed(), "all", 2, 3, 0).ok
     assert calls["ball", None] == 1
     assert calls["subdivision", None] == 1
     assert calls["links", None] == 1
+    assert calls["record scan", None] == 1
     per_wall = [n for (name, _), n in calls.items() if name == "stabilizer"]
     assert per_wall and max(per_wall) == 1
+
+
+def test_walls_suite_alone_fails_the_classes_row_on_a_broken_record(monkeypatch):
+    """With no davis audit run before it, the walls suite's hyperplane audit
+    scans the square records itself: square 0 with its second side listed as
+    its first fails the ``classes`` row with the scan's witness."""
+    build = davis._subdivision
+
+    def broken(b):
+        x = build(b)
+        x.squares[5] = x.squares[4]
+        return x
+    monkeypatch.setattr(davis, "_subdivision", broken)
+    p = presentation_c5_mixed()
+    report = run_suite(p, "walls", 2, 3, 0)
+    rows = [r for r in report.failures if r.check_id == "walls.hyperplane-side-is-wall"]
+    x = davis.subdivision(davis.build_ball(p, 2))
+    assert [(r.instance, r.witness) for r in rows] == [
+        ("classes", {"error": "a 2-cell meets its corner in other than two sides",
+                     "at": [x.square_name(0), x.vertex_key(x.squares[2]), 1]})]
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -403,7 +425,9 @@ _ERROR_CASES = {
     "non-integral-order": ([{"kind": "cyclic", "order": 2.5}] + ["Z/2"] * 4,
                            ["reduce", "v0:1"]),
     "infinite-group-in-verify": (["Z"] + ["Z/2"] * 4, ["verify"]),
-    "aut-group-above-cap": (["Z/13"] + ["Z/2"] * 4, ["aut", "witness"]),
+    "aut-group-above-cap": ([{"kind": "table", "table": [[(a + b) % 13 for b in range(13)]
+                                                         for a in range(13)]}] + ["Z/2"] * 4,
+                            ["aut", "witness"]),
     "missing-images-file": (["Z/2"] * 5,
                             ["aut", "decompose", "--images", "absent.json"]),
     "broken-images-file": (["Z/2"] * 5,
@@ -423,6 +447,13 @@ _ERROR_CASES = {
                           + ["Z/2"] * 4, ["reduce", "v0:1"]),
     "cyclic-order-with-space": (["Z/ 3"] + ["Z/2"] * 4, ["reduce", "v0:1"]),
 }
+
+
+def test_aut_witness_on_a_z13_vertex_exits_0(tmp_path, capsys):
+    """Aut(Z/13) is the units mod 13, with no search and no order cap."""
+    path = write_presentation(tmp_path, 5, ["Z/13"] + ["Z/2"] * 4)
+    assert main(["aut", "--presentation", path, "witness"]) == EXIT_PASS
+    assert json.loads(capsys.readouterr().out)["degenerate"] is False
 
 
 @pytest.mark.parametrize("case", sorted(_ERROR_CASES))

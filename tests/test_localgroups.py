@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cyclewall.errors import ValidationError
+from cyclewall.errors import EnumerationCapError, ValidationError
 from cyclewall.localgroups import (
     IDENTITY,
     LocalGroupSpec,
@@ -170,6 +170,30 @@ def test_isomorphisms_match_the_recursive_search(name):
     for dst in _ZOO.values():
         assert isomorphisms(src, dst) == isomorphisms_by_search(src, dst)
     assert isomorphisms(src, src)
+
+
+@pytest.mark.parametrize("k", [13, 16, 30, 97, 256])
+def test_cyclic_isomorphisms_are_the_units_in_the_search_s_order(k):
+    """Above the search's order cap, two cyclic groups of one order get the
+    maps x -> u·x for the units u, in the order the search finds them."""
+    src, dst = cyclic_group(k), cyclic_group(k, name="C")
+    assert isomorphisms(src, dst) == isomorphisms_by_search(src, dst)
+
+
+@pytest.mark.parametrize("k", [257, 10 ** 12])
+def test_cyclic_isomorphisms_refuse_above_the_entry_cap(k):
+    """A cyclic order whose value tables would hold more than the cap's
+    entries is refused before any table is built, with no count of units."""
+    with pytest.raises(EnumerationCapError, match="capped at 65536 table entries"):
+        isomorphisms(cyclic_group(k), cyclic_group(k))
+
+
+def test_table_groups_keep_the_search_cap():
+    t13 = table_group([[(a + b) % 13 for b in range(13)] for a in range(13)])
+    with pytest.raises(EnumerationCapError, match="capped at order 12, got 13"):
+        isomorphisms(t13, t13)
+    with pytest.raises(EnumerationCapError, match="capped at order 12, got 13"):
+        isomorphisms(cyclic_group(13), t13)
 
 
 def test_generating_sequence_of_cyclic_groups_is_one():

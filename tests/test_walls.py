@@ -66,6 +66,7 @@ from oracles import (
     min_set_networkx,
     object_ball,
     objects,
+    opposite_sides_by_ends,
     subdivide,
     parabolic_ball_by_conjugation,
     parabolic_ball_by_scan,
@@ -820,9 +821,11 @@ def test_hyperplane_treewall_audit(c5_z2, c5_mixed):
     assert hyperplane_treewall_audit(build_ball(c5_mixed, 1)).ok
 
 
-@pytest.mark.parametrize("name,radius", [(name, r) for name in
-                                          sorted(p.stem for p in PRESENTATIONS.glob("*.json"))
-                                          for r in range(3)] + [("c5_z3", 3)])
+HYPERPLANE_BALLS = [(name, r) for name in sorted(p.stem for p in PRESENTATIONS.glob("*.json"))
+                    for r in range(3)] + [("c5_s3", 3), ("c5_z3", 3), ("c6_mixed", 3)]
+
+
+@pytest.mark.parametrize("name,radius", HYPERPLANE_BALLS)
 def test_hyperplane_treewall_audit_matches_the_per_class_oracle(name, radius):
     """One pass over the squares gives the report, row for row, that
     2-coloring each class's sides on its own gives."""
@@ -834,14 +837,40 @@ def test_hyperplane_treewall_audit_matches_the_per_class_oracle(name, radius):
     assert got.to_json() == want.to_json()
 
 
-def test_one_sided_hyperplane_is_a_failed_check(c5_z2):
-    """Square 0 listed from its second midpoint, (m_1, c, m_0, v): its four
-    sides and so its two classes are as before, but it puts each class's
-    midpoints on the sides its neighbours do not."""
+@pytest.mark.parametrize("name,radius", HYPERPLANE_BALLS)
+def test_place_pairs_are_the_end_matched_pairs(name, radius):
+    """On every square of the ball, the audit's pairs by place, (half_i,
+    spoke_{i+1}) and (half_{i+1}, spoke_i), are the pairs that matching the
+    sides' ends finds, in the same order."""
+    b = build_ball(load_presentation(str(PRESENTATIONS / f"{name}.json")), radius)
+    sq = subdivision(b).squares
+    by_place = [((h0, s1), (h1, s0)) for h0, h1, s0, s1
+                in zip(sq[4::8], sq[5::8], sq[6::8], sq[7::8])]
+    assert by_place and list(opposite_sides_by_ends(b)) == by_place
+
+
+def _scan_passes(monkeypatch):
+    """Let every square record through the record scan, so that a mutant
+    reaches the audit's own branches."""
+    monkeypatch.setattr(walls, "square_faults", lambda b: [])
+
+
+def test_one_sided_hyperplane_is_a_failed_check(c5_z2, monkeypatch):
+    """Square 0 listed from its second midpoint, (m_1, c, m_0, v): its
+    corner m_1 meets none of its two sides there, which the record scan
+    names.  Past the scan, its four sides and so its two classes are as
+    before, but it puts each class's midpoints on the sides its neighbours
+    do not."""
     b = build_ball(c5_z2, 1)
     x = subdivision(b)
     m_0, v, m_1, c = x.squares[:4]
     x.squares[0], x.squares[1], x.squares[2], x.squares[3] = m_1, c, m_0, v
+    r = hyperplane_treewall_audit(b)
+    assert [(f.check_id, f.instance) for f in r.failures] == [
+        ("walls.hyperplane-side-is-wall", "classes")]
+    assert r.failures[0].witness == {"error": "a 2-cell meets its corner in other than two sides",
+                                     "at": [x.square_name(0), x.vertex_key(m_1), 0]}
+    _scan_passes(monkeypatch)
     r = hyperplane_treewall_audit(b)
     assert len(r.failures) == 2
     for f in r.failures:
@@ -852,16 +881,17 @@ def test_one_sided_hyperplane_is_a_failed_check(c5_z2):
 
 def test_broken_hyperplane_is_a_failed_check(c5_z2):
     """Square 0 with its center corner replaced by its X-vertex,
-    (m_0, v, m_1, v): its two halves are each other's opposite sides, so
-    its two classes are one."""
+    (m_0, v, m_1, v): its center corner meets neither spoke, which the
+    record scan names in the ``classes`` row."""
     b = build_ball(c5_z2, 1)
     x = subdivision(b)
     x.squares[3] = x.squares[1]
     r = hyperplane_treewall_audit(b)
-    assert [x.check_id for x in r.failures] == ["walls.hyperplane-side-is-wall"]
-    assert r.failures[0].witness["error"] == \
-        "a square meets a hyperplane in opposite sides"
-    assert r.failures[0].witness["at"] == [subdivide(b).squares[0].name()]
+    assert [(f.check_id, f.instance) for f in r.failures] == [
+        ("walls.hyperplane-side-is-wall", "classes")]
+    assert r.failures[0].witness == {"error": "a 2-cell meets its corner in other than two sides",
+                                     "at": [subdivide(b).squares[0].name(),
+                                            x.vertex_key(x.squares[1]), 0]}
 
 
 def test_misread_half_label_fails_its_hyperplanes(c5_z2, monkeypatch):
@@ -889,18 +919,25 @@ def test_misread_half_label_fails_its_hyperplanes(c5_z2, monkeypatch):
                                              ["None"]]}
 
 
-def test_square_missing_a_side_is_a_failed_check(c5_z2):
-    """Square 0 with its second side (v to m_{i+1}) listed as its first."""
+def test_square_missing_a_side_is_a_failed_check(c5_z2, monkeypatch):
+    """Square 0 with its second side (v to m_{i+1}) listed as its first:
+    its corner m_{i+1} meets one of its two sides, which the record scan
+    names.  Past the scan, its first half is paired with both spokes, so
+    its two classes are one."""
     b = build_ball(c5_z2, 1)
     x = subdivision(b)
     x.squares[5] = x.squares[4]
     r = hyperplane_treewall_audit(b)
     assert [(f.check_id, f.instance) for f in r.failures] == [
         ("walls.hyperplane-side-is-wall", "classes")]
-    assert r.failures[0].witness["error"] == "square is missing one of its sides"
     s = subdivide(b).squares[0]
-    assert r.failures[0].witness["at"] == [s.name(), s.corners[1].key_string(),
-                                           s.corners[2].key_string()]
+    assert r.failures[0].witness == {"error": "a 2-cell meets its corner in other than two sides",
+                                     "at": [s.name(), s.corners[2].key_string(), 1]}
+    _scan_passes(monkeypatch)
+    r = hyperplane_treewall_audit(b)
+    assert [f.check_id for f in r.failures] == ["walls.hyperplane-side-is-wall"]
+    assert r.failures[0].witness == {"error": "a square meets a hyperplane in opposite sides",
+                                     "at": [s.name()]}
 
 
 # -- membership criteria ----------------------------------------------------------
