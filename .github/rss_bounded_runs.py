@@ -160,6 +160,15 @@ ROWS = [
      ["verify", "--suite", "algebraic", "--radius", "5", "--depth", "3", "--seed", "0",
       "--presentation", C6_MIXED], 0,
      "61ae1b14eb5659832f90f77695ba4efe5b4fe48a2371da01aac27ab3abf0a02a", 60, 153),
+    # the ball where the polygon-pair audit costs most: it reads the
+    # table's polygon columns and visits no pair of polygons (60.2-60.4 MB
+    # measured so, the X-edges' end codes held as a list); bounded at 1.2 x
+    # the 57.9 MB measured when it intersected every pair of polygons at
+    # each X-vertex (57.8-57.9 MB in four runs)
+    ("Radius-5 c6_mixed davis report is byte-identical",
+     ["verify", "--suite", "davis", "--radius", "5", "--depth", "3", "--seed", "0",
+      "--presentation", C6_MIXED], 0,
+     "07253ee49d9ab9063363888517e92d2ce0163b580999839807318a7e0ad998da", 60, 69),
 ]
 
 

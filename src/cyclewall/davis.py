@@ -83,9 +83,14 @@ square (``word#corner``).  The squares at an X-vertex are its polygons'
 corners there, and a square's two sides at it are the halves of its
 polygon's two sides; so the link of an X-vertex in X is its link in X',
 each half read as its X-edge, which is what ``links_audit`` reads.
-``polygon_pair_audit`` takes the polygons at each X-vertex from the squares
-at it and intersects their corner and side ids in the table's polygon
-records.
+``polygon_pair_audit`` visits no pair of polygons on a sound ball: it
+reads the table's polygon columns a fixed number of times, checking that
+each corner and side sits at its place and that no two polygons hold the
+same two corners at non-adjacent places, and no two X-edges the same ends;
+then two polygons meet in at most one edge, and the pairs sharing a vertex
+number Σ_v C(d_v, 2) - Σ_e C(d_e, 2) (the proof is in
+``polygon_pair_audit``).  Records are intersected only for the polygons
+whose columns break.
 """
 
 from __future__ import annotations
@@ -93,7 +98,10 @@ from __future__ import annotations
 import operator
 import os
 from array import array
+from bisect import bisect_left
+from collections import Counter
 from itertools import accumulate, chain, compress, count, cycle, islice, repeat
+from math import comb
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import ResourceLimitError, ValidationError
@@ -620,32 +628,84 @@ def t4_audit(b: ComplexBall) -> Report:
 
 
 def polygon_pair_audit(b: ComplexBall) -> Report:
-    """No two polygons share two edges or three vertices.  The polygons at
-    an X-vertex are those of the squares at it, and their corner and side
-    ids are read from the table's polygon records.  Each pair is counted
-    and checked once, at its least shared X-vertex: the vertices are walked
-    in id order, so that is where the pair is first met."""
+    """Two polygons meet in at most one edge: they share no corner, one
+    corner, or one side and its two ends, so never two sides or three
+    corners (Genevois-Martin).  It is decided from the table's polygon
+    columns, a fixed number of passes over them, by two facts:
+
+    (i) places: corner i of every polygon has index i, and side i has label
+        i and joins corners i-1 and i.  As the table lists vertices (edges)
+        by key, the ids of index (label) i are one run, so this reads: the
+        ids at place i lie in run i, each column's least and greatest id
+        read; and side i's ends, in id order, are corners i-1 and i (0 and
+        n-1 for side 0).
+    (ii) pairs: a pair of vertices (u, w) is read as its code u·V + w, V
+        the X-vertex count.  For each two non-adjacent places i < j, the
+        codes of the polygons' corners at i and j are distinct, C(n, 2) - n
+        codes per polygon; and so are the X-edges' ends, whose codes
+        strictly increase along ``edge_order``, which lists every edge.
+
+    **The proof.**  Runs of distinct indices are disjoint, so by (i) a
+    vertex sits at one place: a corner two polygons share is at the same
+    place in both, and so is a side they share, with its two ends.  By (ii)
+    no two corners they share are at non-adjacent places, and three places
+    pairwise adjacent on an n-cycle, n >= 5, do not exist: they share at
+    most two corners, at places i-1 and i.  Those are the ends of side i
+    in both, and by (ii) one X-edge has them, so the two share exactly that
+    side; two shared sides would give three shared corners.  So
+    ``pairs=``, the number of pairs of polygons sharing a corner, is
+    Σ_v C(d_v, 2) - Σ_e C(d_e, 2), with d_v the polygons at vertex v and
+    d_e those on edge e: Σ_v counts a pair once per shared corner, and the
+    pairs sharing two are the pairs on one edge.  A vertex (an edge) sits at
+    one place, so d_v and d_e are counted column by column.
+
+    Where (i) or (ii) fails, the row fails, and only then are records
+    intersected.  The witness is each pair of a failing polygon and one at
+    a corner of it that meets it otherwise than in one corner or one side
+    and its ends, as (name, name, shared sides, shared corners) in polygon
+    order; or, with no such pair, the failing polygons' names."""
     report = Report()
-    x = subdivision(b)
-    t = x.table
-    n = t.presentation.n
-    pairs = 0
-    bad = []
-    for v in range(len(t.vertices) // 2):
-        polys = [q // n for q, _ in x.squares_at(v)]   # in polygon order
-        corners = {g: set(t.corners(g)) for g in polys}
-        for idx, g in enumerate(polys):
-            for h in polys[idx + 1:]:
-                shared_v = corners[g] & corners[h]
-                if v not in shared_v or min(shared_v) != v:   # not in: a broken X'
-                    continue
-                pairs += 1
-                shared_e = set(t.sides(g)) & set(t.sides(h))
-                if len(shared_e) >= 2 or len(shared_v) >= 3:
-                    bad.append((format_word(t.reps[g]), format_word(t.reps[h]),
-                                len(shared_e), len(shared_v)))
-    report.add("davis.polygon-pairs", f"radius={b.radius} pairs={pairs}",
-               not bad, witness=bad or None)
+    t = b.table
+    n, nk, nv, ne = b.n, len(t.reps), len(t.vertices) // 2, len(t.edges) // 4
+    cols = [t.polygons[i::2 * n] for i in range(2 * n)]   # corner i at i, side i at n + i
+    # by place, the pairs of polygons sharing their corner (their side) there
+    shared = [sum(map(comb, Counter(c).values(), repeat(2))) for c in cols]
+    pairs = sum(shared[:n]) - sum(shared[n:])
+    ends = list(map(operator.add, map(operator.mul, t.edges[2::4], repeat(nv)), t.edges[3::4]))
+    order = t.edge_order
+    clash = {order[p + d] for d in (0, 1) for p in compress(count(), map(operator.ge, map(
+        ends.__getitem__, order), map(ends.__getitem__, islice(order, 1, None))))}
+    # the polygons breaking (i) or (ii); an edge order that leaves an edge
+    # out leaves (ii) unread for all of them
+    broken = set() if len(order) == ne else set(range(nk))
+    for i in range(n):
+        for col, keys in ((cols[i], t.vertices[::2]), (cols[n + i], t.edges[::4])):
+            run = range(bisect_left(keys, i), bisect_left(keys, i + 1))
+            if min(col) not in run or max(col) not in run:
+                broken.update(compress(count(), map(operator.not_, map(run.__contains__, col))))
+        if clash:
+            broken.update(compress(count(), map(clash.__contains__, cols[n + i])))
+        high = list(map(operator.mul, cols[i], repeat(nv)))
+        for j in range(i + 1, n):
+            codes = map(operator.add, high, cols[j])   # of the corners at places i and j
+            if j - i in (1, n - 1):   # the ends of side j, or of side 0
+                got = map(ends.__getitem__, cols[n + j if j - i == 1 else n])
+                broken.update(compress(count(), map(operator.ne, got, codes)))
+            elif len(set(codes)) < nk:   # the polygons whose code another holds
+                held = Counter(map(operator.add, high, cols[j]))
+                broken.update(k for k, u in enumerate(map(operator.add, high, cols[j]))
+                              if held[u] > 1)
+    bad = None
+    if broken:
+        x = subdivision(b)
+        near = sorted({(min(g, h), max(g, h)) for g in broken for v in t.corners(g)
+                       for h in (q // n for q, _ in x.squares_at(v)) if h != g})
+        meet = [(g, h, len({*t.sides(g)} & {*t.sides(h)}), len({*t.corners(g)} & {*t.corners(h)}))
+                for g, h in near]
+        bad = ([(format_word(t.reps[g]), format_word(t.reps[h]), e, v)
+                for g, h, e, v in meet if (e, v) not in ((0, 1), (1, 2))]
+               or [format_word(t.reps[g]) for g in sorted(broken)])
+    report.add("davis.polygon-pairs", f"radius={b.radius} pairs={pairs}", not bad, witness=bad)
     return report
 
 

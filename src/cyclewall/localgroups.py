@@ -13,7 +13,6 @@ otherwise.
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Optional
 
 from .errors import (
@@ -27,10 +26,11 @@ from .errors import (
 #: Brute-force automorphism search refuses groups above this order.
 DEFAULT_AUT_ORDER_CAP = 12
 
-#: Isomorphisms between two cyclic groups of order k are refused when k²,
-#: about the entries of their value tables (one per unit, k entries each),
-#: is above this: 65,536 entries keep k <= 256, so every entry is one of
-#: Python's cached small ints and the tables take at most half a megabyte.
+#: Isomorphisms from a group of order k with a one-element generating
+#: sequence are refused when k², about the entries of their value tables
+#: (at most k closures, k entries each), is above this: 65,536 entries keep
+#: k <= 256, so every entry is one of Python's cached small ints and the
+#: tables take at most half a megabyte.
 CYCLIC_AUT_ENTRY_CAP = 1 << 16
 
 IDENTITY = 0
@@ -309,13 +309,15 @@ def _generating_sequence(g: LocalGroupSpec) -> list[int]:
 def isomorphisms(src: LocalGroupSpec, dst: LocalGroupSpec) -> list[LocalIso]:
     """All isomorphisms src -> dst, in a deterministic order.
 
-    Two cyclic groups of one order k: x -> u·x mod k for the units u in
-    increasing order, the search's order, as their generating sequence is
-    (1,); refused when k² is above ``CYCLIC_AUT_ENTRY_CAP``.  Other finite
-    groups, up to order ``DEFAULT_AUT_ORDER_CAP``: every choice of
-    same-order images for a generating sequence, first generator slowest,
-    kept when it closes to a bijective homomorphism.  Z -> Z gives the two
-    signs.
+    Finite groups: every choice of same-order images for src's generating
+    sequence, first generator slowest, kept when it closes to a bijective
+    homomorphism.  A source of order k whose generating sequence is one
+    element, a cyclic group given as such or by its table, makes at most
+    k closures, so it is refused only when k² is above
+    ``CYCLIC_AUT_ENTRY_CAP``; between two cyclic groups the isomorphisms
+    are x -> u·x mod k for the units u, in increasing order.  Any other
+    source is refused above order ``DEFAULT_AUT_ORDER_CAP``.  Z -> Z gives
+    the two signs.
     """
     if src.kind == "integers" and dst.kind == "integers":
         return [LocalIso(src, dst, sign=1), LocalIso(src, dst, sign=-1)]
@@ -324,14 +326,12 @@ def isomorphisms(src: LocalGroupSpec, dst: LocalGroupSpec) -> list[LocalIso]:
     if src.size != dst.size:
         return []
     k = src.size
-    if src.kind == dst.kind == "cyclic":
+    if len(src.generators) == 1:
         if k * k > CYCLIC_AUT_ENTRY_CAP:
             raise EnumerationCapError(
                 f"automorphisms of a cyclic group capped at {CYCLIC_AUT_ENTRY_CAP} "
                 f"table entries, got order {k}")
-        return [LocalIso(src, dst, mapping=tuple(u * x % k for x in range(k)))
-                for u in range(1, k) if math.gcd(u, k) == 1]
-    if k > DEFAULT_AUT_ORDER_CAP:
+    elif k > DEFAULT_AUT_ORDER_CAP:
         raise EnumerationCapError(
             f"automorphism search capped at order {DEFAULT_AUT_ORDER_CAP}, "
             f"got {k}")

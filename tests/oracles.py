@@ -1295,6 +1295,37 @@ def polygon_pairs_by_objects(b: ComplexBall) -> tuple[int, list]:
     return len(seen), bad
 
 
+def polygon_pairs_by_search(b: ComplexBall) -> Report:
+    """``davis.polygon_pair_audit`` by intersecting the corner and side ids
+    of every pair of polygons at each X-vertex, the polygons there read
+    from the squares at it: no two polygons share two edges or three
+    vertices.  Each pair is counted and checked once, at its least shared
+    X-vertex: the vertices are walked in id order, so that is where the pair
+    is first met."""
+    report = Report()
+    x = subdivision(b)
+    t = x.table
+    n = t.presentation.n
+    pairs = 0
+    bad = []
+    for v in range(len(t.vertices) // 2):
+        polys = [q // n for q, _ in x.squares_at(v)]   # in polygon order
+        corners = {g: set(t.corners(g)) for g in polys}
+        for idx, g in enumerate(polys):
+            for h in polys[idx + 1:]:
+                shared_v = corners[g] & corners[h]
+                if v not in shared_v or min(shared_v) != v:   # not in: a broken X'
+                    continue
+                pairs += 1
+                shared_e = set(t.sides(g)) & set(t.sides(h))
+                if len(shared_e) >= 2 or len(shared_v) >= 3:
+                    bad.append((format_word(t.reps[g]), format_word(t.reps[h]),
+                                len(shared_e), len(shared_v)))
+    report.add("davis.polygon-pairs", f"radius={b.radius} pairs={pairs}",
+               not bad, witness=bad or None)
+    return report
+
+
 def wall_no_shared_polygon_by_pairs(b: ComplexBall, ws: list) -> Report:
     """``walls.wall_no_shared_polygon_audit`` on the walls ``ws`` of ``b``,
     by intersecting the polygons on every pair of edges of each wall

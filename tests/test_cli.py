@@ -425,9 +425,10 @@ _ERROR_CASES = {
     "non-integral-order": ([{"kind": "cyclic", "order": 2.5}] + ["Z/2"] * 4,
                            ["reduce", "v0:1"]),
     "infinite-group-in-verify": (["Z"] + ["Z/2"] * 4, ["verify"]),
-    "aut-group-above-cap": ([{"kind": "table", "table": [[(a + b) % 13 for b in range(13)]
-                                                         for a in range(13)]}] + ["Z/2"] * 4,
-                            ["aut", "witness"]),
+    # Z/2 x Z/8 as a table: two generators, so the search's order cap holds
+    "aut-group-above-cap": ([{"kind": "table", "table": [
+        [(a // 8 + b // 8) % 2 * 8 + (a + b) % 8 for b in range(16)] for a in range(16)]}]
+        + ["Z/2"] * 4, ["aut", "witness"]),
     "missing-images-file": (["Z/2"] * 5,
                             ["aut", "decompose", "--images", "absent.json"]),
     "broken-images-file": (["Z/2"] * 5,
@@ -452,6 +453,16 @@ _ERROR_CASES = {
 def test_aut_witness_on_a_z13_vertex_exits_0(tmp_path, capsys):
     """Aut(Z/13) is the units mod 13, with no search and no order cap."""
     path = write_presentation(tmp_path, 5, ["Z/13"] + ["Z/2"] * 4)
+    assert main(["aut", "--presentation", path, "witness"]) == EXIT_PASS
+    assert json.loads(capsys.readouterr().out)["degenerate"] is False
+
+
+def test_aut_witness_on_a_cyclic_table_next_to_z13_exits_0(tmp_path, capsys):
+    """Z/13 next to Z/13 given by its table: the table's generating
+    sequence is one element, so the isomorphisms between the two are found
+    by a search of at most 13 closures, with no order cap."""
+    table = {"kind": "table", "table": [[(a + b) % 13 for b in range(13)] for a in range(13)]}
+    path = write_presentation(tmp_path, 5, ["Z/13", table, "Z/2", "Z/2", "Z/2"])
     assert main(["aut", "--presentation", path, "witness"]) == EXIT_PASS
     assert json.loads(capsys.readouterr().out)["degenerate"] is False
 

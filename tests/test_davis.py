@@ -65,6 +65,7 @@ from oracles import (
     object_ball,
     objects,
     polygon_pairs_by_objects,
+    polygon_pairs_by_search,
     polygons_at,
     polygons_containing_edge,
     square_link,
@@ -624,11 +625,33 @@ def test_x_link_is_the_square_link_at_an_x_vertex(name, radius):
 @pytest.mark.parametrize("name,radius", LINK_CASES)
 def test_polygon_pair_audit_matches_the_object_oracle(name, radius):
     """The pair count and witness read from the table's polygon records are
-    the object oracle's."""
+    the object oracle's, and so are those of the pairwise search."""
     b = build_ball(perfbench_presentation(name), radius)
     pairs, bad = polygon_pairs_by_objects(b)
     [result] = polygon_pair_audit(b).results
     assert (result.instance, result.witness, bad) == (f"radius={radius} pairs={pairs}", None, [])
+    [searched] = polygon_pairs_by_search(b).results
+    assert (searched.instance, searched.witness) == (result.instance, None)
+
+
+@pytest.mark.parametrize("name,radius", LINK_CASES + [("c5_s3", 3), ("c6_mixed", 3)])
+def test_polygon_pair_audit_row_is_the_pairwise_search_s(name, radius):
+    """On sound balls the row read from the polygon columns is the one the
+    search over every pair of polygons at each X-vertex writes."""
+    b = build_ball(perfbench_presentation(name), radius)
+    assert polygon_pair_audit(b).results == polygon_pairs_by_search(b).results
+
+
+@pytest.mark.parametrize("name,radius", [(name, r) for name in SIX for r in range(4)])
+def test_edge_ends_strictly_increase_along_the_edge_order(name, radius):
+    """``edge_order`` lists every X-edge once, and the codes a·V + c of
+    their ends (a, c) strictly increase along it: no two X-edges have the
+    same ends, which ``polygon_pair_audit``'s proof reads."""
+    t = ball_table(perfbench_presentation(name), radius)
+    nv = len(t.vertices) // 2
+    codes = [nv * a + c for a, c in map(t.ends, t.edge_order)]
+    assert sorted(t.edge_order) == list(range(len(t.edges) // 4))
+    assert all(a < c for a, c in zip(codes, codes[1:]))
 
 
 # the first square at the first interior X-vertex v, with its first side at
@@ -724,36 +747,51 @@ def test_free_face_audit_fails_on_an_edge_in_one_square(c5_mixed):
     assert failure.witness == [sorted(subdivide(b).interior_edges)[0].key_string()]
 
 
+def polygons_at_first_inner_vertex(t):
+    """The ids of the polygons at the first interior X-vertex of table t, in
+    polygon order, with their records (corner ids, then side ids)."""
+    n = t.presentation.n
+    v = next(v for v, k in enumerate(t.vertices[1::2]) if len(t.reps[k].word) + 2 <= t.radius)
+    records = [t.polygons[2 * n * k:2 * n * (k + 1)] for k in range(len(t.reps))]
+    return [k for k, c in enumerate(records) if v in c[:n]], records
+
+
+def share_more(t, at):
+    """At the first interior X-vertex of table t, the first polygon and the
+    first one sharing one side with it: a side (at = n) or a corner (at = 0)
+    of the second that the first lacks becomes one of the first's, in
+    place.  Returns the two polygon ids."""
+    n = t.presentation.n
+    polys, record = polygons_at_first_inner_vertex(t)
+    first = polys[0]
+    second = next(h for h in polys if len(set(record[first][n:]) & set(record[h][n:])) == 1)
+    mine, theirs = record[second][at:at + n], record[first][at:at + n]
+    slot = 2 * n * second + at + next(j for j, c in enumerate(mine) if c not in theirs)
+    t.polygons[slot] = next(c for c in theirs if c not in mine)
+    return first, second
+
+
 @pytest.mark.parametrize("extra", ["edge", "vertex"])
 def test_polygon_pair_audit_fails_on_a_pair_sharing_too_much(c5_mixed, extra, monkeypatch):
     """Two polygons sharing two edges, or three vertices, are reported, as
-    the object oracle reports them.  At the first interior X-vertex, the
-    first polygon and the first one sharing one edge with it; a side (or a
-    corner) of the second that the first lacks becomes one of the first's,
-    in the table the ball is built from."""
-    n = c5_mixed.n
+    the object oracle and the pairwise search report them.  At the first
+    interior X-vertex, the first polygon and the first one sharing one edge
+    with it; a side (or a corner) of the second that the first lacks
+    becomes one of the first's, in the table the ball is built from."""
     t = ball_table(c5_mixed, 2)
-
-    def record(k):
-        return t.polygons[2 * n * k:2 * n * (k + 1)]
-
-    v = next(v for v, k in enumerate(t.vertices[1::2]) if len(t.reps[k].word) + 2 <= t.radius)
-    polys = [k for k in range(len(t.reps)) if v in record(k)[:n]]
-    first = polys[0]
-    second = next(h for h in polys if len(set(record(first)[n:]) & set(record(h)[n:])) == 1)
-    at = n if extra == "edge" else 0   # the sides, or the corners
-    mine, theirs = record(second)[at:at + n], record(first)[at:at + n]
-    slot = 2 * n * second + at + next(j for j, c in enumerate(mine) if c not in theirs)
-    t.polygons[slot] = next(c for c in theirs if c not in mine)
+    first, second = share_more(t, c5_mixed.n if extra == "edge" else 0)
     monkeypatch.setattr(davis, "ball_table", lambda p, r: t)
     b = build_ball(c5_mixed, 2)
     names = format_word(t.reps[first]), format_word(t.reps[second])
     want = (*names, 2, 2) if extra == "edge" else (*names, 1, 3)
     [failure] = polygon_pair_audit(b).failures
     assert failure.check_id == "davis.polygon-pairs"
-    assert failure.witness == [want]
+    # the second's record breaks its places, and the pair comes first of
+    # those it meets otherwise than in a corner or a side
+    assert failure.witness[0] == want
     pairs, bad = polygon_pairs_by_objects(b)
-    assert bad == [want] and failure.instance == f"radius=2 pairs={pairs}"
+    [searched] = polygon_pairs_by_search(b).failures
+    assert bad == searched.witness == [want] and searched.instance == f"radius=2 pairs={pairs}"
 
 
 # a table record is n corner ids wide, so no corner can be dropped from it
@@ -960,6 +998,109 @@ def test_verify_fails_on_a_link_missing_one_square(monkeypatch, capsys):
     rc, failed = verify_davis(monkeypatch, capsys, "c5_mixed", _subdivision=cut)
     assert rc == EXIT_FAIL
     assert failed == [("davis.t4.link-girth", [seen["key"]])]
+
+
+def broken_record(t, mutant):
+    """Table t of c5_mixed at radius 2 with one polygon record broken, in
+    place, by ``mutant``:
+
+    * ``two-sides``: two records share two sides (``share_more``);
+    * ``corner-swapped``: at the first interior X-vertex, place p, the
+      first polygon A and the first B sharing that one corner and no side
+      with it exchange their corner ids at place p + 2;
+    * ``corner-copied``: as ``corner-swapped``, but B's corner id is written
+      over A's, so A and B share two corners at non-adjacent places and no
+      side;
+    * ``corner-twice``: the first polygon's last corner id is made its
+      first."""
+    n = t.presentation.n
+    if mutant == "two-sides":
+        share_more(t, n)
+        return
+    polys, record = polygons_at_first_inner_vertex(t)
+    a = polys[0]
+    if mutant == "corner-twice":
+        t.polygons[2 * n * a + n - 1] = t.polygons[2 * n * a]
+        return
+    b = next(h for h in polys if len(set(record[a][:n]) & set(record[h][:n])) == 1
+             and not set(record[a][n:]) & set(record[h][n:]))
+    p = next(i for i in range(n) if record[a][i] == record[b][i])
+    q = (p + 2) % n
+    x, y = 2 * n * a + q, 2 * n * b + q
+    t.polygons[x], t.polygons[y] = t.polygons[y], (
+        t.polygons[x] if mutant == "corner-swapped" else t.polygons[y])
+
+
+@pytest.mark.parametrize("mutant", ["two-sides", "corner-swapped", "corner-copied", "corner-twice"])
+def test_verify_fails_on_a_broken_polygon_record(monkeypatch, capsys, mutant):
+    """Each broken record fails the polygon-pairs row of ``verify --suite
+    davis``, which exits 1, with witness pairs met otherwise than in one
+    corner or one side.  The copied corner makes a pair sharing two
+    corners and no side, which the pairwise search, counting only two
+    sides or three corners, passes."""
+    t = ball_table(load_presentation(str(PRESENTATIONS / "c5_mixed.json")), 2)
+    broken_record(t, mutant)
+    rc, failed = verify_davis(monkeypatch, capsys, "c5_mixed", ball_table=lambda p, r: t)
+    assert rc == EXIT_FAIL
+    [witness] = [w for check, w in failed if check == "davis.polygon-pairs"]
+    assert witness and all(isinstance(w, list) and len(w) == 4
+                           and (w[2], w[3]) not in ((0, 1), (1, 2)) for w in witness)
+    if mutant == "corner-copied":
+        assert polygon_pairs_by_search(build_ball(t.presentation, 2)).ok
+
+
+def break_column(t, mutant):
+    """Table t with one column the polygon-pair audit reads broken, in place,
+    and no other: the vertex table reading the last vertex of index 0 as
+    of index 1 (``vertex-index``), the edge table reading the last edge of
+    label 0 as of label 1 (``edge-label``), both columns still sorted; the
+    first polygon at the first interior X-vertex given the record of the
+    last there (``record-twice``); ``edge_order`` with its first two
+    entries exchanged (``edge-order``) or its last left out
+    (``edge-order-short``).  Returns the polygons the audit must name."""
+    n, nk = t.presentation.n, len(t.reps)
+    records = [t.polygons[2 * n * k:2 * n * (k + 1)] for k in range(nk)]
+    if mutant == "vertex-index":
+        v = t.vertices[::2].index(1) - 1
+        t.vertices[2 * v] = 1
+        return [k for k in range(nk) if records[k][0] == v]
+    if mutant == "edge-label":
+        e = t.edges[::4].index(1) - 1
+        t.edges[4 * e] = 1
+        return [k for k in range(nk) if records[k][n] == e]
+    if mutant == "record-twice":
+        polys, _ = polygons_at_first_inner_vertex(t)
+        t.polygons[2 * n * polys[0]:2 * n * (polys[0] + 1)] = records[polys[-1]]
+        return [polys[0], polys[-1]]
+    if mutant == "edge-order":
+        t.edge_order[0], t.edge_order[1] = t.edge_order[1], t.edge_order[0]
+        return sorted(k for k in range(nk) if {*t.edge_order[:2]} & {*records[k][n:]})
+    t.edge_order.pop()
+    return list(range(nk))
+
+
+@pytest.mark.parametrize("mutant", ["vertex-index", "edge-label", "record-twice", "edge-order",
+                                    "edge-order-short"])
+def test_polygon_pair_audit_fails_on_each_column_it_reads(c5_mixed, mutant, monkeypatch):
+    """Each fact the audit's proof reads fails the row on its own: a corner
+    or side outside its place's run, two records holding the same corners
+    at non-adjacent places, an edge order not strictly increasing in the
+    ends' codes or not listing every edge.  The witness is the records'
+    pairs met otherwise than in a corner or a side (the repeated record and
+    its source share all 5 sides and corners), or else the polygons named.
+    The pairwise search, which reads only the records' intersections,
+    passes all but the repeated record."""
+    t = ball_table(c5_mixed, 2)
+    named = [format_word(t.reps[k]) for k in break_column(t, mutant)]
+    monkeypatch.setattr(davis, "ball_table", lambda p, r: t)
+    b = build_ball(c5_mixed, 2)
+    [failure] = polygon_pair_audit(b).failures
+    assert failure.check_id == "davis.polygon-pairs"
+    if mutant == "record-twice":
+        assert failure.witness == [(*named, 5, 5)]
+    else:
+        assert failure.witness == named
+    assert polygon_pairs_by_search(b).ok == (mutant != "record-twice")
 
 
 def test_t4_audit_passes(c5_mixed, c6_z2):

@@ -189,11 +189,21 @@ def test_cyclic_isomorphisms_refuse_above_the_entry_cap(k):
 
 
 def test_table_groups_keep_the_search_cap():
+    """A table group whose generating sequence has two elements is refused
+    above the search's order cap; a cyclic table, with one, is searched,
+    from either side, and gets the units in the search's order."""
+    z2z8 = table_group([[(a // 8 + b // 8) % 2 * 8 + (a + b) % 8 for b in range(16)]
+                        for a in range(16)])
+    assert len(z2z8.generators) == 2
+    with pytest.raises(EnumerationCapError, match="capped at order 12, got 16"):
+        isomorphisms(z2z8, z2z8)
     t13 = table_group([[(a + b) % 13 for b in range(13)] for a in range(13)])
-    with pytest.raises(EnumerationCapError, match="capped at order 12, got 13"):
-        isomorphisms(t13, t13)
-    with pytest.raises(EnumerationCapError, match="capped at order 12, got 13"):
-        isomorphisms(cyclic_group(13), t13)
+    c13 = cyclic_group(13)
+    assert t13.generators == (1,)
+    for src, dst in ((t13, t13), (c13, t13), (t13, c13)):
+        found = isomorphisms(src, dst)
+        assert found == isomorphisms_by_search(src, dst)
+        assert [f.mapping[1] for f in found] == list(range(1, 13))
 
 
 def test_generating_sequence_of_cyclic_groups_is_one():
