@@ -27,6 +27,7 @@ from .algebraic import MAXIMAL, window_of
 from .davis import act_vertex
 from .errors import DecompositionError, InvariantError, ValidationError
 from .localgroups import (
+    IDENTITY,
     Frozen,
     LocalIso,
     determining_set,
@@ -40,7 +41,6 @@ from .words import (
     Presentation,
     Syllable,
     canonical,
-    conjugates,
     coset_rep,
     enumerate_ball_elements,
     format_word,
@@ -275,10 +275,6 @@ class AutElement(Frozen):
         return self.inner.is_identity and self.local.is_identity
 
 
-def inner_aut(g: GroupElement) -> AutElement:
-    return AutElement(g, identity_local_aut(g.presentation))
-
-
 def local_aut(lam: LocalAut) -> AutElement:
     return AutElement(identity(lam.presentation), lam)
 
@@ -338,11 +334,12 @@ def loc_stabilizes_P_audit(p: Presentation, sample: Sequence[LocalAut],
 
     rng = random.Random(seed)
     ball = [g for g in enumerate_ball_elements(p, 2) if not g.is_identity]
+    ident = identity_local_aut(p)
     moved_count = 0
     fixed = []
     for _ in range(min(30, len(ball))):
         g = rng.choice(ball)
-        a = inner_aut(g)
+        a = AutElement(g, ident)
         image = {aut_act_vertex(a, v) for v in corners}
         if image != corners:
             moved_count += 1
@@ -363,13 +360,29 @@ def generator_values(p: Presentation, i: int) -> range:
 
 def generator_images(a: AutElement) -> list[list[GroupElement]]:
     """a(x) = inner·local(x)·inner^-1 for every generator x.  The local part sends the
-    generators of vertex i to syllables at sigma(i), as an isomorphism
-    sends no non-identity value to the identity, and ``conjugates`` writes
-    out their conjugates by a's inner part, splitting it once per vertex."""
-    p, lam = a.presentation, a.local
-    return [conjugates(a.inner, lam.sigma(i),
-                       map(lam.isos[i].apply, generator_values(p, i)))
-            for i in range(p.n)]
+    generators of vertex i to syllables at j = sigma(i), as an isomorphism
+    sends no non-identity value to the identity.  Each row is written out
+    without multiplying words: with ``(u, t) = star_split(inner, j)``, the
+    canonical word of inner·(j, y)·inner^-1 is u's word, the syllable
+    (j, t·y·t^-1), then u^-1's word (Green's normal form; see
+    :func:`aut_decompose`).  Each distinct strip u is inverted once."""
+    p, lam, g = a.presentation, a.local, a.inner
+    tails = {}   # strip word -> the word of its inverse
+    rows = []
+    for i in range(p.n):
+        j = lam.sigma(i)
+        u, t = star_split(g, j)
+        head = u.word
+        tail = tails.get(head)
+        if tail is None:
+            tail = tails[head] = inv(u).word
+        values = map(lam.isos[i].apply, generator_values(p, i))
+        if t != IDENTITY:
+            G = p.groups[j]
+            ti = G.inv(t)
+            values = [G.mul(G.mul(t, y), ti) for y in values]
+        rows.append([GroupElement(p, (*head, Syllable(j, y), *tail)) for y in values])
+    return rows
 
 
 def coset_intersection(c1: GroupElement, S1: frozenset[int],
@@ -395,10 +408,8 @@ def aut_decompose(p: Presentation, images: Sequence[Sequence[GroupElement]]) -> 
 
     Each image must be conjugate to a single syllable; the syllable vertices
     determine the symmetry, the conjugators constrain g to one coset of a
-    three-vertex parabolic per vertex, and intersecting those cosets pins g
-    down uniquely, as the maximal windows of all n >= 5 base vertices have no
-    vertex in common.  The result is verified against all images before
-    return (see the last paragraph).
+    three-vertex parabolic per vertex, and those cosets meet in g alone,
+    the longest conjugator (see below), or nowhere.
 
     The images are read through one lemma (Green's normal form, *Graph
     products of groups*, 1990).  Let s = (v, y) be a syllable and g an
@@ -433,29 +444,34 @@ def aut_decompose(p: Presentation, images: Sequence[Sequence[GroupElement]]) -> 
     image is cyclically reduced, and a core at v off the template means m
     is no syllable.
 
-    The cosets are intersected in vertex order until the intersected window
-    S is empty (after four of them, as sigma maps consecutive vertices to
-    consecutive ones); from then on the coset g<G_S> is {g}, and each later
-    constraint i is the test ``star_split(g, sigma(i))[0] == c_i``.  It is
-    exact: with S empty, ``coset_intersection`` finds a hit iff the minimal
-    rep of g^-1·c_i modulo star(sigma(i)) is the identity, that is iff g
-    lies in c_i<G_star(sigma(i))>, that is iff g and c_i have one minimal
-    rep modulo that star, which is c_i itself (see above); and it then
-    returns g itself with S still empty.  So the same constraint fails
-    first, with the same error and witness, and the splits are kept for
-    the isomorphisms.
+    The conjugators pin the inner part g outright.  A reduced word has at
+    most two maximal syllables, of adjacent vertices M within {k, k+1}, and
+    ``coset_rep(g, S)`` is g itself iff no maximal syllable of g has its
+    vertex in S.  If the constraints are consistent, each c_i is
+    ``coset_rep(g, star(sigma(i)))``.  At most four stars {j-1, j, j+1}
+    meet M (j = k-1 ... k+2), so for n >= 5 some sigma(i) has c_i = g, and
+    every other c_i, a proper strip of g, is shorter: g is the first
+    longest conjugator.  That choice is tested by one ``star_split`` per
+    vertex: if ``star_split(g, sigma(i))``'s part is c_i at every i, g lies
+    in every coset c_i<G_star(sigma(i))>, as c_i is minimal there, and the
+    cosets meet in one element at most, as the stars of all n >= 5 base
+    vertices have no vertex in common.  If one vertex disagrees, the
+    constraints are inconsistent, and only then are the cosets intersected
+    in vertex order (``coset_intersection``), to name the first vertex
+    that fails, with its conjugator as the witness; were none to fail,
+    their common element would be g, so that raises ``InvariantError``.
 
     Once g is pinned, it lies in c_i<G_star(j)> with j = sigma(i), so
     w = c_i^-1·g is t_w times an element of the free product of G_{j-1}
     and G_{j+1}, with t_w the value that ``star_split(g, j)`` strips, and
     g^-1·h·g = w^-1·m·w is the syllable (j, t_w^-1·m·t_w), computed in G_j.
+    By the lemma again, the result's image of that generator is the word
+    of u_j = ``star_split(g, j)``'s part, the syllable (j, t_w·(t_w^-1·m·
+    t_w)·t_w^-1) = m, then u_j^-1's word; h is c_i's word, m, then c_i^-1's.
+    As u_j = c_i at every vertex, the result's images are the given ones.
 
-    By the lemma again, the result's image of that generator is the word of
-    u_j = ``star_split(g, j)``'s part, the syllable (j, t_w·(t_w^-1·m·t_w)·
-    t_w^-1) = m, then u_j^-1's word; h is c_i's word, m, then c_i^-1's.  So
-    the result's images are the given ones exactly when u_j = c_i for every
-    i, and only when one differs are its ``generator_images`` compared with
-    the images, to name the first that disagrees.
+    A conjugator met at an earlier vertex is passed to ``split_conjugate``
+    with its inverse, so each distinct conjugator is inverted once.
     """
     p.require_finite()
     n = p.n
@@ -465,6 +481,7 @@ def aut_decompose(p: Presentation, images: Sequence[Sequence[GroupElement]]) -> 
     target = [None] * n
     conjugators = [None] * n
     middles = []   # middles[i][k]: images[i][k]'s middle syllable around conjugators[i], or None
+    pairs = {}     # conjugator word -> (c, c^-1), for the conjugators read so far
     for i in range(n):
         gens = generator_values(p, i)
         if len(images[i]) != len(gens):
@@ -473,7 +490,7 @@ def aut_decompose(p: Presentation, images: Sequence[Sequence[GroupElement]]) -> 
         pair = None   # (c_i, c_i^-1), once the first image is split
         row = []
         for x, h in zip(gens, images[i]):
-            split = split_conjugate(h, pair)
+            split = split_conjugate(h, pair or pairs.get(h.word[:len(h.word) // 2]))
             if split is None:
                 raise DecompositionError(
                     f"image of generator {x} at vertex {i} is not conjugate "
@@ -482,6 +499,7 @@ def aut_decompose(p: Presentation, images: Sequence[Sequence[GroupElement]]) -> 
             vertex = core.word[0].vertex
             if pair is None:
                 target[i], pair = vertex, (c, ci)
+                pairs[c.word] = pair
             elif target[i] != vertex:
                 raise DecompositionError(
                     f"vertex {i}: generator images land in different vertex "
@@ -497,31 +515,26 @@ def aut_decompose(p: Presentation, images: Sequence[Sequence[GroupElement]]) -> 
             f"the induced vertex map is not an admissible cycle symmetry: {exc}",
             list(target)) from None
 
-    # g lies in conj_i * <maximal window around sigma(i)> for every i; intersect
-    # until g is pinned, then test membership
-    windows = [window_of(n, MAXIMAL, sigma(i)) for i in range(n)]
-    splits = [None] * n   # star_split(g, sigma(i)), for the i tested once g is pinned
-    g, S = conjugators[0], windows[0]
-    for i in range(1, n):
-        if S:
+    # the first longest conjugator is the inner part, if any element is
+    g = max(conjugators, key=lambda c: len(c.word))
+    splits = [star_split(g, j) for j in sigma.perm]
+    if any(u.word != c.word for (u, _), c in zip(splits, conjugators)):
+        windows = [window_of(n, MAXIMAL, j) for j in sigma.perm]
+        g, S = conjugators[0], windows[0]
+        for i in range(1, n):
             hit = coset_intersection(conjugators[i], windows[i], g, S)
-            if hit is not None:
-                g, S = hit
-        else:
-            splits[i] = star_split(g, sigma(i))
-            hit = splits[i][0].word == conjugators[i].word
-        if not hit:
-            raise DecompositionError(
-                "conjugator constraints are inconsistent: no single inner "
-                "element matches all vertices", format_word(conjugators[i]))
+            if hit is None:
+                raise DecompositionError(
+                    "conjugator constraints are inconsistent: no single inner "
+                    "element matches all vertices", format_word(conjugators[i]))
+            g, S = hit
+        raise InvariantError("the conjugators' cosets meet off their longest conjugator",
+                             format_word(g))
 
     isos = []
-    agrees = True   # whether every u_j read so far is c_i
-    for i in range(n):
+    for i, (_, tw) in enumerate(splits):
         j = sigma(i)
         src, dst = p.group(i), p.group(j)
-        u, tw = splits[i] or star_split(g, j)
-        agrees = agrees and u.word == conjugators[i].word
         twi = dst.inv(tw)
         mapping = [0] * src.size
         for x, h, m in zip(generator_values(p, i), images[i], middles[i]):
@@ -537,18 +550,7 @@ def aut_decompose(p: Presentation, images: Sequence[Sequence[GroupElement]]) -> 
             raise DecompositionError(
                 f"vertex {i}: generator images do not define an isomorphism: "
                 f"{exc}", mapping) from None
-
-    a = AutElement(g, LocalAut(sigma, tuple(isos)))
-    if agrees:
-        return a
-    for i, row in enumerate(generator_images(a)):
-        for x, h, got in zip(generator_values(p, i), images[i], row):
-            if got != h:
-                raise DecompositionError(
-                    f"reconstructed automorphism disagrees with the image of "
-                    f"generator {x} at vertex {i}",
-                    {"expected": format_word(h), "got": format_word(got)})
-    return a
+    return AutElement(g, LocalAut._checked(sigma, tuple(isos)))
 
 
 # -- the determining-set witness ------------------------------------------------------

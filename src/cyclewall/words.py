@@ -35,9 +35,9 @@ is interned, so ``parse_word`` pushes interned syllables unchecked.
 ``mul`` takes any number of factors and pushes them
 all onto one word, so a conjugate ``w * h * w^-1`` is one product; a
 conjugate of one syllable is written out from w's minimal coset rep
-instead (``conjugates``), and ``split_conjugate`` reads it back.  Each
-element of a ball is made once, from its canonical word's prefix, the
-element one syllable shorter (``enumerate_ball_elements``).
+instead (``autgroup.generator_images``), and ``split_conjugate`` reads it
+back.  Each element of a ball is made once, from its canonical word's
+prefix, the element one syllable shorter (``enumerate_ball_elements``).
 
 Each presentation also keeps a private memo of the finite syllables met so
 far, ``_interned``: a canonical token such as ``v3:2`` maps to its
@@ -47,12 +47,13 @@ starts empty and is filled only with syllables of finite vertex groups
 whose value lies in ``values[v]``, so it holds at most sum |G_v| tokens and
 as many syllables; a vertex group of order 10^12 costs nothing until its
 syllables are used. ``parse_word`` reads a text's syllables from the memo
-when it holds every token; if one misses, the text is parsed token by
-token instead, through the per-token parser, as ``inv`` falls through to
-``LocalGroupSpec.inv``: ``Z`` vertices, spellings such as ``v01:1`` and
-every ``ValidationError`` take that path. A second memo, ``_tokens``, maps
-each finite syllable that ``format_word`` has written to its token, under
-the same bound, so a word is written by one lookup per syllable.  A third,
+in one pass, which stops at the first token it misses; the text is then
+parsed token by token instead, through the per-token parser, as ``inv``
+falls through to ``LocalGroupSpec.inv``: ``Z`` vertices, spellings such as
+``v01:1`` and every ``ValidationError`` take that path. A second memo,
+``_tokens``, maps each finite syllable that ``format_word`` has written to
+its token, under the same bound, so a word is written by one pass of
+lookups, and syllable by syllable only when one misses.  A third,
 ``_products``, maps each pair of same-vertex finite syllables that the push
 loop has merged to their product syllable, or to None when they cancel, so
 a merge is one lookup, with no ``LocalGroupSpec.mul`` call and no new
@@ -469,22 +470,6 @@ def star_split(g: GroupElement, v: int) -> tuple[GroupElement, int]:
     return GroupElement(p, tuple(word)), t
 
 
-def conjugates(g: GroupElement, v: int, values: Iterable[int]) -> list[GroupElement]:
-    """``g·(v, y)·g^-1`` for each non-identity value y of G_v, written out
-    without multiplying words: with ``(u, t) = star_split(g, v)``, the
-    canonical word of g·(v, y)·g^-1 is u's word, the syllable (v, t·y·t^-1),
-    then u^-1's word (Green's normal form; ``autgroup.aut_decompose`` gives
-    the proof)."""
-    p = g.presentation
-    u, t = star_split(g, v)
-    head, tail = u.word, inv(u).word
-    if t != IDENTITY:
-        G = p.groups[v]
-        ti = G.inv(t)
-        values = [G.mul(G.mul(t, y), ti) for y in values]
-    return [GroupElement(p, (*head, Syllable(v, y), *tail)) for y in values]
-
-
 # -- the ends of a word and cyclic reduction -----------------------------------
 
 
@@ -590,9 +575,10 @@ def split_conjugate(h: GroupElement,
     """``(core, conj, conj^-1)`` when h's word is a word u, one syllable s,
     then u^-1's word, with u its first half; None otherwise.
 
-    Every conjugate of a syllable has this shape (``conjugates``), so None
-    means h is not conjugate to a syllable, and on it ``cyclic_reduce(h)``
-    is ``(s, u)``, read here without reducing.  The first half of a
+    Every conjugate of a syllable has this shape (Green's normal form; the
+    proof is in ``autgroup.aut_decompose``), so None means h is not
+    conjugate to a syllable, and on it ``cyclic_reduce(h)`` is ``(s, u)``,
+    read here without reducing.  The first half of a
     canonical word is canonical, as a prefix of a least linear extension
     is the least one of what it holds.  Every syllable of u is below s in
     the dependence order: if one were not, a maximal syllable of u would
@@ -693,15 +679,17 @@ def _syllables_of_tokens(p: Presentation, tokens: list[str]) -> Iterator[Syllabl
 def parse_word(p: Presentation, text: str) -> GroupElement:
     """Parse ``v3:2 v1:1`` into a canonical element.
 
-    When the memo holds every token, its syllables, checked when they were
-    interned, are pushed as they are, identity syllables left out;
-    otherwise the tokens are parsed lazily through ``reduce_word``, so the
+    The tokens are read from the memo in one pass; when it holds every
+    token, its syllables, checked when they were interned, are pushed as
+    they are, identity syllables left out.  At the first token it misses,
+    the tokens are parsed again lazily through ``reduce_word``, so the
     first bad token is the one reported."""
     tokens = text.split()
-    memo = p._interned
-    if all(map(memo.__contains__, tokens)):
-        return canonical(p, filter(_value, map(memo.__getitem__, tokens)))
-    return reduce_word(p, _syllables_of_tokens(p, tokens))
+    try:
+        syllables = list(map(p._interned.__getitem__, tokens))
+    except KeyError:
+        return reduce_word(p, _syllables_of_tokens(p, tokens))
+    return canonical(p, filter(_value, syllables))
 
 
 _value = itemgetter(1)   # a syllable's value, falsy exactly for the identity
@@ -718,6 +706,11 @@ def _token(p: Presentation, s: Syllable) -> str:
 
 
 def format_word(g: GroupElement) -> str:
+    """The word's tokens, read from the memo in one pass; at the first
+    syllable it misses, the word is written syllable by syllable."""
     p = g.presentation
     tokens = p._tokens
-    return " ".join([tokens.get(s) or _token(p, s) for s in g.word])
+    try:
+        return " ".join([*map(tokens.__getitem__, g.word)])
+    except KeyError:
+        return " ".join([tokens.get(s) or _token(p, s) for s in g.word])

@@ -5,6 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from cyclewall.autgroup import AutElement, identity_local_aut
 from cyclewall.localgroups import cyclic_group
 from cyclewall.words import Presentation
 
@@ -19,6 +20,12 @@ def classes_defined_in(module) -> set[str]:
     """The names of the classes ``module`` defines itself."""
     return {name for name, x in vars(module).items()
             if isinstance(x, type) and x.__module__ == module.__name__}
+
+
+def inner_aut(g):
+    """Conjugation by g: the automorphism with inner part g and the
+    identity local part."""
+    return AutElement(g, identity_local_aut(g.presentation))
 
 
 def presentation_c5_z2():

@@ -218,7 +218,10 @@ of splitting one image per vertex into its conjugator and core and reading
 the others through that conjugator, and computes each moved image as
 g^-1·h·g on the full words.  Its generator images, which it checks its
 result against, are products g·lam(x)·g^-1, instead of words written out
-from g's strip at each vertex.
+from g's strip at each vertex.  The row oracle (``conjugates``) writes out
+the conjugates of one vertex's syllables from g's strip there, inverting
+the strip on every call, instead of once per distinct strip as
+``autgroup.generator_images`` does.
 
 The ball-enumeration oracle is a breadth-first search: it multiplies every
 element of a level by every generator, keeps the products of the next
@@ -311,6 +314,7 @@ from cyclewall.words import (
     parabolic_member,
     parse_word,
     reduce_word,
+    star_split,
 )
 
 
@@ -2079,6 +2083,23 @@ def aut_apply(a: AutElement, x: GroupElement) -> GroupElement:
 def aut_inverse(a: AutElement) -> AutElement:
     lam = a.local.inverse()
     return AutElement(lam.apply(inv(a.inner)), lam)
+
+
+def conjugates(g: GroupElement, v: int, values) -> list[GroupElement]:
+    """``g·(v, y)·g^-1`` for each non-identity value y of G_v, written out
+    without multiplying words: with ``(u, t) = star_split(g, v)``, the
+    canonical word of g·(v, y)·g^-1 is u's word, the syllable (v, t·y·t^-1),
+    then u^-1's word (Green's normal form; ``autgroup.aut_decompose`` gives
+    the proof).  One row of ``autgroup.generator_images``, u inverted on
+    every call."""
+    p = g.presentation
+    u, t = star_split(g, v)
+    head, tail = u.word, inv(u).word
+    if t != IDENTITY:
+        G = p.groups[v]
+        ti = G.inv(t)
+        values = [G.mul(G.mul(t, y), ti) for y in values]
+    return [GroupElement(p, (*head, Syllable(v, y), *tail)) for y in values]
 
 
 def generator_images_by_products(a: AutElement) -> list[list[GroupElement]]:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from cyclewall import autgroup, cli
+from cyclewall import autgroup, cli, words
 from cyclewall.algebraic import MAXIMAL, MEDIUM, MINIMAL, window_of
 from cyclewall.autgroup import (
     AutElement,
@@ -21,7 +21,6 @@ from cyclewall.autgroup import (
     generator_images,
     generator_values,
     identity_local_aut,
-    inner_aut,
     loc_fixator,
     loc_stabilizes_P_audit,
     local_aut,
@@ -30,21 +29,23 @@ from cyclewall.autgroup import (
 )
 from cyclewall.cli import load_presentation, run_suite
 from cyclewall.davis import act_vertex, build_ball
-from cyclewall.errors import CycleWallError, DecompositionError, ValidationError
-from cyclewall.localgroups import integers_group, isomorphisms
+from cyclewall.errors import CycleWallError, DecompositionError, InvariantError, ValidationError
+from cyclewall.localgroups import IDENTITY, integers_group, isomorphisms
 from cyclewall.words import (
     GroupElement,
     Presentation,
     Syllable,
     enumerate_ball_elements,
     format_word,
-    from_syllable,
     identity,
     inv,
     mul,
     parse_word,
     reduce_word,
+    split_conjugate,
+    star_split,
 )
+from conftest import inner_aut
 from oracles import (
     act_edge,
     aut_act_vertex_object,
@@ -52,6 +53,7 @@ from oracles import (
     aut_decompose_by_reduction,
     aut_inverse,
     axis_segment,
+    conjugates,
     coset_intersection_by_stripping,
     enumerate_loc_by_listing,
     loc_fixator_by_filter,
@@ -327,8 +329,9 @@ def test_decompose_roundtrip_samples(c5_z2, c5_mixed, c5_s3):
 
 
 def test_generator_images_are_aut_apply_on_each_generator(c5_mixed, c5_s3, c6_mixed):
-    """``generator_images`` inverts the inner part once, ``aut_apply`` once per
-    generator; the images agree, on long inner parts too."""
+    """``generator_images`` writes each row out from the inner part's strip
+    at the row's image vertex, ``aut_apply`` multiplies once per generator;
+    the images agree, on long inner parts too."""
     for p in (c5_mixed, c5_s3, c6_mixed):
         rng = random.Random(8)
         loc = enumerate_loc(p)
@@ -468,33 +471,146 @@ def test_decompose_matches_reducing_every_image(name):
         assert "land in different vertex groups" in messages
 
 
+def mutated_decompose(monkeypatch, old, new):
+    """Patch ``aut_decompose`` with one line of its source replaced."""
+    source = textwrap.dedent(inspect.getsource(autgroup.aut_decompose))
+    mutated = source.replace(old, new)
+    assert mutated != source
+    namespace = dict(vars(autgroup))
+    exec(compile(mutated, autgroup.__file__, "exec"), namespace)
+    monkeypatch.setattr(autgroup, "aut_decompose", namespace["aut_decompose"])
+
+
 def test_decompose_match_fails_when_the_fast_path_skips_the_vertex_check(monkeypatch):
     """A core read off the first conjugator's template must still be
     compared with the vertex's target: without that, another vertex's image
     is rejected later, with another message."""
-    source = textwrap.dedent(inspect.getsource(autgroup.aut_decompose))
-    mutated = source.replace("elif target[i] != vertex:",
-                             "elif c is not pair[0] and target[i] != vertex:")
-    assert mutated != source
-    namespace = dict(vars(autgroup))
-    exec(compile(mutated, autgroup.__file__, "exec"), namespace)
-    monkeypatch.setattr(autgroup, "aut_decompose", namespace["aut_decompose"])
+    mutated_decompose(monkeypatch, "elif target[i] != vertex:",
+                      "elif c is not pair[0] and target[i] != vertex:")
     p = reference_or_s3x5("c6_mixed")
     assert decomposition_mismatches(p, decomposition_cases(p, 31, 60))
 
 
-def test_decompose_match_fails_when_the_pinned_element_skips_the_membership_test(monkeypatch):
-    """Once the intersected window is empty, each later conjugator is
-    tested against one star split of g: without that test, an inconsistent
-    conjugator is rejected later, with another message."""
-    source = textwrap.dedent(inspect.getsource(autgroup.aut_decompose))
-    mutated = source.replace("hit = splits[i][0].word == conjugators[i].word", "hit = True")
-    assert mutated != source
-    namespace = dict(vars(autgroup))
-    exec(compile(mutated, autgroup.__file__, "exec"), namespace)
-    monkeypatch.setattr(autgroup, "aut_decompose", namespace["aut_decompose"])
+def test_decompose_match_fails_when_the_pin_check_always_passes(monkeypatch):
+    """The longest conjugator is tested against one star split per vertex:
+    without that test, an inconsistent conjugator is accepted, or rejected
+    later, with another message."""
+    mutated_decompose(
+        monkeypatch,
+        "if any(u.word != c.word for (u, _), c in zip(splits, conjugators)):",
+        "if False:")
     p = reference_or_s3x5("c6_mixed")
     assert decomposition_mismatches(p, decomposition_cases(p, 31, 60))
+
+
+def test_decompose_match_fails_when_the_pin_takes_the_shortest_conjugator(monkeypatch):
+    """Only the longest conjugator can be the inner part: pinning the
+    shortest fails the star-split test on accepted image sets."""
+    mutated_decompose(monkeypatch, "g = max(conjugators,", "g = min(conjugators,")
+    p = reference_or_s3x5("c6_mixed")
+    assert decomposition_mismatches(p, decomposition_cases(p, 31, 60))
+
+
+def test_decompose_raises_an_invariant_error_when_met_cosets_fail_the_pin(c5_z3, monkeypatch):
+    """With star splits patched to strip everything, consistent conjugators
+    fail the pin check; the cosets, intersected to name the vertex that
+    fails, then meet, which the pin rules out, so the decomposition raises
+    ``InvariantError`` with their common element, the inner part, as the
+    witness."""
+    p = c5_z3
+    images = generator_images(inner_aut(parse_word(p, "v0:1 v2:2")))
+    monkeypatch.setattr(autgroup, "star_split", lambda g, v: (identity(p), IDENTITY))
+    with pytest.raises(InvariantError) as err:
+        aut_decompose(p, images)
+    assert err.value.witness == "v0:1 v2:2"
+
+
+def seeded_auts(p, seed, count, longest):
+    """Seeded automorphisms whose inner parts have up to ``longest``
+    syllables: random syllables are multiplied on until a drawn length."""
+    rng = random.Random(seed)
+    loc = enumerate_loc(p)
+    alphabet = [GroupElement(p, (s,)) for s in p.syllables()]
+    auts = []
+    for _ in range(count):
+        inner, length = identity(p), rng.randrange(longest + 1)
+        while inner.syllable_length < length:
+            inner = mul(inner, rng.choice(alphabet))
+        auts.append(AutElement(inner, rng.choice(loc)))
+    return auts
+
+
+@pytest.mark.parametrize("name", REFERENCES + ["5 x S3"])
+def test_the_longest_conjugator_is_the_inner_part(name):
+    """On 40 seeded automorphisms per presentation, with inner parts of up to
+    30 syllables, the first longest of the conjugators that splitting the
+    first image at each vertex reads is the inner part, and every shorter
+    one is its strip at that vertex's image.  Some inner part has 25
+    syllables or more."""
+    p = reference_or_s3x5(name)
+    longest = 0
+    for a in seeded_auts(p, 33, 40, 30):
+        images = generator_images(a)
+        conjugators = [split_conjugate(row[0])[1] for row in images]
+        assert max(conjugators, key=lambda c: len(c.word)) == a.inner
+        for i, c in enumerate(conjugators):
+            assert c == star_split(a.inner, a.local.sigma(i))[0]
+        longest = max(longest, a.inner.syllable_length)
+    assert longest >= 25
+
+
+class Calls:
+    """A wrapper that counts the calls of ``fn`` and the first argument's
+    words it is called on."""
+
+    def __init__(self, fn):
+        self.fn, self.words = fn, []
+
+    def __call__(self, g, *args):
+        self.words.append(g.word)
+        return self.fn(g, *args)
+
+
+@pytest.mark.parametrize("name", REFERENCES + ["5 x S3"])
+def test_an_accepted_decomposition_intersects_no_cosets_and_inverts_each_conjugator_once(
+        name, monkeypatch):
+    """On 30 seeded automorphisms per presentation, decomposing their images
+    calls ``coset_intersection`` never and ``inv`` once per distinct
+    conjugator word at most."""
+    p = reference_or_s3x5(name)
+    cases = []
+    for a in seeded_auts(p, 34, 30, 30):
+        images = generator_images(a)
+        cases.append((a, images, {split_conjugate(row[0])[1].word for row in images}))
+    intersections, inverses = Calls(coset_intersection), Calls(words.inv)
+    monkeypatch.setattr(autgroup, "coset_intersection", intersections)
+    monkeypatch.setattr(autgroup, "inv", inverses)
+    monkeypatch.setattr(words, "inv", inverses)
+    for a, images, conjugators in cases:
+        inverses.words.clear()
+        assert aut_decompose(p, images) == a
+        assert len(inverses.words) <= len(conjugators)
+        assert set(inverses.words) <= conjugators
+    assert intersections.words == []
+
+
+@pytest.mark.parametrize("name", REFERENCES + ["5 x S3"])
+def test_generator_images_invert_each_distinct_strip_once(name, monkeypatch):
+    """On 30 seeded automorphisms per presentation, ``generator_images``
+    inverts each distinct strip of the inner part at a vertex's image once,
+    and its rows are the row oracle's, which inverts a strip per row."""
+    p = reference_or_s3x5(name)
+    inverses = Calls(words.inv)
+    monkeypatch.setattr(autgroup, "inv", inverses)
+    for a in seeded_auts(p, 35, 30, 30):
+        sigma, isos = a.local.sigma, a.local.isos
+        strips = [star_split(a.inner, sigma(i))[0].word for i in range(p.n)]
+        inverses.words.clear()
+        rows = generator_images(a)
+        assert sorted(inverses.words) == sorted(set(strips))
+        assert rows == [conjugates(a.inner, sigma(i),
+                                   [isos[i].apply(x) for x in generator_values(p, i)])
+                        for i in range(p.n)]
 
 
 def test_decompose_reads_a_later_image_off_its_middle_only_on_the_whole_template(c5_s3):
@@ -536,26 +652,6 @@ def test_decompose_rejects_a_later_image_off_the_template(c5_s3, image, message,
     with pytest.raises(DecompositionError) as err:
         aut_decompose(p, images)
     assert (str(err.value), err.value.witness) == (message, witness)
-
-
-def test_decompose_reports_a_wrong_inner_part_by_its_first_wrong_image(c5_z3, monkeypatch):
-    """When the inner part comes out wrong, here v0:1 for the identity, the
-    images disagree where its strip differs from the image's conjugator,
-    outside the star of vertex 0: the first is generator 1 at vertex 2."""
-    intersect = autgroup.coset_intersection
-
-    def wrong_at_the_end(c1, S1, c2, S2):
-        hit = intersect(c1, S1, c2, S2)
-        if hit is not None and hit[0].is_identity and not hit[1]:
-            return from_syllable(c5_z3, 0, 1), hit[1]
-        return hit
-
-    monkeypatch.setattr(autgroup, "coset_intersection", wrong_at_the_end)
-    with pytest.raises(DecompositionError) as err:
-        aut_decompose(c5_z3, generator_images(aut_identity(c5_z3)))
-    assert str(err.value) == ("reconstructed automorphism disagrees with the "
-                              "image of generator 1 at vertex 2")
-    assert err.value.witness == {"expected": "v2:1", "got": "v0:1 v2:1 v0:2"}
 
 
 def test_decompose_writes_no_images_when_every_strip_is_the_conjugator(c5_s3, monkeypatch):

@@ -30,6 +30,7 @@ from cyclewall.words import parse_word
 from conftest import (
     DAVIS_CLASSES,
     classes_defined_in,
+    inner_aut,
     presentation_c5_mixed,
     presentation_c5_z2,
 )
@@ -387,7 +388,7 @@ def test_aut_fixator_of_generator_is_nontrivial(tmp_path, capsys):
 def test_aut_decompose_roundtrip_via_files(tmp_path, capsys):
     pres = write_presentation(tmp_path, 5, ["Z/2", "Z/3", "Z/2", "Z/3", "Z/2"])
     # images of the inner automorphism by v0:1
-    from cyclewall.autgroup import generator_images, inner_aut
+    from cyclewall.autgroup import generator_images
     from cyclewall.words import format_word, parse_word
     p = load_presentation(pres)
     a = inner_aut(parse_word(p, "v0:1"))

@@ -210,14 +210,22 @@ print(" ".join(sorted(set(sys.modules) - before)))
 """
 
 
+def bytecode_files(src: Path) -> set[Path]:
+    return set(src.rglob("*.pyc"))
+
+
 def test_importing_the_cli_loads_no_dataclass_machinery():
-    """A fresh interpreter (no site, no environment) that imports
-    ``cyclewall.cli`` loads no ``START_UP_HEAVY`` module, and had none
-    loaded before, so the diff of ``sys.modules`` can show one."""
+    """A fresh interpreter (no site, no environment, no bytecode written)
+    that imports ``cyclewall.cli`` loads no ``START_UP_HEAVY`` module, and
+    had none loaded before, so the diff of ``sys.modules`` can show one.
+    It leaves no new ``.pyc`` file under ``src``: ``-I`` ignores
+    ``PYTHONDONTWRITEBYTECODE``, so ``-B`` says it."""
     src = Path(cyclewall.__file__).resolve().parent.parent
+    pyc = bytecode_files(src)
     before, added = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", _IMPORT_CLI, str(src)],
+        [sys.executable, "-I", "-S", "-B", "-c", _IMPORT_CLI, str(src)],
         capture_output=True, text=True, check=True).stdout.splitlines()
+    assert bytecode_files(src) <= pyc
     assert "cyclewall.cli" in added.split()
     assert START_UP_HEAVY & set(before.split()) == set()
     assert START_UP_HEAVY & set(added.split()) == set()
@@ -234,14 +242,17 @@ print(code, sorted(set(sys.modules) & {"argparse", "locale"}))
 
 
 def test_a_verify_call_loads_neither_argparse_nor_locale(tmp_path):
-    """A fresh interpreter (no site, no environment) that runs ``verify
-    --suite algebraic`` on c5_z3 at radius 2 through ``main`` returns 0
-    with neither ``argparse`` nor ``locale`` loaded: reading the argv
-    translates no message, so gettext never imports locale."""
+    """A fresh interpreter (no site, no environment, no bytecode written)
+    that runs ``verify --suite algebraic`` on c5_z3 at radius 2 through
+    ``main`` returns 0 with neither ``argparse`` nor ``locale`` loaded:
+    reading the argv translates no message, so gettext never imports
+    locale.  It leaves no new ``.pyc`` file under ``src``."""
     src = Path(cyclewall.__file__).resolve().parent.parent
     presentation = src.parent / "perfbench" / "presentations" / "c5_z3.json"
+    pyc = bytecode_files(src)
     out = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", _VERIFY, str(src), str(presentation),
+        [sys.executable, "-I", "-S", "-B", "-c", _VERIFY, str(src), str(presentation),
          str(tmp_path / "report.json")],
         capture_output=True, text=True, check=True).stdout
     assert out == "0 []\n"
+    assert bytecode_files(src) <= pyc

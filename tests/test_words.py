@@ -17,7 +17,6 @@ from cyclewall.words import (
     Syllable,
     _push_all,
     canonical,
-    conjugates,
     coset_rep,
     cyclic_reduce,
     enumerate_ball_elements,
@@ -40,6 +39,7 @@ from oracles import (
     all_raw_words,
     append_only_reduced,
     closure_classifier,
+    conjugates,
     coset_rep_by_rescan,
     coset_rep_reduced,
     cyclic_reduce_by_trial,
