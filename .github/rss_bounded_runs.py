@@ -66,15 +66,16 @@ ROWS = [
     ("Radius-4 subdivided dot export is byte-identical",
      ["ball", "--radius", "4", "--subdivide", "--format", "dot", "--presentation", C6_MIXED], 0,
      "c27ecd63c46a2998e9d158f8e5f6d6e997e6bb14f60e5639b4a443dc9557cc5a", 60, 40),
-    # the X' audits read the ball's integer squares, through an index of
-    # the squares at each vertex built by counting; bounded at 1.2 x the
-    # 27.5 MB measured then (41.7 MB when a stable sort built the index,
-    # 43.8 MB with dataclasses, 64.6 MB when the row was added, 159.0 MB
-    # when they built the square ball of cell objects)
+    # the X' audits read the table's polygon columns and write no square
+    # out; bounded at 1.2 x the 24.3 MB measured so (27.1-27.5 MB when
+    # they read the ball's integer squares through an index of the squares
+    # at each vertex, 41.7 MB when a stable sort built the index, 43.8 MB
+    # with dataclasses, 64.6 MB when the row was added, 159.0 MB when they
+    # built the square ball of cell objects)
     ("Radius-5 davis report is byte-identical",
      ["verify", "--suite", "davis", "--radius", "5", "--depth", "3", "--seed", "0",
       "--presentation", C5_Z3], 0,
-     "fe24529d6362cbbe415ace9ab86c70167789a42e270e0177280924394e0b8b94", 60, 33),
+     "fe24529d6362cbbe415ace9ab86c70167789a42e270e0177280924394e0b8b94", 60, 29),
     # the one diagrams report above radius 2: the sampled loops are filled
     # with each run read off its polygon's corner record; bounded at 1.2 x
     # the 27.9 MB measured then (27.8-28.0 MB with the two-way match from
@@ -84,27 +85,33 @@ ROWS = [
       "--presentation", C5_Z3], 0,
      "6d8094a8d06aab1f9449d39a40c4b082a80e1c92b38164aaae428a7f4230af1c", 60, 33),
     # the walls audits read the walls, X' and the polygons, and build no
-    # incidence map; bounded at 1.2 x the 75.6 MB measured with each wall's
-    # stabilizer read off its key (76.1 MB with the transporter loop over
-    # pairs of wall edges, 77.1 MB with the value types written by hand,
-    # 79.1 MB with dataclasses, 108.9 MB when the row was added, 118.3 MB
-    # when the shared-polygon audit read the incidence maps)
+    # incidence map; the hyperplane audit reads each square's halves off the
+    # polygon columns; bounded at 1.2 x the 71.6 MB measured so (77.0-77.1
+    # MB when X' kept its square records and their index, 75.6 MB with
+    # each wall's stabilizer read off its key, 76.1 MB with the transporter
+    # loop over pairs of wall edges, 77.1 MB with the value types written
+    # by hand, 79.1 MB with dataclasses, 108.9 MB when the row was added,
+    # 118.3 MB when the shared-polygon audit read the incidence maps)
     ("Radius-5 walls report is byte-identical",
      ["verify", "--suite", "walls", "--radius", "5", "--depth", "3", "--seed", "0",
       "--presentation", C5_Z3], 0,
-     "d327e264313123beddc6cdf126aa55127d5e78f8c917b1d2a1a1086c4d03a8c2", 120, 91),
+     "d327e264313123beddc6cdf126aa55127d5e78f8c917b1d2a1a1086c4d03a8c2", 120, 86),
     # the walls and the crossing graph are read off the ball's integer
-    # table, and no cell object is made; bounded at 1.2 x the 51.5 MB
-    # measured with the value types written by hand (52.3 MB with
-    # dataclasses, 60.7 MB before the row was added)
+    # table, and no cell object is made; bounded at 1.2 x the 51.3 MB
+    # measured with X' squares read off the polygon columns (52.0-52.2 MB
+    # when X' kept its square records, 51.5 MB measured with the value
+    # types written by hand, 52.3 MB with dataclasses, 60.7 MB before the
+    # row was added)
     ("Radius-4 c6_mixed walls report is byte-identical",
      ["verify", "--suite", "walls", "--radius", "4", "--depth", "3", "--seed", "0",
       "--presentation", C6_MIXED], 0,
      "cc5b97f22b1c5ca77a10f4cb3a61475f07fe65b99001156bcc1b22e3e6e357e0", 120, 62),
     # the walls audits on a non-abelian vertex group (S3 at vertex 2); the
-    # hyperplane audit pairs each square's opposite sides by place once the
-    # square records pass their scan; bounded at 1.2 x the 27.9 MB measured
-    # (28.2-28.4 MB when it matched each square's sides by their ends)
+    # hyperplane audit pairs each square's opposite sides by place, read off
+    # the polygon columns once the table passes its column check
+    # (27.9-28.0 MB measured so, 28.8-28.9 MB when it read the square
+    # records); bounded at 1.2 x the 27.9 MB measured when the records were
+    # added (28.2-28.4 MB when it matched each square's sides by their ends)
     ("Radius-4 c5_s3 walls report is byte-identical",
      ["verify", "--suite", "walls", "--radius", "4", "--depth", "3", "--seed", "0",
       "--presentation", C5_S3], 0,
@@ -161,14 +168,16 @@ ROWS = [
       "--presentation", C6_MIXED], 0,
      "61ae1b14eb5659832f90f77695ba4efe5b4fe48a2371da01aac27ab3abf0a02a", 60, 153),
     # the ball where the polygon-pair audit costs most: it reads the
-    # table's polygon columns and visits no pair of polygons (60.2-60.4 MB
-    # measured so, the X-edges' end codes held as a list); bounded at 1.2 x
-    # the 57.9 MB measured when it intersected every pair of polygons at
-    # each X-vertex (57.8-57.9 MB in four runs)
+    # table's polygon columns and visits no pair of polygons, and the X'
+    # audits read the same columns, with no square written out; bounded at
+    # 1.2 x the 48.1 MB measured so (47.9-48.1 MB; 61.0-61.2 MB when X'
+    # kept its square records and their index, 60.2-60.4 MB before that
+    # with the X-edges' end codes held as a list, 57.8-57.9 MB when the
+    # pair audit intersected every pair of polygons at each X-vertex)
     ("Radius-5 c6_mixed davis report is byte-identical",
      ["verify", "--suite", "davis", "--radius", "5", "--depth", "3", "--seed", "0",
       "--presentation", C6_MIXED], 0,
-     "07253ee49d9ab9063363888517e92d2ce0163b580999839807318a7e0ad998da", 60, 69),
+     "07253ee49d9ab9063363888517e92d2ce0163b580999839807318a7e0ad998da", 60, 58),
 ]
 
 

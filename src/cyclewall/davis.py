@@ -40,12 +40,12 @@ sides per polygon, its vertex ids are the X-vertex ids, then V + e for the
 midpoint of X-edge e, then V + E + k for the center of polygon k, so they
 come in key order; its edge ids are 2e + end for the half of X-edge e at
 that end, then 2E + n·k + i for spoke i of polygon k.  Square q = n·k + i,
-around corner i of polygon k, is four corner ids and four side ids
-(``_squares``); the audits read these records, through an index of the
-squares at each vertex, and the JSON export lists them.  That index, like
-the walls' skeleton of X', is built by ``incidence``: one pass counts the
-squares at each vertex and a second puts each at its vertex's next free
-slot, with no sort.
+around corner i of polygon k, is a function of polygon k's table record
+(``_squares``, which only the JSON export calls), so no square is written
+out: the audits read the polygon columns.  The walls' skeleton of X' is
+built from the edges' ends by ``incidence``: one pass counts the places
+of each key and a second puts each at its key's next free slot, with no
+sort.
 
 The group acts on X-vertices as (index, rep) pairs (``act_vertex``), the
 record a vertex id names in the table, read one at a time where an element
@@ -62,35 +62,40 @@ interior iff |w| + |S| <= r, a labelled edge (an X-edge or a half of one)
 iff |w| + 1 <= r, and a spoke, which lies inside one polygon, always.
 
 Both exports, ``iter_ball_json`` and ``iter_ball_dot``, read the table
-alone (``_rows``): each element's word is formatted once and every vertex
-and midpoint key string has a list slot.  Neither builds the square index.
-Both stream, in chunks of up to 1,024 records or lines.
+alone (``_rows``, and the JSON export's squares ``_squares``): each
+element's word is formatted once and every vertex and midpoint key string
+has a list slot.  Both stream, in chunks of up to 1,024 records or lines.
 
 The link audits build no link.  Every interior link of X' has a closed form
 fixed by its cell kind: K_{|G_{i+1}|,|G_i|} at the X-vertex g(G_i x G_{i+1}),
 K_{2,|G_i|} at the midpoint of a label-i X-edge, and the n-cycle at a polygon
 center.  Each has girth 4 or n >= 5, which is the link condition for a
 square complex (Bridson-Haefliger, *Metric Spaces of Non-positive
-Curvature*, II.5.20).  One pass over the square records (``_links``, built
-once per ball) checks, a column at a time, that each record's sides end at
-the corners their places say and that square n·k + i holds spokes i and
-i+1 of polygon k; then the square count at each interior vertex, with the
-pairs of sides at an X-vertex, decides whether its link is its closed form
-(the proof is in ``_links``).  ``t4_audit``, ``links_audit`` and
-``free_face_audit``, which reads each side's square count, take their
-verdicts from it; a broken record is the link rows' witness, naming the
-square (``word#corner``).  The squares at an X-vertex are its polygons'
-corners there, and a square's two sides at it are the halves of its
-polygon's two sides; so the link of an X-vertex in X is its link in X',
-each half read as its X-edge, which is what ``links_audit`` reads.
+Curvature*, II.5.20).  One column check, made once per ball
+(``place_faults``), finds where a corner or side is off its place or a
+side does not end at the corners its place names; where it finds nothing,
+every square is its polygon's corner, and the number of polygons at each
+X-vertex and on each X-edge, with the pairs of sides at each X-vertex,
+decide whether each interior link is its closed form (``_links``, built
+once per ball; the proof is there).  ``t4_audit``, ``links_audit``,
+``free_face_audit`` and the hyperplane audit of ``walls`` take their
+precondition from that check and their verdicts from those counts; a
+break is the rows' witness, naming the square at the corner
+(``word#corner``).  The squares at an X-vertex are its polygons' corners
+there, and a square's two sides at it are the halves of its polygon's two
+sides there; so the link of an X-vertex in X is its link in X', each half
+read as its X-edge, which is what ``links_audit`` reads.
 ``polygon_pair_audit`` visits no pair of polygons on a sound ball: it
-reads the table's polygon columns a fixed number of times, checking that
-each corner and side sits at its place and that no two polygons hold the
-same two corners at non-adjacent places, and no two X-edges the same ends;
-then two polygons meet in at most one edge, and the pairs sharing a vertex
-number Σ_v C(d_v, 2) - Σ_e C(d_e, 2) (the proof is in
-``polygon_pair_audit``).  Records are intersected only for the polygons
-whose columns break.
+reads the same column check and the table's polygon columns a fixed
+number of times more, checking that no two polygons hold the same two
+corners at non-adjacent places, and no two X-edges the same ends; then two
+polygons meet in at most one edge, and the pairs sharing a vertex number
+Σ_v C(d_v, 2) - Σ_e C(d_e, 2) (the proof is in ``polygon_pair_audit``).
+Records are intersected only for the polygons whose columns break.
+
+CYCLEWALL_MEM_MB, when set, bounds the ball before it is listed: |B(r)| is
+counted by the growth series of the graph product (``words.ball_growth``)
+and the estimate checked against the budget first.
 """
 
 from __future__ import annotations
@@ -98,7 +103,6 @@ from __future__ import annotations
 import operator
 import os
 from array import array
-from bisect import bisect_left
 from collections import Counter
 from itertools import accumulate, chain, compress, count, cycle, islice, repeat
 from math import comb
@@ -109,6 +113,7 @@ from .reports import Report
 from .words import (
     GroupElement,
     Presentation,
+    ball_growth,
     coset_rep,
     enumerate_ball_elements,
     format_word,
@@ -279,14 +284,15 @@ def ball_table(p: Presentation, r: int) -> BallTable:
         raise ValidationError("radius must be >= 0")
     p.require_finite()
     mem_mb = _memory_budget_mb()
-
-    reps = enumerate_ball_elements(p, r)
     if mem_mb is not None:
-        # crude estimate: ~2 KiB of cell data per polygon corner
-        estimate_mb = len(reps) * p.n * 2048 / (1024 * 1024)
+        # crude estimate: ~2 KiB of cell data per polygon corner, of the
+        # |B(r)| polygons counted before any is listed
+        estimate_mb = sum(ball_growth(p, r)) * p.n * 2048 / (1024 * 1024)
         if estimate_mb > mem_mb:
             raise ResourceLimitError(
                 f"ball of radius {r} needs ~{estimate_mb:.0f} MiB, budget {mem_mb} MiB")
+
+    reps = enumerate_ball_elements(p, r)
 
     n, w = p.n, 2 * p.n
     place = {g.word: k for k, g in enumerate(reps)}
@@ -344,7 +350,7 @@ def _squares(t: BallTable) -> Iterator[tuple[int, ...]]:
     its side ids (the halves of sides i and i+1 at v_i, spokes i and i+1),
     each side joining the corners it lies between.  Side i joins corners
     i-1 and i, in that order unless i = 0 (``BallTable``), so its half at
-    v_i is its second half unless i = 0."""
+    v_i is its second half unless i = 0.  The JSON export lists them."""
     n = t.presentation.n
     nv, ne = len(t.vertices) // 2, len(t.edges) // 4
     for k, c in enumerate(_records(t.polygons, 2 * n)):
@@ -376,28 +382,14 @@ def incidence(keys: array, size: int,
 
 class Subdivision(NamedTuple):
     """X' of a polygonal ball, numbered from its table (see the module
-    docstring), in flat ``array``s.
-
-    ``squares`` holds square q's record from ``_squares`` at
-    ``8q .. 8q + 7``; ``ends`` holds X' edge s's two end ids, in key order,
-    at ``2s`` and ``2s + 1``.  The squares at vertex x are listed in square
-    order by ``at[start[x]:start[x + 1]]``, each as 4q + the place of x
-    among q's corners: the ``incidence`` of the squares' corner columns,
-    counted, not sorted.  Ids order the vertices by key, and edges by their
+    docstring): ``ends`` holds X' edge s's two end ids, in key order, at
+    ``2s`` and ``2s + 1``, which the walls' skeleton reads.  Its squares are
+    not written out: square q = n·k + i is read off polygon k's table
+    record (``_links``).  Ids order the vertices by key, and edges by their
     ends' ids."""
 
     table: BallTable
-    squares: array
     ends: array
-    start: array
-    at: array
-
-    def records(self) -> Iterator[tuple[int, ...]]:
-        """Each square's corner ids and then its side ids, in square order."""
-        return _records(self.squares, 8)
-
-    def sides(self, q: int) -> array:
-        return self.squares[8 * q + 4:8 * q + 8]
 
     def edge_ids(self) -> range:
         return range(len(self.ends) // 2)
@@ -405,10 +397,6 @@ class Subdivision(NamedTuple):
     def edge_ends(self, s: int) -> tuple[int, int]:
         """Edge s's end ids, in key order: also its sort key among the edges."""
         return self.ends[2 * s], self.ends[2 * s + 1]
-
-    def squares_at(self, x: int) -> Iterator[tuple[int, int]]:
-        """(square, the place of x among its corners), in square order."""
-        return map(divmod, self.at[self.start[x]:self.start[x + 1]], repeat(4))
 
     def vertex_key(self, x: int) -> str:
         t = self.table
@@ -433,22 +421,6 @@ class Subdivision(NamedTuple):
         k, i = divmod(q, self.table.presentation.n)
         return f"{format_word(self.table.reps[k])}#{i}"
 
-    def interior_vertices(self) -> Iterator[bool]:
-        """By vertex id: X-vertices and midpoints by the rep-length rule,
-        centers always."""
-        t = self.table
-        inner_v, inner_e = t.inner(2), t.inner(1)
-        return chain(map(inner_v.__getitem__, t.vertices[1::2]),
-                     map(inner_e.__getitem__, t.edges[1::4]),
-                     repeat(True, len(t.reps)))
-
-    def interior_edges(self) -> Iterator[bool]:
-        """By edge id: both halves of an X-edge as it is, spokes always."""
-        t = self.table
-        inner_e = t.inner(1)
-        return chain(chain.from_iterable((inner_e[k],) * 2 for k in t.edges[1::4]),
-                     repeat(True, len(self.ends) // 2 - len(t.edges) // 2))
-
 
 def subdivision(b: ComplexBall) -> Subdivision:
     """X' of a polygonal ball, built once per ball and shared."""
@@ -457,35 +429,71 @@ def subdivision(b: ComplexBall) -> Subdivision:
 
 def _subdivision(b: ComplexBall) -> Subdivision:
     t = b.table
-    n = t.presentation.n
     nv, ne = len(t.vertices) // 2, len(t.edges) // 4
-    squares = array("i", chain.from_iterable(_squares(t)))
     # a half's ends are its X-vertex and midpoint; a spoke's its midpoint and center
-    ends = array("i", chain(
+    return Subdivision(t, array("i", chain(
         chain.from_iterable((x, nv + e, y, nv + e)
                             for e, (_, _, x, y) in enumerate(_records(t.edges, 4))),
         chain.from_iterable((nv + e, nv + ne + k)
-                            for k, c in enumerate(_records(t.polygons, 2 * n)) for e in c[n:])))
-    corner = array("i", chain.from_iterable(zip(*(squares[j::8] for j in range(4)))))
-    return Subdivision(t, squares, ends, *incidence(corner, nv + ne + len(t.reps)))
+                            for k in range(len(t.reps)) for e in t.sides(k)))))
 
 
 # -- links and audits ----------------------------------------------------------------
 
-# the places of a square's two sides at each of its corners (m_i, v_i, m_{i+1}, c)
-_AT_CORNER = ((0, 2), (0, 1), (1, 3), (2, 3))
-# the places of each half's two corners, in id order (X-vertex, then midpoint)
-_ENDS = ((1, 0), (1, 2))
+
+def place_faults(b: ComplexBall) -> list[tuple[int, int, dict]]:
+    """Each break of fact (i) of ``polygon_pair_audit`` in the table's
+    polygon columns, found once per ball, in (polygon, place) order, as
+    (polygon id, corner id, witness): empty exactly when, in every polygon,
+    corner i has index i, side i has label i, and sides i and i+1 end at
+    corner i.  The pair audit and the four X' audits take their
+    precondition from it: t4's link row, ``free_face_audit`` and the
+    hyperplane audit of ``walls`` name its first break, ``links_audit`` its
+    first at an interior X-vertex.
+
+    At corner i, side i's end at index [i > 0] and side i+1's at index
+    [i + 1 = n], in id order, are corner i: over the n corners, side j
+    joins corners j-1 and j in key order (side 0 joins corners 0 and n-1).
+    A break of that names the square at the corner, ``word#i``, the
+    corner's key and how many of the two ends it is (the proof in
+    ``_links`` reads these as the square's halves); a corner or side off
+    its place names the square, the corner's key and the side's key.  The
+    check compares whole columns at once (each corner column's indices,
+    each side column's labels and ends), so on a sound table no record is
+    visited."""
+    return b.derive("places", lambda: list(_place_faults(b.table)))
 
 
-def _links(b: ComplexBall) -> tuple[list[int], Optional[dict], Optional[dict], list[int]]:
-    """One pass over X''s square records, built once per ball, that checks
-    each interior vertex's link against its closed form and builds no link
-    graph: (``on``, the squares holding each edge, by edge id; the first
-    broken record, as a witness; the first one broken at an interior
-    X-vertex; the ids of the interior vertices whose link is not its closed
-    form, in id order).  ``t4_audit``, ``links_audit`` and
-    ``free_face_audit`` take their verdicts from it.
+def _place_faults(t: BallTable) -> Iterator[tuple[int, int, dict]]:
+    n = t.presentation.n
+    cols = [t.polygons[i::2 * n] for i in range(2 * n)]   # corner i at i, side i at n + i
+    ends = t.edges[2::4], t.edges[3::4]                      # each X-edge's ends, in id order
+    index, label = t.vertices[::2], t.edges[::4]
+    if all(array("i", map(index.__getitem__, cols[i])) == array("i", [i]) * len(t.reps)
+           == array("i", map(label.__getitem__, cols[n + i]))
+           and array("i", map(ends[i > 0].__getitem__, cols[n + i])) == cols[i]
+           == array("i", map(ends[i + 1 == n].__getitem__, cols[n + (i + 1) % n]))
+           for i in range(n)):
+        return
+    for k, c in enumerate(_records(t.polygons, 2 * n)):
+        for i, v in enumerate(c[:n]):
+            s, at = c[n + i], [f"{format_word(t.reps[k])}#{i}", t.vertex_key(v)]
+            held = (ends[i > 0][s] == v) + (ends[i + 1 == n][c[n + (i + 1) % n]] == v)
+            if held != 2:
+                yield k, v, {"error": "a 2-cell meets its corner in other than two sides",
+                             "at": [*at, held]}
+            if (index[v], label[s]) != (i, i):
+                yield k, v, {"error": "a polygon's corner or side is off its place",
+                             "at": [*at, t.edge_key(s)]}
+
+
+def _links(b: ComplexBall) -> tuple[list[int], list[int]]:
+    """One read of the table's polygon columns, made once per ball, that
+    checks each interior X' vertex's link against its closed form and
+    builds no link graph: (the number of polygons on each X-edge, by id;
+    the ids of the interior vertices whose link is not its closed form, in
+    id order).  ``t4_audit``, ``links_audit`` and ``free_face_audit`` take
+    their verdicts from it once ``place_faults`` finds no break.
 
     The link of an X' vertex v has a node per side at v and an edge per
     square at v, joining the square's two sides there.  By the kind of v:
@@ -500,127 +508,93 @@ def _links(b: ComplexBall) -> tuple[list[int], Optional[dict], Optional[dict], l
     triangle, which is the link condition for a square complex (Bridson-
     Haefliger, *Metric Spaces of Non-positive Curvature*, II.5.20).
 
-    **The records.**  ``_squares`` writes square q = n·k + i as (m_i, v_i,
-    m_{i+1}, c; half_i, half_{i+1}, spoke_i, spoke_{i+1}), so the two sides
-    at each corner have fixed places (``_AT_CORNER``).  Of the n·|B(r)|
-    squares the numbering names, ``_faults`` reads two facts, a column at a
-    time, once per ball (``square_faults``, which the hyperplane audit of
-    ``walls`` reads too):
-
-    (a) each side's ends (``Subdivision.ends``, in id order) are the two
-        corners it lies between;
-    (b) its spokes are spokes i and i+1 of polygon k, the ids 2E + n·k + i
-        and 2E + n·k + (i+1 mod n).
-
-    A broken record is the link rows' witness, in place of their verdicts.
-    With (a) and (b), record q is polygon k's corner i: a spoke's ends are
-    its side's midpoint and its polygon's center, so q's center is k's and
-    its midpoints are those of k's sides i and i+1; its halves are halves
-    of those sides at a common end, which is v_i, the one end they share
-    (k has n distinct corners: ``davis.t4.polygon-sides``).  Its corners are
-    then distinct, so it meets each corner in exactly its two sides there.
-    So ``at``, which lists each square at each of its corners, lists: at a
-    center, its polygon's n squares, joining spokes i and i+1 for each i;
-    at the midpoint of an X-edge, two squares for each polygon on the edge,
-    one at each end, joining that polygon's spoke to both halves; at an
-    X-vertex of index i, one square per polygon at it, joining a half of
-    label i to one of label i+1.
+    **Why the squares need no record.**  Square q = n·k + i is a function of
+    polygon k's table record alone.  With V X-vertices, E X-edges, corners
+    c_i and sides s_i, its corners and sides are (V + s_i, c_i,
+    V + s_{i+1}, V + E + k; 2s_i + [i > 0], 2s_{i+1} + [i+1 = n],
+    2E + n·k + i, 2E + n·k + (i+1 mod n)) (``_squares``), the half 2e + j of
+    X-edge e ending at e's end j, in id order, and at its midpoint V + e,
+    and spoke i of polygon k at the midpoint of side i and the center.  So
+    each side of the square ends at the corners its place names, the spokes
+    and midpoints by construction; the halves exactly when s_i's end at
+    index [i > 0] is c_i and s_{i+1}'s end at index [i+1 = n] is c_i, which
+    over all i says side j joins corners j-1 and j in key order (side 0
+    joins c_0 and c_{n-1}): the side-ends half of ``place_faults``, term for
+    term.  Its places half makes a polygon's n corners distinct, as they
+    have n indices.  With both, square q's four corners are distinct, and it
+    meets each in exactly its two sides there: at a center, its polygon's n
+    squares, joining spokes i and i+1 for each i; at the midpoint of an
+    X-edge, two squares for each polygon on the edge, one at each end,
+    joining that polygon's spoke to both halves; at an X-vertex of index i,
+    one square per polygon at it, joining the half of its side i there to
+    the half of its side i+1.
 
     **The counts.**  Hence a center's link is the n-cycle, and a midpoint's
     is K_{2,m} for the m polygons on its edge, half its square count: each
-    is its closed form exactly when its square count is.  An X-vertex's
-    link is bipartite by label, with an edge per square, but its count
-    misses two squares on the same two sides, so its squares' sides are
-    read too: a·b squares with a·b distinct pairs of sides, a sides of
-    label i and b of label i+1, fill the a·b pairs of the two parts.  That
-    read needs (a) at the vertex alone, so ``links_audit`` reports a record
-    only if it is broken at an interior X-vertex.
+    is its closed form exactly when its square count is, so a midpoint's
+    reads d_e = |G_i|, d_e the times its X-edge e occurs in the side
+    columns.  An X-vertex's link is bipartite by label, with an edge per
+    square, but its count misses two squares on the same two sides, so its
+    squares' sides are read too: over the polygons with corner v, d_v of
+    them, the pairs (half of s_i at v, half of s_{i+1} at v).  a·b squares
+    with a·b distinct pairs, a halves of label i and b of label i+1, fill
+    the a·b pairs of the two parts.  That read needs the side ends at the
+    vertex alone, so ``links_audit`` names a break only at an interior
+    X-vertex; it reads the halves' labels itself.
 
-    A square holding side s has both ends of s as corners, by (a), so s's
-    degree in the link at either end is its square count, ``on[s]``, read
-    from the side columns of every record: ``free_face_audit``'s count.
+    A square holding half 2e + j has both its ends as corners, so the half's
+    degree in the link at either end is its square count: each polygon on
+    e puts it in one square, so the count is d_e, and a spoke's is 2.  That
+    is ``free_face_audit``'s count.
     """
-    return b.derive("links", lambda: _read_links(subdivision(b), square_faults(b)))
+    return b.derive("links", lambda: _read_links(b.table))
 
 
-def square_faults(b: ComplexBall) -> list[tuple[int, dict]]:
-    """Each break of (a) or (b) of ``_links`` in X''s square records, in
-    square order (``_faults``), scanned once per ball: empty exactly when
-    every record q = n·k + i is polygon k's corner i, by the proof in
-    ``_links``.  ``_links`` and ``walls.hyperplane_treewall_audit`` read it,
-    the first entry's witness as the first broken record."""
-    return b.derive("faults", lambda: list(_faults(subdivision(b), b.n * len(b.table.reps))))
-
-
-def _read_links(x: Subdivision, faults: list[tuple[int, dict]]):
-    t, n = x.table, x.table.presentation.n
-    nv, sq, start = len(t.vertices) // 2, x.squares, x.start
-    on = [0] * len(x.edge_ids())   # a list: a dict would weigh more
-    for s in chain(sq[4::8], sq[5::8], sq[6::8], sq[7::8]):
-        on[s] += 1
-    inner, size = list(x.interior_vertices()), [g.size for g in t.presentation.groups]
-    want = chain((size[i] * size[(i + 1) % n] for i in t.vertices[::2]),
-                 (2 * size[i] for i in t.edges[::4]), repeat(n))
-    bad = set(compress(count(), map(operator.and_, inner, map(
-        operator.ne, map(operator.sub, start[1:], start), want))))
-    for v, i in compress(enumerate(t.vertices[::2]), inner):
-        # the entry of square q at its X-vertex is 4q + 1, and its halves are 8q + 4, 8q + 5
-        pairs = {(sq[2 * e + 2], sq[2 * e + 3]) for e in x.at[start[v]:start[v + 1]]}
-        a, c = {s for s, _ in pairs}, {s for _, s in pairs}
-        if ((len(pairs), len(a), len(c), {*map(x.label, a)}, {*map(x.label, c)})
-                != (start[v + 1] - start[v], size[(i + 1) % n], size[i], {i}, {(i + 1) % n})):
-            bad.add(v)
-    return (on, next((f for _, f in faults), None),
-            next((f for v, f in faults if 0 <= v < nv and inner[v]), None), sorted(bad))
-
-
-def _faults(x: Subdivision, nq: int) -> Iterator[tuple[int, dict]]:
-    """Each break of (a) or (b) of ``_links`` in the first nq square
-    records, in square order, listed once per ball by ``square_faults``, as
-    (the corner's vertex id, or -1 for the spokes, a witness): a corner met
-    by k != 2 of its two sides as [square, vertex key, k], a square holding
-    spokes other than its own as [square, the keys of the spokes it
-    holds].  None, when both hold column by column, the squares at each
-    corner place i of the polygons as one slice: (b) against the spoke
-    numbering; (a) for the spokes, whose ends (b) makes one slice of
-    ``ends`` in square order (both spokes of a square end at its polygon's
-    center, so m_{i+1} is the one end left to read); (a) for the halves, by
-    ``_ENDS``, against each half's ends in id order."""
-    sq, n, e0 = x.squares[:8 * nq], x.table.presentation.n, len(x.table.edges) // 2
-    spokes = range(e0, e0 + nq)   # spoke i of polygon k is 2E + n·k + i
-    spoke, ends = x.ends[2 * e0:2 * (e0 + nq)], (x.ends[::2], x.ends[1::2])   # spokes' ends
-    if (sq[6::8] == array("i", spokes) and sq[0::8] == spoke[::2] and sq[3::8] == spoke[1::2]
-            and all(sq[8 * i + 7::8 * n] == array("i", spokes[(i + 1) % n::n])
-                    and sq[8 * i + 2::8 * n] == spoke[2 * ((i + 1) % n)::2 * n] for i in range(n))
-            and all(array("i", map(ends[e].__getitem__, sq[4 + j::8])) == sq[c::8]
-                    for j, corners in enumerate(_ENDS) for e, c in enumerate(corners))):
-        return
-    for q, c in zip(range(nq), _records(sq, 8)):
-        for v, places in zip(c, _AT_CORNER):
-            k = sum(v in x.edge_ends(c[4 + j]) for j in places)
-            if k != 2:
-                yield v, {"error": "a 2-cell meets its corner in other than two sides",
-                          "at": [x.square_name(q), x.vertex_key(v), k]}
-        if (c[6], c[7]) != (spokes[q], spokes[q - q % n + (q + 1) % n]):
-            yield -1, {"error": "a square does not hold its polygon's spokes",
-                       "at": [x.square_name(q), x.edge_key(c[6]), x.edge_key(c[7])]}
+def _read_links(t: BallTable) -> tuple[list[int], list[int]]:
+    n, nv = t.presentation.n, len(t.vertices) // 2
+    size = [g.size for g in t.presentation.groups]
+    cols = [t.polygons[i::2 * n] for i in range(2 * n)]   # corner i at i, side i at n + i
+    held = Counter(chain.from_iterable(cols[n:]))
+    inner_v, inner_e = t.inner(2), t.inner(1)
+    inner = list(map(inner_v.__getitem__, t.vertices[1::2]))   # by X-vertex id
+    # the corners at interior X-vertices, by place i, with the halves of sides
+    # i and i+1 there, in the same order
+    keep = [list(map(inner.__getitem__, cols[i])) for i in range(n)]
+    corner = list(chain.from_iterable(compress(cols[i], keep[i]) for i in range(n)))
+    first = [2 * s + (i > 0) for i in range(n) for s in compress(cols[n + i], keep[i])]
+    second = [2 * s + (i + 1 == n) for i in range(n)
+              for s in compress(cols[n + (i + 1) % n], keep[i])]
+    # by interior X-vertex, its squares and its distinct pairs, first halves
+    # and second halves
+    squares = Counter(corner)
+    pairs, a, c = (Counter(map(operator.itemgetter(0), set(z))) for z in (
+        zip(corner, first, second), zip(corner, first), zip(corner, second)))
+    index, label = t.vertices[::2], t.edges[::4]
+    # those with a half of a label other than their index (first) or the next
+    off = ({v for v, h in zip(corner, first) if label[h >> 1] != index[v]}
+           | {v for v, h in zip(corner, second) if label[h >> 1] != (index[v] + 1) % n})
+    bad = [v for v, i in enumerate(index) if inner[v] and (
+        v in off or (squares[v], pairs[v], a[v], c[v])
+        != (size[i] * size[(i + 1) % n], squares[v], size[(i + 1) % n], size[i]))]
+    bad += [nv + e for e, (i, k, _, _) in enumerate(_records(t.edges, 4))
+            if inner_e[k] and held[e] != size[i]]
+    return [held[e] for e in range(len(t.edges) // 4)], bad
 
 
 def t4_audit(b: ComplexBall) -> Report:
     """Every interior X'-vertex link is its closed form (``_links``), so has
     girth >= 4; every polygon has n distinct corners, read from its table
-    record.  The link row's witness is the first broken square record, or
-    the keys of the vertices whose link is not its closed form."""
+    record.  The link row's witness is the first break ``place_faults``
+    finds, or the keys of the vertices whose link is not its closed form."""
     report = Report()
-    x = subdivision(b)
-    t, n = x.table, b.n
+    t, n = b.table, b.n
     corners = (c[:n] for c in _records(t.polygons, 2 * n))
     bad_sides = [(g, c) for g, c in zip(t.reps, corners) if len(set(c)) != n]
     for g, c in bad_sides:
         report.add("davis.t4.polygon-sides", format_word(g), False,
-                   witness=[x.vertex_key(v) for v in c])
-    _, fault, _, bad = _links(b)
-    bad = fault or [x.vertex_key(v) for v in bad]
+                   witness=[t.vertex_key(v) for v in c])
+    faults = place_faults(b)
+    bad = faults[0][2] if faults else [subdivision(b).vertex_key(v) for v in _links(b)[1]]
     report.add("davis.t4.link-girth", f"radius={b.radius}", not bad, witness=bad or None)
     if not bad_sides:
         report.add("davis.t4.polygon-sides", f"radius={b.radius}", True)
@@ -638,7 +612,8 @@ def polygon_pair_audit(b: ComplexBall) -> Report:
         by key, the ids of index (label) i are one run, so this reads: the
         ids at place i lie in run i, each column's least and greatest id
         read; and side i's ends, in id order, are corners i-1 and i (0 and
-        n-1 for side 0).
+        n-1 for side 0).  ``place_faults`` reads it, once per ball, for
+        this audit and the X' audits.
     (ii) pairs: a pair of vertices (u, w) is read as its code u·V + w, V
         the X-vertex count.  For each two non-adjacent places i < j, the
         codes of the polygons' corners at i and j are distinct, C(n, 2) - n
@@ -660,10 +635,11 @@ def polygon_pair_audit(b: ComplexBall) -> Report:
     one place, so d_v and d_e are counted column by column.
 
     Where (i) or (ii) fails, the row fails, and only then are records
-    intersected.  The witness is each pair of a failing polygon and one at
-    a corner of it that meets it otherwise than in one corner or one side
-    and its ends, as (name, name, shared sides, shared corners) in polygon
-    order; or, with no such pair, the failing polygons' names."""
+    intersected, the polygons at each corner read from an ``incidence`` of
+    the corner columns.  The witness is each pair of a failing polygon and
+    one at a corner of it that meets it otherwise than in one corner or one
+    side and its ends, as (name, name, shared sides, shared corners) in
+    polygon order; or, with no such pair, the failing polygons' names."""
     report = Report()
     t = b.table
     n, nk, nv, ne = b.n, len(t.reps), len(t.vertices) // 2, len(t.edges) // 4
@@ -677,29 +653,21 @@ def polygon_pair_audit(b: ComplexBall) -> Report:
         ends.__getitem__, order), map(ends.__getitem__, islice(order, 1, None))))}
     # the polygons breaking (i) or (ii); an edge order that leaves an edge
     # out leaves (ii) unread for all of them
-    broken = set() if len(order) == ne else set(range(nk))
+    broken = {k for k, _, _ in place_faults(b)} | (set() if len(order) == ne else set(range(nk)))
     for i in range(n):
-        for col, keys in ((cols[i], t.vertices[::2]), (cols[n + i], t.edges[::4])):
-            run = range(bisect_left(keys, i), bisect_left(keys, i + 1))
-            if min(col) not in run or max(col) not in run:
-                broken.update(compress(count(), map(operator.not_, map(run.__contains__, col))))
         if clash:
             broken.update(compress(count(), map(clash.__contains__, cols[n + i])))
         high = list(map(operator.mul, cols[i], repeat(nv)))
-        for j in range(i + 1, n):
-            codes = map(operator.add, high, cols[j])   # of the corners at places i and j
-            if j - i in (1, n - 1):   # the ends of side j, or of side 0
-                got = map(ends.__getitem__, cols[n + j if j - i == 1 else n])
-                broken.update(compress(count(), map(operator.ne, got, codes)))
-            elif len(set(codes)) < nk:   # the polygons whose code another holds
-                held = Counter(map(operator.add, high, cols[j]))
-                broken.update(k for k, u in enumerate(map(operator.add, high, cols[j]))
-                              if held[u] > 1)
+        for j in range(i + 2, n - (i == 0)):   # the places not adjacent to i
+            codes = list(map(operator.add, high, cols[j]))   # of the corners at i and j
+            if len(set(codes)) < nk:   # the polygons whose code another holds
+                held = Counter(codes)
+                broken.update(k for k, u in enumerate(codes) if held[u] > 1)
     bad = None
     if broken:
-        x = subdivision(b)
+        start, at = incidence(array("i", chain.from_iterable(zip(*cols[:n]))), nv)
         near = sorted({(min(g, h), max(g, h)) for g in broken for v in t.corners(g)
-                       for h in (q // n for q, _ in x.squares_at(v)) if h != g})
+                       for h in (y // n for y in at[start[v]:start[v + 1]]) if h != g})
         meet = [(g, h, len({*t.sides(g)} & {*t.sides(h)}), len({*t.corners(g)} & {*t.corners(h)}))
                 for g, h in near]
         bad = ([(format_word(t.reps[g]), format_word(t.reps[h]), e, v)
@@ -710,14 +678,19 @@ def polygon_pair_audit(b: ComplexBall) -> Report:
 
 
 def free_face_audit(b: ComplexBall) -> Report:
-    """Every interior edge of X' lies in at least two squares: its square
-    count, read by ``_links``."""
+    """Every interior edge of X' lies in at least two squares: a spoke lies
+    in two, and each half of X-edge e in d_e, as ``_links`` counts them.
+    The witness is the first break ``place_faults`` finds, or the keys of
+    the halves in fewer than two squares."""
     report = Report()
-    x = subdivision(b)
-    on = _links(b)[0]
-    inside = list(compress(count(), x.interior_edges()))
-    bad = [x.edge_key(s) for s in sorted((s for s in inside if on[s] < 2), key=x.edge_ends)]
-    report.add("davis.free-faces", f"radius={b.radius} edges={len(inside)}",
+    t, faults, held = b.table, place_faults(b), _links(b)[0]
+    inner = t.inner(1)
+    inside = [e for e, k in enumerate(t.edges[1::4]) if inner[k]]
+    free = [2 * e + j for e in inside if held[e] < 2 for j in (0, 1)]
+    # X' is built only to name a free half
+    bad = faults[0][2] if faults else [subdivision(b).edge_key(s) for s in sorted(
+        free, key=lambda s: subdivision(b).edge_ends(s))]
+    report.add("davis.free-faces", f"radius={b.radius} edges={2 * len(inside) + b.n * len(t.reps)}",
                not bad, witness=bad or None)
     return report
 
@@ -729,14 +702,15 @@ def links_audit(b: ComplexBall) -> Report:
     The squares at an X-vertex are its polygons' corners there, and a
     square's two sides at it are the halves of its polygon's two sides
     there; so its link in X is its link in X', each half read as its
-    X-edge.  The witness is the first square record broken at an interior
-    X-vertex, or the keys of the X-vertices whose link is not K_{a,b}."""
+    X-edge.  The witness is the first break ``place_faults`` finds at an
+    interior X-vertex, or the keys of the X-vertices whose link is not
+    K_{a,b}."""
     report = Report()
-    x = subdivision(b)
-    _, _, fault, bad = _links(b)
-    bad = fault or [x.vertex_key(v) for v in bad if v < len(x.table.vertices) // 2]
+    t, inner = b.table, b.table.inner(2)
+    bad = next((w for _, v, w in place_faults(b) if inner[t.vertices[2 * v + 1]]), None) or [
+        t.vertex_key(v) for v in _links(b)[1] if v < len(t.vertices) // 2]
     report.add("davis.links-complete-bipartite",
-               f"radius={b.radius} vertices={len(x.table.interior_vertices())}",
+               f"radius={b.radius} vertices={len(t.interior_vertices())}",
                not bad, witness=bad or None)
     return report
 
@@ -834,7 +808,7 @@ def iter_ball_json(t: BallTable, square: bool = False) -> Iterator[str]:
     document, with one fixed layout per record kind.
 
     All of it is read from the table, through ``_rows`` and
-    ``_squares``, so no square index is built.  A key string or a formatted
+    ``_squares``.  A key string or a formatted
     word holds only ASCII letters, digits and ``:|- `` (``format_word``
     writes ``v<int>:<int>`` tokens), which JSON writes as they are, so no
     string is escaped.

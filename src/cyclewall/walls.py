@@ -72,27 +72,29 @@ the shared-polygon audit files each polygon's sides under the walls that
 hold them, in one pass over the polygons.
 
 The hyperplanes of X' are classes of its edge ids: the two opposite sides
-of each square are joined in a ``UnionFind``, in one pass over the squares'
-side columns, by their places in the record.  The records are checked once
-per ball (``davis.square_faults``, which the davis link audits read too);
-with them sound, square (m_i, v, m_{i+1}, c; half_i, half_{i+1}, spoke_i,
-spoke_{i+1}) crosses two classes, {half_i (m_i, v), spoke_{i+1} (m_{i+1},
-c)} and {half_{i+1} (v, m_{i+1}), spoke_i (c, m_i)}; in each, the
-parallel half lies at the X-vertex corner v and the parallel spoke at the
-center c.  Two squares of one class are joined by a chain of squares, each
-sharing a dual edge with the next: a dual half shares its X-vertex, a dual
-spoke its center.  So every class has one side of halves only (its
-X-vertex side) and one of spokes only (its center side).  A midpoint lies
-on a class's center side exactly when one of its two halves is in the
-class (the dual half of a square joins its center-side midpoint to v), so
-a second pass over the squares, with each edge's class root found once,
-files each class's parallel halves' labels and checks that neither half of
-the midpoint on its X-vertex side is in it, with no per-class side map; the
-class's tree-wall side is its halves' side exactly when their labels are
-one label.  A broken square record fails the audit's ``classes`` row with
-the scan's witness; any other structure the audit relies on that turns out
-broken (a square whose two classes are one, a midpoint on both sides of a
-class) is reported as a failed check with a witness.
+of each square are joined in a ``UnionFind``, in one pass over the
+polygons' side columns, by their places in the square.  The table's places
+and side ends are checked once per ball (``davis.place_faults``, which the
+davis link audits read too); with them sound, square q = n·k + i, with
+corners (m_i, v, m_{i+1}, c), holds the halves of polygon k's sides i and
+i+1 at v and spokes i and i+1 of k, and crosses two classes, {half_i
+(m_i, v), spoke_{i+1} (m_{i+1}, c)} and {half_{i+1} (v, m_{i+1}), spoke_i
+(c, m_i)}; in each, the parallel half lies at the X-vertex corner v and
+the parallel spoke at the center c.  Two squares of one class are joined
+by a chain of squares, each sharing a dual edge with the next: a dual half
+shares its X-vertex, a dual spoke its center.  So every class has one side
+of halves only (its X-vertex side) and one of spokes only (its center
+side).  A midpoint lies on a class's center side exactly when one of its
+two halves is in the class (the dual half of a square joins its
+center-side midpoint to v), so a second pass over the squares, with each
+edge's class root found once, files each class's parallel halves' labels
+and checks that neither half of the midpoint on its X-vertex side is in
+it, with no per-class side map; the class's tree-wall side is its halves'
+side exactly when their labels are one label.  A break of the table's
+places fails the audit's ``classes`` row with the check's witness; any
+other structure the audit relies on that turns out broken (a square whose
+two classes are one, a midpoint on both sides of a class) is reported as
+a failed check with a witness.
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ from .algebraic import (
     join_is_cmaximal,
     vertex_mediums,
 )
-from .davis import BallTable, ComplexBall, incidence, square_faults, subdivision
+from .davis import BallTable, ComplexBall, incidence, place_faults, subdivision
 from .errors import ValidationError
 from .reports import Report
 from .words import (
@@ -553,9 +555,9 @@ def _skeleton(b: ComplexBall) -> Callable[[int], array]:
     once, by ``incidence``: each end's vertex is its key and the other end
     its value, so each neighbour is listed once, in edge order."""
     def build() -> Callable[[int], array]:
-        x = subdivision(b)
-        ends = x.ends   # the other end of the end at place k is at k ^ 1
-        start, nbr = incidence(ends, len(x.start) - 1,
+        ends = subdivision(b).ends   # the other end of the end at place k is at k ^ 1
+        # every X' vertex ends an edge, and the last spoke ends at the last center
+        start, nbr = incidence(ends, ends[-1] + 1,
                                itertools.chain.from_iterable(zip(ends[1::2], ends[::2])))
         return lambda v: nbr[start[v]:start[v + 1]]
     return b.derive("skeleton", build)
@@ -633,31 +635,39 @@ def hyperplane_treewall_audit(b: ComplexBall) -> Report:
     constant-label subgraph of the unsubdivided 1-skeleton: its halves'
     side (see the module docstring).
 
-    A broken square record (``davis.square_faults``) fails the ``classes``
-    row with its witness.  Otherwise each record q = n·k + i is polygon k's
-    corner i (the proof is in ``davis._links``): its four corners are
-    distinct and each side ends at the two corners its place names, so the
-    side opposite half_i (m_i, v) is spoke_{i+1} (m_{i+1}, c), and the one
-    opposite half_{i+1} (v, m_{i+1}) is spoke_i (c, m_i): the pairs, in
-    the same order, that matching each square's sides by their ends finds."""
+    A break ``davis.place_faults`` finds fails the ``classes`` row with its
+    witness.  Otherwise square q = n·k + i of X' is polygon k's corner i
+    (the proof is in ``davis._links``): its four corners are distinct and
+    each side ends at the two corners its place names, so the side opposite
+    half_i (m_i, v) is spoke_{i+1} (m_{i+1}, c), and the one opposite
+    half_{i+1} (v, m_{i+1}) is spoke_i (c, m_i).  The halves are read off
+    the polygon columns: half_i = 2s_i + [i > 0] and half_{i+1} =
+    2s_{i+1} + [i+1 = n] for polygon k's sides s_i and s_{i+1}, whose
+    midpoints m_i and m_{i+1} are V + s_i and V + s_{i+1}."""
     check = "walls.hyperplane-side-is-wall"
     report = Report()
-    faults = square_faults(b)
+    faults = place_faults(b)
     if faults:
-        report.add(check, "classes", False, faults[0][1])
+        report.add(check, "classes", False, faults[0][2])
         return report
     x = subdivision(b)
-    sq = x.squares
+    t, n = x.table, b.n
+    e0 = len(t.edges) // 2   # spoke i of polygon k is e0 + n·k + i
+    # square q = n·k + i holds the halves of polygon k's sides i and i+1 at its corner i
+    halves = array("i", itertools.chain.from_iterable(
+        (2 * s[i] + (i > 0), 2 * s[(i + 1) % n] + (i + 1 == n))
+        for s in map(t.sides, range(len(t.reps))) for i in range(n)))
     uf = UnionFind()
-    for h0, h1, s0, s1 in zip(sq[4::8], sq[5::8], sq[6::8], sq[7::8]):
-        uf.union(h0, s1)
-        uf.union(h1, s0)
-    label_of: dict[int, Optional[int]] = {}   # class root -> its first parallel half's label
+    for q, (h0, h1) in enumerate(zip(halves[::2], halves[1::2])):
+        uf.union(h0, e0 + q - q % n + (q + 1) % n)
+        uf.union(h1, e0 + q)
+    label_of: dict[int, int] = {}   # class root -> its first parallel half's label
     mixed: dict[int, set] = {}   # class root -> its parallel halves' labels, when not one
     errors: dict[int, dict] = {}   # class root -> the witness of its first broken square
-    nv = len(x.table.vertices) // 2   # the midpoint of X-edge e is X' vertex nv + e
-    cls = [uf.find(s) for s in x.edge_ids()]   # by edge id: its class root
-    for q, (m_i, m_next, h0, h1) in enumerate(zip(sq[0::8], sq[2::8], sq[4::8], sq[5::8])):
+    nv = len(t.vertices) // 2   # the midpoint of X-edge e is X' vertex nv + e
+    labels = t.edges[::4]   # by X-edge id; half 2e + j is a half of X-edge e
+    cls = list(map(uf.find, x.edge_ids()))   # by edge id: its class root
+    for q, (h0, h1) in enumerate(zip(halves[::2], halves[1::2])):
         r0, r1 = cls[h0], cls[h1]
         if r0 == r1:
             errors.setdefault(r0, {"error": "a square meets a hyperplane in opposite sides",
@@ -665,15 +675,16 @@ def hyperplane_treewall_audit(b: ComplexBall) -> Report:
         # class r0 runs along the half (v, m_{i+1}), so m_{i+1} is on its X-vertex
         # side, and neither half of m_{i+1} (edge ids 2e, 2e + 1) is in it; class
         # r1 runs along (m_i, v)
-        for root, along, near in ((r0, h1, m_next), (r1, h0, m_i)):
-            label = x.label(along)
+        for root, along in ((r0, h1), (r1, h0)):
+            e = along // 2
+            label = labels[e]
             if label_of.setdefault(root, label) != label:
                 mixed.setdefault(root, {label_of[root]}).add(label)
-            if root in (cls[2 * (near - nv)], cls[2 * (near - nv) + 1]):
+            if root in (cls[2 * e], cls[2 * e + 1]):
                 errors.setdefault(root, {"error": "hyperplane sides are inconsistent",
-                                         "at": [x.square_name(q), x.vertex_key(near)]})
+                                         "at": [x.square_name(q), x.vertex_key(nv + e)]})
     for idx, root in enumerate(sorted(label_of, key=x.edge_ends)):
-        ok = root not in errors and root not in mixed and label_of[root] is not None
+        ok = root not in errors and root not in mixed
         report.add(check, f"hyperplane#{idx}", ok, None if ok else errors.get(root, {
             "sides_in_skeleton": 0,
             "side_labels": [sorted(map(str, mixed.get(root, {label_of[root]}))), ["None"]]}))

@@ -636,6 +636,26 @@ def enumerate_ball_elements(p: Presentation, L: int,
     return out
 
 
+def ball_growth(p: Presentation, L: int) -> list[int]:
+    """The number of elements of each syllable length 0..L, with none
+    listed: the growth series W of a graph product satisfies 1/W(t) =
+    Σ over the cliques σ of the graph of Π_{v in σ} (1/W_v(t) - 1)
+    (Chiswell, *The growth series of a graph product*, Bull. LMS 1994), and
+    as every non-trivial syllable has length 1, W_v(t) = 1 + a_v·t with
+    a_v = |G_v| - 1.  The cliques of C_n are the empty one, the vertices
+    and the edges {v, v+1}; 1/W is inverted as an integer power series."""
+    p.require_finite()
+    # f_v = 1/(1 + a_v t) - 1 to degree L, then 1/W = 1 + Σ f_v + Σ f_v·f_{v+1}
+    f = [[0] + [(1 - g.size) ** k for k in range(1, L + 1)] for g in p.groups]
+    inverse = [1] + [sum(f_v[k] for f_v in f) + sum(f[v][j] * f[(v + 1) % p.n][k - j]
+                                                     for v in range(p.n) for j in range(1, k))
+                     for k in range(1, L + 1)]
+    growth: list[int] = []
+    for k in range(L + 1):
+        growth.append((k == 0) - sum(inverse[j] * growth[k - j] for j in range(1, k + 1)))
+    return growth
+
+
 def _appends(word: tuple[Syllable, ...], v: int, block: frozenset[int]) -> bool:
     """Whether a syllable of vertex v, blocked by ``block``, is appended to ``word``."""
     for u, _ in reversed(word):

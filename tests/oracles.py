@@ -47,16 +47,25 @@ that each polygon around it has there, instead of reading the vertex's link
 in X' over side ids.  The polygon-pair oracle intersects the corner and side
 objects of every two polygons at a vertex, instead of the table's polygon
 records.  The shared-polygon oracle intersects the polygons on every pair
-of edges of a wall, instead of one pass over each polygon's sides.  The X'
-link oracle (``square_link``) builds the link of an X' vertex by searching
-each square at it for its sides that end there, and
-``link_is_closed_form`` checks that link for the closed form of its cell
-kind (part sizes, completeness, one cycle by a walk), where
-``davis._links`` reads the sides at each corner off their places in the
-square record and decides each link from square counts, building none.
-The girth oracle (``graph_girth``) runs a breadth-first search from every
-node of a graph; the davis audits compute no girth, as every closed form
-has girth 4 or n.
+of edges of a wall, instead of one pass over each polygon's sides.
+
+The record oracle (``square_records``) writes X''s squares out, as the
+package kept them before it read X' off the polygon columns: each square's
+record from ``davis._squares`` and an index of the squares at each vertex,
+built by ``davis.incidence``.  ``square_record_faults`` scans the records
+for a corner met by other than two of its sides or a square holding
+spokes other than its own, where ``davis.place_faults`` reads the table's
+places and side ends; ``record_links`` reads each interior vertex's square
+count and, at an X-vertex, its squares' pairs of halves off the records,
+where ``davis._links`` reads them off the polygon columns; and
+``hyperplane_treewall_by_records`` pairs each record's opposite sides by
+their places, once the scan finds no fault.  The X' link oracle
+(``square_link``) builds the link of an X' vertex by searching each square
+record at it for its sides that end there, and ``link_is_closed_form``
+checks that link for the closed form of its cell kind (part sizes,
+completeness, one cycle by a walk).  The girth oracle (``graph_girth``)
+runs a breadth-first search from every node of a graph; the davis audits
+compute no girth, as every closed form has girth 4 or n.
 
 The incidence oracle (``incidence_by_sort``) lists the places that hold
 each key by a stable sort of the places, instead of ``davis.incidence``'s
@@ -66,13 +75,14 @@ The square-ball oracle (``subdivide``) builds X' as cell objects: a
 ``ComplexVertex`` per vertex, a ``ComplexEdge`` per edge and a ``Square``
 per square, holding its corner and side objects, with incidence maps
 indexed from the squares and interior marked by coset-rep length.  The
-integer ``davis.Subdivision`` is checked against it key string by key
-string, and the X' audits' mutants are written against both.
+integer ``davis.Subdivision`` and the record oracle are checked against it
+key string by key string, and the X' audits' mutants are written into the
+ball's table.
 
-The hyperplane oracle finds the opposite sides of each square of X' by
+The hyperplane oracle finds the opposite sides of each square record by
 matching their ends (``opposite_sides_by_ends``), instead of pairing them
-by their places in the square record once ``davis.square_faults`` has
-found every record sound; it joins them in a union-find
+by their places in the polygon columns once ``davis.place_faults`` has
+found the table sound; it joins them in a union-find
 (``hyperplane_classes``) and 2-colors each class's sides on its own, by a
 breadth-first search over the ends of the class's dual and parallel edges
 (``combinatorial_hyperplanes``), instead of filing every class's labels and
@@ -243,7 +253,7 @@ from typing import Iterator, Optional
 
 import networkx as nx
 
-from cyclewall import algebraic, cli, diagrams
+from cyclewall import algebraic, cli, davis, diagrams
 from cyclewall.algebraic import (
     MAXIMAL,
     MEDIUM,
@@ -1229,12 +1239,120 @@ def incidence_by_sort(keys, size: int, values=None) -> tuple[array, array]:
             array("i", (values[k] for k in sorted(range(len(keys)), key=keys.__getitem__))))
 
 
-def square_link(x: Subdivision, v: int) -> dict[int, set[int]]:
+class SquareRecords:
+    """X''s squares written out as records, as ``davis.Subdivision`` once
+    kept them: square q's record from ``davis._squares`` (its corner ids,
+    then its side ids) at ``squares[8q:8q + 8]``, and the squares at vertex
+    x, each as 4q + the place of x among q's corners, at
+    ``at[start[x]:start[x + 1]]``, the ``davis.incidence`` of the corner
+    columns, and its interior flags by the rep-length rule.  Key strings,
+    ends and labels are read through the ball's ``Subdivision``."""
+
+    def __init__(self, x: Subdivision):
+        t = x.table
+        self.x = x
+        self.squares = array("i", itertools.chain.from_iterable(davis._squares(t)))
+        corner = array("i", itertools.chain.from_iterable(
+            zip(*(self.squares[j::8] for j in range(4)))))
+        self.start, self.at = davis.incidence(
+            corner, len(t.vertices) // 2 + len(t.edges) // 4 + len(t.reps))
+
+    def __getattr__(self, name):
+        return getattr(self.x, name)
+
+    def records(self) -> Iterator[tuple[int, ...]]:
+        """Each square's corner ids and then its side ids, in square order."""
+        return _records(self.squares, 8)
+
+    def sides(self, q: int) -> array:
+        return self.squares[8 * q + 4:8 * q + 8]
+
+    def squares_at(self, x: int) -> Iterator[tuple[int, int]]:
+        """(square, the place of x among its corners), in square order."""
+        return map(divmod, self.at[self.start[x]:self.start[x + 1]], itertools.repeat(4))
+
+    def interior_vertices(self) -> Iterator[bool]:
+        """By X' vertex id: X-vertices and midpoints by the rep-length rule,
+        centers always."""
+        t = self.table
+        inner_v, inner_e = t.inner(2), t.inner(1)
+        return itertools.chain(map(inner_v.__getitem__, t.vertices[1::2]),
+                               map(inner_e.__getitem__, t.edges[1::4]),
+                               itertools.repeat(True, len(t.reps)))
+
+    def interior_edges(self) -> Iterator[bool]:
+        """By X' edge id: both halves of an X-edge as it is, spokes always."""
+        t = self.table
+        inner_e = t.inner(1)
+        return itertools.chain(
+            itertools.chain.from_iterable((inner_e[k],) * 2 for k in t.edges[1::4]),
+            itertools.repeat(True, len(self.ends) // 2 - len(t.edges) // 2))
+
+
+def square_records(b: ComplexBall) -> SquareRecords:
+    """X''s square records, built once per ball from its table as it is
+    when first asked for."""
+    return b.derive("square records", lambda: SquareRecords(subdivision(b)))
+
+
+# the places of a square's two sides at each of its corners (m_i, v_i, m_{i+1}, c)
+_AT_CORNER = ((0, 2), (0, 1), (1, 3), (2, 3))
+
+
+def square_record_faults(x: SquareRecords) -> Iterator[tuple[int, dict]]:
+    """Each square record that is not its polygon's corner, in square order,
+    as (the corner's vertex id, or -1 for the spokes, a witness): a corner
+    met by k != 2 of its two sides as [square, vertex key, k], a square
+    holding spokes other than its own as [square, the keys of the spokes it
+    holds].  ``davis.place_faults`` reads the same facts, those that can
+    break, off the polygon columns."""
+    n, e0 = x.table.presentation.n, len(x.table.edges) // 2
+    for q, c in enumerate(x.records()):
+        for v, places in zip(c, _AT_CORNER):
+            k = sum(v in x.edge_ends(c[4 + j]) for j in places)
+            if k != 2:
+                yield v, {"error": "a 2-cell meets its corner in other than two sides",
+                          "at": [x.square_name(q), x.vertex_key(v), k]}
+        if (c[6], c[7]) != (e0 + q, e0 + q - q % n + (q + 1) % n):
+            yield -1, {"error": "a square does not hold its polygon's spokes",
+                       "at": [x.square_name(q), x.edge_key(c[6]), x.edge_key(c[7])]}
+
+
+def record_links(x: SquareRecords) -> tuple[list[int], Optional[dict], Optional[dict], list[int]]:
+    """The link read over the square records, as ``davis._links`` made it
+    before it read the polygon columns: (the squares holding each X' edge,
+    by edge id; the first record fault; the first at an interior X-vertex;
+    the ids of the interior vertices whose square count, or at an X-vertex
+    whose pairs of halves, are not their closed form's, in id order)."""
+    t, n = x.table, x.table.presentation.n
+    nv, sq, start = len(t.vertices) // 2, x.squares, x.start
+    faults = list(square_record_faults(x))
+    on = [0] * len(x.edge_ids())
+    for r in x.records():
+        for s in r[4:]:
+            on[s] += 1
+    inner, size = list(x.interior_vertices()), [g.size for g in t.presentation.groups]
+    want = itertools.chain((size[i] * size[(i + 1) % n] for i in t.vertices[::2]),
+                           (2 * size[i] for i in t.edges[::4]), itertools.repeat(n))
+    bad = {v for v, (w, inside) in enumerate(zip(want, inner))
+           if inside and start[v + 1] - start[v] != w}
+    for v, i in enumerate(t.vertices[::2]):
+        if inner[v]:
+            pairs = {(sq[8 * q + 4], sq[8 * q + 5]) for q, _ in x.squares_at(v)}
+            a, c = {s for s, _ in pairs}, {s for _, s in pairs}
+            if ((len(pairs), len(a), len(c), {*map(x.label, a)}, {*map(x.label, c)})
+                    != (start[v + 1] - start[v], size[(i + 1) % n], size[i], {i}, {(i + 1) % n})):
+                bad.add(v)
+    return (on, next((f for _, f in faults), None),
+            next((f for v, f in faults if 0 <= v < nv and inner[v]), None), sorted(bad))
+
+
+def square_link(x: SquareRecords, v: int) -> dict[int, set[int]]:
     """The link of X' vertex v over side ids, by search: two sides are
-    joined when a square at v has them as its sides ending at v.  A square
-    meeting v in other than two sides raises ``InvariantError``, naming the
-    square and v.  ``davis._links`` builds no link: it reads the two sides
-    at each corner off their places in the square record."""
+    joined when a square record at v has them as its sides ending at v.  A
+    square meeting v in other than two sides raises ``InvariantError``,
+    naming the square and v.  ``davis._links`` builds no link: it reads the
+    two halves at each corner off the polygon's side ids."""
     link: dict[int, set[int]] = {}
     for q, _ in x.squares_at(v):
         at_v = [s for s in x.sides(q) if v in x.edge_ends(s)]
@@ -1247,7 +1365,7 @@ def square_link(x: Subdivision, v: int) -> dict[int, set[int]]:
     return link
 
 
-def link_is_closed_form(x: Subdivision, v: int) -> bool:
+def link_is_closed_form(x: SquareRecords, v: int) -> bool:
     """Whether the link of X' vertex v, built by ``square_link``, is the
     closed form of its cell kind, with one square per edge: K_{|G_{i+1}|,
     |G_i|}, parted by the labels i and i+1, at an X-vertex of index i;
@@ -1307,7 +1425,7 @@ def polygon_pairs_by_search(b: ComplexBall) -> Report:
     X-vertex: the vertices are walked in id order, so that is where the pair
     is first met."""
     report = Report()
-    x = subdivision(b)
+    x = square_records(b)
     t = x.table
     n = t.presentation.n
     pairs = 0
@@ -1469,7 +1587,7 @@ def opposite_sides_by_ends(b: ComplexBall) -> Iterator[tuple[tuple[int, int], tu
     """Each square's two pairs of opposite sides, in square order, found by
     matching the sides' ends: the sides (m_i, v) and (m_{i+1}, c), then
     (v, m_{i+1}) and (c, m_i)."""
-    x = subdivision(b)
+    x = square_records(b)
     for q, (m_i, v, m_next, c, *sides) in enumerate(x.records()):
         # corners (m_i, v, m_{i+1}, c) in cyclic order; each side by its ends, in key order
         side = {x.edge_ends(s): s for s in sides}
@@ -1508,7 +1626,7 @@ def combinatorial_hyperplanes(b: ComplexBall, dual_edges: list[int]) -> list[set
     crossed square parallel to the hyperplane get the same color.  Each
     combinatorial hyperplane is the set of parallel sides within one color.
     """
-    x = subdivision(b)
+    x = square_records(b)
     dual = set(dual_edges)
     parallel_edges: set[int] = set()
     # the crossed squares: those at a dual edge's first end that hold it
@@ -1564,6 +1682,48 @@ def hyperplane_treewall_by_classes(b: ComplexBall) -> Report:
                    None if skeleton_sides == 1 else {
                        "sides_in_skeleton": skeleton_sides,
                        "side_labels": [sorted(map(str, ls)) for ls in labels]})
+    return report
+
+
+def hyperplane_treewall_by_records(b: ComplexBall) -> Report:
+    """``walls.hyperplane_treewall_audit`` as it read X' before the squares
+    left the package: a record fault (``square_record_faults``) fails the
+    ``classes`` row; otherwise each record's opposite sides are paired by
+    their places, (half_i, spoke_{i+1}) and (half_{i+1}, spoke_i), and a
+    second pass over the records files each class's halves' labels and the
+    midpoint on its X-vertex side."""
+    check = "walls.hyperplane-side-is-wall"
+    report = Report()
+    x = square_records(b)
+    fault = next(square_record_faults(x), None)
+    if fault:
+        report.add(check, "classes", False, fault[1])
+        return report
+    sq = x.squares
+    uf = UnionFind()
+    for h0, h1, s0, s1 in zip(sq[4::8], sq[5::8], sq[6::8], sq[7::8]):
+        uf.union(h0, s1)
+        uf.union(h1, s0)
+    label_of, mixed, errors = {}, {}, {}
+    nv = len(x.table.vertices) // 2
+    cls = [uf.find(s) for s in x.edge_ids()]
+    for q, (m_i, m_next, h0, h1) in enumerate(zip(sq[0::8], sq[2::8], sq[4::8], sq[5::8])):
+        r0, r1 = cls[h0], cls[h1]
+        if r0 == r1:
+            errors.setdefault(r0, {"error": "a square meets a hyperplane in opposite sides",
+                                   "at": [x.square_name(q)]})
+        for root, along, near in ((r0, h1, m_next), (r1, h0, m_i)):
+            label = x.label(along)
+            if label_of.setdefault(root, label) != label:
+                mixed.setdefault(root, {label_of[root]}).add(label)
+            if root in (cls[2 * (near - nv)], cls[2 * (near - nv) + 1]):
+                errors.setdefault(root, {"error": "hyperplane sides are inconsistent",
+                                         "at": [x.square_name(q), x.vertex_key(near)]})
+    for idx, root in enumerate(sorted(label_of, key=x.edge_ends)):
+        ok = root not in errors and root not in mixed and label_of[root] is not None
+        report.add(check, f"hyperplane#{idx}", ok, None if ok else errors.get(root, {
+            "sides_in_skeleton": 0,
+            "side_labels": [sorted(map(str, mixed.get(root, {label_of[root]}))), ["None"]]}))
     return report
 
 

@@ -201,6 +201,33 @@ def test_ball_resource_cap(tmp_path, capsys, monkeypatch):
     assert rc == EXIT_RESOURCE
 
 
+def test_ball_budget_is_checked_before_the_ball_is_listed(tmp_path):
+    """A vertex group of order 10^12 makes B(1) about 10^12 elements: with a
+    100 MiB budget, ``ball`` exits 2 with one error line, in well under the
+    timeout, as the budget is checked on the counted ball before any
+    element is listed."""
+    root = Path(__file__).resolve().parent.parent
+    path = write_presentation(tmp_path, 5, ["Z/1000000000000", "Z/2", "Z/2", "Z/2", "Z/2"])
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), CYCLEWALL_MEM_MB="100")
+    run = subprocess.run([sys.executable, "-m", "cyclewall.cli", "ball", "--radius", "1",
+                          "--presentation", path], env=env, capture_output=True, text=True,
+                         timeout=10)
+    assert run.returncode == EXIT_RESOURCE and run.stdout == ""
+    [line] = run.stderr.splitlines()
+    assert line.startswith("error: ball of radius 1 needs ~")
+
+
+def test_ball_counts_no_growth_series_without_a_budget(monkeypatch, capsys):
+    """With no ``CYCLEWALL_MEM_MB``, the ball is listed with no growth series
+    computed."""
+    def refuse(p, r):
+        raise AssertionError("the growth series was computed")
+
+    monkeypatch.delenv("CYCLEWALL_MEM_MB", raising=False)
+    monkeypatch.setattr(davis, "ball_growth", refuse)
+    assert len(davis.build_ball(presentation_c5_mixed(), 2).table.reps) == 1 + 7 + 29
+
+
 @pytest.mark.parametrize("argv", [[], ["--subdivide"], ["--format", "dot"],
                                   ["--format", "dot", "--subdivide"]],
                          ids=["json", "json-square", "dot", "dot-square"])
@@ -293,36 +320,32 @@ def test_run_suite_builds_ball_subdivision_and_stabilizers_once(monkeypatch):
     monkeypatch.setattr(davis, "build_ball", counted("ball", davis.build_ball))
     monkeypatch.setattr(davis, "_subdivision", counted("subdivision", davis._subdivision))
     monkeypatch.setattr(davis, "_read_links", counted("links", davis._read_links))
-    monkeypatch.setattr(davis, "_faults", counted("record scan", davis._faults))
+    monkeypatch.setattr(davis, "_place_faults", counted("column check", davis._place_faults))
     monkeypatch.setattr(walls, "_wall_stabilizer", counted(
         "stabilizer", walls._wall_stabilizer, key=lambda b, T, L: (T.label, T.key_rep)))
     assert run_suite(presentation_c5_mixed(), "all", 2, 3, 0).ok
     assert calls["ball", None] == 1
     assert calls["subdivision", None] == 1
     assert calls["links", None] == 1
-    assert calls["record scan", None] == 1
+    assert calls["column check", None] == 1
     per_wall = [n for (name, _), n in calls.items() if name == "stabilizer"]
     assert per_wall and max(per_wall) == 1
 
 
 def test_walls_suite_alone_fails_the_classes_row_on_a_broken_record(monkeypatch):
     """With no davis audit run before it, the walls suite's hyperplane audit
-    scans the square records itself: square 0 with its second side listed as
-    its first fails the ``classes`` row with the scan's witness."""
-    build = davis._subdivision
-
-    def broken(b):
-        x = build(b)
-        x.squares[5] = x.squares[4]
-        return x
-    monkeypatch.setattr(davis, "_subdivision", broken)
+    runs the column check itself: the identity polygon with its side 0
+    written as its side 1 too fails the ``classes`` row with the check's
+    witness, its corner 1 an end of one of its two sides there."""
     p = presentation_c5_mixed()
+    t = davis.ball_table(p, 2)
+    t.polygons[p.n + 1] = t.polygons[p.n]
+    monkeypatch.setattr(davis, "ball_table", lambda p, r: t)
     report = run_suite(p, "walls", 2, 3, 0)
     rows = [r for r in report.failures if r.check_id == "walls.hyperplane-side-is-wall"]
-    x = davis.subdivision(davis.build_ball(p, 2))
     assert [(r.instance, r.witness) for r in rows] == [
         ("classes", {"error": "a 2-cell meets its corner in other than two sides",
-                     "at": [x.square_name(0), x.vertex_key(x.squares[2]), 1]})]
+                     "at": ["#1", t.vertex_key(t.corners(0)[1]), 1]})]
 
 
 @pytest.mark.parametrize("seed", range(4))

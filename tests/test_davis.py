@@ -29,6 +29,7 @@ from cyclewall.davis import (
     iter_ball_dot,
     iter_ball_json,
     links_audit,
+    place_faults,
     polygon_pair_audit,
     subdivision,
     t4_audit,
@@ -65,10 +66,14 @@ from oracles import (
     object_ball,
     objects,
     polygon_pairs_by_objects,
+    hyperplane_treewall_by_records,
     polygon_pairs_by_search,
     polygons_at,
     polygons_containing_edge,
+    record_links,
     square_link,
+    square_record_faults,
+    square_records,
     subdivide,
     subdivision_interior_inherited,
     vertex_link,
@@ -162,10 +167,12 @@ def test_build_ball_matches_the_coset_rep_oracle(name, radius):
 
 def integer_subdivision_differences(b) -> list[str]:
     """Where ``subdivision(b)`` differs from the square-ball oracle, by key
-    strings: its squares' corners and sides, its interior vertices and
-    edges, and its hyperplane classes."""
-    x, sq = subdivision(b), subdivide(b)
-    records = list(zip(*[iter(x.squares)] * 8))
+    strings: the squares that ``davis._squares`` writes off the table, as
+    the JSON export lists them and the record oracle keeps them (their
+    corners and sides), its interior vertices and edges, and its hyperplane
+    classes."""
+    x, sq = square_records(b), subdivide(b)
+    records = list(x.records())
     interior_vertices = {x.vertex_key(v) for v, inner in enumerate(x.interior_vertices()) if inner}
     interior_edges = {x.edge_key(s) for s, inner in enumerate(x.interior_edges()) if inner}
     classes = {frozenset(map(x.edge_key, c)) for c in hyperplane_classes(b).values()}
@@ -371,9 +378,9 @@ def test_interior_edge_lies_in_group_order_many_polygons(c5_mixed):
 
 def test_interior_vertex_polygon_count_is_product_of_orders(c5_mixed):
     """As many polygons have a corner at an interior X-vertex, and as many
-    squares of X' are at it."""
+    square records of X' are at it."""
     b = object_ball(c5_mixed, 2)
-    x = subdivision(b)
+    x = square_records(b)
     assert b.interior_vertices
     for v in b.interior_vertices:
         want = c5_mixed.group(v.index).size * c5_mixed.group(v.index + 1).size
@@ -584,16 +591,19 @@ def test_incidence_matches_a_stable_sort(case):
 
 @pytest.mark.parametrize("name,radius", LINK_CASES)
 def test_counted_indexes_match_the_sorted_ones(name, radius):
-    """The squares at each X' vertex are the sort-built index of the
-    squares' corner columns, and the skeleton's neighbours of each vertex
-    are the other ends of its edges, read off ``ends`` in edge order."""
+    """The polygons at each X-vertex, as the polygon-pair audit indexes
+    them where it fails, by counting over the polygons' corner ids, are the
+    sort-built index; and the skeleton's neighbours of each X' vertex are
+    the other ends of its edges, read off ``ends`` in edge order."""
     b = build_ball(perfbench_presentation(name), radius)
-    x = subdivision(b)
-    corner = array("i", (v for c in x.records() for v in c[:4]))
-    assert (x.start, x.at) == incidence_by_sort(corner, len(x.start) - 1)
-    assert isinstance(x.start, array) and isinstance(x.at, array)
+    t, x = b.table, subdivision(b)
+    nv, ne = len(t.vertices) // 2, len(t.edges) // 4
+    corner = array("i", itertools.chain.from_iterable(map(t.corners, range(len(t.reps)))))
+    start, at = incidence(corner, nv)
+    assert (start, at) == incidence_by_sort(corner, nv)
+    assert isinstance(start, array) and isinstance(at, array)
     neighbours = walls._skeleton(b)
-    others = [[] for _ in range(len(x.start) - 1)]
+    others = [[] for _ in range(nv + ne + len(t.reps))]
     for k, v in enumerate(x.ends):
         others[v].append(x.ends[k ^ 1])
     assert [list(neighbours(v)) for v in range(len(others))] == others
@@ -617,7 +627,7 @@ def test_x_link_is_the_square_link_at_an_x_vertex(name, radius):
     for v, cell in enumerate(b.vertices):
         if cell in b.interior_vertices:
             got = {x_edge_key(s): {x_edge_key(u) for u in us}
-                   for s, us in square_link(x, v).items()}
+                   for s, us in square_link(square_records(b), v).items()}
             assert got == {e.key_string(): {f.key_string() for f in fs}
                            for e, fs in vertex_link(b, cell).items()}, cell.key_string()
 
@@ -654,19 +664,33 @@ def test_edge_ends_strictly_increase_along_the_edge_order(name, radius):
     assert all(a < c for a, c in zip(codes, codes[1:]))
 
 
-# the first square at the first interior X-vertex v, with its first side at
-# v replaced by one of its sides not at v
+def cut_side(t):
+    """Table t, in place, with the side of the first polygon at its first
+    interior X-vertex v at v's place i replaced by another X-edge of label
+    i that does not end at v: the polygon's corner i is an end of one of its
+    two sides there.  Returns v."""
+    n = t.presentation.n
+    v = t.interior_vertices()[0]
+    k = next(k for k in range(len(t.reps)) if v in t.corners(k))
+    i = list(t.corners(k)).index(v)
+    t.polygons[2 * n * k + n + i] = next(e for e in range(len(t.edges) // 4)
+                                         if t.edges[4 * e] == i and v not in t.ends(e))
+    return v
+
+
+# ``cut_side`` on c5_mixed's radius-2 table, in a fresh interpreter
 _CUT_POLYGON = """
 import json, sys
 from cyclewall.cli import load_presentation
-from cyclewall.davis import build_ball, links_audit, subdivision
+from cyclewall.davis import build_ball, links_audit
 b = build_ball(load_presentation(sys.argv[1]), 2)
-x = subdivision(b)
-v = next(v for v, inner in enumerate(x.interior_vertices()) if inner)
-q, _ = next(x.squares_at(v))
-sides = x.sides(q)
-cut = next(k for k, s in enumerate(sides) if v in x.edge_ends(s))
-x.squares[8 * q + 4 + cut] = next(s for s in sides if v not in x.edge_ends(s))
+t = b.table
+n = t.presentation.n
+v = t.interior_vertices()[0]
+k = next(k for k in range(len(t.reps)) if v in t.corners(k))
+i = list(t.corners(k)).index(v)
+t.polygons[2 * n * k + n + i] = next(e for e in range(len(t.edges) // 4)
+                                     if t.edges[4 * e] == i and v not in t.ends(e))
 print(json.dumps({"optimize": sys.flags.optimize,
                   "failed": [[r.check_id, r.witness] for r in links_audit(b).failures]}))
 """
@@ -674,8 +698,9 @@ print(json.dumps({"optimize": sys.flags.optimize,
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
 def test_links_audit_fails_on_a_polygon_missing_a_side_at_a_vertex(flags):
-    """A 2-cell meeting its corner in one side is a failed check with a
-    witness, not a crash, with or without ``python -O``."""
+    """A polygon whose corner is an end of one of its two sides there
+    (``cut_side``) is a failed check with a witness, not a crash, with or
+    without ``python -O``: the column check names the square at it."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     out = subprocess.run([sys.executable, *flags, "-c", _CUT_POLYGON,
@@ -690,61 +715,73 @@ def test_links_audit_fails_on_a_polygon_missing_a_side_at_a_vertex(flags):
     assert witness["at"] == ["#0", "poly|0|", 1]
 
 
+def copy_record(t, source, target):
+    """Polygon ``target``'s table record made polygon ``source``'s, in place."""
+    w = 2 * t.presentation.n
+    t.polygons[w * target:w * (target + 1)] = t.polygons[w * source:w * (source + 1)]
+
+
 def test_links_audit_fails_on_a_link_that_is_not_complete_bipartite(c5_mixed):
-    """The first square at the first interior X-vertex v, with one of its
-    sides at v replaced by another side at v of the same label, drops an
-    edge of the link of v, whose key is the witness."""
+    """The first polygon at the first interior X-vertex v given the record
+    of the last polygon there: the column check passes, as the record is
+    sound, and v keeps its square count, but its link has one edge twice
+    and misses one, so it is not K_{a,b}.  The witness is v's key with
+    those of the other X-vertices the record moves, the X-vertices whose
+    link the oracle, over the square records, finds not K_{a,b}."""
     b = build_ball(c5_mixed, 2)
-    x = subdivision(b)
-    v = next(v for v, inner in enumerate(x.interior_vertices()) if inner)
-    squares = [q for q, _ in x.squares_at(v)]
-    sides = x.sides(squares[0])
-    c = next(s for s in sides if v in x.edge_ends(s))
-    other = next(s for q in squares for s in x.sides(q)
-                 if v in x.edge_ends(s) and s not in sides and x.label(s) == x.label(c))
-    x.squares[8 * squares[0] + 4 + sides.index(c)] = other
+    t = b.table
+    v = t.interior_vertices()[0]
+    at_v = [k for k in range(len(t.reps)) if v in t.corners(k)]
+    copy_record(t, at_v[-1], at_v[0])
+    assert place_faults(b) == []
+    x = square_records(b)
     [failure] = links_audit(b).failures
     assert failure.check_id == "davis.links-complete-bipartite"
-    assert failure.witness == [sorted(objects(b).interior_vertices)[0].key_string()]
+    assert failure.witness == [t.vertex_key(u) for u in t.interior_vertices()
+                               if not link_is_closed_form(x, u)]
+    assert t.vertex_key(v) in failure.witness
 
 
 def test_t4_audit_fails_on_a_square_missing_a_side_at_a_vertex(c5_mixed):
-    """The first square at the first interior vertex v, with its first side
-    at v replaced by a side not at v, meets v in one side."""
+    """The polygon of ``cut_side``: the square at its corner v meets v in
+    one side, so the search oracle's link cannot be built there, and the
+    column check names the square as t4's link-row witness."""
     b = build_ball(c5_mixed, 2)
-    x = subdivision(b)
-    v = next(v for v, inner in enumerate(x.interior_vertices()) if inner)
-    q, _ = next(x.squares_at(v))
-    sides = x.sides(q)
-    cut = next(k for k, s in enumerate(sides) if v in x.edge_ends(s))
-    x.squares[8 * q + 4 + cut] = next(s for s in sides if v not in x.edge_ends(s))
+    v = cut_side(b.table)
     with pytest.raises(InvariantError):
-        square_link(x, v)
+        square_link(square_records(b), v)
     report = t4_audit(b)
     assert [r.check_id for r in report.failures] == ["davis.t4.link-girth"]
     witness = report.failures[0].witness
     assert witness["error"] == "a 2-cell meets its corner in other than two sides"
-    oracle = subdivide(b)
-    assert witness["at"] == [oracle.squares[q].name(), sorted(oracle.interior_vertices)[0].key_string(), 1]
+    assert witness["at"] == ["#0", b.table.vertex_key(v), 1]
 
 
-# Each mutant corrupts a ball of its own: its subdivision is kept on the
-# ball, so a corrupted one must not reach another test.
+# Each mutant corrupts a ball of its own: what is derived from its table is
+# kept on the ball, so a corrupted one must not reach another test.
 
 
-def test_free_face_audit_fails_on_an_edge_in_one_square(c5_mixed):
-    """The first interior edge of X', replaced in every square but the first
-    that holds it by another side of that square, lies in one square."""
-    b = build_ball(c5_mixed, 2)
-    x = subdivision(b)
-    e = min((s for s, inner in enumerate(x.interior_edges()) if inner), key=x.edge_ends)
-    holding = [q for q, r in enumerate(x.records()) if e in r[4:]]
-    for q in holding[1:]:
-        k = x.sides(q).index(e)
-        x.squares[8 * q + 4 + k] = x.squares[8 * q + 4 + (k + 1) % 4]
+def test_free_face_audit_fails_on_an_edge_in_one_square(c5_z2):
+    """The first interior X-edge e, on two polygons as |G_i| = 2, with the
+    first of them given the record of the last polygon, which is not on e:
+    the column check passes, and each half of e lies in one square.  The
+    witness is the halves in fewer than two squares, as the record oracle
+    counts them, e's two among them."""
+    b = build_ball(c5_z2, 2)
+    t = b.table
+    inner = t.inner(1)
+    e = next(e for e, k in enumerate(t.edges[1::4]) if inner[k])
+    on_e = [k for k in range(len(t.reps)) if e in t.sides(k)]
+    assert len(on_e) == 2 and e not in t.sides(len(t.reps) - 1)
+    copy_record(t, len(t.reps) - 1, on_e[0])
+    assert place_faults(b) == []
+    x = square_records(b)
+    on = record_links(x)[0]
     [failure] = free_face_audit(b).failures
     assert failure.check_id == "davis.free-faces"
-    assert failure.witness == [sorted(subdivide(b).interior_edges)[0].key_string()]
+    assert failure.witness == [x.edge_key(s) for s in sorted(
+        (s for s, inner in enumerate(x.interior_edges()) if inner and on[s] < 2), key=x.edge_ends)]
+    assert {x.edge_key(2 * e), x.edge_key(2 * e + 1)} <= set(failure.witness)
 
 
 def polygons_at_first_inner_vertex(t):
@@ -797,114 +834,104 @@ def test_polygon_pair_audit_fails_on_a_pair_sharing_too_much(c5_mixed, extra, mo
 # a table record is n corner ids wide, so no corner can be dropped from it
 @pytest.mark.parametrize("cut", ["repeated"])
 def test_t4_audit_fails_on_a_polygon_without_n_distinct_corners(c5_mixed, cut):
-    """Polygon v0:1's table record with its last corner id made its first.
-    X' is built before, so only the polygon's own check sees the change."""
+    """Polygon v0:1's table record with its last corner id made its first:
+    its own check names it, and the link row fails through the column
+    check, as its corner 4 now has index 0 and is an end of neither side
+    there."""
     n = c5_mixed.n
     b = build_ball(c5_mixed, 2)
     g = parse_word(c5_mixed, "v0:1")
     kept = objects(b).polygons[g].boundary[:-1]
     boundary = kept + kept[:1]
-    t = subdivision(b).table
+    t = b.table
     at = 2 * n * t.reps.index(g)
     t.polygons[at + n - 1] = t.polygons[at]
     report = t4_audit(b)
-    [failure] = report.failures
-    assert (failure.check_id, failure.instance) == ("davis.t4.polygon-sides", "v0:1")
-    assert failure.witness == [u.key_string() for u in boundary]
+    sides, link = report.failures
+    assert (sides.check_id, sides.instance) == ("davis.t4.polygon-sides", "v0:1")
+    assert sides.witness == [u.key_string() for u in boundary]
     assert [r for r in report.results
             if r.check_id == "davis.t4.polygon-sides" and r.status == "pass"] == []
-
-
-def file_square_at(x, v, record):
-    """Add ``record`` to the subdivision ``x`` as a last square, at vertex v
-    alone (at its corner 1)."""
-    q = len(x.squares) // 8
-    x.squares.extend(record)
-    x.at.insert(x.start[v + 1], 4 * q + 1)
-    for y in range(v + 1, len(x.start)):
-        x.start[y] += 1
+    assert link.check_id == "davis.t4.link-girth"
+    assert link.witness == {"error": "a 2-cell meets its corner in other than two sides",
+                            "at": ["v0:1#4", boundary[0].key_string(), 0]}
 
 
 @pytest.mark.parametrize("short", ["triangle", "loop"])
 def test_t4_audit_fails_on_a_link_with_a_short_cycle(c5_mixed, short):
-    """A square at v joining two sides with a common neighbour in the link of
-    v closes a triangle; one meeting v twice in the same side is a loop.  The
-    oracle's link has that girth; the witness names v, whose link is not
-    K_{a,b}, having a·b + 1 squares."""
+    """At the first interior X-vertex v, of index 0, the first polygon there
+    with its side 1 replaced by another label-0 edge d at v: its square at
+    v joins two label-0 halves, closing a triangle in the link the search
+    oracle builds over the square records; with d its side 0, the square
+    meets v twice in the same side, a loop.  Such a polygon has a side off
+    its place, so the column check fails the link row: corner 1 is an end
+    of one of its two sides there."""
     b = build_ball(c5_mixed, 2)
-    x = subdivision(b)
-    v = next(v for v, inner in enumerate(x.interior_vertices()) if inner)
-
-    def sides_at_v(q):
-        return [s for s in x.sides(q) if v in x.edge_ends(s)]
-
-    squares = [q for q, _ in x.squares_at(v)]
-    record = x.squares[8 * squares[0]:8 * squares[0] + 8]
-    a, c = sides_at_v(squares[0])
-    if short == "triangle":   # a - c - d in the link, and the new square joins a - d
-        d = next(e for t in squares if c in sides_at_v(t)
-                 for e in sides_at_v(t) if e not in (a, c))
+    t = b.table
+    n = t.presentation.n
+    v = t.interior_vertices()[0]
+    k = next(k for k in range(len(t.reps)) if v in t.corners(k))
+    assert t.vertices[2 * v] == 0 and t.corners(k)[0] == v
+    a = t.sides(k)[0]
+    if short == "triangle":
+        d = next(e for e in range(len(t.edges) // 4)
+                 if e != a and t.edges[4 * e] == 0 and v in t.ends(e))
         want = 3
     else:
         d, want = a, 1
-    file_square_at(x, v, [d if s == c else s for s in record])
-    assert graph_girth(square_link(x, v)) == want
+    t.polygons[2 * n * k + n + 1] = d
+    assert graph_girth(square_link(square_records(b), v)) == want
     [failure] = t4_audit(b).failures
     assert failure.check_id == "davis.t4.link-girth"
-    assert failure.witness == [sorted(subdivide(b).interior_vertices)[0].key_string()]
-
-
-def test_t4_audit_fails_on_a_square_holding_its_next_spoke_twice(c5_mixed):
-    """Square 0 with spoke 1 in the place of spoke 0: it meets its first
-    midpoint in one of its sides there, though all its corners keep their
-    places and every count holds."""
-    b = build_ball(c5_mixed, 2)
-    x = subdivision(b)
-    x.squares[6] = x.squares[7]
-    assert [r.check_id for r in links_audit(b).failures] == []
-    [failure] = t4_audit(b).failures
     assert failure.witness == {"error": "a 2-cell meets its corner in other than two sides",
-                               "at": ["#0", x.vertex_key(x.squares[0]), 1]}
+                               "at": [f"{format_word(t.reps[k])}#1",
+                                      t.vertex_key(t.corners(k)[1]), 1]}
 
 
 def test_links_audit_fails_on_an_x_vertex_whose_squares_are_listed_mirrored(c5_z3):
-    """Every square at the first interior X-vertex v listed from its other
-    end: (m_{i+1}, v, m_i, c; half_{i+1}, half_i, spoke_{i+1}, spoke_i).
-    Each still meets each corner in two sides, but holds the other polygon
-    side's half in the place of label i, so the halves in that place are
-    not of v's index.  With |G_i| = |G_{i+1}| the part sizes hold, so only
-    the labels tell."""
+    """The first polygon at the first interior X-vertex v, the identity's,
+    listed from its other end: corner j is its corner -j and side j its
+    side 1 - j.  Its square at v still meets v in two sides, but holds the
+    half of label 1 in the place of label 0, which the record oracle
+    finds at v; the column check finds side 0 off its place at v, and
+    both link rows name it."""
     b = build_ball(c5_z3, 2)
-    x = subdivision(b)
-    v = first_inner(x, 0)
-    for q, _ in x.squares_at(v):
-        r = x.squares[8 * q:8 * q + 8]
-        x.squares[8 * q:8 * q + 8] = array("i", [r[2], r[1], r[0], r[3], r[5], r[4], r[7], r[6]])
+    t = b.table
+    n = t.presentation.n
+    v = t.interior_vertices()[0]
+    corners, sides = list(t.corners(0)), list(t.sides(0))
+    assert corners[0] == v
+    t.polygons[:2 * n] = array("i", [corners[-j] for j in range(n)]
+                               + [sides[(1 - j) % n] for j in range(n)])
+    assert v in record_links(square_records(b))[3]
+    witness = {"error": "a polygon's corner or side is off its place",
+               "at": ["#0", t.vertex_key(v), t.edge_key(sides[1])]}
     [failure] = links_audit(b).failures
-    assert failure.witness == [x.vertex_key(v)]
+    assert failure.witness == witness
     [failure] = t4_audit(b).failures
-    assert failure.witness["error"] == "a square does not hold its polygon's spokes"
+    assert failure.witness == witness
 
 
-def unfile_square_at(x, v, k):
-    """Take the k-th square at vertex v out of the index of the subdivision
-    ``x``, at v alone; its record stays."""
-    del x.at[x.start[v] + k]
-    for y in range(v + 1, len(x.start)):
-        x.start[y] -= 1
-
-
-def first_inner(x, kind):
-    """The first interior X' vertex of a kind: 0 X-vertex, 1 midpoint, 2 center."""
-    t = x.table
+def first_inner(t, kind):
+    """The first interior X' vertex of a kind, 0 X-vertex, 1 midpoint, 2
+    center, read off table t, with the polygons at it: those with it as a
+    corner, those with its X-edge as a side, its own."""
     nv, ne = len(t.vertices) // 2, len(t.edges) // 4
-    low, high = [(0, nv), (nv, nv + ne), (nv + ne, len(x.start) - 1)][kind]
-    return next(v for v, inner in enumerate(x.interior_vertices()) if inner and low <= v < high)
+    polygons = range(len(t.reps))
+    if kind == 0:
+        v = t.interior_vertices()[0]
+        return v, [k for k in polygons if v in t.corners(k)]
+    if kind == 1:
+        inner = t.inner(1)
+        e = next(e for e, k in enumerate(t.edges[1::4]) if inner[k])
+        return nv + e, [k for k in polygons if e in t.sides(k)]
+    return nv + ne, [0]
 
 
-# (case, kind of vertex, change to its index): none, one square taken out,
-# the first square listed twice; an X-vertex is interior from radius 2, a
-# midpoint from radius 1
+# (case, kind of vertex, change at it): none, a polygon at it given the
+# record of the last one not at it ("out"), the last polygon not at it given
+# the record of the first one at it ("twice"); an X-vertex is interior from
+# radius 2, a midpoint from radius 1
 LINK_MUTANTS = [(case, None, None) for case in LINK_CASES] + [
     (case, kind, change) for case in LINK_CASES for kind in range(3)
     for change in ("out", "twice") if case[1] >= 2 - kind]
@@ -914,28 +941,98 @@ LINK_MUTANTS = [(case, None, None) for case in LINK_CASES] + [
 def test_links_verdict_is_the_oracle_s_at_every_interior_vertex(case, kind, change):
     """At every interior X' vertex, ``davis._links`` finds the link not its
     closed form exactly when the oracle, which builds the link by search
-    and checks part sizes, completeness and one cycle, does: on the ball
-    as built, and with one square taken out of, or listed twice at, the
-    first interior vertex of each kind."""
+    over the square records and checks part sizes, completeness and one
+    cycle, does: on the ball as built, and with one polygon fewer or one
+    more at the first interior vertex of each kind, a sound record copied
+    over another, so the column check passes.  An X-vertex or a midpoint
+    then has one square fewer or more; a center, whose squares are its own
+    polygon's corners whatever its record, keeps its n-cycle (at radius 0,
+    whose one polygon is the center's, no record is copied)."""
     name, radius = case
     b = build_ball(perfbench_presentation(name), radius)
-    x = subdivision(b)
+    t = b.table
     if change is not None:
-        v = first_inner(x, kind)
-        if change == "out":
-            unfile_square_at(x, v, 0)
-        else:
-            q, place = next(x.squares_at(v))
-            x.at.insert(x.start[v + 1], 4 * q + place)
-            for y in range(v + 1, len(x.start)):
-                x.start[y] += 1
-    on, fault, x_fault, bad = davis._links(b)
-    assert (fault, x_fault) == (None, None)
+        v, at = first_inner(t, kind)
+        for away in [k for k in range(len(t.reps)) if k not in at][-1:]:
+            copy_record(t, *((away, at[0]) if change == "out" else (at[0], away)))
+    assert place_faults(b) == []
+    x = square_records(b)
+    held, bad = davis._links(b)
     assert bad == [v for v, inner in enumerate(x.interior_vertices())
                    if inner and not link_is_closed_form(x, v)]
-    assert bad == ([] if change is None else [v])
-    held = Counter(s for r in x.records() for s in r[4:])
-    assert on == [held[s] for s in x.edge_ids()]
+    assert (v in bad) == (kind < 2) if change else bad == []
+    on = record_links(x)[0]
+    assert on == [held[s // 2] for s in range(len(held) * 2)] + [2] * (len(on) - 2 * len(held))
+
+
+def mutate_table(t, mutant):
+    """Table t with one fault written in place, at its middle polygon k
+    (its middle X-edge for ``ends-swapped``): polygon k's sides at places 1
+    and 3 exchanged (``sides-swapped``); its corner 0 replaced by the next
+    X-vertex of index 0 (``corner-replaced``); the X-edge's two end ids
+    exchanged (``ends-swapped``); polygon k - 1's record copied over k's
+    (``record-copied``)."""
+    n = t.presentation.n
+    k = len(t.reps) // 2
+    at = 2 * n * k
+    if mutant == "sides-swapped":
+        one, three = at + n + 1, at + n + 3
+        t.polygons[one], t.polygons[three] = t.polygons[three], t.polygons[one]
+    elif mutant == "corner-replaced":
+        same = [v for v, i in enumerate(t.vertices[::2]) if i == 0]
+        t.polygons[at] = same[(same.index(t.polygons[at]) + 1) % len(same)]
+    elif mutant == "ends-swapped":
+        e = len(t.edges) // 8
+        t.edges[4 * e + 2], t.edges[4 * e + 3] = t.edges[4 * e + 3], t.edges[4 * e + 2]
+    elif mutant == "record-copied":
+        copy_record(t, k - 1, k)
+
+
+# a corner of another vertex, or another polygon's record, needs radius 1
+COLUMN_ORACLE_CASES = [
+    (name, r, mutant) for name, r in [(name, r) for name in SIX for r in range(4)]
+    + [("c5_z3", 4), ("c6_mixed", 4)]
+    for mutant in (None, "sides-swapped", "corner-replaced", "ends-swapped", "record-copied")
+    if r or mutant in (None, "sides-swapped", "ends-swapped")]
+
+
+@pytest.mark.parametrize("name,radius,mutant", COLUMN_ORACLE_CASES)
+def test_column_verdicts_are_the_record_oracle_s(name, radius, mutant):
+    """The link, free-face and hyperplane rows read off the polygon columns
+    give the verdicts and counts that the square records give (the record
+    oracle, as the package read X' before it kept no square): on the ball
+    as built and on a table broken by each ``mutate_table`` mutant.  The
+    column check's side-end breaks are the records' faults, witness for
+    witness; the square counts, the vertices whose link is not its closed
+    form and each row's status agree, and so does the hyperplane report
+    wherever the first break is a side-end one.  Each mutant fails the
+    polygon-pair row."""
+    p = perfbench_presentation(name)
+    b = build_ball(p, radius)
+    mutate_table(b.table, mutant)
+    x = square_records(b)
+    faults = list(square_record_faults(x))
+    on, fault, x_fault, bad = record_links(x)
+    breaks = place_faults(b)
+    held, col_bad = davis._links(b)
+    assert [(v, w) for _, v, w in breaks if w["error"] == faults[0][1]["error"]] == faults \
+        if faults else not breaks
+    assert col_bad == bad
+    assert on == [held[s // 2] for s in range(len(held) * 2)] + [2] * (len(on) - 2 * len(held))
+    nv = len(b.table.vertices) // 2
+    inside = [s for s, inner in enumerate(x.interior_edges()) if inner]
+    want = {"davis.t4.link-girth": fault is None and not bad,
+            "davis.links-complete-bipartite": x_fault is None and not [v for v in bad if v < nv],
+            "davis.free-faces": fault is None and all(on[s] >= 2 for s in inside)}
+    rows = [r for audit in (t4_audit, links_audit, free_face_audit) for r in audit(b).results
+            if r.check_id in want]
+    assert {r.check_id: r.status == "pass" for r in rows} == want
+    got, oracle = walls.hyperplane_treewall_audit(b), hyperplane_treewall_by_records(b)
+    if not breaks or faults and breaks[0][1:] == faults[0]:
+        assert got.to_json() == oracle.to_json()
+    assert [(r.instance, r.status) for r in got.results] == \
+        [(r.instance, r.status) for r in oracle.results]
+    assert polygon_pair_audit(b).ok == (mutant is None)
 
 
 def verify_davis(monkeypatch, capsys, name, **patches):
@@ -949,55 +1046,25 @@ def verify_davis(monkeypatch, capsys, name, **patches):
     return rc, [(c["check"], c["witness"]) for c in doc["checks"] if c["status"] == "fail"]
 
 
-def test_verify_fails_on_a_square_dropped_from_an_interior_polygon(monkeypatch, capsys):
-    """X' built without square 0, corner 0 of the identity polygon, whose
-    corners are all interior: each later record holds the next square's
-    spokes, and the first of them is the witness."""
-    squares = davis._squares
-    rc, failed = verify_davis(monkeypatch, capsys, "c5_mixed",
-                              _squares=lambda t: itertools.islice(squares(t), 1, None))
-    assert rc == EXIT_FAIL
-    assert ("davis.t4.link-girth", {"error": "a square does not hold its polygon's spokes",
-                                    "at": ["#0", "|edge|1|--trivial||", "|edge|2|--trivial||"]}) \
-        in failed
-
-
-def test_verify_fails_on_a_center_swapped_between_two_squares(monkeypatch, capsys):
-    """X' built with the centers of square 0 (the identity polygon's) and
-    square n (polygon v0:1's) swapped: square 0 meets v0:1's center in
-    none of its sides."""
-    squares = davis._squares
-    n = 5
-
-    def swapped(t):
-        records = [list(r) for r in squares(t)]
-        records[0][3], records[n][3] = records[n][3], records[0][3]
-        return records
-    rc, failed = verify_davis(monkeypatch, capsys, "c5_mixed", _squares=swapped)
-    assert rc == EXIT_FAIL
-    assert failed == [("davis.t4.link-girth", {
-        "error": "a 2-cell meets its corner in other than two sides",
-        "at": ["#0", "trivial||v0:1", 0]})]
-
-
 def test_verify_fails_on_a_link_missing_one_square(monkeypatch, capsys):
-    """The first interior midpoint's link with its first square taken out
-    of the index: K_{2,m} less an edge still has girth >= 4, so a girth
-    test passes it, and no other davis row reads a midpoint's squares; but
-    it has 2m - 1 squares, not its closed form's 2m."""
-    build = davis._subdivision
-    seen = {}
-
-    def cut(b):
-        x = build(b)
-        v = first_inner(x, 1)
-        unfile_square_at(x, v, 0)
-        assert graph_girth(square_link(x, v)) >= 4 and not link_is_closed_form(x, v)
-        seen["key"] = x.vertex_key(v)
-        return x
-    rc, failed = verify_davis(monkeypatch, capsys, "c5_mixed", _subdivision=cut)
+    """The first interior midpoint's X-edge on one polygon fewer, the first
+    polygon on it given the record of the last polygon: K_{2,m-1} still has
+    girth >= 4, so a girth test passes it, but it has 2m - 2 squares, not
+    its closed form's 2m, and the t4 link row names it among the vertices
+    the copied record moves."""
+    t = ball_table(perfbench_presentation("c5_mixed"), 2)
+    v, at = first_inner(t, 1)
+    copy_record(t, len(t.reps) - 1, at[0])
+    monkeypatch.setattr(davis, "ball_table", lambda p, r: t)
+    b = build_ball(t.presentation, 2)
+    x = square_records(b)
+    assert graph_girth(square_link(x, v)) >= 4 and not link_is_closed_form(x, v)
+    rc, failed = verify_davis(monkeypatch, capsys, "c5_mixed")
     assert rc == EXIT_FAIL
-    assert failed == [("davis.t4.link-girth", [seen["key"]])]
+    [witness] = [w for check, w in failed if check == "davis.t4.link-girth"]
+    assert x.vertex_key(v) in witness
+    assert witness == [x.vertex_key(u) for u, inner in enumerate(x.interior_vertices())
+                       if inner and not link_is_closed_form(x, u)]
 
 
 def broken_record(t, mutant):

@@ -20,7 +20,7 @@ from cyclewall.algebraic import (
     join_is_cmaximal,
 )
 from cyclewall.cli import load_presentation
-from cyclewall.davis import Subdivision, build_ball, subdivision
+from cyclewall.davis import build_ball, subdivision
 from cyclewall.errors import ValidationError
 from cyclewall.walls import (
     TreeWall,
@@ -67,6 +67,7 @@ from oracles import (
     object_ball,
     objects,
     opposite_sides_by_ends,
+    square_records,
     subdivide,
     parabolic_ball_by_conjugation,
     parabolic_ball_by_scan,
@@ -839,77 +840,86 @@ def test_hyperplane_treewall_audit_matches_the_per_class_oracle(name, radius):
 
 @pytest.mark.parametrize("name,radius", HYPERPLANE_BALLS)
 def test_place_pairs_are_the_end_matched_pairs(name, radius):
-    """On every square of the ball, the audit's pairs by place, (half_i,
-    spoke_{i+1}) and (half_{i+1}, spoke_i), are the pairs that matching the
-    sides' ends finds, in the same order."""
+    """On every square of the ball, the audit's pairs read off the polygon
+    columns, (the half of side i at corner i, spoke i+1) and (the half of
+    side i+1 there, spoke i), are the pairs that matching the sides' ends
+    in the square records finds, in the same order."""
     b = build_ball(load_presentation(str(PRESENTATIONS / f"{name}.json")), radius)
-    sq = subdivision(b).squares
-    by_place = [((h0, s1), (h1, s0)) for h0, h1, s0, s1
-                in zip(sq[4::8], sq[5::8], sq[6::8], sq[7::8])]
+    t = b.table
+    n, e0 = t.presentation.n, len(t.edges) // 2
+    by_place = [((2 * s[i] + (i > 0), e0 + n * k + (i + 1) % n),
+                 (2 * s[(i + 1) % n] + (i + 1 == n), e0 + n * k + i))
+                for k, s in enumerate(map(t.sides, range(len(t.reps)))) for i in range(n)]
     assert by_place and list(opposite_sides_by_ends(b)) == by_place
 
 
 def _scan_passes(monkeypatch):
-    """Let every square record through the record scan, so that a mutant
-    reaches the audit's own branches."""
-    monkeypatch.setattr(walls, "square_faults", lambda b: [])
+    """Let every table through the column check, so that a mutant reaches
+    the audit's own branches."""
+    monkeypatch.setattr(walls, "place_faults", lambda b: [])
 
 
 def test_one_sided_hyperplane_is_a_failed_check(c5_z2, monkeypatch):
-    """Square 0 listed from its second midpoint, (m_1, c, m_0, v): its
-    corner m_1 meets none of its two sides there, which the record scan
-    names.  Past the scan, its four sides and so its two classes are as
-    before, but it puts each class's midpoints on the sides its neighbours
-    do not."""
+    """The identity polygon with its side 2 written at place 0 as well: its
+    corner 0 is an end of one of its two sides there, which the column
+    check names.  Past the check, side 2's halves are paired with the
+    spokes of both places, so a class puts the midpoint of side 3 on the
+    side its neighbours do not, and another runs along labels 0 and 2."""
     b = build_ball(c5_z2, 1)
-    x = subdivision(b)
-    m_0, v, m_1, c = x.squares[:4]
-    x.squares[0], x.squares[1], x.squares[2], x.squares[3] = m_1, c, m_0, v
+    t = b.table
+    corners, sides = t.corners(0), t.sides(0)
+    t.polygons[c5_z2.n] = sides[2]
     r = hyperplane_treewall_audit(b)
     assert [(f.check_id, f.instance) for f in r.failures] == [
         ("walls.hyperplane-side-is-wall", "classes")]
     assert r.failures[0].witness == {"error": "a 2-cell meets its corner in other than two sides",
-                                     "at": [x.square_name(0), x.vertex_key(m_1), 0]}
+                                     "at": ["#0", t.vertex_key(corners[0]), 1]}
     _scan_passes(monkeypatch)
     r = hyperplane_treewall_audit(b)
-    assert len(r.failures) == 2
-    for f in r.failures:
-        assert f.check_id == "walls.hyperplane-side-is-wall"
-        assert f.witness["error"] == "hyperplane sides are inconsistent"
-        assert f.witness["at"][1] in {x.vertex_key(m_0), x.vertex_key(m_1)}
-
-
-def test_broken_hyperplane_is_a_failed_check(c5_z2):
-    """Square 0 with its center corner replaced by its X-vertex,
-    (m_0, v, m_1, v): its center corner meets neither spoke, which the
-    record scan names in the ``classes`` row."""
-    b = build_ball(c5_z2, 1)
+    assert {f.check_id for f in r.failures} == {"walls.hyperplane-side-is-wall"}
     x = subdivision(b)
-    x.squares[3] = x.squares[1]
+    assert [f.witness for f in r.failures] == [
+        {"sides_in_skeleton": 0, "side_labels": [["0", "2"], ["None"]]},
+        {"error": "hyperplane sides are inconsistent",
+         "at": ["#2", x.vertex_key(len(t.vertices) // 2 + sides[3])]}]
+
+
+def test_broken_hyperplane_is_a_failed_check(c5_z2, monkeypatch):
+    """The identity polygon's corner 0 replaced by another X-vertex of index
+    0: neither side there ends at it, which the column check names in the
+    ``classes`` row.  The audit reads no corner, so past the check every
+    row passes."""
+    b = build_ball(c5_z2, 1)
+    t = b.table
+    other = next(v for v in range(1, len(t.vertices) // 2) if t.vertices[2 * v] == 0)
+    t.polygons[0] = other
     r = hyperplane_treewall_audit(b)
     assert [(f.check_id, f.instance) for f in r.failures] == [
         ("walls.hyperplane-side-is-wall", "classes")]
     assert r.failures[0].witness == {"error": "a 2-cell meets its corner in other than two sides",
-                                     "at": [subdivide(b).squares[0].name(),
-                                            x.vertex_key(x.squares[1]), 0]}
+                                     "at": ["#0", t.vertex_key(other), 0]}
+    _scan_passes(monkeypatch)
+    assert hyperplane_treewall_audit(b).ok
 
 
 def test_misread_half_label_fails_its_hyperplanes(c5_z2, monkeypatch):
-    """An interior half read with the next label splits the labels of each
-    hyperplane it runs along; the per-class oracle names those rows."""
+    """An interior X-edge's label read as the next label in the table splits
+    the labels of each hyperplane either half runs along; the per-class
+    oracle, on the table as built, names those rows.  The label is off its
+    place, so the column check is let through."""
     b = build_ball(c5_z2, 2)
-    x = subdivision(b)
+    x = square_records(b)
     n = c5_z2.n
     star = next(s for s, inner in enumerate(x.interior_edges())
                 if inner and x.label(s) is not None)
     true_label = x.label(star)
     classes = hyperplane_classes(b)
     along = [f"hyperplane#{idx}" for idx, root in enumerate(sorted(classes, key=x.edge_ends))
-             if any(star in side for side in combinatorial_hyperplanes(b, classes[root]))]
+             if any(star in side or star ^ 1 in side
+                    for side in combinatorial_hyperplanes(b, classes[root]))]
     assert along
-    label = Subdivision.label
-    monkeypatch.setattr(Subdivision, "label", lambda self, s: (true_label + 1) % n
-                        if s == star else label(self, s))
+    b.table.edges[4 * (star // 2)] = (true_label + 1) % n
+    _scan_passes(monkeypatch)
     r = hyperplane_treewall_audit(b)
     assert [f.instance for f in r.failures] == along
     for f in r.failures:
@@ -920,24 +930,25 @@ def test_misread_half_label_fails_its_hyperplanes(c5_z2, monkeypatch):
 
 
 def test_square_missing_a_side_is_a_failed_check(c5_z2, monkeypatch):
-    """Square 0 with its second side (v to m_{i+1}) listed as its first:
-    its corner m_{i+1} meets one of its two sides, which the record scan
-    names.  Past the scan, its first half is paired with both spokes, so
-    its two classes are one."""
+    """The identity polygon with its side 0 written as its side 1 too: its
+    corner 1 is an end of one of its two sides there, which the column
+    check names.  Past the check, its square at corner 0 holds side 0's
+    half twice, paired with both spokes, so its two classes are one."""
     b = build_ball(c5_z2, 1)
-    x = subdivision(b)
-    x.squares[5] = x.squares[4]
+    t = b.table
+    n = c5_z2.n
+    t.polygons[n + 1] = t.polygons[n]
     r = hyperplane_treewall_audit(b)
     assert [(f.check_id, f.instance) for f in r.failures] == [
         ("walls.hyperplane-side-is-wall", "classes")]
-    s = subdivide(b).squares[0]
     assert r.failures[0].witness == {"error": "a 2-cell meets its corner in other than two sides",
-                                     "at": [s.name(), s.corners[2].key_string(), 1]}
+                                     "at": ["#1", t.vertex_key(t.corners(0)[1]), 1]}
     _scan_passes(monkeypatch)
     r = hyperplane_treewall_audit(b)
-    assert [f.check_id for f in r.failures] == ["walls.hyperplane-side-is-wall"]
-    assert r.failures[0].witness == {"error": "a square meets a hyperplane in opposite sides",
-                                     "at": [s.name()]}
+    assert {f.check_id for f in r.failures} == {"walls.hyperplane-side-is-wall"}
+    assert [f.witness for f in r.failures] == [
+        {"error": "a square meets a hyperplane in opposite sides", "at": ["#0"]},
+        {"sides_in_skeleton": 0, "side_labels": [["2", "4"], ["None"]]}]
 
 
 # -- membership criteria ----------------------------------------------------------

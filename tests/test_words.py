@@ -16,6 +16,7 @@ from cyclewall.words import (
     Presentation,
     Syllable,
     _push_all,
+    ball_growth,
     canonical,
     coset_rep,
     cyclic_reduce,
@@ -864,6 +865,16 @@ def test_enumerate_ball_keeps_what_the_search_finds_in_its_order(name):
         for L in range(5):
             assert enumerate_ball_elements(p, L, window) == \
                 enumerate_ball_elements_by_search(p, L, window), (window, L)
+
+
+@pytest.mark.parametrize("name", SIX)
+def test_ball_growth_counts_each_length(name):
+    """The growth series counts, length by length, the elements the ball
+    enumeration lists, at radius 0-4."""
+    p = load_presentation(str(PERFBENCH_DIR / f"{name}.json"))
+    lengths = Counter(len(g.word) for g in enumerate_ball_elements(p, 4))
+    for r in range(5):
+        assert ball_growth(p, r) == [lengths[k] for k in range(r + 1)]
 
 
 def test_enumerate_ball_deterministic(c5_mixed):
