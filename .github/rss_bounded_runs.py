@@ -86,7 +86,10 @@ ROWS = [
      "6d8094a8d06aab1f9449d39a40c4b082a80e1c92b38164aaae428a7f4230af1c", 60, 33),
     # the walls audits read the walls, X' and the polygons, and build no
     # incidence map; the hyperplane audit reads each square's halves off the
-    # polygon columns; bounded at 1.2 x the 71.6 MB measured so (77.0-77.1
+    # polygon columns; the stabilizer and fixator rows read one count per
+    # wall and keep no per-wall stabilizer or parabolic ball; bounded at
+    # 1.2 x the 67.8-67.9 MB measured so (74.4 MB with the per-wall
+    # searches, 71.6 MB when that row's bound was set, 77.0-77.1
     # MB when X' kept its square records and their index, 75.6 MB with
     # each wall's stabilizer read off its key, 76.1 MB with the transporter
     # loop over pairs of wall edges, 77.1 MB with the value types written
@@ -95,27 +98,40 @@ ROWS = [
     ("Radius-5 walls report is byte-identical",
      ["verify", "--suite", "walls", "--radius", "5", "--depth", "3", "--seed", "0",
       "--presentation", C5_Z3], 0,
-     "d327e264313123beddc6cdf126aa55127d5e78f8c917b1d2a1a1086c4d03a8c2", 120, 86),
+     "d327e264313123beddc6cdf126aa55127d5e78f8c917b1d2a1a1086c4d03a8c2", 120, 81),
     # the walls and the crossing graph are read off the ball's integer
-    # table, and no cell object is made; bounded at 1.2 x the 51.3 MB
-    # measured with X' squares read off the polygon columns (52.0-52.2 MB
+    # table, and no cell object is made; bounded at 1.2 x the 50.0 MB
+    # measured with one count per wall for the stabilizer and fixator rows
+    # (50.2-50.3 MB with the per-wall searches, 51.3 MB measured with X'
+    # squares read off the polygon columns, 52.0-52.2 MB
     # when X' kept its square records, 51.5 MB measured with the value
     # types written by hand, 52.3 MB with dataclasses, 60.7 MB before the
     # row was added)
     ("Radius-4 c6_mixed walls report is byte-identical",
      ["verify", "--suite", "walls", "--radius", "4", "--depth", "3", "--seed", "0",
       "--presentation", C6_MIXED], 0,
-     "cc5b97f22b1c5ca77a10f4cb3a61475f07fe65b99001156bcc1b22e3e6e357e0", 120, 62),
+     "cc5b97f22b1c5ca77a10f4cb3a61475f07fe65b99001156bcc1b22e3e6e357e0", 120, 60),
     # the walls audits on a non-abelian vertex group (S3 at vertex 2); the
     # hyperplane audit pairs each square's opposite sides by place, read off
     # the polygon columns once the table passes its column check
-    # (27.9-28.0 MB measured so, 28.8-28.9 MB when it read the square
-    # records); bounded at 1.2 x the 27.9 MB measured when the records were
-    # added (28.2-28.4 MB when it matched each square's sides by their ends)
+    # (27.7 MB measured with one count per wall for the stabilizer and
+    # fixator rows, 28.2-28.3 MB with the per-wall searches, 27.9-28.0 MB
+    # before that, 28.8-28.9 MB when it read the square records); bounded at
+    # 1.2 x the 27.9 MB measured when the records were added, which 1.2 x
+    # 27.7 MB rounds to as well (28.2-28.4 MB when it matched each square's
+    # sides by their ends)
     ("Radius-4 c5_s3 walls report is byte-identical",
      ["verify", "--suite", "walls", "--radius", "4", "--depth", "3", "--seed", "0",
       "--presentation", C5_S3], 0,
      "f0059e9777fdf75e7222b6733d194a4e1687be214896d71919ccccf7f28296e6", 60, 33),
+    # past the horizon of the former per-wall searches (--depth >= --radius
+    # + 2), where 42 stabilizer rows were inconclusive and the run exited 3:
+    # one count per wall decides every row; bounded at 1.2 x the 17.6 MB
+    # measured
+    ("Radius-2 c6_mixed walls report at depth 5 passes and is byte-identical",
+     ["verify", "--suite", "walls", "--radius", "2", "--depth", "5", "--seed", "0",
+      "--presentation", C6_MIXED], 0,
+     "8a1a56a19b60e9b954b3e6686fdead20065e9186f551e241d2a842e19bbde440", 60, 21),
     # the rebuild on an odd n at radius 4, far ends read off word numbers
     # (20.2-20.3 MB measured so; 21.1-21.2 MB with the (base, word) dict);
     # bounded at 1.2 x the 20.8 MB measured with the value types written by

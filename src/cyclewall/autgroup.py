@@ -24,7 +24,7 @@ import random
 from collections.abc import Sequence
 
 from .algebraic import MAXIMAL, window_of
-from .davis import act_vertex
+from .davis import act_vertex, check_budget
 from .errors import DecompositionError, InvariantError, ValidationError
 from .localgroups import (
     IDENTITY,
@@ -333,6 +333,7 @@ def loc_stabilizes_P_audit(p: Presentation, sample: Sequence[LocalAut],
                not bad, bad[:3] or None)
 
     rng = random.Random(seed)
+    check_budget(p, 2)
     ball = [g for g in enumerate_ball_elements(p, 2) if not g.is_identity]
     ident = identity_local_aut(p)
     moved_count = 0

@@ -148,8 +148,11 @@ def load_presentation(path: str) -> Presentation:
 def words_suite(p: Presentation, depth: int, seed: int) -> Report:
     report = Report()
     rng = random.Random(seed)
-    pool = enumerate_ball_elements(p, min(depth, 3)) if p.all_finite \
-        else [identity(p)]
+    if p.all_finite:
+        davis.check_budget(p, min(depth, 3))
+        pool = enumerate_ball_elements(p, min(depth, 3))
+    else:
+        pool = [identity(p)]
 
     bad = [format_word(g) for g in pool if parse_word(p, format_word(g)) != g]
     report.add("words.parse-format-roundtrip", f"elements={len(pool)}",
@@ -230,6 +233,7 @@ def algebraic_suite(b: davis.ComplexBall, seed: int) -> Report:
 
 def aut_suite(p: Presentation, depth: int, seed: int) -> Report:
     report = Report()
+    davis.check_budget(p, min(depth, 3))
     loc = enumerate_loc(p)
     report.extend(loc_stabilizes_P_audit(p, loc[:60], seed=seed))
 

@@ -95,7 +95,8 @@ Records are intersected only for the polygons whose columns break.
 
 CYCLEWALL_MEM_MB, when set, bounds the ball before it is listed: |B(r)| is
 counted by the growth series of the graph product (``words.ball_growth``)
-and the estimate checked against the budget first.
+and the estimate checked against the budget first (``check_budget``, which
+the words and aut suites' element listings go through too).
 """
 
 from __future__ import annotations
@@ -186,6 +187,21 @@ def _memory_budget_mb() -> Optional[int]:
         return int(raw)
     except ValueError:
         raise ValidationError(f"CYCLEWALL_MEM_MB must be an integer, got {raw!r}") from None
+
+
+def check_budget(p: Presentation, L: int, bytes_per_element: int = 256,
+                 what: str = "ball of elements") -> None:
+    """Refuse a listing of the L-ball of G, about ``bytes_per_element``
+    bytes per element, that the ``CYCLEWALL_MEM_MB`` budget cannot hold,
+    when that is set: |B(L)| is counted by the growth series
+    (``words.ball_growth``) before any element is listed.  A listed
+    element takes 110-140 bytes traced at radius 5, so 256 is crude."""
+    mem_mb = _memory_budget_mb()
+    if mem_mb is not None:
+        estimate_mb = sum(ball_growth(p, L)) * bytes_per_element / (1024 * 1024)
+        if estimate_mb > mem_mb:
+            raise ResourceLimitError(
+                f"{what} of radius {L} needs ~{estimate_mb:.0f} MiB, budget {mem_mb} MiB")
 
 
 class BallTable(NamedTuple):
@@ -283,15 +299,7 @@ def ball_table(p: Presentation, r: int) -> BallTable:
     if r < 0:
         raise ValidationError("radius must be >= 0")
     p.require_finite()
-    mem_mb = _memory_budget_mb()
-    if mem_mb is not None:
-        # crude estimate: ~2 KiB of cell data per polygon corner, of the
-        # |B(r)| polygons counted before any is listed
-        estimate_mb = sum(ball_growth(p, r)) * p.n * 2048 / (1024 * 1024)
-        if estimate_mb > mem_mb:
-            raise ResourceLimitError(
-                f"ball of radius {r} needs ~{estimate_mb:.0f} MiB, budget {mem_mb} MiB")
-
+    check_budget(p, r, p.n * 2048, "ball")   # crude: ~2 KiB of cell data per polygon corner
     reps = enumerate_ball_elements(p, r)
 
     n, w = p.n, 2 * p.n

@@ -90,10 +90,11 @@ class DiscDiagram:
                     raise ValidationError(f"face uses a missing edge ({a},{b})")
         if self.face_polygons and len(self.face_polygons) != len(self.faces):
             raise ValidationError("one polygon per face is required")
-        uf = UnionFind()
+        index = {v: k for k, v in enumerate(self.vertices)}
+        uf = UnionFind(len(index))
         for a, b in es:
-            uf.union(a, b)
-        if len({uf.find(v) for v in vs}) > 1:
+            uf.union(index[a], index[b])
+        if len(set(map(uf.find, range(len(index))))) > 1:
             raise ValidationError("diagram is not connected")
         # contractible: V - E + F = 1
         if len(vs) - len(es) + len(self.faces) != 1:
@@ -319,7 +320,7 @@ def fill_loop(b: ComplexBall, loop: Sequence[int],
             + [poly] * (len(completion) + 1)
         ids = [ids[(j + k + t) % L] for t in range(L - k + 1)] + fresh[::-1]
 
-    uf = UnionFind()
+    uf = UnionFind(len(images))
     for a, c in merges:
         uf.union(a, c)
     root = uf.find

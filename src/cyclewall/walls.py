@@ -1,5 +1,5 @@
-"""Tree-walls of the polygonal complex, their crossing graph, and
-truncated stabilizer audits.
+"""Tree-walls of the polygonal complex, their crossing graph, and their
+stabilizer audits.
 
 A tree-wall is a maximal connected subgraph of the 1-skeleton all of whose
 edges carry the same label.  The wall with label i through the edge uG_i is
@@ -18,17 +18,25 @@ the keys' order, in the crossing graph and every audit.  Audits name
 vertices and edges by their key strings (``BallTable.vertex_key`` and
 ``BallTable.edge_key``), and walls by ``TreeWall.key_string``.
 
-Stabilizer audits compare the geometric action on in-ball edges against
-membership in ``algebraic.CSubgroup``, the package's one encoding of a
-conjugated standard subgroup.  The wall's key is the conjugator of its
+Subgroups are ``algebraic.CSubgroup``s, the package's one encoding of a
+conjugated standard subgroup.  The wall's key u is the conjugator of its
 stabilizer ``CSubgroup(MAXIMAL, i, u)``; its fixator ``CSubgroup(MINIMAL, i,
 u)`` is the same through every edge, as the maximal window normalizes G_i;
-an X-vertex's stabilizer is its medium.
+an X-vertex's stabilizer is its medium.  Both wall subgroups follow from
+one exact fact per wall, read off the ball's table once per ball
+(``_wall_faults``): the wall's edges are u times the ball of radius r - |u|
+of G_{i-1} * G_{i+1}, by one coset rep per edge and one count per wall
+(Chiswell's growth series of two vertices with no edge).  The stabilizer
+and fixator rows read that fact and ask ``parabolic_member`` for the
+conjugates of one syllable per vertex; they search no element, so they
+have no horizon.
 
-Truncation semantics: "g stabilizes T in the ball" means g maps every edge
-of T whose image is still inside the ball into T, and at least one image is
-observable.  Pair stabilizers are classified against the crossing-graph
-distance; distances at the ball's horizon are reported as lower bounds.
+Truncation: only the pair classification (``classify_pair``) searches, up
+to length L = ``--depth``.  There "g stabilizes T in the ball" means g maps
+every edge of T whose image is still inside the ball into T, and at least
+one image is observable.  Pair stabilizers are classified against the
+crossing-graph distance; distances at the ball's horizon are reported as
+lower bounds.
 
 Generation and vertex membership are decided exactly: two wall vertices
 generate the wall stabilizer when their mediums join to the wall's maximal
@@ -51,7 +59,8 @@ connectivity and minimal sets; the last runs over the vertex ids of X'
 (``davis.Subdivision``), each vertex's neighbours one slice of a CSR
 skeleton built once per ball from X''s edge list (``_skeleton``), and
 stops at the first level that reaches the other wall.  No element ball is
-scanned: a wall's truncated stabilizer is read off its key u, as the short
+scanned: a wall's truncated stabilizer, which only the pair rows read, is
+read off its key u, as the short
 u·x·f·u^-1 with x in G_i and f in the L-ball of G_{i-1} * G_{i+1} such
 that f·a = a' for two of its edges (i, u·a), (i, u·a'), each of which
 stabilizes it, and a truncated ``w<G_S>w^-1`` is found by conjugating the
@@ -59,15 +68,14 @@ short elements of <G_S>; both read the window balls through one helper,
 and both size each conjugate by Green's length formula
 |w·h·w^-1| = |h| + 2·|coset_rep(w, C(supp(h)))| before multiplying it,
 so no conjugate longer than L is multiplied out (``_fitting``).  The
-geometric test ``_stabilizes_wall`` only tells which elements of a
-parabolic move no wall edge into the ball; the edge (i, m), m minimal
-modulo G_i, is in the ball iff |m| <= r, the interior rule of ``davis``
-one rank down, so no set of the ball's edges is kept.  The walls, the
-subdivision X' and its skeleton, the window balls, each truncated
-parabolic subgroup and the per-wall truncated stabilizers are built once
-per ball, on first use, and kept on the ball
-(``ComplexBall.derived``); they live and die with it.  A wall's fixator is
-read off its stabilizer.  No audit here reads the ball's incidence maps:
+edge (i, m), m minimal modulo G_i, is in the ball iff |m| <= r, the
+interior rule of ``davis`` one rank down, which the per-wall count reads.
+The walls, their faults, the subdivision X' and its skeleton are built
+once per ball, on first use, and kept on the ball (``ComplexBall.derived``);
+they live and die with it.  The window balls, truncated parabolics and
+truncated stabilizers are built only for the walls of the sampled pairs;
+the stabilizer and fixator rows build nothing per wall but its two
+``CSubgroup``s.  No audit here reads the ball's incidence maps:
 the shared-polygon audit files each polygon's sides under the walls that
 hold them, in one pass over the polygons.
 
@@ -116,6 +124,7 @@ from .errors import ValidationError
 from .reports import Report
 from .words import (
     GroupElement,
+    Presentation,
     coset_rep,
     enumerate_ball_elements,
     format_word,
@@ -280,26 +289,108 @@ def delta(cg: CrossingGraph, k1: int, k2: int) -> tuple[float, bool]:
     return d, d <= 1
 
 
-# -- truncated stabilizers --------------------------------------------------------
+# -- wall stabilizers and fixators ------------------------------------------------
 
 
-def _stabilizes_wall(b: ComplexBall, g: GroupElement, T: TreeWall) -> Optional[bool]:
-    """Guarded geometric test; None when no image of a wall edge is observable.
+def _free_ball_sizes(p: Presentation, i: int, r: int) -> list[int]:
+    """By rho = 0..r, the number of elements of length <= rho of
+    F = G_{i-1} * G_{i+1}, with none listed.  The two vertices do not
+    commute (n >= 5), so a reduced word of F alternates them, and F has
+    a^ceil(k/2)·b^floor(k/2) + b^ceil(k/2)·a^floor(k/2) elements of length
+    k >= 1, a = |G_{i-1}| - 1 and b = |G_{i+1}| - 1: Chiswell's series for
+    two vertices with no edge (``words.ball_growth``)."""
+    a, c = p.group(i - 1).size - 1, p.group(i + 1).size - 1
+    return list(itertools.accumulate(
+        (a ** ((k + 1) // 2) * c ** (k // 2) + c ** ((k + 1) // 2) * a ** (k // 2)
+         for k in range(1, r + 1)), initial=1))
 
-    An X-edge is its (label, coset rep) pair, so g moves the edge (i, r) to
-    (i, coset_rep(g r, {i})): one product and one coset rep per edge.  The
-    edge (i, m), m minimal modulo G_i, is in the ball iff |m| <= r: the
-    polygons on it are m·x, x in G_i, and the shortest is m itself.
+
+def _wall_faults(b: ComplexBall) -> list[Optional[dict]]:
+    """By wall index, what breaks the wall's one exact fact, None when it
+    holds: the wall (i, u) of the ball is u·F_rho, the elements of
+    F = G_{i-1} * G_{i+1} of length <= rho = r - |u| times u.
+
+    Two checks decide it, read off the ball's table; the walls audits build
+    the list once per ball.  Every edge rep r of the wall has
+    ``coset_rep(r, S) == u``, S = {i-1, i, i+1}, and the wall has |F_rho|
+    edges (``_free_ball_sizes``).  The first puts
+    each rep in u·F: r = u·h with h in <G_S> = G_i x F, and r is minimal
+    modulo G_i, which commutes with F, so h has no G_i syllable.  u is
+    minimal modulo <G_S>, so u·a is reduced and |u·a| = |u| + |a|, and the
+    edge (i, u·a) is in the ball iff |u·a| <= r (the polygons on it are
+    u·a·x, x in G_i, and u·a is the shortest).  So the reps are distinct
+    elements of u·F_rho, and the count makes them all of it.
     """
-    window = (T.label,)
-    observed = False
-    for rep in T.edge_reps:
-        moved = coset_rep(mul(g, rep), window)
-        if moved.syllable_length <= b.radius:
-            observed = True
-            if moved not in T.edge_reps:
-                return False
-    return True if observed else None
+    p, t, r = b.presentation, b.table, b.radius
+    sizes = [_free_ball_sizes(p, i, r) for i in range(p.n)]
+    faults: list[Optional[dict]] = []
+    for T in walls_of_ball(b):
+        i, u = T.label, T.key_rep
+        star = ((i - 1) % p.n, i, (i + 1) % p.n)
+        off = [t.edge_key(e) for e in T.ids if coset_rep(t.reps[t.edges[4 * e + 1]], star) != u]
+        want = sizes[i][r - u.syllable_length]
+        faults.append(None if not off and len(T.ids) == want else
+                      {"edges": len(T.ids), "ball_of_F": want, "off_coset": off})
+    return faults
+
+
+def _wall_rows(b: ComplexBall, check: str, L: int, group: Callable[[TreeWall], CSubgroup],
+               spread: int) -> Report:
+    """One row per wall (i, u): its exact fact (``_wall_faults``, built
+    once per ball), and the words u·s·u^-1 are members of its subgroup
+    ``group(T)``, built once per wall, by ``parabolic_member``, for the
+    syllable s of value 1 at each vertex i-spread .. i+spread.  ``L`` stays
+    in the instance, which names the row as before."""
+    report, p = Report(), b.presentation
+    syllables = [from_syllable(p, v, 1) for v in range(p.n)]
+    faults = b.derive("wall-faults", lambda: _wall_faults(b))
+    for T, fault in zip(walls_of_ball(b), faults):
+        u, u_inv, H = T.key_rep, inv(T.key_rep), group(T)
+        outside = [format_word(g) for g in (
+            mul(u, syllables[v % p.n], u_inv) for v in range(T.label - spread, T.label + spread + 1))
+            if not parabolic_member(g, H)]
+        ok = fault is None and not outside
+        report.add(check, f"{T.key_string()} L={L}", ok,
+                   None if ok else {**(fault or {}), "not_members": outside})
+    return report
+
+
+def wall_stabilizer_audit(b: ComplexBall, L: int) -> Report:
+    """The wall (i, u)'s stabilizer is the conjugated 3-vertex parabolic
+    u<G_S>u^-1, S = {i-1, i, i+1} (``T.stabilizer``), read off the wall's
+    exact fact: its edges in the ball are u·F_rho (``_wall_faults``).
+
+    So the wall's edges are the (i, u·a), a in F = G_{i-1} * G_{i+1}, and a
+    transporter between two of them lies in u<G_S>u^-1: r'·x·r^-1 =
+    u·a'·x·a^-1·u^-1 = u·x·(a'·a^-1)·u^-1, as x in G_i commutes with F
+    (``_wall_stabilizer``).  Conversely an element of u<G_S>u^-1 maps each
+    edge (i, u·a) to (i, u·a'') with a'' in F, an edge of the wall.  No
+    element is searched and nothing lies beyond a horizon, so no row is
+    inconclusive, whatever ``L``.  The row's algebraic half asks
+    ``parabolic_member`` for u·s·u^-1, s one non-trivial syllable of each
+    vertex of S.
+    """
+    return _wall_rows(b, "walls.stabilizer-is-three-vertex-parabolic", L,
+                      lambda T: T.stabilizer, 1)
+
+
+def wall_fixator_audit(b: ComplexBall, L: int) -> Report:
+    """The wall (i, u)'s fixator is u·G_i·u^-1 (``T.fixator``), the
+    stabilizer of each of its edges, read off the wall's exact fact
+    (``_wall_faults``) as ``wall_stabilizer_audit`` reads the stabilizer.
+
+    An element u·x·f·u^-1 of the stabilizer (x in G_i, f in F) fixes the
+    edge (i, u·a), a in F, iff a^-1·x·f·a lies in G_i.  As x commutes with
+    a, that is x·(a^-1·f·a), which lies in G_i iff a^-1·f·a does; G_i meets
+    F only in 1, so that is iff f = 1, whatever a is.  So the elements
+    fixing one edge fix every edge, and they are u·G_i·u^-1.  The row's
+    algebraic half asks ``parabolic_member`` for u·s·u^-1, s one
+    non-trivial syllable of vertex i.
+    """
+    return _wall_rows(b, "walls.fixator-is-edge-stabilizer", L, lambda T: T.fixator, 0)
+
+
+# -- truncated pair stabilizers ---------------------------------------------------------
 
 
 def _window_ball(b: ComplexBall, window: frozenset[int], L: int) -> dict[frozenset, list]:
@@ -354,7 +445,7 @@ def _parabolic_ball(b: ComplexBall, H: CSubgroup, L: int) -> frozenset[GroupElem
     conjugate that formula makes longer than L is skipped before it is
     multiplied; |w·h·w^-1| >= 2|w| - 1 is no bound (``_fitting`` has the
     counterexample).  Each element kept still passes the length filter and
-    ``parabolic_member``, so the audits test that membership rule.
+    ``parabolic_member``, so ``classify_pair`` tests that membership rule.
     """
     def build() -> frozenset[GroupElement]:
         w = H.conjugator
@@ -363,27 +454,6 @@ def _parabolic_ball(b: ComplexBall, H: CSubgroup, L: int) -> frozenset[GroupElem
         return frozenset(g for g in conjugates
                          if g.syllable_length <= L and parabolic_member(g, H))
     return b.derive(("parabolic", H, L), build)
-
-
-def wall_fixator_truncated(b: ComplexBall, T: TreeWall, L: int) -> frozenset[GroupElement]:
-    """Elements of length <= L fixing every edge of T, computed geometrically.
-
-    An element fixing every edge maps each into the wall, observably, so the
-    fixator is read off the truncated stabilizer.
-
-    Testing the edges one at a time costs each element outside the fixator
-    one edge.  An element u·x·f·u^-1 of the stabilizer (x in G_i, f in
-    F = G_{i-1} * G_{i+1}; ``_wall_stabilizer``) fixes the edge (i, u·a),
-    a in F, iff a^-1·x·f·a is in G_i.  As x commutes with a, that is
-    x·(a^-1·f·a), which lies in G_i iff a^-1·f·a does; G_i meets F only in
-    1, so that is iff f = 1, whatever a is.  So an element that moves one
-    edge of the wall moves every edge, and ``all`` stops at its first; only
-    the kept elements are tested on every edge, which the audit needs to
-    fail on a wrong edge set.
-    """
-    window = (T.label,)
-    return frozenset(g for g in wall_stabilizer_truncated(b, T, L)
-                     if all(coset_rep(mul(g, rep), window) == rep for rep in T.edge_reps))
 
 
 def wall_stabilizer_truncated(b: ComplexBall, T: TreeWall, L: int) -> frozenset[GroupElement]:
@@ -400,10 +470,11 @@ def wall_stabilizer_truncated(b: ComplexBall, T: TreeWall, L: int) -> frozenset[
 
 
 def _wall_stabilizer(b: ComplexBall, T: TreeWall, L: int) -> frozenset[GroupElement]:
-    """The elements of length <= L that ``_stabilizes_wall`` accepts, read
-    off the wall's key u: the u·x·f·u^-1 of length <= L with x in G_i and f
-    in the L-ball of F = G_{i-1} * G_{i+1} such that f·R meets R, where R
-    is the set of u^-1·r over the wall's edges (i, r).
+    """The elements of length <= L that stabilize the wall in the ball (the
+    module docstring's truncation rule), read off the wall's key u: the
+    u·x·f·u^-1 of length <= L with x in G_i and f in the L-ball of
+    F = G_{i-1} * G_{i+1} such that f·R meets R, where R is the set of
+    u^-1·r over the wall's edges (i, r).
 
     Let S = {i-1, i, i+1}, so <G_S> = G_i x F.  An edge rep r of the wall
     lies in u<G_S>, and u·h is reduced for every h in <G_S> as u is the
@@ -414,7 +485,7 @@ def _wall_stabilizer(b: ComplexBall, T: TreeWall, L: int) -> frozenset[GroupElem
     r'·x·r^-1 = u·a'·x·a^-1·u^-1 = u·x·(a'·a^-1)·u^-1, where f = a'·a^-1
     has f·a = a' in R.  Conversely such a g lies in u<G_S>u^-1, so it maps
     the wall's edges to edges with its key, on T when in the ball, and
-    (i, r) onto (i, r'); the guard would accept each one, so it is not run.
+    (i, r) onto (i, r'), so it stabilizes T in the ball.
     Lengths are known before any product is taken: u is minimal modulo
     <G_S>, so |u·h·u^-1| = |h| + 2·|coset_rep(u, C(supp(h)))|, C(sigma) the
     vertices commuting with all of sigma (``_fitting`` proves it).  For
@@ -440,64 +511,6 @@ def _wall_stabilizer(b: ComplexBall, T: TreeWall, L: int) -> frozenset[GroupElem
                   and any(mul(f, a) in members for a in R)
                   for x in (local if f.syllable_length <= far else local[:1]))
     return frozenset(g for g in conjugates if g.syllable_length <= L)
-
-
-def wall_stabilizer_audit(b: ComplexBall, L: int) -> Report:
-    """Geometric truncated wall stabilizers match the conjugated 3-vertex parabolic.
-
-    An element of the parabolic that moves no wall edge into the ball lies
-    beyond the horizon: the ball cannot show that it stabilizes the wall.
-    A row whose only disagreements are such elements is inconclusive.
-    """
-    report = Report()
-    check = "walls.stabilizer-is-three-vertex-parabolic"
-    for T in walls_of_ball(b):
-        algebraic = _parabolic_ball(b, T.stabilizer, L)
-        geometric = wall_stabilizer_truncated(b, T, L)
-        inst = f"{T.key_string()} L={L}"
-        geometric_only = geometric - algebraic
-        algebraic_only = algebraic - geometric
-        unobservable = {g for g in algebraic_only
-                        if _stabilizes_wall(b, g, T) is None}
-        if geometric_only or algebraic_only != unobservable:
-            report.add(check, inst, False, {
-                "geometric_only": sorted(format_word(g) for g in geometric_only),
-                "algebraic_only": sorted(format_word(g) for g in algebraic_only),
-            })
-        elif unobservable:
-            report.add_inconclusive(check, inst, {
-                "note": "moves no wall edge into the ball",
-                "unobservable": sorted(format_word(g) for g in unobservable)})
-        else:
-            report.add(check, inst, True)
-    return report
-
-
-def wall_fixator_audit(b: ComplexBall, L: int) -> Report:
-    """Geometric wall fixators equal the stabilizer of a single member edge."""
-    report = Report()
-    p = b.presentation
-    t = b.table
-    for T in walls_of_ball(b):
-        fix = wall_fixator_truncated(b, T, L)
-        edge_stab = _parabolic_ball(b, T.fixator, L)
-        if fix != edge_stab:
-            report.add("walls.fixator-is-edge-stabilizer",
-                       f"{T.key_string()} L={L}", False, {
-                           "geometric_only": sorted(
-                               format_word(g) for g in fix - edge_stab),
-                           "edge_stabilizer_only": sorted(
-                               format_word(g) for g in edge_stab - fix)})
-            continue
-        # the fixator is a conjugate of G_label, so never bigger than it
-        ok = len(fix) <= p.group(T.label).size
-        if t.reps[t.edges[4 * T.seed + 1]].is_identity and L >= 1:
-            # central wall: the conjugate is G_label itself and fits in the ball
-            ok = ok and len(fix) == p.group(T.label).size
-        report.add("walls.fixator-is-edge-stabilizer",
-                   f"{T.key_string()} L={L}", ok,
-                   None if ok else sorted(format_word(g) for g in fix))
-    return report
 
 
 def classify_pair(b: ComplexBall, cg: CrossingGraph, k1: int, k2: int, L: int) -> Report:
@@ -612,22 +625,22 @@ def min_set_audit(b: ComplexBall, cg: CrossingGraph) -> Report:
 
 
 class UnionFind:
-    """Disjoint sets of hashable items, made on first ``find``."""
+    """Disjoint sets of the integers 0 .. size - 1, on a list of parents:
+    each union makes the first root a child of the second, and ``find``
+    halves the path it walks."""
 
-    def __init__(self):
-        self.parent = {}
+    def __init__(self, size: int):
+        self.parent = list(range(size))
 
-    def find(self, x):
-        self.parent.setdefault(x, x)
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
         return x
 
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
+    def union(self, a: int, b: int) -> None:
+        self.parent[self.find(a)] = self.find(b)   # a no-op when they share a root
 
 
 def hyperplane_treewall_audit(b: ComplexBall) -> Report:
@@ -657,10 +670,11 @@ def hyperplane_treewall_audit(b: ComplexBall) -> Report:
     halves = array("i", itertools.chain.from_iterable(
         (2 * s[i] + (i > 0), 2 * s[(i + 1) % n] + (i + 1 == n))
         for s in map(t.sides, range(len(t.reps))) for i in range(n)))
-    uf = UnionFind()
+    uf = UnionFind(len(x.edge_ids()))
+    union = uf.union
     for q, (h0, h1) in enumerate(zip(halves[::2], halves[1::2])):
-        uf.union(h0, e0 + q - q % n + (q + 1) % n)
-        uf.union(h1, e0 + q)
+        union(h0, e0 + q - q % n + (q + 1) % n)
+        union(h1, e0 + q)
     label_of: dict[int, int] = {}   # class root -> its first parallel half's label
     mixed: dict[int, set] = {}   # class root -> its parallel halves' labels, when not one
     errors: dict[int, dict] = {}   # class root -> the witness of its first broken square
@@ -674,13 +688,14 @@ def hyperplane_treewall_audit(b: ComplexBall) -> Report:
                                    "at": [x.square_name(q)]})
         # class r0 runs along the half (v, m_{i+1}), so m_{i+1} is on its X-vertex
         # side, and neither half of m_{i+1} (edge ids 2e, 2e + 1) is in it; class
-        # r1 runs along (m_i, v)
+        # r1 runs along (m_i, v).  The half run along is in the other class, so
+        # only the other half of its X-edge is left to check once r0 != r1
         for root, along in ((r0, h1), (r1, h0)):
             e = along // 2
             label = labels[e]
             if label_of.setdefault(root, label) != label:
                 mixed.setdefault(root, {label_of[root]}).add(label)
-            if root in (cls[2 * e], cls[2 * e + 1]):
+            if root == cls[along ^ 1]:
                 errors.setdefault(root, {"error": "hyperplane sides are inconsistent",
                                          "at": [x.square_name(q), x.vertex_key(nv + e)]})
     for idx, root in enumerate(sorted(label_of, key=x.edge_ends)):

@@ -97,6 +97,12 @@ w·h·w^-1 for every h of the window's L-ball and filters the products by
 length, instead of skipping each h whose conjugate Green's length formula
 makes too long before the product, as ``walls._parabolic_ball`` does.
 
+The truncated wall searches (``stabilizes_wall``, ``wall_fixator_truncated``)
+are what the walls suite's stabilizer and fixator rows ran per wall before
+they read one exact count per wall: a guard that moves each wall edge by
+an element and asks whether its image is in the ball and on the wall, and
+the elements of the truncated stabilizer that fix every wall edge.
+
 The vertex-on-wall oracle moves a wall's edges with ``act_edge`` by every
 element of a vertex stabilizer cut at a syllable length, instead of asking
 which maximals contain the vertex's medium.  A cut stabilizer is only a
@@ -305,7 +311,7 @@ from cyclewall.diagrams import (
 )
 from cyclewall.errors import DecompositionError, FillError, InvariantError, ValidationError
 from cyclewall.reports import Report
-from cyclewall.walls import TreeWall, UnionFind, _stabilizes_wall, walls_of_ball
+from cyclewall.walls import TreeWall, UnionFind, wall_stabilizer_truncated, walls_of_ball
 from cyclewall.words import (
     GroupElement,
     Presentation,
@@ -718,12 +724,13 @@ def closure_classifier(p: Presentation, max_len: int):
     Only words over the generator alphabet are enumerated; moves can only
     shorten words or permute them, so the closure stays inside the universe.
     """
-    uf = UnionFind()
-    for word in all_raw_words(p, max_len):
-        uf.find(word)
+    words = list(all_raw_words(p, max_len))
+    index = {word: k for k, word in enumerate(words)}
+    uf = UnionFind(len(words))
+    for word in words:
         for other in single_moves(p, word):
-            uf.union(word, other)
-    return uf
+            uf.union(index[word], index[other])
+    return lambda word: uf.find(index[word])
 
 
 # -- bounded closure: the join oracle -------------------------------------------
@@ -1014,9 +1021,40 @@ def sweep_stabilizes_wall(b, elements, T: ObjectWall):
     return verdict
 
 
+def stabilizes_wall(b, g: GroupElement, T: TreeWall) -> Optional[bool]:
+    """Whether g stabilizes the wall T in the ball, None when it moves no
+    edge of T into the ball: the walls suite's former per-element guard.
+
+    An X-edge is its (label, coset rep) pair, so g moves the edge (i, r) to
+    (i, coset_rep(g r, {i})): one product and one coset rep per edge.  The
+    edge (i, m), m minimal modulo G_i, is in the ball iff |m| <= r: the
+    polygons on it are m·x, x in G_i, and the shortest is m itself.
+    """
+    window = (T.label,)
+    observed = False
+    for rep in T.edge_reps:
+        moved = coset_rep(mul(g, rep), window)
+        if moved.syllable_length <= b.radius:
+            observed = True
+            if moved not in T.edge_reps:
+                return False
+    return True if observed else None
+
+
+def wall_fixator_truncated(b, T: TreeWall, L: int) -> frozenset:
+    """The elements of length <= L fixing every edge of T, read off the
+    truncated stabilizer (``walls.wall_stabilizer_truncated``): the walls
+    suite's former fixator search.  An element outside the fixator moves
+    every edge of the wall (``walls.wall_fixator_audit`` proves it), so
+    ``all`` stops at its first edge."""
+    window = (T.label,)
+    return frozenset(g for g in wall_stabilizer_truncated(b, T, L)
+                     if all(coset_rep(mul(g, rep), window) == rep for rep in T.edge_reps))
+
+
 def wall_stabilizer_by_scan(b, T, L: int) -> frozenset:
     """``walls._wall_stabilizer`` by trying every element of ``b.elements(L)``."""
-    return frozenset(g for g in b.elements(L) if _stabilizes_wall(b, g, T))
+    return frozenset(g for g in b.elements(L) if stabilizes_wall(b, g, T))
 
 
 def wall_stabilizer_by_transporters(b, T, L: int) -> frozenset:
@@ -1608,7 +1646,7 @@ def hyperplane_classes(b: ComplexBall) -> dict[int, list[int]]:
     hyperplane, matched by their ends (``opposite_sides_by_ends``), where
     ``walls.hyperplane_treewall_audit`` pairs them by their places."""
     x = subdivision(b)
-    uf = UnionFind()
+    uf = UnionFind(len(x.edge_ids()))
     for pairs in opposite_sides_by_ends(b):
         for e1, e2 in pairs:
             uf.union(e1, e2)
@@ -1700,7 +1738,7 @@ def hyperplane_treewall_by_records(b: ComplexBall) -> Report:
         report.add(check, "classes", False, fault[1])
         return report
     sq = x.squares
-    uf = UnionFind()
+    uf = UnionFind(len(x.edge_ids()))
     for h0, h1, s0, s1 in zip(sq[4::8], sq[5::8], sq[6::8], sq[7::8]):
         uf.union(h0, s1)
         uf.union(h1, s0)
@@ -2031,7 +2069,7 @@ def fill_loop_by_search(b, loop, max_faces: int = 24) -> DiscDiagram:
         raise FillError(
             f"no reduced filling with at most {max_faces} faces was found")
 
-    uf = UnionFind()
+    uf = UnionFind(len(images))
     for a, c in merges:
         uf.union(a, c)
     root = uf.find

@@ -81,10 +81,10 @@ def test_criterion_1_closure_oracle_equivalence():
     t0 = time.monotonic()
     ok = True
     for p, max_len in ((presentation_c5_z2(), 6), (presentation_c5_mixed(), 6)):
-        uf = closure_classifier(p, max_len)
+        classify = closure_classifier(p, max_len)
         canon = {}
         for word in all_raw_words(p, max_len):
-            root = uf.find(word)
+            root = classify(word)
             form = reduce_word(p, word)
             if root in canon:
                 ok = ok and canon[root] == form

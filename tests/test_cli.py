@@ -13,7 +13,7 @@ from unittest import mock
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from cyclewall import cli, davis, walls
+from cyclewall import autgroup, cli, davis, walls
 from cyclewall.cli import (
     EXIT_FAIL,
     EXIT_PASS,
@@ -217,6 +217,36 @@ def test_ball_budget_is_checked_before_the_ball_is_listed(tmp_path):
     assert line.startswith("error: ball of radius 1 needs ~")
 
 
+@pytest.mark.parametrize("suite,groups", [
+    (["--suite", "words", "--radius", "1"], ["Z/1000000000000", "Z/2", "Z/2", "Z/2", "Z/2"]),
+    (["--suite", "aut", "--radius", "1", "--depth", "3"], ["Z/256"] * 5)],
+    ids=["words", "aut"])
+def test_element_listings_are_budgeted_before_they_are_listed(tmp_path, capsys, monkeypatch,
+                                                              suite, groups):
+    """The words and aut suites' element balls, of about 10^12 and 6.6·10^8
+    elements here, are refused with exit 2 and one error line under a
+    100 MiB budget, before any element is listed."""
+    def refuse(*args):
+        raise AssertionError("an element ball was listed")
+
+    for module in (cli, autgroup):
+        monkeypatch.setattr(module, "enumerate_ball_elements", refuse)
+    monkeypatch.setenv("CYCLEWALL_MEM_MB", "100")
+    path = write_presentation(tmp_path, 5, groups)
+    assert main(["verify", "--presentation", path, *suite]) == EXIT_RESOURCE
+    out, err = capsys.readouterr()
+    [line] = err.splitlines()
+    assert out == "" and line.startswith("error: ball of elements of radius 3 needs ~")
+
+
+def test_a_300_mib_budget_holds_c5_z3_at_radius_4(monkeypatch, capsys):
+    """Every listing the budget checks fits 300 MiB on c5_z3 at radius 4."""
+    monkeypatch.setenv("CYCLEWALL_MEM_MB", "300")
+    path = str(Path(__file__).resolve().parent.parent / "perfbench" / "presentations"
+               / "c5_z3.json")
+    assert main(["verify", "--presentation", path, "--radius", "4"]) == EXIT_PASS
+
+
 def test_ball_counts_no_growth_series_without_a_budget(monkeypatch, capsys):
     """With no ``CYCLEWALL_MEM_MB``, the ball is listed with no growth series
     computed."""
@@ -321,6 +351,7 @@ def test_run_suite_builds_ball_subdivision_and_stabilizers_once(monkeypatch):
     monkeypatch.setattr(davis, "_subdivision", counted("subdivision", davis._subdivision))
     monkeypatch.setattr(davis, "_read_links", counted("links", davis._read_links))
     monkeypatch.setattr(davis, "_place_faults", counted("column check", davis._place_faults))
+    monkeypatch.setattr(walls, "_wall_faults", counted("wall faults", walls._wall_faults))
     monkeypatch.setattr(walls, "_wall_stabilizer", counted(
         "stabilizer", walls._wall_stabilizer, key=lambda b, T, L: (T.label, T.key_rep)))
     assert run_suite(presentation_c5_mixed(), "all", 2, 3, 0).ok
@@ -328,6 +359,7 @@ def test_run_suite_builds_ball_subdivision_and_stabilizers_once(monkeypatch):
     assert calls["subdivision", None] == 1
     assert calls["links", None] == 1
     assert calls["column check", None] == 1
+    assert calls["wall faults", None] == 1
     per_wall = [n for (name, _), n in calls.items() if name == "stabilizer"]
     assert per_wall and max(per_wall) == 1
 

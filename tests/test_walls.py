@@ -19,7 +19,8 @@ from cyclewall.algebraic import (
     containing_maximals,
     join_is_cmaximal,
 )
-from cyclewall.cli import load_presentation
+from cyclewall import davis
+from cyclewall.cli import EXIT_FAIL, EXIT_PASS, load_presentation, main
 from cyclewall.davis import build_ball, subdivision
 from cyclewall.errors import ValidationError
 from cyclewall.walls import (
@@ -35,7 +36,6 @@ from cyclewall.walls import (
     tree_property_audit,
     vertex_stabilizer_criterion_audit,
     wall_fixator_audit,
-    wall_fixator_truncated,
     wall_no_shared_polygon_audit,
     wall_stabilizer_audit,
     wall_stabilizer_truncated,
@@ -45,7 +45,6 @@ from cyclewall.words import (
     coset_rep,
     enumerate_ball_elements,
     format_word,
-    from_syllable,
     identity,
     inv,
     mul,
@@ -68,6 +67,7 @@ from oracles import (
     objects,
     opposite_sides_by_ends,
     square_records,
+    stabilizes_wall,
     subdivide,
     parabolic_ball_by_conjugation,
     parabolic_ball_by_scan,
@@ -78,6 +78,7 @@ from oracles import (
     vertex_stabilizer_by_pairs,
     wall_no_shared_polygon_by_pairs,
     wall_stabilizer_by_scan,
+    wall_fixator_truncated,
     wall_stabilizer_by_transporters,
     walls_by_flood_fill,
     walls_by_objects,
@@ -406,9 +407,8 @@ def test_fixator_of_translated_wall_is_conjugate(c5_z2):
                                           ("c5_z2", 3), ("c6_z2", 3), ("c5_s3", 2)])
 def test_stabilizer_elements_outside_the_fixator_move_every_edge(name, radius, request):
     """An element u·x·f·u^-1 of a wall's truncated stabilizer fixes one of
-    the wall's edges iff f = 1, so one that ``wall_fixator_truncated`` drops
-    moves every edge of the wall: testing the edges one by one costs it one
-    edge, and there is nothing to save by reading the fixator off the key."""
+    the wall's edges iff f = 1 (``wall_fixator_audit``'s proof), so one
+    that the fixator oracle drops moves every edge of the wall."""
     b = build_ball(request.getfixturevalue(name), radius)
     dropped = 0
     for T in walls_of_ball(b):
@@ -569,7 +569,9 @@ def test_long_keys_keep_short_stabilizer_elements(name, radius, L, count, wall, 
 def test_long_key_test_fails_when_long_keys_are_skipped(monkeypatch):
     """A stabilizer that keeps only the identity for keys longer than
     (L + 1) / 2, as the bound |u·h·u^-1| >= 2|u| - 1 would allow, fails
-    the long-key test and the stabilizer audit."""
+    the long-key test, the transporter oracle and the delta-1 pair row of
+    the wall T0@v0:1 v2:1 and the central wall T1@e: the pair rows are the
+    walls suite's readers of the truncated stabilizer."""
     real = walls._wall_stabilizer
 
     def skips_long_keys(b, T, L):
@@ -581,8 +583,14 @@ def test_long_key_test_fails_when_long_keys_are_skipped(monkeypatch):
     for name, radius, L, *_ in LONG_KEY_CELLS:
         assert kept_by_long_keys(name, radius, L) == {}
     p = load_presentation(str(PRESENTATIONS / "c5_z2.json"))
-    rows = stabilizer_rows(wall_stabilizer_audit(build_ball(p, 3), 1))
-    assert rows["T0@v0:1 v2:1 L=1"].status == "fail"
+    b = build_ball(p, 3)
+    cg = crossing_graph(b)
+    keys = {T.key_string(): k for k, T in enumerate(cg.walls)}
+    T = cg.walls[keys["T0@v0:1 v2:1"]]
+    assert wall_stabilizer_truncated(b, T, 1) != wall_stabilizer_by_transporters(b, T, 1)
+    k1, k2 = sorted((keys["T0@v0:1 v2:1"], keys["T1@e"]))
+    assert [(r.check_id, r.status) for r in classify_pair(b, cg, k1, k2, 1).failures] == [
+        ("walls.pair-stabilizer-delta1-is-vertex-stabilizer", "fail")]
 
 
 def stabilizer_rows(report):
@@ -590,27 +598,26 @@ def stabilizer_rows(report):
             if r.check_id == "walls.stabilizer-is-three-vertex-parabolic"}
 
 
-def test_stabilizer_audit_is_inconclusive_past_the_horizon(c5_mixed):
-    """At L >= 2r + 1 the parabolic holds elements that move no wall edge
-    into the ball; such rows are inconclusive, with those elements as the
-    witness, and no row fails."""
+def test_stabilizer_audit_passes_past_the_horizon(c5_mixed):
+    """At L >= 2r + 1 the truncated parabolic holds elements that move no
+    wall edge into the ball, so a search over it could only say
+    inconclusive there; the wall's edge count decides the row, and every
+    row passes."""
     b = build_ball(c5_mixed, 1)
     report = wall_stabilizer_audit(b, 3)
-    assert not report.failures and report.inconclusive
-    by_key = {T.key_string(): T for T in walls_of_ball(b)}
-    for row in report.inconclusive:
-        T = by_key[row.instance.split()[0]]
-        unobservable = [parse_word(c5_mixed, w) for w in row.witness["unobservable"]]
-        assert unobservable
-        assert all(walls._stabilizes_wall(b, g, T) is None for g in unobservable)
+    assert report.results and all(r.status == "pass" for r in report.results)
+    unobservable = [g for T in walls_of_ball(b)
+                    for g in walls._parabolic_ball(b, T.stabilizer, 3)
+                    if stabilizes_wall(b, g, T) is None]
+    assert unobservable
 
 
 @pytest.mark.parametrize("radius", range(4))
 @pytest.mark.parametrize("name", SIX)
 def test_an_edge_is_in_the_ball_iff_its_rep_is_short(name, radius):
-    """The length rule ``_stabilizes_wall`` reads: for every g in B(r + 2)
-    and label i, the edge (i, coset_rep(g, {i})) is an edge of the ball's
-    table iff its rep has length <= r."""
+    """The length rule the walls' edge counts read (``walls._wall_faults``):
+    for every g in B(r + 2) and label i, the edge (i, coset_rep(g, {i}))
+    is an edge of the ball's table iff its rep has length <= r."""
     p = load_presentation(str(PRESENTATIONS / f"{name}.json"))
     t = build_ball(p, radius).table
     edges = set(zip(t.edges[0::4], map(t.reps.__getitem__, t.edges[1::4])))
@@ -624,38 +631,40 @@ def test_an_edge_is_in_the_ball_iff_its_rep_is_short(name, radius):
     assert seen == {True, False}
 
 
-def test_stabilizer_audit_fails_when_the_guard_accepts_everything(c5_mixed, monkeypatch):
-    """Every transporter between edges of one wall stabilizes it, so a guard
-    that accepts every candidate shows where the audit asks it whether an
-    element of the parabolic is observable: past the horizon, where each
-    radius-1 row is inconclusive without the mutant."""
-    monkeypatch.setattr(walls, "_stabilizes_wall", lambda b, g, T: True)
-    rows = stabilizer_rows(wall_stabilizer_audit(build_ball(c5_mixed, 1), 3))
-    assert rows and {r.status for r in rows.values()} == {"fail"}
+@pytest.mark.parametrize("name", SIX)
+def test_wall_edge_counts_are_the_free_product_balls(name):
+    """Each wall (i, u) has as many edges as the elements of length
+    <= r - |u| of G_{i-1} * G_{i+1} the window ball lists, at r = 3."""
+    p = load_presentation(str(PRESENTATIONS / f"{name}.json"))
+    b = build_ball(p, 3)
+    for T in walls_of_ball(b):
+        i, rho = T.label, 3 - T.key_rep.syllable_length
+        F = enumerate_ball_elements(p, rho, {i - 1, i + 1})
+        assert len(T.ids) == len(F) == walls._free_ball_sizes(p, i, 3)[rho], T.key_string()
+
+
+def drop_one_edge(real, key):
+    """``walls._walls`` with the last edge of the wall named ``key`` dropped."""
+    def walls_(t):
+        ws = real(t)
+        k = next(k for k, T in enumerate(ws) if T.key_string() == key)
+        T = ws[k]
+        ws[k] = TreeWall(t, T.label, T.key_rep, T.ids[:-1])
+        return ws
+    return walls_
 
 
 def test_stabilizer_audit_reads_the_walls_edges(c5_mixed, monkeypatch):
-    """A stabilizer that keeps every f of the L-ball of G_{i-1} * G_{i+1},
-    not only those moving one wall edge onto another, is the whole
-    truncated parabolic, with the elements that move no wall edge into the
-    ball: so each central radius-1 row, inconclusive without the mutant,
-    passes, and the geometric side reads the ball's edges."""
+    """A central wall with its last edge dropped fails its stabilizer and
+    fixator rows, one edge short of the ball of G_{i-1} * G_{i+1}, and
+    every other row of the two audits still passes."""
     p = c5_mixed
-    clean = stabilizer_rows(wall_stabilizer_audit(build_ball(p, 1), 3))
-
-    def ignores_the_edges(b, T, L):
-        i, u = T.label, T.key_rep
-        local = [identity(p)] + [from_syllable(p, i, x)
-                                 for x in p.group(i).nontrivial_elements()]
-        F_L = enumerate_ball_elements(p, L, {(i - 1) % p.n, (i + 1) % p.n})
-        conjugates = (mul(u, x, f, inv(u)) for f in F_L for x in local)
-        return frozenset(g for g in conjugates if g.syllable_length <= L)
-
-    monkeypatch.setattr(walls, "_wall_stabilizer", ignores_the_edges)
-    mutated = stabilizer_rows(wall_stabilizer_audit(build_ball(p, 1), 3))
-    central = [f"T{i}@e L=3" for i in range(p.n)]
-    assert {clean[k].status for k in central} == {"inconclusive"}
-    assert {mutated[k].status for k in central} == {"pass"}
+    monkeypatch.setattr(walls, "_walls", drop_one_edge(walls._walls, "T1@e"))
+    b = build_ball(p, 1)
+    for report in (wall_stabilizer_audit(b, 3), wall_fixator_audit(b, 3)):
+        [row] = report.failures
+        assert row.instance == "T1@e L=3"
+        assert row.witness == {"edges": 2, "ball_of_F": 3, "off_coset": [], "not_members": []}
 
 
 @pytest.mark.parametrize("radius,L", [(2, 3), (1, 3)])
@@ -666,26 +675,103 @@ def test_stabilizer_audit_fails_on_a_wrong_membership_rule(c5_mixed, monkeypatch
 
 
 def test_stabilizer_audit_fails_on_a_dropped_observable_element(c5_mixed, monkeypatch):
-    """Dropping a syllable of the wall's own label, which fixes the wall's
-    central edge, from the algebraic side of a central wall fails its row,
-    also where the row is inconclusive without the mutant."""
+    """A membership rule that drops a syllable of the wall's own label,
+    which fixes the wall's central edge, from each central wall's
+    stabilizer fails the central rows with that syllable as the witness,
+    also where a search over the truncated parabolic was inconclusive, and
+    no other row."""
     p = c5_mixed
-    clean = stabilizer_rows(wall_stabilizer_audit(build_ball(p, 1), 3))
-    real = walls._parabolic_ball
+    real = walls.parabolic_member
 
-    def dropped(b, H, L):
-        got = real(b, H, L)
-        if H.tier == MAXIMAL and H.conjugator.is_identity:
-            got -= {parse_word(p, f"v{H.base}:1")}
-        return got
+    def dropped(g, H):
+        central = H.tier == MAXIMAL and H.conjugator.is_identity
+        return real(g, H) and not (central and g == parse_word(p, f"v{H.base}:1"))
 
-    monkeypatch.setattr(walls, "_parabolic_ball", dropped)
-    mutated = stabilizer_rows(wall_stabilizer_audit(build_ball(p, 1), 3))
-    central = [f"T{i}@e L=3" for i in range(p.n)]
-    assert {clean[k].status for k in central} == {"inconclusive"}
-    assert {mutated[k].status for k in central} == {"fail"}
-    assert all(f"v{i}:1" in mutated[f"T{i}@e L=3"].witness["geometric_only"]
+    monkeypatch.setattr(walls, "parabolic_member", dropped)
+    rows = stabilizer_rows(wall_stabilizer_audit(build_ball(p, 1), 3))
+    central = {f"T{i}@e L=3" for i in range(p.n)}
+    assert {k for k, r in rows.items() if r.status == "fail"} == central
+    assert all(rows[f"T{i}@e L=3"].witness["not_members"] == [f"v{i}:1"]
                for i in range(p.n))
+
+
+def verify_walls(tmp_path, name, radius, depth):
+    """(exit code, failing (check, instance) pairs, inconclusive count) of
+    ``verify --suite walls`` on a reference presentation."""
+    out = tmp_path / "report.json"
+    code = main(["verify", "--presentation", str(PRESENTATIONS / f"{name}.json"),
+                 "--suite", "walls", "--radius", str(radius), "--depth", str(depth),
+                 "--seed", "0", "--output", str(out)])
+    doc = json.loads(out.read_text())
+    failed = {(c["check"], c["instance"]) for c in doc["checks"] if c["status"] == "fail"}
+    return code, failed, doc["summary"]["inconclusive"]
+
+
+@pytest.mark.parametrize("radius,depth", [(1, 3), (2, 5)])
+@pytest.mark.parametrize("name", SIX)
+def test_walls_suite_past_the_horizon_has_no_inconclusive_row(tmp_path, name, radius, depth):
+    """With ``--depth`` at least ``--radius`` + 2, where the truncated
+    searches answered inconclusive, the walls suite passes outright."""
+    assert verify_walls(tmp_path, name, radius, depth) == (EXIT_PASS, set(), 0)
+
+
+WALL_ROWS = {"walls.stabilizer-is-three-vertex-parabolic", "walls.fixator-is-edge-stabilizer"}
+
+
+def add_foreign_edge(real):
+    """``walls._walls`` with an edge of the last label-1 wall added to T1@e."""
+    def walls_(t):
+        ws = real(t)
+        k = next(k for k, T in enumerate(ws) if T.key_string() == "T1@e")
+        last = [T for T in ws if T.label == 1][-1]
+        ws[k] = TreeWall(t, 1, ws[k].key_rep, ws[k].ids + last.ids[-1:])
+        return ws
+    return walls_
+
+
+def moved_wall_key(real):
+    """``davis.ball_table`` with the wall key of T1@e's last edge changed to
+    the key of the last label-1 edge with another key."""
+    def table(p, r):
+        t = real(p, r)
+        ones = [e for e in t.edge_order if t.edges[4 * e] == 1]
+        mine = [e for e in ones if t.reps[t.wall_keys[e]].is_identity]
+        t.wall_keys[mine[-1]] = next(t.wall_keys[e] for e in reversed(ones) if e not in mine)
+        return t
+    return table
+
+
+def misread_closed_form(p, i, r):
+    """The wall edge count with |G_i| read in place of |G_{i+1}|."""
+    a, c = p.group(i - 1).size - 1, p.group(i).size - 1
+    return list(itertools.accumulate(
+        (a ** ((k + 1) // 2) * c ** (k // 2) + c ** ((k + 1) // 2) * a ** (k // 2)
+         for k in range(1, r + 1)), initial=1))
+
+
+@pytest.mark.parametrize("mutant", ["edge-dropped", "edge-of-another-key", "wall-key-changed",
+                                    "closed-form"])
+def test_wall_mutants_fail_through_verify(tmp_path, monkeypatch, mutant):
+    """Each break of a wall's edges, or of the count they are checked
+    against, fails a stabilizer or fixator row of ``verify --suite walls
+    --radius 3`` on c5_mixed: the two rows of T1@e where its edges change."""
+    if mutant == "edge-dropped":
+        monkeypatch.setattr(walls, "_walls", drop_one_edge(walls._walls, "T1@e"))
+    elif mutant == "edge-of-another-key":
+        monkeypatch.setattr(walls, "_walls", add_foreign_edge(walls._walls))
+    elif mutant == "wall-key-changed":
+        monkeypatch.setattr(davis, "ball_table", moved_wall_key(davis.ball_table))
+    else:
+        monkeypatch.setattr(walls, "_free_ball_sizes", misread_closed_form)
+    code, failed, _ = verify_walls(tmp_path, "c5_mixed", 3, 3)
+    assert code == EXIT_FAIL
+    rows = {(check, instance.split()[0]) for check, instance in failed if check in WALL_ROWS}
+    if mutant == "closed-form":
+        # |G_i| != |G_{i+1}| but for i = 4, as |G_4| = |G_0|
+        assert {check for check, _ in failed} == WALL_ROWS
+        assert {int(key[1]) for _, key in rows} == {0, 1, 2, 3}
+    else:
+        assert {(check, "T1@e") for check in WALL_ROWS} <= rows
 
 
 def test_pair_stabilizer_classification(c5_z2):

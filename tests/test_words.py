@@ -140,10 +140,10 @@ def test_reduce_canonical_is_lex_least(c5_z2):
 def test_reduce_agrees_with_closure_oracle_on_short_words(c5_mixed):
     p = c5_mixed
     max_len = 4
-    uf = closure_classifier(p, max_len)
+    classify = closure_classifier(p, max_len)
     canon = {}
     for word in all_raw_words(p, max_len):
-        root = uf.find(word)
+        root = classify(word)
         form = reduce_word(p, word)
         if root in canon:
             assert canon[root] == form, f"word {word} disagrees with oracle"
